@@ -3,7 +3,7 @@
 //! M-operator. These isolate the NSQL/TSQL deltas of Fig 6(d).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fempath_sql::{Database, ExecMode};
+use fempath_sql::Database;
 use fempath_storage::Value;
 use std::hint::black_box;
 
@@ -126,13 +126,10 @@ fn bench_m_operator(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-statement overhead and executor comparison: the same FEM-loop
-/// statements executed through a prepared handle on the **vectorized**
-/// executor (`_prepared`, the default), through the same prepared handle
-/// on the PR-3 **row-at-a-time** executor (`_prepared_row` — the
-/// before/after pair the vectorized-engine acceptance criterion reads),
-/// through the plan cache (`execute_params`), and fully unprepared
-/// (parse + bind + interpret every call).
+/// Per-statement overhead: the same FEM-loop statements executed through
+/// a prepared handle (`_prepared`), through the plan cache
+/// (`execute_params`), and fully unprepared (parse + bind + interpret
+/// every call).
 fn bench_prepared_vs_unprepared(c: &mut Criterion) {
     let mut group = c.benchmark_group("prepared_vs_unprepared");
     group.sample_size(20);
@@ -145,14 +142,6 @@ fn bench_prepared_vs_unprepared(c: &mut Criterion) {
     ] {
         group.bench_function(&format!("{name}_prepared"), |b| {
             let mut db = fixture();
-            let stmt = db.prepare(sql).unwrap();
-            b.iter(|| {
-                black_box(db.execute_prepared(&stmt, &[]).unwrap().rows_affected);
-            });
-        });
-        group.bench_function(&format!("{name}_prepared_row"), |b| {
-            let mut db = fixture();
-            db.set_exec_mode(ExecMode::RowAtATime);
             let stmt = db.prepare(sql).unwrap();
             b.iter(|| {
                 black_box(db.execute_prepared(&stmt, &[]).unwrap().rows_affected);

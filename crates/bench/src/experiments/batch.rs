@@ -14,8 +14,7 @@
 
 use crate::harness::{print_table, query_pairs, secs, BenchConfig};
 use fempath_core::{
-    BatchBdjFinder, BatchShortestPathFinder, BdjFinder, BsdjFinder, ExecMode, GraphDb,
-    ShortestPathFinder,
+    BatchBdjFinder, BatchShortestPathFinder, BdjFinder, BsdjFinder, GraphDb, ShortestPathFinder,
 };
 use fempath_graph::generate;
 use fempath_sql::Result;
@@ -56,22 +55,12 @@ pub fn throughput(cfg: &BenchConfig) -> Result<()> {
         };
         let (bdj_time, bdj_reach) = timed(|| loop_over(&mut gdb, &bdj))?;
         let (bsdj_time, bsdj_reach) = timed(|| loop_over(&mut gdb, &bsdj))?;
-        // The batched finder runs on both executors: `row` is the PR-3
-        // row-at-a-time baseline, `vec` the batch-at-a-time engine — the
-        // before/after pair of DESIGN.md §11.
-        gdb.set_exec_mode(ExecMode::RowAtATime);
-        let (batch_row_time, batch_row_reach) = timed(|| {
-            let out = batched.find_paths(&mut gdb, &pairs)?;
-            Ok(out.paths.iter().filter(|p| p.is_some()).count())
-        })?;
-        gdb.set_exec_mode(ExecMode::Vectorized);
         let (batch_time, batch_reach) = timed(|| {
             let out = batched.find_paths(&mut gdb, &pairs)?;
             Ok(out.paths.iter().filter(|p| p.is_some()).count())
         })?;
         assert_eq!(bdj_reach, batch_reach, "loop and batch must agree");
         assert_eq!(bsdj_reach, batch_reach, "loop and batch must agree");
-        assert_eq!(batch_row_reach, batch_reach, "executors must agree");
 
         rows.push(vec![
             format!("{batch}"),
@@ -79,13 +68,8 @@ pub fn throughput(cfg: &BenchConfig) -> Result<()> {
             rate(batch, bdj_time),
             secs(bsdj_time),
             rate(batch, bsdj_time),
-            secs(batch_row_time),
             secs(batch_time),
             rate(batch, batch_time),
-            format!(
-                "{:.2}x",
-                batch_row_time.as_secs_f64() / batch_time.as_secs_f64().max(1e-9)
-            ),
             format!(
                 "{:.2}x",
                 bdj_time.as_secs_f64() / batch_time.as_secs_f64().max(1e-9)
@@ -98,10 +82,8 @@ pub fn throughput(cfg: &BenchConfig) -> Result<()> {
         "BDJ pairs/s",
         "BSDJ loop (s)",
         "BSDJ pairs/s",
-        "batched row (s)",
-        "batched vec (s)",
+        "batched (s)",
         "batched pairs/s",
-        "vec/row",
         "speedup",
     ];
     print_table(

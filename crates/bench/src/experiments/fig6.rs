@@ -4,7 +4,7 @@
 
 use crate::harness::{measure, print_table, query_pairs, secs, BenchConfig};
 use fempath_core::{
-    BdjFinder, BsdjFinder, ExecMode, FemOperator, GraphDb, Phase, ShortestPathFinder, SqlStyle,
+    BdjFinder, BsdjFinder, FemOperator, GraphDb, Phase, ShortestPathFinder, SqlStyle,
 };
 use fempath_graph::generate;
 use fempath_sql::Result;
@@ -23,55 +23,30 @@ fn setup(cfg: &BenchConfig, i: usize, paper_n: usize) -> Result<Setup> {
     Ok((gdb, pairs, n))
 }
 
-/// Fig 6(a): BDJ vs BSDJ query time vs graph scale, each measured on the
-/// row-at-a-time (PR-3 baseline) and the vectorized executor over the
-/// same cached plans — the before/after pair of DESIGN.md §11.
+/// Fig 6(a): BDJ vs BSDJ query time vs graph scale.
 pub fn fig6a(cfg: &BenchConfig) -> Result<()> {
     let mut rows = Vec::new();
     for (i, &paper_n) in PAPER_SIZES.iter().enumerate() {
         let (mut gdb, pairs, n) = setup(cfg, i, paper_n)?;
-        gdb.set_exec_mode(ExecMode::RowAtATime);
-        let bdj_row = measure(&mut gdb, &BdjFinder::default(), &pairs)?;
-        let bsdj_row = measure(&mut gdb, &BsdjFinder::default(), &pairs)?;
-        gdb.set_exec_mode(ExecMode::Vectorized);
         let bdj = measure(&mut gdb, &BdjFinder::default(), &pairs)?;
         let bsdj = measure(&mut gdb, &BsdjFinder::default(), &pairs)?;
-        let speedup = |row: Duration, vec: Duration| {
-            format!("{:.2}x", row.as_secs_f64() / vec.as_secs_f64().max(1e-9))
-        };
         rows.push(vec![
             format!("{n}"),
-            secs(bdj_row.avg_time),
             secs(bdj.avg_time),
-            speedup(bdj_row.avg_time, bdj.avg_time),
-            secs(bsdj_row.avg_time),
             secs(bsdj.avg_time),
-            speedup(bsdj_row.avg_time, bsdj.avg_time),
             format!(
                 "{:.2}x",
                 bdj.avg_time.as_secs_f64() / bsdj.avg_time.as_secs_f64().max(1e-9)
             ),
         ]);
     }
-    let header = [
-        "|V|",
-        "BDJ row",
-        "BDJ vec",
-        "BDJ vec-x",
-        "BSDJ row",
-        "BSDJ vec",
-        "BSDJ vec-x",
-        "BDJ/BSDJ",
-    ];
+    let header = ["|V|", "BDJ", "BSDJ", "BDJ/BSDJ"];
     print_table(
-        "Fig 6(a): query time (s) vs graph scale — BDJ vs BSDJ (Power), row-at-a-time vs vectorized executor",
+        "Fig 6(a): query time (s) vs graph scale — BDJ vs BSDJ (Power)",
         &header,
         &rows,
     );
-    println!(
-        "paper shape: BSDJ ~1/3 of BDJ across all sizes; vec-x columns record \
-         the batch-at-a-time executor's win over the PR-3 row baseline"
-    );
+    println!("paper shape: BSDJ ~1/3 of BDJ across all sizes");
     Ok(())
 }
 

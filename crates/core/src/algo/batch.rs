@@ -321,27 +321,24 @@ fn run_batch(gdb: &mut GraphDb, pairs: &[(i64, i64)], spec: BatchSpec) -> Result
 
     let mut runner = Runner::new(gdb);
     // Multi-row initialization: one INSERT per table seeds the whole batch
-    // (the statements are batch-specific literals, so they run through the
-    // unplanned path and stay out of the plan cache).
+    // (the statements are batch-specific literals, so they are planned
+    // once and stay out of the plan cache).
     runner.exec_once(
         Phase::PathExpansion,
         FemOperator::Aux,
         &BatchSqlGen::init_batch(Dir::Fwd, &live),
-        &[],
     )?;
     if spec.bidi {
         runner.exec_once(
             Phase::PathExpansion,
             FemOperator::Aux,
             &BatchSqlGen::init_batch(Dir::Bwd, &live),
-            &[],
         )?;
     }
     runner.exec_once(
         Phase::PathExpansion,
         FemOperator::Aux,
         &BatchSqlGen::init_bounds_batch(&live, spec.bidi),
-        &[],
     )?;
     if let Some(seed) = &seed_stmt {
         runner.exec_prepared(Phase::PathExpansion, FemOperator::Aux, seed, &[])?;

@@ -74,17 +74,12 @@ impl<'a> Runner<'a> {
         }
     }
 
-    /// Executes a one-shot literal statement (e.g. batch seeding) without
-    /// polluting the plan cache.
-    pub fn exec_once(
-        &mut self,
-        phase: Phase,
-        op: FemOperator,
-        sql: &str,
-        params: &[Value],
-    ) -> Result<ExecOutcome> {
+    /// Executes a one-shot literal statement (e.g. batch seeding): planned
+    /// and run like any other statement, but never entered into the plan
+    /// cache.
+    pub fn exec_once(&mut self, phase: Phase, op: FemOperator, sql: &str) -> Result<ExecOutcome> {
         let t = Instant::now();
-        let out = self.gdb.db.execute_unplanned(sql, params)?;
+        let out = self.gdb.db.execute_script(sql)?;
         self.stats.record(phase, op, t.elapsed());
         Ok(out)
     }

@@ -575,13 +575,6 @@ impl GraphDb {
         Ok(out)
     }
 
-    /// Switches the SQL engine between the vectorized (default) and the
-    /// row-at-a-time plan executor — the experiments use this to record
-    /// before/after numbers on identical plans (DESIGN.md §11).
-    pub fn set_exec_mode(&mut self, mode: fempath_sql::ExecMode) {
-        self.db.set_exec_mode(mode);
-    }
-
     /// Freezes this database into an immutable [`GraphSnapshot`] that many
     /// worker sessions can share (DESIGN.md §10).
     ///

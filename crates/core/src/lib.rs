@@ -57,7 +57,6 @@ pub use algo::{
 pub use cache::{CacheStats, ResultCache};
 pub use dispatch::{partition_even, StealQueues, WaitHistogram};
 pub use fem::{run_batch_fem, run_fem, BatchFemSearch, FemSearch};
-pub use fempath_sql::ExecMode;
 pub use graphdb::{
     GraphDb, GraphDbOptions, GraphSnapshot, LandmarkInfo, SegTableInfo, INF, NO_NODE,
 };

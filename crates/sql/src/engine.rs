@@ -103,22 +103,6 @@ impl PreparedStmt {
     }
 }
 
-/// Which executor runs compiled physical plans.
-///
-/// Both executors share the planner, the plan cache and all semantics;
-/// [`ExecMode::Vectorized`] (the default) moves typed column batches
-/// through the operators (DESIGN.md §11), [`ExecMode::RowAtATime`] is the
-/// PR-3 tuple-at-a-time pipeline, kept as the benchmark baseline and a
-/// second differential-testing target next to the AST interpreter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// One `Vec<Value>` row at a time through the plan operators.
-    RowAtATime,
-    /// Typed columnar batches (~1024 rows) with selection vectors.
-    #[default]
-    Vectorized,
-}
-
 /// Plan-cache size bound: statements beyond this are still planned, but
 /// the cache evicts (stale versions first, then true LRU) to stay bounded
 /// when callers execute unbounded families of literal SQL strings.
@@ -470,7 +454,6 @@ pub struct Database {
     pool: BufferPool,
     catalog: Catalog,
     dialect: Dialect,
-    exec_mode: ExecMode,
     plan_cache: PlanCache,
     /// Present on snapshot sessions: the cache shared with every sibling
     /// session of the same [`DbSnapshot`].
@@ -515,7 +498,6 @@ impl Database {
             pool,
             catalog: Catalog::new(),
             dialect: Dialect::default(),
-            exec_mode: ExecMode::default(),
             plan_cache: PlanCache::new(),
             shared_plans: None,
             statements_executed: 0,
@@ -554,18 +536,6 @@ impl Database {
         self.dialect
     }
 
-    /// The executor running compiled plans (vectorized by default).
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
-    }
-
-    /// Switches between the vectorized and the row-at-a-time plan
-    /// executor — used by benchmarks (before/after) and differential
-    /// tests. Plans are executor-agnostic, so cached plans stay valid.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
     /// Changes the dialect in place.
     pub fn set_dialect(&mut self, dialect: Dialect) {
         self.dialect = dialect;
@@ -586,9 +556,10 @@ impl Database {
         self.exec_plan(&plan, params)
     }
 
-    /// Parses and executes a statement **without** touching the plan
-    /// cache — the unprepared door, used for one-shot literal statements
-    /// (e.g. batch seeding) and as the differential-test baseline.
+    /// Parses a statement and executes it through the AST **interpreter**
+    /// — no physical plan, no plan cache. Nothing that is served takes
+    /// this door; it is the independent reference the differential tests
+    /// compare the planned executor against.
     pub fn execute_unplanned(&mut self, sql: &str, params: &[Value]) -> Result<ExecOutcome> {
         let stmt = parse_statement(sql)?;
         self.run_stmt(&stmt, params)
@@ -636,20 +607,22 @@ impl Database {
                 return Ok(p);
             }
         }
-        let stmt = parse_statement(sql)?;
-        let n_params = plan::build::count_params(&stmt);
-        let kind = plan::build::build_plan(&self.catalog, &stmt)?;
-        let compiled = Arc::new(PreparedPlan {
-            sql: sql.to_string(),
-            catalog_version: version,
-            n_params,
-            kind,
-        });
+        let compiled = Arc::new(self.compile(sql, &parse_statement(sql)?)?);
         if let Some(shared) = &self.shared_plans {
             shared.insert(&compiled);
         }
         self.plan_cache.insert(compiled.clone());
         Ok(compiled)
+    }
+
+    /// Compiles one parsed statement against the current catalog.
+    fn compile(&self, sql: &str, stmt: &Stmt) -> Result<PreparedPlan> {
+        Ok(PreparedPlan {
+            sql: sql.to_string(),
+            catalog_version: self.catalog.version(),
+            n_params: plan::build::count_params(stmt),
+            kind: plan::build::build_plan(&self.catalog, stmt)?,
+        })
     }
 
     /// Executes one compiled plan.
@@ -669,14 +642,9 @@ impl Database {
             rows_affected: n,
             rows: None,
         };
-        let vec = self.exec_mode == ExecMode::Vectorized;
         match &plan.kind {
             PlanKind::Select(sp) => {
-                let rows = if vec {
-                    plan::vexec::run_select_rows(&mut self.pool, &self.catalog, params, sp)?
-                } else {
-                    plan::exec::run_select_rows(&mut self.pool, &self.catalog, params, sp)?
-                };
+                let rows = plan::vexec::run_select_rows(&mut self.pool, &self.catalog, params, sp)?;
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     rows: Some(ResultSet {
@@ -685,21 +653,24 @@ impl Database {
                     }),
                 })
             }
-            PlanKind::Insert(ip) => Ok(no_rows(if vec {
-                plan::vexec::run_insert(&mut self.pool, &mut self.catalog, params, ip)?
-            } else {
-                plan::exec::run_insert(&mut self.pool, &mut self.catalog, params, ip)?
-            })),
-            PlanKind::Update(up) => Ok(no_rows(if vec {
-                plan::vexec::run_update(&mut self.pool, &mut self.catalog, params, up)?
-            } else {
-                plan::exec::run_update(&mut self.pool, &mut self.catalog, params, up)?
-            })),
-            PlanKind::Delete(dp) => Ok(no_rows(if vec {
-                plan::vexec::run_delete(&mut self.pool, &mut self.catalog, params, dp)?
-            } else {
-                plan::exec::run_delete(&mut self.pool, &mut self.catalog, params, dp)?
-            })),
+            PlanKind::Insert(ip) => Ok(no_rows(plan::vexec::run_insert(
+                &mut self.pool,
+                &mut self.catalog,
+                params,
+                ip,
+            )?)),
+            PlanKind::Update(up) => Ok(no_rows(plan::vexec::run_update(
+                &mut self.pool,
+                &mut self.catalog,
+                params,
+                up,
+            )?)),
+            PlanKind::Delete(dp) => Ok(no_rows(plan::vexec::run_delete(
+                &mut self.pool,
+                &mut self.catalog,
+                params,
+                dp,
+            )?)),
             PlanKind::Merge(mp) => {
                 if !self.dialect.supports_merge {
                     return Err(SqlError::UnsupportedByDialect {
@@ -707,17 +678,21 @@ impl Database {
                         dialect: self.dialect.name.to_string(),
                     });
                 }
-                Ok(no_rows(if vec {
-                    plan::vexec::run_merge(&mut self.pool, &mut self.catalog, params, mp)?
-                } else {
-                    plan::exec::run_merge(&mut self.pool, &mut self.catalog, params, mp)?
-                }))
+                Ok(no_rows(plan::vexec::run_merge(
+                    &mut self.pool,
+                    &mut self.catalog,
+                    params,
+                    mp,
+                )?))
             }
             PlanKind::Fallback(stmt) => self.dispatch_stmt(stmt, params),
         }
     }
 
     /// Runs a semicolon-separated script, returning the last outcome.
+    /// Each statement is planned and executed once without entering the
+    /// plan cache, so one-shot literal statements (a shell session, batch
+    /// seeding) never evict the hot parameterized plans.
     pub fn execute_script(&mut self, sql: &str) -> Result<ExecOutcome> {
         let stmts = crate::parser::parse_statements(sql)?;
         let mut last = ExecOutcome {
@@ -725,7 +700,8 @@ impl Database {
             rows: None,
         };
         for stmt in stmts {
-            last = self.run_stmt(&stmt, &[])?;
+            let plan = self.compile("", &stmt)?;
+            last = self.exec_plan(&plan, &[])?;
         }
         Ok(last)
     }
@@ -743,8 +719,8 @@ impl Database {
     }
 
     /// Executes one parsed statement through the interpreter (no physical
-    /// plan). This is the fallback path for DDL and the baseline for
-    /// differential tests.
+    /// plan) — the differential-test reference behind
+    /// [`Database::execute_unplanned`].
     pub fn run_stmt(&mut self, stmt: &Stmt, params: &[Value]) -> Result<ExecOutcome> {
         self.statements_executed += 1;
         self.dispatch_stmt(stmt, params)
@@ -761,7 +737,6 @@ impl Database {
                     pool: &mut self.pool,
                     catalog: &self.catalog,
                     params,
-                    trace: None,
                 };
                 let rel = select::execute_select(&mut ctx, sel)?;
                 Ok(ExecOutcome {
@@ -773,21 +748,20 @@ impl Database {
                 })
             }
             Stmt::Explain(inner) => {
-                let Stmt::Select(sel) = inner.as_ref() else {
+                let Stmt::Select(_) = inner.as_ref() else {
                     return Err(SqlError::Eval(
                         "EXPLAIN currently supports SELECT statements only".into(),
                     ));
                 };
-                let trace = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-                let mut ctx = ExecCtx {
-                    pool: &mut self.pool,
-                    catalog: &self.catalog,
-                    params,
-                    trace: Some(trace.clone()),
+                // The plan that is printed is the plan that runs: the same
+                // planner and executor `prepare`/`execute_prepared` use.
+                let plan = self.compile("", inner)?;
+                let PlanKind::Select(sp) = &plan.kind else {
+                    unreachable!("a SELECT statement plans to a SELECT plan")
                 };
-                let rel = select::execute_select(&mut ctx, sel)?;
-                let mut lines = trace.borrow().clone();
-                lines.push(format!("RESULT {} row(s)", rel.rows.len()));
+                let rows = plan::vexec::run_select_rows(&mut self.pool, &self.catalog, params, sp)?;
+                let mut lines = plan.describe();
+                lines.push(format!("RESULT {} row(s)", rows.len()));
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     rows: Some(ResultSet {

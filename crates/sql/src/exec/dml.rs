@@ -30,7 +30,6 @@ pub fn execute_insert(
             pool,
             catalog,
             params,
-            trace: None,
         };
         match &ins.source {
             InsertSource::Values(rows) => {
@@ -118,7 +117,6 @@ pub fn execute_update(
             pool,
             catalog,
             params,
-            trace: None,
         };
         let table = ctx.catalog.table(&upd.table)?;
         let tschema = Schema::from_table(binding, &table.schema);
@@ -273,7 +271,6 @@ pub fn execute_delete(
             pool,
             catalog,
             params,
-            trace: None,
         };
         let table = ctx.catalog.table(&del.table)?;
         let schema = Schema::from_table(&del.table, &table.schema);
@@ -328,7 +325,6 @@ pub fn execute_merge(
             pool,
             catalog,
             params,
-            trace: None,
         };
         let source = materialize_ref(&mut ctx, &m.source)?;
         let table = ctx.catalog.table(&m.target)?;

@@ -179,18 +179,9 @@ pub struct ExecCtx<'a> {
     pub pool: &'a mut BufferPool,
     pub catalog: &'a Catalog,
     pub params: &'a [Value],
-    /// When set (EXPLAIN), planning decisions are appended here.
-    pub trace: Option<std::rc::Rc<std::cell::RefCell<Vec<String>>>>,
 }
 
 impl<'a> ExecCtx<'a> {
-    /// Records one planner decision for EXPLAIN output.
-    pub fn trace(&self, line: impl FnOnce() -> String) {
-        if let Some(t) = &self.trace {
-            t.borrow_mut().push(line());
-        }
-    }
-
     pub fn param(&self, i: usize) -> Result<Value> {
         self.params.get(i).cloned().ok_or(SqlError::ParamCount {
             expected: i + 1,
@@ -547,7 +538,6 @@ mod tests {
             pool: &mut pool,
             catalog: &catalog,
             params: &[],
-            trace: None,
         };
         bind_expr(&mut ctx, &Schema::empty(), expr).unwrap()
     }
@@ -645,7 +635,6 @@ mod tests {
             pool: &mut pool,
             catalog: &catalog,
             params: &params,
-            trace: None,
         };
         let b = bind_expr(&mut ctx, &Schema::empty(), &Expr::Param(0)).unwrap();
         assert_eq!(eval(&b, &[]).unwrap(), Value::Int(42));

@@ -200,7 +200,6 @@ fn scan_table(
     let mut rows = Vec::new();
     match access {
         Some((cols, eq_positions)) => {
-            ctx.trace(|| format!("SCAN {name} ({binding}) via index lookup on columns {cols:?}"));
             let consumed_local: Vec<usize> =
                 eq_positions.iter().map(|&p| eqs[p].conjunct_idx).collect();
             // Key values: bind the constant sides (no columns involved).
@@ -241,12 +240,6 @@ fn scan_table(
             }
         }
         None => {
-            ctx.trace(|| {
-                format!(
-                    "SCAN {name} ({binding}) full scan, {} pushed filter(s)",
-                    mine.len()
-                )
-            });
             let preds: Vec<BExpr> = mine
                 .iter()
                 .map(|c| bind_expr(ctx, &schema, c))
@@ -421,11 +414,6 @@ fn join(
 
             if let Some(path_cols) = path {
                 // Index nested loop join.
-                ctx.trace(|| {
-                    format!(
-                        "INDEX NESTED LOOP JOIN {name} ({binding}) probing index columns {path_cols:?}"
-                    )
-                });
                 let mut used_pairs = Vec::new();
                 for &pc in &path_cols {
                     let p = pairs
@@ -505,7 +493,6 @@ fn join(
             }
 
             // No usable index: materialize and fall through to hash join.
-            ctx.trace(|| format!("MATERIALIZE {name} ({binding}) — no usable join index"));
             let mut rows = Vec::new();
             let table = ctx.catalog.table(&name)?;
             table.scan(ctx.pool, |_, row| {
@@ -544,14 +531,6 @@ fn join_materialized(
 
     let mut rows = Vec::new();
     if pairs.is_empty() {
-        ctx.trace(|| {
-            format!(
-                "NESTED LOOP JOIN ({} x {} rows, {} residual filter(s))",
-                left.rows.len(),
-                right.rows.len(),
-                residual.len()
-            )
-        });
         // Nested-loop cross product + residual filter.
         'outer: for lrow in &left.rows {
             for rrow in &right.rows {
@@ -573,13 +552,6 @@ fn join_materialized(
             }
         }
     } else {
-        ctx.trace(|| {
-            format!(
-                "HASH JOIN on {} column(s) (build {} rows)",
-                pairs.len(),
-                right.rows.len()
-            )
-        });
         // Build hash table on the right side, keyed by [`HashKey`] (a
         // single-integer join key — e.g. the batched-FEM per-qid bounds
         // join — hashes the integer directly, no allocation).

@@ -1,7 +1,14 @@
-//! Statement execution.
+//! The AST interpreter.
 //!
-//! The executor is a materializing interpreter with a small heuristic
-//! planner folded in:
+//! Nothing that is served executes here: SELECT and DML run as physical
+//! plans ([`crate::plan`]). This module is reached as the DDL fallback, as
+//! the decision helpers the planner shares (access-path choice, join-pair
+//! detection, the aggregate/window rewrites), and — through
+//! [`crate::engine::Database::execute_unplanned`] — as the independent
+//! reference the differential tests compare the planned executor against.
+//!
+//! It is a materializing interpreter with a small heuristic planner
+//! folded in:
 //!
 //! * single-table predicates are pushed into the table access path and, when
 //!   they are equalities on the leading columns of an index (clustered or

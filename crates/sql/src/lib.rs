@@ -17,7 +17,7 @@
 //! * **prepared statements with cached physical plans**: `?` positional
 //!   parameters, [`Database::prepare`](engine::Database::prepare) /
 //!   [`PreparedStmt`] handles, a plan cache keyed by (SQL, catalog
-//!   version), and a streaming executor (see [`plan`]);
+//!   version), and a vectorized batch-at-a-time executor (see [`plan`]);
 //! * two [`Dialect`]s mirroring the paper's DBMS-x and PostgreSQL 9.0.
 //!
 //! ```
@@ -53,7 +53,7 @@ pub use analyze::{
 pub use catalog::{Catalog, RowLoc, Table, TableBatchCursor, TableSchema};
 pub use dialect::Dialect;
 pub use engine::{
-    Database, DbSnapshot, ExecMode, ExecOutcome, PreparedStmt, ResultSet, SharedPlanCache,
+    Database, DbSnapshot, ExecOutcome, PreparedStmt, ResultSet, SharedPlanCache,
     SharedPlanCacheStats,
 };
 pub use error::{Result, SqlError};

@@ -545,7 +545,6 @@ fn plan_join(
                             path_cols,
                             keys,
                             residual,
-                            left_width: left.cols.len(),
                         },
                         combined,
                     ));
@@ -623,13 +622,8 @@ fn plan_join_mat(
         .iter()
         .map(|&i| b.bind(&combined, &conjuncts[i]))
         .collect::<Result<_>>()?;
-    let left_width = left.cols.len();
     let jp = if pairs.is_empty() {
-        JoinPlan::Loop {
-            right,
-            residual,
-            left_width,
-        }
+        JoinPlan::Loop { right, residual }
     } else {
         let left_keys: Vec<PExpr> = pairs
             .iter()
@@ -641,7 +635,6 @@ fn plan_join_mat(
             left_keys,
             right_cols,
             residual,
-            left_width,
         }
     };
     let mut consumed: Vec<usize> = pairs.iter().map(|p| p.conjunct_idx).collect();

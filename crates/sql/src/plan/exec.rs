@@ -1,28 +1,19 @@
-//! Streaming execution of physical plans.
+//! The scalar kernel of the plan executor.
 //!
-//! Rows flow scan → filter → join probe → project through one reused row
-//! buffer; materialization happens only where semantics require it — the
-//! hash-join build side, sort and window inputs, aggregation state, and
-//! the read-before-write set of DML. Streaming sinks can stop the
-//! pipeline early (`TOP 1` stops at the first matching row instead of
-//! scanning the table to the end).
-//!
-//! Per-execution runtime work is limited to: evaluating `?` parameters,
-//! re-running the statement's uncorrelated [`SubPlan`]s against current
-//! data, and the row-level work itself. All name resolution and plan
-//! choice happened at prepare time (`super::build`).
+//! Plans run batch-at-a-time in [`super::vexec`]; what lives here is the
+//! part of that executor that is inherently per-row: the execution
+//! environment (parameters + evaluated subquery slots), single-row
+//! evaluation of a bound [`PExpr`] (index probe keys, `VALUES` rows,
+//! UPDATE…FROM / MERGE residuals and assignments), and the
+//! post-pipeline stages over materialized rows (HAVING → ORDER BY →
+//! projection → DISTINCT → TOP/LIMIT).
 
-use super::{
-    FromPlan, InputPlan, InsertSourcePlan, JoinPlan, MergePlan, PExpr, RightPlan, SelectPlan,
-    SourcePlan, SubPlan, UpdateKind, UpdatePlan,
-};
+use super::{PExpr, SelectPlan};
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::catalog::{Catalog, RowLoc};
 use crate::error::{Result, SqlError};
-use crate::exec::agg::AggState;
-use crate::exec::eval::{arith, truthy, HashKey};
-use fempath_storage::{encode_key, BufferPool, Value};
-use std::collections::{HashMap, HashSet};
+use crate::exec::eval::{arith, truthy};
+use fempath_storage::{encode_key, Value};
+use std::collections::HashSet;
 use std::rc::Rc;
 
 /// Per-execution context: the parameter list and the evaluated subquery
@@ -163,389 +154,8 @@ pub(crate) fn passes(preds: &[PExpr], row: &[Value], env: &Env<'_>) -> Result<bo
     Ok(true)
 }
 
-/// Runs every subquery slot against current data, producing the
-/// execution's [`Env`].
-fn build_env<'a>(
-    pool: &mut BufferPool,
-    catalog: &Catalog,
-    params: &'a [Value],
-    subplans: &[SubPlan],
-) -> Result<Env<'a>> {
-    let mut subs = Vec::with_capacity(subplans.len());
-    for sp in subplans {
-        let res = match sp {
-            SubPlan::Scalar(p) => {
-                let rows = run_select_rows(pool, catalog, params, p)?;
-                if rows.len() > 1 {
-                    return Err(SqlError::Eval(
-                        "scalar subquery returned more than one row".into(),
-                    ));
-                }
-                match rows.into_iter().next() {
-                    Some(mut row) => {
-                        if row.len() != 1 {
-                            return Err(SqlError::Eval(
-                                "scalar subquery must return exactly one column".into(),
-                            ));
-                        }
-                        SubResult::Scalar(row.pop().ok_or_else(|| {
-                            SqlError::Eval("scalar subquery returned an empty row".into())
-                        })?)
-                    }
-                    None => SubResult::Scalar(Value::Null),
-                }
-            }
-            SubPlan::List(p) => {
-                let rows = run_select_rows(pool, catalog, params, p)?;
-                let mut list: Vec<Value> = rows
-                    .into_iter()
-                    .map(|mut r| {
-                        if r.len() != 1 {
-                            return Err(SqlError::Eval(
-                                "IN subquery must return exactly one column".into(),
-                            ));
-                        }
-                        r.pop().ok_or_else(|| {
-                            SqlError::Eval("IN subquery returned an empty row".into())
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let n = list.len();
-                list.retain(|v| !v.is_null());
-                let has_null = list.len() != n;
-                list.sort_by(|a, b| a.total_cmp(b));
-                list.dedup();
-                SubResult::List(Rc::new(list), has_null)
-            }
-            SubPlan::Exists(p) => {
-                SubResult::Exists(!run_select_rows(pool, catalog, params, p)?.is_empty())
-            }
-        };
-        subs.push(res);
-    }
-    Ok(Env { params, subs })
-}
-
-/// Streams a source's rows (filters applied) into `f`; `f` returns
-/// `false` to stop early.
-fn stream_source(
-    pool: &mut BufferPool,
-    catalog: &Catalog,
-    env: &Env<'_>,
-    sp: &SourcePlan,
-    f: &mut dyn FnMut(Vec<Value>) -> Result<bool>,
-) -> Result<()> {
-    match &sp.input {
-        InputPlan::Nothing => {
-            if passes(&sp.filter, &[], env)? {
-                f(Vec::new())?;
-            }
-            Ok(())
-        }
-        InputPlan::Scan { table, .. } => {
-            let t = catalog.table(table)?;
-            let mut err: Option<SqlError> = None;
-            t.scan(pool, |_, row| {
-                match passes(&sp.filter, &row, env)
-                    .and_then(|ok| if ok { f(row) } else { Ok(true) })
-                {
-                    Ok(cont) => cont,
-                    Err(e) => {
-                        err = Some(e);
-                        false
-                    }
-                }
-            })?;
-            if let Some(e) = err {
-                return Err(e);
-            }
-            Ok(())
-        }
-        InputPlan::Lookup {
-            table, cols, keys, ..
-        } => {
-            let mut key_vals = Vec::with_capacity(keys.len());
-            for k in keys {
-                key_vals.push(eval_px(k, &[], env)?);
-            }
-            if key_vals.iter().any(|k| k.is_null()) {
-                return Ok(()); // `col = NULL` never matches
-            }
-            let t = catalog.table(table)?;
-            let mut err: Option<SqlError> = None;
-            t.lookup_eq(pool, cols, &key_vals, |_, row| {
-                match passes(&sp.filter, &row, env)
-                    .and_then(|ok| if ok { f(row) } else { Ok(true) })
-                {
-                    Ok(cont) => cont,
-                    Err(e) => {
-                        err = Some(e);
-                        false
-                    }
-                }
-            })?;
-            if let Some(e) = err {
-                return Err(e);
-            }
-            Ok(())
-        }
-        InputPlan::Derived(sub) => {
-            let rows = run_select_rows(pool, catalog, env.params, sub)?;
-            for row in rows {
-                if passes(&sp.filter, &row, env)? && !f(row)? {
-                    break;
-                }
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Materializes a source (used for the left side of join pipelines and
-/// DML sources).
-fn collect_source(
-    pool: &mut BufferPool,
-    catalog: &Catalog,
-    env: &Env<'_>,
-    sp: &SourcePlan,
-) -> Result<Vec<Vec<Value>>> {
-    let mut rows = Vec::new();
-    stream_source(pool, catalog, env, sp, &mut |row| {
-        rows.push(row);
-        Ok(true)
-    })?;
-    Ok(rows)
-}
-
-/// Materializes a join stage's right side.
-fn materialize_right(
-    pool: &mut BufferPool,
-    catalog: &Catalog,
-    env: &Env<'_>,
-    right: &RightPlan,
-) -> Result<Vec<Vec<Value>>> {
-    match right {
-        RightPlan::Table { name } => {
-            let t = catalog.table(name)?;
-            let mut rows = Vec::new();
-            t.scan(pool, |_, row| {
-                rows.push(row);
-                true
-            })?;
-            Ok(rows)
-        }
-        RightPlan::Derived(sub) => run_select_rows(pool, catalog, env.params, sub),
-    }
-}
-
-/// Per-execution runtime state of one join stage.
-enum StageRt<'a> {
-    Index {
-        table: &'a crate::catalog::Table,
-    },
-    Hash {
-        rows: Vec<Vec<Value>>,
-        ht: HashMap<HashKey, Vec<usize>>,
-    },
-    Loop {
-        rows: Vec<Vec<Value>>,
-        emitted: u64,
-    },
-}
-
-fn build_stage_rts<'a>(
-    pool: &mut BufferPool,
-    catalog: &'a Catalog,
-    env: &Env<'_>,
-    joins: &[JoinPlan],
-) -> Result<Vec<StageRt<'a>>> {
-    let mut rts = Vec::with_capacity(joins.len());
-    for j in joins {
-        let rt = match j {
-            JoinPlan::IndexLoop { table, .. } => StageRt::Index {
-                table: catalog.table(table)?,
-            },
-            JoinPlan::Hash {
-                right, right_cols, ..
-            } => {
-                let rows = materialize_right(pool, catalog, env, right)?;
-                let mut ht: HashMap<HashKey, Vec<usize>> = HashMap::new();
-                'rrow: for (i, rrow) in rows.iter().enumerate() {
-                    let mut vals = Vec::with_capacity(right_cols.len());
-                    for &c in right_cols {
-                        if rrow[c].is_null() {
-                            continue 'rrow;
-                        }
-                        vals.push(rrow[c].clone());
-                    }
-                    ht.entry(HashKey::from_values(&vals)?).or_default().push(i);
-                }
-                StageRt::Hash { rows, ht }
-            }
-            JoinPlan::Loop { right, .. } => StageRt::Loop {
-                rows: materialize_right(pool, catalog, env, right)?,
-                emitted: 0,
-            },
-        };
-        rts.push(rt);
-    }
-    Ok(rts)
-}
-
 /// Safety valve against runaway cross joins (mirrors the interpreter).
 pub(crate) const LOOP_JOIN_ROW_CAP: u64 = 50_000_000;
-
-/// Pushes the row in `buf` through the remaining join stages into the
-/// sink. Returns `false` when the pipeline should stop.
-fn drive(
-    pool: &mut BufferPool,
-    env: &Env<'_>,
-    joins: &[JoinPlan],
-    rts: &mut [StageRt<'_>],
-    buf: &mut Vec<Value>,
-    residual: &[PExpr],
-    sink: &mut dyn FnMut(&[Value]) -> Result<bool>,
-) -> Result<bool> {
-    let Some((join, joins_rest)) = joins.split_first() else {
-        if !passes(residual, buf, env)? {
-            return Ok(true);
-        }
-        return sink(buf);
-    };
-    let (rt, rts_rest) = rts
-        .split_first_mut()
-        .ok_or_else(|| SqlError::Eval("join executor has fewer runtimes than stages".into()))?;
-    match (join, rt) {
-        (
-            JoinPlan::IndexLoop {
-                keys,
-                path_cols,
-                residual: jres,
-                left_width,
-                ..
-            },
-            StageRt::Index { table },
-        ) => {
-            let mut key_vals = Vec::with_capacity(keys.len());
-            for k in keys {
-                let v = eval_px(k, buf, env)?;
-                if v.is_null() {
-                    return Ok(true); // NULL join key never matches
-                }
-                key_vals.push(v);
-            }
-            let mut matches: Vec<Vec<Value>> = Vec::new();
-            table.lookup_eq(pool, path_cols, &key_vals, |_, row| {
-                matches.push(row);
-                true
-            })?;
-            for m in matches {
-                buf.extend(m);
-                let cont = if passes(jres, buf, env)? {
-                    drive(pool, env, joins_rest, rts_rest, buf, residual, sink)?
-                } else {
-                    true
-                };
-                buf.truncate(*left_width);
-                if !cont {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        (
-            JoinPlan::Hash {
-                left_keys,
-                residual: jres,
-                left_width,
-                ..
-            },
-            StageRt::Hash { rows, ht },
-        ) => {
-            let mut vals = Vec::with_capacity(left_keys.len());
-            for k in left_keys {
-                let v = eval_px(k, buf, env)?;
-                if v.is_null() {
-                    return Ok(true);
-                }
-                vals.push(v);
-            }
-            if let Some(matches) = ht.get(&HashKey::from_values(&vals)?) {
-                for &ri in matches {
-                    buf.extend(rows[ri].iter().cloned());
-                    let cont = if passes(jres, buf, env)? {
-                        drive(pool, env, joins_rest, rts_rest, buf, residual, sink)?
-                    } else {
-                        true
-                    };
-                    buf.truncate(*left_width);
-                    if !cont {
-                        return Ok(false);
-                    }
-                }
-            }
-            Ok(true)
-        }
-        (
-            JoinPlan::Loop {
-                residual: jres,
-                left_width,
-                ..
-            },
-            StageRt::Loop { rows, emitted },
-        ) => {
-            for rrow in rows.iter() {
-                buf.extend(rrow.iter().cloned());
-                let mut cont = true;
-                if passes(jres, buf, env)? {
-                    *emitted += 1;
-                    cont = drive(pool, env, joins_rest, rts_rest, buf, residual, sink)?;
-                    if *emitted > LOOP_JOIN_ROW_CAP {
-                        cont = false; // runaway cross join
-                    }
-                }
-                buf.truncate(*left_width);
-                if !cont {
-                    return Ok(false);
-                }
-            }
-            Ok(true)
-        }
-        _ => unreachable!("runtime built from the same join list"),
-    }
-}
-
-/// Streams the FROM/WHERE pipeline into `sink`.
-fn run_from(
-    pool: &mut BufferPool,
-    catalog: &Catalog,
-    env: &Env<'_>,
-    fp: &FromPlan,
-    sink: &mut dyn FnMut(&[Value]) -> Result<bool>,
-) -> Result<()> {
-    if fp.joins.is_empty() {
-        return stream_source(pool, catalog, env, &fp.source, &mut |row| {
-            if !passes(&fp.residual, &row, env)? {
-                return Ok(true);
-            }
-            sink(&row)
-        });
-    }
-    // Join pipeline: the base side is materialized (index probes need the
-    // buffer pool between rows), every later stage streams through one
-    // reused row buffer.
-    let base = collect_source(pool, catalog, env, &fp.source)?;
-    let mut rts = build_stage_rts(pool, catalog, env, &fp.joins)?;
-    let mut buf: Vec<Value> = Vec::new();
-    for row in base {
-        buf.clear();
-        buf.extend(row);
-        if !drive(pool, env, &fp.joins, &mut rts, &mut buf, &fp.residual, sink)? {
-            break;
-        }
-    }
-    Ok(())
-}
 
 /// Shared post-pipeline stages over materialized rows:
 /// HAVING → ORDER BY → projection → DISTINCT → TOP/LIMIT.
@@ -607,450 +217,4 @@ pub(crate) fn post_process(
         out.truncate(cap as usize);
     }
     Ok(out)
-}
-
-/// Appends the window columns of `plan.windows` to the materialized rows.
-/// Key evaluation uses the plan's pre-bound expressions; the
-/// sorting/numbering engine is shared with the interpreter
-/// ([`crate::exec::window::window_values`]).
-fn compute_windows(plan: &SelectPlan, rows: &mut [Vec<Value>], env: &Env<'_>) -> Result<()> {
-    let n = rows.len();
-    for w in &plan.windows {
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>, usize)> = Vec::with_capacity(n);
-        for (i, row) in rows.iter().enumerate() {
-            let mut pvals = Vec::with_capacity(w.partition.len());
-            for p in &w.partition {
-                pvals.push(eval_px(p, row, env)?);
-            }
-            let mut ovals = Vec::with_capacity(w.order.len());
-            for (o, _) in &w.order {
-                ovals.push(eval_px(o, row, env)?);
-            }
-            keyed.push((pvals, ovals, i));
-        }
-        let dirs: Vec<bool> = w.order.iter().map(|(_, asc)| *asc).collect();
-        let values = crate::exec::window::window_values(keyed, &dirs, w.func);
-        for (row, v) in rows.iter_mut().zip(values) {
-            row.push(v);
-        }
-    }
-    Ok(())
-}
-
-/// Executes a SELECT plan, returning the result rows.
-pub(crate) fn run_select_rows(
-    pool: &mut BufferPool,
-    catalog: &Catalog,
-    params: &[Value],
-    plan: &SelectPlan,
-) -> Result<Vec<Vec<Value>>> {
-    let env = build_env(pool, catalog, params, &plan.subplans)?;
-
-    if let Some(agg) = &plan.agg {
-        if agg.group.is_empty() {
-            // Scalar aggregate (the FEM stats statements): one accumulator
-            // set, no per-row group-key hashing, one output row always.
-            let mut states: Vec<AggState> =
-                agg.aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
-            run_from(pool, catalog, &env, &plan.from, &mut |row| {
-                for (state, (_, arg)) in states.iter_mut().zip(&agg.aggs) {
-                    let v = match arg {
-                        Some(a) => Some(eval_px(a, row, &env)?),
-                        None => None,
-                    };
-                    state.update(v)?;
-                }
-                Ok(true)
-            })?;
-            let row: Vec<Value> = states.into_iter().map(|s| s.finish()).collect();
-            return post_process(vec![row], plan, &env);
-        }
-        // Stream rows into per-group accumulators — no input
-        // materialization.
-        let mut order: Vec<HashKey> = Vec::new();
-        let mut groups: HashMap<HashKey, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-        run_from(pool, catalog, &env, &plan.from, &mut |row| {
-            let mut key_vals = Vec::with_capacity(agg.group.len());
-            for g in &agg.group {
-                key_vals.push(eval_px(g, row, &env)?);
-            }
-            let key = HashKey::from_values(&key_vals)?;
-            let entry = groups.entry(key.clone()).or_insert_with(|| {
-                order.push(key);
-                (
-                    key_vals,
-                    agg.aggs.iter().map(|(f, _)| AggState::new(*f)).collect(),
-                )
-            });
-            for (state, (_, arg)) in entry.1.iter_mut().zip(&agg.aggs) {
-                let v = match arg {
-                    Some(a) => Some(eval_px(a, row, &env)?),
-                    None => None,
-                };
-                state.update(v)?;
-            }
-            Ok(true)
-        })?;
-        // (The scalar-aggregate fast path above handles the empty-group-by
-        // case, including the one-row-on-empty-input rule, so every group
-        // here carries at least one key column.)
-        let mut rows = Vec::with_capacity(order.len());
-        for key in order {
-            let (mut key_vals, states) = groups.remove(&key).ok_or_else(|| {
-                SqlError::Eval("group key vanished between collection and output".into())
-            })?;
-            for s in states {
-                key_vals.push(s.finish());
-            }
-            rows.push(key_vals);
-        }
-        return post_process(rows, plan, &env);
-    }
-
-    if !plan.windows.is_empty() {
-        // Windows need the whole input: materialize, extend, post-process.
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        run_from(pool, catalog, &env, &plan.from, &mut |row| {
-            rows.push(row.to_vec());
-            Ok(true)
-        })?;
-        compute_windows(plan, &mut rows, &env)?;
-        return post_process(rows, plan, &env);
-    }
-
-    if !plan.order_by.is_empty() {
-        // Sort needs the whole input: collect (keys, row), sort, project.
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        run_from(pool, catalog, &env, &plan.from, &mut |row| {
-            rows.push(row.to_vec());
-            Ok(true)
-        })?;
-        return post_process(rows, plan, &env);
-    }
-
-    // Fully streaming: filter → project → DISTINCT → cap, with early exit.
-    if plan.cap == Some(0) {
-        return Ok(Vec::new());
-    }
-    let mut out: Vec<Vec<Value>> = Vec::new();
-    let mut seen: Option<HashSet<Vec<u8>>> = if plan.distinct {
-        Some(HashSet::new())
-    } else {
-        None
-    };
-    run_from(pool, catalog, &env, &plan.from, &mut |row| {
-        if let Some(h) = &plan.having {
-            if !truthy(&eval_px(h, row, &env)?) {
-                return Ok(true);
-            }
-        }
-        let mut o = Vec::with_capacity(plan.items.len());
-        for p in &plan.items {
-            o.push(eval_px(p, row, &env)?);
-        }
-        if let Some(seen) = &mut seen {
-            if !seen.insert(encode_key(&o).unwrap_or_default()) {
-                return Ok(true);
-            }
-        }
-        out.push(o);
-        Ok(plan.cap.is_none_or(|c| (out.len() as u64) < c))
-    })?;
-    Ok(out)
-}
-
-/// Executes an UPDATE plan; returns the number of rows updated.
-pub(crate) fn run_update(
-    pool: &mut BufferPool,
-    catalog: &mut Catalog,
-    params: &[Value],
-    plan: &UpdatePlan,
-) -> Result<u64> {
-    // Read phase (catalog borrowed immutably).
-    let pending: Vec<(RowLoc, Vec<Value>, Vec<Value>)> = {
-        let catalog = &*catalog;
-        let env = build_env(pool, catalog, params, &plan.subplans)?;
-        let table = catalog.table(&plan.table)?;
-        match &plan.kind {
-            UpdateKind::Plain { pred, assigns } => {
-                let mut matches: Vec<(RowLoc, Vec<Value>)> = Vec::new();
-                let mut err: Option<SqlError> = None;
-                table.scan(pool, |loc, row| {
-                    let keep = match pred {
-                        Some(p) => match eval_px(p, &row, &env) {
-                            Ok(v) => truthy(&v),
-                            Err(e) => {
-                                err = Some(e);
-                                return false;
-                            }
-                        },
-                        None => true,
-                    };
-                    if keep {
-                        matches.push((loc, row));
-                    }
-                    true
-                })?;
-                if let Some(e) = err {
-                    return Err(e);
-                }
-                let mut pending = Vec::with_capacity(matches.len());
-                for (loc, row) in matches {
-                    let mut new_row = row.clone();
-                    for (c, a) in plan.assign_cols.iter().zip(assigns) {
-                        new_row[*c] = eval_px(a, &row, &env)?;
-                    }
-                    let new_row = table.coerce_row(new_row)?;
-                    pending.push((loc, row, new_row));
-                }
-                pending
-            }
-            UpdateKind::From {
-                source,
-                probe_cols,
-                probe_keys,
-                target_residual,
-                mixed_residual,
-                assigns,
-            } => {
-                let source_rows = collect_source(pool, catalog, &env, source)?;
-                let mut pending = Vec::new();
-                let mut touched: HashSet<RowLoc> = HashSet::new();
-                for srow in &source_rows {
-                    let mut keys = Vec::with_capacity(probe_keys.len());
-                    let mut null_key = false;
-                    for e in probe_keys {
-                        let v = eval_px(e, srow, &env)?;
-                        if v.is_null() {
-                            null_key = true;
-                            break;
-                        }
-                        keys.push(v);
-                    }
-                    if null_key {
-                        continue; // NULL never matches
-                    }
-                    let mut matches: Vec<(RowLoc, Vec<Value>)> = Vec::new();
-                    table.lookup_eq(pool, probe_cols, &keys, |loc, row| {
-                        matches.push((loc, row));
-                        true
-                    })?;
-                    'target: for (loc, trow) in matches {
-                        if !passes(target_residual, &trow, &env)? {
-                            continue 'target;
-                        }
-                        let mut combined = trow.clone();
-                        combined.extend(srow.iter().cloned());
-                        if !passes(mixed_residual, &combined, &env)? {
-                            continue 'target;
-                        }
-                        if !touched.insert(loc.clone()) {
-                            continue;
-                        }
-                        let mut new_row = trow.clone();
-                        for (c, a) in plan.assign_cols.iter().zip(assigns) {
-                            new_row[*c] = eval_px(a, &combined, &env)?;
-                        }
-                        let new_row = table.coerce_row(new_row)?;
-                        pending.push((loc, trow, new_row));
-                    }
-                }
-                pending
-            }
-        }
-    };
-
-    // Write phase.
-    let n = pending.len() as u64;
-    let table = catalog.table_mut(&plan.table)?;
-    for (loc, old_row, new_row) in pending {
-        table.update_row(pool, &loc, &old_row, &new_row)?;
-    }
-    Ok(n)
-}
-
-/// Executes a DELETE plan; returns the number of rows removed.
-pub(crate) fn run_delete(
-    pool: &mut BufferPool,
-    catalog: &mut Catalog,
-    params: &[Value],
-    plan: &super::DeletePlan,
-) -> Result<u64> {
-    let matches: Vec<(RowLoc, Vec<Value>)> = {
-        let catalog = &*catalog;
-        let env = build_env(pool, catalog, params, &plan.subplans)?;
-        let table = catalog.table(&plan.table)?;
-        let mut out = Vec::new();
-        let mut err: Option<SqlError> = None;
-        table.scan(pool, |loc, row| {
-            let keep = match &plan.pred {
-                Some(p) => match eval_px(p, &row, &env) {
-                    Ok(v) => truthy(&v),
-                    Err(e) => {
-                        err = Some(e);
-                        return false;
-                    }
-                },
-                None => true,
-            };
-            if keep {
-                out.push((loc, row));
-            }
-            true
-        })?;
-        if let Some(e) = err {
-            return Err(e);
-        }
-        out
-    };
-    let n = matches.len() as u64;
-    let table = catalog.table_mut(&plan.table)?;
-    for (loc, row) in matches {
-        table.delete_row(pool, &loc, &row)?;
-    }
-    Ok(n)
-}
-
-/// Executes an INSERT plan; returns the number of rows inserted.
-pub(crate) fn run_insert(
-    pool: &mut BufferPool,
-    catalog: &mut Catalog,
-    params: &[Value],
-    plan: &super::InsertPlan,
-) -> Result<u64> {
-    let full_rows: Vec<Vec<Value>> = {
-        let catalog = &*catalog;
-        let env = build_env(pool, catalog, params, &plan.subplans)?;
-        let source_rows: Vec<Vec<Value>> = match &plan.source {
-            InsertSourcePlan::Values(rows) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut vals = Vec::with_capacity(row.len());
-                    for e in row {
-                        vals.push(eval_px(e, &[], &env)?);
-                    }
-                    out.push(vals);
-                }
-                out
-            }
-            InsertSourcePlan::Query(q) => run_select_rows(pool, catalog, params, q)?,
-        };
-        let table = catalog.table(&plan.table)?;
-        let n_cols = table.schema.columns.len();
-        let mut full_rows = Vec::with_capacity(source_rows.len());
-        for vals in source_rows {
-            let row = match &plan.col_positions {
-                Some(pos) => {
-                    if vals.len() != pos.len() {
-                        return Err(SqlError::Eval(format!(
-                            "INSERT lists {} columns but supplies {} values",
-                            pos.len(),
-                            vals.len()
-                        )));
-                    }
-                    let mut row = vec![Value::Null; n_cols];
-                    for (p, v) in pos.iter().zip(vals) {
-                        row[*p] = v;
-                    }
-                    row
-                }
-                None => vals,
-            };
-            full_rows.push(table.coerce_row(row)?);
-        }
-        full_rows
-    };
-    let n = full_rows.len() as u64;
-    let table = catalog.table_mut(&plan.table)?;
-    for row in full_rows {
-        table.insert_row(pool, &row)?;
-    }
-    Ok(n)
-}
-
-/// Executes a MERGE plan; returns updates + inserts.
-pub(crate) fn run_merge(
-    pool: &mut BufferPool,
-    catalog: &mut Catalog,
-    params: &[Value],
-    plan: &MergePlan,
-) -> Result<u64> {
-    type Pending = (
-        Vec<(RowLoc, Vec<Value>, Vec<Value>)>, // updates
-        Vec<Vec<Value>>,                       // inserts
-    );
-    let (pending_updates, pending_inserts): Pending = {
-        let catalog = &*catalog;
-        let env = build_env(pool, catalog, params, &plan.subplans)?;
-        let source_rows = collect_source(pool, catalog, &env, &plan.source)?;
-        let table = catalog.table(&plan.target)?;
-        let n_cols = table.schema.columns.len();
-
-        let mut updates = Vec::new();
-        let mut inserts: Vec<Vec<Value>> = Vec::new();
-        let mut touched: HashSet<RowLoc> = HashSet::new();
-
-        for srow in &source_rows {
-            let mut keys = Vec::with_capacity(plan.probe_keys.len());
-            let mut null_key = false;
-            for e in &plan.probe_keys {
-                let v = eval_px(e, srow, &env)?;
-                if v.is_null() {
-                    null_key = true;
-                    break;
-                }
-                keys.push(v);
-            }
-            let mut matches: Vec<(RowLoc, Vec<Value>)> = Vec::new();
-            if !null_key {
-                table.lookup_eq(pool, &plan.probe_cols, &keys, |loc, row| {
-                    matches.push((loc, row));
-                    true
-                })?;
-            }
-            let mut any_match = false;
-            for (loc, trow) in matches {
-                let mut combined = trow.clone();
-                combined.extend(srow.iter().cloned());
-                if !passes(&plan.residual, &combined, &env)? {
-                    continue;
-                }
-                any_match = true;
-                if let Some((cond, cols, exprs)) = &plan.matched {
-                    let applies = match cond {
-                        Some(c) => truthy(&eval_px(c, &combined, &env)?),
-                        None => true,
-                    };
-                    if applies && touched.insert(loc.clone()) {
-                        let mut new_row = trow.clone();
-                        for (c, e) in cols.iter().zip(exprs) {
-                            new_row[*c] = eval_px(e, &combined, &env)?;
-                        }
-                        let new_row = table.coerce_row(new_row)?;
-                        updates.push((loc, trow, new_row));
-                    }
-                }
-            }
-            if !any_match {
-                if let Some((cols, exprs)) = &plan.not_matched {
-                    let mut row = vec![Value::Null; n_cols];
-                    for (c, e) in cols.iter().zip(exprs) {
-                        row[*c] = eval_px(e, srow, &env)?;
-                    }
-                    inserts.push(table.coerce_row(row)?);
-                }
-            }
-        }
-        (updates, inserts)
-    };
-
-    let n = (pending_updates.len() + pending_inserts.len()) as u64;
-    let table = catalog.table_mut(&plan.target)?;
-    for (loc, old_row, new_row) in pending_updates {
-        table.update_row(pool, &loc, &old_row, &new_row)?;
-    }
-    for row in pending_inserts {
-        table.insert_row(pool, &row)?;
-    }
-    Ok(n)
 }

@@ -5,7 +5,7 @@
 //! reference (heap scan, secondary-index point/prefix lookup, or clustered
 //! range scan), join strategies are fixed with pre-bound key expressions,
 //! and every predicate/projection/assignment is bound to fixed column
-//! offsets (`PExpr`). Executing a plan (`plan::exec`) therefore does *no*
+//! offsets (`PExpr`). Executing a plan (`plan::vexec`) therefore does *no*
 //! name resolution, no access-path search and no AST traversal — exactly
 //! the per-statement work the paper's FEM loops repeat hundreds of times.
 //!
@@ -135,8 +135,8 @@ pub(crate) enum PlanKind {
     Insert(InsertPlan),
     Merge(MergePlan),
     /// Statements the physical planner does not cover (DDL, TRUNCATE,
-    /// EXPLAIN) — executed by the interpreter from the cached AST, with no
-    /// per-execution clone.
+    /// EXPLAIN) — dispatched from the cached AST, with no per-execution
+    /// clone (EXPLAIN plans and runs its inner SELECT like any other).
     Fallback(Stmt),
 }
 
@@ -284,9 +284,8 @@ pub(crate) enum RightPlan {
     Derived(Box<SelectPlan>),
 }
 
-/// One join stage of the pipeline. `left_width` is the row width flowing
-/// in; the stage appends the right side's columns and truncates back
-/// after each probe (the reused row buffer).
+/// One join stage of the pipeline: the stage appends the right side's
+/// columns to the batch flowing in.
 pub(crate) enum JoinPlan {
     /// Index nested loop: per input row, probe the inner table's index
     /// with pre-bound key expressions.
@@ -296,7 +295,6 @@ pub(crate) enum JoinPlan {
         path_cols: Vec<usize>,
         keys: Vec<PExpr>,
         residual: Vec<PExpr>,
-        left_width: usize,
     },
     /// Hash join: the right side is materialized and hashed once per
     /// execution; input rows probe it.
@@ -305,13 +303,11 @@ pub(crate) enum JoinPlan {
         left_keys: Vec<PExpr>,
         right_cols: Vec<usize>,
         residual: Vec<PExpr>,
-        left_width: usize,
     },
     /// Nested-loop cross product with a residual filter (last resort).
     Loop {
         right: RightPlan,
         residual: Vec<PExpr>,
-        left_width: usize,
     },
 }
 

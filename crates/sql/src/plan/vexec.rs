@@ -1,24 +1,24 @@
-//! Vectorized (batch-at-a-time) execution of physical plans.
+//! Vectorized (batch-at-a-time) execution of physical plans — the one
+//! executor every planned statement runs through.
 //!
-//! The operators of [`super::exec`] move one `Vec<Value>` row at a time;
-//! here the same plans execute over [`Chunk`]s of ~1024 rows: scans fill
-//! typed column vectors straight from page bytes, WHERE clauses narrow a
-//! selection vector with typed comparison loops, join stages gather whole
-//! batches, and aggregation folds column slices into the accumulators.
-//! This makes the engine's own execution model match the paper's
-//! set-at-a-time argument — the FEM working tables are all-integer, the
-//! ideal case for the dense `Vec<i64>`-plus-null-bitmap column layout
-//! (DESIGN.md §11).
+//! Plans execute over [`Chunk`]s of ~1024 rows: scans fill typed column
+//! vectors straight from page bytes, WHERE clauses narrow a selection
+//! vector with typed comparison loops, join stages gather whole batches,
+//! and aggregation folds column slices into the accumulators. This makes
+//! the engine's own execution model match the paper's set-at-a-time
+//! argument — the FEM working tables are all-integer, the ideal case for
+//! the dense `Vec<i64>`-plus-null-bitmap column layout (DESIGN.md §11).
+//! The inherently per-row pieces (probe keys, `VALUES` rows, post-sort
+//! projection) use the scalar kernel in [`super::exec`].
 //!
-//! Every plan shape the row executor covers runs here too; per-*column*
-//! fallback to generic `Value` vectors (mixed/text/float columns) keeps
-//! behaviour identical, and the row-at-a-time interpreter remains the
-//! differential oracle. Two deliberate, bounded divergences from strict
-//! row-at-a-time evaluation order exist, both documented in DESIGN.md §11:
-//! predicates are evaluated eagerly across a batch (an error in a row the
-//! row path would not have reached under a `TOP n` cap can surface), and
-//! the runaway-cross-join safety valve truncates at batch rather than row
-//! granularity.
+//! Per-*column* fallback to generic `Value` vectors (mixed/text/float
+//! columns) keeps behaviour identical to the AST interpreter, which
+//! remains the differential oracle. Two deliberate, bounded divergences
+//! from strict row-at-a-time evaluation order exist, both documented in
+//! DESIGN.md §11: predicates are evaluated eagerly across a batch (an
+//! error in a row a row-at-a-time evaluator would not have reached under
+//! a `TOP n` cap can surface), and the runaway-cross-join safety valve
+//! truncates at batch rather than row granularity.
 
 use super::exec::{self, Env, SubResult};
 use super::{
@@ -241,7 +241,7 @@ fn is_arith(op: BinaryOp) -> bool {
 /// Evaluates `e` for the rows of `chunk` selected by `sel`, producing a
 /// result dense over the selection. Callers never pass an empty selection
 /// (so row-independent subexpressions are not evaluated for zero rows,
-/// matching the row path's laziness).
+/// matching the interpreter's per-row laziness).
 fn eval_v(e: &PExpr, chunk: &Chunk, sel: &[u32], env: &Env<'_>) -> Result<VCol> {
     debug_assert!(!sel.is_empty());
     Ok(match e {
@@ -370,7 +370,7 @@ fn eval_binary(
     sel: &[u32],
     env: &Env<'_>,
 ) -> Result<VCol> {
-    // AND/OR keep the row path's per-row short-circuit: the right side is
+    // AND/OR keep the interpreter's per-row short-circuit: the right side is
     // only evaluated for rows the left side did not decide, so an error in
     // the right operand surfaces for exactly the rows it would have.
     if matches!(op, BinaryOp::And | BinaryOp::Or) {
@@ -1047,7 +1047,7 @@ fn run_from_v(
         });
     }
     // Join pipeline: the base side is materialized (index probes need the
-    // buffer pool between batches), mirroring the row executor.
+    // buffer pool between batches).
     let mut base: Vec<Chunk> = Vec::new();
     stream_source_v(pool, catalog, env, &fp.source, &mut |chunk, sel| {
         base.push(chunk.gather(sel));
@@ -1296,7 +1296,7 @@ fn window_column(
             })
             .collect();
         let mut idx: Vec<u32> = (0..n as u32).collect();
-        // The final index tiebreak reproduces the row path's *stable*
+        // The final index tiebreak reproduces the interpreter's *stable*
         // sort, so ROW_NUMBER assignment among fully-tied rows matches.
         idx.sort_unstable_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
@@ -1446,7 +1446,7 @@ pub(crate) fn run_select_chunks(
         // as batches, then compute each window column from batch-evaluated
         // keys and append it before the next window's keys are evaluated
         // (a later window's keys may bind against the extended schema,
-        // exactly like the row path's row-extension order).
+        // exactly like the interpreter's row-extension order).
         let mut data: Vec<Chunk> = Vec::new();
         run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
             data.push(chunk.gather(sel));
@@ -1600,21 +1600,16 @@ pub(crate) fn run_insert(
     params: &[Value],
     plan: &InsertPlan,
 ) -> Result<u64> {
-    if matches!(plan.source, InsertSourcePlan::Values(_)) {
-        // Literal rows: tiny, and arity/coercion corner cases live in the
-        // row path already.
-        return exec::run_insert(pool, catalog, params, plan);
-    }
+    let query = match &plan.source {
+        InsertSourcePlan::Values(rows) => return insert_values(pool, catalog, params, plan, rows),
+        InsertSourcePlan::Query(q) => q,
+    };
     let full_chunks: Vec<Chunk> = {
         let catalog = &*catalog;
-        // Insert-level subplans only exist for VALUES expressions, and
-        // those delegate to the row path above; a Query source's
-        // subqueries live inside its own SelectPlan.
+        // Insert-level subplans only exist for VALUES expressions; a
+        // Query source's subqueries live inside its own SelectPlan.
         debug_assert!(plan.subplans.is_empty());
-        let source_chunks = match &plan.source {
-            InsertSourcePlan::Query(q) => run_select_chunks(pool, catalog, params, q)?,
-            InsertSourcePlan::Values(_) => unreachable!("handled above"),
-        };
+        let source_chunks = run_select_chunks(pool, catalog, params, query)?;
         let table = catalog.table(&plan.table)?;
         let n_cols = table.schema.columns.len();
         let mut full = Vec::with_capacity(source_chunks.len());
@@ -1640,7 +1635,7 @@ pub(crate) fn run_insert(
                 }
                 None => sc,
             };
-            // Coerce up front: the row executor coerces *every* source
+            // Coerce up front: the interpreter coerces *every* source
             // row before writing anything, so a type error in a late
             // chunk must surface before the first chunk is inserted.
             full.push(table.coerce_chunk(&fc)?);
@@ -1653,6 +1648,58 @@ pub(crate) fn run_insert(
         n += table.insert_chunk_precoerced(pool, c)?;
     }
     Ok(n)
+}
+
+/// `INSERT … VALUES`: literal rows are few, so they are evaluated,
+/// coerced and written one row at a time.
+fn insert_values(
+    pool: &mut BufferPool,
+    catalog: &mut Catalog,
+    params: &[Value],
+    plan: &InsertPlan,
+    rows: &[Vec<PExpr>],
+) -> Result<u64> {
+    let full_rows: Vec<Vec<Value>> = {
+        let catalog = &*catalog;
+        let env = build_env_v(pool, catalog, params, &plan.subplans)?;
+        let mut source_rows = Vec::with_capacity(rows.len());
+        for row in rows {
+            let mut vals = Vec::with_capacity(row.len());
+            for e in row {
+                vals.push(exec::eval_px(e, &[], &env)?);
+            }
+            source_rows.push(vals);
+        }
+        let table = catalog.table(&plan.table)?;
+        let n_cols = table.schema.columns.len();
+        let mut full_rows = Vec::with_capacity(source_rows.len());
+        for vals in source_rows {
+            let row = match &plan.col_positions {
+                Some(pos) => {
+                    if vals.len() != pos.len() {
+                        return Err(SqlError::Eval(format!(
+                            "INSERT lists {} columns but supplies {} values",
+                            pos.len(),
+                            vals.len()
+                        )));
+                    }
+                    let mut row = vec![Value::Null; n_cols];
+                    for (p, v) in pos.iter().zip(vals) {
+                        row[*p] = v;
+                    }
+                    row
+                }
+                None => vals,
+            };
+            full_rows.push(table.coerce_row(row)?);
+        }
+        full_rows
+    };
+    let table = catalog.table_mut(&plan.table)?;
+    for row in &full_rows {
+        table.insert_row(pool, row)?;
+    }
+    Ok(full_rows.len() as u64)
 }
 
 fn null_column(n: usize) -> Column {
@@ -1837,8 +1884,8 @@ pub(crate) fn run_delete(
 }
 
 /// Executes a MERGE plan: the source (the expensive E-operator select)
-/// runs vectorized, per-target probing mirrors the row path, and the
-/// write phase applies batched updates and inserts.
+/// runs vectorized, the target is probed with one index lookup per source
+/// row, and the write phase applies batched updates and inserts.
 pub(crate) fn run_merge(
     pool: &mut BufferPool,
     catalog: &mut Catalog,

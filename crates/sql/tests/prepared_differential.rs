@@ -1,8 +1,7 @@
 //! Differential harness: every statement of a representative corpus runs
-//! through THREE execution paths — the prepared/physical-plan pipeline on
-//! the **vectorized** executor (`execute_params`, the default), the same
-//! pipeline on the **row-at-a-time** executor, and the AST interpreter
-//! (`execute_unplanned`) — on triplet databases, asserting identical
+//! through both execution paths — the prepared/physical-plan pipeline
+//! (`execute_params`, vectorized) and the AST interpreter
+//! (`execute_unplanned`) — on twin databases, asserting identical
 //! outcomes after every step.
 //!
 //! The corpus covers the feature matrix of `engine_tests.rs` /
@@ -14,26 +13,14 @@
 //! NULL semantics, and error behaviour — plus the no-MERGE PostgreSQL
 //! dialect.
 
-use fempath_sql::{Database, Dialect, ExecMode, ExecOutcome, Result};
+use fempath_sql::{Database, Dialect, ExecOutcome, Result};
 use fempath_storage::Value;
 
-/// Runs one statement through all three paths and asserts identical
-/// outcomes (the vectorized executor is compared against both the
-/// row-at-a-time executor and the interpreter).
-fn step(
-    vec_db: &mut Database,
-    row_db: &mut Database,
-    interp: &mut Database,
-    sql: &str,
-    params: &[Value],
-) {
-    assert_eq!(vec_db.exec_mode(), ExecMode::Vectorized);
-    assert_eq!(row_db.exec_mode(), ExecMode::RowAtATime);
-    let v = vec_db.execute_params(sql, params);
-    let r = row_db.execute_params(sql, params);
+/// Runs one statement through both paths and asserts identical outcomes.
+fn step(prepared: &mut Database, interp: &mut Database, sql: &str, params: &[Value]) {
+    let v = prepared.execute_params(sql, params);
     let i = interp.execute_unplanned(sql, params);
     assert_same(sql, &v, &i);
-    assert_same(sql, &v, &r);
 }
 
 fn assert_same(sql: &str, a: &Result<ExecOutcome>, b: &Result<ExecOutcome>) {
@@ -265,15 +252,12 @@ fn corpus() -> Vec<(&'static str, Vec<Value>)> {
 }
 
 fn run_corpus(dialect: Dialect) {
-    let mut vec_db = Database::in_memory(512).with_dialect(dialect);
-    let mut row_db = Database::in_memory(512).with_dialect(dialect);
-    row_db.set_exec_mode(ExecMode::RowAtATime);
+    let mut prepared = Database::in_memory(512).with_dialect(dialect);
     let mut interp = Database::in_memory(512).with_dialect(dialect);
-    seed(&mut vec_db);
-    seed(&mut row_db);
+    seed(&mut prepared);
     seed(&mut interp);
     for (sql, params) in corpus() {
-        step(&mut vec_db, &mut row_db, &mut interp, sql, &params);
+        step(&mut prepared, &mut interp, sql, &params);
     }
 }
 
@@ -295,23 +279,18 @@ fn prepared_matches_interpreter_postgres() {
 #[test]
 fn repeated_prepared_executions_match() {
     let mut prepared = Database::in_memory(512);
-    let mut row_db = Database::in_memory(512);
-    row_db.set_exec_mode(ExecMode::RowAtATime);
     let mut interp = Database::in_memory(512);
     seed(&mut prepared);
-    seed(&mut row_db);
     seed(&mut interp);
     for round in 0..5i64 {
         step(
             &mut prepared,
-            &mut row_db,
             &mut interp,
             "UPDATE TVisited SET f = 2 WHERE f = 0 AND d2s = ?",
             &[Value::Int(round % 4)],
         );
         step(
             &mut prepared,
-            &mut row_db,
             &mut interp,
             "MERGE INTO TVisited AS target USING ( \
                SELECT nid, np, cost FROM ( \
@@ -328,21 +307,18 @@ fn repeated_prepared_executions_match() {
         );
         step(
             &mut prepared,
-            &mut row_db,
             &mut interp,
             "UPDATE TVisited SET f = 1 WHERE f = 2",
             &[],
         );
         step(
             &mut prepared,
-            &mut row_db,
             &mut interp,
             "SELECT MIN(d2s), COUNT(*) FROM TVisited WHERE f = 0 AND d2s < 4000000000000000",
             &[],
         );
         step(
             &mut prepared,
-            &mut row_db,
             &mut interp,
             "SELECT * FROM TVisited ORDER BY nid",
             &[],
@@ -356,28 +332,18 @@ fn repeated_prepared_executions_match() {
 #[test]
 fn ddl_between_executions_keeps_equivalence() {
     let mut prepared = Database::in_memory(512);
-    let mut row_db = Database::in_memory(512);
-    row_db.set_exec_mode(ExecMode::RowAtATime);
     let mut interp = Database::in_memory(512);
     seed(&mut prepared);
-    seed(&mut row_db);
     seed(&mut interp);
     let q = "SELECT y FROM plain WHERE x = 3";
-    step(&mut prepared, &mut row_db, &mut interp, q, &[]);
+    step(&mut prepared, &mut interp, q, &[]);
     step(
         &mut prepared,
-        &mut row_db,
         &mut interp,
         "CREATE INDEX ix_plain_x ON plain(x)",
         &[],
     );
-    step(&mut prepared, &mut row_db, &mut interp, q, &[]);
-    step(
-        &mut prepared,
-        &mut row_db,
-        &mut interp,
-        "DROP INDEX ix_plain_x",
-        &[],
-    );
-    step(&mut prepared, &mut row_db, &mut interp, q, &[]);
+    step(&mut prepared, &mut interp, q, &[]);
+    step(&mut prepared, &mut interp, "DROP INDEX ix_plain_x", &[]);
+    step(&mut prepared, &mut interp, q, &[]);
 }

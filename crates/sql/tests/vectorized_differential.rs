@@ -1,76 +1,66 @@
 //! Differential tests targeting the vectorized executor's generic-column
 //! fallback: tables whose columns mix Int, NULL, Text and Float values
 //! force the `Chunk` columns off the typed `Vec<i64>` fast path, and every
-//! query must still agree with both the row-at-a-time plan executor and
-//! the AST interpreter — in both dialects. A property test generates
-//! random mixed tables and sweeps a family of query shapes over them.
+//! query must still agree with the AST interpreter — in both dialects. A
+//! property test generates random mixed tables and sweeps a family of
+//! query shapes over them.
 
-use fempath_sql::{Database, Dialect, ExecMode, ExecOutcome, Result};
+use fempath_sql::{Database, Dialect, ExecOutcome, Result};
 use fempath_storage::Value;
 use proptest::prelude::*;
 
-/// Triplet of databases kept in lock-step.
-struct Trio {
+/// Pair of databases kept in lock-step.
+struct Pair {
     vec_db: Database,
-    row_db: Database,
     interp: Database,
 }
 
-impl Trio {
-    fn new(dialect: Dialect) -> Trio {
-        let vec_db = Database::in_memory(256).with_dialect(dialect);
-        let mut row_db = Database::in_memory(256).with_dialect(dialect);
-        row_db.set_exec_mode(ExecMode::RowAtATime);
-        let interp = Database::in_memory(256).with_dialect(dialect);
-        Trio {
-            vec_db,
-            row_db,
-            interp,
+impl Pair {
+    fn new(dialect: Dialect) -> Pair {
+        Pair {
+            vec_db: Database::in_memory(256).with_dialect(dialect),
+            interp: Database::in_memory(256).with_dialect(dialect),
         }
     }
 
     fn setup(&mut self, sql: &str) {
         self.vec_db.execute(sql).unwrap();
-        self.row_db.execute(sql).unwrap();
         self.interp.execute(sql).unwrap();
     }
 
     fn setup_params(&mut self, sql: &str, params: &[Value]) {
         self.vec_db.execute_params(sql, params).unwrap();
-        self.row_db.execute_params(sql, params).unwrap();
         self.interp.execute_params(sql, params).unwrap();
     }
 
-    /// Runs a statement through all three paths; panics on divergence.
+    /// Runs a statement through both paths; panics on divergence.
     /// Returns whether the statement succeeded.
     fn step(&mut self, sql: &str) -> bool {
         let v = self.vec_db.execute_params(sql, &[]);
-        let r = self.row_db.execute_params(sql, &[]);
         let i = self.interp.execute_unplanned(sql, &[]);
-        assert_same(sql, &v, &i, "vectorized vs interpreter");
-        assert_same(sql, &v, &r, "vectorized vs row-at-a-time");
+        assert_same(sql, &v, &i);
         v.is_ok()
     }
 }
 
-fn assert_same(sql: &str, a: &Result<ExecOutcome>, b: &Result<ExecOutcome>, pair: &str) {
+fn assert_same(sql: &str, a: &Result<ExecOutcome>, b: &Result<ExecOutcome>) {
     match (a, b) {
         (Ok(a), Ok(b)) => {
             assert_eq!(
                 a.rows_affected, b.rows_affected,
-                "rows_affected diverged ({pair}) for: {sql}"
+                "rows_affected diverged for: {sql}"
             );
             match (&a.rows, &b.rows) {
                 (None, None) => {}
                 (Some(ra), Some(rb)) => {
-                    assert_eq!(ra.rows, rb.rows, "result rows diverged ({pair}) for: {sql}");
+                    assert_eq!(ra.rows, rb.rows, "result rows diverged for: {sql}");
                 }
-                _ => panic!("result-set presence diverged ({pair}) for: {sql}"),
+                _ => panic!("result-set presence diverged for: {sql}"),
             }
         }
         (Err(_), Err(_)) => {}
-        (Ok(_), Err(e)) => panic!("{pair}: second path failed ({e}) for: {sql}"),
-        (Err(e), Ok(_)) => panic!("{pair}: first path failed ({e}) for: {sql}"),
+        (Ok(_), Err(e)) => panic!("interpreter failed ({e}) for: {sql}"),
+        (Err(e), Ok(_)) => panic!("vectorized executor failed ({e}) for: {sql}"),
     }
 }
 
@@ -114,14 +104,14 @@ const MIXED_QUERIES: &[&str] = &[
 ];
 
 fn run_mixed_case(rows: &[(Value, Value, Value)], dialect: Dialect) {
-    let mut trio = Trio::new(dialect);
+    let mut pair = Pair::new(dialect);
     // `a`/`b` are declared INT but receive mixed values through the
     // untyped path? No — the engine coerces on insert, so mixed *types*
     // need TEXT/FLOAT declarations; NULLs exercise the bitmap either way.
-    trio.setup("CREATE TABLE m (a INT, b INT, c TEXT)");
-    trio.setup("CREATE TABLE s (k INT, w INT)");
+    pair.setup("CREATE TABLE m (a INT, b INT, c TEXT)");
+    pair.setup("CREATE TABLE s (k INT, w INT)");
     for i in 0..6i64 {
-        trio.setup_params(
+        pair.setup_params(
             "INSERT INTO s VALUES (?, ?)",
             &[Value::Int(i - 2), Value::Int(i % 3)],
         );
@@ -143,7 +133,7 @@ fn run_mixed_case(rows: &[(Value, Value, Value)], dialect: Dialect) {
             Value::Float(_) => Value::Null,
             other => other.clone(),
         };
-        trio.setup_params("INSERT INTO m VALUES (?, ?, ?)", &[a, b, c]);
+        pair.setup_params("INSERT INTO m VALUES (?, ?, ?)", &[a, b, c]);
     }
     for q in MIXED_QUERIES {
         let q = if q.contains("CASE_MARKER") {
@@ -151,14 +141,14 @@ fn run_mixed_case(rows: &[(Value, Value, Value)], dialect: Dialect) {
         } else {
             q.to_string()
         };
-        trio.step(&q);
+        pair.step(&q);
     }
     // DML over mixed columns, then a final full check.
-    trio.step("UPDATE m SET b = b + 1 WHERE a IS NOT NULL AND a < 0");
-    trio.step("DELETE FROM m WHERE a = 2");
-    trio.step("INSERT INTO m SELECT a, b, c FROM m WHERE b = 1");
-    trio.step("SELECT * FROM m ORDER BY a, b, c");
-    trio.step("SELECT COUNT(*) FROM m");
+    pair.step("UPDATE m SET b = b + 1 WHERE a IS NOT NULL AND a < 0");
+    pair.step("DELETE FROM m WHERE a = 2");
+    pair.step("INSERT INTO m SELECT a, b, c FROM m WHERE b = 1");
+    pair.step("SELECT * FROM m ORDER BY a, b, c");
+    pair.step("SELECT COUNT(*) FROM m");
 }
 
 proptest! {
@@ -180,10 +170,10 @@ proptest! {
 #[test]
 fn late_demotion_and_float_int_comparisons() {
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-        let mut trio = Trio::new(dialect);
-        trio.setup("CREATE TABLE t (x INT, f FLOAT, s TEXT)");
+        let mut pair = Pair::new(dialect);
+        pair.setup("CREATE TABLE t (x INT, f FLOAT, s TEXT)");
         for i in 0..50i64 {
-            trio.setup_params(
+            pair.setup_params(
                 "INSERT INTO t VALUES (?, ?, ?)",
                 &[
                     if i % 7 == 0 {
@@ -200,15 +190,15 @@ fn late_demotion_and_float_int_comparisons() {
                 ],
             );
         }
-        trio.step("SELECT x FROM t WHERE f = 2.0");
-        trio.step("SELECT x FROM t WHERE x = f + f");
-        trio.step("SELECT COUNT(*) FROM t WHERE x < f");
-        trio.step("SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s");
-        trio.step("SELECT x FROM t WHERE s = 'v2' ORDER BY x");
-        trio.step("SELECT MIN(f), MAX(f), SUM(f) FROM t WHERE x IS NOT NULL");
-        trio.step("SELECT x / x FROM t WHERE x = 0"); // both paths: clean empty or same error
-        trio.step("UPDATE t SET f = f * 2 WHERE x > 40");
-        trio.step("SELECT * FROM t ORDER BY x, f, s");
+        pair.step("SELECT x FROM t WHERE f = 2.0");
+        pair.step("SELECT x FROM t WHERE x = f + f");
+        pair.step("SELECT COUNT(*) FROM t WHERE x < f");
+        pair.step("SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s");
+        pair.step("SELECT x FROM t WHERE s = 'v2' ORDER BY x");
+        pair.step("SELECT MIN(f), MAX(f), SUM(f) FROM t WHERE x IS NOT NULL");
+        pair.step("SELECT x / x FROM t WHERE x = 0"); // both paths: clean empty or same error
+        pair.step("UPDATE t SET f = f * 2 WHERE x > 40");
+        pair.step("SELECT * FROM t ORDER BY x, f, s");
     }
 }
 
@@ -217,47 +207,47 @@ fn late_demotion_and_float_int_comparisons() {
 /// join strategy and an empty derived build side too.
 #[test]
 fn empty_build_side_joins() {
-    let mut trio = Trio::new(Dialect::DBMS_X);
-    trio.setup("CREATE TABLE a (x INT)");
-    trio.setup("CREATE TABLE b (y INT)");
-    trio.setup("CREATE TABLE c (z INT)");
-    trio.setup("CREATE INDEX ix_c ON c(z)");
-    trio.setup_params("INSERT INTO a VALUES (?)", &[Value::Int(1)]);
-    trio.step("SELECT a.x, b.y FROM a, b WHERE a.x = b.y"); // hash, empty build
-    trio.step("SELECT a.x, c.z FROM a, c WHERE a.x = c.z"); // index loop, empty inner
-    trio.step("SELECT a.x, b.y FROM a, b WHERE a.x < b.y"); // nested loop, empty right
-    trio.step("SELECT a.x, d.y FROM a, (SELECT y FROM b WHERE y > 0) d WHERE a.x = d.y");
-    trio.step("SELECT COUNT(*) FROM a, b WHERE a.x = b.y");
+    let mut pair = Pair::new(Dialect::DBMS_X);
+    pair.setup("CREATE TABLE a (x INT)");
+    pair.setup("CREATE TABLE b (y INT)");
+    pair.setup("CREATE TABLE c (z INT)");
+    pair.setup("CREATE INDEX ix_c ON c(z)");
+    pair.setup_params("INSERT INTO a VALUES (?)", &[Value::Int(1)]);
+    pair.step("SELECT a.x, b.y FROM a, b WHERE a.x = b.y"); // hash, empty build
+    pair.step("SELECT a.x, c.z FROM a, c WHERE a.x = c.z"); // index loop, empty inner
+    pair.step("SELECT a.x, b.y FROM a, b WHERE a.x < b.y"); // nested loop, empty right
+    pair.step("SELECT a.x, d.y FROM a, (SELECT y FROM b WHERE y > 0) d WHERE a.x = d.y");
+    pair.step("SELECT COUNT(*) FROM a, b WHERE a.x = b.y");
 }
 
 /// A multi-batch `INSERT … SELECT` whose coercion fails in a *late*
-/// chunk must leave the target untouched on every path — the vectorized
-/// executor coerces all batches before writing, like the row executor
+/// chunk must leave the target untouched on both paths — the vectorized
+/// executor coerces all batches before writing, like the interpreter
 /// coerces all rows.
 #[test]
 fn late_chunk_coercion_failure_inserts_nothing() {
-    let mut trio = Trio::new(Dialect::DBMS_X);
-    trio.setup("CREATE TABLE target (x INT)");
-    trio.setup("CREATE TABLE src (c TEXT)");
+    let mut pair = Pair::new(Dialect::DBMS_X);
+    pair.setup("CREATE TABLE target (x INT)");
+    pair.setup("CREATE TABLE src (c TEXT)");
     // 1300 NULLs (coerce fine into INT) followed by one text row: the
     // failure sits in the second 1024-row chunk.
     for _ in 0..1300 {
-        trio.setup_params("INSERT INTO src VALUES (?)", &[Value::Null]);
+        pair.setup_params("INSERT INTO src VALUES (?)", &[Value::Null]);
     }
-    trio.setup_params("INSERT INTO src VALUES (?)", &[Value::Text("boom".into())]);
-    let ok = trio.step("INSERT INTO target SELECT c FROM src");
+    pair.setup_params("INSERT INTO src VALUES (?)", &[Value::Text("boom".into())]);
+    let ok = pair.step("INSERT INTO target SELECT c FROM src");
     assert!(!ok, "text into INT must fail");
-    trio.step("SELECT COUNT(*) FROM target"); // must be 0 on all paths
+    pair.step("SELECT COUNT(*) FROM target"); // must be 0 on both paths
 }
 
 /// The all-integer fast path and the generic fallback must agree when a
 /// statement's WHERE mixes typed-column comparisons with text equality.
 #[test]
 fn typed_and_generic_predicates_compose() {
-    let mut trio = Trio::new(Dialect::DBMS_X);
-    trio.setup("CREATE TABLE g (id INT, tag TEXT, v INT)");
+    let mut pair = Pair::new(Dialect::DBMS_X);
+    pair.setup("CREATE TABLE g (id INT, tag TEXT, v INT)");
     for i in 0..30i64 {
-        trio.setup_params(
+        pair.setup_params(
             "INSERT INTO g VALUES (?, ?, ?)",
             &[
                 Value::Int(i),
@@ -270,11 +260,11 @@ fn typed_and_generic_predicates_compose() {
             ],
         );
     }
-    trio.step("SELECT id FROM g WHERE v > 10 AND tag = 'g1'");
-    trio.step("SELECT id FROM g WHERE tag = 'g2' AND v IS NULL");
-    trio.step("SELECT tag, SUM(v) FROM g GROUP BY tag ORDER BY tag");
-    trio.step("DELETE FROM g WHERE tag = 'g3' AND v < 50");
-    trio.step("SELECT * FROM g ORDER BY id");
+    pair.step("SELECT id FROM g WHERE v > 10 AND tag = 'g1'");
+    pair.step("SELECT id FROM g WHERE tag = 'g2' AND v IS NULL");
+    pair.step("SELECT tag, SUM(v) FROM g GROUP BY tag ORDER BY tag");
+    pair.step("DELETE FROM g WHERE tag = 'g3' AND v < 50");
+    pair.step("SELECT * FROM g ORDER BY id");
 }
 
 /// The landmark-index build shapes (fempath-core's `landmarks` module):
@@ -283,56 +273,56 @@ fn typed_and_generic_predicates_compose() {
 /// clustered index arrives *after* the heap fill, and the selection /
 /// bound queries lean on NOT IN subqueries, grouped-subquery aliases and
 /// an UPDATE … FROM a grouped source. All of it must agree across the
-/// vectorized, row-at-a-time and interpreted paths in both dialects.
+/// vectorized and interpreted paths in both dialects.
 #[test]
 fn landmark_index_build_shapes() {
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-        let mut trio = Trio::new(dialect);
-        trio.setup("CREATE TABLE TEdges (fid INT, tid INT, cost INT)");
-        trio.setup("CREATE TABLE TVisited (nid INT, d2s INT, p2s INT)");
-        trio.setup("CREATE TABLE TLandmarks (lm INT, nid INT, d INT, p INT)");
+        let mut pair = Pair::new(dialect);
+        pair.setup("CREATE TABLE TEdges (fid INT, tid INT, cost INT)");
+        pair.setup("CREATE TABLE TVisited (nid INT, d2s INT, p2s INT)");
+        pair.setup("CREATE TABLE TLandmarks (lm INT, nid INT, d INT, p INT)");
         for i in 0..40i64 {
             let (f, t) = (i % 8, (i * 3 + 1) % 8);
-            trio.setup_params(
+            pair.setup_params(
                 "INSERT INTO TEdges VALUES (?, ?, ?)",
                 &[Value::Int(f), Value::Int(t), Value::Int(1 + i % 5)],
             );
-            trio.setup_params(
+            pair.setup_params(
                 "INSERT INTO TEdges VALUES (?, ?, ?)",
                 &[Value::Int(t), Value::Int(f), Value::Int(1 + i % 5)],
             );
         }
         for n in 0..8i64 {
-            trio.setup_params(
+            pair.setup_params(
                 "INSERT INTO TVisited VALUES (?, ?, ?)",
                 &[Value::Int(n), Value::Int(n * 2), Value::Int((n + 7) % 8)],
             );
         }
         // Max-degree selection: grouped subquery, then the two-aggregate
         // tie-break over the same candidate set.
-        trio.step(
+        pair.step(
             "SELECT MAX(deg) FROM (SELECT fid, COUNT(*) AS deg FROM TEdges \
              WHERE fid NOT IN (SELECT lm FROM TLandmarks) GROUP BY fid) cand",
         );
         // Bulk tree store: constants in the SELECT list, filtered source.
-        trio.step("INSERT INTO TLandmarks (lm, nid, d, p) SELECT 3, nid, d2s, p2s FROM TVisited WHERE d2s < 12");
-        trio.step("INSERT INTO TLandmarks (lm, nid, d, p) SELECT 5, nid, d2s, p2s FROM TVisited WHERE d2s < 99");
-        trio.step("CREATE CLUSTERED INDEX idx_tlandmarks ON TLandmarks(nid)");
+        pair.step("INSERT INTO TLandmarks (lm, nid, d, p) SELECT 3, nid, d2s, p2s FROM TVisited WHERE d2s < 12");
+        pair.step("INSERT INTO TLandmarks (lm, nid, d, p) SELECT 5, nid, d2s, p2s FROM TVisited WHERE d2s < 99");
+        pair.step("CREATE CLUSTERED INDEX idx_tlandmarks ON TLandmarks(nid)");
         // Triangle-inequality bound: self-join on the landmark column.
-        trio.step(
+        pair.step(
             "SELECT MIN(a.d + b.d) FROM TLandmarks a, TLandmarks b \
              WHERE a.nid = 1 AND b.nid = 6 AND a.lm = b.lm",
         );
         // Coverage pass: per-node minimum distance, then the farthest node.
-        trio.step(
+        pair.step(
             "SELECT MAX(md) FROM (SELECT nid, MIN(d) AS md FROM TLandmarks GROUP BY nid) cov",
         );
         // Batched bound seeding: UPDATE … FROM a grouped subquery.
-        trio.setup("CREATE TABLE TBounds (qid INT, s INT, t INT, bound INT)");
-        trio.step(
+        pair.setup("CREATE TABLE TBounds (qid INT, s INT, t INT, bound INT)");
+        pair.step(
             "INSERT INTO TBounds VALUES (0, 1, 6, 4000000000000000), (1, 2, 7, 4000000000000000)",
         );
-        trio.step(
+        pair.step(
             "UPDATE TBounds SET bound = src.u + 1 \
              FROM (SELECT q.qid AS sqid, MIN(a.d + b.d) AS u \
                    FROM TBounds q, TLandmarks a, TLandmarks b \
@@ -340,8 +330,8 @@ fn landmark_index_build_shapes() {
                    GROUP BY q.qid) src \
              WHERE TBounds.qid = src.sqid",
         );
-        trio.step("SELECT qid, bound FROM TBounds ORDER BY qid");
+        pair.step("SELECT qid, bound FROM TBounds ORDER BY qid");
         // The pruning ceiling's arithmetic min over (mincost, bound).
-        trio.step("SELECT qid, 7 + (bound < 7) * (bound - 7) AS wmc FROM TBounds ORDER BY qid");
+        pair.step("SELECT qid, 7 + (bound < 7) * (bound - 7) AS wmc FROM TBounds ORDER BY qid");
     }
 }

@@ -1,7 +1,7 @@
 //! femcheck layer 2 — the workspace *source* auditor (DESIGN.md §15).
 //!
 //! Where the SQL analyzer (`fempath_sql::analyze`) checks the statements
-//! the engine generates, this crate checks the engine's own source. Four
+//! the engine generates, this crate checks the engine's own source. Five
 //! plain-text, line-level rules, no dependencies, no proc macros:
 //!
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
@@ -18,6 +18,11 @@
 //!    allowlist also fails. The ratchet only goes down.
 //! 4. **no-debug-macros** — `todo!(` and `dbg!(` appear nowhere, tests
 //!    included.
+//! 5. **interpreter-reference-only** — library code outside
+//!    `crates/sql/src/engine.rs` must not call the AST interpreter's two
+//!    entry points (`Database::execute_unplanned`, `Database::run_stmt`):
+//!    everything that is served runs on the planned executor, and the
+//!    interpreter is the reference that tests compare it against.
 //!
 //! The rule needles are assembled at runtime from fragments so this
 //! crate's own source never contains them verbatim (the auditor audits
@@ -77,6 +82,7 @@ struct Needles {
     todo_macro: String,
     dbg_macro: String,
     cfg_test: String,
+    interpreter_calls: [String; 2],
 }
 
 impl Needles {
@@ -95,6 +101,10 @@ impl Needles {
             todo_macro: format!("{}{bang}", ["to", "do"].concat()),
             dbg_macro: format!("{}{bang}", ["d", "bg"].concat()),
             cfg_test: format!("#[cfg({}]", ["te", "st)"].concat()),
+            interpreter_calls: [
+                ["execute_unpl", "anned("].concat(),
+                ["run_st", "mt("].concat(),
+            ],
         }
     }
 }
@@ -136,6 +146,19 @@ fn code_part(line: &str) -> &str {
 fn tagged_nearby(lines: &[&str], from: usize, window: usize, tag: &str) -> bool {
     let lo = from.saturating_sub(window);
     lines[lo..=from].iter().any(|l| l.contains(tag))
+}
+
+/// The file that owns the interpreter's entry points — the one place
+/// library code may name them (rule 5).
+const ENGINE_FACADE: &str = "crates/sql/src/engine.rs";
+
+/// The interpreter entry point `code` calls, if any.
+fn interpreter_call<'n>(code: &str, needles: &'n Needles) -> Option<&'n str> {
+    needles
+        .interpreter_calls
+        .iter()
+        .map(String::as_str)
+        .find(|call| code.contains(call))
 }
 
 /// Parses `unwrap-allowlist.txt`: one `path count` pair per line, `#`
@@ -286,6 +309,23 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                 });
             }
 
+            // Rule 5: the interpreter is reached only through the engine
+            // facade; in-file test modules may use it as their reference.
+            if is_library_src && !in_test_region && rel != ENGINE_FACADE {
+                if let Some(call) = interpreter_call(code, &needles) {
+                    violations.push(Violation {
+                        file: rel.clone(),
+                        line: lineno,
+                        rule: "interpreter-reference-only",
+                        msg: format!(
+                            "`{call}…)` runs the AST interpreter, which is the test \
+                             reference only — use the planned path (`execute`, \
+                             `execute_prepared`, `execute_script`)"
+                        ),
+                    });
+                }
+            }
+
             // Rule 3 (counting pass): unwraps in library code.
             if is_library_src
                 && !in_test_region
@@ -356,6 +396,28 @@ mod tests {
     fn comment_part_is_ignored() {
         assert_eq!(code_part("let x = 1; // .unwr"), "let x = 1; ");
         assert_eq!(code_part("plain code"), "plain code");
+    }
+
+    #[test]
+    fn interpreter_calls_are_spotted_in_code_only() {
+        let n = Needles::new();
+        let unplanned = ["db.execute_unpl", "anned(sql, &[])?"].concat();
+        let run = ["self.run_st", "mt(&stmt, params)"].concat();
+        assert_eq!(
+            interpreter_call(&unplanned, &n),
+            Some(n.interpreter_calls[0].as_str())
+        );
+        assert_eq!(
+            interpreter_call(&run, &n),
+            Some(n.interpreter_calls[1].as_str())
+        );
+        // A doc mention is not a call, and comments are stripped first.
+        assert_eq!(
+            interpreter_call("see [`Database::execute_script`]", &n),
+            None
+        );
+        let commented = format!("let x = 1; // {unplanned}");
+        assert_eq!(interpreter_call(code_part(&commented), &n), None);
     }
 
     #[test]

@@ -210,6 +210,38 @@ fn batched_finders_match_on_unit_weights() {
 }
 
 #[test]
+fn batch_seeding_literals_stay_out_of_plan_cache() {
+    // Every batch seeds its working tables with INSERTs whose literals are
+    // the batch's own pairs. They run on the planned executor like every
+    // other statement, but distinct batches must not grow the plan cache.
+    let g = generate::power_law(150, 3, 1..=100, 7);
+    let mut gdb = GraphDb::in_memory(&g).unwrap();
+    let f = BatchBdjFinder::default();
+    let mut steady = None;
+    for (i, pairs) in query_pairs(150, 24).chunks(6).enumerate() {
+        let out = f.find_paths(&mut gdb, pairs).unwrap();
+        for (&(s, t), p) in pairs.iter().zip(&out.paths) {
+            let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance);
+            assert_eq!(
+                p.as_ref().map(|p| p.length as u64),
+                oracle,
+                "BatchBDJ {s}->{t}"
+            );
+        }
+        // The first batch creates the working tables; from the second on
+        // the resets are TRUNCATEs and every cached statement text repeats.
+        if i >= 1 {
+            let cached = gdb.db.cached_plans();
+            assert_eq!(
+                *steady.get_or_insert(cached),
+                cached,
+                "batch {i} added plans to the cache"
+            );
+        }
+    }
+}
+
+#[test]
 fn batched_finders_work_without_merge_support() {
     // The PostgreSQL dialect forces the TBExp + UPDATE/INSERT M-operator.
     use fempath::core::GraphDbOptions;
@@ -243,13 +275,13 @@ fn batched_finders_work_without_merge_support() {
 /// Landmark-seeded bounds must be invisible in the answers: every finder
 /// with `seed_bounds` on returns exactly the distances of its unseeded
 /// twin and of in-memory Dijkstra — including unreachable and s == t
-/// pairs — in both SQL dialects and both exec modes. A wrong (too-small)
+/// pairs — in both SQL dialects. A wrong (too-small)
 /// seeded ceiling would prune the optimal path itself, so any divergence
 /// here is an inadmissible bound escaping the property suite.
 #[test]
 fn landmark_seeding_never_changes_any_answer() {
     use fempath::core::GraphDbOptions;
-    use fempath::sql::{Dialect, ExecMode};
+    use fempath::sql::Dialect;
     // dblp_like leaves isolated nodes: unreachable pairs stress the
     // bounds-say-nothing fallback.
     let g = generate::dblp_like(120, 1..=100, 11);
@@ -259,112 +291,107 @@ fn landmark_seeding_never_changes_any_answer() {
         pairs.push((0, v as i64)); // unreachable
     }
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-        for exec_mode in [ExecMode::Vectorized, ExecMode::RowAtATime] {
-            let mut gdb = GraphDb::new(
-                &g,
-                &GraphDbOptions {
-                    dialect,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            gdb.set_exec_mode(exec_mode);
-            gdb.build_segtable(10).unwrap();
-            gdb.build_landmarks(6).unwrap();
-            type Twin = (Box<dyn ShortestPathFinder>, Box<dyn ShortestPathFinder>);
-            let twins: Vec<Twin> = vec![
-                (
-                    Box::new(DjFinder::default()),
-                    Box::new(DjFinder {
-                        seed_bounds: false,
-                        ..Default::default()
-                    }),
-                ),
-                (
-                    Box::new(BdjFinder::default()),
-                    Box::new(BdjFinder {
-                        seed_bounds: false,
-                        ..Default::default()
-                    }),
-                ),
-                (
-                    Box::new(BsdjFinder::default()),
-                    Box::new(BsdjFinder {
-                        seed_bounds: false,
-                        ..Default::default()
-                    }),
-                ),
-                (
-                    Box::new(BbfsFinder::default()),
-                    Box::new(BbfsFinder {
-                        seed_bounds: false,
-                        ..Default::default()
-                    }),
-                ),
-                (
-                    Box::new(BsegFinder::default()),
-                    Box::new(BsegFinder {
-                        seed_bounds: false,
-                        ..Default::default()
-                    }),
-                ),
-                (
-                    Box::new(BdjFinder {
-                        style: fempath::core::SqlStyle::Traditional,
-                        ..Default::default()
-                    }),
-                    Box::new(BdjFinder {
-                        style: fempath::core::SqlStyle::Traditional,
-                        seed_bounds: false,
-                        ..Default::default()
-                    }),
-                ),
-            ];
-            for &(s, t) in &pairs {
-                let oracle =
-                    dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
-                for (seeded, unseeded) in &twins {
-                    let ctx = format!("{} {s}->{t} ({dialect:?}, {exec_mode:?})", seeded.name());
-                    let a = seeded.find_path(&mut gdb, s, t).unwrap();
-                    let b = unseeded.find_path(&mut gdb, s, t).unwrap();
-                    let a_len = a.path.as_ref().map(|p| p.length);
-                    assert_eq!(a_len, oracle, "{ctx}: seeded vs Dijkstra");
-                    assert_eq!(
-                        a_len,
-                        b.path.as_ref().map(|p| p.length),
-                        "{ctx}: seeded vs unseeded twin"
-                    );
-                    if let (Some(p), Some(d)) = (&a.path, oracle) {
-                        assert_real_walk(&g, &p.nodes, d as u64, &ctx);
-                    }
-                }
-            }
-            // The batched finder's seeded run must agree with its unseeded
-            // twin pair-for-pair too.
-            let seeded = BatchBdjFinder::default()
-                .find_paths(&mut gdb, &pairs)
-                .unwrap();
-            let unseeded = BatchBdjFinder {
-                seed_bounds: false,
+        let mut gdb = GraphDb::new(
+            &g,
+            &GraphDbOptions {
+                dialect,
                 ..Default::default()
-            }
-            .find_paths(&mut gdb, &pairs)
-            .unwrap();
-            for (i, &(s, t)) in pairs.iter().enumerate() {
-                let oracle =
-                    dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
-                let ctx = format!("BatchBDJ {s}->{t} ({dialect:?}, {exec_mode:?})");
+            },
+        )
+        .unwrap();
+        gdb.build_segtable(10).unwrap();
+        gdb.build_landmarks(6).unwrap();
+        type Twin = (Box<dyn ShortestPathFinder>, Box<dyn ShortestPathFinder>);
+        let twins: Vec<Twin> = vec![
+            (
+                Box::new(DjFinder::default()),
+                Box::new(DjFinder {
+                    seed_bounds: false,
+                    ..Default::default()
+                }),
+            ),
+            (
+                Box::new(BdjFinder::default()),
+                Box::new(BdjFinder {
+                    seed_bounds: false,
+                    ..Default::default()
+                }),
+            ),
+            (
+                Box::new(BsdjFinder::default()),
+                Box::new(BsdjFinder {
+                    seed_bounds: false,
+                    ..Default::default()
+                }),
+            ),
+            (
+                Box::new(BbfsFinder::default()),
+                Box::new(BbfsFinder {
+                    seed_bounds: false,
+                    ..Default::default()
+                }),
+            ),
+            (
+                Box::new(BsegFinder::default()),
+                Box::new(BsegFinder {
+                    seed_bounds: false,
+                    ..Default::default()
+                }),
+            ),
+            (
+                Box::new(BdjFinder {
+                    style: fempath::core::SqlStyle::Traditional,
+                    ..Default::default()
+                }),
+                Box::new(BdjFinder {
+                    style: fempath::core::SqlStyle::Traditional,
+                    seed_bounds: false,
+                    ..Default::default()
+                }),
+            ),
+        ];
+        for &(s, t) in &pairs {
+            let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
+            for (seeded, unseeded) in &twins {
+                let ctx = format!("{} {s}->{t} ({dialect:?})", seeded.name());
+                let a = seeded.find_path(&mut gdb, s, t).unwrap();
+                let b = unseeded.find_path(&mut gdb, s, t).unwrap();
+                let a_len = a.path.as_ref().map(|p| p.length);
+                assert_eq!(a_len, oracle, "{ctx}: seeded vs Dijkstra");
                 assert_eq!(
-                    seeded.paths[i].as_ref().map(|p| p.length),
-                    oracle,
-                    "{ctx}: seeded vs Dijkstra"
-                );
-                assert_eq!(
-                    seeded.paths[i].as_ref().map(|p| p.length),
-                    unseeded.paths[i].as_ref().map(|p| p.length),
+                    a_len,
+                    b.path.as_ref().map(|p| p.length),
                     "{ctx}: seeded vs unseeded twin"
                 );
+                if let (Some(p), Some(d)) = (&a.path, oracle) {
+                    assert_real_walk(&g, &p.nodes, d as u64, &ctx);
+                }
             }
+        }
+        // The batched finder's seeded run must agree with its unseeded
+        // twin pair-for-pair too.
+        let seeded = BatchBdjFinder::default()
+            .find_paths(&mut gdb, &pairs)
+            .unwrap();
+        let unseeded = BatchBdjFinder {
+            seed_bounds: false,
+            ..Default::default()
+        }
+        .find_paths(&mut gdb, &pairs)
+        .unwrap();
+        for (i, &(s, t)) in pairs.iter().enumerate() {
+            let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
+            let ctx = format!("BatchBDJ {s}->{t} ({dialect:?})");
+            assert_eq!(
+                seeded.paths[i].as_ref().map(|p| p.length),
+                oracle,
+                "{ctx}: seeded vs Dijkstra"
+            );
+            assert_eq!(
+                seeded.paths[i].as_ref().map(|p| p.length),
+                unseeded.paths[i].as_ref().map(|p| p.length),
+                "{ctx}: seeded vs unseeded twin"
+            );
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Differential test for the segment-compressed storage tier (DESIGN.md §14):
 //! every finder must return exactly the same answers whether `TEdges` is
 //! stored as heap/clustered rows or as delta-compressed adjacency segments —
-//! across both SQL dialects and both plan executors — and both must match
-//! in-memory Dijkstra.
+//! across both SQL dialects — and both must match in-memory Dijkstra.
 
 use fempath::core::{
     BatchBdjFinder, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, DjFinder, GraphDb,
@@ -10,7 +9,7 @@ use fempath::core::{
 };
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
-use fempath::sql::{Dialect, ExecMode};
+use fempath::sql::Dialect;
 
 fn query_pairs(n: usize, count: usize) -> Vec<(i64, i64)> {
     (0..count)
@@ -25,8 +24,8 @@ fn query_pairs(n: usize, count: usize) -> Vec<(i64, i64)> {
         .collect()
 }
 
-fn build(g: &Graph, dialect: Dialect, exec_mode: ExecMode, segmented: bool) -> GraphDb {
-    let mut gdb = GraphDb::new(
+fn build(g: &Graph, dialect: Dialect, segmented: bool) -> GraphDb {
+    GraphDb::new(
         g,
         &GraphDbOptions {
             dialect,
@@ -35,47 +34,42 @@ fn build(g: &Graph, dialect: Dialect, exec_mode: ExecMode, segmented: bool) -> G
             ..Default::default()
         },
     )
-    .unwrap();
-    gdb.set_exec_mode(exec_mode);
-    gdb
+    .unwrap()
 }
 
 /// Single-pair finders: segmented and row-stored databases must agree with
 /// each other and with the in-memory oracle on distance and reachability,
-/// for every dialect × exec-mode combination.
+/// for every dialect.
 #[test]
 fn finders_identical_on_segmented_and_row_storage() {
     // dblp_like leaves isolated nodes, so unreachable pairs are exercised.
     let g = generate::dblp_like(140, 1..=100, 19);
     let pairs = query_pairs(140, 6);
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-        for exec_mode in [ExecMode::Vectorized, ExecMode::RowAtATime] {
-            let mut rows = build(&g, dialect, exec_mode, false);
-            let mut segs = build(&g, dialect, exec_mode, true);
-            let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
-                Box::new(DjFinder::default()),
-                Box::new(BdjFinder::default()),
-                Box::new(BsdjFinder::default()),
-                Box::new(BbfsFinder::default()),
-            ];
-            for &(s, t) in &pairs {
-                let oracle =
-                    dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
-                for f in &finders {
-                    let ctx = format!("{} {s}->{t} ({dialect:?}, {exec_mode:?})", f.name());
-                    let a = f.find_path(&mut rows, s, t).unwrap();
-                    let b = f.find_path(&mut segs, s, t).unwrap();
-                    let a_len = a.path.as_ref().map(|p| p.length);
-                    let b_len = b.path.as_ref().map(|p| p.length);
-                    assert_eq!(a_len, oracle, "{ctx}: row storage vs Dijkstra");
-                    assert_eq!(b_len, oracle, "{ctx}: segmented storage vs Dijkstra");
-                    assert_eq!(
-                        a.path.as_ref().map(|p| &p.nodes),
-                        b.path.as_ref().map(|p| &p.nodes),
-                        "{ctx}: segmented and row storage must walk identical paths \
-                         (same plans, same tie-breaking)"
-                    );
-                }
+        let mut rows = build(&g, dialect, false);
+        let mut segs = build(&g, dialect, true);
+        let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
+            Box::new(DjFinder::default()),
+            Box::new(BdjFinder::default()),
+            Box::new(BsdjFinder::default()),
+            Box::new(BbfsFinder::default()),
+        ];
+        for &(s, t) in &pairs {
+            let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
+            for f in &finders {
+                let ctx = format!("{} {s}->{t} ({dialect:?})", f.name());
+                let a = f.find_path(&mut rows, s, t).unwrap();
+                let b = f.find_path(&mut segs, s, t).unwrap();
+                let a_len = a.path.as_ref().map(|p| p.length);
+                let b_len = b.path.as_ref().map(|p| p.length);
+                assert_eq!(a_len, oracle, "{ctx}: row storage vs Dijkstra");
+                assert_eq!(b_len, oracle, "{ctx}: segmented storage vs Dijkstra");
+                assert_eq!(
+                    a.path.as_ref().map(|p| &p.nodes),
+                    b.path.as_ref().map(|p| &p.nodes),
+                    "{ctx}: segmented and row storage must walk identical paths \
+                     (same plans, same tie-breaking)"
+                );
             }
         }
     }
@@ -87,8 +81,8 @@ fn batched_finder_identical_on_segmented_storage() {
     let g = generate::power_law(160, 3, 1..=100, 23);
     let pairs = query_pairs(160, 8);
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-        let mut rows = build(&g, dialect, ExecMode::Vectorized, false);
-        let mut segs = build(&g, dialect, ExecMode::Vectorized, true);
+        let mut rows = build(&g, dialect, false);
+        let mut segs = build(&g, dialect, true);
         let f = BatchBdjFinder::default();
         let a = f.find_paths(&mut rows, &pairs).unwrap();
         let b = f.find_paths(&mut segs, &pairs).unwrap();
@@ -115,8 +109,8 @@ fn batched_finder_identical_on_segmented_storage() {
 #[test]
 fn segment_scans_match_row_scans() {
     let g = generate::power_law(200, 3, 1..=100, 5);
-    let mut rows = build(&g, Dialect::DBMS_X, ExecMode::Vectorized, false);
-    let mut segs = build(&g, Dialect::DBMS_X, ExecMode::Vectorized, true);
+    let mut rows = build(&g, Dialect::DBMS_X, false);
+    let mut segs = build(&g, Dialect::DBMS_X, true);
     for sql in [
         "SELECT COUNT(*), SUM(cost), MIN(cost), MAX(cost) FROM TEdges",
         "SELECT COUNT(*) FROM TEdges WHERE cost > 50",
