@@ -3,6 +3,8 @@
 //! M-operator. These isolate the NSQL/TSQL deltas of Fig 6(d).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fempath_core::sqlgen::{min_cost, Dir, EdgeSource, SqlGen};
+use fempath_core::{SqlStyle, INF};
 use fempath_sql::Database;
 use fempath_storage::Value;
 use std::hint::black_box;
@@ -163,10 +165,62 @@ fn bench_prepared_vs_unprepared(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper's 7-column `TVisited` with its `nid` index, `rows` visited
+/// nodes: a tenth settled (`f = 1`), the rest candidates, none marked.
+fn tvisited(rows: i64) -> Database {
+    let mut db = Database::in_memory(2048);
+    db.execute("CREATE TABLE TVisited (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)")
+        .unwrap();
+    db.execute("CREATE UNIQUE INDEX idx_tvisited_nid ON TVisited(nid)")
+        .unwrap();
+    let ins = db
+        .prepare("INSERT INTO TVisited VALUES (?, ?, ?, ?, ?, ?, 0)")
+        .unwrap();
+    for u in 0..rows {
+        let params = [u, u % 97, u / 2, i64::from(u % 10 == 0), INF, -1].map(Value::Int);
+        db.execute_prepared(&ins, &params).unwrap();
+    }
+    db
+}
+
+/// What one statement of the BDJ loop costs per `TVisited` row: the scans
+/// that read no column (`COUNT(*)`), two columns (`candidate_stats`,
+/// `min_cost`) or one column and match nothing (`reset_frontier`), and the
+/// F-operator's point UPDATE by `nid`. ns/row = time / rows.
+fn bench_tvisited_scan(c: &mut Criterion) {
+    let mut group = c.benchmark_group("tvisited_scan");
+    group.sample_size(20);
+    let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
+    for rows in [100i64, 1000, 3000] {
+        let statements: [(&str, String, Vec<Value>); 5] = [
+            ("count_star", "SELECT COUNT(*) FROM TVisited".into(), vec![]),
+            ("candidate_stats", gen.candidate_stats(), vec![]),
+            ("min_cost", min_cost().into(), vec![]),
+            ("reset_frontier_no_match", gen.reset_frontier(), vec![]),
+            (
+                "update_by_nid",
+                gen.settle_by_nid(),
+                vec![Value::Int(rows / 2)],
+            ),
+        ];
+        for (name, sql, params) in statements {
+            group.bench_function(&format!("{name}/{rows}"), |b| {
+                let mut db = tvisited(rows);
+                let stmt = db.prepare(&sql).unwrap();
+                b.iter(|| {
+                    black_box(db.execute_prepared(&stmt, &params).unwrap().rows_affected);
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_e_operator,
     bench_m_operator,
-    bench_prepared_vs_unprepared
+    bench_prepared_vs_unprepared,
+    bench_tvisited_scan
 );
 criterion_main!(benches);

@@ -25,10 +25,12 @@ use crate::stats::SqlStyle;
 /// an indexed working table is a plan-shape regression (rule FC201).
 ///
 /// The annotation policy (DESIGN.md §15): point probes (`dist_of`,
-/// `pred_of`, `settled`, `walk_tree`) and the M-operator statements that
+/// `pred_of`, `settled`, `walk_tree`), the by-`nid` F-operator updates
+/// (`mark_by_nid`, `settle_by_nid`) and the M-operator statements that
 /// probe the visited table per expansion row are hot; the F-operator
-/// aggregate scans (`select_mid`, `candidate_stats`), frontier marks and
-/// whole-table resets are *expected* to scan and stay cold.
+/// aggregate scans (`select_mid`, `candidate_stats`), the set-valued
+/// frontier marks and whole-table resets are *expected* to scan and stay
+/// cold.
 #[derive(Debug, Clone)]
 pub struct AnnotatedSql {
     /// Stable corpus name, e.g. `fwd/edges/nsql/merge_from_exp`.
@@ -377,9 +379,12 @@ impl SqlGen {
     /// `merge_supported` — the finders make the same dialect choice.
     ///
     /// Hot statements: the ByNid expansions (one index probe per expanded
-    /// node), the three M-operator statements (probe `TVisited` per
+    /// node), the by-`nid` mark and settle UPDATEs (Listing 2's F-operator
+    /// and Listing 3(2) — the `TVisited(nid)` index of Fig 8(c) finds their
+    /// one row), the three M-operator statements (probe `TVisited` per
     /// expansion row) and the per-node result probes. The F-operator
-    /// aggregates and frontier marks intentionally scan and stay cold.
+    /// aggregates and the frontier marks that select by flag or distance
+    /// intentionally scan and stay cold.
     pub fn annotated_corpus(&self, merge_supported: bool) -> Vec<AnnotatedSql> {
         let t = self.tag();
         let mut out = vec![
@@ -388,12 +393,12 @@ impl SqlGen {
             AnnotatedSql::cold(format!("{t}/min_candidate"), self.min_candidate()),
             AnnotatedSql::cold(format!("{t}/candidate_count"), self.candidate_count()),
             AnnotatedSql::cold(format!("{t}/candidate_stats"), self.candidate_stats()),
-            AnnotatedSql::cold(format!("{t}/mark_by_nid"), self.mark_by_nid()),
+            AnnotatedSql::hot(format!("{t}/mark_by_nid"), self.mark_by_nid()),
             AnnotatedSql::cold(format!("{t}/mark_by_dist"), self.mark_by_dist()),
             AnnotatedSql::cold(format!("{t}/mark_all"), self.mark_all()),
             AnnotatedSql::cold(format!("{t}/mark_threshold"), self.mark_threshold()),
             AnnotatedSql::cold(format!("{t}/reset_frontier"), self.reset_frontier()),
-            AnnotatedSql::cold(format!("{t}/settle_by_nid"), self.settle_by_nid()),
+            AnnotatedSql::hot(format!("{t}/settle_by_nid"), self.settle_by_nid()),
             AnnotatedSql::hot(
                 format!("{t}/expand_into_exp/by_nid"),
                 self.expand_into_exp(FrontierPred::ByNid),

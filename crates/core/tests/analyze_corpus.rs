@@ -78,17 +78,22 @@ fn dropped_index_is_caught_as_fc201() {
     let mut gdb = small_gdb();
     gdb.reset_visited().unwrap();
     let dist_of = "SELECT d2s FROM TVisited WHERE nid = ?";
+    // The F-operator's by-nid UPDATE takes the same index path.
+    let mark_by_nid = "UPDATE TVisited SET b = 2 WHERE nid = ? AND b = 0";
     assert!(gdb.db.analyze_hot_path(dist_of).unwrap().is_clean());
+    assert!(gdb.db.analyze_hot_path(mark_by_nid).unwrap().is_clean());
     gdb.db.execute("DROP INDEX idx_tvisited_nid").unwrap();
     gdb.db
         .execute("CREATE INDEX idx_tvisited_flags ON TVisited(f)")
         .unwrap();
-    let report = gdb.db.analyze_hot_path(dist_of).unwrap();
-    assert!(
-        report.has_rule(Rule::HotPathFullScan),
-        "expected FC201:\n{}",
-        report.render()
-    );
+    for sql in [dist_of, mark_by_nid] {
+        let report = gdb.db.analyze_hot_path(sql).unwrap();
+        assert!(
+            report.has_rule(Rule::HotPathFullScan),
+            "expected FC201:\n{}",
+            report.render()
+        );
+    }
     // The cold analysis of the same statement stays silent: FC201 is a
     // hot-path-only lint.
     assert!(gdb.db.analyze(dist_of).unwrap().is_clean());

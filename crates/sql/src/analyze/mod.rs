@@ -32,7 +32,9 @@ use crate::dialect::Dialect;
 use crate::error::Result;
 use crate::exec::eval::split_conjuncts;
 use crate::parser;
-use select::{analyze_dml_source, analyze_equi_probe, analyze_select, refine_and_check};
+use select::{
+    analyze_dml_source, analyze_equi_probe, analyze_select, refine_and_check, source_access,
+};
 use typeck::{infer, storable, TSchema};
 
 pub use typeck::Ty;
@@ -463,21 +465,11 @@ fn analyze_update(cx: &mut Ctx<'_>, upd: &Update) {
             (name.clone(), dtype)
         })
         .collect();
-    let has_index = select::has_any_index(table);
-    let table_name = table.schema.name.clone();
 
     let combined = match &upd.from {
         None => {
-            // Plain UPDATE: the executor always scans the target.
-            cx.accesses.push(TableAccess {
-                table: table_name.clone(),
-                binding: binding.clone(),
-                access: AccessKind::FullScan,
-                join: JoinKind::Source,
-                index_cols: Vec::new(),
-                has_index,
-                in_subquery: false,
-            });
+            // Plain UPDATE: the target gets a SELECT's access-path choice.
+            source_access(cx, table, &binding, &target, &mut conjuncts.clone());
             target
         }
         Some(tref) => {
@@ -515,17 +507,9 @@ fn analyze_delete(cx: &mut Ctx<'_>, del: &Delete) {
         return;
     };
     let target = TSchema::from_table(&del.table, table);
-    // DELETE always scans.
-    cx.accesses.push(TableAccess {
-        table: table.schema.name.clone(),
-        binding: del.table.clone(),
-        access: AccessKind::FullScan,
-        join: JoinKind::Source,
-        index_cols: Vec::new(),
-        has_index: select::has_any_index(table),
-        in_subquery: false,
-    });
     let conjuncts: Vec<Expr> = del.filter.as_ref().map(split_conjuncts).unwrap_or_default();
+    // The target gets a SELECT's access-path choice.
+    source_access(cx, table, &del.table, &target, &mut conjuncts.clone());
     refine_and_check(cx, target, &conjuncts);
 }
 

@@ -240,6 +240,44 @@ fn remove_conjuncts(conjuncts: &mut Vec<Expr>, consumed: &[usize]) {
     });
 }
 
+/// Records how the planner reads `table` as a pipeline source or plain
+/// UPDATE/DELETE target (mirror of `plan::build::plan_scan_table`): an
+/// index probe when the conjuncts pin an indexed prefix to row-independent
+/// values, a full scan otherwise. Consumes the conjuncts that bind against
+/// the table alone.
+pub(crate) fn source_access(
+    cx: &mut Ctx<'_>,
+    table: &Table,
+    binding: &str,
+    ts: &TSchema,
+    remaining: &mut Vec<Expr>,
+) {
+    let mine_idx: Vec<usize> = remaining
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| binds_in(c, &ts.schema))
+        .map(|(i, _)| i)
+        .collect();
+    let mine: Vec<Expr> = mine_idx.iter().map(|&i| remaining[i].clone()).collect();
+    let eqs = find_const_equalities(&ts.schema, &mine);
+    match choose_access_path(table, &eqs) {
+        Some((cols, _)) => {
+            let kind = eq_access_kind(table, &cols);
+            let names = col_names(table, &cols);
+            record(cx, table, binding, kind, JoinKind::Source, names);
+        }
+        None => record(
+            cx,
+            table,
+            binding,
+            AccessKind::FullScan,
+            JoinKind::Source,
+            Vec::new(),
+        ),
+    }
+    remove_conjuncts(remaining, &mine_idx);
+}
+
 /// Mirror of `exec::from::base_relation`.
 fn base_ref(cx: &mut Ctx<'_>, tref: &TableRef, remaining: &mut Vec<Expr>) -> TSchema {
     match resolve_source(cx, tref) {
@@ -248,33 +286,7 @@ fn base_ref(cx: &mut Ctx<'_>, tref: &TableRef, remaining: &mut Vec<Expr>) -> TSc
                 return TSchema::open();
             };
             let ts = TSchema::from_table(&binding, table);
-            // Conjuncts fully resolvable against this table alone.
-            let mine_idx: Vec<usize> = remaining
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| binds_in(c, &ts.schema))
-                .map(|(i, _)| i)
-                .collect();
-            let mine: Vec<Expr> = mine_idx.iter().map(|&i| remaining[i].clone()).collect();
-            let eqs = find_const_equalities(&ts.schema, &mine);
-            match choose_access_path(table, &eqs) {
-                Some((cols, _)) => {
-                    let kind = eq_access_kind(table, &cols);
-                    let names = col_names(table, &cols);
-                    record(cx, table, &binding, kind, JoinKind::Source, names);
-                }
-                None => {
-                    record(
-                        cx,
-                        table,
-                        &binding,
-                        AccessKind::FullScan,
-                        JoinKind::Source,
-                        Vec::new(),
-                    );
-                }
-            }
-            remove_conjuncts(remaining, &mine_idx);
+            source_access(cx, table, &binding, &ts, remaining);
             ts
         }
         SourceT::Mat(ts) => {

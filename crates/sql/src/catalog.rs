@@ -12,7 +12,8 @@ use crate::error::{Result, SqlError};
 use fempath_storage::{
     decode_edge_segment, decode_edge_segment_with, decode_row, encode_key, encode_key_into,
     encode_row, encode_row_from_chunk, encode_row_into, BTree, BTreeBulkBuilder, BTreeScanCursor,
-    BufferPool, Chunk, Column, DataType, HeapFile, HeapScanCursor, RecordId, SegmentWriter, Value,
+    BufferPool, Chunk, ColSet, Column, DataType, HeapFile, HeapScanCursor, KeyArena, RecordId,
+    SegmentWriter, Value,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -135,6 +136,57 @@ enum EqAccessPath {
     Secondary(Vec<RowLoc>),
     /// No usable index — scan and filter.
     Scan,
+}
+
+/// The locators of one scanned batch in their raw storage form (record
+/// ids, or clustered keys in one flat arena). A predicate usually keeps
+/// few of a batch's rows, so owned [`RowLoc`]s are built by
+/// [`BatchLocs::loc`] only for the survivors.
+#[derive(Default)]
+pub struct BatchLocs {
+    rids: Vec<RecordId>,
+    keys: KeyArena,
+}
+
+impl BatchLocs {
+    /// Forgets the batch, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.rids.clear();
+        self.keys.clear();
+    }
+
+    /// The locator of the batch's `r`-th row.
+    pub fn loc(&self, r: usize) -> RowLoc {
+        if self.keys.is_empty() {
+            RowLoc::Heap(self.rids[r])
+        } else {
+            RowLoc::Clustered(self.keys.get(r).to_vec())
+        }
+    }
+}
+
+/// Appends `row`'s `cols` columns to `chunk` (the projected counterpart of
+/// [`Chunk::push_row`], for rows that had to be decoded whole first).
+fn push_row_cols(chunk: &mut Chunk, row: &[Value], cols: &ColSet) {
+    if chunk.is_empty() && chunk.width() != row.len() {
+        chunk.set_width(row.len());
+    }
+    for (c, v) in row.iter().enumerate() {
+        if cols.contains(c) {
+            chunk.col_mut(c).push(v.clone());
+        }
+    }
+    chunk.commit_row();
+}
+
+/// Appends one `(fid, tid, cost)` edge's `cols` columns to a 3-wide chunk.
+fn push_edge_cols(chunk: &mut Chunk, edge: (i64, i64, i64), cols: &ColSet) {
+    for (c, v) in [edge.0, edge.1, edge.2].into_iter().enumerate() {
+        if cols.contains(c) {
+            chunk.col_mut(c).push_int(v);
+        }
+    }
+    chunk.commit_row();
 }
 
 /// Scan-fallback equality predicate (NULLs never match).
@@ -554,6 +606,55 @@ impl Table {
         }
     }
 
+    /// Decodes the `read` columns of the rows stored at `locs` into `chunk`
+    /// (appending, in the order given) — the batched [`Table::fetch`]
+    /// behind secondary-index probes and the re-read of the rows a
+    /// projected DML target scan selected. Heap locators collected by a
+    /// scan are page-ordered and cost one buffer-pool read per touched
+    /// page.
+    pub fn fetch_chunk(
+        &self,
+        pool: &mut BufferPool,
+        locs: &[RowLoc],
+        chunk: &mut Chunk,
+        read: &ColSet,
+    ) -> Result<()> {
+        if locs.is_empty() {
+            return Ok(());
+        }
+        match &self.storage {
+            TableStorage::Heap(h) => {
+                let rids: Vec<RecordId> = locs
+                    .iter()
+                    .map(|loc| match loc {
+                        RowLoc::Heap(rid) => Ok(*rid),
+                        RowLoc::Clustered(_) => Err(SqlError::Eval(
+                            "row locator does not match table storage".into(),
+                        )),
+                    })
+                    .collect::<Result<_>>()?;
+                Ok(h.fetch_into_chunk(pool, &rids, chunk, read)?)
+            }
+            TableStorage::Clustered { tree, .. } => {
+                for loc in locs {
+                    let RowLoc::Clustered(k) = loc else {
+                        return Err(SqlError::Eval(
+                            "row locator does not match table storage".into(),
+                        ));
+                    };
+                    let bytes = tree
+                        .get(pool, k)?
+                        .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))?;
+                    fempath_storage::decode_row_into_chunk(&bytes, chunk, read)?;
+                }
+                Ok(())
+            }
+            TableStorage::Segmented { .. } => Err(SqlError::Eval(
+                "segmented base storage has no per-row locators".into(),
+            )),
+        }
+    }
+
     /// Rows whose values in `cols` equal `key_vals`, using the best
     /// available access path:
     ///
@@ -676,18 +777,19 @@ impl Table {
         }
     }
 
-    /// Like [`Table::lookup_eq`], but decodes every match straight into
-    /// the columns of `chunk` (appending) — the batched probe the
-    /// vectorized join stages use, avoiding one row materialization and
-    /// value clone per match. Shares `Table::resolve_eq_path` with
-    /// `lookup_eq`, so the two executors cannot drift in access-path
-    /// choice.
+    /// Like [`Table::lookup_eq`], but decodes the `read` columns of every
+    /// match straight into the columns of `chunk` (appending) — the
+    /// batched probe the vectorized join stages use, avoiding one row
+    /// materialization and value clone per match. Shares
+    /// `Table::resolve_eq_path` with `lookup_eq`, so the two executors
+    /// cannot drift in access-path choice.
     pub fn lookup_eq_chunk(
         &self,
         pool: &mut BufferPool,
         cols: &[usize],
         key_vals: &[Value],
         chunk: &mut Chunk,
+        read: &ColSet,
     ) -> Result<bool> {
         match self.resolve_eq_path(pool, cols, key_vals)? {
             EqAccessPath::ClusteredPrefix(prefix) => {
@@ -698,7 +800,7 @@ impl Table {
                 tree.scan_prefix(
                     pool,
                     &prefix,
-                    |_, v| match fempath_storage::decode_row_into_chunk(v, chunk) {
+                    |_, v| match fempath_storage::decode_row_into_chunk(v, chunk, read) {
                         Ok(()) => true,
                         Err(e) => {
                             decode_err = Some(e);
@@ -745,10 +847,7 @@ impl Table {
                             }
                         }
                         if ef == fid && !tombstones.contains(&(ef, et)) {
-                            chunk.col_mut(0).push_int(ef);
-                            chunk.col_mut(1).push_int(et);
-                            chunk.col_mut(2).push_int(ec);
-                            chunk.commit_row();
+                            push_edge_cols(chunk, (ef, et, ec), read);
                         }
                     });
                     if let Err(e) = res {
@@ -764,7 +863,7 @@ impl Table {
                 delta.scan(pool, |_, bytes| match decode_row(bytes) {
                     Ok(row) => {
                         if row.first().and_then(|v| v.as_i64()) == Some(fid) {
-                            chunk.push_row(&row);
+                            push_row_cols(chunk, &row, read);
                         }
                         true
                     }
@@ -779,32 +878,14 @@ impl Table {
                 Ok(true)
             }
             EqAccessPath::Secondary(locs) => {
-                for loc in locs {
-                    match (&self.storage, &loc) {
-                        (TableStorage::Heap(h), RowLoc::Heap(rid)) => {
-                            let bytes = h.get(pool, *rid)?;
-                            fempath_storage::decode_row_into_chunk(&bytes, chunk)?;
-                        }
-                        (TableStorage::Clustered { tree, .. }, RowLoc::Clustered(k)) => {
-                            let bytes = tree.get(pool, k)?.ok_or_else(|| {
-                                SqlError::Eval("dangling clustered locator".into())
-                            })?;
-                            fempath_storage::decode_row_into_chunk(&bytes, chunk)?;
-                        }
-                        _ => {
-                            return Err(SqlError::Eval(
-                                "row locator does not match table storage".into(),
-                            ))
-                        }
-                    }
-                }
+                self.fetch_chunk(pool, &locs, chunk, read)?;
                 Ok(true)
             }
             EqAccessPath::Scan => {
                 // Needs the decoded row for the comparison anyway.
                 self.scan(pool, |_, row| {
                     if eq_match(&row, cols, key_vals) {
-                        chunk.push_row(&row);
+                        push_row_cols(chunk, &row, read);
                     }
                     true
                 })?;
@@ -912,37 +993,26 @@ impl Table {
         })
     }
 
-    /// Decodes up to `max` further rows into `chunk` (appending), also
-    /// recording their locators into `locs` when given. Returns `false`
-    /// once the table is exhausted. Rows arrive in the same storage order
-    /// as [`Table::scan`].
+    /// Decodes the `cols` columns of up to `max` further rows into `chunk`
+    /// (appending), also recording their locators into `locs` when given.
+    /// Returns `false` once the table is exhausted. Rows arrive in the
+    /// same storage order as [`Table::scan`].
     pub fn next_batch(
         &self,
         pool: &mut BufferPool,
         cursor: &mut TableBatchCursor,
         chunk: &mut Chunk,
-        locs: Option<&mut Vec<RowLoc>>,
+        cols: &ColSet,
+        locs: Option<&mut BatchLocs>,
         max: usize,
     ) -> Result<bool> {
         match (&self.storage, cursor) {
-            (TableStorage::Heap(h), TableBatchCursor::Heap(c)) => match locs {
-                Some(locs) => {
-                    let mut rids = Vec::new();
-                    let more = c.next_batch(h, pool, chunk, Some(&mut rids), max)?;
-                    locs.extend(rids.into_iter().map(RowLoc::Heap));
-                    Ok(more)
-                }
-                None => Ok(c.next_batch(h, pool, chunk, None, max)?),
-            },
-            (TableStorage::Clustered { .. }, TableBatchCursor::Clustered(c)) => match locs {
-                Some(locs) => {
-                    let mut keys = Vec::new();
-                    let more = c.next_batch(pool, chunk, Some(&mut keys), max)?;
-                    locs.extend(keys.into_iter().map(RowLoc::Clustered));
-                    Ok(more)
-                }
-                None => Ok(c.next_batch(pool, chunk, None, max)?),
-            },
+            (TableStorage::Heap(h), TableBatchCursor::Heap(c)) => {
+                Ok(c.next_batch(h, pool, chunk, cols, locs.map(|l| &mut l.rids), max)?)
+            }
+            (TableStorage::Clustered { .. }, TableBatchCursor::Clustered(c)) => {
+                Ok(c.next_batch(pool, chunk, cols, locs.map(|l| &mut l.keys), max)?)
+            }
             (
                 TableStorage::Segmented {
                     tree,
@@ -1004,10 +1074,7 @@ impl Table {
                             if tombstones.contains(&(ef, et)) {
                                 continue;
                             }
-                            chunk.col_mut(0).push_int(ef);
-                            chunk.col_mut(1).push_int(et);
-                            chunk.col_mut(2).push_int(ec);
-                            chunk.commit_row();
+                            push_edge_cols(chunk, (ef, et, ec), cols);
                             added += 1;
                         }
                         if consumed < edges.len() {
@@ -1032,7 +1099,9 @@ impl Table {
                     c.done = true;
                 }
                 // Base exhausted: stream the delta overlay.
-                let more = c.delta.next_batch(delta, pool, chunk, None, max - added)?;
+                let more = c
+                    .delta
+                    .next_batch(delta, pool, chunk, cols, None, max - added)?;
                 Ok(more)
             }
             _ => Err(SqlError::Eval("cursor does not match table storage".into())),
@@ -2399,7 +2468,13 @@ mod tests {
             // Chunk probe agrees with the row probe.
             let mut chunk = Chunk::with_width(3);
             assert!(t
-                .lookup_eq_chunk(&mut pool, &[0], &[Value::Int(probe)], &mut chunk)
+                .lookup_eq_chunk(
+                    &mut pool,
+                    &[0],
+                    &[Value::Int(probe)],
+                    &mut chunk,
+                    &ColSet::all(),
+                )
                 .unwrap());
             let chunk_rows: Vec<(i64, i64, i64)> = (0..chunk.len())
                 .map(|r| {
@@ -2426,7 +2501,14 @@ mod tests {
             loop {
                 let mut chunk = Chunk::with_width(3);
                 let more = t
-                    .next_batch(&mut pool, &mut cursor, &mut chunk, None, max)
+                    .next_batch(
+                        &mut pool,
+                        &mut cursor,
+                        &mut chunk,
+                        &ColSet::all(),
+                        None,
+                        max,
+                    )
                     .unwrap();
                 for r in 0..chunk.len() {
                     seen.push((
@@ -2516,7 +2598,7 @@ mod tests {
             loop {
                 let mut chunk = Chunk::with_width(3);
                 let more = t
-                    .next_batch(pool, &mut cursor, &mut chunk, None, 13)
+                    .next_batch(pool, &mut cursor, &mut chunk, &ColSet::all(), None, 13)
                     .unwrap();
                 for r in 0..chunk.len() {
                     batched.push((
@@ -2548,8 +2630,14 @@ mod tests {
             .unwrap();
             assert!(probe.contains(&(9000, 5)), "delta row missing from probe");
             let mut chunk = Chunk::with_width(3);
-            t.lookup_eq_chunk(&mut pool, &[0], &[Value::Int(7)], &mut chunk)
-                .unwrap();
+            t.lookup_eq_chunk(
+                &mut pool,
+                &[0],
+                &[Value::Int(7)],
+                &mut chunk,
+                &ColSet::all(),
+            )
+            .unwrap();
             assert_eq!(probe.len(), chunk.len());
         }
         assert_eq!(

@@ -11,9 +11,9 @@
 //! the interpreter would.
 
 use super::{
-    AggPlan, DeletePlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan, JoinPlan, MergePlan,
-    PExpr, PlanKind, RightPlan, SelectPlan, SourcePlan, SubPlan, UpdateKind, UpdatePlan,
-    WindowPlan,
+    mark_pexpr_cols, AggPlan, DeletePlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan,
+    JoinPlan, MergePlan, PExpr, PlanKind, ReadCols, RightPlan, SelectPlan, SourcePlan, SubPlan,
+    UpdateKind, UpdatePlan, WindowPlan,
 };
 use crate::ast::{
     AggFunc, Delete, Expr, Insert, InsertSource, Merge, OrderKey, Select, SelectItem, Stmt,
@@ -141,10 +141,13 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
     } else {
         plan_base(&mut b, &sel.from[0], &mut conjuncts)?
     };
+    // Width of each FROM relation, in pipeline order (for `project_from`).
+    let mut widths = vec![schema.cols.len()];
     let mut joins = Vec::new();
     for tref in sel.from.get(1..).unwrap_or(&[]) {
         let (jp, combined) = plan_join(&mut b, &schema, tref, &mut conjuncts)?;
         joins.push(jp);
+        widths.push(combined.cols.len() - schema.cols.len());
         schema = combined;
     }
     let residual: Vec<PExpr> = conjuncts
@@ -307,7 +310,7 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
         (None, None) => None,
     };
 
-    Ok(SelectPlan {
+    let mut plan = SelectPlan {
         from,
         agg,
         windows,
@@ -318,7 +321,107 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
         distinct: sel.distinct,
         cap,
         subplans: b.subplans,
-    })
+    };
+    project_from(catalog, &mut plan, &widths)?;
+    Ok(plan)
+}
+
+/// Narrows every base-table access of `plan`'s FROM pipeline to the
+/// columns the statement reads: pushed filters, join keys and residuals,
+/// aggregate/window inputs and — when no aggregate re-shapes the rows —
+/// HAVING and the select list. `widths` gives each FROM relation's column
+/// count in pipeline order; access paths are planned reading every column
+/// and stay that way for statements that hand whole rows on
+/// ([`SelectPlan::materializes_rows`]).
+fn project_from(catalog: &Catalog, plan: &mut SelectPlan, widths: &[usize]) -> Result<()> {
+    if plan.materializes_rows() {
+        return Ok(());
+    }
+    let mut used = vec![false; widths.iter().sum()];
+    let mut offset = widths[0];
+    for p in &plan.from.source.filter {
+        mark_pexpr_cols(p, &mut used);
+    }
+    for (j, w) in plan.from.joins.iter().zip(&widths[1..]) {
+        match j {
+            JoinPlan::IndexLoop { keys, residual, .. } => {
+                keys.iter()
+                    .chain(residual)
+                    .for_each(|e| mark_pexpr_cols(e, &mut used));
+            }
+            JoinPlan::Hash {
+                left_keys,
+                right_cols,
+                residual,
+                ..
+            } => {
+                left_keys
+                    .iter()
+                    .chain(residual)
+                    .for_each(|e| mark_pexpr_cols(e, &mut used));
+                for &c in right_cols {
+                    used[offset + c] = true;
+                }
+            }
+            JoinPlan::Loop { residual, .. } => {
+                residual.iter().for_each(|e| mark_pexpr_cols(e, &mut used));
+            }
+        }
+        offset += w;
+    }
+    for p in &plan.from.residual {
+        mark_pexpr_cols(p, &mut used);
+    }
+    match &plan.agg {
+        Some(agg) => {
+            let args = agg.aggs.iter().filter_map(|(_, a)| a.as_ref());
+            agg.group
+                .iter()
+                .chain(args)
+                .for_each(|e| mark_pexpr_cols(e, &mut used));
+        }
+        // Without an aggregate the post-stages bind against the FROM
+        // schema (plus window columns, which lie past `used`).
+        None => {
+            for w in &plan.windows {
+                let order = w.order.iter().map(|(e, _)| e);
+                w.partition
+                    .iter()
+                    .chain(order)
+                    .for_each(|e| mark_pexpr_cols(e, &mut used));
+            }
+            plan.having
+                .iter()
+                .chain(&plan.items)
+                .for_each(|e| mark_pexpr_cols(e, &mut used));
+        }
+    }
+
+    let read_cols = |table: &str, range: std::ops::Range<usize>| -> Result<ReadCols> {
+        Ok(ReadCols::of(&catalog.table(table)?.schema, &used[range]))
+    };
+    if let InputPlan::Scan { table, read, .. } | InputPlan::Lookup { table, read, .. } =
+        &mut plan.from.source.input
+    {
+        *read = read_cols(table, 0..widths[0])?;
+    }
+    let mut offset = widths[0];
+    for (j, w) in plan.from.joins.iter_mut().zip(&widths[1..]) {
+        match j {
+            JoinPlan::IndexLoop { table, read, .. }
+            | JoinPlan::Hash {
+                right: RightPlan::Table { name: table, read },
+                ..
+            }
+            | JoinPlan::Loop {
+                right: RightPlan::Table { name: table, read },
+                ..
+            } => *read = read_cols(table, offset..offset + w)?,
+            JoinPlan::Hash { .. } | JoinPlan::Loop { .. } => {}
+        }
+        offset += w;
+    }
+    Ok(())
 }
 
 /// Binds and removes the conjuncts fully resolvable in `schema` (the
@@ -440,6 +543,7 @@ fn plan_scan_table(
                     binding: binding.to_string(),
                     cols,
                     keys,
+                    read: ReadCols::all(&table.schema),
                 },
                 filter,
             )
@@ -453,6 +557,7 @@ fn plan_scan_table(
                 InputPlan::Scan {
                     table: name.to_string(),
                     binding: binding.to_string(),
+                    read: ReadCols::all(&table.schema),
                 },
                 filter,
             )
@@ -545,6 +650,7 @@ fn plan_join(
                             path_cols,
                             keys,
                             residual,
+                            read: ReadCols::all(&table.schema),
                         },
                         combined,
                     ));
@@ -552,7 +658,10 @@ fn plan_join(
                 return plan_join_mat(
                     b,
                     left,
-                    RightPlan::Table { name: name.clone() },
+                    RightPlan::Table {
+                        name: name.clone(),
+                        read: ReadCols::all(&table.schema),
+                    },
                     right_schema,
                     conjuncts,
                 );
@@ -658,6 +767,7 @@ fn plan_source_ref(b: &mut Binder<'_>, tref: &TableRef) -> Result<(SourcePlan, S
                         input: InputPlan::Scan {
                             table: name.clone(),
                             binding: binding.to_string(),
+                            read: ReadCols::all(&table.schema),
                         },
                         filter: Vec::new(),
                     },
@@ -804,6 +914,35 @@ fn plan_equi_probe(
     Ok((probe_cols, probe_keys, residual))
 }
 
+/// Plans how a plain UPDATE/DELETE finds its rows, with the access-path
+/// choice a SELECT over the same WHERE clause gets
+/// ([`plan_scan_table`]): an equality on an indexed prefix becomes an
+/// index probe with the other conjuncts as residual filters; otherwise
+/// the table is scanned reading only the columns the predicate names (the
+/// executor re-fetches the rows it selects, which it needs whole).
+fn plan_dml_target(
+    b: &mut Binder<'_>,
+    table: &str,
+    binding: &str,
+    filter: Option<&Expr>,
+) -> Result<SourcePlan> {
+    let mut conjuncts: Vec<Expr> = filter.map(split_conjuncts).unwrap_or_default();
+    let (mut target, schema) = plan_scan_table(b, table, binding, &mut conjuncts)?;
+    // A conjunct left over names something outside the target: binding it
+    // reports which.
+    for c in &conjuncts {
+        b.bind(&schema, c)?;
+    }
+    if let InputPlan::Scan { read, .. } = &mut target.input {
+        let mut used = vec![false; schema.cols.len()];
+        for p in &target.filter {
+            mark_pexpr_cols(p, &mut used);
+        }
+        *read = ReadCols::of(&b.catalog.table(table)?.schema, &used);
+    }
+    Ok(target)
+}
+
 /// Plans an UPDATE (plain or `UPDATE … FROM`).
 fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
     let mut b = Binder::new(catalog);
@@ -823,17 +962,13 @@ fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
 
     let kind = match &upd.from {
         None => {
-            let pred = upd
-                .filter
-                .as_ref()
-                .map(|f| b.bind(&tschema, f))
-                .transpose()?;
+            let target = plan_dml_target(&mut b, &upd.table, binding, upd.filter.as_ref())?;
             let assigns: Vec<PExpr> = upd
                 .assignments
                 .iter()
                 .map(|(_, e)| b.bind(&tschema, e))
                 .collect::<Result<_>>()?;
-            UpdateKind::Plain { pred, assigns }
+            UpdateKind::Plain { target, assigns }
         }
         Some(source_ref) => {
             let mut conjuncts: Vec<Expr> =
@@ -892,16 +1027,10 @@ fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
 /// Plans a DELETE.
 fn plan_delete(catalog: &Catalog, del: &Delete) -> Result<DeletePlan> {
     let mut b = Binder::new(catalog);
-    let table = catalog.table(&del.table)?;
-    let schema = Schema::from_table(&del.table, &table.schema);
-    let pred = del
-        .filter
-        .as_ref()
-        .map(|f| b.bind(&schema, f))
-        .transpose()?;
+    let target = plan_dml_target(&mut b, &del.table, &del.table, del.filter.as_ref())?;
     Ok(DeletePlan {
         table: del.table.clone(),
-        pred,
+        target,
         subplans: b.subplans,
     })
 }

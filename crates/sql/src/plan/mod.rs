@@ -29,8 +29,9 @@ pub(crate) mod exec;
 pub(crate) mod vexec;
 
 use crate::ast::{AggFunc, BinaryOp, Stmt, UnaryOp, WindowFunc};
+use crate::catalog::TableSchema;
 use crate::exec::eval::Schema;
-use fempath_storage::Value;
+use fempath_storage::{ColSet, Value};
 use std::sync::Arc;
 
 /// A fully planned statement, stamped with the catalog version it was
@@ -69,7 +70,10 @@ impl PreparedPlan {
             PlanKind::Select(sp) => describe_select(sp, 0, &mut out),
             PlanKind::Update(up) => {
                 match &up.kind {
-                    UpdateKind::Plain { .. } => out.push(format!("UPDATE {} (scan)", up.table)),
+                    UpdateKind::Plain { target, .. } => {
+                        out.push(format!("UPDATE {}", up.table));
+                        describe_source(target, 1, &mut out);
+                    }
                     UpdateKind::From {
                         source, probe_cols, ..
                     } => {
@@ -83,7 +87,8 @@ impl PreparedPlan {
                 describe_subplans(&up.subplans, 1, &mut out);
             }
             PlanKind::Delete(dp) => {
-                out.push(format!("DELETE {} (scan)", dp.table));
+                out.push(format!("DELETE {}", dp.table));
+                describe_source(&dp.target, 1, &mut out);
                 describe_subplans(&dp.subplans, 1, &mut out);
             }
             PlanKind::Insert(ip) => {
@@ -193,6 +198,27 @@ pub(crate) fn max_pexpr_col(e: &PExpr) -> Option<usize> {
     }
 }
 
+/// Flags in `used` every row offset a bound plan expression reads
+/// (offsets past `used` — window columns appended behind the FROM
+/// schema — are not base-table reads and are ignored).
+pub(crate) fn mark_pexpr_cols(e: &PExpr, used: &mut [bool]) {
+    match e {
+        PExpr::Const(_) | PExpr::Param(_) | PExpr::Sub(_) | PExpr::ExistsSub { .. } => {}
+        PExpr::Col(i) => {
+            if let Some(u) = used.get_mut(*i) {
+                *u = true;
+            }
+        }
+        PExpr::Unary { e, .. } | PExpr::IsNull { e, .. } | PExpr::InSub { e, .. } => {
+            mark_pexpr_cols(e, used)
+        }
+        PExpr::Binary { l, r, .. } => {
+            mark_pexpr_cols(l, used);
+            mark_pexpr_cols(r, used);
+        }
+    }
+}
+
 /// How a subquery's result is consumed.
 pub(crate) enum SubPlan {
     /// Scalar subquery: ≤ 1 row, exactly 1 column.
@@ -228,6 +254,21 @@ pub(crate) struct SelectPlan {
 }
 
 impl SelectPlan {
+    /// True when the executor hands the FROM pipeline's output to the
+    /// row-at-a-time post-stages ([`exec::post_process`]) as whole rows —
+    /// a sort, or windows followed by anything but a plain projection.
+    /// Such a statement reads every column of its sources; all others are
+    /// evaluated column-wise and read only what their expressions name.
+    pub(crate) fn materializes_rows(&self) -> bool {
+        if self.agg.is_some() {
+            return false;
+        }
+        if self.windows.is_empty() {
+            return !self.order_by.is_empty();
+        }
+        self.having.is_some() || !self.order_by.is_empty() || self.distinct || self.cap.is_some()
+    }
+
     /// Output schema under `binding` (for derived tables and views).
     pub(crate) fn out_schema(&self, binding: &str) -> Schema {
         let b = Some(binding.to_ascii_lowercase());
@@ -259,18 +300,59 @@ pub(crate) struct SourcePlan {
     pub(crate) filter: Vec<PExpr>,
 }
 
+/// The columns of one base table that a statement reads — pushed down to
+/// the row decoder, which steps over every other column (DESIGN.md §11).
+/// Column offsets in the pipeline are unaffected: unread columns stay in
+/// the batch as absent columns.
+pub(crate) struct ReadCols {
+    pub(crate) set: ColSet,
+    /// Names of the columns in `set`, in table order (for `describe()`).
+    names: Vec<String>,
+}
+
+impl ReadCols {
+    /// Every column: what full-row consumers (`SELECT *`, DML sources,
+    /// MERGE, row-materializing post-stages) read.
+    pub(crate) fn all(schema: &TableSchema) -> ReadCols {
+        ReadCols {
+            set: ColSet::all(),
+            names: schema.columns.iter().map(|c| c.name.clone()).collect(),
+        }
+    }
+
+    /// The columns whose ordinal is flagged in `used`.
+    pub(crate) fn of(schema: &TableSchema, used: &[bool]) -> ReadCols {
+        let ordinals = || (0..used.len()).filter(|&c| used[c]);
+        ReadCols {
+            set: ColSet::of(ordinals()),
+            names: ordinals().map(|c| schema.columns[c].name.clone()).collect(),
+        }
+    }
+}
+
+impl std::fmt::Display for ReadCols {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "cols=[{}]", self.names.join(","))
+    }
+}
+
 /// Where base rows come from.
 pub(crate) enum InputPlan {
     /// `SELECT` without FROM: a single empty row.
     Nothing,
     /// Full table scan (heap order or clustered-key order).
-    Scan { table: String, binding: String },
+    Scan {
+        table: String,
+        binding: String,
+        read: ReadCols,
+    },
     /// Index point/prefix lookup with pre-bound, row-independent keys.
     Lookup {
         table: String,
         binding: String,
         cols: Vec<usize>,
         keys: Vec<PExpr>,
+        read: ReadCols,
     },
     /// Materialized subquery (derived table or view).
     Derived(Box<SelectPlan>),
@@ -279,7 +361,7 @@ pub(crate) enum InputPlan {
 /// The probe (right) side of a hash or nested-loop join stage.
 pub(crate) enum RightPlan {
     /// Full scan of a base table, materialized as the build side.
-    Table { name: String },
+    Table { name: String, read: ReadCols },
     /// Materialized subquery.
     Derived(Box<SelectPlan>),
 }
@@ -295,6 +377,7 @@ pub(crate) enum JoinPlan {
         path_cols: Vec<usize>,
         keys: Vec<PExpr>,
         residual: Vec<PExpr>,
+        read: ReadCols,
     },
     /// Hash join: the right side is materialized and hashed once per
     /// execution; input rows probe it.
@@ -333,10 +416,16 @@ pub(crate) struct UpdatePlan {
     pub(crate) subplans: Vec<SubPlan>,
 }
 
-/// Plain scan-and-update vs `UPDATE … FROM` probe.
+/// Plain update of the rows a target access path finds vs `UPDATE … FROM`
+/// probe.
 pub(crate) enum UpdateKind {
     Plain {
-        pred: Option<PExpr>,
+        /// How the rows to update are found: an index probe (reading whole
+        /// rows) when the WHERE clause pins an indexed prefix, otherwise a
+        /// scan that reads only the predicate's columns and re-fetches the
+        /// rows it selects. `filter` holds the WHERE conjuncts the access
+        /// path did not consume.
+        target: SourcePlan,
         assigns: Vec<PExpr>,
     },
     From {
@@ -356,7 +445,8 @@ pub(crate) enum UpdateKind {
 /// A compiled DELETE.
 pub(crate) struct DeletePlan {
     pub(crate) table: String,
-    pub(crate) pred: Option<PExpr>,
+    /// How the rows to delete are found (see [`UpdateKind::Plain`]).
+    pub(crate) target: SourcePlan,
     pub(crate) subplans: Vec<SubPlan>,
 }
 
@@ -404,17 +494,22 @@ fn describe_source(sp: &SourcePlan, depth: usize, out: &mut Vec<String>) {
     let pad = indent(depth);
     match &sp.input {
         InputPlan::Nothing => out.push(format!("{pad}CONST ROW")),
-        InputPlan::Scan { table, binding } => out.push(format!(
-            "{pad}SCAN {table} ({binding}) full scan, {} pushed filter(s)",
+        InputPlan::Scan {
+            table,
+            binding,
+            read,
+        } => out.push(format!(
+            "{pad}SCAN {table} ({binding}) full scan, {} pushed filter(s), {read}",
             sp.filter.len()
         )),
         InputPlan::Lookup {
             table,
             binding,
             cols,
+            read,
             ..
         } => out.push(format!(
-            "{pad}SCAN {table} ({binding}) via index lookup on columns {cols:?}"
+            "{pad}SCAN {table} ({binding}) via index lookup on columns {cols:?}, {read}"
         )),
         InputPlan::Derived(sub) => {
             out.push(format!(
@@ -423,6 +518,15 @@ fn describe_source(sp: &SourcePlan, depth: usize, out: &mut Vec<String>) {
             ));
             describe_select(sub, depth + 1, out);
         }
+    }
+}
+
+fn describe_right(right: &RightPlan, depth: usize, out: &mut Vec<String>) {
+    match right {
+        RightPlan::Table { name, read } => {
+            out.push(format!("{}SCAN {name} full scan, {read}", indent(depth)))
+        }
+        RightPlan::Derived(sub) => describe_select(sub, depth, out),
     }
 }
 
@@ -435,9 +539,10 @@ fn describe_select(sp: &SelectPlan, depth: usize, out: &mut Vec<String>) {
                 table,
                 binding,
                 path_cols,
+                read,
                 ..
             } => out.push(format!(
-                "{pad}INDEX NESTED LOOP JOIN {table} ({binding}) probing index columns {path_cols:?}"
+                "{pad}INDEX NESTED LOOP JOIN {table} ({binding}) probing index columns {path_cols:?}, {read}"
             )),
             JoinPlan::Hash {
                 right, left_keys, ..
@@ -446,15 +551,11 @@ fn describe_select(sp: &SelectPlan, depth: usize, out: &mut Vec<String>) {
                     "{pad}HASH JOIN on {} column(s)",
                     left_keys.len()
                 ));
-                if let RightPlan::Derived(sub) = right {
-                    describe_select(sub, depth + 1, out);
-                }
+                describe_right(right, depth + 1, out);
             }
             JoinPlan::Loop { right, .. } => {
                 out.push(format!("{pad}NESTED LOOP JOIN"));
-                if let RightPlan::Derived(sub) = right {
-                    describe_select(sub, depth + 1, out);
-                }
+                describe_right(right, depth + 1, out);
             }
         }
     }

@@ -26,11 +26,13 @@ use super::{
     SelectPlan, SourcePlan, SubPlan, UpdateKind, UpdatePlan,
 };
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::catalog::{Catalog, RowLoc, Table};
+use crate::catalog::{BatchLocs, Catalog, RowLoc, Table};
 use crate::error::{Result, SqlError};
 use crate::exec::agg::AggState;
 use crate::exec::eval::{arith, in_list_result, truthy, HashKey};
-use fempath_storage::{encode_key, BufferPool, Chunk, Column, NullMask, Value, CHUNK_CAPACITY};
+use fempath_storage::{
+    encode_key, BufferPool, Chunk, ColSet, Column, NullMask, Value, CHUNK_CAPACITY,
+};
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
@@ -46,6 +48,10 @@ thread_local! {
     /// recursive consumers (derived tables, subqueries) simply take
     /// additional chunks.
     static CHUNK_POOL: std::cell::RefCell<Vec<Chunk>> = const { std::cell::RefCell::new(Vec::new()) };
+    /// Recycled selection vectors: every scanned batch starts from the
+    /// identity selection, and a point statement would otherwise allocate
+    /// one per execution.
+    static SEL_POOL: std::cell::RefCell<Vec<Vec<u32>>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Pool bound — beyond this, returned chunks are simply dropped.
@@ -72,6 +78,31 @@ fn put_chunk(c: Chunk) {
         let mut p = p.borrow_mut();
         if p.len() < CHUNK_POOL_CAP {
             p.push(c);
+        }
+    });
+}
+
+/// The identity selection `0..n`, in a recycled buffer.
+fn take_sel(n: usize) -> Vec<u32> {
+    let mut sel = SEL_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    fill_identity(&mut sel, n);
+    sel
+}
+
+/// Resets `sel` to the identity selection `0..n`.
+fn fill_identity(sel: &mut Vec<u32>, n: usize) {
+    sel.clear();
+    sel.extend(0..n as u32);
+}
+
+fn put_sel(sel: Vec<u32>) {
+    if sel.capacity() > 4 * CHUNK_CAPACITY {
+        return; // same peak-pinning concern as `put_chunk`
+    }
+    SEL_POOL.with(|p| {
+        let mut p = p.borrow_mut();
+        if p.len() < CHUNK_POOL_CAP {
+            p.push(sel);
         }
     });
 }
@@ -679,15 +710,23 @@ fn stream_source_v(
             }
             Ok(())
         }
-        InputPlan::Scan { table, .. } => {
+        InputPlan::Scan { table, read, .. } => {
             let t = catalog.table(table)?;
             let mut cursor = t.batch_cursor(pool)?;
             let mut chunk = take_chunk();
+            let mut sel = take_sel(0);
             let res = (|| loop {
                 chunk.reset();
-                let more = t.next_batch(pool, &mut cursor, &mut chunk, None, CHUNK_CAPACITY)?;
+                let more = t.next_batch(
+                    pool,
+                    &mut cursor,
+                    &mut chunk,
+                    &read.set,
+                    None,
+                    CHUNK_CAPACITY,
+                )?;
                 if !chunk.is_empty() {
-                    let mut sel: Vec<u32> = (0..chunk.len() as u32).collect();
+                    fill_identity(&mut sel, chunk.len());
                     apply_filter(&sp.filter, &chunk, &mut sel, env)?;
                     if !sel.is_empty() && !f(&chunk, &sel)? {
                         return Ok(());
@@ -698,28 +737,30 @@ fn stream_source_v(
                 }
             })();
             put_chunk(chunk);
+            put_sel(sel);
             res
         }
         InputPlan::Lookup {
-            table, cols, keys, ..
+            table,
+            cols,
+            keys,
+            read,
+            ..
         } => {
-            let mut key_vals = Vec::with_capacity(keys.len());
-            for k in keys {
-                key_vals.push(exec::eval_px(k, &[], env)?);
-            }
-            if key_vals.iter().any(|k| k.is_null()) {
-                return Ok(()); // `col = NULL` never matches
-            }
+            let Some(key_vals) = probe_keys(keys, env)? else {
+                return Ok(());
+            };
             let t = catalog.table(table)?;
             let mut chunk = take_chunk();
             let res = (|| {
-                t.lookup_eq_chunk(pool, cols, &key_vals, &mut chunk)?;
+                t.lookup_eq_chunk(pool, cols, &key_vals, &mut chunk, &read.set)?;
                 if !chunk.is_empty() {
-                    let mut sel: Vec<u32> = (0..chunk.len() as u32).collect();
+                    let mut sel = take_sel(chunk.len());
                     apply_filter(&sp.filter, &chunk, &mut sel, env)?;
                     if !sel.is_empty() {
                         f(&chunk, &sel)?;
                     }
+                    put_sel(sel);
                 }
                 Ok(())
             })();
@@ -741,6 +782,16 @@ fn stream_source_v(
             Ok(())
         }
     }
+}
+
+/// Evaluates an index probe's row-independent key expressions; `None`
+/// when one is NULL (`col = NULL` never matches).
+fn probe_keys(keys: &[PExpr], env: &Env<'_>) -> Result<Option<Vec<Value>>> {
+    let mut key_vals = Vec::with_capacity(keys.len());
+    for k in keys {
+        key_vals.push(exec::eval_px(k, &[], env)?);
+    }
+    Ok((!key_vals.iter().any(|k| k.is_null())).then_some(key_vals))
 }
 
 /// Materializes a source's selected rows (DML sources, MERGE).
@@ -768,11 +819,11 @@ fn materialize_right_v(
     right: &RightPlan,
 ) -> Result<Chunk> {
     match right {
-        RightPlan::Table { name } => {
+        RightPlan::Table { name, read } => {
             let t = catalog.table(name)?;
             let mut cursor = t.batch_cursor(pool)?;
             let mut chunk = Chunk::new();
-            while t.next_batch(pool, &mut cursor, &mut chunk, None, usize::MAX)? {}
+            while t.next_batch(pool, &mut cursor, &mut chunk, &read.set, None, usize::MAX)? {}
             Ok(chunk)
         }
         RightPlan::Derived(sub) => {
@@ -887,6 +938,7 @@ fn apply_stage(
                 keys,
                 path_cols,
                 residual,
+                read,
                 ..
             },
             VStageRt::Index { table },
@@ -912,7 +964,7 @@ fn apply_stage(
                 if null_key {
                     continue; // NULL join key never matches
                 }
-                table.lookup_eq_chunk(pool, path_cols, &key_vals, &mut right)?;
+                table.lookup_eq_chunk(pool, path_cols, &key_vals, &mut right, &read.set)?;
                 while lidx.len() < right.len() {
                     lidx.push(r);
                 }
@@ -993,7 +1045,6 @@ fn apply_stage(
             // The right side is cloned once; per left row only the left
             // columns of the combined batch are rewritten in place.
             let mut comb: Option<Chunk> = None;
-            let lw = chunk.width();
             for &r in sel {
                 if rn == 0 {
                     break;
@@ -1002,8 +1053,9 @@ fn apply_stage(
                 match &mut comb {
                     None => comb = Some(chunk.gather(&lrep).hcat(rchunk.gather(&all_right))),
                     Some(c) => {
-                        for i in 0..lw {
-                            c.set_column(i, chunk.col(i).gather(&lrep));
+                        let left = chunk.gather(&lrep).into_columns();
+                        for (i, col) in left.into_iter().enumerate() {
+                            c.set_column(i, col);
                         }
                     }
                 }
@@ -1036,6 +1088,9 @@ fn run_from_v(
     fp: &FromPlan,
     sink: &mut dyn FnMut(&Chunk, &[u32]) -> Result<bool>,
 ) -> Result<()> {
+    if fp.joins.is_empty() && fp.residual.is_empty() {
+        return stream_source_v(pool, catalog, env, &fp.source, sink);
+    }
     if fp.joins.is_empty() {
         return stream_source_v(pool, catalog, env, &fp.source, &mut |chunk, sel| {
             let mut sel = sel.to_vec();
@@ -1477,8 +1532,7 @@ pub(crate) fn run_select_chunks(
                 off += c.len() as u32;
             }
         }
-        if plan.having.is_none() && plan.order_by.is_empty() && !plan.distinct && plan.cap.is_none()
-        {
+        if !plan.materializes_rows() {
             // Batched projection (the FEM E-operator source shape).
             let mut out = Vec::with_capacity(data.len());
             for c in &data {
@@ -1500,7 +1554,7 @@ pub(crate) fn run_select_chunks(
         return Ok(vec![fempath_storage::chunk_from_rows(&rows)]);
     }
 
-    if !plan.order_by.is_empty() {
+    if plan.materializes_rows() {
         // Sort needs the whole input: batch-collect, then shared
         // post-stages (sort keys are evaluated there).
         let mut rows: Vec<Vec<Value>> = Vec::new();
@@ -1526,17 +1580,23 @@ pub(crate) fn run_select_chunks(
         None
     };
     run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-        let mut sel = sel.to_vec();
-        if let Some(h) = &plan.having {
-            apply_pred(h, chunk, &mut sel, &env)?;
-            if sel.is_empty() {
-                return Ok(true);
+        let narrowed;
+        let sel = match &plan.having {
+            Some(h) => {
+                let mut s = sel.to_vec();
+                apply_pred(h, chunk, &mut s, &env)?;
+                if s.is_empty() {
+                    return Ok(true);
+                }
+                narrowed = s;
+                &narrowed[..]
             }
-        }
+            None => sel,
+        };
         let pcols: Vec<VCol> = plan
             .items
             .iter()
-            .map(|p| eval_v(p, chunk, &sel, &env))
+            .map(|p| eval_v(p, chunk, sel, &env))
             .collect::<Result<_>>()?;
         let mut oc = vcols_to_chunk(pcols, sel.len());
         if let Some(seen) = &mut seen {
@@ -1710,46 +1770,81 @@ fn null_column(n: usize) -> Column {
     c
 }
 
-/// Sink of [`scan_matching`]: one call per batch with matching rows.
+/// Sink of [`match_target`]: whole target rows, the selection of those that
+/// match, and the rows' locators (parallel to the chunk's rows).
 type MatchSink<'a> = dyn FnMut(&Chunk, &[u32], &[RowLoc]) -> Result<()> + 'a;
 
-/// Batched read phase shared by UPDATE and DELETE: scans `table` with
-/// `pred` applied as a selection vector, streaming each batch's matching
-/// rows and their locators.
-fn scan_matching(
+/// Read phase shared by plain UPDATE and DELETE: finds the target rows
+/// through the planned access path and streams them, whole, to `f`.
+///
+/// An index probe reads whole rows to begin with and applies the residual
+/// conjuncts to them. A scan decodes only the predicate's columns, builds
+/// locators for the rows the predicate keeps, and re-reads just those
+/// rows whole ([`Table::fetch_chunk`], one page read per touched page).
+fn match_target(
     pool: &mut BufferPool,
     table: &Table,
-    pred: Option<&PExpr>,
+    target: &SourcePlan,
     env: &Env<'_>,
     f: &mut MatchSink<'_>,
 ) -> Result<()> {
-    let mut cursor = table.batch_cursor(pool)?;
-    let mut chunk = take_chunk();
+    let mut full = take_chunk();
+    let mut narrow = take_chunk();
+    let mut sel = take_sel(0);
     let mut locs: Vec<RowLoc> = Vec::new();
-    let res = (|| loop {
-        chunk.reset();
-        locs.clear();
-        let more = table.next_batch(
-            pool,
-            &mut cursor,
-            &mut chunk,
-            Some(&mut locs),
-            CHUNK_CAPACITY,
-        )?;
-        if !chunk.is_empty() {
-            let mut sel: Vec<u32> = (0..chunk.len() as u32).collect();
-            if let Some(p) = pred {
-                apply_pred(p, &chunk, &mut sel, env)?;
-            }
+    let res = (|| match &target.input {
+        InputPlan::Lookup { cols, keys, .. } => {
+            let Some(key_vals) = probe_keys(keys, env)? else {
+                return Ok(());
+            };
+            table.lookup_eq(pool, cols, &key_vals, |loc, row| {
+                locs.push(loc);
+                full.push_row(&row);
+                true
+            })?;
+            fill_identity(&mut sel, full.len());
+            apply_filter(&target.filter, &full, &mut sel, env)?;
             if !sel.is_empty() {
-                f(&chunk, &sel, &locs)?;
+                f(&full, &sel, &locs)?;
+            }
+            Ok(())
+        }
+        InputPlan::Scan { read, .. } => {
+            let mut cursor = table.batch_cursor(pool)?;
+            let mut batch_locs = BatchLocs::default();
+            loop {
+                narrow.reset();
+                batch_locs.clear();
+                let more = table.next_batch(
+                    pool,
+                    &mut cursor,
+                    &mut narrow,
+                    &read.set,
+                    Some(&mut batch_locs),
+                    CHUNK_CAPACITY,
+                )?;
+                fill_identity(&mut sel, narrow.len());
+                apply_filter(&target.filter, &narrow, &mut sel, env)?;
+                if !sel.is_empty() {
+                    locs.clear();
+                    locs.extend(sel.iter().map(|&r| batch_locs.loc(r as usize)));
+                    full.reset();
+                    table.fetch_chunk(pool, &locs, &mut full, &ColSet::all())?;
+                    fill_identity(&mut sel, full.len());
+                    f(&full, &sel, &locs)?;
+                }
+                if !more {
+                    return Ok(());
+                }
             }
         }
-        if !more {
-            return Ok(());
+        InputPlan::Nothing | InputPlan::Derived(_) => {
+            unreachable!("DML targets are planned as base-table accesses")
         }
     })();
-    put_chunk(chunk);
+    put_chunk(full);
+    put_chunk(narrow);
+    put_sel(sel);
     res
 }
 
@@ -1767,9 +1862,9 @@ pub(crate) fn run_update(
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
         let table = catalog.table(&plan.table)?;
         match &plan.kind {
-            UpdateKind::Plain { pred, assigns } => {
+            UpdateKind::Plain { target, assigns } => {
                 let mut pending = Vec::new();
-                scan_matching(pool, table, pred.as_ref(), &env, &mut |chunk, sel, locs| {
+                match_target(pool, table, target, &env, &mut |chunk, sel, locs| {
                     let acols: Vec<VCol> = assigns
                         .iter()
                         .map(|a| eval_v(a, chunk, sel, &env))
@@ -1863,18 +1958,12 @@ pub(crate) fn run_delete(
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
         let table = catalog.table(&plan.table)?;
         let mut out = Vec::new();
-        scan_matching(
-            pool,
-            table,
-            plan.pred.as_ref(),
-            &env,
-            &mut |chunk, sel, locs| {
-                for &r in sel {
-                    out.push((locs[r as usize].clone(), chunk.row(r as usize)));
-                }
-                Ok(())
-            },
-        )?;
+        match_target(pool, table, &plan.target, &env, &mut |chunk, sel, locs| {
+            for &r in sel {
+                out.push((locs[r as usize].clone(), chunk.row(r as usize)));
+            }
+            Ok(())
+        })?;
         out
     };
     let n = matches.len() as u64;

@@ -59,7 +59,7 @@ fn point_lookup_uses_index() {
     let plan = plan_of(&mut db, "SELECT d2s FROM TVisited WHERE nid = 7");
     assert!(
         plan.iter()
-            .any(|l| l == "SCAN TVisited (TVisited) via index lookup on columns [0]"),
+            .any(|l| l == "SCAN TVisited (TVisited) via index lookup on columns [0], cols=[d2s]"),
         "expected index lookup, got {plan:?}"
     );
 }
@@ -70,7 +70,7 @@ fn full_scan_without_usable_predicate() {
     let plan = plan_of(&mut db, "SELECT nid FROM TVisited WHERE d2s > 100");
     assert!(
         plan.iter()
-            .any(|l| l == "SCAN TVisited (TVisited) full scan, 1 pushed filter(s)"),
+            .any(|l| l == "SCAN TVisited (TVisited) full scan, 1 pushed filter(s), cols=[nid,d2s]"),
         "expected a full scan, got {plan:?}"
     );
 }
@@ -86,7 +86,8 @@ fn e_operator_join_is_index_nested_loop() {
     );
     assert!(
         plan.iter()
-            .any(|l| l == "INDEX NESTED LOOP JOIN TEdges (e) probing index columns [0]"),
+            .any(|l| l
+                == "INDEX NESTED LOOP JOIN TEdges (e) probing index columns [0], cols=[tid]"),
         "expected INL join into TEdges, got {plan:?}"
     );
 }

@@ -138,6 +138,133 @@ fn update_from_probes_target_index() {
     );
 }
 
+/// The paper's 7-column `TVisited` with the `nid` index `GraphDb` gives it.
+fn paper_visited() -> Database {
+    let mut d = Database::in_memory(256);
+    d.execute("CREATE TABLE TVisited (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)")
+        .unwrap();
+    d.execute("CREATE UNIQUE INDEX idx_tvisited_nid ON TVisited(nid)")
+        .unwrap();
+    for i in 0..20i64 {
+        d.execute_params(
+            "INSERT INTO TVisited VALUES (?, ?, ?, ?, 4000000000000000, -1, 0)",
+            &[i, i % 5, i / 2, (i % 4 == 0) as i64 * 2].map(Value::Int),
+        )
+        .unwrap();
+    }
+    d
+}
+
+/// The forward BDJ loop statements (`SqlGen`'s text), by corpus name.
+const CANDIDATE_STATS: &str =
+    "SELECT MIN(d2s), COUNT(*) FROM TVisited WHERE f = 0 AND d2s < 4000000000000000";
+const MARK_BY_NID: &str = "UPDATE TVisited SET f = 2 WHERE nid = ? AND f = 0";
+const SETTLE_BY_NID: &str = "UPDATE TVisited SET f = 1 WHERE nid = ?";
+const RESET_FRONTIER: &str = "UPDATE TVisited SET f = 1 WHERE f = 2";
+
+#[test]
+fn scans_list_the_columns_the_statement_reads() {
+    let mut d = paper_visited();
+    let stats = describe(&mut d, CANDIDATE_STATS);
+    assert!(
+        stats.contains("full scan, 2 pushed filter(s), cols=[d2s,f]"),
+        "candidate_stats reads d2s and f only, got:\n{stats}"
+    );
+    let count = describe(&mut d, "SELECT COUNT(*) FROM TVisited");
+    assert!(
+        count.contains("full scan, 0 pushed filter(s), cols=[]"),
+        "COUNT(*) reads no column, got:\n{count}"
+    );
+    let min_cost = describe(&mut d, "SELECT MIN(d2s + d2t) FROM TVisited");
+    assert!(min_cost.contains("cols=[d2s,d2t]"), "{min_cost}");
+    // Full-row consumers keep every column: SELECT *, and anything the
+    // row-at-a-time post-stages sort.
+    let all = "cols=[nid,d2s,p2s,f,d2t,p2t,b]";
+    let star = describe(&mut d, "SELECT * FROM TVisited WHERE f = 2");
+    assert!(star.contains(all), "{star}");
+    let sorted = describe(&mut d, "SELECT nid FROM TVisited ORDER BY d2s");
+    assert!(sorted.contains(all), "{sorted}");
+    // Projection is per relation: the E-operator's join reads three
+    // frontier columns and every edge column.
+    let expand = describe(
+        &mut db(),
+        "SELECT e.tid, e.fid, e.cost + q.d2s FROM TVisited q, TEdges e \
+         WHERE q.nid = e.fid AND q.f = 2",
+    );
+    assert!(expand.contains("SCAN TVisited (q) full scan, 1 pushed filter(s), cols=[nid,d2s,f]"));
+    assert!(expand.contains("probing index columns [0], cols=[fid,tid,cost]"));
+}
+
+#[test]
+fn by_nid_updates_probe_the_index_and_set_updates_scan_their_predicate() {
+    let mut d = paper_visited();
+    for sql in [MARK_BY_NID, SETTLE_BY_NID] {
+        let plan = describe(&mut d, sql);
+        assert!(
+            plan.starts_with(
+                "UPDATE TVisited\n  SCAN TVisited (TVisited) via index lookup on columns [0]"
+            ),
+            "expected an index-lookup target, got:\n{plan}"
+        );
+    }
+    // mark_by_nid keeps its flag test as a residual on the probed row.
+    let marked = d
+        .execute_params(MARK_BY_NID, &[Value::Int(4)])
+        .unwrap()
+        .rows_affected;
+    assert_eq!(marked, 0, "node 4 is already marked (f = 2)");
+    assert_eq!(
+        d.execute_params(MARK_BY_NID, &[Value::Int(5)])
+            .unwrap()
+            .rows_affected,
+        1
+    );
+
+    let reset = describe(&mut d, RESET_FRONTIER);
+    assert!(
+        reset.contains("SCAN TVisited (TVisited) full scan, 1 pushed filter(s), cols=[f]"),
+        "reset_frontier scans reading f only, got:\n{reset}"
+    );
+    let delete = describe(&mut d, "DELETE FROM TVisited WHERE nid = 3 AND d2s > 0");
+    assert!(
+        delete.starts_with(
+            "DELETE TVisited\n  SCAN TVisited (TVisited) via index lookup on columns [0]"
+        ),
+        "{delete}"
+    );
+}
+
+#[test]
+fn update_replans_to_a_scan_when_its_index_is_dropped() {
+    let mut d = paper_visited();
+    let stmt = d.prepare(SETTLE_BY_NID).unwrap();
+    assert!(stmt.describe().join("\n").contains("via index lookup"));
+    assert_eq!(
+        d.execute_prepared(&stmt, &[Value::Int(7)])
+            .unwrap()
+            .rows_affected,
+        1
+    );
+    d.execute("DROP INDEX idx_tvisited_nid").unwrap();
+    // The stale handle still runs (transparent replan) …
+    assert_eq!(
+        d.execute_prepared(&stmt, &[Value::Int(8)])
+            .unwrap()
+            .rows_affected,
+        1
+    );
+    // … and a fresh prepare shows what it re-planned to.
+    let replanned = describe(&mut d, SETTLE_BY_NID);
+    assert!(
+        replanned.contains("full scan, 1 pushed filter(s), cols=[nid]"),
+        "expected a scan reading nid, got:\n{replanned}"
+    );
+    let settled = d
+        .query("SELECT COUNT(*) FROM TVisited WHERE f = 1")
+        .unwrap();
+    assert_eq!(settled.rows, vec![vec![Value::Int(2)]]);
+}
+
 #[test]
 fn prepared_select_picks_up_new_index_after_create() {
     let mut d = db();

@@ -204,6 +204,22 @@ fn corpus() -> Vec<(&'static str, Vec<Value>)> {
              WHERE TVisited.nid = e.tid AND e.fid = 0 AND TVisited.d2s > e.cost",
             vec![],
         ),
+        // Index-driven plain UPDATE/DELETE targets: unique clustered
+        // (TVisited.nid), non-unique clustered (TEdges.fid), two-column
+        // secondary (twocol); residuals, a NULL key, and an assignment to
+        // the probed column itself.
+        ("UPDATE TVisited SET f = 2 WHERE nid = ? AND f = 0", p(&[6])),
+        ("UPDATE TVisited SET f = 2 WHERE nid = ? AND f = 0", p(&[6])),
+        ("UPDATE TVisited SET f = 1 WHERE nid = ?", vec![Value::Null]),
+        ("UPDATE TEdges SET cost = cost + 10 WHERE fid = 3 AND tid > 10", vec![]),
+        ("UPDATE twocol SET a = a + 1 WHERE a = 0", vec![]),
+        ("UPDATE twocol SET b = 9 WHERE a = 1 AND b = 2", vec![]),
+        ("DELETE FROM twocol WHERE a = ? AND b < 2", p(&[2])),
+        ("DELETE FROM TEdges WHERE fid = ? AND tid = ?", p(&[29, 4])),
+        ("SELECT a, b FROM twocol ORDER BY a, b", vec![]),
+        ("SELECT a, b FROM twocol WHERE a = 1 AND b = 9", vec![]),
+        ("SELECT fid, tid, cost FROM TEdges WHERE fid = 3", vec![]),
+        ("SELECT COUNT(*), SUM(cost) FROM TEdges", vec![]),
         ("DELETE FROM plain WHERE y > 17", vec![]),
         ("DELETE FROM plain WHERE x IN (SELECT a FROM twocol WHERE b = 3)", vec![]),
         ("INSERT INTO plain VALUES (100, 200), (101, 201)", vec![]),

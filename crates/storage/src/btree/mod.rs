@@ -514,6 +514,46 @@ fn predecessor_leaf(pool: &mut BufferPool, path: &[(PageId, usize)]) -> Result<O
     Ok(None)
 }
 
+/// The keys of one scanned batch in a single flat buffer: a scan records
+/// every entry's key (its row locator) but a predicate keeps few of them,
+/// so keys are copied here back to back and only the survivors are ever
+/// turned into owned locators.
+#[derive(Debug, Default)]
+pub struct KeyArena {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl KeyArena {
+    /// Forgets every key, keeping the allocations.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    /// Appends one key.
+    pub fn push(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        self.ends.push(self.bytes.len());
+    }
+
+    /// Number of keys held.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True when no key is held.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The `i`-th key pushed since the last [`KeyArena::clear`].
+    pub fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+}
+
 /// Resumable batched scan over a [`BTree`]'s leaf chain
 /// (see [`BTree::batch_cursor`]). Leaf values are decoded as rows.
 #[derive(Debug, Clone, Copy)]
@@ -523,14 +563,15 @@ pub struct BTreeScanCursor {
 }
 
 impl BTreeScanCursor {
-    /// Decodes up to `max` further entries' values into `chunk`
-    /// (appending), also recording their keys into `keys` when given.
-    /// Returns `false` once the tree is exhausted.
+    /// Decodes the `cols` columns of up to `max` further entries' values
+    /// into `chunk` (appending), also recording their keys into `keys`
+    /// when given. Returns `false` once the tree is exhausted.
     pub fn next_batch(
         &mut self,
         pool: &mut BufferPool,
         chunk: &mut crate::chunk::Chunk,
-        mut keys: Option<&mut Vec<Vec<u8>>>,
+        cols: &crate::row::ColSet,
+        mut keys: Option<&mut KeyArena>,
         max: usize,
     ) -> Result<bool> {
         let mut added = 0usize;
@@ -547,9 +588,9 @@ impl BTreeScanCursor {
                     if added >= max {
                         return Ok::<_, StorageError>((i, 0, false));
                     }
-                    crate::row::decode_row_into_chunk(node::leaf_val_at(b, i), chunk)?;
+                    crate::row::decode_row_into_chunk(node::leaf_val_at(b, i), chunk, cols)?;
                     if let Some(keys) = keys_ref.as_deref_mut() {
-                        keys.push(node::key_at(b, i).to_vec());
+                        keys.push(node::key_at(b, i));
                     }
                     i += 1;
                     added += 1;
@@ -1234,12 +1275,18 @@ mod tests {
         }
         let mut cursor = t.batch_cursor(&mut p).unwrap();
         let mut chunk = crate::chunk::Chunk::new();
-        let mut keys = Vec::new();
+        let mut keys = KeyArena::default();
         let mut rows = Vec::new();
         loop {
             chunk.reset();
             let more = cursor
-                .next_batch(&mut p, &mut chunk, Some(&mut keys), 100)
+                .next_batch(
+                    &mut p,
+                    &mut chunk,
+                    &crate::row::ColSet::all(),
+                    Some(&mut keys),
+                    100,
+                )
                 .unwrap();
             rows.extend(chunk.to_rows());
             if !more {
@@ -1250,7 +1297,7 @@ mod tests {
         assert_eq!(keys.len(), 800);
         for i in 0..800i64 {
             assert_eq!(rows[i as usize], vec![Value::Int(i), Value::Null]);
-            assert_eq!(keys[i as usize], k(i as u64));
+            assert_eq!(keys.get(i as usize), k(i as u64));
         }
     }
 

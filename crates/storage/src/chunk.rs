@@ -268,6 +268,12 @@ impl Column {
 
 /// A batch of rows in columnar layout. `len` is authoritative — a chunk
 /// may have zero columns but a positive row count (`SELECT` without FROM).
+///
+/// A projected scan ([`crate::row::ColSet`]) fills only the columns its
+/// statement reads: the others stay **absent** — empty vectors inside a
+/// chunk with rows. Absent columns keep their slot (offsets bound at plan
+/// time stay valid) and survive gathers as absent; reading one is a
+/// planner bug, caught by a debug assertion.
 #[derive(Debug, Clone, Default)]
 pub struct Chunk {
     cols: Vec<Column>,
@@ -310,14 +316,26 @@ impl Chunk {
         self.cols.len()
     }
 
+    /// Whether column `c` holds this chunk's rows (false for a column a
+    /// projected scan skipped).
+    #[inline]
+    fn is_present(&self, c: usize) -> bool {
+        self.cols[c].len() == self.len
+    }
+
     /// Column `c`.
     #[inline]
     pub fn col(&self, c: usize) -> &Column {
+        debug_assert!(self.is_present(c), "read of unprojected column {c}");
         &self.cols[c]
     }
 
-    /// All columns.
+    /// All columns (a full-row consumer: none may be absent).
     pub fn columns(&self) -> &[Column] {
+        debug_assert!(
+            (0..self.cols.len()).all(|c| self.is_present(c)),
+            "full-row read of a projected chunk"
+        );
         &self.cols
     }
 
@@ -333,14 +351,17 @@ impl Chunk {
     /// Completes one row appended cell-by-cell through [`Chunk::col_mut`].
     #[inline]
     pub fn commit_row(&mut self) {
-        debug_assert!(self.cols.iter().all(|c| c.len() == self.len + 1));
+        debug_assert!(self
+            .cols
+            .iter()
+            .all(|c| c.len() == self.len + 1 || c.is_empty()));
         self.len += 1;
     }
 
     /// Value at `(col, row)`.
     #[inline]
     pub fn get(&self, c: usize, r: usize) -> Value {
-        self.cols[c].get(r)
+        self.col(c).get(r)
     }
 
     /// Clears all rows, keeping column allocations and representations.
@@ -395,7 +416,7 @@ impl Chunk {
 
     /// Materializes row `r` as values.
     pub fn row(&self, r: usize) -> Vec<Value> {
-        self.cols.iter().map(|c| c.get(r)).collect()
+        self.columns().iter().map(|c| c.get(r)).collect()
     }
 
     /// Materializes every row (the row-at-a-time boundary).
@@ -409,7 +430,10 @@ impl Chunk {
             self.set_width(other.cols.len());
         }
         debug_assert_eq!(self.cols.len(), other.cols.len());
-        for (dst, src) in self.cols.iter_mut().zip(&other.cols) {
+        for (c, (dst, src)) in self.cols.iter_mut().zip(&other.cols).enumerate() {
+            if !other.is_present(c) {
+                continue;
+            }
             for &i in idx {
                 dst.push(src.get(i as usize));
             }
@@ -419,8 +443,17 @@ impl Chunk {
 
     /// A new chunk holding the rows selected by `idx` (column-wise gather).
     pub fn gather(&self, idx: &[u32]) -> Chunk {
+        let cols = (0..self.cols.len())
+            .map(|c| {
+                if self.is_present(c) {
+                    self.cols[c].gather(idx)
+                } else {
+                    Column::new_int()
+                }
+            })
+            .collect();
         Chunk {
-            cols: self.cols.iter().map(|c| c.gather(idx)).collect(),
+            cols,
             len: idx.len(),
         }
     }
@@ -431,10 +464,15 @@ impl Chunk {
         self.cols.push(col);
     }
 
-    /// Replaces column `i` (must match the row count).
+    /// Replaces column `i` (must match the row count, or be absent).
     pub fn set_column(&mut self, i: usize, col: Column) {
-        debug_assert_eq!(col.len(), self.len);
+        debug_assert!(col.len() == self.len || col.is_empty());
         self.cols[i] = col;
+    }
+
+    /// Takes the chunk apart into its columns (absent ones included).
+    pub fn into_columns(self) -> Vec<Column> {
+        self.cols
     }
 
     /// Appends all rows of `other` (vertical concatenation).
@@ -547,6 +585,48 @@ mod tests {
         assert_eq!(ch.len(), 2);
         assert_eq!(ch.width(), 0);
         assert_eq!(ch.row(0), Vec::<Value>::new());
+    }
+
+    /// A chunk filled by a projected decode: column 1 of 3 only.
+    fn projected_chunk() -> Chunk {
+        let mut ch = Chunk::new();
+        for i in 0..4i64 {
+            let bytes = crate::row::encode_row(&[Value::Int(i), Value::Int(i * 10), Value::Null]);
+            crate::row::decode_row_into_chunk(&bytes, &mut ch, &crate::row::ColSet::of([1]))
+                .unwrap();
+        }
+        ch
+    }
+
+    #[test]
+    fn absent_columns_keep_their_slot_through_gathers() {
+        let ch = projected_chunk();
+        assert_eq!((ch.len(), ch.width()), (4, 3));
+        assert_eq!(ch.get(1, 2), Value::Int(20));
+        let g = ch.gather(&[3, 1]);
+        assert_eq!((g.len(), g.width()), (2, 3));
+        assert_eq!(g.get(1, 0), Value::Int(30));
+        let mut acc = Chunk::new();
+        acc.append_gather(&ch, &[0, 2]);
+        acc.append_gather(&ch, &[3]);
+        assert_eq!(acc.len(), 3);
+        assert_eq!(acc.get(1, 2), Value::Int(30));
+        let cols = acc.into_columns();
+        assert!(cols[0].is_empty() && cols[2].is_empty());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "unprojected column 0")]
+    fn reading_an_unprojected_column_is_caught() {
+        projected_chunk().col(0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "full-row read of a projected chunk")]
+    fn materializing_a_row_of_a_projected_chunk_is_caught() {
+        projected_chunk().row(0);
     }
 
     #[test]

@@ -194,15 +194,16 @@ pub struct HeapScanCursor {
 }
 
 impl HeapScanCursor {
-    /// Decodes up to `max` further records into `chunk` (appending), also
-    /// recording their ids into `rids` when given. Returns `false` once
-    /// the file is exhausted. The underlying file must not be mutated
-    /// between calls.
+    /// Decodes the `cols` columns of up to `max` further records into
+    /// `chunk` (appending), also recording their ids into `rids` when
+    /// given. Returns `false` once the file is exhausted. The underlying
+    /// file must not be mutated between calls.
     pub fn next_batch(
         &mut self,
         heap: &HeapFile,
         pool: &mut BufferPool,
         chunk: &mut crate::chunk::Chunk,
+        cols: &crate::row::ColSet,
         mut rids: Option<&mut Vec<RecordId>>,
         max: usize,
     ) -> Result<bool> {
@@ -229,6 +230,7 @@ impl HeapScanCursor {
                         crate::row::decode_row_into_chunk(
                             &buf[off as usize..off as usize + len],
                             chunk,
+                            cols,
                         )?;
                         if let Some(rids) = rids_ref.as_deref_mut() {
                             rids.push(RecordId {
@@ -360,6 +362,46 @@ impl HeapFile {
             let len = codec::get_u16(buf, so + 2) as usize;
             Ok(buf[off as usize..off as usize + len].to_vec())
         })?
+    }
+
+    /// Decodes the `cols` columns of the records at `rids` into `chunk`,
+    /// appending one row per id in the order given, with one buffer-pool
+    /// read per run of ids on the same page — ids collected by a scan
+    /// arrive page-ordered, so this costs one read per touched page.
+    pub fn fetch_into_chunk(
+        &self,
+        pool: &mut BufferPool,
+        rids: &[RecordId],
+        chunk: &mut crate::chunk::Chunk,
+        cols: &crate::row::ColSet,
+    ) -> Result<()> {
+        let mut i = 0usize;
+        while i < rids.len() {
+            let page = rids[i].page;
+            let end = rids[i..]
+                .iter()
+                .position(|r| r.page != page)
+                .map_or(rids.len(), |p| i + p);
+            let pid = self.pid_of(rids[i])?;
+            pool.read_page(pid, |buf| {
+                let n = codec::get_u16(buf, HDR_NUM_SLOTS);
+                for rid in &rids[i..end] {
+                    let so = HDR_SIZE + rid.slot as usize * SLOT_SIZE;
+                    if rid.slot >= n || codec::get_u16(buf, so) == DEAD_SLOT {
+                        return Err(StorageError::InvalidRecordId {
+                            page: rid.page as u64,
+                            slot: rid.slot,
+                        });
+                    }
+                    let off = codec::get_u16(buf, so) as usize;
+                    let len = codec::get_u16(buf, so + 2) as usize;
+                    crate::row::decode_row_into_chunk(&buf[off..off + len], chunk, cols)?;
+                }
+                Ok(())
+            })??;
+            i = end;
+        }
+        Ok(())
     }
 
     /// Deletes the record at `rid`.
@@ -918,7 +960,14 @@ mod tests {
         loop {
             chunk.reset();
             let more = cursor
-                .next_batch(&h, &mut p, &mut chunk, Some(&mut got_rids), 256)
+                .next_batch(
+                    &h,
+                    &mut p,
+                    &mut chunk,
+                    &crate::row::ColSet::all(),
+                    Some(&mut got_rids),
+                    256,
+                )
                 .unwrap();
             all.extend(chunk.to_rows());
             if !more {
@@ -936,6 +985,33 @@ mod tests {
         assert_eq!(all, expect);
         assert_eq!(got_rids, expect_rids);
         assert!(matches!(chunk.col(0), crate::chunk::Column::Int { .. }));
+
+        // A projected pass fills only the asked-for column, and the ids
+        // it reported fetch back the full rows, page-grouped.
+        let mut cursor = h.batch_cursor();
+        let mut narrow = crate::chunk::Chunk::new();
+        let only_second = crate::row::ColSet::of([1]);
+        while cursor
+            .next_batch(&h, &mut p, &mut narrow, &only_second, None, usize::MAX)
+            .unwrap()
+        {}
+        assert_eq!(narrow.len(), expect.len());
+        assert!(narrow.clone().into_columns()[0].is_empty());
+        assert_eq!(narrow.get(1, 7), expect[7][1]);
+        let picked: Vec<RecordId> = expect_rids.iter().copied().step_by(97).collect();
+        let accesses = |p: &BufferPool| p.stats().buffer_hits + p.stats().buffer_misses;
+        let before = accesses(&p);
+        let mut fetched = crate::chunk::Chunk::new();
+        let all = crate::row::ColSet::all();
+        h.fetch_into_chunk(&mut p, &picked, &mut fetched, &all)
+            .unwrap();
+        let want: Vec<Vec<Value>> = expect.iter().step_by(97).cloned().collect();
+        assert_eq!(fetched.to_rows(), want);
+        let pages: std::collections::HashSet<u32> = picked.iter().map(|r| r.page).collect();
+        assert_eq!(accesses(&p) - before, pages.len() as u64);
+        assert!(h
+            .fetch_into_chunk(&mut p, &[rids[10]], &mut fetched, &all)
+            .is_err());
     }
 
     #[test]

@@ -46,56 +46,116 @@ pub fn encode_row(row: &[Value]) -> Vec<u8> {
     out
 }
 
-/// Deserializes a row previously produced by [`encode_row`].
-pub fn decode_row(bytes: &[u8]) -> Result<Vec<Value>> {
-    let corrupt = |m: &str| StorageError::Corrupt(m.to_string());
-    if bytes.len() < 2 {
-        return Err(corrupt("row shorter than header"));
+/// The set of column ordinals a scan materializes. Every statement reads
+/// some of a table's columns; the decoder steps over the rest by tag width
+/// and never builds a value for them (DESIGN.md §11).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColSet {
+    /// `None` = every column; otherwise the ordinals read, ascending.
+    only: Option<Vec<usize>>,
+}
+
+impl ColSet {
+    /// Every column — what `SELECT *`, row fetches and DML sources read.
+    pub const fn all() -> ColSet {
+        ColSet { only: None }
     }
-    let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-    let mut out = Vec::with_capacity(n);
+
+    /// Exactly the given ordinals (possibly none: `COUNT(*)` reads no
+    /// column, only the row count).
+    pub fn of(ordinals: impl IntoIterator<Item = usize>) -> ColSet {
+        let mut only: Vec<usize> = ordinals.into_iter().collect();
+        only.sort_unstable();
+        only.dedup();
+        ColSet { only: Some(only) }
+    }
+
+    /// Whether ordinal `c` is in the set.
+    pub fn contains(&self, c: usize) -> bool {
+        self.only
+            .as_ref()
+            .is_none_or(|o| o.binary_search(&c).is_ok())
+    }
+}
+
+fn corrupt(m: &str) -> StorageError {
+    StorageError::Corrupt(m.to_string())
+}
+
+/// Column count from the row header.
+fn row_arity(bytes: &[u8]) -> Result<usize> {
+    match bytes.first_chunk::<2>() {
+        Some(h) => Ok(u16::from_le_bytes(*h) as usize),
+        None => Err(corrupt("row shorter than header")),
+    }
+}
+
+/// Walks an encoded row, handing `f` each column's ordinal, tag and payload
+/// bytes (8 for INT/FLOAT, the string for TEXT, none for NULL). The one
+/// place that knows cell widths: every cell is bounds- and tag-checked
+/// whether or not `f` looks at it, so a damaged cell in a column the caller
+/// skips is still reported.
+#[inline]
+fn walk_cells<'a>(
+    bytes: &'a [u8],
+    mut f: impl FnMut(usize, u8, &'a [u8]) -> Result<()>,
+) -> Result<()> {
+    let n = row_arity(bytes)?;
     let mut pos = 2usize;
-    for _ in 0..n {
+    for c in 0..n {
         let tag = *bytes.get(pos).ok_or_else(|| corrupt("truncated row tag"))?;
         pos += 1;
-        match tag {
-            TAG_NULL => out.push(Value::Null),
-            TAG_INT => {
-                let end = pos + 8;
-                let s = bytes
-                    .get(pos..end)
-                    .ok_or_else(|| corrupt("truncated int"))?;
-                out.push(Value::Int(i64::from_le_bytes(s.try_into().unwrap())));
-                pos = end;
-            }
-            TAG_FLOAT => {
-                let end = pos + 8;
-                let s = bytes
-                    .get(pos..end)
-                    .ok_or_else(|| corrupt("truncated float"))?;
-                out.push(Value::Float(f64::from_le_bytes(s.try_into().unwrap())));
-                pos = end;
-            }
+        let len = match tag {
+            TAG_NULL => 0,
+            TAG_INT | TAG_FLOAT => 8,
             TAG_TEXT => {
-                let lend = pos + 4;
-                let ls = bytes
-                    .get(pos..lend)
+                let l = bytes
+                    .get(pos..)
+                    .and_then(|b| b.first_chunk::<4>())
                     .ok_or_else(|| corrupt("truncated text length"))?;
-                let len = u32::from_le_bytes(ls.try_into().unwrap()) as usize;
-                let end = lend + len;
-                let s = bytes
-                    .get(lend..end)
-                    .ok_or_else(|| corrupt("truncated text payload"))?;
-                let text = std::str::from_utf8(s).map_err(|_| corrupt("non-utf8 text payload"))?;
-                out.push(Value::Text(text.to_string()));
-                pos = end;
+                pos += 4;
+                u32::from_le_bytes(*l) as usize
             }
             t => return Err(StorageError::Corrupt(format!("unknown row tag {t}"))),
-        }
+        };
+        let payload = bytes
+            .get(pos..pos + len)
+            .ok_or_else(|| corrupt("truncated cell payload"))?;
+        f(c, tag, payload)?;
+        pos += len;
     }
     if pos != bytes.len() {
         return Err(corrupt("trailing bytes after row"));
     }
+    Ok(())
+}
+
+/// The 8 payload bytes of an INT/FLOAT cell ([`walk_cells`] sized them).
+fn cell8(payload: &[u8]) -> Result<[u8; 8]> {
+    payload
+        .first_chunk::<8>()
+        .copied()
+        .ok_or_else(|| corrupt("fixed-width cell is not 8 bytes"))
+}
+
+fn cell_text(payload: &[u8]) -> Result<String> {
+    std::str::from_utf8(payload)
+        .map(str::to_string)
+        .map_err(|_| corrupt("non-utf8 text payload"))
+}
+
+/// Deserializes a row previously produced by [`encode_row`].
+pub fn decode_row(bytes: &[u8]) -> Result<Vec<Value>> {
+    let mut out = Vec::with_capacity(row_arity(bytes)?);
+    walk_cells(bytes, |_, tag, payload| {
+        out.push(match tag {
+            TAG_NULL => Value::Null,
+            TAG_INT => Value::Int(i64::from_le_bytes(cell8(payload)?)),
+            TAG_FLOAT => Value::Float(f64::from_le_bytes(cell8(payload)?)),
+            _ => Value::Text(cell_text(payload)?),
+        });
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -138,68 +198,65 @@ pub fn encode_row_from_chunk(out: &mut Vec<u8>, chunk: &crate::chunk::Chunk, r: 
     }
 }
 
-/// Deserializes a row directly into the columns of `chunk`, appending one
-/// row without materializing a `Vec<Value>`. The chunk's width is fixed by
-/// the first decoded row; later rows must match it. Integer cells append
-/// to the typed column vector (`Chunk`'s hot path); NULLs set the bitmap;
-/// anything else demotes that column to generic.
-pub fn decode_row_into_chunk(bytes: &[u8], chunk: &mut crate::chunk::Chunk) -> Result<()> {
-    let corrupt = |m: &str| StorageError::Corrupt(m.to_string());
-    if bytes.len() < 2 {
-        return Err(corrupt("row shorter than header"));
-    }
-    let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
+/// The cells of a row made only of fixed-width cells (INT/FLOAT: a tag
+/// and 8 payload bytes) — every FEM working-table row. Their offsets are
+/// known without walking the tags one after another, so a projected decode
+/// touches just the cells it wants. `None` for any other shape (NULLs,
+/// text, damage), which [`walk_cells`] handles and reports.
+fn fixed_cells(bytes: &[u8], n: usize) -> Option<&[[u8; 9]]> {
+    let (cells, rest) = bytes.get(2..)?.as_chunks::<9>();
+    let fixed = |cell: &[u8; 9]| cell[0] == TAG_INT || cell[0] == TAG_FLOAT;
+    (rest.is_empty() && cells.len() == n && cells.iter().all(fixed)).then_some(cells)
+}
+
+/// Deserializes the columns of a row that are in `cols` directly into the
+/// matching columns of `chunk`, appending one row without materializing a
+/// `Vec<Value>`. Columns outside `cols` are stepped over and stay empty;
+/// the chunk's row count advances either way. The chunk's width is fixed
+/// by the first decoded row; later rows must match it. Integer cells
+/// append to the typed column vector (`Chunk`'s hot path); NULLs set the
+/// bitmap; anything else demotes that column to generic.
+pub fn decode_row_into_chunk(
+    bytes: &[u8],
+    chunk: &mut crate::chunk::Chunk,
+    cols: &ColSet,
+) -> Result<()> {
+    let n = row_arity(bytes)?;
     if chunk.is_empty() && chunk.width() != n {
         chunk.set_width(n);
     }
     if chunk.width() != n {
         return Err(corrupt("row arity differs from chunk width"));
     }
-    let mut pos = 2usize;
-    for c in 0..n {
-        let tag = *bytes.get(pos).ok_or_else(|| corrupt("truncated row tag"))?;
-        pos += 1;
-        match tag {
-            TAG_NULL => chunk.col_mut(c).push_null(),
-            TAG_INT => {
-                let end = pos + 8;
-                let s = bytes
-                    .get(pos..end)
-                    .ok_or_else(|| corrupt("truncated int"))?;
+    if let Some(cells) = fixed_cells(bytes, n) {
+        let mut push = |c: usize| {
+            let [tag, payload @ ..] = cells[c];
+            if tag == TAG_INT {
+                chunk.col_mut(c).push_int(i64::from_le_bytes(payload));
+            } else {
                 chunk
                     .col_mut(c)
-                    .push_int(i64::from_le_bytes(s.try_into().unwrap()));
-                pos = end;
+                    .push(Value::Float(f64::from_le_bytes(payload)));
             }
-            TAG_FLOAT => {
-                let end = pos + 8;
-                let s = bytes
-                    .get(pos..end)
-                    .ok_or_else(|| corrupt("truncated float"))?;
-                chunk
-                    .col_mut(c)
-                    .push(Value::Float(f64::from_le_bytes(s.try_into().unwrap())));
-                pos = end;
-            }
-            TAG_TEXT => {
-                let lend = pos + 4;
-                let ls = bytes
-                    .get(pos..lend)
-                    .ok_or_else(|| corrupt("truncated text length"))?;
-                let len = u32::from_le_bytes(ls.try_into().unwrap()) as usize;
-                let end = lend + len;
-                let s = bytes
-                    .get(lend..end)
-                    .ok_or_else(|| corrupt("truncated text payload"))?;
-                let text = std::str::from_utf8(s).map_err(|_| corrupt("non-utf8 text payload"))?;
-                chunk.col_mut(c).push(Value::Text(text.to_string()));
-                pos = end;
-            }
-            t => return Err(StorageError::Corrupt(format!("unknown row tag {t}"))),
+        };
+        match &cols.only {
+            Some(only) => only.iter().take_while(|&&c| c < n).for_each(|&c| push(c)),
+            None => (0..n).for_each(push),
         }
-    }
-    if pos != bytes.len() {
-        return Err(corrupt("trailing bytes after row"));
+    } else {
+        walk_cells(bytes, |c, tag, payload| {
+            if !cols.contains(c) {
+                return Ok(());
+            }
+            let col = chunk.col_mut(c);
+            match tag {
+                TAG_NULL => col.push_null(),
+                TAG_INT => col.push_int(i64::from_le_bytes(cell8(payload)?)),
+                TAG_FLOAT => col.push(Value::Float(f64::from_le_bytes(cell8(payload)?))),
+                _ => col.push(Value::Text(cell_text(payload)?)),
+            }
+            Ok(())
+        })?;
     }
     chunk.commit_row();
     Ok(())

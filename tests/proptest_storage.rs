@@ -1,7 +1,10 @@
 //! Property-based tests of the storage substrate: the B+tree against a
 //! `BTreeMap` model, key-encoding order preservation, and row round-trips.
 
-use fempath::storage::{decode_key, decode_row, encode_key, encode_row, BTree, BufferPool, Value};
+use fempath::storage::{
+    decode_key, decode_row, decode_row_into_chunk, encode_key, encode_row, BTree, BufferPool,
+    Chunk, ColSet, StorageError, Value,
+};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -15,8 +18,105 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Rows of one arity (0..=7): mixed NULL/INT/FLOAT/TEXT, or — every other
+/// case — fixed-width cells only, the shape of the FEM working tables.
+fn arb_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    (
+        0usize..8,
+        any::<bool>(),
+        prop::collection::vec(prop::collection::vec(arb_value(), 7), 1..4),
+    )
+        .prop_map(|(n, fixed, rows)| {
+            rows.into_iter()
+                .map(|mut row| {
+                    row.truncate(n);
+                    for (c, v) in row.iter_mut().enumerate() {
+                        if fixed && matches!(v, Value::Null | Value::Text(_)) {
+                            *v = Value::Int(c as i64 - 3);
+                        }
+                    }
+                    row
+                })
+                .collect()
+        })
+}
+
+/// The ordinals whose bit is set in `mask`.
+fn subset(mask: u32, n: usize) -> Vec<usize> {
+    (0..n).filter(|c| mask & (1 << c) != 0).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A projected decode is the full decode restricted to the set: wanted
+    /// columns hold exactly the full decode's values, the others stay
+    /// empty, the row count advances regardless — for every subset of the
+    /// columns, the empty one included, and the everything-set.
+    #[test]
+    fn projected_decode_is_full_decode_restricted(rows in arb_rows()) {
+        let n = rows[0].len();
+        let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
+        let sets = (0..1u32 << n)
+            .map(|mask| (ColSet::of(subset(mask, n)), subset(mask, n)))
+            .chain([(ColSet::all(), (0..n).collect())]);
+        for (set, wanted) in sets {
+            let mut chunk = Chunk::new();
+            for bytes in &encoded {
+                decode_row_into_chunk(bytes, &mut chunk, &set).unwrap();
+            }
+            prop_assert_eq!(chunk.len(), rows.len());
+            for (c, col) in chunk.into_columns().into_iter().enumerate() {
+                if wanted.contains(&c) {
+                    let got: Vec<Value> = (0..rows.len()).map(|r| col.get(r)).collect();
+                    let want: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+                    prop_assert_eq!(got, want, "column {} under {:?}", c, wanted);
+                } else {
+                    prop_assert!(col.is_empty(), "column {} not in {:?} was filled", c, wanted);
+                }
+            }
+        }
+    }
+
+    /// Skipping a column does not skip its validation: a row cut short
+    /// inside a skipped cell, or carrying an unknown tag there, is
+    /// `Corrupt` whatever the set asks for.
+    #[test]
+    fn damage_in_a_skipped_column_is_still_corrupt(
+        rows in arb_rows(),
+        pick in any::<u32>(),
+        mask in any::<u32>(),
+    ) {
+        let row = &rows[0];
+        let n = row.len();
+        if n == 0 {
+            return;
+        }
+        let damaged = pick as usize % n;
+        let wanted: Vec<usize> =
+            subset(mask, n).into_iter().filter(|&c| c != damaged).collect();
+        let set = ColSet::of(wanted);
+        let bytes = encode_row(row);
+        let cell_start = encode_row(&row[..damaged]).len();
+        let cell_end = encode_row(&row[..=damaged]).len();
+
+        let mut bad_tag = bytes.clone();
+        bad_tag[cell_start] = 0x7F;
+        let mut cases = vec![bad_tag];
+        // Every cut strictly inside the cell (a NULL cell is its tag alone,
+        // so cutting it removes the cell whole — still short of the arity).
+        cases.extend((cell_start..cell_end).map(|cut| bytes[..cut].to_vec()));
+        for case in cases {
+            let got = decode_row_into_chunk(&case, &mut Chunk::new(), &set);
+            prop_assert!(
+                matches!(got, Err(StorageError::Corrupt(_))),
+                "column {} of {:?} damaged, got {:?}",
+                damaged,
+                row,
+                got
+            );
+        }
+    }
 
     #[test]
     fn row_roundtrip(row in prop::collection::vec(arb_value(), 0..8)) {
