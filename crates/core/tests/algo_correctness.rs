@@ -385,3 +385,37 @@ fn query_stats_are_populated() {
     assert!(out.stats.phase(Phase::PathExpansion) > std::time::Duration::ZERO);
     assert!(out.stats.phase(Phase::StatsCollection) > std::time::Duration::ZERO);
 }
+
+/// Work counts are part of the contract, not only answers: executor
+/// changes must leave what each finder *does* — statements issued, frontier
+/// expansions, rows left in the visited table — exactly as it was. Pinned
+/// on a fixed graph and pair set (counts first recorded at commit 541835a,
+/// before the DML pipeline went columnar).
+#[test]
+fn work_counts_are_pinned_on_a_fixed_graph() {
+    use fempath_core::{BatchBdjFinder, BatchShortestPathFinder};
+    let g = generate::power_law(400, 3, 1..=100, 77);
+    let pairs = sample_pairs(400, 10);
+    let counts = |s: &fempath_core::QueryStats| (s.sql_statements, s.expansions, s.visited_nodes);
+
+    let mut gdb = GraphDb::in_memory(&g).unwrap();
+    let batch = BatchBdjFinder::default()
+        .find_paths(&mut gdb, &pairs)
+        .unwrap();
+    assert_eq!(counts(&batch.stats), (227, 29, 982), "BatchBDJ");
+
+    let single: [(&dyn ShortestPathFinder, _); 2] = [
+        (&BdjFinder::default(), (1952u64, 313u64, 627u64)),
+        (&BsdjFinder::default(), (1039, 193, 617)),
+    ];
+    for (finder, want) in single {
+        let mut total = (0u64, 0u64, 0u64);
+        for &(s, t) in &pairs {
+            let out = finder.find_path(&mut gdb, s, t).unwrap();
+            check(&g, &out, s, t, finder.name());
+            let c = counts(&out.stats);
+            total = (total.0 + c.0, total.1 + c.1, total.2 + c.2);
+        }
+        assert_eq!(total, want, "{}", finder.name());
+    }
+}

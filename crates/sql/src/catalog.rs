@@ -35,20 +35,6 @@ impl RowLoc {
             RowLoc::Clustered(k) => k.clone(),
         }
     }
-
-    fn from_bytes(bytes: &[u8], clustered: bool) -> Result<RowLoc> {
-        if clustered {
-            Ok(RowLoc::Clustered(bytes.to_vec()))
-        } else {
-            let raw: [u8; 8] = bytes.try_into().map_err(|_| {
-                SqlError::Catalog(format!(
-                    "corrupt index entry: heap locator must be 8 bytes, got {}",
-                    bytes.len()
-                ))
-            })?;
-            Ok(RowLoc::Heap(RecordId::from_u64(u64::from_be_bytes(raw))))
-        }
-    }
 }
 
 /// Physical storage of a table.
@@ -133,15 +119,15 @@ enum EqAccessPath {
     /// the first whose opening edge is past it.
     SegmentedFid(i64),
     /// Row locators collected from a secondary index.
-    Secondary(Vec<RowLoc>),
+    Secondary(BatchLocs),
     /// No usable index — scan and filter.
     Scan,
 }
 
-/// The locators of one scanned batch in their raw storage form (record
-/// ids, or clustered keys in one flat arena). A predicate usually keeps
-/// few of a batch's rows, so owned [`RowLoc`]s are built by
-/// [`BatchLocs::loc`] only for the survivors.
+/// A batch of row locators in their raw storage form (record ids, or
+/// clustered keys in one flat arena) — what scans, probes and the batched
+/// write phases exchange. Owned [`RowLoc`]s are built by
+/// [`BatchLocs::loc`] only where a row-at-a-time call needs one.
 #[derive(Default)]
 pub struct BatchLocs {
     rids: Vec<RecordId>,
@@ -149,13 +135,23 @@ pub struct BatchLocs {
 }
 
 impl BatchLocs {
+    /// Number of locators held.
+    pub fn len(&self) -> usize {
+        self.rids.len().max(self.keys.len())
+    }
+
+    /// True when no locator is held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Forgets the batch, keeping the allocations.
     pub fn clear(&mut self) {
         self.rids.clear();
         self.keys.clear();
     }
 
-    /// The locator of the batch's `r`-th row.
+    /// The `r`-th locator.
     pub fn loc(&self, r: usize) -> RowLoc {
         if self.keys.is_empty() {
             RowLoc::Heap(self.rids[r])
@@ -163,6 +159,94 @@ impl BatchLocs {
             RowLoc::Clustered(self.keys.get(r).to_vec())
         }
     }
+
+    /// Appends `other`'s locators at the positions in `sel`.
+    pub fn extend_selected(&mut self, other: &BatchLocs, sel: &[u32]) {
+        if other.keys.is_empty() {
+            self.rids
+                .extend(sel.iter().map(|&r| other.rids[r as usize]));
+        } else {
+            for &r in sel {
+                self.keys.push(other.keys.get(r as usize));
+            }
+        }
+    }
+
+    /// Appends the locator stored in a secondary-index entry (see
+    /// [`RowLoc::to_bytes`]).
+    fn push_bytes(&mut self, bytes: &[u8], clustered: bool) -> Result<()> {
+        if clustered {
+            self.keys.push(bytes);
+        } else {
+            let raw: [u8; 8] = bytes.try_into().map_err(|_| {
+                SqlError::Catalog(format!(
+                    "corrupt index entry: heap locator must be 8 bytes, got {}",
+                    bytes.len()
+                ))
+            })?;
+            self.rids.push(RecordId::from_u64(u64::from_be_bytes(raw)));
+        }
+        Ok(())
+    }
+
+    /// The `r`-th locator as stored inside secondary-index entries.
+    fn write_bytes(&self, r: usize, out: &mut Vec<u8>) {
+        if self.keys.is_empty() {
+            out.extend_from_slice(&self.rids[r].to_u64().to_be_bytes());
+        } else {
+            out.extend_from_slice(self.keys.get(r));
+        }
+    }
+
+    fn cmp_at(&self, a: usize, b: usize) -> std::cmp::Ordering {
+        if self.keys.is_empty() {
+            self.rids[a].cmp(&self.rids[b])
+        } else {
+            self.keys.get(a).cmp(self.keys.get(b))
+        }
+    }
+
+    /// Positions of the distinct locators, each at its first appearance,
+    /// ordered by locator (page order for heap rows).
+    fn distinct_sorted(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        let ascending =
+            |w: &[u32]| self.cmp_at(w[0] as usize, w[1] as usize) == std::cmp::Ordering::Less;
+        if !order.windows(2).all(ascending) {
+            order.sort_unstable_by(|&a, &b| self.cmp_at(a as usize, b as usize).then(a.cmp(&b)));
+            order.dedup_by(|b, a| self.cmp_at(*a as usize, *b as usize).is_eq());
+        }
+        order
+    }
+}
+
+/// How an equality probe on a fixed column list reaches a table — chosen
+/// once per statement, at plan time ([`Table::probe_path`]), from the
+/// catalog alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbePath {
+    /// The columns are a prefix of the clustering key: a prefix scan of
+    /// the table's own tree.
+    Clustered,
+    /// The columns are a prefix of secondary index `index`. `point`: they
+    /// are all the columns of a unique index, so a probe is one point get
+    /// matching at most one row; otherwise a prefix scan of the index.
+    Secondary { index: usize, point: bool },
+    /// No index covers the columns: every probe scans the table.
+    Scan,
+}
+
+/// How an UPDATE's write phase reaches the rows — chosen once per
+/// statement, at plan time ([`Table::update_mode`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UpdateMode {
+    /// Heap target and no assigned column is an index key: the assigned
+    /// cells are written into the stored rows from locators alone.
+    InPlace,
+    /// Clustered target, or an assigned column is an index key: rows are
+    /// rewritten whole, one at a time, with full index maintenance — the
+    /// caller supplies every column of the old rows.
+    Rewrite,
 }
 
 /// Appends `row`'s `cols` columns to `chunk` (the projected counterpart of
@@ -250,7 +334,7 @@ impl Table {
         }
     }
 
-    fn read_only_err(&self) -> SqlError {
+    pub(crate) fn read_only_err(&self) -> SqlError {
         SqlError::Eval(format!(
             "table {} is segment-compressed: base rows are immutable \
              (use INSERT / delta_delete_edge for edge mutations)",
@@ -608,14 +692,13 @@ impl Table {
 
     /// Decodes the `read` columns of the rows stored at `locs` into `chunk`
     /// (appending, in the order given) — the batched [`Table::fetch`]
-    /// behind secondary-index probes and the re-read of the rows a
-    /// projected DML target scan selected. Heap locators collected by a
-    /// scan are page-ordered and cost one buffer-pool read per touched
-    /// page.
+    /// behind index probes and the re-read of the rows a projected DML
+    /// target scan selected. Each run of heap locators on one page costs
+    /// one buffer-pool read (a scan's locators are page-ordered).
     pub fn fetch_chunk(
         &self,
         pool: &mut BufferPool,
-        locs: &[RowLoc],
+        locs: &BatchLocs,
         chunk: &mut Chunk,
         read: &ColSet,
     ) -> Result<()> {
@@ -623,34 +706,24 @@ impl Table {
             return Ok(());
         }
         match &self.storage {
-            TableStorage::Heap(h) => {
-                let rids: Vec<RecordId> = locs
-                    .iter()
-                    .map(|loc| match loc {
-                        RowLoc::Heap(rid) => Ok(*rid),
-                        RowLoc::Clustered(_) => Err(SqlError::Eval(
-                            "row locator does not match table storage".into(),
-                        )),
-                    })
-                    .collect::<Result<_>>()?;
-                Ok(h.fetch_into_chunk(pool, &rids, chunk, read)?)
+            TableStorage::Heap(h) if locs.keys.is_empty() => {
+                Ok(h.fetch_into_chunk(pool, &locs.rids, chunk, read)?)
             }
-            TableStorage::Clustered { tree, .. } => {
-                for loc in locs {
-                    let RowLoc::Clustered(k) = loc else {
-                        return Err(SqlError::Eval(
-                            "row locator does not match table storage".into(),
-                        ));
-                    };
-                    let bytes = tree
-                        .get(pool, k)?
-                        .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))?;
-                    fempath_storage::decode_row_into_chunk(&bytes, chunk, read)?;
+            TableStorage::Clustered { tree, .. } if locs.rids.is_empty() => {
+                for r in 0..locs.keys.len() {
+                    let decoded = tree.get_with(pool, locs.keys.get(r), |bytes| {
+                        fempath_storage::decode_row_into_chunk(bytes, chunk, read)
+                    })?;
+                    decoded
+                        .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))??;
                 }
                 Ok(())
             }
             TableStorage::Segmented { .. } => Err(SqlError::Eval(
                 "segmented base storage has no per-row locators".into(),
+            )),
+            _ => Err(SqlError::Eval(
+                "row locator does not match table storage".into(),
             )),
         }
     }
@@ -756,7 +829,8 @@ impl Table {
                 Ok(true)
             }
             EqAccessPath::Secondary(locs) => {
-                for loc in locs {
+                for r in 0..locs.len() {
+                    let loc = locs.loc(r);
                     let row = self.fetch(pool, &loc)?;
                     if !f(loc, row) {
                         break;
@@ -895,13 +969,9 @@ impl Table {
     }
 
     /// Access-path selection shared by [`Table::lookup_eq`] and
-    /// [`Table::lookup_eq_chunk`]:
-    ///
-    /// 1. clustered tree prefix when `cols` is a prefix of the clustering
-    ///    key,
-    /// 2. secondary index (unique → point lookup, else prefix scan),
-    ///    resolved to row locators,
-    /// 3. full-scan fallback.
+    /// [`Table::lookup_eq_chunk`]: the segmented `fid` scan, else whatever
+    /// [`Table::probe_path`] picks, with secondary-index probes resolved
+    /// to row locators.
     fn resolve_eq_path(
         &self,
         pool: &mut BufferPool,
@@ -909,73 +979,181 @@ impl Table {
         key_vals: &[Value],
     ) -> Result<EqAccessPath> {
         debug_assert_eq!(cols.len(), key_vals.len());
-        if let TableStorage::Clustered { key_cols, .. } = &self.storage {
-            if cols.len() <= key_cols.len() && cols == &key_cols[..cols.len()] {
-                return Ok(EqAccessPath::ClusteredPrefix(encode_key(key_vals)?));
-            }
-        }
         if let TableStorage::Segmented { key_cols, .. } = &self.storage {
             if cols == &key_cols[..] {
                 return Ok(match key_vals[0].as_i64() {
                     Some(fid) => EqAccessPath::SegmentedFid(fid),
                     // A non-integral probe can never equal an INT fid
                     // (and NULLs never match): indexed empty result.
-                    None => EqAccessPath::Secondary(Vec::new()),
+                    None => EqAccessPath::Secondary(BatchLocs::default()),
                 });
             }
         }
-        let clustered = self.is_clustered();
-        if let Some(idx) = self
-            .indexes
-            .iter()
-            .find(|i| cols.len() <= i.cols.len() && cols == &i.cols[..cols.len()])
-        {
-            let prefix = encode_key(key_vals)?;
-            let mut locs: Vec<RowLoc> = Vec::new();
-            // Decode errors inside the scan callbacks (which can only
-            // continue/stop) are parked and surfaced after the scan.
-            let mut decode_err: Option<SqlError> = None;
-            if idx.unique && cols.len() == idx.cols.len() {
-                if let Some(v) = idx.tree.get(pool, &prefix)? {
-                    locs.push(RowLoc::from_bytes(&v, clustered)?);
-                }
-            } else if idx.unique {
-                idx.tree.scan_prefix(pool, &prefix, |_, v| {
-                    match RowLoc::from_bytes(v, clustered) {
-                        Ok(loc) => {
-                            locs.push(loc);
-                            true
-                        }
-                        Err(e) => {
-                            decode_err = Some(e);
-                            false
-                        }
-                    }
-                })?;
-            } else {
-                idx.tree.scan_prefix(pool, &prefix, |k, _| {
-                    // Locator is the key suffix past the *full* indexed
-                    // column values; recover it by decoding the indexed
-                    // part and taking the rest. For prefix lookups we must
-                    // decode col-count values to find the boundary.
-                    match extract_loc_from_index_key(k, idx.cols.len(), clustered) {
-                        Ok(loc) => {
-                            locs.push(loc);
-                            true
-                        }
-                        Err(e) => {
-                            decode_err = Some(e);
-                            false
-                        }
-                    }
-                })?;
+        Ok(match self.probe_path(cols) {
+            ProbePath::Clustered => EqAccessPath::ClusteredPrefix(encode_key(key_vals)?),
+            ProbePath::Secondary { index, point } => {
+                let mut locs = BatchLocs::default();
+                self.probe_index_locs(pool, index, point, &encode_key(key_vals)?, &mut locs)?;
+                EqAccessPath::Secondary(locs)
             }
-            if let Some(e) = decode_err {
-                return Err(e);
+            ProbePath::Scan => EqAccessPath::Scan,
+        })
+    }
+
+    /// The access path an equality probe on `cols` takes:
+    ///
+    /// 1. the clustered tree when `cols` is a prefix of the clustering key,
+    /// 2. a secondary index `cols` is a prefix of (unique and fully
+    ///    covered → point get, else prefix scan),
+    /// 3. a scan.
+    pub fn probe_path(&self, cols: &[usize]) -> ProbePath {
+        let is_prefix = |of: &[usize]| cols.len() <= of.len() && cols == &of[..cols.len()];
+        if let TableStorage::Clustered { key_cols, .. } = &self.storage {
+            if is_prefix(key_cols) {
+                return ProbePath::Clustered;
             }
-            return Ok(EqAccessPath::Secondary(locs));
         }
-        Ok(EqAccessPath::Scan)
+        match self.indexes.iter().position(|i| is_prefix(&i.cols)) {
+            Some(index) => {
+                let idx = &self.indexes[index];
+                ProbePath::Secondary {
+                    index,
+                    point: idx.unique && cols.len() == idx.cols.len(),
+                }
+            }
+            None => ProbePath::Scan,
+        }
+    }
+
+    /// The [`ProbePath::Secondary`] probe: appends to `out` the locators
+    /// index `index` holds for the encoded probe key `key` — one point get
+    /// when `point`, else a prefix scan. The rows are fetched afterwards,
+    /// page-grouped ([`Table::fetch_chunk`]).
+    pub fn probe_index_locs(
+        &self,
+        pool: &mut BufferPool,
+        index: usize,
+        point: bool,
+        key: &[u8],
+        out: &mut BatchLocs,
+    ) -> Result<()> {
+        let clustered = self.is_clustered();
+        let idx = self
+            .indexes
+            .get(index)
+            .ok_or_else(|| SqlError::Eval("probe of a dropped index".into()))?;
+        // Decode errors inside the scan callbacks (which can only
+        // continue/stop) are parked and surfaced after the scan.
+        let mut parked: Result<()> = Ok(());
+        if point {
+            if let Some(pushed) = idx
+                .tree
+                .get_with(pool, key, |v| out.push_bytes(v, clustered))?
+            {
+                pushed?;
+            }
+        } else if idx.unique {
+            idx.tree.scan_prefix(pool, key, |_, v| {
+                parked = out.push_bytes(v, clustered);
+                parked.is_ok()
+            })?;
+        } else {
+            // The locator is the key suffix past the indexed column
+            // values.
+            let n_cols = idx.cols.len();
+            idx.tree.scan_prefix(pool, key, |k, _| {
+                parked = index_key_loc(k, n_cols).and_then(|loc| out.push_bytes(loc, clustered));
+                parked.is_ok()
+            })?;
+        }
+        parked
+    }
+
+    /// The [`ProbePath::Clustered`] probe: one prefix scan of the
+    /// clustering tree for the encoded probe key `key`, appending each
+    /// match's locator to `locs` and — the scan stands on the rows — its
+    /// `read` columns to `rows`.
+    pub fn probe_clustered(
+        &self,
+        pool: &mut BufferPool,
+        key: &[u8],
+        locs: &mut BatchLocs,
+        rows: &mut Chunk,
+        read: &ColSet,
+    ) -> Result<()> {
+        let TableStorage::Clustered { tree, .. } = &self.storage else {
+            return Err(SqlError::Eval(
+                "clustered probe of a table that is not clustered".into(),
+            ));
+        };
+        let mut decoded = Ok(());
+        tree.scan_prefix(pool, key, |k, v| {
+            locs.keys.push(k);
+            decoded = fempath_storage::decode_row_into_chunk(v, rows, read);
+            decoded.is_ok()
+        })?;
+        Ok(decoded?)
+    }
+
+    /// The probe of segment-compressed storage, whose base rows have no
+    /// locators: appends the `read` columns of the rows whose `cols` equal
+    /// `key_vals` to `rows` ([`Table::lookup_eq_chunk`]) and one
+    /// placeholder locator per match to `locs`. No write accepts those —
+    /// [`Table::update_rows`] refuses segmented storage — but a statement
+    /// that matches nothing, or only inserts (the delta overlay), runs.
+    pub fn probe_segmented(
+        &self,
+        pool: &mut BufferPool,
+        cols: &[usize],
+        key_vals: &[Value],
+        locs: &mut BatchLocs,
+        rows: &mut Chunk,
+        read: &ColSet,
+    ) -> Result<()> {
+        debug_assert!(self.is_segmented());
+        self.lookup_eq_chunk(pool, cols, key_vals, rows, read)?;
+        locs.rids.resize(rows.len(), RecordId::from_u64(u64::MAX));
+        Ok(())
+    }
+
+    /// The [`ProbePath::Scan`] probe: appends the locators of the rows
+    /// whose `cols` equal `key_vals` (NULLs never match), reading only
+    /// those columns.
+    pub fn scan_eq_locs(
+        &self,
+        pool: &mut BufferPool,
+        cols: &[usize],
+        key_vals: &[Value],
+        out: &mut BatchLocs,
+    ) -> Result<()> {
+        let read = ColSet::of(cols.iter().copied());
+        let mut cursor = self.batch_cursor(pool)?;
+        let mut chunk = Chunk::new();
+        let mut batch = BatchLocs::default();
+        let mut sel: Vec<u32> = Vec::new();
+        loop {
+            chunk.reset();
+            batch.clear();
+            let more = self.next_batch(
+                pool,
+                &mut cursor,
+                &mut chunk,
+                &read,
+                Some(&mut batch),
+                fempath_storage::CHUNK_CAPACITY,
+            )?;
+            sel.clear();
+            sel.extend((0..chunk.len() as u32).filter(|&r| {
+                cols.iter().zip(key_vals).all(|(&c, v)| {
+                    let cell = chunk.get(c, r as usize);
+                    !cell.is_null() && cell.total_cmp(v).is_eq()
+                })
+            }));
+            out.extend_selected(&batch, &sel);
+            if !more {
+                return Ok(());
+            }
+        }
     }
 
     /// A batched-scan cursor over the table's storage (heap or clustered
@@ -1109,10 +1287,8 @@ impl Table {
     }
 
     /// Coerces every column of `chunk` to the schema's declared types —
-    /// the column-wise analogue of [`Table::coerce_row`]. An integer
-    /// column feeding an INT schema column passes through with a plain
-    /// clone of the typed vectors (the FEM steady state).
-    pub(crate) fn coerce_chunk(&self, chunk: &Chunk) -> Result<Chunk> {
+    /// the column-wise analogue of [`Table::coerce_row`].
+    pub(crate) fn coerce_chunk(&self, chunk: Chunk) -> Result<Chunk> {
         if chunk.width() != self.schema.columns.len() {
             return Err(SqlError::Eval(format!(
                 "table {} expects {} columns, got {}",
@@ -1121,42 +1297,50 @@ impl Table {
                 chunk.width()
             )));
         }
-        let mut cols = Vec::with_capacity(chunk.width());
-        for (col, spec) in chunk.columns().iter().zip(&self.schema.columns) {
-            let out = match (spec.dtype, col) {
-                (DataType::Int, Column::Int { .. }) => col.clone(),
-                _ => {
-                    let mut out = Column::new_int();
-                    for r in 0..chunk.len() {
-                        let v = col.get(r);
-                        let coerced = match (spec.dtype, v) {
-                            (_, Value::Null) => Value::Null,
-                            (DataType::Int, Value::Int(i)) => Value::Int(i),
-                            (DataType::Int, Value::Float(f)) => Value::Int(f as i64),
-                            (DataType::Float, Value::Int(i)) => Value::Float(i as f64),
-                            (DataType::Float, Value::Float(f)) => Value::Float(f),
-                            (DataType::Text, Value::Text(s)) => Value::Text(s),
-                            (want, got) => {
-                                return Err(SqlError::Eval(format!(
-                                    "column {}.{} expects {want}, got {got:?}",
-                                    self.schema.name, spec.name
-                                )))
-                            }
-                        };
-                        out.push(coerced);
-                    }
-                    out
-                }
-            };
-            cols.push(out);
-        }
-        Ok(Chunk::from_columns(cols, chunk.len()))
+        let len = chunk.len();
+        let cols = chunk
+            .into_columns()
+            .into_iter()
+            .enumerate()
+            .map(|(c, col)| self.coerce_column(c, col))
+            .collect::<Result<_>>()?;
+        Ok(Chunk::from_columns(cols, len))
     }
 
-    /// Encoded key of `cols` at row `r` of `chunk`.
-    fn chunk_key(chunk: &Chunk, cols: &[usize], r: usize) -> Result<Vec<u8>> {
-        let vals: Vec<Value> = cols.iter().map(|&c| chunk.get(c, r)).collect();
-        Ok(encode_key(&vals)?)
+    /// Coerces values bound for column `c` to its declared type. An
+    /// integer column feeding an INT schema column passes through
+    /// untouched (the FEM steady state).
+    pub(crate) fn coerce_column(&self, c: usize, col: Column) -> Result<Column> {
+        let spec = &self.schema.columns[c];
+        if let (DataType::Int, Column::Int { .. }) = (spec.dtype, &col) {
+            return Ok(col);
+        }
+        let mut out = Column::new_int();
+        for r in 0..col.len() {
+            out.push(match (spec.dtype, col.get(r)) {
+                (_, Value::Null) => Value::Null,
+                (DataType::Int, Value::Int(i)) => Value::Int(i),
+                (DataType::Int, Value::Float(f)) => Value::Int(f as i64),
+                (DataType::Float, Value::Int(i)) => Value::Float(i as f64),
+                (DataType::Float, Value::Float(f)) => Value::Float(f),
+                (DataType::Text, Value::Text(s)) => Value::Text(s),
+                (want, got) => {
+                    return Err(SqlError::Eval(format!(
+                        "column {}.{} expects {want}, got {got:?}",
+                        self.schema.name, spec.name
+                    )))
+                }
+            });
+        }
+        Ok(out)
+    }
+
+    /// Appends the encoded key of `cols` at row `r` of `chunk` to `out`.
+    fn chunk_key_into(out: &mut Vec<u8>, chunk: &Chunk, cols: &[usize], r: usize) -> Result<()> {
+        for &c in cols {
+            encode_key_into(out, &chunk.get(c, r))?;
+        }
+        Ok(())
     }
 
     /// Inserts every row of `chunk`, maintaining all indexes, with
@@ -1164,68 +1348,79 @@ impl Table {
     /// heap write batch, and sorted per-index insert batches — instead of
     /// one full round trip per row. Behaviour under a duplicate key
     /// matches repeated [`Table::insert_row`]: rows before the offender
-    /// are inserted and stay, the statement errors.
+    /// are inserted and stay, the statement errors. (A key that cannot be
+    /// encoded fails the batch before anything is written.)
     pub fn insert_chunk(&mut self, pool: &mut BufferPool, chunk: &Chunk) -> Result<u64> {
         if chunk.is_empty() {
             return Ok(0);
         }
-        let chunk = self.coerce_chunk(chunk)?;
-        self.insert_chunk_precoerced(pool, &chunk)
+        let chunk = self.coerce_chunk(chunk.clone())?;
+        self.insert_chunk_precoerced(pool, &chunk, None)
     }
 
-    /// [`Table::insert_chunk`] for a chunk the caller already passed
-    /// through [`Table::coerce_chunk`] (or built from coerced rows) — the
-    /// batched DML write phases use this to avoid coercing, and therefore
-    /// cloning, the whole data set twice.
+    /// [`Table::insert_chunk`] for a chunk whose columns the caller
+    /// already coerced. `absent_from` names a unique secondary index the
+    /// caller has just probed, without a match, for every row's key (MERGE
+    /// NOT MATCHED): those keys are checked against each other but not
+    /// against the index again.
     pub(crate) fn insert_chunk_precoerced(
         &mut self,
         pool: &mut BufferPool,
         chunk: &Chunk,
+        absent_from: Option<usize>,
     ) -> Result<u64> {
         if chunk.is_empty() {
             return Ok(0);
         }
-        if self.is_segmented() {
-            // Delta-overlay inserts are per-row heap appends anyway.
-            let n = chunk.len();
-            for r in 0..n {
-                let row = chunk.row(r);
-                self.insert_row(pool, &row)?;
-            }
-            return Ok(n as u64);
-        }
         let n = chunk.len();
-        if self.is_clustered() {
-            // Clustered storage inserts are per-key tree descents anyway;
-            // keep the row path (it also handles the key uniquifier).
+        if !matches!(self.storage, TableStorage::Heap(_)) {
+            // Clustered inserts are per-key tree descents (and own the
+            // key uniquifier); delta-overlay inserts are per-row heap
+            // appends. Both keep the row path.
             for r in 0..n {
                 let row = chunk.row(r);
                 self.insert_row(pool, &row)?;
             }
             return Ok(n as u64);
         }
-        // Unique-index pre-scan: find the first offending row (including
-        // duplicates *within* the batch), in row order.
-        let mut limit = n;
-        let mut dup: Option<SqlError> = None;
-        {
-            let unique: Vec<&SecondaryIndex> = self.indexes.iter().filter(|i| i.unique).collect();
-            let mut seen: Vec<HashSet<Vec<u8>>> = unique.iter().map(|_| HashSet::new()).collect();
-            'rows: for r in 0..n {
-                for (ui, idx) in unique.iter().enumerate() {
-                    let key = Self::chunk_key(chunk, &idx.cols, r)?;
-                    if idx.tree.contains(pool, &key)? || !seen[ui].insert(key) {
-                        limit = r;
-                        let row = chunk.row(r);
-                        dup = Some(SqlError::DuplicateKey {
-                            table: self.schema.name.clone(),
-                            key: format_key(&row, &idx.cols),
-                        });
-                        break 'rows;
+        // Every row's key under every index, encoded once: the duplicate
+        // pre-scan and the index entries below both use them.
+        let mut keys: Vec<Vec<Vec<u8>>> = Vec::with_capacity(self.indexes.len());
+        for idx in &self.indexes {
+            let mut of_idx = Vec::with_capacity(n);
+            for r in 0..n {
+                let mut key = Vec::with_capacity(idx.cols.len() * 9 + 8);
+                Self::chunk_key_into(&mut key, chunk, &idx.cols, r)?;
+                of_idx.push(key);
+            }
+            keys.push(of_idx);
+        }
+        // Unique-index pre-scan: the first offending row in row order —
+        // a key already in the index, or repeated earlier in the batch.
+        let mut dup: Option<(usize, usize)> = None; // (row, index)
+        for (ii, idx) in self.indexes.iter().enumerate().filter(|(_, i)| i.unique) {
+            let of_idx = &keys[ii];
+            let mut by_key: Vec<usize> = (0..n).collect();
+            by_key.sort_unstable_by(|&a, &b| of_idx[a].cmp(&of_idx[b]).then(a.cmp(&b)));
+            let mut first = by_key
+                .windows(2)
+                .filter(|w| of_idx[w[0]] == of_idx[w[1]])
+                .map(|w| w[1])
+                .min();
+            if absent_from != Some(ii) {
+                let bound = first.unwrap_or(n).min(dup.map_or(n, |(r, _)| r));
+                for (r, key) in of_idx.iter().enumerate().take(bound) {
+                    if idx.tree.contains(pool, key)? {
+                        first = Some(r);
+                        break;
                     }
                 }
             }
+            if let Some(r) = first.filter(|&r| dup.is_none_or(|(d, _)| r < d)) {
+                dup = Some((r, ii));
+            }
         }
+        let limit = dup.map_or(n, |(r, _)| r);
         // Base rows: one page-packing batch insert.
         let mut encoded = Vec::with_capacity(limit);
         let mut buf = Vec::new();
@@ -1238,194 +1433,152 @@ impl Table {
             _ => unreachable!("handled above"),
         };
         // Index maintenance: sorted batches per index.
-        for idx in &mut self.indexes {
-            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(limit);
-            for (r, rid) in rids.iter().enumerate() {
-                let mut key = Self::chunk_key(chunk, &idx.cols, r)?;
-                let loc = RowLoc::Heap(*rid).to_bytes();
-                if idx.unique {
-                    entries.push((key, loc));
-                } else {
-                    key.extend_from_slice(&loc);
-                    entries.push((key, Vec::new()));
-                }
-            }
+        for (idx, of_idx) in self.indexes.iter_mut().zip(keys) {
+            let entries: Vec<(Vec<u8>, Vec<u8>)> = of_idx
+                .into_iter()
+                .zip(&rids)
+                .map(|(mut key, rid)| {
+                    let loc = rid.to_u64().to_be_bytes();
+                    if idx.unique {
+                        (key, loc.to_vec())
+                    } else {
+                        key.extend_from_slice(&loc);
+                        (key, Vec::new())
+                    }
+                })
+                .collect();
             idx.tree.insert_batch(pool, entries)?;
         }
         match dup {
-            Some(e) => Err(e),
+            Some((r, ii)) => Err(SqlError::DuplicateKey {
+                table: self.schema.name.clone(),
+                key: format_key(&chunk.row(r), &self.indexes[ii].cols),
+            }),
             None => Ok(n as u64),
         }
     }
 
-    /// Applies a batch of updates (locator, old row, new row — rows
-    /// already coerced), with page-grouped heap writes for the in-place
-    /// case and index fix-ups only where key columns actually changed.
-    pub fn update_rows(
-        &mut self,
-        pool: &mut BufferPool,
-        pending: &[(RowLoc, Vec<Value>, Vec<Value>)],
-    ) -> Result<()> {
-        if pending.is_empty() {
-            return Ok(());
-        }
-        if self.is_segmented() {
-            return Err(self.read_only_err());
-        }
-        if self.is_clustered() {
-            for (loc, old, new) in pending {
-                self.update_row(pool, loc, old, new)?;
+    /// How [`Table::update_rows`] must apply assignments to `assign_cols`.
+    pub fn update_mode(&self, assign_cols: &[usize]) -> UpdateMode {
+        let keyed = |cols: &[usize]| cols.iter().any(|c| assign_cols.contains(c));
+        match &self.storage {
+            TableStorage::Heap(_) if !self.indexes.iter().any(|i| keyed(&i.cols)) => {
+                UpdateMode::InPlace
             }
-            return Ok(());
-        }
-        // Pre-encode every *changed* index key. Encoding is the only
-        // fix-up step that can fail on valid input (NUL bytes in a text
-        // key), and the row path stops at the offending row — rows before
-        // it fully applied, the offender heap-written but unindexed, rows
-        // after untouched. Encoding up front lets the batch truncate at
-        // exactly that point instead of heap-writing everything first.
-        // (Unchanged key values were already encoded when the row was
-        // inserted, so deferring those cannot fail.)
-        type RowFixups = Vec<(usize, Vec<u8>, Vec<u8>)>; // (index, old key, new key)
-        let mut fixups: Vec<RowFixups> = Vec::with_capacity(pending.len());
-        let mut enc_err: Option<(SqlError, usize)> = None; // (error, failing index)
-        let mut partial: RowFixups = Vec::new();
-        'rows: for (_, old_row, new_row) in pending {
-            let mut row_fix = Vec::new();
-            for (ii, idx) in self.indexes.iter().enumerate() {
-                let old_vals: Vec<Value> = idx.cols.iter().map(|&c| old_row[c].clone()).collect();
-                let new_vals: Vec<Value> = idx.cols.iter().map(|&c| new_row[c].clone()).collect();
-                if old_vals == new_vals {
-                    continue;
-                }
-                match (encode_key(&old_vals), encode_key(&new_vals)) {
-                    (Ok(o), Ok(n)) => row_fix.push((ii, o, n)),
-                    (Err(e), _) | (_, Err(e)) => {
-                        enc_err = Some((e.into(), ii));
-                        partial = row_fix;
-                        break 'rows;
-                    }
-                }
-            }
-            fixups.push(row_fix);
-        }
-        // The row whose key failed to encode still gets its heap write
-        // (the row path encodes after heap.update), plus the fix-ups of
-        // the indexes before the failing one.
-        let heap_limit = if enc_err.is_some() {
-            fixups.len() + 1
-        } else {
-            fixups.len()
-        };
-        let items: Vec<(RecordId, Vec<u8>)> = pending[..heap_limit]
-            .iter()
-            .map(|(loc, _, new)| match loc {
-                RowLoc::Heap(rid) => Ok((*rid, encode_row(new))),
-                RowLoc::Clustered(_) => Err(SqlError::Eval(
-                    "row locator does not match table storage".into(),
-                )),
-            })
-            .collect::<Result<_>>()?;
-        let new_rids = match &mut self.storage {
-            TableStorage::Heap(h) => h.update_batch(pool, &items)?,
-            _ => unreachable!("handled above"),
-        };
-        if enc_err.is_some() {
-            fixups.push(partial);
-        }
-        for (r, ((loc, old_row, _), (new_rid, row_fix))) in
-            pending.iter().zip(new_rids.iter().zip(&fixups)).enumerate()
-        {
-            // On the offending row, only the indexes *before* the failing
-            // one get their fix-ups, exactly as the row path's per-index
-            // loop would have.
-            let index_cap = match &enc_err {
-                Some((_, fail_ii)) if r + 1 == fixups.len() => *fail_ii,
-                _ => self.indexes.len(),
-            };
-            let new_loc = RowLoc::Heap(*new_rid);
-            for (ii, old_key, new_key) in row_fix {
-                debug_assert!(*ii < index_cap, "partial fix-ups stop at the failure");
-                let idx = &mut self.indexes[*ii];
-                let mut old_key = old_key.clone();
-                let mut new_key = new_key.clone();
-                if idx.unique {
-                    idx.tree.delete(pool, &old_key)?;
-                    idx.tree.insert(pool, &new_key, &new_loc.to_bytes())?;
-                } else {
-                    old_key.extend_from_slice(&loc.to_bytes());
-                    new_key.extend_from_slice(&new_loc.to_bytes());
-                    idx.tree.delete(pool, &old_key)?;
-                    idx.tree.insert(pool, &new_key, &[])?;
-                }
-            }
-            if new_loc != *loc {
-                // The record moved pages: even indexes whose key values
-                // did not change must re-point their entries (those
-                // values were indexed before, so encoding cannot fail).
-                for (ii, idx) in self.indexes.iter_mut().enumerate().take(index_cap) {
-                    if row_fix.iter().any(|(fi, _, _)| fi == &ii) {
-                        continue; // already re-keyed above
-                    }
-                    let vals: Vec<Value> = idx.cols.iter().map(|&c| old_row[c].clone()).collect();
-                    let base = encode_key(&vals)?;
-                    if idx.unique {
-                        idx.tree.delete(pool, &base)?;
-                        idx.tree.insert(pool, &base, &new_loc.to_bytes())?;
-                    } else {
-                        let mut old_key = base.clone();
-                        let mut new_key = base;
-                        old_key.extend_from_slice(&loc.to_bytes());
-                        new_key.extend_from_slice(&new_loc.to_bytes());
-                        idx.tree.delete(pool, &old_key)?;
-                        idx.tree.insert(pool, &new_key, &[])?;
-                    }
-                }
-            }
-        }
-        match enc_err {
-            Some((e, _)) => Err(e),
-            None => Ok(()),
+            _ => UpdateMode::Rewrite,
         }
     }
 
-    /// Deletes a batch of rows with page-grouped heap writes.
-    pub fn delete_rows(
+    /// Whether each column is part of some secondary index — what
+    /// [`Table::delete_rows`] needs of the rows it removes.
+    pub fn indexed_cols(&self) -> Vec<bool> {
+        let mut used = vec![false; self.schema.columns.len()];
+        for &c in self.indexes.iter().flat_map(|i| &i.cols) {
+            used[c] = true;
+        }
+        used
+    }
+
+    /// Applies one statement's assignments: for every `k`, column
+    /// `assign_cols[j]` of the row at `locs[k]` becomes row `k` of
+    /// `new_vals[j]` (values already coerced). A row located more than
+    /// once keeps its first assignment. `mode` is this table's
+    /// [`Table::update_mode`] for `assign_cols`; under
+    /// [`UpdateMode::Rewrite`] `old` holds every column of the rows as
+    /// they are stored. Returns the number of distinct rows updated.
+    pub fn update_rows(
         &mut self,
         pool: &mut BufferPool,
-        rows: &[(RowLoc, Vec<Value>)],
-    ) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
+        locs: &BatchLocs,
+        assign_cols: &[usize],
+        new_vals: &[Column],
+        old: &Chunk,
+        mode: UpdateMode,
+    ) -> Result<u64> {
+        if locs.is_empty() {
+            return Ok(0);
         }
         if self.is_segmented() {
             return Err(self.read_only_err());
         }
-        if self.is_clustered() {
-            for (loc, row) in rows {
-                self.delete_row(pool, loc, row)?;
+        debug_assert_eq!(mode, self.update_mode(assign_cols));
+        let mut order = locs.distinct_sorted();
+        match (&mut self.storage, mode) {
+            (TableStorage::Heap(h), UpdateMode::InPlace) if locs.keys.is_empty() => {
+                let moved = h.update_cells(pool, &locs.rids, &order, assign_cols, new_vals)?;
+                // A record that moved pages re-points every index at its
+                // new id (its key values did not change).
+                for m in moved {
+                    let old_loc = locs.rids[m.item].to_u64().to_be_bytes();
+                    let new_loc = m.rid.to_u64().to_be_bytes();
+                    for idx in &mut self.indexes {
+                        let vals: Vec<Value> = idx.cols.iter().map(|&c| m.row[c].clone()).collect();
+                        let base = encode_key(&vals)?;
+                        if idx.unique {
+                            idx.tree.insert(pool, &base, &new_loc)?;
+                        } else {
+                            idx.tree.delete(pool, &[&base[..], &old_loc].concat())?;
+                            idx.tree
+                                .insert(pool, &[&base[..], &new_loc].concat(), &[])?;
+                        }
+                    }
+                }
             }
+            (TableStorage::Heap(_) | TableStorage::Clustered { .. }, UpdateMode::Rewrite) => {
+                // Arrival order, exactly as a row-at-a-time executor
+                // would: an error leaves the rows before it applied.
+                order.sort_unstable();
+                for &k in &order {
+                    let old_row = old.row(k as usize);
+                    let mut new_row = old_row.clone();
+                    for (&c, vals) in assign_cols.iter().zip(new_vals) {
+                        new_row[c] = vals.get(k as usize);
+                    }
+                    self.update_row(pool, &locs.loc(k as usize), &old_row, &new_row)?;
+                }
+            }
+            _ => {
+                return Err(SqlError::Eval(
+                    "row locator does not match table storage".into(),
+                ))
+            }
+        }
+        Ok(order.len() as u64)
+    }
+
+    /// Deletes the rows at `locs`; row `r` of `rows` holds (at least) the
+    /// [`Table::indexed_cols`] of the row at `locs[r]`. Heap rows go in
+    /// one page-grouped batch.
+    pub fn delete_rows(
+        &mut self,
+        pool: &mut BufferPool,
+        locs: &BatchLocs,
+        rows: &Chunk,
+    ) -> Result<()> {
+        if locs.is_empty() {
             return Ok(());
         }
-        let rids: Vec<RecordId> = rows
-            .iter()
-            .map(|(loc, _)| match loc {
-                RowLoc::Heap(rid) => Ok(*rid),
-                RowLoc::Clustered(_) => Err(SqlError::Eval(
-                    "row locator does not match table storage".into(),
-                )),
-            })
-            .collect::<Result<_>>()?;
         match &mut self.storage {
-            TableStorage::Heap(h) => h.delete_batch(pool, &rids)?,
-            _ => unreachable!("handled above"),
+            TableStorage::Heap(h) if locs.keys.is_empty() => h.delete_batch(pool, &locs.rids)?,
+            TableStorage::Clustered { tree, .. } if locs.rids.is_empty() => {
+                for r in 0..locs.len() {
+                    tree.delete(pool, locs.keys.get(r))?;
+                }
+            }
+            TableStorage::Segmented { .. } => return Err(self.read_only_err()),
+            _ => {
+                return Err(SqlError::Eval(
+                    "row locator does not match table storage".into(),
+                ))
+            }
         }
-        for (loc, row) in rows {
-            for idx in &mut self.indexes {
-                let mut key =
-                    encode_key(&idx.cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>())?;
+        let mut key = Vec::new();
+        for idx in &mut self.indexes {
+            for r in 0..locs.len() {
+                key.clear();
+                Self::chunk_key_into(&mut key, rows, &idx.cols, r)?;
                 if !idx.unique {
-                    key.extend_from_slice(&loc.to_bytes());
+                    locs.write_bytes(r, &mut key);
                 }
                 idx.tree.delete(pool, &key)?;
             }
@@ -1793,16 +1946,16 @@ impl Table {
     }
 }
 
-/// Recovers the locator suffix from a non-unique index key by skipping the
-/// encoded index-column values.
-fn extract_loc_from_index_key(key: &[u8], n_cols: usize, clustered: bool) -> Result<RowLoc> {
+/// The locator suffix of a non-unique index key: what follows the encoded
+/// index-column values.
+fn index_key_loc(key: &[u8], n_cols: usize) -> Result<&[u8]> {
     let mut rest = key;
     for _ in 0..n_cols {
         let (_, r) = fempath_storage::value::decode_key_one(rest)
             .map_err(|e| SqlError::Catalog(format!("corrupt index key: {e}")))?;
         rest = r;
     }
-    RowLoc::from_bytes(rest, clustered)
+    Ok(rest)
 }
 
 fn format_key(row: &[Value], cols: &[usize]) -> String {

@@ -108,6 +108,35 @@ impl AggState {
         Ok(())
     }
 
+    /// Feeds one non-NULL integer — [`AggState::update`] of
+    /// `Some(Value::Int(x))` without building the value.
+    pub(crate) fn update_int(&mut self, x: i64) {
+        match self {
+            AggState::Count(n) => *n += 1,
+            AggState::SumInt {
+                acc, any, float, ..
+            } => {
+                *acc = acc.wrapping_add(x);
+                *float += x as f64;
+                *any = true;
+            }
+            AggState::Min(cur) => match cur {
+                Some(Value::Int(c)) => *c = (*c).min(x),
+                Some(c) if Value::Int(x).total_cmp(c).is_ge() => {}
+                _ => *cur = Some(Value::Int(x)),
+            },
+            AggState::Max(cur) => match cur {
+                Some(Value::Int(c)) => *c = (*c).max(x),
+                Some(c) if Value::Int(x).total_cmp(c).is_le() => {}
+                _ => *cur = Some(Value::Int(x)),
+            },
+            AggState::Avg { sum, n } => {
+                *sum += x as f64;
+                *n += 1;
+            }
+        }
+    }
+
     /// Feeds `n` argument-less rows at once — the `COUNT(*)` batch path
     /// (equivalent to `n` calls of `update(None)`, which only the Count
     /// state reacts to).

@@ -12,20 +12,21 @@
 
 use super::{
     mark_pexpr_cols, AggPlan, DeletePlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan,
-    JoinPlan, MergePlan, PExpr, PlanKind, ReadCols, RightPlan, SelectPlan, SourcePlan, SubPlan,
-    UpdateKind, UpdatePlan, WindowPlan,
+    JoinPlan, MergePlan, PExpr, PlanKind, ProbePlan, ReadCols, RightPlan, SelectPlan, SourcePlan,
+    SubPlan, TargetPlan, UpdateKind, UpdatePlan, WindowPlan,
 };
 use crate::ast::{
     AggFunc, Delete, Expr, Insert, InsertSource, Merge, OrderKey, Select, SelectItem, Stmt,
     TableRef, Update,
 };
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, ProbePath, Table, UpdateMode};
 use crate::error::{Result, SqlError};
 use crate::exec::agg::{collect_aggs, rewrite as agg_rewrite};
 use crate::exec::eval::{binds_in, is_row_independent, split_conjuncts, Schema, SchemaCol};
 use crate::exec::from::{choose_access_path, find_const_equalities, find_join_pairs};
 use crate::exec::select::{expand_items, OutItem};
 use crate::exec::window::{collect_windows, rewrite as win_rewrite, WinSpec};
+use fempath_storage::DataType;
 
 /// Plans one statement against the current catalog.
 pub(crate) fn build_plan(catalog: &Catalog, stmt: &Stmt) -> Result<PlanKind> {
@@ -917,9 +918,8 @@ fn plan_equi_probe(
 /// Plans how a plain UPDATE/DELETE finds its rows, with the access-path
 /// choice a SELECT over the same WHERE clause gets
 /// ([`plan_scan_table`]): an equality on an indexed prefix becomes an
-/// index probe with the other conjuncts as residual filters; otherwise
-/// the table is scanned reading only the columns the predicate names (the
-/// executor re-fetches the rows it selects, which it needs whole).
+/// index probe with the other conjuncts as residual filters, otherwise
+/// the table is scanned. [`finish_target`] fixes which columns are read.
 fn plan_dml_target(
     b: &mut Binder<'_>,
     table: &str,
@@ -927,20 +927,76 @@ fn plan_dml_target(
     filter: Option<&Expr>,
 ) -> Result<SourcePlan> {
     let mut conjuncts: Vec<Expr> = filter.map(split_conjuncts).unwrap_or_default();
-    let (mut target, schema) = plan_scan_table(b, table, binding, &mut conjuncts)?;
+    let (target, schema) = plan_scan_table(b, table, binding, &mut conjuncts)?;
     // A conjunct left over names something outside the target: binding it
     // reports which.
     for c in &conjuncts {
         b.bind(&schema, c)?;
     }
-    if let InputPlan::Scan { read, .. } = &mut target.input {
-        let mut used = vec![false; schema.cols.len()];
-        for p in &target.filter {
-            mark_pexpr_cols(p, &mut used);
-        }
-        *read = ReadCols::of(&b.catalog.table(table)?.schema, &used);
-    }
     Ok(target)
+}
+
+/// Fixes the columns a DML target access reads: the filter's, plus the
+/// `need`ed ones the write phase consumes — or, with `need` absent
+/// (the write phase rewrites whole rows), every column for a lookup,
+/// while a scan reads just its predicate and re-reads its matches whole.
+fn finish_target(table: &Table, mut access: SourcePlan, need: Option<Vec<bool>>) -> TargetPlan {
+    let whole_rows = need.is_none();
+    let mut used = need.unwrap_or_else(|| vec![false; table.schema.columns.len()]);
+    for p in &access.filter {
+        mark_pexpr_cols(p, &mut used);
+    }
+    let path = match &mut access.input {
+        InputPlan::Scan { read, .. } => {
+            *read = ReadCols::of(&table.schema, &used);
+            ProbePath::Scan
+        }
+        InputPlan::Lookup { cols, read, .. } => {
+            if !whole_rows {
+                *read = ReadCols::of(&table.schema, &used);
+            }
+            table.probe_path(cols)
+        }
+        InputPlan::Nothing | InputPlan::Derived(_) => {
+            unreachable!("DML targets are planned as base-table accesses")
+        }
+    };
+    TargetPlan {
+        access,
+        path,
+        whole_rows,
+    }
+}
+
+/// The target columns (`offset < width`) that `exprs`, bound over a
+/// target-then-source row, read — or `None` (every column) when the write
+/// phase rewrites whole rows.
+fn target_reads<'e>(
+    table: &Table,
+    mode: UpdateMode,
+    exprs: impl IntoIterator<Item = &'e PExpr>,
+) -> ReadCols {
+    if mode == UpdateMode::Rewrite {
+        return ReadCols::all(&table.schema);
+    }
+    let mut used = vec![false; table.schema.columns.len()];
+    for e in exprs {
+        mark_pexpr_cols(e, &mut used);
+    }
+    ReadCols::of(&table.schema, &used)
+}
+
+/// The source columns (`offset >= target_width`) that `exprs` read.
+fn source_reads<'e>(
+    target_width: usize,
+    source_width: usize,
+    exprs: impl IntoIterator<Item = &'e PExpr>,
+) -> Vec<bool> {
+    let mut used = vec![false; target_width + source_width];
+    for e in exprs {
+        mark_pexpr_cols(e, &mut used);
+    }
+    used.split_off(target_width)
 }
 
 /// Plans an UPDATE (plain or `UPDATE … FROM`).
@@ -959,16 +1015,27 @@ fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
                 .ok_or_else(|| SqlError::Bind(format!("no column {name} in {}", upd.table)))
         })
         .collect::<Result<_>>()?;
+    let mode = table.update_mode(&assign_cols);
 
     let kind = match &upd.from {
         None => {
-            let target = plan_dml_target(&mut b, &upd.table, binding, upd.filter.as_ref())?;
+            let access = plan_dml_target(&mut b, &upd.table, binding, upd.filter.as_ref())?;
             let assigns: Vec<PExpr> = upd
                 .assignments
                 .iter()
                 .map(|(_, e)| b.bind(&tschema, e))
                 .collect::<Result<_>>()?;
-            UpdateKind::Plain { target, assigns }
+            let need = (mode == UpdateMode::InPlace).then(|| {
+                let mut used = vec![false; tschema.cols.len()];
+                for a in &assigns {
+                    mark_pexpr_cols(a, &mut used);
+                }
+                used
+            });
+            UpdateKind::Plain {
+                target: finish_target(table, access, need),
+                assigns,
+            }
         }
         Some(source_ref) => {
             let mut conjuncts: Vec<Expr> =
@@ -1006,10 +1073,22 @@ fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
                 .iter()
                 .map(|(_, e)| b.bind(&combined, e))
                 .collect::<Result<_>>()?;
+            let row_exprs = || {
+                target_residual
+                    .iter()
+                    .chain(&mixed_residual)
+                    .chain(&assigns)
+            };
+            let probe = ProbePlan {
+                path: table.probe_path(&probe_cols),
+                cols: probe_cols,
+                keys: probe_keys,
+                read: target_reads(table, mode, row_exprs()),
+                source_read: source_reads(target_width, source_schema.cols.len(), row_exprs()),
+            };
             UpdateKind::From {
                 source,
-                probe_cols,
-                probe_keys,
+                probe,
                 target_residual,
                 mixed_residual,
                 assigns,
@@ -1020,6 +1099,7 @@ fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
         table: upd.table.clone(),
         assign_cols,
         kind,
+        mode,
         subplans: b.subplans,
     })
 }
@@ -1027,10 +1107,11 @@ fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
 /// Plans a DELETE.
 fn plan_delete(catalog: &Catalog, del: &Delete) -> Result<DeletePlan> {
     let mut b = Binder::new(catalog);
-    let target = plan_dml_target(&mut b, &del.table, &del.table, del.filter.as_ref())?;
+    let access = plan_dml_target(&mut b, &del.table, &del.table, del.filter.as_ref())?;
+    let table = catalog.table(&del.table)?;
     Ok(DeletePlan {
         table: del.table.clone(),
-        target,
+        target: finish_target(table, access, Some(table.indexed_cols())),
         subplans: b.subplans,
     })
 }
@@ -1149,14 +1230,49 @@ fn plan_merge(catalog: &Catalog, m: &Merge) -> Result<MergePlan> {
         })
         .transpose()?;
 
+    let (matched_cols, matched_exprs): (&[usize], Vec<&PExpr>) = match &matched {
+        Some((cond, cols, exprs)) => (cols, cond.iter().chain(exprs).collect()),
+        None => (&[], Vec::new()),
+    };
+    let mode = table.update_mode(matched_cols);
+    let row_exprs = || residual.iter().chain(matched_exprs.iter().copied());
+    let path = table.probe_path(&probe_cols);
+    // A full-key probe of a unique index on INT columns, whose key
+    // expressions are also what NOT MATCHED inserts into those columns:
+    // an unmatched source row's key was just shown to be absent. That
+    // holds only while "unmatched" means "no probe hit" (no ON residual
+    // can reject a hit) and WHEN MATCHED cannot write a probed key.
+    let hit_is_match = residual.is_empty() && mode == UpdateMode::InPlace;
+    let insert_keys_probed = match (path, &not_matched) {
+        (ProbePath::Secondary { index, point: true }, Some((cols, exprs))) if hit_is_match => {
+            probe_cols
+                .iter()
+                .zip(&probe_keys)
+                .all(|(pc, pk)| {
+                    table.schema.columns[*pc].dtype == DataType::Int
+                        && cols.iter().zip(exprs).any(|(c, e)| c == pc && e == pk)
+                })
+                .then_some(index)
+        }
+        _ => None,
+    };
+    let probe = ProbePlan {
+        path,
+        read: target_reads(table, mode, row_exprs()),
+        source_read: source_reads(tschema.cols.len(), source_schema.cols.len(), row_exprs()),
+        cols: probe_cols,
+        keys: probe_keys,
+    };
+
     Ok(MergePlan {
         target: m.target.clone(),
         source,
-        probe_cols,
-        probe_keys,
+        probe,
         residual,
         matched,
+        mode,
         not_matched,
+        insert_keys_probed,
         subplans: b.subplans,
     })
 }

@@ -29,7 +29,7 @@ pub(crate) mod exec;
 pub(crate) mod vexec;
 
 use crate::ast::{AggFunc, BinaryOp, Stmt, UnaryOp, WindowFunc};
-use crate::catalog::TableSchema;
+use crate::catalog::{ProbePath, TableSchema, UpdateMode};
 use crate::exec::eval::Schema;
 use fempath_storage::{ColSet, Value};
 use std::sync::Arc;
@@ -72,23 +72,23 @@ impl PreparedPlan {
                 match &up.kind {
                     UpdateKind::Plain { target, .. } => {
                         out.push(format!("UPDATE {}", up.table));
-                        describe_source(target, 1, &mut out);
+                        describe_target(target, &mut out);
                     }
-                    UpdateKind::From {
-                        source, probe_cols, ..
-                    } => {
+                    UpdateKind::From { source, probe, .. } => {
                         out.push(format!(
-                            "UPDATE {} probing columns {probe_cols:?}",
-                            up.table
+                            "UPDATE {} probing columns {:?}",
+                            up.table, probe.cols
                         ));
                         describe_source(source, 1, &mut out);
+                        describe_probe(&up.table, probe, &mut out);
                     }
                 }
+                out.push(format!("  WRITE {}", describe_mode(up.mode)));
                 describe_subplans(&up.subplans, 1, &mut out);
             }
             PlanKind::Delete(dp) => {
                 out.push(format!("DELETE {}", dp.table));
-                describe_source(&dp.target, 1, &mut out);
+                describe_target(&dp.target, &mut out);
                 describe_subplans(&dp.subplans, 1, &mut out);
             }
             PlanKind::Insert(ip) => {
@@ -108,9 +108,23 @@ impl PreparedPlan {
             PlanKind::Merge(mp) => {
                 out.push(format!(
                     "MERGE INTO {} probing columns {:?}",
-                    mp.target, mp.probe_cols
+                    mp.target, mp.probe.cols
                 ));
                 describe_source(&mp.source, 1, &mut out);
+                describe_probe(&mp.target, &mp.probe, &mut out);
+                if mp.matched.is_some() {
+                    out.push(format!("  WRITE {}", describe_mode(mp.mode)));
+                }
+                if mp.not_matched.is_some() {
+                    out.push(format!(
+                        "  INSERT unmatched rows{}",
+                        if mp.insert_keys_probed.is_some() {
+                            ", keys proven absent by the probe"
+                        } else {
+                            ""
+                        }
+                    ));
+                }
                 describe_subplans(&mp.subplans, 1, &mut out);
             }
             PlanKind::Fallback(stmt) => out.push(format!(
@@ -147,7 +161,7 @@ pub(crate) enum PlanKind {
 
 /// A bound expression over fixed column offsets, with parameters and
 /// subqueries left as runtime slots.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum PExpr {
     Const(Value),
     /// `?` parameter, bound per execution.
@@ -413,6 +427,9 @@ pub(crate) struct UpdatePlan {
     pub(crate) table: String,
     pub(crate) assign_cols: Vec<usize>,
     pub(crate) kind: UpdateKind,
+    /// How the write phase applies the assignments — from the target's
+    /// storage and `assign_cols ∩ index columns`, once per statement.
+    pub(crate) mode: UpdateMode,
     pub(crate) subplans: Vec<SubPlan>,
 }
 
@@ -420,19 +437,13 @@ pub(crate) struct UpdatePlan {
 /// probe.
 pub(crate) enum UpdateKind {
     Plain {
-        /// How the rows to update are found: an index probe (reading whole
-        /// rows) when the WHERE clause pins an indexed prefix, otherwise a
-        /// scan that reads only the predicate's columns and re-fetches the
-        /// rows it selects. `filter` holds the WHERE conjuncts the access
-        /// path did not consume.
-        target: SourcePlan,
+        target: TargetPlan,
+        /// Assignments over the target row.
         assigns: Vec<PExpr>,
     },
     From {
         source: SourcePlan,
-        probe_cols: Vec<usize>,
-        /// Probe key expressions over the source row.
-        probe_keys: Vec<PExpr>,
+        probe: ProbePlan,
         /// Residuals reading only the target row prefix.
         target_residual: Vec<PExpr>,
         /// Residuals over the combined target+source row.
@@ -442,11 +453,43 @@ pub(crate) enum UpdateKind {
     },
 }
 
+/// How a plain UPDATE/DELETE finds its rows: an index probe with
+/// row-independent keys when the WHERE clause pins an indexed prefix,
+/// otherwise a scan. `access.filter` holds the conjuncts the access path
+/// did not consume; the access's `read` set is what the filter and the
+/// write phase need of each row.
+pub(crate) struct TargetPlan {
+    pub(crate) access: SourcePlan,
+    /// The probe path of a lookup's columns.
+    pub(crate) path: ProbePath,
+    /// The write phase rewrites whole rows ([`UpdateMode::Rewrite`]): a
+    /// lookup reads every column, a scan reads the predicate's columns
+    /// and re-reads the rows it selects whole.
+    pub(crate) whole_rows: bool,
+}
+
+/// The per-source-row equality probe of `UPDATE … FROM` / MERGE into the
+/// target table.
+pub(crate) struct ProbePlan {
+    pub(crate) cols: Vec<usize>,
+    /// Probe key expressions over the source row.
+    pub(crate) keys: Vec<PExpr>,
+    pub(crate) path: ProbePath,
+    /// Target columns fetched for each match: what the residuals,
+    /// conditions and assignments read (every column under
+    /// [`UpdateMode::Rewrite`]).
+    pub(crate) read: ReadCols,
+    /// Source columns the combined-row expressions read; only these are
+    /// copied next to the fetched target columns.
+    pub(crate) source_read: Vec<bool>,
+}
+
 /// A compiled DELETE.
 pub(crate) struct DeletePlan {
     pub(crate) table: String,
-    /// How the rows to delete are found (see [`UpdateKind::Plain`]).
-    pub(crate) target: SourcePlan,
+    /// Reads the predicate's columns plus the indexed ones (the keys of
+    /// the index entries to remove).
+    pub(crate) target: TargetPlan,
     pub(crate) subplans: Vec<SubPlan>,
 }
 
@@ -468,15 +511,22 @@ pub(crate) enum InsertSourcePlan {
 pub(crate) struct MergePlan {
     pub(crate) target: String,
     pub(crate) source: SourcePlan,
-    pub(crate) probe_cols: Vec<usize>,
-    pub(crate) probe_keys: Vec<PExpr>,
+    pub(crate) probe: ProbePlan,
     /// ON-clause residual over the combined target+source row.
     pub(crate) residual: Vec<PExpr>,
     /// WHEN MATCHED: (condition, assigned columns, value expressions) over
     /// the combined row.
     pub(crate) matched: Option<(Option<PExpr>, Vec<usize>, Vec<PExpr>)>,
+    /// How WHEN MATCHED assignments are written.
+    pub(crate) mode: UpdateMode,
     /// WHEN NOT MATCHED: (columns, value expressions) over the source row.
     pub(crate) not_matched: Option<(Vec<usize>, Vec<PExpr>)>,
+    /// The unique secondary index whose full key the probe looks up and
+    /// the NOT MATCHED insert writes from the same source expressions,
+    /// with no ON residual to reject a probe hit and no WHEN MATCHED
+    /// assignment to an index key: an unmatched row's key is then known
+    /// to be absent from it.
+    pub(crate) insert_keys_probed: Option<usize>,
     pub(crate) subplans: Vec<SubPlan>,
 }
 
@@ -518,6 +568,45 @@ fn describe_source(sp: &SourcePlan, depth: usize, out: &mut Vec<String>) {
             ));
             describe_select(sub, depth + 1, out);
         }
+    }
+}
+
+fn describe_target(tp: &TargetPlan, out: &mut Vec<String>) {
+    describe_source(&tp.access, 1, out);
+    let note = match &tp.access.input {
+        InputPlan::Lookup { .. } => format!(", {}", describe_path(tp.path)),
+        InputPlan::Scan { .. } if tp.whole_rows => ", matches re-read whole".into(),
+        _ => return,
+    };
+    if let Some(line) = out.last_mut() {
+        line.push_str(&note);
+    }
+}
+
+fn describe_probe(table: &str, probe: &ProbePlan, out: &mut Vec<String>) {
+    out.push(format!(
+        "  PROBE {table} {}, {}",
+        describe_path(probe.path),
+        probe.read
+    ));
+}
+
+fn describe_path(path: ProbePath) -> String {
+    match path {
+        ProbePath::Clustered => "by clustered-key prefix".into(),
+        ProbePath::Secondary { index, point: true } => format!("by unique key of index #{index}"),
+        ProbePath::Secondary {
+            index,
+            point: false,
+        } => format!("by prefix of index #{index}"),
+        ProbePath::Scan => "by scan (no index on the probed columns)".into(),
+    }
+}
+
+fn describe_mode(mode: UpdateMode) -> &'static str {
+    match mode {
+        UpdateMode::InPlace => "assigned cells in place",
+        UpdateMode::Rewrite => "whole rows (clustered target or indexed column assigned)",
     }
 }
 

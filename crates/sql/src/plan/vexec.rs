@@ -22,16 +22,16 @@
 
 use super::exec::{self, Env, SubResult};
 use super::{
-    FromPlan, InputPlan, InsertPlan, InsertSourcePlan, JoinPlan, MergePlan, PExpr, RightPlan,
-    SelectPlan, SourcePlan, SubPlan, UpdateKind, UpdatePlan,
+    FromPlan, InputPlan, InsertPlan, InsertSourcePlan, JoinPlan, MergePlan, PExpr, ProbePlan,
+    RightPlan, SelectPlan, SourcePlan, SubPlan, TargetPlan, UpdateKind, UpdatePlan,
 };
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::catalog::{BatchLocs, Catalog, RowLoc, Table};
+use crate::catalog::{BatchLocs, Catalog, ProbePath, Table, UpdateMode};
 use crate::error::{Result, SqlError};
 use crate::exec::agg::AggState;
 use crate::exec::eval::{arith, in_list_result, truthy, HashKey};
 use fempath_storage::{
-    encode_key, BufferPool, Chunk, ColSet, Column, NullMask, Value, CHUNK_CAPACITY,
+    encode_key, encode_key_into, BufferPool, Chunk, ColSet, Column, NullMask, Value, CHUNK_CAPACITY,
 };
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -187,13 +187,7 @@ fn vcol_into_column(v: VCol, n: usize) -> Column {
             nulls: nulls.unwrap_or_else(|| NullMask::all_valid(n)),
         },
         VCol::Generic(vals) => Column::Generic(vals),
-        VCol::Const(val) => {
-            let mut c = Column::new_int();
-            for _ in 0..n {
-                c.push(val.clone());
-            }
-            c
-        }
+        VCol::Const(val) => Column::repeat(&val, n),
     }
 }
 
@@ -773,9 +767,11 @@ fn stream_source_v(
                 if chunk.is_empty() {
                     continue;
                 }
-                let mut sel: Vec<u32> = (0..chunk.len() as u32).collect();
+                let mut sel = take_sel(chunk.len());
                 apply_filter(&sp.filter, chunk, &mut sel, env)?;
-                if !sel.is_empty() && !f(chunk, &sel)? {
+                let go = sel.is_empty() || f(chunk, &sel)?;
+                put_sel(sel);
+                if !go {
                     break;
                 }
             }
@@ -792,23 +788,6 @@ fn probe_keys(keys: &[PExpr], env: &Env<'_>) -> Result<Option<Vec<Value>>> {
         key_vals.push(exec::eval_px(k, &[], env)?);
     }
     Ok((!key_vals.iter().any(|k| k.is_null())).then_some(key_vals))
-}
-
-/// Materializes a source's selected rows (DML sources, MERGE).
-fn collect_source_rows_v(
-    pool: &mut BufferPool,
-    catalog: &Catalog,
-    env: &Env<'_>,
-    sp: &SourcePlan,
-) -> Result<Vec<Vec<Value>>> {
-    let mut rows = Vec::new();
-    stream_source_v(pool, catalog, env, sp, &mut |chunk, sel| {
-        for &r in sel {
-            rows.push(chunk.row(r as usize));
-        }
-        Ok(true)
-    })?;
-    Ok(rows)
 }
 
 /// Materializes a join stage's right side as one columnar batch.
@@ -1448,50 +1427,80 @@ pub(crate) fn run_select_chunks(
             return Ok(vec![fempath_storage::chunk_from_rows(&rows)]);
         }
         // Grouped aggregation: group keys and aggregate arguments are
-        // evaluated per batch; per-row work is the accumulator update.
-        let mut order: Vec<HashKey> = Vec::new();
-        let mut groups: HashMap<HashKey, (Vec<Value>, Vec<AggState>)> = HashMap::new();
+        // evaluated per batch; every row is mapped to a dense group id,
+        // then each argument column folds into that group's accumulators
+        // — typed, with no per-row key or value materialization, when the
+        // key is a single non-NULL integer and the arguments are integers
+        // (every FEM statistics statement).
+        let n_aggs = agg.aggs.len();
+        let mut ids: HashMap<HashKey, u32> = HashMap::new();
+        let mut keys: Vec<Vec<Value>> = Vec::new();
+        let mut states: Vec<AggState> = Vec::new(); // group-major
+        let mut gid: Vec<u32> = Vec::new();
         run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
             let gcols: Vec<VCol> = agg
                 .group
                 .iter()
                 .map(|g| eval_v(g, chunk, sel, &env))
                 .collect::<Result<_>>()?;
-            let acols: Vec<Option<VCol>> = agg
-                .aggs
-                .iter()
-                .map(|(_, arg)| {
-                    arg.as_ref()
-                        .map(|a| eval_v(a, chunk, sel, &env))
-                        .transpose()
-                })
-                .collect::<Result<_>>()?;
+            gid.clear();
+            // Runs of one key (rows clustered by it) skip the hash lookup.
+            let mut last: Option<(HashKey, u32)> = None;
             for k in 0..sel.len() {
-                let mut key_vals: Vec<Value> = gcols.iter().map(|c| c.get(k)).collect();
-                let key = HashKey::from_values(&key_vals)?;
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    (
-                        std::mem::take(&mut key_vals),
-                        agg.aggs.iter().map(|(f, _)| AggState::new(*f)).collect(),
-                    )
-                });
-                for (state, arg) in entry.1.iter_mut().zip(&acols) {
-                    state.update(arg.as_ref().map(|c| c.get(k)))?;
+                let key = match &gcols[..] {
+                    [VCol::Int { vals, nulls: None }] => HashKey::Int(vals[k]),
+                    _ => {
+                        let vals: Vec<Value> = gcols.iter().map(|c| c.get(k)).collect();
+                        HashKey::from_values(&vals)?
+                    }
+                };
+                let g = match &last {
+                    Some((prev, g)) if *prev == key => *g,
+                    _ => match ids.get(&key) {
+                        Some(g) => *g,
+                        None => {
+                            keys.push(gcols.iter().map(|c| c.get(k)).collect());
+                            states.extend(agg.aggs.iter().map(|(f, _)| AggState::new(*f)));
+                            ids.insert(key.clone(), keys.len() as u32 - 1);
+                            keys.len() as u32 - 1
+                        }
+                    },
+                };
+                gid.push(g);
+                last = Some((key, g));
+            }
+            for (a, (_, arg)) in agg.aggs.iter().enumerate() {
+                let slot = |k: usize| gid[k] as usize * n_aggs + a;
+                match arg
+                    .as_ref()
+                    .map(|e| eval_v(e, chunk, sel, &env))
+                    .transpose()?
+                {
+                    None => (0..sel.len()).for_each(|k| states[slot(k)].update_star(1)),
+                    Some(VCol::Int { vals, nulls }) => {
+                        for (k, &x) in vals.iter().enumerate() {
+                            if !nulls.as_ref().is_some_and(|m| m.get(k)) {
+                                states[slot(k)].update_int(x);
+                            }
+                        }
+                    }
+                    Some(v) => {
+                        for k in 0..sel.len() {
+                            states[slot(k)].update(Some(v.get(k)))?;
+                        }
+                    }
                 }
             }
             Ok(true)
         })?;
-        let mut rows = Vec::with_capacity(order.len());
-        for key in order {
-            let (mut key_vals, states) = groups.remove(&key).ok_or_else(|| {
-                SqlError::Eval("group key vanished between collection and output".into())
-            })?;
-            for s in states {
-                key_vals.push(s.finish());
-            }
-            rows.push(key_vals);
-        }
+        let mut states = states.into_iter();
+        let rows: Vec<Vec<Value>> = keys
+            .into_iter()
+            .map(|mut row| {
+                row.extend(states.by_ref().take(n_aggs).map(AggState::finish));
+                row
+            })
+            .collect();
         let rows = exec::post_process(rows, plan, &env)?;
         return Ok(vec![fempath_storage::chunk_from_rows(&rows)]);
     }
@@ -1508,11 +1517,12 @@ pub(crate) fn run_select_chunks(
             Ok(true)
         })?;
         data.retain(|c| !c.is_empty());
+        let mut sel = take_sel(0);
         for w in &plan.windows {
             let mut pacc: Vec<Column> = w.partition.iter().map(|_| Column::new_int()).collect();
             let mut oacc: Vec<Column> = w.order.iter().map(|_| Column::new_int()).collect();
             for c in &data {
-                let sel: Vec<u32> = (0..c.len() as u32).collect();
+                fill_identity(&mut sel, c.len());
                 for (acc, p) in pacc.iter_mut().zip(&w.partition) {
                     let v = eval_v(p, c, &sel, &env)?;
                     append_vcol_to_column(acc, &v, sel.len());
@@ -1536,7 +1546,7 @@ pub(crate) fn run_select_chunks(
             // Batched projection (the FEM E-operator source shape).
             let mut out = Vec::with_capacity(data.len());
             for c in &data {
-                let sel: Vec<u32> = (0..c.len() as u32).collect();
+                fill_identity(&mut sel, c.len());
                 let pcols: Vec<VCol> = plan
                     .items
                     .iter()
@@ -1544,8 +1554,10 @@ pub(crate) fn run_select_chunks(
                     .collect::<Result<_>>()?;
                 out.push(vcols_to_chunk(pcols, sel.len()));
             }
+            put_sel(sel);
             return Ok(out);
         }
+        put_sel(sel);
         let mut rows: Vec<Vec<Value>> = Vec::new();
         for c in &data {
             rows.extend(c.to_rows());
@@ -1687,7 +1699,7 @@ pub(crate) fn run_insert(
                         )));
                     }
                     let mut cols: Vec<Column> =
-                        (0..n_cols).map(|_| null_column(sc.len())).collect();
+                        (0..n_cols).map(|_| Column::nulls(sc.len())).collect();
                     for (i, &p) in pos.iter().enumerate() {
                         cols[p] = sc.col(i).clone();
                     }
@@ -1698,14 +1710,14 @@ pub(crate) fn run_insert(
             // Coerce up front: the interpreter coerces *every* source
             // row before writing anything, so a type error in a late
             // chunk must surface before the first chunk is inserted.
-            full.push(table.coerce_chunk(&fc)?);
+            full.push(table.coerce_chunk(fc)?);
         }
         full
     };
     let mut n = 0u64;
     let table = catalog.table_mut(&plan.table)?;
     for c in &full_chunks {
-        n += table.insert_chunk_precoerced(pool, c)?;
+        n += table.insert_chunk_precoerced(pool, c, None)?;
     }
     Ok(n)
 }
@@ -1762,76 +1774,79 @@ fn insert_values(
     Ok(full_rows.len() as u64)
 }
 
-fn null_column(n: usize) -> Column {
-    let mut c = Column::new_int();
-    for _ in 0..n {
-        c.push_null();
-    }
-    c
-}
-
-/// Sink of [`match_target`]: whole target rows, the selection of those that
-/// match, and the rows' locators (parallel to the chunk's rows).
-type MatchSink<'a> = dyn FnMut(&Chunk, &[u32], &[RowLoc]) -> Result<()> + 'a;
+/// Sink of [`match_target`]: a batch of target rows (the columns the
+/// target plan reads), the selection of those that match, and the batch's
+/// locators (parallel to the chunk's rows).
+type MatchSink<'a> = dyn FnMut(&Chunk, &[u32], &BatchLocs) -> Result<()> + 'a;
 
 /// Read phase shared by plain UPDATE and DELETE: finds the target rows
-/// through the planned access path and streams them, whole, to `f`.
+/// through the planned access path and streams them to `f`.
 ///
-/// An index probe reads whole rows to begin with and applies the residual
-/// conjuncts to them. A scan decodes only the predicate's columns, builds
-/// locators for the rows the predicate keeps, and re-reads just those
-/// rows whole ([`Table::fetch_chunk`], one page read per touched page).
+/// An index probe resolves its key to locators and fetches the planned
+/// columns of those rows; a scan decodes the planned columns of every
+/// row. Either way the residual conjuncts narrow the selection. When the
+/// write phase rewrites whole rows, a scan reads just its predicate's
+/// columns and re-reads the rows it selects whole
+/// ([`Table::fetch_chunk`], one page read per touched page).
 fn match_target(
     pool: &mut BufferPool,
     table: &Table,
-    target: &SourcePlan,
+    target: &TargetPlan,
     env: &Env<'_>,
     f: &mut MatchSink<'_>,
 ) -> Result<()> {
-    let mut full = take_chunk();
-    let mut narrow = take_chunk();
+    let mut rows = take_chunk();
+    let mut whole = take_chunk();
     let mut sel = take_sel(0);
-    let mut locs: Vec<RowLoc> = Vec::new();
-    let res = (|| match &target.input {
-        InputPlan::Lookup { cols, keys, .. } => {
+    let mut locs = BatchLocs::default();
+    let mut picked = BatchLocs::default();
+    let filter = &target.access.filter;
+    let res = (|| match &target.access.input {
+        InputPlan::Lookup {
+            cols, keys, read, ..
+        } => {
             let Some(key_vals) = probe_keys(keys, env)? else {
                 return Ok(());
             };
-            table.lookup_eq(pool, cols, &key_vals, |loc, row| {
-                locs.push(loc);
-                full.push_row(&row);
-                true
-            })?;
-            fill_identity(&mut sel, full.len());
-            apply_filter(&target.filter, &full, &mut sel, env)?;
+            let key = encode_key(&key_vals)?;
+            let mut out = Probed {
+                locs: &mut locs,
+                rows: &mut rows,
+                read: &read.set,
+            };
+            probe_target(pool, table, target.path, cols, &key, &key_vals, &mut out)?;
+            fetch_probed(pool, table, target.path, &mut out)?;
+            fill_identity(&mut sel, rows.len());
+            apply_filter(filter, &rows, &mut sel, env)?;
             if !sel.is_empty() {
-                f(&full, &sel, &locs)?;
+                f(&rows, &sel, &locs)?;
             }
             Ok(())
         }
         InputPlan::Scan { read, .. } => {
             let mut cursor = table.batch_cursor(pool)?;
-            let mut batch_locs = BatchLocs::default();
             loop {
-                narrow.reset();
-                batch_locs.clear();
+                rows.reset();
+                locs.clear();
                 let more = table.next_batch(
                     pool,
                     &mut cursor,
-                    &mut narrow,
+                    &mut rows,
                     &read.set,
-                    Some(&mut batch_locs),
+                    Some(&mut locs),
                     CHUNK_CAPACITY,
                 )?;
-                fill_identity(&mut sel, narrow.len());
-                apply_filter(&target.filter, &narrow, &mut sel, env)?;
-                if !sel.is_empty() {
-                    locs.clear();
-                    locs.extend(sel.iter().map(|&r| batch_locs.loc(r as usize)));
-                    full.reset();
-                    table.fetch_chunk(pool, &locs, &mut full, &ColSet::all())?;
-                    fill_identity(&mut sel, full.len());
-                    f(&full, &sel, &locs)?;
+                fill_identity(&mut sel, rows.len());
+                apply_filter(filter, &rows, &mut sel, env)?;
+                if !sel.is_empty() && target.whole_rows {
+                    picked.clear();
+                    picked.extend_selected(&locs, &sel);
+                    whole.reset();
+                    table.fetch_chunk(pool, &picked, &mut whole, &ColSet::all())?;
+                    fill_identity(&mut sel, whole.len());
+                    f(&whole, &sel, &picked)?;
+                } else if !sel.is_empty() {
+                    f(&rows, &sel, &locs)?;
                 }
                 if !more {
                     return Ok(());
@@ -1842,222 +1857,363 @@ fn match_target(
             unreachable!("DML targets are planned as base-table accesses")
         }
     })();
-    put_chunk(full);
-    put_chunk(narrow);
+    put_chunk(rows);
+    put_chunk(whole);
     put_sel(sel);
     res
 }
 
-/// Executes an UPDATE plan; the read phase scans in batches with
-/// vectorized predicates and assignments, the write phase applies one
-/// page-grouped batch per statement.
+/// Where a batch of DML-target probes collects what it finds: locators
+/// and, row for row, the `read` columns of the rows they address.
+struct Probed<'a> {
+    locs: &'a mut BatchLocs,
+    rows: &'a mut Chunk,
+    read: &'a ColSet,
+}
+
+/// One equality probe of a DML target along its planned path: appends the
+/// locators of the rows whose `cols` equal the key (`key` is its index
+/// encoding, `key_vals` its values — an unindexed probe compares those).
+/// A probe that stands on the rows it finds (the clustering tree,
+/// segments) appends their columns too; the others leave that to one
+/// [`fetch_probed`] per batch of probes.
+fn probe_target(
+    pool: &mut BufferPool,
+    table: &Table,
+    path: ProbePath,
+    cols: &[usize],
+    key: &[u8],
+    key_vals: &[Value],
+    out: &mut Probed<'_>,
+) -> Result<()> {
+    match path {
+        ProbePath::Clustered => table.probe_clustered(pool, key, out.locs, out.rows, out.read),
+        ProbePath::Secondary { index, point } => {
+            table.probe_index_locs(pool, index, point, key, out.locs)
+        }
+        ProbePath::Scan if table.is_segmented() => {
+            table.probe_segmented(pool, cols, key_vals, out.locs, out.rows, out.read)
+        }
+        ProbePath::Scan => table.scan_eq_locs(pool, cols, key_vals, out.locs),
+    }
+}
+
+/// Fetches the columns of the rows a batch of [`probe_target`] calls
+/// located and did not decode: heap rows, one pool read per run of
+/// locators on a page.
+fn fetch_probed(
+    pool: &mut BufferPool,
+    table: &Table,
+    path: ProbePath,
+    out: &mut Probed<'_>,
+) -> Result<()> {
+    if path == ProbePath::Clustered || table.is_segmented() {
+        return Ok(());
+    }
+    table.fetch_chunk(pool, out.locs, out.rows, out.read)
+}
+
+/// Materializes a DML source as batches (the probes that follow need the
+/// buffer pool between batches).
+fn collect_source_chunks(
+    pool: &mut BufferPool,
+    catalog: &Catalog,
+    env: &Env<'_>,
+    sp: &SourcePlan,
+) -> Result<Vec<Chunk>> {
+    if let (InputPlan::Derived(sub), true) = (&sp.input, sp.filter.is_empty()) {
+        return run_select_chunks(pool, catalog, env.params, sub);
+    }
+    let mut out = Vec::new();
+    stream_source_v(pool, catalog, env, sp, &mut |chunk, sel| {
+        out.push(chunk.gather(sel));
+        Ok(true)
+    })?;
+    Ok(out)
+}
+
+/// The matches of one source batch's probes into a DML target: the target
+/// columns the plan fetches followed by the source columns it reads, one
+/// row per (target row, source row) pair, in source order.
+struct Matches {
+    /// Combined target+source rows (bound offsets of both sides apply).
+    rows: Chunk,
+    /// Locator of each pair's target row.
+    locs: BatchLocs,
+    /// Source batch row of each pair.
+    src: Vec<u32>,
+    /// Every probe key was a non-NULL integer.
+    int_keys: bool,
+}
+
+/// Probes `table` once per row of the source batch `sc` (vectorized key
+/// evaluation, one index descent per row, NULL keys never match), then
+/// fetches the matched rows' planned columns in one pass.
+fn probe_source_chunk(
+    pool: &mut BufferPool,
+    table: &Table,
+    probe: &ProbePlan,
+    sc: &Chunk,
+    env: &Env<'_>,
+) -> Result<Matches> {
+    let sel = take_sel(sc.len());
+    let kcols: Vec<VCol> = probe
+        .keys
+        .iter()
+        .map(|k| eval_v(k, sc, &sel, env))
+        .collect::<Result<_>>()?;
+    put_sel(sel);
+    let mut m = Matches {
+        // Not from the chunk pool: these batches grow as tall as the match
+        // set and as wide as both sides, and pooling them pins that.
+        rows: Chunk::new(),
+        locs: BatchLocs::default(),
+        src: Vec::new(),
+        int_keys: true,
+    };
+    let mut out = Probed {
+        locs: &mut m.locs,
+        rows: &mut m.rows,
+        read: &probe.read.set,
+    };
+    let mut key = Vec::new();
+    let mut key_vals = Vec::new();
+    'row: for k in 0..sc.len() {
+        key.clear();
+        key_vals.clear();
+        for c in &kcols {
+            let v = c.get(k);
+            m.int_keys &= matches!(v, Value::Int(_));
+            if v.is_null() {
+                continue 'row;
+            }
+            encode_key_into(&mut key, &v)?;
+            if probe.path == ProbePath::Scan {
+                key_vals.push(v);
+            }
+        }
+        probe_target(
+            pool,
+            table,
+            probe.path,
+            &probe.cols,
+            &key,
+            &key_vals,
+            &mut out,
+        )?;
+        m.src.resize(out.locs.len(), k as u32);
+    }
+    fetch_probed(pool, table, probe.path, &mut out)?;
+    if !m.rows.is_empty() {
+        m.rows = m.rows.hcat(sc.gather_cols(&m.src, &probe.source_read));
+    }
+    Ok(m)
+}
+
+/// One statement's pending row updates in columnar form: locators, the
+/// new value of every assigned column, and — when the write phase
+/// rewrites whole rows — the rows as stored.
+struct PendingUpdates<'p> {
+    assign_cols: &'p [usize],
+    mode: UpdateMode,
+    locs: BatchLocs,
+    vals: Vec<Column>,
+    old: Chunk,
+}
+
+impl<'p> PendingUpdates<'p> {
+    fn new(assign_cols: &'p [usize], mode: UpdateMode) -> Self {
+        PendingUpdates {
+            assign_cols,
+            mode,
+            locs: BatchLocs::default(),
+            vals: assign_cols.iter().map(|_| Column::new_int()).collect(),
+            old: Chunk::new(),
+        }
+    }
+
+    /// Evaluates `assigns` over the selected rows of `rows` (target
+    /// columns first) and queues the coerced results for `locs[sel]`.
+    fn push(
+        &mut self,
+        table: &Table,
+        assigns: &[PExpr],
+        rows: &Chunk,
+        sel: &[u32],
+        locs: &BatchLocs,
+        env: &Env<'_>,
+    ) -> Result<()> {
+        for ((acc, &c), a) in self.vals.iter_mut().zip(self.assign_cols).zip(assigns) {
+            let v = eval_v(a, rows, sel, env)?;
+            acc.append(table.coerce_column(c, vcol_into_column(v, sel.len()))?);
+        }
+        self.locs.extend_selected(locs, sel);
+        if self.mode == UpdateMode::Rewrite {
+            self.old
+                .append_gather_prefix(rows, sel, table.schema.columns.len());
+        }
+        Ok(())
+    }
+
+    /// Write phase; returns the number of rows updated.
+    fn apply(self, pool: &mut BufferPool, table: &mut Table) -> Result<u64> {
+        table.update_rows(
+            pool,
+            &self.locs,
+            self.assign_cols,
+            &self.vals,
+            &self.old,
+            self.mode,
+        )
+    }
+}
+
+/// Executes an UPDATE plan, columnar end to end: the read phase finds the
+/// target rows (a planned scan or probe, or one probe per source row for
+/// `UPDATE … FROM`), narrows them with vectorized residuals and evaluates
+/// the assignments over the survivors; the write phase takes locators
+/// plus the assigned columns.
 pub(crate) fn run_update(
     pool: &mut BufferPool,
     catalog: &mut Catalog,
     params: &[Value],
     plan: &UpdatePlan,
 ) -> Result<u64> {
-    let pending: Vec<(RowLoc, Vec<Value>, Vec<Value>)> = {
+    let mut pending = PendingUpdates::new(&plan.assign_cols, plan.mode);
+    {
         let catalog = &*catalog;
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
         let table = catalog.table(&plan.table)?;
         match &plan.kind {
             UpdateKind::Plain { target, assigns } => {
-                let mut pending = Vec::new();
-                match_target(pool, table, target, &env, &mut |chunk, sel, locs| {
-                    let acols: Vec<VCol> = assigns
-                        .iter()
-                        .map(|a| eval_v(a, chunk, sel, &env))
-                        .collect::<Result<_>>()?;
-                    for (k, &r) in sel.iter().enumerate() {
-                        let old = chunk.row(r as usize);
-                        let mut new_row = old.clone();
-                        for (c, vc) in plan.assign_cols.iter().zip(&acols) {
-                            new_row[*c] = vc.get(k);
-                        }
-                        let new_row = table.coerce_row(new_row)?;
-                        pending.push((locs[r as usize].clone(), old, new_row));
-                    }
-                    Ok(())
+                match_target(pool, table, target, &env, &mut |rows, sel, locs| {
+                    pending.push(table, assigns, rows, sel, locs, &env)
                 })?;
-                pending
             }
             UpdateKind::From {
                 source,
-                probe_cols,
-                probe_keys,
+                probe,
                 target_residual,
                 mixed_residual,
                 assigns,
             } => {
-                // The probe side is inherently row-at-a-time (one index
-                // lookup per source row); the batch win is the vectorized
-                // source pipeline and the batched write phase.
-                let source_rows = collect_source_rows_v(pool, catalog, &env, source)?;
-                let mut pending = Vec::new();
-                let mut touched: HashSet<RowLoc> = HashSet::new();
-                for srow in &source_rows {
-                    let mut keys = Vec::with_capacity(probe_keys.len());
-                    let mut null_key = false;
-                    for e in probe_keys {
-                        let v = exec::eval_px(e, srow, &env)?;
-                        if v.is_null() {
-                            null_key = true;
-                            break;
-                        }
-                        keys.push(v);
+                for sc in collect_source_chunks(pool, catalog, &env, source)? {
+                    if sc.is_empty() {
+                        continue;
                     }
-                    if null_key {
-                        continue; // NULL never matches
+                    let m = probe_source_chunk(pool, table, probe, &sc, &env)?;
+                    let mut sel = take_sel(m.rows.len());
+                    apply_filter(target_residual, &m.rows, &mut sel, &env)?;
+                    apply_filter(mixed_residual, &m.rows, &mut sel, &env)?;
+                    if !sel.is_empty() {
+                        pending.push(table, assigns, &m.rows, &sel, &m.locs, &env)?;
                     }
-                    let mut matches: Vec<(RowLoc, Vec<Value>)> = Vec::new();
-                    table.lookup_eq(pool, probe_cols, &keys, |loc, row| {
-                        matches.push((loc, row));
-                        true
-                    })?;
-                    'target: for (loc, trow) in matches {
-                        if !exec::passes(target_residual, &trow, &env)? {
-                            continue 'target;
-                        }
-                        let mut combined = trow.clone();
-                        combined.extend(srow.iter().cloned());
-                        if !exec::passes(mixed_residual, &combined, &env)? {
-                            continue 'target;
-                        }
-                        if !touched.insert(loc.clone()) {
-                            continue;
-                        }
-                        let mut new_row = trow.clone();
-                        for (c, a) in plan.assign_cols.iter().zip(assigns) {
-                            new_row[*c] = exec::eval_px(a, &combined, &env)?;
-                        }
-                        let new_row = table.coerce_row(new_row)?;
-                        pending.push((loc, trow, new_row));
-                    }
+                    put_sel(sel);
                 }
-                pending
             }
         }
-    };
-    let n = pending.len() as u64;
-    let table = catalog.table_mut(&plan.table)?;
-    table.update_rows(pool, &pending)?;
-    Ok(n)
+    }
+    pending.apply(pool, catalog.table_mut(&plan.table)?)
 }
 
-/// Executes a DELETE plan with a batched read phase and page-grouped
-/// deletes.
+/// Executes a DELETE plan: the read phase collects the locators and
+/// indexed columns of the matching rows, the write phase removes them
+/// with page-grouped deletes.
 pub(crate) fn run_delete(
     pool: &mut BufferPool,
     catalog: &mut Catalog,
     params: &[Value],
     plan: &super::DeletePlan,
 ) -> Result<u64> {
-    let matches: Vec<(RowLoc, Vec<Value>)> = {
+    let mut locs = BatchLocs::default();
+    let mut rows = take_chunk();
+    {
         let catalog = &*catalog;
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
         let table = catalog.table(&plan.table)?;
-        let mut out = Vec::new();
-        match_target(pool, table, &plan.target, &env, &mut |chunk, sel, locs| {
-            for &r in sel {
-                out.push((locs[r as usize].clone(), chunk.row(r as usize)));
-            }
+        match_target(pool, table, &plan.target, &env, &mut |chunk, sel, found| {
+            locs.extend_selected(found, sel);
+            rows.append_gather(chunk, sel);
             Ok(())
         })?;
-        out
-    };
-    let n = matches.len() as u64;
-    let table = catalog.table_mut(&plan.table)?;
-    table.delete_rows(pool, &matches)?;
-    Ok(n)
+    }
+    let res = catalog
+        .table_mut(&plan.table)?
+        .delete_rows(pool, &locs, &rows);
+    put_chunk(rows);
+    res.map(|()| locs.len() as u64)
 }
 
 /// Executes a MERGE plan: the source (the expensive E-operator select)
-/// runs vectorized, the target is probed with one index lookup per source
-/// row, and the write phase applies batched updates and inserts.
+/// runs vectorized; each source batch probes the target once per row and
+/// fetches what the ON residual, the WHEN MATCHED condition and the SET
+/// expressions read of the matched rows in one pass; those expressions
+/// and the NOT MATCHED values are evaluated column-wise; the write phase
+/// applies the assigned columns by locator, then inserts one chunk.
 pub(crate) fn run_merge(
     pool: &mut BufferPool,
     catalog: &mut Catalog,
     params: &[Value],
     plan: &MergePlan,
 ) -> Result<u64> {
-    type Pending = (
-        Vec<(RowLoc, Vec<Value>, Vec<Value>)>, // updates
-        Vec<Vec<Value>>,                       // inserts
-    );
-    let (pending_updates, pending_inserts): Pending = {
+    let matched_cols = plan.matched.as_ref().map_or(&[][..], |(_, cols, _)| cols);
+    let mut pending = PendingUpdates::new(matched_cols, plan.mode);
+    let mut inserts = Chunk::new();
+    let mut keys_probed = plan.insert_keys_probed;
+    {
         let catalog = &*catalog;
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
-        let source_rows = collect_source_rows_v(pool, catalog, &env, &plan.source)?;
         let table = catalog.table(&plan.target)?;
         let n_cols = table.schema.columns.len();
-
-        let mut updates = Vec::new();
-        let mut inserts: Vec<Vec<Value>> = Vec::new();
-        let mut touched: HashSet<RowLoc> = HashSet::new();
-
-        for srow in &source_rows {
-            let mut keys = Vec::with_capacity(plan.probe_keys.len());
-            let mut null_key = false;
-            for e in &plan.probe_keys {
-                let v = exec::eval_px(e, srow, &env)?;
-                if v.is_null() {
-                    null_key = true;
-                    break;
-                }
-                keys.push(v);
+        for sc in collect_source_chunks(pool, catalog, &env, &plan.source)? {
+            if sc.is_empty() {
+                continue;
             }
-            let mut matches: Vec<(RowLoc, Vec<Value>)> = Vec::new();
-            if !null_key {
-                table.lookup_eq(pool, &plan.probe_cols, &keys, |loc, row| {
-                    matches.push((loc, row));
-                    true
-                })?;
+            let m = probe_source_chunk(pool, table, &plan.probe, &sc, &env)?;
+            if !m.int_keys {
+                keys_probed = None;
             }
-            let mut any_match = false;
-            for (loc, trow) in matches {
-                let mut combined = trow.clone();
-                combined.extend(srow.iter().cloned());
-                if !exec::passes(&plan.residual, &combined, &env)? {
-                    continue;
+            let mut sel = take_sel(m.rows.len());
+            apply_filter(&plan.residual, &m.rows, &mut sel, &env)?;
+            let mut unmatched = vec![true; sc.len()];
+            for &r in &sel {
+                unmatched[m.src[r as usize] as usize] = false;
+            }
+            if let Some((cond, _, exprs)) = &plan.matched {
+                if let Some(c) = cond {
+                    apply_pred(c, &m.rows, &mut sel, &env)?;
                 }
-                any_match = true;
-                if let Some((cond, cols, exprs)) = &plan.matched {
-                    let applies = match cond {
-                        Some(c) => truthy(&exec::eval_px(c, &combined, &env)?),
-                        None => true,
-                    };
-                    if applies && touched.insert(loc.clone()) {
-                        let mut new_row = trow.clone();
-                        for (c, e) in cols.iter().zip(exprs) {
-                            new_row[*c] = exec::eval_px(e, &combined, &env)?;
-                        }
-                        let new_row = table.coerce_row(new_row)?;
-                        updates.push((loc, trow, new_row));
-                    }
+                if !sel.is_empty() {
+                    pending.push(table, exprs, &m.rows, &sel, &m.locs, &env)?;
                 }
             }
-            if !any_match {
-                if let Some((cols, exprs)) = &plan.not_matched {
-                    let mut row = vec![Value::Null; n_cols];
-                    for (c, e) in cols.iter().zip(exprs) {
-                        row[*c] = exec::eval_px(e, srow, &env)?;
-                    }
-                    inserts.push(table.coerce_row(row)?);
+            let Some((cols, exprs)) = &plan.not_matched else {
+                put_sel(sel);
+                continue;
+            };
+            sel.clear();
+            sel.extend((0..sc.len() as u32).filter(|&k| unmatched[k as usize]));
+            if !sel.is_empty() {
+                let mut new_cols: Vec<Option<Column>> = vec![None; n_cols];
+                for (&c, e) in cols.iter().zip(exprs) {
+                    let v = vcol_into_column(eval_v(e, &sc, &sel, &env)?, sel.len());
+                    new_cols[c] = Some(table.coerce_column(c, v)?);
+                }
+                let new_cols: Vec<Column> = new_cols
+                    .into_iter()
+                    .map(|c| c.unwrap_or_else(|| Column::nulls(sel.len())))
+                    .collect();
+                let new_rows = Chunk::from_columns(new_cols, sel.len());
+                if inserts.is_empty() {
+                    inserts = new_rows;
+                } else {
+                    inserts.append(&new_rows);
                 }
             }
+            put_sel(sel);
         }
-        (updates, inserts)
-    };
-
-    let n = (pending_updates.len() + pending_inserts.len()) as u64;
-    let table = catalog.table_mut(&plan.target)?;
-    table.update_rows(pool, &pending_updates)?;
-    if !pending_inserts.is_empty() {
-        // Rows were coerce_row'd while pending — skip the chunk-level
-        // re-coercion (and its full-column clone).
-        let chunk = fempath_storage::chunk_from_rows(&pending_inserts);
-        table.insert_chunk_precoerced(pool, &chunk)?;
     }
-    Ok(n)
+    let table = catalog.table_mut(&plan.target)?;
+    let updated = pending.apply(pool, table)?;
+    Ok(updated + table.insert_chunk_precoerced(pool, &inserts, keys_probed)?)
 }

@@ -352,3 +352,117 @@ fn prepared_handle_metadata() {
         Err(SqlError::ParamCount { .. })
     ));
 }
+
+/// The batched FEM working tables as `GraphDb` creates them.
+fn batch_tables() -> Database {
+    let mut d = Database::in_memory(256);
+    for ddl in [
+        "CREATE TABLE TBVisited (qid INT, nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
+        "CREATE UNIQUE INDEX idx_tbvisited ON TBVisited(qid, nid)",
+        "CREATE TABLE TBounds (qid INT, s INT, t INT, lf INT, lb INT, nf INT, nb INT, \
+         mincost INT, bound INT, done INT)",
+        "CREATE UNIQUE CLUSTERED INDEX idx_tbounds ON TBounds(qid)",
+        "CREATE TABLE TEdges (fid INT, tid INT, cost INT)",
+        "CREATE CLUSTERED INDEX ix_e ON TEdges(fid)",
+    ] {
+        d.execute(ddl).unwrap();
+    }
+    d
+}
+
+/// DML plans record their structural choices — the probe path into the
+/// target, the target columns fetched per match, how the write phase
+/// applies assignments — and `describe()` prints them.
+#[test]
+fn dml_plans_print_probe_path_fetched_columns_and_write_mode() {
+    let mut d = batch_tables();
+    // F-operator (mark_frontier/all_alt): one prefix probe per live query,
+    // fetching only the two columns the target residuals read; the flag is
+    // in no index, so its cells are patched in place.
+    let mark = describe(
+        &mut d,
+        "UPDATE TBVisited SET f = 2 FROM TBounds \
+         WHERE TBVisited.qid = TBounds.qid AND TBounds.done = 0 AND TBounds.nf > 0 \
+           AND TBVisited.f = 0 AND TBVisited.d2s < 4000000000000000",
+    );
+    assert!(
+        mark.contains("UPDATE TBVisited probing columns [0]")
+            && mark.contains("PROBE TBVisited by prefix of index #0, cols=[d2s,f]")
+            && mark.contains("WRITE assigned cells in place"),
+        "{mark}"
+    );
+    // E+M (expand_merge): a unique-key point probe fetching d2s alone; an
+    // unmatched key was just shown absent, so the insert skips re-probing.
+    let merge = describe(
+        &mut d,
+        "MERGE INTO TBVisited AS target USING ( \
+           SELECT q.qid AS qid, e.tid AS nid, e.fid AS np, e.cost + q.d2s AS cost \
+           FROM TBVisited q, TEdges e WHERE q.nid = e.fid AND q.f = 2 \
+         ) AS source (qid, nid, np, cost) \
+         ON source.qid = target.qid AND source.nid = target.nid \
+         WHEN MATCHED AND target.d2s > source.cost THEN \
+           UPDATE SET d2s = source.cost, p2s = source.np, f = 0 \
+         WHEN NOT MATCHED THEN INSERT (qid, nid, d2s, p2s, f, d2t, p2t, b) \
+           VALUES (source.qid, source.nid, source.cost, source.np, 0, 4000000000000000, -1, 0)",
+    );
+    assert!(
+        merge.contains("PROBE TBVisited by unique key of index #0, cols=[d2s]")
+            && merge.contains("WRITE assigned cells in place")
+            && merge.contains("INSERT unmatched rows, keys proven absent by the probe"),
+        "{merge}"
+    );
+    // The same MERGE inserting a different key than it probed proves nothing.
+    let shifted = describe(
+        &mut d,
+        "MERGE INTO TBVisited AS target USING TBounds AS source \
+         ON source.qid = target.qid AND source.s = target.nid \
+         WHEN NOT MATCHED THEN INSERT (qid, nid) VALUES (source.qid, source.s + 1)",
+    );
+    assert!(shifted.ends_with("INSERT unmatched rows"), "{shifted}");
+    // Plain set-valued updates read what predicate and SET expressions
+    // name — in one pass, no re-read.
+    let reset = describe(
+        &mut d,
+        "UPDATE TBVisited SET f = f - (f = 2), b = b - (b = 2) WHERE f = 2 OR b = 2",
+    );
+    assert!(
+        reset.contains("full scan, 1 pushed filter(s), cols=[f,b]")
+            && !reset.contains("re-read")
+            && reset.contains("WRITE assigned cells in place"),
+        "{reset}"
+    );
+    // DELETE reads its predicate plus the indexed columns (the keys of the
+    // index entries it removes).
+    let delete = describe(
+        &mut d,
+        "DELETE FROM TBVisited WHERE f = 1 AND qid IN (SELECT qid FROM TBounds WHERE done = 1)",
+    );
+    assert!(delete.contains("cols=[qid,nid,f]"), "{delete}");
+    // Assigning an indexed column, or any column of a clustered table,
+    // rewrites rows whole: a scan re-reads its matches, a probe fetches
+    // every column.
+    let rekey = describe(&mut d, "UPDATE TBVisited SET nid = nid + 1 WHERE f = 2");
+    assert!(
+        rekey.contains("cols=[f], matches re-read whole") && rekey.contains("WRITE whole rows"),
+        "{rekey}"
+    );
+    let bounds = describe(
+        &mut d,
+        "UPDATE TBounds SET done = 1 WHERE qid = 3 AND done = 0",
+    );
+    assert!(
+        bounds.contains("via index lookup on columns [0]")
+            && bounds.contains("by clustered-key prefix")
+            && bounds.contains("WRITE whole rows"),
+        "{bounds}"
+    );
+    // No index on the probed column: the probe scans, and says so.
+    let unindexed = describe(
+        &mut d,
+        "UPDATE TBVisited SET f = 1 FROM TBounds WHERE TBVisited.nid = TBounds.t",
+    );
+    assert!(
+        unindexed.contains("PROBE TBVisited by scan (no index on the probed columns), cols=[]"),
+        "{unindexed}"
+    );
+}

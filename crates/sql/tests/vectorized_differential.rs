@@ -461,3 +461,282 @@ fn full_row_consumers_next_to_projected_scans() {
     pair.step("SELECT * FROM w ORDER BY a");
     pair.step("SELECT * FROM w2 ORDER BY a");
 }
+
+/// The columnar UPDATE / UPDATE…FROM / MERGE / DELETE pipeline against the
+/// interpreter, over a mixed Int/NULL/Text/Float table in every physical
+/// layout: the in-place cell patch next to rows it cannot patch (NULL and
+/// text cells, assignments that change a row's size or move it to another
+/// page), assignments that rewrite an indexed key, probes along every
+/// path (unique key, index prefix, clustered prefix, no index at all),
+/// NULL probe keys, two source rows matching one target row (the first
+/// wins), and a duplicate key in the middle of a MERGE insert batch (rows
+/// before the offender stay, the statement errors).
+#[test]
+fn columnar_dml_agrees_with_the_interpreter() {
+    let layouts: [&[&str]; 6] = [
+        &[],
+        &["CREATE UNIQUE INDEX ix ON t(k)"],
+        &["CREATE INDEX ix ON t(g)", "CREATE INDEX ix2 ON t(tag)"],
+        &["CREATE UNIQUE INDEX ix ON t(g, k)"],
+        &["CREATE UNIQUE CLUSTERED INDEX ix ON t(k)"],
+        &[
+            "CREATE CLUSTERED INDEX ix ON t(g)",
+            "CREATE INDEX ix2 ON t(k)",
+        ],
+    ];
+    for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
+        for layout in layouts {
+            let mut pair = Pair::new(dialect);
+            pair.setup("CREATE TABLE t (k INT, g INT, v INT, x FLOAT, tag TEXT)");
+            pair.setup("CREATE TABLE s (k INT, w INT, note TEXT)");
+            for ddl in layout {
+                pair.setup(ddl);
+            }
+            for i in 0..120i64 {
+                // Every third row is all fixed-width cells; the others
+                // carry a NULL or a text.
+                let v = if i % 3 == 1 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 7)
+                };
+                let tag = if i % 3 == 2 {
+                    Value::Text(format!("t{}", i % 4))
+                } else {
+                    Value::Null
+                };
+                pair.setup_params(
+                    "INSERT INTO t VALUES (?, ?, ?, ?, ?)",
+                    &[
+                        Value::Int(i),
+                        Value::Int(i % 5),
+                        v,
+                        Value::Float(i as f64 / 4.0),
+                        tag,
+                    ],
+                );
+            }
+            // Source: keys hitting t twice (10, 10), missing t (500..),
+            // NULL keys, and a repeated missing key (777, 777).
+            for (k, w, note) in [
+                (Some(10), 1, "first"),
+                (Some(10), 2, "second"),
+                (Some(33), 3, "x"),
+                (None, 4, "nullkey"),
+                (Some(500), 5, "new"),
+                (Some(64), 6, "y"),
+                (Some(501), 7, "new"),
+            ] {
+                pair.setup_params(
+                    "INSERT INTO s VALUES (?, ?, ?)",
+                    &[
+                        k.map_or(Value::Null, Value::Int),
+                        Value::Int(w),
+                        Value::Text(note.into()),
+                    ],
+                );
+            }
+            let check = "SELECT * FROM t ORDER BY k, g, v, x, tag";
+            let int = |i: i64| [Value::Int(i)];
+
+            // Plain UPDATE: cells patched in place, next to rows that are
+            // re-encoded (NULL → INT grows the row, INT → NULL shrinks it).
+            pair.step("UPDATE t SET v = 100 WHERE g = 1");
+            pair.step("UPDATE t SET v = NULL, x = x + 1 WHERE g = 2 AND k < 60");
+            pair.step("UPDATE t SET x = v, v = x WHERE k < 30"); // INT ↔ FLOAT coercion
+            pair.step(check);
+            // A text that outgrows its page: rows move, indexes follow.
+            let wide = [Value::Text("w".repeat(1500))];
+            pair.step_params("UPDATE t SET tag = ? WHERE g = 3", &wide);
+            pair.step_params("UPDATE t SET tag = ? WHERE k = 7", &wide);
+            pair.step(check);
+            for g in 0..5 {
+                pair.step_params("SELECT k, v FROM t WHERE g = ? ORDER BY k", &int(g));
+            }
+            // Assignments that rewrite an indexed (or clustering) key.
+            pair.step("UPDATE t SET g = g + 5 WHERE g = 4");
+            pair.step("UPDATE t SET k = k + 1000 WHERE v = 100 AND k < 40");
+            pair.step("UPDATE t SET k = 3 WHERE k = 8"); // collides under a unique key
+            pair.step(check);
+            // A type error fails the statement before anything is written.
+            pair.step("UPDATE t SET v = tag WHERE g = 0");
+            pair.step(check);
+
+            // UPDATE … FROM: two source rows for k = 10 (the first wins),
+            // a NULL probe key, residuals on either side, and assignments
+            // reading the source row.
+            pair.step("UPDATE t SET v = s.w, tag = s.note FROM s WHERE t.k = s.k");
+            pair.step("UPDATE t SET v = t.v + s.w FROM s WHERE t.k = s.k AND t.g < 4 AND s.w > 1");
+            pair.step("UPDATE t SET x = s.w FROM s WHERE t.g = s.w AND t.k < 20 AND s.note = 'x'");
+            pair.step("UPDATE t SET g = s.w FROM s WHERE t.k = s.k AND s.w = 6"); // indexed key
+            pair.step(check);
+            pair.step(
+                "UPDATE t SET v = src.n FROM (SELECT g AS sg, COUNT(*) AS n FROM t GROUP BY g) src \
+                 WHERE t.g = src.sg AND t.k > 100",
+            );
+            pair.step(check);
+
+            // MERGE: matched with and without a condition, unmatched rows
+            // (NULL-key ones included) inserted.
+            pair.step(
+                "MERGE INTO t AS tg USING s AS sr ON sr.k = tg.k \
+                 WHEN MATCHED AND tg.g < 4 THEN UPDATE SET v = sr.w * 10, tag = 'merged' \
+                 WHEN NOT MATCHED THEN INSERT (k, g, v, x, tag) VALUES (sr.k, 9, sr.w, 0.5, sr.note)",
+            );
+            pair.step(check);
+            pair.step(
+                "MERGE INTO t AS tg USING (SELECT k, MIN(w) AS w FROM s GROUP BY k) AS sr (k, w) \
+                 ON sr.k = tg.k AND tg.g = 9 \
+                 WHEN MATCHED THEN UPDATE SET g = 8, x = sr.w \
+                 WHEN NOT MATCHED THEN INSERT (k, g) VALUES (sr.k + 2000, sr.w)",
+            );
+            pair.step(check);
+            // Probe hits that the ON residual rejects: the source rows are
+            // NOT MATCHED although their keys are in t, so under a unique
+            // (k) index the insert must collide, not overwrite the entry.
+            pair.step(
+                "MERGE INTO t AS tg USING (SELECT k, w FROM s WHERE k IS NOT NULL) AS sr (k, w) \
+                 ON sr.k = tg.k AND tg.g = 99 \
+                 WHEN NOT MATCHED THEN INSERT (k, g) VALUES (sr.k, sr.w)",
+            );
+            pair.step(check);
+            pair.step_params("SELECT g, v FROM t WHERE k = ? ORDER BY g, v", &int(10));
+            // WHEN MATCHED moves a row onto the key an unmatched source
+            // row then inserts (500 exists by now, 3000 does not).
+            pair.setup_params("INSERT INTO s VALUES (?, 8, 'moved')", &int(3000));
+            pair.step(
+                "MERGE INTO t AS tg USING (SELECT k FROM s WHERE k = 500 OR k = 3000) AS sr (k) \
+                 ON sr.k = tg.k \
+                 WHEN MATCHED THEN UPDATE SET k = 3000 \
+                 WHEN NOT MATCHED THEN INSERT (k, g) VALUES (sr.k, 1)",
+            );
+            pair.step(check);
+            pair.step_params("SELECT g, v FROM t WHERE k = ? ORDER BY g, v", &int(3000));
+            // A duplicate key in the middle of the insert batch: 777 twice
+            // between two fresh keys.
+            for k in [776, 777, 777, 778] {
+                pair.setup_params("INSERT INTO s VALUES (?, 0, 'dup')", &int(k));
+            }
+            pair.step(
+                "MERGE INTO t AS tg USING s AS sr ON sr.k = tg.k \
+                 WHEN MATCHED THEN UPDATE SET v = -1 \
+                 WHEN NOT MATCHED THEN INSERT (k, g, v) VALUES (sr.k, 7, sr.w)",
+            );
+            pair.step(check);
+            // The same with every probe key a non-NULL integer, where an
+            // unmatched key is known to be absent from a unique (k) index
+            // and only repeats inside the batch can offend.
+            for k in [901, 902, 902, 903] {
+                pair.setup_params("INSERT INTO s VALUES (?, 1, 'dup2')", &int(k));
+            }
+            pair.step(
+                "MERGE INTO t AS tg USING (SELECT k, w FROM s WHERE k > 778) AS sr (k, w) \
+                 ON sr.k = tg.k \
+                 WHEN MATCHED THEN UPDATE SET v = -2 \
+                 WHEN NOT MATCHED THEN INSERT (k, g, v) VALUES (sr.k, 6, sr.w)",
+            );
+            pair.step(check);
+            for k in [10, 500, 776, 777, 778, 901, 902, 903, 2500] {
+                pair.step_params("SELECT g, v, tag FROM t WHERE k = ? ORDER BY g, v", &int(k));
+            }
+
+            // DELETE: scanned and probed targets, subqueries, everything.
+            pair.step("DELETE FROM t WHERE v IS NULL AND g = 2");
+            pair.step_params("DELETE FROM t WHERE k = ?", &int(33));
+            pair.step("DELETE FROM t WHERE k IN (SELECT k FROM s WHERE w > 4)");
+            pair.step("DELETE FROM t WHERE tag = 'merged' OR x > 25");
+            pair.step(check);
+            for g in 0..10 {
+                pair.step_params("SELECT k FROM t WHERE g = ? ORDER BY k", &int(g));
+            }
+            pair.step("DELETE FROM t");
+            pair.step("SELECT COUNT(*) FROM t");
+            pair.step_params("SELECT * FROM t WHERE k = ?", &int(10));
+        }
+    }
+}
+
+/// An UPDATE with a new row that fits no page fails without losing rows
+/// or index entries — in particular the row ahead of the offender, which
+/// the same assignment pushes off their shared page.
+#[test]
+fn oversized_update_fails_without_losing_rows() {
+    let mut pair = Pair::new(Dialect::DBMS_X);
+    pair.setup("CREATE TABLE t (k INT, a TEXT, tag TEXT)");
+    pair.setup("CREATE INDEX ix ON t(k)");
+    for (k, a) in [(1, 1), (2, 3000), (3, 3000)] {
+        pair.setup_params(
+            "INSERT INTO t VALUES (?, ?, NULL)",
+            &[Value::Int(k), Value::Text("a".repeat(a))],
+        );
+    }
+    // Row 1 takes a 6000-byte tag by moving; rows 2 and 3 (3000 + 6000
+    // bytes) fit nowhere.
+    let wide = [Value::Text("t".repeat(6000))];
+    let sql = "UPDATE t SET tag = ? WHERE k > 0";
+    let err = pair.vec_db.execute_params(sql, &wide).unwrap_err();
+    assert!(err.to_string().contains("exceeds maximum"), "{err}");
+    assert!(pair.interp.execute_unplanned(sql, &wide).is_err());
+    // Where the statement stopped differs (the interpreter writes row by
+    // row, the batch checks every size first); what must hold on both
+    // sides is that every row is still there and still indexed.
+    for db in [&mut pair.vec_db, &mut pair.interp] {
+        let n = db.execute("SELECT COUNT(*) FROM t").unwrap();
+        assert_eq!(n.rows.unwrap().rows, vec![vec![Value::Int(3)]]);
+        for k in 1..=3 {
+            let hit = db
+                .execute_params("SELECT k FROM t WHERE k = ?", &[Value::Int(k)])
+                .unwrap();
+            assert_eq!(hit.rows.unwrap().rows, vec![vec![Value::Int(k)]]);
+        }
+    }
+    // A size every row can take: row 3 moves, the index follows.
+    let fits = [Value::Text("t".repeat(2500))];
+    assert!(pair.step_params(sql, &fits));
+    pair.step("SELECT k, a, tag FROM t ORDER BY k");
+    for k in 1..=3 {
+        pair.step_params("SELECT k, tag FROM t WHERE k = ?", &[Value::Int(k)]);
+    }
+}
+
+/// UPDATE … FROM and MERGE into segment-compressed storage: base rows
+/// have no locators, so a matched write is refused, while a statement
+/// that matches nothing — or only inserts, into the delta overlay — runs.
+#[test]
+fn dml_probes_into_segmented_storage() {
+    use fempath_sql::ast::ColumnDef;
+    use fempath_storage::DataType;
+    let mut pair = Pair::new(Dialect::DBMS_X);
+    for db in [&mut pair.vec_db, &mut pair.interp] {
+        let cols = ["fid", "tid", "cost"]
+            .iter()
+            .map(|n| ColumnDef {
+                name: (*n).into(),
+                dtype: DataType::Int,
+            })
+            .collect();
+        db.create_segmented_table("e", cols).unwrap();
+        let edges = (0..30i64).flat_map(|f| (0..5i64).map(move |t| (f, f + t + 1, 1 + t)));
+        db.bulk_load_segments("e", edges).unwrap();
+    }
+    pair.setup("CREATE TABLE s (f INT, t INT, c INT)");
+    pair.setup("INSERT INTO s VALUES (100, 1, 7)");
+    pair.setup("INSERT INTO s VALUES (101, 2, 8)");
+    let merge = "MERGE INTO e AS tg USING s AS sr ON sr.f = tg.fid AND sr.t = tg.tid \
+                 WHEN MATCHED THEN UPDATE SET cost = sr.c \
+                 WHEN NOT MATCHED THEN INSERT (fid, tid, cost) VALUES (sr.f, sr.t, sr.c)";
+    let update = "UPDATE e SET cost = s.c FROM s WHERE e.fid = s.f";
+    let check = "SELECT fid, tid, cost FROM e WHERE fid > 28 ORDER BY fid, tid";
+    assert!(pair.step(update), "matches nothing: 0 rows, no error");
+    assert!(pair.step(merge), "inserts only");
+    pair.step(check);
+    // Now the same statements find rows (in the overlay) to write.
+    assert!(!pair.step(update));
+    assert!(!pair.step(merge));
+    pair.setup("DELETE FROM s");
+    pair.setup("INSERT INTO s VALUES (3, 4, 9)"); // a base edge
+    assert!(!pair.step(update));
+    assert!(!pair.step(merge));
+    pair.step(check);
+    pair.step("SELECT COUNT(*) FROM e");
+}

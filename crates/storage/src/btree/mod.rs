@@ -76,23 +76,34 @@ impl BTree {
 
     /// Point lookup.
     pub fn get(&self, pool: &mut BufferPool, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        self.get_with(pool, key, <[u8]>::to_vec)
+    }
+
+    /// Point lookup handing the stored value to `f` where it lies in the
+    /// leaf page (no copy).
+    pub fn get_with<R>(
+        &self,
+        pool: &mut BufferPool,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>> {
         let mut pid = self.root;
+        let mut f = Some(f);
         loop {
-            enum Step {
-                Descend(u64),
-                Leaf(Option<Vec<u8>>),
-            }
             let step = pool.read_page(pid, |b| {
                 if node::is_leaf(b) {
                     let (idx, found) = node::lower_bound(b, key);
-                    Step::Leaf(found.then(|| node::leaf_val_at(b, idx).to_vec()))
+                    Err(match (found, f.take()) {
+                        (true, Some(f)) => Some(f(node::leaf_val_at(b, idx))),
+                        _ => None,
+                    })
                 } else {
-                    Step::Descend(node::child_for(b, key))
+                    Ok(node::child_for(b, key))
                 }
             })?;
             match step {
-                Step::Descend(c) => pid = PageId(c),
-                Step::Leaf(v) => return Ok(v),
+                Ok(c) => pid = PageId(c),
+                Err(v) => return Ok(v),
             }
         }
     }

@@ -132,6 +132,28 @@ impl Column {
         Column::Generic(Vec::new())
     }
 
+    /// A column of `n` NULLs.
+    pub fn nulls(n: usize) -> Column {
+        let mut nulls = NullMask::all_valid(n);
+        (0..n).for_each(|i| nulls.set_null(i));
+        Column::Int {
+            vals: vec![0; n],
+            nulls,
+        }
+    }
+
+    /// A column holding `v` in each of `n` rows.
+    pub fn repeat(v: &Value, n: usize) -> Column {
+        match v {
+            Value::Int(i) => Column::Int {
+                vals: vec![*i; n],
+                nulls: NullMask::all_valid(n),
+            },
+            Value::Null => Column::nulls(n),
+            other => Column::Generic(vec![other.clone(); n]),
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         match self {
@@ -234,6 +256,51 @@ impl Column {
                 nulls.clear();
             }
             Column::Generic(v) => v.clear(),
+        }
+    }
+
+    /// Appends `other[i]` for each `i` in `idx`; integers copy between the
+    /// typed vectors.
+    pub fn extend_gather(&mut self, other: &Column, idx: &[u32]) {
+        match (&mut *self, other) {
+            (
+                Column::Int { vals, nulls },
+                Column::Int {
+                    vals: src,
+                    nulls: src_nulls,
+                },
+            ) => {
+                vals.extend(idx.iter().map(|&i| src[i as usize]));
+                if src_nulls.any() {
+                    idx.iter()
+                        .for_each(|&i| nulls.push(src_nulls.get(i as usize)));
+                } else {
+                    idx.iter().for_each(|_| nulls.push(false));
+                }
+            }
+            _ => idx.iter().for_each(|&i| self.push(other.get(i as usize))),
+        }
+    }
+
+    /// Appends every row of `other`; an empty column simply takes
+    /// `other`'s vectors over.
+    pub fn append(&mut self, other: Column) {
+        if self.is_empty() {
+            *self = other;
+            return;
+        }
+        match (&mut *self, other) {
+            (
+                Column::Int { vals, nulls },
+                Column::Int {
+                    vals: src,
+                    nulls: src_nulls,
+                },
+            ) => {
+                vals.extend_from_slice(&src);
+                (0..src.len()).for_each(|i| nulls.push(src_nulls.get(i)));
+            }
+            (_, other) => (0..other.len()).for_each(|i| self.push(other.get(i))),
         }
     }
 
@@ -426,16 +493,18 @@ impl Chunk {
 
     /// Appends the rows of `other` selected by `idx`.
     pub fn append_gather(&mut self, other: &Chunk, idx: &[u32]) {
-        if self.len == 0 && self.cols.len() != other.cols.len() {
-            self.set_width(other.cols.len());
+        self.append_gather_prefix(other, idx, other.cols.len());
+    }
+
+    /// [`Chunk::append_gather`] over `other`'s first `width` columns only.
+    pub fn append_gather_prefix(&mut self, other: &Chunk, idx: &[u32], width: usize) {
+        if self.len == 0 && self.cols.len() != width {
+            self.set_width(width);
         }
-        debug_assert_eq!(self.cols.len(), other.cols.len());
+        debug_assert_eq!(self.cols.len(), width);
         for (c, (dst, src)) in self.cols.iter_mut().zip(&other.cols).enumerate() {
-            if !other.is_present(c) {
-                continue;
-            }
-            for &i in idx {
-                dst.push(src.get(i as usize));
+            if other.is_present(c) {
+                dst.extend_gather(src, idx);
             }
         }
         self.len += idx.len();
@@ -446,6 +515,24 @@ impl Chunk {
         let cols = (0..self.cols.len())
             .map(|c| {
                 if self.is_present(c) {
+                    self.cols[c].gather(idx)
+                } else {
+                    Column::new_int()
+                }
+            })
+            .collect();
+        Chunk {
+            cols,
+            len: idx.len(),
+        }
+    }
+
+    /// [`Chunk::gather`] restricted to the columns `keep` flags; the others
+    /// come out absent.
+    pub fn gather_cols(&self, idx: &[u32], keep: &[bool]) -> Chunk {
+        let cols = (0..self.cols.len())
+            .map(|c| {
+                if keep[c] && self.is_present(c) {
                     self.cols[c].gather(idx)
                 } else {
                     Column::new_int()

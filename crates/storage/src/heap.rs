@@ -14,6 +14,7 @@
 use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::page::{codec, PageId, PAGE_SIZE};
+use crate::value::Value;
 
 const HDR_NUM_SLOTS: usize = 0; // u16
 const HDR_CELL_START: usize = 2; // u16
@@ -185,6 +186,29 @@ fn page_update_in_place(buf: &mut [u8; PAGE_SIZE], rid: RecordId, bytes: &[u8]) 
     Ok(false)
 }
 
+/// Offset and length of the live cell `rid` addresses within its page.
+fn live_cell(buf: &[u8; PAGE_SIZE], rid: RecordId) -> Result<(usize, usize)> {
+    let so = HDR_SIZE + rid.slot as usize * SLOT_SIZE;
+    if rid.slot >= codec::get_u16(buf, HDR_NUM_SLOTS) || codec::get_u16(buf, so) == DEAD_SLOT {
+        return Err(StorageError::InvalidRecordId {
+            page: rid.page as u64,
+            slot: rid.slot,
+        });
+    }
+    Ok((
+        codec::get_u16(buf, so) as usize,
+        codec::get_u16(buf, so + 2) as usize,
+    ))
+}
+
+/// A record that outgrew its page during [`HeapFile::update_cells`]:
+/// which input item it was, where it lives now, and its new content.
+pub struct MovedRecord {
+    pub item: usize,
+    pub rid: RecordId,
+    pub row: Vec<Value>,
+}
+
 /// Resumable batched scan position over a [`HeapFile`]
 /// (see [`HeapFile::batch_cursor`]).
 #[derive(Debug, Clone, Copy, Default)]
@@ -316,10 +340,15 @@ impl HeapFile {
             }
         }
         let pid = pool.allocate_page()?;
-        let slot = pool.write_page(pid, |buf| {
-            init_page(buf);
-            page_insert(buf, bytes).expect("fresh page must fit a max-size record")
-        })?;
+        let slot = pool
+            .write_page(pid, |buf| {
+                init_page(buf);
+                page_insert(buf, bytes)
+            })?
+            .ok_or(StorageError::RecordTooLarge {
+                size: bytes.len(),
+                max: MAX_RECORD,
+            })?;
         self.pages.push(pid);
         let f = pool.read_page(pid, page_free)? as u16;
         self.free.push(f);
@@ -344,23 +373,8 @@ impl HeapFile {
     pub fn get(&self, pool: &mut BufferPool, rid: RecordId) -> Result<Vec<u8>> {
         let pid = self.pid_of(rid)?;
         pool.read_page(pid, |buf| {
-            let n = codec::get_u16(buf, HDR_NUM_SLOTS);
-            if rid.slot >= n {
-                return Err(StorageError::InvalidRecordId {
-                    page: rid.page as u64,
-                    slot: rid.slot,
-                });
-            }
-            let so = HDR_SIZE + rid.slot as usize * SLOT_SIZE;
-            let off = codec::get_u16(buf, so);
-            if off == DEAD_SLOT {
-                return Err(StorageError::InvalidRecordId {
-                    page: rid.page as u64,
-                    slot: rid.slot,
-                });
-            }
-            let len = codec::get_u16(buf, so + 2) as usize;
-            Ok(buf[off as usize..off as usize + len].to_vec())
+            let (off, len) = live_cell(buf, rid)?;
+            Ok(buf[off..off + len].to_vec())
         })?
     }
 
@@ -384,20 +398,11 @@ impl HeapFile {
                 .map_or(rids.len(), |p| i + p);
             let pid = self.pid_of(rids[i])?;
             pool.read_page(pid, |buf| {
-                let n = codec::get_u16(buf, HDR_NUM_SLOTS);
-                for rid in &rids[i..end] {
-                    let so = HDR_SIZE + rid.slot as usize * SLOT_SIZE;
-                    if rid.slot >= n || codec::get_u16(buf, so) == DEAD_SLOT {
-                        return Err(StorageError::InvalidRecordId {
-                            page: rid.page as u64,
-                            slot: rid.slot,
-                        });
-                    }
-                    let off = codec::get_u16(buf, so) as usize;
-                    let len = codec::get_u16(buf, so + 2) as usize;
+                for &rid in &rids[i..end] {
+                    let (off, len) = live_cell(buf, rid)?;
                     crate::row::decode_row_into_chunk(&buf[off..off + len], chunk, cols)?;
                 }
-                Ok(())
+                Ok::<_, StorageError>(())
             })??;
             i = end;
         }
@@ -584,67 +589,113 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Updates many records, one buffer-pool write per touched page for
-    /// the in-place cases (the all-integer FEM rows never change size, so
-    /// this is the steady state); records that outgrow their page fall
-    /// back to the single-record move path. Returns the new id per input,
-    /// in order.
-    pub fn update_batch(
+    /// Assigns, for every `k` in `order`, row `k` of each `vals[j]` to
+    /// column `cols[j]` of the record at `rids[k]` — one buffer-pool write
+    /// per run of `order` on the same page. A record made only of
+    /// fixed-width cells that receives fixed-width values (every FEM row)
+    /// has its cells overwritten where they lie. From the first record of
+    /// any other shape on, records are decoded, changed and re-encoded,
+    /// and move to another page when they no longer fit their own; every
+    /// new size is checked before the first of them is written, so a
+    /// record that would be too large fails the call with no cell freed
+    /// and nothing moved (the patched records before it stay patched).
+    /// Moved records are returned so the caller can re-point secondary
+    /// indexes at them.
+    pub fn update_cells(
         &mut self,
         pool: &mut BufferPool,
-        items: &[(RecordId, Vec<u8>)],
-    ) -> Result<Vec<RecordId>> {
-        for (_, bytes) in items {
-            if bytes.len() > MAX_RECORD {
-                return Err(StorageError::RecordTooLarge {
-                    size: bytes.len(),
-                    max: MAX_RECORD,
-                });
-            }
-        }
-        let mut order: Vec<usize> = (0..items.len()).collect();
-        order.sort_unstable_by_key(|&k| items[k].0);
-        let mut out = vec![
-            RecordId {
-                page: u32::MAX,
-                slot: u16::MAX
-            };
-            items.len()
-        ];
-        let mut moved: Vec<usize> = Vec::new();
+        rids: &[RecordId],
+        order: &[u32],
+        cols: &[usize],
+        vals: &[crate::chunk::Column],
+    ) -> Result<Vec<MovedRecord>> {
+        // End of the run of `order[i..]` on the page of `order[i]`.
+        let page_run = |order: &[u32], i: usize| {
+            let page = rids[order[i] as usize].page;
+            order[i..]
+                .iter()
+                .position(|&k| rids[k as usize].page != page)
+                .map_or(order.len(), |p| i + p)
+        };
         let mut i = 0usize;
         while i < order.len() {
-            let page = items[order[i]].0.page;
-            let end = order[i..]
-                .iter()
-                .position(|&k| items[k].0.page != page)
-                .map(|p| i + p)
-                .unwrap_or(order.len());
-            let pid = self.pid_of(items[order[i]].0)?;
-            let leftovers: Vec<usize> = pool.write_page(pid, |buf| {
-                let mut leftovers = Vec::new();
-                for &k in &order[i..end] {
-                    let (rid, bytes) = &items[k];
-                    if !page_update_in_place(buf, *rid, bytes)? {
-                        leftovers.push(k);
+            let end = page_run(order, i);
+            let pid = self.pid_of(rids[order[i] as usize])?;
+            let patched = pool.write_page(pid, |buf| {
+                for (n, &k) in order[i..end].iter().enumerate() {
+                    let (off, len) = live_cell(buf, rids[k as usize])?;
+                    let cell = &mut buf[off..off + len];
+                    if !crate::row::patch_fixed_cells(cell, cols, vals, k as usize) {
+                        return Ok(n);
                     }
                 }
-                Ok::<_, StorageError>(leftovers)
+                Ok::<_, StorageError>(end - i)
             })??;
-            self.free[page as usize] = pool.read_page(pid, page_free)? as u16;
-            for &k in &order[i..end] {
-                out[k] = items[k].0;
+            i += patched;
+            if i < end {
+                break;
             }
-            moved.extend(leftovers);
+        }
+        let rest = &order[i..];
+
+        // Read pass: the new content of every remaining record.
+        let mut recoded: Vec<(Vec<Value>, Vec<u8>)> = Vec::with_capacity(rest.len());
+        let mut i = 0usize;
+        while i < rest.len() {
+            let end = page_run(rest, i);
+            let pid = self.pid_of(rids[rest[i] as usize])?;
+            pool.read_page(pid, |buf| {
+                for &k in &rest[i..end] {
+                    let (off, len) = live_cell(buf, rids[k as usize])?;
+                    let mut row = crate::row::decode_row(&buf[off..off + len])?;
+                    for (&c, col) in cols.iter().zip(vals) {
+                        *row.get_mut(c).ok_or_else(|| {
+                            StorageError::Corrupt(format!("row has no column {c} to assign"))
+                        })? = col.get(k as usize);
+                    }
+                    let bytes = crate::row::encode_row(&row);
+                    if bytes.len() > MAX_RECORD {
+                        return Err(StorageError::RecordTooLarge {
+                            size: bytes.len(),
+                            max: MAX_RECORD,
+                        });
+                    }
+                    recoded.push((row, bytes));
+                }
+                Ok(())
+            })??;
             i = end;
         }
-        // Records that no longer fit their page: their old cell is already
-        // dead (page_update_in_place freed it), so re-insert elsewhere.
-        for k in moved {
-            self.len -= 1; // insert() re-counts it
-            out[k] = self.insert(pool, &items[k].1)?;
+
+        // Write pass.
+        let mut moved: Vec<MovedRecord> = Vec::new();
+        let mut recoded = recoded.into_iter();
+        let mut i = 0usize;
+        while i < rest.len() {
+            let end = page_run(rest, i);
+            let first = rids[rest[i] as usize];
+            let pid = self.pid_of(first)?;
+            // Records that no longer fit this page: (item, row, bytes).
+            let mut leftovers: Vec<(usize, Vec<Value>, Vec<u8>)> = Vec::new();
+            pool.write_page(pid, |buf| {
+                for (&k, (row, bytes)) in rest[i..end].iter().zip(recoded.by_ref()) {
+                    if !page_update_in_place(buf, rids[k as usize], &bytes)? {
+                        leftovers.push((k as usize, row, bytes));
+                    }
+                }
+                Ok::<_, StorageError>(())
+            })??;
+            self.free[first.page as usize] = pool.read_page(pid, page_free)? as u16;
+            // The old cells of the leftovers are already dead
+            // (page_update_in_place freed them), so re-insert elsewhere.
+            for (item, row, bytes) in leftovers {
+                self.len -= 1; // insert() re-counts it
+                let rid = self.insert(pool, &bytes)?;
+                moved.push(MovedRecord { item, rid, row });
+            }
+            i = end;
         }
-        Ok(out)
+        Ok(moved)
     }
 
     /// Iterates live records in file order; `f` returns `false` to stop.
@@ -915,35 +966,139 @@ mod tests {
     }
 
     #[test]
-    fn update_batch_in_place_and_moving() {
+    fn update_cells_patches_in_place_and_moves_grown_rows() {
+        use crate::chunk::Column;
+        use crate::row::{decode_row, encode_row};
         let mut p = pool();
         let mut h = HeapFile::create();
-        let rids = h
-            .insert_batch(
+        let rows: Vec<Vec<Value>> = (0..300i64)
+            .map(|i| vec![Value::Int(i), Value::Int(0), Value::Float(0.5)])
+            .collect();
+        let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
+        let rids = h.insert_batch(&mut p, &encoded).unwrap();
+        // Fixed-width values into fixed-width rows: cells are overwritten
+        // where they lie, one pool write per page, nothing moves.
+        let order: Vec<u32> = (0..rids.len() as u32).step_by(3).collect();
+        let mut new_b = Column::new_int();
+        let mut new_c = Column::new_int();
+        for i in 0..rids.len() as i64 {
+            new_b.push_int(-i);
+            new_c.push(Value::Float(i as f64));
+        }
+        let accesses = |p: &BufferPool| p.stats().buffer_hits + p.stats().buffer_misses;
+        let before = accesses(&p);
+        let moved = h
+            .update_cells(&mut p, &rids, &order, &[1, 2], &[new_b, new_c])
+            .unwrap();
+        assert!(moved.is_empty());
+        let pages: std::collections::HashSet<u32> =
+            order.iter().map(|&k| rids[k as usize].page).collect();
+        assert_eq!(accesses(&p) - before, pages.len() as u64);
+        for (k, rid) in rids.iter().enumerate() {
+            let want = if k % 3 == 0 {
+                vec![
+                    Value::Int(k as i64),
+                    Value::Int(-(k as i64)),
+                    Value::Float(k as f64),
+                ]
+            } else {
+                rows[k].clone()
+            };
+            assert_eq!(decode_row(&h.get(&mut p, *rid).unwrap()).unwrap(), want);
+        }
+        // A NULL shrinks the row (re-encoded under the same id); a text
+        // that outgrows the page moves the record.
+        let mut big = HeapFile::create();
+        let wide = |s: usize| encode_row(&[Value::Int(1), Value::Text("x".repeat(s))]);
+        let r0 = big.insert(&mut p, &wide(4000)).unwrap();
+        let r1 = big.insert(&mut p, &wide(4000)).unwrap();
+        let vals = [Column::Generic(vec![
+            Value::Text("y".repeat(5000)),
+            Value::Null,
+        ])];
+        let moved = big
+            .update_cells(&mut p, &[r0, r1], &[0], &[1], &vals)
+            .unwrap();
+        assert_eq!(moved.len(), 1);
+        assert_eq!((moved[0].item, moved[0].row[0].clone()), (0, Value::Int(1)));
+        assert_ne!(moved[0].rid, r0);
+        assert_eq!(
+            decode_row(&big.get(&mut p, moved[0].rid).unwrap()).unwrap(),
+            moved[0].row
+        );
+        assert!(big.get(&mut p, r0).is_err());
+        let moved = big
+            .update_cells(&mut p, &[r0, r1], &[1], &[1], &vals)
+            .unwrap();
+        assert!(moved.is_empty());
+        assert_eq!(
+            decode_row(&big.get(&mut p, r1).unwrap()).unwrap(),
+            vec![Value::Int(1), Value::Null]
+        );
+        assert_eq!(big.len(), 2);
+        // A dead record is an error.
+        big.delete(&mut p, r1).unwrap();
+        assert!(big.update_cells(&mut p, &[r1], &[0], &[1], &vals).is_err());
+    }
+
+    #[test]
+    fn update_cells_oversized_record_frees_and_moves_nothing() {
+        use crate::chunk::Column;
+        use crate::row::{decode_row, encode_row};
+        let mut p = pool();
+        let mut h = HeapFile::create();
+        // Three records on one page; the new tag fits the first beside its
+        // 3000-byte text only by moving it, and cannot fit the second at all.
+        let rows = [
+            vec![Value::Int(0), Value::Text("a".repeat(3000)), Value::Null],
+            vec![Value::Int(1), Value::Text("b".repeat(3000)), Value::Null],
+            vec![Value::Int(2), Value::Text("c".into()), Value::Null],
+        ];
+        let rids: Vec<RecordId> = rows
+            .iter()
+            .map(|r| h.insert(&mut p, &encode_row(r)).unwrap())
+            .collect();
+        assert!(rids.iter().all(|r| r.page == rids[0].page));
+        let tags = [Column::Generic(vec![
+            Value::Text("t".repeat(4000)),
+            Value::Text("t".repeat(6000)),
+            Value::Text("t".repeat(4000)),
+        ])];
+        let err = h.update_cells(&mut p, &rids, &[0, 1, 2], &[2], &tags);
+        assert!(matches!(err, Err(StorageError::RecordTooLarge { .. })));
+        assert_eq!(h.len(), 3);
+        for (rid, row) in rids.iter().zip(&rows) {
+            assert_eq!(&decode_row(&h.get(&mut p, *rid).unwrap()).unwrap(), row);
+        }
+        // Patched records ahead of the offender stay patched.
+        let mut fixed = HeapFile::create();
+        let f0 = fixed
+            .insert(&mut p, &encode_row(&[Value::Int(0), Value::Int(0)]))
+            .unwrap();
+        let f1 = fixed
+            .insert(
                 &mut p,
-                &(0..50).map(|i| vec![i as u8; 100]).collect::<Vec<_>>(),
+                &encode_row(&[Value::Int(1), Value::Text("x".into())]),
             )
             .unwrap();
-        // Same-size updates stay put.
-        let items: Vec<(RecordId, Vec<u8>)> = rids.iter().map(|&r| (r, vec![0xAB; 100])).collect();
-        let out = h.update_batch(&mut p, &items).unwrap();
-        assert_eq!(out, rids);
-        for rid in &rids {
-            assert_eq!(h.get(&mut p, *rid).unwrap(), vec![0xAB; 100]);
-        }
-        // Growing updates that overflow their page move.
-        let mut big = HeapFile::create();
-        let r0 = big.insert(&mut p, &vec![1u8; 4000]).unwrap();
-        let _fill = big.insert(&mut p, &vec![2u8; 4000]).unwrap();
-        let out = big.update_batch(&mut p, &[(r0, vec![3u8; 5000])]).unwrap();
-        assert_ne!(out[0], r0);
-        assert_eq!(big.get(&mut p, out[0]).unwrap(), vec![3u8; 5000]);
-        assert_eq!(big.len(), 2);
+        let vals = [Column::Generic(vec![
+            Value::Int(7),
+            Value::Text("y".repeat(PAGE_SIZE)),
+        ])];
+        let err = fixed.update_cells(&mut p, &[f0, f1], &[0, 1], &[1], &vals);
+        assert!(matches!(err, Err(StorageError::RecordTooLarge { .. })));
+        assert_eq!(
+            decode_row(&fixed.get(&mut p, f0).unwrap()).unwrap(),
+            vec![Value::Int(0), Value::Int(7)]
+        );
+        assert_eq!(
+            decode_row(&fixed.get(&mut p, f1).unwrap()).unwrap(),
+            vec![Value::Int(1), Value::Text("x".into())]
+        );
     }
 
     #[test]
     fn batch_cursor_matches_scan() {
-        use crate::value::Value;
         let mut p = pool();
         let mut h = HeapFile::create();
         let rows: Vec<Vec<u8>> = (0..700i64)

@@ -209,6 +209,53 @@ fn fixed_cells(bytes: &[u8], n: usize) -> Option<&[[u8; 9]]> {
     (rest.is_empty() && cells.len() == n && cells.iter().all(fixed)).then_some(cells)
 }
 
+/// The encoded cell (tag + 8 payload bytes) of row `k` of `col`, when that
+/// value is an INT or FLOAT.
+fn fixed_cell_of(col: &crate::chunk::Column, k: usize) -> Option<[u8; 9]> {
+    use crate::chunk::Column;
+    let (tag, payload) = match col {
+        Column::Int { vals, nulls } if !nulls.get(k) => (TAG_INT, vals[k].to_le_bytes()),
+        Column::Int { .. } => return None,
+        Column::Generic(v) => match &v[k] {
+            Value::Int(i) => (TAG_INT, i.to_le_bytes()),
+            Value::Float(f) => (TAG_FLOAT, f.to_le_bytes()),
+            Value::Null | Value::Text(_) => return None,
+        },
+    };
+    let mut cell = [tag; 9];
+    cell[1..].copy_from_slice(&payload);
+    Some(cell)
+}
+
+/// Overwrites the cells `cols` of an encoded row with row `k` of the
+/// matching `vals` columns, in place. Possible exactly when the stored row
+/// is made only of fixed-width cells and every new value is an INT or
+/// FLOAT — no cell changes size, so the result is byte-identical to
+/// re-encoding the updated row. Returns `false`, leaving `bytes`
+/// untouched, for any other shape (the caller re-encodes the row).
+pub fn patch_fixed_cells(
+    bytes: &mut [u8],
+    cols: &[usize],
+    vals: &[crate::chunk::Column],
+    k: usize,
+) -> bool {
+    let Ok(n) = row_arity(bytes) else {
+        return false;
+    };
+    if fixed_cells(bytes, n).is_none() || cols.iter().any(|&c| c >= n) {
+        return false;
+    }
+    if vals.iter().any(|col| fixed_cell_of(col, k).is_none()) {
+        return false;
+    }
+    for (&c, col) in cols.iter().zip(vals) {
+        if let Some(cell) = fixed_cell_of(col, k) {
+            bytes[2 + 9 * c..2 + 9 * (c + 1)].copy_from_slice(&cell);
+        }
+    }
+    true
+}
+
 /// Deserializes the columns of a row that are in `cols` directly into the
 /// matching columns of `chunk`, appending one row without materializing a
 /// `Vec<Value>`. Columns outside `cols` are stepped over and stay empty;

@@ -2,8 +2,8 @@
 //! `BTreeMap` model, key-encoding order preservation, and row round-trips.
 
 use fempath::storage::{
-    decode_key, decode_row, decode_row_into_chunk, encode_key, encode_row, BTree, BufferPool,
-    Chunk, ColSet, StorageError, Value,
+    decode_key, decode_row, decode_row_into_chunk, encode_key, encode_row, patch_fixed_cells,
+    BTree, BufferPool, Chunk, ColSet, Column, StorageError, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -116,6 +116,48 @@ proptest! {
                 got
             );
         }
+    }
+
+    /// The in-place cell patch of the UPDATE write phase: on a row of
+    /// fixed-width cells receiving fixed-width values it leaves exactly
+    /// the bytes `encode_row` gives the updated row, for every subset of
+    /// assigned columns; any other row or value is refused untouched.
+    #[test]
+    fn cell_patch_is_reencoding_for_fixed_width_rows(
+        rows in arb_rows(),
+        new_rows in prop::collection::vec(prop::collection::vec(arb_value(), 7), 3),
+        mask in any::<u32>(),
+    ) {
+        let n = rows[0].len();
+        let cols = subset(mask, n);
+        let fixed = |v: &Value| matches!(v, Value::Int(_) | Value::Float(_));
+        // One value column per assigned ordinal; row k of it is the new
+        // value of stored row k.
+        let vals: Vec<Column> = cols
+            .iter()
+            .map(|&c| {
+                let mut col = Column::new_int();
+                new_rows.iter().for_each(|r| col.push(r[c].clone()));
+                col
+            })
+            .collect();
+        for (k, row) in rows.iter().enumerate() {
+            let before = encode_row(row);
+            let mut bytes = before.clone();
+            let patched = patch_fixed_cells(&mut bytes, &cols, &vals, k);
+            let patchable = row.iter().all(fixed) && cols.iter().all(|&c| fixed(&new_rows[k][c]));
+            prop_assert_eq!(patched, patchable, "row {:?} cols {:?}", row, cols);
+            if patched {
+                let mut updated = row.clone();
+                cols.iter().for_each(|&c| updated[c] = new_rows[k][c].clone());
+                prop_assert_eq!(bytes, encode_row(&updated));
+            } else {
+                prop_assert_eq!(bytes, before, "a refused patch must not write");
+            }
+        }
+        // A column past the row's arity is refused, not written.
+        let mut bytes = encode_row(&rows[0]);
+        prop_assert!(!patch_fixed_cells(&mut bytes, &[n], &[Column::repeat(&Value::Int(1), 1)], 0));
     }
 
     #[test]
