@@ -4,8 +4,8 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fempath_core::sqlgen::{
-    batch_delete_done_visited, batch_fused_stats, batch_reset_both, expand_params, min_cost,
-    BatchFrontier, BatchSqlGen, Dir, EdgeSource, FrontierPred, SqlGen,
+    batch_delete_done_visited, batch_fused_stats, batch_reset_both, expand_params, BatchFrontier,
+    BatchSqlGen, Dir, EdgeSource, FrontierPred, SqlGen,
 };
 use fempath_core::{SqlStyle, INF};
 use fempath_sql::Database;
@@ -170,6 +170,7 @@ fn bench_prepared_vs_unprepared(c: &mut Criterion) {
 
 /// The paper's 7-column `TVisited` with its `nid` index, `rows` visited
 /// nodes: a tenth settled (`f = 1`), the rest candidates, none marked.
+/// The row half-way down alone holds [`PICK_DIST`].
 fn tvisited(rows: i64) -> Database {
     let mut db = Database::in_memory(2048);
     db.execute("CREATE TABLE TVisited (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)")
@@ -180,16 +181,25 @@ fn tvisited(rows: i64) -> Database {
         .prepare("INSERT INTO TVisited VALUES (?, ?, ?, ?, ?, ?, 0)")
         .unwrap();
     for u in 0..rows {
-        let params = [u, u % 97, u / 2, i64::from(u % 10 == 0), INF, -1].map(Value::Int);
+        let (d2s, f) = if u == rows / 2 {
+            (PICK_DIST, 0)
+        } else {
+            (u % 97, i64::from(u % 10 == 0))
+        };
+        let params = [u, d2s, u / 2, f, INF, -1].map(Value::Int);
         db.execute_prepared(&ins, &params).unwrap();
     }
     db
 }
 
-/// What one statement of the BDJ loop costs per `TVisited` row: the scans
-/// that read no column (`COUNT(*)`), two columns (`candidate_stats`,
-/// `min_cost`) or one column and match nothing (`reset_frontier`), and the
-/// F-operator's point UPDATE by `nid`. ns/row = time / rows.
+/// The one distance of [`tvisited`] the parameterised pick is bound to.
+const PICK_DIST: i64 = 1000;
+
+/// What one statement of the bidirectional loops costs per `TVisited` row:
+/// the scans that read no column (`COUNT(*)`), three columns (the folded
+/// `candidate_stats`; the parameterised pick, whose one match sits
+/// half-way down) or one column and match nothing (`reset_frontier`), and
+/// the point UPDATE by `nid`. ns/row = time / rows.
 fn bench_tvisited_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("tvisited_scan");
     group.sample_size(20);
@@ -198,7 +208,11 @@ fn bench_tvisited_scan(c: &mut Criterion) {
         let statements: [(&str, String, Vec<Value>); 5] = [
             ("count_star", "SELECT COUNT(*) FROM TVisited".into(), vec![]),
             ("candidate_stats", gen.candidate_stats(), vec![]),
-            ("min_cost", min_cost().into(), vec![]),
+            (
+                "select_mid_at",
+                gen.select_mid_at(),
+                vec![Value::Int(PICK_DIST)],
+            ),
             ("reset_frontier_no_match", gen.reset_frontier(), vec![]),
             (
                 "update_by_nid",
@@ -315,7 +329,8 @@ fn single_fixture(rows: i64) -> Database {
 /// timed alone from a restored table (the untimed `restore` statements
 /// put back whatever the measured one changed). Batched: 8 queries × 700
 /// rows of `TBVisited`, 560 frontier rows; single-pair: 1000 rows of
-/// `TVisited`, 100 frontier rows. ns/row = time / rows touched.
+/// `TVisited`, 100 frontier rows for the set statements and one node for
+/// the by-`nid` pair. ns/row = time / rows touched.
 fn bench_fm_write(c: &mut Criterion) {
     let mut group = c.benchmark_group("fm_write");
     group.sample_size(20);
@@ -373,7 +388,7 @@ fn bench_fm_write(c: &mut Criterion) {
 
     let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
     let expand_args = expand_params(SqlStyle::New, FrontierPred::Marked, None, 0, INF).unwrap();
-    let single: [(&str, Vec<&str>, String, Vec<Value>); 2] = [
+    let single: [(&str, Vec<&str>, String, Vec<Value>); 4] = [
         (
             "mark_by_dist/1000",
             vec!["UPDATE TVisited SET f = 0 WHERE p2t = -2"],
@@ -389,6 +404,23 @@ fn bench_fm_write(c: &mut Criterion) {
             ],
             gen.expand_merge(FrontierPred::Marked),
             expand_args,
+        ),
+        // BDJ's node-at-a-time pair: expand one visited node through the
+        // `nid` index (3 arcs), then settle it.
+        (
+            "expand_merge/by_nid/1000",
+            vec![
+                "DELETE FROM TVisited WHERE b = 0",
+                "UPDATE TVisited SET d2s = d2t, f = 1 WHERE f = 0",
+            ],
+            gen.expand_merge(FrontierPred::ByNid),
+            expand_params(SqlStyle::New, FrontierPred::ByNid, Some(1500), 0, INF).unwrap(),
+        ),
+        (
+            "settle_by_nid/1000",
+            vec!["UPDATE TVisited SET f = 0 WHERE nid = 1500"],
+            gen.settle_by_nid(),
+            vec![Value::Int(1500)],
         ),
     ];
     for (name, restore, sql, params) in single {

@@ -5,12 +5,35 @@
 //! frontier size, stop when `minCost <= lf + lb` (§4.1) or both directions
 //! exhaust — and differ **only** in their frontier policy and edge source:
 //!
-//! | finder | frontier policy | edge source |
-//! |--------|----------------|-------------|
-//! | BDJ    | the single minimum-distance node | `TEdges` |
-//! | BSDJ   | *all* nodes at the minimum distance (set-at-a-time, §4.1) | `TEdges` |
-//! | BBFS   | every candidate (§4.2's strawman) | `TEdges` |
-//! | BSEG   | `d2s <= k·lthd` plus the minimum (Listing 4(1)) | SegTable |
+//! | finder | frontier policy | F-operator statements | E+M frontier | edge source |
+//! |--------|-----------------|-----------------------|--------------|-------------|
+//! | BDJ    | the single minimum-distance node | Listing 2(2) pick at `l`, Listing 3(2) settle by `nid` | `q.nid = mid` (Listing 2(3)) | `TEdges` |
+//! | BSDJ   | *all* nodes at the minimum distance (set-at-a-time, §4.1) | mark `dist = l`, Listing 4(3) reset | `q.flag = 2` (Listing 4(2)) | `TEdges` |
+//! | BBFS   | every candidate (§4.2's strawman) | mark all, Listing 4(3) reset | `q.flag = 2` | `TEdges` |
+//! | BSEG   | `d2s <= k·lthd` plus the minimum (Listing 4(1)) | Listing 4(1) mark, Listing 4(3) reset | `q.flag = 2` | SegTable |
+//!
+//! BDJ is node-at-a-time like DJ, so it reaches `TVisited` the way DJ does
+//! — through the `nid` index — and never marks: the expanding node stays
+//! `flag = 0` during its own MERGE, which cannot re-open it (no source row
+//! is strictly cheaper than the minimum) and is settled right after.
+//!
+//! Every expansion is followed by one statistics statement, Listing 4(4)
+//! and 4(5) in a single scan ([`SqlGen::candidate_stats`]). Two invariants
+//! of the loop let the client hold what the listings recompute:
+//!
+//! 1. **A direction's minimum is local to it.** An expansion writes only
+//!    its own direction's `(dist, pred, flag)` and inserts rows with the
+//!    other direction's distance at [`INF`], so `lf` (`lb`) read after the
+//!    last forward (backward) expansion is still the minimal forward
+//!    (backward) candidate distance however many expansions of the other
+//!    direction ran in between. The frontier pick and BSEG's mark bind it
+//!    as a parameter in place of the listings' `(SELECT MIN(..))`.
+//! 2. **Touched rows are candidates.** Every row an expansion's M-operator
+//!    updates or inserts comes out with `flag = 0` and a finite distance
+//!    in the expanding direction, untouched rows keep their `d2s + d2t`,
+//!    and distances only fall — so `min(minCost, MIN(d2s + d2t) over that
+//!    direction's candidates)` equals `SELECT MIN(d2s + d2t) FROM
+//!    TVisited` (Listing 4(5)) without a second scan.
 //!
 //! All expansions carry the Theorem-1 pruning term
 //! `e.cost + q.dist + l_other < minCost` (disable with `prune = false` for
@@ -23,8 +46,7 @@
 use super::{need, recover_bidi_path, trivial_case, PathOutcome, Runner, ShortestPathFinder};
 use crate::graphdb::{GraphDb, INF};
 use crate::sqlgen::{
-    expand_params, meet_node, min_cost as min_cost_sql, truncate_exp, Dir, EdgeSource,
-    FrontierPred, SqlGen,
+    expand_params, meet_node, truncate_exp, Dir, EdgeSource, FrontierPred, SqlGen,
 };
 use crate::stats::{FemOperator, Phase, SqlStyle};
 use fempath_sql::{PreparedStmt, Result, SqlError};
@@ -34,10 +56,12 @@ use fempath_storage::Value;
 /// search (cache hits across searches make this nearly free) and executed
 /// inside the iteration without any per-statement planning.
 struct DirStmts {
-    /// Listing 2(2) — SingleMin frontier only.
-    select_mid: Option<PreparedStmt>,
-    /// The policy-specific F-operator mark statement.
-    mark: PreparedStmt,
+    /// The policy's F-operator statement: BDJ's pick (Listing 2(2) bound
+    /// to `l`) or a set finder's mark.
+    frontier: PreparedStmt,
+    /// What settles the expanded frontier: `mid` by `nid` (Listing 3(2))
+    /// for BDJ, the marked set (Listing 4(3)) otherwise.
+    settle: PreparedStmt,
     /// Fused E+M (MERGE mode).
     expand_merge: Option<PreparedStmt>,
     /// Split E (temp-table mode).
@@ -48,7 +72,6 @@ struct DirStmts {
     update_from_exp: Option<PreparedStmt>,
     /// Split M, insert half (no-MERGE dialect).
     insert_from_exp: Option<PreparedStmt>,
-    reset_frontier: PreparedStmt,
     candidate_stats: PreparedStmt,
     pred_of: PreparedStmt,
 }
@@ -58,28 +81,26 @@ impl DirStmts {
         db: &mut fempath_sql::Database,
         gen: &SqlGen,
         spec: &BidiSpec,
+        pred: FrontierPred,
         use_temp_exp: bool,
         merge_supported: bool,
     ) -> Result<DirStmts> {
-        let mark_sql = match spec.frontier {
-            FrontierPolicy::SingleMin => gen.mark_by_nid(),
-            FrontierPolicy::AllMin => gen.mark_by_dist(),
-            FrontierPolicy::All => gen.mark_all(),
-            FrontierPolicy::Threshold { .. } => gen.mark_threshold(),
+        let (frontier_sql, settle_sql) = match spec.frontier {
+            FrontierPolicy::SingleMin => (gen.select_mid_at(), gen.settle_by_nid()),
+            FrontierPolicy::AllMin => (gen.mark_by_dist(), gen.reset_frontier()),
+            FrontierPolicy::All => (gen.mark_all(), gen.reset_frontier()),
+            FrontierPolicy::Threshold { .. } => (gen.mark_threshold(), gen.reset_frontier()),
         };
         Ok(DirStmts {
-            select_mid: match spec.frontier {
-                FrontierPolicy::SingleMin => Some(db.prepare(&gen.select_mid())?),
-                _ => None,
-            },
-            mark: db.prepare(&mark_sql)?,
+            frontier: db.prepare(&frontier_sql)?,
+            settle: db.prepare(&settle_sql)?,
             expand_merge: if use_temp_exp {
                 None
             } else {
-                Some(db.prepare(&gen.expand_merge(FrontierPred::Marked))?)
+                Some(db.prepare(&gen.expand_merge(pred))?)
             },
             expand_into_exp: if use_temp_exp {
-                Some(db.prepare(&gen.expand_into_exp(FrontierPred::Marked))?)
+                Some(db.prepare(&gen.expand_into_exp(pred))?)
             } else {
                 None
             },
@@ -98,7 +119,6 @@ impl DirStmts {
             } else {
                 None
             },
-            reset_frontier: db.prepare(&gen.reset_frontier())?,
             candidate_stats: db.prepare(&gen.candidate_stats())?,
             pred_of: db.prepare(&gen.pred_of())?,
         })
@@ -164,16 +184,24 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     // handles only. After the first search these prepares are plan-cache
     // hits (the TRUNCATE-based reset keeps the catalog version stable).
     let merge_supported = gdb.merge_supported();
+    // BDJ expands the one node it picked; the set finders expand what
+    // they marked.
+    let pred = match spec.frontier {
+        FrontierPolicy::SingleMin => FrontierPred::ByNid,
+        _ => FrontierPred::Marked,
+    };
     let init_fwd = gdb.db.prepare(&SqlGen::init(Dir::Fwd))?;
     let init_bwd = gdb.db.prepare(&SqlGen::init(Dir::Bwd))?;
-    let fwd_stmts = DirStmts::prepare(&mut gdb.db, &fgen, &spec, use_temp_exp, merge_supported)?;
-    let bwd_stmts = DirStmts::prepare(&mut gdb.db, &bgen, &spec, use_temp_exp, merge_supported)?;
+    let mut prepare_dir = |gen: &SqlGen| {
+        DirStmts::prepare(&mut gdb.db, gen, &spec, pred, use_temp_exp, merge_supported)
+    };
+    let fwd_stmts = prepare_dir(&fgen)?;
+    let bwd_stmts = prepare_dir(&bgen)?;
     let truncate_exp_stmt = if use_temp_exp {
         Some(gdb.db.prepare(truncate_exp())?)
     } else {
         None
     };
-    let min_cost_stmt = gdb.db.prepare(min_cost_sql())?;
     let meet_node_stmt = gdb.db.prepare(meet_node())?;
 
     let mut runner = Runner::new(gdb);
@@ -190,6 +218,8 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         &[Value::Int(t), Value::Int(t)],
     )?;
 
+    // The two endpoint rows carry `d2s + d2t >= INF`, so the running
+    // minimum of invariant 2 starts at INF.
     let mut min_cost = INF;
     let (mut lf, mut lb) = (0i64, 0i64);
     let (mut nf, mut nb) = (1i64, 1i64); // remaining candidates per direction
@@ -206,70 +236,46 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         // Expand the direction with fewer pending candidates (Algorithm 2
         // line 7), skipping exhausted directions.
         let forward = nf > 0 && (nb <= 0 || nf <= nb);
-        let (stmts, k, l_other) = if forward {
-            (&fwd_stmts, &mut kf, lb)
+        // `l` is this direction's minimal candidate distance (invariant 1).
+        let (stmts, k, l, l_other) = if forward {
+            (&fwd_stmts, &mut kf, lf, lb)
         } else {
-            (&bwd_stmts, &mut kb, lf)
+            (&bwd_stmts, &mut kb, lb, lf)
         };
 
-        // F-operator: mark the frontier.
-        let marked = match spec.frontier {
+        // F-operator: pick the frontier. A direction with candidates has a
+        // finite `l`; the guard keeps INF — the other direction's rows —
+        // out of the `dist = ?` predicates.
+        let mark = |runner: &mut Runner<'_>, params: &[Value]| {
+            runner
+                .exec_prepared(
+                    Phase::PathExpansion,
+                    FemOperator::F,
+                    &stmts.frontier,
+                    params,
+                )
+                .map(|out| out.rows_affected)
+        };
+        let mut mid = None;
+        let frontier_rows = match spec.frontier {
+            _ if l >= INF => 0,
             FrontierPolicy::SingleMin => {
-                match runner.scalar_prepared(
+                mid = runner.scalar_prepared(
                     Phase::StatsCollection,
                     FemOperator::Aux,
-                    need(&stmts.select_mid, "select_mid")?,
-                    &[],
-                )? {
-                    None => 0,
-                    Some(mid) => {
-                        runner
-                            .exec_prepared(
-                                Phase::PathExpansion,
-                                FemOperator::F,
-                                &stmts.mark,
-                                &[Value::Int(mid)],
-                            )?
-                            .rows_affected
-                    }
-                }
+                    &stmts.frontier,
+                    &[Value::Int(l)],
+                )?;
+                u64::from(mid.is_some())
             }
-            FrontierPolicy::AllMin => {
-                // The candidate minimum in this direction is invariant
-                // across the *other* direction's expansions (they never
-                // touch this direction's distance column), so `lf`/`lb`
-                // already holds it — no extra MIN statement needed.
-                let cur_l = if forward { lf } else { lb };
-                if cur_l >= INF {
-                    0
-                } else {
-                    runner
-                        .exec_prepared(
-                            Phase::PathExpansion,
-                            FemOperator::F,
-                            &stmts.mark,
-                            &[Value::Int(cur_l)],
-                        )?
-                        .rows_affected
-                }
-            }
-            FrontierPolicy::All => {
-                runner
-                    .exec_prepared(Phase::PathExpansion, FemOperator::F, &stmts.mark, &[])?
-                    .rows_affected
-            }
-            FrontierPolicy::Threshold { lthd } => {
-                runner
-                    .exec_prepared(
-                        Phase::PathExpansion,
-                        FemOperator::F,
-                        &stmts.mark,
-                        &[Value::Int((*k).saturating_mul(lthd))],
-                    )?
-                    .rows_affected
-            }
+            FrontierPolicy::AllMin => mark(&mut runner, &[Value::Int(l)])?,
+            FrontierPolicy::All => mark(&mut runner, &[])?,
+            FrontierPolicy::Threshold { lthd } => mark(
+                &mut runner,
+                &[Value::Int((*k).saturating_mul(lthd)), Value::Int(l)],
+            )?,
         };
-        if marked == 0 {
+        if frontier_rows == 0 {
             if forward {
                 nf = 0;
             } else {
@@ -286,7 +292,7 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         } else {
             (0, INF)
         };
-        let params = expand_params(spec.style, FrontierPred::Marked, None, lo, mc)?;
+        let params = expand_params(spec.style, pred, mid, lo, mc)?;
         if let Some(expand) = &stmts.expand_merge {
             runner.exec_prepared(Phase::PathExpansion, FemOperator::E, expand, &params)?;
         } else {
@@ -319,18 +325,20 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
                 )?;
             }
         }
-        // Flip the expanded frontier to settled (Listing 4(3)).
+        // Settle the expanded frontier: `mid` by `nid`, or the marked set.
         runner.exec_prepared(
             Phase::PathExpansion,
             FemOperator::F,
-            &stmts.reset_frontier,
-            &[],
+            &stmts.settle,
+            mid.map(Value::Int).as_slice(),
         )?;
         runner.stats.expansions += 1;
         *k += 1;
 
-        // Statistics collection: new l + candidate count (one fused scan,
-        // Listing 4(4)), then minCost (Listing 4(5)).
+        // Statistics collection, one scan (Listing 4(4) + 4(5)): this
+        // direction's new `l` and candidate count, and the smallest
+        // `d2s + d2t` among its candidates — folded into the running
+        // `minCost` by invariant 2.
         let stats_row = runner
             .row_prepared(
                 Phase::StatsCollection,
@@ -339,8 +347,9 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
                 &[],
             )?
             .unwrap_or_default();
-        let l_new = stats_row.first().and_then(|v| v.as_i64()).unwrap_or(INF);
-        let cand = stats_row.get(1).and_then(|v| v.as_i64()).unwrap_or(0);
+        let col = |i: usize| stats_row.get(i).and_then(|v| v.as_i64());
+        let (l_new, cand) = (col(0).unwrap_or(INF), col(1).unwrap_or(0));
+        min_cost = min_cost.min(col(2).unwrap_or(INF));
         if forward {
             lf = l_new;
             nf = cand;
@@ -348,15 +357,6 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
             lb = l_new;
             nb = cand;
         }
-        let mc_now = runner
-            .scalar_prepared(
-                Phase::StatsCollection,
-                FemOperator::Aux,
-                &min_cost_stmt,
-                &[],
-            )?
-            .unwrap_or(i64::MAX);
-        min_cost = if mc_now >= INF { INF } else { mc_now };
 
         if runner.stats.expansions > max_iters {
             return Err(SqlError::Eval(format!(

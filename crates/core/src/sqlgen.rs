@@ -25,12 +25,12 @@ use crate::stats::SqlStyle;
 /// an indexed working table is a plan-shape regression (rule FC201).
 ///
 /// The annotation policy (DESIGN.md §15): point probes (`dist_of`,
-/// `pred_of`, `settled`, `walk_tree`), the by-`nid` F-operator updates
-/// (`mark_by_nid`, `settle_by_nid`) and the M-operator statements that
-/// probe the visited table per expansion row are hot; the F-operator
-/// aggregate scans (`select_mid`, `candidate_stats`), the set-valued
-/// frontier marks and whole-table resets are *expected* to scan and stay
-/// cold.
+/// `pred_of`, `settled`, `walk_tree`), the by-`nid` settle
+/// (`settle_by_nid`), the by-`nid` expansions and the M-operator
+/// statements that probe the visited table per expansion row are hot; the
+/// F-operator scans (`select_mid`, `select_mid_at`, `candidate_stats`),
+/// the set-valued frontier marks and whole-table resets are *expected* to
+/// scan and stay cold.
 #[derive(Debug, Clone)]
 pub struct AnnotatedSql {
     /// Stable corpus name, e.g. `fwd/edges/nsql/merge_from_exp`.
@@ -168,29 +168,38 @@ impl SqlGen {
         )
     }
 
+    /// Listing 2(2) for a client that already holds the minimal candidate
+    /// distance `l` (the bidirectional finders read it with
+    /// [`SqlGen::candidate_stats`]): the scalar subquery becomes a
+    /// parameter. Same scan order and same first match as
+    /// [`SqlGen::select_mid`], so the same node; params `[l]`.
+    pub fn select_mid_at(&self) -> String {
+        let (dist, _, flag, ..) = self.dir.cols();
+        format!("SELECT TOP 1 nid FROM TVisited WHERE {flag} = 0 AND {dist} = ?")
+    }
+
     /// Minimal candidate distance (Listing 4(4)); NULL when exhausted.
     pub fn min_candidate(&self) -> String {
         let (dist, _, flag, ..) = self.dir.cols();
         format!("SELECT MIN({dist}) FROM TVisited WHERE {flag} = 0 AND {dist} < {INF}")
     }
 
-    /// Number of remaining candidates in this direction.
-    pub fn candidate_count(&self) -> String {
-        let (dist, _, flag, ..) = self.dir.cols();
-        format!("SELECT COUNT(*) FROM TVisited WHERE {flag} = 0 AND {dist} < {INF}")
-    }
-
-    /// Fused statistics statement: minimal candidate distance and candidate
-    /// count in one scan (one SQLCA round-trip instead of two).
+    /// Fused statistics statement (Listing 4(4) + 4(5)) — one scan of this
+    /// direction's candidates returns their minimal distance, their count,
+    /// and the smallest `d2s + d2t` among them.
+    ///
+    /// The third column replaces a separate `SELECT MIN(d2s + d2t) FROM
+    /// TVisited`: every row an expansion's M-operator touches comes out a
+    /// candidate of the expanding direction (`flag = 0`, finite `dist`),
+    /// rows it did not touch kept their sum, and distances only
+    /// fall — so the client's `min(minCost, third column)` right after an
+    /// expansion *is* the whole-table minimum.
     pub fn candidate_stats(&self) -> String {
         let (dist, _, flag, ..) = self.dir.cols();
-        format!("SELECT MIN({dist}), COUNT(*) FROM TVisited WHERE {flag} = 0 AND {dist} < {INF}")
-    }
-
-    /// Mark a single node as frontier; params `[nid]`.
-    pub fn mark_by_nid(&self) -> String {
-        let (_, _, flag, ..) = self.dir.cols();
-        format!("UPDATE TVisited SET {flag} = 2 WHERE nid = ? AND {flag} = 0")
+        format!(
+            "SELECT MIN({dist}), COUNT(*), MIN(d2s + d2t) FROM TVisited \
+             WHERE {flag} = 0 AND {dist} < {INF}"
+        )
     }
 
     /// Mark all candidates at one distance (set Dijkstra); params `[dist]`.
@@ -205,13 +214,15 @@ impl SqlGen {
         format!("UPDATE TVisited SET {flag} = 2 WHERE {flag} = 0 AND {dist} < {INF}")
     }
 
-    /// Listing 4(1): the selective frontier of BSEG; params `[k * lthd]`.
+    /// Listing 4(1): the selective frontier of BSEG; params
+    /// `[k * lthd, l]`. The listing's `(SELECT MIN(..))` is the minimal
+    /// candidate distance `l` the client already holds, bound as a
+    /// parameter.
     pub fn mark_threshold(&self) -> String {
         let (dist, _, flag, ..) = self.dir.cols();
         format!(
             "UPDATE TVisited SET {flag} = 2 \
-             WHERE ({dist} <= ? OR {dist} = (SELECT MIN({dist}) FROM TVisited \
-             WHERE {flag} = 0 AND {dist} < {INF})) AND {flag} = 0 AND {dist} < {INF}"
+             WHERE ({dist} <= ? OR {dist} = ?) AND {flag} = 0 AND {dist} < {INF}"
         )
     }
 
@@ -379,21 +390,20 @@ impl SqlGen {
     /// `merge_supported` — the finders make the same dialect choice.
     ///
     /// Hot statements: the ByNid expansions (one index probe per expanded
-    /// node), the by-`nid` mark and settle UPDATEs (Listing 2's F-operator
-    /// and Listing 3(2) — the `TVisited(nid)` index of Fig 8(c) finds their
-    /// one row), the three M-operator statements (probe `TVisited` per
-    /// expansion row) and the per-node result probes. The F-operator
-    /// aggregates and the frontier marks that select by flag or distance
-    /// intentionally scan and stay cold.
+    /// node) and the by-`nid` settle UPDATE (Listing 3(2)) — DJ's and BDJ's
+    /// whole F/E/M sequence, where the `TVisited(nid)` index of Fig 8(c)
+    /// finds the one row — the three M-operator statements (probe
+    /// `TVisited` per expansion row) and the per-node result probes. The
+    /// frontier picks, the statistics aggregate and the frontier marks that
+    /// select by flag or distance intentionally scan and stay cold.
     pub fn annotated_corpus(&self, merge_supported: bool) -> Vec<AnnotatedSql> {
         let t = self.tag();
         let mut out = vec![
             AnnotatedSql::cold(format!("{t}/init"), SqlGen::init(self.dir)),
             AnnotatedSql::cold(format!("{t}/select_mid"), self.select_mid()),
+            AnnotatedSql::cold(format!("{t}/select_mid_at"), self.select_mid_at()),
             AnnotatedSql::cold(format!("{t}/min_candidate"), self.min_candidate()),
-            AnnotatedSql::cold(format!("{t}/candidate_count"), self.candidate_count()),
             AnnotatedSql::cold(format!("{t}/candidate_stats"), self.candidate_stats()),
-            AnnotatedSql::hot(format!("{t}/mark_by_nid"), self.mark_by_nid()),
             AnnotatedSql::cold(format!("{t}/mark_by_dist"), self.mark_by_dist()),
             AnnotatedSql::cold(format!("{t}/mark_all"), self.mark_all()),
             AnnotatedSql::cold(format!("{t}/mark_threshold"), self.mark_threshold()),
@@ -896,7 +906,6 @@ pub fn free_statement_corpus(has_landmarks: bool) -> Vec<AnnotatedSql> {
         AnnotatedSql::cold("batch/delete_done_bounds", batch_delete_done_bounds()),
         AnnotatedSql::hot("batch/meet_node", batch_meet_node()),
         AnnotatedSql::cold("batch/truncate_exp", truncate_batch_exp()),
-        AnnotatedSql::cold("single/min_cost", min_cost()),
         AnnotatedSql::cold("single/meet_node", meet_node()),
         AnnotatedSql::cold("single/truncate_exp", truncate_exp()),
     ];
@@ -994,11 +1003,6 @@ pub fn truncate_batch_exp() -> &'static str {
     "TRUNCATE TABLE TBExp"
 }
 
-/// Listing 4(5): minimal s–t distance discovered so far.
-pub fn min_cost() -> &'static str {
-    "SELECT MIN(d2s + d2t) FROM TVisited"
-}
-
 /// Listing 4(6): a node on the currently-best path; params `[minCost]`.
 pub fn meet_node() -> &'static str {
     "SELECT TOP 1 nid FROM TVisited WHERE d2s + d2t = ?"
@@ -1031,16 +1035,18 @@ mod tests {
         for g in all_gens() {
             for sql in [
                 g.select_mid(),
+                g.select_mid_at(),
                 g.min_candidate(),
-                g.candidate_count(),
-                g.mark_by_nid(),
+                g.candidate_stats(),
                 g.mark_by_dist(),
                 g.mark_all(),
                 g.mark_threshold(),
                 g.reset_frontier(),
+                g.settle_by_nid(),
                 g.expand_merge(FrontierPred::Marked),
                 g.expand_merge(FrontierPred::ByNid),
                 g.expand_into_exp(FrontierPred::Marked),
+                g.expand_into_exp(FrontierPred::ByNid),
                 g.merge_from_exp(),
                 g.update_from_exp(),
                 g.insert_from_exp(),
@@ -1054,7 +1060,6 @@ mod tests {
         for sql in [
             SqlGen::init(Dir::Fwd),
             SqlGen::init(Dir::Bwd),
-            min_cost().to_string(),
             meet_node().to_string(),
             truncate_exp().to_string(),
         ] {

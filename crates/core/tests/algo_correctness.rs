@@ -2,13 +2,16 @@
 //! in-memory Dijkstra oracle, across graph families, SQL styles, dialects
 //! and index strategies.
 
+use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, FrontierPred, SqlGen};
 use fempath_core::{
     build_segtable_with, prim_mst, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder,
-    GraphDb, GraphDbOptions, PathOutcome, ShortestPathFinder, SqlStyle,
+    FrontierPolicy, GraphDb, GraphDbOptions, PathOutcome, ShortestPathFinder, SqlStyle, INF,
 };
 use fempath_graph::{generate, Graph, IndexKind};
 use fempath_inmem::dijkstra;
 use fempath_sql::Dialect;
+use fempath_storage::Value;
+use proptest::prelude::*;
 
 /// The Figure 1 graph of the paper.
 fn figure1() -> Graph {
@@ -390,7 +393,10 @@ fn query_stats_are_populated() {
 /// changes must leave what each finder *does* — statements issued, frontier
 /// expansions, rows left in the visited table — exactly as it was. Pinned
 /// on a fixed graph and pair set (counts first recorded at commit 541835a,
-/// before the DML pipeline went columnar).
+/// before the DML pipeline went columnar). BDJ's and BSDJ's statement
+/// counts were re-pinned once, when their per-expansion sequence lost two
+/// statements and one (1952 − 2·313, 1039 − 193); expansions and visited
+/// rows did not move.
 #[test]
 fn work_counts_are_pinned_on_a_fixed_graph() {
     use fempath_core::{BatchBdjFinder, BatchShortestPathFinder};
@@ -405,8 +411,8 @@ fn work_counts_are_pinned_on_a_fixed_graph() {
     assert_eq!(counts(&batch.stats), (227, 29, 982), "BatchBDJ");
 
     let single: [(&dyn ShortestPathFinder, _); 2] = [
-        (&BdjFinder::default(), (1952u64, 313u64, 627u64)),
-        (&BsdjFinder::default(), (1039, 193, 617)),
+        (&BdjFinder::default(), (1326u64, 313u64, 627u64)),
+        (&BsdjFinder::default(), (846, 193, 617)),
     ];
     for (finder, want) in single {
         let mut total = (0u64, 0u64, 0u64);
@@ -418,4 +424,307 @@ fn work_counts_are_pinned_on_a_fixed_graph() {
         }
         assert_eq!(total, want, "{}", finder.name());
     }
+}
+
+/// What a hand-driven search saw on the way.
+struct HandDriven {
+    min_cost: i64,
+    expansions: u64,
+    /// Most candidates any pick found tied at the minimal distance.
+    max_tied: i64,
+}
+
+/// Algorithm 2 driven statement by statement with [`SqlGen`]'s text — the
+/// sequence `run_bidi` issues for `policy` — checking the identities the
+/// finders rest on after *every* expansion:
+///
+/// * the running minimum folded out of `candidate_stats` equals Listing
+///   4(5), `SELECT MIN(d2s + d2t) FROM TVisited`;
+/// * in both directions the pick bound to the client-held `l` returns the
+///   node Listing 2(2) returns (and BSEG's two-parameter mark selects the
+///   rows Listing 4(1) selects);
+/// * BDJ's expanding node sits at `flag = 0` through its own M-operator
+///   and comes out untouched.
+fn drive_by_hand(
+    gdb: &mut GraphDb,
+    policy: FrontierPolicy,
+    style: SqlStyle,
+    (s, t): (i64, i64),
+) -> HandDriven {
+    let edges = match policy {
+        FrontierPolicy::Threshold { .. } => EdgeSource::SegTable,
+        _ => EdgeSource::Edges,
+    };
+    let gens = [
+        SqlGen::new(Dir::Fwd, edges, style),
+        SqlGen::new(Dir::Bwd, edges, style),
+    ];
+    let int = |v: i64| Value::Int(v);
+    let scalar = |gdb: &mut GraphDb, sql: &str, params: &[Value]| -> Option<i64> {
+        gdb.db.query_params(sql, params).unwrap().scalar_i64()
+    };
+    gdb.reset_visited().unwrap();
+    let split = !gdb.merge_supported();
+    if split {
+        gdb.reset_exp().unwrap();
+    }
+    for (dir, node) in [(Dir::Fwd, s), (Dir::Bwd, t)] {
+        gdb.db
+            .execute_params(&SqlGen::init(dir), &[int(node), int(node)])
+            .unwrap();
+    }
+
+    let mut seen = HandDriven {
+        min_cost: INF,
+        expansions: 0,
+        max_tied: 0,
+    };
+    let (mut l, mut n, mut k) = ([0i64; 2], [1i64; 2], [1i64; 2]);
+    while seen.min_cost > l[0] + l[1] && (n[0] > 0 || n[1] > 0) {
+        // Both directions, not only the expanding one: `l` of the other
+        // direction was read before any number of this one's expansions.
+        for (gen, &l) in gens.iter().zip(&l) {
+            let listing = scalar(gdb, &gen.select_mid(), &[]);
+            let bound = scalar(gdb, &gen.select_mid_at(), &[int(l)]).filter(|_| l < INF);
+            assert_eq!(bound, listing, "{policy:?} {:?}: pick at l = {l}", gen.dir);
+            let (dist, _, flag, ..) = gen.dir.cols();
+            let tied = format!("SELECT COUNT(*) FROM TVisited WHERE {flag} = 0 AND {dist} = ?");
+            if l < INF {
+                seen.max_tied = seen.max_tied.max(scalar(gdb, &tied, &[int(l)]).unwrap());
+            }
+        }
+
+        let d = usize::from(!(n[0] > 0 && (n[1] <= 0 || n[0] <= n[1])));
+        let gen = gens[d];
+        let (dist, _, flag, ..) = gen.dir.cols();
+        let mid = match policy {
+            FrontierPolicy::SingleMin => scalar(gdb, &gen.select_mid_at(), &[int(l[d])]),
+            _ => None,
+        };
+        let marked = match policy {
+            FrontierPolicy::SingleMin => u64::from(mid.is_some()),
+            FrontierPolicy::AllMin => {
+                let out = gdb.db.execute_params(&gen.mark_by_dist(), &[int(l[d])]);
+                out.unwrap().rows_affected
+            }
+            FrontierPolicy::All => gdb.db.execute(&gen.mark_all()).unwrap().rows_affected,
+            FrontierPolicy::Threshold { lthd } => {
+                let listing = format!(
+                    "SELECT COUNT(*) FROM TVisited WHERE ({dist} <= ? OR {dist} = \
+                     (SELECT MIN({dist}) FROM TVisited WHERE {flag} = 0 AND {dist} < {INF})) \
+                     AND {flag} = 0 AND {dist} < {INF}"
+                );
+                let want = scalar(gdb, &listing, &[int(k[d] * lthd)]).unwrap();
+                let params = [int(k[d] * lthd), int(l[d])];
+                let out = gdb.db.execute_params(&gen.mark_threshold(), &params);
+                let marked = out.unwrap().rows_affected;
+                assert_eq!(marked as i64, want, "Listing 4(1) at l = {}", l[d]);
+                marked
+            }
+        };
+        if marked == 0 {
+            n[d] = 0;
+            continue;
+        }
+
+        let pred = if mid.is_some() {
+            FrontierPred::ByNid
+        } else {
+            FrontierPred::Marked
+        };
+        let params = expand_params(style, pred, mid, l[1 - d], seen.min_cost).unwrap();
+        if split {
+            gdb.db.execute("TRUNCATE TABLE TExp").unwrap();
+            gdb.db
+                .execute_params(&gen.expand_into_exp(pred), &params)
+                .unwrap();
+            gdb.db.execute(&gen.update_from_exp()).unwrap();
+            gdb.db.execute(&gen.insert_from_exp()).unwrap();
+        } else {
+            gdb.db
+                .execute_params(&gen.expand_merge(pred), &params)
+                .unwrap();
+        }
+        match mid {
+            Some(mid) => {
+                let row = format!("SELECT {flag}, {dist} FROM TVisited WHERE nid = ?");
+                let row = gdb.db.query_params(&row, &[int(mid)]).unwrap();
+                assert_eq!(
+                    row.rows,
+                    [[int(0), int(l[d])]],
+                    "BDJ: node {mid} re-opened or moved by its own expansion"
+                );
+                gdb.db
+                    .execute_params(&gen.settle_by_nid(), &[int(mid)])
+                    .unwrap();
+            }
+            None => {
+                gdb.db.execute(&gen.reset_frontier()).unwrap();
+            }
+        }
+        seen.expansions += 1;
+        k[d] += 1;
+
+        let stats = gdb.db.query(&gen.candidate_stats()).unwrap();
+        let col = |i: usize| stats.rows[0][i].as_i64();
+        l[d] = col(0).unwrap_or(INF);
+        n[d] = col(1).unwrap_or(0);
+        seen.min_cost = seen.min_cost.min(col(2).unwrap_or(INF));
+        let listing = scalar(gdb, "SELECT MIN(d2s + d2t) FROM TVisited", &[]).unwrap();
+        assert_eq!(
+            seen.min_cost,
+            listing.min(INF),
+            "{policy:?}: folded minCost after expansion {}",
+            seen.expansions
+        );
+        assert!(seen.expansions <= 8 * gdb.num_nodes() as u64 + 32);
+    }
+    seen
+}
+
+const POLICIES: [FrontierPolicy; 4] = [
+    FrontierPolicy::SingleMin,
+    FrontierPolicy::AllMin,
+    FrontierPolicy::All,
+    FrontierPolicy::Threshold { lthd: 4 },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The three identities on random graphs with few distinct weights
+    /// (many ties, zero-weight edges included), in every dialect, style
+    /// and `TVisited` layout the finders run under.
+    #[test]
+    fn folded_statistics_and_bound_picks_equal_the_listings(
+        grid in any::<bool>(),
+        seed in 0u64..1_000,
+        max_weight in 0u32..4,
+        traditional in any::<bool>(),
+        postgres in any::<bool>(),
+        clustered in any::<bool>(),
+        (s, t) in (0i64..48, 0i64..48),
+    ) {
+        let g = if grid {
+            generate::grid(6, 8, 0..=max_weight, seed)
+        } else {
+            generate::power_law(48, 2, 0..=max_weight, seed)
+        };
+        let style = if traditional { SqlStyle::Traditional } else { SqlStyle::New };
+        let opts = GraphDbOptions {
+            dialect: if postgres { Dialect::POSTGRES } else { Dialect::DBMS_X },
+            visited_index: if clustered { IndexKind::Clustered } else { IndexKind::Secondary },
+            ..Default::default()
+        };
+        let mut gdb = GraphDb::new(&g, &opts).unwrap();
+        build_segtable_with(&mut gdb, 4, style).unwrap();
+        let want = dijkstra::shortest_path(&g, s as u32, t as u32).map(|p| p.distance as i64);
+        for policy in POLICIES {
+            if s == t {
+                continue;
+            }
+            let seen = drive_by_hand(&mut gdb, policy, style, (s, t));
+            prop_assert_eq!(seen.min_cost, want.unwrap_or(INF), "{:?}", policy);
+        }
+    }
+}
+
+#[test]
+fn bound_pick_breaks_ties_like_listing_2_2() {
+    // A unit-weight grid: every frontier is a tie.
+    let g = generate::grid(7, 7, 1..=1, 1);
+    for visited_index in [IndexKind::Secondary, IndexKind::Clustered] {
+        let opts = GraphDbOptions {
+            visited_index,
+            ..Default::default()
+        };
+        let mut gdb = GraphDb::new(&g, &opts).unwrap();
+        gdb.build_segtable(2).unwrap();
+        for policy in POLICIES {
+            let seen = drive_by_hand(&mut gdb, policy, SqlStyle::New, (0, 48));
+            assert_eq!(seen.min_cost, 12, "{policy:?}");
+            assert!(seen.max_tied >= 3, "{policy:?}: no tie among candidates");
+        }
+        // The finder issues the same sequence: same number of expansions.
+        let by_hand = drive_by_hand(&mut gdb, POLICIES[0], SqlStyle::New, (0, 48));
+        let out = BdjFinder::default().find_path(&mut gdb, 0, 48).unwrap();
+        assert_eq!(out.stats.expansions, by_hand.expansions);
+    }
+}
+
+#[test]
+fn bdj_settles_each_node_once_with_zero_weight_and_parallel_edges() {
+    // Zero-weight edges put neighbours at the expanding node's own
+    // distance, a zero-weight self-loop offers the node to itself, and
+    // parallel edges offer one neighbour twice. The by-`nid` flow leaves
+    // the expanding node at `flag = 0` during its own MERGE; none of this
+    // may re-open it, so every expansion settles a different node.
+    let g = Graph::from_undirected_edges(
+        8,
+        vec![
+            (0, 0, 0),
+            (0, 1, 0),
+            (0, 1, 3),
+            (1, 2, 0),
+            (1, 2, 0),
+            (2, 3, 2),
+            (2, 3, 5),
+            (3, 3, 0),
+            (3, 4, 0),
+            (4, 5, 1),
+            (5, 6, 0),
+            (6, 7, 4),
+            (0, 7, 9),
+        ],
+    );
+    for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
+        let opts = GraphDbOptions {
+            dialect,
+            ..Default::default()
+        };
+        let mut gdb = GraphDb::new(&g, &opts).unwrap();
+        for s in 0..8i64 {
+            for t in 0..8i64 {
+                let out = BdjFinder::default().find_path(&mut gdb, s, t).unwrap();
+                check(&g, &out, s, t, "BDJ");
+                if s == t {
+                    continue;
+                }
+                let settled = gdb
+                    .db
+                    .query("SELECT SUM(f = 1) + SUM(b = 1) FROM TVisited")
+                    .unwrap()
+                    .scalar_i64()
+                    .unwrap();
+                assert_eq!(out.stats.expansions as i64, settled, "{s}->{t}");
+                drive_by_hand(&mut gdb, FrontierPolicy::SingleMin, SqlStyle::New, (s, t));
+            }
+        }
+    }
+}
+
+#[test]
+fn resident_frames_are_flat_across_bdj_queries() {
+    // Every query TRUNCATEs `TVisited`, which frees all but the root of its
+    // `nid` index; the freed pages' frames must be the ones the next
+    // query's splits get (a worker session leaked 3.8 KB/query before). A
+    // degree-16 graph makes most queries visit enough rows to split.
+    let g = generate::power_law(3000, 8, 1..=100, 77);
+    let mut gdb = GraphDb::in_memory(&g).unwrap().freeze().unwrap().session();
+    let pairs = sample_pairs(3000, 10);
+    let finder = BdjFinder::default();
+    // Two passes: the first touches every edge page and grows the heap to
+    // its largest, the second repeats it from a recycled heap.
+    all_pairs_check(&g, &finder, &mut gdb, &pairs);
+    all_pairs_check(&g, &finder, &mut gdb, &pairs);
+    let warm = (gdb.db.buffer_resident(), gdb.db.io_stats().allocations);
+    for i in 0..200 {
+        let (s, t) = pairs[i % pairs.len()];
+        finder.find_path(&mut gdb, s, t).unwrap();
+    }
+    assert_eq!(gdb.db.buffer_resident(), warm.0);
+    assert!(
+        gdb.db.io_stats().allocations > warm.1,
+        "no query split the index: nothing was recycled"
+    );
 }

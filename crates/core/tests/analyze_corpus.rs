@@ -5,7 +5,8 @@
 //! (dropped hot-path index, unguarded `NOT IN`, type mismatch) are pinned
 //! to their diagnostic codes.
 
-use fempath_core::{build_segtable, GraphDb};
+use fempath_core::sqlgen::{Dir, EdgeSource, FrontierPred, SqlGen};
+use fempath_core::{build_segtable, GraphDb, SqlStyle};
 use fempath_graph::generate;
 use fempath_sql::Rule;
 
@@ -78,15 +79,18 @@ fn dropped_index_is_caught_as_fc201() {
     let mut gdb = small_gdb();
     gdb.reset_visited().unwrap();
     let dist_of = "SELECT d2s FROM TVisited WHERE nid = ?";
-    // The F-operator's by-nid UPDATE takes the same index path.
-    let mark_by_nid = "UPDATE TVisited SET b = 2 WHERE nid = ? AND b = 0";
-    assert!(gdb.db.analyze_hot_path(dist_of).unwrap().is_clean());
-    assert!(gdb.db.analyze_hot_path(mark_by_nid).unwrap().is_clean());
+    // BDJ's and DJ's by-nid settle and expansion take the same index path.
+    let gen = SqlGen::new(Dir::Bwd, EdgeSource::Edges, SqlStyle::New);
+    let settle_by_nid = &gen.settle_by_nid();
+    let expand_by_nid = &gen.expand_merge(FrontierPred::ByNid);
+    for sql in [dist_of, settle_by_nid, expand_by_nid] {
+        assert!(gdb.db.analyze_hot_path(sql).unwrap().is_clean(), "{sql}");
+    }
     gdb.db.execute("DROP INDEX idx_tvisited_nid").unwrap();
     gdb.db
         .execute("CREATE INDEX idx_tvisited_flags ON TVisited(f)")
         .unwrap();
-    for sql in [dist_of, mark_by_nid] {
+    for sql in [dist_of, settle_by_nid, expand_by_nid] {
         let report = gdb.db.analyze_hot_path(sql).unwrap();
         assert!(
             report.has_rule(Rule::HotPathFullScan),

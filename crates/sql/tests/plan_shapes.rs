@@ -155,9 +155,12 @@ fn paper_visited() -> Database {
     d
 }
 
-/// The forward BDJ loop statements (`SqlGen`'s text), by corpus name.
-const CANDIDATE_STATS: &str =
-    "SELECT MIN(d2s), COUNT(*) FROM TVisited WHERE f = 0 AND d2s < 4000000000000000";
+/// The forward loop statements of the bidirectional finders (`SqlGen`'s
+/// text), by corpus name — and `MARK_BY_NID`, which no finder issues any
+/// more but is the by-`nid` UPDATE that carries a residual.
+const CANDIDATE_STATS: &str = "SELECT MIN(d2s), COUNT(*), MIN(d2s + d2t) FROM TVisited \
+     WHERE f = 0 AND d2s < 4000000000000000";
+const SELECT_MID_AT: &str = "SELECT TOP 1 nid FROM TVisited WHERE f = 0 AND d2s = ?";
 const MARK_BY_NID: &str = "UPDATE TVisited SET f = 2 WHERE nid = ? AND f = 0";
 const SETTLE_BY_NID: &str = "UPDATE TVisited SET f = 1 WHERE nid = ?";
 const RESET_FRONTIER: &str = "UPDATE TVisited SET f = 1 WHERE f = 2";
@@ -167,8 +170,13 @@ fn scans_list_the_columns_the_statement_reads() {
     let mut d = paper_visited();
     let stats = describe(&mut d, CANDIDATE_STATS);
     assert!(
-        stats.contains("full scan, 2 pushed filter(s), cols=[d2s,f]"),
-        "candidate_stats reads d2s and f only, got:\n{stats}"
+        stats.contains("full scan, 2 pushed filter(s), cols=[d2s,f,d2t]"),
+        "candidate_stats reads d2s, f and d2t only, got:\n{stats}"
+    );
+    let pick = describe(&mut d, SELECT_MID_AT);
+    assert!(
+        pick.contains("full scan, 2 pushed filter(s), cols=[nid,d2s,f]"),
+        "the bound pick reads nid, d2s and f only, got:\n{pick}"
     );
     let count = describe(&mut d, "SELECT COUNT(*) FROM TVisited");
     assert!(

@@ -166,7 +166,9 @@ impl BufferPool {
             self.frames.swap_remove(victim);
             if victim != last {
                 let moved_pid = self.frames[victim].pid;
-                self.page_table.insert(moved_pid, victim);
+                if moved_pid != PageId::INVALID {
+                    self.page_table.insert(moved_pid, victim);
+                }
                 let (p, n, t) = (
                     self.frames[victim].prev,
                     self.frames[victim].next,
@@ -231,8 +233,9 @@ impl BufferPool {
             }
             self.frames[idx].dirty = false;
             self.frames[idx].pid = PageId::INVALID;
-            // Park the frame at the probationary LRU end so it is the next
-            // eviction victim; it holds no page, so evicting it is free.
+            // Park the frame at the probationary LRU end: it holds no
+            // page, so `acquire_frame` hands it out again before it grows
+            // the pool or evicts anything.
             self.frames[idx].tier = PROB;
             self.attach_back(PROB, idx);
         }
@@ -347,9 +350,16 @@ impl BufferPool {
         Err(StorageError::BufferExhausted)
     }
 
-    /// Gets an unattached frame: grows the pool when below capacity,
-    /// otherwise evicts a victim (probationary first).
+    /// Gets an unattached frame: one parked by [`BufferPool::free_page`] if
+    /// there is any (only `free_page` attaches at the probationary LRU end,
+    /// so parked frames are always its tail), else a new one while below
+    /// capacity, else a victim's (probationary first).
     fn acquire_frame(&mut self) -> Result<usize> {
+        let parked = self.tail[PROB];
+        if parked != NIL && self.frames[parked].pid == PageId::INVALID {
+            self.detach(parked);
+            return Ok(parked);
+        }
         if self.frames.len() < self.capacity {
             self.frames.push(Frame {
                 page: Page::zeroed(),
@@ -603,6 +613,57 @@ mod tests {
             pool.capacity(),
             "no frames leaked past the new cap"
         );
+    }
+
+    #[test]
+    fn freed_frames_are_reused_before_the_pool_grows() {
+        // A working table's reset frees its pages and the next query
+        // allocates them again: the frames must go round with the pages.
+        let mut pool = BufferPool::in_memory(64);
+        let mut pids: Vec<_> = (0..3).map(|_| pool.allocate_page().unwrap()).collect();
+        for &pid in &pids {
+            pool.write_page(pid, |b| b[0] = 7).unwrap();
+        }
+        for cycle in 0..200 {
+            let pid = pids.remove(cycle % 3);
+            pool.free_page(pid);
+            let fresh = pool.allocate_page().unwrap();
+            assert_eq!(pool.read_page(fresh, |b| b[0]).unwrap(), 0, "zeroed");
+            pool.write_page(fresh, |b| b[0] = 7).unwrap();
+            pids.push(fresh);
+            assert_eq!(pool.resident(), 3, "cycle {cycle} grew the pool");
+        }
+        // A parked frame holds no page: handing it out again is neither an
+        // eviction nor a write-back of whatever the freed page had dirty.
+        let s = pool.stats();
+        assert_eq!((s.evictions, s.disk_writes), (0, 0));
+        assert_eq!(pool.num_disk_pages(), 3, "page ids are recycled too");
+    }
+
+    #[test]
+    fn parked_frames_survive_a_full_pool_and_a_shrink() {
+        let mut pool = BufferPool::in_memory(4);
+        let pids: Vec<_> = (0..4).map(|_| pool.allocate_page().unwrap()).collect();
+        for (i, &pid) in pids.iter().enumerate() {
+            pool.write_page(pid, |b| b[0] = i as u8 + 1).unwrap();
+        }
+        // At capacity: the parked frame is taken, nobody is evicted.
+        pool.free_page(pids[1]);
+        let fresh = pool.allocate_page().unwrap();
+        assert_eq!(pool.stats().evictions, 0);
+        assert_eq!(pool.resident(), 4);
+        // Shrinking drops the parked frames first — one of them moves into
+        // the other's slot on the way — and the pages that stay keep their
+        // bytes.
+        pool.free_page(pids[3]);
+        pool.free_page(fresh);
+        pool.set_capacity(2).unwrap();
+        assert_eq!(pool.resident(), 2);
+        assert_eq!(pool.stats().disk_writes, 0, "parked frames hold nothing");
+        for i in [0, 2] {
+            assert_eq!(pool.read_page(pids[i], |b| b[0]).unwrap(), i as u8 + 1);
+        }
+        assert_eq!(pool.stats().buffer_misses, 0);
     }
 
     #[test]

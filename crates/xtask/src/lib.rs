@@ -1,7 +1,7 @@
 //! femcheck layer 2 — the workspace *source* auditor (DESIGN.md §15).
 //!
 //! Where the SQL analyzer (`fempath_sql::analyze`) checks the statements
-//! the engine generates, this crate checks the engine's own source. Five
+//! the engine generates, this crate checks the engine's own source. Six
 //! plain-text, line-level rules, no dependencies, no proc macros:
 //!
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
@@ -23,6 +23,10 @@
 //!    entry points (`Database::execute_unplanned`, `Database::run_stmt`):
 //!    everything that is served runs on the planned executor, and the
 //!    interpreter is the reference that tests compare it against.
+//! 6. **no-env-knobs** — the library crates (`core`, `sql`, `storage`,
+//!    `graph`, `inmem`) never read an environment variable: behaviour is
+//!    chosen by arguments and by what the code can observe in its input,
+//!    so there is one configuration to test and to benchmark.
 //!
 //! The rule needles are assembled at runtime from fragments so this
 //! crate's own source never contains them verbatim (the auditor audits
@@ -83,6 +87,7 @@ struct Needles {
     dbg_macro: String,
     cfg_test: String,
     interpreter_calls: [String; 2],
+    env_read: String,
 }
 
 impl Needles {
@@ -105,6 +110,7 @@ impl Needles {
                 ["execute_unpl", "anned("].concat(),
                 ["run_st", "mt("].concat(),
             ],
+            env_read: ["env::", "var"].concat(),
         }
     }
 }
@@ -160,6 +166,15 @@ fn interpreter_call<'n>(code: &str, needles: &'n Needles) -> Option<&'n str> {
         .map(String::as_str)
         .find(|call| code.contains(call))
 }
+
+/// The crates rule 6 keeps free of environment reads.
+const KNOB_FREE_SRC: [&str; 5] = [
+    "crates/core/src/",
+    "crates/sql/src/",
+    "crates/storage/src/",
+    "crates/graph/src/",
+    "crates/inmem/src/",
+];
 
 /// Parses `unwrap-allowlist.txt`: one `path count` pair per line, `#`
 /// comments and blank lines ignored.
@@ -246,6 +261,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
         let lines: Vec<&str> = text.lines().collect();
         let is_library_src = rel.contains("/src/");
         let wants_ordering = rel.ends_with("/engine.rs") || rel.ends_with("/dispatch.rs");
+        let knob_free = KNOB_FREE_SRC.iter().any(|p| rel.starts_with(p));
         let mut in_test_region = false;
 
         for (i, &line) in lines.iter().enumerate() {
@@ -324,6 +340,21 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                         ),
                     });
                 }
+            }
+
+            // Rule 6: no environment reads in the library crates, test
+            // modules included (`var`, `var_os` and `vars` share the needle).
+            if knob_free && code.contains(needles.env_read.as_str()) {
+                violations.push(Violation {
+                    file: rel.clone(),
+                    line: lineno,
+                    rule: "no-env-knobs",
+                    msg: format!(
+                        "`{}` read in a library crate — take an argument, or decide \
+                         from the input, instead of an environment knob",
+                        needles.env_read
+                    ),
+                });
             }
 
             // Rule 3 (counting pass): unwraps in library code.
@@ -418,6 +449,38 @@ mod tests {
         );
         let commented = format!("let x = 1; // {unplanned}");
         assert_eq!(interpreter_call(code_part(&commented), &n), None);
+    }
+
+    #[test]
+    fn env_reads_are_spotted_in_library_crates_only() {
+        let n = Needles::new();
+        let dir = std::env::temp_dir().join(format!("xtask-env-{}", std::process::id()));
+        let read = format!("let k = std::{}(\"FEMPATH_MODE\");\n", n.env_read);
+        let os_read = format!(
+            "let k = {}_os(\"X\"); // in a test module too\n",
+            n.env_read
+        );
+        for (rel, text) in [
+            ("crates/core/src/algo/knob.rs", read.as_str()),
+            ("crates/storage/src/knob.rs", os_read.as_str()),
+            ("crates/bench/src/knob.rs", read.as_str()),
+            ("crates/core/tests/knob.rs", read.as_str()),
+            ("crates/graph/src/tmp.rs", "let p = std::env::temp_dir();\n"),
+        ] {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let found = lint(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let hits: Vec<(&str, &str)> = found.iter().map(|v| (v.file.as_str(), v.rule)).collect();
+        assert_eq!(
+            hits,
+            [
+                ("crates/core/src/algo/knob.rs", "no-env-knobs"),
+                ("crates/storage/src/knob.rs", "no-env-knobs"),
+            ]
+        );
     }
 
     #[test]
