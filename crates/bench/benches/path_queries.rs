@@ -3,10 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use fempath_bench::harness::query_pairs;
-use fempath_core::{
-    BatchBdjFinder, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder,
-    GraphDb, ShortestPathFinder,
-};
+use fempath_core::{BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, GraphDb, ShortestPathFinder};
 use fempath_graph::generate;
 use fempath_inmem::{bidijkstra, dijkstra};
 use std::hint::black_box;
@@ -45,17 +42,6 @@ fn bench_algorithms(c: &mut Criterion) {
     bench_finder!("bsdj", BsdjFinder::default());
     bench_finder!("bbfs", BbfsFinder::default());
     bench_finder!("bseg20", BsegFinder::default());
-
-    // The batched finder answers 8 pairs per invocation (DESIGN.md §8).
-    let batch_pairs = query_pairs(N, 8, 43);
-    group.bench_function("batch_bdj_8", |b| {
-        b.iter(|| {
-            let out = BatchBdjFinder::default()
-                .find_paths(&mut gdb, &batch_pairs)
-                .unwrap();
-            black_box(out.stats.expansions);
-        });
-    });
 
     let (s, t) = next();
     group.bench_function("mdj_inmem", |b| {

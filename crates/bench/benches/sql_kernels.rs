@@ -3,10 +3,7 @@
 //! M-operator. These isolate the NSQL/TSQL deltas of Fig 6(d).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use fempath_core::sqlgen::{
-    batch_delete_done_visited, batch_fused_stats, batch_reset_both, expand_params, BatchFrontier,
-    BatchSqlGen, Dir, EdgeSource, FrontierPred, SqlGen,
-};
+use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, FrontierPred, SqlGen};
 use fempath_core::{SqlStyle, INF};
 use fempath_sql::Database;
 use fempath_storage::Value;
@@ -252,60 +249,10 @@ fn fm_edges(db: &mut Database) {
     }
 }
 
-/// The batched working tables mid-search: 8 live queries × 700 visited
-/// rows each (`TBVisited` a heap under its unique `(qid, nid)` index,
-/// `TBounds` clustered on `qid`, as `GraphDb` creates them). Every tenth
-/// row is the query's current frontier, tagged `p2t = -2` so a restore
-/// statement can find it again; `d2t` keeps a copy of `d2s` and `b = 1`
-/// tells fixture rows from rows an expansion inserted (`b = 0`).
-fn batch_fixture() -> Database {
-    let mut db = Database::in_memory(4096);
-    fm_edges(&mut db);
-    db.execute(
-        "CREATE TABLE TBVisited (qid INT, nid INT, d2s INT, p2s INT, f INT, \
-         d2t INT, p2t INT, b INT)",
-    )
-    .unwrap();
-    db.execute("CREATE UNIQUE INDEX idx_tbvisited ON TBVisited(qid, nid)")
-        .unwrap();
-    db.execute(
-        "CREATE TABLE TBounds (qid INT, s INT, t INT, lf INT, lb INT, nf INT, nb INT, \
-         mincost INT, bound INT, done INT)",
-    )
-    .unwrap();
-    db.execute("CREATE UNIQUE CLUSTERED INDEX idx_tbounds ON TBounds(qid)")
-        .unwrap();
-    let ins = db
-        .prepare("INSERT INTO TBVisited VALUES (?, ?, ?, ?, 1, ?, ?, 1)")
-        .unwrap();
-    // Rows arrive interleaved across queries, as the merges append them.
-    for i in 0..700i64 {
-        for qid in 0..8i64 {
-            let d2s = 100 + (i * 37 + qid) % 400;
-            let tag = if i % 10 == 0 { -2 } else { -1 };
-            let params = [qid, (qid * 450 + i * 3) % FM_NODES, d2s, i, d2s, tag].map(Value::Int);
-            db.execute_prepared(&ins, &params).unwrap();
-        }
-    }
-    for qid in 0..8i64 {
-        db.execute_params(
-            "INSERT INTO TBounds VALUES (?, 0, 1, 0, 0, 70, 0, 4000000000000000, 4000000000000000, 0)",
-            &[Value::Int(qid)],
-        )
-        .unwrap();
-    }
-    db.execute(
-        "CREATE TABLE TBSave (qid INT, nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
-    )
-    .unwrap();
-    db.execute("INSERT INTO TBSave SELECT * FROM TBVisited WHERE qid = 7")
-        .unwrap();
-    db
-}
-
-/// The single-pair `TVisited` of [`tvisited`], mid-search like
-/// [`batch_fixture`]: frontier rows tagged `p2t = -2`, `d2t` a copy of
-/// `d2s`, `b = 1`.
+/// The single-pair `TVisited` of [`tvisited`] mid-search: every tenth row
+/// is the current frontier, tagged `p2t = -2` so a restore statement can
+/// find it again; `d2t` keeps a copy of `d2s` and `b = 1` tells fixture
+/// rows from rows an expansion inserted (`b = 0`).
 fn single_fixture(rows: i64) -> Database {
     let mut db = Database::in_memory(4096);
     fm_edges(&mut db);
@@ -327,65 +274,12 @@ fn single_fixture(rows: i64) -> Database {
 
 /// What the F- and M-operator statements cost per row they touch, each
 /// timed alone from a restored table (the untimed `restore` statements
-/// put back whatever the measured one changed). Batched: 8 queries × 700
-/// rows of `TBVisited`, 560 frontier rows; single-pair: 1000 rows of
-/// `TVisited`, 100 frontier rows for the set statements and one node for
-/// the by-`nid` pair. ns/row = time / rows touched.
+/// put back whatever the measured one changed): 1000 rows of `TVisited`,
+/// 100 frontier rows for the set statements and one node for the
+/// by-`nid` pair. ns/row = time / rows touched.
 fn bench_fm_write(c: &mut Criterion) {
     let mut group = c.benchmark_group("fm_write");
     group.sample_size(20);
-    let fwd = BatchSqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New, false);
-    let undo_expand = [
-        "DELETE FROM TBVisited WHERE b = 0",
-        "UPDATE TBVisited SET d2s = d2t, f = 1 WHERE f = 0",
-        "UPDATE TBVisited SET f = 2 WHERE p2t = -2",
-    ];
-    let batched: [(&str, Vec<&str>, String); 5] = [
-        (
-            "mark_frontier/all_alt",
-            vec!["UPDATE TBVisited SET f = 0 WHERE p2t = -2"],
-            fwd.mark_frontier(BatchFrontier::All, true),
-        ),
-        (
-            "batch_reset_both",
-            vec!["UPDATE TBVisited SET f = 2 WHERE p2t = -2"],
-            batch_reset_both().into(),
-        ),
-        ("batch_fused_stats", vec![], batch_fused_stats()),
-        (
-            "expand_merge/batched",
-            undo_expand.to_vec(),
-            fwd.expand_merge(),
-        ),
-        (
-            "delete_done_visited",
-            vec![
-                "DELETE FROM TBVisited WHERE qid = 7",
-                "INSERT INTO TBVisited SELECT * FROM TBSave",
-                "UPDATE TBounds SET done = 1 WHERE qid = 7",
-            ],
-            batch_delete_done_visited().into(),
-        ),
-    ];
-    for (name, restore, sql) in batched {
-        group.bench_function(name, |b| {
-            let db = std::cell::RefCell::new(batch_fixture());
-            let stmt = db.borrow_mut().prepare(&sql).unwrap();
-            b.iter_batched(
-                || {
-                    for r in &restore {
-                        db.borrow_mut().execute(r).unwrap();
-                    }
-                },
-                |()| {
-                    let out = db.borrow_mut().execute_prepared(&stmt, &[]).unwrap();
-                    black_box(out.rows_affected)
-                },
-                BatchSize::PerIteration,
-            );
-        });
-    }
-
     let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
     let expand_args = expand_params(SqlStyle::New, FrontierPred::Marked, None, 0, INF).unwrap();
     let single: [(&str, Vec<&str>, String, Vec<Value>); 4] = [

@@ -5,11 +5,11 @@
 //! One combined table, per fig6a-scale Power graph size:
 //! index build time and SSSP iterations, BDJ with and without bound
 //! seeding (same index resident either way, so the only delta is the
-//! seeded ceiling), BatchBDJ iterations with and without seeding, and the
-//! fast path's coverage plus its per-query time on covered pairs.
+//! seeded ceiling), and the fast path's coverage plus its per-query time
+//! on covered pairs.
 
 use crate::harness::{measure, print_table, query_pairs, secs, BenchConfig};
-use fempath_core::{landmarks, BatchBdjFinder, BatchShortestPathFinder, BdjFinder, GraphDb};
+use fempath_core::{landmarks, BdjFinder, GraphDb};
 use fempath_graph::generate;
 use fempath_sql::Result;
 use std::time::Instant;
@@ -46,12 +46,6 @@ pub fn ablation(cfg: &BenchConfig) -> Result<()> {
             },
             &pairs,
         )?;
-        let batch_seeded = BatchBdjFinder::default().find_paths(&mut gdb, &pairs)?;
-        let batch_unseeded = BatchBdjFinder {
-            seed_bounds: false,
-            ..Default::default()
-        }
-        .find_paths(&mut gdb, &pairs)?;
 
         // Fast-path yield over the same endpoints, plus guaranteed-covered
         // pairs (every node paired with a landmark is answered exactly).
@@ -74,8 +68,6 @@ pub fn ablation(cfg: &BenchConfig) -> Result<()> {
             format!("{:.0}", seeded.avg_expansions),
             secs(unseeded.avg_time),
             format!("{:.0}", unseeded.avg_expansions),
-            batch_seeded.stats.expansions.to_string(),
-            batch_unseeded.stats.expansions.to_string(),
             format!("{covered}/{}", probes.len()),
             secs(fast_time),
         ]);
@@ -90,8 +82,6 @@ pub fn ablation(cfg: &BenchConfig) -> Result<()> {
             "seeded Exps",
             "no-seed t",
             "no-seed Exps",
-            "batch seed Exps",
-            "batch no-seed Exps",
             "covered",
             "fast t",
         ],

@@ -2,7 +2,6 @@
 //! like the corresponding table/figure series in §5 of the paper.
 
 pub mod ablation;
-pub mod batch;
 pub mod fig6;
 pub mod fig6_scaled;
 pub mod fig7;
@@ -44,7 +43,6 @@ pub const ALL: &[&str] = &[
     "fig9h",
     "ablation-prune",
     "landmark-ablation",
-    "batch-throughput",
     "service-throughput",
     "service-cached",
 ];
@@ -92,7 +90,6 @@ fn dispatch(id: &str, cfg: &BenchConfig) -> Result<()> {
         "fig9h" => fig9::fig9h(cfg),
         "ablation-prune" => ablation::prune(cfg),
         "landmark-ablation" => landmark::ablation(cfg),
-        "batch-throughput" => batch::throughput(cfg),
         "service-throughput" => service::throughput(cfg),
         "service-cached" => service_cached::run(cfg),
         other => Err(fempath_sql::SqlError::Eval(format!(

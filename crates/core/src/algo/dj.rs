@@ -176,7 +176,7 @@ impl ShortestPathFinder for DjFinder {
                     fempath_sql::SqlError::Eval("settled target has no distance row".into())
                 })?;
             let node_limit = runner.gdb.num_nodes() + 1;
-            let mut nodes = walk_links(&mut runner, &pred_of, None, t, s, node_limit)?;
+            let mut nodes = walk_links(&mut runner, &pred_of, t, s, node_limit)?;
             nodes.reverse();
             nodes.push(t);
             Some(Path { nodes, length })

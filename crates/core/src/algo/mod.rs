@@ -18,8 +18,7 @@ pub mod batch;
 pub mod bidi;
 pub mod dj;
 
-pub use crate::sqlgen::BatchFrontier;
-pub use batch::{BatchBdjFinder, BatchDjFinder, BatchOutcome, BatchShortestPathFinder};
+pub use batch::{BatchBdjFinder, BatchOutcome, BatchShortestPathFinder};
 pub use bidi::{BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, FrontierPolicy};
 pub use dj::DjFinder;
 
@@ -72,16 +71,6 @@ impl<'a> Runner<'a> {
             started: Instant::now(),
             io_start,
         }
-    }
-
-    /// Executes a one-shot literal statement (e.g. batch seeding): planned
-    /// and run like any other statement, but never entered into the plan
-    /// cache.
-    pub fn exec_once(&mut self, phase: Phase, op: FemOperator, sql: &str) -> Result<ExecOutcome> {
-        let t = Instant::now();
-        let out = self.gdb.db.execute_script(sql)?;
-        self.stats.record(phase, op, t.elapsed());
-        Ok(out)
     }
 
     /// Executes a prepared handle — the hot-loop path: no parse, no plan,
@@ -140,26 +129,17 @@ impl<'a> Runner<'a> {
 
     /// Finishes the run: fills in visited-node count, I/O delta and total
     /// time.
-    pub fn finish(self, path: Option<Path>) -> Result<PathOutcome> {
-        let stats = self.finish_stats("TVisited");
-        Ok(PathOutcome { path, stats })
-    }
-
-    /// Closes out the measurements against an arbitrary visited-node table
-    /// (the batched searches count `TBVisited`) and returns them.
-    pub fn finish_stats(mut self, visited_table: &str) -> QueryStats {
-        self.stats.visited_nodes = self.gdb.db.table_len(visited_table).unwrap_or(0);
+    pub fn finish(mut self, path: Option<Path>) -> Result<PathOutcome> {
+        self.stats.visited_nodes = self.gdb.db.table_len("TVisited").unwrap_or(0);
         self.stats.io = self.gdb.db.io_stats().since(&self.io_start);
         self.stats.total_time = self.started.elapsed();
-        self.stats
+        Ok(PathOutcome {
+            path,
+            stats: self.stats,
+        })
     }
 }
 
-/// Walks predecessor links from `from` back to `anchor` (Listing 3(3))
-/// with a prepared lookup handle. `qid` selects one query of a batched
-/// search (the handle then expects `(qid, nid)` parameters); `None` is
-/// the single-query form. Returns the chain **excluding** `from` itself,
-/// ordered from the node nearest `from` to `anchor`.
 /// The prepared statement the current mode is required to carry. Absence
 /// is a wiring bug between prepare-time and run-time mode flags —
 /// surfaced as a typed error, not a panic.
@@ -171,31 +151,30 @@ pub(crate) fn need<'a>(
         .ok_or_else(|| SqlError::Eval(format!("mode bug: {name} statement not prepared")))
 }
 
+/// Walks predecessor links from `from` back to `anchor` (Listing 3(3))
+/// with a prepared `pred_of` handle. Returns the chain **excluding**
+/// `from` itself, ordered from the node nearest `from` to `anchor`.
 pub(crate) fn walk_links(
     runner: &mut Runner<'_>,
     pred_of: &PreparedStmt,
-    qid: Option<i64>,
     from: i64,
     anchor: i64,
     limit: usize,
 ) -> Result<Vec<i64>> {
-    let label = qid.map(|q| format!("qid {q}: ")).unwrap_or_default();
     let mut chain = Vec::new();
     let mut cur = from;
     while cur != anchor {
-        let mut params = Vec::with_capacity(2);
-        if let Some(q) = qid {
-            params.push(Value::Int(q));
-        }
-        params.push(Value::Int(cur));
         let next = runner
-            .scalar_prepared(Phase::FullPathRecovery, FemOperator::Aux, pred_of, &params)?
-            .ok_or_else(|| {
-                SqlError::Eval(format!("{label}broken predecessor chain at node {cur}"))
-            })?;
+            .scalar_prepared(
+                Phase::FullPathRecovery,
+                FemOperator::Aux,
+                pred_of,
+                &[Value::Int(cur)],
+            )?
+            .ok_or_else(|| SqlError::Eval(format!("broken predecessor chain at node {cur}")))?;
         if next == NO_NODE {
             return Err(SqlError::Eval(format!(
-                "{label}node {cur} has no predecessor while walking to {anchor}"
+                "node {cur} has no predecessor while walking to {anchor}"
             )));
         }
         chain.push(next);
@@ -223,11 +202,11 @@ pub(crate) fn recover_bidi_path(
 ) -> Result<Path> {
     let n = runner.gdb.num_nodes();
     // s … meet via p2s links (walked backward, then reversed).
-    let mut nodes: Vec<i64> = walk_links(runner, fwd_pred, None, meet, s, n + 1)?;
+    let mut nodes: Vec<i64> = walk_links(runner, fwd_pred, meet, s, n + 1)?;
     nodes.reverse();
     nodes.push(meet);
     // meet … t via p2t links.
-    let tail = walk_links(runner, bwd_pred, None, meet, t, n + 1)?;
+    let tail = walk_links(runner, bwd_pred, meet, t, n + 1)?;
     nodes.extend(tail);
     debug_assert_eq!(nodes.first(), Some(&s));
     debug_assert_eq!(nodes.last(), Some(&t));

@@ -168,19 +168,12 @@ impl<T> StealQueues<T> {
         self.slots.len()
     }
 
-    /// Reserves `n` consecutive round-robin targets and returns the first
-    /// — batch submission spreads its tiles from here so two concurrent
-    /// batches don't pile onto the same workers.
-    pub fn reserve_targets(&self, n: usize) -> usize {
-        // ORDERING: Relaxed — the cursor only spreads load; any
-        // interleaving of the RMWs yields distinct, valid targets.
-        self.rr.fetch_add(n, Ordering::Relaxed) % self.slots.len()
-    }
-
     /// Enqueues `job` on the next round-robin queue. Returns the job
     /// back when the pool is closed.
     pub fn push(&self, job: T) -> Result<(), T> {
-        let target = self.reserve_targets(1);
+        // ORDERING: Relaxed — the cursor only spreads load; any
+        // interleaving of the RMWs yields distinct, valid targets.
+        let target = self.rr.fetch_add(1, Ordering::Relaxed) % self.slots.len();
         self.push_to(target, job)
     }
 
@@ -288,74 +281,10 @@ impl<T> StealQueues<T> {
     }
 }
 
-/// Splits `len` items into at most `parts` contiguous `(offset, len)`
-/// tiles whose sizes differ by at most one — the batch partitioner of
-/// [`crate::PathService::query_batch`].
-///
-/// Unlike `div_ceil` tiling (which hands out ceil-sized tiles until the
-/// items run out, so `len` just above `parts` leaves most workers idle
-/// behind a few oversized tiles), every available worker gets a tile
-/// whenever `len >= parts`.
-pub fn partition_even(len: usize, parts: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, len);
-    let base = len / parts;
-    let rem = len % parts;
-    let mut tiles = Vec::with_capacity(parts);
-    let mut offset = 0;
-    for i in 0..parts {
-        let tile = base + usize::from(i < rem);
-        tiles.push((offset, tile));
-        offset += tile;
-    }
-    debug_assert_eq!(offset, len);
-    tiles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-
-    #[test]
-    fn partition_even_spreads_just_above_worker_count() {
-        // The div_ceil regression: 9 pairs on 8 workers used to become
-        // five tiles (2,2,2,2,1) on five workers; now all eight workers
-        // get a tile and no tile exceeds ceil(9/8) = 2.
-        let tiles = partition_even(9, 8);
-        assert_eq!(tiles.len(), 8, "every worker gets a tile");
-        let sizes: Vec<usize> = tiles.iter().map(|&(_, l)| l).collect();
-        assert_eq!(sizes, vec![2, 1, 1, 1, 1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn partition_even_invariants() {
-        for len in 0..60usize {
-            for parts in 1..10usize {
-                let tiles = partition_even(len, parts);
-                if len == 0 {
-                    assert!(tiles.is_empty());
-                    continue;
-                }
-                assert_eq!(tiles.len(), parts.min(len));
-                // Contiguous, in order, covering exactly [0, len).
-                let mut expect = 0;
-                for &(off, l) in &tiles {
-                    assert_eq!(off, expect);
-                    assert!(l >= 1);
-                    expect += l;
-                }
-                assert_eq!(expect, len);
-                // Even: sizes differ by at most one, max is ceil(len/parts).
-                let max = tiles.iter().map(|&(_, l)| l).max().unwrap();
-                let min = tiles.iter().map(|&(_, l)| l).min().unwrap();
-                assert!(max - min <= 1, "len={len} parts={parts}");
-                assert_eq!(max, len.div_ceil(parts.min(len)));
-            }
-        }
-    }
 
     #[test]
     fn wait_histogram_buckets_and_quantiles() {

@@ -58,63 +58,6 @@ pub fn run_fem(db: &mut Database, search: &mut impl FemSearch) -> Result<u64> {
     }
 }
 
-/// One **batched** FEM-style graph search (DESIGN.md §8): the same three
-/// operators, but every working table carries a `qid` column so a single
-/// relational iteration advances a whole batch of independent queries.
-///
-/// Where [`FemSearch`] implementations keep per-query scalars (`mid`,
-/// `minCost`, …) in the driver program, a batched search keeps them
-/// *relational* — one row per query in a bounds table — because one
-/// statement must read a different scalar for every qid it touches.
-/// Termination is likewise per query: [`BatchFemSearch::active_queries`]
-/// retires finished qids and reports how many remain.
-///
-/// [`crate::algo::batch`] instantiates this shape for shortest paths (with
-/// its own driver, for per-statement measurement); [`run_batch_fem`] is the
-/// plain skeleton for writing other batched searches the same way.
-pub trait BatchFemSearch {
-    /// Initializes the visited-node and bounds tables for every query in
-    /// the batch (the per-qid A¹ sets).
-    fn init(&mut self, db: &mut Database) -> Result<()>;
-
-    /// F-operator for iteration `k`: marks each unfinished query's frontier
-    /// and returns how many rows were marked across the batch.
-    fn select_frontier(&mut self, db: &mut Database, k: u64) -> Result<u64>;
-
-    /// E- and M-operators for iteration `k`: expands every marked frontier
-    /// and merges per qid. Returns the affected-row count.
-    fn expand_and_merge(&mut self, db: &mut Database, k: u64) -> Result<u64>;
-
-    /// Post-iteration bookkeeping: refresh per-query statistics, retire
-    /// finished queries, and return the number still active. Returning 0
-    /// stops the iteration.
-    fn active_queries(&mut self, db: &mut Database, k: u64) -> Result<u64>;
-}
-
-/// Drives a [`BatchFemSearch`] until every query in the batch has finished;
-/// returns the number of completed iterations.
-///
-/// A search whose `select_frontier` marks nothing while queries are still
-/// active is stuck — `active_queries` is expected to have retired qids that
-/// can make no further progress — so the driver stops rather than spin.
-pub fn run_batch_fem(db: &mut Database, search: &mut impl BatchFemSearch) -> Result<u64> {
-    search.init(db)?;
-    let mut k = 1u64;
-    loop {
-        let frontier = search.select_frontier(db, k)?;
-        if frontier > 0 {
-            search.expand_and_merge(db, k)?;
-        }
-        if search.active_queries(db, k)? == 0 {
-            return Ok(k);
-        }
-        if frontier == 0 {
-            return Ok(k - 1);
-        }
-        k += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,97 +113,5 @@ mod tests {
         // Nodes 0..=3 reachable; 4, 5 are in the other component.
         assert_eq!(db.table_len("R").unwrap(), 4);
         assert!(iters >= 3, "needs at least the graph's hop radius");
-    }
-
-    /// The batched toy search: hop-reachability from several source nodes
-    /// at once, one qid per source, each with its own termination.
-    struct BatchReach {
-        sources: Vec<i64>,
-    }
-
-    impl BatchFemSearch for BatchReach {
-        fn init(&mut self, db: &mut Database) -> Result<()> {
-            db.execute("DROP TABLE IF EXISTS BR")?;
-            db.execute("DROP TABLE IF EXISTS BRActive")?;
-            db.execute("CREATE TABLE BR (qid INT, nid INT, f INT, PRIMARY KEY(qid, nid))")?;
-            db.execute("CREATE TABLE BRActive (qid INT, grew INT)")?;
-            for (qid, &s) in self.sources.iter().enumerate() {
-                db.execute_params(
-                    "INSERT INTO BR VALUES (?, ?, 0)",
-                    &[
-                        fempath_storage::Value::Int(qid as i64),
-                        fempath_storage::Value::Int(s),
-                    ],
-                )?;
-                db.execute_params(
-                    "INSERT INTO BRActive VALUES (?, 1)",
-                    &[fempath_storage::Value::Int(qid as i64)],
-                )?;
-            }
-            Ok(())
-        }
-
-        fn select_frontier(&mut self, db: &mut Database, _k: u64) -> Result<u64> {
-            Ok(db
-                .execute(
-                    "UPDATE BR SET f = 2 FROM BRActive \
-                     WHERE BR.qid = BRActive.qid AND BRActive.grew = 1 AND BR.f = 0",
-                )?
-                .rows_affected)
-        }
-
-        fn expand_and_merge(&mut self, db: &mut Database, _k: u64) -> Result<u64> {
-            let n = db
-                .execute(
-                    "MERGE INTO BR AS target USING ( \
-                       SELECT DISTINCT q.qid AS qid, e.tid AS nid FROM BR q, TEdges e \
-                       WHERE q.nid = e.fid AND q.f = 2 \
-                     ) AS source (qid, nid) \
-                     ON source.qid = target.qid AND source.nid = target.nid \
-                     WHEN NOT MATCHED THEN INSERT (qid, nid, f) VALUES (source.qid, source.nid, 0)",
-                )?
-                .rows_affected;
-            db.execute("UPDATE BR SET f = 1 WHERE f = 2")?;
-            Ok(n)
-        }
-
-        fn active_queries(&mut self, db: &mut Database, _k: u64) -> Result<u64> {
-            // A qid stays active while its last expansion discovered nodes.
-            db.execute("UPDATE BRActive SET grew = 0")?;
-            db.execute(
-                "UPDATE BRActive SET grew = 1 \
-                 FROM (SELECT qid, COUNT(*) AS c FROM BR WHERE f = 0 GROUP BY qid) src \
-                 WHERE BRActive.qid = src.qid AND src.c > 0",
-            )?;
-            db.query("SELECT COUNT(*) FROM BRActive WHERE grew = 1")?
-                .scalar_i64()
-                .map(|n| n as u64)
-                .ok_or_else(|| fempath_sql::SqlError::Eval("COUNT returned no row".into()))
-        }
-    }
-
-    #[test]
-    fn batch_fem_bfs_reaches_each_component() {
-        let g = fempath_graph::Graph::from_undirected_edges(
-            7,
-            vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (4, 5, 1)],
-        );
-        let mut db = Database::in_memory(128);
-        fempath_graph::load_graph(&mut db, &g, &fempath_graph::LoadOptions::default()).unwrap();
-        // Three searches in one batch: the big component, the 4–5 pair, and
-        // the isolated node 6.
-        let mut search = BatchReach {
-            sources: vec![0, 4, 6],
-        };
-        run_batch_fem(&mut db, &mut search).unwrap();
-        let per_qid = db
-            .query("SELECT qid, COUNT(*) FROM BR GROUP BY qid ORDER BY qid")
-            .unwrap();
-        let counts: Vec<i64> = per_qid
-            .rows
-            .iter()
-            .map(|r| r[1].as_i64().unwrap())
-            .collect();
-        assert_eq!(counts, vec![4, 2, 1]);
     }
 }

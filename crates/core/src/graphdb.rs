@@ -179,7 +179,8 @@ impl GraphDb {
         self.edges_index
     }
 
-    /// The SegTable built for this database, if any.
+    /// The SegTable built for this database, if any — `None` again after
+    /// an edge mutation until [`GraphDb::build_segtable`] reruns.
     pub fn segtable(&self) -> Option<SegTableInfo> {
         self.segtable
     }
@@ -249,10 +250,15 @@ impl GraphDb {
     /// admissibility would be violated. Disabled, not rebuilt: the gate
     /// is O(1) and [`GraphDb::rebuild_landmarks`] restores the fast path
     /// when the caller chooses to pay for it.
-    fn invalidate_landmarks(&mut self) {
+    ///
+    /// The SegTable goes out of service for the same reason: a segment
+    /// over a deleted edge is a path that no longer exists, and BSEG
+    /// would answer with it. [`GraphDb::build_segtable`] restores it.
+    fn invalidate_indexes(&mut self) {
         if let Some(info) = self.landmarks.take() {
             self.stale_landmarks = Some(info);
         }
+        self.segtable = None;
     }
 
     /// Rebuilds the landmark index disabled by an edge mutation (same `k`
@@ -274,9 +280,11 @@ impl GraphDb {
     /// directed arcs (one when `u == v`) to match the paper's symmetric
     /// `TEdges` layout. Works on both storage tiers: row-tier tables take
     /// the SQL INSERT directly, segmented tables route it into their
-    /// delta overlay. Bumps [`GraphDb::graph_version`] and disables any
-    /// landmark index (see [`GraphDb::rebuild_landmarks`]). Returns the
-    /// number of arcs added.
+    /// delta overlay. Bumps [`GraphDb::graph_version`], disables any
+    /// landmark index (see [`GraphDb::rebuild_landmarks`]) and takes the
+    /// SegTable out of service: its segments describe the old edge set,
+    /// so [`crate::BsegFinder`] errors until [`GraphDb::build_segtable`]
+    /// runs again. Returns the number of arcs added.
     pub fn insert_edge(&mut self, u: i64, v: i64, w: i64) -> Result<u64> {
         use fempath_storage::Value;
         self.check_node(u)?;
@@ -305,14 +313,15 @@ impl GraphDb {
         self.num_arcs += added as usize;
         self.min_weight = self.min_weight.min(w as u32);
         self.db.bump_data_version();
-        self.invalidate_landmarks();
+        self.invalidate_indexes();
         Ok(added)
     }
 
     /// Deletes the undirected edge `{u, v}`: every parallel arc in both
     /// directions (row tier via SQL DELETE, segmented tier via the delta
-    /// overlay's tombstones). Bumps [`GraphDb::graph_version`] and
-    /// disables any landmark index even when nothing matched `w_min` —
+    /// overlay's tombstones). Bumps [`GraphDb::graph_version`], disables
+    /// any landmark index and takes the SegTable out of service (as
+    /// [`GraphDb::insert_edge`] does) even when nothing matched.
     /// `min_weight` is left alone, which is conservative and keeps the
     /// Theorem 2/3 bounds sound (the true minimum can only grow).
     /// Returns the number of arcs removed (0 when the edge was absent).
@@ -341,7 +350,7 @@ impl GraphDb {
         };
         self.num_arcs -= removed as usize;
         self.db.bump_data_version();
-        self.invalidate_landmarks();
+        self.invalidate_indexes();
         Ok(removed)
     }
 
@@ -398,61 +407,6 @@ impl GraphDb {
         Ok(())
     }
 
-    /// (Re)creates the batched working tables `TBVisited` and `TBounds`
-    /// (DESIGN.md §8). `TBVisited` is the per-query visited-node table with
-    /// a leading `qid` column; `TBounds` carries one row of client scalars
-    /// (`lf`, `lb`, `nf`, `nb`, `minCost`, `bound`, `done`) per in-flight
-    /// query — `bound` is the landmark-seeded Theorem-1 upper bound
-    /// (DESIGN.md §12), kept apart from the discovered `mincost` that the
-    /// fused stats statement overwrites every iteration.
-    /// Called at the start of every batch query.
-    /// Like [`GraphDb::reset_visited`], an existing pair of batch tables
-    /// is TRUNCATEd so cached plans survive across batches.
-    pub fn reset_batch_tables(&mut self) -> Result<()> {
-        if self.db.has_table("TBVisited") && self.db.has_table("TBounds") {
-            self.db.execute("TRUNCATE TABLE TBVisited")?;
-            self.db.execute("TRUNCATE TABLE TBounds")?;
-            return Ok(());
-        }
-        self.db.execute("DROP TABLE IF EXISTS TBVisited")?;
-        self.db.execute("DROP TABLE IF EXISTS TBounds")?;
-        self.db.execute(
-            "CREATE TABLE TBVisited (qid INT, nid INT, d2s INT, p2s INT, f INT, \
-             d2t INT, p2t INT, b INT)",
-        )?;
-        match self.visited_index {
-            IndexKind::NoIndex => {}
-            IndexKind::Secondary => {
-                self.db
-                    .execute("CREATE UNIQUE INDEX idx_tbvisited ON TBVisited(qid, nid)")?;
-            }
-            IndexKind::Clustered => {
-                self.db.execute(
-                    "CREATE UNIQUE CLUSTERED INDEX idx_tbvisited ON TBVisited(qid, nid)",
-                )?;
-            }
-        }
-        self.db.execute(
-            "CREATE TABLE TBounds (qid INT, s INT, t INT, lf INT, lb INT, \
-             nf INT, nb INT, mincost INT, bound INT, done INT)",
-        )?;
-        self.db
-            .execute("CREATE UNIQUE CLUSTERED INDEX idx_tbounds ON TBounds(qid)")?;
-        Ok(())
-    }
-
-    /// (Re)creates the `TBExp` temp table used by the batched TSQL /
-    /// no-MERGE expansion paths (the qid-carrying analogue of `TExp`).
-    pub fn reset_batch_exp(&mut self) -> Result<()> {
-        if self.db.has_table("TBExp") {
-            self.db.execute("TRUNCATE TABLE TBExp")?;
-            return Ok(());
-        }
-        self.db
-            .execute("CREATE TABLE TBExp (qid INT, nid INT, p2s INT, cost INT)")?;
-        Ok(())
-    }
-
     /// True when the expansion must avoid MERGE (PostgreSQL dialect).
     pub fn merge_supported(&self) -> bool {
         self.db.dialect().supports_merge
@@ -465,9 +419,6 @@ impl GraphDb {
         vec![
             AnnotatedSql::cold("rst/truncate_visited", "TRUNCATE TABLE TVisited"),
             AnnotatedSql::cold("rst/truncate_exp", "TRUNCATE TABLE TExp"),
-            AnnotatedSql::cold("rst/truncate_tbvisited", "TRUNCATE TABLE TBVisited"),
-            AnnotatedSql::cold("rst/truncate_tbounds", "TRUNCATE TABLE TBounds"),
-            AnnotatedSql::cold("rst/truncate_tbexp", "TRUNCATE TABLE TBExp"),
         ]
     }
 
@@ -486,8 +437,8 @@ impl GraphDb {
     }
 
     /// Statically analyzes every statement the finders (DJ/BDJ/BSDJ/BBFS/
-    /// BSEG and the batched variants), the landmark index, the SegTable
-    /// build, and the working-table resets can issue — under **both**
+    /// BSEG), the landmark index, the SegTable build, and the
+    /// working-table resets can issue — under **both**
     /// supported dialects — and returns one `(name, report)` pair per
     /// statement. Names are `"<dialect>::<corpus path>"`, e.g.
     /// `"DBMS-X::fwd/edges/nsql/merge_from_exp"`.
@@ -502,13 +453,11 @@ impl GraphDb {
     /// This is the femcheck corpus gate: `tests/analyze_corpus.rs` pins
     /// every returned report to zero diagnostics.
     pub fn analyze_all_statements(&mut self) -> Result<Vec<(String, fempath_sql::Report)>> {
-        use crate::sqlgen::{AnnotatedSql, BatchSqlGen, Dir, EdgeSource, SqlGen};
+        use crate::sqlgen::{AnnotatedSql, Dir, EdgeSource, SqlGen};
         use crate::stats::SqlStyle;
 
         self.reset_visited()?;
         self.reset_exp()?;
-        self.reset_batch_tables()?;
-        self.reset_batch_exp()?;
         let has_segs = self.db.has_table("TOutSegs") && self.db.has_table("TInSegs");
         let has_lms = self.db.has_table("TLandmarks");
         let temp_segv = has_segs && !self.db.has_table("TSegV");
@@ -530,21 +479,9 @@ impl GraphDb {
                             SqlGen::new(dir, EdgeSource::SegTable, style).annotated_corpus(merge),
                         );
                     }
-                    for prune in [false, true] {
-                        corpus.extend(
-                            BatchSqlGen::new(dir, EdgeSource::Edges, style, prune)
-                                .annotated_corpus(merge),
-                        );
-                        if has_segs {
-                            corpus.extend(
-                                BatchSqlGen::new(dir, EdgeSource::SegTable, style, prune)
-                                    .annotated_corpus(merge),
-                            );
-                        }
-                    }
                 }
             }
-            corpus.extend(crate::sqlgen::free_statement_corpus(has_lms));
+            corpus.extend(crate::sqlgen::free_statement_corpus());
             if has_lms {
                 corpus.extend(crate::landmarks::statement_corpus());
             }
@@ -587,8 +524,6 @@ impl GraphDb {
     pub fn freeze(mut self) -> Result<GraphSnapshot> {
         self.reset_visited()?;
         self.reset_exp()?;
-        self.reset_batch_tables()?;
-        self.reset_batch_exp()?;
         Ok(GraphSnapshot {
             num_nodes: self.num_nodes,
             num_arcs: self.num_arcs,
@@ -608,10 +543,9 @@ impl GraphDb {
 ///
 /// [`GraphSnapshot::session`] stamps out independent [`GraphDb`] sessions:
 /// reads hit the shared pages, writes (the per-query working tables
-/// `TVisited`/`TExp`/`TBVisited`/`TBounds`/`TBExp`) land in each session's
-/// private copy-on-write overlay. `Send + Sync`, so sessions can be
-/// created from any thread — [`crate::PathService`] builds its worker
-/// pool on exactly this.
+/// `TVisited`/`TExp`) land in each session's private copy-on-write
+/// overlay. `Send + Sync`, so sessions can be created from any thread —
+/// [`crate::PathService`] builds its worker pool on exactly this.
 pub struct GraphSnapshot {
     snap: DbSnapshot,
     num_nodes: usize,
@@ -713,22 +647,6 @@ mod tests {
             .unwrap();
         gdb.reset_visited().unwrap();
         assert_eq!(gdb.db.table_len("TVisited").unwrap(), 0);
-    }
-
-    #[test]
-    fn reset_batch_tables_is_idempotent() {
-        let g = generate::grid(3, 3, 1..=10, 1);
-        let mut gdb = GraphDb::in_memory(&g).unwrap();
-        gdb.reset_batch_tables().unwrap();
-        gdb.db
-            .execute("INSERT INTO TBVisited VALUES (0, 1, 0, -1, 0, 0, -1, 0)")
-            .unwrap();
-        gdb.db
-            .execute("INSERT INTO TBounds VALUES (0, 1, 2, 0, 0, 1, 1, 0, 0, 0)")
-            .unwrap();
-        gdb.reset_batch_tables().unwrap();
-        assert_eq!(gdb.db.table_len("TBVisited").unwrap(), 0);
-        assert_eq!(gdb.db.table_len("TBounds").unwrap(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! * lower bound:  `max over lm of |d(s, lm) − d(lm, t)|`
 //!
 //! The index feeds serving twice. [`upper_bound`] seeds the Theorem-1
-//! pruning term of the DJ/BDJ/BatchBDJ finders (see `algo::bidi` for the
+//! pruning term of the DJ/BDJ-family finders (see `algo::bidi` for the
 //! admissibility argument). [`exact_path`] answers *covered* pairs — upper
 //! bound equals lower bound — without touching any FEM working table: the
 //! witness landmark realizing the bound then lies on a shortest path, and

@@ -6,17 +6,16 @@
 //! **SegTable** index of pre-computed local shortest segments.
 //!
 //! * [`GraphDb`] — a database instance with one graph loaded,
-//! * [`fem`] — the generic F/E/M iteration skeleton (§3.1) and its batched
-//!   multi-query variant (DESIGN.md §8),
-//! * [`algo`] — DJ, BDJ, BSDJ, BBFS and BSEG (§3.4, §4), plus the batched
-//!   BatchDJ / BatchBDJ finders answering many (s, t) pairs per iteration,
+//! * [`fem`] — the generic F/E/M iteration skeleton (§3.1),
+//! * [`algo`] — DJ, BDJ, BSDJ, BBFS and BSEG (§3.4, §4); any of them
+//!   answers many (s, t) pairs through [`BatchShortestPathFinder`],
 //! * [`segtable`] — SegTable construction (§4.2),
 //! * [`landmarks`] — the landmark distance index: triangle-inequality
 //!   bounds seeded into Theorem-1 pruning and an exact fast path for
 //!   covered pairs (DESIGN.md §12),
 //! * [`service`] — the concurrent [`PathService`] over `Arc`-shared
 //!   read-only graph snapshots (DESIGN.md §10) with work-stealing
-//!   dispatch and batch partitioning ([`dispatch`], DESIGN.md §13),
+//!   dispatch of one job per pair ([`dispatch`], DESIGN.md §13),
 //! * [`prim`] — Prim's MST via FEM (the §3.1 extension),
 //! * [`stats`] — per-phase / per-operator measurement.
 //!
@@ -50,13 +49,12 @@ pub mod sssp;
 pub mod stats;
 
 pub use algo::{
-    BatchBdjFinder, BatchDjFinder, BatchFrontier, BatchOutcome, BatchShortestPathFinder,
-    BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder, FrontierPolicy, Path, PathOutcome,
-    ShortestPathFinder,
+    BatchBdjFinder, BatchOutcome, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder,
+    BsegFinder, DjFinder, FrontierPolicy, Path, PathOutcome, ShortestPathFinder,
 };
 pub use cache::{CacheStats, ResultCache};
-pub use dispatch::{partition_even, StealQueues, WaitHistogram};
-pub use fem::{run_batch_fem, run_fem, BatchFemSearch, FemSearch};
+pub use dispatch::{StealQueues, WaitHistogram};
+pub use fem::{run_fem, FemSearch};
 pub use graphdb::{
     GraphDb, GraphDbOptions, GraphSnapshot, LandmarkInfo, SegTableInfo, INF, NO_NODE,
 };

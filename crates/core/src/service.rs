@@ -12,13 +12,13 @@
 //! Dispatch is contention-free (DESIGN.md §13): every worker owns a
 //! private queue, producers round-robin jobs across the queues, and an
 //! idle worker steals the oldest job from a busy sibling
-//! ([`crate::dispatch`]). Batches are **partitioned across the pool** —
-//! [`PathService::query_batch`] splits the pairs into per-worker tiles of
-//! near-equal size, each tile runs the batched bidirectional FEM finder
-//! in its own session, and the per-tile results are merged back by
-//! offset. A worker that panics mid-query answers that caller with an
-//! error, rebuilds its session and keeps serving — one poisoned query
-//! can neither hang its caller nor take down the pool.
+//! ([`crate::dispatch`]). A batch is **one job per distinct pair** —
+//! [`PathService::query_batch`] pushes exactly the jobs
+//! [`PathService::query`] would, so work stealing balances individual
+//! pairs and a slow pair holds up nothing but itself. A worker that
+//! panics mid-query answers that caller with an error, rebuilds its
+//! session and keeps serving — one poisoned query can neither hang its
+//! caller nor take down the pool.
 //!
 //! Two serving-tier layers sit on top of the pool (DESIGN.md §16):
 //!
@@ -45,15 +45,14 @@
 //! let paths = svc.query_batch(&[(0, 35), (5, 30), (7, 7)]).unwrap();
 //! assert_eq!(paths.len(), 3);
 //! let stats = svc.stats();
-//! assert!(stats.total_executed() >= 2, "singles + batch tiles all count");
+//! assert!(stats.total_executed() >= 2, "singles and batch pairs all count");
 //! ```
 
 use crate::algo::{
-    BatchBdjFinder, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, DjFinder, Path,
-    PathOutcome, ShortestPathFinder,
+    BbfsFinder, BdjFinder, BsdjFinder, DjFinder, Path, PathOutcome, ShortestPathFinder,
 };
 use crate::cache::{CacheStats, ResultCache};
-use crate::dispatch::{partition_even, StealQueues, WaitHistogram, WorkerQueueStats};
+use crate::dispatch::{StealQueues, WaitHistogram, WorkerQueueStats};
 use crate::graphdb::{GraphDb, GraphDbOptions, GraphSnapshot};
 use crate::stats::QueryStats;
 use fempath_graph::Graph;
@@ -62,7 +61,7 @@ use std::collections::hash_map::Entry as MapEntry;
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 
@@ -71,7 +70,7 @@ use std::thread::JoinHandle;
 /// of typical path entries without mattering next to the buffer pool.
 pub const DEFAULT_CACHE_BYTES: usize = 4 << 20;
 
-/// Which relational finder answers single-pair queries.
+/// Which relational finder answers the service's queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ServiceAlgorithm {
     /// Single-directional Dijkstra (Algorithm 1) — mostly for comparison.
@@ -103,17 +102,17 @@ pub struct PathServiceOptions {
     pub workers: usize,
     /// Database build options (buffer budget, dialect, index strategies).
     pub graphdb: GraphDbOptions,
-    /// Finder answering single-pair queries; batches always run the
-    /// batched bidirectional finder.
+    /// Finder answering every query — [`PathService::query`] and each
+    /// distinct pair of [`PathService::query_batch`] alike.
     pub algorithm: ServiceAlgorithm,
     /// Landmarks to build into the shared snapshot before freezing
-    /// (DESIGN.md §12). 0 skips the index; with one, single-pair queries
-    /// covered by a landmark tree are answered without running FEM, and
+    /// (DESIGN.md §12). 0 skips the index; with one, pairs covered by a
+    /// landmark tree are answered without running FEM, and
     /// every finder seeds its Theorem-1 bound from the index.
     pub landmarks: usize,
     /// Byte budget of the version-keyed result cache (DESIGN.md §16).
-    /// 0 disables caching entirely — every query runs a finder, and
-    /// `query_batch` skips hot-pair deduplication.
+    /// 0 disables caching entirely — every query runs a finder.
+    /// `query_batch` deduplicates the pairs of one call either way.
     pub cache_bytes: usize,
 }
 
@@ -158,8 +157,8 @@ struct ServiceShared {
     log: MutationLog,
     /// `None` when [`PathServiceOptions::cache_bytes`] is 0.
     cache: Option<ResultCache>,
-    /// Single-pair queries answered by the landmark exact-path fast
-    /// path instead of a FEM finder (DESIGN.md §12).
+    /// Pairs answered by the landmark exact-path fast path instead of a
+    /// FEM finder (DESIGN.md §12).
     lm_fast_path_hits: AtomicU64,
 }
 
@@ -170,12 +169,6 @@ enum Job {
         t: i64,
         reply: Sender<Result<PathOutcome>>,
     },
-    Batch {
-        pairs: Vec<(i64, i64)>,
-        /// Index of `pairs[0]` in the caller's slice.
-        offset: usize,
-        reply: Sender<(usize, Result<Vec<Option<Path>>>)>,
-    },
     /// Test-only: panics inside the worker, exercising the
     /// panic-isolation path ([`PathService::debug_inject_panic`]).
     #[cfg(any(test, feature = "failpoints"))]
@@ -185,7 +178,8 @@ enum Job {
 /// Counter snapshot for one service worker (see [`PathService::stats`]).
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
-    /// Jobs (singles, batch tiles) this worker executed.
+    /// Jobs (one per single query or distinct batch pair) this worker
+    /// executed.
     pub executed: u64,
     /// Jobs this worker stole from a sibling's queue.
     pub stolen: u64,
@@ -222,8 +216,8 @@ pub struct ServiceStats {
     pub workers: Vec<WorkerStats>,
     /// Result-cache counters (all zero when the cache is disabled).
     pub cache: CacheStats,
-    /// Single-pair queries answered by the landmark exact-path fast path
-    /// (DESIGN.md §12) instead of running a FEM finder.
+    /// Pairs answered by the landmark exact-path fast path (DESIGN.md
+    /// §12) instead of running a FEM finder.
     pub lm_fast_path_hits: u64,
     /// Current graph version: the snapshot's epoch plus one per edge
     /// mutation applied through this service.
@@ -436,112 +430,63 @@ impl PathService {
                 });
             }
         }
-        let (reply, result) = channel();
-        self.queues
-            .push(Job::Single { s, t, reply })
-            .map_err(|_| worker_pool_down())?;
-        result.recv().map_err(|_| worker_pool_down())?
+        self.dispatch(s, t)?
+            .recv()
+            .map_err(|_| worker_pool_down())?
     }
 
     /// Answers many (s, t) pairs; `paths[i]` answers `pairs[i]`.
     ///
-    /// With the cache enabled, each pair first consults the result
-    /// cache; hits (positive or negative) are answered inline. The
-    /// misses are **deduplicated** — a pair that appears many times in
-    /// one batch is computed once and fanned back out to every slot —
-    /// and only the unique misses go to the pool.
-    ///
-    /// The dispatched pairs are **partitioned across the worker pool**:
-    /// split into contiguous tiles whose sizes differ by at most one
-    /// (every worker gets a tile whenever there are at least as many
-    /// pairs as workers), one tile per worker queue — an idle worker
-    /// steals a queued tile, so a slow tile cannot strand the rest. Each
-    /// tile runs the batched bidirectional FEM finder (DESIGN.md §8) in
-    /// one worker session and the results are merged back by offset, in
-    /// input order.
+    /// The pairs are **deduplicated** — a pair that appears many times in
+    /// one batch is computed once and fanned back out to every slot.
+    /// With the cache enabled, each distinct pair first consults it and
+    /// hits (positive or negative) are answered inline. Every remaining
+    /// pair becomes one job, the same job [`PathService::query`] pushes
+    /// (landmark fast path, then the configured [`ServiceAlgorithm`],
+    /// then a cache insert), so an idle worker steals individual pairs
+    /// and the batch finishes when its slowest pair does. The first
+    /// error any pair reports fails the call.
     pub fn query_batch(&self, pairs: &[(i64, i64)]) -> Result<Vec<Option<Path>>> {
-        if pairs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let Some(cache) = &self.shared.cache else {
-            return self.dispatch_batch(pairs);
-        };
         let version = self.graph_version();
         let mut out: Vec<Option<Path>> = vec![None; pairs.len()];
-        // Unique missed pairs, each with the output slots it answers.
-        let mut unique: Vec<(i64, i64)> = Vec::new();
-        let mut owners: Vec<Vec<usize>> = Vec::new();
-        let mut slot: HashMap<(i64, i64), usize> = HashMap::new();
+        // The first slot of every distinct pair; a repeat copies from it.
+        let mut first: HashMap<(i64, i64), usize> = HashMap::new();
+        let mut repeats: Vec<(usize, usize)> = Vec::new();
+        let mut pending: Vec<(usize, Receiver<Result<PathOutcome>>)> = Vec::new();
         for (i, &(s, t)) in pairs.iter().enumerate() {
-            if let Some(hit) = cache.lookup(s, t, version) {
-                out[i] = hit;
-                continue;
-            }
-            match slot.entry((s, t)) {
-                MapEntry::Occupied(o) => owners[*o.get()].push(i),
+            match first.entry((s, t)) {
+                MapEntry::Occupied(o) => repeats.push((i, *o.get())),
                 MapEntry::Vacant(v) => {
-                    v.insert(unique.len());
-                    owners.push(vec![i]);
-                    unique.push((s, t));
+                    v.insert(i);
+                    let hit = self
+                        .shared
+                        .cache
+                        .as_ref()
+                        .and_then(|c| c.lookup(s, t, version));
+                    match hit {
+                        Some(path) => out[i] = path,
+                        None => pending.push((i, self.dispatch(s, t)?)),
+                    }
                 }
             }
         }
-        if unique.is_empty() {
-            return Ok(out);
+        for (i, result) in pending {
+            out[i] = result.recv().map_err(|_| worker_pool_down())??.path;
         }
-        let answers = self.dispatch_batch(&unique)?;
-        for (u, p) in answers.into_iter().enumerate() {
-            for &i in &owners[u] {
-                out[i] = p.clone();
-            }
+        for (i, j) in repeats {
+            out[i] = out[j].clone();
         }
         Ok(out)
     }
 
-    /// Partitions `pairs` into per-worker tiles and merges the tile
-    /// results back by offset (the cache-independent dispatch core of
-    /// [`PathService::query_batch`]).
-    fn dispatch_batch(&self, pairs: &[(i64, i64)]) -> Result<Vec<Option<Path>>> {
-        let tiles = partition_even(pairs.len(), self.workers.len());
-        // Spread this batch's tiles starting at the shared round-robin
-        // cursor so concurrent batches interleave across the pool
-        // instead of all starting on worker 0.
-        let first = self.queues.reserve_targets(tiles.len());
-        let (reply, results) = channel();
-        let mut outstanding = 0usize;
-        for (k, &(offset, len)) in tiles.iter().enumerate() {
-            self.queues
-                .push_to(
-                    first + k,
-                    Job::Batch {
-                        pairs: pairs[offset..offset + len].to_vec(),
-                        offset,
-                        reply: reply.clone(),
-                    },
-                )
-                .map_err(|_| worker_pool_down())?;
-            outstanding += 1;
-        }
-        // Drop our own sender clone: if a worker dies without replying,
-        // the channel closes and recv() errors instead of hanging forever.
-        drop(reply);
-        let mut out: Vec<Option<Path>> = vec![None; pairs.len()];
-        let mut first_err: Option<SqlError> = None;
-        for _ in 0..outstanding {
-            let (offset, res) = results.recv().map_err(|_| worker_pool_down())?;
-            match res {
-                Ok(paths) => {
-                    for (i, p) in paths.into_iter().enumerate() {
-                        out[offset + i] = p;
-                    }
-                }
-                Err(e) => first_err = Some(first_err.unwrap_or(e)),
-            }
-        }
-        match first_err {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+    /// Pushes one single-pair job and returns the channel its answer
+    /// arrives on.
+    fn dispatch(&self, s: i64, t: i64) -> Result<Receiver<Result<PathOutcome>>> {
+        let (reply, result) = channel();
+        self.queues
+            .push(Job::Single { s, t, reply })
+            .map_err(|_| worker_pool_down())?;
+        Ok(result)
     }
 
     /// Number of worker threads.
@@ -677,9 +622,6 @@ fn reply_error(job: Job, err: SqlError) {
         Job::Single { reply, .. } => {
             let _ = reply.send(Err(err));
         }
-        Job::Batch { offset, reply, .. } => {
-            let _ = reply.send((offset, Err(err)));
-        }
         #[cfg(any(test, feature = "failpoints"))]
         Job::InjectPanic { reply } => {
             let _ = reply.send(Err(err));
@@ -704,7 +646,6 @@ fn worker_loop(
         applied: 0,
     };
     let finder = algorithm.finder();
-    let batch_finder = BatchBdjFinder::default();
     while let Some(job) = queues.pop(me) {
         if catch_up(&mut ws, shared).is_err() {
             // Replay into a live session failed (it should not: every
@@ -747,23 +688,6 @@ fn worker_loop(
                     cache.insert(s, t, version, out.path.clone());
                 }
                 let _ = reply.send(res);
-            }
-            Job::Batch {
-                pairs,
-                offset,
-                reply,
-            } => {
-                let res = run_isolated(&mut ws, shared, |session| {
-                    batch_finder
-                        .find_paths(session, &pairs)
-                        .map(|out| out.paths)
-                });
-                if let (Some(cache), Ok(paths)) = (&shared.cache, &res) {
-                    for (&(s, t), p) in pairs.iter().zip(paths) {
-                        cache.insert(s, t, version, p.clone());
-                    }
-                }
-                let _ = reply.send((offset, res));
             }
             #[cfg(any(test, feature = "failpoints"))]
             Job::InjectPanic { reply } => {
@@ -815,23 +739,18 @@ mod tests {
 
     #[test]
     fn batch_is_partitioned_across_workers_not_tiled_onto_one() {
-        // 9 pairs on 8 workers: the old div_ceil tiling produced five
-        // tiles (four of size 2); balanced partitioning produces eight
-        // tiles and every job is accounted for in the dispatch stats.
+        // 9 distinct pairs on 8 workers: one job per pair, each stealable
+        // on its own.
         let g = generate::grid(4, 4, 1..=10, 9);
         let svc = PathService::new(&g, 8).unwrap();
         let pairs: Vec<(i64, i64)> = (0..9).map(|i| (i % 16, (i * 5 + 3) % 16)).collect();
         let paths = svc.query_batch(&pairs).unwrap();
         assert_eq!(paths.len(), 9);
         let stats = svc.stats();
-        assert_eq!(
-            stats.total_executed(),
-            8,
-            "9 pairs on 8 workers must become 8 tiles, not 5"
-        );
-        // Every tile's queue wait was recorded.
+        assert_eq!(stats.total_executed(), 9, "one job per distinct pair");
+        // Every job's queue wait was recorded.
         let waits: u64 = stats.workers.iter().map(|w| w.wait.count()).sum();
-        assert_eq!(waits, 8);
+        assert_eq!(waits, 9);
     }
 
     #[test]
@@ -845,9 +764,9 @@ mod tests {
         svc.query_batch(&pairs).unwrap();
         let stats = svc.stats();
         assert_eq!(stats.workers.len(), 3);
-        // 12 singles + min(7, 3) = 3 batch tiles (all pairs distinct, so
+        // 12 singles + 7 batch pairs (all distinct and none cached, so
         // the cache front door forwards every one).
-        assert_eq!(stats.total_executed(), 15);
+        assert_eq!(stats.total_executed(), 19);
         assert!(
             stats.wait_quantile_us(1.0) > 0,
             "waits are recorded in open-ended log2 buckets"

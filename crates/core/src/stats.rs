@@ -69,8 +69,8 @@ impl QueryStats {
         self.operator_times[op_index(op)]
     }
 
-    /// Folds another run's measurements into this one (used by chunked
-    /// batch execution to report whole-batch totals).
+    /// Folds another run's measurements into this one (used by
+    /// multi-pair runs to report whole-batch totals).
     pub fn absorb(&mut self, other: &QueryStats) {
         self.expansions += other.expansions;
         self.visited_nodes += other.visited_nodes;

@@ -1,7 +1,7 @@
-//! femcheck corpus gate (DESIGN.md §15): every statement the finders, the
-//! batch driver, the landmark index, the SegTable build, and the resets
-//! can issue must analyze to **zero diagnostics** under both dialects —
-//! and the gate must actually have teeth, so injected regressions
+//! femcheck corpus gate (DESIGN.md §15): every statement the finders,
+//! the landmark index, the SegTable build, and the resets can issue
+//! must analyze to **zero diagnostics** under both dialects — and the
+//! gate must actually have teeth, so injected regressions
 //! (dropped hot-path index, unguarded `NOT IN`, type mismatch) are pinned
 //! to their diagnostic codes.
 
@@ -22,8 +22,8 @@ fn full_corpus_is_clean() {
     build_segtable(&mut gdb, 120).unwrap();
     gdb.build_landmarks(2).unwrap();
     let reports = gdb.analyze_all_statements().unwrap();
-    // Both dialects × (single finders over TEdges and the SegTable, batch
-    // finders, free statements, landmarks, seg build) — a floor guards
+    // Both dialects × (finders over TEdges and the SegTable, free
+    // statements, landmarks, seg build) — a floor guards
     // against the walker silently skipping whole corpora.
     assert!(reports.len() > 300, "only {} reports", reports.len());
     let dirty: Vec<&(String, fempath_sql::Report)> =
@@ -113,8 +113,6 @@ fn unguarded_not_in_is_caught_as_fc101() {
     gdb.build_landmarks(1).unwrap();
     gdb.reset_visited().unwrap();
     gdb.reset_exp().unwrap();
-    gdb.reset_batch_tables().unwrap();
-    gdb.reset_batch_exp().unwrap();
     // Resurrect the build's working tables for the TSegV variant.
     gdb.db
         .execute("CREATE TABLE TSegV (src INT, nid INT, d2s INT, p2s INT, f INT)")
@@ -124,10 +122,6 @@ fn unguarded_not_in_is_caught_as_fc101() {
         "INSERT INTO TVisited (nid, d2s, p2s, f, d2t, p2t, b) \
          SELECT nid, cost, p2s, 0, 2000000000, -1, 0 FROM TExp \
          WHERE nid NOT IN (SELECT nid FROM TVisited)",
-        // sqlgen batch insert_from_exp (encoded composite key)
-        "INSERT INTO TBVisited (qid, nid, d2s, p2s, f, d2t, p2t, b) \
-         SELECT qid, nid, cost, p2s, 0, 2000000000, -1, 0 FROM TBExp \
-         WHERE qid * ? + nid NOT IN (SELECT qid * ? + nid FROM TBVisited)",
         // landmark candidate pools
         "SELECT MAX(deg) FROM (SELECT fid, COUNT(*) AS deg FROM TEdges \
          WHERE fid NOT IN (SELECT lm FROM TLandmarks) GROUP BY fid) cand",
@@ -181,7 +175,6 @@ fn hardened_anti_joins_stay_guarded() {
     let reports = gdb.analyze_all_statements().unwrap();
     let must_have_guard = [
         "fwd/edges/nsql/insert_from_exp",
-        "batch/fwd/edges/nsql/noprune/insert_from_exp",
         "lm/pick_unchosen/max",
         "lm/pick_uncovered/max",
         "seg/nsql/nomerge/insert_new",

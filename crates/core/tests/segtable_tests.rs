@@ -200,3 +200,64 @@ fn tinsegs_mirrors_toutsegs() {
     let in_n = gdb.db.table_len("TInSegs").unwrap();
     assert_eq!(out_n, in_n);
 }
+
+/// An edge mutation takes the SegTable out of service: segments computed
+/// over a deleted edge would hand BSEG paths that no longer exist (before
+/// the gate it answered *shorter* than BDJ on 44 of these 60 pairs).
+/// BSEG refuses to answer until `build_segtable` reruns, then agrees with
+/// BDJ on the same database. A frozen snapshot's session behaves the same.
+#[test]
+fn mutations_take_the_segtable_out_of_service_until_rebuilt() {
+    use fempath_core::{BdjFinder, BsegFinder, ShortestPathFinder};
+    let g = generate::power_law(300, 3, 1..=100, 7);
+    let mut gdb = GraphDb::in_memory(&g).unwrap();
+    gdb.build_segtable(40).unwrap();
+    let mut deleted: Vec<(i64, i64)> = Vec::new();
+    for u in 0..g.num_nodes() as u32 {
+        for a in g.out_arcs(u) {
+            let e = (u as i64, a.to as i64);
+            if u < a.to && !deleted.contains(&e) {
+                deleted.push(e);
+            }
+        }
+    }
+    let deleted: Vec<(i64, i64)> = deleted.into_iter().step_by(7).take(60).collect();
+    assert_eq!(deleted.len(), 60);
+    for &(u, v) in &deleted {
+        assert!(gdb.delete_edge(u, v).unwrap() > 0);
+    }
+
+    assert!(
+        gdb.segtable().is_none(),
+        "a mutation must gate the SegTable"
+    );
+    let (bseg, bdj) = (BsegFinder::default(), BdjFinder::default());
+    for &(s, t) in &deleted {
+        let err = bseg.find_path(&mut gdb, s, t).unwrap_err().to_string();
+        assert!(err.contains("requires a SegTable"), "{s}->{t}: {err}");
+    }
+
+    gdb.build_segtable(40).unwrap();
+    for &(s, t) in &deleted {
+        let want = bdj
+            .find_path(&mut gdb, s, t)
+            .unwrap()
+            .path
+            .map(|p| p.length);
+        let got = bseg
+            .find_path(&mut gdb, s, t)
+            .unwrap()
+            .path
+            .map(|p| p.length);
+        assert_eq!(got, want, "{s}->{t}: BSEG vs BDJ after the rebuild");
+    }
+
+    let snapshot = gdb.freeze().unwrap();
+    let mut session = snapshot.session();
+    assert!(bseg.find_path(&mut session, 0, 1).is_ok());
+    session.insert_edge(0, 1, 1).unwrap();
+    assert!(
+        bseg.find_path(&mut session, 0, 1).is_err(),
+        "a session's replayed mutation gates its SegTable too"
+    );
+}

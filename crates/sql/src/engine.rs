@@ -691,8 +691,8 @@ impl Database {
 
     /// Runs a semicolon-separated script, returning the last outcome.
     /// Each statement is planned and executed once without entering the
-    /// plan cache, so one-shot literal statements (a shell session, batch
-    /// seeding) never evict the hot parameterized plans.
+    /// plan cache, so one-shot literal statements (a shell session, a
+    /// data-loading script) never evict the hot parameterized plans.
     pub fn execute_script(&mut self, sql: &str) -> Result<ExecOutcome> {
         let stmts = crate::parser::parse_statements(sql)?;
         let mut last = ExecOutcome {

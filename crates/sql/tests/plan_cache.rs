@@ -64,6 +64,36 @@ fn repeated_execution_does_not_grow_cache() {
 }
 
 #[test]
+fn literal_scripts_stay_out_of_the_plan_cache() {
+    let mut d = db();
+    d.execute("CREATE TABLE t (x INT, y INT)").unwrap();
+    d.execute_params(
+        "INSERT INTO t VALUES (?, ?)",
+        &[Value::Int(0), Value::Int(0)],
+    )
+    .unwrap();
+    let steady = d.cached_plans();
+    // Every script carries its own literals, so no two texts repeat; each
+    // is planned and run once, and none may claim a cache slot.
+    for i in 1..=40i64 {
+        let out = d
+            .execute_script(&format!(
+                "INSERT INTO t VALUES ({i}, {}), ({}, {i}); INSERT INTO t VALUES ({}, 0)",
+                2 * i,
+                3 * i,
+                -i
+            ))
+            .unwrap();
+        assert_eq!(out.rows_affected, 1, "the script returns its last outcome");
+        assert_eq!(d.cached_plans(), steady, "script {i} grew the plan cache");
+    }
+    assert_eq!(
+        d.query("SELECT COUNT(*) FROM t").unwrap().scalar_i64(),
+        Some(121)
+    );
+}
+
+#[test]
 fn stale_prepared_handle_replans_transparently() {
     let mut d = db();
     d.execute("CREATE TABLE t (x INT)").unwrap();

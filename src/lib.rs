@@ -12,9 +12,8 @@
 //! * [`graph`] — graph model, synthetic generators, relational loaders,
 //! * [`inmem`] — in-memory baselines (MDJ/MBDJ),
 //! * [`core`] — the FEM framework, the five relational shortest-path
-//!   algorithms (DJ, BDJ, BSDJ, BBFS, BSEG), the batched multi-pair
-//!   finders (BatchDJ, BatchBDJ — DESIGN.md §8), the SegTable index, and
-//!   the concurrent [`PathService`](core::PathService) (DESIGN.md §10).
+//!   algorithms (DJ, BDJ, BSDJ, BBFS, BSEG), the SegTable index, and the
+//!   concurrent [`PathService`](core::PathService) (DESIGN.md §10).
 //!
 //! ## Quickstart
 //!
@@ -34,20 +33,20 @@
 //! }
 //! ```
 //!
-//! ## Batched throughput
+//! ## Many pairs
 //!
-//! Answer many (s, t) pairs per relational iteration — the working tables
-//! carry a `qid` column, so one F/E/M statement advances the whole batch:
+//! Every finder answers a slice of (s, t) pairs in one session through
+//! `find_paths`, which loops `find_path` and sums the measurements:
 //!
 //! ```
-//! use fempath::core::{GraphDb, BatchBdjFinder, BatchShortestPathFinder};
+//! use fempath::core::{BatchShortestPathFinder, BdjFinder, GraphDb};
 //! use fempath::graph::generate;
 //!
 //! let g = generate::power_law(500, 3, 1..=100, 42);
 //! let mut db = GraphDb::in_memory(&g).unwrap();
 //!
 //! let pairs = vec![(0, 250), (7, 431), (123, 123), (250, 0)];
-//! let out = BatchBdjFinder::default().find_paths(&mut db, &pairs).unwrap();
+//! let out = BdjFinder::default().find_paths(&mut db, &pairs).unwrap();
 //! assert_eq!(out.paths.len(), pairs.len()); // paths[i] answers pairs[i]
 //! ```
 //!
@@ -55,7 +54,8 @@
 //!
 //! [`PathService`](core::PathService) freezes the graph into an
 //! `Arc`-shared read-only snapshot and answers queries from a pool of
-//! worker sessions, each with private working tables (DESIGN.md §10):
+//! worker sessions, each with private working tables (DESIGN.md §10);
+//! a batch runs as one job per distinct pair:
 //!
 //! ```
 //! use fempath::core::PathService;

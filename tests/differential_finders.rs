@@ -4,8 +4,8 @@
 //! walk through the graph of that exact weight.
 
 use fempath::core::{
-    BatchBdjFinder, BatchDjFinder, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder,
-    BsegFinder, DjFinder, GraphDb, ShortestPathFinder,
+    BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder, GraphDb,
+    ShortestPathFinder,
 };
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
@@ -81,10 +81,19 @@ fn check_graph(name: &str, g: &Graph, n: usize, queries: usize) {
     }
 }
 
-/// Cross-validates every batched finder on one batch of pairs: each answer
-/// must match per-pair in-memory Dijkstra (distance, reachability, and a
-/// real walk of exactly that weight), and the reported distances must be
-/// identical to the single-query relational finder's.
+/// The finders a multi-pair run is checked on: the service default and
+/// the paper's set-at-a-time finder.
+fn batch_finders() -> Vec<Box<dyn ShortestPathFinder>> {
+    vec![
+        Box::new(BdjFinder::default()),
+        Box::new(BsdjFinder::default()),
+    ]
+}
+
+/// Cross-validates `find_paths` over one batch of pairs: each answer must
+/// match per-pair in-memory Dijkstra (distance, reachability, and a real
+/// walk of exactly that weight), and the reported distances must be
+/// identical to a separate single-query run's.
 fn check_batch(name: &str, g: &Graph, pairs: &[(i64, i64)]) {
     let mut gdb = GraphDb::in_memory(g).unwrap();
     let oracles: Vec<Option<u64>> = pairs
@@ -102,19 +111,11 @@ fn check_batch(name: &str, g: &Graph, pairs: &[(i64, i64)]) {
                 .map(|p| p.length)
         })
         .collect();
-    let finders: Vec<Box<dyn BatchShortestPathFinder>> = vec![
-        Box::new(BatchDjFinder::default()),
-        Box::new(BatchBdjFinder::default()),
-        Box::new(BatchBdjFinder {
-            prune: false,
-            ..Default::default()
-        }),
-    ];
-    for f in &finders {
+    for f in batch_finders() {
         let out = f.find_paths(&mut gdb, pairs).unwrap();
         assert_eq!(out.paths.len(), pairs.len());
         for (i, (&(s, t), oracle)) in pairs.iter().zip(&oracles).enumerate() {
-            let ctx = format!("{} on {name} {s}->{t} (qid {i})", f.name());
+            let ctx = format!("{} on {name} {s}->{t} (pair {i})", f.name());
             match (&out.paths[i], oracle) {
                 (Some(p), Some(d)) => {
                     assert_eq!(p.length as u64, *d, "{ctx}: distance mismatch");
@@ -174,7 +175,7 @@ fn batched_finders_match_dijkstra_on_grid() {
     let g = generate::grid(8, 7, 1..=100, 42);
     let mut pairs = query_pairs(56, 10);
     pairs.push((5, 5)); // trivial pair inside a batch
-    pairs.push(pairs[0]); // duplicate pair: independent qids
+    pairs.push(pairs[0]); // duplicate pair
     check_batch("grid(8x7)", &g, &pairs);
 }
 
@@ -187,8 +188,8 @@ fn batched_finders_match_dijkstra_on_power_law() {
 #[test]
 fn batched_finders_match_dijkstra_on_mixed_reachability() {
     // dblp_like leaves isolated nodes, so one batch mixes reachable and
-    // unreachable pairs — per-qid termination must not let finished or
-    // hopeless queries hold the batch up.
+    // unreachable pairs — an unreachable answer must not leak into the
+    // next pair's run on the same session.
     let g = generate::dblp_like(120, 1..=100, 11);
     let mut pairs = query_pairs(120, 10);
     // Force pairs against the lowest-degree nodes (isolated in dblp_like).
@@ -204,46 +205,14 @@ fn batched_finders_match_dijkstra_on_mixed_reachability() {
 
 #[test]
 fn batched_finders_match_on_unit_weights() {
-    // Heavy tie-breaking across qids sharing frontier nodes.
+    // Heavy tie-breaking across pairs sharing frontier nodes.
     let g = generate::grid(6, 6, 1..=1, 3);
     check_batch("unit-grid(6x6)", &g, &query_pairs(36, 8));
 }
 
 #[test]
-fn batch_seeding_literals_stay_out_of_plan_cache() {
-    // Every batch seeds its working tables with INSERTs whose literals are
-    // the batch's own pairs. They run on the planned executor like every
-    // other statement, but distinct batches must not grow the plan cache.
-    let g = generate::power_law(150, 3, 1..=100, 7);
-    let mut gdb = GraphDb::in_memory(&g).unwrap();
-    let f = BatchBdjFinder::default();
-    let mut steady = None;
-    for (i, pairs) in query_pairs(150, 24).chunks(6).enumerate() {
-        let out = f.find_paths(&mut gdb, pairs).unwrap();
-        for (&(s, t), p) in pairs.iter().zip(&out.paths) {
-            let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance);
-            assert_eq!(
-                p.as_ref().map(|p| p.length as u64),
-                oracle,
-                "BatchBDJ {s}->{t}"
-            );
-        }
-        // The first batch creates the working tables; from the second on
-        // the resets are TRUNCATEs and every cached statement text repeats.
-        if i >= 1 {
-            let cached = gdb.db.cached_plans();
-            assert_eq!(
-                *steady.get_or_insert(cached),
-                cached,
-                "batch {i} added plans to the cache"
-            );
-        }
-    }
-}
-
-#[test]
 fn batched_finders_work_without_merge_support() {
-    // The PostgreSQL dialect forces the TBExp + UPDATE/INSERT M-operator.
+    // The PostgreSQL dialect forces the TExp + UPDATE/INSERT M-operator.
     use fempath::core::GraphDbOptions;
     use fempath::sql::Dialect;
     let g = generate::grid(6, 6, 1..=50, 21);
@@ -256,10 +225,7 @@ fn batched_finders_work_without_merge_support() {
     )
     .unwrap();
     let pairs = query_pairs(36, 6);
-    for f in [
-        Box::new(BatchBdjFinder::default()) as Box<dyn BatchShortestPathFinder>,
-        Box::new(BatchDjFinder::default()),
-    ] {
+    for f in batch_finders() {
         let out = f.find_paths(&mut gdb, &pairs).unwrap();
         for (&(s, t), p) in pairs.iter().zip(&out.paths) {
             let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).unwrap();
@@ -367,31 +333,6 @@ fn landmark_seeding_never_changes_any_answer() {
                     assert_real_walk(&g, &p.nodes, d as u64, &ctx);
                 }
             }
-        }
-        // The batched finder's seeded run must agree with its unseeded
-        // twin pair-for-pair too.
-        let seeded = BatchBdjFinder::default()
-            .find_paths(&mut gdb, &pairs)
-            .unwrap();
-        let unseeded = BatchBdjFinder {
-            seed_bounds: false,
-            ..Default::default()
-        }
-        .find_paths(&mut gdb, &pairs)
-        .unwrap();
-        for (i, &(s, t)) in pairs.iter().enumerate() {
-            let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
-            let ctx = format!("BatchBDJ {s}->{t} ({dialect:?})");
-            assert_eq!(
-                seeded.paths[i].as_ref().map(|p| p.length),
-                oracle,
-                "{ctx}: seeded vs Dijkstra"
-            );
-            assert_eq!(
-                seeded.paths[i].as_ref().map(|p| p.length),
-                unseeded.paths[i].as_ref().map(|p| p.length),
-                "{ctx}: seeded vs unseeded twin"
-            );
         }
     }
 }

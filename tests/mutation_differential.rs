@@ -2,12 +2,13 @@
 //! result cache (DESIGN.md §16): a random interleaving of
 //! `insert_edge` / `delete_edge` / `query` / `query_batch` against a
 //! [`PathService`] must agree with a fresh in-memory Dijkstra over a
-//! plain edge-list model after **every** step — across both SQL dialects
-//! and both storage tiers, with the cache enabled. Every query is issued
+//! plain edge-list model after **every** step — across both SQL dialects,
+//! both storage tiers and both the node-at-a-time (BDJ) and set-at-a-time
+//! (BSDJ) finders, with the cache enabled. Every query is issued
 //! twice in a row, so the second answer is served from the cache and a
 //! stale entry (including a stale *negative* entry) can never hide.
 
-use fempath::core::{GraphDbOptions, PathService, PathServiceOptions};
+use fempath::core::{GraphDbOptions, PathService, PathServiceOptions, ServiceAlgorithm};
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
 use fempath::sql::Dialect;
@@ -50,9 +51,15 @@ fn oracle(n: usize, model: &[(u32, u32, u32)], s: i64, t: i64) -> Option<i64> {
 }
 
 /// Runs one op script against a service built with `dialect` /
-/// `segmented`, checking every query (and its immediate cached replay)
-/// against the fresh-Dijkstra oracle.
-fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, segmented: bool) {
+/// `segmented` / `algorithm`, checking every query (and its immediate
+/// cached replay) against the fresh-Dijkstra oracle.
+fn run_script(
+    g: &Graph,
+    ops: &[Op],
+    dialect: Dialect,
+    segmented: bool,
+    algorithm: ServiceAlgorithm,
+) {
     let n = g.num_nodes();
     let svc = PathService::with_options(
         g,
@@ -64,6 +71,7 @@ fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, segmented: bool) {
                 bulk_load: segmented,
                 ..Default::default()
             },
+            algorithm,
             ..Default::default() // cache ON: that is the layer under test
         },
     )
@@ -71,7 +79,7 @@ fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, segmented: bool) {
     let mut model = edge_model(g);
     let mut version = svc.graph_version();
     for (step, &op) in ops.iter().enumerate() {
-        let ctx = format!("step {step} {op:?} ({dialect:?}, segmented={segmented})");
+        let ctx = format!("step {step} {op:?} ({algorithm:?}, {dialect:?}, segmented={segmented})");
         match op {
             Op::Query(s, t) => {
                 let want = oracle(n, &model, s, t);
@@ -121,7 +129,7 @@ fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, segmented: bool) {
         assert!(
             svc.stats().cache.hits > 0,
             "every query was replayed, yet the cache never hit \
-             ({dialect:?}, segmented={segmented})"
+             ({algorithm:?}, {dialect:?}, segmented={segmented})"
         );
     }
 }
@@ -145,7 +153,7 @@ proptest! {
 
     /// The acceptance property: random mutation/query interleavings are
     /// indistinguishable from fresh Dijkstra on the mutated edge list,
-    /// for every dialect × storage-tier combination, cache on.
+    /// for every finder × dialect × storage-tier combination, cache on.
     #[test]
     fn interleaved_mutations_match_fresh_dijkstra(
         seed in 0u64..500,
@@ -154,7 +162,9 @@ proptest! {
         let g = generate::grid(4, 4, 1..=10, seed);
         for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
             for segmented in [false, true] {
-                run_script(&g, &ops, dialect, segmented);
+                for algorithm in [ServiceAlgorithm::Bdj, ServiceAlgorithm::Bsdj] {
+                    run_script(&g, &ops, dialect, segmented, algorithm);
+                }
             }
         }
     }

@@ -1,20 +1,14 @@
-//! Property test for [`PathService::query_batch`] partitioning
-//! (DESIGN.md §13): however a batch is tiled across the worker pool —
-//! arbitrary batch sizes against arbitrary worker counts, duplicate
-//! pairs, unreachable pairs, `s == t` pairs — the merged result must
-//! come back **in input order** and agree pair-for-pair with looping
-//! [`PathService::query`] over the same service (which itself is pinned
-//! to in-memory Dijkstra by the stress and interleaving suites).
-//!
-//! This is the regression net for the tiling bug class: the old
-//! `div_ceil` tiling could fold 9 pairs on 8 workers into 5 tiles, and
-//! an off-by-one in the offset merge would silently swap answers between
-//! adjacent pairs — exactly what comparing per-index against the looped
-//! oracle catches.
+//! Property test for [`PathService::query_batch`] (DESIGN.md §13): with
+//! the result cache off, a batch is exactly a set of single queries —
+//! `query_batch(pairs)[i]` has the same `nodes` and `length` as
+//! `query(pairs[i])`, in input order, for any worker count, with duplicate,
+//! trivial (`s == t`) and unreachable pairs — and the pool executes one job
+//! per *distinct* pair, never one per slot.
 
 use fempath::core::{PathService, PathServiceOptions};
 use fempath::graph::Graph;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Budget: CI sets `PROPTEST_CASES=512`; the local default keeps plain
 /// `cargo test` quick. `ProptestConfig::with_cases` overrides the
@@ -45,12 +39,15 @@ fn arb_case() -> impl Strategy<Value = (Graph, Vec<(i64, i64)>, usize)> {
                     .unwrap_or(1),
             );
             let g = Graph::from_undirected_edges(n, edges);
-            // Clamp pairs into range; s == t and duplicates are kept on
-            // purpose — both are partition edge cases.
-            let pairs: Vec<(i64, i64)> = raw_pairs
+            let mut pairs: Vec<(i64, i64)> = raw_pairs
                 .into_iter()
                 .map(|(s, t)| ((s as usize % n) as i64, (t as usize % n) as i64))
                 .collect();
+            // Every non-empty batch carries a repeat and a trivial pair.
+            if let Some(&p) = pairs.first() {
+                pairs.push(p);
+                pairs.push((p.1, p.1));
+            }
             (g, pairs, workers)
         })
 }
@@ -60,11 +57,8 @@ proptest! {
 
     #[test]
     fn batch_matches_looped_single_queries((g, pairs, workers) in arb_case()) {
-        // Cache off: this property pins the *dispatch* layer — every
-        // pair must really be tiled, executed and merged, so the result
-        // cache (whose dedup would legitimately skip repeat pairs) is
-        // disabled. The cache-on batch behaviour is covered by
-        // tests/service_cache.rs.
+        // Cache off, so every single query below runs a finder too and
+        // the job count is the batch's alone.
         let svc = PathService::with_options(&g, &PathServiceOptions {
             workers,
             cache_bytes: 0,
@@ -73,57 +67,20 @@ proptest! {
         let batch = svc.query_batch(&pairs).unwrap();
         prop_assert_eq!(batch.len(), pairs.len(), "one answer per input pair");
 
+        let distinct: HashSet<(i64, i64)> = pairs.iter().copied().collect();
+        prop_assert_eq!(
+            svc.stats().total_executed(),
+            distinct.len() as u64,
+            "{} pairs ({} distinct) on {} workers",
+            pairs.len(), distinct.len(), workers
+        );
+
         for (i, &(s, t)) in pairs.iter().enumerate() {
             let single = svc.query(s, t).unwrap().path;
-            match (&batch[i], &single) {
-                (Some(b), Some(o)) => {
-                    prop_assert_eq!(
-                        b.length, o.length,
-                        "pair {} ({}->{}) answered with a different distance \
-                         in the batch ({} workers)",
-                        i, s, t, workers
-                    );
-                    // The batch path is a real s→t walk of that length,
-                    // not just any number: endpoints and edge existence.
-                    prop_assert_eq!(b.nodes.first(), Some(&s));
-                    prop_assert_eq!(b.nodes.last(), Some(&t));
-                    let mut len = 0i64;
-                    for w in b.nodes.windows(2) {
-                        let arc = g.out_arcs(w[0] as u32).iter()
-                            .filter(|a| a.to == w[1] as u32)
-                            .map(|a| a.weight).min();
-                        prop_assert!(
-                            arc.is_some(),
-                            "batch path for pair {} uses missing edge {}->{}",
-                            i, w[0], w[1]
-                        );
-                        len += arc.unwrap() as i64;
-                    }
-                    prop_assert_eq!(len, b.length, "pair {}: walk length mismatch", i);
-                }
-                (None, None) => {}
-                (got, want) => prop_assert!(
-                    false,
-                    "pair {} ({}->{}): batch says {:?}, single query says {:?} \
-                     ({} workers, {} pairs)",
-                    i, s, t,
-                    got.as_ref().map(|p| p.length),
-                    want.as_ref().map(|p| p.length),
-                    workers, pairs.len()
-                ),
-            }
-        }
-
-        // Partitioning accounting: a batch of k pairs on w workers must
-        // dispatch exactly min(k, w) tiles, all of which executed.
-        if !pairs.is_empty() {
-            let tiles = pairs.len().min(workers) as u64;
-            let stats = svc.stats();
-            let batch_jobs = stats.total_executed() - pairs.len() as u64; // singles above
             prop_assert_eq!(
-                batch_jobs, tiles,
-                "{} pairs on {} workers must dispatch {} tiles",
-                pairs.len(), workers, tiles
+                &batch[i], &single,
+                "pair {} ({}->{}) differs from query() ({} workers)",
+                i, s, t, workers
             );
         }
     }

@@ -4,8 +4,8 @@
 //! across both SQL dialects — and both must match in-memory Dijkstra.
 
 use fempath::core::{
-    BatchBdjFinder, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, DjFinder, GraphDb,
-    GraphDbOptions, ShortestPathFinder,
+    BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, DjFinder, GraphDb, GraphDbOptions,
+    ShortestPathFinder,
 };
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
@@ -75,7 +75,9 @@ fn finders_identical_on_segmented_and_row_storage() {
     }
 }
 
-/// The batched finder over segment-compressed edges, per dialect.
+/// One multi-pair run per session over segment-compressed edges, per
+/// dialect: every pair after the first starts from the previous pair's
+/// truncated working tables.
 #[test]
 fn batched_finder_identical_on_segmented_storage() {
     let g = generate::power_law(160, 3, 1..=100, 23);
@@ -83,12 +85,12 @@ fn batched_finder_identical_on_segmented_storage() {
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
         let mut rows = build(&g, dialect, false);
         let mut segs = build(&g, dialect, true);
-        let f = BatchBdjFinder::default();
+        let f = BsdjFinder::default();
         let a = f.find_paths(&mut rows, &pairs).unwrap();
         let b = f.find_paths(&mut segs, &pairs).unwrap();
         for (i, &(s, t)) in pairs.iter().enumerate() {
             let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
-            let ctx = format!("BatchBDJ {s}->{t} ({dialect:?})");
+            let ctx = format!("BSDJ {s}->{t} ({dialect:?})");
             assert_eq!(
                 a.paths[i].as_ref().map(|p| p.length),
                 oracle,

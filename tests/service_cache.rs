@@ -36,9 +36,9 @@ fn empty_batch_runs_nothing() {
     assert_eq!(stats.cache.hits + stats.cache.misses, 0, "no cache probe");
 }
 
-/// Duplicate pairs in one batch are computed once — the misses are
-/// deduplicated before dispatch, every caller slot is still filled, and
-/// there is no per-duplicate race on insert.
+/// Duplicate pairs in one batch are computed once — the pairs are
+/// deduplicated before the cache probe and the dispatch, every caller slot
+/// is still filled, and there is no per-duplicate race on insert.
 #[test]
 fn duplicate_pairs_in_one_batch_are_computed_once() {
     let svc = grid_service(2);
@@ -54,30 +54,19 @@ fn duplicate_pairs_in_one_batch_are_computed_once() {
         "duplicate slots must agree"
     );
     let stats = svc.stats();
-    // 2 distinct pairs -> at most 2 tiles dispatched (a tile may hold
-    // both pairs, so allow 1..=2 — but never one job per duplicate).
-    assert!(
-        (1..=2).contains(&stats.total_executed()),
-        "expected <= 2 tiles for 2 distinct pairs, got {}",
-        stats.total_executed()
-    );
-    // Every slot is probed before dedup, so all 5 count as misses —
-    // the saving shows up in dispatched jobs, not in probe counts.
-    assert_eq!(stats.cache.misses, pairs.len() as u64);
+    // 2 distinct pairs -> exactly 2 jobs and 2 cache probes.
+    assert_eq!(stats.total_executed(), 2, "one job per distinct pair");
+    assert_eq!(stats.cache.misses, 2, "one probe per distinct pair");
     // Replaying the same batch is now pure cache: zero new jobs.
-    let executed_before = stats.total_executed();
     let again = svc.query_batch(&pairs).unwrap();
-    assert_eq!(again.len(), pairs.len());
+    assert_eq!(again, out);
     let stats = svc.stats();
     assert_eq!(
         stats.total_executed(),
-        executed_before,
+        2,
         "a fully cached batch must not dispatch"
     );
-    assert!(
-        stats.cache.hits >= pairs.len() as u64,
-        "every slot was a hit"
-    );
+    assert_eq!(stats.cache.hits, 2, "each distinct pair hit once");
 }
 
 /// s == t flows through the cache like any other pair and stays exact.

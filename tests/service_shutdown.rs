@@ -115,7 +115,7 @@ fn worker_panic_surfaces_error_and_pool_survives() {
             let out = svc.query(i % 16, (i * 7 + 2) % 16).unwrap();
             assert!(out.path.is_some(), "grid is connected");
         }
-        // Batches partition across the rebuilt pool too.
+        // Batch pairs spread across the rebuilt pool too.
         let pairs: Vec<(i64, i64)> = (0..6).map(|i| (i, 15 - i)).collect();
         let paths = svc.query_batch(&pairs).unwrap();
         assert!(paths.iter().all(|p| p.is_some()));
@@ -183,8 +183,7 @@ fn repeated_panics_do_not_poison_the_pool() {
 }
 
 /// Zero workers is clamped to one and still shuts down cleanly — the
-/// degenerate pool must not divide by zero in partitioning or hang on
-/// close.
+/// degenerate pool must not hang a batch or its close.
 #[test]
 fn zero_worker_service_is_clamped_and_functional() {
     with_watchdog(60, "zero_worker_service_is_clamped_and_functional", || {
