@@ -154,13 +154,13 @@ pub(crate) struct BidiSpec {
 }
 
 pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Result<PathOutcome> {
-    if let Some(out) = trivial_case(gdb, s, t)? {
-        return Ok(out);
-    }
     if spec.edges == EdgeSource::SegTable && gdb.segtable().is_none() {
         return Err(SqlError::Eval(
             "BSEG requires a SegTable: call GraphDb::build_segtable first".into(),
         ));
+    }
+    if let Some(out) = trivial_case(gdb, s, t)? {
+        return Ok(out);
     }
     // Landmark-seeded pruning ceiling: `U + 1` keeps every relaxation on an
     // optimal path (all partial sums <= D <= U, and the strict `<` of the
@@ -552,12 +552,8 @@ impl ShortestPathFinder for BsegFinder {
     }
 
     fn find_path(&self, gdb: &mut GraphDb, s: i64, t: i64) -> Result<PathOutcome> {
-        let lthd = gdb
-            .segtable()
-            .ok_or_else(|| {
-                SqlError::Eval("BSEG requires a SegTable: call build_segtable first".into())
-            })?
-            .lthd;
+        // Without a SegTable `run_bidi` refuses before reading `lthd`.
+        let lthd = gdb.segtable().map_or(0, |seg| seg.lthd);
         run_bidi(
             gdb,
             s,

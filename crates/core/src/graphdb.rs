@@ -2,7 +2,7 @@
 //!
 //! Owns the `fempath_sql::Database`, loads `TNodes`/`TEdges` with the
 //! configured index strategy, and manages the per-query working tables
-//! (`TVisited`, `TExp`) and the SegTable index (`TOutSegs`/`TInSegs`).
+//! (`TVisited`, `TExp`) and the SegTable index (`TOutSegs`).
 
 use crate::landmarks::{LandmarkSelection, LandmarkStats};
 use crate::segtable::SegTableStats;
@@ -446,7 +446,7 @@ impl GraphDb {
     /// Working tables are (re)created first through the idempotent resets.
     /// Corpora that reference optional structures are gated on their
     /// tables existing: the SegTable-sourced finder statements and the
-    /// build corpus need `TOutSegs`/`TInSegs`, the landmark corpus needs
+    /// build corpus need `TOutSegs`, the landmark corpus needs
     /// `TLandmarks`. The build's own `TSegV`/`TSegExp` (dropped after a
     /// real build) are resurrected for the duration of the walk.
     ///
@@ -458,7 +458,7 @@ impl GraphDb {
 
         self.reset_visited()?;
         self.reset_exp()?;
-        let has_segs = self.db.has_table("TOutSegs") && self.db.has_table("TInSegs");
+        let has_segs = self.db.has_table("TOutSegs");
         let has_lms = self.db.has_table("TLandmarks");
         let temp_segv = has_segs && !self.db.has_table("TSegV");
         if temp_segv {

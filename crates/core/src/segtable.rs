@@ -7,9 +7,9 @@
 //! minimum — the construction analogue of Listing 4(1)), expands it against
 //! `TEdges` restricted to `cost + d2s <= lthd`, and merges. Step 2 copies
 //! the discovered segments into `TOutSegs`, merges in the residual original
-//! edges (Definition 4, case 2), mirrors `TInSegs` (identical content for
-//! symmetric graphs — see DESIGN.md §4) and indexes both per the configured
-//! strategy.
+//! edges (Definition 4, case 2) and indexes it per the configured strategy.
+//! Graphs are stored symmetrically (DESIGN.md §4), so the backward search
+//! reads the same `TOutSegs` rows the forward one does.
 
 use crate::graphdb::{GraphDb, SegTableInfo};
 use crate::sqlgen::AnnotatedSql;
@@ -51,9 +51,6 @@ const RESIDUAL_ANTIJOIN: &str = "INSERT INTO TOutSegs (fid, tid, pid, cost) \
                                  SELECT fid, tid, fid, cost FROM TEdges \
                                  WHERE fid * ? + tid NOT IN (SELECT fid * ? + tid FROM TOutSegs \
                                  WHERE fid IS NOT NULL AND tid IS NOT NULL)";
-const CREATE_TINSEGS: &str = "CREATE TABLE TInSegs (fid INT, tid INT, pid INT, cost INT)";
-const MIRROR_TINSEGS: &str =
-    "INSERT INTO TInSegs (fid, tid, pid, cost) SELECT fid, tid, pid, cost FROM TOutSegs";
 
 fn e_source_sql(style: SqlStyle) -> &'static str {
     match style {
@@ -124,7 +121,6 @@ pub fn build_statement_corpus(style: SqlStyle, use_merge: bool) -> Vec<Annotated
         AnnotatedSql::cold(format!("{t}/{m}/mark"), MARK),
         AnnotatedSql::cold(format!("{t}/{m}/reset"), RESET),
         AnnotatedSql::cold(format!("{t}/{m}/copy_segments"), COPY_SEGMENTS),
-        AnnotatedSql::cold(format!("{t}/{m}/mirror_tinsegs"), MIRROR_TINSEGS),
     ];
     if use_merge {
         out.push(AnnotatedSql::cold(
@@ -198,7 +194,6 @@ pub fn build_segtable_with(gdb: &mut GraphDb, lthd: i64, style: SqlStyle) -> Res
     gdb.db.execute("DROP TABLE IF EXISTS TSegV")?;
     gdb.db.execute("DROP TABLE IF EXISTS TSegExp")?;
     gdb.db.execute("DROP TABLE IF EXISTS TOutSegs")?;
-    gdb.db.execute("DROP TABLE IF EXISTS TInSegs")?;
     gdb.db.execute(CREATE_TSEGV)?;
     gdb.db.execute(CREATE_TSEGV_IDX)?;
     gdb.db.execute(SEED_TSEGV)?;
@@ -262,21 +257,6 @@ pub fn build_segtable_with(gdb: &mut GraphDb, lthd: i64, style: SqlStyle) -> Res
     }
     if drop_after {
         gdb.db.execute("DROP INDEX idx_toutsegs_fid")?;
-    }
-
-    // TInSegs: identical content for symmetric graphs (DESIGN.md §4).
-    gdb.db.execute(CREATE_TINSEGS)?;
-    gdb.db.execute(MIRROR_TINSEGS)?;
-    match gdb.edges_index() {
-        IndexKind::Clustered => {
-            gdb.db
-                .execute("CREATE CLUSTERED INDEX idx_tinsegs_fid ON TInSegs(fid)")?;
-        }
-        IndexKind::Secondary => {
-            gdb.db
-                .execute("CREATE INDEX idx_tinsegs_fid ON TInSegs(fid)")?;
-        }
-        IndexKind::NoIndex => {}
     }
 
     let segments = gdb.db.table_len("TOutSegs")?;

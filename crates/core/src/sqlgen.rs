@@ -6,8 +6,8 @@
 //!   backward ones `(d2t, p2t, b)`. Graphs are stored symmetrically (see
 //!   DESIGN.md §4), so both directions join the edge relation on `fid`.
 //! * **edge source** ([`EdgeSource`]): the raw `TEdges` table or the
-//!   SegTable (`TOutSegs`/`TInSegs`, whose `pid` column carries the
-//!   predecessor within the pre-computed segment — §4.2).
+//!   SegTable (`TOutSegs`, whose `pid` column carries the predecessor
+//!   within the pre-computed segment — §4.2).
 //! * **style** ([`SqlStyle`]): NSQL (window function + MERGE) vs TSQL
 //!   (aggregate-join + UPDATE/INSERT), plus the no-MERGE fallback forced by
 //!   the PostgreSQL dialect (§5.2).
@@ -97,16 +97,15 @@ impl Dir {
 pub enum EdgeSource {
     /// The raw edge table.
     Edges,
-    /// The SegTable (`TOutSegs` forward, `TInSegs` backward).
+    /// The SegTable, `TOutSegs` — read in both directions, like `TEdges`.
     SegTable,
 }
 
 impl EdgeSource {
-    fn table(self, dir: Dir) -> &'static str {
-        match (self, dir) {
-            (EdgeSource::Edges, _) => "TEdges",
-            (EdgeSource::SegTable, Dir::Fwd) => "TOutSegs",
-            (EdgeSource::SegTable, Dir::Bwd) => "TInSegs",
+    fn table(self) -> &'static str {
+        match self {
+            EdgeSource::Edges => "TEdges",
+            EdgeSource::SegTable => "TOutSegs",
         }
     }
 
@@ -243,7 +242,7 @@ impl SqlGen {
     /// `[l_other, minCost]` for the Theorem-1 pruning term.
     fn window_source(&self, frontier: FrontierPred) -> String {
         let (dist, ..) = self.dir.cols();
-        let et = self.edges.table(self.dir);
+        let et = self.edges.table();
         let pid = self.edges.pid_col();
         let fpred = self.frontier_pred(frontier);
         format!(
@@ -260,7 +259,7 @@ impl SqlGen {
     /// the minimum plus a second join to recover the parent.
     fn aggregate_source(&self, frontier: FrontierPred) -> String {
         let (dist, ..) = self.dir.cols();
-        let et = self.edges.table(self.dir);
+        let et = self.edges.table();
         let pid = self.edges.pid_col();
         let fpred = self.frontier_pred(frontier);
         let fpred2 = fpred.replace("q.", "q2."); // same predicate on the rejoin
@@ -553,11 +552,12 @@ mod tests {
 
     #[test]
     fn segtable_statements_use_seg_tables_and_pid() {
-        let f = SqlGen::new(Dir::Fwd, EdgeSource::SegTable, SqlStyle::New);
-        assert!(f.expand_merge(FrontierPred::Marked).contains("TOutSegs"));
-        assert!(f.expand_merge(FrontierPred::Marked).contains("e.pid"));
-        let b = SqlGen::new(Dir::Bwd, EdgeSource::SegTable, SqlStyle::New);
-        assert!(b.expand_merge(FrontierPred::Marked).contains("TInSegs"));
+        // Both directions read the one SegTable, as both read `TEdges`.
+        for dir in [Dir::Fwd, Dir::Bwd] {
+            let g = SqlGen::new(dir, EdgeSource::SegTable, SqlStyle::New);
+            let m = g.expand_merge(FrontierPred::Marked);
+            assert!(m.contains("TOutSegs e") && m.contains("e.pid"), "{m}");
+        }
     }
 
     #[test]

@@ -396,7 +396,9 @@ fn query_stats_are_populated() {
 /// before the DML pipeline went columnar). BDJ's and BSDJ's statement
 /// counts were re-pinned once, when their per-expansion sequence lost two
 /// statements and one (1952 − 2·313, 1039 − 193); expansions and visited
-/// rows did not move.
+/// rows did not move. BSEG's were first recorded with the SegTable stored
+/// twice (`TOutSegs` forward, a mirrored `TInSegs` backward), before both
+/// directions read the one `TOutSegs`.
 #[test]
 fn work_counts_are_pinned_on_a_fixed_graph() {
     let g = generate::power_law(400, 3, 1..=100, 77);
@@ -404,11 +406,13 @@ fn work_counts_are_pinned_on_a_fixed_graph() {
     let counts = |s: &fempath_core::QueryStats| (s.sql_statements, s.expansions, s.visited_nodes);
 
     let mut gdb = GraphDb::in_memory(&g).unwrap();
-    let single: [(&dyn ShortestPathFinder, _); 2] = [
+    gdb.build_segtable(40).unwrap();
+    let finders: [(&dyn ShortestPathFinder, _); 3] = [
         (&BdjFinder::default(), (1326u64, 313u64, 627u64)),
         (&BsdjFinder::default(), (846, 193, 617)),
+        (&BsegFinder::default(), (258, 46, 1016)),
     ];
-    for (finder, want) in single {
+    for (finder, want) in finders {
         let mut total = (0u64, 0u64, 0u64);
         for &(s, t) in &pairs {
             let out = finder.find_path(&mut gdb, s, t).unwrap();

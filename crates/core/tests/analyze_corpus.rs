@@ -6,19 +6,18 @@
 //! to their diagnostic codes.
 
 use fempath_core::sqlgen::{Dir, EdgeSource, FrontierPred, SqlGen};
-use fempath_core::{build_segtable, GraphDb, SqlStyle};
+use fempath_core::{build_segtable, GraphDb, GraphDbOptions, SqlStyle};
 use fempath_graph::generate;
-use fempath_sql::Rule;
+use fempath_sql::{AccessKind, JoinKind, Report, Rule};
 
 fn small_gdb() -> GraphDb {
     let g = generate::power_law(60, 3, 1..=50, 7);
     GraphDb::in_memory(&g).unwrap()
 }
 
-/// The full corpus — optional structures built — is clean.
-#[test]
-fn full_corpus_is_clean() {
-    let mut gdb = small_gdb();
+/// Walks the corpus with every optional structure built and requires
+/// zero diagnostics.
+fn full_corpus(mut gdb: GraphDb) -> Vec<(String, Report)> {
     build_segtable(&mut gdb, 120).unwrap();
     gdb.build_landmarks(2).unwrap();
     let reports = gdb.analyze_all_statements().unwrap();
@@ -26,8 +25,7 @@ fn full_corpus_is_clean() {
     // statements, landmarks, seg build) — a floor guards
     // against the walker silently skipping whole corpora.
     assert!(reports.len() > 300, "only {} reports", reports.len());
-    let dirty: Vec<&(String, fempath_sql::Report)> =
-        reports.iter().filter(|(_, r)| !r.is_clean()).collect();
+    let dirty: Vec<&(String, Report)> = reports.iter().filter(|(_, r)| !r.is_clean()).collect();
     assert!(
         dirty.is_empty(),
         "{} corpus statements have diagnostics:\n{}",
@@ -38,6 +36,42 @@ fn full_corpus_is_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
+    reports
+}
+
+/// The full corpus — optional structures built — is clean.
+#[test]
+fn full_corpus_is_clean() {
+    full_corpus(small_gdb());
+}
+
+/// The same gate on the storage `uniform-disk` serves from: `TEdges`
+/// segment-compressed, SegTable and landmarks built. The hot by-`nid`
+/// expansion joins `TEdges` through the segment tree, so a segmented `fid`
+/// lookup read as a scan would fail it with FC201; its verdict is pinned
+/// too.
+#[test]
+fn segmented_corpus_is_clean() {
+    let g = generate::power_law(60, 3, 1..=50, 7);
+    let opts = GraphDbOptions {
+        segmented_edges: true,
+        ..Default::default()
+    };
+    let reports = full_corpus(GraphDb::new(&g, &opts).unwrap());
+    let (_, expand) = reports
+        .iter()
+        .find(|(n, _)| n.ends_with("fwd/edges/nsql/expand_merge/by_nid"))
+        .unwrap();
+    let edges = expand
+        .accesses
+        .iter()
+        .find(|a| a.table == "TEdges")
+        .unwrap();
+    assert_eq!(
+        (edges.access, edges.join),
+        (AccessKind::IndexRange, JoinKind::IndexNestedLoop)
+    );
+    assert_eq!(edges.index_cols, ["fid"]);
 }
 
 /// A bare database (no SegTable, no landmarks) still walks clean — the

@@ -191,16 +191,6 @@ fn rebuild_replaces_previous_segtable() {
     validate_segtable(&g, &mut gdb, 20);
 }
 
-#[test]
-fn tinsegs_mirrors_toutsegs() {
-    let g = generate::grid(5, 5, 1..=10, 67);
-    let mut gdb = GraphDb::in_memory(&g).unwrap();
-    gdb.build_segtable(12).unwrap();
-    let out_n = gdb.db.table_len("TOutSegs").unwrap();
-    let in_n = gdb.db.table_len("TInSegs").unwrap();
-    assert_eq!(out_n, in_n);
-}
-
 /// An edge mutation takes the SegTable out of service: segments computed
 /// over a deleted edge would hand BSEG paths that no longer exist (before
 /// the gate it answered *shorter* than BDJ on 44 of these 60 pairs).

@@ -6,21 +6,23 @@
 //! 1. resolves every table and column reference (rules FC001/FC002),
 //! 2. type-checks expressions against the interpreter's Int/Float/Text/
 //!    NULL rules (FC003/FC004) and validates statement shape — arity,
-//!    scalar-subquery columns, probe requirements (FC005/FC006),
+//!    scalar-subquery columns, and whatever else the planner refuses
+//!    (FC005/FC006),
 //! 3. flags three-valued-logic pitfalls: `NOT IN` over a nullable
 //!    subquery column (FC101) and comparisons with an always-NULL operand
 //!    (FC102),
 //! 4. emits a plan-shape verdict per table access — index point lookup,
-//!    index range scan, or full scan, with the join strategy — by running
-//!    the *same* access-path selection helpers the executor uses, and
-//!    fails statements annotated hot-path that would full-scan an indexed
-//!    table (FC201).
+//!    index range scan, or full scan, with the join strategy — read off
+//!    the plan `plan::build` compiles for the statement, the plan that
+//!    runs, and fails statements annotated hot-path that full-scan an
+//!    indexed table (FC201).
 //!
 //! Nothing here executes: no buffer pool, no rows, no parameters. The
 //! analyzer sees exactly what the planner sees at prepare time, which is
 //! what makes it usable as a test-time gate over the generated-SQL corpus
 //! (`GraphDb::analyze_all_statements` in `fempath-core`).
 
+mod access;
 mod select;
 mod typeck;
 
@@ -32,9 +34,7 @@ use crate::dialect::Dialect;
 use crate::error::Result;
 use crate::exec::eval::split_conjuncts;
 use crate::parser;
-use select::{
-    analyze_dml_source, analyze_equi_probe, analyze_select, refine_and_check, source_access,
-};
+use select::{analyze_select, refine_and_check, resolve_source};
 use typeck::{infer, storable, TSchema};
 
 pub use typeck::Ty;
@@ -63,8 +63,9 @@ pub enum Rule {
     /// FC004: arithmetic (or SUM/AVG) over a Text operand.
     NonNumericArith,
     /// FC005: malformed statement shape — INSERT arity, scalar subquery
-    /// column count, derived-table column list, missing MERGE/UPDATE-FROM
-    /// equi-probe.
+    /// column count, derived-table column list, or any other reason the
+    /// planner refuses the statement (e.g. a MERGE/UPDATE-FROM without a
+    /// target equality to probe on).
     StatementShape,
     /// FC006: statement needs a feature the active dialect lacks (MERGE
     /// without `supports_merge`).
@@ -126,12 +127,11 @@ impl std::fmt::Display for Diagnostic {
 pub enum AccessKind {
     /// Unique-index point lookup (at most one row per probe).
     IndexEq,
-    /// Index prefix/range scan.
+    /// Index prefix/range scan (clustering-tree prefix, segment range, or
+    /// non-point secondary probe).
     IndexRange,
     /// Every row is read.
     FullScan,
-    /// A derived table or view — materialized subquery output.
-    Derived,
 }
 
 /// How the access participates in the FROM pipeline.
@@ -149,12 +149,15 @@ pub enum JoinKind {
     Probe,
 }
 
-/// Plan-shape verdict for one table reference.
+/// Plan-shape verdict for one base-table access of the compiled plan.
+/// Derived tables and views contribute the accesses of their own plans.
 #[derive(Debug, Clone)]
 pub struct TableAccess {
-    /// Base table name (or derived-table binding for `Derived`).
+    /// Base table name.
     pub table: String,
-    /// Binding the statement uses (alias or table name).
+    /// Binding the plan records for the access (alias or table name; the
+    /// table name for a hash/nested-loop build side or a probed DML
+    /// target, which the plan keeps no alias for).
     pub binding: String,
     pub access: AccessKind,
     pub join: JoinKind,
@@ -222,10 +225,6 @@ pub(crate) struct Ctx<'a> {
     pub(crate) catalog: &'a Catalog,
     pub(crate) dialect: Dialect,
     pub(crate) diags: Vec<Diagnostic>,
-    pub(crate) accesses: Vec<TableAccess>,
-    /// Depth of scalar/IN/EXISTS subquery nesting (FROM-derived tables do
-    /// *not* count — they are the statement's main pipeline).
-    pub(crate) subquery_depth: u32,
 }
 
 impl Ctx<'_> {
@@ -259,12 +258,30 @@ pub fn analyze_stmt(
         catalog,
         dialect,
         diags: Vec::new(),
-        accesses: Vec::new(),
-        subquery_depth: 0,
     };
     dispatch(&mut cx, stmt);
+    // The verdicts come from the plan `prepare` would compile (EXPLAIN
+    // compiles its inner statement).
+    let planned = match stmt {
+        Stmt::Explain(inner) => inner,
+        other => other,
+    };
+    let accesses = match crate::plan::build::build_plan(catalog, planned) {
+        Ok(plan) => access::plan_accesses(catalog, &plan),
+        Err(e) => {
+            // An error found above already explains the refusal.
+            if !cx
+                .diags
+                .iter()
+                .any(|d| d.rule.severity() == Severity::Error)
+            {
+                cx.diag(Rule::StatementShape, e.to_string());
+            }
+            Vec::new()
+        }
+    };
     if opts.hot_path {
-        for a in &cx.accesses {
+        for a in &accesses {
             if !a.in_subquery && a.access == AccessKind::FullScan && a.has_index {
                 cx.diags.push(Diagnostic {
                     rule: Rule::HotPathFullScan,
@@ -279,7 +296,7 @@ pub fn analyze_stmt(
     Report {
         sql: sql.to_string(),
         diagnostics: cx.diags,
-        accesses: cx.accesses,
+        accesses,
     }
 }
 
@@ -415,7 +432,7 @@ fn analyze_insert(cx: &mut Ctx<'_>, ins: &Insert) {
             }
         }
         InsertSource::Query(sel) => {
-            let out = select::select_output(cx, sel);
+            let out = analyze_select(cx, sel);
             if out.open {
                 return;
             }
@@ -467,19 +484,8 @@ fn analyze_update(cx: &mut Ctx<'_>, upd: &Update) {
         .collect();
 
     let combined = match &upd.from {
-        None => {
-            // Plain UPDATE: the target gets a SELECT's access-path choice.
-            source_access(cx, table, &binding, &target, &mut conjuncts.clone());
-            target
-        }
-        Some(tref) => {
-            let source = analyze_dml_source(cx, tref);
-            let Ok(table) = cx.catalog.table(&upd.table) else {
-                return;
-            };
-            analyze_equi_probe(cx, table, &binding, &target, &source, &conjuncts);
-            target.concat(&source)
-        }
+        None => target,
+        Some(tref) => target.concat(&resolve_source(cx, tref)),
     };
 
     let ts = refine_and_check(cx, combined, &conjuncts);
@@ -508,8 +514,6 @@ fn analyze_delete(cx: &mut Ctx<'_>, del: &Delete) {
     };
     let target = TSchema::from_table(&del.table, table);
     let conjuncts: Vec<Expr> = del.filter.as_ref().map(split_conjuncts).unwrap_or_default();
-    // The target gets a SELECT's access-path choice.
-    source_access(cx, table, &del.table, &target, &mut conjuncts.clone());
     refine_and_check(cx, target, &conjuncts);
 }
 
@@ -529,14 +533,8 @@ fn analyze_merge(cx: &mut Ctx<'_>, m: &Merge) {
     let target_cols = table.schema.columns.clone();
     let target_name = table.schema.name.clone();
 
-    let source = analyze_dml_source(cx, &m.source);
-    let conjuncts = split_conjuncts(&m.on);
-    if let Ok(table) = cx.catalog.table(&m.target) {
-        analyze_equi_probe(cx, table, &binding, &target, &source, &conjuncts);
-    }
-
-    let combined = target.concat(&source);
-    let ts = refine_and_check(cx, combined, &conjuncts);
+    let combined = target.concat(&resolve_source(cx, &m.source));
+    let ts = refine_and_check(cx, combined, &split_conjuncts(&m.on));
 
     if let Some(matched) = &m.when_matched {
         if let Some(cond) = &matched.condition {

@@ -309,7 +309,7 @@ pub(crate) fn infer(cx: &mut Ctx<'_>, ts: &TSchema, expr: &Expr, grouped: bool) 
             ExprTy::int_bool(false)
         }
         Expr::Subquery(q) => {
-            let out = super::select::analyze_subquery(cx, q);
+            let out = super::select::analyze_select(cx, q);
             if out.cols.len() != 1 && !out.open {
                 cx.diag(
                     Rule::StatementShape,
@@ -331,7 +331,7 @@ pub(crate) fn infer(cx: &mut Ctx<'_>, ts: &TSchema, expr: &Expr, grouped: bool) 
             negated,
         } => {
             let probe = infer(cx, ts, expr, grouped);
-            let out = super::select::analyze_subquery(cx, query);
+            let out = super::select::analyze_select(cx, query);
             if out.cols.len() != 1 && !out.open {
                 cx.diag(
                     Rule::StatementShape,
@@ -367,7 +367,7 @@ pub(crate) fn infer(cx: &mut Ctx<'_>, ts: &TSchema, expr: &Expr, grouped: bool) 
             ExprTy::int_bool(probe.nullable || sub.nullable)
         }
         Expr::Exists { query, .. } => {
-            super::select::analyze_subquery(cx, query);
+            super::select::analyze_select(cx, query);
             ExprTy::int_bool(false)
         }
         Expr::Aggregate { func, arg } => {

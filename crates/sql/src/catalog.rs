@@ -228,6 +228,10 @@ pub enum ProbePath {
     /// The columns are a prefix of the clustering key: a prefix scan of
     /// the table's own tree.
     Clustered,
+    /// The columns are the `fid` key of segment-compressed storage: a
+    /// range scan of the segments whose key range holds the probe, plus
+    /// the delta overlay.
+    Segments,
     /// The columns are a prefix of secondary index `index`. `point`: they
     /// are all the columns of a unique index, so a probe is one point get
     /// matching at most one row; otherwise a prefix scan of the index.
@@ -320,18 +324,42 @@ impl Table {
         matches!(self.storage, TableStorage::Segmented { .. })
     }
 
-    /// Columns that give this table an *ordered* physical access path: the
-    /// clustering key of an index-organised table, or the leading `fid`
-    /// column of segmented edge storage. `None` for plain heaps. Planner
-    /// code uses this instead of matching [`TableStorage`] directly so both
-    /// ordered storages pick up index-driven plans.
-    pub fn clustered_key_cols(&self) -> Option<&[usize]> {
-        match &self.storage {
+    /// True when some equality could be served by an ordered access path:
+    /// the table is clustered or segmented, or has a secondary index.
+    pub(crate) fn has_index(&self) -> bool {
+        !matches!(self.storage, TableStorage::Heap(_)) || !self.indexes.is_empty()
+    }
+
+    /// The longest prefix of an ordered access path whose columns are all
+    /// in `usable`, as the position in `usable` of each prefix column (its
+    /// first occurrence). Paths are tried in a fixed order — the
+    /// clustering or segment key, then the secondary indexes as created —
+    /// and a later one wins only with a strictly longer prefix. `None`
+    /// when no path's leading column is usable.
+    ///
+    /// Every planner picks the columns an equality is served on here;
+    /// [`Table::probe_path`] then names the structure that serves them.
+    pub(crate) fn longest_prefix(&self, usable: &[usize]) -> Option<Vec<usize>> {
+        let key = match &self.storage {
             TableStorage::Clustered { key_cols, .. } | TableStorage::Segmented { key_cols, .. } => {
-                Some(key_cols)
+                Some(key_cols.as_slice())
             }
             TableStorage::Heap(_) => None,
+        };
+        let mut best: Option<Vec<usize>> = None;
+        for path in key
+            .into_iter()
+            .chain(self.indexes.iter().map(|i| &i.cols[..]))
+        {
+            let picks: Vec<usize> = path
+                .iter()
+                .map_while(|c| usable.iter().position(|u| u == c))
+                .collect();
+            if picks.len() > best.as_ref().map_or(0, Vec::len) {
+                best = Some(picks);
+            }
         }
+        best
     }
 
     pub(crate) fn read_only_err(&self) -> SqlError {
@@ -728,16 +756,9 @@ impl Table {
         }
     }
 
-    /// Rows whose values in `cols` equal `key_vals`, using the best
-    /// available access path:
-    ///
-    /// 1. clustered tree prefix scan when `cols` is a prefix of the
-    ///    clustering key,
-    /// 2. secondary index (unique → point lookup, else prefix scan),
-    /// 3. full scan fallback.
-    ///
-    /// Returns `(used_index, matches)` so callers/plans can report access
-    /// paths.
+    /// Rows whose values in `cols` equal `key_vals`, along the path
+    /// [`Table::probe_path`] picks for `cols`. Returns whether that path
+    /// is an index (`false`: every row was scanned).
     pub fn lookup_eq(
         &self,
         pool: &mut BufferPool,
@@ -745,7 +766,7 @@ impl Table {
         key_vals: &[Value],
         mut f: impl FnMut(RowLoc, Vec<Value>) -> bool,
     ) -> Result<bool> {
-        match self.resolve_eq_path(pool, cols, key_vals)? {
+        match self.resolve_eq_path(pool, self.probe_path(cols), cols, key_vals)? {
             EqAccessPath::ClusteredPrefix(prefix) => {
                 let TableStorage::Clustered { tree, .. } = &self.storage else {
                     unreachable!("clustered path implies clustered storage");
@@ -851,21 +872,21 @@ impl Table {
         }
     }
 
-    /// Like [`Table::lookup_eq`], but decodes the `read` columns of every
-    /// match straight into the columns of `chunk` (appending) — the
-    /// batched probe the vectorized join stages use, avoiding one row
-    /// materialization and value clone per match. Shares
-    /// `Table::resolve_eq_path` with `lookup_eq`, so the two executors
-    /// cannot drift in access-path choice.
+    /// Like [`Table::lookup_eq`], along the `path` a plan recorded for
+    /// `cols`, decoding the `read` columns of every match straight into the
+    /// columns of `chunk` (appending) — the batched probe the vectorized
+    /// lookups and join stages use, avoiding one row materialization and
+    /// value clone per match.
     pub fn lookup_eq_chunk(
         &self,
         pool: &mut BufferPool,
+        path: ProbePath,
         cols: &[usize],
         key_vals: &[Value],
         chunk: &mut Chunk,
         read: &ColSet,
-    ) -> Result<bool> {
-        match self.resolve_eq_path(pool, cols, key_vals)? {
+    ) -> Result<()> {
+        match self.resolve_eq_path(pool, path, cols, key_vals)? {
             EqAccessPath::ClusteredPrefix(prefix) => {
                 let TableStorage::Clustered { tree, .. } = &self.storage else {
                     unreachable!("clustered path implies clustered storage");
@@ -885,7 +906,7 @@ impl Table {
                 if let Some(e) = decode_err {
                     return Err(e.into());
                 }
-                Ok(true)
+                Ok(())
             }
             EqAccessPath::SegmentedFid(fid) => {
                 // The FEM expansion hot path: decode matching edges
@@ -949,12 +970,9 @@ impl Table {
                 if let Some(e) = decode_err {
                     return Err(e.into());
                 }
-                Ok(true)
+                Ok(())
             }
-            EqAccessPath::Secondary(locs) => {
-                self.fetch_chunk(pool, &locs, chunk, read)?;
-                Ok(true)
-            }
+            EqAccessPath::Secondary(locs) => self.fetch_chunk(pool, &locs, chunk, read),
             EqAccessPath::Scan => {
                 // Needs the decoded row for the comparison anyway.
                 self.scan(pool, |_, row| {
@@ -962,35 +980,30 @@ impl Table {
                         push_row_cols(chunk, &row, read);
                     }
                     true
-                })?;
-                Ok(false)
+                })
             }
         }
     }
 
-    /// Access-path selection shared by [`Table::lookup_eq`] and
-    /// [`Table::lookup_eq_chunk`]: the segmented `fid` scan, else whatever
-    /// [`Table::probe_path`] picks, with secondary-index probes resolved
-    /// to row locators.
+    /// Resolves `path` for one probe of `cols` by `key_vals`: the encoded
+    /// tree prefix, the segment `fid`, or — for a secondary index — the
+    /// row locators the index holds.
     fn resolve_eq_path(
         &self,
         pool: &mut BufferPool,
+        path: ProbePath,
         cols: &[usize],
         key_vals: &[Value],
     ) -> Result<EqAccessPath> {
         debug_assert_eq!(cols.len(), key_vals.len());
-        if let TableStorage::Segmented { key_cols, .. } = &self.storage {
-            if cols == &key_cols[..] {
-                return Ok(match key_vals[0].as_i64() {
-                    Some(fid) => EqAccessPath::SegmentedFid(fid),
-                    // A non-integral probe can never equal an INT fid
-                    // (and NULLs never match): indexed empty result.
-                    None => EqAccessPath::Secondary(BatchLocs::default()),
-                });
-            }
-        }
-        Ok(match self.probe_path(cols) {
+        Ok(match path {
             ProbePath::Clustered => EqAccessPath::ClusteredPrefix(encode_key(key_vals)?),
+            ProbePath::Segments => match key_vals[0].as_i64() {
+                Some(fid) => EqAccessPath::SegmentedFid(fid),
+                // A non-integral probe can never equal an INT fid (and
+                // NULLs never match): indexed empty result.
+                None => EqAccessPath::Secondary(BatchLocs::default()),
+            },
             ProbePath::Secondary { index, point } => {
                 let mut locs = BatchLocs::default();
                 self.probe_index_locs(pool, index, point, &encode_key(key_vals)?, &mut locs)?;
@@ -1000,18 +1013,24 @@ impl Table {
         })
     }
 
-    /// The access path an equality probe on `cols` takes:
+    /// How an equality on `cols` is served — the one answer the planners
+    /// record and the executors follow:
     ///
     /// 1. the clustered tree when `cols` is a prefix of the clustering key,
-    /// 2. a secondary index `cols` is a prefix of (unique and fully
+    /// 2. the segments when `cols` is the `fid` key of segmented storage,
+    /// 3. a secondary index `cols` is a prefix of (unique and fully
     ///    covered → point get, else prefix scan),
-    /// 3. a scan.
+    /// 4. a scan.
     pub fn probe_path(&self, cols: &[usize]) -> ProbePath {
         let is_prefix = |of: &[usize]| cols.len() <= of.len() && cols == &of[..cols.len()];
-        if let TableStorage::Clustered { key_cols, .. } = &self.storage {
-            if is_prefix(key_cols) {
-                return ProbePath::Clustered;
+        match &self.storage {
+            TableStorage::Clustered { key_cols, .. } if is_prefix(key_cols) => {
+                return ProbePath::Clustered
             }
+            TableStorage::Segmented { key_cols, .. } if cols == key_cols.as_slice() => {
+                return ProbePath::Segments
+            }
+            _ => {}
         }
         match self.indexes.iter().position(|i| is_prefix(&i.cols)) {
             Some(index) => {
@@ -1095,11 +1114,11 @@ impl Table {
         Ok(decoded?)
     }
 
-    /// The probe of segment-compressed storage, whose base rows have no
-    /// locators: appends the `read` columns of the rows whose `cols` equal
-    /// `key_vals` to `rows` ([`Table::lookup_eq_chunk`]) and one
-    /// placeholder locator per match to `locs`. No write accepts those —
-    /// [`Table::update_rows`] refuses segmented storage — but a statement
+    /// The [`ProbePath::Segments`] probe, whose base rows have no
+    /// locators: appends the `read` columns of the rows whose `fid` key
+    /// `cols` equal `key_vals` to `rows` ([`Table::lookup_eq_chunk`]) and
+    /// one placeholder locator per match to `locs`. No write accepts those
+    /// — [`Table::update_rows`] refuses segmented storage — but a statement
     /// that matches nothing, or only inserts (the delta overlay), runs.
     pub fn probe_segmented(
         &self,
@@ -1110,8 +1129,7 @@ impl Table {
         rows: &mut Chunk,
         read: &ColSet,
     ) -> Result<()> {
-        debug_assert!(self.is_segmented());
-        self.lookup_eq_chunk(pool, cols, key_vals, rows, read)?;
+        self.lookup_eq_chunk(pool, ProbePath::Segments, cols, key_vals, rows, read)?;
         locs.rids.resize(rows.len(), RecordId::from_u64(u64::MAX));
         Ok(())
     }
@@ -1584,19 +1602,6 @@ impl Table {
             }
         }
         Ok(())
-    }
-
-    /// True when the table has an access path (clustered or secondary) whose
-    /// leading columns are exactly `cols`.
-    pub fn has_index_on(&self, cols: &[usize]) -> bool {
-        if let Some(key_cols) = self.clustered_key_cols() {
-            if cols.len() <= key_cols.len() && cols == &key_cols[..cols.len()] {
-                return true;
-            }
-        }
-        self.indexes
-            .iter()
-            .any(|i| cols.len() <= i.cols.len() && cols == &i.cols[..cols.len()])
     }
 
     /// Removes all rows (storage and indexes), keeping pages for reuse.
@@ -2620,15 +2625,16 @@ mod tests {
             assert_eq!(got, expect, "probe fid={probe}");
             // Chunk probe agrees with the row probe.
             let mut chunk = Chunk::with_width(3);
-            assert!(t
-                .lookup_eq_chunk(
-                    &mut pool,
-                    &[0],
-                    &[Value::Int(probe)],
-                    &mut chunk,
-                    &ColSet::all(),
-                )
-                .unwrap());
+            assert_eq!(t.probe_path(&[0]), ProbePath::Segments);
+            t.lookup_eq_chunk(
+                &mut pool,
+                ProbePath::Segments,
+                &[0],
+                &[Value::Int(probe)],
+                &mut chunk,
+                &ColSet::all(),
+            )
+            .unwrap();
             let chunk_rows: Vec<(i64, i64, i64)> = (0..chunk.len())
                 .map(|r| {
                     (
@@ -2785,6 +2791,7 @@ mod tests {
             let mut chunk = Chunk::with_width(3);
             t.lookup_eq_chunk(
                 &mut pool,
+                ProbePath::Segments,
                 &[0],
                 &[Value::Int(7)],
                 &mut chunk,

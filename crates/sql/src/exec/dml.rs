@@ -619,33 +619,12 @@ fn equi_probe_plan(
     }
 
     // Prefer the longest index prefix covered by the candidates.
-    let tbl = ctx.catalog.table(target_table)?;
     let cand_cols: Vec<usize> = cands.iter().map(|(c, _)| *c).collect();
-    let mut chosen: Vec<usize> = (0..cands.len()).collect(); // default: all
-    {
-        let mut best: Option<Vec<usize>> = None;
-        let mut consider = |path: &[usize]| {
-            let mut picks = Vec::new();
-            for &pc in path {
-                match cand_cols.iter().position(|&c| c == pc) {
-                    Some(i) => picks.push(i),
-                    None => break,
-                }
-            }
-            if !picks.is_empty() && best.as_ref().is_none_or(|b| b.len() < picks.len()) {
-                best = Some(picks);
-            }
-        };
-        if let Some(key_cols) = tbl.clustered_key_cols() {
-            consider(key_cols);
-        }
-        for idx in &tbl.indexes {
-            consider(&idx.cols);
-        }
-        if let Some(best) = best {
-            chosen = best;
-        }
-    }
+    let chosen = ctx
+        .catalog
+        .table(target_table)?
+        .longest_prefix(&cand_cols)
+        .unwrap_or_else(|| (0..cands.len()).collect()); // default: all
 
     let mut probe_cols = Vec::with_capacity(chosen.len());
     let mut probe_exprs = Vec::with_capacity(chosen.len());

@@ -6,7 +6,6 @@ use super::eval::{
 };
 use super::Relation;
 use crate::ast::{BinaryOp, Expr, TableRef};
-use crate::catalog::Table;
 use crate::error::{Result, SqlError};
 use fempath_storage::Value;
 use std::collections::HashMap;
@@ -141,40 +140,6 @@ pub(crate) fn find_const_equalities(schema: &Schema, conjuncts: &[Expr]) -> Vec<
     out
 }
 
-/// Chooses the longest index prefix covered by the available equalities.
-/// Returns (table column positions, matching `EqPred` indices). Schema
-/// positions equal table column positions because the schema came straight
-/// from the table definition.
-pub(crate) fn choose_access_path(
-    table: &Table,
-    eqs: &[EqPred],
-) -> Option<(Vec<usize>, Vec<usize>)> {
-    let mut best: Option<(Vec<usize>, Vec<usize>)> = None;
-    let mut consider = |path_cols: &[usize]| {
-        let mut cols = Vec::new();
-        let mut used = Vec::new();
-        for &pc in path_cols {
-            match eqs.iter().position(|e| e.col == pc) {
-                Some(i) => {
-                    cols.push(pc);
-                    used.push(i);
-                }
-                None => break,
-            }
-        }
-        if !cols.is_empty() && best.as_ref().is_none_or(|(b, _)| b.len() < cols.len()) {
-            best = Some((cols, used));
-        }
-    };
-    if let Some(key_cols) = table.clustered_key_cols() {
-        consider(key_cols);
-    }
-    for idx in &table.indexes {
-        consider(&idx.cols);
-    }
-    best
-}
-
 /// Scans a base table, consuming pushable conjuncts.
 fn scan_table(
     ctx: &mut ExecCtx<'_>,
@@ -194,17 +159,19 @@ fn scan_table(
         .collect();
     let mine: Vec<Expr> = mine_idx.iter().map(|&i| conjuncts[i].clone()).collect();
 
+    // Schema positions equal table column positions: the schema came
+    // straight from the table definition.
     let eqs = find_const_equalities(&schema, &mine);
-    let access = choose_access_path(table, &eqs);
+    let eq_cols: Vec<usize> = eqs.iter().map(|e| e.col).collect();
 
     let mut rows = Vec::new();
-    match access {
-        Some((cols, eq_positions)) => {
-            let consumed_local: Vec<usize> =
-                eq_positions.iter().map(|&p| eqs[p].conjunct_idx).collect();
+    match table.longest_prefix(&eq_cols) {
+        Some(picks) => {
+            let cols: Vec<usize> = picks.iter().map(|&p| eq_cols[p]).collect();
+            let consumed_local: Vec<usize> = picks.iter().map(|&p| eqs[p].conjunct_idx).collect();
             // Key values: bind the constant sides (no columns involved).
             let mut keys = Vec::with_capacity(cols.len());
-            for &p in &eq_positions {
+            for &p in &picks {
                 let b = bind_expr(ctx, &Schema::empty(), &eqs[p].value_expr)?;
                 keys.push(eval(&b, &[])?);
             }
@@ -385,56 +352,19 @@ fn join(
             let table = ctx.catalog.table(&name)?;
             let right_schema = Schema::from_table(&binding, &table.schema);
             let pairs = find_join_pairs(&left.schema, &right_schema, conjuncts);
+            let pair_cols: Vec<usize> = pairs.iter().map(|p| p.right_col).collect();
 
-            // Try index nested loop: join columns must cover an index prefix.
-            let path = {
-                let pair_cols: Vec<usize> = pairs.iter().map(|p| p.right_col).collect();
-                let mut best: Option<Vec<usize>> = None;
-                let mut consider = |cols: &[usize]| {
-                    let mut n = 0;
-                    for &c in cols {
-                        if pair_cols.contains(&c) {
-                            n += 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    if n > 0 && best.as_ref().is_none_or(|b| b.len() < n) {
-                        best = Some(cols[..n].to_vec());
-                    }
-                };
-                if let Some(key_cols) = table.clustered_key_cols() {
-                    consider(key_cols);
-                }
-                for idx in &table.indexes {
-                    consider(&idx.cols);
-                }
-                best
-            };
-
-            if let Some(path_cols) = path {
-                // Index nested loop join.
-                let mut used_pairs = Vec::new();
-                for &pc in &path_cols {
-                    let p = pairs
-                        .iter()
-                        .position(|p| {
-                            p.right_col == pc
-                                && !used_pairs.iter().any(|&(u, _)| u == p.conjunct_idx)
-                        })
-                        .ok_or_else(|| {
-                            SqlError::Eval("index path column has no matching join pair".into())
-                        })?;
-                    used_pairs.push((pairs[p].conjunct_idx, p));
-                }
-                let key_exprs: Vec<BExpr> = used_pairs
+            // Index nested loop when the join columns cover an index prefix.
+            if let Some(picks) = table.longest_prefix(&pair_cols) {
+                let path_cols: Vec<usize> = picks.iter().map(|&p| pair_cols[p]).collect();
+                let key_exprs: Vec<BExpr> = picks
                     .iter()
-                    .map(|&(_, p)| bind_expr(ctx, &left.schema, &pairs[p].left_expr))
+                    .map(|&p| bind_expr(ctx, &left.schema, &pairs[p].left_expr))
                     .collect::<Result<_>>()?;
                 let combined = left.schema.concat(&right_schema);
                 // Residual: any other conjunct that binds in the combined
                 // schema (includes leftover pairs and non-equi predicates).
-                let consumed: Vec<usize> = used_pairs.iter().map(|&(ci, _)| ci).collect();
+                let consumed: Vec<usize> = picks.iter().map(|&p| pairs[p].conjunct_idx).collect();
                 let residual_idx: Vec<usize> = conjuncts
                     .iter()
                     .enumerate()

@@ -6,9 +6,10 @@
 //! each pair of relations, which conjunct is consumed where — but makes
 //! them **once**, producing pre-bound [`PExpr`]s with fixed column
 //! offsets. The decision logic is shared with the interpreter
-//! (`find_const_equalities`, `choose_access_path`, `find_join_pairs`, the
-//! aggregate/window rewrites), so a prepared plan chooses the same shape
-//! the interpreter would.
+//! (`find_const_equalities`, `find_join_pairs`, [`Table::longest_prefix`],
+//! the aggregate/window rewrites), so a prepared plan chooses the same
+//! shape the interpreter would; each index access also records the
+//! [`ProbePath`] that serves it, which the executor follows.
 
 use super::{
     mark_pexpr_cols, AggPlan, DeletePlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan,
@@ -23,7 +24,7 @@ use crate::catalog::{Catalog, ProbePath, Table, UpdateMode};
 use crate::error::{Result, SqlError};
 use crate::exec::agg::{collect_aggs, rewrite as agg_rewrite};
 use crate::exec::eval::{binds_in, is_row_independent, split_conjuncts, Schema, SchemaCol};
-use crate::exec::from::{choose_access_path, find_const_equalities, find_join_pairs};
+use crate::exec::from::{find_const_equalities, find_join_pairs};
 use crate::exec::select::{expand_items, OutItem};
 use crate::exec::window::{collect_windows, rewrite as win_rewrite, WinSpec};
 use fempath_storage::DataType;
@@ -523,12 +524,12 @@ fn plan_scan_table(
         .collect();
     let mine: Vec<Expr> = mine_idx.iter().map(|&i| conjuncts[i].clone()).collect();
     let eqs = find_const_equalities(&schema, &mine);
-    let access = choose_access_path(table, &eqs);
-    let (input, filter) = match access {
-        Some((cols, eq_positions)) => {
-            let consumed_local: Vec<usize> =
-                eq_positions.iter().map(|&p| eqs[p].conjunct_idx).collect();
-            let keys: Vec<PExpr> = eq_positions
+    let eq_cols: Vec<usize> = eqs.iter().map(|e| e.col).collect();
+    let (input, filter) = match table.longest_prefix(&eq_cols) {
+        Some(picks) => {
+            let cols: Vec<usize> = picks.iter().map(|&p| eq_cols[p]).collect();
+            let consumed_local: Vec<usize> = picks.iter().map(|&p| eqs[p].conjunct_idx).collect();
+            let keys: Vec<PExpr> = picks
                 .iter()
                 .map(|&p| b.bind(&Schema::empty(), &eqs[p].value_expr))
                 .collect::<Result<_>>()?;
@@ -542,6 +543,7 @@ fn plan_scan_table(
                 InputPlan::Lookup {
                     table: name.to_string(),
                     binding: binding.to_string(),
+                    path: table.probe_path(&cols),
                     cols,
                     keys,
                     read: ReadCols::all(&table.schema),
@@ -584,53 +586,19 @@ fn plan_join(
                 let table = b.catalog.table(name)?;
                 let right_schema = Schema::from_table(&binding, &table.schema);
                 let pairs = find_join_pairs(left, &right_schema, conjuncts);
+                let pair_cols: Vec<usize> = pairs.iter().map(|p| p.right_col).collect();
 
-                // Longest index prefix covered by the join columns.
-                let path = {
-                    let pair_cols: Vec<usize> = pairs.iter().map(|p| p.right_col).collect();
-                    let mut best: Option<Vec<usize>> = None;
-                    let mut consider = |cols: &[usize]| {
-                        let mut n = 0;
-                        for &c in cols {
-                            if pair_cols.contains(&c) {
-                                n += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                        if n > 0 && best.as_ref().is_none_or(|b| b.len() < n) {
-                            best = Some(cols[..n].to_vec());
-                        }
-                    };
-                    if let Some(key_cols) = table.clustered_key_cols() {
-                        consider(key_cols);
-                    }
-                    for idx in &table.indexes {
-                        consider(&idx.cols);
-                    }
-                    best
-                };
-
-                if let Some(path_cols) = path {
-                    let mut used_pairs: Vec<(usize, usize)> = Vec::new();
-                    for &pc in &path_cols {
-                        let p = pairs
-                            .iter()
-                            .position(|p| {
-                                p.right_col == pc
-                                    && !used_pairs.iter().any(|&(u, _)| u == p.conjunct_idx)
-                            })
-                            .ok_or_else(|| {
-                                SqlError::Eval("index path column has no matching join pair".into())
-                            })?;
-                        used_pairs.push((pairs[p].conjunct_idx, p));
-                    }
-                    let keys: Vec<PExpr> = used_pairs
+                // Index nested loop on the longest index prefix the join
+                // columns cover.
+                if let Some(picks) = table.longest_prefix(&pair_cols) {
+                    let path_cols: Vec<usize> = picks.iter().map(|&p| pair_cols[p]).collect();
+                    let keys: Vec<PExpr> = picks
                         .iter()
-                        .map(|&(_, p)| b.bind(left, &pairs[p].left_expr))
+                        .map(|&p| b.bind(left, &pairs[p].left_expr))
                         .collect::<Result<_>>()?;
                     let combined = left.concat(&right_schema);
-                    let consumed: Vec<usize> = used_pairs.iter().map(|&(ci, _)| ci).collect();
+                    let consumed: Vec<usize> =
+                        picks.iter().map(|&p| pairs[p].conjunct_idx).collect();
                     let residual_idx: Vec<usize> = conjuncts
                         .iter()
                         .enumerate()
@@ -648,6 +616,7 @@ fn plan_join(
                         JoinPlan::IndexLoop {
                             table: name.clone(),
                             binding,
+                            path: table.probe_path(&path_cols),
                             path_cols,
                             keys,
                             residual,
@@ -868,34 +837,14 @@ fn plan_equi_probe(
         ));
     }
 
-    // Prefer the longest index prefix covered by the candidates.
-    let tbl = b.catalog.table(target_table)?;
+    // Prefer the longest index prefix covered by the candidates; without
+    // one, every candidate probes together (a filtered scan).
     let cand_cols: Vec<usize> = cands.iter().map(|(c, _)| *c).collect();
-    let mut chosen: Vec<usize> = (0..cands.len()).collect();
-    {
-        let mut best: Option<Vec<usize>> = None;
-        let mut consider = |path: &[usize]| {
-            let mut picks = Vec::new();
-            for &pc in path {
-                match cand_cols.iter().position(|&c| c == pc) {
-                    Some(i) => picks.push(i),
-                    None => break,
-                }
-            }
-            if !picks.is_empty() && best.as_ref().is_none_or(|b| b.len() < picks.len()) {
-                best = Some(picks);
-            }
-        };
-        if let Some(key_cols) = tbl.clustered_key_cols() {
-            consider(key_cols);
-        }
-        for idx in &tbl.indexes {
-            consider(&idx.cols);
-        }
-        if let Some(best) = best {
-            chosen = best;
-        }
-    }
+    let chosen = b
+        .catalog
+        .table(target_table)?
+        .longest_prefix(&cand_cols)
+        .unwrap_or_else(|| (0..cands.len()).collect());
 
     let mut probe_cols = Vec::with_capacity(chosen.len());
     let mut probe_keys = Vec::with_capacity(chosen.len());
@@ -946,26 +895,18 @@ fn finish_target(table: &Table, mut access: SourcePlan, need: Option<Vec<bool>>)
     for p in &access.filter {
         mark_pexpr_cols(p, &mut used);
     }
-    let path = match &mut access.input {
-        InputPlan::Scan { read, .. } => {
-            *read = ReadCols::of(&table.schema, &used);
-            ProbePath::Scan
-        }
-        InputPlan::Lookup { cols, read, .. } => {
+    match &mut access.input {
+        InputPlan::Scan { read, .. } => *read = ReadCols::of(&table.schema, &used),
+        InputPlan::Lookup { read, .. } => {
             if !whole_rows {
                 *read = ReadCols::of(&table.schema, &used);
             }
-            table.probe_path(cols)
         }
         InputPlan::Nothing | InputPlan::Derived(_) => {
             unreachable!("DML targets are planned as base-table accesses")
         }
-    };
-    TargetPlan {
-        access,
-        path,
-        whole_rows,
     }
+    TargetPlan { access, whole_rows }
 }
 
 /// The target columns (`offset < width`) that `exprs`, bound over a

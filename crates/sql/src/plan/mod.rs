@@ -360,12 +360,14 @@ pub(crate) enum InputPlan {
         binding: String,
         read: ReadCols,
     },
-    /// Index point/prefix lookup with pre-bound, row-independent keys.
+    /// Index point/prefix lookup with pre-bound, row-independent keys,
+    /// along the path [`crate::catalog::Table::probe_path`] gave `cols`.
     Lookup {
         table: String,
         binding: String,
         cols: Vec<usize>,
         keys: Vec<PExpr>,
+        path: ProbePath,
         read: ReadCols,
     },
     /// Materialized subquery (derived table or view).
@@ -383,13 +385,14 @@ pub(crate) enum RightPlan {
 /// One join stage of the pipeline: the stage appends the right side's
 /// columns to the batch flowing in.
 pub(crate) enum JoinPlan {
-    /// Index nested loop: per input row, probe the inner table's index
-    /// with pre-bound key expressions.
+    /// Index nested loop: per input row, probe the inner table along
+    /// `path` with pre-bound key expressions.
     IndexLoop {
         table: String,
         binding: String,
         path_cols: Vec<usize>,
         keys: Vec<PExpr>,
+        path: ProbePath,
         residual: Vec<PExpr>,
         read: ReadCols,
     },
@@ -460,8 +463,6 @@ pub(crate) enum UpdateKind {
 /// write phase need of each row.
 pub(crate) struct TargetPlan {
     pub(crate) access: SourcePlan,
-    /// The probe path of a lookup's columns.
-    pub(crate) path: ProbePath,
     /// The write phase rewrites whole rows ([`UpdateMode::Rewrite`]): a
     /// lookup reads every column, a scan reads the predicate's columns
     /// and re-reads the rows it selects whole.
@@ -556,10 +557,12 @@ fn describe_source(sp: &SourcePlan, depth: usize, out: &mut Vec<String>) {
             table,
             binding,
             cols,
+            path,
             read,
             ..
         } => out.push(format!(
-            "{pad}SCAN {table} ({binding}) via index lookup on columns {cols:?}, {read}"
+            "{pad}SCAN {table} ({binding}) via index lookup on columns {cols:?}, {read}, {}",
+            describe_path(*path)
         )),
         InputPlan::Derived(sub) => {
             out.push(format!(
@@ -573,13 +576,10 @@ fn describe_source(sp: &SourcePlan, depth: usize, out: &mut Vec<String>) {
 
 fn describe_target(tp: &TargetPlan, out: &mut Vec<String>) {
     describe_source(&tp.access, 1, out);
-    let note = match &tp.access.input {
-        InputPlan::Lookup { .. } => format!(", {}", describe_path(tp.path)),
-        InputPlan::Scan { .. } if tp.whole_rows => ", matches re-read whole".into(),
-        _ => return,
-    };
-    if let Some(line) = out.last_mut() {
-        line.push_str(&note);
+    if let (InputPlan::Scan { .. }, true) = (&tp.access.input, tp.whole_rows) {
+        if let Some(line) = out.last_mut() {
+            line.push_str(", matches re-read whole");
+        }
     }
 }
 
@@ -594,6 +594,7 @@ fn describe_probe(table: &str, probe: &ProbePlan, out: &mut Vec<String>) {
 fn describe_path(path: ProbePath) -> String {
     match path {
         ProbePath::Clustered => "by clustered-key prefix".into(),
+        ProbePath::Segments => "by segment-tree key range".into(),
         ProbePath::Secondary { index, point: true } => format!("by unique key of index #{index}"),
         ProbePath::Secondary {
             index,
@@ -628,10 +629,12 @@ fn describe_select(sp: &SelectPlan, depth: usize, out: &mut Vec<String>) {
                 table,
                 binding,
                 path_cols,
+                path,
                 read,
                 ..
             } => out.push(format!(
-                "{pad}INDEX NESTED LOOP JOIN {table} ({binding}) probing index columns {path_cols:?}, {read}"
+                "{pad}INDEX NESTED LOOP JOIN {table} ({binding}) probing index columns {path_cols:?}, {read}, {}",
+                describe_path(*path)
             )),
             JoinPlan::Hash {
                 right, left_keys, ..

@@ -738,6 +738,7 @@ fn stream_source_v(
             table,
             cols,
             keys,
+            path,
             read,
             ..
         } => {
@@ -747,7 +748,7 @@ fn stream_source_v(
             let t = catalog.table(table)?;
             let mut chunk = take_chunk();
             let res = (|| {
-                t.lookup_eq_chunk(pool, cols, &key_vals, &mut chunk, &read.set)?;
+                t.lookup_eq_chunk(pool, *path, cols, &key_vals, &mut chunk, &read.set)?;
                 if !chunk.is_empty() {
                     let mut sel = take_sel(chunk.len());
                     apply_filter(&sp.filter, &chunk, &mut sel, env)?;
@@ -916,6 +917,7 @@ fn apply_stage(
             JoinPlan::IndexLoop {
                 keys,
                 path_cols,
+                path,
                 residual,
                 read,
                 ..
@@ -943,7 +945,7 @@ fn apply_stage(
                 if null_key {
                     continue; // NULL join key never matches
                 }
-                table.lookup_eq_chunk(pool, path_cols, &key_vals, &mut right, &read.set)?;
+                table.lookup_eq_chunk(pool, *path, path_cols, &key_vals, &mut right, &read.set)?;
                 while lidx.len() < right.len() {
                     lidx.push(r);
                 }
@@ -1803,7 +1805,11 @@ fn match_target(
     let filter = &target.access.filter;
     let res = (|| match &target.access.input {
         InputPlan::Lookup {
-            cols, keys, read, ..
+            cols,
+            keys,
+            path,
+            read,
+            ..
         } => {
             let Some(key_vals) = probe_keys(keys, env)? else {
                 return Ok(());
@@ -1814,8 +1820,8 @@ fn match_target(
                 rows: &mut rows,
                 read: &read.set,
             };
-            probe_target(pool, table, target.path, cols, &key, &key_vals, &mut out)?;
-            fetch_probed(pool, table, target.path, &mut out)?;
+            probe_target(pool, table, *path, cols, &key, &key_vals, &mut out)?;
+            fetch_probed(pool, table, *path, &mut out)?;
             fill_identity(&mut sel, rows.len());
             apply_filter(filter, &rows, &mut sel, env)?;
             if !sel.is_empty() {
@@ -1873,7 +1879,8 @@ struct Probed<'a> {
 
 /// One equality probe of a DML target along its planned path: appends the
 /// locators of the rows whose `cols` equal the key (`key` is its index
-/// encoding, `key_vals` its values — an unindexed probe compares those).
+/// encoding, `key_vals` its values — a segment or unindexed probe reads
+/// those).
 /// A probe that stands on the rows it finds (the clustering tree,
 /// segments) appends their columns too; the others leave that to one
 /// [`fetch_probed`] per batch of probes.
@@ -1888,11 +1895,11 @@ fn probe_target(
 ) -> Result<()> {
     match path {
         ProbePath::Clustered => table.probe_clustered(pool, key, out.locs, out.rows, out.read),
+        ProbePath::Segments => {
+            table.probe_segmented(pool, cols, key_vals, out.locs, out.rows, out.read)
+        }
         ProbePath::Secondary { index, point } => {
             table.probe_index_locs(pool, index, point, key, out.locs)
-        }
-        ProbePath::Scan if table.is_segmented() => {
-            table.probe_segmented(pool, cols, key_vals, out.locs, out.rows, out.read)
         }
         ProbePath::Scan => table.scan_eq_locs(pool, cols, key_vals, out.locs),
     }
@@ -1907,7 +1914,7 @@ fn fetch_probed(
     path: ProbePath,
     out: &mut Probed<'_>,
 ) -> Result<()> {
-    if path == ProbePath::Clustered || table.is_segmented() {
+    if matches!(path, ProbePath::Clustered | ProbePath::Segments) {
         return Ok(());
     }
     table.fetch_chunk(pool, out.locs, out.rows, out.read)
@@ -1988,7 +1995,7 @@ fn probe_source_chunk(
                 continue 'row;
             }
             encode_key_into(&mut key, &v)?;
-            if probe.path == ProbePath::Scan {
+            if matches!(probe.path, ProbePath::Segments | ProbePath::Scan) {
                 key_vals.push(v);
             }
         }

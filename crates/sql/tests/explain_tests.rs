@@ -58,8 +58,9 @@ fn point_lookup_uses_index() {
     let mut db = setup();
     let plan = plan_of(&mut db, "SELECT d2s FROM TVisited WHERE nid = 7");
     assert!(
-        plan.iter()
-            .any(|l| l == "SCAN TVisited (TVisited) via index lookup on columns [0], cols=[d2s]"),
+        plan.iter().any(|l| l
+            == "SCAN TVisited (TVisited) via index lookup on columns [0], cols=[d2s], \
+                    by unique key of index #0"),
         "expected index lookup, got {plan:?}"
     );
 }
@@ -85,9 +86,9 @@ fn e_operator_join_is_index_nested_loop() {
         "SELECT e.tid FROM TVisited q, TEdges e WHERE q.nid = e.fid AND q.f = 2",
     );
     assert!(
-        plan.iter()
-            .any(|l| l
-                == "INDEX NESTED LOOP JOIN TEdges (e) probing index columns [0], cols=[tid]"),
+        plan.iter().any(|l| l
+            == "INDEX NESTED LOOP JOIN TEdges (e) probing index columns [0], cols=[tid], \
+                    by clustered-key prefix"),
         "expected INL join into TEdges, got {plan:?}"
     );
 }

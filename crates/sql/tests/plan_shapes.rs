@@ -1,11 +1,12 @@
 //! Plan-shape regression tests: which access path and join strategy a
-//! prepared plan chose (via `PreparedStmt::describe`), plus the
-//! catalog-version invalidation rules — prepare → DDL → re-execute must
-//! transparently replan (picking up new indexes, erroring cleanly on
-//! dropped tables), while TRUNCATE must NOT invalidate anything.
+//! prepared plan chose (via `PreparedStmt::describe`), that femcheck's
+//! verdicts read the same choice, plus the catalog-version invalidation
+//! rules — prepare → DDL → re-execute must transparently replan (picking
+//! up new indexes, erroring cleanly on dropped tables), while TRUNCATE
+//! must NOT invalidate anything.
 
-use fempath_sql::{Database, SqlError};
-use fempath_storage::Value;
+use fempath_sql::{AccessKind, Database, JoinKind, SqlError};
+use fempath_storage::{DataType, Value};
 
 fn db() -> Database {
     let mut d = Database::in_memory(256);
@@ -45,7 +46,7 @@ fn point_lookup_uses_unique_index() {
     let mut d = db();
     let plan = describe(&mut d, "SELECT d2s FROM TVisited WHERE nid = 7");
     assert!(
-        plan.contains("via index lookup on columns [0]"),
+        plan.contains("via index lookup on columns [0], cols=[d2s], by unique key of index #0"),
         "expected index lookup, got:\n{plan}"
     );
 }
@@ -55,7 +56,10 @@ fn clustered_prefix_lookup() {
     let mut d = db();
     let plan = describe(&mut d, "SELECT tid FROM TEdges WHERE fid = ?");
     assert!(
-        plan.contains("SCAN TEdges (TEdges) via index lookup on columns [0]"),
+        plan.contains(
+            "SCAN TEdges (TEdges) via index lookup on columns [0], cols=[tid], \
+             by clustered-key prefix"
+        ),
         "expected clustered prefix lookup, got:\n{plan}"
     );
 }
@@ -78,9 +82,80 @@ fn join_with_inner_index_is_index_nested_loop() {
         "SELECT q.nid, e.tid FROM TVisited q, TEdges e WHERE q.nid = e.fid",
     );
     assert!(
-        plan.contains("INDEX NESTED LOOP JOIN TEdges (e) probing index columns [0]"),
+        plan.contains(
+            "INDEX NESTED LOOP JOIN TEdges (e) probing index columns [0], cols=[tid], \
+             by clustered-key prefix"
+        ),
         "expected index nested loop, got:\n{plan}"
     );
+}
+
+/// Segment-compressed edge storage serves `fid` lookups and joins from its
+/// segment tree, and `describe()` says so.
+#[test]
+fn segment_lookups_and_joins_print_the_segment_path() {
+    use fempath_sql::ast::ColumnDef;
+    let mut d = db();
+    let cols = ["fid", "tid", "cost"]
+        .iter()
+        .map(|n| ColumnDef {
+            name: (*n).into(),
+            dtype: DataType::Int,
+        })
+        .collect();
+    d.create_segmented_table("seg", cols).unwrap();
+    d.bulk_load_segments("seg", (0..20i64).map(|f| (f, (f + 1) % 20, 1)))
+        .unwrap();
+    let lookup = describe(&mut d, "SELECT tid FROM seg WHERE fid = ?");
+    assert!(
+        lookup.contains("via index lookup on columns [0], cols=[tid], by segment-tree key range"),
+        "{lookup}"
+    );
+    let join = describe(
+        &mut d,
+        "SELECT s.tid FROM TVisited q, seg s WHERE q.nid = s.fid AND q.f = 0",
+    );
+    assert!(
+        join.contains(
+            "INDEX NESTED LOOP JOIN seg (s) probing index columns [0], cols=[tid], \
+             by segment-tree key range"
+        ),
+        "{join}"
+    );
+}
+
+/// The access path is one decision, and femcheck reads it from the plan
+/// that runs. On `T(a, b)` a non-unique index on `a` is created before a
+/// unique one: an equality on `a` is a prefix scan of the first, for a
+/// lookup and for a MERGE probe alike. femcheck's verdicts say
+/// `IndexRange`, matching the path `describe()` prints — not `IndexEq`,
+/// which a unique index on the same column would suggest.
+#[test]
+fn analyzer_verdicts_match_the_planned_probe_path() {
+    let mut d = Database::in_memory(64);
+    for ddl in [
+        "CREATE TABLE T (a INT, b INT)",
+        "CREATE INDEX i1 ON T(a)",
+        "CREATE UNIQUE INDEX i2 ON T(a)",
+        "CREATE TABLE S (a INT, b INT)",
+    ] {
+        d.execute(ddl).unwrap();
+    }
+    let lookup = "SELECT b FROM T WHERE a = ?";
+    let merge = "MERGE INTO T USING S ON T.a = S.a WHEN MATCHED THEN UPDATE SET b = S.b";
+    for (sql, join) in [(lookup, JoinKind::Source), (merge, JoinKind::Probe)] {
+        let report = d.analyze(sql).unwrap();
+        assert!(report.is_clean(), "{}", report.render());
+        let t = report.accesses.iter().find(|a| a.join == join).unwrap();
+        assert_eq!(
+            (t.table.as_str(), t.access),
+            ("T", AccessKind::IndexRange),
+            "{sql}"
+        );
+        assert_eq!(t.index_cols, ["a"], "{sql}");
+        let plan = describe(&mut d, sql);
+        assert!(plan.contains("by prefix of index #0"), "{sql}:\n{plan}");
+    }
 }
 
 #[test]
