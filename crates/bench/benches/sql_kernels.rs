@@ -129,11 +129,10 @@ fn bench_m_operator(c: &mut Criterion) {
 }
 
 /// Per-statement overhead: the same FEM-loop statements executed through
-/// a prepared handle (`_prepared`), through the plan cache
-/// (`execute_params`), and fully unprepared (parse + bind + interpret
-/// every call).
-fn bench_prepared_vs_unprepared(c: &mut Criterion) {
-    let mut group = c.benchmark_group("prepared_vs_unprepared");
+/// a prepared handle (`_prepared`) and through the plan cache
+/// (`execute_params`, one hash lookup per call).
+fn bench_prepared_vs_plan_cache(c: &mut Criterion) {
+    let mut group = c.benchmark_group("prepared_vs_plan_cache");
     group.sample_size(20);
     const STATS: &str = "SELECT MIN(d2s), COUNT(*) FROM TVisited WHERE f = 0 AND d2s < 100";
     const MARK: &str = "UPDATE TVisited SET f = f WHERE f = 2";
@@ -153,12 +152,6 @@ fn bench_prepared_vs_unprepared(c: &mut Criterion) {
             let mut db = fixture();
             b.iter(|| {
                 black_box(db.execute_params(sql, &[]).unwrap().rows_affected);
-            });
-        });
-        group.bench_function(&format!("{name}_unprepared"), |b| {
-            let mut db = fixture();
-            b.iter(|| {
-                black_box(db.execute_unplanned(sql, &[]).unwrap().rows_affected);
             });
         });
     }
@@ -342,7 +335,7 @@ criterion_group!(
     benches,
     bench_e_operator,
     bench_m_operator,
-    bench_prepared_vs_unprepared,
+    bench_prepared_vs_plan_cache,
     bench_tvisited_scan,
     bench_fm_write
 );

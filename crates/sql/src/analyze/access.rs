@@ -43,7 +43,7 @@ pub(crate) fn plan_accesses(catalog: &Catalog, plan: &PlanKind) -> Vec<TableAcce
             w.probe(&mp.target, &mp.probe);
             w.subplans(&mp.subplans);
         }
-        PlanKind::Fallback(_) => {}
+        PlanKind::Ddl(_) => {}
     }
     w.out
 }

@@ -110,7 +110,7 @@ impl TableSchema {
 }
 
 /// Resolved access path for an equality probe (see
-/// [`Table::lookup_eq`] / [`Table::lookup_eq_chunk`]).
+/// [`Table::lookup_eq_chunk`]).
 enum EqAccessPath {
     /// Prefix scan of the clustered tree with this encoded key prefix.
     ClusteredPrefix(Vec<u8>),
@@ -540,6 +540,20 @@ impl Table {
         if self.is_segmented() {
             return Err(self.read_only_err());
         }
+        // A unique key may only move onto a free slot; checked before
+        // anything is written, as `insert_row` does.
+        for idx in self.indexes.iter().filter(|i| i.unique) {
+            if idx.cols.iter().all(|&c| old_row[c] == new_row[c]) {
+                continue;
+            }
+            let new_vals: Vec<Value> = idx.cols.iter().map(|&c| new_row[c].clone()).collect();
+            if idx.tree.contains(pool, &encode_key(&new_vals)?)? {
+                return Err(SqlError::DuplicateKey {
+                    table: self.schema.name.clone(),
+                    key: format_key(new_row, &idx.cols),
+                });
+            }
+        }
         let bytes = encode_row(new_row);
         let new_loc = match (&mut self.storage, loc) {
             (TableStorage::Heap(h), RowLoc::Heap(rid)) => {
@@ -695,32 +709,8 @@ impl Table {
         Ok(())
     }
 
-    /// Fetches the row stored at `loc`.
-    pub fn fetch(&self, pool: &mut BufferPool, loc: &RowLoc) -> Result<Vec<Value>> {
-        match (&self.storage, loc) {
-            (TableStorage::Heap(h), RowLoc::Heap(rid)) => Ok(decode_row(&h.get(pool, *rid)?)?),
-            (TableStorage::Clustered { tree, .. }, RowLoc::Clustered(k)) => {
-                let bytes = tree
-                    .get(pool, k)?
-                    .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))?;
-                Ok(decode_row(&bytes)?)
-            }
-            (TableStorage::Segmented { delta, .. }, RowLoc::Heap(rid)) => {
-                // Delta-overlay rows do have heap locators.
-                Ok(decode_row(&delta.get(pool, *rid)?)?)
-            }
-            (TableStorage::Segmented { .. }, _) => Err(SqlError::Eval(
-                "segmented base storage has no per-row locators".into(),
-            )),
-            _ => Err(SqlError::Eval(
-                "row locator does not match table storage".into(),
-            )),
-        }
-    }
-
     /// Decodes the `read` columns of the rows stored at `locs` into `chunk`
-    /// (appending, in the order given) — the batched [`Table::fetch`]
-    /// behind index probes and the re-read of the rows a projected DML
+    /// (appending, in the order given) — the row fetch behind index probes and the re-read of the rows a projected DML
     /// target scan selected. Each run of heap locators on one page costs
     /// one buffer-pool read (a scan's locators are page-ordered).
     pub fn fetch_chunk(
@@ -756,127 +746,11 @@ impl Table {
         }
     }
 
-    /// Rows whose values in `cols` equal `key_vals`, along the path
-    /// [`Table::probe_path`] picks for `cols`. Returns whether that path
-    /// is an index (`false`: every row was scanned).
-    pub fn lookup_eq(
-        &self,
-        pool: &mut BufferPool,
-        cols: &[usize],
-        key_vals: &[Value],
-        mut f: impl FnMut(RowLoc, Vec<Value>) -> bool,
-    ) -> Result<bool> {
-        match self.resolve_eq_path(pool, self.probe_path(cols), cols, key_vals)? {
-            EqAccessPath::ClusteredPrefix(prefix) => {
-                let TableStorage::Clustered { tree, .. } = &self.storage else {
-                    unreachable!("clustered path implies clustered storage");
-                };
-                let mut decode_err = None;
-                tree.scan_prefix(pool, &prefix, |k, v| match decode_row(v) {
-                    Ok(row) => f(RowLoc::Clustered(k.to_vec()), row),
-                    Err(e) => {
-                        decode_err = Some(e);
-                        false
-                    }
-                })?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
-                }
-                Ok(true)
-            }
-            EqAccessPath::SegmentedFid(fid) => {
-                let TableStorage::Segmented {
-                    tree,
-                    delta,
-                    tombstones,
-                    ..
-                } = &self.storage
-                else {
-                    unreachable!("segmented path implies segmented storage");
-                };
-                let lo = encode_key(&[Value::Int(fid)])?;
-                let mut decode_err = None;
-                let mut go = true;
-                tree.scan_range(pool, Bound::Included(&lo), Bound::Unbounded, |k, v| {
-                    let edges = match decode_edge_segment(v) {
-                        Ok(e) => e,
-                        Err(e) => {
-                            decode_err = Some(e);
-                            return false;
-                        }
-                    };
-                    // Segments are keyed by last fid, so the run holding
-                    // `fid` starts here; stop at the first segment that
-                    // opens past it.
-                    if edges.first().is_some_and(|e| e.0 > fid) {
-                        return false;
-                    }
-                    for (ef, et, ec) in edges {
-                        if ef == fid
-                            && !tombstones.contains(&(ef, et))
-                            && !f(
-                                RowLoc::Clustered(k.to_vec()),
-                                vec![Value::Int(ef), Value::Int(et), Value::Int(ec)],
-                            )
-                        {
-                            go = false;
-                            return false;
-                        }
-                    }
-                    true
-                })?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
-                }
-                if go {
-                    // Delta-overlay rows for this fid (unsorted tail).
-                    delta.scan(pool, |rid, bytes| match decode_row(bytes) {
-                        Ok(row) => {
-                            if row.first().and_then(|v| v.as_i64()) == Some(fid) {
-                                f(RowLoc::Heap(rid), row)
-                            } else {
-                                true
-                            }
-                        }
-                        Err(e) => {
-                            decode_err = Some(e);
-                            false
-                        }
-                    })?;
-                    if let Some(e) = decode_err {
-                        return Err(e.into());
-                    }
-                }
-                Ok(true)
-            }
-            EqAccessPath::Secondary(locs) => {
-                for r in 0..locs.len() {
-                    let loc = locs.loc(r);
-                    let row = self.fetch(pool, &loc)?;
-                    if !f(loc, row) {
-                        break;
-                    }
-                }
-                Ok(true)
-            }
-            EqAccessPath::Scan => {
-                self.scan(pool, |loc, row| {
-                    if eq_match(&row, cols, key_vals) {
-                        f(loc, row)
-                    } else {
-                        true
-                    }
-                })?;
-                Ok(false)
-            }
-        }
-    }
-
-    /// Like [`Table::lookup_eq`], along the `path` a plan recorded for
-    /// `cols`, decoding the `read` columns of every match straight into the
-    /// columns of `chunk` (appending) — the batched probe the vectorized
-    /// lookups and join stages use, avoiding one row materialization and
-    /// value clone per match.
+    /// Rows whose values in `cols` equal `key_vals`, along the `path` a
+    /// plan recorded for `cols` ([`Table::probe_path`]), decoding the
+    /// `read` columns of every match straight into the columns of `chunk`
+    /// (appending) — the batched probe the vectorized lookups and index
+    /// nested-loop joins use.
     pub fn lookup_eq_chunk(
         &self,
         pool: &mut BufferPool,
@@ -2317,6 +2191,29 @@ mod tests {
         vec![Value::Int(f), Value::Int(t), Value::Int(c)]
     }
 
+    /// The rows whose `cols` equal `key`, read whole along the path
+    /// [`Table::probe_path`] picks for `cols`, and that path.
+    fn probe(
+        pool: &mut BufferPool,
+        t: &Table,
+        cols: &[usize],
+        key: &[Value],
+    ) -> (ProbePath, Vec<Vec<Value>>) {
+        let path = t.probe_path(cols);
+        let mut chunk = Chunk::with_width(t.schema.columns.len());
+        t.lookup_eq_chunk(pool, path, cols, key, &mut chunk, &ColSet::all())
+            .unwrap();
+        (path, (0..chunk.len()).map(|r| chunk.row(r)).collect())
+    }
+
+    fn triple(r: &[Value]) -> (i64, i64, i64) {
+        (
+            r[0].as_i64().unwrap(),
+            r[1].as_i64().unwrap(),
+            r[2].as_i64().unwrap(),
+        )
+    }
+
     #[test]
     fn insert_scan_roundtrip() {
         let (mut pool, mut cat) = setup();
@@ -2356,16 +2253,21 @@ mod tests {
         )
         .unwrap();
         let t = cat.table("TEdges").unwrap();
-        let mut hits = Vec::new();
-        let used = t
-            .lookup_eq(&mut pool, &[0], &[Value::Int(3)], |_, r| {
-                hits.push(r[1].clone());
-                true
-            })
-            .unwrap();
-        assert!(used, "index should be used");
+        let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(3)]);
+        assert_eq!(
+            path,
+            ProbePath::Secondary {
+                index: 0,
+                point: false
+            },
+            "index should be used"
+        );
         assert_eq!(hits.len(), 10);
-        assert!(hits.iter().all(|v| v.as_i64().unwrap() % 10 == 3));
+        assert!(hits.iter().all(|r| r[1].as_i64().unwrap() % 10 == 3));
+        // An unindexed column is served by a scan.
+        let (path, hits) = probe(&mut pool, t, &[1], &[Value::Int(42)]);
+        assert_eq!(path, ProbePath::Scan);
+        assert_eq!(hits, vec![row(2, 42, 1)]);
     }
 
     #[test]
@@ -2402,13 +2304,9 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(fids, sorted);
         // Prefix lookup works.
-        let mut hits = 0;
-        t.lookup_eq(&mut pool, &[0], &[Value::Int(7)], |_, _| {
-            hits += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(hits, 1);
+        let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(7)]);
+        assert_eq!(path, ProbePath::Clustered);
+        assert_eq!(hits, vec![row(7, 107, 1)]);
     }
 
     #[test]
@@ -2473,20 +2371,34 @@ mod tests {
         let new = vec![Value::Int(2), Value::Int(20)];
         t.update_row(&mut pool, &loc, &old, &new).unwrap();
         // Old key gone, new key findable.
-        let mut found = Vec::new();
-        t.lookup_eq(&mut pool, &[0], &[Value::Int(1)], |_, r| {
-            found.push(r);
-            true
-        })
-        .unwrap();
+        let (path, found) = probe(&mut pool, t, &[0], &[Value::Int(1)]);
+        assert_eq!(
+            path,
+            ProbePath::Secondary {
+                index: 0,
+                point: true
+            }
+        );
         assert!(found.is_empty());
-        t.lookup_eq(&mut pool, &[0], &[Value::Int(2)], |_, r| {
-            found.push(r);
-            true
-        })
-        .unwrap();
+        let (_, found) = probe(&mut pool, t, &[0], &[Value::Int(2)]);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0][1], Value::Int(20));
+        // Moving a row onto another row's unique key is refused before
+        // anything is written: both rows and both index entries stay.
+        let other = t
+            .insert_row(&mut pool, &[Value::Int(3), Value::Int(30)])
+            .unwrap();
+        let err = t.update_row(
+            &mut pool,
+            &other,
+            &[Value::Int(3), Value::Int(30)],
+            &[Value::Int(2), Value::Int(30)],
+        );
+        assert!(matches!(err, Err(SqlError::DuplicateKey { .. })));
+        for (k, d) in [(2, 20), (3, 30)] {
+            let (_, found) = probe(&mut pool, t, &[0], &[Value::Int(k)]);
+            assert_eq!(found, vec![vec![Value::Int(k), Value::Int(d)]]);
+        }
     }
 
     #[test]
@@ -2506,13 +2418,9 @@ mod tests {
         let t = cat.table_mut("TEdges").unwrap();
         let loc = t.insert_row(&mut pool, &row(5, 6, 7)).unwrap();
         t.delete_row(&mut pool, &loc, &row(5, 6, 7)).unwrap();
-        let mut hits = 0;
-        t.lookup_eq(&mut pool, &[0], &[Value::Int(5)], |_, _| {
-            hits += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(hits, 0);
+        let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(5)]);
+        assert!(matches!(path, ProbePath::Secondary { .. }));
+        assert!(hits.is_empty());
         assert_eq!(t.len(), 0);
     }
 
@@ -2536,13 +2444,9 @@ mod tests {
         }
         t.truncate(&mut pool).unwrap();
         assert!(t.is_empty());
-        let mut hits = 0;
-        t.lookup_eq(&mut pool, &[0], &[Value::Int(3)], |_, _| {
-            hits += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(hits, 0);
+        let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(3)]);
+        assert!(matches!(path, ProbePath::Secondary { .. }));
+        assert!(hits.is_empty());
     }
 
     #[test]
@@ -2607,44 +2511,17 @@ mod tests {
         let (mut pool, mut cat) = setup();
         let edges = segmented_fixture(&mut pool, &mut cat);
         let t = cat.table("TSeg").unwrap();
-        for probe in [0i64, 6, 7, 8, 39, 40, -1] {
+        for fid in [0i64, 6, 7, 8, 39, 40, -1] {
             let expect: Vec<(i64, i64, i64)> =
-                edges.iter().copied().filter(|e| e.0 == probe).collect();
-            let mut got = Vec::new();
-            let used = t
-                .lookup_eq(&mut pool, &[0], &[Value::Int(probe)], |_, r| {
-                    got.push((
-                        r[0].as_i64().unwrap(),
-                        r[1].as_i64().unwrap(),
-                        r[2].as_i64().unwrap(),
-                    ));
-                    true
-                })
-                .unwrap();
-            assert!(used, "fid probe must use the segment path");
-            assert_eq!(got, expect, "probe fid={probe}");
-            // Chunk probe agrees with the row probe.
-            let mut chunk = Chunk::with_width(3);
-            assert_eq!(t.probe_path(&[0]), ProbePath::Segments);
-            t.lookup_eq_chunk(
-                &mut pool,
+                edges.iter().copied().filter(|e| e.0 == fid).collect();
+            let (path, got) = probe(&mut pool, t, &[0], &[Value::Int(fid)]);
+            assert_eq!(
+                path,
                 ProbePath::Segments,
-                &[0],
-                &[Value::Int(probe)],
-                &mut chunk,
-                &ColSet::all(),
-            )
-            .unwrap();
-            let chunk_rows: Vec<(i64, i64, i64)> = (0..chunk.len())
-                .map(|r| {
-                    (
-                        chunk.get(0, r).as_i64().unwrap(),
-                        chunk.get(1, r).as_i64().unwrap(),
-                        chunk.get(2, r).as_i64().unwrap(),
-                    )
-                })
-                .collect();
-            assert_eq!(chunk_rows, expect, "chunk probe fid={probe}");
+                "fid probe must use the segment path"
+            );
+            let got: Vec<(i64, i64, i64)> = got.iter().map(|r| triple(r)).collect();
+            assert_eq!(got, expect, "probe fid={fid}");
         }
     }
 
@@ -2781,24 +2658,13 @@ mod tests {
             t.insert_chunk(&mut pool, &chunk_of(&[(7, 9000, 5)]))
                 .unwrap();
             assert_eq!(t.len(), base_len + 1);
-            let mut probe = Vec::new();
-            t.lookup_eq(&mut pool, &[0], &[Value::Int(7)], |_, r| {
-                probe.push((r[1].as_i64().unwrap(), r[2].as_i64().unwrap()));
-                true
-            })
-            .unwrap();
-            assert!(probe.contains(&(9000, 5)), "delta row missing from probe");
-            let mut chunk = Chunk::with_width(3);
-            t.lookup_eq_chunk(
-                &mut pool,
-                ProbePath::Segments,
-                &[0],
-                &[Value::Int(7)],
-                &mut chunk,
-                &ColSet::all(),
-            )
-            .unwrap();
-            assert_eq!(probe.len(), chunk.len());
+            let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(7)]);
+            assert_eq!(path, ProbePath::Segments);
+            assert!(
+                hits.iter().any(|r| triple(r) == (7, 9000, 5)),
+                "delta row missing from probe"
+            );
+            assert_eq!(hits.len(), 601);
         }
         assert_eq!(
             content(&mut pool, cat.table("TSeg").unwrap()).len(),
@@ -2813,14 +2679,12 @@ mod tests {
             assert_eq!(t.delta_delete_edge(&mut pool, 3, 4).unwrap(), 0);
             assert_eq!(t.delta_delete_edge(&mut pool, 7, 9000).unwrap(), 1);
             assert_eq!(t.len(), base_len - 1);
-            let mut hits = 0;
-            t.lookup_eq(&mut pool, &[0], &[Value::Int(3)], |_, r| {
-                assert_ne!(r[1].as_i64().unwrap(), 4, "tombstoned edge surfaced");
-                hits += 1;
-                true
-            })
-            .unwrap();
-            assert_eq!(hits, 19);
+            let (_, hits) = probe(&mut pool, t, &[0], &[Value::Int(3)]);
+            assert!(
+                hits.iter().all(|r| r[1] != Value::Int(4)),
+                "tombstoned edge surfaced"
+            );
+            assert_eq!(hits.len(), 19);
         }
         let now = content(&mut pool, cat.table("TSeg").unwrap());
         assert_eq!(now.len(), edges.len() - 1);
@@ -2833,13 +2697,8 @@ mod tests {
             let t = cat.table_mut("TSeg").unwrap();
             t.insert_row(&mut pool, &row(3, 4, 99)).unwrap();
             assert_eq!(t.len(), base_len);
-            let mut seen = Vec::new();
-            t.lookup_eq(&mut pool, &[0], &[Value::Int(3)], |_, r| {
-                seen.push((r[1].as_i64().unwrap(), r[2].as_i64().unwrap()));
-                true
-            })
-            .unwrap();
-            assert!(seen.contains(&(4, 99)));
+            let (_, seen) = probe(&mut pool, t, &[0], &[Value::Int(3)]);
+            assert!(seen.contains(&row(3, 4, 99)));
             // Truncate clears base, delta, and tombstones, after which a
             // fresh bulk load is accepted again.
             t.truncate(&mut pool).unwrap();
@@ -2877,14 +2736,8 @@ mod tests {
         assert_eq!(n, 500);
         assert_eq!(t.len(), 500);
         // Index probes return exactly the matching rows.
-        let mut hits = Vec::new();
-        let used = t
-            .lookup_eq(&mut pool, &[0], &[Value::Int(3)], |_, r| {
-                hits.push(r);
-                true
-            })
-            .unwrap();
-        assert!(used);
+        let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(3)]);
+        assert!(matches!(path, ProbePath::Secondary { .. }));
         assert_eq!(hits.len(), 5);
         // A second bulk load into the now non-empty table is rejected.
         assert!(t.bulk_load_rows(&mut pool, rows).is_err());
@@ -2908,13 +2761,9 @@ mod tests {
         let t = cat.table_mut("TEdges").unwrap();
         t.bulk_load_rows(&mut pool, rows).unwrap();
         assert_eq!(t.len(), 300);
-        let mut hits = 0;
-        t.lookup_eq(&mut pool, &[0], &[Value::Int(4)], |_, _| {
-            hits += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(hits, 10);
+        let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(4)]);
+        assert_eq!(path, ProbePath::Clustered);
+        assert_eq!(hits.len(), 10);
         // Later per-row inserts coexist with the bulk-built tree.
         t.insert_row(&mut pool, &row(4, 999, 1)).unwrap();
         assert_eq!(t.len(), 301);

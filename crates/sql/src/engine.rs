@@ -562,7 +562,37 @@ impl Database {
     /// compare the planned executor against.
     pub fn execute_unplanned(&mut self, sql: &str, params: &[Value]) -> Result<ExecOutcome> {
         let stmt = parse_statement(sql)?;
-        self.run_stmt(&stmt, params)
+        self.statements_executed += 1;
+        if let Stmt::Merge(_) = stmt {
+            self.require_merge()?;
+        }
+        let no_rows = |n: u64| ExecOutcome {
+            rows_affected: n,
+            rows: None,
+        };
+        let (pool, catalog) = (&mut self.pool, &mut self.catalog);
+        match &stmt {
+            Stmt::Select(sel) => {
+                let mut ctx = ExecCtx {
+                    pool,
+                    catalog,
+                    params,
+                };
+                let rel = select::execute_select(&mut ctx, sel)?;
+                Ok(ExecOutcome {
+                    rows_affected: 0,
+                    rows: Some(ResultSet {
+                        columns: rel.schema.cols.iter().map(|c| c.name.clone()).collect(),
+                        rows: rel.rows,
+                    }),
+                })
+            }
+            Stmt::Insert(ins) => Ok(no_rows(dml::execute_insert(pool, catalog, params, ins)?)),
+            Stmt::Update(upd) => Ok(no_rows(dml::execute_update(pool, catalog, params, upd)?)),
+            Stmt::Delete(del) => Ok(no_rows(dml::execute_delete(pool, catalog, params, del)?)),
+            Stmt::Merge(m) => Ok(no_rows(dml::execute_merge(pool, catalog, params, m)?)),
+            _ => self.run_ddl(&stmt, params),
+        }
     }
 
     /// Compiles a statement into a reusable [`PreparedStmt`] handle.
@@ -672,12 +702,7 @@ impl Database {
                 dp,
             )?)),
             PlanKind::Merge(mp) => {
-                if !self.dialect.supports_merge {
-                    return Err(SqlError::UnsupportedByDialect {
-                        feature: "MERGE statement".into(),
-                        dialect: self.dialect.name.to_string(),
-                    });
-                }
+                self.require_merge()?;
                 Ok(no_rows(plan::vexec::run_merge(
                     &mut self.pool,
                     &mut self.catalog,
@@ -685,7 +710,7 @@ impl Database {
                     mp,
                 )?))
             }
-            PlanKind::Fallback(stmt) => self.dispatch_stmt(stmt, params),
+            PlanKind::Ddl(stmt) => self.run_ddl(stmt, params),
         }
     }
 
@@ -718,35 +743,26 @@ impl Database {
             .ok_or_else(|| SqlError::Eval("statement did not return rows".into()))
     }
 
-    /// Executes one parsed statement through the interpreter (no physical
-    /// plan) — the differential-test reference behind
-    /// [`Database::execute_unplanned`].
-    pub fn run_stmt(&mut self, stmt: &Stmt, params: &[Value]) -> Result<ExecOutcome> {
-        self.statements_executed += 1;
-        self.dispatch_stmt(stmt, params)
+    /// MERGE is refused under a dialect without it (PostgreSQL 9.0).
+    fn require_merge(&self) -> Result<()> {
+        if self.dialect.supports_merge {
+            Ok(())
+        } else {
+            Err(SqlError::UnsupportedByDialect {
+                feature: "MERGE statement".into(),
+                dialect: self.dialect.name.to_string(),
+            })
+        }
     }
 
-    fn dispatch_stmt(&mut self, stmt: &Stmt, params: &[Value]) -> Result<ExecOutcome> {
+    /// Runs a statement the physical planner leaves alone: DDL, TRUNCATE
+    /// and EXPLAIN (which plans and runs its SELECT like any other).
+    fn run_ddl(&mut self, stmt: &Stmt, params: &[Value]) -> Result<ExecOutcome> {
         let no_rows = |n: u64| ExecOutcome {
             rows_affected: n,
             rows: None,
         };
         match stmt {
-            Stmt::Select(sel) => {
-                let mut ctx = ExecCtx {
-                    pool: &mut self.pool,
-                    catalog: &self.catalog,
-                    params,
-                };
-                let rel = select::execute_select(&mut ctx, sel)?;
-                Ok(ExecOutcome {
-                    rows_affected: 0,
-                    rows: Some(ResultSet {
-                        columns: rel.schema.cols.iter().map(|c| c.name.clone()).collect(),
-                        rows: rel.rows,
-                    }),
-                })
-            }
             Stmt::Explain(inner) => {
                 let Stmt::Select(_) = inner.as_ref() else {
                     return Err(SqlError::Eval(
@@ -805,28 +821,13 @@ impl Database {
                 t.truncate(&mut self.pool)?;
                 Ok(no_rows(n))
             }
-            Stmt::Insert(ins) => {
-                let n = dml::execute_insert(&mut self.pool, &mut self.catalog, params, ins)?;
-                Ok(no_rows(n))
-            }
-            Stmt::Update(upd) => {
-                let n = dml::execute_update(&mut self.pool, &mut self.catalog, params, upd)?;
-                Ok(no_rows(n))
-            }
-            Stmt::Delete(del) => {
-                let n = dml::execute_delete(&mut self.pool, &mut self.catalog, params, del)?;
-                Ok(no_rows(n))
-            }
-            Stmt::Merge(m) => {
-                if !self.dialect.supports_merge {
-                    return Err(SqlError::UnsupportedByDialect {
-                        feature: "MERGE statement".into(),
-                        dialect: self.dialect.name.to_string(),
-                    });
-                }
-                let n = dml::execute_merge(&mut self.pool, &mut self.catalog, params, m)?;
-                Ok(no_rows(n))
-            }
+            Stmt::Select(_)
+            | Stmt::Insert(_)
+            | Stmt::Update(_)
+            | Stmt::Delete(_)
+            | Stmt::Merge(_) => Err(SqlError::Eval(
+                "SELECT and DML statements run as physical plans".into(),
+            )),
         }
     }
 

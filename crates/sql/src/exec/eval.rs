@@ -155,24 +155,6 @@ impl HashKey {
     }
 }
 
-/// Largest row index the bound expression reads, or `None` when it is
-/// row-independent. Lets executors evaluate a predicate against a row
-/// prefix (e.g. the target half of an UPDATE … FROM join) without
-/// materializing the full combined row.
-pub fn max_bound_col(e: &BExpr) -> Option<usize> {
-    match e {
-        BExpr::Const(_) => None,
-        BExpr::Col(i) => Some(*i),
-        BExpr::Unary { e, .. } => max_bound_col(e),
-        BExpr::Binary { l, r, .. } => match (max_bound_col(l), max_bound_col(r)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        },
-        BExpr::IsNull { e, .. } => max_bound_col(e),
-        BExpr::InList { e, .. } => max_bound_col(e),
-    }
-}
-
 /// Everything binding/execution needs. `pool` is the buffer pool, `catalog`
 /// resolves tables/views, `params` backs `?` placeholders.
 pub struct ExecCtx<'a> {

@@ -1,24 +1,28 @@
-//! The AST interpreter.
+//! The AST interpreter: the naive reference the planned executor is
+//! checked against.
 //!
 //! Nothing that is served executes here: SELECT and DML run as physical
-//! plans ([`crate::plan`]). This module is reached as the DDL fallback, as
-//! the decision helpers the planner shares (access-path choice, join-pair
-//! detection, the aggregate/window rewrites), and — through
-//! [`crate::engine::Database::execute_unplanned`] — as the independent
-//! reference the differential tests compare the planned executor against.
+//! plans ([`crate::plan`]), and DDL, TRUNCATE and EXPLAIN run in the
+//! engine. The one way in is
+//! [`crate::engine::Database::execute_unplanned`], which the differential
+//! tests call. The planner borrows some helpers from here — expression
+//! binding and evaluation rules, the aggregate/window rewrites — but no
+//! decision about how rows are found.
 //!
-//! It is a materializing interpreter with a small heuristic planner
-//! folded in:
+//! It is a materializing evaluator that plans nothing:
 //!
-//! * single-table predicates are pushed into the table access path and, when
-//!   they are equalities on the leading columns of an index (clustered or
-//!   secondary), turned into index lookups;
-//! * joins pick index-nested-loop when the inner table has a usable index on
-//!   the join columns (this is what makes the paper's E-operator an index
-//!   range scan per frontier node), hash join otherwise, nested loop as the
-//!   last resort;
+//! * every FROM item is read by a full scan (views and derived tables by
+//!   running their query) and the items are joined left to right by
+//!   nested loop, each WHERE conjunct applied as soon as the items joined
+//!   so far bind it;
+//! * UPDATE and DELETE scan their target; `UPDATE … FROM` and MERGE test
+//!   every (target, source) pair on the combined row;
 //! * uncorrelated subqueries are evaluated once per statement (see
 //!   [`eval`]).
+//!
+//! Because it reads in scan order, its rows match the planned executor's
+//! exactly only where SQL fixes the order (ORDER BY, TOP/LIMIT); the
+//! differential tests compare other results as multisets.
 
 pub mod agg;
 pub mod dml;

@@ -1,15 +1,15 @@
 //! The physical planner: AST → [`PlanKind`].
 //!
-//! Planning makes exactly the decisions the interpreter
-//! (`crate::exec::from` / `crate::exec::dml`) makes per execution — which
-//! access path serves each table reference, which join strategy connects
-//! each pair of relations, which conjunct is consumed where — but makes
-//! them **once**, producing pre-bound [`PExpr`]s with fixed column
-//! offsets. The decision logic is shared with the interpreter
-//! (`find_const_equalities`, `find_join_pairs`, [`Table::longest_prefix`],
-//! the aggregate/window rewrites), so a prepared plan chooses the same
-//! shape the interpreter would; each index access also records the
-//! [`ProbePath`] that serves it, which the executor follows.
+//! Planning decides, **once** per statement, which access path serves each
+//! table reference, which join strategy connects each pair of relations
+//! and which conjunct is consumed where, producing pre-bound [`PExpr`]s
+//! with fixed column offsets. Equalities are found by
+//! `find_const_equalities` / `find_join_pairs` and served on the
+//! prefix [`Table::longest_prefix`] picks; each index access records the
+//! [`ProbePath`] that serves it, which the executor follows. The AST
+//! interpreter (`crate::exec`) makes none of these decisions — it scans
+//! and nested-loops — so the differential tests check them against an
+//! independent answer.
 
 use super::{
     mark_pexpr_cols, AggPlan, DeletePlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan,
@@ -17,14 +17,13 @@ use super::{
     SubPlan, TargetPlan, UpdateKind, UpdatePlan, WindowPlan,
 };
 use crate::ast::{
-    AggFunc, Delete, Expr, Insert, InsertSource, Merge, OrderKey, Select, SelectItem, Stmt,
-    TableRef, Update,
+    AggFunc, BinaryOp, Delete, Expr, Insert, InsertSource, Merge, OrderKey, Select, SelectItem,
+    Stmt, TableRef, Update,
 };
 use crate::catalog::{Catalog, ProbePath, Table, UpdateMode};
 use crate::error::{Result, SqlError};
 use crate::exec::agg::{collect_aggs, rewrite as agg_rewrite};
 use crate::exec::eval::{binds_in, is_row_independent, split_conjuncts, Schema, SchemaCol};
-use crate::exec::from::{find_const_equalities, find_join_pairs};
 use crate::exec::select::{expand_items, OutItem};
 use crate::exec::window::{collect_windows, rewrite as win_rewrite, WinSpec};
 use fempath_storage::DataType;
@@ -37,7 +36,7 @@ pub(crate) fn build_plan(catalog: &Catalog, stmt: &Stmt) -> Result<PlanKind> {
         Stmt::Update(upd) => PlanKind::Update(plan_update(catalog, upd)?),
         Stmt::Delete(del) => PlanKind::Delete(plan_delete(catalog, del)?),
         Stmt::Merge(m) => PlanKind::Merge(plan_merge(catalog, m)?),
-        other => PlanKind::Fallback(other.clone()),
+        other => PlanKind::Ddl(other.clone()),
     })
 }
 
@@ -125,6 +124,87 @@ fn remove_conjuncts(conjuncts: &mut Vec<Expr>, consumed: &[usize]) {
     *conjuncts = keep;
 }
 
+/// Index-usable equality: `col = <row-independent expr>` over one binding.
+struct EqPred {
+    col: usize,
+    value_expr: Expr,
+    /// Position in the conjunct list (for consumption).
+    conjunct_idx: usize,
+}
+
+/// Finds equalities `schema-col = constant-ish` among conjuncts that bind
+/// entirely in `schema`.
+fn find_const_equalities(schema: &Schema, conjuncts: &[Expr]) -> Vec<EqPred> {
+    let mut out = Vec::new();
+    for (i, c) in conjuncts.iter().enumerate() {
+        let Expr::Binary {
+            left,
+            op: BinaryOp::Eq,
+            right,
+        } = c
+        else {
+            continue;
+        };
+        for (col_side, val_side) in [(left, right), (right, left)] {
+            if let Expr::Column { table, name } = col_side.as_ref() {
+                if schema.can_resolve(table.as_deref(), name) && is_row_independent(val_side) {
+                    if let Ok(col) = schema.resolve(table.as_deref(), name) {
+                        out.push(EqPred {
+                            col,
+                            value_expr: val_side.as_ref().clone(),
+                            conjunct_idx: i,
+                        });
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// An equi-join pair: left-side expression = right-side column.
+struct JoinPair {
+    left_expr: Expr,
+    right_col: usize,
+    conjunct_idx: usize,
+}
+
+/// Finds `left-expr = right-col` equalities across the two schemas.
+fn find_join_pairs(left: &Schema, right: &Schema, conjuncts: &[Expr]) -> Vec<JoinPair> {
+    let mut out = Vec::new();
+    for (i, c) in conjuncts.iter().enumerate() {
+        let Expr::Binary {
+            left: a,
+            op: BinaryOp::Eq,
+            right: b,
+        } = c
+        else {
+            continue;
+        };
+        for (lhs, rhs) in [(a, b), (b, a)] {
+            if let Expr::Column { table, name } = rhs.as_ref() {
+                // The column side must resolve in the right schema and NOT
+                // in the left (otherwise it is not a join column).
+                if right.can_resolve(table.as_deref(), name)
+                    && !left.can_resolve(table.as_deref(), name)
+                    && binds_in(lhs, left)
+                {
+                    if let Ok(col) = right.resolve(table.as_deref(), name) {
+                        out.push(JoinPair {
+                            left_expr: lhs.as_ref().clone(),
+                            right_col: col,
+                            conjunct_idx: i,
+                        });
+                        break;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Plans a full SELECT (recursively used for subqueries, derived tables
 /// and views).
 pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan> {
@@ -162,7 +242,7 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
         residual,
     };
 
-    // Post-pipeline stages, mirroring `exec::select::execute_select`.
+    // Post-pipeline stages, in the order `exec::select::execute_select` runs them.
     let mut items: Vec<OutItem> = expand_items(sel, &schema)?;
     let needs_agg = !sel.group_by.is_empty()
         || items.iter().any(|i| i.expr.contains_aggregate())
@@ -507,7 +587,7 @@ fn plan_base(
 }
 
 /// Chooses the access path for one base table, consuming its pushable
-/// conjuncts (mirrors `exec::from::scan_table`).
+/// conjuncts.
 fn plan_scan_table(
     b: &mut Binder<'_>,
     name: &str,
@@ -570,7 +650,7 @@ fn plan_scan_table(
     Ok((SourcePlan { input, filter }, schema))
 }
 
-/// Plans one join stage (mirrors `exec::from::join`): index nested loop
+/// Plans one join stage: index nested loop
 /// when the inner table has a usable index on the join columns, hash join
 /// otherwise, nested loop as the last resort.
 fn plan_join(
@@ -681,7 +761,7 @@ fn plan_join(
 }
 
 /// Hash join (on equi-pairs) or nested loop over a materialized right
-/// side (mirrors `exec::from::join_materialized`).
+/// side.
 fn plan_join_mat(
     b: &mut Binder<'_>,
     left: &Schema,
@@ -722,9 +802,8 @@ fn plan_join_mat(
     Ok((jp, combined))
 }
 
-/// Plans a table reference used as a DML source (mirrors
-/// `exec::dml::materialize_ref`: no access-path selection, the source is
-/// materialized per execution).
+/// Plans a table reference used as a DML source: no access-path
+/// selection, the source is materialized per execution.
 fn plan_source_ref(b: &mut Binder<'_>, tref: &TableRef) -> Result<(SourcePlan, Schema)> {
     match tref {
         TableRef::Named { name, alias } => {
@@ -789,7 +868,7 @@ fn plan_source_ref(b: &mut Binder<'_>, tref: &TableRef) -> Result<(SourcePlan, S
 }
 
 /// From join conjuncts, extracts equalities `target.col = <source expr>`
-/// usable to probe the target (mirrors `exec::dml::equi_probe_plan`).
+/// usable to probe the target.
 /// Returns (probe columns, probe key expressions over the source row,
 /// residual predicates over the combined row).
 #[allow(clippy::type_complexity)]
@@ -982,8 +1061,7 @@ fn plan_update(catalog: &Catalog, upd: &Update) -> Result<UpdatePlan> {
             let mut conjuncts: Vec<Expr> =
                 upd.filter.as_ref().map(split_conjuncts).unwrap_or_default();
             let (mut source, source_schema) = plan_source_ref(&mut b, source_ref)?;
-            // Consume source-only conjuncts as pre-probe source filters
-            // (mirrors `materialize_ref_filtered`).
+            // Consume source-only conjuncts as pre-probe source filters.
             let mine_idx: Vec<usize> = conjuncts
                 .iter()
                 .enumerate()

@@ -154,7 +154,7 @@ pub(crate) fn passes(preds: &[PExpr], row: &[Value], env: &Env<'_>) -> Result<bo
     Ok(true)
 }
 
-/// Safety valve against runaway cross joins (mirrors the interpreter).
+/// Safety valve against runaway cross joins.
 pub(crate) const LOOP_JOIN_ROW_CAP: u64 = 50_000_000;
 
 /// Shared post-pipeline stages over materialized rows:

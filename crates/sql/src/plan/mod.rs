@@ -127,7 +127,7 @@ impl PreparedPlan {
                 }
                 describe_subplans(&mp.subplans, 1, &mut out);
             }
-            PlanKind::Fallback(stmt) => out.push(format!(
+            PlanKind::Ddl(stmt) => out.push(format!(
                 "FALLBACK (interpreted {})",
                 match stmt {
                     Stmt::CreateTable(_) => "CREATE TABLE",
@@ -154,9 +154,10 @@ pub(crate) enum PlanKind {
     Insert(InsertPlan),
     Merge(MergePlan),
     /// Statements the physical planner does not cover (DDL, TRUNCATE,
-    /// EXPLAIN) — dispatched from the cached AST, with no per-execution
-    /// clone (EXPLAIN plans and runs its inner SELECT like any other).
-    Fallback(Stmt),
+    /// EXPLAIN) — run by the engine straight from the cached AST, with no
+    /// per-execution clone (EXPLAIN plans and runs its inner SELECT like
+    /// any other).
+    Ddl(Stmt),
 }
 
 /// A bound expression over fixed column offsets, with parameters and
@@ -196,8 +197,9 @@ pub(crate) enum PExpr {
 }
 
 /// Largest row offset a bound plan expression reads, or `None` when it is
-/// row-independent (the plan-side analogue of
-/// [`crate::exec::eval::max_bound_col`]).
+/// row-independent. Lets executors evaluate a predicate against a row
+/// prefix (e.g. the target half of an UPDATE … FROM join) without
+/// materializing the full combined row.
 pub(crate) fn max_pexpr_col(e: &PExpr) -> Option<usize> {
     match e {
         PExpr::Const(_) | PExpr::Param(_) | PExpr::Sub(_) | PExpr::ExistsSub { .. } => None,

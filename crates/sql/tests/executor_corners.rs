@@ -2,6 +2,8 @@
 //! aggregate edges, DML interactions — the situations the paper's SQL
 //! exercises indirectly and a general user would hit directly.
 
+mod common;
+
 use fempath_sql::{Database, SqlError};
 use fempath_storage::Value;
 
@@ -495,11 +497,7 @@ fn both_paths_both_dialects(setup: &dyn Fn(&mut Database), sql: &str) -> Vec<Vec
             .rows
             .map(|r| r.rows)
             .unwrap_or_default();
-        assert_eq!(
-            a, b,
-            "prepared vs interpreted diverge on {sql} ({})",
-            dialect.name
-        );
+        common::assert_rows_agree(sql, &a, &b);
         match &reference {
             None => reference = Some(a),
             Some(r) => assert_eq!(&a, r, "dialects diverge on {sql}"),
@@ -603,7 +601,7 @@ fn parity(setup: &dyn Fn(&mut Database), sql: &str) -> Result<Vec<Vec<Value>>, S
         .map(|o| o.rows.map(|r| r.rows).unwrap_or_default());
     match (a, b) {
         (Ok(x), Ok(y)) => {
-            assert_eq!(x, y, "row mismatch on {sql}");
+            common::assert_rows_agree(sql, &x, &y);
             Ok(x)
         }
         (Err(x), Err(y)) => {

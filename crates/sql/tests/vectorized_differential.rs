@@ -5,6 +5,8 @@
 //! property test generates random mixed tables and sweeps a family of
 //! query shapes over them.
 
+mod common;
+
 use fempath_sql::{Database, Dialect, ExecOutcome, Result};
 use fempath_storage::Value;
 use proptest::prelude::*;
@@ -57,7 +59,7 @@ fn assert_same(sql: &str, a: &Result<ExecOutcome>, b: &Result<ExecOutcome>) {
             match (&a.rows, &b.rows) {
                 (None, None) => {}
                 (Some(ra), Some(rb)) => {
-                    assert_eq!(ra.rows, rb.rows, "result rows diverged for: {sql}");
+                    common::assert_rows_agree(sql, &ra.rows, &rb.rows);
                 }
                 _ => panic!("result-set presence diverged for: {sql}"),
             }
@@ -702,6 +704,8 @@ fn oversized_update_fails_without_losing_rows() {
 /// UPDATE … FROM and MERGE into segment-compressed storage: base rows
 /// have no locators, so a matched write is refused, while a statement
 /// that matches nothing — or only inserts, into the delta overlay — runs.
+/// A lookup and an index nested-loop join read the same segment path
+/// before and after the overlay changes.
 #[test]
 fn dml_probes_into_segmented_storage() {
     use fempath_sql::ast::ColumnDef;
@@ -727,6 +731,25 @@ fn dml_probes_into_segmented_storage() {
                  WHEN NOT MATCHED THEN INSERT (fid, tid, cost) VALUES (sr.f, sr.t, sr.c)";
     let update = "UPDATE e SET cost = s.c FROM s WHERE e.fid = s.f";
     let check = "SELECT fid, tid, cost FROM e WHERE fid > 28 ORDER BY fid, tid";
+    let lookup = "SELECT tid, cost FROM e WHERE fid = 3";
+    let join = "SELECT s.f, e.tid, e.cost FROM s, e WHERE e.fid = s.t";
+    // Each reads `e` along the segment path; the reference scans.
+    for (sql, operator) in [
+        (lookup, "SCAN e"),
+        (join, "INDEX NESTED LOOP JOIN e"),
+        (update, "PROBE e"),
+        (merge, "PROBE e"),
+    ] {
+        let plan = pair.vec_db.prepare(sql).unwrap().describe();
+        assert!(
+            plan.iter()
+                .any(|l| l.trim_start().starts_with(operator)
+                    && l.contains("by segment-tree key range")),
+            "{sql} must probe the segments, plan: {plan:#?}"
+        );
+    }
+    pair.step(lookup);
+    pair.step(join);
     assert!(pair.step(update), "matches nothing: 0 rows, no error");
     assert!(pair.step(merge), "inserts only");
     pair.step(check);
@@ -738,5 +761,7 @@ fn dml_probes_into_segmented_storage() {
     assert!(!pair.step(update));
     assert!(!pair.step(merge));
     pair.step(check);
+    pair.step(lookup);
+    pair.step(join);
     pair.step("SELECT COUNT(*) FROM e");
 }

@@ -1,7 +1,7 @@
 //! femcheck layer 2 — the workspace *source* auditor (DESIGN.md §15).
 //!
 //! Where the SQL analyzer (`fempath_sql::analyze`) checks the statements
-//! the engine generates, this crate checks the engine's own source. Six
+//! the engine generates, this crate checks the engine's own source. Seven
 //! plain-text, line-level rules, no dependencies, no proc macros:
 //!
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
@@ -19,14 +19,20 @@
 //! 4. **no-debug-macros** — `todo!(` and `dbg!(` appear nowhere, tests
 //!    included.
 //! 5. **interpreter-reference-only** — library code outside
-//!    `crates/sql/src/engine.rs` must not call the AST interpreter's two
-//!    entry points (`Database::execute_unplanned`, `Database::run_stmt`):
-//!    everything that is served runs on the planned executor, and the
-//!    interpreter is the reference that tests compare it against.
+//!    `crates/sql/src/engine.rs` must not call the AST interpreter's one
+//!    entry point (`Database::execute_unplanned`): everything that is
+//!    served runs on the planned executor, and the interpreter is the
+//!    reference that tests compare it against.
 //! 6. **no-env-knobs** — the library crates (`core`, `sql`, `storage`,
 //!    `graph`, `inmem`) never read an environment variable: behaviour is
 //!    chosen by arguments and by what the code can observe in its input,
 //!    so there is one configuration to test and to benchmark.
+//! 7. **reference-stays-naive** — no line under `crates/sql/src/exec/`
+//!    (the interpreter) names the planner's access-path choice
+//!    (`Table::longest_prefix`, `Table::probe_path`, `ProbePath`) or an
+//!    index lookup (`lookup_eq…`): the reference scans and nested-loops,
+//!    so a wrong access-path decision cannot show up on both sides of a
+//!    differential test.
 //!
 //! The rule needles are assembled at runtime from fragments so this
 //! crate's own source never contains them verbatim (the auditor audits
@@ -86,7 +92,8 @@ struct Needles {
     todo_macro: String,
     dbg_macro: String,
     cfg_test: String,
-    interpreter_calls: [String; 2],
+    interpreter_call: String,
+    planner_names: [String; 4],
     env_read: String,
 }
 
@@ -106,9 +113,12 @@ impl Needles {
             todo_macro: format!("{}{bang}", ["to", "do"].concat()),
             dbg_macro: format!("{}{bang}", ["d", "bg"].concat()),
             cfg_test: format!("#[cfg({}]", ["te", "st)"].concat()),
-            interpreter_calls: [
-                ["execute_unpl", "anned("].concat(),
-                ["run_st", "mt("].concat(),
+            interpreter_call: ["execute_unpl", "anned("].concat(),
+            planner_names: [
+                ["longest_pr", "efix("].concat(),
+                ["probe_pa", "th("].concat(),
+                ["lookup", "_eq"].concat(),
+                ["Probe", "Path"].concat(),
             ],
             env_read: ["env::", "var"].concat(),
         }
@@ -158,13 +168,21 @@ fn tagged_nearby(lines: &[&str], from: usize, window: usize, tag: &str) -> bool 
 /// library code may name them (rule 5).
 const ENGINE_FACADE: &str = "crates/sql/src/engine.rs";
 
-/// The interpreter entry point `code` calls, if any.
+/// The interpreter entry point, if `code` calls it.
 fn interpreter_call<'n>(code: &str, needles: &'n Needles) -> Option<&'n str> {
+    Some(needles.interpreter_call.as_str()).filter(|call| code.contains(call))
+}
+
+/// The interpreter's sources, which rule 7 keeps free of access paths.
+const REFERENCE_SRC: &str = "crates/sql/src/exec/";
+
+/// The access-path name `line` mentions, if any (rule 7).
+fn planner_name<'n>(line: &str, needles: &'n Needles) -> Option<&'n str> {
     needles
-        .interpreter_calls
+        .planner_names
         .iter()
         .map(String::as_str)
-        .find(|call| code.contains(call))
+        .find(|name| line.contains(name))
 }
 
 /// The crates rule 6 keeps free of environment reads.
@@ -262,6 +280,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
         let is_library_src = rel.contains("/src/");
         let wants_ordering = rel.ends_with("/engine.rs") || rel.ends_with("/dispatch.rs");
         let knob_free = KNOB_FREE_SRC.iter().any(|p| rel.starts_with(p));
+        let is_reference = rel.starts_with(REFERENCE_SRC);
         let mut in_test_region = false;
 
         for (i, &line) in lines.iter().enumerate() {
@@ -357,6 +376,22 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                 });
             }
 
+            // Rule 7: the reference makes no access-path decision — not in
+            // code, comments or tests.
+            if is_reference {
+                if let Some(name) = planner_name(line, &needles) {
+                    violations.push(Violation {
+                        file: rel.clone(),
+                        line: lineno,
+                        rule: "reference-stays-naive",
+                        msg: format!(
+                            "`{name}` names an access path inside the interpreter, \
+                             which must stay a full-scan, nested-loop reference"
+                        ),
+                    });
+                }
+            }
+
             // Rule 3 (counting pass): unwraps in library code.
             if is_library_src
                 && !in_test_region
@@ -433,14 +468,9 @@ mod tests {
     fn interpreter_calls_are_spotted_in_code_only() {
         let n = Needles::new();
         let unplanned = ["db.execute_unpl", "anned(sql, &[])?"].concat();
-        let run = ["self.run_st", "mt(&stmt, params)"].concat();
         assert_eq!(
             interpreter_call(&unplanned, &n),
-            Some(n.interpreter_calls[0].as_str())
-        );
-        assert_eq!(
-            interpreter_call(&run, &n),
-            Some(n.interpreter_calls[1].as_str())
+            Some(n.interpreter_call.as_str())
         );
         // A doc mention is not a call, and comments are stripped first.
         assert_eq!(
@@ -449,6 +479,43 @@ mod tests {
         );
         let commented = format!("let x = 1; // {unplanned}");
         assert_eq!(interpreter_call(code_part(&commented), &n), None);
+    }
+
+    #[test]
+    fn access_paths_are_spotted_in_the_reference_only() {
+        let n = Needles::new();
+        let prefix = format!("let picks = table.{}&cols)?;\n", n.planner_names[0]);
+        let lookup = format!("// served by {}_chunk\n", n.planner_names[2]);
+        let path = format!("use crate::catalog::{};\n", n.planner_names[3]);
+        assert_eq!(planner_name(&prefix, &n), Some(n.planner_names[0].as_str()));
+        assert_eq!(
+            planner_name(&format!("t.{}&[0])", n.planner_names[1]), &n),
+            Some(n.planner_names[1].as_str())
+        );
+        assert_eq!(planner_name("table.scan(pool, |_, row| true)?", &n), None);
+        let dir = std::env::temp_dir().join(format!("xtask-ref-{}", std::process::id()));
+        for (rel, text) in [
+            ("crates/sql/src/exec/from.rs", prefix.as_str()),
+            ("crates/sql/src/exec/dml.rs", lookup.as_str()),
+            ("crates/sql/src/exec/mod.rs", path.as_str()),
+            ("crates/sql/src/plan/build.rs", prefix.as_str()),
+            ("crates/sql/src/catalog.rs", path.as_str()),
+        ] {
+            let file = dir.join(rel);
+            fs::create_dir_all(file.parent().unwrap()).unwrap();
+            fs::write(file, text).unwrap();
+        }
+        let found = lint(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let hits: Vec<(&str, &str)> = found.iter().map(|v| (v.file.as_str(), v.rule)).collect();
+        assert_eq!(
+            hits,
+            [
+                ("crates/sql/src/exec/dml.rs", "reference-stays-naive"),
+                ("crates/sql/src/exec/from.rs", "reference-stays-naive"),
+                ("crates/sql/src/exec/mod.rs", "reference-stays-naive"),
+            ]
+        );
     }
 
     #[test]
