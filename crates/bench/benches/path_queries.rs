@@ -40,7 +40,7 @@ fn bench_algorithms(c: &mut Criterion) {
 
     bench_finder!("bdj", BdjFinder::default());
     bench_finder!("bsdj", BsdjFinder::default());
-    bench_finder!("bbfs", BbfsFinder::default());
+    bench_finder!("bbfs", BbfsFinder);
     bench_finder!("bseg20", BsegFinder::default());
 
     let (s, t) = next();

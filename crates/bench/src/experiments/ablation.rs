@@ -31,10 +31,7 @@ pub fn prune(cfg: &BenchConfig) -> Result<()> {
         (
             "BSEG(20)",
             Box::new(BsegFinder::default()),
-            Box::new(BsegFinder {
-                prune: false,
-                ..Default::default()
-            }),
+            Box::new(BsegFinder { prune: false }),
         ),
     ];
     for (name, on, off) in cases {

@@ -18,7 +18,7 @@ pub fn fig7a(cfg: &BenchConfig) -> Result<()> {
         gdb.build_segtable(3)?;
         let pairs = query_pairs(n, cfg.queries, cfg.seed + i as u64);
         let bsdj = measure(&mut gdb, &BsdjFinder::default(), &pairs)?;
-        let bbfs = measure(&mut gdb, &BbfsFinder::default(), &pairs)?;
+        let bbfs = measure(&mut gdb, &BbfsFinder, &pairs)?;
         let bseg = measure(&mut gdb, &BsegFinder::default(), &pairs)?;
         rows.push(vec![
             format!("{n}"),
@@ -45,7 +45,7 @@ pub fn fig7b(cfg: &BenchConfig) -> Result<()> {
         let g = generate::random_graph(n, 3, 1..=100, cfg.seed + i as u64);
         let pairs = query_pairs(n, cfg.queries, cfg.seed + i as u64);
         let mut gdb = GraphDb::in_memory(&g)?;
-        let bbfs = measure(&mut gdb, &BbfsFinder::default(), &pairs)?;
+        let bbfs = measure(&mut gdb, &BbfsFinder, &pairs)?;
         let bsdj = measure(&mut gdb, &BsdjFinder::default(), &pairs)?;
         let mut cells = vec![format!("{n}"), secs(bbfs.avg_time), secs(bsdj.avg_time)];
         for lthd in [3i64, 5, 7] {

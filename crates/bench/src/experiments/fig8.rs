@@ -24,7 +24,7 @@ pub fn fig8a(cfg: &BenchConfig) -> Result<()> {
         )?;
         gdb.build_segtable(20)?;
         let pairs = query_pairs(n, cfg.queries, cfg.seed + i as u64);
-        let bbfs = measure(&mut gdb, &BbfsFinder::default(), &pairs)?;
+        let bbfs = measure(&mut gdb, &BbfsFinder, &pairs)?;
         let bseg = measure(&mut gdb, &BsegFinder::default(), &pairs)?;
         rows.push(vec![
             format!("{n}"),

@@ -38,14 +38,7 @@ pub fn ablation(cfg: &BenchConfig) -> Result<()> {
         // The index stays resident for the unseeded run too: the ablation
         // isolates the seeded ceiling, not the table's buffer footprint.
         let seeded = measure(&mut gdb, &BdjFinder::default(), &pairs)?;
-        let unseeded = measure(
-            &mut gdb,
-            &BdjFinder {
-                seed_bounds: false,
-                ..Default::default()
-            },
-            &pairs,
-        )?;
+        let unseeded = measure(&mut gdb, &BdjFinder { seed_bounds: false }, &pairs)?;
 
         // Fast-path yield over the same endpoints, plus guaranteed-covered
         // pairs (every node paired with a landmark is answered exactly).

@@ -23,7 +23,7 @@ pub fn run(cfg: &BenchConfig) -> Result<()> {
         // smallest graph, and neither do we (1 query on sizes > smallest).
         let dj = if i == 0 {
             let dj_pairs = &pairs[..pairs.len().min(2)];
-            let s = measure(&mut gdb, &DjFinder::default(), dj_pairs)?;
+            let s = measure(&mut gdb, &DjFinder, dj_pairs)?;
             (format!("{:.0}", s.avg_expansions), secs(s.avg_time))
         } else {
             ("-".into(), "> skipped".into())

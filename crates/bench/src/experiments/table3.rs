@@ -22,7 +22,7 @@ pub fn run(cfg: &BenchConfig) -> Result<()> {
         let pairs = query_pairs(n, cfg.queries, cfg.seed + i as u64);
 
         let bsdj = measure(&mut gdb, &BsdjFinder::default(), &pairs)?;
-        let bbfs = measure(&mut gdb, &BbfsFinder::default(), &pairs)?;
+        let bbfs = measure(&mut gdb, &BbfsFinder, &pairs)?;
         let bseg = measure(&mut gdb, &BsegFinder::default(), &pairs)?;
         rows.push(vec![
             format!("{n}"),

@@ -58,18 +58,18 @@ mod tests {
 
     fn finders() -> Vec<Box<dyn ShortestPathFinder>> {
         vec![
-            Box::new(DjFinder::default()),
+            Box::new(DjFinder),
             Box::new(BdjFinder::default()),
-            Box::new(BdjFinder {
+            Box::new(BsdjFinder::default()),
+            Box::new(BsdjFinder {
                 style: SqlStyle::Traditional,
                 ..Default::default()
             }),
-            Box::new(BsdjFinder::default()),
             Box::new(BsdjFinder {
                 prune: false,
                 ..Default::default()
             }),
-            Box::new(BbfsFinder::default()),
+            Box::new(BbfsFinder),
         ]
     }
 

@@ -36,18 +36,20 @@
 //!    TVisited` (Listing 4(5)) without a second scan.
 //!
 //! All expansions carry the Theorem-1 pruning term
-//! `e.cost + q.dist + l_other < minCost` (disable with `prune = false` for
-//! the ablation bench). When a landmark index exists (DESIGN.md §12) the
-//! pruning ceiling starts at the triangle-inequality upper bound `U + 1`
-//! instead of infinity, so Theorem-1 discards candidates costlier than `U`
-//! from the very first iteration; `min_cost` itself is never seeded — it
-//! must stay realized by a `TVisited` row for meet-node recovery.
+//! `e.cost + q.dist + l_other < minCost` (BSDJ and BSEG take `prune =
+//! false` for the ablation bench). When a landmark index exists
+//! (DESIGN.md §12) the pruning ceiling starts at the triangle-inequality
+//! upper bound `U + 1` instead of infinity, so Theorem-1 discards
+//! candidates costlier than `U` from the very first iteration; `min_cost`
+//! itself is never seeded — it must stay realized by a `TVisited` row for
+//! meet-node recovery.
 
-use super::{need, recover_bidi_path, trivial_case, PathOutcome, Runner, ShortestPathFinder};
-use crate::graphdb::{GraphDb, INF};
-use crate::sqlgen::{
-    expand_params, meet_node, truncate_exp, Dir, EdgeSource, FrontierPred, SqlGen,
+use super::{
+    recover_bidi_path, seeded_ceiling, trivial_case, Expansion, PathOutcome, Runner,
+    ShortestPathFinder,
 };
+use crate::graphdb::{GraphDb, INF};
+use crate::sqlgen::{expand_params, meet_node, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
 use crate::stats::{FemOperator, Phase, SqlStyle};
 use fempath_sql::{PreparedStmt, Result, SqlError};
 use fempath_storage::Value;
@@ -62,16 +64,7 @@ struct DirStmts {
     /// What settles the expanded frontier: `mid` by `nid` (Listing 3(2))
     /// for BDJ, the marked set (Listing 4(3)) otherwise.
     settle: PreparedStmt,
-    /// Fused E+M (MERGE mode).
-    expand_merge: Option<PreparedStmt>,
-    /// Split E (temp-table mode).
-    expand_into_exp: Option<PreparedStmt>,
-    /// Split M via MERGE.
-    merge_from_exp: Option<PreparedStmt>,
-    /// Split M, update half (no-MERGE dialect).
-    update_from_exp: Option<PreparedStmt>,
-    /// Split M, insert half (no-MERGE dialect).
-    insert_from_exp: Option<PreparedStmt>,
+    expansion: Expansion,
     candidate_stats: PreparedStmt,
     pred_of: PreparedStmt,
 }
@@ -82,8 +75,7 @@ impl DirStmts {
         gen: &SqlGen,
         spec: &BidiSpec,
         pred: FrontierPred,
-        use_temp_exp: bool,
-        merge_supported: bool,
+        mode: EmMode,
     ) -> Result<DirStmts> {
         let (frontier_sql, settle_sql) = match spec.frontier {
             FrontierPolicy::SingleMin => (gen.select_mid_at(), gen.settle_by_nid()),
@@ -94,31 +86,7 @@ impl DirStmts {
         Ok(DirStmts {
             frontier: db.prepare(&frontier_sql)?,
             settle: db.prepare(&settle_sql)?,
-            expand_merge: if use_temp_exp {
-                None
-            } else {
-                Some(db.prepare(&gen.expand_merge(pred))?)
-            },
-            expand_into_exp: if use_temp_exp {
-                Some(db.prepare(&gen.expand_into_exp(pred))?)
-            } else {
-                None
-            },
-            merge_from_exp: if use_temp_exp && merge_supported {
-                Some(db.prepare(&gen.merge_from_exp())?)
-            } else {
-                None
-            },
-            update_from_exp: if use_temp_exp && !merge_supported {
-                Some(db.prepare(&gen.update_from_exp())?)
-            } else {
-                None
-            },
-            insert_from_exp: if use_temp_exp && !merge_supported {
-                Some(db.prepare(&gen.insert_from_exp())?)
-            } else {
-                None
-            },
+            expansion: Expansion::prepare(db, gen, pred, mode)?,
             candidate_stats: db.prepare(&gen.candidate_stats())?,
             pred_of: db.prepare(&gen.pred_of())?,
         })
@@ -149,7 +117,7 @@ pub(crate) struct BidiSpec {
     /// Seed the pruning ceiling from the landmark index when one exists.
     pub seed_bounds: bool,
     /// Issue F/E/M as separate statements through `TExp` — the Fig 6(c)
-    /// per-operator measurement mode (also forced by no-MERGE dialects).
+    /// per-operator measurement mode ([`EmMode::SplitMerge`]).
     pub split_operators: bool,
 }
 
@@ -162,20 +130,9 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     if let Some(out) = trivial_case(gdb, s, t)? {
         return Ok(out);
     }
-    // Landmark-seeded pruning ceiling: `U + 1` keeps every relaxation on an
-    // optimal path (all partial sums <= D <= U, and the strict `<` of the
-    // pruning term compares against U + 1) while discarding candidates
-    // strictly above U. Stays INF when no index exists or seeding is off.
-    let bound = if spec.prune && spec.seed_bounds && gdb.landmarks().is_some() {
-        crate::landmarks::upper_bound(gdb, s, t)?.map_or(INF, |u| u.saturating_add(1).min(INF))
-    } else {
-        INF
-    };
-    gdb.reset_visited()?;
-    let use_temp_exp = spec.split_operators || !gdb.merge_supported();
-    if use_temp_exp {
-        gdb.reset_exp()?;
-    }
+    // The seeded ceiling only ever enters the pruning term.
+    let bound = seeded_ceiling(gdb, s, t, spec.prune && spec.seed_bounds)?;
+    let mode = gdb.reset_search(spec.style, spec.split_operators)?;
     let fgen = SqlGen::new(Dir::Fwd, spec.edges, spec.style);
     let bgen = SqlGen::new(Dir::Bwd, spec.edges, spec.style);
     let max_iters = 8 * gdb.num_nodes() as u64 + 32;
@@ -183,7 +140,6 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     // Prepare the whole statement set up front; the loop below executes
     // handles only. After the first search these prepares are plan-cache
     // hits (the TRUNCATE-based reset keeps the catalog version stable).
-    let merge_supported = gdb.merge_supported();
     // BDJ expands the one node it picked; the set finders expand what
     // they marked.
     let pred = match spec.frontier {
@@ -192,16 +148,9 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     };
     let init_fwd = gdb.db.prepare(&SqlGen::init(Dir::Fwd))?;
     let init_bwd = gdb.db.prepare(&SqlGen::init(Dir::Bwd))?;
-    let mut prepare_dir = |gen: &SqlGen| {
-        DirStmts::prepare(&mut gdb.db, gen, &spec, pred, use_temp_exp, merge_supported)
-    };
+    let mut prepare_dir = |gen: &SqlGen| DirStmts::prepare(&mut gdb.db, gen, &spec, pred, mode);
     let fwd_stmts = prepare_dir(&fgen)?;
     let bwd_stmts = prepare_dir(&bgen)?;
-    let truncate_exp_stmt = if use_temp_exp {
-        Some(gdb.db.prepare(truncate_exp())?)
-    } else {
-        None
-    };
     let meet_node_stmt = gdb.db.prepare(meet_node())?;
 
     let mut runner = Runner::new(gdb);
@@ -293,38 +242,7 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
             (0, INF)
         };
         let params = expand_params(spec.style, pred, mid, lo, mc)?;
-        if let Some(expand) = &stmts.expand_merge {
-            runner.exec_prepared(Phase::PathExpansion, FemOperator::E, expand, &params)?;
-        } else {
-            runner.exec_prepared(
-                Phase::PathExpansion,
-                FemOperator::Aux,
-                need(&truncate_exp_stmt, "truncate_exp")?,
-                &[],
-            )?;
-            runner.exec_prepared(
-                Phase::PathExpansion,
-                FemOperator::E,
-                need(&stmts.expand_into_exp, "expand_into_exp")?,
-                &params,
-            )?;
-            if let Some(merge) = &stmts.merge_from_exp {
-                runner.exec_prepared(Phase::PathExpansion, FemOperator::M, merge, &[])?;
-            } else {
-                runner.exec_prepared(
-                    Phase::PathExpansion,
-                    FemOperator::M,
-                    need(&stmts.update_from_exp, "update_from_exp")?,
-                    &[],
-                )?;
-                runner.exec_prepared(
-                    Phase::PathExpansion,
-                    FemOperator::M,
-                    need(&stmts.insert_from_exp, "insert_from_exp")?,
-                    &[],
-                )?;
-            }
-        }
+        stmts.expansion.run(&mut runner, &params)?;
         // Settle the expanded frontier: `mid` by `nid`, or the marked set.
         runner.exec_prepared(
             Phase::PathExpansion,
@@ -389,24 +307,19 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     runner.finish(Some(path))
 }
 
-/// **BDJ** — bidirectional Dijkstra, node-at-a-time.
+/// **BDJ** — bidirectional Dijkstra, node-at-a-time: NSQL statements,
+/// Theorem-1 pruning on. The serving default.
 #[derive(Debug, Clone, Copy)]
 pub struct BdjFinder {
-    pub style: SqlStyle,
-    /// Theorem-1 pruning (on by default; off for the ablation bench).
-    pub prune: bool,
     /// Seed the pruning ceiling from the landmark index when one exists
-    /// (on by default; a no-op without an index).
+    /// (on by default; a no-op without an index). Off only for the
+    /// `landmark-ablation` experiment's unseeded run.
     pub seed_bounds: bool,
 }
 
 impl Default for BdjFinder {
     fn default() -> Self {
-        BdjFinder {
-            style: SqlStyle::New,
-            prune: true,
-            seed_bounds: true,
-        }
+        BdjFinder { seed_bounds: true }
     }
 }
 
@@ -424,8 +337,8 @@ impl ShortestPathFinder for BdjFinder {
                 name: "BDJ",
                 frontier: FrontierPolicy::SingleMin,
                 edges: EdgeSource::Edges,
-                style: self.style,
-                prune: self.prune,
+                style: SqlStyle::New,
+                prune: true,
                 seed_bounds: self.seed_bounds,
                 split_operators: false,
             },
@@ -435,14 +348,15 @@ impl ShortestPathFinder for BdjFinder {
 
 /// **BSDJ** — bidirectional *set* Dijkstra: all nodes at the minimal
 /// distance expand in one statement (the paper's key set-at-a-time
-/// optimization, §4.1).
+/// optimization, §4.1). Seeds its pruning ceiling from the landmark index
+/// when one exists. Its knobs are the paper's operator-level experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct BsdjFinder {
+    /// NSQL or TSQL statements (Fig 6(d)).
     pub style: SqlStyle,
+    /// Theorem-1 pruning (on by default; off for `ablation-prune`).
     pub prune: bool,
-    /// Seed the pruning ceiling from the landmark index when one exists.
-    pub seed_bounds: bool,
-    /// Issue F/E/M as separate statements (Fig 6(c) measurement mode).
+    /// Issue F/E/M as separately timed statements (Fig 6(c)).
     pub split_operators: bool,
 }
 
@@ -451,7 +365,6 @@ impl Default for BsdjFinder {
         BsdjFinder {
             style: SqlStyle::New,
             prune: true,
-            seed_bounds: true,
             split_operators: false,
         }
     }
@@ -473,7 +386,7 @@ impl ShortestPathFinder for BsdjFinder {
                 edges: EdgeSource::Edges,
                 style: self.style,
                 prune: self.prune,
-                seed_bounds: self.seed_bounds,
+                seed_bounds: true,
                 split_operators: self.split_operators,
             },
         )
@@ -482,23 +395,9 @@ impl ShortestPathFinder for BsdjFinder {
 
 /// **BBFS** — bidirectional breadth-first-style relaxation: every candidate
 /// expands every iteration. Fewest iterations, largest search space (§4.2).
-#[derive(Debug, Clone, Copy)]
-pub struct BbfsFinder {
-    pub style: SqlStyle,
-    pub prune: bool,
-    /// Seed the pruning ceiling from the landmark index when one exists.
-    pub seed_bounds: bool,
-}
-
-impl Default for BbfsFinder {
-    fn default() -> Self {
-        BbfsFinder {
-            style: SqlStyle::New,
-            prune: true,
-            seed_bounds: true,
-        }
-    }
-}
+/// NSQL statements, pruned, landmark-seeded when an index exists.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BbfsFinder;
 
 impl ShortestPathFinder for BbfsFinder {
     fn name(&self) -> &'static str {
@@ -514,9 +413,9 @@ impl ShortestPathFinder for BbfsFinder {
                 name: "BBFS",
                 frontier: FrontierPolicy::All,
                 edges: EdgeSource::Edges,
-                style: self.style,
-                prune: self.prune,
-                seed_bounds: self.seed_bounds,
+                style: SqlStyle::New,
+                prune: true,
+                seed_bounds: true,
                 split_operators: false,
             },
         )
@@ -525,24 +424,17 @@ impl ShortestPathFinder for BbfsFinder {
 
 /// **BSEG** — selective expansion over the SegTable (Algorithm 2). Requires
 /// [`GraphDb::build_segtable`] to have been called; the threshold `lthd` is
-/// read from the built index.
+/// read from the built index. NSQL statements, landmark-seeded when an
+/// index exists.
 #[derive(Debug, Clone, Copy)]
 pub struct BsegFinder {
-    pub style: SqlStyle,
+    /// Theorem-1 pruning (on by default; off for `ablation-prune`).
     pub prune: bool,
-    /// Seed the pruning ceiling from the landmark index when one exists.
-    pub seed_bounds: bool,
-    pub split_operators: bool,
 }
 
 impl Default for BsegFinder {
     fn default() -> Self {
-        BsegFinder {
-            style: SqlStyle::New,
-            prune: true,
-            seed_bounds: true,
-            split_operators: false,
-        }
+        BsegFinder { prune: true }
     }
 }
 
@@ -562,10 +454,10 @@ impl ShortestPathFinder for BsegFinder {
                 name: "BSEG",
                 frontier: FrontierPolicy::Threshold { lthd },
                 edges: EdgeSource::SegTable,
-                style: self.style,
+                style: SqlStyle::New,
                 prune: self.prune,
-                seed_bounds: self.seed_bounds,
-                split_operators: self.split_operators,
+                seed_bounds: true,
+                split_operators: false,
             },
         )
     }

@@ -6,31 +6,20 @@
 //! The paper runs this only up to 20 K nodes (Table 2: ">600 s" beyond) —
 //! node-at-a-time evaluation is the point being criticised.
 
-use super::{need, trivial_case, walk_links, Path, PathOutcome, Runner, ShortestPathFinder};
-use crate::graphdb::{GraphDb, INF};
-use crate::sqlgen::{expand_params, truncate_exp, Dir, EdgeSource, FrontierPred, SqlGen};
+use super::{
+    seeded_ceiling, trivial_case, walk_links, Expansion, Path, PathOutcome, Runner,
+    ShortestPathFinder,
+};
+use crate::graphdb::GraphDb;
+use crate::sqlgen::{expand_params, Dir, EdgeSource, FrontierPred, SqlGen};
 use crate::stats::{FemOperator, Phase, SqlStyle};
 use fempath_sql::Result;
 use fempath_storage::Value;
 
-/// The DJ finder (Algorithm 1).
-#[derive(Debug, Clone, Copy)]
-pub struct DjFinder {
-    /// NSQL (window + MERGE) or TSQL (aggregate-join + UPDATE/INSERT).
-    pub style: SqlStyle,
-    /// Bound the expansion with the landmark triangle-inequality upper
-    /// bound when an index exists (on by default; a no-op without one).
-    pub seed_bounds: bool,
-}
-
-impl Default for DjFinder {
-    fn default() -> Self {
-        DjFinder {
-            style: SqlStyle::default(),
-            seed_bounds: true,
-        }
-    }
-}
+/// The DJ finder (Algorithm 1): NSQL statements, pruned by the landmark
+/// upper bound when an index exists (a no-op without one).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DjFinder;
 
 impl ShortestPathFinder for DjFinder {
     fn name(&self) -> &'static str {
@@ -41,51 +30,16 @@ impl ShortestPathFinder for DjFinder {
         if let Some(out) = trivial_case(gdb, s, t)? {
             return Ok(out);
         }
-        // Landmark-seeded ceiling for the expansion's pruning term: every
-        // prefix of an optimal path has distance <= D <= U, so relaxing up
-        // to (but excluding) U + 1 preserves exactness while skipping
-        // candidates strictly above the triangle-inequality bound.
-        let bound = if self.seed_bounds && gdb.landmarks().is_some() {
-            crate::landmarks::upper_bound(gdb, s, t)?.map_or(INF, |u| u.saturating_add(1).min(INF))
-        } else {
-            INF
-        };
-        gdb.reset_visited()?;
-        let use_merge = gdb.merge_supported() && self.style == SqlStyle::New;
-        if !use_merge {
-            gdb.reset_exp()?;
-        }
-        let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, self.style);
+        let bound = seeded_ceiling(gdb, s, t, true)?;
+        let mode = gdb.reset_search(SqlStyle::New, false)?;
+        let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
         let max_iters = 4 * gdb.num_nodes() as u64 + 16;
 
         // Prepare the statement set once; the loop executes handles only.
-        let merge_supported = gdb.merge_supported();
         let db = &mut gdb.db;
         let init = db.prepare(&SqlGen::init(Dir::Fwd))?;
         let select_mid = db.prepare(&gen.select_mid())?;
-        let expand = if use_merge {
-            db.prepare(&gen.expand_merge(FrontierPred::ByNid))?
-        } else {
-            db.prepare(&gen.expand_into_exp(FrontierPred::ByNid))?
-        };
-        let truncate = if use_merge {
-            None
-        } else {
-            Some(db.prepare(truncate_exp())?)
-        };
-        let merge_from = if !use_merge && merge_supported {
-            Some(db.prepare(&gen.merge_from_exp())?)
-        } else {
-            None
-        };
-        let (update_from, insert_from) = if !use_merge && !merge_supported {
-            (
-                Some(db.prepare(&gen.update_from_exp())?),
-                Some(db.prepare(&gen.insert_from_exp())?),
-            )
-        } else {
-            (None, None)
-        };
+        let expansion = Expansion::prepare(db, &gen, FrontierPred::ByNid, mode)?;
         let settle = db.prepare(&gen.settle_by_nid())?;
         let settled = db.prepare(&gen.settled())?;
         let dist_of = db.prepare(&gen.dist_of())?;
@@ -106,34 +60,8 @@ impl ShortestPathFinder for DjFinder {
             runner.scalar_prepared(Phase::StatsCollection, FemOperator::F, &select_mid, &[])?
         {
             // E + M operators with `q.nid = mid` (Listing 2(3)/(4)).
-            let params = expand_params(self.style, FrontierPred::ByNid, Some(mid), 0, bound)?;
-            if use_merge {
-                runner.exec_prepared(Phase::PathExpansion, FemOperator::E, &expand, &params)?;
-            } else {
-                runner.exec_prepared(
-                    Phase::PathExpansion,
-                    FemOperator::Aux,
-                    need(&truncate, "truncate_exp")?,
-                    &[],
-                )?;
-                runner.exec_prepared(Phase::PathExpansion, FemOperator::E, &expand, &params)?;
-                if let Some(m) = &merge_from {
-                    runner.exec_prepared(Phase::PathExpansion, FemOperator::M, m, &[])?;
-                } else {
-                    runner.exec_prepared(
-                        Phase::PathExpansion,
-                        FemOperator::M,
-                        need(&update_from, "update_from_exp")?,
-                        &[],
-                    )?;
-                    runner.exec_prepared(
-                        Phase::PathExpansion,
-                        FemOperator::M,
-                        need(&insert_from, "insert_from_exp")?,
-                        &[],
-                    )?;
-                }
-            }
+            let params = expand_params(SqlStyle::New, FrontierPred::ByNid, Some(mid), 0, bound)?;
+            expansion.run(&mut runner, &params)?;
             runner.stats.expansions += 1;
             // Listing 3(2): finalize `mid`.
             runner.exec_prepared(

@@ -22,9 +22,10 @@ pub use batch::{BatchBdjFinder, BatchOutcome, BatchShortestPathFinder};
 pub use bidi::{BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, FrontierPolicy};
 pub use dj::DjFinder;
 
-use crate::graphdb::{GraphDb, NO_NODE};
+use crate::graphdb::{GraphDb, INF, NO_NODE};
+use crate::sqlgen::{EmMode, FrontierPred, SqlGen};
 use crate::stats::{FemOperator, Phase, QueryStats};
-use fempath_sql::{ExecOutcome, PreparedStmt, Result, SqlError};
+use fempath_sql::{Database, ExecOutcome, PreparedStmt, Result, SqlError};
 use fempath_storage::Value;
 use std::time::Instant;
 
@@ -140,15 +141,46 @@ impl<'a> Runner<'a> {
     }
 }
 
-/// The prepared statement the current mode is required to carry. Absence
-/// is a wiring bug between prepare-time and run-time mode flags —
-/// surfaced as a typed error, not a panic.
-pub(crate) fn need<'a>(
-    stmt: &'a Option<PreparedStmt>,
-    name: &'static str,
-) -> Result<&'a PreparedStmt> {
-    stmt.as_ref()
-        .ok_or_else(|| SqlError::Eval(format!("mode bug: {name} statement not prepared")))
+/// One expansion's E and M operators, prepared: the statements
+/// [`SqlGen::expansion`] lists for the search's [`EmMode`], run in order.
+pub(crate) struct Expansion(Vec<(FemOperator, PreparedStmt)>);
+
+impl Expansion {
+    pub fn prepare(
+        db: &mut Database,
+        gen: &SqlGen,
+        frontier: FrontierPred,
+        mode: EmMode,
+    ) -> Result<Expansion> {
+        gen.expansion(frontier, mode)
+            .into_iter()
+            .map(|(op, sql)| Ok((op, db.prepare(&sql)?)))
+            .collect::<Result<_>>()
+            .map(Expansion)
+    }
+
+    /// Runs the expansion; `params` ([`crate::sqlgen::expand_params`]) go
+    /// to the E-operator statement.
+    pub fn run(&self, runner: &mut Runner<'_>, params: &[Value]) -> Result<()> {
+        for (op, stmt) in &self.0 {
+            let params = if *op == FemOperator::E { params } else { &[] };
+            runner.exec_prepared(Phase::PathExpansion, *op, stmt, params)?;
+        }
+        Ok(())
+    }
+}
+
+/// The landmark-seeded ceiling for an expansion's pruning term (DESIGN.md
+/// §12): every prefix of an optimal path has distance `<= D <= U`, so
+/// relaxing up to (but excluding) `U + 1` preserves exactness while
+/// skipping candidates strictly above the triangle-inequality bound.
+/// [`INF`] when seeding is off or no landmark index exists.
+pub(crate) fn seeded_ceiling(gdb: &mut GraphDb, s: i64, t: i64, seed: bool) -> Result<i64> {
+    if !seed || gdb.landmarks().is_none() {
+        return Ok(INF);
+    }
+    let upper = crate::landmarks::upper_bound(gdb, s, t)?;
+    Ok(upper.map_or(INF, |u| u.saturating_add(1).min(INF)))
 }
 
 /// Walks predecessor links from `from` back to `anchor` (Listing 3(3))

@@ -6,6 +6,8 @@
 
 use crate::landmarks::{LandmarkSelection, LandmarkStats};
 use crate::segtable::SegTableStats;
+use crate::sqlgen::EmMode;
+use crate::stats::SqlStyle;
 use fempath_graph::{load_graph, load_graph_bulk, BulkLoadOptions, Graph, IndexKind, LoadOptions};
 use fempath_sql::{Database, DbSnapshot, Dialect, Result, SqlError};
 
@@ -394,8 +396,8 @@ impl GraphDb {
         Ok(())
     }
 
-    /// (Re)creates the `TExp` temp table used by the TSQL / no-MERGE
-    /// expansion paths (TRUNCATE when it already exists, like
+    /// (Re)creates the `TExp` temp table the split [`EmMode`]s expand
+    /// into (TRUNCATE when it already exists, like
     /// [`GraphDb::reset_visited`]).
     pub fn reset_exp(&mut self) -> Result<()> {
         if self.db.has_table("TExp") {
@@ -407,9 +409,21 @@ impl GraphDb {
         Ok(())
     }
 
-    /// True when the expansion must avoid MERGE (PostgreSQL dialect).
-    pub fn merge_supported(&self) -> bool {
-        self.db.dialect().supports_merge
+    /// How a FEM search on this database runs its E and M operators: the
+    /// one decision of [`EmMode::choose`], under this database's dialect.
+    pub fn em_mode(&self, style: SqlStyle, split_operators: bool) -> EmMode {
+        EmMode::choose(style, self.db.dialect().supports_merge, split_operators)
+    }
+
+    /// Starts a FEM search: empties `TVisited`, and `TExp` when the search's
+    /// [`GraphDb::em_mode`] goes through it, and returns that mode.
+    pub fn reset_search(&mut self, style: SqlStyle, split_operators: bool) -> Result<EmMode> {
+        self.reset_visited()?;
+        let mode = self.em_mode(style, split_operators);
+        if mode != EmMode::Fused {
+            self.reset_exp()?;
+        }
+        Ok(mode)
     }
 
     /// The steady-state reset statements (every table already exists after
@@ -454,7 +468,6 @@ impl GraphDb {
     /// every returned report to zero diagnostics.
     pub fn analyze_all_statements(&mut self) -> Result<Vec<(String, fempath_sql::Report)>> {
         use crate::sqlgen::{AnnotatedSql, Dir, EdgeSource, SqlGen};
-        use crate::stats::SqlStyle;
 
         self.reset_visited()?;
         self.reset_exp()?;
@@ -486,14 +499,9 @@ impl GraphDb {
                 corpus.extend(crate::landmarks::statement_corpus());
             }
             if has_segs {
-                corpus.extend(crate::segtable::build_statement_corpus(
-                    SqlStyle::New,
-                    merge,
-                ));
-                corpus.extend(crate::segtable::build_statement_corpus(
-                    SqlStyle::Traditional,
-                    false,
-                ));
+                for style in [SqlStyle::New, SqlStyle::Traditional] {
+                    corpus.extend(crate::segtable::build_statement_corpus(style, merge));
+                }
             }
             for a in corpus {
                 let opts = fempath_sql::AnalyzeOptions {

@@ -12,7 +12,7 @@
 //! reads the same `TOutSegs` rows the forward one does.
 
 use crate::graphdb::{GraphDb, SegTableInfo};
-use crate::sqlgen::AnnotatedSql;
+use crate::sqlgen::{AnnotatedSql, EmMode};
 use crate::stats::SqlStyle;
 use fempath_graph::IndexKind;
 use fempath_sql::{Result, SqlError};
@@ -108,7 +108,8 @@ pub(crate) fn create_working_tables(db: &mut fempath_sql::Database) -> Result<()
 /// the static analyzer. All statements are cold — the build runs once per
 /// database, offline. `TSegV`/`TSegExp` are dropped after a real build, so
 /// the corpus walker recreates them while analyzing.
-pub fn build_statement_corpus(style: SqlStyle, use_merge: bool) -> Vec<AnnotatedSql> {
+pub fn build_statement_corpus(style: SqlStyle, merge_supported: bool) -> Vec<AnnotatedSql> {
+    let use_merge = EmMode::choose(style, merge_supported, false) == EmMode::Fused;
     let t = match style {
         SqlStyle::New => "seg/nsql",
         SqlStyle::Traditional => "seg/tsql",
@@ -198,7 +199,9 @@ pub fn build_segtable_with(gdb: &mut GraphDb, lthd: i64, style: SqlStyle) -> Res
     gdb.db.execute(CREATE_TSEGV_IDX)?;
     gdb.db.execute(SEED_TSEGV)?;
 
-    let use_merge = gdb.merge_supported() && style == SqlStyle::New;
+    // The construction never splits its operators for timing: one fused
+    // MERGE, or the UPDATE + INSERT pair.
+    let use_merge = gdb.em_mode(style, false) == EmMode::Fused;
     if !use_merge {
         gdb.db.execute(CREATE_TSEGEXP)?;
     }

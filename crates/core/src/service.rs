@@ -87,10 +87,10 @@ pub enum ServiceAlgorithm {
 impl ServiceAlgorithm {
     fn finder(self) -> Box<dyn ShortestPathFinder + Send> {
         match self {
-            ServiceAlgorithm::Dj => Box::new(DjFinder::default()),
+            ServiceAlgorithm::Dj => Box::new(DjFinder),
             ServiceAlgorithm::Bdj => Box::new(BdjFinder::default()),
             ServiceAlgorithm::Bsdj => Box::new(BsdjFinder::default()),
-            ServiceAlgorithm::Bbfs => Box::new(BbfsFinder::default()),
+            ServiceAlgorithm::Bbfs => Box::new(BbfsFinder),
         }
     }
 }

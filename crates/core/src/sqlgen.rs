@@ -12,12 +12,17 @@
 //!   (aggregate-join + UPDATE/INSERT), plus the no-MERGE fallback forced by
 //!   the PostgreSQL dialect (§5.2).
 //!
+//! Which statements run one expansion's E and M operators — one fused
+//! MERGE, or E into `TExp` followed by a MERGE or an UPDATE + INSERT — is
+//! decided in one place, [`EmMode::choose`], for every shortest-path
+//! search: the finders, single-source search and the SegTable build.
+//!
 //! Every expansion statement carries the bidirectional pruning term of
 //! Theorem 1 — `e.cost + q.dist + ? < ?` with parameters `(l_other,
 //! minCost)`; passing `(0, INF)` disables pruning.
 
 use crate::graphdb::{INF, NO_NODE};
-use crate::stats::SqlStyle;
+use crate::stats::{FemOperator, SqlStyle};
 
 /// One generated statement plus the metadata the static analyzer needs:
 /// a stable corpus name and whether the statement is *hot-path* — executed
@@ -128,6 +133,40 @@ pub enum FrontierPred {
     ByNid,
     /// `q.flag = 2` — the marked-set expansion of Listing 4(2).
     Marked,
+}
+
+/// How one expansion runs its E and M operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EmMode {
+    /// One MERGE with the E-operator inline (Listing 4(2)).
+    Fused,
+    /// E-operator into `TExp`, then the M-operator as a MERGE from it —
+    /// the Fig 6(c) per-operator measurement mode.
+    SplitMerge,
+    /// E-operator into `TExp`, then the M-operator as UPDATE … FROM plus an
+    /// INSERT of the rest: TSQL, and every search on a dialect without
+    /// MERGE.
+    SplitUpdateInsert,
+}
+
+impl EmMode {
+    /// The one E/M decision. TSQL and a dialect without MERGE both mean no
+    /// MERGE at all (§3.3, §5.2); otherwise the E-operator is fused into
+    /// the MERGE unless the caller asked for separately timed operators.
+    pub fn choose(style: SqlStyle, merge_supported: bool, split_operators: bool) -> EmMode {
+        if style == SqlStyle::Traditional || !merge_supported {
+            EmMode::SplitUpdateInsert
+        } else if split_operators {
+            EmMode::SplitMerge
+        } else {
+            EmMode::Fused
+        }
+    }
+
+    /// True when the M-operator is a MERGE.
+    pub fn uses_merge(self) -> bool {
+        self != EmMode::SplitUpdateInsert
+    }
 }
 
 /// Statement generator for one direction.
@@ -277,6 +316,15 @@ impl SqlGen {
         )
     }
 
+    /// This generator's E-operator source: the window function (NSQL) or
+    /// the aggregate-join (TSQL).
+    fn e_source(&self, frontier: FrontierPred) -> String {
+        match self.style {
+            SqlStyle::New => self.window_source(frontier),
+            SqlStyle::Traditional => self.aggregate_source(frontier),
+        }
+    }
+
     fn frontier_pred(&self, frontier: FrontierPred) -> String {
         let (_, _, flag, ..) = self.dir.cols();
         match frontier {
@@ -286,15 +334,10 @@ impl SqlGen {
     }
 
     /// The fused E+M statement (Listing 4(2)): MERGE with the E-operator
-    /// inline. Requires a MERGE-capable dialect and NSQL style.
-    /// Params: `[nid?]`, `l_other`, `minCost` (ByNid adds the leading one,
-    /// and the aggregate source repeats the pruning pair).
+    /// inline ([`EmMode::Fused`]). Params: [`expand_params`].
     pub fn expand_merge(&self, frontier: FrontierPred) -> String {
         let (dist, pred, flag, odist, opred, oflag) = self.dir.cols();
-        let source = match self.style {
-            SqlStyle::New => self.window_source(frontier),
-            SqlStyle::Traditional => self.aggregate_source(frontier),
-        };
+        let source = self.e_source(frontier);
         format!(
             "MERGE INTO TVisited AS target USING ({source}) AS source (nid, np, cost) \
              ON source.nid = target.nid \
@@ -306,17 +349,16 @@ impl SqlGen {
         )
     }
 
-    /// E-operator into the `TExp` temp table (split-operator mode and the
-    /// no-MERGE dialect path). Same parameters as [`SqlGen::expand_merge`].
+    /// E-operator into the `TExp` temp table (both split modes). Same
+    /// parameters as [`SqlGen::expand_merge`].
     pub fn expand_into_exp(&self, frontier: FrontierPred) -> String {
-        let source = match self.style {
-            SqlStyle::New => self.window_source(frontier),
-            SqlStyle::Traditional => self.aggregate_source(frontier),
-        };
-        format!("INSERT INTO TExp (nid, p2s, cost) {source}")
+        format!(
+            "INSERT INTO TExp (nid, p2s, cost) {}",
+            self.e_source(frontier)
+        )
     }
 
-    /// M-operator from `TExp` via MERGE (split-operator mode).
+    /// M-operator from `TExp` via MERGE ([`EmMode::SplitMerge`]).
     pub fn merge_from_exp(&self) -> String {
         let (dist, pred, flag, odist, opred, oflag) = self.dir.cols();
         format!(
@@ -329,7 +371,7 @@ impl SqlGen {
         )
     }
 
-    /// M-operator, update half (the traditional / PostgreSQL path).
+    /// M-operator, update half ([`EmMode::SplitUpdateInsert`]).
     pub fn update_from_exp(&self) -> String {
         let (dist, pred, flag, ..) = self.dir.cols();
         format!(
@@ -338,7 +380,7 @@ impl SqlGen {
         )
     }
 
-    /// M-operator, insert half (the traditional / PostgreSQL path).
+    /// M-operator, insert half ([`EmMode::SplitUpdateInsert`]).
     pub fn insert_from_exp(&self) -> String {
         let (dist, pred, flag, odist, opred, oflag) = self.dir.cols();
         format!(
@@ -346,6 +388,27 @@ impl SqlGen {
              SELECT nid, cost, p2s, 0, {INF}, {NO_NODE}, 0 FROM TExp \
              WHERE nid NOT IN (SELECT nid FROM TVisited WHERE nid IS NOT NULL)"
         )
+    }
+
+    /// One expansion's E and M statements under `mode`, in execution order,
+    /// each with the operator it is timed as. Only the E-operator statement
+    /// takes parameters ([`expand_params`]); the split modes open with the
+    /// `TExp` truncate.
+    pub fn expansion(&self, frontier: FrontierPred, mode: EmMode) -> Vec<(FemOperator, String)> {
+        if mode == EmMode::Fused {
+            return vec![(FemOperator::E, self.expand_merge(frontier))];
+        }
+        let mut out = vec![
+            (FemOperator::Aux, truncate_exp().to_string()),
+            (FemOperator::E, self.expand_into_exp(frontier)),
+        ];
+        if mode.uses_merge() {
+            out.push((FemOperator::M, self.merge_from_exp()));
+        } else {
+            out.push((FemOperator::M, self.update_from_exp()));
+            out.push((FemOperator::M, self.insert_from_exp()));
+        }
+        out
     }
 
     /// Listing 3(3) / Algorithm 2 line 18: predecessor (or successor) of a
@@ -386,7 +449,8 @@ impl SqlGen {
 
     /// Every statement this generator can emit, annotated for the static
     /// analyzer ([`AnnotatedSql`]). MERGE statements are included only when
-    /// `merge_supported` — the finders make the same dialect choice.
+    /// [`EmMode::choose`] can pick one for this style and dialect
+    /// (`merge_supported`): the corpus holds what the searches can run.
     ///
     /// Hot statements: the ByNid expansions (one index probe per expanded
     /// node) and the by-`nid` settle UPDATE (Listing 3(2)) — DJ's and BDJ's
@@ -422,7 +486,7 @@ impl SqlGen {
             AnnotatedSql::hot(format!("{t}/dist_of"), self.dist_of()),
             AnnotatedSql::hot(format!("{t}/settled"), self.settled()),
         ];
-        if merge_supported {
+        if EmMode::choose(self.style, merge_supported, false).uses_merge() {
             out.push(AnnotatedSql::hot(
                 format!("{t}/expand_merge/by_nid"),
                 self.expand_merge(FrontierPred::ByNid),
@@ -563,10 +627,51 @@ mod tests {
     #[test]
     fn traditional_style_avoids_window_functions() {
         let g = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::Traditional);
-        let m = g.expand_merge(FrontierPred::Marked);
+        let m = g.expand_into_exp(FrontierPred::Marked);
         assert!(!m.contains("ROW_NUMBER"));
         assert!(m.to_uppercase().contains("GROUP BY"));
         let n = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
         assert!(n.expand_merge(FrontierPred::Marked).contains("ROW_NUMBER"));
+    }
+
+    #[test]
+    fn one_em_decision_for_every_style_and_dialect() {
+        use EmMode::*;
+        use SqlStyle::*;
+        // (style, merge supported, split operators) -> mode
+        let table = [
+            ((New, true, false), Fused),
+            ((New, true, true), SplitMerge),
+            ((New, false, false), SplitUpdateInsert),
+            ((New, false, true), SplitUpdateInsert),
+            ((Traditional, true, false), SplitUpdateInsert),
+            ((Traditional, true, true), SplitUpdateInsert),
+            ((Traditional, false, false), SplitUpdateInsert),
+            ((Traditional, false, true), SplitUpdateInsert),
+        ];
+        for ((style, merge, split), want) in table {
+            assert_eq!(
+                EmMode::choose(style, merge, split),
+                want,
+                "{style:?} {merge} {split}"
+            );
+        }
+        // The statements follow the mode: TSQL issues no MERGE, and only
+        // the E-operator statement is parameterized.
+        for (style, mode, ops) in [
+            (New, Fused, "E"),
+            (New, SplitMerge, "Aux E M"),
+            (Traditional, SplitUpdateInsert, "Aux E M M"),
+        ] {
+            let g = SqlGen::new(Dir::Bwd, EdgeSource::Edges, style);
+            let stmts = g.expansion(FrontierPred::Marked, mode);
+            let got: Vec<String> = stmts.iter().map(|(op, _)| format!("{op:?}")).collect();
+            assert_eq!(got.join(" "), ops, "{mode:?}");
+            for (op, sql) in &stmts {
+                assert_eq!(sql.contains('?'), *op == FemOperator::E, "{sql}");
+            }
+            let merges = stmts.iter().filter(|(_, sql)| sql.starts_with("MERGE"));
+            assert_eq!(merges.count(), usize::from(mode.uses_merge()), "{mode:?}");
+        }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::graphdb::{GraphDb, INF, NO_NODE};
 use crate::sqlgen::{expand_params, Dir, EdgeSource, FrontierPred, SqlGen};
-use crate::stats::SqlStyle;
+use crate::stats::{FemOperator, SqlStyle};
 use fempath_sql::{Result, SqlError};
 use fempath_storage::Value;
 
@@ -34,12 +34,10 @@ pub struct SsspResult {
 /// in SQL (forward set-Dijkstra over the FEM operators).
 pub fn single_source(gdb: &mut GraphDb, s: i64) -> Result<SsspResult> {
     gdb.check_node(s)?;
-    gdb.reset_visited()?;
+    let mode = gdb.reset_search(SqlStyle::New, false)?;
     let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
-    let use_merge = gdb.merge_supported();
-    if !use_merge {
-        gdb.reset_exp()?;
-    }
+    let expansion = gen.expansion(FrontierPred::Marked, mode);
+    let params = expand_params(SqlStyle::New, FrontierPred::Marked, None, 0, INF)?;
     gdb.db
         .execute_params(&SqlGen::init(Dir::Fwd), &[Value::Int(s), Value::Int(s)])?;
 
@@ -57,16 +55,9 @@ pub fn single_source(gdb: &mut GraphDb, s: i64) -> Result<SsspResult> {
         if marked == 0 {
             break;
         }
-        let params = expand_params(SqlStyle::New, FrontierPred::Marked, None, 0, INF)?;
-        if use_merge {
-            gdb.db
-                .execute_params(&gen.expand_merge(FrontierPred::Marked), &params)?;
-        } else {
-            gdb.db.execute("TRUNCATE TABLE TExp")?;
-            gdb.db
-                .execute_params(&gen.expand_into_exp(FrontierPred::Marked), &params)?;
-            gdb.db.execute(&gen.update_from_exp())?;
-            gdb.db.execute(&gen.insert_from_exp())?;
+        for (op, sql) in &expansion {
+            let params: &[Value] = if *op == FemOperator::E { &params } else { &[] };
+            gdb.db.execute_params(sql, params)?;
         }
         gdb.db.execute(&gen.reset_frontier())?;
         l = gdb

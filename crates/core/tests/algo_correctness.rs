@@ -2,10 +2,11 @@
 //! in-memory Dijkstra oracle, across graph families, SQL styles, dialects
 //! and index strategies.
 
-use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, FrontierPred, SqlGen};
+use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
 use fempath_core::{
     build_segtable_with, prim_mst, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder,
-    FrontierPolicy, GraphDb, GraphDbOptions, PathOutcome, ShortestPathFinder, SqlStyle, INF,
+    FemOperator, FrontierPolicy, GraphDb, GraphDbOptions, PathOutcome, ShortestPathFinder,
+    SqlStyle, INF,
 };
 use fempath_graph::{generate, Graph, IndexKind};
 use fempath_inmem::dijkstra;
@@ -102,7 +103,7 @@ fn sample_pairs(n: usize, count: usize) -> Vec<(i64, i64)> {
 fn dj_matches_oracle_on_figure1() {
     let g = figure1();
     let mut gdb = GraphDb::in_memory(&g).unwrap();
-    let finder = DjFinder::default();
+    let finder = DjFinder;
     for s in 0..11i64 {
         for t in 0..11i64 {
             let out = finder.find_path(&mut gdb, s, t).unwrap();
@@ -119,7 +120,7 @@ fn all_bidirectional_finders_match_oracle_on_figure1() {
     let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
         Box::new(BdjFinder::default()),
         Box::new(BsdjFinder::default()),
-        Box::new(BbfsFinder::default()),
+        Box::new(BbfsFinder),
         Box::new(BsegFinder::default()),
     ];
     for f in &finders {
@@ -141,7 +142,7 @@ fn finders_match_oracle_on_power_law_graph() {
     let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
         Box::new(BdjFinder::default()),
         Box::new(BsdjFinder::default()),
-        Box::new(BbfsFinder::default()),
+        Box::new(BbfsFinder),
         Box::new(BsegFinder::default()),
     ];
     for f in &finders {
@@ -158,7 +159,7 @@ fn finders_match_oracle_on_random_graph_with_disconnections() {
     let pairs = sample_pairs(200, 15);
     let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
         Box::new(BsdjFinder::default()),
-        Box::new(BbfsFinder::default()),
+        Box::new(BbfsFinder),
         Box::new(BsegFinder::default()),
     ];
     for f in &finders {
@@ -183,32 +184,75 @@ fn finders_match_oracle_on_grid() {
 
 #[test]
 fn traditional_sql_style_is_equally_correct() {
+    // TSQL statements (BSDJ, the finder Fig 6(d) runs them on) and a
+    // SegTable built with TSQL statements, read by BSEG.
     let g = generate::power_law(200, 3, 1..=100, 21);
     let mut gdb = GraphDb::in_memory(&g).unwrap();
     build_segtable_with(&mut gdb, 25, SqlStyle::Traditional).unwrap();
     let pairs = sample_pairs(200, 8);
     let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
-        Box::new(DjFinder {
-            style: SqlStyle::Traditional,
-            ..Default::default()
-        }),
         Box::new(BsdjFinder {
             style: SqlStyle::Traditional,
             ..Default::default()
         }),
-        Box::new(BsegFinder {
-            style: SqlStyle::Traditional,
-            ..Default::default()
-        }),
+        Box::new(BsegFinder::default()),
     ];
     for f in &finders {
-        // DJ is slow: fewer pairs.
-        let ps = if f.name() == "DJ" {
-            &pairs[..3]
-        } else {
-            &pairs[..]
-        };
-        all_pairs_check(&g, f.as_ref(), &mut gdb, ps);
+        all_pairs_check(&g, f.as_ref(), &mut gdb, &pairs);
+    }
+}
+
+/// The one E/M decision ([`EmMode::choose`]) changes how an expansion is
+/// spelled, never what it does: BSDJ under every mode — fused MERGE, split
+/// through `TExp` with a MERGE, TSQL's UPDATE + INSERT, and the no-MERGE
+/// dialect's — expands and visits exactly the same, and issues exactly
+/// `expansions × (statements per expansion − 1)` more statements than the
+/// fused run. TSQL issues the UPDATE + INSERT pair on a dialect with MERGE.
+#[test]
+fn every_em_mode_runs_the_same_search() {
+    let g = generate::power_law(150, 3, 1..=100, 43);
+    let pairs = sample_pairs(150, 6);
+    let postgres = GraphDbOptions {
+        dialect: Dialect::POSTGRES,
+        ..Default::default()
+    };
+    let bsdj = BsdjFinder::default();
+    let split = BsdjFinder {
+        split_operators: true,
+        ..bsdj
+    };
+    let tsql = BsdjFinder {
+        style: SqlStyle::Traditional,
+        ..bsdj
+    };
+    let dbms_x = GraphDbOptions::default;
+    let runs = [
+        (dbms_x(), bsdj, EmMode::Fused, 1),
+        (dbms_x(), split, EmMode::SplitMerge, 3),
+        (dbms_x(), tsql, EmMode::SplitUpdateInsert, 4),
+        (postgres, bsdj, EmMode::SplitUpdateInsert, 4),
+    ];
+    let mut fused = None;
+    for (opts, finder, mode, per_expansion) in runs {
+        let mut gdb = GraphDb::new(&g, &opts).unwrap();
+        assert_eq!(gdb.em_mode(finder.style, finder.split_operators), mode);
+        let mut seen = Vec::new();
+        for &(s, t) in &pairs {
+            let out = finder.find_path(&mut gdb, s, t).unwrap();
+            check(&g, &out, s, t, &format!("BSDJ {mode:?}"));
+            let st = &out.stats;
+            let work = (out.path.map(|p| p.length), st.expansions, st.visited_nodes);
+            seen.push((work, st.sql_statements));
+        }
+        let fused = fused.get_or_insert_with(|| seen.clone());
+        for ((work, stmts), (fused_work, fused_stmts)) in seen.iter().zip(fused.iter()) {
+            assert_eq!(work, fused_work, "{mode:?}");
+            assert_eq!(
+                stmts - fused_stmts,
+                work.1 * (per_expansion - 1),
+                "{mode:?}"
+            );
+        }
     }
 }
 
@@ -227,7 +271,7 @@ fn postgres_dialect_without_merge_is_equally_correct() {
     let pairs = sample_pairs(200, 8);
     let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
         Box::new(BsdjFinder::default()),
-        Box::new(BbfsFinder::default()),
+        Box::new(BbfsFinder),
         Box::new(BsegFinder::default()),
     ];
     for f in &finders {
@@ -247,7 +291,6 @@ fn split_operator_mode_is_equally_correct() {
     all_pairs_check(&g, &finder, &mut gdb, &pairs);
     // Split mode actually fills the per-operator buckets.
     let out = finder.find_path(&mut gdb, 0, 100).unwrap();
-    use fempath_core::FemOperator;
     assert!(out.stats.operator(FemOperator::E) > std::time::Duration::ZERO);
     assert!(out.stats.operator(FemOperator::M) > std::time::Duration::ZERO);
     assert!(out.stats.operator(FemOperator::F) > std::time::Duration::ZERO);
@@ -328,7 +371,7 @@ fn bbfs_uses_fewest_expansions_but_most_visited() {
     let g = generate::random_graph(2000, 3, 1..=100, 91);
     let mut gdb = GraphDb::in_memory(&g).unwrap();
     let bsdj = BsdjFinder::default().find_path(&mut gdb, 0, 1000).unwrap();
-    let bbfs = BbfsFinder::default().find_path(&mut gdb, 0, 1000).unwrap();
+    let bbfs = BbfsFinder.find_path(&mut gdb, 0, 1000).unwrap();
     assert!(bsdj.path.is_some() && bbfs.path.is_some());
     assert!(
         bbfs.stats.expansions < bsdj.stats.expansions,
@@ -461,11 +504,7 @@ fn drive_by_hand(
     let scalar = |gdb: &mut GraphDb, sql: &str, params: &[Value]| -> Option<i64> {
         gdb.db.query_params(sql, params).unwrap().scalar_i64()
     };
-    gdb.reset_visited().unwrap();
-    let split = !gdb.merge_supported();
-    if split {
-        gdb.reset_exp().unwrap();
-    }
+    let mode = gdb.reset_search(style, false).unwrap();
     for (dir, node) in [(Dir::Fwd, s), (Dir::Bwd, t)] {
         gdb.db
             .execute_params(&SqlGen::init(dir), &[int(node), int(node)])
@@ -531,17 +570,9 @@ fn drive_by_hand(
             FrontierPred::Marked
         };
         let params = expand_params(style, pred, mid, l[1 - d], seen.min_cost).unwrap();
-        if split {
-            gdb.db.execute("TRUNCATE TABLE TExp").unwrap();
-            gdb.db
-                .execute_params(&gen.expand_into_exp(pred), &params)
-                .unwrap();
-            gdb.db.execute(&gen.update_from_exp()).unwrap();
-            gdb.db.execute(&gen.insert_from_exp()).unwrap();
-        } else {
-            gdb.db
-                .execute_params(&gen.expand_merge(pred), &params)
-                .unwrap();
+        for (op, sql) in gen.expansion(pred, mode) {
+            let params: &[Value] = if op == FemOperator::E { &params } else { &[] };
+            gdb.db.execute_params(&sql, params).unwrap();
         }
         match mid {
             Some(mid) => {

@@ -1,7 +1,7 @@
 //! femcheck layer 2 — the workspace *source* auditor (DESIGN.md §15).
 //!
 //! Where the SQL analyzer (`fempath_sql::analyze`) checks the statements
-//! the engine generates, this crate checks the engine's own source. Seven
+//! the engine generates, this crate checks the engine's own source. Eight
 //! plain-text, line-level rules, no dependencies, no proc macros:
 //!
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
@@ -33,6 +33,11 @@
 //!    index lookup (`lookup_eq…`): the reference scans and nested-loops,
 //!    so a wrong access-path decision cannot show up on both sides of a
 //!    differential test.
+//! 8. **one-em-decision** — under `crates/core/src/`, only `graphdb.rs`
+//!    reads the dialect's MERGE support (`supports_merge`), in
+//!    `GraphDb::em_mode`: every shortest-path search takes its E/M
+//!    statements from that one decision (`EmMode::choose`), so no search
+//!    can spell its expansion differently from the others.
 //!
 //! The rule needles are assembled at runtime from fragments so this
 //! crate's own source never contains them verbatim (the auditor audits
@@ -95,6 +100,7 @@ struct Needles {
     interpreter_call: String,
     planner_names: [String; 4],
     env_read: String,
+    merge_support: String,
 }
 
 impl Needles {
@@ -121,6 +127,7 @@ impl Needles {
                 ["Probe", "Path"].concat(),
             ],
             env_read: ["env::", "var"].concat(),
+            merge_support: ["supports_", "merge"].concat(),
         }
     }
 }
@@ -184,6 +191,11 @@ fn planner_name<'n>(line: &str, needles: &'n Needles) -> Option<&'n str> {
         .map(String::as_str)
         .find(|name| line.contains(name))
 }
+
+/// The crate whose FEM searches rule 8 holds to one E/M decision, and the
+/// one file in it that may read the dialect's MERGE support.
+const EM_DECISION_SRC: &str = "crates/core/src/";
+const EM_DECISION_OWNER: &str = "crates/core/src/graphdb.rs";
 
 /// The crates rule 6 keeps free of environment reads.
 const KNOB_FREE_SRC: [&str; 5] = [
@@ -281,6 +293,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
         let wants_ordering = rel.ends_with("/engine.rs") || rel.ends_with("/dispatch.rs");
         let knob_free = KNOB_FREE_SRC.iter().any(|p| rel.starts_with(p));
         let is_reference = rel.starts_with(REFERENCE_SRC);
+        let em_decided_elsewhere = rel.starts_with(EM_DECISION_SRC) && rel != EM_DECISION_OWNER;
         let mut in_test_region = false;
 
         for (i, &line) in lines.iter().enumerate() {
@@ -390,6 +403,20 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                         ),
                     });
                 }
+            }
+
+            // Rule 8: the dialect's MERGE support is read in one place.
+            if em_decided_elsewhere && code.contains(needles.merge_support.as_str()) {
+                violations.push(Violation {
+                    file: rel.clone(),
+                    line: lineno,
+                    rule: "one-em-decision",
+                    msg: format!(
+                        "`{}` read outside `{EM_DECISION_OWNER}` — take the expansion's \
+                         statements from `GraphDb::em_mode` / `EmMode::choose`",
+                        needles.merge_support
+                    ),
+                });
             }
 
             // Rule 3 (counting pass): unwraps in library code.
@@ -516,6 +543,32 @@ mod tests {
                 ("crates/sql/src/exec/mod.rs", "reference-stays-naive"),
             ]
         );
+    }
+
+    #[test]
+    fn em_decisions_are_spotted_outside_graphdb_only() {
+        let n = Needles::new();
+        let dir = std::env::temp_dir().join(format!("xtask-em-{}", std::process::id()));
+        let read = format!("let merge = db.dialect().{};\n", n.merge_support);
+        let commented = format!(
+            "let m = gdb.em_mode(style, false); // not {}\n",
+            n.merge_support
+        );
+        for (rel, text) in [
+            ("crates/core/src/algo/dj.rs", read.as_str()),
+            ("crates/core/src/sssp.rs", commented.as_str()),
+            ("crates/core/src/graphdb.rs", read.as_str()),
+            ("crates/sql/src/engine.rs", read.as_str()),
+            ("crates/core/tests/algo.rs", read.as_str()),
+        ] {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let found = lint(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let hits: Vec<(&str, &str)> = found.iter().map(|v| (v.file.as_str(), v.rule)).collect();
+        assert_eq!(hits, [("crates/core/src/algo/dj.rs", "one-em-decision")]);
     }
 
     #[test]

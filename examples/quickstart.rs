@@ -53,10 +53,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
-        Box::new(DjFinder::default()),
+        Box::new(DjFinder),
         Box::new(BdjFinder::default()),
         Box::new(BsdjFinder::default()),
-        Box::new(BbfsFinder::default()),
+        Box::new(BbfsFinder),
         Box::new(BsegFinder::default()),
     ];
     println!("\nshortest path s -> t (expected length 14):");

@@ -48,10 +48,10 @@ fn check_graph(name: &str, g: &Graph, n: usize, queries: usize) {
     let mut gdb = GraphDb::in_memory(g).unwrap();
     gdb.build_segtable(10).unwrap();
     let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
-        Box::new(DjFinder::default()),
+        Box::new(DjFinder),
         Box::new(BdjFinder::default()),
         Box::new(BsdjFinder::default()),
-        Box::new(BbfsFinder::default()),
+        Box::new(BbfsFinder),
         Box::new(BsegFinder::default()),
     ];
     for (s, t) in query_pairs(n, queries) {
@@ -239,14 +239,15 @@ fn batched_finders_work_without_merge_support() {
 }
 
 /// Landmark-seeded bounds must be invisible in the answers: every finder
-/// with `seed_bounds` on returns exactly the distances of its unseeded
-/// twin and of in-memory Dijkstra — including unreachable and s == t
-/// pairs — in both SQL dialects. A wrong (too-small)
-/// seeded ceiling would prune the optimal path itself, so any divergence
-/// here is an inadmissible bound escaping the property suite.
+/// on a database with a landmark index (which seeds its pruning ceiling)
+/// returns exactly the distances it returns on the same graph without one
+/// (unseeded) and those of in-memory Dijkstra — including unreachable and
+/// s == t pairs — in both SQL dialects. A wrong (too-small) seeded ceiling
+/// would prune the optimal path itself, so any divergence here is an
+/// inadmissible bound escaping the property suite.
 #[test]
 fn landmark_seeding_never_changes_any_answer() {
-    use fempath::core::GraphDbOptions;
+    use fempath::core::{GraphDbOptions, SqlStyle};
     use fempath::sql::Dialect;
     // dblp_like leaves isolated nodes: unreachable pairs stress the
     // bounds-say-nothing fallback.
@@ -256,78 +257,40 @@ fn landmark_seeding_never_changes_any_answer() {
     if let Some(v) = (0..120u32).find(|&v| g.out_arcs(v).is_empty()) {
         pairs.push((0, v as i64)); // unreachable
     }
+    let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
+        Box::new(DjFinder),
+        Box::new(BdjFinder::default()),
+        Box::new(BsdjFinder::default()),
+        Box::new(BbfsFinder),
+        Box::new(BsegFinder::default()),
+        Box::new(BsdjFinder {
+            style: SqlStyle::Traditional,
+            ..Default::default()
+        }),
+    ];
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-        let mut gdb = GraphDb::new(
-            &g,
-            &GraphDbOptions {
-                dialect,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        gdb.build_segtable(10).unwrap();
-        gdb.build_landmarks(6).unwrap();
-        type Twin = (Box<dyn ShortestPathFinder>, Box<dyn ShortestPathFinder>);
-        let twins: Vec<Twin> = vec![
-            (
-                Box::new(DjFinder::default()),
-                Box::new(DjFinder {
-                    seed_bounds: false,
-                    ..Default::default()
-                }),
-            ),
-            (
-                Box::new(BdjFinder::default()),
-                Box::new(BdjFinder {
-                    seed_bounds: false,
-                    ..Default::default()
-                }),
-            ),
-            (
-                Box::new(BsdjFinder::default()),
-                Box::new(BsdjFinder {
-                    seed_bounds: false,
-                    ..Default::default()
-                }),
-            ),
-            (
-                Box::new(BbfsFinder::default()),
-                Box::new(BbfsFinder {
-                    seed_bounds: false,
-                    ..Default::default()
-                }),
-            ),
-            (
-                Box::new(BsegFinder::default()),
-                Box::new(BsegFinder {
-                    seed_bounds: false,
-                    ..Default::default()
-                }),
-            ),
-            (
-                Box::new(BdjFinder {
-                    style: fempath::core::SqlStyle::Traditional,
-                    ..Default::default()
-                }),
-                Box::new(BdjFinder {
-                    style: fempath::core::SqlStyle::Traditional,
-                    seed_bounds: false,
-                    ..Default::default()
-                }),
-            ),
-        ];
+        let opts = GraphDbOptions {
+            dialect,
+            ..Default::default()
+        };
+        let [mut seeded, mut unseeded] = [(); 2].map(|_| {
+            let mut gdb = GraphDb::new(&g, &opts).unwrap();
+            gdb.build_segtable(10).unwrap();
+            gdb
+        });
+        seeded.build_landmarks(6).unwrap();
         for &(s, t) in &pairs {
             let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
-            for (seeded, unseeded) in &twins {
-                let ctx = format!("{} {s}->{t} ({dialect:?})", seeded.name());
-                let a = seeded.find_path(&mut gdb, s, t).unwrap();
-                let b = unseeded.find_path(&mut gdb, s, t).unwrap();
+            for f in &finders {
+                let ctx = format!("{} {s}->{t} ({dialect:?})", f.name());
+                let a = f.find_path(&mut seeded, s, t).unwrap();
+                let b = f.find_path(&mut unseeded, s, t).unwrap();
                 let a_len = a.path.as_ref().map(|p| p.length);
                 assert_eq!(a_len, oracle, "{ctx}: seeded vs Dijkstra");
                 assert_eq!(
                     a_len,
                     b.path.as_ref().map(|p| p.length),
-                    "{ctx}: seeded vs unseeded twin"
+                    "{ctx}: seeded vs unseeded"
                 );
                 if let (Some(p), Some(d)) = (&a.path, oracle) {
                     assert_real_walk(&g, &p.nodes, d as u64, &ctx);

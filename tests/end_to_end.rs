@@ -100,7 +100,7 @@ fn dj_runs_on_tiny_graph_all_dialects() {
             },
         )
         .unwrap();
-        let out = DjFinder::default().find_path(&mut gdb, 0, 15).unwrap();
+        let out = DjFinder.find_path(&mut gdb, 0, 15).unwrap();
         let oracle = dijkstra::shortest_path(&g, 0, 15).unwrap();
         assert_eq!(out.path.unwrap().length as u64, oracle.distance);
     }

@@ -36,7 +36,7 @@ proptest! {
         gdb.build_segtable(10).unwrap();
         let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
             Box::new(BsdjFinder::default()),
-            Box::new(BbfsFinder::default()),
+            Box::new(BbfsFinder),
             Box::new(BsegFinder::default()),
         ];
         for f in finders {

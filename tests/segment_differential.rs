@@ -49,10 +49,10 @@ fn finders_identical_on_segmented_and_row_storage() {
         let mut rows = build(&g, dialect, false);
         let mut segs = build(&g, dialect, true);
         let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
-            Box::new(DjFinder::default()),
+            Box::new(DjFinder),
             Box::new(BdjFinder::default()),
             Box::new(BsdjFinder::default()),
-            Box::new(BbfsFinder::default()),
+            Box::new(BbfsFinder),
         ];
         for &(s, t) in &pairs {
             let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
