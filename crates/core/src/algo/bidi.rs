@@ -46,12 +46,12 @@
 
 use super::{
     recover_bidi_path, seeded_ceiling, trivial_case, Expansion, PathOutcome, Runner,
-    ShortestPathFinder,
+    ShortestPathFinder, Stmt,
 };
 use crate::graphdb::{GraphDb, INF};
 use crate::sqlgen::{expand_params, meet_node, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
 use crate::stats::{FemOperator, Phase, SqlStyle};
-use fempath_sql::{PreparedStmt, Result, SqlError};
+use fempath_sql::{Result, SqlError};
 use fempath_storage::Value;
 
 /// Prepared handles for one direction's loop statements. Built once per
@@ -59,14 +59,14 @@ use fempath_storage::Value;
 /// inside the iteration without any per-statement planning.
 struct DirStmts {
     /// The policy's F-operator statement: BDJ's pick (Listing 2(2) bound
-    /// to `l`) or a set finder's mark.
-    frontier: PreparedStmt,
+    /// to `l`, a statistics scan like DJ's) or a set finder's mark.
+    frontier: Stmt,
     /// What settles the expanded frontier: `mid` by `nid` (Listing 3(2))
     /// for BDJ, the marked set (Listing 4(3)) otherwise.
-    settle: PreparedStmt,
+    settle: Stmt,
     expansion: Expansion,
-    candidate_stats: PreparedStmt,
-    pred_of: PreparedStmt,
+    candidate_stats: Stmt,
+    pred_of: Stmt,
 }
 
 impl DirStmts {
@@ -77,18 +77,23 @@ impl DirStmts {
         pred: FrontierPred,
         mode: EmMode,
     ) -> Result<DirStmts> {
-        let (frontier_sql, settle_sql) = match spec.frontier {
-            FrontierPolicy::SingleMin => (gen.select_mid_at(), gen.settle_by_nid()),
-            FrontierPolicy::AllMin => (gen.mark_by_dist(), gen.reset_frontier()),
-            FrontierPolicy::All => (gen.mark_all(), gen.reset_frontier()),
-            FrontierPolicy::Threshold { .. } => (gen.mark_threshold(), gen.reset_frontier()),
+        let (pe, sc, fpr) = (
+            Phase::PathExpansion,
+            Phase::StatsCollection,
+            Phase::FullPathRecovery,
+        );
+        let (frontier_sql, frontier_phase, settle_sql) = match spec.frontier {
+            FrontierPolicy::SingleMin => (gen.select_mid_at(), sc, gen.settle_by_nid()),
+            FrontierPolicy::AllMin => (gen.mark_by_dist(), pe, gen.reset_frontier()),
+            FrontierPolicy::All => (gen.mark_all(), pe, gen.reset_frontier()),
+            FrontierPolicy::Threshold { .. } => (gen.mark_threshold(), pe, gen.reset_frontier()),
         };
         Ok(DirStmts {
-            frontier: db.prepare(&frontier_sql)?,
-            settle: db.prepare(&settle_sql)?,
+            frontier: Stmt::prepare(db, &frontier_sql, frontier_phase, FemOperator::F)?,
+            settle: Stmt::prepare(db, &settle_sql, pe, FemOperator::F)?,
             expansion: Expansion::prepare(db, gen, pred, mode)?,
-            candidate_stats: db.prepare(&gen.candidate_stats())?,
-            pred_of: db.prepare(&gen.pred_of())?,
+            candidate_stats: Stmt::prepare(db, &gen.candidate_stats(), sc, FemOperator::Aux)?,
+            pred_of: Stmt::prepare(db, &gen.pred_of(), fpr, FemOperator::Aux)?,
         })
     }
 }
@@ -109,7 +114,6 @@ pub enum FrontierPolicy {
 /// Full specification of one bidirectional run.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BidiSpec {
-    pub name: &'static str,
     pub frontier: FrontierPolicy,
     pub edges: EdgeSource,
     pub style: SqlStyle,
@@ -135,7 +139,6 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     let mode = gdb.reset_search(spec.style, spec.split_operators)?;
     let fgen = SqlGen::new(Dir::Fwd, spec.edges, spec.style);
     let bgen = SqlGen::new(Dir::Bwd, spec.edges, spec.style);
-    let max_iters = 8 * gdb.num_nodes() as u64 + 32;
 
     // Prepare the whole statement set up front; the loop below executes
     // handles only. After the first search these prepares are plan-cache
@@ -146,26 +149,21 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         FrontierPolicy::SingleMin => FrontierPred::ByNid,
         _ => FrontierPred::Marked,
     };
-    let init_fwd = gdb.db.prepare(&SqlGen::init(Dir::Fwd))?;
-    let init_bwd = gdb.db.prepare(&SqlGen::init(Dir::Bwd))?;
-    let mut prepare_dir = |gen: &SqlGen| DirStmts::prepare(&mut gdb.db, gen, &spec, pred, mode);
-    let fwd_stmts = prepare_dir(&fgen)?;
-    let bwd_stmts = prepare_dir(&bgen)?;
-    let meet_node_stmt = gdb.db.prepare(meet_node())?;
+    let db = &mut gdb.db;
+    let (pe, fpr, aux) = (
+        Phase::PathExpansion,
+        Phase::FullPathRecovery,
+        FemOperator::Aux,
+    );
+    let init_fwd = Stmt::prepare(db, &SqlGen::init(Dir::Fwd), pe, aux)?;
+    let init_bwd = Stmt::prepare(db, &SqlGen::init(Dir::Bwd), pe, aux)?;
+    let fwd_stmts = DirStmts::prepare(db, &fgen, &spec, pred, mode)?;
+    let bwd_stmts = DirStmts::prepare(db, &bgen, &spec, pred, mode)?;
+    let meet_node_stmt = Stmt::prepare(db, meet_node(), fpr, aux)?;
 
     let mut runner = Runner::new(gdb);
-    runner.exec_prepared(
-        Phase::PathExpansion,
-        FemOperator::Aux,
-        &init_fwd,
-        &[Value::Int(s), Value::Int(s)],
-    )?;
-    runner.exec_prepared(
-        Phase::PathExpansion,
-        FemOperator::Aux,
-        &init_bwd,
-        &[Value::Int(t), Value::Int(t)],
-    )?;
+    runner.exec(&init_fwd, &[Value::Int(s), Value::Int(s)])?;
+    runner.exec(&init_bwd, &[Value::Int(t), Value::Int(t)])?;
 
     // The two endpoint rows carry `d2s + d2t >= INF`, so the running
     // minimum of invariant 2 starts at INF.
@@ -197,24 +195,14 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         // out of the `dist = ?` predicates.
         let mark = |runner: &mut Runner<'_>, params: &[Value]| {
             runner
-                .exec_prepared(
-                    Phase::PathExpansion,
-                    FemOperator::F,
-                    &stmts.frontier,
-                    params,
-                )
+                .exec(&stmts.frontier, params)
                 .map(|out| out.rows_affected)
         };
         let mut mid = None;
         let frontier_rows = match spec.frontier {
             _ if l >= INF => 0,
             FrontierPolicy::SingleMin => {
-                mid = runner.scalar_prepared(
-                    Phase::StatsCollection,
-                    FemOperator::Aux,
-                    &stmts.frontier,
-                    &[Value::Int(l)],
-                )?;
+                mid = runner.scalar(&stmts.frontier, &[Value::Int(l)])?;
                 u64::from(mid.is_some())
             }
             FrontierPolicy::AllMin => mark(&mut runner, &[Value::Int(l)])?,
@@ -244,27 +232,14 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         let params = expand_params(spec.style, pred, mid, lo, mc)?;
         stmts.expansion.run(&mut runner, &params)?;
         // Settle the expanded frontier: `mid` by `nid`, or the marked set.
-        runner.exec_prepared(
-            Phase::PathExpansion,
-            FemOperator::F,
-            &stmts.settle,
-            mid.map(Value::Int).as_slice(),
-        )?;
-        runner.stats.expansions += 1;
+        runner.exec(&stmts.settle, mid.map(Value::Int).as_slice())?;
         *k += 1;
 
         // Statistics collection, one scan (Listing 4(4) + 4(5)): this
         // direction's new `l` and candidate count, and the smallest
         // `d2s + d2t` among its candidates — folded into the running
         // `minCost` by invariant 2.
-        let stats_row = runner
-            .row_prepared(
-                Phase::StatsCollection,
-                FemOperator::Aux,
-                &stmts.candidate_stats,
-                &[],
-            )?
-            .unwrap_or_default();
+        let stats_row = runner.row(&stmts.candidate_stats, &[])?.unwrap_or_default();
         let col = |i: usize| stats_row.get(i).and_then(|v| v.as_i64());
         let (l_new, cand) = (col(0).unwrap_or(INF), col(1).unwrap_or(0));
         min_cost = min_cost.min(col(2).unwrap_or(INF));
@@ -275,25 +250,13 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
             lb = l_new;
             nb = cand;
         }
-
-        if runner.stats.expansions > max_iters {
-            return Err(SqlError::Eval(format!(
-                "{} exceeded the iteration bound — likely a bug",
-                spec.name
-            )));
-        }
     }
 
     if min_cost >= INF {
         return runner.finish(None);
     }
     let meet = runner
-        .scalar_prepared(
-            Phase::FullPathRecovery,
-            FemOperator::Aux,
-            &meet_node_stmt,
-            &[Value::Int(min_cost)],
-        )?
+        .scalar(&meet_node_stmt, &[Value::Int(min_cost)])?
         .ok_or_else(|| SqlError::Eval("no node realizes minCost".into()))?;
     let path = recover_bidi_path(
         &mut runner,
@@ -334,7 +297,6 @@ impl ShortestPathFinder for BdjFinder {
             s,
             t,
             BidiSpec {
-                name: "BDJ",
                 frontier: FrontierPolicy::SingleMin,
                 edges: EdgeSource::Edges,
                 style: SqlStyle::New,
@@ -381,7 +343,6 @@ impl ShortestPathFinder for BsdjFinder {
             s,
             t,
             BidiSpec {
-                name: "BSDJ",
                 frontier: FrontierPolicy::AllMin,
                 edges: EdgeSource::Edges,
                 style: self.style,
@@ -410,7 +371,6 @@ impl ShortestPathFinder for BbfsFinder {
             s,
             t,
             BidiSpec {
-                name: "BBFS",
                 frontier: FrontierPolicy::All,
                 edges: EdgeSource::Edges,
                 style: SqlStyle::New,
@@ -451,7 +411,6 @@ impl ShortestPathFinder for BsegFinder {
             s,
             t,
             BidiSpec {
-                name: "BSEG",
                 frontier: FrontierPolicy::Threshold { lthd },
                 edges: EdgeSource::SegTable,
                 style: SqlStyle::New,

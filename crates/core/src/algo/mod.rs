@@ -55,10 +55,34 @@ pub trait ShortestPathFinder {
     fn find_path(&self, gdb: &mut GraphDb, s: i64, t: i64) -> Result<PathOutcome>;
 }
 
-/// Statement executor that accumulates [`QueryStats`].
+/// A prepared statement with the phase and operator its time is charged
+/// to (Fig 6(b)/(c)). Both are fixed here, where the statement is
+/// prepared; DESIGN.md §3 lists them.
+pub(crate) struct Stmt {
+    handle: PreparedStmt,
+    phase: Phase,
+    op: FemOperator,
+}
+
+impl Stmt {
+    pub fn prepare(db: &mut Database, sql: &str, phase: Phase, op: FemOperator) -> Result<Stmt> {
+        Ok(Stmt {
+            handle: db.prepare(sql)?,
+            phase,
+            op,
+        })
+    }
+}
+
+/// Statement executor that accumulates [`QueryStats`]: the one way a
+/// search executes a statement.
 pub(crate) struct Runner<'a> {
     pub gdb: &'a mut GraphDb,
     pub stats: QueryStats,
+    /// Last-resort bound on [`Expansion::run`] calls, 8·|V| + 32: a bug
+    /// guard that stops a search whose loop no longer terminates, not a
+    /// work budget.
+    expansion_cap: u64,
     started: Instant,
     io_start: fempath_storage::IoStats,
 }
@@ -66,63 +90,37 @@ pub(crate) struct Runner<'a> {
 impl<'a> Runner<'a> {
     pub fn new(gdb: &'a mut GraphDb) -> Runner<'a> {
         let io_start = gdb.db.io_stats();
+        let expansion_cap = 8 * gdb.num_nodes() as u64 + 32;
         Runner {
             gdb,
             stats: QueryStats::default(),
+            expansion_cap,
             started: Instant::now(),
             io_start,
         }
     }
 
-    /// Executes a prepared handle — the hot-loop path: no parse, no plan,
-    /// no binding, just parameter substitution and execution.
-    pub fn exec_prepared(
-        &mut self,
-        phase: Phase,
-        op: FemOperator,
-        stmt: &PreparedStmt,
-        params: &[Value],
-    ) -> Result<ExecOutcome> {
+    /// Executes a prepared statement — the hot-loop path: no parse, no
+    /// plan, no binding, just parameter substitution and execution.
+    pub fn exec(&mut self, stmt: &Stmt, params: &[Value]) -> Result<ExecOutcome> {
         let t = Instant::now();
-        let out = self.gdb.db.execute_prepared(stmt, params)?;
-        self.stats.record(phase, op, t.elapsed());
+        let out = self.gdb.db.execute_prepared(&stmt.handle, params)?;
+        self.stats.record(stmt.phase, stmt.op, t.elapsed());
         Ok(out)
     }
 
-    /// Executes a prepared handle expected to return a single optional
-    /// i64 scalar (MIN queries return NULL on empty input → `None`).
-    pub fn scalar_prepared(
-        &mut self,
-        phase: Phase,
-        op: FemOperator,
-        stmt: &PreparedStmt,
-        params: &[Value],
-    ) -> Result<Option<i64>> {
-        let out = self.exec_prepared(phase, op, stmt, params)?;
-        Self::first_scalar(out)
+    /// Executes a statement expected to return a single optional i64
+    /// scalar (MIN queries return NULL on empty input → `None`).
+    pub fn scalar(&mut self, stmt: &Stmt, params: &[Value]) -> Result<Option<i64>> {
+        Ok(self
+            .row(stmt, params)?
+            .and_then(|r| r.first().and_then(Value::as_i64)))
     }
 
-    fn first_scalar(out: ExecOutcome) -> Result<Option<i64>> {
-        let rows = out
-            .rows
-            .ok_or_else(|| SqlError::Eval("expected a result set".into()))?;
-        Ok(rows
-            .rows
-            .first()
-            .and_then(|r| r.first())
-            .and_then(|v| v.as_i64()))
-    }
-
-    /// Executes a prepared handle and returns its first row, if any.
-    pub fn row_prepared(
-        &mut self,
-        phase: Phase,
-        op: FemOperator,
-        stmt: &PreparedStmt,
-        params: &[Value],
-    ) -> Result<Option<Vec<Value>>> {
-        let out = self.exec_prepared(phase, op, stmt, params)?;
-        let rows = out
+    /// Executes a statement and returns its first row, if any.
+    pub fn row(&mut self, stmt: &Stmt, params: &[Value]) -> Result<Option<Vec<Value>>> {
+        let rows = self
+            .exec(stmt, params)?
             .rows
             .ok_or_else(|| SqlError::Eval("expected a result set".into()))?;
         Ok(rows.rows.into_iter().next())
@@ -131,7 +129,7 @@ impl<'a> Runner<'a> {
     /// Finishes the run: fills in visited-node count, I/O delta and total
     /// time.
     pub fn finish(mut self, path: Option<Path>) -> Result<PathOutcome> {
-        self.stats.visited_nodes = self.gdb.db.table_len("TVisited").unwrap_or(0);
+        self.stats.visited_nodes = self.gdb.db.table_len("TVisited")?;
         self.stats.io = self.gdb.db.io_stats().since(&self.io_start);
         self.stats.total_time = self.started.elapsed();
         Ok(PathOutcome {
@@ -142,8 +140,9 @@ impl<'a> Runner<'a> {
 }
 
 /// One expansion's E and M operators, prepared: the statements
-/// [`SqlGen::expansion`] lists for the search's [`EmMode`], run in order.
-pub(crate) struct Expansion(Vec<(FemOperator, PreparedStmt)>);
+/// [`SqlGen::expansion`] lists for the search's [`EmMode`], run in order
+/// and charged to path expansion.
+pub(crate) struct Expansion(Vec<Stmt>);
 
 impl Expansion {
     pub fn prepare(
@@ -154,17 +153,31 @@ impl Expansion {
     ) -> Result<Expansion> {
         gen.expansion(frontier, mode)
             .into_iter()
-            .map(|(op, sql)| Ok((op, db.prepare(&sql)?)))
+            .map(|(op, sql)| Stmt::prepare(db, &sql, Phase::PathExpansion, op))
             .collect::<Result<_>>()
             .map(Expansion)
     }
 
-    /// Runs the expansion; `params` ([`crate::sqlgen::expand_params`]) go
-    /// to the E-operator statement.
+    /// Runs one expansion and counts it in `stats.expansions` (the paper's
+    /// `Exps`); `params` ([`crate::sqlgen::expand_params`]) go to the
+    /// E-operator statement. Every search loop calls this once per
+    /// iteration, so it is where the search's work is bounded: past the
+    /// runner's expansion cap the search fails instead of looping on.
     pub fn run(&self, runner: &mut Runner<'_>, params: &[Value]) -> Result<()> {
-        for (op, stmt) in &self.0 {
-            let params = if *op == FemOperator::E { params } else { &[] };
-            runner.exec_prepared(Phase::PathExpansion, *op, stmt, params)?;
+        if runner.stats.expansions >= runner.expansion_cap {
+            return Err(SqlError::Eval(format!(
+                "search exceeded its cap of {} expansions — likely a bug",
+                runner.expansion_cap
+            )));
+        }
+        runner.stats.expansions += 1;
+        for stmt in &self.0 {
+            let params = if stmt.op == FemOperator::E {
+                params
+            } else {
+                &[]
+            };
+            runner.exec(stmt, params)?;
         }
         Ok(())
     }
@@ -188,7 +201,7 @@ pub(crate) fn seeded_ceiling(gdb: &mut GraphDb, s: i64, t: i64, seed: bool) -> R
 /// `from` itself, ordered from the node nearest `from` to `anchor`.
 pub(crate) fn walk_links(
     runner: &mut Runner<'_>,
-    pred_of: &PreparedStmt,
+    pred_of: &Stmt,
     from: i64,
     anchor: i64,
     limit: usize,
@@ -197,12 +210,7 @@ pub(crate) fn walk_links(
     let mut cur = from;
     while cur != anchor {
         let next = runner
-            .scalar_prepared(
-                Phase::FullPathRecovery,
-                FemOperator::Aux,
-                pred_of,
-                &[Value::Int(cur)],
-            )?
+            .scalar(pred_of, &[Value::Int(cur)])?
             .ok_or_else(|| SqlError::Eval(format!("broken predecessor chain at node {cur}")))?;
         if next == NO_NODE {
             return Err(SqlError::Eval(format!(
@@ -229,8 +237,8 @@ pub(crate) fn recover_bidi_path(
     t: i64,
     meet: i64,
     min_cost: i64,
-    fwd_pred: &PreparedStmt,
-    bwd_pred: &PreparedStmt,
+    fwd_pred: &Stmt,
+    bwd_pred: &Stmt,
 ) -> Result<Path> {
     let n = runner.gdb.num_nodes();
     // s … meet via p2s links (walked backward, then reversed).

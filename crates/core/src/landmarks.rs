@@ -49,8 +49,6 @@ const LOWER_FWD_SQL: &str = "SELECT MAX(a.d - b.d) FROM TLandmarks a, TLandmarks
                              WHERE a.nid = ? AND b.nid = ? AND a.lm = b.lm";
 const LOWER_REV_SQL: &str = "SELECT MAX(b.d - a.d) FROM TLandmarks a, TLandmarks b \
                              WHERE a.nid = ? AND b.nid = ? AND a.lm = b.lm";
-const COMMON_SQL: &str = "SELECT MIN(a.lm) FROM TLandmarks a, TLandmarks b \
-                          WHERE a.nid = ? AND b.nid = ? AND a.lm = b.lm";
 const WITNESS_SQL: &str = "SELECT MIN(a.lm) FROM TLandmarks a, TLandmarks b \
                            WHERE a.nid = ? AND b.nid = ? AND a.lm = b.lm AND a.d + b.d = ?";
 const WALK_SQL: &str = "SELECT p FROM TLandmarks WHERE lm = ? AND nid = ?";
@@ -65,10 +63,10 @@ fn store_tree_sql(lm: i64) -> String {
 /// Every statement the landmark subsystem issues, annotated for the static
 /// analyzer. All statements reference `TLandmarks`, so the corpus walker
 /// only includes them once the index is built. The serving probes
-/// ([`estimate_distance`], [`upper_bound`], [`common_landmark`], the
-/// [`exact_path`] witness and `walk_tree`) are hot: each must ride the
-/// clustered `nid` index. Build and selection statements are cold — they
-/// run once per index build.
+/// ([`estimate_distance`], [`upper_bound`], the [`exact_path`] witness
+/// and `walk_tree`) are hot: each must ride the clustered `nid` index.
+/// Build and selection statements are cold — they run once per index
+/// build.
 pub fn statement_corpus() -> Vec<AnnotatedSql> {
     vec![
         AnnotatedSql::cold("lm/create_table", CREATE_SQL),
@@ -98,7 +96,6 @@ pub fn statement_corpus() -> Vec<AnnotatedSql> {
         AnnotatedSql::hot("lm/estimate/upper", UPPER_SQL),
         AnnotatedSql::hot("lm/estimate/lower_fwd", LOWER_FWD_SQL),
         AnnotatedSql::hot("lm/estimate/lower_rev", LOWER_REV_SQL),
-        AnnotatedSql::hot("lm/common_landmark", COMMON_SQL),
         AnnotatedSql::hot("lm/exact_path/witness", WITNESS_SQL),
         AnnotatedSql::hot("lm/walk_tree", WALK_SQL),
     ]
@@ -343,20 +340,6 @@ pub fn upper_bound(gdb: &mut GraphDb, s: i64, t: i64) -> Result<Option<i64>> {
         .scalar_i64())
 }
 
-/// A landmark whose tree contains both `s` and `t`, or `None`. A common
-/// landmark proves `s` and `t` are connected (storage is symmetric, so the
-/// two tree paths concatenate into an s–t walk) — [`crate::reach`] uses
-/// this as a constant-time shortcut before falling back to FEM search.
-pub fn common_landmark(gdb: &mut GraphDb, s: i64, t: i64) -> Result<Option<i64>> {
-    if gdb.landmarks().is_none() {
-        return Ok(None);
-    }
-    Ok(gdb
-        .db
-        .query_params(COMMON_SQL, &[Value::Int(s), Value::Int(t)])?
-        .scalar_i64())
-}
-
 /// The exact-or-nothing fast path: answers (s, t) without running FEM at
 /// all when the landmark bounds pin the distance exactly (upper == lower
 /// — which covers every pair where `s` or `t` *is* a landmark, and any
@@ -481,7 +464,6 @@ mod tests {
         // Landmark 0 never reaches node 2.
         assert_eq!(estimate_distance(&mut gdb, 1, 2).unwrap(), None);
         assert_eq!(exact_path(&mut gdb, 1, 2).unwrap(), None);
-        assert_eq!(common_landmark(&mut gdb, 1, 2).unwrap(), None);
     }
 
     #[test]

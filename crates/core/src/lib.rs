@@ -6,9 +6,10 @@
 //! **SegTable** index of pre-computed local shortest segments.
 //!
 //! * [`GraphDb`] — a database instance with one graph loaded,
-//! * [`fem`] — the generic F/E/M iteration skeleton (§3.1),
-//! * [`algo`] — DJ, BDJ, BSDJ, BBFS and BSEG (§3.4, §4); any of them
-//!   answers many (s, t) pairs through [`BatchShortestPathFinder`],
+//! * [`algo`] — DJ, BDJ, BSDJ, BBFS and BSEG (§3.4, §4), each an F/E/M
+//!   iteration whose statements run through one executor that charges
+//!   every statement to its phase and operator; any of them answers many
+//!   (s, t) pairs through [`BatchShortestPathFinder`],
 //! * [`segtable`] — SegTable construction (§4.2),
 //! * [`landmarks`] — the landmark distance index: triangle-inequality
 //!   bounds seeded into Theorem-1 pruning and an exact fast path for
@@ -16,8 +17,12 @@
 //! * [`service`] — the concurrent [`PathService`] over `Arc`-shared
 //!   read-only graph snapshots (DESIGN.md §10) with work-stealing
 //!   dispatch of one job per pair ([`dispatch`], DESIGN.md §13),
-//! * [`prim`] — Prim's MST via FEM (the §3.1 extension),
 //! * [`stats`] — per-phase / per-operator measurement.
+//!
+//! The paper's "FEM is general" searches of §3.1 — reachability, Prim's
+//! minimal spanning tree, label-path matching — are not served by
+//! anything here; they live in the `fem_framework` example, written
+//! against this crate's public API.
 //!
 //! ```
 //! use fempath_core::{BsdjFinder, GraphDb, ShortestPathFinder};
@@ -36,12 +41,8 @@
 pub mod algo;
 pub mod cache;
 pub mod dispatch;
-pub mod fem;
 pub mod graphdb;
 pub mod landmarks;
-pub mod pattern;
-pub mod prim;
-pub mod reach;
 pub mod segtable;
 pub mod service;
 pub mod sqlgen;
@@ -54,7 +55,6 @@ pub use algo::{
 };
 pub use cache::{CacheStats, ResultCache};
 pub use dispatch::{StealQueues, WaitHistogram};
-pub use fem::{run_fem, FemSearch};
 pub use graphdb::{
     GraphDb, GraphDbOptions, GraphSnapshot, LandmarkInfo, SegTableInfo, INF, NO_NODE,
 };
@@ -62,9 +62,6 @@ pub use landmarks::{
     build_landmark_index, build_landmarks, estimate_distance, DistanceBounds, LandmarkSelection,
     LandmarkStats,
 };
-pub use pattern::{match_label_path, set_labels};
-pub use prim::{prim_mst, MstResult};
-pub use reach::{component_size, reachable};
 pub use segtable::{build_segtable, build_segtable_with, SegTableStats};
 pub use service::{
     PathService, PathServiceOptions, ServiceAlgorithm, ServiceStats, WorkerStats,

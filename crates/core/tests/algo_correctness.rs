@@ -4,9 +4,8 @@
 
 use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
 use fempath_core::{
-    build_segtable_with, prim_mst, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder,
-    FemOperator, FrontierPolicy, GraphDb, GraphDbOptions, PathOutcome, ShortestPathFinder,
-    SqlStyle, INF,
+    build_segtable_with, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder, FemOperator,
+    FrontierPolicy, GraphDb, GraphDbOptions, PathOutcome, ShortestPathFinder, SqlStyle, INF,
 };
 use fempath_graph::{generate, Graph, IndexKind};
 use fempath_inmem::dijkstra;
@@ -406,16 +405,6 @@ fn bseg_reduces_expansions_versus_bsdj() {
         exps_bseg < exps_bsdj,
         "BSEG total expansions {exps_bseg} must undercut BSDJ {exps_bsdj}"
     );
-}
-
-#[test]
-fn relational_prim_matches_in_memory_prim() {
-    let g = generate::power_law(200, 2, 1..=50, 111);
-    let mut gdb = GraphDb::in_memory(&g).unwrap();
-    let rel = prim_mst(&mut gdb, 0).unwrap();
-    let (edges, total) = fempath_inmem::mst::prim(&g);
-    assert_eq!(rel.edges.len(), edges.len());
-    assert_eq!(rel.total_weight as u64, total);
 }
 
 #[test]

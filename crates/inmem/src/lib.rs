@@ -1,16 +1,14 @@
 //! # fempath-inmem
 //!
 //! In-memory graph algorithms: the paper's **MDJ** (Dijkstra) and **MBDJ**
-//! (bidirectional Dijkstra) baselines from §5.1, plus BFS helpers and Prim's
-//! MST. These are both benchmark competitors (Fig 8(d)) and the correctness
-//! oracles every relational algorithm is tested against.
+//! (bidirectional Dijkstra) baselines from §5.1. These are both benchmark
+//! competitors (Fig 8(d)) and the correctness oracles every relational
+//! shortest-path finder is tested against.
 
 #![forbid(unsafe_code)]
 
-pub mod bfs;
 pub mod bidijkstra;
 pub mod dijkstra;
-pub mod mst;
 
 /// Result of an in-memory shortest-path query.
 #[derive(Debug, Clone, PartialEq, Eq)]

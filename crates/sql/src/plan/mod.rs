@@ -127,20 +127,20 @@ impl PreparedPlan {
                 }
                 describe_subplans(&mp.subplans, 1, &mut out);
             }
-            PlanKind::Ddl(stmt) => out.push(format!(
-                "FALLBACK (interpreted {})",
+            PlanKind::Ddl(stmt) => out.push(
                 match stmt {
-                    Stmt::CreateTable(_) => "CREATE TABLE",
-                    Stmt::CreateIndex(_) => "CREATE INDEX",
-                    Stmt::CreateView { .. } => "CREATE VIEW",
-                    Stmt::DropTable { .. } => "DROP TABLE",
-                    Stmt::DropIndex { .. } => "DROP INDEX",
-                    Stmt::DropView { .. } => "DROP VIEW",
-                    Stmt::Truncate { .. } => "TRUNCATE",
+                    Stmt::CreateTable(_) => "DDL CREATE TABLE",
+                    Stmt::CreateIndex(_) => "DDL CREATE INDEX",
+                    Stmt::CreateView { .. } => "DDL CREATE VIEW",
+                    Stmt::DropTable { .. } => "DDL DROP TABLE",
+                    Stmt::DropIndex { .. } => "DDL DROP INDEX",
+                    Stmt::DropView { .. } => "DDL DROP VIEW",
+                    Stmt::Truncate { .. } => "DDL TRUNCATE",
                     Stmt::Explain(_) => "EXPLAIN",
-                    _ => "statement",
+                    _ => "DDL statement",
                 }
-            )),
+                .to_string(),
+            ),
         }
         out
     }

@@ -148,6 +148,19 @@ fn explain_binds_parameters_and_subqueries() {
 }
 
 #[test]
+fn ddl_and_truncate_plans_describe_their_kind() {
+    let mut db = setup();
+    for (sql, line) in [
+        ("CREATE TABLE t2 (x INT)", "DDL CREATE TABLE"),
+        ("CREATE INDEX ix_d ON TVisited(d2s)", "DDL CREATE INDEX"),
+        ("DROP TABLE IF EXISTS t3", "DDL DROP TABLE"),
+        ("TRUNCATE TABLE TVisited", "DDL TRUNCATE"),
+    ] {
+        assert_eq!(db.prepare(sql).unwrap().describe(), [line], "{sql}");
+    }
+}
+
+#[test]
 fn explain_non_select_rejected() {
     let mut db = setup();
     assert!(db.execute("EXPLAIN DELETE FROM TVisited").is_err());

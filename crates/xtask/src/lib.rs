@@ -35,9 +35,11 @@
 //!    differential test.
 //! 8. **one-em-decision** — under `crates/core/src/`, only `graphdb.rs`
 //!    reads the dialect's MERGE support (`supports_merge`), in
-//!    `GraphDb::em_mode`: every shortest-path search takes its E/M
-//!    statements from that one decision (`EmMode::choose`), so no search
-//!    can spell its expansion differently from the others.
+//!    `GraphDb::em_mode`, and a `MERGE INTO` statement is spelled only by
+//!    the two generators that decision gates (`sqlgen.rs`, `segtable.rs`):
+//!    every search takes its E/M statements from that one decision
+//!    (`EmMode::choose`), so no search can spell its expansion
+//!    differently from the others.
 //!
 //! The rule needles are assembled at runtime from fragments so this
 //! crate's own source never contains them verbatim (the auditor audits
@@ -101,6 +103,7 @@ struct Needles {
     planner_names: [String; 4],
     env_read: String,
     merge_support: String,
+    merge_into: String,
 }
 
 impl Needles {
@@ -128,6 +131,7 @@ impl Needles {
             ],
             env_read: ["env::", "var"].concat(),
             merge_support: ["supports_", "merge"].concat(),
+            merge_into: ["MERGE", " INTO"].concat(),
         }
     }
 }
@@ -192,10 +196,12 @@ fn planner_name<'n>(line: &str, needles: &'n Needles) -> Option<&'n str> {
         .find(|name| line.contains(name))
 }
 
-/// The crate whose FEM searches rule 8 holds to one E/M decision, and the
-/// one file in it that may read the dialect's MERGE support.
+/// The crate whose FEM searches rule 8 holds to one E/M decision, the one
+/// file in it that may read the dialect's MERGE support, and the two
+/// generators that decision gates — the only files that may spell a MERGE.
 const EM_DECISION_SRC: &str = "crates/core/src/";
 const EM_DECISION_OWNER: &str = "crates/core/src/graphdb.rs";
+const EM_MERGE_GENERATORS: [&str; 2] = ["crates/core/src/sqlgen.rs", "crates/core/src/segtable.rs"];
 
 /// The crates rule 6 keeps free of environment reads.
 const KNOB_FREE_SRC: [&str; 5] = [
@@ -294,6 +300,8 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
         let knob_free = KNOB_FREE_SRC.iter().any(|p| rel.starts_with(p));
         let is_reference = rel.starts_with(REFERENCE_SRC);
         let em_decided_elsewhere = rel.starts_with(EM_DECISION_SRC) && rel != EM_DECISION_OWNER;
+        let merge_spelled_elsewhere =
+            rel.starts_with(EM_DECISION_SRC) && !EM_MERGE_GENERATORS.contains(&rel.as_str());
         let mut in_test_region = false;
 
         for (i, &line) in lines.iter().enumerate() {
@@ -415,6 +423,19 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                         "`{}` read outside `{EM_DECISION_OWNER}` — take the expansion's \
                          statements from `GraphDb::em_mode` / `EmMode::choose`",
                         needles.merge_support
+                    ),
+                });
+            }
+            if merge_spelled_elsewhere && code.contains(needles.merge_into.as_str()) {
+                violations.push(Violation {
+                    file: rel.clone(),
+                    line: lineno,
+                    rule: "one-em-decision",
+                    msg: format!(
+                        "`{}` spelled outside the generators `EmMode::choose` gates \
+                         ({}) — take the statement from `SqlGen::expansion`",
+                        needles.merge_into,
+                        EM_MERGE_GENERATORS.join(", ")
                     ),
                 });
             }
@@ -569,6 +590,31 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
         let hits: Vec<(&str, &str)> = found.iter().map(|v| (v.file.as_str(), v.rule)).collect();
         assert_eq!(hits, [("crates/core/src/algo/dj.rs", "one-em-decision")]);
+    }
+
+    #[test]
+    fn merge_statements_are_spotted_outside_the_gated_generators_only() {
+        let n = Needles::new();
+        let dir = std::env::temp_dir().join(format!("xtask-merge-{}", std::process::id()));
+        // A hand-written relaxation in the style of a Prim search over FEM.
+        let spelled = format!("        \"{} TMst AS target USING ( \\\n", n.merge_into);
+        let commented = format!("// the fused {} of Listing 4(2)\n", n.merge_into);
+        for (rel, text) in [
+            ("crates/core/src/prim.rs", spelled.as_str()),
+            ("crates/core/src/algo/bidi.rs", commented.as_str()),
+            ("crates/core/src/sqlgen.rs", spelled.as_str()),
+            ("crates/core/src/segtable.rs", spelled.as_str()),
+            ("crates/core/tests/algo.rs", spelled.as_str()),
+            ("crates/sql/src/engine.rs", spelled.as_str()),
+        ] {
+            let path = dir.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, text).unwrap();
+        }
+        let found = lint(&dir).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let hits: Vec<(&str, &str)> = found.iter().map(|v| (v.file.as_str(), v.rule)).collect();
+        assert_eq!(hits, [("crates/core/src/prim.rs", "one-em-decision")]);
     }
 
     #[test]

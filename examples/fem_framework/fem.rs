@@ -8,13 +8,13 @@
 //! * **M-operator** — merge the expansion back into the visited nodes,
 //!
 //! plus auxiliary statements (initialization, termination detection, result
-//! recovery). The shortest-path finders in [`crate::algo`] instantiate the
-//! pattern with their own frontier policies; [`FemSearch`]/[`run_fem`]
-//! expose the skeleton directly so *other* graph searches can be written
-//! the same way — [`crate::prim`] implements Prim's minimal spanning tree
-//! (the second example of §3.1) on top of it.
+//! recovery). The library's shortest-path finders (`fempath::core::algo`)
+//! instantiate the pattern with their own frontier policies and loops;
+//! [`FemSearch`]/[`run_fem`] write the skeleton down once so *other* graph
+//! searches can be built the same way on the public API — [`crate::reach`]
+//! (the first example of §3.1) and [`crate::prim`] (the second).
 
-use fempath_sql::{Database, Result};
+use fempath::sql::{Database, Result};
 
 /// One FEM-style graph search: the three operators plus a continuation
 /// test. Implementations keep their own client-side scalars (the paper's
@@ -102,12 +102,12 @@ mod tests {
 
     #[test]
     fn fem_bfs_reaches_component() {
-        let g = fempath_graph::Graph::from_undirected_edges(
+        let g = fempath::graph::Graph::from_undirected_edges(
             6,
             vec![(0, 1, 1), (1, 2, 1), (2, 3, 1), (4, 5, 1)],
         );
         let mut db = Database::in_memory(128);
-        fempath_graph::load_graph(&mut db, &g, &fempath_graph::LoadOptions::default()).unwrap();
+        fempath::graph::load_graph(&mut db, &g, &fempath::graph::LoadOptions::default()).unwrap();
         let mut search = Reach { iterations_seen: 0 };
         let iters = run_fem(&mut db, &mut search).unwrap();
         // Nodes 0..=3 reachable; 4, 5 are in the other component.

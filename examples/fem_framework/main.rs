@@ -3,14 +3,23 @@
 //! paths, landmark distance estimation, and label-path pattern matching —
 //! all running as SQL iterations over the same relational store.
 //!
+//! Reachability, Prim and label-path matching are written here, on the
+//! library's public API: [`fem`] is the F/E/M skeleton the first two
+//! share, and the tests compare each search with an in-memory oracle.
+//!
 //! ```text
 //! cargo run --release --example fem_framework
+//! cargo test --example fem_framework
 //! ```
 
-use fempath::core::{
-    build_landmarks, component_size, estimate_distance, match_label_path, prim_mst, reachable,
-    set_labels, single_source, GraphDb,
-};
+mod fem;
+#[cfg(test)]
+mod oracles;
+mod pattern;
+mod prim;
+mod reach;
+
+use fempath::core::{build_landmarks, estimate_distance, single_source, GraphDb};
 use fempath::graph::generate;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,15 +32,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 1. Reachability (§3.1's first example).
-    println!("reachable(0, 799)      = {}", reachable(&mut db, 0, 799)?);
-    println!("component_size(0)      = {}", component_size(&mut db, 0)?);
+    println!(
+        "reachable(0, 799)      = {}",
+        reach::reachable(&mut db, 0, 799)?
+    );
+    println!(
+        "component_size(0)      = {}",
+        reach::component_size(&mut db, 0)?
+    );
 
     // 2. Prim's MST (§3.1's second example).
-    let mst = prim_mst(&mut db, 0)?;
+    let mst = prim::prim_mst(&mut db, 0)?;
     println!(
-        "prim MST               = {} edges, total weight {}",
+        "prim MST               = {} edges, total weight {}, {} FEM iterations",
         mst.edges.len(),
-        mst.total_weight
+        mst.total_weight,
+        mst.iterations
     );
 
     // 3. Single-source shortest paths (set-Dijkstra, forward only).
@@ -54,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Label-path pattern matching (§3.1's third example / §7 future work).
     let labels: Vec<i64> = (0..g.num_nodes() as i64).map(|v| v % 3).collect();
-    set_labels(&mut db, &labels)?;
-    let matches = match_label_path(&mut db, &[0, 1, 2], true)?;
+    pattern::set_labels(&mut db, &labels)?;
+    let matches = pattern::match_label_path(&mut db, &[0, 1, 2], true)?;
     println!("pattern A->B->C        = {} embeddings", matches.len());
 
     println!("\nevery number above was produced by SQL statements over TEdges & friends");

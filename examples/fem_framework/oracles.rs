@@ -1,10 +1,32 @@
-//! In-memory Prim's minimal spanning tree — the oracle for the FEM-based
-//! relational Prim implementation (§3.1 of the paper sketches Prim in the
-//! FEM framework; `fempath-core` implements it as an extension).
+//! In-memory oracles for the example's searches: BFS reachability for
+//! [`crate::reach`] and Prim's minimal spanning tree for [`crate::prim`].
 
-use fempath_graph::Graph;
+use fempath::graph::Graph;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Hop distance (number of edges) from `s` to every node; `u32::MAX` when
+/// unreachable.
+pub fn hop_distances(g: &Graph, s: u32) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; g.num_nodes()];
+    let mut q = VecDeque::new();
+    dist[s as usize] = 0;
+    q.push_back(s);
+    while let Some(u) = q.pop_front() {
+        for a in g.out_arcs(u) {
+            if dist[a.to as usize] == u32::MAX {
+                dist[a.to as usize] = dist[u as usize] + 1;
+                q.push_back(a.to);
+            }
+        }
+    }
+    dist
+}
+
+/// True when `t` is reachable from `s`.
+pub fn reachable(g: &Graph, s: u32, t: u32) -> bool {
+    hop_distances(g, s)[t as usize] != u32::MAX
+}
 
 /// Runs Prim from node 0 over the component containing it. Returns the
 /// chosen tree edges `(node, parent, weight)` and the total weight.
@@ -44,7 +66,21 @@ pub fn prim(g: &Graph) -> (Vec<(u32, u32, u32)>, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fempath_graph::{generate, Graph};
+    use fempath::graph::generate;
+
+    #[test]
+    fn hops_on_path_graph() {
+        let g = Graph::from_undirected_edges(4, vec![(0, 1, 9), (1, 2, 9), (2, 3, 9)]);
+        assert_eq!(hop_distances(&g, 0), vec![0, 1, 2, 3]);
+        assert!(reachable(&g, 0, 3));
+    }
+
+    #[test]
+    fn unreachable_is_max() {
+        let g = Graph::from_undirected_edges(3, vec![(0, 1, 1)]);
+        assert_eq!(hop_distances(&g, 0)[2], u32::MAX);
+        assert!(!reachable(&g, 0, 2));
+    }
 
     #[test]
     fn triangle_mst() {

@@ -10,9 +10,9 @@
 //! node. The tuple table grows one column per iteration — relational
 //! schema evolution standing in for the paper's tuple notation.
 
-use crate::graphdb::GraphDb;
-use fempath_sql::{Result, SqlError};
-use fempath_storage::Value;
+use fempath::core::GraphDb;
+use fempath::sql::{Result, SqlError};
+use fempath::storage::Value;
 
 /// Installs (or replaces) node labels: `labels[v]` is the label of node
 /// `v`. Creates `TLabels(nid, label)` with an index on `label`.
@@ -113,7 +113,7 @@ pub fn match_label_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fempath_graph::Graph;
+    use fempath::graph::Graph;
 
     /// Brute-force oracle for label-path matching.
     fn oracle(g: &Graph, labels_of: &[i64], pattern: &[i64], iso: bool) -> Vec<Vec<i64>> {
@@ -167,14 +167,20 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_random_labeled_graph() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        // xorshift64: a fixed pseudo-random graph and labelling.
+        let mut state = 9u64;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
         let edges: Vec<(u32, u32, u32)> = (0..60)
-            .map(|_| (rng.gen_range(0..30), rng.gen_range(0..30), 1))
+            .map(|_| (below(30) as u32, below(30) as u32, 1))
             .filter(|(u, v, _)| u != v)
             .collect();
         let g = Graph::from_undirected_edges(30, edges);
-        let labels: Vec<i64> = (0..30).map(|_| rng.gen_range(0..3)).collect();
+        let labels: Vec<i64> = (0..30).map(|_| below(3) as i64).collect();
         let mut gdb = GraphDb::in_memory(&g).unwrap();
         set_labels(&mut gdb, &labels).unwrap();
         for pattern in [vec![0i64, 1], vec![2, 2, 0], vec![1, 0, 2, 1]] {

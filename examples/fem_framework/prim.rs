@@ -8,9 +8,9 @@
 //! beyond shortest paths.
 
 use crate::fem::{run_fem, FemSearch};
-use crate::graphdb::GraphDb;
-use fempath_sql::{Database, Result, SqlError};
-use fempath_storage::Value;
+use fempath::core::GraphDb;
+use fempath::sql::{Database, Result, SqlError};
+use fempath::storage::Value;
 
 /// Result of the relational Prim run.
 #[derive(Debug, Clone)]
@@ -111,4 +111,32 @@ pub fn prim_mst(gdb: &mut GraphDb, start: i64) -> Result<MstResult> {
         total_weight: total,
         iterations,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::oracles;
+    use fempath::graph::generate;
+
+    #[test]
+    fn relational_prim_matches_in_memory_prim() {
+        let g = generate::power_law(200, 2, 1..=50, 111);
+        let mut gdb = GraphDb::in_memory(&g).unwrap();
+        let rel = prim_mst(&mut gdb, 0).unwrap();
+        let (edges, total) = oracles::prim(&g);
+        assert_eq!(rel.edges.len(), edges.len());
+        assert_eq!(rel.total_weight as u64, total);
+    }
+
+    #[test]
+    fn mst_pipeline() {
+        let g = generate::random_graph(150, 4, 1..=30, 17);
+        let mut gdb = GraphDb::in_memory(&g).unwrap();
+        let rel = prim_mst(&mut gdb, 0).unwrap();
+        let (edges, total) = oracles::prim(&g);
+        assert_eq!(rel.total_weight as u64, total);
+        assert_eq!(rel.edges.len(), edges.len());
+        assert_eq!(rel.iterations as usize, edges.len() + 1);
+    }
 }

@@ -5,16 +5,11 @@
 //! two given nodes", citing Trißl & Leser's RDB implementation). This
 //! module implements it as a [`crate::fem::FemSearch`]: a BFS-style frontier
 //! that stops early once the target enters the visited set.
-//!
-//! When a landmark index exists (DESIGN.md §12) a pair sharing a landmark
-//! tree is proven reachable by the index alone — both endpoints reach the
-//! common landmark, and edges are stored symmetrically — so the BFS is
-//! skipped entirely for such pairs.
 
 use crate::fem::{run_fem, FemSearch};
-use crate::graphdb::GraphDb;
-use fempath_sql::{Database, Result};
-use fempath_storage::Value;
+use fempath::core::GraphDb;
+use fempath::sql::{Database, Result};
+use fempath::storage::Value;
 
 struct ReachSearch {
     source: i64,
@@ -75,12 +70,6 @@ pub fn reachable(gdb: &mut GraphDb, s: i64, t: i64) -> Result<bool> {
     if s == t {
         return Ok(true);
     }
-    // A shared landmark tree is a reachability certificate: s ~ lm ~ t.
-    // The converse doesn't hold (the index may not cover the pair), so a
-    // miss still runs the BFS.
-    if gdb.landmarks().is_some() && crate::landmarks::common_landmark(gdb, s, t)?.is_some() {
-        return Ok(true);
-    }
     let mut search = ReachSearch {
         source: s,
         target: Some(t),
@@ -114,29 +103,17 @@ pub fn component_size(gdb: &mut GraphDb, s: i64) -> Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fempath_graph::{generate, Graph};
-    use fempath_inmem::bfs;
+    use crate::oracles;
+    use fempath::graph::{generate, Graph};
 
     #[test]
     fn reachability_matches_bfs_oracle() {
         let g = generate::random_graph(120, 1, 1..=10, 3); // sparse: disconnected
         let mut gdb = GraphDb::in_memory(&g).unwrap();
         for (s, t) in [(0u32, 100u32), (5, 50), (7, 8), (0, 0), (99, 1)] {
-            let want = bfs::reachable(&g, s, t);
+            let want = oracles::reachable(&g, s, t);
             let got = reachable(&mut gdb, s as i64, t as i64).unwrap();
             assert_eq!(got, want, "{s}->{t}");
-        }
-    }
-
-    #[test]
-    fn landmark_shortcut_agrees_with_bfs_oracle() {
-        let g = generate::random_graph(120, 1, 1..=10, 3); // sparse: disconnected
-        let mut gdb = GraphDb::in_memory(&g).unwrap();
-        gdb.build_landmarks(4).unwrap();
-        for (s, t) in [(0u32, 100u32), (5, 50), (7, 8), (0, 0), (99, 1)] {
-            let want = bfs::reachable(&g, s, t);
-            let got = reachable(&mut gdb, s as i64, t as i64).unwrap();
-            assert_eq!(got, want, "{s}->{t} with landmark shortcut");
         }
     }
 

@@ -3,11 +3,10 @@
 //! examples and benches do.
 
 use fempath::core::{
-    prim_mst, BsdjFinder, BsegFinder, DjFinder, GraphDb, GraphDbOptions, ShortestPathFinder,
-    SqlStyle,
+    BsdjFinder, BsegFinder, DjFinder, GraphDb, GraphDbOptions, ShortestPathFinder, SqlStyle,
 };
 use fempath::graph::{generate, io, IndexKind};
-use fempath::inmem::{dijkstra, mst};
+use fempath::inmem::dijkstra;
 use fempath::sql::Dialect;
 
 #[test]
@@ -104,17 +103,6 @@ fn dj_runs_on_tiny_graph_all_dialects() {
         let oracle = dijkstra::shortest_path(&g, 0, 15).unwrap();
         assert_eq!(out.path.unwrap().length as u64, oracle.distance);
     }
-}
-
-#[test]
-fn mst_pipeline() {
-    let g = generate::random_graph(150, 4, 1..=30, 17);
-    let mut gdb = GraphDb::in_memory(&g).unwrap();
-    let rel = prim_mst(&mut gdb, 0).unwrap();
-    let (edges, total) = mst::prim(&g);
-    assert_eq!(rel.total_weight as u64, total);
-    assert_eq!(rel.edges.len(), edges.len());
-    assert_eq!(rel.iterations as usize, edges.len() + 1);
 }
 
 #[test]
