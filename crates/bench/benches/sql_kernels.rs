@@ -194,7 +194,7 @@ fn bench_tvisited_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("tvisited_scan");
     group.sample_size(20);
     let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
-    for rows in [100i64, 1000, 3000] {
+    for rows in [100i64, 300, 1000, 3000] {
         let statements: [(&str, String, Vec<Value>); 5] = [
             ("count_star", "SELECT COUNT(*) FROM TVisited".into(), vec![]),
             ("candidate_stats", gen.candidate_stats(), vec![]),

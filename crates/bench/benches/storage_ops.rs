@@ -1,8 +1,10 @@
-//! Microbenchmarks of the storage substrate: buffer-pool page access and
-//! B+tree operations.
+//! Microbenchmarks of the storage substrate: buffer-pool page access,
+//! B+tree operations and the heap row decoder.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fempath_storage::{BTree, BTreeBulkBuilder, BufferPool};
+use fempath_storage::{
+    encode_row, BTree, BTreeBulkBuilder, BufferPool, Chunk, ColSet, HeapFile, Value, CHUNK_CAPACITY,
+};
 use std::hint::black_box;
 
 fn bench_buffer_pool(c: &mut Criterion) {
@@ -123,5 +125,41 @@ fn bench_bulk_load(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_buffer_pool, bench_btree, bench_bulk_load);
+/// What decoding costs per heap row, with no SQL above it: a cursor scan
+/// reading 3 of the 7 INT columns of 300 `TVisited`-shaped rows (the
+/// `d2s`, `f` and `d2t` a frontier pick reads; the workload's mean
+/// |TVisited| is about 270). ns/row = time / 300.
+fn bench_heap_decode(c: &mut Criterion) {
+    let mut group = c.benchmark_group("heap_decode");
+    group.sample_size(20);
+    const ROWS: i64 = 300;
+    group.bench_function(&format!("3_of_7/{ROWS}"), |b| {
+        let mut pool = BufferPool::in_memory(64);
+        let mut heap = HeapFile::create();
+        let rows: Vec<Vec<u8>> = (0..ROWS)
+            .map(|u| encode_row(&[u, u % 97, u / 2, u % 10, -1, -1, 0].map(Value::Int)))
+            .collect();
+        heap.insert_batch(&mut pool, &rows).unwrap();
+        let cols = ColSet::of([1, 3, 4]);
+        let mut chunk = Chunk::new();
+        b.iter(|| {
+            chunk.reset();
+            let mut cursor = heap.batch_cursor();
+            while cursor
+                .next_batch(&heap, &mut pool, &mut chunk, &cols, None, CHUNK_CAPACITY)
+                .unwrap()
+            {}
+            black_box(chunk.len());
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_buffer_pool,
+    bench_btree,
+    bench_bulk_load,
+    bench_heap_decode
+);
 criterion_main!(benches);

@@ -10,10 +10,10 @@
 use crate::ast::ColumnDef;
 use crate::error::{Result, SqlError};
 use fempath_storage::{
-    decode_edge_segment, decode_edge_segment_with, decode_row, encode_key, encode_key_into,
-    encode_row, encode_row_from_chunk, encode_row_into, BTree, BTreeBulkBuilder, BTreeScanCursor,
-    BufferPool, Chunk, ColSet, Column, DataType, HeapFile, HeapScanCursor, KeyArena, RecordId,
-    SegmentWriter, Value,
+    decode_edge_segment, decode_edge_segment_with, decode_row, decode_row_into_chunk,
+    decode_rows_into_chunk, encode_key, encode_key_into, encode_row, encode_row_from_chunk,
+    encode_row_into, BTree, BTreeBulkBuilder, BTreeScanCursor, BufferPool, Chunk, ColSet, Column,
+    DataType, HeapFile, HeapScanCursor, KeyArena, RecordId, SegmentWriter, Value, CHUNK_CAPACITY,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -253,18 +253,35 @@ pub enum UpdateMode {
     Rewrite,
 }
 
-/// Appends `row`'s `cols` columns to `chunk` (the projected counterpart of
-/// [`Chunk::push_row`], for rows that had to be decoded whole first).
-fn push_row_cols(chunk: &mut Chunk, row: &[Value], cols: &ColSet) {
-    if chunk.is_empty() && chunk.width() != row.len() {
-        chunk.set_width(row.len());
-    }
-    for (c, v) in row.iter().enumerate() {
-        if cols.contains(c) {
-            chunk.col_mut(c).push(v.clone());
+/// Appends to `chunk` the `read` columns of the rows `keep` accepts among
+/// those `next` decodes (whole rows, a batch per call, `false` once
+/// exhausted) — for the probes that must test a row before keeping it.
+fn append_matching(
+    chunk: &mut Chunk,
+    read: &ColSet,
+    mut next: impl FnMut(&mut Chunk) -> Result<bool>,
+    keep: impl Fn(&Chunk, usize) -> bool,
+) -> Result<()> {
+    let mut rows = Chunk::new();
+    let mut idx = Vec::new();
+    loop {
+        rows.reset();
+        let more = next(&mut rows)?;
+        idx.clear();
+        idx.extend((0..rows.len() as u32).filter(|&r| keep(&rows, r as usize)));
+        if !idx.is_empty() {
+            if chunk.is_empty() && chunk.width() != rows.width() {
+                chunk.set_width(rows.width());
+            }
+            for c in (0..rows.width()).filter(|&c| read.contains(c)) {
+                chunk.col_mut(c).extend_gather(rows.col(c), &idx);
+            }
+            chunk.commit_rows(idx.len());
+        }
+        if !more {
+            return Ok(());
         }
     }
-    chunk.commit_row();
 }
 
 /// Appends one `(fid, tid, cost)` edge's `cols` columns to a 3-wide chunk.
@@ -275,13 +292,6 @@ fn push_edge_cols(chunk: &mut Chunk, edge: (i64, i64, i64), cols: &ColSet) {
         }
     }
     chunk.commit_row();
-}
-
-/// Scan-fallback equality predicate (NULLs never match).
-fn eq_match(row: &[Value], cols: &[usize], key_vals: &[Value]) -> bool {
-    cols.iter()
-        .zip(key_vals)
-        .all(|(&c, v)| !row[c].is_null() && row[c].total_cmp(v).is_eq())
 }
 
 /// A resumable batched-scan position over a table's storage
@@ -730,7 +740,7 @@ impl Table {
             TableStorage::Clustered { tree, .. } if locs.rids.is_empty() => {
                 for r in 0..locs.keys.len() {
                     let decoded = tree.get_with(pool, locs.keys.get(r), |bytes| {
-                        fempath_storage::decode_row_into_chunk(bytes, chunk, read)
+                        decode_row_into_chunk(bytes, chunk, read)
                     })?;
                     decoded
                         .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))??;
@@ -765,22 +775,12 @@ impl Table {
                 let TableStorage::Clustered { tree, .. } = &self.storage else {
                     unreachable!("clustered path implies clustered storage");
                 };
-                let mut decode_err = None;
-                tree.scan_prefix(
-                    pool,
-                    &prefix,
-                    |_, v| match fempath_storage::decode_row_into_chunk(v, chunk, read) {
-                        Ok(()) => true,
-                        Err(e) => {
-                            decode_err = Some(e);
-                            false
-                        }
-                    },
-                )?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
-                }
-                Ok(())
+                let mut decoded = Ok(());
+                tree.scan_prefix_runs(pool, &prefix, |run| {
+                    decoded = decode_rows_into_chunk(run.vals(), chunk, read);
+                    decoded.is_ok()
+                })?;
+                Ok(decoded?)
             }
             EqAccessPath::SegmentedFid(fid) => {
                 // The FEM expansion hot path: decode matching edges
@@ -829,32 +829,47 @@ impl Table {
                     return Err(e.into());
                 }
                 // Delta-overlay rows for this fid (unsorted tail).
-                delta.scan(pool, |_, bytes| match decode_row(bytes) {
-                    Ok(row) => {
-                        if row.first().and_then(|v| v.as_i64()) == Some(fid) {
-                            push_row_cols(chunk, &row, read);
-                        }
-                        true
-                    }
-                    Err(e) => {
-                        decode_err = Some(e);
-                        false
-                    }
-                })?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
-                }
-                Ok(())
+                let mut cursor = delta.batch_cursor();
+                append_matching(
+                    chunk,
+                    read,
+                    |rows| {
+                        Ok(cursor.next_batch(
+                            delta,
+                            pool,
+                            rows,
+                            &ColSet::all(),
+                            None,
+                            CHUNK_CAPACITY,
+                        )?)
+                    },
+                    |rows, r| rows.get(0, r).as_i64() == Some(fid),
+                )
             }
             EqAccessPath::Secondary(locs) => self.fetch_chunk(pool, &locs, chunk, read),
             EqAccessPath::Scan => {
-                // Needs the decoded row for the comparison anyway.
-                self.scan(pool, |_, row| {
-                    if eq_match(&row, cols, key_vals) {
-                        push_row_cols(chunk, &row, read);
-                    }
-                    true
-                })
+                let mut cursor = self.batch_cursor(pool)?;
+                append_matching(
+                    chunk,
+                    read,
+                    |rows| {
+                        self.next_batch(
+                            pool,
+                            &mut cursor,
+                            rows,
+                            &ColSet::all(),
+                            None,
+                            CHUNK_CAPACITY,
+                        )
+                    },
+                    // NULLs never match.
+                    |rows, r| {
+                        cols.iter().zip(key_vals).all(|(&c, v)| {
+                            let cell = rows.get(c, r);
+                            !cell.is_null() && cell.total_cmp(v).is_eq()
+                        })
+                    },
+                )
             }
         }
     }
@@ -980,9 +995,9 @@ impl Table {
             ));
         };
         let mut decoded = Ok(());
-        tree.scan_prefix(pool, key, |k, v| {
-            locs.keys.push(k);
-            decoded = fempath_storage::decode_row_into_chunk(v, rows, read);
+        tree.scan_prefix_runs(pool, key, |run| {
+            run.keys().for_each(|k| locs.keys.push(k));
+            decoded = decode_rows_into_chunk(run.vals(), rows, read);
             decoded.is_ok()
         })?;
         Ok(decoded?)
@@ -1032,7 +1047,7 @@ impl Table {
                 &mut chunk,
                 &read,
                 Some(&mut batch),
-                fempath_storage::CHUNK_CAPACITY,
+                CHUNK_CAPACITY,
             )?;
             sel.clear();
             sel.extend((0..chunk.len() as u32).filter(|&r| {

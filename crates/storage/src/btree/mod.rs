@@ -272,7 +272,50 @@ impl BTree {
         hi: Bound<&[u8]>,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<()> {
-        // Descend to the leaf that would contain the lower bound.
+        self.walk_leaves(pool, lo, |b, start| {
+            for i in start..node::num_cells(b) {
+                let k = node::key_at(b, i);
+                let past_hi = match hi {
+                    Bound::Included(h) => k > h,
+                    Bound::Excluded(h) => k >= h,
+                    Bound::Unbounded => false,
+                };
+                if past_hi || !f(k, node::leaf_val_at(b, i)) {
+                    return false;
+                }
+            }
+            true
+        })
+    }
+
+    /// [`BTree::scan_prefix`] a leaf page at a time: hands `f` each leaf's
+    /// run of entries whose key starts with `prefix`, so a caller can
+    /// decode the run as one batch; `f` returns `false` to stop.
+    pub fn scan_prefix_runs(
+        &self,
+        pool: &mut BufferPool,
+        prefix: &[u8],
+        mut f: impl FnMut(LeafRun<'_>) -> bool,
+    ) -> Result<()> {
+        self.walk_leaves(pool, Bound::Included(prefix), |b, start| {
+            let n = node::num_cells(b);
+            let end = (start..n)
+                .find(|&i| !node::key_at(b, i).starts_with(prefix))
+                .unwrap_or(n);
+            (start == end || f(LeafRun { b, start, end })) && end == n
+        })
+    }
+
+    /// The leaf walk under the range scans: descends to the leaf that
+    /// would contain `lo`, then hands `visit` each leaf along the chain
+    /// with the index of its first entry at or past `lo`; `visit` returns
+    /// `false` to stop.
+    fn walk_leaves(
+        &self,
+        pool: &mut BufferPool,
+        lo: Bound<&[u8]>,
+        mut visit: impl FnMut(&node::Buf, usize) -> bool,
+    ) -> Result<()> {
         let mut pid = self.root;
         loop {
             let next = pool.read_page(pid, |b| {
@@ -292,40 +335,23 @@ impl BTree {
         }
         let mut first_leaf = true;
         loop {
-            let (stop, next) = pool.read_page(pid, |b| {
-                let start = if first_leaf {
-                    match lo {
-                        Bound::Included(k) => node::lower_bound(b, k).0,
-                        Bound::Excluded(k) => {
-                            let (i, found) = node::lower_bound(b, k);
-                            if found {
-                                i + 1
-                            } else {
-                                i
-                            }
-                        }
-                        Bound::Unbounded => 0,
+            let next = pool.read_page(pid, |b| {
+                let start = match lo {
+                    _ if !first_leaf => 0,
+                    Bound::Included(k) => node::lower_bound(b, k).0,
+                    Bound::Excluded(k) => {
+                        let (i, found) = node::lower_bound(b, k);
+                        i + usize::from(found)
                     }
-                } else {
-                    0
+                    Bound::Unbounded => 0,
                 };
-                for i in start..node::num_cells(b) {
-                    let k = node::key_at(b, i);
-                    let past_hi = match hi {
-                        Bound::Included(h) => k > h,
-                        Bound::Excluded(h) => k >= h,
-                        Bound::Unbounded => false,
-                    };
-                    if past_hi {
-                        return (true, u64::MAX);
-                    }
-                    if !f(k, node::leaf_val_at(b, i)) {
-                        return (true, u64::MAX);
-                    }
+                if visit(b, start) {
+                    node::next_leaf(b)
+                } else {
+                    u64::MAX
                 }
-                (false, node::next_leaf(b))
             })?;
-            if stop || next == u64::MAX {
+            if next == u64::MAX {
                 return Ok(());
             }
             pid = PageId(next);
@@ -565,6 +591,27 @@ impl KeyArena {
     }
 }
 
+/// Consecutive entries of one leaf page, handed out by
+/// [`BTree::scan_prefix_runs`].
+#[derive(Clone, Copy)]
+pub struct LeafRun<'a> {
+    b: &'a node::Buf,
+    start: usize,
+    end: usize,
+}
+
+impl<'a> LeafRun<'a> {
+    /// The run's keys, in order.
+    pub fn keys(self) -> impl Iterator<Item = &'a [u8]> {
+        (self.start..self.end).map(move |i| node::key_at(self.b, i))
+    }
+
+    /// The run's values, in order.
+    pub fn vals(self) -> impl Iterator<Item = &'a [u8]> {
+        (self.start..self.end).map(move |i| node::leaf_val_at(self.b, i))
+    }
+}
+
 /// Resumable batched scan over a [`BTree`]'s leaf chain
 /// (see [`BTree::batch_cursor`]). Leaf values are decoded as rows.
 #[derive(Debug, Clone, Copy)]
@@ -592,21 +639,24 @@ impl BTreeScanCursor {
             }
             let start = self.idx;
             let keys_ref = &mut keys;
+            let want = max - added;
             let (next_idx, next_pid, leaf_done) = pool.read_page(PageId(self.pid), |b| {
                 let n = node::num_cells(b);
-                let mut i = start;
-                while i < n {
-                    if added >= max {
-                        return Ok::<_, StorageError>((i, 0, false));
-                    }
-                    crate::row::decode_row_into_chunk(node::leaf_val_at(b, i), chunk, cols)?;
-                    if let Some(keys) = keys_ref.as_deref_mut() {
-                        keys.push(node::key_at(b, i));
-                    }
-                    i += 1;
-                    added += 1;
+                let end = n.min(start.saturating_add(want));
+                crate::row::decode_rows_into_chunk(
+                    (start..end).map(|i| node::leaf_val_at(b, i)),
+                    chunk,
+                    cols,
+                )?;
+                if let Some(keys) = keys_ref.as_deref_mut() {
+                    (start..end).for_each(|i| keys.push(node::key_at(b, i)));
                 }
-                Ok((0, node::next_leaf(b), true))
+                added += end - start;
+                Ok::<_, StorageError>(if end < n {
+                    (end, 0, false)
+                } else {
+                    (0, node::next_leaf(b), true)
+                })
             })??;
             if leaf_done {
                 self.pid = next_pid;
@@ -1111,6 +1161,40 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, (0..20).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn prefix_runs_are_the_prefix_scan_a_leaf_at_a_time() {
+        let mut p = pool();
+        let mut t = BTree::create(&mut p).unwrap();
+        // 200-byte values: a group of 100 entries spans several leaves.
+        for g in 0..5u8 {
+            for s in 0..100u8 {
+                t.insert(&mut p, &[g, s], &[s; 200]).unwrap();
+            }
+        }
+        let mut want = Vec::new();
+        t.scan_prefix(&mut p, &[2], |k, v| {
+            want.push((k.to_vec(), v.to_vec()));
+            true
+        })
+        .unwrap();
+        let mut runs: Vec<Vec<_>> = Vec::new();
+        t.scan_prefix_runs(&mut p, &[2], |run| {
+            let keys = run.keys().map(<[u8]>::to_vec);
+            runs.push(keys.zip(run.vals().map(<[u8]>::to_vec)).collect());
+            true
+        })
+        .unwrap();
+        assert!(runs.len() > 1 && runs.iter().all(|r| !r.is_empty()));
+        assert_eq!(runs.concat(), want);
+        let mut calls = 0;
+        t.scan_prefix_runs(&mut p, &[2], |_| {
+            calls += 1;
+            false
+        })
+        .unwrap();
+        assert_eq!(calls, 1, "false stops the walk");
     }
 
     #[test]

@@ -108,8 +108,7 @@ impl BufferPool {
         let n = self.disk.num_pages();
         let mut pages: Vec<Box<[u8; PAGE_SIZE]>> = Vec::with_capacity(n as usize);
         for i in 0..n {
-            let mut buf: Box<[u8; PAGE_SIZE]> =
-                vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap();
+            let mut buf = Box::new([0u8; PAGE_SIZE]);
             self.disk.read_page(PageId(i), &mut buf)?;
             pages.push(buf);
         }

@@ -65,6 +65,12 @@ impl NullMask {
         self.len += 1;
     }
 
+    /// Appends `k` rows, none of them NULL.
+    pub fn extend_valid(&mut self, k: usize) {
+        self.len += k;
+        self.words.resize(self.len.div_ceil(64), 0);
+    }
+
     /// Whether row `i` is NULL.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -194,6 +200,19 @@ impl Column {
                 nulls.push(false);
             }
             Column::Generic(g) => g.push(Value::Int(v)),
+        }
+    }
+
+    /// Appends known-integer values, none NULL (the batch row decoder's
+    /// typed fill).
+    #[inline]
+    pub fn extend_ints(&mut self, new: impl ExactSizeIterator<Item = i64>) {
+        match self {
+            Column::Int { vals, nulls } => {
+                nulls.extend_valid(new.len());
+                vals.extend(new);
+            }
+            Column::Generic(g) => g.extend(new.map(Value::Int)),
         }
     }
 
@@ -418,11 +437,18 @@ impl Chunk {
     /// Completes one row appended cell-by-cell through [`Chunk::col_mut`].
     #[inline]
     pub fn commit_row(&mut self) {
+        self.commit_rows(1);
+    }
+
+    /// Completes `k` rows appended column-by-column through
+    /// [`Chunk::col_mut`].
+    #[inline]
+    pub fn commit_rows(&mut self, k: usize) {
         debug_assert!(self
             .cols
             .iter()
-            .all(|c| c.len() == self.len + 1 || c.is_empty()));
-        self.len += 1;
+            .all(|c| c.len() == self.len + k || c.is_empty()));
+        self.len += k;
     }
 
     /// Value at `(col, row)`.
@@ -605,6 +631,23 @@ mod tests {
         m.clear();
         assert!(!m.any());
         assert_eq!(m.len(), 0);
+    }
+
+    #[test]
+    fn null_mask_extends_valid_rows_across_words() {
+        let mut m = NullMask::new();
+        m.push(true);
+        m.extend_valid(130);
+        m.push(true);
+        assert_eq!((m.len(), m.count()), (132, 2));
+        assert!((0..132).all(|i| m.get(i) == (i == 0 || i == 131)));
+        let mut c = Column::new_int();
+        c.push_null();
+        c.extend_ints([4, -5].into_iter());
+        assert_eq!(
+            (0..3).map(|i| c.get(i)).collect::<Vec<_>>(),
+            [Value::Null, Value::Int(4), Value::Int(-5)]
+        );
     }
 
     #[test]

@@ -156,8 +156,7 @@ impl DiskBackend for MemDisk {
 
     fn allocate_page(&mut self) -> Result<PageId> {
         let pid = PageId(self.pages.len() as u64);
-        self.pages
-            .push(vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap());
+        self.pages.push(Box::new([0u8; PAGE_SIZE]));
         Ok(pid)
     }
 
@@ -264,8 +263,7 @@ impl DiskBackend for SnapshotDisk {
 
     fn allocate_page(&mut self) -> Result<PageId> {
         let pid = PageId(self.num_pages());
-        self.private
-            .push(vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap());
+        self.private.push(Box::new([0u8; PAGE_SIZE]));
         Ok(pid)
     }
 

@@ -15,6 +15,7 @@ use crate::buffer::BufferPool;
 use crate::error::{Result, StorageError};
 use crate::page::{codec, PageId, PAGE_SIZE};
 use crate::value::Value;
+use std::ops::Range;
 
 const HDR_NUM_SLOTS: usize = 0; // u16
 const HDR_CELL_START: usize = 2; // u16
@@ -186,19 +187,36 @@ fn page_update_in_place(buf: &mut [u8; PAGE_SIZE], rid: RecordId, bytes: &[u8]) 
     Ok(false)
 }
 
-/// Offset and length of the live cell `rid` addresses within its page.
-fn live_cell(buf: &[u8; PAGE_SIZE], rid: RecordId) -> Result<(usize, usize)> {
-    let so = HDR_SIZE + rid.slot as usize * SLOT_SIZE;
-    if rid.slot >= codec::get_u16(buf, HDR_NUM_SLOTS) || codec::get_u16(buf, so) == DEAD_SLOT {
-        return Err(StorageError::InvalidRecordId {
+/// Where the live cells among `slots` of a page (which must not run past
+/// its slot count) lie, with their slot numbers, in slot order.
+#[inline]
+fn live_spans(
+    buf: &[u8; PAGE_SIZE],
+    slots: Range<u16>,
+) -> impl Iterator<Item = (u16, Range<usize>)> + '_ {
+    let dir = &buf[HDR_SIZE + usize::from(slots.start) * SLOT_SIZE..][..slots.len() * SLOT_SIZE];
+    let dir = dir.as_chunks::<SLOT_SIZE>().0;
+    dir.iter()
+        .enumerate()
+        .filter_map(move |(i, &[o0, o1, l0, l1])| {
+            let off = u16::from_le_bytes([o0, o1]);
+            let len = usize::from(u16::from_le_bytes([l0, l1]));
+            let slot = slots.start + i as u16;
+            (off != DEAD_SLOT).then(|| (slot, usize::from(off)..usize::from(off) + len))
+        })
+}
+
+/// Where the live cell `rid` addresses lies within its page.
+fn live_cell(buf: &[u8; PAGE_SIZE], rid: RecordId) -> Result<Range<usize>> {
+    let in_page = rid.slot < codec::get_u16(buf, HDR_NUM_SLOTS);
+    in_page
+        .then(|| live_spans(buf, rid.slot..rid.slot + 1).next())
+        .flatten()
+        .map(|(_, span)| span)
+        .ok_or(StorageError::InvalidRecordId {
             page: rid.page as u64,
             slot: rid.slot,
-        });
-    }
-    Ok((
-        codec::get_u16(buf, so) as usize,
-        codec::get_u16(buf, so + 2) as usize,
-    ))
+        })
 }
 
 /// A record that outgrew its page during [`HeapFile::update_cells`]:
@@ -237,36 +255,33 @@ impl HeapScanCursor {
                 return Ok(true);
             }
             let pid = heap.pages[self.page_idx];
-            let page_idx = self.page_idx;
-            let start_slot = self.slot;
+            let page = self.page_idx as u32;
+            let start = self.slot;
+            let want = max - added;
             let rids_ref = &mut rids;
             let (next_slot, page_done) = pool.read_page(pid, |buf| {
                 let n = codec::get_u16(buf, HDR_NUM_SLOTS);
-                let mut slot = start_slot;
-                while slot < n {
-                    if added >= max {
-                        return Ok::<_, StorageError>((slot, false));
-                    }
-                    let so = HDR_SIZE + slot as usize * SLOT_SIZE;
-                    let off = codec::get_u16(buf, so);
-                    if off != DEAD_SLOT {
-                        let len = codec::get_u16(buf, so + 2) as usize;
-                        crate::row::decode_row_into_chunk(
-                            &buf[off as usize..off as usize + len],
-                            chunk,
-                            cols,
-                        )?;
-                        if let Some(rids) = rids_ref.as_deref_mut() {
-                            rids.push(RecordId {
-                                page: page_idx as u32,
-                                slot,
-                            });
-                        }
-                        added += 1;
-                    }
-                    slot += 1;
+                // The slots this call takes: the rest of the page, or up
+                // to its `want`-th live record.
+                let end = if usize::from(n.saturating_sub(start)) > want {
+                    live_spans(buf, start..n)
+                        .nth(want - 1)
+                        .map_or(n, |(slot, _)| slot + 1)
+                } else {
+                    n
+                };
+                let before = chunk.len();
+                crate::row::decode_rows_into_chunk(
+                    live_spans(buf, start..end).map(|(_, span)| &buf[span]),
+                    chunk,
+                    cols,
+                )?;
+                if let Some(rids) = rids_ref.as_deref_mut() {
+                    let taken = live_spans(buf, start..end);
+                    rids.extend(taken.map(|(slot, _)| RecordId { page, slot }));
                 }
-                Ok((slot, true))
+                added += chunk.len() - before;
+                Ok::<_, StorageError>((end, end >= n))
             })??;
             self.slot = next_slot;
             if page_done {
@@ -372,10 +387,7 @@ impl HeapFile {
     /// Reads the record at `rid`.
     pub fn get(&self, pool: &mut BufferPool, rid: RecordId) -> Result<Vec<u8>> {
         let pid = self.pid_of(rid)?;
-        pool.read_page(pid, |buf| {
-            let (off, len) = live_cell(buf, rid)?;
-            Ok(buf[off..off + len].to_vec())
-        })?
+        pool.read_page(pid, |buf| Ok(buf[live_cell(buf, rid)?].to_vec()))?
     }
 
     /// Decodes the `cols` columns of the records at `rids` into `chunk`,
@@ -398,11 +410,18 @@ impl HeapFile {
                 .map_or(rids.len(), |p| i + p);
             let pid = self.pid_of(rids[i])?;
             pool.read_page(pid, |buf| {
-                for &rid in &rids[i..end] {
-                    let (off, len) = live_cell(buf, rid)?;
-                    crate::row::decode_row_into_chunk(&buf[off..off + len], chunk, cols)?;
-                }
-                Ok::<_, StorageError>(())
+                let mut bad = Ok(());
+                let cells = rids[i..end]
+                    .iter()
+                    .map_while(|&rid| match live_cell(buf, rid) {
+                        Ok(span) => Some(&buf[span]),
+                        Err(e) => {
+                            bad = Err(e);
+                            None
+                        }
+                    });
+                crate::row::decode_rows_into_chunk(cells, chunk, cols)?;
+                bad
             })??;
             i = end;
         }
@@ -623,8 +642,8 @@ impl HeapFile {
             let pid = self.pid_of(rids[order[i] as usize])?;
             let patched = pool.write_page(pid, |buf| {
                 for (n, &k) in order[i..end].iter().enumerate() {
-                    let (off, len) = live_cell(buf, rids[k as usize])?;
-                    let cell = &mut buf[off..off + len];
+                    let span = live_cell(buf, rids[k as usize])?;
+                    let cell = &mut buf[span];
                     if !crate::row::patch_fixed_cells(cell, cols, vals, k as usize) {
                         return Ok(n);
                     }
@@ -646,8 +665,7 @@ impl HeapFile {
             let pid = self.pid_of(rids[rest[i] as usize])?;
             pool.read_page(pid, |buf| {
                 for &k in &rest[i..end] {
-                    let (off, len) = live_cell(buf, rids[k as usize])?;
-                    let mut row = crate::row::decode_row(&buf[off..off + len])?;
+                    let mut row = crate::row::decode_row(&buf[live_cell(buf, rids[k as usize])?])?;
                     for (&c, col) in cols.iter().zip(vals) {
                         *row.get_mut(c).ok_or_else(|| {
                             StorageError::Corrupt(format!("row has no column {c} to assign"))
@@ -707,22 +725,10 @@ impl HeapFile {
         for (page_idx, &pid) in self.pages.iter().enumerate() {
             let keep_going = pool.read_page(pid, |buf| {
                 let n = codec::get_u16(buf, HDR_NUM_SLOTS);
-                for slot in 0..n {
-                    let so = HDR_SIZE + slot as usize * SLOT_SIZE;
-                    let off = codec::get_u16(buf, so);
-                    if off == DEAD_SLOT {
-                        continue;
-                    }
-                    let len = codec::get_u16(buf, so + 2) as usize;
-                    let rid = RecordId {
-                        page: page_idx as u32,
-                        slot,
-                    };
-                    if !f(rid, &buf[off as usize..off as usize + len]) {
-                        return false;
-                    }
-                }
-                true
+                live_spans(buf, 0..n).all(|(slot, span)| {
+                    let page = page_idx as u32;
+                    f(RecordId { page, slot }, &buf[span])
+                })
             })?;
             if !keep_going {
                 break;

@@ -38,7 +38,7 @@ pub mod value;
 
 pub mod btree;
 
-pub use btree::{BTree, BTreeBulkBuilder, BTreeScanCursor, KeyArena};
+pub use btree::{BTree, BTreeBulkBuilder, BTreeScanCursor, KeyArena, LeafRun};
 pub use buffer::BufferPool;
 pub use chunk::{chunk_from_rows, Chunk, Column, NullMask, CHUNK_CAPACITY};
 pub use disk::{DiskBackend, FileDisk, MemDisk, SnapshotDisk, SnapshotPages};
@@ -46,8 +46,8 @@ pub use error::{Result, StorageError};
 pub use heap::{HeapFile, HeapScanCursor, MovedRecord, RecordId};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use row::{
-    decode_row, decode_row_into_chunk, encode_row, encode_row_from_chunk, encode_row_into,
-    patch_fixed_cells, ColSet,
+    decode_row, decode_row_into_chunk, decode_rows_into_chunk, encode_row, encode_row_from_chunk,
+    encode_row_into, patch_fixed_cells, ColSet,
 };
 pub use segment::{
     decode_edge_segment, decode_edge_segment_into_chunk, decode_edge_segment_with,

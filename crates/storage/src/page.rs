@@ -39,7 +39,7 @@ impl Page {
     /// A zero-filled page.
     pub fn zeroed() -> Self {
         Page {
-            data: vec![0u8; PAGE_SIZE].into_boxed_slice().try_into().unwrap(),
+            data: Box::new([0u8; PAGE_SIZE]),
         }
     }
 
@@ -87,7 +87,8 @@ pub mod codec {
     /// Reads a `u32` at `off`.
     #[inline]
     pub fn get_u32(buf: &[u8], off: usize) -> u32 {
-        u32::from_le_bytes(buf[off..off + 4].try_into().unwrap())
+        let b = &buf[off..off + 4];
+        u32::from_le_bytes(std::array::from_fn(|i| b[i]))
     }
 
     /// Writes a `u32` at `off`.
@@ -99,7 +100,8 @@ pub mod codec {
     /// Reads a `u64` at `off`.
     #[inline]
     pub fn get_u64(buf: &[u8], off: usize) -> u64 {
-        u64::from_le_bytes(buf[off..off + 8].try_into().unwrap())
+        let b = &buf[off..off + 8];
+        u64::from_le_bytes(std::array::from_fn(|i| b[i]))
     }
 
     /// Writes a `u64` at `off`.

@@ -70,6 +70,15 @@ impl ColSet {
         ColSet { only: Some(only) }
     }
 
+    /// The ordinals below `n` in the set, ascending.
+    fn ordinals(&self, n: usize) -> impl Iterator<Item = usize> + '_ {
+        let (only, all) = match &self.only {
+            Some(o) => (&o[..o.partition_point(|&c| c < n)], 0),
+            None => (&[][..], n),
+        };
+        only.iter().copied().chain(0..all)
+    }
+
     /// Whether ordinal `c` is in the set.
     pub fn contains(&self, c: usize) -> bool {
         self.only
@@ -200,9 +209,9 @@ pub fn encode_row_from_chunk(out: &mut Vec<u8>, chunk: &crate::chunk::Chunk, r: 
 
 /// The cells of a row made only of fixed-width cells (INT/FLOAT: a tag
 /// and 8 payload bytes) — every FEM working-table row. Their offsets are
-/// known without walking the tags one after another, so a projected decode
-/// touches just the cells it wants. `None` for any other shape (NULLs,
-/// text, damage), which [`walk_cells`] handles and reports.
+/// known without walking the tags one after another, so an in-place patch
+/// touches just the cells it assigns. `None` for any other shape (NULLs,
+/// text, damage).
 fn fixed_cells(bytes: &[u8], n: usize) -> Option<&[[u8; 9]]> {
     let (cells, rest) = bytes.get(2..)?.as_chunks::<9>();
     let fixed = |cell: &[u8; 9]| cell[0] == TAG_INT || cell[0] == TAG_FLOAT;
@@ -256,55 +265,156 @@ pub fn patch_fixed_cells(
     true
 }
 
-/// Deserializes the columns of a row that are in `cols` directly into the
-/// matching columns of `chunk`, appending one row without materializing a
-/// `Vec<Value>`. Columns outside `cols` are stepped over and stay empty;
-/// the chunk's row count advances either way. The chunk's width is fixed
-/// by the first decoded row; later rows must match it. Integer cells
-/// append to the typed column vector (`Chunk`'s hot path); NULLs set the
-/// bitmap; anything else demotes that column to generic.
+/// Deserializes the columns of one row that are in `cols` into `chunk` —
+/// [`decode_rows_into_chunk`] over a batch of one.
 pub fn decode_row_into_chunk(
     bytes: &[u8],
     chunk: &mut crate::chunk::Chunk,
     cols: &ColSet,
 ) -> Result<()> {
-    let n = row_arity(bytes)?;
-    if chunk.is_empty() && chunk.width() != n {
-        chunk.set_width(n);
+    decode_rows_into_chunk([bytes], chunk, cols)
+}
+
+/// Rows [`decode_rows_into_chunk`] holds at once: a heap page's worth of
+/// FEM working-table rows, on the stack — or, for a handful of rows (a
+/// point fetch, one probe's matches), a block that costs no more to set up
+/// than the rows do to decode.
+const PAGE_BLOCK: usize = 128;
+const SMALL_BLOCK: usize = 4;
+
+/// The row decoder: deserializes the columns in `cols` of each encoded row
+/// of `rows`, in order, into the matching columns of `chunk`, appending one
+/// row each without materializing a `Vec<Value>`. Columns outside `cols`
+/// are stepped over and stay empty; the chunk's row count advances either
+/// way. The chunk's width is fixed by the first decoded row; later rows
+/// must match it. Every storage cursor hands it a page's rows at a time
+/// (DESIGN.md §11 *Page-at-a-time decode*).
+///
+/// A run of rows made only of INT cells — every FEM working-table and edge
+/// row — has each row's header, length and cell tags checked, then fills
+/// each wanted column in one typed loop over the run. Any other row takes
+/// the tag walk, which appends INTs to the typed column vector, sets the
+/// bitmap for NULLs and demotes a column to generic for anything else.
+/// Either way every cell of every row is validated, wanted or not. On an
+/// error the rows before the damaged one are appended; the chunk is then
+/// discarded by the caller (statement errors abort the batch).
+pub fn decode_rows_into_chunk<'a>(
+    rows: impl IntoIterator<Item = &'a [u8]>,
+    chunk: &mut crate::chunk::Chunk,
+    cols: &ColSet,
+) -> Result<()> {
+    let rows = rows.into_iter();
+    if rows.size_hint().1.is_some_and(|most| most <= SMALL_BLOCK) {
+        decode_in_blocks::<SMALL_BLOCK>(rows, chunk, cols)
+    } else {
+        decode_in_blocks::<PAGE_BLOCK>(rows, chunk, cols)
     }
-    if chunk.width() != n {
-        return Err(corrupt("row arity differs from chunk width"));
+}
+
+/// [`decode_rows_into_chunk`], `B` rows at a time.
+fn decode_in_blocks<'a, const B: usize>(
+    mut rows: impl Iterator<Item = &'a [u8]>,
+    chunk: &mut crate::chunk::Chunk,
+    cols: &ColSet,
+) -> Result<()> {
+    let mut block: [&[u8]; B] = [&[]; B];
+    loop {
+        let mut k = 0;
+        for (slot, row) in block.iter_mut().zip(&mut rows) {
+            *slot = row;
+            k += 1;
+        }
+        decode_block(&block[..k], chunk, cols)?;
+        if k < B {
+            return Ok(());
+        }
     }
-    if let Some(cells) = fixed_cells(bytes, n) {
-        let mut push = |c: usize| {
-            let [tag, payload @ ..] = cells[c];
-            if tag == TAG_INT {
-                chunk.col_mut(c).push_int(i64::from_le_bytes(payload));
-            } else {
+}
+
+/// [`decode_rows_into_chunk`] over rows held in a slice.
+fn decode_block(mut rows: &[&[u8]], chunk: &mut crate::chunk::Chunk, cols: &ColSet) -> Result<()> {
+    while let Some(first) = rows.first() {
+        if chunk.is_empty() {
+            let n = row_arity(first)?;
+            if chunk.width() != n {
+                chunk.set_width(n);
+            }
+        }
+        let n = chunk.width();
+        let run = int_run(rows, n);
+        if run > 0 {
+            for c in cols.ordinals(n) {
                 chunk
                     .col_mut(c)
-                    .push(Value::Float(f64::from_le_bytes(payload)));
+                    .extend_ints(rows[..run].iter().map(|r| int_cell(r, c)));
             }
-        };
-        match &cols.only {
-            Some(only) => only.iter().take_while(|&&c| c < n).for_each(|&c| push(c)),
-            None => (0..n).for_each(push),
+            chunk.commit_rows(run);
         }
-    } else {
-        walk_cells(bytes, |c, tag, payload| {
-            if !cols.contains(c) {
-                return Ok(());
-            }
-            let col = chunk.col_mut(c);
-            match tag {
-                TAG_NULL => col.push_null(),
-                TAG_INT => col.push_int(i64::from_le_bytes(cell8(payload)?)),
-                TAG_FLOAT => col.push(Value::Float(f64::from_le_bytes(cell8(payload)?))),
-                _ => col.push(Value::Text(cell_text(payload)?)),
-            }
-            Ok(())
-        })?;
+        if let Some((row, rest)) = rows[run..].split_first() {
+            decode_walked(row, chunk, cols)?;
+            rows = rest;
+        } else {
+            rows = &[];
+        }
     }
+    Ok(())
+}
+
+/// How many rows at the head of `rows` are `n` INT cells each. The
+/// widths of the FEM tables (up to 8 columns) are matched to literals, so
+/// each gets a copy of [`is_int_row`] with its cell count unrolled.
+fn int_run(rows: &[&[u8]], n: usize) -> usize {
+    let run = |n| rows.iter().take_while(|r| is_int_row(r, n)).count();
+    match n {
+        1 => run(1),
+        2 => run(2),
+        3 => run(3),
+        4 => run(4),
+        5 => run(5),
+        6 => run(6),
+        7 => run(7),
+        8 => run(8),
+        _ => run(n),
+    }
+}
+
+/// Whether `row` is `n` INT cells: the header says `n`, the length is
+/// exactly `n` tagged 8-byte cells, and every tag is INT.
+#[inline(always)]
+fn is_int_row(row: &[u8], n: usize) -> bool {
+    let tags = |cells: &[[u8; 9]]| cells.iter().fold(0, |acc, cell| acc | (cell[0] ^ TAG_INT));
+    row.len() == 2 + 9 * n
+        && row.first_chunk::<2>() == Some(&(n as u16).to_le_bytes())
+        && tags(row[2..].as_chunks::<9>().0) == 0
+}
+
+/// The value of cell `c` of a row [`is_int_row`] accepted.
+#[inline]
+fn int_cell(row: &[u8], c: usize) -> i64 {
+    let at = 3 + 9 * c;
+    row.get(at..at + 8)
+        .and_then(<[u8]>::first_chunk::<8>)
+        .map_or(0, |b| i64::from_le_bytes(*b))
+}
+
+/// One row of any shape, by the tag walk ([`walk_cells`]).
+fn decode_walked(bytes: &[u8], chunk: &mut crate::chunk::Chunk, cols: &ColSet) -> Result<()> {
+    if row_arity(bytes)? != chunk.width() {
+        return Err(corrupt("row arity differs from chunk width"));
+    }
+    walk_cells(bytes, |c, tag, payload| {
+        if !cols.contains(c) {
+            return Ok(());
+        }
+        let col = chunk.col_mut(c);
+        match tag {
+            TAG_NULL => col.push_null(),
+            TAG_INT => col.push_int(i64::from_le_bytes(cell8(payload)?)),
+            TAG_FLOAT => col.push(Value::Float(f64::from_le_bytes(cell8(payload)?))),
+            _ => col.push(Value::Text(cell_text(payload)?)),
+        }
+        Ok(())
+    })?;
     chunk.commit_row();
     Ok(())
 }
@@ -350,5 +460,37 @@ mod tests {
         // Rows (unlike keys) may contain NUL bytes in text.
         let row = vec![Value::Text("a\0b".into())];
         assert_eq!(decode_row(&encode_row(&row)).unwrap(), row);
+    }
+
+    /// Widths past the unrolled ones (8, then 9 and 12 through the
+    /// generic check) decode like `decode_row`, in runs broken by a
+    /// NULL row, across more rows than one block holds.
+    #[test]
+    fn wide_rows_decode_in_runs() {
+        for n in [8usize, 9, 12] {
+            let rows: Vec<Vec<Value>> = (0..300i64)
+                .map(|r| {
+                    (0..n as i64)
+                        .map(|c| {
+                            if r % 37 == 5 && c == 1 {
+                                Value::Null
+                            } else {
+                                Value::Int(r * 100 + c)
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
+            let cols = ColSet::of([0, n - 1, 1]);
+            let mut chunk = crate::chunk::Chunk::new();
+            decode_rows_into_chunk(encoded.iter().map(Vec::as_slice), &mut chunk, &cols).unwrap();
+            assert_eq!(chunk.len(), rows.len());
+            for c in [0, 1, n - 1] {
+                let got: Vec<Value> = (0..rows.len()).map(|r| chunk.get(c, r)).collect();
+                let want: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+                assert_eq!(got, want, "width {n}, column {c}");
+            }
+        }
     }
 }

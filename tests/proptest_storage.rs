@@ -1,9 +1,10 @@
 //! Property-based tests of the storage substrate: the B+tree against a
-//! `BTreeMap` model, key-encoding order preservation, and row round-trips.
+//! `BTreeMap` model, key-encoding order preservation, row round-trips and
+//! the batch row decoder under the heap cursor.
 
 use fempath::storage::{
-    decode_key, decode_row, decode_row_into_chunk, encode_key, encode_row, patch_fixed_cells,
-    BTree, BufferPool, Chunk, ColSet, Column, StorageError, Value,
+    decode_key, decode_row, decode_rows_into_chunk, encode_key, encode_row, patch_fixed_cells,
+    BTree, BufferPool, Chunk, ColSet, Column, HeapFile, RecordId, StorageError, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -41,9 +42,45 @@ fn arb_rows() -> impl Strategy<Value = Vec<Vec<Value>>> {
         })
 }
 
+/// A batch of 1–300 rows of one arity (0..=7), as the storage cursors
+/// hand the decoder a page: mostly rows of INT cells only — the FEM shape,
+/// decoded a run at a time — broken, at a rate drawn per batch (none, a
+/// few, a quarter, nearly all), by rows of any cells: NULL, INT, FLOAT,
+/// TEXT.
+fn arb_batch() -> impl Strategy<Value = Vec<Vec<Value>>> {
+    (
+        0usize..8,
+        0usize..4,
+        prop::collection::vec((any::<u8>(), prop::collection::vec(arb_value(), 7)), 1..301),
+    )
+        .prop_map(|(n, rate, rows)| {
+            let odd_below = [0u8, 8, 64, 255][rate];
+            rows.into_iter()
+                .map(|(roll, mut row)| {
+                    row.truncate(n);
+                    if roll >= odd_below {
+                        for (c, v) in row.iter_mut().enumerate() {
+                            if !matches!(v, Value::Int(_)) {
+                                *v = Value::Int(c as i64 - 3);
+                            }
+                        }
+                    }
+                    row
+                })
+                .collect()
+        })
+}
+
 /// The ordinals whose bit is set in `mask`.
 fn subset(mask: u32, n: usize) -> Vec<usize> {
     (0..n).filter(|c| mask & (1 << c) != 0).collect()
+}
+
+/// One batch decode of `rows` (encoded) under `set`.
+fn decode_batch(rows: &[Vec<u8>], set: &ColSet) -> Result<Chunk, StorageError> {
+    let mut chunk = Chunk::new();
+    decode_rows_into_chunk(rows.iter().map(Vec::as_slice), &mut chunk, set)?;
+    Ok(chunk)
 }
 
 proptest! {
@@ -54,17 +91,14 @@ proptest! {
     /// empty, the row count advances regardless — for every subset of the
     /// columns, the empty one included, and the everything-set.
     #[test]
-    fn projected_decode_is_full_decode_restricted(rows in arb_rows()) {
+    fn projected_decode_is_full_decode_restricted(rows in arb_batch()) {
         let n = rows[0].len();
         let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
         let sets = (0..1u32 << n)
             .map(|mask| (ColSet::of(subset(mask, n)), subset(mask, n)))
             .chain([(ColSet::all(), (0..n).collect())]);
         for (set, wanted) in sets {
-            let mut chunk = Chunk::new();
-            for bytes in &encoded {
-                decode_row_into_chunk(bytes, &mut chunk, &set).unwrap();
-            }
+            let chunk = decode_batch(&encoded, &set).unwrap();
             prop_assert_eq!(chunk.len(), rows.len());
             for (c, col) in chunk.into_columns().into_iter().enumerate() {
                 if wanted.contains(&c) {
@@ -80,23 +114,27 @@ proptest! {
 
     /// Skipping a column does not skip its validation: a row cut short
     /// inside a skipped cell, or carrying an unknown tag there, is
-    /// `Corrupt` whatever the set asks for.
+    /// `Corrupt` whatever the set asks for — wherever in the batch the
+    /// damaged row sits, with every row before it decoded.
     #[test]
     fn damage_in_a_skipped_column_is_still_corrupt(
-        rows in arb_rows(),
+        rows in arb_batch(),
+        pick_row in any::<u32>(),
         pick in any::<u32>(),
         mask in any::<u32>(),
     ) {
-        let row = &rows[0];
-        let n = row.len();
+        let n = rows[0].len();
         if n == 0 {
             return;
         }
+        let at = pick_row as usize % rows.len();
+        let row = &rows[at];
         let damaged = pick as usize % n;
         let wanted: Vec<usize> =
             subset(mask, n).into_iter().filter(|&c| c != damaged).collect();
         let set = ColSet::of(wanted);
-        let bytes = encode_row(row);
+        let mut encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
+        let bytes = encoded[at].clone();
         let cell_start = encode_row(&row[..damaged]).len();
         let cell_end = encode_row(&row[..=damaged]).len();
 
@@ -107,14 +145,68 @@ proptest! {
         // so cutting it removes the cell whole — still short of the arity).
         cases.extend((cell_start..cell_end).map(|cut| bytes[..cut].to_vec()));
         for case in cases {
-            let got = decode_row_into_chunk(&case, &mut Chunk::new(), &set);
+            encoded[at] = case;
+            let mut chunk = Chunk::new();
+            let got = decode_rows_into_chunk(encoded.iter().map(Vec::as_slice), &mut chunk, &set);
             prop_assert!(
                 matches!(got, Err(StorageError::Corrupt(_))),
-                "column {} of {:?} damaged, got {:?}",
+                "column {} of row {} ({:?}) damaged, got {:?}",
                 damaged,
+                at,
                 row,
                 got
             );
+            prop_assert_eq!(chunk.len(), at, "rows before the damaged one");
+        }
+    }
+
+    /// The heap cursor, a page at a time: for any `max` up to a page's
+    /// rows, with and without record ids, over pages with dead slots, the
+    /// batches it yields — none above `max` — are exactly the rows and ids
+    /// of `HeapFile::scan` + `decode_row`.
+    #[test]
+    fn heap_cursor_yields_exactly_the_scan(
+        rows in arb_batch(),
+        dead in prop::collection::vec(any::<bool>(), 300),
+        pick_max in any::<u32>(),
+        with_rids in any::<bool>(),
+    ) {
+        let mut pool = BufferPool::in_memory(64);
+        let mut heap = HeapFile::create();
+        let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
+        let rids = heap.insert_batch(&mut pool, &encoded).unwrap();
+        for (&rid, _) in rids.iter().zip(&dead).filter(|(_, d)| **d) {
+            heap.delete(&mut pool, rid).unwrap();
+        }
+        let per_page = rids.iter().filter(|r| r.page == 0).count();
+        let max = 1 + pick_max as usize % per_page;
+
+        let mut want_rows = Vec::new();
+        let mut want_rids = Vec::new();
+        heap.scan(&mut pool, |rid, bytes| {
+            want_rids.push(rid);
+            want_rows.push(decode_row(bytes).unwrap());
+            true
+        })
+        .unwrap();
+
+        let mut got = Chunk::new();
+        let mut got_rids: Vec<RecordId> = Vec::new();
+        let mut cursor = heap.batch_cursor();
+        loop {
+            let before = got.len();
+            let locs = with_rids.then_some(&mut got_rids);
+            let more = cursor
+                .next_batch(&heap, &mut pool, &mut got, &ColSet::all(), locs, max)
+                .unwrap();
+            prop_assert!(got.len() - before <= max, "batch above max {}", max);
+            if !more {
+                break;
+            }
+        }
+        prop_assert_eq!(got.to_rows(), want_rows);
+        if with_rids {
+            prop_assert_eq!(got_rids, want_rids);
         }
     }
 
