@@ -339,12 +339,12 @@ fn index_strategies_are_equally_correct() {
 fn disk_resident_database_is_equally_correct() {
     let g = generate::power_law(200, 3, 1..=100, 71);
     // Tiny buffer: everything spills.
-    let mut gdb = GraphDb::on_temp_file(&g, 16).unwrap();
+    let mut gdb = GraphDb::on_temp_file(&g, 8).unwrap();
     let pairs = sample_pairs(200, 5);
     all_pairs_check(&g, &BsdjFinder::default(), &mut gdb, &pairs);
     assert!(
         gdb.db.io_stats().disk_reads > 0,
-        "a 16-page pool over this graph must touch disk"
+        "an 8-page pool over this graph must touch disk"
     );
 }
 

@@ -1,19 +1,31 @@
 //! Catalog: tables, their physical storage, indexes, and views.
 //!
-//! A table is either a **heap** (unordered slotted pages) or **clustered**
-//! (index-organized: rows live in a B+tree keyed by the clustering columns).
-//! Secondary indexes map encoded key columns to a row locator. These are the
-//! three physical configurations the paper sweeps in Fig 8(c):
-//! `NoIndex` (heap, no indexes), `Index` (heap + secondary B+tree), and
-//! `CluIndex` (index-organized table).
+//! A table's rows live in one of three storages ([`TableStorage`]):
+//!
+//! - a **heap** (unordered slotted pages);
+//! - **clustered** (index-organized: rows live in a B+tree keyed by the
+//!   clustering columns);
+//! - **segmented** (DESIGN.md §14): `(fid, tid, cost)` edges packed into
+//!   delta-encoded segments, immutable once loaded, with a row-store
+//!   delta overlay for later inserts and tombstones for deletes.
+//!
+//! Secondary indexes map encoded key columns to a row locator. The first
+//! two storages give the three physical configurations the paper sweeps
+//! in Fig 8(c): `NoIndex` (heap, no indexes), `Index` (heap + secondary
+//! B+tree), and `CluIndex` (index-organized table).
+//!
+//! Each storage is read one way: one batched scan ([`Table::next_batch`],
+//! which [`Table::scan`] loops over) and one equality probe
+//! (`Table::probe_eq`) that serves queries and DML targets alike. The
+//! `match` over [`TableStorage`] inside those is the one storage dispatch.
 
 use crate::ast::ColumnDef;
 use crate::error::{Result, SqlError};
 use fempath_storage::{
-    decode_edge_segment, decode_edge_segment_with, decode_row, decode_row_into_chunk,
-    decode_rows_into_chunk, encode_key, encode_key_into, encode_row, encode_row_from_chunk,
-    encode_row_into, BTree, BTreeBulkBuilder, BTreeScanCursor, BufferPool, Chunk, ColSet, Column,
-    DataType, HeapFile, HeapScanCursor, KeyArena, RecordId, SegmentWriter, Value, CHUNK_CAPACITY,
+    decode_edge_segment, decode_edge_segment_with, decode_row_into_chunk, decode_rows_into_chunk,
+    encode_key, encode_key_into, encode_row, encode_row_from_chunk, encode_row_into, BTree,
+    BTreeBulkBuilder, BTreeScanCursor, BufferPool, Chunk, ColSet, Column, DataType, HeapFile,
+    HeapScanCursor, KeyArena, RecordId, SegmentWriter, Value, CHUNK_CAPACITY,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -25,16 +37,34 @@ pub enum RowLoc {
     Heap(RecordId),
     /// Full B+tree key of a clustered table (key columns + uniquifier).
     Clustered(Vec<u8>),
+    /// A row of segmented storage (base segment or delta overlay). It has
+    /// no per-row locator, and every write refuses it.
+    Segment,
 }
 
 impl RowLoc {
-    /// Serializes the locator for storage inside a secondary-index entry.
+    /// Serializes the locator for storage inside a secondary-index entry
+    /// (segmented tables have no secondary index).
     fn to_bytes(&self) -> Vec<u8> {
         match self {
-            RowLoc::Heap(rid) => rid.to_u64().to_be_bytes().to_vec(),
+            RowLoc::Heap(rid) => rid_bytes(*rid).to_vec(),
             RowLoc::Clustered(k) => k.clone(),
+            RowLoc::Segment => Vec::new(),
         }
     }
+}
+
+/// Appends the encoded key of `row`'s `cols` to `out`.
+fn encode_cols_into(out: &mut Vec<u8>, row: &[Value], cols: &[usize]) -> Result<()> {
+    for &c in cols {
+        encode_key_into(out, &row[c])?;
+    }
+    Ok(())
+}
+
+/// A heap locator as stored inside a secondary-index entry.
+fn rid_bytes(rid: RecordId) -> [u8; 8] {
+    rid.to_u64().to_be_bytes()
 }
 
 /// Physical storage of a table.
@@ -61,8 +91,8 @@ pub enum TableStorage {
     /// (DESIGN.md §16): INSERTs land in the `delta` heap, DELETEs
     /// tombstone base `(fid, tid)` pairs and physically remove delta
     /// rows ([`Table::delta_delete_edge`]). Every read path merges
-    /// base-minus-tombstones with the delta. SQL UPDATE/DELETE are
-    /// still rejected (base rows have no per-row locators).
+    /// base-minus-tombstones with the delta. Its rows carry
+    /// [`RowLoc::Segment`], which SQL UPDATE/DELETE refuse.
     Segmented {
         tree: BTree,
         /// Column positions usable as an ordered access path — always the
@@ -93,6 +123,133 @@ pub struct SecondaryIndex {
     pub tree: BTree,
 }
 
+impl SecondaryIndex {
+    /// Appends the encoded key of row `r` of `rows` to `out`.
+    fn key_into(&self, out: &mut Vec<u8>, rows: &Chunk, r: usize) -> Result<()> {
+        for &c in &self.cols {
+            encode_key_into(out, &rows.get(c, r))?;
+        }
+        Ok(())
+    }
+
+    /// The encoded key of `row`.
+    fn key_of(&self, row: &[Value]) -> Result<Vec<u8>> {
+        let mut key = Vec::with_capacity(self.cols.len() * 9 + 8);
+        encode_cols_into(&mut key, row, &self.cols)?;
+        Ok(key)
+    }
+
+    /// The one entry format. Turns `key`, a row's encoded key, into the
+    /// tree key of the entry for the row at `loc` and returns the entry's
+    /// value: a unique index maps key → locator, a non-unique one stores
+    /// key‖locator → ∅ (the locator keeps equal keys apart).
+    fn entry<'l>(&self, key: &mut Vec<u8>, loc: &'l [u8]) -> &'l [u8] {
+        if self.unique {
+            loc
+        } else {
+            key.extend_from_slice(loc);
+            &[]
+        }
+    }
+
+    /// Adds the entry of the row keyed `key` at `loc`.
+    fn insert(&mut self, pool: &mut BufferPool, mut key: Vec<u8>, loc: &[u8]) -> Result<()> {
+        let val = self.entry(&mut key, loc);
+        self.tree.insert(pool, &key, val)?;
+        Ok(())
+    }
+
+    /// Removes the entry of the row keyed `key` at `loc`.
+    fn delete(&mut self, pool: &mut BufferPool, mut key: Vec<u8>, loc: &[u8]) -> Result<()> {
+        self.entry(&mut key, loc);
+        self.tree.delete(pool, &key)?;
+        Ok(())
+    }
+
+    /// Whether this index is unique and already holds `key`.
+    fn holds(&self, pool: &mut BufferPool, key: &[u8]) -> Result<bool> {
+        Ok(self.unique && self.tree.contains(pool, key)?)
+    }
+
+    /// Of the rows keyed `keys`, the first in row order whose key an
+    /// earlier row already has — what a unique index refuses. `None` for a
+    /// non-unique index.
+    fn first_repeat(&self, keys: &[Vec<u8>]) -> Option<usize> {
+        if !self.unique {
+            return None;
+        }
+        let mut by_key: Vec<usize> = (0..keys.len()).collect();
+        by_key.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
+        by_key
+            .windows(2)
+            .filter(|w| keys[w[0]] == keys[w[1]])
+            .map(|w| w[1])
+            .min()
+    }
+
+    /// Bulk-builds this empty index bottom-up from every row's encoded key
+    /// (`keys[r]`) and locator (`locs[r]`).
+    fn bulk_fill(
+        &mut self,
+        pool: &mut BufferPool,
+        keys: Vec<Vec<u8>>,
+        locs: &BatchLocs,
+    ) -> Result<()> {
+        let mut loc = Vec::new();
+        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = keys
+            .into_iter()
+            .enumerate()
+            .map(|(r, mut key)| {
+                loc.clear();
+                locs.write_bytes(r, &mut loc);
+                let val = self.entry(&mut key, &loc).to_vec();
+                (key, val)
+            })
+            .collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.tree.bulk_build(pool, entries)?;
+        Ok(())
+    }
+
+    /// Appends to `out` the locators this index holds for the encoded
+    /// probe key `key` — one point get when `point`, else a prefix scan.
+    /// `clustered`: the table is clustered (locators are tree keys).
+    fn find_locs(
+        &self,
+        pool: &mut BufferPool,
+        key: &[u8],
+        point: bool,
+        clustered: bool,
+        out: &mut BatchLocs,
+    ) -> Result<()> {
+        // Decode errors inside the scan callbacks (which can only
+        // continue/stop) are parked and surfaced after the scan.
+        let mut parked: Result<()> = Ok(());
+        if point {
+            if let Some(pushed) = self
+                .tree
+                .get_with(pool, key, |v| out.push_bytes(v, clustered))?
+            {
+                pushed?;
+            }
+        } else if self.unique {
+            self.tree.scan_prefix(pool, key, |_, v| {
+                parked = out.push_bytes(v, clustered);
+                parked.is_ok()
+            })?;
+        } else {
+            // The locator is the key suffix past the indexed column
+            // values.
+            let n_cols = self.cols.len();
+            self.tree.scan_prefix(pool, key, |k, _| {
+                parked = index_key_loc(k, n_cols).and_then(|loc| out.push_bytes(loc, clustered));
+                parked.is_ok()
+            })?;
+        }
+        parked
+    }
+}
+
 /// Table schema: column names (original case preserved) and types.
 #[derive(Debug, Clone)]
 pub struct TableSchema {
@@ -109,35 +266,24 @@ impl TableSchema {
     }
 }
 
-/// Resolved access path for an equality probe (see
-/// [`Table::lookup_eq_chunk`]).
-enum EqAccessPath {
-    /// Prefix scan of the clustered tree with this encoded key prefix.
-    ClusteredPrefix(Vec<u8>),
-    /// Ordered segment scan of segmented storage for this `fid`: start at
-    /// the first segment whose `last_fid` key reaches the probe, stop at
-    /// the first whose opening edge is past it.
-    SegmentedFid(i64),
-    /// Row locators collected from a secondary index.
-    Secondary(BatchLocs),
-    /// No usable index — scan and filter.
-    Scan,
-}
-
-/// A batch of row locators in their raw storage form (record ids, or
-/// clustered keys in one flat arena) — what scans, probes and the batched
-/// write phases exchange. Owned [`RowLoc`]s are built by
-/// [`BatchLocs::loc`] only where a row-at-a-time call needs one.
+/// A batch of row locators in their raw storage form (record ids,
+/// clustered keys in one flat arena, or a count of segmented rows) — what
+/// scans, probes and the batched write phases exchange. Owned [`RowLoc`]s
+/// are built by [`BatchLocs::loc`] only where a row-at-a-time call needs
+/// one.
 #[derive(Default)]
 pub struct BatchLocs {
     rids: Vec<RecordId>,
     keys: KeyArena,
+    /// Rows of segmented storage, which carry no locator
+    /// ([`RowLoc::Segment`]): only counted.
+    segment_rows: usize,
 }
 
 impl BatchLocs {
     /// Number of locators held.
     pub fn len(&self) -> usize {
-        self.rids.len().max(self.keys.len())
+        self.rids.len() + self.keys.len() + self.segment_rows
     }
 
     /// True when no locator is held.
@@ -149,26 +295,31 @@ impl BatchLocs {
     pub fn clear(&mut self) {
         self.rids.clear();
         self.keys.clear();
+        self.segment_rows = 0;
     }
 
     /// The `r`-th locator.
     pub fn loc(&self, r: usize) -> RowLoc {
-        if self.keys.is_empty() {
-            RowLoc::Heap(self.rids[r])
-        } else {
+        if !self.keys.is_empty() {
             RowLoc::Clustered(self.keys.get(r).to_vec())
+        } else if self.segment_rows > 0 {
+            RowLoc::Segment
+        } else {
+            RowLoc::Heap(self.rids[r])
         }
     }
 
     /// Appends `other`'s locators at the positions in `sel`.
     pub fn extend_selected(&mut self, other: &BatchLocs, sel: &[u32]) {
-        if other.keys.is_empty() {
-            self.rids
-                .extend(sel.iter().map(|&r| other.rids[r as usize]));
-        } else {
+        if !other.keys.is_empty() {
             for &r in sel {
                 self.keys.push(other.keys.get(r as usize));
             }
+        } else if other.segment_rows > 0 {
+            self.segment_rows += sel.len();
+        } else {
+            self.rids
+                .extend(sel.iter().map(|&r| other.rids[r as usize]));
         }
     }
 
@@ -189,10 +340,11 @@ impl BatchLocs {
         Ok(())
     }
 
-    /// The `r`-th locator as stored inside secondary-index entries.
+    /// Appends the `r`-th locator as stored inside secondary-index
+    /// entries to `out`.
     fn write_bytes(&self, r: usize, out: &mut Vec<u8>) {
         if self.keys.is_empty() {
-            out.extend_from_slice(&self.rids[r].to_u64().to_be_bytes());
+            out.extend_from_slice(&rid_bytes(self.rids[r]));
         } else {
             out.extend_from_slice(self.keys.get(r));
         }
@@ -253,20 +405,36 @@ pub enum UpdateMode {
     Rewrite,
 }
 
+/// Where [`Table::probe_eq`] appends what its probes find: one entry per
+/// matching row, grouped by key, in key order.
+pub(crate) struct EqMatches<'a> {
+    /// The probe's `read` columns of each match.
+    pub(crate) rows: &'a mut Chunk,
+    /// When given: the position in the key batch of the key each match
+    /// answers.
+    pub(crate) src: Option<&'a mut Vec<u32>>,
+    /// When given: each match's locator (what a DML write takes).
+    pub(crate) locs: Option<&'a mut BatchLocs>,
+}
+
 /// Appends to `chunk` the `read` columns of the rows `keep` accepts among
 /// those `next` decodes (whole rows, a batch per call, `false` once
-/// exhausted) — for the probes that must test a row before keeping it.
+/// exhausted), and to `locs`, when given, their locators — for the probes
+/// that must test a row before keeping it.
 fn append_matching(
     chunk: &mut Chunk,
     read: &ColSet,
-    mut next: impl FnMut(&mut Chunk) -> Result<bool>,
+    mut next: impl FnMut(&mut Chunk, Option<&mut BatchLocs>) -> Result<bool>,
     keep: impl Fn(&Chunk, usize) -> bool,
+    mut locs: Option<&mut BatchLocs>,
 ) -> Result<()> {
     let mut rows = Chunk::new();
+    let mut found = BatchLocs::default();
     let mut idx = Vec::new();
     loop {
         rows.reset();
-        let more = next(&mut rows)?;
+        found.clear();
+        let more = next(&mut rows, locs.is_some().then_some(&mut found))?;
         idx.clear();
         idx.extend((0..rows.len() as u32).filter(|&r| keep(&rows, r as usize)));
         if !idx.is_empty() {
@@ -277,6 +445,9 @@ fn append_matching(
                 chunk.col_mut(c).extend_gather(rows.col(c), &idx);
             }
             chunk.commit_rows(idx.len());
+            if let Some(locs) = locs.as_deref_mut() {
+                locs.extend_selected(&found, &idx);
+            }
         }
         if !more {
             return Ok(());
@@ -292,6 +463,55 @@ fn push_edge_cols(chunk: &mut Chunk, edge: (i64, i64, i64), cols: &ColSet) {
         }
     }
     chunk.commit_row();
+}
+
+/// Makes `chunk` 3 columns wide for segmented rows, or errors when it
+/// already holds rows of another width.
+fn edge_width(chunk: &mut Chunk) -> Result<()> {
+    if chunk.is_empty() && chunk.width() != 3 {
+        chunk.set_width(3);
+    }
+    if chunk.width() != 3 {
+        return Err(SqlError::Eval(
+            "segmented rows need a 3-column chunk".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Calls `f(tid, cost)` for every base edge of `fid` in the segment tree
+/// `tree`, in key order, tombstoned ones included: the segments from the
+/// first whose `last_fid` key reaches `fid` up to the first that opens
+/// past it.
+fn walk_fid(
+    tree: &BTree,
+    pool: &mut BufferPool,
+    fid: i64,
+    mut f: impl FnMut(i64, i64),
+) -> Result<()> {
+    let lo = encode_key(&[Value::Int(fid)])?;
+    let mut decoded = Ok(());
+    tree.scan_range(pool, Bound::Included(&lo), Bound::Unbounded, |_, v| {
+        let mut past = false;
+        let mut first = true;
+        decoded = decode_edge_segment_with(v, |ef, et, ec| {
+            if first {
+                first = false;
+                past = ef > fid;
+            }
+            if ef == fid {
+                f(et, ec);
+            }
+        });
+        decoded.is_ok() && !past
+    })?;
+    Ok(decoded?)
+}
+
+/// The error of a locator or cursor handed to a table it did not come
+/// from.
+fn foreign_locator() -> SqlError {
+    SqlError::Eval("row locator does not match table storage".into())
 }
 
 /// A resumable batched-scan position over a table's storage
@@ -430,27 +650,22 @@ impl Table {
         Ok(row)
     }
 
-    /// Inserts a (already coerced) row, maintaining all indexes. On a
-    /// segmented table the row lands in the delta overlay (segmented
-    /// tables cannot have secondary indexes, so no index maintenance).
+    /// Inserts a (already coerced) row, maintaining all indexes. Unique
+    /// keys are checked before anything is written. On a segmented table
+    /// the row lands in the delta overlay.
     pub fn insert_row(&mut self, pool: &mut BufferPool, row: &[Value]) -> Result<RowLoc> {
-        if self.is_segmented() {
-            if row.iter().any(|v| !matches!(v, Value::Int(_))) {
-                return Err(SqlError::Eval(format!(
-                    "table {} is segment-compressed: delta rows must be non-NULL integers",
-                    self.schema.name
-                )));
+        let keys: Vec<Vec<u8>> = self
+            .indexes
+            .iter()
+            .map(|idx| idx.key_of(row))
+            .collect::<Result<_>>()?;
+        for (idx, key) in self.indexes.iter().zip(&keys) {
+            if idx.holds(pool, key)? {
+                return Err(SqlError::DuplicateKey {
+                    table: self.schema.name.clone(),
+                    key: format_key(row, &idx.cols),
+                });
             }
-            let bytes = encode_row(row);
-            let TableStorage::Segmented {
-                delta, delta_rows, ..
-            } = &mut self.storage
-            else {
-                unreachable!("checked above");
-            };
-            let rid = delta.insert(pool, &bytes)?;
-            *delta_rows += 1;
-            return Ok(RowLoc::Heap(rid));
         }
         let bytes = encode_row(row);
         let loc = match &mut self.storage {
@@ -461,8 +676,8 @@ impl Table {
                 unique,
                 next_uniquifier,
             } => {
-                let mut key =
-                    encode_key(&key_cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>())?;
+                let mut key = Vec::with_capacity(key_cols.len() * 9 + 8);
+                encode_cols_into(&mut key, row, key_cols)?;
                 if *unique {
                     if tree.contains(pool, &key)? {
                         return Err(SqlError::DuplicateKey {
@@ -477,63 +692,46 @@ impl Table {
                 tree.insert(pool, &key, &bytes)?;
                 RowLoc::Clustered(key)
             }
-            TableStorage::Segmented { .. } => unreachable!("guarded above"),
-        };
-        // Maintain secondary indexes; roll back is not attempted (single
-        // writer, errors abort the statement).
-        let clustered = self.is_clustered();
-        for idx in &mut self.indexes {
-            let mut key =
-                encode_key(&idx.cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>())?;
-            if idx.unique {
-                if idx.tree.contains(pool, &key)? {
-                    // Undo the base insert to keep table/indexes agreed.
-                    match (&mut self.storage, &loc) {
-                        (TableStorage::Heap(h), RowLoc::Heap(rid)) => h.delete(pool, *rid)?,
-                        (TableStorage::Clustered { tree, .. }, RowLoc::Clustered(k)) => {
-                            tree.delete(pool, k)?;
-                        }
-                        _ => unreachable!(),
-                    }
-                    return Err(SqlError::DuplicateKey {
-                        table: self.schema.name.clone(),
-                        key: format_key(row, &idx.cols),
-                    });
+            TableStorage::Segmented {
+                delta, delta_rows, ..
+            } => {
+                if row.iter().any(|v| !matches!(v, Value::Int(_))) {
+                    return Err(SqlError::Eval(format!(
+                        "table {} is segment-compressed: delta rows must be non-NULL integers",
+                        self.schema.name
+                    )));
                 }
-                idx.tree.insert(pool, &key, &loc.to_bytes())?;
-            } else {
-                key.extend_from_slice(&loc.to_bytes());
-                idx.tree.insert(pool, &key, &[])?;
+                delta.insert(pool, &bytes)?;
+                *delta_rows += 1;
+                RowLoc::Segment
+            }
+        };
+        if !self.indexes.is_empty() {
+            let loc_bytes = loc.to_bytes();
+            for (idx, key) in self.indexes.iter_mut().zip(keys) {
+                idx.insert(pool, key, &loc_bytes)?;
             }
         }
-        let _ = clustered;
         Ok(loc)
     }
 
     /// Deletes the row at `loc` (the caller supplies the decoded row so
     /// index entries can be located without a re-read).
     pub fn delete_row(&mut self, pool: &mut BufferPool, loc: &RowLoc, row: &[Value]) -> Result<()> {
-        if self.is_segmented() {
-            return Err(self.read_only_err());
-        }
         match (&mut self.storage, loc) {
             (TableStorage::Heap(h), RowLoc::Heap(rid)) => h.delete(pool, *rid)?,
             (TableStorage::Clustered { tree, .. }, RowLoc::Clustered(k)) => {
                 tree.delete(pool, k)?;
             }
-            _ => {
-                return Err(SqlError::Eval(
-                    "row locator does not match table storage".into(),
-                ))
-            }
+            (TableStorage::Segmented { .. }, _) => return Err(self.read_only_err()),
+            _ => return Err(foreign_locator()),
         }
-        for idx in &mut self.indexes {
-            let mut key =
-                encode_key(&idx.cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>())?;
-            if !idx.unique {
-                key.extend_from_slice(&loc.to_bytes());
+        if !self.indexes.is_empty() {
+            let loc_bytes = loc.to_bytes();
+            for idx in &mut self.indexes {
+                let key = idx.key_of(row)?;
+                idx.delete(pool, key, &loc_bytes)?;
             }
-            idx.tree.delete(pool, &key)?;
         }
         Ok(())
     }
@@ -553,11 +751,9 @@ impl Table {
         // A unique key may only move onto a free slot; checked before
         // anything is written, as `insert_row` does.
         for idx in self.indexes.iter().filter(|i| i.unique) {
-            if idx.cols.iter().all(|&c| old_row[c] == new_row[c]) {
-                continue;
-            }
-            let new_vals: Vec<Value> = idx.cols.iter().map(|&c| new_row[c].clone()).collect();
-            if idx.tree.contains(pool, &encode_key(&new_vals)?)? {
+            if !idx.cols.iter().all(|&c| old_row[c] == new_row[c])
+                && idx.holds(pool, &idx.key_of(new_row)?)?
+            {
                 return Err(SqlError::DuplicateKey {
                     table: self.schema.name.clone(),
                     key: format_key(new_row, &idx.cols),
@@ -580,12 +776,8 @@ impl Table {
             ) => {
                 let key_changed = key_cols.iter().any(|&c| old_row[c] != new_row[c]);
                 if key_changed {
-                    let mut key = encode_key(
-                        &key_cols
-                            .iter()
-                            .map(|&c| new_row[c].clone())
-                            .collect::<Vec<_>>(),
-                    )?;
+                    let mut key = Vec::with_capacity(key_cols.len() * 9 + 8);
+                    encode_cols_into(&mut key, new_row, key_cols)?;
                     if *unique {
                         if tree.contains(pool, &key)? {
                             return Err(SqlError::DuplicateKey {
@@ -605,140 +797,78 @@ impl Table {
                     RowLoc::Clustered(old_key.clone())
                 }
             }
-            _ => {
-                return Err(SqlError::Eval(
-                    "row locator does not match table storage".into(),
-                ))
-            }
+            _ => return Err(foreign_locator()),
         };
-        for idx in &mut self.indexes {
-            let old_vals: Vec<Value> = idx.cols.iter().map(|&c| old_row[c].clone()).collect();
-            let new_vals: Vec<Value> = idx.cols.iter().map(|&c| new_row[c].clone()).collect();
-            if old_vals == new_vals && new_loc == *loc {
-                continue;
-            }
-            let mut old_key = encode_key(&old_vals)?;
-            let mut new_key = encode_key(&new_vals)?;
-            if idx.unique {
-                idx.tree.delete(pool, &old_key)?;
-                idx.tree.insert(pool, &new_key, &new_loc.to_bytes())?;
-            } else {
-                old_key.extend_from_slice(&loc.to_bytes());
-                new_key.extend_from_slice(&new_loc.to_bytes());
-                idx.tree.delete(pool, &old_key)?;
-                idx.tree.insert(pool, &new_key, &[])?;
+        if !self.indexes.is_empty() {
+            let (old_bytes, new_bytes) = (loc.to_bytes(), new_loc.to_bytes());
+            for idx in &mut self.indexes {
+                if idx.cols.iter().all(|&c| old_row[c] == new_row[c]) && new_loc == *loc {
+                    continue;
+                }
+                let (old_key, new_key) = (idx.key_of(old_row)?, idx.key_of(new_row)?);
+                idx.delete(pool, old_key, &old_bytes)?;
+                idx.insert(pool, new_key, &new_bytes)?;
             }
         }
         Ok(new_loc)
     }
 
-    /// Full scan in storage order; `f` returns `false` to stop.
+    /// Full scan in storage order, one row at a time with its locator;
+    /// `f` returns `false` to stop. A loop over [`Table::next_batch`].
     pub fn scan(
         &self,
         pool: &mut BufferPool,
         mut f: impl FnMut(RowLoc, Vec<Value>) -> bool,
     ) -> Result<()> {
-        match &self.storage {
-            TableStorage::Heap(h) => {
-                let mut decode_err = None;
-                h.scan(pool, |rid, bytes| match decode_row(bytes) {
-                    Ok(row) => f(RowLoc::Heap(rid), row),
-                    Err(e) => {
-                        decode_err = Some(e);
-                        false
-                    }
-                })?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
+        let mut cursor = self.batch_cursor(pool)?;
+        let mut rows = Chunk::new();
+        let mut locs = BatchLocs::default();
+        loop {
+            rows.reset();
+            locs.clear();
+            let more = self.next_batch(
+                pool,
+                &mut cursor,
+                &mut rows,
+                &ColSet::all(),
+                Some(&mut locs),
+                CHUNK_CAPACITY,
+            )?;
+            for r in 0..rows.len() {
+                if !f(locs.loc(r), rows.row(r)) {
+                    return Ok(());
                 }
             }
-            TableStorage::Clustered { tree, .. } => {
-                let mut decode_err = None;
-                tree.scan_range(
-                    pool,
-                    Bound::Unbounded,
-                    Bound::Unbounded,
-                    |k, v| match decode_row(v) {
-                        Ok(row) => f(RowLoc::Clustered(k.to_vec()), row),
-                        Err(e) => {
-                            decode_err = Some(e);
-                            false
-                        }
-                    },
-                )?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
-                }
-            }
-            TableStorage::Segmented {
-                tree,
-                delta,
-                tombstones,
-                ..
-            } => {
-                // Decode each segment in key order; base edges come out
-                // sorted by (fid, tid, cost), tombstoned pairs suppressed.
-                // Rows of one segment share its key as a (non-unique)
-                // locator — fine for reads, and base-row DML on segmented
-                // tables is rejected before locators matter. Delta-overlay
-                // rows follow in heap order with real heap locators.
-                let mut decode_err = None;
-                let mut go = true;
-                tree.scan_range(pool, Bound::Unbounded, Bound::Unbounded, |k, v| {
-                    let res = decode_edge_segment_with(v, |ef, et, ec| {
-                        if go && !tombstones.contains(&(ef, et)) {
-                            go = f(
-                                RowLoc::Clustered(k.to_vec()),
-                                vec![Value::Int(ef), Value::Int(et), Value::Int(ec)],
-                            );
-                        }
-                    });
-                    if let Err(e) = res {
-                        decode_err = Some(e);
-                        return false;
-                    }
-                    go
-                })?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
-                }
-                if go {
-                    delta.scan(pool, |rid, bytes| match decode_row(bytes) {
-                        Ok(row) => f(RowLoc::Heap(rid), row),
-                        Err(e) => {
-                            decode_err = Some(e);
-                            false
-                        }
-                    })?;
-                    if let Some(e) = decode_err {
-                        return Err(e.into());
-                    }
-                }
+            if !more {
+                return Ok(());
             }
         }
-        Ok(())
     }
 
-    /// Decodes the `read` columns of the rows stored at `locs` into `chunk`
-    /// (appending, in the order given) — the row fetch behind index probes and the re-read of the rows a projected DML
-    /// target scan selected. Each run of heap locators on one page costs
-    /// one buffer-pool read (a scan's locators are page-ordered).
-    pub fn fetch_chunk(
+    /// Decodes the `read` columns of the rows stored at `locs[from..]`
+    /// into `chunk` (appending, in the order given) — the row fetch behind
+    /// secondary-index probes and the re-read of the rows a DML target
+    /// scan selected. Each run of heap locators on one page costs one
+    /// buffer-pool read (a scan's locators are page-ordered). Segmented
+    /// rows cannot be fetched by locator; only a write re-reads them, and
+    /// it is refused here as it would be there.
+    pub(crate) fn fetch_chunk(
         &self,
         pool: &mut BufferPool,
         locs: &BatchLocs,
+        from: usize,
         chunk: &mut Chunk,
         read: &ColSet,
     ) -> Result<()> {
-        if locs.is_empty() {
+        if locs.len() <= from {
             return Ok(());
         }
         match &self.storage {
-            TableStorage::Heap(h) if locs.keys.is_empty() => {
-                Ok(h.fetch_into_chunk(pool, &locs.rids, chunk, read)?)
+            TableStorage::Heap(h) => {
+                Ok(h.fetch_into_chunk(pool, &locs.rids[from..], chunk, read)?)
             }
-            TableStorage::Clustered { tree, .. } if locs.rids.is_empty() => {
-                for r in 0..locs.keys.len() {
+            TableStorage::Clustered { tree, .. } => {
+                for r in from..locs.keys.len() {
                     let decoded = tree.get_with(pool, locs.keys.get(r), |bytes| {
                         decode_row_into_chunk(bytes, chunk, read)
                     })?;
@@ -747,159 +877,160 @@ impl Table {
                 }
                 Ok(())
             }
-            TableStorage::Segmented { .. } => Err(SqlError::Eval(
-                "segmented base storage has no per-row locators".into(),
-            )),
-            _ => Err(SqlError::Eval(
-                "row locator does not match table storage".into(),
-            )),
+            TableStorage::Segmented { .. } => Err(self.read_only_err()),
         }
     }
 
-    /// Rows whose values in `cols` equal `key_vals`, along the `path` a
-    /// plan recorded for `cols` ([`Table::probe_path`]), decoding the
-    /// `read` columns of every match straight into the columns of `chunk`
-    /// (appending) — the batched probe the vectorized lookups and index
-    /// nested-loop joins use.
-    pub fn lookup_eq_chunk(
+    /// The one equality probe, shared by queries, index nested-loop joins
+    /// and DML targets. Probes along `path` — the plan's
+    /// [`Table::probe_path`] for `cols` — once per key of `keys`
+    /// (`cols.len()` values each, laid end to end; a key holding a NULL
+    /// matches nothing), and appends each match to `out`.
+    ///
+    /// The clustered tree and the segments decode their matches as they
+    /// find them; a secondary index collects locators for the whole batch
+    /// of keys and fetches their rows once, page-grouped
+    /// ([`Table::fetch_chunk`]); a scan decodes every row per key and keeps
+    /// the matches.
+    pub(crate) fn probe_eq(
         &self,
         pool: &mut BufferPool,
         path: ProbePath,
         cols: &[usize],
-        key_vals: &[Value],
-        chunk: &mut Chunk,
+        keys: &[Value],
         read: &ColSet,
+        out: EqMatches<'_>,
     ) -> Result<()> {
-        match self.resolve_eq_path(pool, path, cols, key_vals)? {
-            EqAccessPath::ClusteredPrefix(prefix) => {
-                let TableStorage::Clustered { tree, .. } = &self.storage else {
-                    unreachable!("clustered path implies clustered storage");
-                };
-                let mut decoded = Ok(());
-                tree.scan_prefix_runs(pool, &prefix, |run| {
-                    decoded = decode_rows_into_chunk(run.vals(), chunk, read);
-                    decoded.is_ok()
-                })?;
-                Ok(decoded?)
+        let EqMatches {
+            rows,
+            mut src,
+            mut locs,
+        } = out;
+        let live = keys
+            .chunks_exact(cols.len().max(1))
+            .enumerate()
+            .filter(|(_, vals)| !vals.iter().any(Value::is_null));
+        // Records that the key at `k` found `n` rows.
+        let mut tag = |k: usize, n: usize| {
+            if let Some(src) = src.as_deref_mut() {
+                src.resize(src.len() + n, k as u32);
             }
-            EqAccessPath::SegmentedFid(fid) => {
-                // The FEM expansion hot path: decode matching edges
-                // straight into the chunk's int columns, no Vec<Value>
-                // per row.
-                let TableStorage::Segmented {
+        };
+        let mut key = Vec::with_capacity(cols.len() * 9);
+        // What the scans that must test a row before keeping it decode.
+        let all = ColSet::all();
+        match (path, &self.storage) {
+            (ProbePath::Clustered, TableStorage::Clustered { tree, .. }) => {
+                for (k, vals) in live {
+                    key.clear();
+                    for v in vals {
+                        encode_key_into(&mut key, v)?;
+                    }
+                    let before = rows.len();
+                    let mut decoded = Ok(());
+                    tree.scan_prefix_runs(pool, &key, |run| {
+                        if let Some(locs) = locs.as_deref_mut() {
+                            run.keys().for_each(|k| locs.keys.push(k));
+                        }
+                        decoded = decode_rows_into_chunk(run.vals(), rows, read);
+                        decoded.is_ok()
+                    })?;
+                    decoded?;
+                    tag(k, rows.len() - before);
+                }
+            }
+            (
+                ProbePath::Segments,
+                TableStorage::Segmented {
                     tree,
                     delta,
                     tombstones,
                     ..
-                } = &self.storage
-                else {
-                    unreachable!("segmented path implies segmented storage");
-                };
-                if chunk.is_empty() && chunk.width() != 3 {
-                    chunk.set_width(3);
-                }
-                if chunk.width() != 3 {
-                    return Err(SqlError::Eval(
-                        "segmented probe chunk must be 3 columns wide".into(),
-                    ));
-                }
-                let lo = encode_key(&[Value::Int(fid)])?;
-                let mut decode_err = None;
-                tree.scan_range(pool, Bound::Included(&lo), Bound::Unbounded, |_, v| {
-                    let mut past = false;
-                    let mut first = true;
-                    let res = decode_edge_segment_with(v, |ef, et, ec| {
-                        if first {
-                            first = false;
-                            if ef > fid {
-                                past = true;
+                },
+            ) => {
+                edge_width(rows)?;
+                for (k, vals) in live {
+                    let before = rows.len();
+                    // A non-integral key never equals an INT fid.
+                    if let Some(fid) = vals[0].as_i64() {
+                        walk_fid(tree, pool, fid, |tid, cost| {
+                            if !tombstones.contains(&(fid, tid)) {
+                                push_edge_cols(rows, (fid, tid, cost), read);
                             }
-                        }
-                        if ef == fid && !tombstones.contains(&(ef, et)) {
-                            push_edge_cols(chunk, (ef, et, ec), read);
-                        }
-                    });
-                    if let Err(e) = res {
-                        decode_err = Some(e);
-                        return false;
+                        })?;
+                        // Delta-overlay rows for this fid (unsorted tail).
+                        let mut cursor = delta.batch_cursor();
+                        append_matching(
+                            rows,
+                            read,
+                            |batch, _| {
+                                Ok(cursor.next_batch(
+                                    delta,
+                                    pool,
+                                    batch,
+                                    &all,
+                                    None,
+                                    CHUNK_CAPACITY,
+                                )?)
+                            },
+                            |batch, r| batch.get(0, r).as_i64() == Some(fid),
+                            None,
+                        )?;
                     }
-                    !past
-                })?;
-                if let Some(e) = decode_err {
-                    return Err(e.into());
+                    let found = rows.len() - before;
+                    if let Some(locs) = locs.as_deref_mut() {
+                        locs.segment_rows += found;
+                    }
+                    tag(k, found);
                 }
-                // Delta-overlay rows for this fid (unsorted tail).
-                let mut cursor = delta.batch_cursor();
-                append_matching(
-                    chunk,
-                    read,
-                    |rows| {
-                        Ok(cursor.next_batch(
-                            delta,
-                            pool,
-                            rows,
-                            &ColSet::all(),
-                            None,
-                            CHUNK_CAPACITY,
-                        )?)
-                    },
-                    |rows, r| rows.get(0, r).as_i64() == Some(fid),
-                )
             }
-            EqAccessPath::Secondary(locs) => self.fetch_chunk(pool, &locs, chunk, read),
-            EqAccessPath::Scan => {
-                let mut cursor = self.batch_cursor(pool)?;
-                append_matching(
-                    chunk,
-                    read,
-                    |rows| {
-                        self.next_batch(
-                            pool,
-                            &mut cursor,
-                            rows,
-                            &ColSet::all(),
-                            None,
-                            CHUNK_CAPACITY,
-                        )
-                    },
-                    // NULLs never match.
-                    |rows, r| {
-                        cols.iter().zip(key_vals).all(|(&c, v)| {
-                            let cell = rows.get(c, r);
-                            !cell.is_null() && cell.total_cmp(v).is_eq()
-                        })
-                    },
-                )
+            (ProbePath::Secondary { index, point }, _) => {
+                let idx = self
+                    .indexes
+                    .get(index)
+                    .ok_or_else(|| SqlError::Eval("probe of a dropped index".into()))?;
+                let mut own = BatchLocs::default();
+                let found = locs.unwrap_or(&mut own);
+                let from = found.len();
+                for (k, vals) in live {
+                    key.clear();
+                    for v in vals {
+                        encode_key_into(&mut key, v)?;
+                    }
+                    let before = found.len();
+                    idx.find_locs(pool, &key, point, self.is_clustered(), found)?;
+                    tag(k, found.len() - before);
+                }
+                self.fetch_chunk(pool, found, from, rows, read)?;
+            }
+            (ProbePath::Scan, _) => {
+                for (k, vals) in live {
+                    let before = rows.len();
+                    let mut cursor = self.batch_cursor(pool)?;
+                    append_matching(
+                        rows,
+                        read,
+                        |batch, found| {
+                            self.next_batch(pool, &mut cursor, batch, &all, found, CHUNK_CAPACITY)
+                        },
+                        |batch, r| {
+                            cols.iter().zip(vals).all(|(&c, v)| {
+                                let cell = batch.get(c, r);
+                                !cell.is_null() && cell.total_cmp(v).is_eq()
+                            })
+                        },
+                        locs.as_deref_mut(),
+                    )?;
+                    tag(k, rows.len() - before);
+                }
+            }
+            _ => {
+                return Err(SqlError::Eval(
+                    "probe path does not match table storage".into(),
+                ))
             }
         }
-    }
-
-    /// Resolves `path` for one probe of `cols` by `key_vals`: the encoded
-    /// tree prefix, the segment `fid`, or — for a secondary index — the
-    /// row locators the index holds.
-    fn resolve_eq_path(
-        &self,
-        pool: &mut BufferPool,
-        path: ProbePath,
-        cols: &[usize],
-        key_vals: &[Value],
-    ) -> Result<EqAccessPath> {
-        debug_assert_eq!(cols.len(), key_vals.len());
-        Ok(match path {
-            ProbePath::Clustered => EqAccessPath::ClusteredPrefix(encode_key(key_vals)?),
-            ProbePath::Segments => match key_vals[0].as_i64() {
-                Some(fid) => EqAccessPath::SegmentedFid(fid),
-                // A non-integral probe can never equal an INT fid (and
-                // NULLs never match): indexed empty result.
-                None => EqAccessPath::Secondary(BatchLocs::default()),
-            },
-            ProbePath::Secondary { index, point } => {
-                let mut locs = BatchLocs::default();
-                self.probe_index_locs(pool, index, point, &encode_key(key_vals)?, &mut locs)?;
-                EqAccessPath::Secondary(locs)
-            }
-            ProbePath::Scan => EqAccessPath::Scan,
-        })
+        Ok(())
     }
 
     /// How an equality on `cols` is served — the one answer the planners
@@ -933,139 +1064,9 @@ impl Table {
         }
     }
 
-    /// The [`ProbePath::Secondary`] probe: appends to `out` the locators
-    /// index `index` holds for the encoded probe key `key` — one point get
-    /// when `point`, else a prefix scan. The rows are fetched afterwards,
-    /// page-grouped ([`Table::fetch_chunk`]).
-    pub fn probe_index_locs(
-        &self,
-        pool: &mut BufferPool,
-        index: usize,
-        point: bool,
-        key: &[u8],
-        out: &mut BatchLocs,
-    ) -> Result<()> {
-        let clustered = self.is_clustered();
-        let idx = self
-            .indexes
-            .get(index)
-            .ok_or_else(|| SqlError::Eval("probe of a dropped index".into()))?;
-        // Decode errors inside the scan callbacks (which can only
-        // continue/stop) are parked and surfaced after the scan.
-        let mut parked: Result<()> = Ok(());
-        if point {
-            if let Some(pushed) = idx
-                .tree
-                .get_with(pool, key, |v| out.push_bytes(v, clustered))?
-            {
-                pushed?;
-            }
-        } else if idx.unique {
-            idx.tree.scan_prefix(pool, key, |_, v| {
-                parked = out.push_bytes(v, clustered);
-                parked.is_ok()
-            })?;
-        } else {
-            // The locator is the key suffix past the indexed column
-            // values.
-            let n_cols = idx.cols.len();
-            idx.tree.scan_prefix(pool, key, |k, _| {
-                parked = index_key_loc(k, n_cols).and_then(|loc| out.push_bytes(loc, clustered));
-                parked.is_ok()
-            })?;
-        }
-        parked
-    }
-
-    /// The [`ProbePath::Clustered`] probe: one prefix scan of the
-    /// clustering tree for the encoded probe key `key`, appending each
-    /// match's locator to `locs` and — the scan stands on the rows — its
-    /// `read` columns to `rows`.
-    pub fn probe_clustered(
-        &self,
-        pool: &mut BufferPool,
-        key: &[u8],
-        locs: &mut BatchLocs,
-        rows: &mut Chunk,
-        read: &ColSet,
-    ) -> Result<()> {
-        let TableStorage::Clustered { tree, .. } = &self.storage else {
-            return Err(SqlError::Eval(
-                "clustered probe of a table that is not clustered".into(),
-            ));
-        };
-        let mut decoded = Ok(());
-        tree.scan_prefix_runs(pool, key, |run| {
-            run.keys().for_each(|k| locs.keys.push(k));
-            decoded = decode_rows_into_chunk(run.vals(), rows, read);
-            decoded.is_ok()
-        })?;
-        Ok(decoded?)
-    }
-
-    /// The [`ProbePath::Segments`] probe, whose base rows have no
-    /// locators: appends the `read` columns of the rows whose `fid` key
-    /// `cols` equal `key_vals` to `rows` ([`Table::lookup_eq_chunk`]) and
-    /// one placeholder locator per match to `locs`. No write accepts those
-    /// — [`Table::update_rows`] refuses segmented storage — but a statement
-    /// that matches nothing, or only inserts (the delta overlay), runs.
-    pub fn probe_segmented(
-        &self,
-        pool: &mut BufferPool,
-        cols: &[usize],
-        key_vals: &[Value],
-        locs: &mut BatchLocs,
-        rows: &mut Chunk,
-        read: &ColSet,
-    ) -> Result<()> {
-        self.lookup_eq_chunk(pool, ProbePath::Segments, cols, key_vals, rows, read)?;
-        locs.rids.resize(rows.len(), RecordId::from_u64(u64::MAX));
-        Ok(())
-    }
-
-    /// The [`ProbePath::Scan`] probe: appends the locators of the rows
-    /// whose `cols` equal `key_vals` (NULLs never match), reading only
-    /// those columns.
-    pub fn scan_eq_locs(
-        &self,
-        pool: &mut BufferPool,
-        cols: &[usize],
-        key_vals: &[Value],
-        out: &mut BatchLocs,
-    ) -> Result<()> {
-        let read = ColSet::of(cols.iter().copied());
-        let mut cursor = self.batch_cursor(pool)?;
-        let mut chunk = Chunk::new();
-        let mut batch = BatchLocs::default();
-        let mut sel: Vec<u32> = Vec::new();
-        loop {
-            chunk.reset();
-            batch.clear();
-            let more = self.next_batch(
-                pool,
-                &mut cursor,
-                &mut chunk,
-                &read,
-                Some(&mut batch),
-                CHUNK_CAPACITY,
-            )?;
-            sel.clear();
-            sel.extend((0..chunk.len() as u32).filter(|&r| {
-                cols.iter().zip(key_vals).all(|(&c, v)| {
-                    let cell = chunk.get(c, r as usize);
-                    !cell.is_null() && cell.total_cmp(v).is_eq()
-                })
-            }));
-            out.extend_selected(&batch, &sel);
-            if !more {
-                return Ok(());
-            }
-        }
-    }
-
-    /// A batched-scan cursor over the table's storage (heap or clustered
-    /// tree), positioned at the first row. The table must not be mutated
-    /// while the cursor is in use.
+    /// A batched-scan cursor over the table's storage, positioned at the
+    /// first row. The table must not be mutated while the cursor is in
+    /// use.
     pub fn batch_cursor(&self, pool: &mut BufferPool) -> Result<TableBatchCursor> {
         Ok(match &self.storage {
             TableStorage::Heap(_) => TableBatchCursor::Heap(HeapScanCursor::default()),
@@ -1080,8 +1081,9 @@ impl Table {
 
     /// Decodes the `cols` columns of up to `max` further rows into `chunk`
     /// (appending), also recording their locators into `locs` when given.
-    /// Returns `false` once the table is exhausted. Rows arrive in the
-    /// same storage order as [`Table::scan`].
+    /// Returns `false` once the table is exhausted. Rows come in storage
+    /// order: heap pages, clustering-key order, or the segments in key
+    /// order minus tombstones followed by the delta overlay.
     pub fn next_batch(
         &self,
         pool: &mut BufferPool,
@@ -1107,20 +1109,9 @@ impl Table {
                 },
                 TableBatchCursor::Segmented(c),
             ) => {
-                if locs.is_some() {
-                    return Err(SqlError::Eval(
-                        "segmented base storage has no per-row locators".into(),
-                    ));
-                }
-                if chunk.is_empty() && chunk.width() != 3 {
-                    chunk.set_width(3);
-                }
-                if chunk.width() != 3 {
-                    return Err(SqlError::Eval(
-                        "segmented scan chunk must be 3 columns wide".into(),
-                    ));
-                }
-                let mut added = 0usize;
+                edge_width(chunk)?;
+                let before = chunk.len();
+                let mut more = false;
                 if !c.done {
                     let lo_key = c.cur_key.clone();
                     let lo = match &lo_key {
@@ -1133,12 +1124,12 @@ impl Table {
                         Some(k) => Bound::Excluded(k.as_slice()),
                     };
                     let mut skip = c.skip;
+                    let mut added = 0usize;
                     let mut new_pos: Option<(Vec<u8>, usize)> = None;
-                    let mut stopped_early = false;
                     let mut decode_err = None;
                     tree.scan_range(pool, lo, Bound::Unbounded, |k, v| {
                         if added >= max {
-                            stopped_early = true;
+                            more = true;
                             return false;
                         }
                         let edges = match decode_edge_segment(v) {
@@ -1162,14 +1153,10 @@ impl Table {
                             push_edge_cols(chunk, (ef, et, ec), cols);
                             added += 1;
                         }
-                        if consumed < edges.len() {
-                            new_pos = Some((k.to_vec(), consumed));
-                            stopped_early = true;
-                            false
-                        } else {
-                            new_pos = Some((k.to_vec(), 0));
-                            true
-                        }
+                        let resume = if consumed < edges.len() { consumed } else { 0 };
+                        new_pos = Some((k.to_vec(), resume));
+                        more = resume > 0;
+                        !more
                     })?;
                     if let Some(e) = decode_err {
                         return Err(e.into());
@@ -1178,18 +1165,19 @@ impl Table {
                         c.cur_key = Some(k);
                         c.skip = s;
                     }
-                    if stopped_early {
-                        return Ok(true);
-                    }
-                    c.done = true;
+                    c.done = !more;
                 }
-                // Base exhausted: stream the delta overlay.
-                let more = c
-                    .delta
-                    .next_batch(delta, pool, chunk, cols, None, max - added)?;
+                if !more {
+                    // Base exhausted: stream the delta overlay.
+                    let room = max - (chunk.len() - before);
+                    more = c.delta.next_batch(delta, pool, chunk, cols, None, room)?;
+                }
+                if let Some(locs) = locs {
+                    locs.segment_rows += chunk.len() - before;
+                }
                 Ok(more)
             }
-            _ => Err(SqlError::Eval("cursor does not match table storage".into())),
+            _ => Err(foreign_locator()),
         }
     }
 
@@ -1242,14 +1230,6 @@ impl Table {
         Ok(out)
     }
 
-    /// Appends the encoded key of `cols` at row `r` of `chunk` to `out`.
-    fn chunk_key_into(out: &mut Vec<u8>, chunk: &Chunk, cols: &[usize], r: usize) -> Result<()> {
-        for &c in cols {
-            encode_key_into(out, &chunk.get(c, r))?;
-        }
-        Ok(())
-    }
-
     /// Inserts every row of `chunk`, maintaining all indexes, with
     /// batch-level storage calls: one duplicate pre-scan, one page-packing
     /// heap write batch, and sorted per-index insert batches — instead of
@@ -1280,7 +1260,7 @@ impl Table {
             return Ok(0);
         }
         let n = chunk.len();
-        if !matches!(self.storage, TableStorage::Heap(_)) {
+        let TableStorage::Heap(heap) = &mut self.storage else {
             // Clustered inserts are per-key tree descents (and own the
             // key uniquifier); delta-overlay inserts are per-row heap
             // appends. Both keep the row path.
@@ -1289,7 +1269,7 @@ impl Table {
                 self.insert_row(pool, &row)?;
             }
             return Ok(n as u64);
-        }
+        };
         // Every row's key under every index, encoded once: the duplicate
         // pre-scan and the index entries below both use them.
         let mut keys: Vec<Vec<Vec<u8>>> = Vec::with_capacity(self.indexes.len());
@@ -1297,7 +1277,7 @@ impl Table {
             let mut of_idx = Vec::with_capacity(n);
             for r in 0..n {
                 let mut key = Vec::with_capacity(idx.cols.len() * 9 + 8);
-                Self::chunk_key_into(&mut key, chunk, &idx.cols, r)?;
+                idx.key_into(&mut key, chunk, r)?;
                 of_idx.push(key);
             }
             keys.push(of_idx);
@@ -1307,13 +1287,7 @@ impl Table {
         let mut dup: Option<(usize, usize)> = None; // (row, index)
         for (ii, idx) in self.indexes.iter().enumerate().filter(|(_, i)| i.unique) {
             let of_idx = &keys[ii];
-            let mut by_key: Vec<usize> = (0..n).collect();
-            by_key.sort_unstable_by(|&a, &b| of_idx[a].cmp(&of_idx[b]).then(a.cmp(&b)));
-            let mut first = by_key
-                .windows(2)
-                .filter(|w| of_idx[w[0]] == of_idx[w[1]])
-                .map(|w| w[1])
-                .min();
+            let mut first = idx.first_repeat(of_idx);
             if absent_from != Some(ii) {
                 let bound = first.unwrap_or(n).min(dup.map_or(n, |(r, _)| r));
                 for (r, key) in of_idx.iter().enumerate().take(bound) {
@@ -1335,23 +1309,15 @@ impl Table {
             encode_row_from_chunk(&mut buf, chunk, r);
             encoded.push(buf.clone());
         }
-        let rids = match &mut self.storage {
-            TableStorage::Heap(h) => h.insert_batch(pool, &encoded)?,
-            _ => unreachable!("handled above"),
-        };
+        let rids = heap.insert_batch(pool, &encoded)?;
         // Index maintenance: sorted batches per index.
         for (idx, of_idx) in self.indexes.iter_mut().zip(keys) {
             let entries: Vec<(Vec<u8>, Vec<u8>)> = of_idx
                 .into_iter()
                 .zip(&rids)
-                .map(|(mut key, rid)| {
-                    let loc = rid.to_u64().to_be_bytes();
-                    if idx.unique {
-                        (key, loc.to_vec())
-                    } else {
-                        key.extend_from_slice(&loc);
-                        (key, Vec::new())
-                    }
+                .map(|(mut key, &rid)| {
+                    let val = idx.entry(&mut key, &rid_bytes(rid)).to_vec();
+                    (key, val)
                 })
                 .collect();
             idx.tree.insert_batch(pool, entries)?;
@@ -1411,27 +1377,20 @@ impl Table {
         debug_assert_eq!(mode, self.update_mode(assign_cols));
         let mut order = locs.distinct_sorted();
         match (&mut self.storage, mode) {
-            (TableStorage::Heap(h), UpdateMode::InPlace) if locs.keys.is_empty() => {
+            (TableStorage::Heap(h), UpdateMode::InPlace) => {
                 let moved = h.update_cells(pool, &locs.rids, &order, assign_cols, new_vals)?;
                 // A record that moved pages re-points every index at its
                 // new id (its key values did not change).
                 for m in moved {
-                    let old_loc = locs.rids[m.item].to_u64().to_be_bytes();
-                    let new_loc = m.rid.to_u64().to_be_bytes();
+                    let (old_loc, new_loc) = (rid_bytes(locs.rids[m.item]), rid_bytes(m.rid));
                     for idx in &mut self.indexes {
-                        let vals: Vec<Value> = idx.cols.iter().map(|&c| m.row[c].clone()).collect();
-                        let base = encode_key(&vals)?;
-                        if idx.unique {
-                            idx.tree.insert(pool, &base, &new_loc)?;
-                        } else {
-                            idx.tree.delete(pool, &[&base[..], &old_loc].concat())?;
-                            idx.tree
-                                .insert(pool, &[&base[..], &new_loc].concat(), &[])?;
-                        }
+                        let key = idx.key_of(&m.row)?;
+                        idx.delete(pool, key.clone(), &old_loc)?;
+                        idx.insert(pool, key, &new_loc)?;
                     }
                 }
             }
-            (TableStorage::Heap(_) | TableStorage::Clustered { .. }, UpdateMode::Rewrite) => {
+            _ => {
                 // Arrival order, exactly as a row-at-a-time executor
                 // would: an error leaves the rows before it applied.
                 order.sort_unstable();
@@ -1443,11 +1402,6 @@ impl Table {
                     }
                     self.update_row(pool, &locs.loc(k as usize), &old_row, &new_row)?;
                 }
-            }
-            _ => {
-                return Err(SqlError::Eval(
-                    "row locator does not match table storage".into(),
-                ))
             }
         }
         Ok(order.len() as u64)
@@ -1466,27 +1420,23 @@ impl Table {
             return Ok(());
         }
         match &mut self.storage {
-            TableStorage::Heap(h) if locs.keys.is_empty() => h.delete_batch(pool, &locs.rids)?,
-            TableStorage::Clustered { tree, .. } if locs.rids.is_empty() => {
-                for r in 0..locs.len() {
+            TableStorage::Heap(h) => h.delete_batch(pool, &locs.rids)?,
+            TableStorage::Clustered { tree, .. } => {
+                for r in 0..locs.keys.len() {
                     tree.delete(pool, locs.keys.get(r))?;
                 }
             }
             TableStorage::Segmented { .. } => return Err(self.read_only_err()),
-            _ => {
-                return Err(SqlError::Eval(
-                    "row locator does not match table storage".into(),
-                ))
-            }
         }
         let mut key = Vec::new();
+        let mut loc = Vec::new();
         for idx in &mut self.indexes {
             for r in 0..locs.len() {
                 key.clear();
-                Self::chunk_key_into(&mut key, rows, &idx.cols, r)?;
-                if !idx.unique {
-                    locs.write_bytes(r, &mut key);
-                }
+                idx.key_into(&mut key, rows, r)?;
+                loc.clear();
+                locs.write_bytes(r, &mut loc);
+                idx.entry(&mut key, &loc);
                 idx.tree.delete(pool, &key)?;
             }
         }
@@ -1517,6 +1467,20 @@ impl Table {
         }
         for idx in &mut self.indexes {
             idx.tree.clear(pool)?;
+        }
+        Ok(())
+    }
+
+    /// Releases every tree the table owns (heap pages stay with the pool).
+    fn destroy(self, pool: &mut BufferPool) -> Result<()> {
+        match self.storage {
+            TableStorage::Heap(_) => {}
+            TableStorage::Clustered { tree, .. } | TableStorage::Segmented { tree, .. } => {
+                tree.destroy(pool)?
+            }
+        }
+        for idx in self.indexes {
+            idx.tree.destroy(pool)?;
         }
         Ok(())
     }
@@ -1578,9 +1542,6 @@ impl Table {
             }
             w.flush()?;
         }
-        let TableStorage::Segmented { tree, rows, .. } = &mut self.storage else {
-            unreachable!("checked above");
-        };
         tree.bulk_build(pool, segs)?;
         *rows = total;
         Ok(total)
@@ -1610,32 +1571,8 @@ impl Table {
         if !tombstones.contains(&(fid, tid)) {
             // Count the base edges the new tombstone suppresses so len()
             // stays exact.
-            let lo = encode_key(&[Value::Int(fid)])?;
             let mut base = 0u64;
-            let mut decode_err = None;
-            tree.scan_range(pool, Bound::Included(&lo), Bound::Unbounded, |_, v| {
-                let mut past = false;
-                let mut first = true;
-                let res = decode_edge_segment_with(v, |ef, et, _| {
-                    if first {
-                        first = false;
-                        if ef > fid {
-                            past = true;
-                        }
-                    }
-                    if ef == fid && et == tid {
-                        base += 1;
-                    }
-                });
-                if let Err(e) = res {
-                    decode_err = Some(e);
-                    return false;
-                }
-                !past
-            })?;
-            if let Some(e) = decode_err {
-                return Err(e.into());
-            }
+            walk_fid(tree, pool, fid, |et, _| base += u64::from(et == tid))?;
             if base > 0 {
                 tombstones.insert((fid, tid));
                 *dead_rows += base;
@@ -1644,25 +1581,21 @@ impl Table {
         }
         // Delta rows matching the pair go away physically, so a later
         // re-insert of the same edge is visible again.
-        let mut rids = Vec::new();
-        let mut decode_err = None;
-        delta.scan(pool, |rid, bytes| match decode_row(bytes) {
-            Ok(row) => {
-                if row.first().and_then(|v| v.as_i64()) == Some(fid)
-                    && row.get(1).and_then(|v| v.as_i64()) == Some(tid)
-                {
-                    rids.push(rid);
-                }
-                true
-            }
-            Err(e) => {
-                decode_err = Some(e);
-                false
-            }
-        })?;
-        if let Some(e) = decode_err {
-            return Err(e.into());
-        }
+        let (mut pairs, mut all_rids) = (Chunk::new(), Vec::new());
+        let mut cursor = delta.batch_cursor();
+        let read = ColSet::of([0, 1]);
+        while cursor.next_batch(
+            delta,
+            pool,
+            &mut pairs,
+            &read,
+            Some(&mut all_rids),
+            usize::MAX,
+        )? {}
+        let rids: Vec<RecordId> = (0..pairs.len())
+            .filter(|&r| pairs.get(0, r) == Value::Int(fid) && pairs.get(1, r) == Value::Int(tid))
+            .map(|r| all_rids[r])
+            .collect();
         if !rids.is_empty() {
             delta.delete_batch(pool, &rids)?;
             *delta_rows -= rids.len() as u64;
@@ -1682,12 +1615,6 @@ impl Table {
         pool: &mut BufferPool,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<u64> {
-        if self.is_segmented() {
-            return Err(SqlError::Eval(format!(
-                "table {} is segment-compressed; use bulk_load_segments",
-                self.schema.name
-            )));
-        }
         if !self.is_empty() || self.indexes.iter().any(|i| !i.tree.is_empty()) {
             return Err(SqlError::Eval(format!(
                 "bulk load requires empty table {}",
@@ -1702,34 +1629,29 @@ impl Table {
         if rows.is_empty() {
             return Ok(0);
         }
-        // Unique violations (within the batch — the table is empty) are
-        // detected before anything is written.
-        for idx in self.indexes.iter().filter(|i| i.unique) {
-            let mut keyed: Vec<(Vec<u8>, usize)> = rows
-                .iter()
-                .enumerate()
-                .map(|(r, row)| {
-                    encode_key(&idx.cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>())
-                        .map(|k| (k, r))
-                })
-                .collect::<std::result::Result<_, _>>()?;
-            keyed.sort_unstable();
-            if let Some(w) = keyed.windows(2).find(|w| w[0].0 == w[1].0) {
+        // Every row's key under every index; unique violations (within
+        // the batch — the table is empty) are detected before anything is
+        // written.
+        let keys: Vec<Vec<Vec<u8>>> = self
+            .indexes
+            .iter()
+            .map(|idx| rows.iter().map(|row| idx.key_of(row)).collect())
+            .collect::<Result<_>>()?;
+        for (idx, keys) in self.indexes.iter().zip(&keys) {
+            if let Some(r) = idx.first_repeat(keys) {
                 return Err(SqlError::DuplicateKey {
                     table: self.schema.name.clone(),
-                    key: format_key(&rows[w[1].1], &idx.cols),
+                    key: format_key(&rows[r], &idx.cols),
                 });
             }
         }
         // Resolve every row's locator with one batch write of the base
         // storage.
-        let locs: Vec<RowLoc> = match &mut self.storage {
+        let mut locs = BatchLocs::default();
+        match &mut self.storage {
             TableStorage::Heap(h) => {
                 let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
-                h.insert_batch(pool, &encoded)?
-                    .into_iter()
-                    .map(RowLoc::Heap)
-                    .collect()
+                locs.rids = h.insert_batch(pool, &encoded)?;
             }
             TableStorage::Clustered {
                 tree,
@@ -1739,12 +1661,9 @@ impl Table {
             } => {
                 // Encodes one row's clustering-key prefix into `out`
                 // (cleared first).
-                let key_prefix = |row: &[Value], out: &mut Vec<u8>| -> Result<()> {
+                let key_prefix = |row: &[Value], out: &mut Vec<u8>| {
                     out.clear();
-                    for &c in key_cols.iter() {
-                        encode_key_into(out, &row[c])?;
-                    }
-                    Ok(())
+                    encode_cols_into(out, row, key_cols)
                 };
                 // Non-decreasing key prefixes plus the monotone uniquifier
                 // give strictly increasing full keys, so key-sorted input
@@ -1777,7 +1696,6 @@ impl Table {
                         b.push(pool, &key, &val)?;
                     }
                     tree.bulk_finish(pool, b)?;
-                    Vec::new()
                 } else {
                     let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(rows.len());
                     for row in &rows {
@@ -1806,35 +1724,26 @@ impl Table {
                             });
                         }
                     }
-                    let locs: Vec<RowLoc> = entries
-                        .iter()
-                        .map(|(k, _)| RowLoc::Clustered(k.clone()))
-                        .collect();
+                    for (k, _) in &entries {
+                        locs.keys.push(k);
+                    }
                     let sorted: Vec<(Vec<u8>, Vec<u8>)> = order
                         .iter()
                         .map(|&i| std::mem::take(&mut entries[i]))
                         .collect();
                     tree.bulk_build(pool, sorted)?;
-                    locs
                 }
             }
-            TableStorage::Segmented { .. } => unreachable!("guarded above"),
-        };
+            TableStorage::Segmented { .. } => {
+                return Err(SqlError::Eval(format!(
+                    "table {} is segment-compressed; use bulk_load_segments",
+                    self.schema.name
+                )))
+            }
+        }
         // Every index: sorted entries, bottom-up build.
-        for idx in &mut self.indexes {
-            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(rows.len());
-            for (row, loc) in rows.iter().zip(&locs) {
-                let mut key =
-                    encode_key(&idx.cols.iter().map(|&c| row[c].clone()).collect::<Vec<_>>())?;
-                if idx.unique {
-                    entries.push((key, loc.to_bytes()));
-                } else {
-                    key.extend_from_slice(&loc.to_bytes());
-                    entries.push((key, Vec::new()));
-                }
-            }
-            entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            idx.tree.bulk_build(pool, entries)?;
+        for (idx, keys) in self.indexes.iter_mut().zip(keys) {
+            idx.bulk_fill(pool, keys, &locs)?;
         }
         Ok(n)
     }
@@ -1973,15 +1882,7 @@ impl Catalog {
         let key = Self::key(name);
         match self.tables.remove(&key) {
             Some(table) => {
-                match table.storage {
-                    TableStorage::Heap(_) => { /* heap pages stay with the pool */ }
-                    TableStorage::Clustered { tree, .. } | TableStorage::Segmented { tree, .. } => {
-                        tree.destroy(pool)?
-                    }
-                }
-                for idx in table.indexes {
-                    idx.tree.destroy(pool)?;
-                }
+                table.destroy(pool)?;
                 // Covers both secondary indexes and the clustered index
                 // name (which lives in the storage, not the index list).
                 self.index_owner.retain(|_, owner| owner != &key);
@@ -2066,62 +1967,75 @@ impl Catalog {
                     stmt.table
                 )));
             }
-            // Materialise all rows, rebuild as index-organised storage.
+            // Reorganise into a fresh index-organised table — bulk-built,
+            // its secondary indexes rebuilt (the locators change) — and
+            // swap it in only once it is whole.
             let mut rows = Vec::new();
             table.scan(pool, |_, row| {
                 rows.push(row);
                 true
             })?;
-            let mut storage = TableStorage::Clustered {
-                tree: BTree::create(pool)?,
-                key_cols: cols.clone(),
-                unique: stmt.unique,
-                next_uniquifier: 0,
+            let mut fresh = Table {
+                schema: table.schema.clone(),
+                storage: TableStorage::Clustered {
+                    tree: BTree::create(pool)?,
+                    key_cols: cols,
+                    unique: stmt.unique,
+                    next_uniquifier: 0,
+                },
+                indexes: Vec::with_capacity(table.indexes.len()),
             };
-            std::mem::swap(&mut table.storage, &mut storage);
-            if let TableStorage::Heap(mut h) = storage {
-                h.truncate(pool)?;
+            for idx in &table.indexes {
+                fresh.indexes.push(SecondaryIndex {
+                    tree: BTree::create(pool)?,
+                    ..idx.clone()
+                });
             }
-            // Rebuild secondary indexes (locators changed) and reinsert.
-            for idx in &mut table.indexes {
-                idx.tree.clear(pool)?;
+            if let Err(e) = fresh.bulk_load_rows(pool, rows) {
+                fresh.destroy(pool)?;
+                return Err(e);
             }
-            for row in rows {
-                table.insert_row(pool, &row)?;
+            std::mem::replace(table, fresh).destroy(pool)?;
+        } else {
+            // Secondary index: every row's key and locator, checked for
+            // repeats, then bulk-built.
+            let mut index = SecondaryIndex {
+                name: stmt.name.clone(),
+                cols,
+                unique: stmt.unique,
+                tree: BTree::create(pool)?,
+            };
+            let mut rows = Chunk::new();
+            let mut locs = BatchLocs::default();
+            let mut cursor = table.batch_cursor(pool)?;
+            let all = ColSet::all();
+            while table.next_batch(
+                pool,
+                &mut cursor,
+                &mut rows,
+                &all,
+                Some(&mut locs),
+                usize::MAX,
+            )? {}
+            let keys: Result<Vec<Vec<u8>>> = (0..rows.len())
+                .map(|r| {
+                    let mut key = Vec::new();
+                    index.key_into(&mut key, &rows, r).map(|()| key)
+                })
+                .collect();
+            let built = keys.and_then(|keys| match index.first_repeat(&keys) {
+                Some(r) => Err(SqlError::DuplicateKey {
+                    table: table.schema.name.clone(),
+                    key: format_key(&rows.row(r), &index.cols),
+                }),
+                None => index.bulk_fill(pool, keys, &locs),
+            });
+            if let Err(e) = built {
+                index.tree.destroy(pool)?;
+                return Err(e);
             }
-            self.index_owner.insert(idx_key, Self::key(&stmt.table));
-            self.version += 1;
-            return Ok(());
+            table.indexes.push(index);
         }
-
-        // Secondary index: build from a scan.
-        let mut index = SecondaryIndex {
-            name: stmt.name.clone(),
-            cols: cols.clone(),
-            unique: stmt.unique,
-            tree: BTree::create(pool)?,
-        };
-        let mut entries: Vec<(Vec<Value>, RowLoc)> = Vec::new();
-        table.scan(pool, |loc, row| {
-            entries.push((cols.iter().map(|&c| row[c].clone()).collect(), loc));
-            true
-        })?;
-        for (vals, loc) in entries {
-            let mut key = encode_key(&vals)?;
-            if index.unique {
-                if index.tree.contains(pool, &key)? {
-                    return Err(SqlError::DuplicateKey {
-                        table: stmt.table.clone(),
-                        key: format!("{vals:?}"),
-                    });
-                }
-                index.tree.insert(pool, &key, &loc.to_bytes())?;
-            } else {
-                key.extend_from_slice(&loc.to_bytes());
-                index.tree.insert(pool, &key, &[])?;
-            }
-        }
-        table.indexes.push(index);
         self.index_owner.insert(idx_key, Self::key(&stmt.table));
         self.version += 1;
         Ok(())
@@ -2216,7 +2130,12 @@ mod tests {
     ) -> (ProbePath, Vec<Vec<Value>>) {
         let path = t.probe_path(cols);
         let mut chunk = Chunk::with_width(t.schema.columns.len());
-        t.lookup_eq_chunk(pool, path, cols, key, &mut chunk, &ColSet::all())
+        let found = EqMatches {
+            rows: &mut chunk,
+            src: None,
+            locs: None,
+        };
+        t.probe_eq(pool, path, cols, key, &ColSet::all(), found)
             .unwrap();
         (path, (0..chunk.len()).map(|r| chunk.row(r)).collect())
     }
@@ -2357,6 +2276,73 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, 1);
+    }
+
+    #[test]
+    fn failed_unique_index_build_leaves_the_table_as_it_was() {
+        let (mut pool, mut cat) = setup();
+        let int = |name: &str| ColumnDef {
+            name: name.into(),
+            dtype: DataType::Int,
+        };
+        cat.create_table(&mut pool, "t", vec![int("a"), int("b")], None)
+            .unwrap();
+        let index = |name: &str, col: &str, unique: bool, clustered: bool| CreateIndex {
+            name: name.into(),
+            table: "t".into(),
+            columns: vec![col.into()],
+            unique,
+            clustered,
+        };
+        cat.create_index(&mut pool, &index("ib", "b", false, false))
+            .unwrap();
+        let rows: Vec<Vec<Value>> = [(1, 1), (2, 3), (1, 2), (3, 4)]
+            .iter()
+            .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
+            .collect();
+        let t = cat.table_mut("t").unwrap();
+        for row in &rows {
+            t.insert_row(&mut pool, row).unwrap();
+        }
+        let content = |pool: &mut BufferPool, cat: &Catalog| {
+            let mut seen = Vec::new();
+            cat.table("t")
+                .unwrap()
+                .scan(pool, |_, row| {
+                    seen.push(row);
+                    true
+                })
+                .unwrap();
+            seen
+        };
+        for clustered in [true, false, true] {
+            let err = cat.create_index(&mut pool, &index("ia", "a", true, clustered));
+            match err {
+                Err(SqlError::DuplicateKey { table, key }) => {
+                    assert_eq!((table.as_str(), key.as_str()), ("t", "(1)"));
+                }
+                other => panic!("expected a duplicate key, got {:?}", other.err()),
+            }
+            let t = cat.table("t").unwrap();
+            assert_eq!(t.len(), 4);
+            assert!(!t.is_clustered());
+            assert_eq!(t.indexes.len(), 1);
+            assert_eq!(content(&mut pool, &cat), rows);
+            let (_, hits) = probe(&mut pool, t, &[1], &[Value::Int(4)]);
+            assert_eq!(hits, vec![rows[3].clone()]);
+        }
+        // The failed name was never registered; a clustering that fits
+        // goes through and keeps every row and the index on `b`.
+        cat.create_index(&mut pool, &index("ia", "a", false, true))
+            .unwrap();
+        let t = cat.table("t").unwrap();
+        assert!(t.is_clustered());
+        let (path, hits) = probe(&mut pool, t, &[1], &[Value::Int(3)]);
+        assert!(matches!(path, ProbePath::Secondary { .. }));
+        assert_eq!(hits, vec![rows[1].clone()]);
+        let mut sorted = rows.clone();
+        sorted.sort_by_key(|r| r[0].as_i64());
+        assert_eq!(content(&mut pool, &cat), sorted);
     }
 
     #[test]

@@ -26,12 +26,12 @@ use super::{
     RightPlan, SelectPlan, SourcePlan, SubPlan, TargetPlan, UpdateKind, UpdatePlan,
 };
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::catalog::{BatchLocs, Catalog, ProbePath, Table, UpdateMode};
+use crate::catalog::{BatchLocs, Catalog, EqMatches, Table, UpdateMode};
 use crate::error::{Result, SqlError};
 use crate::exec::agg::AggState;
 use crate::exec::eval::{arith, in_list_result, truthy, HashKey};
 use fempath_storage::{
-    encode_key, encode_key_into, BufferPool, Chunk, ColSet, Column, NullMask, Value, CHUNK_CAPACITY,
+    encode_key, BufferPool, Chunk, ColSet, Column, NullMask, Value, CHUNK_CAPACITY,
 };
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
@@ -742,13 +742,16 @@ fn stream_source_v(
             read,
             ..
         } => {
-            let Some(key_vals) = probe_keys(keys, env)? else {
-                return Ok(());
-            };
+            let key_vals = probe_keys(keys, env)?;
             let t = catalog.table(table)?;
             let mut chunk = take_chunk();
             let res = (|| {
-                t.lookup_eq_chunk(pool, *path, cols, &key_vals, &mut chunk, &read.set)?;
+                let found = EqMatches {
+                    rows: &mut chunk,
+                    src: None,
+                    locs: None,
+                };
+                t.probe_eq(pool, *path, cols, &key_vals, &read.set, found)?;
                 if !chunk.is_empty() {
                     let mut sel = take_sel(chunk.len());
                     apply_filter(&sp.filter, &chunk, &mut sel, env)?;
@@ -781,14 +784,19 @@ fn stream_source_v(
     }
 }
 
-/// Evaluates an index probe's row-independent key expressions; `None`
-/// when one is NULL (`col = NULL` never matches).
-fn probe_keys(keys: &[PExpr], env: &Env<'_>) -> Result<Option<Vec<Value>>> {
-    let mut key_vals = Vec::with_capacity(keys.len());
-    for k in keys {
-        key_vals.push(exec::eval_px(k, &[], env)?);
+/// Evaluates an index probe's row-independent key expressions.
+fn probe_keys(keys: &[PExpr], env: &Env<'_>) -> Result<Vec<Value>> {
+    keys.iter().map(|k| exec::eval_px(k, &[], env)).collect()
+}
+
+/// The probe keys of a batch: the value of every key column at each of
+/// the `n` dense positions, laid end to end (see [`Table::probe_eq`]).
+fn batch_keys(kcols: &[VCol], n: usize) -> Vec<Value> {
+    let mut keys = Vec::with_capacity(n * kcols.len());
+    for k in 0..n {
+        keys.extend(kcols.iter().map(|c| c.get(k)));
     }
-    Ok((!key_vals.iter().any(|k| k.is_null())).then_some(key_vals))
+    keys
 }
 
 /// Materializes a join stage's right side as one columnar batch.
@@ -928,27 +936,18 @@ fn apply_stage(
                 .iter()
                 .map(|k| eval_v(k, chunk, sel, env))
                 .collect::<Result<_>>()?;
-            let mut lidx: Vec<u32> = Vec::new();
+            let keys = batch_keys(&kcols, sel.len());
             let mut right = Chunk::new();
-            let mut key_vals: Vec<Value> = Vec::with_capacity(kcols.len());
-            for (k, &r) in sel.iter().enumerate() {
-                key_vals.clear();
-                let mut null_key = false;
-                for c in &kcols {
-                    let v = c.get(k);
-                    if v.is_null() {
-                        null_key = true;
-                        break;
-                    }
-                    key_vals.push(v);
-                }
-                if null_key {
-                    continue; // NULL join key never matches
-                }
-                table.lookup_eq_chunk(pool, *path, path_cols, &key_vals, &mut right, &read.set)?;
-                while lidx.len() < right.len() {
-                    lidx.push(r);
-                }
+            let mut lidx: Vec<u32> = Vec::new();
+            let found = EqMatches {
+                rows: &mut right,
+                src: Some(&mut lidx),
+                locs: None,
+            };
+            table.probe_eq(pool, *path, path_cols, &keys, &read.set, found)?;
+            // Each match's key position in `sel` becomes its left row.
+            for k in &mut lidx {
+                *k = sel[*k as usize];
             }
             let out = chunk.gather(&lidx).hcat(right);
             let mut sel_out: Vec<u32> = (0..out.len() as u32).collect();
@@ -1784,11 +1783,11 @@ type MatchSink<'a> = dyn FnMut(&Chunk, &[u32], &BatchLocs) -> Result<()> + 'a;
 /// Read phase shared by plain UPDATE and DELETE: finds the target rows
 /// through the planned access path and streams them to `f`.
 ///
-/// An index probe resolves its key to locators and fetches the planned
-/// columns of those rows; a scan decodes the planned columns of every
-/// row. Either way the residual conjuncts narrow the selection. When the
-/// write phase rewrites whole rows, a scan reads just its predicate's
-/// columns and re-reads the rows it selects whole
+/// A probe ([`Table::probe_eq`]) appends the planned columns and the
+/// locators of the rows its key matches; a scan decodes the planned
+/// columns of every row. Either way the residual conjuncts narrow the
+/// selection. When the write phase rewrites whole rows, a scan reads just
+/// its predicate's columns and re-reads the rows it selects whole
 /// ([`Table::fetch_chunk`], one page read per touched page).
 fn match_target(
     pool: &mut BufferPool,
@@ -1811,17 +1810,12 @@ fn match_target(
             read,
             ..
         } => {
-            let Some(key_vals) = probe_keys(keys, env)? else {
-                return Ok(());
-            };
-            let key = encode_key(&key_vals)?;
-            let mut out = Probed {
-                locs: &mut locs,
+            let found = EqMatches {
                 rows: &mut rows,
-                read: &read.set,
+                src: None,
+                locs: Some(&mut locs),
             };
-            probe_target(pool, table, *path, cols, &key, &key_vals, &mut out)?;
-            fetch_probed(pool, table, *path, &mut out)?;
+            table.probe_eq(pool, *path, cols, &probe_keys(keys, env)?, &read.set, found)?;
             fill_identity(&mut sel, rows.len());
             apply_filter(filter, &rows, &mut sel, env)?;
             if !sel.is_empty() {
@@ -1848,7 +1842,7 @@ fn match_target(
                     picked.clear();
                     picked.extend_selected(&locs, &sel);
                     whole.reset();
-                    table.fetch_chunk(pool, &picked, &mut whole, &ColSet::all())?;
+                    table.fetch_chunk(pool, &picked, 0, &mut whole, &ColSet::all())?;
                     fill_identity(&mut sel, whole.len());
                     f(&whole, &sel, &picked)?;
                 } else if !sel.is_empty() {
@@ -1867,57 +1861,6 @@ fn match_target(
     put_chunk(whole);
     put_sel(sel);
     res
-}
-
-/// Where a batch of DML-target probes collects what it finds: locators
-/// and, row for row, the `read` columns of the rows they address.
-struct Probed<'a> {
-    locs: &'a mut BatchLocs,
-    rows: &'a mut Chunk,
-    read: &'a ColSet,
-}
-
-/// One equality probe of a DML target along its planned path: appends the
-/// locators of the rows whose `cols` equal the key (`key` is its index
-/// encoding, `key_vals` its values — a segment or unindexed probe reads
-/// those).
-/// A probe that stands on the rows it finds (the clustering tree,
-/// segments) appends their columns too; the others leave that to one
-/// [`fetch_probed`] per batch of probes.
-fn probe_target(
-    pool: &mut BufferPool,
-    table: &Table,
-    path: ProbePath,
-    cols: &[usize],
-    key: &[u8],
-    key_vals: &[Value],
-    out: &mut Probed<'_>,
-) -> Result<()> {
-    match path {
-        ProbePath::Clustered => table.probe_clustered(pool, key, out.locs, out.rows, out.read),
-        ProbePath::Segments => {
-            table.probe_segmented(pool, cols, key_vals, out.locs, out.rows, out.read)
-        }
-        ProbePath::Secondary { index, point } => {
-            table.probe_index_locs(pool, index, point, key, out.locs)
-        }
-        ProbePath::Scan => table.scan_eq_locs(pool, cols, key_vals, out.locs),
-    }
-}
-
-/// Fetches the columns of the rows a batch of [`probe_target`] calls
-/// located and did not decode: heap rows, one pool read per run of
-/// locators on a page.
-fn fetch_probed(
-    pool: &mut BufferPool,
-    table: &Table,
-    path: ProbePath,
-    out: &mut Probed<'_>,
-) -> Result<()> {
-    if matches!(path, ProbePath::Clustered | ProbePath::Segments) {
-        return Ok(());
-    }
-    table.fetch_chunk(pool, out.locs, out.rows, out.read)
 }
 
 /// Materializes a DML source as batches (the probes that follow need the
@@ -1954,8 +1897,9 @@ struct Matches {
 }
 
 /// Probes `table` once per row of the source batch `sc` (vectorized key
-/// evaluation, one index descent per row, NULL keys never match), then
-/// fetches the matched rows' planned columns in one pass.
+/// evaluation, one [`Table::probe_eq`] for the batch: one index descent
+/// per row, NULL keys never match, the matched rows' planned columns
+/// fetched in one pass).
 fn probe_source_chunk(
     pool: &mut BufferPool,
     table: &Table,
@@ -1970,47 +1914,21 @@ fn probe_source_chunk(
         .map(|k| eval_v(k, sc, &sel, env))
         .collect::<Result<_>>()?;
     put_sel(sel);
+    let keys = batch_keys(&kcols, sc.len());
     let mut m = Matches {
         // Not from the chunk pool: these batches grow as tall as the match
         // set and as wide as both sides, and pooling them pins that.
         rows: Chunk::new(),
         locs: BatchLocs::default(),
         src: Vec::new(),
-        int_keys: true,
+        int_keys: keys.iter().all(|v| matches!(v, Value::Int(_))),
     };
-    let mut out = Probed {
-        locs: &mut m.locs,
+    let found = EqMatches {
         rows: &mut m.rows,
-        read: &probe.read.set,
+        src: Some(&mut m.src),
+        locs: Some(&mut m.locs),
     };
-    let mut key = Vec::new();
-    let mut key_vals = Vec::new();
-    'row: for k in 0..sc.len() {
-        key.clear();
-        key_vals.clear();
-        for c in &kcols {
-            let v = c.get(k);
-            m.int_keys &= matches!(v, Value::Int(_));
-            if v.is_null() {
-                continue 'row;
-            }
-            encode_key_into(&mut key, &v)?;
-            if matches!(probe.path, ProbePath::Segments | ProbePath::Scan) {
-                key_vals.push(v);
-            }
-        }
-        probe_target(
-            pool,
-            table,
-            probe.path,
-            &probe.cols,
-            &key,
-            &key_vals,
-            &mut out,
-        )?;
-        m.src.resize(out.locs.len(), k as u32);
-    }
-    fetch_probed(pool, table, probe.path, &mut out)?;
+    table.probe_eq(pool, probe.path, &probe.cols, &keys, &probe.read.set, found)?;
     if !m.rows.is_empty() {
         m.rows = m.rows.hcat(sc.gather_cols(&m.src, &probe.source_read));
     }

@@ -701,9 +701,11 @@ fn oversized_update_fails_without_losing_rows() {
     }
 }
 
-/// UPDATE … FROM and MERGE into segment-compressed storage: base rows
+/// UPDATE, DELETE and MERGE into segment-compressed storage: its rows
 /// have no locators, so a matched write is refused, while a statement
-/// that matches nothing — or only inserts, into the delta overlay — runs.
+/// that matches nothing — or only inserts, into the delta overlay — runs,
+/// whether the target is reached by the fid key, a scan or an unindexed
+/// probe.
 /// A lookup and an index nested-loop join read the same segment path
 /// before and after the overlay changes.
 #[test]
@@ -753,6 +755,18 @@ fn dml_probes_into_segmented_storage() {
     assert!(pair.step(update), "matches nothing: 0 rows, no error");
     assert!(pair.step(merge), "inserts only");
     pair.step(check);
+    // Targets reached by a scan or an unindexed probe rather than by the
+    // fid key: base and overlay rows alike carry segment locators, and a
+    // statement that matches none of them runs.
+    for sql in [
+        "UPDATE e SET cost = 1 WHERE cost = 999",
+        "DELETE FROM e WHERE tid = -1",
+        "MERGE INTO e AS tg USING (SELECT 500 AS f) AS s ON s.f = tg.cost \
+         WHEN NOT MATCHED THEN INSERT (fid, tid, cost) VALUES (s.f, 1, 1)",
+    ] {
+        assert!(pair.step(sql), "matches nothing: {sql}");
+    }
+    pair.step("SELECT fid, tid, cost FROM e WHERE fid = 500");
     // Now the same statements find rows (in the overlay) to write.
     assert!(!pair.step(update));
     assert!(!pair.step(merge));

@@ -236,7 +236,9 @@ impl BTree {
         leaf: PageId,
         path: &[(PageId, usize)],
     ) -> Result<()> {
-        let &(parent, pos) = path.last().expect("non-root leaf has a parent");
+        let &(parent, pos) = path
+            .last()
+            .ok_or_else(|| StorageError::Corrupt("non-root leaf without a parent".into()))?;
         // A parent without separator cells has this leaf as its only
         // child; removing it would leave the parent childless, so the
         // empty leaf stays (scans skip it).
@@ -800,7 +802,9 @@ impl BTreeBulkBuilder {
             });
             return Ok(());
         }
-        let sep = sep.expect("non-first child must carry its subtree's first key");
+        let sep = sep.ok_or_else(|| {
+            StorageError::Corrupt("bulk build: non-first child without a separator".into())
+        })?;
         let lvl = &mut self.levels[level];
         if node::interior_insert_at(&mut lvl.img, lvl.cells, &sep, child.0) {
             lvl.cells += 1;
@@ -846,7 +850,9 @@ impl BTreeBulkBuilder {
             self.flush_level(pool, i)?;
             i += 1;
         }
-        let top = self.levels.pop().expect("multi-leaf build has a top level");
+        let top = self.levels.pop().ok_or_else(|| {
+            StorageError::Corrupt("bulk build: multi-leaf build without a top level".into())
+        })?;
         debug_assert!(
             top.cells > 0,
             "top level always receives the right spine's last child"

@@ -231,11 +231,10 @@ impl<F: FnMut(i64, i64, Vec<u8>) -> Result<()>> SegmentWriter<F> {
 
     /// Flushes any buffered edges as a final (possibly short) segment.
     pub fn flush(&mut self) -> Result<()> {
-        if self.buf.is_empty() {
+        let (Some(&(first_fid, ..)), Some(&(last_fid, ..))) = (self.buf.first(), self.buf.last())
+        else {
             return Ok(());
-        }
-        let first_fid = self.buf.first().unwrap().0;
-        let last_fid = self.buf.last().unwrap().0;
+        };
         let blob = encode_edge_segment(&self.buf);
         debug_assert_eq!(
             blob.len(),

@@ -1,7 +1,7 @@
 //! femcheck layer 2 — the workspace *source* auditor (DESIGN.md §15).
 //!
 //! Where the SQL analyzer (`fempath_sql::analyze`) checks the statements
-//! the engine generates, this crate checks the engine's own source. Eight
+//! the engine generates, this crate checks the engine's own source. Nine
 //! plain-text, line-level rules, no dependencies, no proc macros:
 //!
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
@@ -29,8 +29,8 @@
 //!    so there is one configuration to test and to benchmark.
 //! 7. **reference-stays-naive** — no line under `crates/sql/src/exec/`
 //!    (the interpreter) names the planner's access-path choice
-//!    (`Table::longest_prefix`, `Table::probe_path`, `ProbePath`) or an
-//!    index lookup (`lookup_eq…`): the reference scans and nested-loops,
+//!    (`Table::longest_prefix`, `Table::probe_path`, `ProbePath`) or the
+//!    equality probe (`Table::probe_eq`): the reference scans and nested-loops,
 //!    so a wrong access-path decision cannot show up on both sides of a
 //!    differential test.
 //! 8. **one-em-decision** — under `crates/core/src/`, only `graphdb.rs`
@@ -40,6 +40,12 @@
 //!    every search takes its E/M statements from that one decision
 //!    (`EmMode::choose`), so no search can spell its expansion
 //!    differently from the others.
+//! 9. **executor-follows-the-plan** — the vectorized executor
+//!    (`crates/sql/src/plan/vexec.rs`) names no `ProbePath::` or
+//!    `TableStorage::` variant, in code or comments: it hands the path the
+//!    plan recorded to the one probe (`Table::probe_eq`) and lets the
+//!    catalog's one storage dispatch serve it, so no storage can be read
+//!    one way for queries and another for DML.
 //!
 //! The rule needles are assembled at runtime from fragments so this
 //! crate's own source never contains them verbatim (the auditor audits
@@ -104,6 +110,7 @@ struct Needles {
     env_read: String,
     merge_support: String,
     merge_into: String,
+    storage_variants: [String; 2],
 }
 
 impl Needles {
@@ -126,12 +133,16 @@ impl Needles {
             planner_names: [
                 ["longest_pr", "efix("].concat(),
                 ["probe_pa", "th("].concat(),
-                ["lookup", "_eq"].concat(),
+                ["probe", "_eq"].concat(),
                 ["Probe", "Path"].concat(),
             ],
             env_read: ["env::", "var"].concat(),
             merge_support: ["supports_", "merge"].concat(),
             merge_into: ["MERGE", " INTO"].concat(),
+            storage_variants: [
+                ["Probe", "Path::"].concat(),
+                ["Table", "Storage::"].concat(),
+            ],
         }
     }
 }
@@ -202,6 +213,9 @@ fn planner_name<'n>(line: &str, needles: &'n Needles) -> Option<&'n str> {
 const EM_DECISION_SRC: &str = "crates/core/src/";
 const EM_DECISION_OWNER: &str = "crates/core/src/graphdb.rs";
 const EM_MERGE_GENERATORS: [&str; 2] = ["crates/core/src/sqlgen.rs", "crates/core/src/segtable.rs"];
+
+/// The executor rule 9 keeps off the storage dispatch.
+const PLAN_EXECUTOR: &str = "crates/sql/src/plan/vexec.rs";
 
 /// The crates rule 6 keeps free of environment reads.
 const KNOB_FREE_SRC: [&str; 5] = [
@@ -440,6 +454,21 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                 });
             }
 
+            // Rule 9: the executor follows the plan through the one probe.
+            if rel == PLAN_EXECUTOR {
+                if let Some(v) = needles.storage_variants.iter().find(|v| line.contains(*v)) {
+                    violations.push(Violation {
+                        file: rel.clone(),
+                        line: lineno,
+                        rule: "executor-follows-the-plan",
+                        msg: format!(
+                            "`{v}` named in the executor — hand the planned path to \
+                             `Table::probe_eq` and leave the storage dispatch to the catalog"
+                        ),
+                    });
+                }
+            }
+
             // Rule 3 (counting pass): unwraps in library code.
             if is_library_src
                 && !in_test_region
@@ -533,7 +562,7 @@ mod tests {
     fn access_paths_are_spotted_in_the_reference_only() {
         let n = Needles::new();
         let prefix = format!("let picks = table.{}&cols)?;\n", n.planner_names[0]);
-        let lookup = format!("// served by {}_chunk\n", n.planner_names[2]);
+        let lookup = format!("// served by Table::{}\n", n.planner_names[2]);
         let path = format!("use crate::catalog::{};\n", n.planner_names[3]);
         assert_eq!(planner_name(&prefix, &n), Some(n.planner_names[0].as_str()));
         assert_eq!(

@@ -2,8 +2,11 @@
 //!
 //! Failing here means a source change introduced an undocumented `unsafe`
 //! block, an uncommented atomic ordering in the concurrency hot spots, a
-//! `todo!`/`dbg!` left behind, or an unwrap-budget drift in either
-//! direction (see `crates/xtask/unwrap-allowlist.txt`).
+//! `todo!`/`dbg!` left behind, an unwrap-budget drift in either
+//! direction (see `crates/xtask/unwrap-allowlist.txt`), or one of the
+//! design rules (interpreter, E/M decision, executor) broken.
+
+use std::fs;
 
 #[test]
 fn workspace_sources_pass_the_auditor() {
@@ -18,5 +21,48 @@ fn workspace_sources_pass_the_auditor() {
             .map(|v| v.to_string())
             .collect::<Vec<_>>()
             .join("\n")
+    );
+}
+
+/// Rule 9 (executor-follows-the-plan): the vectorized executor names no
+/// probe-path or storage variant, in code or comments; the catalog and the
+/// planner may.
+#[test]
+fn storage_variants_are_spotted_in_the_executor_only() {
+    let probe_variant = format!("        {}Scan => scan(),\n", ["Probe", "Path::"].concat());
+    let storage_variant = format!("// like {}Heap\n", ["Table", "Storage::"].concat());
+    let dir = std::env::temp_dir().join(format!("xtask-exec-{}", std::process::id()));
+    for (rel, text) in [
+        (
+            "crates/sql/src/plan/vexec.rs",
+            format!("{probe_variant}{storage_variant}"),
+        ),
+        ("crates/sql/src/plan/build.rs", probe_variant.clone()),
+        ("crates/sql/src/catalog.rs", storage_variant.clone()),
+    ] {
+        let path = dir.join(rel);
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(path, text).unwrap();
+    }
+    let found = xtask::lint(&dir).unwrap();
+    fs::remove_dir_all(&dir).unwrap();
+    let hits: Vec<(&str, usize, &str)> = found
+        .iter()
+        .map(|v| (v.file.as_str(), v.line, v.rule))
+        .collect();
+    assert_eq!(
+        hits,
+        [
+            (
+                "crates/sql/src/plan/vexec.rs",
+                1,
+                "executor-follows-the-plan"
+            ),
+            (
+                "crates/sql/src/plan/vexec.rs",
+                2,
+                "executor-follows-the-plan"
+            ),
+        ]
     );
 }
