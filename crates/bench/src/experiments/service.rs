@@ -19,7 +19,7 @@ use fempath_core::PathService;
 use fempath_graph::generate;
 use fempath_sql::Result;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Drives `svc` with one client thread per worker until every pair is
@@ -52,7 +52,10 @@ fn drive(svc: &PathService, pairs: &[(i64, i64)]) -> Result<(Duration, usize, Ve
                     }
                     local.push(q.elapsed());
                 }
-                latencies.lock().unwrap().extend(local);
+                latencies
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .extend(local);
             });
         }
     });
@@ -63,7 +66,9 @@ fn drive(svc: &PathService, pairs: &[(i64, i64)]) -> Result<(Duration, usize, Ve
             failed.load(Ordering::Relaxed)
         )));
     }
-    let mut lat = latencies.into_inner().unwrap();
+    let mut lat = latencies
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     lat.sort_unstable();
     Ok((elapsed, reachable.load(Ordering::Relaxed), lat))
 }

@@ -173,7 +173,7 @@ pub(crate) fn dtype_ty(dtype: DataType) -> Ty {
 }
 
 /// True when a value of static type `ty` may be stored into a column
-/// declared `dtype` — the static shadow of `Table::coerce_row` (NULL goes
+/// declared `dtype` — the static shadow of `Table::coerce_column` (NULL goes
 /// anywhere, Int ↔ Float coerce, Text only into Text).
 pub(crate) fn storable(dtype: DataType, ty: Ty) -> bool {
     matches!(

@@ -16,16 +16,20 @@
 //!
 //! Each storage is read one way: one batched scan ([`Table::next_batch`],
 //! which [`Table::scan`] loops over) and one equality probe
-//! (`Table::probe_eq`) that serves queries and DML targets alike. The
-//! `match` over [`TableStorage`] inside those is the one storage dispatch.
+//! (`Table::probe_eq`) that serves queries and DML targets alike. It is
+//! written one way too, a batch at a time, by both SQL executors and the
+//! loaders: [`Table::insert_chunk`] (one duplicate-key pre-scan for every
+//! unique key), [`Table::update_rows`] and [`Table::delete_rows`], with
+//! [`Table::bulk_load_rows`] for an empty table. The `match` over
+//! [`TableStorage`] inside those is the one storage dispatch.
 
 use crate::ast::ColumnDef;
 use crate::error::{Result, SqlError};
 use fempath_storage::{
     decode_edge_segment, decode_edge_segment_with, decode_row_into_chunk, decode_rows_into_chunk,
-    encode_key, encode_key_into, encode_row, encode_row_from_chunk, encode_row_into, BTree,
-    BTreeBulkBuilder, BTreeScanCursor, BufferPool, Chunk, ColSet, Column, DataType, HeapFile,
-    HeapScanCursor, KeyArena, RecordId, SegmentWriter, Value, CHUNK_CAPACITY,
+    encode_key, encode_key_into, encode_row_from_chunk, BTree, BTreeBulkBuilder, BTreeScanCursor,
+    BufferPool, Chunk, ColSet, Column, DataType, HeapFile, HeapScanCursor, KeyArena, RecordId,
+    SegmentWriter, Value, CHUNK_CAPACITY,
 };
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -42,24 +46,47 @@ pub enum RowLoc {
     Segment,
 }
 
-impl RowLoc {
-    /// Serializes the locator for storage inside a secondary-index entry
-    /// (segmented tables have no secondary index).
-    fn to_bytes(&self) -> Vec<u8> {
-        match self {
-            RowLoc::Heap(rid) => rid_bytes(*rid).to_vec(),
-            RowLoc::Clustered(k) => k.clone(),
-            RowLoc::Segment => Vec::new(),
-        }
-    }
-}
-
-/// Appends the encoded key of `row`'s `cols` to `out`.
-fn encode_cols_into(out: &mut Vec<u8>, row: &[Value], cols: &[usize]) -> Result<()> {
+/// Appends the encoded key of row `r` of `rows` on `cols` to `out`.
+fn encode_cols_into(out: &mut Vec<u8>, rows: &Chunk, r: usize, cols: &[usize]) -> Result<()> {
     for &c in cols {
-        encode_key_into(out, &row[c])?;
+        encode_key_into(out, &rows.get(c, r))?;
     }
     Ok(())
+}
+
+/// Every row's encoded key on `cols`, back to back.
+fn keys_on(rows: &Chunk, cols: &[usize]) -> Result<KeyArena> {
+    let mut keys = KeyArena::default();
+    let mut key = Vec::with_capacity(cols.len() * 9);
+    for r in 0..rows.len() {
+        key.clear();
+        encode_cols_into(&mut key, rows, r, cols)?;
+        keys.push(&key);
+    }
+    Ok(keys)
+}
+
+/// Of the rows keyed `keys`, the first in row order whose key an earlier
+/// row already has — what a unique key refuses.
+fn first_repeat(keys: &KeyArena) -> Option<usize> {
+    let mut by_key: Vec<usize> = (0..keys.len()).collect();
+    by_key.sort_unstable_by(|&a, &b| keys.get(a).cmp(keys.get(b)).then(a.cmp(&b)));
+    by_key
+        .windows(2)
+        .filter(|w| keys.get(w[0]) == keys.get(w[1]))
+        .map(|w| w[1])
+        .min()
+}
+
+/// The first `n` rows of `rows`, each encoded as stored.
+fn encode_rows(rows: &Chunk, n: usize) -> Vec<Vec<u8>> {
+    let mut buf = Vec::new();
+    (0..n)
+        .map(|r| {
+            encode_row_from_chunk(&mut buf, rows, r);
+            buf.clone()
+        })
+        .collect()
 }
 
 /// A heap locator as stored inside a secondary-index entry.
@@ -126,17 +153,7 @@ pub struct SecondaryIndex {
 impl SecondaryIndex {
     /// Appends the encoded key of row `r` of `rows` to `out`.
     fn key_into(&self, out: &mut Vec<u8>, rows: &Chunk, r: usize) -> Result<()> {
-        for &c in &self.cols {
-            encode_key_into(out, &rows.get(c, r))?;
-        }
-        Ok(())
-    }
-
-    /// The encoded key of `row`.
-    fn key_of(&self, row: &[Value]) -> Result<Vec<u8>> {
-        let mut key = Vec::with_capacity(self.cols.len() * 9 + 8);
-        encode_cols_into(&mut key, row, &self.cols)?;
-        Ok(key)
+        encode_cols_into(out, rows, r, &self.cols)
     }
 
     /// The one entry format. Turns `key`, a row's encoded key, into the
@@ -166,25 +183,26 @@ impl SecondaryIndex {
         Ok(())
     }
 
-    /// Whether this index is unique and already holds `key`.
-    fn holds(&self, pool: &mut BufferPool, key: &[u8]) -> Result<bool> {
-        Ok(self.unique && self.tree.contains(pool, key)?)
+    /// Of the rows keyed `keys`, the first in row order this index
+    /// refuses for repeating an earlier row's key. `None` when it is not
+    /// unique.
+    fn first_repeat(&self, keys: &KeyArena) -> Option<usize> {
+        self.unique.then(|| first_repeat(keys)).flatten()
     }
 
-    /// Of the rows keyed `keys`, the first in row order whose key an
-    /// earlier row already has — what a unique index refuses. `None` for a
-    /// non-unique index.
-    fn first_repeat(&self, keys: &[Vec<u8>]) -> Option<usize> {
-        if !self.unique {
-            return None;
-        }
-        let mut by_key: Vec<usize> = (0..keys.len()).collect();
-        by_key.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
-        by_key
-            .windows(2)
-            .filter(|w| keys[w[0]] == keys[w[1]])
-            .map(|w| w[1])
-            .min()
+    /// The entries of the first `n` rows whose encoded keys are `keys`
+    /// (row `r` stored at `locs[r]`), in row order.
+    fn entries(&self, keys: &KeyArena, n: usize, locs: &BatchLocs) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut loc = Vec::new();
+        (0..n)
+            .map(|r| {
+                loc.clear();
+                locs.write_bytes(r, &mut loc);
+                let mut key = keys.get(r).to_vec();
+                let val = self.entry(&mut key, &loc).to_vec();
+                (key, val)
+            })
+            .collect()
     }
 
     /// Bulk-builds this empty index bottom-up from every row's encoded key
@@ -192,20 +210,10 @@ impl SecondaryIndex {
     fn bulk_fill(
         &mut self,
         pool: &mut BufferPool,
-        keys: Vec<Vec<u8>>,
+        keys: &KeyArena,
         locs: &BatchLocs,
     ) -> Result<()> {
-        let mut loc = Vec::new();
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = keys
-            .into_iter()
-            .enumerate()
-            .map(|(r, mut key)| {
-                loc.clear();
-                locs.write_bytes(r, &mut loc);
-                let val = self.entry(&mut key, &loc).to_vec();
-                (key, val)
-            })
-            .collect();
+        let mut entries = self.entries(keys, keys.len(), locs);
         entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         self.tree.bulk_build(pool, entries)?;
         Ok(())
@@ -309,6 +317,15 @@ impl BatchLocs {
         }
     }
 
+    /// Appends one locator.
+    pub fn push(&mut self, loc: &RowLoc) {
+        match loc {
+            RowLoc::Heap(rid) => self.rids.push(*rid),
+            RowLoc::Clustered(key) => self.keys.push(key),
+            RowLoc::Segment => self.segment_rows += 1,
+        }
+    }
+
     /// Appends `other`'s locators at the positions in `sel`.
     pub fn extend_selected(&mut self, other: &BatchLocs, sel: &[u32]) {
         if !other.keys.is_empty() {
@@ -407,14 +424,14 @@ pub enum UpdateMode {
 
 /// Where [`Table::probe_eq`] appends what its probes find: one entry per
 /// matching row, grouped by key, in key order.
-pub(crate) struct EqMatches<'a> {
+pub struct EqMatches<'a> {
     /// The probe's `read` columns of each match.
-    pub(crate) rows: &'a mut Chunk,
+    pub rows: &'a mut Chunk,
     /// When given: the position in the key batch of the key each match
     /// answers.
-    pub(crate) src: Option<&'a mut Vec<u32>>,
+    pub src: Option<&'a mut Vec<u32>>,
     /// When given: each match's locator (what a DML write takes).
-    pub(crate) locs: Option<&'a mut BatchLocs>,
+    pub locs: Option<&'a mut BatchLocs>,
 }
 
 /// Appends to `chunk` the `read` columns of the rows `keep` accepts among
@@ -592,14 +609,6 @@ impl Table {
         best
     }
 
-    pub(crate) fn read_only_err(&self) -> SqlError {
-        SqlError::Eval(format!(
-            "table {} is segment-compressed: base rows are immutable \
-             (use INSERT / delta_delete_edge for edge mutations)",
-            self.schema.name
-        ))
-    }
-
     /// Number of rows.
     pub fn len(&self) -> u64 {
         match &self.storage {
@@ -617,200 +626,6 @@ impl Table {
     /// True when the table holds no rows.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Coerces `row` to the schema's declared types (Int ↔ Float), erroring
-    /// on arity or type mismatch.
-    pub fn coerce_row(&self, mut row: Vec<Value>) -> Result<Vec<Value>> {
-        if row.len() != self.schema.columns.len() {
-            return Err(SqlError::Eval(format!(
-                "table {} expects {} columns, got {}",
-                self.schema.name,
-                self.schema.columns.len(),
-                row.len()
-            )));
-        }
-        for (v, col) in row.iter_mut().zip(&self.schema.columns) {
-            let coerced = match (col.dtype, &*v) {
-                (_, Value::Null) => Value::Null,
-                (DataType::Int, Value::Int(i)) => Value::Int(*i),
-                (DataType::Int, Value::Float(f)) => Value::Int(*f as i64),
-                (DataType::Float, Value::Int(i)) => Value::Float(*i as f64),
-                (DataType::Float, Value::Float(f)) => Value::Float(*f),
-                (DataType::Text, Value::Text(s)) => Value::Text(s.clone()),
-                (want, got) => {
-                    return Err(SqlError::Eval(format!(
-                        "column {}.{} expects {want}, got {got:?}",
-                        self.schema.name, col.name
-                    )))
-                }
-            };
-            *v = coerced;
-        }
-        Ok(row)
-    }
-
-    /// Inserts a (already coerced) row, maintaining all indexes. Unique
-    /// keys are checked before anything is written. On a segmented table
-    /// the row lands in the delta overlay.
-    pub fn insert_row(&mut self, pool: &mut BufferPool, row: &[Value]) -> Result<RowLoc> {
-        let keys: Vec<Vec<u8>> = self
-            .indexes
-            .iter()
-            .map(|idx| idx.key_of(row))
-            .collect::<Result<_>>()?;
-        for (idx, key) in self.indexes.iter().zip(&keys) {
-            if idx.holds(pool, key)? {
-                return Err(SqlError::DuplicateKey {
-                    table: self.schema.name.clone(),
-                    key: format_key(row, &idx.cols),
-                });
-            }
-        }
-        let bytes = encode_row(row);
-        let loc = match &mut self.storage {
-            TableStorage::Heap(h) => RowLoc::Heap(h.insert(pool, &bytes)?),
-            TableStorage::Clustered {
-                tree,
-                key_cols,
-                unique,
-                next_uniquifier,
-            } => {
-                let mut key = Vec::with_capacity(key_cols.len() * 9 + 8);
-                encode_cols_into(&mut key, row, key_cols)?;
-                if *unique {
-                    if tree.contains(pool, &key)? {
-                        return Err(SqlError::DuplicateKey {
-                            table: self.schema.name.clone(),
-                            key: format_key(row, key_cols),
-                        });
-                    }
-                } else {
-                    key.extend_from_slice(&next_uniquifier.to_be_bytes());
-                    *next_uniquifier += 1;
-                }
-                tree.insert(pool, &key, &bytes)?;
-                RowLoc::Clustered(key)
-            }
-            TableStorage::Segmented {
-                delta, delta_rows, ..
-            } => {
-                if row.iter().any(|v| !matches!(v, Value::Int(_))) {
-                    return Err(SqlError::Eval(format!(
-                        "table {} is segment-compressed: delta rows must be non-NULL integers",
-                        self.schema.name
-                    )));
-                }
-                delta.insert(pool, &bytes)?;
-                *delta_rows += 1;
-                RowLoc::Segment
-            }
-        };
-        if !self.indexes.is_empty() {
-            let loc_bytes = loc.to_bytes();
-            for (idx, key) in self.indexes.iter_mut().zip(keys) {
-                idx.insert(pool, key, &loc_bytes)?;
-            }
-        }
-        Ok(loc)
-    }
-
-    /// Deletes the row at `loc` (the caller supplies the decoded row so
-    /// index entries can be located without a re-read).
-    pub fn delete_row(&mut self, pool: &mut BufferPool, loc: &RowLoc, row: &[Value]) -> Result<()> {
-        match (&mut self.storage, loc) {
-            (TableStorage::Heap(h), RowLoc::Heap(rid)) => h.delete(pool, *rid)?,
-            (TableStorage::Clustered { tree, .. }, RowLoc::Clustered(k)) => {
-                tree.delete(pool, k)?;
-            }
-            (TableStorage::Segmented { .. }, _) => return Err(self.read_only_err()),
-            _ => return Err(foreign_locator()),
-        }
-        if !self.indexes.is_empty() {
-            let loc_bytes = loc.to_bytes();
-            for idx in &mut self.indexes {
-                let key = idx.key_of(row)?;
-                idx.delete(pool, key, &loc_bytes)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Replaces the row at `loc` with `new_row`, maintaining indexes.
-    /// Returns the (possibly new) locator.
-    pub fn update_row(
-        &mut self,
-        pool: &mut BufferPool,
-        loc: &RowLoc,
-        old_row: &[Value],
-        new_row: &[Value],
-    ) -> Result<RowLoc> {
-        if self.is_segmented() {
-            return Err(self.read_only_err());
-        }
-        // A unique key may only move onto a free slot; checked before
-        // anything is written, as `insert_row` does.
-        for idx in self.indexes.iter().filter(|i| i.unique) {
-            if !idx.cols.iter().all(|&c| old_row[c] == new_row[c])
-                && idx.holds(pool, &idx.key_of(new_row)?)?
-            {
-                return Err(SqlError::DuplicateKey {
-                    table: self.schema.name.clone(),
-                    key: format_key(new_row, &idx.cols),
-                });
-            }
-        }
-        let bytes = encode_row(new_row);
-        let new_loc = match (&mut self.storage, loc) {
-            (TableStorage::Heap(h), RowLoc::Heap(rid)) => {
-                RowLoc::Heap(h.update(pool, *rid, &bytes)?)
-            }
-            (
-                TableStorage::Clustered {
-                    tree,
-                    key_cols,
-                    unique,
-                    next_uniquifier,
-                },
-                RowLoc::Clustered(old_key),
-            ) => {
-                let key_changed = key_cols.iter().any(|&c| old_row[c] != new_row[c]);
-                if key_changed {
-                    let mut key = Vec::with_capacity(key_cols.len() * 9 + 8);
-                    encode_cols_into(&mut key, new_row, key_cols)?;
-                    if *unique {
-                        if tree.contains(pool, &key)? {
-                            return Err(SqlError::DuplicateKey {
-                                table: self.schema.name.clone(),
-                                key: format_key(new_row, key_cols),
-                            });
-                        }
-                    } else {
-                        key.extend_from_slice(&next_uniquifier.to_be_bytes());
-                        *next_uniquifier += 1;
-                    }
-                    tree.delete(pool, old_key)?;
-                    tree.insert(pool, &key, &bytes)?;
-                    RowLoc::Clustered(key)
-                } else {
-                    tree.insert(pool, old_key, &bytes)?;
-                    RowLoc::Clustered(old_key.clone())
-                }
-            }
-            _ => return Err(foreign_locator()),
-        };
-        if !self.indexes.is_empty() {
-            let (old_bytes, new_bytes) = (loc.to_bytes(), new_loc.to_bytes());
-            for idx in &mut self.indexes {
-                if idx.cols.iter().all(|&c| old_row[c] == new_row[c]) && new_loc == *loc {
-                    continue;
-                }
-                let (old_key, new_key) = (idx.key_of(old_row)?, idx.key_of(new_row)?);
-                idx.delete(pool, old_key, &old_bytes)?;
-                idx.insert(pool, new_key, &new_bytes)?;
-            }
-        }
-        Ok(new_loc)
     }
 
     /// Full scan in storage order, one row at a time with its locator;
@@ -877,7 +692,7 @@ impl Table {
                 }
                 Ok(())
             }
-            TableStorage::Segmented { .. } => Err(self.read_only_err()),
+            TableStorage::Segmented { .. } => Err(read_only_err(&self.schema.name)),
         }
     }
 
@@ -890,9 +705,9 @@ impl Table {
     /// The clustered tree and the segments decode their matches as they
     /// find them; a secondary index collects locators for the whole batch
     /// of keys and fetches their rows once, page-grouped
-    /// ([`Table::fetch_chunk`]); a scan decodes every row per key and keeps
+    /// (`Table::fetch_chunk`); a scan decodes every row per key and keeps
     /// the matches.
-    pub(crate) fn probe_eq(
+    pub fn probe_eq(
         &self,
         pool: &mut BufferPool,
         path: ProbePath,
@@ -1181,16 +996,71 @@ impl Table {
         }
     }
 
-    /// Coerces every column of `chunk` to the schema's declared types —
-    /// the column-wise analogue of [`Table::coerce_row`].
+    /// The error of an INSERT source `got` columns wide, when `cols` (the
+    /// listed columns, if any) asks for another width.
+    fn arity_err(&self, cols: Option<&[usize]>, got: usize) -> SqlError {
+        SqlError::Eval(match cols {
+            Some(cols) => format!(
+                "INSERT lists {} columns but supplies {got} values",
+                cols.len()
+            ),
+            None => format!(
+                "table {} expects {} columns, got {got}",
+                self.schema.name,
+                self.schema.columns.len()
+            ),
+        })
+    }
+
+    /// Lays out row-form INSERT source for [`Table::insert_source`], one
+    /// value per listed column (`cols`) or per table column; a row of
+    /// another arity is refused as [`Table::insert_source`] would refuse a
+    /// chunk of its width.
+    pub(crate) fn source_chunk(
+        &self,
+        rows: impl IntoIterator<Item = Vec<Value>>,
+        cols: Option<&[usize]>,
+    ) -> Result<Chunk> {
+        let width = cols.map_or(self.schema.columns.len(), <[usize]>::len);
+        let mut chunk = Chunk::with_width(width);
+        for row in rows {
+            if row.len() != width {
+                return Err(self.arity_err(cols, row.len()));
+            }
+            chunk.push_row(&row);
+        }
+        Ok(chunk)
+    }
+
+    /// The rows an INSERT writes, from its source — column `i` of
+    /// `source` lands in column `cols[i]` (column `i` when no columns are
+    /// listed), unlisted columns are NULL — coerced to the declared types:
+    /// what [`Table::insert_chunk`] takes, for both executors.
+    pub(crate) fn insert_source(&self, source: Chunk, cols: Option<&[usize]>) -> Result<Chunk> {
+        let placed = match cols {
+            Some(cols) if source.width() != cols.len() => {
+                return Err(self.arity_err(Some(cols), source.width()))
+            }
+            Some(cols) => {
+                let n = source.len();
+                let mut placed: Vec<Column> = (0..self.schema.columns.len())
+                    .map(|_| Column::nulls(n))
+                    .collect();
+                for (&c, col) in cols.iter().zip(source.into_columns()) {
+                    placed[c] = col;
+                }
+                Chunk::from_columns(placed, n)
+            }
+            None => source,
+        };
+        self.coerce_chunk(placed)
+    }
+
+    /// Coerces every column of `chunk` to the schema's declared types,
+    /// erroring on a width or type mismatch.
     pub(crate) fn coerce_chunk(&self, chunk: Chunk) -> Result<Chunk> {
         if chunk.width() != self.schema.columns.len() {
-            return Err(SqlError::Eval(format!(
-                "table {} expects {} columns, got {}",
-                self.schema.name,
-                self.schema.columns.len(),
-                chunk.width()
-            )));
+            return Err(self.arity_err(None, chunk.width()));
         }
         let len = chunk.len();
         let cols = chunk
@@ -1202,9 +1072,10 @@ impl Table {
         Ok(Chunk::from_columns(cols, len))
     }
 
-    /// Coerces values bound for column `c` to its declared type. An
-    /// integer column feeding an INT schema column passes through
-    /// untouched (the FEM steady state).
+    /// Coerces values bound for column `c` to its declared type (Int ↔
+    /// Float), erroring on any other mismatch. An integer column feeding
+    /// an INT schema column passes through untouched (the FEM steady
+    /// state).
     pub(crate) fn coerce_column(&self, c: usize, col: Column) -> Result<Column> {
         let spec = &self.schema.columns[c];
         if let (DataType::Int, Column::Int { .. }) = (spec.dtype, &col) {
@@ -1230,103 +1101,137 @@ impl Table {
         Ok(out)
     }
 
-    /// Inserts every row of `chunk`, maintaining all indexes, with
-    /// batch-level storage calls: one duplicate pre-scan, one page-packing
-    /// heap write batch, and sorted per-index insert batches — instead of
-    /// one full round trip per row. Behaviour under a duplicate key
-    /// matches repeated [`Table::insert_row`]: rows before the offender
-    /// are inserted and stay, the statement errors. (A key that cannot be
-    /// encoded fails the batch before anything is written.)
-    pub fn insert_chunk(&mut self, pool: &mut BufferPool, chunk: &Chunk) -> Result<u64> {
-        if chunk.is_empty() {
-            return Ok(0);
-        }
-        let chunk = self.coerce_chunk(chunk.clone())?;
-        self.insert_chunk_precoerced(pool, &chunk, None)
-    }
-
-    /// [`Table::insert_chunk`] for a chunk whose columns the caller
-    /// already coerced. `absent_from` names a unique secondary index the
-    /// caller has just probed, without a match, for every row's key (MERGE
-    /// NOT MATCHED): those keys are checked against each other but not
-    /// against the index again.
-    pub(crate) fn insert_chunk_precoerced(
+    /// Inserts every row of `chunk` (columns already coerced, e.g. by
+    /// `Table::insert_source`) and maintains every index — the one
+    /// insert, for every storage. One pre-scan finds the first row in row
+    /// order that cannot go in: one whose unique key (of a secondary index
+    /// or the clustering key) is stored already or held by an earlier row
+    /// of the chunk, or a delta-overlay row that is not all non-NULL
+    /// integers. The rows before it are written and stay, and the call
+    /// fails on it — what writing the rows one at a time would leave.
+    /// Heap and delta rows go in one page-packing batch, clustered rows in
+    /// arrival order with one tree descent each, and each secondary index
+    /// takes one sorted batch of entries. `absent_from` names a unique
+    /// secondary index the caller has just probed, without a match, for
+    /// every row's key (MERGE NOT MATCHED): those keys are checked against
+    /// each other but not against the index again.
+    pub fn insert_chunk(
         &mut self,
         pool: &mut BufferPool,
         chunk: &Chunk,
         absent_from: Option<usize>,
     ) -> Result<u64> {
-        if chunk.is_empty() {
+        let n = chunk.len();
+        if n == 0 {
             return Ok(0);
         }
-        let n = chunk.len();
-        let TableStorage::Heap(heap) = &mut self.storage else {
-            // Clustered inserts are per-key tree descents (and own the
-            // key uniquifier); delta-overlay inserts are per-row heap
-            // appends. Both keep the row path.
-            for r in 0..n {
-                let row = chunk.row(r);
-                self.insert_row(pool, &row)?;
-            }
-            return Ok(n as u64);
-        };
-        // Every row's key under every index, encoded once: the duplicate
-        // pre-scan and the index entries below both use them.
-        let mut keys: Vec<Vec<Vec<u8>>> = Vec::with_capacity(self.indexes.len());
-        for idx in &self.indexes {
-            let mut of_idx = Vec::with_capacity(n);
-            for r in 0..n {
-                let mut key = Vec::with_capacity(idx.cols.len() * 9 + 8);
-                idx.key_into(&mut key, chunk, r)?;
-                of_idx.push(key);
-            }
-            keys.push(of_idx);
+        if chunk.width() != self.schema.columns.len() {
+            return Err(self.arity_err(None, chunk.width()));
         }
-        // Unique-index pre-scan: the first offending row in row order —
-        // a key already in the index, or repeated earlier in the batch.
-        let mut dup: Option<(usize, usize)> = None; // (row, index)
-        for (ii, idx) in self.indexes.iter().enumerate().filter(|(_, i)| i.unique) {
-            let of_idx = &keys[ii];
-            let mut first = idx.first_repeat(of_idx);
-            if absent_from != Some(ii) {
-                let bound = first.unwrap_or(n).min(dup.map_or(n, |(r, _)| r));
-                for (r, key) in of_idx.iter().enumerate().take(bound) {
-                    if idx.tree.contains(pool, key)? {
+        // Every row's key under every index and under a unique clustering
+        // key, encoded once: the pre-scan and the index entries both use
+        // them.
+        let keys: Vec<KeyArena> = self
+            .indexes
+            .iter()
+            .map(|idx| keys_on(chunk, &idx.cols))
+            .collect::<Result<_>>()?;
+        let unique_clustered = match &self.storage {
+            TableStorage::Clustered {
+                tree,
+                key_cols,
+                unique: true,
+                ..
+            } => Some((tree, &key_cols[..], keys_on(chunk, key_cols)?)),
+            _ => None,
+        };
+        // The pre-scan: the unique keys in a fixed order (secondary indexes
+        // as created, then the clustering key), each checked against the
+        // earlier rows and then, among the rows before the first offender
+        // found so far, against what its tree stores.
+        let mut first_bad: Option<(usize, &[usize])> = None;
+        let secondary = self
+            .indexes
+            .iter()
+            .zip(&keys)
+            .enumerate()
+            .filter(|(_, (idx, _))| idx.unique)
+            .map(|(ii, (idx, keys))| (&idx.tree, &idx.cols[..], keys, absent_from != Some(ii)));
+        let primary = unique_clustered
+            .as_ref()
+            .map(|(tree, cols, keys)| (*tree, *cols, keys, true));
+        for (tree, cols, keys, stored) in secondary.chain(primary) {
+            let mut first = first_repeat(keys);
+            if stored {
+                let bound = first.unwrap_or(n).min(first_bad.map_or(n, |(r, _)| r));
+                for r in 0..bound {
+                    if tree.contains(pool, keys.get(r))? {
                         first = Some(r);
                         break;
                     }
                 }
             }
-            if let Some(r) = first.filter(|&r| dup.is_none_or(|(d, _)| r < d)) {
-                dup = Some((r, ii));
+            if let Some(r) = first.filter(|&r| first_bad.is_none_or(|(b, _)| r < b)) {
+                first_bad = Some((r, cols));
             }
         }
-        let limit = dup.map_or(n, |(r, _)| r);
-        // Base rows: one page-packing batch insert.
-        let mut encoded = Vec::with_capacity(limit);
-        let mut buf = Vec::new();
-        for r in 0..limit {
-            encode_row_from_chunk(&mut buf, chunk, r);
-            encoded.push(buf.clone());
+        // A segmented table has no unique key; its delta rows must be
+        // non-NULL integers.
+        let failure = if self.is_segmented() {
+            let not_int =
+                |r: &usize| (0..chunk.width()).any(|c| !matches!(chunk.get(c, *r), Value::Int(_)));
+            (0..n).find(not_int).map(|r| {
+                let msg = format!(
+                    "table {} is segment-compressed: delta rows must be non-NULL integers",
+                    self.schema.name
+                );
+                (r, SqlError::Eval(msg))
+            })
+        } else {
+            first_bad.map(|(r, cols)| (r, duplicate_key(&self.schema.name, chunk, r, cols)))
+        };
+        let limit = failure.as_ref().map_or(n, |(r, _)| *r);
+        // The rows before the offender, and their locators when an index
+        // needs them.
+        let mut locs = BatchLocs::default();
+        match &mut self.storage {
+            TableStorage::Heap(h) => {
+                locs.rids = h.insert_batch(pool, &encode_rows(chunk, limit))?
+            }
+            TableStorage::Clustered {
+                tree,
+                key_cols,
+                unique,
+                next_uniquifier,
+            } => {
+                let (mut key, mut row) = (Vec::new(), Vec::new());
+                for r in 0..limit {
+                    key.clear();
+                    encode_cols_into(&mut key, chunk, r, key_cols)?;
+                    if !*unique {
+                        key.extend_from_slice(&next_uniquifier.to_be_bytes());
+                        *next_uniquifier += 1;
+                    }
+                    encode_row_from_chunk(&mut row, chunk, r);
+                    tree.insert(pool, &key, &row)?;
+                    if !self.indexes.is_empty() {
+                        locs.keys.push(&key);
+                    }
+                }
+            }
+            TableStorage::Segmented {
+                delta, delta_rows, ..
+            } => {
+                delta.insert_batch(pool, &encode_rows(chunk, limit))?;
+                *delta_rows += limit as u64;
+            }
         }
-        let rids = heap.insert_batch(pool, &encoded)?;
-        // Index maintenance: sorted batches per index.
-        for (idx, of_idx) in self.indexes.iter_mut().zip(keys) {
-            let entries: Vec<(Vec<u8>, Vec<u8>)> = of_idx
-                .into_iter()
-                .zip(&rids)
-                .map(|(mut key, &rid)| {
-                    let val = idx.entry(&mut key, &rid_bytes(rid)).to_vec();
-                    (key, val)
-                })
-                .collect();
+        for (idx, keys) in self.indexes.iter_mut().zip(&keys) {
+            let entries = idx.entries(keys, limit, &locs);
             idx.tree.insert_batch(pool, entries)?;
         }
-        match dup {
-            Some((r, ii)) => Err(SqlError::DuplicateKey {
-                table: self.schema.name.clone(),
-                key: format_key(&chunk.row(r), &self.indexes[ii].cols),
-            }),
+        match failure {
+            Some((_, e)) => Err(e),
             None => Ok(n as u64),
         }
     }
@@ -1372,7 +1277,7 @@ impl Table {
             return Ok(0);
         }
         if self.is_segmented() {
-            return Err(self.read_only_err());
+            return Err(read_only_err(&self.schema.name));
         }
         debug_assert_eq!(mode, self.update_mode(assign_cols));
         let mut order = locs.distinct_sorted();
@@ -1381,30 +1286,108 @@ impl Table {
                 let moved = h.update_cells(pool, &locs.rids, &order, assign_cols, new_vals)?;
                 // A record that moved pages re-points every index at its
                 // new id (its key values did not change).
-                for m in moved {
-                    let (old_loc, new_loc) = (rid_bytes(locs.rids[m.item]), rid_bytes(m.rid));
-                    for idx in &mut self.indexes {
-                        let key = idx.key_of(&m.row)?;
-                        idx.delete(pool, key.clone(), &old_loc)?;
-                        idx.insert(pool, key, &new_loc)?;
+                if !self.indexes.is_empty() && !moved.is_empty() {
+                    let mut rows = Chunk::new();
+                    moved.iter().for_each(|m| rows.push_row(&m.row));
+                    for (r, m) in moved.iter().enumerate() {
+                        let (old_loc, new_loc) = (rid_bytes(locs.rids[m.item]), rid_bytes(m.rid));
+                        for idx in &mut self.indexes {
+                            let mut key = Vec::new();
+                            idx.key_into(&mut key, &rows, r)?;
+                            idx.delete(pool, key.clone(), &old_loc)?;
+                            idx.insert(pool, key, &new_loc)?;
+                        }
                     }
                 }
             }
             _ => {
-                // Arrival order, exactly as a row-at-a-time executor
-                // would: an error leaves the rows before it applied.
+                // Arrival order, one row at a time: a row may take a unique
+                // key an earlier row of the statement just freed, and an
+                // error leaves the rows before it applied.
+                let mut new = old.clone();
+                for (&c, vals) in assign_cols.iter().zip(new_vals) {
+                    new.set_column(c, vals.clone());
+                }
                 order.sort_unstable();
                 for &k in &order {
-                    let old_row = old.row(k as usize);
-                    let mut new_row = old_row.clone();
-                    for (&c, vals) in assign_cols.iter().zip(new_vals) {
-                        new_row[c] = vals.get(k as usize);
-                    }
-                    self.update_row(pool, &locs.loc(k as usize), &old_row, &new_row)?;
+                    self.rewrite_row(pool, locs, k, old, &new, assign_cols, new_vals)?;
                 }
             }
         }
         Ok(order.len() as u64)
+    }
+
+    /// The step of [`UpdateMode::Rewrite`]: rewrites the row stored at
+    /// `locs[k]` whole, from row `k` of `old` (as stored) to row `k` of
+    /// `new` (the same row with `assign_cols` set to row `k` of
+    /// `new_vals`), and moves every index entry whose key or locator
+    /// changes. A unique key may only move onto a free key, checked before
+    /// anything is written.
+    #[allow(clippy::too_many_arguments)]
+    fn rewrite_row(
+        &mut self,
+        pool: &mut BufferPool,
+        locs: &BatchLocs,
+        k: u32,
+        old: &Chunk,
+        new: &Chunk,
+        assign_cols: &[usize],
+        new_vals: &[Column],
+    ) -> Result<()> {
+        let r = k as usize;
+        let same = |cols: &[usize]| cols.iter().all(|&c| old.get(c, r) == new.get(c, r));
+        let mut key = Vec::new();
+        for idx in self.indexes.iter().filter(|i| i.unique && !same(&i.cols)) {
+            key.clear();
+            idx.key_into(&mut key, new, r)?;
+            if idx.tree.contains(pool, &key)? {
+                return Err(duplicate_key(&self.schema.name, new, r, &idx.cols));
+            }
+        }
+        let mut old_loc = Vec::new();
+        locs.write_bytes(r, &mut old_loc);
+        let new_loc = match &mut self.storage {
+            TableStorage::Heap(h) => {
+                let moved = h.update_cells(pool, &locs.rids, &[k], assign_cols, new_vals)?;
+                moved.first().map(|m| rid_bytes(m.rid).to_vec())
+            }
+            TableStorage::Clustered {
+                tree,
+                key_cols,
+                unique,
+                next_uniquifier,
+            } => {
+                let mut row = Vec::new();
+                encode_row_from_chunk(&mut row, new, r);
+                if same(key_cols) {
+                    tree.insert(pool, &old_loc, &row)?;
+                    None
+                } else {
+                    let mut key = Vec::with_capacity(key_cols.len() * 9 + 8);
+                    encode_cols_into(&mut key, new, r, key_cols)?;
+                    if !*unique {
+                        key.extend_from_slice(&next_uniquifier.to_be_bytes());
+                        *next_uniquifier += 1;
+                    } else if tree.contains(pool, &key)? {
+                        return Err(duplicate_key(&self.schema.name, new, r, key_cols));
+                    }
+                    tree.delete(pool, &old_loc)?;
+                    tree.insert(pool, &key, &row)?;
+                    Some(key)
+                }
+            }
+            TableStorage::Segmented { .. } => return Err(read_only_err(&self.schema.name)),
+        };
+        let moved = new_loc.is_some();
+        let new_loc = new_loc.unwrap_or_else(|| old_loc.clone());
+        for idx in self.indexes.iter_mut().filter(|i| moved || !same(&i.cols)) {
+            let (mut old_key, mut new_key) = (Vec::new(), Vec::new());
+            idx.key_into(&mut old_key, old, r)?;
+            idx.key_into(&mut new_key, new, r)?;
+            idx.delete(pool, old_key, &old_loc)?;
+            idx.insert(pool, new_key, &new_loc)?;
+        }
+        Ok(())
     }
 
     /// Deletes the rows at `locs`; row `r` of `rows` holds (at least) the
@@ -1426,7 +1409,7 @@ impl Table {
                     tree.delete(pool, locs.keys.get(r))?;
                 }
             }
-            TableStorage::Segmented { .. } => return Err(self.read_only_err()),
+            TableStorage::Segmented { .. } => return Err(read_only_err(&self.schema.name)),
         }
         let mut key = Vec::new();
         let mut loc = Vec::new();
@@ -1604,55 +1587,45 @@ impl Table {
         Ok(removed)
     }
 
-    /// Bulk-loads an empty table (and its empty indexes) from pre-coerced
-    /// rows: base storage gets page-packing batch writes (heap) or a
-    /// bottom-up build (clustered), and every index tree is bulk-built
-    /// bottom-up from sorted entries — bypassing per-row descents
-    /// entirely. Unique violations surface as [`SqlError::DuplicateKey`]
-    /// before anything is written.
-    pub fn bulk_load_rows(
-        &mut self,
-        pool: &mut BufferPool,
-        rows: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<u64> {
+    /// Bulk-loads an empty table (and its empty indexes) from `rows`
+    /// (columns already coerced, e.g. by `Table::insert_source`): base
+    /// storage gets one page-packing batch write (heap) or a bottom-up
+    /// build (clustered), and every index tree is bulk-built bottom-up
+    /// from sorted entries — bypassing per-row descents entirely. Unique
+    /// violations surface as [`SqlError::DuplicateKey`] before anything is
+    /// written.
+    pub fn bulk_load_rows(&mut self, pool: &mut BufferPool, rows: &Chunk) -> Result<u64> {
         if !self.is_empty() || self.indexes.iter().any(|i| !i.tree.is_empty()) {
             return Err(SqlError::Eval(format!(
                 "bulk load requires empty table {}",
                 self.schema.name
             )));
         }
-        let rows: Vec<Vec<Value>> = rows
-            .into_iter()
-            .map(|r| self.coerce_row(r))
-            .collect::<Result<_>>()?;
-        let n = rows.len() as u64;
-        if rows.is_empty() {
+        let n = rows.len();
+        if n == 0 {
             return Ok(0);
+        }
+        if rows.width() != self.schema.columns.len() {
+            return Err(self.arity_err(None, rows.width()));
         }
         // Every row's key under every index; unique violations (within
         // the batch — the table is empty) are detected before anything is
         // written.
-        let keys: Vec<Vec<Vec<u8>>> = self
+        let keys: Vec<KeyArena> = self
             .indexes
             .iter()
-            .map(|idx| rows.iter().map(|row| idx.key_of(row)).collect())
+            .map(|idx| keys_on(rows, &idx.cols))
             .collect::<Result<_>>()?;
         for (idx, keys) in self.indexes.iter().zip(&keys) {
             if let Some(r) = idx.first_repeat(keys) {
-                return Err(SqlError::DuplicateKey {
-                    table: self.schema.name.clone(),
-                    key: format_key(&rows[r], &idx.cols),
-                });
+                return Err(duplicate_key(&self.schema.name, rows, r, &idx.cols));
             }
         }
         // Resolve every row's locator with one batch write of the base
         // storage.
         let mut locs = BatchLocs::default();
         match &mut self.storage {
-            TableStorage::Heap(h) => {
-                let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
-                locs.rids = h.insert_batch(pool, &encoded)?;
-            }
+            TableStorage::Heap(h) => locs.rids = h.insert_batch(pool, &encode_rows(rows, n))?,
             TableStorage::Clustered {
                 tree,
                 key_cols,
@@ -1661,9 +1634,9 @@ impl Table {
             } => {
                 // Encodes one row's clustering-key prefix into `out`
                 // (cleared first).
-                let key_prefix = |row: &[Value], out: &mut Vec<u8>| {
+                let key_prefix = |r: usize, out: &mut Vec<u8>| {
                     out.clear();
-                    encode_cols_into(out, row, key_cols)
+                    encode_cols_into(out, rows, r, key_cols)
                 };
                 // Non-decreasing key prefixes plus the monotone uniquifier
                 // give strictly increasing full keys, so key-sorted input
@@ -1672,8 +1645,8 @@ impl Table {
                 if sorted_input {
                     let mut prev = Vec::new();
                     let mut cur = Vec::new();
-                    for row in &rows {
-                        key_prefix(row, &mut cur)?;
+                    for r in 0..n {
+                        key_prefix(r, &mut cur)?;
                         if cur < prev {
                             sorted_input = false;
                             break;
@@ -1688,24 +1661,25 @@ impl Table {
                     let mut b = BTreeBulkBuilder::for_tree(tree, pool)?;
                     let mut key = Vec::new();
                     let mut val = Vec::new();
-                    for row in &rows {
-                        key_prefix(row, &mut key)?;
+                    for r in 0..n {
+                        key_prefix(r, &mut key)?;
                         key.extend_from_slice(&next_uniquifier.to_be_bytes());
                         *next_uniquifier += 1;
-                        encode_row_into(&mut val, row);
+                        encode_row_from_chunk(&mut val, rows, r);
                         b.push(pool, &key, &val)?;
                     }
                     tree.bulk_finish(pool, b)?;
                 } else {
-                    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(rows.len());
-                    for row in &rows {
+                    let vals = encode_rows(rows, n);
+                    let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(n);
+                    for (r, val) in vals.into_iter().enumerate() {
                         let mut key = Vec::with_capacity(17);
-                        key_prefix(row, &mut key)?;
+                        key_prefix(r, &mut key)?;
                         if !*unique {
                             key.extend_from_slice(&next_uniquifier.to_be_bytes());
                             *next_uniquifier += 1;
                         }
-                        entries.push((key, encode_row(row)));
+                        entries.push((key, val));
                     }
                     // Sort indirectly so duplicate-key errors can name the
                     // offending row's values.
@@ -1718,10 +1692,7 @@ impl Table {
                             .windows(2)
                             .find(|w| entries[w[0]].0 == entries[w[1]].0)
                         {
-                            return Err(SqlError::DuplicateKey {
-                                table: self.schema.name.clone(),
-                                key: format_key(&rows[w[1]], key_cols),
-                            });
+                            return Err(duplicate_key(&self.schema.name, rows, w[1], key_cols));
                         }
                     }
                     for (k, _) in &entries {
@@ -1742,10 +1713,10 @@ impl Table {
             }
         }
         // Every index: sorted entries, bottom-up build.
-        for (idx, keys) in self.indexes.iter_mut().zip(keys) {
+        for (idx, keys) in self.indexes.iter_mut().zip(&keys) {
             idx.bulk_fill(pool, keys, &locs)?;
         }
-        Ok(n)
+        Ok(n as u64)
     }
 }
 
@@ -1761,9 +1732,22 @@ fn index_key_loc(key: &[u8], n_cols: usize) -> Result<&[u8]> {
     Ok(rest)
 }
 
-fn format_key(row: &[Value], cols: &[usize]) -> String {
-    let parts: Vec<String> = cols.iter().map(|&c| row[c].to_string()).collect();
-    format!("({})", parts.join(", "))
+/// The refusal of a write to the base rows of segmented table `table`.
+fn read_only_err(table: &str) -> SqlError {
+    SqlError::Eval(format!(
+        "table {table} is segment-compressed: base rows are immutable \
+         (use INSERT / delta_delete_edge for edge mutations)"
+    ))
+}
+
+/// The refusal of row `r` of `rows`, whose key on `cols` a unique key of
+/// `table` already holds.
+fn duplicate_key(table: &str, rows: &Chunk, r: usize, cols: &[usize]) -> SqlError {
+    let parts: Vec<String> = cols.iter().map(|&c| rows.get(c, r).to_string()).collect();
+    SqlError::DuplicateKey {
+        table: table.to_string(),
+        key: format!("({})", parts.join(", ")),
+    }
 }
 
 /// The database catalog.
@@ -1960,21 +1944,29 @@ impl Catalog {
                 stmt.table
             )));
         }
+        if stmt.clustered && table.is_clustered() {
+            return Err(SqlError::Catalog(format!(
+                "table {} is already clustered",
+                stmt.table
+            )));
+        }
+        // Every row and its locator.
+        let mut rows = Chunk::new();
+        let mut locs = BatchLocs::default();
+        let mut cursor = table.batch_cursor(pool)?;
+        let all = ColSet::all();
+        while table.next_batch(
+            pool,
+            &mut cursor,
+            &mut rows,
+            &all,
+            Some(&mut locs),
+            usize::MAX,
+        )? {}
         if stmt.clustered {
-            if table.is_clustered() {
-                return Err(SqlError::Catalog(format!(
-                    "table {} is already clustered",
-                    stmt.table
-                )));
-            }
             // Reorganise into a fresh index-organised table — bulk-built,
             // its secondary indexes rebuilt (the locators change) — and
             // swap it in only once it is whole.
-            let mut rows = Vec::new();
-            table.scan(pool, |_, row| {
-                rows.push(row);
-                true
-            })?;
             let mut fresh = Table {
                 schema: table.schema.clone(),
                 storage: TableStorage::Clustered {
@@ -1991,7 +1983,7 @@ impl Catalog {
                     ..idx.clone()
                 });
             }
-            if let Err(e) = fresh.bulk_load_rows(pool, rows) {
+            if let Err(e) = fresh.bulk_load_rows(pool, &rows) {
                 fresh.destroy(pool)?;
                 return Err(e);
             }
@@ -2005,31 +1997,11 @@ impl Catalog {
                 unique: stmt.unique,
                 tree: BTree::create(pool)?,
             };
-            let mut rows = Chunk::new();
-            let mut locs = BatchLocs::default();
-            let mut cursor = table.batch_cursor(pool)?;
-            let all = ColSet::all();
-            while table.next_batch(
-                pool,
-                &mut cursor,
-                &mut rows,
-                &all,
-                Some(&mut locs),
-                usize::MAX,
-            )? {}
-            let keys: Result<Vec<Vec<u8>>> = (0..rows.len())
-                .map(|r| {
-                    let mut key = Vec::new();
-                    index.key_into(&mut key, &rows, r).map(|()| key)
-                })
-                .collect();
-            let built = keys.and_then(|keys| match index.first_repeat(&keys) {
-                Some(r) => Err(SqlError::DuplicateKey {
-                    table: table.schema.name.clone(),
-                    key: format_key(&rows.row(r), &index.cols),
-                }),
-                None => index.bulk_fill(pool, keys, &locs),
-            });
+            let built =
+                keys_on(&rows, &index.cols).and_then(|keys| match index.first_repeat(&keys) {
+                    Some(r) => Err(duplicate_key(&table.schema.name, &rows, r, &index.cols)),
+                    None => index.bulk_fill(pool, &keys, &locs),
+                });
             if let Err(e) = built {
                 index.tree.destroy(pool)?;
                 return Err(e);
@@ -2089,6 +2061,7 @@ fn resolve_cols(schema: &TableSchema, names: &[String]) -> Result<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::ast::CreateIndex;
+    use fempath_storage::chunk_from_rows;
 
     fn setup() -> (BufferPool, Catalog) {
         let mut pool = BufferPool::in_memory(256);
@@ -2140,6 +2113,47 @@ mod tests {
         (path, (0..chunk.len()).map(|r| chunk.row(r)).collect())
     }
 
+    /// Inserts `rows` through the one insert entry, placed and coerced as
+    /// an INSERT's source is.
+    fn insert(pool: &mut BufferPool, t: &mut Table, rows: &[Vec<Value>]) -> Result<u64> {
+        let chunk = t.insert_source(t.source_chunk(rows.to_vec(), None)?, None)?;
+        t.insert_chunk(pool, &chunk, None)
+    }
+
+    /// The locators and stored rows of the rows `keep` accepts, in scan
+    /// order.
+    fn find(
+        pool: &mut BufferPool,
+        t: &Table,
+        keep: impl Fn(&[Value]) -> bool,
+    ) -> (BatchLocs, Chunk) {
+        let (mut locs, mut rows) = (BatchLocs::default(), Chunk::new());
+        t.scan(pool, |loc, row| {
+            if keep(&row) {
+                locs.push(&loc);
+                rows.push_row(&row);
+            }
+            true
+        })
+        .unwrap();
+        (locs, rows)
+    }
+
+    /// Sets column `c` to `v` in every row `keep` accepts, through the one
+    /// update entry.
+    fn set(
+        pool: &mut BufferPool,
+        t: &mut Table,
+        keep: impl Fn(&[Value]) -> bool,
+        c: usize,
+        v: Value,
+    ) -> Result<u64> {
+        let (locs, old) = find(pool, t, keep);
+        let vals = [Column::repeat(&v, locs.len())];
+        let mode = t.update_mode(&[c]);
+        t.update_rows(pool, &locs, &[c], &vals, &old, mode)
+    }
+
     fn triple(r: &[Value]) -> (i64, i64, i64) {
         (
             r[0].as_i64().unwrap(),
@@ -2152,9 +2166,8 @@ mod tests {
     fn insert_scan_roundtrip() {
         let (mut pool, mut cat) = setup();
         let t = cat.table_mut("tedges").unwrap();
-        for i in 0..10 {
-            t.insert_row(&mut pool, &row(i, i + 1, 5)).unwrap();
-        }
+        let rows: Vec<Vec<Value>> = (0..10).map(|i| row(i, i + 1, 5)).collect();
+        assert_eq!(insert(&mut pool, t, &rows).unwrap(), 10);
         let mut n = 0;
         t.scan(&mut pool, |_, r| {
             assert_eq!(r.len(), 3);
@@ -2171,9 +2184,8 @@ mod tests {
         let (mut pool, mut cat) = setup();
         {
             let t = cat.table_mut("TEdges").unwrap();
-            for i in 0..100 {
-                t.insert_row(&mut pool, &row(i % 10, i, 1)).unwrap();
-            }
+            let rows: Vec<Vec<Value>> = (0..100).map(|i| row(i % 10, i, 1)).collect();
+            insert(&mut pool, t, &rows).unwrap();
         }
         cat.create_index(
             &mut pool,
@@ -2209,9 +2221,8 @@ mod tests {
         let (mut pool, mut cat) = setup();
         {
             let t = cat.table_mut("TEdges").unwrap();
-            for i in (0..50).rev() {
-                t.insert_row(&mut pool, &row(i, 100 + i, 1)).unwrap();
-            }
+            let rows: Vec<Vec<Value>> = (0..50).rev().map(|i| row(i, 100 + i, 1)).collect();
+            insert(&mut pool, t, &rows).unwrap();
         }
         cat.create_index(
             &mut pool,
@@ -2263,9 +2274,8 @@ mod tests {
         )
         .unwrap();
         let t = cat.table_mut("TVisited").unwrap();
-        t.insert_row(&mut pool, &[Value::Int(1), Value::Int(0)])
-            .unwrap();
-        let err = t.insert_row(&mut pool, &[Value::Int(1), Value::Int(9)]);
+        insert(&mut pool, t, &[vec![Value::Int(1), Value::Int(0)]]).unwrap();
+        let err = insert(&mut pool, t, &[vec![Value::Int(1), Value::Int(9)]]);
         assert!(matches!(err, Err(SqlError::DuplicateKey { .. })));
         // Failed insert must not leave a phantom row.
         assert_eq!(t.len(), 1);
@@ -2301,9 +2311,7 @@ mod tests {
             .map(|&(a, b)| vec![Value::Int(a), Value::Int(b)])
             .collect();
         let t = cat.table_mut("t").unwrap();
-        for row in &rows {
-            t.insert_row(&mut pool, row).unwrap();
-        }
+        insert(&mut pool, t, &rows).unwrap();
         let content = |pool: &mut BufferPool, cat: &Catalog| {
             let mut seen = Vec::new();
             cat.table("t")
@@ -2365,12 +2373,15 @@ mod tests {
         )
         .unwrap();
         let t = cat.table_mut("TVisited").unwrap();
-        let loc = t
-            .insert_row(&mut pool, &[Value::Int(1), Value::Int(10)])
+        insert(&mut pool, t, &[vec![Value::Int(1), Value::Int(10)]]).unwrap();
+        let (locs, old) = find(&mut pool, t, |r| r[0] == Value::Int(1));
+        let new = [
+            Column::repeat(&Value::Int(2), 1),
+            Column::repeat(&Value::Int(20), 1),
+        ];
+        let mode = t.update_mode(&[0, 1]);
+        t.update_rows(&mut pool, &locs, &[0, 1], &new, &old, mode)
             .unwrap();
-        let old = vec![Value::Int(1), Value::Int(10)];
-        let new = vec![Value::Int(2), Value::Int(20)];
-        t.update_row(&mut pool, &loc, &old, &new).unwrap();
         // Old key gone, new key findable.
         let (path, found) = probe(&mut pool, t, &[0], &[Value::Int(1)]);
         assert_eq!(
@@ -2386,15 +2397,8 @@ mod tests {
         assert_eq!(found[0][1], Value::Int(20));
         // Moving a row onto another row's unique key is refused before
         // anything is written: both rows and both index entries stay.
-        let other = t
-            .insert_row(&mut pool, &[Value::Int(3), Value::Int(30)])
-            .unwrap();
-        let err = t.update_row(
-            &mut pool,
-            &other,
-            &[Value::Int(3), Value::Int(30)],
-            &[Value::Int(2), Value::Int(30)],
-        );
+        insert(&mut pool, t, &[vec![Value::Int(3), Value::Int(30)]]).unwrap();
+        let err = set(&mut pool, t, |r| r[0] == Value::Int(3), 0, Value::Int(2));
         assert!(matches!(err, Err(SqlError::DuplicateKey { .. })));
         for (k, d) in [(2, 20), (3, 30)] {
             let (_, found) = probe(&mut pool, t, &[0], &[Value::Int(k)]);
@@ -2417,8 +2421,9 @@ mod tests {
         )
         .unwrap();
         let t = cat.table_mut("TEdges").unwrap();
-        let loc = t.insert_row(&mut pool, &row(5, 6, 7)).unwrap();
-        t.delete_row(&mut pool, &loc, &row(5, 6, 7)).unwrap();
+        insert(&mut pool, t, &[row(5, 6, 7)]).unwrap();
+        let (locs, rows) = find(&mut pool, t, |r| r == row(5, 6, 7));
+        t.delete_rows(&mut pool, &locs, &rows).unwrap();
         let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(5)]);
         assert!(matches!(path, ProbePath::Secondary { .. }));
         assert!(hits.is_empty());
@@ -2440,9 +2445,8 @@ mod tests {
         )
         .unwrap();
         let t = cat.table_mut("TEdges").unwrap();
-        for i in 0..20 {
-            t.insert_row(&mut pool, &row(i, i, i)).unwrap();
-        }
+        let rows: Vec<Vec<Value>> = (0..20).map(|i| row(i, i, i)).collect();
+        insert(&mut pool, t, &rows).unwrap();
         t.truncate(&mut pool).unwrap();
         assert!(t.is_empty());
         let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(3)]);
@@ -2571,15 +2575,21 @@ mod tests {
             // Locator-based row DML stays rejected (base rows have no
             // per-row locators); inserts are covered by the delta overlay
             // (see `segmented_delta_overlay`).
-            let loc = RowLoc::Heap(RecordId::from_u64(0));
-            assert!(t.delete_row(&mut pool, &loc, &row(1, 2, 3)).is_err());
+            let mut locs = BatchLocs::default();
+            locs.push(&RowLoc::Heap(RecordId::from_u64(0)));
+            let old = chunk_of(&[(1, 2, 3)]);
+            assert!(t.delete_rows(&mut pool, &locs, &old).is_err());
+            let vals = [Column::repeat(&Value::Int(4), 1)];
             assert!(t
-                .update_row(&mut pool, &loc, &row(1, 2, 3), &row(4, 5, 6))
+                .update_rows(&mut pool, &locs, &[0], &vals, &old, UpdateMode::Rewrite)
                 .is_err());
             // NULL-bearing delta rows are rejected.
-            assert!(t
-                .insert_row(&mut pool, &[Value::Int(1), Value::Null, Value::Int(3)])
-                .is_err());
+            assert!(insert(
+                &mut pool,
+                t,
+                &[vec![Value::Int(1), Value::Null, Value::Int(3)]]
+            )
+            .is_err());
             // Double bulk load is rejected.
             assert!(t.bulk_load_segments(&mut pool, [(0, 0, 1)]).is_err());
             // Unsorted input is rejected.
@@ -2656,7 +2666,7 @@ mod tests {
         // to every read path.
         {
             let t = cat.table_mut("TSeg").unwrap();
-            t.insert_chunk(&mut pool, &chunk_of(&[(7, 9000, 5)]))
+            t.insert_chunk(&mut pool, &chunk_of(&[(7, 9000, 5)]), None)
                 .unwrap();
             assert_eq!(t.len(), base_len + 1);
             let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(7)]);
@@ -2696,7 +2706,7 @@ mod tests {
         // by the base tombstone).
         {
             let t = cat.table_mut("TSeg").unwrap();
-            t.insert_row(&mut pool, &row(3, 4, 99)).unwrap();
+            insert(&mut pool, t, &[row(3, 4, 99)]).unwrap();
             assert_eq!(t.len(), base_len);
             let (_, seen) = probe(&mut pool, t, &[0], &[Value::Int(3)]);
             assert!(seen.contains(&row(3, 4, 99)));
@@ -2733,7 +2743,9 @@ mod tests {
         .unwrap();
         let rows: Vec<Vec<Value>> = (0..500).map(|i| row(i / 5, i % 97, 1 + i % 7)).collect();
         let t = cat.table_mut("TEdges").unwrap();
-        let n = t.bulk_load_rows(&mut pool, rows.clone()).unwrap();
+        let n = t
+            .bulk_load_rows(&mut pool, &chunk_from_rows(&rows))
+            .unwrap();
         assert_eq!(n, 500);
         assert_eq!(t.len(), 500);
         // Index probes return exactly the matching rows.
@@ -2741,7 +2753,9 @@ mod tests {
         assert!(matches!(path, ProbePath::Secondary { .. }));
         assert_eq!(hits.len(), 5);
         // A second bulk load into the now non-empty table is rejected.
-        assert!(t.bulk_load_rows(&mut pool, rows).is_err());
+        assert!(t
+            .bulk_load_rows(&mut pool, &chunk_from_rows(&rows))
+            .is_err());
     }
 
     #[test]
@@ -2760,13 +2774,14 @@ mod tests {
         .unwrap();
         let rows: Vec<Vec<Value>> = (0..300).map(|i| row(i % 30, i, 1)).collect();
         let t = cat.table_mut("TEdges").unwrap();
-        t.bulk_load_rows(&mut pool, rows).unwrap();
+        t.bulk_load_rows(&mut pool, &chunk_from_rows(&rows))
+            .unwrap();
         assert_eq!(t.len(), 300);
         let (path, hits) = probe(&mut pool, t, &[0], &[Value::Int(4)]);
         assert_eq!(path, ProbePath::Clustered);
         assert_eq!(hits.len(), 10);
         // Later per-row inserts coexist with the bulk-built tree.
-        t.insert_row(&mut pool, &row(4, 999, 1)).unwrap();
+        insert(&mut pool, t, &[row(4, 999, 1)]).unwrap();
         assert_eq!(t.len(), 301);
 
         // Unique PK violation inside the batch is caught up front.
@@ -2783,27 +2798,24 @@ mod tests {
         let tn = cat.table_mut("TNodes").unwrap();
         let err = tn.bulk_load_rows(
             &mut pool,
-            vec![
+            &chunk_from_rows(&[
                 vec![Value::Int(1)],
                 vec![Value::Int(2)],
                 vec![Value::Int(1)],
-            ],
+            ]),
         );
         assert!(matches!(err, Err(SqlError::DuplicateKey { .. })));
     }
 
     #[test]
-    fn coerce_row_types() {
+    fn insert_source_coerces_types() {
         let (mut pool, mut cat) = setup();
         let _ = &mut pool;
         let t = cat.table_mut("TEdges").unwrap();
-        let coerced = t
-            .coerce_row(vec![Value::Float(2.9), Value::Int(3), Value::Int(4)])
-            .unwrap();
-        assert_eq!(coerced[0], Value::Int(2));
-        assert!(t.coerce_row(vec![Value::Int(1)]).is_err());
-        assert!(t
-            .coerce_row(vec![Value::Text("x".into()), Value::Int(1), Value::Int(2)])
-            .is_err());
+        let coerce = |row: Vec<Value>| t.insert_source(t.source_chunk([row], None)?, None);
+        let coerced = coerce(vec![Value::Float(2.9), Value::Int(3), Value::Int(4)]).unwrap();
+        assert_eq!(coerced.row(0)[0], Value::Int(2));
+        assert!(coerce(vec![Value::Int(1)]).is_err());
+        assert!(coerce(vec![Value::Text("x".into()), Value::Int(1), Value::Int(2)]).is_err());
     }
 }

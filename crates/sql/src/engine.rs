@@ -873,9 +873,9 @@ impl Database {
         table: &str,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<u64> {
-        self.catalog
-            .table_mut(table)?
-            .bulk_load_rows(&mut self.pool, rows)
+        let table = self.catalog.table_mut(table)?;
+        let rows = table.insert_source(table.source_chunk(rows, None)?, None)?;
+        table.bulk_load_rows(&mut self.pool, &rows)
     }
 
     /// Number of rows currently in `table`.

@@ -6,6 +6,12 @@
 //! collected changes. This gives MERGE and self-referencing statements
 //! (`INSERT INTO t SELECT … FROM t`) snapshot semantics.
 //!
+//! The write phase is the executor's: the collected rows, locators and
+//! assigned values go to [`Table::insert_chunk`], [`Table::update_rows`]
+//! and [`Table::delete_rows`], placed and coerced by the same
+//! `Table::insert_source` / `Table::coerce_column`. What this module
+//! adds is the naive read phase, the differential oracle.
+//!
 //! Targets are found by scanning: `UPDATE … FROM` and MERGE test every
 //! (target, source) pair on the combined row, in source order, and the
 //! first source row to match a target row wins.
@@ -15,9 +21,9 @@ use super::eval::{
 };
 use super::from::{bind_all, materialize_ref, passes};
 use crate::ast::{BinaryOp, Delete, Expr, Insert, InsertSource, Merge, Update};
-use crate::catalog::{Catalog, RowLoc};
+use crate::catalog::{BatchLocs, Catalog, RowLoc, Table};
 use crate::error::{Result, SqlError};
-use fempath_storage::{BufferPool, Value};
+use fempath_storage::{BufferPool, Chunk, Column, Value};
 use std::collections::HashSet;
 
 /// Executes INSERT; returns the number of rows inserted.
@@ -52,9 +58,8 @@ pub fn execute_insert(
         }
     };
 
-    // Map listed columns to full rows.
+    // Place the listed columns and coerce, as the executor does.
     let table = catalog.table(&ins.table)?;
-    let n_cols = table.schema.columns.len();
     let col_positions: Option<Vec<usize>> = match &ins.columns {
         Some(names) => Some(
             names
@@ -69,42 +74,54 @@ pub fn execute_insert(
         ),
         None => None,
     };
-    let mut full_rows = Vec::with_capacity(source_rows.len());
-    for vals in source_rows {
-        let row = match &col_positions {
-            Some(pos) => {
-                if vals.len() != pos.len() {
-                    return Err(SqlError::Eval(format!(
-                        "INSERT lists {} columns but supplies {} values",
-                        pos.len(),
-                        vals.len()
-                    )));
-                }
-                let mut row = vec![Value::Null; n_cols];
-                for (p, v) in pos.iter().zip(vals) {
-                    row[*p] = v;
-                }
-                row
-            }
-            None => vals,
-        };
-        full_rows.push(table.coerce_row(row)?);
-    }
+    let cols = col_positions.as_deref();
+    let rows = table.insert_source(table.source_chunk(source_rows, cols)?, cols)?;
 
     // Write phase.
-    let table = catalog.table_mut(&ins.table)?;
-    let n = full_rows.len() as u64;
-    for row in full_rows {
-        table.insert_row(pool, &row)?;
-    }
-    Ok(n)
+    catalog
+        .table_mut(&ins.table)?
+        .insert_chunk(pool, &rows, None)
 }
 
-/// A pending row mutation collected in the read phase.
-struct PendingUpdate {
-    loc: RowLoc,
-    old_row: Vec<Value>,
-    new_row: Vec<Value>,
+/// One statement's row updates in the form [`Table::update_rows`] takes:
+/// each target row's locator and stored row, and the new value of every
+/// assigned column.
+struct PendingUpdates {
+    locs: BatchLocs,
+    old: Chunk,
+    vals: Vec<Column>,
+}
+
+impl PendingUpdates {
+    fn new(assigned: usize) -> Self {
+        PendingUpdates {
+            locs: BatchLocs::default(),
+            old: Chunk::new(),
+            vals: (0..assigned).map(|_| Column::new_int()).collect(),
+        }
+    }
+
+    /// Queues the target row `trow` at `loc` with its assigned values.
+    fn push(&mut self, loc: &RowLoc, trow: &[Value], new_vals: Vec<Value>) {
+        self.locs.push(loc);
+        self.old.push_row(trow);
+        for (col, v) in self.vals.iter_mut().zip(new_vals) {
+            col.push(v);
+        }
+    }
+
+    /// Write phase: coerces the new values and applies them to
+    /// `assign_cols`; returns the number of rows updated.
+    fn apply(self, pool: &mut BufferPool, table: &mut Table, assign_cols: &[usize]) -> Result<u64> {
+        let vals: Vec<Column> = self
+            .vals
+            .into_iter()
+            .zip(assign_cols)
+            .map(|(col, &c)| table.coerce_column(c, col))
+            .collect::<Result<_>>()?;
+        let mode = table.update_mode(assign_cols);
+        table.update_rows(pool, &self.locs, assign_cols, &vals, &self.old, mode)
+    }
 }
 
 /// A target row an UPDATE rewrites — locator and stored row — with the
@@ -171,7 +188,7 @@ pub fn execute_update(
     upd: &Update,
 ) -> Result<u64> {
     let binding = upd.alias.as_deref().unwrap_or(&upd.table);
-    let pending: Vec<PendingUpdate> = {
+    let (assign_cols, pending) = {
         let mut ctx = ExecCtx {
             pool,
             catalog,
@@ -224,27 +241,17 @@ pub fn execute_update(
             .iter()
             .map(|(_, e)| bind_expr(&mut ctx, &schema, e))
             .collect::<Result<_>>()?;
-        let mut pending = Vec::with_capacity(matches.len());
+        let mut pending = PendingUpdates::new(assign_cols.len());
         for (loc, trow, row) in matches {
-            let mut new_row = trow.clone();
-            for (c, a) in assign_cols.iter().zip(&assigns) {
-                new_row[*c] = eval(a, &row)?;
-            }
-            pending.push(PendingUpdate {
-                loc,
-                old_row: trow,
-                new_row: ctx.catalog.table(&upd.table)?.coerce_row(new_row)?,
-            });
+            let vals = assigns
+                .iter()
+                .map(|a| eval(a, &row))
+                .collect::<Result<_>>()?;
+            pending.push(&loc, &trow, vals);
         }
-        pending
+        (assign_cols, pending)
     };
-
-    let n = pending.len() as u64;
-    let table = catalog.table_mut(&upd.table)?;
-    for p in pending {
-        table.update_row(pool, &p.loc, &p.old_row, &p.new_row)?;
-    }
-    Ok(n)
+    pending.apply(pool, catalog.table_mut(&upd.table)?, &assign_cols)
 }
 
 /// Executes DELETE; returns the number of rows removed.
@@ -263,12 +270,16 @@ pub fn execute_delete(
         let schema = Schema::from_table(&del.table, &ctx.catalog.table(&del.table)?.schema);
         matching_rows(&mut ctx, &del.table, &schema, del.filter.as_ref())?
     };
-    let n = matches.len() as u64;
-    let table = catalog.table_mut(&del.table)?;
-    for (loc, row) in matches {
-        table.delete_row(pool, &loc, &row)?;
+    let mut locs = BatchLocs::default();
+    let mut rows = Chunk::new();
+    for (loc, row) in &matches {
+        locs.push(loc);
+        rows.push_row(row);
     }
-    Ok(n)
+    catalog
+        .table_mut(&del.table)?
+        .delete_rows(pool, &locs, &rows)?;
+    Ok(matches.len() as u64)
 }
 
 /// Executes MERGE; returns updates + inserts (the paper reads this
@@ -280,7 +291,7 @@ pub fn execute_merge(
     m: &Merge,
 ) -> Result<u64> {
     let target_binding = m.target_alias.as_deref().unwrap_or(&m.target);
-    let (pending_updates, pending_inserts) = {
+    let (assign_cols, updates, inserts) = {
         let mut ctx = ExecCtx {
             pool,
             catalog,
@@ -359,9 +370,13 @@ pub fn execute_merge(
             })
             .transpose()?;
 
-        let n_cols = ctx.catalog.table(&m.target)?.schema.columns.len();
-        let mut updates: Vec<PendingUpdate> = Vec::new();
-        let mut inserts: Vec<Vec<Value>> = Vec::new();
+        let table = ctx.catalog.table(&m.target)?;
+        let n_cols = table.schema.columns.len();
+        let assign_cols = matched
+            .as_ref()
+            .map_or(Vec::new(), |(_, cols, _)| cols.clone());
+        let mut updates = PendingUpdates::new(assign_cols.len());
+        let mut inserts = Chunk::with_width(n_cols);
         let mut touched: HashSet<RowLoc> = HashSet::new();
 
         let targets = scan_rows(&mut ctx, &m.target)?;
@@ -374,22 +389,17 @@ pub fn execute_merge(
                     continue;
                 }
                 any_match = true;
-                if let Some((cond, cols, exprs)) = &matched {
+                if let Some((cond, _, exprs)) = &matched {
                     let applies = match cond {
                         Some(c) => truthy(&eval(c, &combined_row)?),
                         None => true,
                     };
                     if applies && touched.insert(loc.clone()) {
-                        let mut new_row = trow.clone();
-                        for (c, e) in cols.iter().zip(exprs) {
-                            new_row[*c] = eval(e, &combined_row)?;
-                        }
-                        let table = ctx.catalog.table(&m.target)?;
-                        updates.push(PendingUpdate {
-                            loc: loc.clone(),
-                            old_row: trow.clone(),
-                            new_row: table.coerce_row(new_row)?,
-                        });
+                        let vals = exprs
+                            .iter()
+                            .map(|e| eval(e, &combined_row))
+                            .collect::<Result<_>>()?;
+                        updates.push(loc, trow, vals);
                     }
                 }
             }
@@ -399,21 +409,14 @@ pub fn execute_merge(
                     for (c, e) in cols.iter().zip(exprs) {
                         row[*c] = eval(e, srow)?;
                     }
-                    let table = ctx.catalog.table(&m.target)?;
-                    inserts.push(table.coerce_row(row)?);
+                    inserts.push_row(&row);
                 }
             }
         }
-        (updates, inserts)
+        (assign_cols, updates, table.coerce_chunk(inserts)?)
     };
 
-    let n = (pending_updates.len() + pending_inserts.len()) as u64;
     let table = catalog.table_mut(&m.target)?;
-    for p in pending_updates {
-        table.update_row(pool, &p.loc, &p.old_row, &p.new_row)?;
-    }
-    for row in pending_inserts {
-        table.insert_row(pool, &row)?;
-    }
-    Ok(n)
+    let updated = updates.apply(pool, table, &assign_cols)?;
+    Ok(updated + table.insert_chunk(pool, &inserts, None)?)
 }

@@ -1665,114 +1665,49 @@ pub(crate) fn run_select_rows(
 // DML
 // ---------------------------------------------------------------------------
 
-/// Executes an INSERT plan; `INSERT … SELECT` sources stream as batches
-/// and land through [`Table::insert_chunk`]'s batched storage calls.
+/// Executes an INSERT plan: the source — the VALUES rows, evaluated, or
+/// the query's batches — is placed into the listed columns and coerced
+/// ([`Table::insert_source`]) and lands through [`Table::insert_chunk`].
 pub(crate) fn run_insert(
     pool: &mut BufferPool,
     catalog: &mut Catalog,
     params: &[Value],
     plan: &InsertPlan,
 ) -> Result<u64> {
-    let query = match &plan.source {
-        InsertSourcePlan::Values(rows) => return insert_values(pool, catalog, params, plan, rows),
-        InsertSourcePlan::Query(q) => q,
-    };
     let full_chunks: Vec<Chunk> = {
         let catalog = &*catalog;
-        // Insert-level subplans only exist for VALUES expressions; a
-        // Query source's subqueries live inside its own SelectPlan.
-        debug_assert!(plan.subplans.is_empty());
-        let source_chunks = run_select_chunks(pool, catalog, params, query)?;
         let table = catalog.table(&plan.table)?;
-        let n_cols = table.schema.columns.len();
-        let mut full = Vec::with_capacity(source_chunks.len());
-        for sc in source_chunks {
-            if sc.is_empty() {
-                continue;
+        let cols = plan.col_positions.as_deref();
+        let source = match &plan.source {
+            InsertSourcePlan::Values(rows) => {
+                let env = build_env_v(pool, catalog, params, &plan.subplans)?;
+                let rows: Vec<Vec<Value>> = rows
+                    .iter()
+                    .map(|row| row.iter().map(|e| exec::eval_px(e, &[], &env)).collect())
+                    .collect::<Result<_>>()?;
+                vec![table.source_chunk(rows, cols)?]
             }
-            let fc = match &plan.col_positions {
-                Some(pos) => {
-                    if sc.width() != pos.len() {
-                        return Err(SqlError::Eval(format!(
-                            "INSERT lists {} columns but supplies {} values",
-                            pos.len(),
-                            sc.width()
-                        )));
-                    }
-                    let mut cols: Vec<Column> =
-                        (0..n_cols).map(|_| Column::nulls(sc.len())).collect();
-                    for (i, &p) in pos.iter().enumerate() {
-                        cols[p] = sc.col(i).clone();
-                    }
-                    Chunk::from_columns(cols, sc.len())
-                }
-                None => sc,
-            };
-            // Coerce up front: the interpreter coerces *every* source
-            // row before writing anything, so a type error in a late
-            // chunk must surface before the first chunk is inserted.
-            full.push(table.coerce_chunk(fc)?);
-        }
-        full
+            InsertSourcePlan::Query(q) => {
+                // Insert-level subplans only exist for VALUES expressions; a
+                // Query source's subqueries live inside its own SelectPlan.
+                debug_assert!(plan.subplans.is_empty());
+                run_select_chunks(pool, catalog, params, q)?
+            }
+        };
+        // Coerce up front: a type error in a late chunk must surface
+        // before the first chunk is inserted.
+        source
+            .into_iter()
+            .filter(|sc| !sc.is_empty())
+            .map(|sc| table.insert_source(sc, cols))
+            .collect::<Result<_>>()?
     };
     let mut n = 0u64;
     let table = catalog.table_mut(&plan.table)?;
     for c in &full_chunks {
-        n += table.insert_chunk_precoerced(pool, c, None)?;
+        n += table.insert_chunk(pool, c, None)?;
     }
     Ok(n)
-}
-
-/// `INSERT … VALUES`: literal rows are few, so they are evaluated,
-/// coerced and written one row at a time.
-fn insert_values(
-    pool: &mut BufferPool,
-    catalog: &mut Catalog,
-    params: &[Value],
-    plan: &InsertPlan,
-    rows: &[Vec<PExpr>],
-) -> Result<u64> {
-    let full_rows: Vec<Vec<Value>> = {
-        let catalog = &*catalog;
-        let env = build_env_v(pool, catalog, params, &plan.subplans)?;
-        let mut source_rows = Vec::with_capacity(rows.len());
-        for row in rows {
-            let mut vals = Vec::with_capacity(row.len());
-            for e in row {
-                vals.push(exec::eval_px(e, &[], &env)?);
-            }
-            source_rows.push(vals);
-        }
-        let table = catalog.table(&plan.table)?;
-        let n_cols = table.schema.columns.len();
-        let mut full_rows = Vec::with_capacity(source_rows.len());
-        for vals in source_rows {
-            let row = match &plan.col_positions {
-                Some(pos) => {
-                    if vals.len() != pos.len() {
-                        return Err(SqlError::Eval(format!(
-                            "INSERT lists {} columns but supplies {} values",
-                            pos.len(),
-                            vals.len()
-                        )));
-                    }
-                    let mut row = vec![Value::Null; n_cols];
-                    for (p, v) in pos.iter().zip(vals) {
-                        row[*p] = v;
-                    }
-                    row
-                }
-                None => vals,
-            };
-            full_rows.push(table.coerce_row(row)?);
-        }
-        full_rows
-    };
-    let table = catalog.table_mut(&plan.table)?;
-    for row in &full_rows {
-        table.insert_row(pool, row)?;
-    }
-    Ok(full_rows.len() as u64)
 }
 
 /// Sink of [`match_target`]: a batch of target rows (the columns the
@@ -2140,5 +2075,5 @@ pub(crate) fn run_merge(
     }
     let table = catalog.table_mut(&plan.target)?;
     let updated = pending.apply(pool, table)?;
-    Ok(updated + table.insert_chunk_precoerced(pool, &inserts, keys_probed)?)
+    Ok(updated + table.insert_chunk(pool, &inserts, keys_probed)?)
 }

@@ -5,7 +5,9 @@
 //! page. Records are addressed by [`RecordId`] (page index within the file +
 //! slot). Records never move pages on update *unless* they grow beyond the
 //! page's free space, in which case the caller is told the new location so
-//! secondary indexes can be fixed up.
+//! secondary indexes can be fixed up. Every write takes a batch:
+//! [`HeapFile::insert_batch`], [`HeapFile::delete_batch`] and
+//! [`HeapFile::update_cells`].
 //!
 //! Heap metadata (the list of page ids and per-page free space) is kept in
 //! memory and rebuilt from the catalog on open; crash recovery is out of
@@ -323,57 +325,6 @@ impl HeapFile {
         HeapScanCursor::default()
     }
 
-    /// Inserts a record, returning its id.
-    pub fn insert(&mut self, pool: &mut BufferPool, bytes: &[u8]) -> Result<RecordId> {
-        if bytes.len() > MAX_RECORD {
-            return Err(StorageError::RecordTooLarge {
-                size: bytes.len(),
-                max: MAX_RECORD,
-            });
-        }
-        // Try the last page first (append-mostly workloads), then any page
-        // whose cached free space fits, then grow.
-        let mut candidates: Vec<usize> = Vec::new();
-        if let Some(last) = self.pages.len().checked_sub(1) {
-            candidates.push(last);
-        }
-        for (i, &f) in self.free.iter().enumerate() {
-            if f as usize >= bytes.len() + SLOT_SIZE && Some(i) != candidates.first().copied() {
-                candidates.push(i);
-            }
-        }
-        for page_idx in candidates {
-            let pid = self.pages[page_idx];
-            let slot = pool.write_page(pid, |buf| page_insert(buf, bytes))?;
-            if let Some(slot) = slot {
-                self.free[page_idx] = pool.read_page(pid, page_free)? as u16;
-                self.len += 1;
-                return Ok(RecordId {
-                    page: page_idx as u32,
-                    slot,
-                });
-            }
-        }
-        let pid = pool.allocate_page()?;
-        let slot = pool
-            .write_page(pid, |buf| {
-                init_page(buf);
-                page_insert(buf, bytes)
-            })?
-            .ok_or(StorageError::RecordTooLarge {
-                size: bytes.len(),
-                max: MAX_RECORD,
-            })?;
-        self.pages.push(pid);
-        let f = pool.read_page(pid, page_free)? as u16;
-        self.free.push(f);
-        self.len += 1;
-        Ok(RecordId {
-            page: (self.pages.len() - 1) as u32,
-            slot,
-        })
-    }
-
     fn pid_of(&self, rid: RecordId) -> Result<PageId> {
         self.pages
             .get(rid.page as usize)
@@ -428,95 +379,38 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Deletes the record at `rid`.
-    pub fn delete(&mut self, pool: &mut BufferPool, rid: RecordId) -> Result<()> {
-        let pid = self.pid_of(rid)?;
-        pool.write_page(pid, |buf| {
-            let n = codec::get_u16(buf, HDR_NUM_SLOTS);
-            if rid.slot >= n {
-                return Err(StorageError::InvalidRecordId {
-                    page: rid.page as u64,
-                    slot: rid.slot,
-                });
-            }
-            let so = HDR_SIZE + rid.slot as usize * SLOT_SIZE;
-            let off = codec::get_u16(buf, so);
-            if off == DEAD_SLOT {
-                return Err(StorageError::InvalidRecordId {
-                    page: rid.page as u64,
-                    slot: rid.slot,
-                });
-            }
-            let len = codec::get_u16(buf, so + 2);
-            codec::put_u16(buf, so, DEAD_SLOT);
-            let dead = codec::get_u16(buf, HDR_DEAD);
-            codec::put_u16(buf, HDR_DEAD, dead + len);
-            Ok(())
-        })??;
-        self.free[rid.page as usize] = pool.read_page(pid, page_free)? as u16;
-        self.len -= 1;
-        Ok(())
+    /// The page the next record of `len` bytes goes to — the one
+    /// page-choice rule: the last page if its free space fits the record,
+    /// else the first page whose free space does. `None`: no page fits and
+    /// the file must grow.
+    fn pick_page(free: &[u16], len: usize) -> Option<usize> {
+        let fits = |f: u16| usize::from(f) >= len + SLOT_SIZE;
+        match free.last() {
+            Some(&f) if fits(f) => Some(free.len() - 1),
+            _ => free.iter().position(|&f| fits(f)),
+        }
     }
 
-    /// Updates the record at `rid` in place when possible. Returns the
-    /// record's (possibly new) id; when it differs from `rid`, the caller
-    /// must repair any secondary indexes pointing at the old id.
-    pub fn update(
+    /// Inserts `rows` in order, returning their ids. Each record goes
+    /// where the one page-choice rule puts it — the last page if it fits,
+    /// else the first page it fits, else a new page — so any split of the
+    /// rows into calls yields the same ids. Each buffer-pool write call
+    /// packs the consecutive rows the rule sends to one page, instead of
+    /// one pin/unpin round trip per record.
+    pub fn insert_batch<R: AsRef<[u8]>>(
         &mut self,
         pool: &mut BufferPool,
-        rid: RecordId,
-        bytes: &[u8],
-    ) -> Result<RecordId> {
-        if bytes.len() > MAX_RECORD {
+        rows: &[R],
+    ) -> Result<Vec<RecordId>> {
+        if let Some(r) = rows.iter().find(|r| r.as_ref().len() > MAX_RECORD) {
             return Err(StorageError::RecordTooLarge {
-                size: bytes.len(),
+                size: r.as_ref().len(),
                 max: MAX_RECORD,
             });
         }
-        let pid = self.pid_of(rid)?;
-        let updated = pool.write_page(pid, |buf| page_update_in_place(buf, rid, bytes))??;
-        self.free[rid.page as usize] = pool.read_page(pid, page_free)? as u16;
-        if updated {
-            return Ok(rid);
-        }
-        // Record moved to another page.
-        self.len -= 1; // insert() will re-count it
-        self.insert(pool, bytes)
-    }
-
-    /// Inserts many records with page-level batching: each buffer-pool
-    /// write call packs as many consecutive records as fit into the target
-    /// page, instead of one pin/unpin round trip per record.
-    pub fn insert_batch(
-        &mut self,
-        pool: &mut BufferPool,
-        rows: &[Vec<u8>],
-    ) -> Result<Vec<RecordId>> {
-        for r in rows {
-            if r.len() > MAX_RECORD {
-                return Err(StorageError::RecordTooLarge {
-                    size: r.len(),
-                    max: MAX_RECORD,
-                });
-            }
-        }
         let mut out = Vec::with_capacity(rows.len());
-        let mut i = 0usize;
-        while i < rows.len() {
-            // Pick the target page for rows[i] exactly like insert() would.
-            let mut page_idx = None;
-            if let Some(last) = self.pages.len().checked_sub(1) {
-                if self.free[last] as usize >= rows[i].len() + SLOT_SIZE {
-                    page_idx = Some(last);
-                }
-            }
-            if page_idx.is_none() {
-                page_idx = self
-                    .free
-                    .iter()
-                    .position(|&f| f as usize >= rows[i].len() + SLOT_SIZE);
-            }
-            let page_idx = match page_idx {
+        while let Some(first) = rows.get(out.len()) {
+            let page_idx = match Self::pick_page(&self.free, first.as_ref().len()) {
                 Some(p) => p,
                 None => {
                     let pid = pool.allocate_page()?;
@@ -526,35 +420,27 @@ impl HeapFile {
                     self.pages.len() - 1
                 }
             };
-            let pid = self.pages[page_idx];
-            // One write call inserts as many consecutive rows as fit.
-            let slots: Vec<u16> = pool.write_page(pid, |buf| {
-                let mut slots = Vec::new();
-                while i + slots.len() < rows.len() {
-                    match page_insert(buf, &rows[i + slots.len()]) {
-                        Some(s) => slots.push(s),
-                        None => break,
+            let before = out.len();
+            let free = &mut self.free;
+            pool.write_page(self.pages[page_idx], |buf| {
+                // The free-space hints are exact, so a row the rule sends
+                // here always fits.
+                while let Some(row) = rows.get(out.len()) {
+                    if Self::pick_page(free, row.as_ref().len()) != Some(page_idx) {
+                        break;
                     }
+                    let slot = page_insert(buf, row.as_ref()).ok_or_else(|| {
+                        StorageError::Corrupt(format!("heap page {page_idx} free-space hint"))
+                    })?;
+                    free[page_idx] = page_free(buf) as u16;
+                    out.push(RecordId {
+                        page: page_idx as u32,
+                        slot,
+                    });
                 }
-                slots
-            })?;
-            self.free[page_idx] = pool.read_page(pid, page_free)? as u16;
-            if slots.is_empty() {
-                // The cached free-space hint was optimistic (slot-directory
-                // growth); retry this row through the single-record path,
-                // which allocates as needed.
-                out.push(self.insert(pool, &rows[i])?);
-                i += 1;
-                continue;
-            }
-            for slot in slots {
-                out.push(RecordId {
-                    page: page_idx as u32,
-                    slot,
-                });
-                i += 1;
-                self.len += 1;
-            }
+                Ok::<_, StorageError>(())
+            })??;
+            self.len += (out.len() - before) as u64;
         }
         Ok(out)
     }
@@ -706,9 +592,10 @@ impl HeapFile {
             self.free[first.page as usize] = pool.read_page(pid, page_free)? as u16;
             // The old cells of the leftovers are already dead
             // (page_update_in_place freed them), so re-insert elsewhere.
-            for (item, row, bytes) in leftovers {
-                self.len -= 1; // insert() re-counts it
-                let rid = self.insert(pool, &bytes)?;
+            let bytes: Vec<&[u8]> = leftovers.iter().map(|(_, _, b)| b.as_slice()).collect();
+            self.len -= bytes.len() as u64; // insert_batch() re-counts them
+            let rids = self.insert_batch(pool, &bytes)?;
+            for ((item, row, _), rid) in leftovers.into_iter().zip(rids) {
                 moved.push(MovedRecord { item, rid, row });
             }
             i = end;
@@ -758,11 +645,16 @@ mod tests {
         BufferPool::in_memory(16)
     }
 
+    /// One record through the batch entry.
+    fn insert(h: &mut HeapFile, p: &mut BufferPool, bytes: &[u8]) -> Result<RecordId> {
+        Ok(h.insert_batch(p, &[bytes])?[0])
+    }
+
     #[test]
     fn insert_get_roundtrip() {
         let mut p = pool();
         let mut h = HeapFile::create();
-        let rid = h.insert(&mut p, b"hello").unwrap();
+        let rid = insert(&mut h, &mut p, b"hello").unwrap();
         assert_eq!(h.get(&mut p, rid).unwrap(), b"hello");
         assert_eq!(h.len(), 1);
     }
@@ -776,7 +668,7 @@ mod tests {
             .map(|i| {
                 let mut rec = payload.clone();
                 rec[0] = i as u8;
-                h.insert(&mut p, &rec).unwrap()
+                insert(&mut h, &mut p, &rec).unwrap()
             })
             .collect();
         assert!(h.num_pages() > 1, "500B x100 must not fit one page");
@@ -789,40 +681,49 @@ mod tests {
     fn delete_then_get_fails_and_slot_reused() {
         let mut p = pool();
         let mut h = HeapFile::create();
-        let a = h.insert(&mut p, b"aaa").unwrap();
-        let _b = h.insert(&mut p, b"bbb").unwrap();
-        h.delete(&mut p, a).unwrap();
+        let a = insert(&mut h, &mut p, b"aaa").unwrap();
+        let _b = insert(&mut h, &mut p, b"bbb").unwrap();
+        h.delete_batch(&mut p, &[a]).unwrap();
         assert!(h.get(&mut p, a).is_err());
         assert_eq!(h.len(), 1);
-        let c = h.insert(&mut p, b"ccc").unwrap();
+        let c = insert(&mut h, &mut p, b"ccc").unwrap();
         assert_eq!(c, a, "dead slot should be reused");
         assert_eq!(h.get(&mut p, c).unwrap(), b"ccc");
     }
 
     #[test]
     fn update_in_place_shrink_and_grow() {
+        use crate::chunk::Column;
+        use crate::row::{decode_row, encode_row};
         let mut p = pool();
         let mut h = HeapFile::create();
-        let rid = h.insert(&mut p, b"0123456789").unwrap();
-        let r2 = h.update(&mut p, rid, b"abc").unwrap();
-        assert_eq!(r2, rid);
-        assert_eq!(h.get(&mut p, rid).unwrap(), b"abc");
-        let r3 = h.update(&mut p, rid, b"abcdefghijklmnop").unwrap();
-        assert_eq!(r3, rid, "grow within page keeps rid");
-        assert_eq!(h.get(&mut p, rid).unwrap(), b"abcdefghijklmnop");
+        let text = |s: &str| vec![Value::Text(s.into())];
+        let rid = insert(&mut h, &mut p, &encode_row(&text("0123456789"))).unwrap();
+        for s in ["abc", "abcdefghijklmnop"] {
+            let vals = [Column::Generic(vec![Value::Text(s.into())])];
+            let moved = h.update_cells(&mut p, &[rid], &[0], &[0], &vals).unwrap();
+            assert!(moved.is_empty(), "shrink or grow within page keeps rid");
+            assert_eq!(decode_row(&h.get(&mut p, rid).unwrap()).unwrap(), text(s));
+        }
     }
 
     #[test]
     fn update_that_overflows_page_moves_record() {
+        use crate::chunk::Column;
+        use crate::row::{decode_row, encode_row};
         let mut p = pool();
         let mut h = HeapFile::create();
         // Fill a page almost completely.
-        let rid = h.insert(&mut p, &vec![1u8; 4000]).unwrap();
-        let _fill = h.insert(&mut p, &vec![2u8; 4000]).unwrap();
-        let big = vec![3u8; 5000];
-        let new_rid = h.update(&mut p, rid, &big).unwrap();
+        let wide = |b: u8, n: usize| Value::Text(String::from(b as char).repeat(n));
+        let rid = insert(&mut h, &mut p, &encode_row(&[wide(b'1', 4000)])).unwrap();
+        let fill = insert(&mut h, &mut p, &encode_row(&[wide(b'2', 4000)])).unwrap();
+        assert_eq!(rid.page, fill.page);
+        let big = vec![wide(b'3', 5000)];
+        let vals = [Column::Generic(big.clone())];
+        let moved = h.update_cells(&mut p, &[rid], &[0], &[0], &vals).unwrap();
+        let new_rid = moved[0].rid;
         assert_ne!(new_rid, rid);
-        assert_eq!(h.get(&mut p, new_rid).unwrap(), big);
+        assert_eq!(decode_row(&h.get(&mut p, new_rid).unwrap()).unwrap(), big);
         assert!(h.get(&mut p, rid).is_err());
         assert_eq!(h.len(), 2);
     }
@@ -831,9 +732,11 @@ mod tests {
     fn scan_sees_live_records_only() {
         let mut p = pool();
         let mut h = HeapFile::create();
-        let rids: Vec<_> = (0u8..10).map(|i| h.insert(&mut p, &[i]).unwrap()).collect();
-        h.delete(&mut p, rids[3]).unwrap();
-        h.delete(&mut p, rids[7]).unwrap();
+        let rids: Vec<_> = (0u8..10)
+            .map(|i| insert(&mut h, &mut p, &[i]).unwrap())
+            .collect();
+        h.delete_batch(&mut p, &[rids[3]]).unwrap();
+        h.delete_batch(&mut p, &[rids[7]]).unwrap();
         let mut seen = Vec::new();
         h.scan(&mut p, |_, bytes| {
             seen.push(bytes[0]);
@@ -849,7 +752,7 @@ mod tests {
         let mut p = pool();
         let mut h = HeapFile::create();
         for i in 0u8..10 {
-            h.insert(&mut p, &[i]).unwrap();
+            insert(&mut h, &mut p, &[i]).unwrap();
         }
         let mut count = 0;
         h.scan(&mut p, |_, _| {
@@ -865,7 +768,7 @@ mod tests {
         let mut p = pool();
         let mut h = HeapFile::create();
         for i in 0u8..50 {
-            h.insert(&mut p, &vec![i; 300]).unwrap();
+            insert(&mut h, &mut p, &vec![i; 300]).unwrap();
         }
         let pages_before = h.num_pages();
         h.truncate(&mut p).unwrap();
@@ -879,7 +782,7 @@ mod tests {
         .unwrap();
         assert!(!any);
         // Reusable after truncate.
-        let rid = h.insert(&mut p, b"fresh").unwrap();
+        let rid = insert(&mut h, &mut p, b"fresh").unwrap();
         assert_eq!(h.get(&mut p, rid).unwrap(), b"fresh");
     }
 
@@ -887,7 +790,7 @@ mod tests {
     fn record_too_large_rejected() {
         let mut p = pool();
         let mut h = HeapFile::create();
-        let err = h.insert(&mut p, &vec![0u8; PAGE_SIZE]);
+        let err = insert(&mut h, &mut p, &vec![0u8; PAGE_SIZE]);
         assert!(matches!(err, Err(StorageError::RecordTooLarge { .. })));
     }
 
@@ -899,14 +802,14 @@ mod tests {
         // record that only fits after compaction.
         let mut rids = Vec::new();
         for i in 0..16 {
-            rids.push(h.insert(&mut p, &vec![i as u8; 400]).unwrap());
+            rids.push(insert(&mut h, &mut p, &vec![i as u8; 400]).unwrap());
         }
         let first_page_rids: Vec<_> = rids.iter().filter(|r| r.page == 0).copied().collect();
         for r in first_page_rids.iter().skip(1) {
-            h.delete(&mut p, *r).unwrap();
+            h.delete_batch(&mut p, &[*r]).unwrap();
         }
         // A 3000-byte record now fits in page 0 only via compaction.
-        let rid = h.insert(&mut p, &vec![9u8; 3000]).unwrap();
+        let rid = insert(&mut h, &mut p, &vec![9u8; 3000]).unwrap();
         assert_eq!(h.get(&mut p, rid).unwrap(), vec![9u8; 3000]);
     }
 
@@ -924,7 +827,7 @@ mod tests {
             assert_eq!(h.get(&mut p, *rid).unwrap(), rows[i]);
         }
         // Batch + single-record inserts interleave correctly.
-        let solo = h.insert(&mut p, &rows[0]).unwrap();
+        let solo = insert(&mut h, &mut p, &rows[0]).unwrap();
         assert_eq!(h.get(&mut p, solo).unwrap(), rows[0]);
         assert_eq!(h.len(), 201);
     }
@@ -960,7 +863,7 @@ mod tests {
         .unwrap();
         seen.sort_unstable();
         assert_eq!(seen, (0..100).filter(|i| i % 2 == 1).collect::<Vec<u8>>());
-        // Deleting an already-dead record is an error (parity with delete).
+        // Deleting an already-dead record is an error.
         assert!(h.delete_batch(&mut p, &[victims[0]]).is_err());
         // A bad batch leaves the page group untouched: duplicate rids in
         // one batch error without tombstoning either occurrence.
@@ -1016,8 +919,8 @@ mod tests {
         // that outgrows the page moves the record.
         let mut big = HeapFile::create();
         let wide = |s: usize| encode_row(&[Value::Int(1), Value::Text("x".repeat(s))]);
-        let r0 = big.insert(&mut p, &wide(4000)).unwrap();
-        let r1 = big.insert(&mut p, &wide(4000)).unwrap();
+        let r0 = insert(&mut big, &mut p, &wide(4000)).unwrap();
+        let r1 = insert(&mut big, &mut p, &wide(4000)).unwrap();
         let vals = [Column::Generic(vec![
             Value::Text("y".repeat(5000)),
             Value::Null,
@@ -1043,7 +946,7 @@ mod tests {
         );
         assert_eq!(big.len(), 2);
         // A dead record is an error.
-        big.delete(&mut p, r1).unwrap();
+        big.delete_batch(&mut p, &[r1]).unwrap();
         assert!(big.update_cells(&mut p, &[r1], &[0], &[1], &vals).is_err());
     }
 
@@ -1062,7 +965,7 @@ mod tests {
         ];
         let rids: Vec<RecordId> = rows
             .iter()
-            .map(|r| h.insert(&mut p, &encode_row(r)).unwrap())
+            .map(|r| insert(&mut h, &mut p, &encode_row(r)).unwrap())
             .collect();
         assert!(rids.iter().all(|r| r.page == rids[0].page));
         let tags = [Column::Generic(vec![
@@ -1078,15 +981,18 @@ mod tests {
         }
         // Patched records ahead of the offender stay patched.
         let mut fixed = HeapFile::create();
-        let f0 = fixed
-            .insert(&mut p, &encode_row(&[Value::Int(0), Value::Int(0)]))
-            .unwrap();
-        let f1 = fixed
-            .insert(
-                &mut p,
-                &encode_row(&[Value::Int(1), Value::Text("x".into())]),
-            )
-            .unwrap();
+        let f0 = insert(
+            &mut fixed,
+            &mut p,
+            &encode_row(&[Value::Int(0), Value::Int(0)]),
+        )
+        .unwrap();
+        let f1 = insert(
+            &mut fixed,
+            &mut p,
+            &encode_row(&[Value::Int(1), Value::Text("x".into())]),
+        )
+        .unwrap();
         let vals = [Column::Generic(vec![
             Value::Int(7),
             Value::Text("y".repeat(PAGE_SIZE)),
@@ -1111,8 +1017,8 @@ mod tests {
             .map(|i| crate::row::encode_row(&[Value::Int(i), Value::Int(i * 2)]))
             .collect();
         let rids = h.insert_batch(&mut p, &rows).unwrap();
-        h.delete(&mut p, rids[10]).unwrap();
-        h.delete(&mut p, rids[500]).unwrap();
+        h.delete_batch(&mut p, &[rids[10]]).unwrap();
+        h.delete_batch(&mut p, &[rids[500]]).unwrap();
 
         let mut cursor = h.batch_cursor();
         let mut chunk = crate::chunk::Chunk::new();

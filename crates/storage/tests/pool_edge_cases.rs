@@ -57,7 +57,7 @@ fn heap_and_btree_share_one_pool() {
     let mut heap = HeapFile::create();
     let mut tree = BTree::create(&mut pool).unwrap();
     for i in 0..300u64 {
-        let rid = heap.insert(&mut pool, &i.to_le_bytes()).unwrap();
+        let rid = heap.insert_batch(&mut pool, &[i.to_le_bytes()]).unwrap()[0];
         tree.insert(&mut pool, &i.to_be_bytes(), &rid.to_u64().to_be_bytes())
             .unwrap();
     }

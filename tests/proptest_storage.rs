@@ -1,6 +1,7 @@
 //! Property-based tests of the storage substrate: the B+tree against a
-//! `BTreeMap` model, key-encoding order preservation, row round-trips and
-//! the batch row decoder under the heap cursor.
+//! `BTreeMap` model, key-encoding order preservation, row round-trips,
+//! the batch row decoder under the heap cursor and the heap's page-choice
+//! rule.
 
 use fempath::storage::{
     decode_key, decode_row, decode_rows_into_chunk, encode_key, encode_row, patch_fixed_cells,
@@ -175,9 +176,13 @@ proptest! {
         let mut heap = HeapFile::create();
         let encoded: Vec<Vec<u8>> = rows.iter().map(|r| encode_row(r)).collect();
         let rids = heap.insert_batch(&mut pool, &encoded).unwrap();
-        for (&rid, _) in rids.iter().zip(&dead).filter(|(_, d)| **d) {
-            heap.delete(&mut pool, rid).unwrap();
-        }
+        let victims: Vec<RecordId> = rids
+            .iter()
+            .zip(&dead)
+            .filter(|(_, d)| **d)
+            .map(|(&rid, _)| rid)
+            .collect();
+        heap.delete_batch(&mut pool, &victims).unwrap();
         let per_page = rids.iter().filter(|r| r.page == 0).count();
         let max = 1 + pick_max as usize % per_page;
 
@@ -208,6 +213,50 @@ proptest! {
         if with_rids {
             prop_assert_eq!(got_rids, want_rids);
         }
+    }
+
+    /// The heap's one page-choice rule: records inserted in one
+    /// `insert_batch` call land exactly where calls of one record each put
+    /// them — the same ids, the same scan, the same page count — also once
+    /// deletes have left free space in earlier pages.
+    #[test]
+    fn heap_batch_and_single_inserts_agree(
+        first in prop::collection::vec(1usize..3000, 1..40),
+        dead in prop::collection::vec(any::<bool>(), 40),
+        then in prop::collection::vec(1usize..3000, 1..40),
+    ) {
+        let records = |lens: &[usize], tag: usize| -> Vec<Vec<u8>> {
+            lens.iter().enumerate().map(|(i, &n)| vec![(tag + i) as u8; n]).collect()
+        };
+        let mut runs = Vec::new();
+        for one_at_a_time in [false, true] {
+            let mut pool = BufferPool::in_memory(64);
+            let mut heap = HeapFile::create();
+            let rids = heap.insert_batch(&mut pool, &records(&first, 0)).unwrap();
+            let victims: Vec<RecordId> = rids
+                .iter()
+                .zip(&dead)
+                .filter(|(_, d)| **d)
+                .map(|(&rid, _)| rid)
+                .collect();
+            heap.delete_batch(&mut pool, &victims).unwrap();
+            let new = records(&then, 100);
+            let placed: Vec<RecordId> = if one_at_a_time {
+                new.iter()
+                    .map(|r| heap.insert_batch(&mut pool, &[r]).unwrap()[0])
+                    .collect()
+            } else {
+                heap.insert_batch(&mut pool, &new).unwrap()
+            };
+            let mut scan = Vec::new();
+            heap.scan(&mut pool, |rid, bytes| {
+                scan.push((rid, bytes.to_vec()));
+                true
+            })
+            .unwrap();
+            runs.push((placed, scan, heap.num_pages(), heap.len()));
+        }
+        prop_assert_eq!(&runs[0], &runs[1]);
     }
 
     /// The in-place cell patch of the UPDATE write phase: on a row of
