@@ -331,12 +331,66 @@ fn bench_fm_write(c: &mut Criterion) {
     group.finish();
 }
 
+/// One BDJ expansion as the served loop runs it, statement after
+/// statement, over the 300-row `TVisited` of [`single_fixture`]: the pick
+/// bound to the frontier node's distance, the by-`nid` MERGE (three arcs,
+/// three inserts), the settle, and the candidate statistics. The untimed
+/// restore deletes the inserted rows, puts distances back and re-opens
+/// the frontier node. time / 4 ≈ the small-statement cost the executor's
+/// pooled buffers cut (DESIGN.md §11 *Steady-state allocation*).
+fn bench_bdj_iteration(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bdj_iteration");
+    group.sample_size(20);
+    let gen = SqlGen::new(Dir::Fwd, EdgeSource::Edges, SqlStyle::New);
+    // Row 150 of the fixture: nid 450 at distance 100 + 150·37 mod 400.
+    let (frontier, dist) = (450i64, 450i64);
+    let restore = [
+        "DELETE FROM TVisited WHERE b = 0".to_string(),
+        "UPDATE TVisited SET d2s = d2t, f = 1 WHERE f = 0".to_string(),
+        format!("UPDATE TVisited SET f = 0 WHERE nid = {frontier}"),
+    ];
+    group.bench_function("300", |b| {
+        let db = std::cell::RefCell::new(single_fixture(300));
+        let prep = |sql: &str| db.borrow_mut().prepare(sql).unwrap();
+        let pick = prep(&gen.select_mid_at());
+        let merge = prep(&gen.expand_merge(FrontierPred::ByNid));
+        let settle = prep(&gen.settle_by_nid());
+        let stats = prep(&gen.candidate_stats());
+        for r in &restore {
+            db.borrow_mut().execute(r).unwrap();
+        }
+        b.iter_batched(
+            || {
+                for r in &restore {
+                    db.borrow_mut().execute(r).unwrap();
+                }
+            },
+            |()| {
+                let mut db = db.borrow_mut();
+                let mid = db
+                    .execute_prepared(&pick, &[Value::Int(dist)])
+                    .unwrap()
+                    .rows
+                    .and_then(|r| r.scalar_i64())
+                    .unwrap();
+                let params = expand_params(SqlStyle::New, FrontierPred::ByNid, Some(mid), 0, INF);
+                db.execute_prepared(&merge, &params.unwrap()).unwrap();
+                db.execute_prepared(&settle, &[Value::Int(mid)]).unwrap();
+                black_box(db.execute_prepared(&stats, &[]).unwrap().rows)
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_e_operator,
     bench_m_operator,
     bench_prepared_vs_plan_cache,
     bench_tvisited_scan,
-    bench_fm_write
+    bench_fm_write,
+    bench_bdj_iteration
 );
 criterion_main!(benches);

@@ -49,7 +49,7 @@ use super::{
     ShortestPathFinder, Stmt,
 };
 use crate::graphdb::{GraphDb, INF};
-use crate::sqlgen::{expand_params, meet_node, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
+use crate::sqlgen::{expand_params_into, meet_node, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
 use crate::stats::{FemOperator, Phase, SqlStyle};
 use fempath_sql::{Result, SqlError};
 use fempath_storage::Value;
@@ -171,6 +171,7 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     let (mut lf, mut lb) = (0i64, 0i64);
     let (mut nf, mut nb) = (1i64, 1i64); // remaining candidates per direction
     let (mut kf, mut kb) = (1i64, 1i64); // expansion counters (BSEG's fwd/bwd)
+    let mut params = Vec::with_capacity(4); // the E-operator's, reused
 
     loop {
         // Termination (§4.1): minCost is final once minCost <= lf + lb.
@@ -229,7 +230,7 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         } else {
             (0, INF)
         };
-        let params = expand_params(spec.style, pred, mid, lo, mc)?;
+        expand_params_into(&mut params, spec.style, pred, mid, lo, mc)?;
         stmts.expansion.run(&mut runner, &params)?;
         // Settle the expanded frontier: `mid` by `nid`, or the marked set.
         runner.exec(&stmts.settle, mid.map(Value::Int).as_slice())?;

@@ -27,7 +27,9 @@ use crate::sqlgen::{EmMode, FrontierPred, SqlGen};
 use crate::stats::{FemOperator, Phase, QueryStats};
 use fempath_sql::{Database, ExecOutcome, PreparedStmt, Result, SqlError};
 use fempath_storage::Value;
-use std::time::Instant;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A discovered shortest path.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,6 +55,47 @@ pub trait ShortestPathFinder {
 
     /// Finds the shortest path from `s` to `t`.
     fn find_path(&self, gdb: &mut GraphDb, s: i64, t: i64) -> Result<PathOutcome>;
+}
+
+/// What may stop a search short of its answer: a deadline and a
+/// cooperative cancel flag, both checked once per expansion, beside the
+/// expansion cap every search loop passes through. A stopped search fails
+/// with [`SqlError::Timeout`] or [`SqlError::Cancelled`] and never
+/// returns a partial path. The default stops nothing. A session carries
+/// its limits ([`GraphDb::set_limits`]), so every finder honours them.
+#[derive(Debug, Clone, Default)]
+pub struct SearchLimits {
+    /// How long a search may run, counted from its start.
+    pub deadline: Option<Duration>,
+    /// Once raised, the search stops at its next expansion.
+    pub cancel: Option<CancelFlag>,
+}
+
+/// A cooperative cancel flag, shared between whoever raises it and the
+/// searches that poll it; clones share one flag.
+#[derive(Debug, Clone, Default)]
+pub struct CancelFlag(Arc<AtomicBool>);
+
+impl CancelFlag {
+    /// A flag not raised yet.
+    pub fn new() -> CancelFlag {
+        CancelFlag::default()
+    }
+
+    /// Raises the flag: every search polling it stops at its next
+    /// expansion.
+    pub fn cancel(&self) {
+        // ORDERING: Release pairs with the Acquire load in
+        // `is_cancelled`; the flag guards no other data, the pair only
+        // makes the raise visible promptly.
+        self.0.store(true, Ordering::Release);
+    }
+
+    /// Whether the flag has been raised.
+    pub fn is_cancelled(&self) -> bool {
+        // ORDERING: Acquire pairs with the Release store in `cancel`.
+        self.0.load(Ordering::Acquire)
+    }
 }
 
 /// A prepared statement with the phase and operator its time is charged
@@ -83,6 +126,9 @@ pub(crate) struct Runner<'a> {
     /// guard that stops a search whose loop no longer terminates, not a
     /// work budget.
     expansion_cap: u64,
+    /// When the session's [`SearchLimits`] stop this search.
+    deadline: Option<Instant>,
+    cancel: Option<CancelFlag>,
     started: Instant,
     io_start: fempath_storage::IoStats,
 }
@@ -91,13 +137,30 @@ impl<'a> Runner<'a> {
     pub fn new(gdb: &'a mut GraphDb) -> Runner<'a> {
         let io_start = gdb.db.io_stats();
         let expansion_cap = 8 * gdb.num_nodes() as u64 + 32;
+        let started = Instant::now();
+        let limits = gdb.limits();
+        let (deadline, cancel) = (limits.deadline.map(|d| started + d), limits.cancel.clone());
         Runner {
             gdb,
             stats: QueryStats::default(),
             expansion_cap,
-            started: Instant::now(),
+            deadline,
+            cancel,
+            started,
             io_start,
         }
+    }
+
+    /// Fails the search once its cancel flag is raised or its deadline
+    /// has passed.
+    fn check_limits(&self) -> Result<()> {
+        if self.cancel.as_ref().is_some_and(CancelFlag::is_cancelled) {
+            return Err(SqlError::Cancelled);
+        }
+        if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(SqlError::Timeout);
+        }
+        Ok(())
     }
 
     /// Executes a prepared statement — the hot-loop path: no parse, no
@@ -162,7 +225,8 @@ impl Expansion {
     /// `Exps`); `params` ([`crate::sqlgen::expand_params`]) go to the
     /// E-operator statement. Every search loop calls this once per
     /// iteration, so it is where the search's work is bounded: past the
-    /// runner's expansion cap the search fails instead of looping on.
+    /// runner's expansion cap the search fails instead of looping on, and
+    /// past its deadline or once cancelled ([`SearchLimits`]) it stops.
     pub fn run(&self, runner: &mut Runner<'_>, params: &[Value]) -> Result<()> {
         if runner.stats.expansions >= runner.expansion_cap {
             return Err(SqlError::Eval(format!(
@@ -170,6 +234,7 @@ impl Expansion {
                 runner.expansion_cap
             )));
         }
+        runner.check_limits()?;
         runner.stats.expansions += 1;
         for stmt in &self.0 {
             let params = if stmt.op == FemOperator::E {

@@ -4,6 +4,7 @@
 //! configured index strategy, and manages the per-query working tables
 //! (`TVisited`, `TExp`) and the SegTable index (`TOutSegs`).
 
+use crate::algo::SearchLimits;
 use crate::landmarks::{LandmarkSelection, LandmarkStats};
 use crate::segtable::SegTableStats;
 use crate::sqlgen::EmMode;
@@ -99,6 +100,8 @@ pub struct GraphDb {
     /// break admissibility — DESIGN.md §16). Remembered so
     /// [`GraphDb::rebuild_landmarks`] knows the previous `k`.
     stale_landmarks: Option<LandmarkInfo>,
+    /// What stops this session's searches short of an answer.
+    limits: SearchLimits,
 }
 
 impl GraphDb {
@@ -141,7 +144,19 @@ impl GraphDb {
             segtable: None,
             landmarks: None,
             stale_landmarks: None,
+            limits: SearchLimits::default(),
         })
+    }
+
+    /// Sets the deadline and cancel flag of this session's searches, up
+    /// to the next call; [`SearchLimits::default`] lifts them.
+    pub fn set_limits(&mut self, limits: SearchLimits) {
+        self.limits = limits;
+    }
+
+    /// The deadline and cancel flag this session's searches run under.
+    pub(crate) fn limits(&self) -> &SearchLimits {
+        &self.limits
     }
 
     /// In-memory database with default options.
@@ -578,6 +593,7 @@ impl GraphSnapshot {
             segtable: self.segtable,
             landmarks: self.landmarks,
             stale_landmarks: None,
+            limits: SearchLimits::default(),
         }
     }
 

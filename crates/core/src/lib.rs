@@ -51,7 +51,8 @@ pub mod stats;
 
 pub use algo::{
     BatchBdjFinder, BatchOutcome, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder,
-    BsegFinder, DjFinder, FrontierPolicy, Path, PathOutcome, ShortestPathFinder,
+    BsegFinder, CancelFlag, DjFinder, FrontierPolicy, Path, PathOutcome, SearchLimits,
+    ShortestPathFinder,
 };
 pub use cache::{CacheStats, ResultCache};
 pub use dispatch::{StealQueues, WaitHistogram};

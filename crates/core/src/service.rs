@@ -49,7 +49,8 @@
 //! ```
 
 use crate::algo::{
-    BbfsFinder, BdjFinder, BsdjFinder, DjFinder, Path, PathOutcome, ShortestPathFinder,
+    BbfsFinder, BdjFinder, BsdjFinder, DjFinder, Path, PathOutcome, SearchLimits,
+    ShortestPathFinder,
 };
 use crate::cache::{CacheStats, ResultCache};
 use crate::dispatch::{StealQueues, WaitHistogram, WorkerQueueStats};
@@ -167,6 +168,7 @@ enum Job {
     Single {
         s: i64,
         t: i64,
+        limits: SearchLimits,
         reply: Sender<Result<PathOutcome>>,
     },
     /// Test-only: panics inside the worker, exercising the
@@ -422,6 +424,15 @@ impl PathService {
     /// (including cached "unreachable" verdicts), else by the next free
     /// worker — which publishes its answer back to the cache.
     pub fn query(&self, s: i64, t: i64) -> Result<PathOutcome> {
+        self.query_with(s, t, &SearchLimits::default())
+    }
+
+    /// [`PathService::query`] under explicit [`SearchLimits`]: the search
+    /// stops with `SqlError::Timeout` past `limits.deadline` (counted from
+    /// its start) or `SqlError::Cancelled` once `limits.cancel` is raised.
+    /// A stopped search returns no path and leaves nothing in the cache;
+    /// its worker's session serves the next job as usual.
+    pub fn query_with(&self, s: i64, t: i64, limits: &SearchLimits) -> Result<PathOutcome> {
         if let Some(cache) = &self.shared.cache {
             if let Some(path) = cache.lookup(s, t, self.graph_version()) {
                 return Ok(PathOutcome {
@@ -430,7 +441,7 @@ impl PathService {
                 });
             }
         }
-        self.dispatch(s, t)?
+        self.dispatch(s, t, limits)?
             .recv()
             .map_err(|_| worker_pool_down())?
     }
@@ -447,6 +458,17 @@ impl PathService {
     /// and the batch finishes when its slowest pair does. The first
     /// error any pair reports fails the call.
     pub fn query_batch(&self, pairs: &[(i64, i64)]) -> Result<Vec<Option<Path>>> {
+        self.query_batch_with(pairs, &SearchLimits::default())
+    }
+
+    /// [`PathService::query_batch`] under explicit [`SearchLimits`]: each
+    /// distinct pair's search gets the deadline, counted from its own
+    /// start, and polls the one cancel flag. A stopped pair fails the call.
+    pub fn query_batch_with(
+        &self,
+        pairs: &[(i64, i64)],
+        limits: &SearchLimits,
+    ) -> Result<Vec<Option<Path>>> {
         let version = self.graph_version();
         let mut out: Vec<Option<Path>> = vec![None; pairs.len()];
         // The first slot of every distinct pair; a repeat copies from it.
@@ -465,7 +487,7 @@ impl PathService {
                         .and_then(|c| c.lookup(s, t, version));
                     match hit {
                         Some(path) => out[i] = path,
-                        None => pending.push((i, self.dispatch(s, t)?)),
+                        None => pending.push((i, self.dispatch(s, t, limits)?)),
                     }
                 }
             }
@@ -481,10 +503,20 @@ impl PathService {
 
     /// Pushes one single-pair job and returns the channel its answer
     /// arrives on.
-    fn dispatch(&self, s: i64, t: i64) -> Result<Receiver<Result<PathOutcome>>> {
+    fn dispatch(
+        &self,
+        s: i64,
+        t: i64,
+        limits: &SearchLimits,
+    ) -> Result<Receiver<Result<PathOutcome>>> {
         let (reply, result) = channel();
         self.queues
-            .push(Job::Single { s, t, reply })
+            .push(Job::Single {
+                s,
+                t,
+                limits: limits.clone(),
+                reply,
+            })
             .map_err(|_| worker_pool_down())?;
         Ok(result)
     }
@@ -664,7 +696,12 @@ fn worker_loop(
         // which case the version-keyed cache ignores the insert.
         let version = ws.db.graph_version();
         match job {
-            Job::Single { s, t, reply } => {
+            Job::Single {
+                s,
+                t,
+                limits,
+                reply,
+            } => {
                 let res = run_isolated(&mut ws, shared, |session| {
                     // Landmark fast path (DESIGN.md §12): a covered pair —
                     // bounds already proven tight — is answered straight
@@ -681,7 +718,12 @@ fn worker_loop(
                                 stats: QueryStats::default(),
                             })
                         }
-                        None => finder.find_path(session, s, t),
+                        None => {
+                            session.set_limits(limits);
+                            let out = finder.find_path(session, s, t);
+                            session.set_limits(SearchLimits::default());
+                            out
+                        }
                     }
                 });
                 if let (Some(cache), Ok(out)) = (&shared.cache, &res) {
@@ -704,6 +746,45 @@ fn worker_loop(
 mod tests {
     use super::*;
     use fempath_graph::generate;
+
+    #[test]
+    fn a_stopped_query_is_typed_never_cached_and_leaves_the_session_serving() {
+        let g = generate::grid(6, 6, 1..=10, 4);
+        let svc = PathService::new(&g, 1).unwrap();
+        let zero = SearchLimits {
+            deadline: Some(std::time::Duration::ZERO),
+            cancel: None,
+        };
+        let flag = crate::algo::CancelFlag::new();
+        flag.cancel();
+        let cancelled = SearchLimits {
+            deadline: None,
+            cancel: Some(flag),
+        };
+        assert!(matches!(
+            svc.query_with(0, 35, &zero),
+            Err(SqlError::Timeout)
+        ));
+        assert!(matches!(
+            svc.query_with(0, 35, &cancelled),
+            Err(SqlError::Cancelled)
+        ));
+        // Each pair of a batch runs under the deadline.
+        assert!(matches!(
+            svc.query_batch_with(&[(0, 35), (5, 30)], &zero),
+            Err(SqlError::Timeout)
+        ));
+        assert_eq!(
+            svc.stats().cache.inserts,
+            0,
+            "a stopped search is not cached"
+        );
+        // The one worker's session, stopped four times after its search
+        // set-up, answers exactly.
+        let want = fempath_inmem::dijkstra::shortest_path(&g, 0, 35).unwrap();
+        let got = svc.query(0, 35).unwrap().path.unwrap();
+        assert_eq!(got.length as u64, want.distance);
+    }
 
     #[test]
     fn serves_single_queries() {

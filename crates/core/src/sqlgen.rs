@@ -516,19 +516,34 @@ pub fn expand_params(
     l_other: i64,
     min_cost: i64,
 ) -> fempath_sql::Result<Vec<fempath_storage::Value>> {
+    let mut p = Vec::with_capacity(4);
+    expand_params_into(&mut p, style, frontier, nid, l_other, min_cost)?;
+    Ok(p)
+}
+
+/// [`expand_params`] into `out` (cleared first), so a search loop reuses
+/// one parameter buffer across its expansions.
+pub fn expand_params_into(
+    out: &mut Vec<fempath_storage::Value>,
+    style: SqlStyle,
+    frontier: FrontierPred,
+    nid: Option<i64>,
+    l_other: i64,
+    min_cost: i64,
+) -> fempath_sql::Result<()> {
     use fempath_storage::Value;
     let node =
         || nid.ok_or_else(|| fempath_sql::SqlError::Eval("ByNid frontier needs a node id".into()));
-    let mut p = Vec::with_capacity(4);
+    out.clear();
     if frontier == FrontierPred::ByNid {
-        p.push(Value::Int(node()?));
+        out.push(Value::Int(node()?));
     }
-    p.push(Value::Int(l_other));
-    p.push(Value::Int(min_cost));
+    out.push(Value::Int(l_other));
+    out.push(Value::Int(min_cost));
     if style == SqlStyle::Traditional && frontier == FrontierPred::ByNid {
-        p.push(Value::Int(node()?));
+        out.push(Value::Int(node()?));
     }
-    Ok(p)
+    Ok(())
 }
 
 /// The free-function statements of the bidirectional finders, annotated

@@ -4,12 +4,13 @@
 
 use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
 use fempath_core::{
-    build_segtable_with, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder, FemOperator,
-    FrontierPolicy, GraphDb, GraphDbOptions, PathOutcome, ShortestPathFinder, SqlStyle, INF,
+    build_segtable_with, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, CancelFlag, DjFinder,
+    FemOperator, FrontierPolicy, GraphDb, GraphDbOptions, PathOutcome, SearchLimits,
+    ShortestPathFinder, SqlStyle, INF,
 };
 use fempath_graph::{generate, Graph, IndexKind};
 use fempath_inmem::dijkstra;
-use fempath_sql::Dialect;
+use fempath_sql::{Dialect, SqlError};
 use fempath_storage::Value;
 use proptest::prelude::*;
 
@@ -453,6 +454,57 @@ fn work_counts_are_pinned_on_a_fixed_graph() {
             total = (total.0 + c.0, total.1 + c.1, total.2 + c.2);
         }
         assert_eq!(total, want, "{}", finder.name());
+    }
+}
+
+/// A zero deadline stops every finder at its first expansion with
+/// `Timeout` — never a partial path — and the same session, its limits
+/// lifted, then answers exactly; a raised cancel flag does the same with
+/// `Cancelled`.
+#[test]
+fn limits_stop_every_finder_without_a_partial_answer() {
+    let g = generate::power_law(300, 3, 1..=100, 5);
+    let pairs = sample_pairs(300, 3);
+    let mut gdb = GraphDb::in_memory(&g).unwrap();
+    gdb.build_segtable(40).unwrap();
+    let finders: Vec<Box<dyn ShortestPathFinder>> = vec![
+        Box::new(DjFinder),
+        Box::new(BdjFinder::default()),
+        Box::new(BsdjFinder::default()),
+        Box::new(BbfsFinder),
+        Box::new(BsegFinder::default()),
+    ];
+    let flag = CancelFlag::new();
+    flag.cancel();
+    let stopping = [
+        SearchLimits {
+            deadline: Some(std::time::Duration::ZERO),
+            cancel: None,
+        },
+        SearchLimits {
+            deadline: None,
+            cancel: Some(flag),
+        },
+    ];
+    for f in &finders {
+        for &(s, t) in &pairs {
+            for limits in &stopping {
+                gdb.set_limits(limits.clone());
+                let err = f.find_path(&mut gdb, s, t).unwrap_err();
+                let want_timeout = limits.deadline.is_some();
+                assert!(
+                    matches!(
+                        (&err, want_timeout),
+                        (SqlError::Timeout, true) | (SqlError::Cancelled, false)
+                    ),
+                    "{}: {s}->{t} stopped with {err}",
+                    f.name()
+                );
+                gdb.set_limits(SearchLimits::default());
+                let out = f.find_path(&mut gdb, s, t).unwrap();
+                check(&g, &out, s, t, f.name());
+            }
+        }
     }
 }
 

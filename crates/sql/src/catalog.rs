@@ -25,6 +25,7 @@
 
 use crate::ast::ColumnDef;
 use crate::error::{Result, SqlError};
+use crate::pool::{take, Pooled};
 use fempath_storage::{
     decode_edge_segment, decode_edge_segment_with, decode_row_into_chunk, decode_rows_into_chunk,
     encode_key, encode_key_into, encode_row_from_chunk, BTree, BTreeBulkBuilder, BTreeScanCursor,
@@ -54,39 +55,48 @@ fn encode_cols_into(out: &mut Vec<u8>, rows: &Chunk, r: usize, cols: &[usize]) -
     Ok(())
 }
 
-/// Every row's encoded key on `cols`, back to back.
-fn keys_on(rows: &Chunk, cols: &[usize]) -> Result<KeyArena> {
-    let mut keys = KeyArena::default();
-    let mut key = Vec::with_capacity(cols.len() * 9);
+/// Appends every row's encoded key on `cols` to `keys`, back to back.
+fn keys_into(keys: &mut KeyArena, rows: &Chunk, cols: &[usize]) -> Result<()> {
+    let mut key = take::<Vec<u8>>();
     for r in 0..rows.len() {
         key.clear();
         encode_cols_into(&mut key, rows, r, cols)?;
         keys.push(&key);
     }
+    Ok(())
+}
+
+/// Every row's encoded key on `cols`, back to back.
+fn keys_on(rows: &Chunk, cols: &[usize]) -> Result<KeyArena> {
+    let mut keys = KeyArena::default();
+    keys_into(&mut keys, rows, cols)?;
     Ok(keys)
 }
 
 /// Of the rows keyed `keys`, the first in row order whose key an earlier
 /// row already has — what a unique key refuses.
 fn first_repeat(keys: &KeyArena) -> Option<usize> {
-    let mut by_key: Vec<usize> = (0..keys.len()).collect();
-    by_key.sort_unstable_by(|&a, &b| keys.get(a).cmp(keys.get(b)).then(a.cmp(&b)));
+    if keys.len() < 2 {
+        return None;
+    }
+    let mut by_key = take::<Vec<u32>>();
+    by_key.extend(0..keys.len() as u32);
+    let key = |i: u32| keys.get(i as usize);
+    by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
     by_key
         .windows(2)
-        .filter(|w| keys.get(w[0]) == keys.get(w[1]))
-        .map(|w| w[1])
+        .filter(|w| key(w[0]) == key(w[1]))
+        .map(|w| w[1] as usize)
         .min()
 }
 
-/// The first `n` rows of `rows`, each encoded as stored.
-fn encode_rows(rows: &Chunk, n: usize) -> Vec<Vec<u8>> {
-    let mut buf = Vec::new();
-    (0..n)
-        .map(|r| {
-            encode_row_from_chunk(&mut buf, rows, r);
-            buf.clone()
-        })
-        .collect()
+/// Appends the first `n` rows of `rows`, each encoded as stored, to `out`.
+fn encode_rows_into(out: &mut KeyArena, rows: &Chunk, n: usize) {
+    let mut buf = take::<Vec<u8>>();
+    for r in 0..n {
+        encode_row_from_chunk(&mut buf, rows, r);
+        out.push(&buf);
+    }
 }
 
 /// A heap locator as stored inside a secondary-index entry.
@@ -205,6 +215,45 @@ impl SecondaryIndex {
             .collect()
     }
 
+    /// Inserts the entries of the first `n` rows whose encoded keys are
+    /// `keys` (row `r` stored at `locs[r]`) in entry-key order, as
+    /// [`BTree::insert_batch`] would, from reused buffers.
+    fn insert_entries(
+        &mut self,
+        pool: &mut BufferPool,
+        keys: &KeyArena,
+        n: usize,
+        locs: &BatchLocs,
+    ) -> Result<()> {
+        let (mut tree_keys, mut vals) = (take::<KeyArena>(), take::<KeyArena>());
+        let mut key = take::<Vec<u8>>();
+        let mut loc = take::<Vec<u8>>();
+        for r in 0..n {
+            key.clear();
+            key.extend_from_slice(keys.get(r));
+            loc.clear();
+            locs.write_bytes(r, &mut loc);
+            let val = self.entry(&mut key, &loc);
+            vals.push(val);
+            tree_keys.push(&key);
+        }
+        // Ties in row order: the order `insert_batch`'s stable sort gave,
+        // so the tree comes out page for page the same.
+        let mut order = take::<Vec<u32>>();
+        order.extend(0..n as u32);
+        order.sort_unstable_by(|&a, &b| {
+            tree_keys
+                .get(a as usize)
+                .cmp(tree_keys.get(b as usize))
+                .then(a.cmp(&b))
+        });
+        for &r in order.iter() {
+            self.tree
+                .insert(pool, tree_keys.get(r as usize), vals.get(r as usize))?;
+        }
+        Ok(())
+    }
+
     /// Bulk-builds this empty index bottom-up from every row's encoded key
     /// (`keys[r]`) and locator (`locs[r]`).
     fn bulk_fill(
@@ -299,6 +348,11 @@ impl BatchLocs {
         self.len() == 0
     }
 
+    /// Whether the batch holds an allocation worth reusing.
+    pub(crate) fn has_capacity(&self) -> bool {
+        self.rids.capacity() > 0 || self.keys.capacity() > 0
+    }
+
     /// Forgets the batch, keeping the allocations.
     pub fn clear(&mut self) {
         self.rids.clear();
@@ -377,8 +431,9 @@ impl BatchLocs {
 
     /// Positions of the distinct locators, each at its first appearance,
     /// ordered by locator (page order for heap rows).
-    fn distinct_sorted(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+    fn distinct_sorted(&self) -> Pooled<Vec<u32>> {
+        let mut order = take::<Vec<u32>>();
+        order.extend(0..self.len() as u32);
         let ascending =
             |w: &[u32]| self.cmp_at(w[0] as usize, w[1] as usize) == std::cmp::Ordering::Less;
         if !order.windows(2).all(ascending) {
@@ -731,7 +786,7 @@ impl Table {
                 src.resize(src.len() + n, k as u32);
             }
         };
-        let mut key = Vec::with_capacity(cols.len() * 9);
+        let mut key = take::<Vec<u8>>();
         // What the scans that must test a row before keeping it decode.
         let all = ColSet::all();
         match (path, &self.storage) {
@@ -804,7 +859,7 @@ impl Table {
                     .indexes
                     .get(index)
                     .ok_or_else(|| SqlError::Eval("probe of a dropped index".into()))?;
-                let mut own = BatchLocs::default();
+                let mut own = take::<BatchLocs>();
                 let found = locs.unwrap_or(&mut own);
                 let from = found.len();
                 for (k, vals) in live {
@@ -1131,11 +1186,11 @@ impl Table {
         // Every row's key under every index and under a unique clustering
         // key, encoded once: the pre-scan and the index entries both use
         // them.
-        let keys: Vec<KeyArena> = self
-            .indexes
-            .iter()
-            .map(|idx| keys_on(chunk, &idx.cols))
-            .collect::<Result<_>>()?;
+        let mut keys = take::<Vec<KeyArena>>();
+        keys.resize_with(self.indexes.len(), KeyArena::default);
+        for (arena, idx) in keys.iter_mut().zip(&self.indexes) {
+            keys_into(arena, chunk, &idx.cols)?;
+        }
         let unique_clustered = match &self.storage {
             TableStorage::Clustered {
                 tree,
@@ -1153,7 +1208,7 @@ impl Table {
         let secondary = self
             .indexes
             .iter()
-            .zip(&keys)
+            .zip(keys.iter())
             .enumerate()
             .filter(|(_, (idx, _))| idx.unique)
             .map(|(ii, (idx, keys))| (&idx.tree, &idx.cols[..], keys, absent_from != Some(ii)));
@@ -1193,10 +1248,12 @@ impl Table {
         let limit = failure.as_ref().map_or(n, |(r, _)| *r);
         // The rows before the offender, and their locators when an index
         // needs them.
-        let mut locs = BatchLocs::default();
+        let mut locs = take::<BatchLocs>();
+        let mut rows = take::<KeyArena>();
         match &mut self.storage {
             TableStorage::Heap(h) => {
-                locs.rids = h.insert_batch(pool, &encode_rows(chunk, limit))?
+                encode_rows_into(&mut rows, chunk, limit);
+                h.insert_rows(pool, limit, |r| rows.get(r), &mut locs.rids)?;
             }
             TableStorage::Clustered {
                 tree,
@@ -1204,7 +1261,7 @@ impl Table {
                 unique,
                 next_uniquifier,
             } => {
-                let (mut key, mut row) = (Vec::new(), Vec::new());
+                let (mut key, mut row) = (take::<Vec<u8>>(), take::<Vec<u8>>());
                 for r in 0..limit {
                     key.clear();
                     encode_cols_into(&mut key, chunk, r, key_cols)?;
@@ -1222,13 +1279,14 @@ impl Table {
             TableStorage::Segmented {
                 delta, delta_rows, ..
             } => {
-                delta.insert_batch(pool, &encode_rows(chunk, limit))?;
+                encode_rows_into(&mut rows, chunk, limit);
+                let mut rids = take::<Vec<RecordId>>();
+                delta.insert_rows(pool, limit, |r| rows.get(r), &mut rids)?;
                 *delta_rows += limit as u64;
             }
         }
-        for (idx, keys) in self.indexes.iter_mut().zip(&keys) {
-            let entries = idx.entries(keys, limit, &locs);
-            idx.tree.insert_batch(pool, entries)?;
+        for (idx, keys) in self.indexes.iter_mut().zip(keys.iter()) {
+            idx.insert_entries(pool, keys, limit, &locs)?;
         }
         match failure {
             Some((_, e)) => Err(e),
@@ -1309,7 +1367,7 @@ impl Table {
                     new.set_column(c, vals.clone());
                 }
                 order.sort_unstable();
-                for &k in &order {
+                for &k in order.iter() {
                     self.rewrite_row(pool, locs, k, old, &new, assign_cols, new_vals)?;
                 }
             }
@@ -1625,7 +1683,11 @@ impl Table {
         // storage.
         let mut locs = BatchLocs::default();
         match &mut self.storage {
-            TableStorage::Heap(h) => locs.rids = h.insert_batch(pool, &encode_rows(rows, n))?,
+            TableStorage::Heap(h) => {
+                let mut encoded = KeyArena::default();
+                encode_rows_into(&mut encoded, rows, n);
+                h.insert_rows(pool, n, |r| encoded.get(r), &mut locs.rids)?;
+            }
             TableStorage::Clustered {
                 tree,
                 key_cols,
@@ -1670,9 +1732,10 @@ impl Table {
                     }
                     tree.bulk_finish(pool, b)?;
                 } else {
-                    let vals = encode_rows(rows, n);
                     let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(n);
-                    for (r, val) in vals.into_iter().enumerate() {
+                    for r in 0..n {
+                        let mut val = Vec::new();
+                        encode_row_from_chunk(&mut val, rows, r);
                         let mut key = Vec::with_capacity(17);
                         key_prefix(r, &mut key)?;
                         if !*unique {
@@ -1783,6 +1846,26 @@ impl Catalog {
 
     fn key(name: &str) -> String {
         name.to_ascii_lowercase()
+    }
+
+    /// Calls `f` with `name` lowercased, as the maps are keyed. The
+    /// per-execution lookups take this door: a name that is already
+    /// lowercase, or short enough to lowercase on the stack, costs no
+    /// allocation.
+    fn with_key<R>(name: &str, f: impl FnOnce(&str) -> R) -> R {
+        if !name.bytes().any(|b| b.is_ascii_uppercase()) {
+            return f(name);
+        }
+        let mut buf = [0u8; 64];
+        match buf.get_mut(..name.len()) {
+            Some(lower) => {
+                lower.copy_from_slice(name.as_bytes());
+                lower.make_ascii_lowercase();
+                // Lowercasing ASCII bytes keeps UTF-8 valid.
+                f(std::str::from_utf8(lower).unwrap_or(name))
+            }
+            None => f(&Self::key(name)),
+        }
     }
 
     pub fn create_table(
@@ -1896,23 +1979,22 @@ impl Catalog {
     }
 
     pub fn view(&self, name: &str) -> Option<&crate::ast::Select> {
-        self.views.get(&Self::key(name))
+        Self::with_key(name, |k| self.views.get(k))
     }
 
     pub fn table(&self, name: &str) -> Result<&Table> {
-        self.tables
-            .get(&Self::key(name))
+        Self::with_key(name, |k| self.tables.get(k))
             .ok_or_else(|| SqlError::Catalog(format!("no such table {name}")))
     }
 
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
-        self.tables
-            .get_mut(&Self::key(name))
+        let tables = &mut self.tables;
+        Self::with_key(name, |k| tables.get_mut(k))
             .ok_or_else(|| SqlError::Catalog(format!("no such table {name}")))
     }
 
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(&Self::key(name))
+        Self::with_key(name, |k| self.tables.contains_key(k))
     }
 
     /// Creates an index. A clustered index physically reorganises the table

@@ -42,7 +42,8 @@ pub struct ExecOutcome {
 /// A materialized query result.
 #[derive(Debug, Clone)]
 pub struct ResultSet {
-    pub columns: Vec<String>,
+    /// Column names, shared with the plan that produced them.
+    pub columns: Arc<[String]>,
     pub rows: Vec<Vec<Value>>,
 }
 
@@ -781,7 +782,7 @@ impl Database {
                 Ok(ExecOutcome {
                     rows_affected: 0,
                     rows: Some(ResultSet {
-                        columns: vec!["plan".into()],
+                        columns: Arc::from(["plan".to_string()]),
                         rows: lines.into_iter().map(|l| vec![Value::Text(l)]).collect(),
                     }),
                 })

@@ -23,6 +23,11 @@ pub enum SqlError {
     ParamCount { expected: usize, got: usize },
     /// Error from the storage layer.
     Storage(StorageError),
+    /// A search ran past its deadline; it returns no partial answer.
+    Timeout,
+    /// A search was stopped through its cancel flag; it returns no
+    /// partial answer.
+    Cancelled,
 }
 
 impl fmt::Display for SqlError {
@@ -44,6 +49,8 @@ impl fmt::Display for SqlError {
                 write!(f, "statement expects {expected} parameters, got {got}")
             }
             SqlError::Storage(e) => write!(f, "storage error: {e}"),
+            SqlError::Timeout => write!(f, "search exceeded its deadline"),
+            SqlError::Cancelled => write!(f, "search cancelled"),
         }
     }
 }

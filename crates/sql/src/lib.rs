@@ -46,6 +46,7 @@ pub mod exec;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
+mod pool;
 
 pub use analyze::{
     AccessKind, AnalyzeOptions, Diagnostic, JoinKind, Report, Rule, Severity, TableAccess,

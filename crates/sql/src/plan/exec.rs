@@ -201,13 +201,23 @@ pub(crate) fn post_process(
     if plan.cap == Some(0) {
         rows.clear();
     }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in &rows {
-        let mut o = Vec::with_capacity(plan.items.len());
-        for p in &plan.items {
-            o.push(eval_px(p, row, env)?);
+    // A projection that returns each row as it is (a scalar aggregate's
+    // slots, in order) leaves the rows in place.
+    let identity = rows.iter().all(|r| r.len() == plan.items.len())
+        && plan
+            .items
+            .iter()
+            .enumerate()
+            .all(|(i, p)| matches!(p, PExpr::Col(c) if *c == i));
+    let mut out = rows;
+    if !identity {
+        for row in &mut out {
+            let mut o = Vec::with_capacity(plan.items.len());
+            for p in &plan.items {
+                o.push(eval_px(p, row, env)?);
+            }
+            *row = o;
         }
-        out.push(o);
     }
     if plan.distinct {
         let mut seen = HashSet::new();

@@ -261,7 +261,7 @@ pub(crate) struct SelectPlan {
     /// Projection over the post-stage schema.
     pub(crate) items: Vec<PExpr>,
     /// Output column names.
-    pub(crate) out_names: Vec<String>,
+    pub(crate) out_names: Arc<[String]>,
     pub(crate) distinct: bool,
     /// `TOP` / `LIMIT` row cap (min of both when given).
     pub(crate) cap: Option<u64>,

@@ -8,8 +8,14 @@
 //! the engine's own execution model match the paper's set-at-a-time
 //! argument — the FEM working tables are all-integer, the ideal case for
 //! the dense `Vec<i64>`-plus-null-bitmap column layout (DESIGN.md §11).
-//! The inherently per-row pieces (probe keys, `VALUES` rows, post-sort
-//! projection) use the scalar kernel in [`super::exec`].
+//! The inherently per-row pieces (`VALUES` rows, post-sort projection)
+//! use the scalar kernel in [`super::exec`].
+//!
+//! In the steady state only the result rows handed back to the engine
+//! API are allocated: chunks, selection vectors, probe keys, computed
+//! columns, locator batches and aggregate states come from the capped
+//! thread-local pools of [`crate::pool`], and a column reference is read
+//! in place rather than copied (DESIGN.md §11 *Steady-state allocation*).
 //!
 //! Per-*column* fallback to generic `Value` vectors (mixed/text/float
 //! columns) keeps behaviour identical to the AST interpreter, which
@@ -23,68 +29,25 @@
 use super::exec::{self, Env, SubResult};
 use super::{
     FromPlan, InputPlan, InsertPlan, InsertSourcePlan, JoinPlan, MergePlan, PExpr, ProbePlan,
-    RightPlan, SelectPlan, SourcePlan, SubPlan, TargetPlan, UpdateKind, UpdatePlan,
+    RightPlan, SelectPlan, SourcePlan, SubPlan, TargetPlan, UpdateKind, UpdatePlan, WindowPlan,
 };
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::catalog::{BatchLocs, Catalog, EqMatches, Table, UpdateMode};
 use crate::error::{Result, SqlError};
 use crate::exec::agg::AggState;
 use crate::exec::eval::{arith, in_list_result, truthy, HashKey};
+use crate::pool::{recycle, take, Pooled, Recycle, POOL_CAP};
 use fempath_storage::{
-    encode_key, BufferPool, Chunk, ColSet, Column, NullMask, Value, CHUNK_CAPACITY,
+    encode_key, BufferPool, Chunk, ColSet, Column, DataType, NullMask, Value, CHUNK_CAPACITY,
 };
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
-
-// ---------------------------------------------------------------------------
-// Chunk reuse
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    /// Recycled chunks: a fresh 7-column chunk costs ~14 vector
-    /// allocations, which dominates point statements (the BDJ inner
-    /// loop); a recycled one costs a few pointer resets. Executions are
-    /// single-threaded per session, so a thread-local free list is safe —
-    /// recursive consumers (derived tables, subqueries) simply take
-    /// additional chunks.
-    static CHUNK_POOL: std::cell::RefCell<Vec<Chunk>> = const { std::cell::RefCell::new(Vec::new()) };
-    /// Recycled selection vectors: every scanned batch starts from the
-    /// identity selection, and a point statement would otherwise allocate
-    /// one per execution.
-    static SEL_POOL: std::cell::RefCell<Vec<Vec<u32>>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Pool bound — beyond this, returned chunks are simply dropped.
-const CHUNK_POOL_CAP: usize = 16;
-
-fn take_chunk() -> Chunk {
-    CHUNK_POOL
-        .with(|p| p.borrow_mut().pop())
-        .map(|mut c| {
-            c.reset_for_reuse();
-            c
-        })
-        .unwrap_or_default()
-}
-
-fn put_chunk(c: Chunk) {
-    // A skewed probe can blow a chunk far past the target batch size;
-    // pooling it would pin that peak allocation for the thread's
-    // lifetime, so oversized chunks are dropped instead.
-    if c.len() > 4 * CHUNK_CAPACITY {
-        return;
-    }
-    CHUNK_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < CHUNK_POOL_CAP {
-            p.push(c);
-        }
-    });
-}
+use std::thread::LocalKey;
 
 /// The identity selection `0..n`, in a recycled buffer.
-fn take_sel(n: usize) -> Vec<u32> {
-    let mut sel = SEL_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+fn take_sel(n: usize) -> Pooled<Vec<u32>> {
+    let mut sel = take::<Vec<u32>>();
     fill_identity(&mut sel, n);
     sel
 }
@@ -95,16 +58,11 @@ fn fill_identity(sel: &mut Vec<u32>, n: usize) {
     sel.extend(0..n as u32);
 }
 
-fn put_sel(sel: Vec<u32>) {
-    if sel.capacity() > 4 * CHUNK_CAPACITY {
-        return; // same peak-pinning concern as `put_chunk`
-    }
-    SEL_POOL.with(|p| {
-        let mut p = p.borrow_mut();
-        if p.len() < CHUNK_POOL_CAP {
-            p.push(sel);
-        }
-    });
+/// A copy of `sel` in a recycled buffer.
+fn copy_sel(sel: &[u32]) -> Pooled<Vec<u32>> {
+    let mut out = take::<Vec<u32>>();
+    out.extend_from_slice(sel);
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -112,26 +70,30 @@ fn put_sel(sel: Vec<u32>) {
 // ---------------------------------------------------------------------------
 
 /// An evaluated expression over one batch, dense over the selection it was
-/// evaluated with (`len == sel.len()`), except for the broadcast constant.
-enum VCol {
+/// evaluated with (position `k` answers row `sel[k]`).
+enum VCol<'a> {
     /// Row-independent value (constants, parameters, scalar subqueries).
     Const(Value),
-    /// Typed integers; `nulls: None` means no row is NULL.
+    /// A column of the batch, read in place: position `k` is row `sel[k]`.
+    Col(&'a Column, &'a [u32]),
+    /// Computed integers, in a recycled buffer, and their NULLs (one mask
+    /// bit per position; a mask without NULLs holds no words).
     Int {
-        vals: Vec<i64>,
-        nulls: Option<NullMask>,
+        vals: Pooled<Vec<i64>>,
+        nulls: NullMask,
     },
     /// Generic fallback.
     Generic(Vec<Value>),
 }
 
-impl VCol {
+impl VCol<'_> {
     /// Value at dense position `k`.
     fn get(&self, k: usize) -> Value {
         match self {
             VCol::Const(v) => v.clone(),
+            VCol::Col(c, sel) => c.get(sel[k] as usize),
             VCol::Int { vals, nulls } => {
-                if nulls.as_ref().is_some_and(|m| m.get(k)) {
+                if nulls.get(k) {
                     Value::Null
                 } else {
                     Value::Int(vals[k])
@@ -144,7 +106,8 @@ impl VCol {
     fn is_null(&self, k: usize) -> bool {
         match self {
             VCol::Const(v) => v.is_null(),
-            VCol::Int { nulls, .. } => nulls.as_ref().is_some_and(|m| m.get(k)),
+            VCol::Col(c, sel) => c.is_null_at(sel[k] as usize),
+            VCol::Int { nulls, .. } => nulls.get(k),
             VCol::Generic(v) => v[k].is_null(),
         }
     }
@@ -153,7 +116,12 @@ impl VCol {
     fn truthy(&self, k: usize) -> bool {
         match self {
             VCol::Const(v) => truthy(v),
-            VCol::Int { vals, nulls } => !nulls.as_ref().is_some_and(|m| m.get(k)) && vals[k] != 0,
+            VCol::Col(Column::Int { vals, nulls }, sel) => {
+                let i = sel[k] as usize;
+                !nulls.get(i) && vals[i] != 0
+            }
+            VCol::Col(Column::Generic(v), sel) => truthy(&v[sel[k] as usize]),
+            VCol::Int { vals, nulls } => !nulls.get(k) && vals[k] != 0,
             VCol::Generic(v) => truthy(&v[k]),
         }
     }
@@ -161,75 +129,237 @@ impl VCol {
     /// `Some(i)` when position `k` holds exactly an integer (`None` for
     /// NULL or any non-integer value).
     fn int_at(&self, k: usize) -> Option<i64> {
-        match self {
-            VCol::Const(Value::Int(i)) => Some(*i),
-            VCol::Const(_) => None,
-            VCol::Int { vals, nulls } => {
-                if nulls.as_ref().is_some_and(|m| m.get(k)) {
-                    None
-                } else {
-                    Some(vals[k])
-                }
-            }
-            VCol::Generic(v) => match &v[k] {
-                Value::Int(i) => Some(*i),
+        match int_view(self) {
+            Some(iv) => iv.get(k),
+            None => match self.get(k) {
+                Value::Int(i) => Some(i),
                 _ => None,
             },
+        }
+    }
+
+    /// Whether every value is an integer or NULL, so the column needs no
+    /// coercion to enter an INT column.
+    fn int_typed(&self) -> bool {
+        match self {
+            VCol::Const(v) => matches!(v, Value::Int(_) | Value::Null),
+            VCol::Col(c, _) => matches!(c, Column::Int { .. }),
+            VCol::Int { .. } => true,
+            VCol::Generic(_) => false,
         }
     }
 }
 
 /// Converts an evaluated column into a storage [`Column`] of `n` rows.
-fn vcol_into_column(v: VCol, n: usize) -> Column {
+fn vcol_into_column(v: VCol<'_>, n: usize) -> Column {
     match v {
         VCol::Int { vals, nulls } => Column::Int {
-            vals,
-            nulls: nulls.unwrap_or_else(|| NullMask::all_valid(n)),
+            vals: vals.into_inner(),
+            nulls,
         },
         VCol::Generic(vals) => Column::Generic(vals),
         VCol::Const(val) => Column::repeat(&val, n),
+        VCol::Col(c, sel) => c.gather(sel),
     }
 }
 
-fn vcols_to_chunk(cols: Vec<VCol>, n: usize) -> Chunk {
-    let out: Vec<Column> = cols.into_iter().map(|c| vcol_into_column(c, n)).collect();
-    Chunk::from_columns(out, n)
+/// Converts a push-built column into an evaluated column.
+fn column_to_vcol(c: Column) -> VCol<'static> {
+    match c {
+        Column::Int { vals, nulls } => VCol::Int {
+            vals: Pooled::from(vals),
+            nulls,
+        },
+        Column::Generic(v) => VCol::Generic(v),
+    }
 }
 
-/// Column-to-column view used by the typed arithmetic/comparison loops:
-/// a dense int slice, a broadcast scalar, or a broadcast NULL.
-enum IntView<'a> {
-    Slice(&'a [i64], Option<&'a NullMask>),
-    Scalar(i64),
-    Null,
-}
-
-/// An all-integer view of an evaluated column, when one exists.
-fn int_view(v: &VCol) -> Option<IntView<'_>> {
+/// Appends the `n` values of an evaluated column to `acc`.
+fn append_vcol(acc: &mut Column, v: &VCol<'_>, n: usize) {
     match v {
-        VCol::Const(Value::Int(i)) => Some(IntView::Scalar(*i)),
-        VCol::Const(Value::Null) => Some(IntView::Null),
-        VCol::Const(_) => None,
-        VCol::Int { vals, nulls } => Some(IntView::Slice(vals, nulls.as_ref())),
-        VCol::Generic(_) => None,
+        VCol::Col(c, sel) => acc.extend_gather(c, sel),
+        VCol::Int { vals, nulls } if !nulls.any() => acc.extend_ints(vals.iter().copied()),
+        VCol::Const(Value::Int(x)) => acc.extend_ints((0..n).map(|_| *x)),
+        _ => (0..n).for_each(|k| acc.push(v.get(k))),
     }
+}
+
+/// Appends the `n` values of `v`, coerced to column `c` of `table`, to
+/// `acc` — straight across when an integer column feeds an INT column
+/// (the FEM steady state), through [`Table::coerce_column`] otherwise.
+fn append_coerced(table: &Table, c: usize, v: VCol<'_>, n: usize, acc: &mut Column) -> Result<()> {
+    if v.int_typed() && table.schema.columns[c].dtype == DataType::Int {
+        append_vcol(acc, &v, n);
+    } else {
+        acc.append(table.coerce_column(c, vcol_into_column(v, n))?);
+    }
+    Ok(())
+}
+
+/// A NULL-free integer operand of a typed kernel, read by dense position.
+#[derive(Clone, Copy)]
+enum IntSrc<'a> {
+    /// Position `k` is `vals[k]`.
+    Dense(&'a [i64]),
+    /// Position `k` is `vals[sel[k]]` (a column read in place).
+    Gather(&'a [i64], &'a [u32]),
+    /// Every position holds the same value.
+    Splat(i64),
+}
+
+impl IntSrc<'_> {
+    #[inline]
+    fn at(self, k: usize) -> i64 {
+        match self {
+            IntSrc::Dense(v) => v[k],
+            IntSrc::Gather(v, sel) => v[sel[k] as usize],
+            IntSrc::Splat(x) => x,
+        }
+    }
+}
+
+/// Where the NULLs of an [`IntView`] are.
+#[derive(Clone, Copy)]
+enum Nulls<'a> {
+    /// Nowhere.
+    None,
+    /// Everywhere (a NULL constant).
+    All,
+    /// At the positions the mask flags.
+    Dense(&'a NullMask),
+    /// At the positions `k` whose row `sel[k]` the mask flags.
+    Gather(&'a NullMask, &'a [u32]),
+}
+
+/// An all-integer view of an evaluated column: its values and its NULLs.
+#[derive(Clone, Copy)]
+struct IntView<'a> {
+    src: IntSrc<'a>,
+    nulls: Nulls<'a>,
 }
 
 impl IntView<'_> {
+    fn null_free(&self) -> bool {
+        matches!(self.nulls, Nulls::None)
+    }
+
     #[inline]
     fn get(&self, k: usize) -> Option<i64> {
-        match self {
-            IntView::Slice(vals, nulls) => {
-                if nulls.is_some_and(|m| m.get(k)) {
-                    None
-                } else {
-                    Some(vals[k])
-                }
+        let null = match self.nulls {
+            Nulls::None => false,
+            Nulls::All => true,
+            Nulls::Dense(m) => m.get(k),
+            Nulls::Gather(m, sel) => m.get(sel[k] as usize),
+        };
+        (!null).then(|| self.src.at(k))
+    }
+}
+
+/// The all-integer view of an evaluated column, when it has one.
+fn int_view<'v>(v: &'v VCol<'_>) -> Option<IntView<'v>> {
+    let view = |src, nulls| Some(IntView { src, nulls });
+    match v {
+        VCol::Const(Value::Int(i)) => view(IntSrc::Splat(*i), Nulls::None),
+        VCol::Const(Value::Null) => view(IntSrc::Splat(0), Nulls::All),
+        VCol::Col(Column::Int { vals, nulls }, sel) => view(
+            IntSrc::Gather(vals, sel),
+            if nulls.any() {
+                Nulls::Gather(nulls, sel)
+            } else {
+                Nulls::None
+            },
+        ),
+        VCol::Int { vals, nulls } => view(
+            IntSrc::Dense(vals),
+            if nulls.any() {
+                Nulls::Dense(nulls)
+            } else {
+                Nulls::None
+            },
+        ),
+        VCol::Const(_) | VCol::Col(Column::Generic(_), _) | VCol::Generic(_) => None,
+    }
+}
+
+/// Binds `$f` to a reader of the [`IntSrc`] `$src` by dense position, once
+/// per source shape, so the kernel `$body` is compiled for each shape.
+macro_rules! with_src {
+    ($src:expr, |$f:ident| $body:expr) => {
+        match $src {
+            IntSrc::Dense(v) => {
+                let $f = |k: usize| v[k];
+                $body
             }
-            IntView::Scalar(i) => Some(*i),
-            IntView::Null => None,
+            IntSrc::Gather(v, sel) => {
+                let $f = |k: usize| v[sel[k] as usize];
+                $body
+            }
+            IntSrc::Splat(x) => {
+                let $f = |_: usize| x;
+                $body
+            }
+        }
+    };
+}
+
+/// `out[k] = a(k) <op> b(k)` as 0/1 for `k < n`: one typed loop per
+/// comparison operator.
+fn cmp_kernel(
+    op: BinaryOp,
+    n: usize,
+    a: impl Fn(usize) -> i64,
+    b: impl Fn(usize) -> i64,
+    out: &mut Vec<i64>,
+) {
+    fn fill(out: &mut Vec<i64>, n: usize, holds: impl Fn(usize) -> bool) {
+        out.extend((0..n).map(|k| i64::from(holds(k))));
+    }
+    match op {
+        BinaryOp::Eq => fill(out, n, |k| a(k) == b(k)),
+        BinaryOp::NotEq => fill(out, n, |k| a(k) != b(k)),
+        BinaryOp::Lt => fill(out, n, |k| a(k) < b(k)),
+        BinaryOp::LtEq => fill(out, n, |k| a(k) <= b(k)),
+        BinaryOp::Gt => fill(out, n, |k| a(k) > b(k)),
+        BinaryOp::GtEq => fill(out, n, |k| a(k) >= b(k)),
+        _ => unreachable!("comparison operator expected"),
+    }
+}
+
+/// `out[k] = a(k) <op> b(k)` for `k < n`: one typed loop per arithmetic
+/// operator (wrapping, like the interpreter); a zero divisor errors.
+fn arith_kernel(
+    op: BinaryOp,
+    n: usize,
+    a: impl Fn(usize) -> i64,
+    b: impl Fn(usize) -> i64,
+    out: &mut Vec<i64>,
+) -> Result<()> {
+    match op {
+        BinaryOp::Add => out.extend((0..n).map(|k| a(k).wrapping_add(b(k)))),
+        BinaryOp::Sub => out.extend((0..n).map(|k| a(k).wrapping_sub(b(k)))),
+        BinaryOp::Mul => out.extend((0..n).map(|k| a(k).wrapping_mul(b(k)))),
+        _ => {
+            for k in 0..n {
+                out.push(arith_int(op, a(k), b(k))?);
+            }
         }
     }
+    Ok(())
+}
+
+/// One integer arithmetic step, as the interpreter computes it.
+fn arith_int(op: BinaryOp, x: i64, y: i64) -> Result<i64> {
+    Ok(match op {
+        BinaryOp::Add => x.wrapping_add(y),
+        BinaryOp::Sub => x.wrapping_sub(y),
+        BinaryOp::Mul => x.wrapping_mul(y),
+        BinaryOp::Div | BinaryOp::Mod if y == 0 => {
+            return Err(SqlError::Eval("division by zero".into()))
+        }
+        BinaryOp::Div => x.wrapping_div(y),
+        BinaryOp::Mod => x.wrapping_rem(y),
+        _ => unreachable!("arithmetic operator expected"),
+    })
 }
 
 fn cmp_holds(op: BinaryOp, ord: std::cmp::Ordering) -> bool {
@@ -267,8 +397,9 @@ fn is_arith(op: BinaryOp) -> bool {
 /// result dense over the selection. Callers never pass an empty selection
 /// (so row-independent subexpressions are not evaluated for zero rows,
 /// matching the interpreter's per-row laziness).
-fn eval_v(e: &PExpr, chunk: &Chunk, sel: &[u32], env: &Env<'_>) -> Result<VCol> {
+fn eval_v<'a>(e: &PExpr, chunk: &'a Chunk, sel: &'a [u32], env: &Env<'_>) -> Result<VCol<'a>> {
     debug_assert!(!sel.is_empty());
+    let n = sel.len();
     Ok(match e {
         PExpr::Const(v) => VCol::Const(v.clone()),
         PExpr::Param(i) => {
@@ -287,43 +418,38 @@ fn eval_v(e: &PExpr, chunk: &Chunk, sel: &[u32], env: &Env<'_>) -> Result<VCol> 
             };
             VCol::Const(Value::Int(i64::from(*exists != *negated)))
         }
-        PExpr::Col(i) => match chunk.col(*i) {
-            Column::Int { vals, nulls } => {
-                let mut out = Vec::with_capacity(sel.len());
-                if nulls.any() {
-                    let mut m = NullMask::new();
-                    for &r in sel {
-                        out.push(vals[r as usize]);
-                        m.push(nulls.get(r as usize));
-                    }
-                    let nulls = if m.any() { Some(m) } else { None };
-                    VCol::Int { vals: out, nulls }
-                } else {
-                    for &r in sel {
-                        out.push(vals[r as usize]);
-                    }
-                    VCol::Int {
-                        vals: out,
-                        nulls: None,
-                    }
-                }
-            }
-            Column::Generic(v) => {
-                VCol::Generic(sel.iter().map(|&r| v[r as usize].clone()).collect())
-            }
-        },
+        PExpr::Col(i) => VCol::Col(chunk.col(*i), sel),
         PExpr::Unary { op, e } => {
             let v = eval_v(e, chunk, sel, env)?;
             match op {
-                UnaryOp::Neg => match &v {
-                    VCol::Int { vals, nulls } => VCol::Int {
-                        vals: vals.iter().map(|&i| -i).collect(),
-                        nulls: nulls.clone(),
-                    },
-                    other => {
+                UnaryOp::Neg => match (&v, int_view(&v)) {
+                    (VCol::Const(c), _) => VCol::Const(match c {
+                        Value::Int(i) => Value::Int(-i),
+                        Value::Float(f) => Value::Float(-f),
+                        Value::Null => Value::Null,
+                        Value::Text(_) => return Err(SqlError::Eval("cannot negate text".into())),
+                    }),
+                    (VCol::Col(..) | VCol::Int { .. }, Some(iv)) => {
+                        let mut vals = take::<Vec<i64>>();
+                        let mut nulls = NullMask::new();
+                        for k in 0..n {
+                            match iv.get(k) {
+                                Some(x) => {
+                                    vals.push(-x);
+                                    nulls.push(false);
+                                }
+                                None => {
+                                    vals.push(0);
+                                    nulls.push(true);
+                                }
+                            }
+                        }
+                        VCol::Int { vals, nulls }
+                    }
+                    _ => {
                         let mut out = Column::new_int();
-                        for k in 0..sel.len() {
-                            out.push(match other.get(k) {
+                        for k in 0..n {
+                            out.push(match v.get(k) {
                                 Value::Int(i) => Value::Int(-i),
                                 Value::Float(f) => Value::Float(-f),
                                 Value::Null => Value::Null,
@@ -336,30 +462,25 @@ fn eval_v(e: &PExpr, chunk: &Chunk, sel: &[u32], env: &Env<'_>) -> Result<VCol> 
                     }
                 },
                 UnaryOp::Not => {
-                    let mut vals = Vec::with_capacity(sel.len());
-                    let mut m = NullMask::new();
-                    for k in 0..sel.len() {
-                        if v.is_null(k) {
-                            vals.push(0);
-                            m.push(true);
-                        } else {
-                            vals.push(i64::from(!v.truthy(k)));
-                            m.push(false);
-                        }
+                    let mut vals = take::<Vec<i64>>();
+                    let mut nulls = NullMask::new();
+                    for k in 0..n {
+                        let null = v.is_null(k);
+                        vals.push(i64::from(!null && !v.truthy(k)));
+                        nulls.push(null);
                     }
-                    VCol::Int {
-                        vals,
-                        nulls: if m.any() { Some(m) } else { None },
-                    }
+                    VCol::Int { vals, nulls }
                 }
             }
         }
         PExpr::IsNull { e, negated } => {
             let v = eval_v(e, chunk, sel, env)?;
-            let vals: Vec<i64> = (0..sel.len())
-                .map(|k| i64::from(v.is_null(k) != *negated))
-                .collect();
-            VCol::Int { vals, nulls: None }
+            let mut vals = take::<Vec<i64>>();
+            vals.extend((0..n).map(|k| i64::from(v.is_null(k) != *negated)));
+            VCol::Int {
+                vals,
+                nulls: NullMask::all_valid(n),
+            }
         }
         PExpr::InSub { e, sub, negated } => {
             let v = eval_v(e, chunk, sel, env)?;
@@ -367,7 +488,7 @@ fn eval_v(e: &PExpr, chunk: &Chunk, sel: &[u32], env: &Env<'_>) -> Result<VCol> 
                 unreachable!("slot kind fixed at plan time")
             };
             let mut out = Column::new_int();
-            for k in 0..sel.len() {
+            for k in 0..n {
                 out.push(in_list_result(&v.get(k), list, *has_null, *negated));
             }
             column_to_vcol(out)
@@ -376,33 +497,23 @@ fn eval_v(e: &PExpr, chunk: &Chunk, sel: &[u32], env: &Env<'_>) -> Result<VCol> 
     })
 }
 
-/// Converts a push-built column into an evaluated column.
-fn column_to_vcol(c: Column) -> VCol {
-    match c {
-        Column::Int { vals, nulls } => {
-            let nulls = if nulls.any() { Some(nulls) } else { None };
-            VCol::Int { vals, nulls }
-        }
-        Column::Generic(v) => VCol::Generic(v),
-    }
-}
-
-fn eval_binary(
+fn eval_binary<'a>(
     l: &PExpr,
     op: BinaryOp,
     r: &PExpr,
-    chunk: &Chunk,
-    sel: &[u32],
+    chunk: &'a Chunk,
+    sel: &'a [u32],
     env: &Env<'_>,
-) -> Result<VCol> {
+) -> Result<VCol<'a>> {
+    let n = sel.len();
     // AND/OR keep the interpreter's per-row short-circuit: the right side is
     // only evaluated for rows the left side did not decide, so an error in
     // the right operand surfaces for exactly the rows it would have.
     if matches!(op, BinaryOp::And | BinaryOp::Or) {
         let and = op == BinaryOp::And;
         let lv = eval_v(l, chunk, sel, env)?;
-        let mut need: Vec<u32> = Vec::new();
-        let mut need_pos: Vec<usize> = Vec::new();
+        let mut need = take::<Vec<u32>>();
+        let mut need_pos = take::<Vec<u32>>();
         for (k, &r0) in sel.iter().enumerate() {
             let ln = lv.is_null(k);
             let lt = lv.truthy(k);
@@ -411,15 +522,16 @@ fn eval_binary(
             let decided = if and { !ln && !lt } else { lt };
             if !decided {
                 need.push(r0);
-                need_pos.push(k);
+                need_pos.push(k as u32);
             }
         }
-        let decided_val = i64::from(!and);
-        let mut vals = vec![decided_val; sel.len()];
-        let mut m = NullMask::all_valid(sel.len());
+        let mut vals = take::<Vec<i64>>();
+        vals.resize(n, i64::from(!and));
+        let mut nulls = NullMask::all_valid(n);
         if !need.is_empty() {
             let rv = eval_v(r, chunk, &need, env)?;
             for (j, &k) in need_pos.iter().enumerate() {
+                let k = k as usize;
                 let ln = lv.is_null(k);
                 let rn = rv.is_null(j);
                 let rt = rv.truthy(j);
@@ -442,122 +554,54 @@ fn eval_binary(
                     Some(v) => vals[k] = v,
                     None => {
                         vals[k] = 0;
-                        m.set_null(k);
+                        nulls.set_null(k);
                     }
                 }
             }
         }
-        let nulls = if m.any() { Some(m) } else { None };
         return Ok(VCol::Int { vals, nulls });
     }
 
     let lv = eval_v(l, chunk, sel, env)?;
     let rv = eval_v(r, chunk, sel, env)?;
-    let n = sel.len();
 
     if let (Some(a), Some(b)) = (int_view(&lv), int_view(&rv)) {
-        if is_cmp(op) {
-            let mut vals = Vec::with_capacity(n);
-            let mut m = NullMask::new();
-            // The fully-dense slice/slice and slice/scalar shapes are the
-            // FEM hot loops; the generic Option walk covers the rest.
-            match (&a, &b) {
-                (IntView::Slice(av, None), IntView::Slice(bv, None)) => {
-                    for k in 0..n {
-                        vals.push(i64::from(cmp_holds(op, av[k].cmp(&bv[k]))));
-                    }
-                    return Ok(VCol::Int { vals, nulls: None });
-                }
-                (IntView::Slice(av, None), IntView::Scalar(x)) => {
-                    for v in av.iter() {
-                        vals.push(i64::from(cmp_holds(op, v.cmp(x))));
-                    }
-                    return Ok(VCol::Int { vals, nulls: None });
-                }
-                (IntView::Scalar(x), IntView::Slice(bv, None)) => {
-                    for v in bv.iter() {
-                        vals.push(i64::from(cmp_holds(op, x.cmp(v))));
-                    }
-                    return Ok(VCol::Int { vals, nulls: None });
-                }
-                _ => {}
+        let mut vals = take::<Vec<i64>>();
+        // Both sides NULL-free: one typed loop per operator and operand
+        // shape (the FEM comparisons and additive distance terms).
+        if a.null_free() && b.null_free() {
+            if is_cmp(op) {
+                with_src!(a.src, |fa| with_src!(b.src, |fb| cmp_kernel(
+                    op, n, fa, fb, &mut vals
+                )));
+            } else {
+                with_src!(a.src, |fa| with_src!(b.src, |fb| arith_kernel(
+                    op, n, fa, fb, &mut vals
+                )))?;
             }
-            for k in 0..n {
-                match (a.get(k), b.get(k)) {
-                    (Some(x), Some(y)) => {
-                        vals.push(i64::from(cmp_holds(op, x.cmp(&y))));
-                        m.push(false);
-                    }
-                    _ => {
-                        vals.push(0);
-                        m.push(true);
-                    }
-                }
-            }
-            let nulls = if m.any() { Some(m) } else { None };
-            return Ok(VCol::Int { vals, nulls });
+            return Ok(VCol::Int {
+                vals,
+                nulls: NullMask::all_valid(n),
+            });
         }
-        if is_arith(op) {
-            let mut vals = Vec::with_capacity(n);
-            let mut m = NullMask::new();
-            let mut any_null = false;
-            match (&a, &b, op) {
-                // Dense no-null fast loops for the additive FEM shapes.
-                (IntView::Slice(av, None), IntView::Slice(bv, None), BinaryOp::Add) => {
-                    for k in 0..n {
-                        vals.push(av[k].wrapping_add(bv[k]));
-                    }
-                    return Ok(VCol::Int { vals, nulls: None });
+        let mut nulls = NullMask::new();
+        for k in 0..n {
+            match (a.get(k), b.get(k)) {
+                (Some(x), Some(y)) => {
+                    vals.push(if is_cmp(op) {
+                        i64::from(cmp_holds(op, x.cmp(&y)))
+                    } else {
+                        arith_int(op, x, y)?
+                    });
+                    nulls.push(false);
                 }
-                (IntView::Slice(av, None), IntView::Scalar(x), BinaryOp::Add) => {
-                    for v in av.iter() {
-                        vals.push(v.wrapping_add(*x));
-                    }
-                    return Ok(VCol::Int { vals, nulls: None });
-                }
-                (IntView::Slice(av, None), IntView::Scalar(x), BinaryOp::Mul) => {
-                    for v in av.iter() {
-                        vals.push(v.wrapping_mul(*x));
-                    }
-                    return Ok(VCol::Int { vals, nulls: None });
-                }
-                _ => {}
-            }
-            for k in 0..n {
-                match (a.get(k), b.get(k)) {
-                    (Some(x), Some(y)) => {
-                        let v = match op {
-                            BinaryOp::Add => x.wrapping_add(y),
-                            BinaryOp::Sub => x.wrapping_sub(y),
-                            BinaryOp::Mul => x.wrapping_mul(y),
-                            BinaryOp::Div => {
-                                if y == 0 {
-                                    return Err(SqlError::Eval("division by zero".into()));
-                                }
-                                x.wrapping_div(y)
-                            }
-                            BinaryOp::Mod => {
-                                if y == 0 {
-                                    return Err(SqlError::Eval("division by zero".into()));
-                                }
-                                x.wrapping_rem(y)
-                            }
-                            _ => unreachable!(),
-                        };
-                        vals.push(v);
-                        m.push(false);
-                    }
-                    _ => {
-                        vals.push(0);
-                        m.push(true);
-                        any_null = true;
-                    }
+                _ => {
+                    vals.push(0);
+                    nulls.push(true);
                 }
             }
-            let nulls = if any_null { Some(m) } else { None };
-            return Ok(VCol::Int { vals, nulls });
         }
-        unreachable!("AND/OR handled above");
+        return Ok(VCol::Int { vals, nulls });
     }
 
     // Generic per-row fallback (floats, text, mixed columns).
@@ -581,15 +625,51 @@ fn eval_binary(
 // Filters (selection vectors)
 // ---------------------------------------------------------------------------
 
-/// Narrows `sel` to the rows where `p` is true. The single hot shape —
-/// `col <cmp> const/param` and `col <cmp> col` over integer columns —
-/// filters the chunk columns directly, with no intermediate result vector.
+/// Keeps the rows `i` of `sel` for which `keep(i)` holds, in order: a
+/// branch-free compaction (every row is written, the write cursor advances
+/// by the predicate).
+#[inline(always)]
+fn compact(sel: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let mut w = 0;
+    for r in 0..sel.len() {
+        let i = sel[r];
+        sel[w] = i;
+        w += usize::from(keep(i as usize));
+    }
+    sel.truncate(w);
+}
+
+/// Narrows `sel` to the rows `i` where `a(i) <op> b(i)`, over NULL-free
+/// integers: one compaction loop per comparison operator.
+fn filter_cmp(
+    op: BinaryOp,
+    sel: &mut Vec<u32>,
+    a: impl Fn(usize) -> i64,
+    b: impl Fn(usize) -> i64,
+) {
+    match op {
+        BinaryOp::Eq => compact(sel, |i| a(i) == b(i)),
+        BinaryOp::NotEq => compact(sel, |i| a(i) != b(i)),
+        BinaryOp::Lt => compact(sel, |i| a(i) < b(i)),
+        BinaryOp::LtEq => compact(sel, |i| a(i) <= b(i)),
+        BinaryOp::Gt => compact(sel, |i| a(i) > b(i)),
+        BinaryOp::GtEq => compact(sel, |i| a(i) >= b(i)),
+        _ => unreachable!("comparison operator expected"),
+    }
+}
+
+/// Narrows `sel` to the rows where `p` is true. The hot shapes —
+/// `col <cmp> const/param` (either operand order) and `col <cmp> col`
+/// over integer columns — filter the chunk columns directly, with no
+/// intermediate result vector: a typed compaction kernel when the columns
+/// hold no NULL, a NULL-aware walk otherwise.
 fn apply_pred(p: &PExpr, chunk: &Chunk, sel: &mut Vec<u32>, env: &Env<'_>) -> Result<()> {
     if sel.is_empty() {
         return Ok(());
     }
     if let PExpr::Binary { l, op, r } = p {
-        if is_cmp(*op) {
+        let op = *op;
+        if is_cmp(op) {
             match (l.as_ref(), r.as_ref()) {
                 (PExpr::Col(a), PExpr::Col(b)) => {
                     if let (
@@ -603,40 +683,59 @@ fn apply_pred(p: &PExpr, chunk: &Chunk, sel: &mut Vec<u32>, env: &Env<'_>) -> Re
                         },
                     ) = (chunk.col(*a), chunk.col(*b))
                     {
-                        sel.retain(|&i| {
-                            let i = i as usize;
-                            !na.get(i) && !nb.get(i) && cmp_holds(*op, va[i].cmp(&vb[i]))
-                        });
+                        if na.any() || nb.any() {
+                            sel.retain(|&i| {
+                                let i = i as usize;
+                                !na.get(i) && !nb.get(i) && cmp_holds(op, va[i].cmp(&vb[i]))
+                            });
+                        } else {
+                            filter_cmp(op, sel, |i| va[i], |i| vb[i]);
+                        }
                         return Ok(());
                     }
                 }
                 (PExpr::Col(a), rhs) => {
                     if let Some(v) = scalar_operand(rhs, env)? {
-                        if let (Column::Int { vals, nulls }, Value::Int(x)) = (chunk.col(*a), &v) {
-                            sel.retain(|&i| {
-                                let i = i as usize;
-                                !nulls.get(i) && cmp_holds(*op, vals[i].cmp(x))
-                            });
-                            return Ok(());
-                        }
-                        if v.is_null() {
-                            sel.clear(); // col <cmp> NULL is never true
-                            return Ok(());
+                        match (chunk.col(*a), &v) {
+                            (Column::Int { vals, nulls }, &Value::Int(x)) => {
+                                if nulls.any() {
+                                    sel.retain(|&i| {
+                                        !nulls.get(i as usize)
+                                            && cmp_holds(op, vals[i as usize].cmp(&x))
+                                    });
+                                } else {
+                                    filter_cmp(op, sel, |i| vals[i], |_| x);
+                                }
+                                return Ok(());
+                            }
+                            // col <cmp> NULL is never true
+                            (_, Value::Null) => {
+                                sel.clear();
+                                return Ok(());
+                            }
+                            _ => {}
                         }
                     }
                 }
                 (lhs, PExpr::Col(a)) => {
                     if let Some(v) = scalar_operand(lhs, env)? {
-                        if let (Column::Int { vals, nulls }, Value::Int(x)) = (chunk.col(*a), &v) {
-                            sel.retain(|&i| {
-                                let i = i as usize;
-                                !nulls.get(i) && cmp_holds(*op, x.cmp(&vals[i]))
-                            });
-                            return Ok(());
-                        }
-                        if v.is_null() {
-                            sel.clear();
-                            return Ok(());
+                        match (chunk.col(*a), &v) {
+                            (Column::Int { vals, nulls }, &Value::Int(x)) => {
+                                if nulls.any() {
+                                    sel.retain(|&i| {
+                                        !nulls.get(i as usize)
+                                            && cmp_holds(op, x.cmp(&vals[i as usize]))
+                                    });
+                                } else {
+                                    filter_cmp(op, sel, |_| x, |i| vals[i]);
+                                }
+                                return Ok(());
+                            }
+                            (_, Value::Null) => {
+                                sel.clear();
+                                return Ok(());
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -644,13 +743,15 @@ fn apply_pred(p: &PExpr, chunk: &Chunk, sel: &mut Vec<u32>, env: &Env<'_>) -> Re
             }
         }
     }
-    let v = eval_v(p, chunk, sel, env)?;
-    let mut k = 0usize;
-    sel.retain(|_| {
-        let keep = v.truthy(k);
-        k += 1;
-        keep
-    });
+    let cur = copy_sel(sel);
+    let v = eval_v(p, chunk, &cur, env)?;
+    sel.clear();
+    sel.extend(
+        cur.iter()
+            .enumerate()
+            .filter(|&(k, _)| v.truthy(k))
+            .map(|(_, &i)| i),
+    );
     Ok(())
 }
 
@@ -707,9 +808,9 @@ fn stream_source_v(
         InputPlan::Scan { table, read, .. } => {
             let t = catalog.table(table)?;
             let mut cursor = t.batch_cursor(pool)?;
-            let mut chunk = take_chunk();
-            let mut sel = take_sel(0);
-            let res = (|| loop {
+            let mut chunk = take::<Chunk>();
+            let mut sel = take::<Vec<u32>>();
+            loop {
                 chunk.reset();
                 let more = t.next_batch(
                     pool,
@@ -729,10 +830,7 @@ fn stream_source_v(
                 if !more {
                     return Ok(());
                 }
-            })();
-            put_chunk(chunk);
-            put_sel(sel);
-            res
+            }
         }
         InputPlan::Lookup {
             table,
@@ -744,38 +842,29 @@ fn stream_source_v(
         } => {
             let key_vals = probe_keys(keys, env)?;
             let t = catalog.table(table)?;
-            let mut chunk = take_chunk();
-            let res = (|| {
-                let found = EqMatches {
-                    rows: &mut chunk,
-                    src: None,
-                    locs: None,
-                };
-                t.probe_eq(pool, *path, cols, &key_vals, &read.set, found)?;
-                if !chunk.is_empty() {
-                    let mut sel = take_sel(chunk.len());
-                    apply_filter(&sp.filter, &chunk, &mut sel, env)?;
-                    if !sel.is_empty() {
-                        f(&chunk, &sel)?;
-                    }
-                    put_sel(sel);
+            let mut chunk = take::<Chunk>();
+            let found = EqMatches {
+                rows: &mut chunk,
+                src: None,
+                locs: None,
+            };
+            t.probe_eq(pool, *path, cols, &key_vals, &read.set, found)?;
+            if !chunk.is_empty() {
+                let mut sel = take_sel(chunk.len());
+                apply_filter(&sp.filter, &chunk, &mut sel, env)?;
+                if !sel.is_empty() {
+                    f(&chunk, &sel)?;
                 }
-                Ok(())
-            })();
-            put_chunk(chunk);
-            res
+            }
+            Ok(())
         }
         InputPlan::Derived(sub) => {
             let chunks = run_select_chunks(pool, catalog, env.params, sub)?;
-            for chunk in &chunks {
-                if chunk.is_empty() {
-                    continue;
-                }
-                let mut sel = take_sel(chunk.len());
+            let mut sel = take::<Vec<u32>>();
+            for chunk in chunks.iter().filter(|c| !c.is_empty()) {
+                fill_identity(&mut sel, chunk.len());
                 apply_filter(&sp.filter, chunk, &mut sel, env)?;
-                let go = sel.is_empty() || f(chunk, &sel)?;
-                put_sel(sel);
-                if !go {
+                if !sel.is_empty() && !f(chunk, &sel)? {
                     break;
                 }
             }
@@ -785,18 +874,32 @@ fn stream_source_v(
 }
 
 /// Evaluates an index probe's row-independent key expressions.
-fn probe_keys(keys: &[PExpr], env: &Env<'_>) -> Result<Vec<Value>> {
-    keys.iter().map(|k| exec::eval_px(k, &[], env)).collect()
+fn probe_keys(keys: &[PExpr], env: &Env<'_>) -> Result<Pooled<Vec<Value>>> {
+    let mut out = take::<Vec<Value>>();
+    for k in keys {
+        out.push(exec::eval_px(k, &[], env)?);
+    }
+    Ok(out)
 }
 
-/// The probe keys of a batch: the value of every key column at each of
-/// the `n` dense positions, laid end to end (see [`Table::probe_eq`]).
-fn batch_keys(kcols: &[VCol], n: usize) -> Vec<Value> {
-    let mut keys = Vec::with_capacity(n * kcols.len());
-    for k in 0..n {
-        keys.extend(kcols.iter().map(|c| c.get(k)));
+/// The probe keys of a batch: the value of every key expression at each
+/// selected row, laid end to end (see [`Table::probe_eq`]).
+fn batch_keys(
+    keys: &[PExpr],
+    chunk: &Chunk,
+    sel: &[u32],
+    env: &Env<'_>,
+) -> Result<Pooled<Vec<Value>>> {
+    let (nk, n) = (keys.len(), sel.len());
+    let mut out = take::<Vec<Value>>();
+    out.resize(n * nk, Value::Null);
+    for (j, e) in keys.iter().enumerate() {
+        let v = eval_v(e, chunk, sel, env)?;
+        for k in 0..n {
+            out[k * nk + j] = v.get(k);
+        }
     }
-    keys
+    Ok(out)
 }
 
 /// Materializes a join stage's right side as one columnar batch.
@@ -817,7 +920,7 @@ fn materialize_right_v(
         RightPlan::Derived(sub) => {
             let chunks = run_select_chunks(pool, catalog, env.params, sub)?;
             let mut out = Chunk::new();
-            for c in &chunks {
+            for c in chunks.iter() {
                 out.append(c);
             }
             Ok(out)
@@ -826,10 +929,9 @@ fn materialize_right_v(
 }
 
 /// Per-execution runtime state of one join stage.
-enum VStageRt<'a> {
-    Index {
-        table: &'a Table,
-    },
+enum VStageRt {
+    /// An index nested loop reads its table through the catalog.
+    Index,
     Hash {
         chunk: Chunk,
         /// Single-integer-key build table (the FEM join shape): probes
@@ -843,27 +945,27 @@ enum VStageRt<'a> {
     },
 }
 
-fn build_stage_rts_v<'a>(
+recycle!(Vec<VStageRt>, |v| keep: v.capacity() > 0 && v.capacity() <= POOL_CAP,
+    reset: v.clear());
+
+fn build_stage_rts_v(
     pool: &mut BufferPool,
-    catalog: &'a Catalog,
+    catalog: &Catalog,
     env: &Env<'_>,
     joins: &[JoinPlan],
-) -> Result<Vec<VStageRt<'a>>> {
-    let mut rts = Vec::with_capacity(joins.len());
+) -> Result<Pooled<Vec<VStageRt>>> {
+    let mut rts = take::<Vec<VStageRt>>();
     for j in joins {
         let rt = match j {
-            JoinPlan::IndexLoop { table, .. } => VStageRt::Index {
-                table: catalog.table(table)?,
-            },
+            JoinPlan::IndexLoop { .. } => VStageRt::Index,
             JoinPlan::Hash {
                 right, right_cols, ..
             } => {
                 let chunk = materialize_right_v(pool, catalog, env, right)?;
                 let mut int_ht = None;
                 let mut gen_ht = None;
-                // An empty build side materializes as a zero-column chunk
-                // (no row ever fixed its width), so the column probe below
-                // is only valid when rows exist.
+                // An empty build side may hold no rows to fix its width, so
+                // the column probe below is only valid when rows exist.
                 if let ([c], false) = (&right_cols[..], chunk.is_empty()) {
                     if let Column::Int { vals, nulls } = chunk.col(*c) {
                         let mut ht: HashMap<i64, Vec<u32>> = HashMap::new();
@@ -908,21 +1010,27 @@ fn build_stage_rts_v<'a>(
     Ok(rts)
 }
 
+/// A join stage's output batch and the selection its residual left.
+type StageOut = (Pooled<Chunk>, Pooled<Vec<u32>>);
+
 /// Runs one join stage over a whole batch, producing the combined batch
-/// (left columns gathered per match, right columns appended) with the
+/// (left columns gathered per match, right columns beside them) with the
 /// stage residual already applied as its selection.
+#[allow(clippy::too_many_arguments)]
 fn apply_stage(
     pool: &mut BufferPool,
+    catalog: &Catalog,
     env: &Env<'_>,
     join: &JoinPlan,
-    rt: &mut VStageRt<'_>,
+    rt: &mut VStageRt,
     chunk: &Chunk,
     sel: &[u32],
     stop: &mut bool,
-) -> Result<(Chunk, Vec<u32>)> {
+) -> Result<StageOut> {
     match (join, rt) {
         (
             JoinPlan::IndexLoop {
+                table,
                 keys,
                 path_cols,
                 path,
@@ -930,15 +1038,13 @@ fn apply_stage(
                 read,
                 ..
             },
-            VStageRt::Index { table },
+            VStageRt::Index,
         ) => {
-            let kcols: Vec<VCol> = keys
-                .iter()
-                .map(|k| eval_v(k, chunk, sel, env))
-                .collect::<Result<_>>()?;
-            let keys = batch_keys(&kcols, sel.len());
-            let mut right = Chunk::new();
-            let mut lidx: Vec<u32> = Vec::new();
+            let table = catalog.table(table)?;
+            let keys = batch_keys(keys, chunk, sel, env)?;
+            let mut right = take::<Chunk>();
+            right.set_width(table.schema.columns.len());
+            let mut lidx = take::<Vec<u32>>();
             let found = EqMatches {
                 rows: &mut right,
                 src: Some(&mut lidx),
@@ -946,11 +1052,12 @@ fn apply_stage(
             };
             table.probe_eq(pool, *path, path_cols, &keys, &read.set, found)?;
             // Each match's key position in `sel` becomes its left row.
-            for k in &mut lidx {
+            for k in lidx.iter_mut() {
                 *k = sel[*k as usize];
             }
-            let out = chunk.gather(&lidx).hcat(right);
-            let mut sel_out: Vec<u32> = (0..out.len() as u32).collect();
+            let mut out = take::<Chunk>();
+            out.append_joined(chunk, &lidx, &right, None);
+            let mut sel_out = take_sel(out.len());
             apply_filter(residual, &out, &mut sel_out, env)?;
             Ok((out, sel_out))
         }
@@ -970,8 +1077,8 @@ fn apply_stage(
                 .iter()
                 .map(|k| eval_v(k, chunk, sel, env))
                 .collect::<Result<_>>()?;
-            let mut lidx: Vec<u32> = Vec::new();
-            let mut ridx: Vec<u32> = Vec::new();
+            let mut lidx = take::<Vec<u32>>();
+            let mut ridx = take::<Vec<u32>>();
             if let (Some(ht), [kc]) = (int_ht.as_ref(), &kcols[..]) {
                 // Bare-integer probe: HashKey semantics make a non-integer
                 // probe value never match an integer build key.
@@ -1007,8 +1114,9 @@ fn apply_stage(
                     }
                 }
             }
-            let out = chunk.gather(&lidx).hcat(rchunk.gather(&ridx));
-            let mut sel_out: Vec<u32> = (0..out.len() as u32).collect();
+            let mut out = take::<Chunk>();
+            out.append_joined(chunk, &lidx, rchunk, Some(&ridx));
+            let mut sel_out = take_sel(out.len());
             apply_filter(residual, &out, &mut sel_out, env)?;
             Ok((out, sel_out))
         }
@@ -1021,7 +1129,7 @@ fn apply_stage(
         ) => {
             let rn = rchunk.len() as u32;
             let all_right: Vec<u32> = (0..rn).collect();
-            let mut out = Chunk::new();
+            let mut out = take::<Chunk>();
             // The right side is cloned once; per left row only the left
             // columns of the combined batch are rewritten in place.
             let mut comb: Option<Chunk> = None;
@@ -1053,7 +1161,7 @@ fn apply_stage(
                     break;
                 }
             }
-            let sel_out: Vec<u32> = (0..out.len() as u32).collect();
+            let sel_out = take_sel(out.len());
             Ok((out, sel_out))
         }
         _ => unreachable!("runtime built from the same join list"),
@@ -1073,7 +1181,7 @@ fn run_from_v(
     }
     if fp.joins.is_empty() {
         return stream_source_v(pool, catalog, env, &fp.source, &mut |chunk, sel| {
-            let mut sel = sel.to_vec();
+            let mut sel = copy_sel(sel);
             apply_filter(&fp.residual, chunk, &mut sel, env)?;
             if sel.is_empty() {
                 return Ok(true);
@@ -1083,22 +1191,21 @@ fn run_from_v(
     }
     // Join pipeline: the base side is materialized (index probes need the
     // buffer pool between batches).
-    let mut base: Vec<Chunk> = Vec::new();
+    let mut base = take::<Vec<Chunk>>();
     stream_source_v(pool, catalog, env, &fp.source, &mut |chunk, sel| {
-        base.push(chunk.gather(sel));
+        let mut b = take::<Chunk>();
+        b.append_gather(chunk, sel);
+        base.push(b.into_inner());
         Ok(true)
     })?;
     let mut rts = build_stage_rts_v(pool, catalog, env, &fp.joins)?;
-    for chunk in &base {
-        if chunk.is_empty() {
-            continue;
-        }
-        let mut sel: Vec<u32> = (0..chunk.len() as u32).collect();
-        let mut owned: Option<Chunk> = None;
+    for chunk in base.iter() {
+        let mut sel = take_sel(chunk.len());
+        let mut owned: Option<Pooled<Chunk>> = None;
         let mut stop = false;
         for (j, rt) in fp.joins.iter().zip(rts.iter_mut()) {
-            let input: &Chunk = owned.as_ref().unwrap_or(chunk);
-            let (next, nsel) = apply_stage(pool, env, j, rt, input, &sel, &mut stop)?;
+            let input: &Chunk = owned.as_deref().unwrap_or(chunk);
+            let (next, nsel) = apply_stage(pool, catalog, env, j, rt, input, &sel, &mut stop)?;
             owned = Some(next);
             sel = nsel;
             if sel.is_empty() {
@@ -1106,7 +1213,7 @@ fn run_from_v(
             }
         }
         if !sel.is_empty() {
-            let out = owned.as_ref().ok_or_else(|| {
+            let out = owned.as_deref().ok_or_else(|| {
                 SqlError::Eval("join pipeline finished without producing a chunk".into())
             })?;
             apply_filter(&fp.residual, out, &mut sel, env)?;
@@ -1187,161 +1294,91 @@ fn build_env_v<'a>(
     Ok(Env { params, subs })
 }
 
-/// Vectorized update of one aggregate accumulator from a batch column.
-fn agg_update_vcol(state: &mut AggState, v: &VCol, n: usize) -> Result<()> {
-    if let VCol::Int { vals, nulls } = v {
-        match state {
-            AggState::Count(c) => {
-                let null_count = nulls.as_ref().map_or(0, |m| m.count());
-                *c += (n - null_count) as i64;
-            }
-            AggState::SumInt {
-                acc, any, float, ..
-            } => {
-                let mut saw = false;
-                match nulls {
-                    None => {
-                        for &x in vals {
-                            *acc = acc.wrapping_add(x);
-                            *float += x as f64;
-                        }
-                        saw = n > 0;
-                    }
-                    Some(m) => {
-                        for (i, &x) in vals.iter().enumerate() {
-                            if !m.get(i) {
-                                *acc = acc.wrapping_add(x);
-                                *float += x as f64;
-                                saw = true;
-                            }
-                        }
-                    }
-                }
-                if saw {
-                    *any = true;
-                }
-            }
-            AggState::Min(cur) => {
-                let mut best: Option<i64> = None;
-                for (i, &x) in vals.iter().enumerate() {
-                    if !nulls.as_ref().is_some_and(|m| m.get(i)) {
-                        best = Some(best.map_or(x, |b| b.min(x)));
-                    }
-                }
-                if let Some(b) = best {
-                    let v = Value::Int(b);
-                    if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_lt()) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                let mut best: Option<i64> = None;
-                for (i, &x) in vals.iter().enumerate() {
-                    if !nulls.as_ref().is_some_and(|m| m.get(i)) {
-                        best = Some(best.map_or(x, |b| b.max(x)));
-                    }
-                }
-                if let Some(b) = best {
-                    let v = Value::Int(b);
-                    if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_gt()) {
-                        *cur = Some(v);
-                    }
-                }
-            }
-            AggState::Avg { sum, n: cnt } => {
-                for (i, &x) in vals.iter().enumerate() {
-                    if !nulls.as_ref().is_some_and(|m| m.get(i)) {
-                        *sum += x as f64;
-                        *cnt += 1;
-                    }
-                }
+/// Folds the non-NULL integers `vals` into an aggregate accumulator.
+fn fold_ints(state: &mut AggState, vals: impl Iterator<Item = i64>) {
+    match state {
+        AggState::Count(c) => *c += vals.count() as i64,
+        AggState::Min(_) => {
+            if let Some(b) = vals.min() {
+                state.update_int(b);
             }
         }
-        return Ok(());
+        AggState::Max(_) => {
+            if let Some(b) = vals.max() {
+                state.update_int(b);
+            }
+        }
+        _ => vals.for_each(|x| state.update_int(x)),
     }
-    for k in 0..n {
-        state.update(Some(v.get(k)))?;
+}
+
+/// Vectorized update of one aggregate accumulator from a batch column:
+/// integer columns fold typed, others value by value.
+fn agg_update_vcol(state: &mut AggState, v: &VCol<'_>, n: usize) -> Result<()> {
+    match int_view(v) {
+        Some(iv) if iv.null_free() => with_src!(iv.src, |f| fold_ints(state, (0..n).map(f))),
+        Some(iv) => fold_ints(state, (0..n).filter_map(|k| iv.get(k))),
+        None => {
+            for k in 0..n {
+                state.update(Some(v.get(k)))?;
+            }
+        }
     }
     Ok(())
 }
 
-/// Appends an evaluated column's `n` values to an accumulator column.
-fn append_vcol_to_column(acc: &mut Column, v: &VCol, n: usize) {
-    match v {
-        VCol::Int { vals, nulls: None } => {
-            for &x in vals {
-                acc.push_int(x);
-            }
-        }
-        VCol::Int {
-            vals,
-            nulls: Some(m),
-        } => {
-            for (i, &x) in vals.iter().enumerate() {
-                if m.get(i) {
-                    acc.push_null();
-                } else {
-                    acc.push_int(x);
-                }
-            }
-        }
-        VCol::Generic(vals) => {
-            for x in vals {
-                acc.push(x.clone());
-            }
-        }
-        VCol::Const(c) => {
-            for _ in 0..n {
-                acc.push(c.clone());
-            }
-        }
+/// Evaluates the select items over the rows `sel` of `chunk` into a
+/// recycled batch, one column per item.
+fn project(items: &[PExpr], chunk: &Chunk, sel: &[u32], env: &Env<'_>) -> Result<Pooled<Chunk>> {
+    let mut out = take::<Chunk>();
+    out.set_width(items.len());
+    for (c, p) in items.iter().enumerate() {
+        let v = eval_v(p, chunk, sel, env)?;
+        append_vcol(out.col_mut(c), &v, sel.len());
+    }
+    out.commit_rows(sel.len());
+    Ok(out)
+}
+
+/// The integer values of an all-integer column (the typed window path
+/// only sees those).
+fn int_vals(c: &Column) -> &[i64] {
+    match c {
+        Column::Int { vals, .. } => vals,
+        Column::Generic(_) => &[],
     }
 }
 
-/// Computes one window function column from batch-accumulated partition
-/// and order key columns. All-integer keys — both FEM E-operator shapes —
-/// sort an index permutation over the typed vectors with no per-row
-/// allocation; anything else goes through the shared
+/// Computes one window function over the `n` accumulated rows of `keys`
+/// (the partition key columns, the first `np`, then the order key
+/// columns) into the empty column `out`. All-integer keys — both FEM
+/// E-operator shapes — sort an index permutation over the typed vectors
+/// with no per-row allocation; anything else goes through the shared
 /// [`crate::exec::window::window_values`] engine.
-fn window_column(
-    pacc: &[Column],
-    oacc: &[Column],
-    dirs: &[bool],
-    func: crate::ast::WindowFunc,
-    n: usize,
-) -> Column {
-    let all_int = |cols: &[Column]| {
-        cols.iter()
-            .all(|c| matches!(c, Column::Int { nulls, .. } if !nulls.any()))
-    };
-    if all_int(pacc) && all_int(oacc) && n > 0 {
-        let pv: Vec<&[i64]> = pacc
-            .iter()
-            .map(|c| match c {
-                Column::Int { vals, .. } => vals.as_slice(),
-                Column::Generic(_) => unreachable!("checked all-int"),
-            })
-            .collect();
-        let ov: Vec<&[i64]> = oacc
-            .iter()
-            .map(|c| match c {
-                Column::Int { vals, .. } => vals.as_slice(),
-                Column::Generic(_) => unreachable!("checked all-int"),
-            })
-            .collect();
-        let mut idx: Vec<u32> = (0..n as u32).collect();
+fn window_column(keys: &Chunk, np: usize, w: &WindowPlan, n: usize, out: &mut Column) {
+    let cols = keys.columns();
+    let (pacc, oacc) = cols.split_at(np);
+    let all_int = cols
+        .iter()
+        .all(|c| matches!(c, Column::Int { nulls, .. } if !nulls.any()));
+    if n == 0 {
+        return;
+    }
+    if let (true, Column::Int { vals: out, nulls }) = (all_int, &mut *out) {
+        let mut idx = take_sel(n);
         // The final index tiebreak reproduces the interpreter's *stable*
         // sort, so ROW_NUMBER assignment among fully-tied rows matches.
         idx.sort_unstable_by(|&a, &b| {
             let (a, b) = (a as usize, b as usize);
-            for p in &pv {
+            for p in pacc {
+                let p = int_vals(p);
                 let ord = p[a].cmp(&p[b]);
                 if ord != std::cmp::Ordering::Equal {
                     return ord;
                 }
             }
-            for (o, asc) in ov.iter().zip(dirs) {
+            for (o, (_, asc)) in oacc.iter().zip(&w.order) {
+                let o = int_vals(o);
                 let ord = o[a].cmp(&o[b]);
                 let ord = if *asc { ord } else { ord.reverse() };
                 if ord != std::cmp::Ordering::Equal {
@@ -1350,33 +1387,35 @@ fn window_column(
             }
             a.cmp(&b)
         });
-        let mut out = vec![0i64; n];
+        let same = |keys: &[Column], p: usize, i: usize| {
+            keys.iter().all(|c| {
+                let c = int_vals(c);
+                c[p] == c[i]
+            })
+        };
+        out.resize(n, 0);
+        nulls.extend_valid(n);
         let mut row_num = 0i64;
         let mut rank = 0i64;
         let mut prev: Option<usize> = None;
-        for &i in &idx {
+        for &i in idx.iter() {
             let i = i as usize;
-            let same_part = prev.is_some_and(|p| pv.iter().all(|col| col[p] == col[i]));
-            if !same_part {
+            if !prev.is_some_and(|p| same(pacc, p, i)) {
                 row_num = 0;
                 rank = 0;
                 prev = None;
             }
             row_num += 1;
-            let tied = prev.is_some_and(|p| ov.iter().all(|col| col[p] == col[i]));
-            if !tied {
+            if !prev.is_some_and(|p| same(oacc, p, i)) {
                 rank = row_num;
             }
             prev = Some(i);
-            out[i] = match func {
+            out[i] = match w.func {
                 crate::ast::WindowFunc::RowNumber => row_num,
                 crate::ast::WindowFunc::Rank => rank,
             };
         }
-        return Column::Int {
-            vals: out,
-            nulls: NullMask::all_valid(n),
-        };
+        return;
     }
     // Generic fallback: per-row key tuples through the shared engine.
     let keyed: Vec<(Vec<Value>, Vec<Value>, usize)> = (0..n)
@@ -1388,29 +1427,67 @@ fn window_column(
             )
         })
         .collect();
-    let values = crate::exec::window::window_values(keyed, dirs, func);
-    let mut col = Column::new_int();
-    for v in values {
-        col.push(v);
+    let dirs: Vec<bool> = w.order.iter().map(|(_, asc)| *asc).collect();
+    for v in crate::exec::window::window_values(keyed, &dirs, w.func) {
+        out.push(v);
     }
-    col
 }
 
-/// Executes a SELECT plan batch-at-a-time, returning columnar results.
-pub(crate) fn run_select_chunks(
+/// Where a SELECT's result goes: rows for the engine API and subqueries,
+/// batches for derived tables and INSERT sources.
+enum SelectOut {
+    Rows(Vec<Vec<Value>>),
+    Chunks(Pooled<Vec<Chunk>>),
+}
+
+impl SelectOut {
+    /// Appends the rows `keep` of `batch` (every row when `None`).
+    fn push_batch(&mut self, batch: Pooled<Chunk>, keep: Option<&[u32]>) {
+        match (self, keep) {
+            (SelectOut::Rows(rows), Some(keep)) => {
+                rows.extend(keep.iter().map(|&r| batch.row(r as usize)));
+            }
+            (SelectOut::Rows(rows), None) => rows.extend((0..batch.len()).map(|r| batch.row(r))),
+            (SelectOut::Chunks(_), Some([])) => {}
+            (SelectOut::Chunks(chunks), Some(keep)) => {
+                let mut kept = take::<Chunk>();
+                kept.append_gather(&batch, keep);
+                chunks.push(kept.into_inner());
+            }
+            (SelectOut::Chunks(chunks), None) => {
+                if !batch.is_empty() {
+                    chunks.push(batch.into_inner());
+                }
+            }
+        }
+    }
+
+    /// Appends materialized rows.
+    fn push_rows(&mut self, rows: Vec<Vec<Value>>) {
+        match self {
+            SelectOut::Rows(out) if out.is_empty() => *out = rows,
+            SelectOut::Rows(out) => out.extend(rows),
+            SelectOut::Chunks(chunks) => chunks.push(fempath_storage::chunk_from_rows(&rows)),
+        }
+    }
+}
+
+/// Executes a SELECT plan batch-at-a-time into `out`.
+fn run_select(
     pool: &mut BufferPool,
     catalog: &Catalog,
     params: &[Value],
     plan: &SelectPlan,
-) -> Result<Vec<Chunk>> {
+    out: &mut SelectOut,
+) -> Result<()> {
     let env = build_env_v(pool, catalog, params, &plan.subplans)?;
 
     if let Some(agg) = &plan.agg {
         if agg.group.is_empty() {
             // Scalar aggregate (the FEM stats statements): columns fold
             // straight into the accumulators, one batch at a time.
-            let mut states: Vec<AggState> =
-                agg.aggs.iter().map(|(f, _)| AggState::new(*f)).collect();
+            let mut states = take::<Vec<AggState>>();
+            states.extend(agg.aggs.iter().map(|(f, _)| AggState::new(*f)));
             run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
                 for (state, (_, arg)) in states.iter_mut().zip(&agg.aggs) {
                     match arg {
@@ -1423,9 +1500,9 @@ pub(crate) fn run_select_chunks(
                 }
                 Ok(true)
             })?;
-            let row: Vec<Value> = states.into_iter().map(|s| s.finish()).collect();
-            let rows = exec::post_process(vec![row], plan, &env)?;
-            return Ok(vec![fempath_storage::chunk_from_rows(&rows)]);
+            let row: Vec<Value> = states.drain(..).map(AggState::finish).collect();
+            out.push_rows(exec::post_process(vec![row], plan, &env)?);
+            return Ok(());
         }
         // Grouped aggregation: group keys and aggregate arguments are
         // evaluated per batch; every row is mapped to a dense group id,
@@ -1444,13 +1521,17 @@ pub(crate) fn run_select_chunks(
                 .iter()
                 .map(|g| eval_v(g, chunk, sel, &env))
                 .collect::<Result<_>>()?;
+            let int_key = match &gcols[..] {
+                [g] => int_view(g).filter(IntView::null_free),
+                _ => None,
+            };
             gid.clear();
             // Runs of one key (rows clustered by it) skip the hash lookup.
             let mut last: Option<(HashKey, u32)> = None;
             for k in 0..sel.len() {
-                let key = match &gcols[..] {
-                    [VCol::Int { vals, nulls: None }] => HashKey::Int(vals[k]),
-                    _ => {
+                let key = match int_key {
+                    Some(iv) => HashKey::Int(iv.src.at(k)),
+                    None => {
                         let vals: Vec<Value> = gcols.iter().map(|c| c.get(k)).collect();
                         HashKey::from_values(&vals)?
                     }
@@ -1472,20 +1553,20 @@ pub(crate) fn run_select_chunks(
             }
             for (a, (_, arg)) in agg.aggs.iter().enumerate() {
                 let slot = |k: usize| gid[k] as usize * n_aggs + a;
-                match arg
-                    .as_ref()
-                    .map(|e| eval_v(e, chunk, sel, &env))
-                    .transpose()?
-                {
-                    None => (0..sel.len()).for_each(|k| states[slot(k)].update_star(1)),
-                    Some(VCol::Int { vals, nulls }) => {
-                        for (k, &x) in vals.iter().enumerate() {
-                            if !nulls.as_ref().is_some_and(|m| m.get(k)) {
+                let Some(e) = arg else {
+                    (0..sel.len()).for_each(|k| states[slot(k)].update_star(1));
+                    continue;
+                };
+                let v = eval_v(e, chunk, sel, &env)?;
+                match int_view(&v) {
+                    Some(iv) => {
+                        for k in 0..sel.len() {
+                            if let Some(x) = iv.get(k) {
                                 states[slot(k)].update_int(x);
                             }
                         }
                     }
-                    Some(v) => {
+                    None => {
                         for k in 0..sel.len() {
                             states[slot(k)].update(Some(v.get(k)))?;
                         }
@@ -1502,8 +1583,8 @@ pub(crate) fn run_select_chunks(
                 row
             })
             .collect();
-        let rows = exec::post_process(rows, plan, &env)?;
-        return Ok(vec![fempath_storage::chunk_from_rows(&rows)]);
+        out.push_rows(exec::post_process(rows, plan, &env)?);
+        return Ok(());
     }
 
     if !plan.windows.is_empty() {
@@ -1512,59 +1593,56 @@ pub(crate) fn run_select_chunks(
         // keys and append it before the next window's keys are evaluated
         // (a later window's keys may bind against the extended schema,
         // exactly like the interpreter's row-extension order).
-        let mut data: Vec<Chunk> = Vec::new();
+        let mut data = take::<Vec<Chunk>>();
         run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-            data.push(chunk.gather(sel));
+            let mut c = take::<Chunk>();
+            c.append_gather(chunk, sel);
+            data.push(c.into_inner());
             Ok(true)
         })?;
-        data.retain(|c| !c.is_empty());
-        let mut sel = take_sel(0);
+        let mut sel = take::<Vec<u32>>();
         for w in &plan.windows {
-            let mut pacc: Vec<Column> = w.partition.iter().map(|_| Column::new_int()).collect();
-            let mut oacc: Vec<Column> = w.order.iter().map(|_| Column::new_int()).collect();
-            for c in &data {
+            let np = w.partition.len();
+            let mut keys = take::<Chunk>();
+            keys.set_width(np + w.order.len());
+            for c in data.iter() {
                 fill_identity(&mut sel, c.len());
-                for (acc, p) in pacc.iter_mut().zip(&w.partition) {
-                    let v = eval_v(p, c, &sel, &env)?;
-                    append_vcol_to_column(acc, &v, sel.len());
+                let exprs = w.partition.iter().chain(w.order.iter().map(|(o, _)| o));
+                for (j, e) in exprs.enumerate() {
+                    let v = eval_v(e, c, &sel, &env)?;
+                    append_vcol(keys.col_mut(j), &v, sel.len());
                 }
-                for (acc, (o, _)) in oacc.iter_mut().zip(&w.order) {
-                    let v = eval_v(o, c, &sel, &env)?;
-                    append_vcol_to_column(acc, &v, sel.len());
-                }
+                keys.commit_rows(sel.len());
             }
-            let dirs: Vec<bool> = w.order.iter().map(|(_, asc)| *asc).collect();
-            let total: usize = data.iter().map(|c| c.len()).sum();
-            let col = window_column(&pacc, &oacc, &dirs, w.func, total);
-            let mut off = 0u32;
-            for c in &mut data {
-                let idx: Vec<u32> = (off..off + c.len() as u32).collect();
-                c.push_column(col.gather(&idx));
-                off += c.len() as u32;
+            let n = keys.len();
+            if let [c] = &mut data[..] {
+                window_column(&keys, np, w, n, c.add_column());
+            } else {
+                let mut col = Column::new_int();
+                window_column(&keys, np, w, n, &mut col);
+                let mut off = 0u32;
+                for c in data.iter_mut() {
+                    fill_identity(&mut sel, c.len());
+                    sel.iter_mut().for_each(|i| *i += off);
+                    off += c.len() as u32;
+                    c.add_column().extend_gather(&col, &sel);
+                }
             }
         }
         if !plan.materializes_rows() {
             // Batched projection (the FEM E-operator source shape).
-            let mut out = Vec::with_capacity(data.len());
-            for c in &data {
+            for c in data.iter() {
                 fill_identity(&mut sel, c.len());
-                let pcols: Vec<VCol> = plan
-                    .items
-                    .iter()
-                    .map(|p| eval_v(p, c, &sel, &env))
-                    .collect::<Result<_>>()?;
-                out.push(vcols_to_chunk(pcols, sel.len()));
+                out.push_batch(project(&plan.items, c, &sel, &env)?, None);
             }
-            put_sel(sel);
-            return Ok(out);
+            return Ok(());
         }
-        put_sel(sel);
         let mut rows: Vec<Vec<Value>> = Vec::new();
-        for c in &data {
+        for c in data.iter() {
             rows.extend(c.to_rows());
         }
-        let rows = exec::post_process(rows, plan, &env)?;
-        return Ok(vec![fempath_storage::chunk_from_rows(&rows)]);
+        out.push_rows(exec::post_process(rows, plan, &env)?);
+        return Ok(());
     }
 
     if plan.materializes_rows() {
@@ -1577,72 +1655,70 @@ pub(crate) fn run_select_chunks(
             }
             Ok(true)
         })?;
-        let rows = exec::post_process(rows, plan, &env)?;
-        return Ok(vec![fempath_storage::chunk_from_rows(&rows)]);
+        out.push_rows(exec::post_process(rows, plan, &env)?);
+        return Ok(());
     }
 
     // Fully streaming: filter → project → DISTINCT → cap, with early exit.
     if plan.cap == Some(0) {
-        return Ok(Vec::new());
+        return Ok(());
     }
-    let mut out: Vec<Chunk> = Vec::new();
     let mut count: u64 = 0;
-    let mut seen: Option<HashSet<Vec<u8>>> = if plan.distinct {
-        Some(HashSet::new())
-    } else {
-        None
-    };
+    let mut seen: Option<HashSet<Vec<u8>>> = plan.distinct.then(HashSet::new);
     run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-        let narrowed;
+        let mut narrowed = take::<Vec<u32>>();
         let sel = match &plan.having {
             Some(h) => {
-                let mut s = sel.to_vec();
-                apply_pred(h, chunk, &mut s, &env)?;
-                if s.is_empty() {
+                narrowed.extend_from_slice(sel);
+                apply_pred(h, chunk, &mut narrowed, &env)?;
+                if narrowed.is_empty() {
                     return Ok(true);
                 }
-                narrowed = s;
                 &narrowed[..]
             }
             None => sel,
         };
-        let pcols: Vec<VCol> = plan
-            .items
-            .iter()
-            .map(|p| eval_v(p, chunk, sel, &env))
-            .collect::<Result<_>>()?;
-        let mut oc = vcols_to_chunk(pcols, sel.len());
+        let oc = project(&plan.items, chunk, sel, &env)?;
+        // The rows of `oc` that go out; `None` is all of them.
+        let mut keep: Option<Pooled<Vec<u32>>> = None;
         if let Some(seen) = &mut seen {
-            let mut keep = Vec::with_capacity(oc.len());
+            let mut k = take::<Vec<u32>>();
             for r in 0..oc.len() {
-                let row = oc.row(r);
-                if seen.insert(encode_key(&row).unwrap_or_default()) {
-                    keep.push(r as u32);
+                if seen.insert(encode_key(&oc.row(r)).unwrap_or_default()) {
+                    k.push(r as u32);
                 }
             }
-            if keep.len() < oc.len() {
-                oc = oc.gather(&keep);
+            keep = Some(k);
+        }
+        let kept = keep.as_ref().map_or(oc.len(), |k| k.len()) as u64;
+        let go_on = match plan.cap {
+            Some(cap) if kept >= cap - count => {
+                keep.get_or_insert_with(|| take_sel(oc.len()))
+                    .truncate((cap - count) as usize);
+                false
             }
-        }
-        if let Some(cap) = plan.cap {
-            let remaining = cap - count;
-            if oc.len() as u64 >= remaining {
-                let keep: Vec<u32> = (0..remaining as u32).collect();
-                oc = oc.gather(&keep);
-                count += oc.len() as u64;
-                if !oc.is_empty() {
-                    out.push(oc);
-                }
-                return Ok(false);
-            }
-        }
-        count += oc.len() as u64;
-        if !oc.is_empty() {
-            out.push(oc);
-        }
-        Ok(true)
+            _ => true,
+        };
+        count += keep.as_ref().map_or(oc.len(), |k| k.len()) as u64;
+        out.push_batch(oc, keep.as_deref().map(Vec::as_slice));
+        Ok(go_on)
     })?;
-    Ok(out)
+    Ok(())
+}
+
+/// Executes a SELECT plan, returning columnar results.
+pub(crate) fn run_select_chunks(
+    pool: &mut BufferPool,
+    catalog: &Catalog,
+    params: &[Value],
+    plan: &SelectPlan,
+) -> Result<Pooled<Vec<Chunk>>> {
+    let mut out = SelectOut::Chunks(take());
+    run_select(pool, catalog, params, plan, &mut out)?;
+    let SelectOut::Chunks(chunks) = out else {
+        unreachable!("run_select keeps its output's kind")
+    };
+    Ok(chunks)
 }
 
 /// Executes a SELECT plan, returning the result rows (the row boundary
@@ -1653,11 +1729,11 @@ pub(crate) fn run_select_rows(
     params: &[Value],
     plan: &SelectPlan,
 ) -> Result<Vec<Vec<Value>>> {
-    let chunks = run_select_chunks(pool, catalog, params, plan)?;
-    let mut rows = Vec::new();
-    for c in &chunks {
-        rows.extend(c.to_rows());
-    }
+    let mut out = SelectOut::Rows(Vec::new());
+    run_select(pool, catalog, params, plan, &mut out)?;
+    let SelectOut::Rows(rows) = out else {
+        unreachable!("run_select keeps its output's kind")
+    };
     Ok(rows)
 }
 
@@ -1691,7 +1767,7 @@ pub(crate) fn run_insert(
                 // Insert-level subplans only exist for VALUES expressions; a
                 // Query source's subqueries live inside its own SelectPlan.
                 debug_assert!(plan.subplans.is_empty());
-                run_select_chunks(pool, catalog, params, q)?
+                run_select_chunks(pool, catalog, params, q)?.into_inner()
             }
         };
         // Coerce up front: a type error in a late chunk must surface
@@ -1731,13 +1807,11 @@ fn match_target(
     env: &Env<'_>,
     f: &mut MatchSink<'_>,
 ) -> Result<()> {
-    let mut rows = take_chunk();
-    let mut whole = take_chunk();
-    let mut sel = take_sel(0);
-    let mut locs = BatchLocs::default();
-    let mut picked = BatchLocs::default();
+    let mut rows = take::<Chunk>();
+    let mut sel = take::<Vec<u32>>();
+    let mut locs = take::<BatchLocs>();
     let filter = &target.access.filter;
-    let res = (|| match &target.access.input {
+    match &target.access.input {
         InputPlan::Lookup {
             cols,
             keys,
@@ -1759,6 +1833,8 @@ fn match_target(
             Ok(())
         }
         InputPlan::Scan { read, .. } => {
+            let mut whole = take::<Chunk>();
+            let mut picked = take::<BatchLocs>();
             let mut cursor = table.batch_cursor(pool)?;
             loop {
                 rows.reset();
@@ -1791,11 +1867,7 @@ fn match_target(
         InputPlan::Nothing | InputPlan::Derived(_) => {
             unreachable!("DML targets are planned as base-table accesses")
         }
-    })();
-    put_chunk(rows);
-    put_chunk(whole);
-    put_sel(sel);
-    res
+    }
 }
 
 /// Materializes a DML source as batches (the probes that follow need the
@@ -1805,13 +1877,15 @@ fn collect_source_chunks(
     catalog: &Catalog,
     env: &Env<'_>,
     sp: &SourcePlan,
-) -> Result<Vec<Chunk>> {
+) -> Result<Pooled<Vec<Chunk>>> {
     if let (InputPlan::Derived(sub), true) = (&sp.input, sp.filter.is_empty()) {
         return run_select_chunks(pool, catalog, env.params, sub);
     }
-    let mut out = Vec::new();
+    let mut out = take::<Vec<Chunk>>();
     stream_source_v(pool, catalog, env, sp, &mut |chunk, sel| {
-        out.push(chunk.gather(sel));
+        let mut c = take::<Chunk>();
+        c.append_gather(chunk, sel);
+        out.push(c.into_inner());
         Ok(true)
     })?;
     Ok(out)
@@ -1822,11 +1896,11 @@ fn collect_source_chunks(
 /// row per (target row, source row) pair, in source order.
 struct Matches {
     /// Combined target+source rows (bound offsets of both sides apply).
-    rows: Chunk,
+    rows: Pooled<Chunk>,
     /// Locator of each pair's target row.
-    locs: BatchLocs,
+    locs: Pooled<BatchLocs>,
     /// Source batch row of each pair.
-    src: Vec<u32>,
+    src: Pooled<Vec<u32>>,
     /// Every probe key was a non-NULL integer.
     int_keys: bool,
 }
@@ -1842,22 +1916,14 @@ fn probe_source_chunk(
     sc: &Chunk,
     env: &Env<'_>,
 ) -> Result<Matches> {
-    let sel = take_sel(sc.len());
-    let kcols: Vec<VCol> = probe
-        .keys
-        .iter()
-        .map(|k| eval_v(k, sc, &sel, env))
-        .collect::<Result<_>>()?;
-    put_sel(sel);
-    let keys = batch_keys(&kcols, sc.len());
+    let keys = batch_keys(&probe.keys, sc, &take_sel(sc.len()), env)?;
     let mut m = Matches {
-        // Not from the chunk pool: these batches grow as tall as the match
-        // set and as wide as both sides, and pooling them pins that.
-        rows: Chunk::new(),
-        locs: BatchLocs::default(),
-        src: Vec::new(),
+        rows: take(),
+        locs: take(),
+        src: take(),
         int_keys: keys.iter().all(|v| matches!(v, Value::Int(_))),
     };
+    m.rows.set_width(table.schema.columns.len());
     let found = EqMatches {
         rows: &mut m.rows,
         src: Some(&mut m.src),
@@ -1865,30 +1931,32 @@ fn probe_source_chunk(
     };
     table.probe_eq(pool, probe.path, &probe.cols, &keys, &probe.read.set, found)?;
     if !m.rows.is_empty() {
-        m.rows = m.rows.hcat(sc.gather_cols(&m.src, &probe.source_read));
+        m.rows.hcat_gather(sc, &m.src, &probe.source_read);
     }
     Ok(m)
 }
 
 /// One statement's pending row updates in columnar form: locators, the
-/// new value of every assigned column, and — when the write phase
-/// rewrites whole rows — the rows as stored.
+/// new value of every assigned column (one column of `vals` each), and —
+/// when the write phase rewrites whole rows — the rows as stored.
 struct PendingUpdates<'p> {
     assign_cols: &'p [usize],
     mode: UpdateMode,
-    locs: BatchLocs,
-    vals: Vec<Column>,
-    old: Chunk,
+    locs: Pooled<BatchLocs>,
+    vals: Pooled<Chunk>,
+    old: Pooled<Chunk>,
 }
 
 impl<'p> PendingUpdates<'p> {
     fn new(assign_cols: &'p [usize], mode: UpdateMode) -> Self {
+        let mut vals = take::<Chunk>();
+        vals.set_width(assign_cols.len());
         PendingUpdates {
             assign_cols,
             mode,
-            locs: BatchLocs::default(),
-            vals: assign_cols.iter().map(|_| Column::new_int()).collect(),
-            old: Chunk::new(),
+            locs: take(),
+            vals,
+            old: take(),
         }
     }
 
@@ -1903,10 +1971,11 @@ impl<'p> PendingUpdates<'p> {
         locs: &BatchLocs,
         env: &Env<'_>,
     ) -> Result<()> {
-        for ((acc, &c), a) in self.vals.iter_mut().zip(self.assign_cols).zip(assigns) {
+        for (j, (&c, a)) in self.assign_cols.iter().zip(assigns).enumerate() {
             let v = eval_v(a, rows, sel, env)?;
-            acc.append(table.coerce_column(c, vcol_into_column(v, sel.len()))?);
+            append_coerced(table, c, v, sel.len(), self.vals.col_mut(j))?;
         }
+        self.vals.commit_rows(sel.len());
         self.locs.extend_selected(locs, sel);
         if self.mode == UpdateMode::Rewrite {
             self.old
@@ -1921,7 +1990,7 @@ impl<'p> PendingUpdates<'p> {
             pool,
             &self.locs,
             self.assign_cols,
-            &self.vals,
+            self.vals.columns(),
             &self.old,
             self.mode,
         )
@@ -1957,18 +2026,15 @@ pub(crate) fn run_update(
                 mixed_residual,
                 assigns,
             } => {
-                for sc in collect_source_chunks(pool, catalog, &env, source)? {
-                    if sc.is_empty() {
-                        continue;
-                    }
-                    let m = probe_source_chunk(pool, table, probe, &sc, &env)?;
+                let sources = collect_source_chunks(pool, catalog, &env, source)?;
+                for sc in sources.iter().filter(|c| !c.is_empty()) {
+                    let m = probe_source_chunk(pool, table, probe, sc, &env)?;
                     let mut sel = take_sel(m.rows.len());
                     apply_filter(target_residual, &m.rows, &mut sel, &env)?;
                     apply_filter(mixed_residual, &m.rows, &mut sel, &env)?;
                     if !sel.is_empty() {
                         pending.push(table, assigns, &m.rows, &sel, &m.locs, &env)?;
                     }
-                    put_sel(sel);
                 }
             }
         }
@@ -1985,8 +2051,8 @@ pub(crate) fn run_delete(
     params: &[Value],
     plan: &super::DeletePlan,
 ) -> Result<u64> {
-    let mut locs = BatchLocs::default();
-    let mut rows = take_chunk();
+    let mut locs = take::<BatchLocs>();
+    let mut rows = take::<Chunk>();
     {
         let catalog = &*catalog;
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
@@ -1997,11 +2063,10 @@ pub(crate) fn run_delete(
             Ok(())
         })?;
     }
-    let res = catalog
+    catalog
         .table_mut(&plan.table)?
-        .delete_rows(pool, &locs, &rows);
-    put_chunk(rows);
-    res.map(|()| locs.len() as u64)
+        .delete_rows(pool, &locs, &rows)?;
+    Ok(locs.len() as u64)
 }
 
 /// Executes a MERGE plan: the source (the expensive E-operator select)
@@ -2018,26 +2083,27 @@ pub(crate) fn run_merge(
 ) -> Result<u64> {
     let matched_cols = plan.matched.as_ref().map_or(&[][..], |(_, cols, _)| cols);
     let mut pending = PendingUpdates::new(matched_cols, plan.mode);
-    let mut inserts = Chunk::new();
+    let mut inserts = take::<Chunk>();
     let mut keys_probed = plan.insert_keys_probed;
     {
         let catalog = &*catalog;
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
         let table = catalog.table(&plan.target)?;
-        let n_cols = table.schema.columns.len();
-        for sc in collect_source_chunks(pool, catalog, &env, &plan.source)? {
-            if sc.is_empty() {
-                continue;
-            }
-            let m = probe_source_chunk(pool, table, &plan.probe, &sc, &env)?;
+        inserts.set_width(table.schema.columns.len());
+        let sources = collect_source_chunks(pool, catalog, &env, &plan.source)?;
+        let mut matched = take::<Vec<u32>>();
+        for sc in sources.iter().filter(|c| !c.is_empty()) {
+            let m = probe_source_chunk(pool, table, &plan.probe, sc, &env)?;
             if !m.int_keys {
                 keys_probed = None;
             }
             let mut sel = take_sel(m.rows.len());
             apply_filter(&plan.residual, &m.rows, &mut sel, &env)?;
-            let mut unmatched = vec![true; sc.len()];
-            for &r in &sel {
-                unmatched[m.src[r as usize] as usize] = false;
+            // Which source rows the ON condition matched (1) or not (0).
+            matched.clear();
+            matched.resize(sc.len(), 0);
+            for &r in sel.iter() {
+                matched[m.src[r as usize] as usize] = 1;
             }
             if let Some((cond, _, exprs)) = &plan.matched {
                 if let Some(c) = cond {
@@ -2048,29 +2114,23 @@ pub(crate) fn run_merge(
                 }
             }
             let Some((cols, exprs)) = &plan.not_matched else {
-                put_sel(sel);
                 continue;
             };
             sel.clear();
-            sel.extend((0..sc.len() as u32).filter(|&k| unmatched[k as usize]));
-            if !sel.is_empty() {
-                let mut new_cols: Vec<Option<Column>> = vec![None; n_cols];
-                for (&c, e) in cols.iter().zip(exprs) {
-                    let v = vcol_into_column(eval_v(e, &sc, &sel, &env)?, sel.len());
-                    new_cols[c] = Some(table.coerce_column(c, v)?);
-                }
-                let new_cols: Vec<Column> = new_cols
-                    .into_iter()
-                    .map(|c| c.unwrap_or_else(|| Column::nulls(sel.len())))
-                    .collect();
-                let new_rows = Chunk::from_columns(new_cols, sel.len());
-                if inserts.is_empty() {
-                    inserts = new_rows;
-                } else {
-                    inserts.append(&new_rows);
-                }
+            sel.extend((0..sc.len() as u32).filter(|&k| matched[k as usize] == 0));
+            if sel.is_empty() {
+                continue;
             }
-            put_sel(sel);
+            let n = sel.len();
+            for (&c, e) in cols.iter().zip(exprs) {
+                let v = eval_v(e, sc, &sel, &env)?;
+                append_coerced(table, c, v, n, inserts.col_mut(c))?;
+            }
+            for c in (0..inserts.width()).filter(|c| !cols.contains(c)) {
+                let col = inserts.col_mut(c);
+                (0..n).for_each(|_| col.push_null());
+            }
+            inserts.commit_rows(n);
         }
     }
     let table = catalog.table_mut(&plan.target)?;

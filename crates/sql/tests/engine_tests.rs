@@ -58,7 +58,7 @@ fn create_insert_select_roundtrip() {
     d.execute("INSERT INTO t VALUES (1, 'one', 1.5), (2, 'two', 2.5)")
         .unwrap();
     let rs = d.query("SELECT a, b, c FROM t ORDER BY a").unwrap();
-    assert_eq!(rs.columns, vec!["a", "b", "c"]);
+    assert_eq!(*rs.columns, vec!["a", "b", "c"]);
     assert_eq!(rs.rows.len(), 2);
     assert_eq!(rs.rows[0][1], Value::Text("one".into()));
     assert_eq!(rs.rows[1][2], Value::Float(2.5));
@@ -454,9 +454,9 @@ fn qualified_wildcard_and_aliases() {
     d.execute("CREATE TABLE t (a INT, b INT)").unwrap();
     d.execute("INSERT INTO t VALUES (1, 2)").unwrap();
     let rs = d.query("SELECT x.* FROM t x").unwrap();
-    assert_eq!(rs.columns, vec!["a", "b"]);
+    assert_eq!(*rs.columns, vec!["a", "b"]);
     let rs = d.query("SELECT x.a AS first FROM t x").unwrap();
-    assert_eq!(rs.columns, vec!["first"]);
+    assert_eq!(*rs.columns, vec!["first"]);
 }
 
 #[test]

@@ -11,7 +11,7 @@ use fempath_storage::Value;
 /// plus one trailing `RESULT` line carrying the executed row count.
 fn plan_of(db: &mut Database, sql: &str) -> Vec<String> {
     let rs = db.query(&format!("EXPLAIN {sql}")).unwrap();
-    assert_eq!(rs.columns, ["plan"]);
+    assert_eq!(*rs.columns, ["plan"]);
     let lines: Vec<String> = rs
         .rows
         .into_iter()

@@ -170,6 +170,63 @@ proptest! {
     }
 }
 
+/// The typed selection kernels (`col <cmp> scalar` in both operand
+/// orders, `col <cmp> col`) and the typed comparison and arithmetic
+/// kernels of expression evaluation, for all six comparison operators,
+/// over integer columns with and without NULLs.
+fn run_typed_kernel_case(rows: &[(Option<i64>, Option<i64>)], c: i64) {
+    let mut pair = Pair::new(Dialect::DBMS_X);
+    pair.setup("CREATE TABLE k (x INT, y INT, z INT)");
+    for (i, (x, y)) in rows.iter().enumerate() {
+        let cell = |v: &Option<i64>| v.map_or(Value::Null, Value::Int);
+        pair.setup_params(
+            "INSERT INTO k VALUES (?, ?, ?)",
+            &[cell(x), cell(y), Value::Int(i as i64)],
+        );
+    }
+    let param = [Value::Int(c)];
+    for op in ["=", "<>", "<", "<=", ">", ">="] {
+        pair.step_params(&format!("SELECT z FROM k WHERE x {op} ?"), &param);
+        pair.step_params(&format!("SELECT z FROM k WHERE ? {op} x"), &param);
+        pair.step(&format!("SELECT z FROM k WHERE x {op} {c}"));
+        pair.step(&format!("SELECT z FROM k WHERE {c} {op} y"));
+        pair.step(&format!("SELECT z FROM k WHERE x {op} y"));
+        pair.step(&format!("SELECT z FROM k WHERE y {op} x AND z > 1"));
+        pair.step(&format!(
+            "SELECT z, x {op} y, x {op} {c}, {c} {op} y FROM k"
+        ));
+        pair.step(&format!(
+            "SELECT COUNT(*), MIN(x + y), MAX(x - {c}), SUM({c} * y) FROM k WHERE x {op} y"
+        ));
+    }
+    pair.step(&format!("SELECT z, x + y, x - y, x * {c}, {c} - y FROM k"));
+    pair.step("SELECT z, x / y, x % y FROM k WHERE y <> 0");
+    pair.step(&format!("UPDATE k SET z = x + {c} WHERE y >= x"));
+    pair.step("SELECT * FROM k");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn typed_kernels_agree_with_the_interpreter(
+        rows in prop::collection::vec((-6i64..6, -6i64..6, 0u8..8, 0u8..8), 0..40),
+        nulls in prop::bool::ANY,
+        c in -6i64..6,
+    ) {
+        // With `nulls`, about one cell in eight is NULL; without, none is,
+        // so the NULL-free kernels run.
+        let rows: Vec<(Option<i64>, Option<i64>)> = rows
+            .into_iter()
+            .map(|(x, y, nx, ny)| {
+                let keep = |v: i64, roll: u8| (!nulls || roll != 0).then_some(v);
+                (keep(x, nx), keep(y, ny))
+            })
+            .collect();
+        run_typed_kernel_case(&rows, c);
+    }
+}
+
 /// A hand-written worst case: a column that starts integer and demotes to
 /// text mid-table (after more than one chunk boundary would have passed
 /// in a larger table), plus float/int comparisons across columns.

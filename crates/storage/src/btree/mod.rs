@@ -586,6 +586,11 @@ impl KeyArena {
         self.ends.is_empty()
     }
 
+    /// Keys the arena holds room for without growing its index.
+    pub fn capacity(&self) -> usize {
+        self.ends.capacity()
+    }
+
     /// The `i`-th key pushed since the last [`KeyArena::clear`].
     pub fn get(&self, i: usize) -> &[u8] {
         let start = if i == 0 { 0 } else { self.ends[i - 1] };
@@ -889,21 +894,31 @@ fn insert_rec(pool: &mut BufferPool, pid: PageId, key: &[u8], val: &[u8]) -> Res
             Outcome::Done(old) => return Ok(Ins::Done(old)),
             Outcome::NeedSplit(old) => old,
         };
-        // Split: gather cells (the replaced key, if any, is already gone),
-        // add the new entry, and distribute across two leaves.
-        let (mut cells, next) =
-            pool.read_page(pid, |b| (node::leaf_cells(b), node::next_leaf(b)))?;
-        let pos = match cells.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-            Ok(_) => unreachable!("duplicate was removed above"),
-            Err(p) => p,
+        // Split: the node's cells (the replaced key, if any, is already
+        // gone) plus the new entry, distributed across two leaves, read
+        // from a copy of the page.
+        let mut img: node::Buf = [0; PAGE_SIZE];
+        pool.read_page(pid, |b| img = *b)?;
+        let next = node::next_leaf(&img);
+        let (pos, _) = node::lower_bound(&img, key);
+        let cell = |i: usize| match i.cmp(&pos) {
+            std::cmp::Ordering::Less => (node::key_at(&img, i), node::leaf_val_at(&img, i)),
+            std::cmp::Ordering::Equal => (key, val),
+            std::cmp::Ordering::Greater => {
+                (node::key_at(&img, i - 1), node::leaf_val_at(&img, i - 1))
+            }
         };
-        cells.insert(pos, (key.to_vec(), val.to_vec()));
-        let mid = split_point(cells.iter().map(|(k, v)| 4 + k.len() + v.len()));
+        let m = node::num_cells(&img) + 1;
+        let mid = split_point((0..m).map(|i| {
+            let (k, v) = cell(i);
+            4 + k.len() + v.len()
+        }));
         let right_pid = pool.allocate_page()?;
-        let sep = cells[mid].0.clone();
+        let sep = cell(mid).0.to_vec();
         pool.write_page(pid, |b| {
             node::init_leaf(b);
-            for (i, (k, v)) in cells[..mid].iter().enumerate() {
+            for i in 0..mid {
+                let (k, v) = cell(i);
                 let ok = node::leaf_insert_at(b, i, k, v);
                 debug_assert!(ok);
             }
@@ -911,8 +926,9 @@ fn insert_rec(pool: &mut BufferPool, pid: PageId, key: &[u8], val: &[u8]) -> Res
         })?;
         pool.write_page(right_pid, |b| {
             node::init_leaf(b);
-            for (i, (k, v)) in cells[mid..].iter().enumerate() {
-                let ok = node::leaf_insert_at(b, i, k, v);
+            for i in mid..m {
+                let (k, v) = cell(i);
+                let ok = node::leaf_insert_at(b, i - mid, k, v);
                 debug_assert!(ok);
             }
             node::set_next_leaf(b, next);
@@ -935,28 +951,41 @@ fn insert_rec(pool: &mut BufferPool, pid: PageId, key: &[u8], val: &[u8]) -> Res
             if fitted {
                 return Ok(Ins::Done(old));
             }
-            // Split this interior node; the middle key moves up.
-            let (mut cells, leftmost) =
-                pool.read_page(pid, |b| (node::interior_cells(b), node::leftmost_child(b)))?;
-            let pos = match cells.binary_search_by(|(k, _)| k.as_slice().cmp(&sep)) {
-                Ok(p) => p, // separators are unique in practice; tolerate
-                Err(p) => p,
+            // Split this interior node, read from a copy of the page; the
+            // middle key moves up.
+            let mut img: node::Buf = [0; PAGE_SIZE];
+            pool.read_page(pid, |b| img = *b)?;
+            let leftmost = node::leftmost_child(&img);
+            // Separators are unique in practice; a tie goes left of it.
+            let (pos, _) = node::lower_bound(&img, &sep);
+            let cell = |i: usize| match i.cmp(&pos) {
+                std::cmp::Ordering::Less => {
+                    (node::key_at(&img, i), node::interior_cell_child(&img, i))
+                }
+                std::cmp::Ordering::Equal => (&sep[..], right),
+                std::cmp::Ordering::Greater => (
+                    node::key_at(&img, i - 1),
+                    node::interior_cell_child(&img, i - 1),
+                ),
             };
-            cells.insert(pos, (sep, right));
-            let mid = split_point(cells.iter().map(|(k, _)| 2 + k.len() + 8));
-            let (up_key, up_child) = cells[mid].clone();
+            let m = node::num_cells(&img) + 1;
+            let mid = split_point((0..m).map(|i| 2 + cell(i).0.len() + 8));
+            let (up_key, up_child) = cell(mid);
+            let up_key = up_key.to_vec();
             let right_pid = pool.allocate_page()?;
             pool.write_page(pid, |b| {
                 node::init_interior(b, leftmost);
-                for (i, (k, c)) in cells[..mid].iter().enumerate() {
-                    let ok = node::interior_insert_at(b, i, k, *c);
+                for i in 0..mid {
+                    let (k, c) = cell(i);
+                    let ok = node::interior_insert_at(b, i, k, c);
                     debug_assert!(ok);
                 }
             })?;
             pool.write_page(right_pid, |b| {
                 node::init_interior(b, up_child);
-                for (i, (k, c)) in cells[mid + 1..].iter().enumerate() {
-                    let ok = node::interior_insert_at(b, i, k, *c);
+                for i in mid + 1..m {
+                    let (k, c) = cell(i);
+                    let ok = node::interior_insert_at(b, i - mid - 1, k, c);
                     debug_assert!(ok);
                 }
             })?;

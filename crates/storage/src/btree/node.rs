@@ -166,44 +166,47 @@ pub fn free_space(buf: &Buf) -> usize {
     cell_start - (HDR_SIZE + n * SLOT_SIZE) + dead
 }
 
-/// Rewrites live cells tightly against the page end, zeroing dead space.
+/// Offset and byte size of cell `i` (either node type).
+fn cell_span(buf: &Buf, i: usize) -> (usize, usize) {
+    let off = cell_off(buf, i);
+    let klen = codec::get_u16(buf, off) as usize;
+    let size = if is_leaf(buf) {
+        let vlen = codec::get_u16(buf, off + 2) as usize;
+        4 + klen + vlen
+    } else {
+        2 + klen + 8
+    };
+    (off, size)
+}
+
+/// Rewrites live cells tightly against the page end, reclaiming dead
+/// space. Works from a copy of the page on the stack.
 pub fn compact(buf: &mut Buf) {
-    let n = num_cells(buf);
-    let leaf = is_leaf(buf);
-    let mut cells: Vec<Vec<u8>> = Vec::with_capacity(n);
-    for i in 0..n {
-        let off = cell_off(buf, i);
-        let klen = codec::get_u16(buf, off) as usize;
-        let size = if leaf {
-            let vlen = codec::get_u16(buf, off + 2) as usize;
-            4 + klen + vlen
-        } else {
-            2 + klen + 8
-        };
-        cells.push(buf[off..off + size].to_vec());
-    }
+    let img: Buf = *buf;
     let mut cell_start = PAGE_SIZE;
-    for (i, cell) in cells.iter().enumerate() {
-        cell_start -= cell.len();
-        buf[cell_start..cell_start + cell.len()].copy_from_slice(cell);
+    for i in 0..num_cells(&img) {
+        let (off, size) = cell_span(&img, i);
+        cell_start -= size;
+        buf[cell_start..cell_start + size].copy_from_slice(&img[off..off + size]);
         codec::put_u16(buf, HDR_SIZE + i * SLOT_SIZE, cell_start as u16);
     }
     codec::put_u16(buf, OFF_CELL_START, cell_start as u16);
     codec::put_u16(buf, OFF_DEAD, 0);
 }
 
-fn write_cell(buf: &mut Buf, i: usize, cell: &[u8], n: usize) {
+/// Makes room for a `size`-byte cell at slot `i` of a node holding `n`
+/// cells and returns the cell's bytes for the caller to write in place.
+fn write_cell(buf: &mut Buf, i: usize, size: usize, n: usize) -> &mut [u8] {
     // Caller guarantees total space (including dead bytes). Compact when
     // the contiguous gap between slot directory and cell area is too small
     // — `cell_start` may even sit below the slot area end when dead cells
     // pack low, hence the saturating arithmetic.
     let slot_area_end = HDR_SIZE + (n + 1) * SLOT_SIZE;
     let cell_start = codec::get_u16(buf, OFF_CELL_START) as usize;
-    if cell_start.saturating_sub(slot_area_end) < cell.len() {
+    if cell_start.saturating_sub(slot_area_end) < size {
         compact(buf);
     }
-    let cell_start = codec::get_u16(buf, OFF_CELL_START) as usize - cell.len();
-    buf[cell_start..cell_start + cell.len()].copy_from_slice(cell);
+    let cell_start = codec::get_u16(buf, OFF_CELL_START) as usize - size;
     codec::put_u16(buf, OFF_CELL_START, cell_start as u16);
     // Shift slots [i..n) right by one.
     let src = HDR_SIZE + i * SLOT_SIZE;
@@ -211,36 +214,39 @@ fn write_cell(buf: &mut Buf, i: usize, cell: &[u8], n: usize) {
     buf.copy_within(src..end, src + SLOT_SIZE);
     codec::put_u16(buf, src, cell_start as u16);
     codec::put_u16(buf, OFF_NUM, (n + 1) as u16);
+    &mut buf[cell_start..cell_start + size]
 }
 
-/// Inserts a leaf cell at slot `i`; returns false when the page is full.
+/// Inserts a leaf cell at slot `i`, written in place; returns false when
+/// the page is full.
 pub fn leaf_insert_at(buf: &mut Buf, i: usize, key: &[u8], val: &[u8]) -> bool {
     let n = num_cells(buf);
     let size = 4 + key.len() + val.len();
     if free_space(buf) < size + SLOT_SIZE {
         return false;
     }
-    let mut cell = Vec::with_capacity(size);
-    cell.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    cell.extend_from_slice(&(val.len() as u16).to_le_bytes());
-    cell.extend_from_slice(key);
-    cell.extend_from_slice(val);
-    write_cell(buf, i, &cell, n);
+    let cell = write_cell(buf, i, size, n);
+    let (head, body) = cell.split_at_mut(4);
+    head[..2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    head[2..].copy_from_slice(&(val.len() as u16).to_le_bytes());
+    let (k, v) = body.split_at_mut(key.len());
+    k.copy_from_slice(key);
+    v.copy_from_slice(val);
     true
 }
 
-/// Inserts an interior cell at slot `i`; returns false when full.
+/// Inserts an interior cell at slot `i`, written in place; returns false
+/// when full.
 pub fn interior_insert_at(buf: &mut Buf, i: usize, key: &[u8], child: u64) -> bool {
     let n = num_cells(buf);
     let size = 2 + key.len() + 8;
     if free_space(buf) < size + SLOT_SIZE {
         return false;
     }
-    let mut cell = Vec::with_capacity(size);
-    cell.extend_from_slice(&(key.len() as u16).to_le_bytes());
-    cell.extend_from_slice(key);
-    cell.extend_from_slice(&child.to_le_bytes());
-    write_cell(buf, i, &cell, n);
+    let cell = write_cell(buf, i, size, n);
+    cell[..2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+    cell[2..2 + key.len()].copy_from_slice(key);
+    cell[2 + key.len()..].copy_from_slice(&child.to_le_bytes());
     true
 }
 
@@ -263,20 +269,6 @@ pub fn remove_at(buf: &mut Buf, i: usize) {
     let end = HDR_SIZE + n * SLOT_SIZE;
     buf.copy_within(src..end, src - SLOT_SIZE);
     codec::put_u16(buf, OFF_NUM, (n - 1) as u16);
-}
-
-/// Collects every leaf cell as owned `(key, value)` pairs.
-pub fn leaf_cells(buf: &Buf) -> Vec<(Vec<u8>, Vec<u8>)> {
-    (0..num_cells(buf))
-        .map(|i| (key_at(buf, i).to_vec(), leaf_val_at(buf, i).to_vec()))
-        .collect()
-}
-
-/// Collects every interior cell as owned `(key, child)` pairs.
-pub fn interior_cells(buf: &Buf) -> Vec<(Vec<u8>, u64)> {
-    (0..num_cells(buf))
-        .map(|i| (key_at(buf, i).to_vec(), interior_cell_child(buf, i)))
-        .collect()
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@
 //! Chunks are reusable: [`Chunk::reset`] clears the data but keeps both the
 //! allocations and each column's representation (a column demoted to
 //! generic stays generic, avoiding re-promotion churn across batches).
+//! Reshaping keeps allocations too: columns a narrower width drops are
+//! set aside and handed back, cleared, when the chunk widens again, so a
+//! recycled chunk grows its columns into the buffers it already has.
 
 use crate::value::Value;
 
@@ -20,6 +23,10 @@ use crate::value::Value;
 pub const CHUNK_CAPACITY: usize = 1024;
 
 /// A validity bitmap: bit set ⇒ the row is NULL.
+///
+/// Words are only materialized up to the last NULL: a mask with no NULLs
+/// holds no words at all, so the common all-valid column never allocates
+/// for its mask, and rows past the last word read as valid.
 #[derive(Debug, Clone, Default)]
 pub struct NullMask {
     words: Vec<u64>,
@@ -36,7 +43,7 @@ impl NullMask {
     /// A mask of `len` rows, none of them NULL.
     pub fn all_valid(len: usize) -> NullMask {
         NullMask {
-            words: vec![0; len.div_ceil(64)],
+            words: Vec::new(),
             len,
             set: 0,
         }
@@ -53,38 +60,40 @@ impl NullMask {
     }
 
     /// Appends one row's validity.
+    #[inline]
     pub fn push(&mut self, is_null: bool) {
-        let word = self.len / 64;
-        if word == self.words.len() {
-            self.words.push(0);
-        }
-        if is_null {
-            self.words[word] |= 1u64 << (self.len % 64);
-            self.set += 1;
-        }
         self.len += 1;
+        if is_null {
+            self.set_null(self.len - 1);
+        }
     }
 
     /// Appends `k` rows, none of them NULL.
+    #[inline]
     pub fn extend_valid(&mut self, k: usize) {
         self.len += k;
-        self.words.resize(self.len.div_ceil(64), 0);
     }
 
     /// Whether row `i` is NULL.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
     }
 
     /// Marks an already-tracked row `i` as NULL.
     #[inline]
     pub fn set_null(&mut self, i: usize) {
         debug_assert!(i < self.len);
+        let word = i / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
         let bit = 1u64 << (i % 64);
-        if self.words[i / 64] & bit == 0 {
-            self.words[i / 64] |= bit;
+        if self.words[word] & bit == 0 {
+            self.words[word] |= bit;
             self.set += 1;
         }
     }
@@ -294,20 +303,15 @@ impl Column {
                     idx.iter()
                         .for_each(|&i| nulls.push(src_nulls.get(i as usize)));
                 } else {
-                    idx.iter().for_each(|_| nulls.push(false));
+                    nulls.extend_valid(idx.len());
                 }
             }
             _ => idx.iter().for_each(|&i| self.push(other.get(i as usize))),
         }
     }
 
-    /// Appends every row of `other`; an empty column simply takes
-    /// `other`'s vectors over.
-    pub fn append(&mut self, other: Column) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
+    /// Appends every row of `other`, copying.
+    pub fn extend_from(&mut self, other: &Column) {
         match (&mut *self, other) {
             (
                 Column::Int { vals, nulls },
@@ -316,39 +320,35 @@ impl Column {
                     nulls: src_nulls,
                 },
             ) => {
-                vals.extend_from_slice(&src);
-                (0..src.len()).for_each(|i| nulls.push(src_nulls.get(i)));
+                vals.extend_from_slice(src);
+                if src_nulls.any() {
+                    (0..src.len()).for_each(|i| nulls.push(src_nulls.get(i)));
+                } else {
+                    nulls.extend_valid(src.len());
+                }
             }
             (_, other) => (0..other.len()).for_each(|i| self.push(other.get(i))),
         }
     }
 
+    /// Appends every row of `other`; an empty column simply takes
+    /// `other`'s vectors over.
+    pub fn append(&mut self, other: Column) {
+        if self.is_empty() {
+            *self = other;
+        } else {
+            self.extend_from(&other);
+        }
+    }
+
     /// A new column holding `self[i]` for each `i` in `idx`.
     pub fn gather(&self, idx: &[u32]) -> Column {
-        match self {
-            Column::Int { vals, nulls } => {
-                let mut out_vals = Vec::with_capacity(idx.len());
-                let mut out_nulls = NullMask::new();
-                if nulls.any() {
-                    for &i in idx {
-                        out_vals.push(vals[i as usize]);
-                        out_nulls.push(nulls.get(i as usize));
-                    }
-                } else {
-                    for &i in idx {
-                        out_vals.push(vals[i as usize]);
-                        out_nulls.push(false);
-                    }
-                }
-                Column::Int {
-                    vals: out_vals,
-                    nulls: out_nulls,
-                }
-            }
-            Column::Generic(v) => {
-                Column::Generic(idx.iter().map(|&i| v[i as usize].clone()).collect())
-            }
-        }
+        let mut out = match self {
+            Column::Int { .. } => Column::new_int(),
+            Column::Generic(_) => Column::new_generic(),
+        };
+        out.extend_gather(self, idx);
+        out
     }
 }
 
@@ -360,10 +360,23 @@ impl Column {
 /// chunk with rows. Absent columns keep their slot (offsets bound at plan
 /// time stay valid) and survive gathers as absent; reading one is a
 /// planner bug, caught by a debug assertion.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Chunk {
     cols: Vec<Column>,
     len: usize,
+    /// Cleared columns a narrower width set aside, handed back first when
+    /// the chunk widens (their allocations survive reshaping).
+    spare: Vec<Column>,
+}
+
+impl Clone for Chunk {
+    fn clone(&self) -> Chunk {
+        Chunk {
+            cols: self.cols.clone(),
+            len: self.len,
+            spare: Vec::new(),
+        }
+    }
 }
 
 impl Chunk {
@@ -378,13 +391,18 @@ impl Chunk {
         Chunk {
             cols: (0..width).map(|_| Column::new_int()).collect(),
             len: 0,
+            spare: Vec::new(),
         }
     }
 
     /// Builds a chunk directly from columns (all must share one length).
     pub fn from_columns(cols: Vec<Column>, len: usize) -> Chunk {
         debug_assert!(cols.iter().all(|c| c.len() == len));
-        Chunk { cols, len }
+        Chunk {
+            cols,
+            len,
+            spare: Vec::new(),
+        }
     }
 
     /// Number of rows.
@@ -471,21 +489,33 @@ impl Chunk {
     /// stickiness that is right within one scan would pessimize the next
     /// borrower).
     pub fn reset_for_reuse(&mut self) {
-        for c in &mut self.cols {
-            if matches!(c, Column::Generic(_)) {
-                *c = Column::new_int();
-            } else {
-                c.clear();
-            }
-        }
+        self.cols.iter_mut().for_each(clear_typed);
         self.len = 0;
     }
 
-    /// Ensures the chunk has exactly `width` columns (creating
-    /// integer-typed ones); only valid while the chunk is empty.
+    /// Ensures the chunk has exactly `width` columns (integer-typed ones
+    /// when it widens); only valid while the chunk is empty. Columns a
+    /// narrower width drops are kept aside, cleared, for the next widening.
     pub fn set_width(&mut self, width: usize) {
         debug_assert_eq!(self.len, 0, "cannot reshape a non-empty chunk");
-        self.cols.resize_with(width, Column::new_int);
+        while self.cols.len() > width {
+            if let Some(mut c) = self.cols.pop() {
+                clear_typed(&mut c);
+                self.spare.push(c);
+            }
+        }
+        while self.cols.len() < width {
+            self.cols.push(self.spare.pop().unwrap_or_default());
+        }
+    }
+
+    /// Appends one empty column slot (a set-aside column when there is
+    /// one) for the caller to fill with exactly [`Chunk::len`] rows.
+    pub fn add_column(&mut self) -> &mut Column {
+        let col = self.spare.pop().unwrap_or_default();
+        self.cols.push(col);
+        let last = self.cols.len() - 1;
+        &mut self.cols[last]
     }
 
     /// Appends one row. The first row fixes the width; later rows must
@@ -515,6 +545,52 @@ impl Chunk {
     /// Materializes every row (the row-at-a-time boundary).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         (0..self.len).map(|r| self.row(r)).collect()
+    }
+
+    /// Appends joined rows: row `k` is row `lidx[k]` of `left` beside row
+    /// `ridx[k]` of `right` (row `k` of `right` when `ridx` is `None`).
+    /// Absent columns of either side stay absent.
+    pub fn append_joined(
+        &mut self,
+        left: &Chunk,
+        lidx: &[u32],
+        right: &Chunk,
+        ridx: Option<&[u32]>,
+    ) {
+        let lw = left.cols.len();
+        if self.len == 0 && self.cols.len() != lw + right.cols.len() {
+            self.set_width(lw + right.cols.len());
+        }
+        debug_assert_eq!(self.cols.len(), lw + right.cols.len());
+        debug_assert_eq!(lidx.len(), ridx.map_or(right.len, <[u32]>::len));
+        for (c, dst) in self.cols[..lw].iter_mut().enumerate() {
+            if left.is_present(c) {
+                dst.extend_gather(&left.cols[c], lidx);
+            }
+        }
+        for (c, dst) in self.cols[lw..].iter_mut().enumerate() {
+            if right.is_present(c) {
+                match ridx {
+                    Some(ridx) => dst.extend_gather(&right.cols[c], ridx),
+                    None => dst.extend_from(&right.cols[c]),
+                }
+            }
+        }
+        self.len += lidx.len();
+    }
+
+    /// Widens the chunk by `other`'s columns: row `k` of each holds row
+    /// `idx[k]` of `other`, and the columns `keep` does not flag (or that
+    /// `other` lacks) come out absent.
+    pub fn hcat_gather(&mut self, other: &Chunk, idx: &[u32], keep: &[bool]) {
+        debug_assert_eq!(idx.len(), self.len);
+        for (c, src) in other.cols.iter().enumerate() {
+            let present = keep[c] && other.is_present(c);
+            let dst = self.add_column();
+            if present {
+                dst.extend_gather(src, idx);
+            }
+        }
     }
 
     /// Appends the rows of `other` selected by `idx`.
@@ -550,24 +626,7 @@ impl Chunk {
         Chunk {
             cols,
             len: idx.len(),
-        }
-    }
-
-    /// [`Chunk::gather`] restricted to the columns `keep` flags; the others
-    /// come out absent.
-    pub fn gather_cols(&self, idx: &[u32], keep: &[bool]) -> Chunk {
-        let cols = (0..self.cols.len())
-            .map(|c| {
-                if keep[c] && self.is_present(c) {
-                    self.cols[c].gather(idx)
-                } else {
-                    Column::new_int()
-                }
-            })
-            .collect();
-        Chunk {
-            cols,
-            len: idx.len(),
+            spare: Vec::new(),
         }
     }
 
@@ -590,8 +649,16 @@ impl Chunk {
 
     /// Appends all rows of `other` (vertical concatenation).
     pub fn append(&mut self, other: &Chunk) {
-        let idx: Vec<u32> = (0..other.len() as u32).collect();
-        self.append_gather(other, &idx);
+        if self.len == 0 && self.cols.len() != other.cols.len() {
+            self.set_width(other.cols.len());
+        }
+        debug_assert_eq!(self.cols.len(), other.cols.len());
+        for (c, (dst, src)) in self.cols.iter_mut().zip(&other.cols).enumerate() {
+            if other.is_present(c) {
+                dst.extend_from(src);
+            }
+        }
+        self.len += other.len;
     }
 
     /// Horizontal concatenation: `self`'s columns followed by `other`'s.
@@ -600,6 +667,16 @@ impl Chunk {
         debug_assert_eq!(self.len, other.len);
         self.cols.extend(other.cols);
         self
+    }
+}
+
+/// Clears a column for an unrelated next user: integer columns keep their
+/// allocations, generic ones revert to the typed representation.
+fn clear_typed(c: &mut Column) {
+    if matches!(c, Column::Generic(_)) {
+        *c = Column::new_int();
+    } else {
+        c.clear();
     }
 }
 

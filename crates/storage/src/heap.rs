@@ -402,15 +402,31 @@ impl HeapFile {
         pool: &mut BufferPool,
         rows: &[R],
     ) -> Result<Vec<RecordId>> {
-        if let Some(r) = rows.iter().find(|r| r.as_ref().len() > MAX_RECORD) {
+        let mut out = Vec::with_capacity(rows.len());
+        self.insert_rows(pool, rows.len(), |i| rows[i].as_ref(), &mut out)?;
+        Ok(out)
+    }
+
+    /// [`HeapFile::insert_batch`] over `n` rows read by position,
+    /// appending their record ids to `out` — a caller that keeps its row
+    /// and id buffers across batches allocates nothing here.
+    pub fn insert_rows<'r>(
+        &mut self,
+        pool: &mut BufferPool,
+        n: usize,
+        row: impl Fn(usize) -> &'r [u8],
+        out: &mut Vec<RecordId>,
+    ) -> Result<()> {
+        if let Some(r) = (0..n).map(&row).find(|r| r.len() > MAX_RECORD) {
             return Err(StorageError::RecordTooLarge {
-                size: r.as_ref().len(),
+                size: r.len(),
                 max: MAX_RECORD,
             });
         }
-        let mut out = Vec::with_capacity(rows.len());
-        while let Some(first) = rows.get(out.len()) {
-            let page_idx = match Self::pick_page(&self.free, first.as_ref().len()) {
+        let start = out.len();
+        while out.len() - start < n {
+            let first = row(out.len() - start);
+            let page_idx = match Self::pick_page(&self.free, first.len()) {
                 Some(p) => p,
                 None => {
                     let pid = pool.allocate_page()?;
@@ -425,11 +441,12 @@ impl HeapFile {
             pool.write_page(self.pages[page_idx], |buf| {
                 // The free-space hints are exact, so a row the rule sends
                 // here always fits.
-                while let Some(row) = rows.get(out.len()) {
-                    if Self::pick_page(free, row.as_ref().len()) != Some(page_idx) {
+                while out.len() - start < n {
+                    let row = row(out.len() - start);
+                    if Self::pick_page(free, row.len()) != Some(page_idx) {
                         break;
                     }
-                    let slot = page_insert(buf, row.as_ref()).ok_or_else(|| {
+                    let slot = page_insert(buf, row).ok_or_else(|| {
                         StorageError::Corrupt(format!("heap page {page_idx} free-space hint"))
                     })?;
                     free[page_idx] = page_free(buf) as u16;
@@ -442,7 +459,7 @@ impl HeapFile {
             })??;
             self.len += (out.len() - before) as u64;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Deletes many records with one buffer-pool write per touched page.

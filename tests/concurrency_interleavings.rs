@@ -20,9 +20,12 @@
 //! creation and working-table isolation over one page image, and the
 //! landmark fast-path vs FEM dispatch inside a live [`PathService`].
 
-use fempath::core::{BdjFinder, GraphDb, PathService, ServiceAlgorithm, ShortestPathFinder};
+use fempath::core::{
+    BdjFinder, CancelFlag, GraphDb, PathService, SearchLimits, ServiceAlgorithm, ShortestPathFinder,
+};
 use fempath::graph::generate;
 use fempath::inmem::dijkstra;
+use fempath::sql::SqlError;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Condvar, Mutex};
 
@@ -324,6 +327,72 @@ fn landmark_fastpath_vs_fem_interleavings() {
             }
         })
     });
+}
+
+/// Cancellation: a canceller raises a search's cancel flag at a seeded
+/// point of a searcher's run of queries on one session. The search that
+/// polls it first stops with `Cancelled` at an expansion boundary — after
+/// its set-up has written the working tables, so mid-search — and never
+/// returns a path. The same session, its limits lifted, then answers every
+/// pair exactly as in-memory Dijkstra does.
+#[test]
+fn cancel_mid_search_then_dijkstra_interleavings() {
+    let g = generate::power_law(200, 3, 1..=50, 41);
+    let pairs: Vec<(i64, i64)> = vec![(0, 199), (17, 120), (150, 3), (64, 99)];
+    let oracle: Vec<u64> = pairs
+        .iter()
+        .map(|&(s, t)| {
+            dijkstra::shortest_path(&g, s as u32, t as u32)
+                .expect("power-law graphs are connected")
+                .distance
+        })
+        .collect();
+    let cancelled_runs = std::sync::atomic::AtomicU64::new(0);
+    sweep("cancel_mid_search_then_dijkstra_interleavings", |seed| {
+        let snap = GraphDb::in_memory(&g).unwrap().freeze().unwrap();
+        let flag = CancelFlag::new();
+        run_interleaved(2, seed, |me, sched| {
+            if me == 1 {
+                sched.point(me);
+                flag.cancel();
+                return;
+            }
+            let finder = BdjFinder::default();
+            let mut session = snap.session();
+            session.set_limits(SearchLimits {
+                deadline: None,
+                cancel: Some(flag.clone()),
+            });
+            for (&(s, t), &want) in pairs.iter().zip(&oracle) {
+                sched.point(me);
+                match finder.find_path(&mut session, s, t) {
+                    Ok(out) => assert_eq!(out.path.unwrap().length as u64, want),
+                    Err(SqlError::Cancelled) => {
+                        // ORDERING: Relaxed — a test tally read after the
+                        // threads are joined.
+                        cancelled_runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        break;
+                    }
+                    Err(e) => panic!("{s}->{t} failed: {e}"),
+                }
+            }
+            session.set_limits(SearchLimits::default());
+            for (&(s, t), &want) in pairs.iter().zip(&oracle) {
+                let out = finder.find_path(&mut session, s, t).unwrap();
+                assert_eq!(
+                    out.path.unwrap().length as u64,
+                    want,
+                    "{s}->{t} after cancel"
+                );
+            }
+        })
+    });
+    if single_seed().is_none() {
+        assert!(
+            cancelled_runs.load(std::sync::atomic::Ordering::Relaxed) > 0,
+            "no seed cancelled a search: the case is vacuous"
+        );
+    }
 }
 
 /// The scheduler itself is deterministic: the same seed must produce the

@@ -1,11 +1,11 @@
 //! Property-based tests of the storage substrate: the B+tree against a
 //! `BTreeMap` model, key-encoding order preservation, row round-trips,
-//! the batch row decoder under the heap cursor and the heap's page-choice
-//! rule.
+//! the batch row decoder under the heap cursor, the heap's page-choice
+//! rule and the column null bitmap against a `Vec<bool>` model.
 
 use fempath::storage::{
     decode_key, decode_row, decode_rows_into_chunk, encode_key, encode_row, patch_fixed_cells,
-    BTree, BufferPool, Chunk, ColSet, Column, HeapFile, RecordId, StorageError, Value,
+    BTree, BufferPool, Chunk, ColSet, Column, HeapFile, NullMask, RecordId, StorageError, Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -84,8 +84,69 @@ fn decode_batch(rows: &[Vec<u8>], set: &ColSet) -> Result<Chunk, StorageError> {
     Ok(chunk)
 }
 
+/// One step of the `NullMask` model property.
+#[derive(Debug, Clone)]
+enum MaskOp {
+    Push(bool),
+    ExtendValid(usize),
+    /// Marks the row at this fraction (in 1/256ths) of the tracked rows.
+    SetNull(u8),
+    Clear,
+}
+
+fn arb_mask_op() -> impl Strategy<Value = MaskOp> {
+    prop_oneof![
+        any::<bool>().prop_map(MaskOp::Push),
+        any::<bool>().prop_map(MaskOp::Push),
+        (0usize..150).prop_map(MaskOp::ExtendValid),
+        any::<u8>().prop_map(MaskOp::SetNull),
+        Just(MaskOp::Clear),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `NullMask` is a `Vec<bool>`: `push` / `extend_valid` / `set_null` /
+    /// `clear` keep `get`, `count`, `any` and `len` equal to the model's
+    /// after every step — across word boundaries, and whether or not the
+    /// mask has materialized words (a mask without NULLs holds none).
+    #[test]
+    fn null_mask_matches_a_vec_of_bools(
+        ops in prop::collection::vec(arb_mask_op(), 0..60),
+    ) {
+        let mut mask = NullMask::new();
+        let mut model: Vec<bool> = Vec::new();
+        for op in ops {
+            match op {
+                MaskOp::Push(null) => {
+                    mask.push(null);
+                    model.push(null);
+                }
+                MaskOp::ExtendValid(k) => {
+                    mask.extend_valid(k);
+                    model.resize(model.len() + k, false);
+                }
+                MaskOp::SetNull(at) if !model.is_empty() => {
+                    let i = model.len() * at as usize / 256;
+                    mask.set_null(i);
+                    model[i] = true;
+                }
+                MaskOp::SetNull(_) => {}
+                MaskOp::Clear => {
+                    mask.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(mask.len(), model.len());
+            prop_assert_eq!(mask.count(), model.iter().filter(|&&b| b).count());
+            prop_assert_eq!(mask.any(), model.contains(&true));
+            for (i, &b) in model.iter().enumerate() {
+                prop_assert_eq!(mask.get(i), b, "row {}", i);
+            }
+        }
+        prop_assert_eq!(NullMask::all_valid(model.len()).count(), 0);
+    }
 
     /// A projected decode is the full decode restricted to the set: wanted
     /// columns hold exactly the full decode's values, the others stay
