@@ -38,9 +38,13 @@ fn drive(svc: &PathService, pairs: &[(i64, i64)]) -> Result<(Duration, usize, Ve
                 // lock never sits on the query path.
                 let mut local = Vec::new();
                 loop {
+                    // ORDERING: Relaxed — the RMW alone hands each index
+                    // to exactly one client; no other memory rides on it.
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&(s, t)) = pairs.get(i) else { break };
                     let q = Instant::now();
+                    // ORDERING: Relaxed — tallies read only after the
+                    // scope joins every client, which synchronizes them.
                     match svc.query(s, t) {
                         Ok(out) if out.path.is_some() => {
                             reachable.fetch_add(1, Ordering::Relaxed);
@@ -60,6 +64,8 @@ fn drive(svc: &PathService, pairs: &[(i64, i64)]) -> Result<(Duration, usize, Ve
         }
     });
     let elapsed = t.elapsed();
+    // ORDERING: Relaxed — every client thread has joined, so the tallies
+    // are final.
     if failed.load(Ordering::Relaxed) > 0 {
         return Err(fempath_sql::SqlError::Eval(format!(
             "{} service queries failed",
@@ -70,6 +76,7 @@ fn drive(svc: &PathService, pairs: &[(i64, i64)]) -> Result<(Duration, usize, Ve
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
     lat.sort_unstable();
+    // ORDERING: Relaxed — final after the join, as above.
     Ok((elapsed, reachable.load(Ordering::Relaxed), lat))
 }
 

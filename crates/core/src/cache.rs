@@ -13,11 +13,10 @@
 //! unreachable hot pair would otherwise pay the full bidirectional
 //! search every time, the most expensive query shape there is.
 //!
-//! Structure mirrors DESIGN.md §13's `SharedPlanCache`: N shards picked
-//! by key hash, each protected by its own mutex so concurrent clients
-//! rarely contend (the crate forbids `unsafe`, so shards use plain
-//! mutexes rather than RCU pointers; the critical sections are a map
-//! probe or a small LRU update). Each shard owns a byte budget; inserts
+//! Every served query consults this cache, so it is split into N shards
+//! picked by key hash, each protected by its own plain mutex: concurrent
+//! clients rarely meet on one lock, and the critical sections are a map
+//! probe or a small LRU update. Each shard owns a byte budget; inserts
 //! evict least-recently-used entries until the new entry fits.
 //!
 //! [`PathService`]: crate::service::PathService
@@ -30,9 +29,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Number of independent shards. Like `SharedPlanCache`, a small
-/// power of two: enough to keep worker threads off each other's locks,
-/// small enough that per-shard budgets stay meaningful.
+/// Number of independent shards: a small power of two, enough to keep
+/// worker threads off each other's locks, small enough that per-shard
+/// budgets stay meaningful.
 const SHARDS: usize = 16;
 
 /// Fixed per-entry overhead charged against the byte budget on top of
@@ -137,6 +136,8 @@ impl ResultCache {
                 e.last_used = tick;
                 let out = e.path.clone();
                 drop(shard);
+                // ORDERING: Relaxed — monotonic diagnostic counters, read
+                // racily by `stats`; no other memory is ordered by them.
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Some(out);
             }
@@ -148,6 +149,7 @@ impl ResultCache {
                 shard.bytes -= e.bytes;
             }
             drop(shard);
+            // ORDERING: Relaxed — diagnostic counters, as for `hits`.
             self.stale.fetch_add(1, Ordering::Relaxed);
         } else {
             drop(shard);
@@ -206,6 +208,7 @@ impl ResultCache {
                 },
             );
         }
+        // ORDERING: Relaxed — diagnostic counters, as in `lookup`.
         self.inserts.fetch_add(1, Ordering::Relaxed);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -221,6 +224,8 @@ impl ResultCache {
             entries += s.map.len() as u64;
             bytes += s.bytes as u64;
         }
+        // ORDERING: Relaxed — a racy snapshot of diagnostic counters;
+        // a slightly stale read is fine and nothing is ordered against it.
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -629,14 +629,11 @@ impl GraphSnapshot {
         self.landmarks
     }
 
-    /// Plans currently in the cross-session shared cache (diagnostics).
-    pub fn shared_plan_count(&self) -> usize {
-        self.snap.shared_plan_count()
-    }
-
-    /// Consult/publish counters of the cross-session shared plan cache
-    /// (DESIGN.md §13) — `publishes` converges on the distinct statement
-    /// count however many workers warm up concurrently.
+    /// Consult/publish counters and plan count of the cross-session
+    /// shared plan cache (DESIGN.md §13): one mutex around an LRU bounded
+    /// like each session's own cache, consulted only on local misses.
+    /// `publishes` converges on the distinct statement count however many
+    /// workers warm up concurrently.
     pub fn shared_plan_stats(&self) -> fempath_sql::SharedPlanCacheStats {
         self.snap.shared_plan_stats()
     }

@@ -48,10 +48,7 @@
 //! assert!(stats.total_executed() >= 2, "singles and batch pairs all count");
 //! ```
 
-use crate::algo::{
-    BbfsFinder, BdjFinder, BsdjFinder, DjFinder, Path, PathOutcome, SearchLimits,
-    ShortestPathFinder,
-};
+use crate::algo::{BdjFinder, BsdjFinder, Path, PathOutcome, SearchLimits, ShortestPathFinder};
 use crate::cache::{CacheStats, ResultCache};
 use crate::dispatch::{StealQueues, WaitHistogram, WorkerQueueStats};
 use crate::graphdb::{GraphDb, GraphDbOptions, GraphSnapshot};
@@ -74,24 +71,18 @@ pub const DEFAULT_CACHE_BYTES: usize = 4 << 20;
 /// Which relational finder answers the service's queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum ServiceAlgorithm {
-    /// Single-directional Dijkstra (Algorithm 1) — mostly for comparison.
-    Dj,
     /// Bidirectional Dijkstra — the service default.
     #[default]
     Bdj,
     /// Bidirectional set Dijkstra (the paper's strongest raw-edge finder).
     Bsdj,
-    /// Bidirectional BFS-style relaxation.
-    Bbfs,
 }
 
 impl ServiceAlgorithm {
     fn finder(self) -> Box<dyn ShortestPathFinder + Send> {
         match self {
-            ServiceAlgorithm::Dj => Box::new(DjFinder),
             ServiceAlgorithm::Bdj => Box::new(BdjFinder::default()),
             ServiceAlgorithm::Bsdj => Box::new(BsdjFinder::default()),
-            ServiceAlgorithm::Bbfs => Box::new(BbfsFinder),
         }
     }
 }
@@ -863,7 +854,7 @@ mod tests {
         let svc = PathService::new(&g, 2).unwrap();
         svc.query(0, 15).unwrap();
         assert!(
-            svc.snapshot().shared_plan_count() > 0,
+            svc.snapshot().shared_plan_stats().plans > 0,
             "first query should publish its plans to the shared cache"
         );
     }

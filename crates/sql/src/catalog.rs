@@ -1512,12 +1512,15 @@ impl Table {
         Ok(())
     }
 
-    /// Releases every tree the table owns (heap pages stay with the pool).
+    /// Returns every page the table owns (heaps, trees, indexes) to the
+    /// pool's allocator.
     fn destroy(self, pool: &mut BufferPool) -> Result<()> {
         match self.storage {
-            TableStorage::Heap(_) => {}
-            TableStorage::Clustered { tree, .. } | TableStorage::Segmented { tree, .. } => {
-                tree.destroy(pool)?
+            TableStorage::Heap(heap) => heap.destroy(pool),
+            TableStorage::Clustered { tree, .. } => tree.destroy(pool)?,
+            TableStorage::Segmented { tree, delta, .. } => {
+                tree.destroy(pool)?;
+                delta.destroy(pool);
             }
         }
         for idx in self.indexes {

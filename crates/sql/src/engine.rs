@@ -23,11 +23,8 @@ use crate::exec::{dml, select};
 use crate::parser::parse_statement;
 use crate::plan::{self, PlanKind, PreparedPlan};
 use fempath_storage::{BufferPool, IoStats, SnapshotPages, Value};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -119,6 +116,7 @@ const PLAN_CACHE_CAP: usize = 512;
 /// session that kept issuing *new* statement texts after DDL would retain
 /// every stale plan until the cap was hit (the plan-cache leak fixed in
 /// this revision).
+#[derive(Default)]
 struct PlanCache {
     entries: HashMap<String, (Arc<PreparedPlan>, u64)>,
     /// Monotonic access counter backing LRU eviction.
@@ -128,14 +126,6 @@ struct PlanCache {
 }
 
 impl PlanCache {
-    fn new() -> PlanCache {
-        PlanCache {
-            entries: HashMap::new(),
-            tick: 0,
-            swept_version: 0,
-        }
-    }
-
     /// Drops every entry compiled against a superseded catalog version.
     /// Cheap no-op while the version is unchanged.
     fn sweep_stale(&mut self, version: u64) {
@@ -181,122 +171,10 @@ impl PlanCache {
     }
 }
 
-/// Shards in a [`SharedPlanCache`] — bounds the publish-lock scope (and
-/// the size of the map cloned per publish) when many sessions compile
-/// distinct statements concurrently.
-const SHARED_PLAN_SHARDS: usize = 8;
-/// Per-shard entry bound for the shared cache.
-const SHARED_PLAN_SHARD_CAP: usize = 256;
-
-/// One shard of the shared cache: an RCU-style **publish-once** map.
-///
-/// Snapshot workloads consult the shared cache on every local-cache miss
-/// but publish each distinct statement only once per snapshot lifetime,
-/// so the structure is tuned hard for reads: the consult path is a
-/// single `Acquire` pointer load plus a hash lookup — no lock, no
-/// reference count, no shared cache-line write at all (the `RwLock` it
-/// replaces performed an atomic RMW on a contended line for every read).
-///
-/// Publishing clones the current map, inserts, and atomically swaps the
-/// pointer (copy-on-write), serialized by a writer mutex. Superseded map
-/// versions cannot be freed while a reader may still be walking them, so
-/// they are parked in `versions` and freed when the cache drops — one
-/// retired map per publish, and publishes are bounded by the number of
-/// distinct statements, so the parked memory stays small by design.
-struct RcuShard {
-    /// Readers load this (Acquire) and look up without locking. Always
-    /// points at a map owned by `versions`.
-    current: AtomicPtr<HashMap<String, Arc<PreparedPlan>>>,
-    /// Writer serialization + ownership of every map version ever
-    /// published (freed in `Drop`, when no reader can remain).
-    versions: Mutex<Vec<*mut HashMap<String, Arc<PreparedPlan>>>>,
-}
-
-// SAFETY: the raw pointers are owned heap maps, mutated only before
-// publication (the cloned map is private until the `current` swap) and
-// freed only in `Drop`, which takes `&mut self` and therefore excludes
-// every reader. The pointees (`HashMap<String, Arc<PreparedPlan>>`) are
-// `Send + Sync` themselves (asserted below for `PreparedPlan`).
-unsafe impl Send for RcuShard {}
-unsafe impl Sync for RcuShard {}
-
-impl RcuShard {
-    fn new() -> RcuShard {
-        let first = Box::into_raw(Box::new(HashMap::new()));
-        RcuShard {
-            current: AtomicPtr::new(first),
-            versions: Mutex::new(vec![first]),
-        }
-    }
-
-    /// The currently published map. The reference is valid for the
-    /// lifetime of `&self` because every published version stays alive
-    /// until `Drop`.
-    fn map(&self) -> &HashMap<String, Arc<PreparedPlan>> {
-        // SAFETY: `current` always points at a map owned by `versions`,
-        // which frees its maps only in `Drop` (`&mut self`), so the
-        // pointee outlives this `&self` borrow.
-        // ORDERING: Acquire pairs with the Release store in `publish` so
-        // the map's contents are visible before the pointer is.
-        unsafe { &*self.current.load(Ordering::Acquire) }
-    }
-
-    fn get(&self, sql: &str, version: u64) -> Option<Arc<PreparedPlan>> {
-        self.map()
-            .get(sql)
-            .filter(|p| p.catalog_version() == version)
-            .cloned()
-    }
-
-    /// Publishes `plan`, returning false when an equivalent entry was
-    /// already visible (the common thundering-herd warmup case: every
-    /// worker compiles the same statement, one publish wins).
-    fn publish(&self, plan: &Arc<PreparedPlan>) -> bool {
-        let mut versions = self.versions.lock().unwrap_or_else(|e| e.into_inner());
-        // SAFETY: same lifetime argument as `map` — the pointee is owned
-        // by `versions` and freed only in `Drop`.
-        // ORDERING: Relaxed suffices because `current` is only stored
-        // under the `versions` lock we now hold; the lock acquisition
-        // already synchronized us with the previous publisher.
-        let cur = unsafe { &*self.current.load(Ordering::Relaxed) };
-        if let Some(existing) = cur.get(plan.sql()) {
-            if existing.catalog_version() == plan.catalog_version() {
-                return false;
-            }
-        }
-        let mut next = cur.clone();
-        if next.len() >= SHARED_PLAN_SHARD_CAP && !next.contains_key(plan.sql()) {
-            let version = plan.catalog_version();
-            next.retain(|_, p| p.catalog_version() == version);
-            if next.len() >= SHARED_PLAN_SHARD_CAP {
-                next.clear();
-            }
-        }
-        next.insert(plan.sql().to_string(), plan.clone());
-        let ptr = Box::into_raw(Box::new(next));
-        // ORDERING: Release publishes the fully-built map to the Acquire
-        // load in `map` — readers never see a half-initialized pointee.
-        self.current.store(ptr, Ordering::Release);
-        versions.push(ptr);
-        true
-    }
-}
-
-impl Drop for RcuShard {
-    fn drop(&mut self) {
-        let versions = self.versions.get_mut().unwrap_or_else(|e| e.into_inner());
-        for ptr in versions.drain(..) {
-            // SAFETY: `&mut self` excludes all readers; each pointer was
-            // created by `Box::into_raw` and appears exactly once.
-            unsafe { drop(Box::from_raw(ptr)) };
-        }
-    }
-}
-
-/// Consult/publish counters for a [`SharedPlanCache`]
-/// ([`SharedPlanCache::stats`]). `hits`/`misses` count consults (local
-/// plan-cache misses that reached the shared cache); `publishes` counts
-/// map versions actually published — with publish-once semantics it
+/// Consult/publish counters of a snapshot's shared plan cache
+/// ([`DbSnapshot::shared_plan_stats`]). `hits`/`misses` count consults
+/// (local plan-cache misses that reached the shared cache); `publishes`
+/// counts plans actually published — with publish-once semantics it
 /// converges on the number of distinct statements, however many sessions
 /// warm up concurrently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -305,95 +183,62 @@ pub struct SharedPlanCacheStats {
     pub hits: u64,
     /// Consults that fell through to a fresh compile.
     pub misses: u64,
-    /// Map versions published (≈ distinct statements compiled).
+    /// Plans published (≈ distinct statements compiled).
     pub publishes: u64,
     /// Plans currently visible.
     pub plans: usize,
 }
 
-/// A plan cache shared by every session of one [`DbSnapshot`]: a sharded
-/// publish-once RCU map from SQL text to compiled plan (see `RcuShard`).
-/// Snapshot sessions never run DDL (the working tables are created before
-/// freezing), so their catalog versions all stay at the freeze version
-/// and one compiled plan serves every worker; entries whose stamp
-/// mismatches a reader's version are simply ignored (and replaced by the
-/// next publisher). The consult path is lock-free — a pointer load and a
-/// hash lookup — so worker warmup no longer serializes on reader locks.
-pub struct SharedPlanCache {
-    shards: Vec<RcuShard>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    publishes: AtomicU64,
-}
-
-impl Default for SharedPlanCache {
-    fn default() -> Self {
-        SharedPlanCache::new()
-    }
-}
+/// The plan cache shared by every session of one [`DbSnapshot`]: a
+/// session's own [`PlanCache`] (same LRU, cap and version stamps) and its
+/// counters behind one mutex. Sessions consult it only when their local
+/// cache misses, so the lock is taken a few times per distinct statement,
+/// never per execution. Snapshot sessions never run DDL (the working
+/// tables are created before freezing), so their catalog versions all
+/// stay at the freeze version and one compiled plan serves every worker;
+/// an entry whose stamp mismatches a reader's version is a miss, and the
+/// next publisher replaces it.
+#[derive(Default)]
+struct SharedPlanCache(Mutex<(PlanCache, SharedPlanCacheStats)>);
 
 impl SharedPlanCache {
-    /// An empty shared cache.
-    pub fn new() -> SharedPlanCache {
-        SharedPlanCache {
-            shards: (0..SHARED_PLAN_SHARDS).map(|_| RcuShard::new()).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            publishes: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, sql: &str) -> &RcuShard {
-        let mut h = DefaultHasher::new();
-        sql.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+    fn lock(&self) -> MutexGuard<'_, (PlanCache, SharedPlanCacheStats)> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn get(&self, sql: &str, version: u64) -> Option<Arc<PreparedPlan>> {
-        let found = self.shard(sql).get(sql, version);
+        let (cache, stats) = &mut *self.lock();
+        let found = cache.get(sql, version);
         match found {
-            // ORDERING: Relaxed — monotonic diagnostic counters, read
-            // racily by `stats`; no other memory depends on them.
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => stats.hits += 1,
+            None => stats.misses += 1,
+        }
         found
     }
 
+    /// Publishes `plan` unless an entry with the same SQL and catalog
+    /// version is already visible (the thundering-herd warmup case: every
+    /// worker compiles the same statement, one publish wins).
     fn insert(&self, plan: &Arc<PreparedPlan>) {
-        if self.shard(plan.sql()).publish(plan) {
-            // ORDERING: Relaxed — diagnostic counter, see `get`.
-            self.publishes.fetch_add(1, Ordering::Relaxed);
+        let (cache, stats) = &mut *self.lock();
+        if cache.get(plan.sql(), plan.catalog_version()).is_none() {
+            cache.insert(plan.clone());
+            stats.publishes += 1;
         }
     }
 
-    /// Total cached plans across all shards (diagnostics).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map().len()).sum()
-    }
-
-    /// True when no plan is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Consult/publish counters (diagnostics, surfaced by the
-    /// service-throughput experiment).
-    pub fn stats(&self) -> SharedPlanCacheStats {
-        // ORDERING: Relaxed — racy snapshot of diagnostic counters; a
-        // slightly stale read is fine and nothing is ordered against it.
+    fn stats(&self) -> SharedPlanCacheStats {
+        let (cache, stats) = &*self.lock();
         SharedPlanCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            publishes: self.publishes.load(Ordering::Relaxed),
-            plans: self.len(),
+            plans: cache.len(),
+            ..*stats
         }
     }
 }
 
 /// A frozen, immutable image of a [`Database`]: the flushed page image
-/// behind an `Arc`, the catalog as a cloneable template, and a
-/// [`SharedPlanCache`]. [`DbSnapshot::session`] stamps out independent
+/// behind an `Arc`, the catalog as a cloneable template, and a plan
+/// cache shared by its sessions. [`DbSnapshot::session`] stamps out independent
 /// [`Database`] sessions whose reads share the frozen pages and whose
 /// writes (working tables, indexes) go to private copy-on-write overlays —
 /// the shared-snapshot / per-session-state architecture of DESIGN.md §10.
@@ -437,11 +282,6 @@ impl DbSnapshot {
     /// [`Database::data_version`]); sessions start from it.
     pub fn data_version(&self) -> u64 {
         self.data_version
-    }
-
-    /// Plans currently in the shared cache (diagnostics).
-    pub fn shared_plan_count(&self) -> usize {
-        self.shared_plans.len()
     }
 
     /// Consult/publish counters of the shared plan cache.
@@ -499,7 +339,7 @@ impl Database {
             pool,
             catalog: Catalog::new(),
             dialect: Dialect::default(),
-            plan_cache: PlanCache::new(),
+            plan_cache: PlanCache::default(),
             shared_plans: None,
             statements_executed: 0,
             data_version: 0,
@@ -513,7 +353,7 @@ impl Database {
     /// [`DbSnapshot::session`] clones. Create every table the sessions
     /// will use (including working tables) *before* freezing so sessions
     /// never need DDL — their catalog versions then all match and the
-    /// snapshot's [`SharedPlanCache`] serves every worker.
+    /// snapshot's shared plan cache serves every worker.
     pub fn freeze(mut self) -> Result<DbSnapshot> {
         let pages = self.pool.snapshot_pages()?;
         Ok(DbSnapshot {
@@ -521,7 +361,7 @@ impl Database {
             buffer_pages: self.pool.capacity(),
             catalog: self.catalog,
             dialect: self.dialect,
-            shared_plans: Arc::new(SharedPlanCache::new()),
+            shared_plans: Arc::default(),
             data_version: self.data_version,
         })
     }

@@ -34,7 +34,7 @@
 //! assert_eq!(rs.len(), 2);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod analyze;
 pub mod ast;
@@ -54,8 +54,7 @@ pub use analyze::{
 pub use catalog::{Catalog, RowLoc, Table, TableBatchCursor, TableSchema};
 pub use dialect::Dialect;
 pub use engine::{
-    Database, DbSnapshot, ExecOutcome, PreparedStmt, ResultSet, SharedPlanCache,
-    SharedPlanCacheStats,
+    Database, DbSnapshot, ExecOutcome, PreparedStmt, ResultSet, SharedPlanCacheStats,
 };
 pub use error::{Result, SqlError};
 pub use parser::{parse_statement, parse_statements};

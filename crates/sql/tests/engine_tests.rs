@@ -496,6 +496,54 @@ fn statement_counter_tracks_executions() {
     assert_eq!(d.statements_executed(), before + 2);
 }
 
+/// Loads 2,000 rows into `t` (which must exist) in one statement.
+fn fill_2000(d: &mut Database) {
+    let values: Vec<String> = (0..2000).map(|i| format!("({i}, {})", i * 7)).collect();
+    d.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+        .unwrap();
+}
+
+#[test]
+fn dropped_tables_return_their_pages() {
+    // Each round builds a table and drops it; once the first round has
+    // sized the store, later rounds must reuse the freed pages.
+    let rounds = |setup: &dyn Fn(&mut Database)| -> Vec<u64> {
+        let mut d = db();
+        (0..5)
+            .map(|_| {
+                setup(&mut d);
+                d.execute("DROP TABLE t").unwrap();
+                d.data_pages()
+            })
+            .collect()
+    };
+    let heap = rounds(&|d| {
+        d.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+        fill_2000(d);
+    });
+    let clustered_heap = rounds(&|d| {
+        d.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+        fill_2000(d);
+        d.execute("CREATE CLUSTERED INDEX ct ON t(a)").unwrap();
+    });
+    let clustered = rounds(&|d| {
+        d.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+        d.execute("CREATE CLUSTERED INDEX ct ON t(a)").unwrap();
+        fill_2000(d);
+    });
+    for (name, pages) in [
+        ("heap", heap),
+        ("heap clustered after load", clustered_heap),
+        ("clustered", clustered),
+    ] {
+        assert!(pages[0] > 0, "{name}: the rows must occupy pages");
+        assert!(
+            pages.iter().all(|&p| p == pages[0]),
+            "{name}: data pages grew across create/drop rounds: {pages:?}"
+        );
+    }
+}
+
 #[test]
 fn drop_index_falls_back_to_scan() {
     let mut d = db();

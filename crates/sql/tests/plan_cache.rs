@@ -1,6 +1,6 @@
 //! Plan-cache lifecycle regressions: stale-version eviction after DDL,
 //! the LRU size bound under statement churn, and snapshot sessions
-//! sharing one compiled plan through the [`SharedPlanCache`].
+//! sharing one compiled plan through the snapshot's shared plan cache.
 
 use fempath_sql::Database;
 use fempath_storage::Value;
@@ -48,6 +48,18 @@ fn cache_stays_bounded_under_distinct_statement_churn() {
     // Churn evicts LRU entries one at a time, not wholesale: the cache
     // must still be full of useful entries, not freshly cleared.
     assert!(d.cached_plans() >= 500, "cache was dropped wholesale");
+
+    // The snapshot's shared cache keeps the same bound and LRU eviction.
+    let snap = d.freeze().unwrap();
+    let mut s = snap.session();
+    for i in 0..700 {
+        s.query(&format!("SELECT x + {i} FROM t")).unwrap();
+    }
+    let plans = snap.shared_plan_stats().plans;
+    assert!(
+        (500..=512).contains(&plans),
+        "shared cache left its bound or was dropped wholesale: {plans}"
+    );
 }
 
 #[test]
@@ -115,11 +127,11 @@ fn snapshot_sessions_share_compiled_plans() {
     d.execute("CREATE TABLE t (x INT)").unwrap();
     d.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
     let snap = d.freeze().unwrap();
-    assert_eq!(snap.shared_plan_count(), 0);
+    assert_eq!(snap.shared_plan_stats().plans, 0);
 
     let mut a = snap.session();
     a.query("SELECT COUNT(*) FROM t").unwrap();
-    let published = snap.shared_plan_count();
+    let published = snap.shared_plan_stats().plans;
     assert!(published >= 1, "session must publish compiled plans");
 
     // A sibling session reuses the shared plan instead of recompiling.
@@ -127,7 +139,7 @@ fn snapshot_sessions_share_compiled_plans() {
     let rs = b.query("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(rs.scalar_i64(), Some(3));
     assert_eq!(
-        snap.shared_plan_count(),
+        snap.shared_plan_stats().plans,
         published,
         "second session must hit the shared cache, not republish"
     );

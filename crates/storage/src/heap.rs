@@ -652,6 +652,13 @@ impl HeapFile {
         self.len = 0;
         Ok(())
     }
+
+    /// Destroys the heap, returning every page to the pool's allocator.
+    pub fn destroy(self, pool: &mut BufferPool) {
+        for pid in self.pages {
+            pool.free_page(pid);
+        }
+    }
 }
 
 #[cfg(test)]

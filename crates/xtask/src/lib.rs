@@ -7,10 +7,10 @@
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
 //!    comment on the same line or within the preceding lines.
 //! 2. **ordering-comment** — every `Ordering::Relaxed`/`Acquire`/
-//!    `Release`/`AcqRel` in the two lock-free hot spots (`engine.rs`,
-//!    `dispatch.rs`) needs an `ORDERING:` comment justifying why that
-//!    ordering suffices. (`SeqCst` is exempt: it is the conservative
-//!    default, not a claim that needs defending.)
+//!    `Release`/`AcqRel` in library code (`src/`, outside `#[cfg(test)]`
+//!    regions) needs an `ORDERING:` comment justifying why that ordering
+//!    suffices. (`SeqCst` is exempt: it is the conservative default, not
+//!    a claim that needs defending.)
 //! 3. **unwrap-ratchet** — library code (`src/`, outside `#[cfg(test)]`
 //!    regions) must not call `.unwrap()` / `.expect("…")` except where
 //!    `unwrap-allowlist.txt` says so — and the allowlist must match
@@ -310,7 +310,6 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
         let text = fs::read_to_string(&path)?;
         let lines: Vec<&str> = text.lines().collect();
         let is_library_src = rel.contains("/src/");
-        let wants_ordering = rel.ends_with("/engine.rs") || rel.ends_with("/dispatch.rs");
         let knob_free = KNOB_FREE_SRC.iter().any(|p| rel.starts_with(p));
         let is_reference = rel.starts_with(REFERENCE_SRC);
         let em_decided_elsewhere = rel.starts_with(EM_DECISION_SRC) && rel != EM_DECISION_OWNER;
@@ -360,7 +359,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
             }
 
             // Rule 2: subtle atomic orderings need an ORDERING: comment.
-            if wants_ordering
+            if is_library_src
                 && !in_test_region
                 && needles
                     .ordering_prefixes
