@@ -223,6 +223,34 @@ fn bench_tvisited_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The SELECT tail over the 3000-row [`tvisited`]: a sort, a grouped
+/// aggregate filtered by HAVING and sorted, and DISTINCT under a TOP cap
+/// (which stops the scan once 90 distinct distances are out).
+fn bench_post_stages(c: &mut Criterion) {
+    let mut group = c.benchmark_group("post_stages");
+    group.sample_size(20);
+    let statements = [
+        (
+            "order_by",
+            "SELECT nid, d2s FROM TVisited ORDER BY d2s DESC, nid",
+        ),
+        (
+            "group_having_order",
+            "SELECT d2s, COUNT(*), MIN(nid) FROM TVisited GROUP BY d2s \
+             HAVING COUNT(*) > 30 ORDER BY COUNT(*) DESC, d2s",
+        ),
+        ("distinct_top", "SELECT DISTINCT TOP 90 d2s FROM TVisited"),
+    ];
+    for (name, sql) in statements {
+        group.bench_function(&format!("{name}/3000"), |b| {
+            let mut db = tvisited(3000);
+            let stmt = db.prepare(sql).unwrap();
+            b.iter(|| black_box(db.execute_prepared(&stmt, &[]).unwrap().rows));
+        });
+    }
+    group.finish();
+}
+
 /// Nodes of the `fm_write` edge table (out-degree 3).
 const FM_NODES: i64 = 4000;
 
@@ -390,6 +418,7 @@ criterion_group!(
     bench_m_operator,
     bench_prepared_vs_plan_cache,
     bench_tvisited_scan,
+    bench_post_stages,
     bench_fm_write,
     bench_bdj_iteration
 );

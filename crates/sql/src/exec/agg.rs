@@ -302,7 +302,7 @@ pub fn run_group_by(
         for g in &group_bexprs {
             key_vals.push(eval(g, row)?);
         }
-        let key = HashKey::from_values(&key_vals)?;
+        let key = HashKey::from_values(&key_vals);
         let entry = groups.entry(key.clone()).or_insert_with(|| {
             order.push(key);
             (

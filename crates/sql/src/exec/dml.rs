@@ -19,7 +19,7 @@
 use super::eval::{
     bind_expr, binds_in, eval, is_row_independent, split_conjuncts, truthy, BExpr, ExecCtx, Schema,
 };
-use super::from::{bind_all, materialize_ref, passes};
+use super::from::{bind_all, holds_all, materialize_ref};
 use crate::ast::{BinaryOp, Delete, Expr, Insert, InsertSource, Merge, Update};
 use crate::catalog::{BatchLocs, Catalog, RowLoc, Table};
 use crate::error::{Result, SqlError};
@@ -149,7 +149,7 @@ fn matching_rows(
     let pred = filter.map(|f| bind_expr(ctx, schema, f)).transpose()?;
     let mut out = Vec::new();
     for (loc, row) in scan_rows(ctx, table)? {
-        if passes(pred.as_slice(), &row)? {
+        if holds_all(pred.as_slice(), &row)? {
             out.push((loc, row));
         }
     }
@@ -228,7 +228,7 @@ pub fn execute_update(
                     for (loc, trow) in &targets {
                         let mut row = trow.clone();
                         row.extend(srow.iter().cloned());
-                        if passes(&preds, &row)? && touched.insert(loc.clone()) {
+                        if holds_all(&preds, &row)? && touched.insert(loc.clone()) {
                             matches.push((loc.clone(), trow.clone(), row));
                         }
                     }
@@ -385,7 +385,7 @@ pub fn execute_merge(
             for (loc, trow) in &targets {
                 let mut combined_row = trow.clone();
                 combined_row.extend(srow.iter().cloned());
-                if !passes(&on, &combined_row)? {
+                if !holds_all(&on, &combined_row)? {
                     continue;
                 }
                 any_match = true;

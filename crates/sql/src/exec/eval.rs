@@ -132,10 +132,12 @@ impl BExpr {
     }
 }
 
-/// Hashable row-key identity shared by GROUP BY and hash joins: a bare
-/// integer for the common one-int-column key (no allocation), the
-/// order-preserving byte encoding otherwise. Int and Float keys stay
-/// distinct, exactly as the encoding keeps them.
+/// Hashable row-key identity shared by GROUP BY, DISTINCT and hash joins:
+/// a bare integer for the common one-int-column key (no allocation), a
+/// tagged byte string otherwise. Any value tuple has a key — text is
+/// length-prefixed, so it may hold NUL — and two tuples share one exactly
+/// when their values have the same types and the same bits (Int and Float
+/// keys stay distinct, NULL equals NULL).
 #[derive(Hash, PartialEq, Eq, Clone)]
 pub enum HashKey {
     Int(i64),
@@ -144,14 +146,25 @@ pub enum HashKey {
 
 impl HashKey {
     /// Builds the key for one evaluated key-column tuple.
-    pub fn from_values(vals: &[Value]) -> Result<HashKey> {
-        Ok(match vals {
-            [Value::Int(i)] => HashKey::Int(*i),
-            vals => HashKey::Bytes(
-                fempath_storage::encode_key(vals)
-                    .map_err(|_| SqlError::Eval("key contains an un-encodable value".into()))?,
-            ),
-        })
+    pub fn from_values(vals: &[Value]) -> HashKey {
+        if let [Value::Int(i)] = vals {
+            return HashKey::Int(*i);
+        }
+        let mut out = Vec::with_capacity(vals.len() * 9);
+        for v in vals {
+            let (tag, word) = match v {
+                Value::Null => (0u8, 0),
+                Value::Int(i) => (1, *i as u64),
+                Value::Float(f) => (2, f.to_bits()),
+                Value::Text(s) => (3, s.len() as u64),
+            };
+            out.push(tag);
+            out.extend_from_slice(&word.to_le_bytes());
+            if let Value::Text(s) = v {
+                out.extend_from_slice(s.as_bytes());
+            }
+        }
+        HashKey::Bytes(out)
     }
 }
 

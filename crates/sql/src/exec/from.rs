@@ -34,7 +34,7 @@ pub fn build_from(
             for rrow in &right.rows {
                 let mut row = lrow.clone();
                 row.extend(rrow.iter().cloned());
-                if passes(&preds, &row)? {
+                if holds_all(&preds, &row)? {
                     rows.push(row);
                 }
             }
@@ -47,7 +47,7 @@ pub fn build_from(
     let preds = bind_all(ctx, &rel.schema, &pending)?;
     let mut rows = Vec::with_capacity(rel.rows.len());
     for row in rel.rows {
-        if passes(&preds, &row)? {
+        if holds_all(&preds, &row)? {
             rows.push(row);
         }
     }
@@ -65,7 +65,7 @@ pub(crate) fn bind_all(
 }
 
 /// True when every predicate holds on `row`.
-pub(crate) fn passes(preds: &[BExpr], row: &[Value]) -> Result<bool> {
+pub(crate) fn holds_all(preds: &[BExpr], row: &[Value]) -> Result<bool> {
     for p in preds {
         if !truthy(&eval(p, row)?) {
             return Ok(false);

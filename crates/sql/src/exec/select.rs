@@ -1,11 +1,10 @@
 //! The SELECT pipeline: FROM/WHERE → GROUP BY | window → HAVING → ORDER BY
 //! → projection → DISTINCT → TOP/LIMIT.
 
-use super::eval::{bind_expr, eval, truthy, BExpr, ExecCtx, Schema, SchemaCol};
+use super::eval::{bind_expr, eval, truthy, BExpr, ExecCtx, HashKey, Schema, SchemaCol};
 use super::Relation;
 use crate::ast::{Expr, Select, SelectItem};
 use crate::error::{Result, SqlError};
-use fempath_storage::encode_key;
 use std::collections::HashSet;
 
 /// A projection item after wildcard expansion.
@@ -175,7 +174,7 @@ pub fn execute_select(ctx: &mut ExecCtx<'_>, sel: &Select) -> Result<Relation> {
     // DISTINCT.
     if sel.distinct {
         let mut seen = HashSet::new();
-        rows.retain(|r| seen.insert(encode_key(r).unwrap_or_default()));
+        rows.retain(|r| seen.insert(HashKey::from_values(r)));
     }
 
     // TOP / LIMIT.

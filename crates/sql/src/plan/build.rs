@@ -411,14 +411,10 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
 /// Narrows every base-table access of `plan`'s FROM pipeline to the
 /// columns the statement reads: pushed filters, join keys and residuals,
 /// aggregate/window inputs and — when no aggregate re-shapes the rows —
-/// HAVING and the select list. `widths` gives each FROM relation's column
-/// count in pipeline order; access paths are planned reading every column
-/// and stay that way for statements that hand whole rows on
-/// ([`SelectPlan::materializes_rows`]).
+/// HAVING, the select list and the ORDER BY keys. `widths` gives each
+/// FROM relation's column count in pipeline order; access paths are
+/// planned reading every column until this narrows them.
 fn project_from(catalog: &Catalog, plan: &mut SelectPlan, widths: &[usize]) -> Result<()> {
-    if plan.materializes_rows() {
-        return Ok(());
-    }
     let mut used = vec![false; widths.iter().sum()];
     let mut offset = widths[0];
     for p in &plan.from.source.filter {
@@ -472,9 +468,11 @@ fn project_from(catalog: &Catalog, plan: &mut SelectPlan, widths: &[usize]) -> R
                     .chain(order)
                     .for_each(|e| mark_pexpr_cols(e, &mut used));
             }
+            let order = plan.order_by.iter().map(|(e, _)| e);
             plan.having
                 .iter()
                 .chain(&plan.items)
+                .chain(order)
                 .for_each(|e| mark_pexpr_cols(e, &mut used));
         }
     }

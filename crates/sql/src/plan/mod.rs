@@ -5,9 +5,12 @@
 //! reference (heap scan, secondary-index point/prefix lookup, or clustered
 //! range scan), join strategies are fixed with pre-bound key expressions,
 //! and every predicate/projection/assignment is bound to fixed column
-//! offsets (`PExpr`). Executing a plan (`plan::vexec`) therefore does *no*
-//! name resolution, no access-path search and no AST traversal — exactly
-//! the per-statement work the paper's FEM loops repeat hundreds of times.
+//! offsets (`PExpr`). Executing a plan therefore does *no* name
+//! resolution, no access-path search and no AST traversal — exactly the
+//! per-statement work the paper's FEM loops repeat hundreds of times. One
+//! executor runs every plan, batch at a time (`plan::vexec`): one
+//! evaluator for every `PExpr`, one tail (projection → DISTINCT → cap)
+//! for every SELECT.
 //!
 //! Two kinds of work stay runtime-bound by design:
 //!
@@ -25,7 +28,6 @@
 //! DESIGN.md §9).
 
 pub(crate) mod build;
-pub(crate) mod exec;
 pub(crate) mod vexec;
 
 use crate::ast::{AggFunc, BinaryOp, Stmt, UnaryOp, WindowFunc};
@@ -245,18 +247,19 @@ pub(crate) enum SubPlan {
     Exists(SelectPlan),
 }
 
-/// A compiled SELECT: a streaming FROM/WHERE pipeline plus the
-/// materializing post-stages the statement actually needs.
+/// A compiled SELECT: a streaming FROM/WHERE pipeline plus the post-stages
+/// the statement actually needs. Without an aggregate, window or sort it
+/// streams; otherwise its input is gathered into one batch first.
 pub(crate) struct SelectPlan {
     pub(crate) from: FromPlan,
     /// GROUP BY / scalar aggregation (streams into accumulators).
     pub(crate) agg: Option<AggPlan>,
-    /// Window columns appended to the pipeline output (forces
-    /// materialization, mutually exclusive with `agg`).
+    /// Window columns appended to the gathered pipeline output (mutually
+    /// exclusive with `agg`).
     pub(crate) windows: Vec<WindowPlan>,
     /// Post-aggregation (or plain) row filter.
     pub(crate) having: Option<PExpr>,
-    /// Sort keys (forces materialization).
+    /// Sort keys, over the post-stage schema.
     pub(crate) order_by: Vec<(PExpr, bool)>,
     /// Projection over the post-stage schema.
     pub(crate) items: Vec<PExpr>,
@@ -270,21 +273,6 @@ pub(crate) struct SelectPlan {
 }
 
 impl SelectPlan {
-    /// True when the executor hands the FROM pipeline's output to the
-    /// row-at-a-time post-stages ([`exec::post_process`]) as whole rows —
-    /// a sort, or windows followed by anything but a plain projection.
-    /// Such a statement reads every column of its sources; all others are
-    /// evaluated column-wise and read only what their expressions name.
-    pub(crate) fn materializes_rows(&self) -> bool {
-        if self.agg.is_some() {
-            return false;
-        }
-        if self.windows.is_empty() {
-            return !self.order_by.is_empty();
-        }
-        self.having.is_some() || !self.order_by.is_empty() || self.distinct || self.cap.is_some()
-    }
-
     /// Output schema under `binding` (for derived tables and views).
     pub(crate) fn out_schema(&self, binding: &str) -> Schema {
         let b = Some(binding.to_ascii_lowercase());
@@ -328,7 +316,7 @@ pub(crate) struct ReadCols {
 
 impl ReadCols {
     /// Every column: what full-row consumers (`SELECT *`, DML sources,
-    /// MERGE, row-materializing post-stages) read.
+    /// MERGE) read.
     pub(crate) fn all(schema: &TableSchema) -> ReadCols {
         ReadCols {
             set: ColSet::all(),

@@ -8,8 +8,16 @@
 //! the engine's own execution model match the paper's set-at-a-time
 //! argument — the FEM working tables are all-integer, the ideal case for
 //! the dense `Vec<i64>`-plus-null-bitmap column layout (DESIGN.md §11).
-//! The inherently per-row pieces (`VALUES` rows, post-sort projection)
-//! use the scalar kernel in [`super::exec`].
+//!
+//! Every expression is evaluated by one evaluator, [`eval_v`]; a
+//! row-independent value (an index probe key, a `VALUES` cell, the filter
+//! of a FROM-less SELECT) is the same evaluation over a one-row,
+//! zero-column batch ([`eval_scalar`]).
+//! Every SELECT ends in one tail: a statement without aggregate, window or
+//! sort streams its batches through it, every other one first gathers its
+//! input into one batch, folds or extends it and runs HAVING and the sort
+//! over it. The tail projects, drops the rows DISTINCT has seen and stops
+//! at the cap.
 //!
 //! In the steady state only the result rows handed back to the engine
 //! API are allocated: chunks, selection vectors, probe keys, computed
@@ -26,10 +34,10 @@
 //! a `TOP n` cap can surface), and the runaway-cross-join safety valve
 //! truncates at batch rather than row granularity.
 
-use super::exec::{self, Env, SubResult};
 use super::{
-    FromPlan, InputPlan, InsertPlan, InsertSourcePlan, JoinPlan, MergePlan, PExpr, ProbePlan,
-    RightPlan, SelectPlan, SourcePlan, SubPlan, TargetPlan, UpdateKind, UpdatePlan, WindowPlan,
+    AggPlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan, JoinPlan, MergePlan, PExpr,
+    ProbePlan, RightPlan, SelectPlan, SourcePlan, SubPlan, TargetPlan, UpdateKind, UpdatePlan,
+    WindowPlan,
 };
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::catalog::{BatchLocs, Catalog, EqMatches, Table, UpdateMode};
@@ -38,12 +46,33 @@ use crate::exec::agg::AggState;
 use crate::exec::eval::{arith, in_list_result, truthy, HashKey};
 use crate::pool::{recycle, take, Pooled, Recycle, POOL_CAP};
 use fempath_storage::{
-    encode_key, BufferPool, Chunk, ColSet, Column, DataType, NullMask, Value, CHUNK_CAPACITY,
+    BufferPool, Chunk, ColSet, Column, DataType, NullMask, Value, CHUNK_CAPACITY,
 };
 use std::cell::RefCell;
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::thread::LocalKey;
+
+/// Per-execution context: the parameter list and the evaluated subquery
+/// slots.
+struct Env<'a> {
+    params: &'a [Value],
+    subs: Vec<SubResult>,
+}
+
+/// Result of one subquery slot for the current execution.
+enum SubResult {
+    Scalar(Value),
+    /// Sorted, deduplicated, NULL-free list + "the subquery produced a
+    /// NULL" flag (three-valued `[NOT] IN`, see
+    /// [`crate::exec::eval::in_list_result`]).
+    List(Rc<Vec<Value>>, bool),
+    Exists(bool),
+}
+
+/// Safety valve against runaway cross joins.
+const LOOP_JOIN_ROW_CAP: u64 = 50_000_000;
 
 /// The identity selection `0..n`, in a recycled buffer.
 fn take_sel(n: usize) -> Pooled<Vec<u32>> {
@@ -772,6 +801,19 @@ fn scalar_operand(e: &PExpr, env: &Env<'_>) -> Result<Option<Value>> {
     })
 }
 
+/// The value of a row-independent expression (an index probe key, a
+/// `VALUES` cell, the filter of a FROM-less SELECT): a constant, parameter
+/// or scalar subquery slot is read as it is, anything else is evaluated
+/// over a one-row, zero-column batch.
+fn eval_scalar(e: &PExpr, env: &Env<'_>) -> Result<Value> {
+    if let Some(v) = scalar_operand(e, env)? {
+        return Ok(v);
+    }
+    let mut row = Chunk::new();
+    row.push_empty_row();
+    Ok(eval_v(e, &row, &[0], env)?.get(0))
+}
+
 /// Applies every conjunct in order, narrowing `sel`.
 fn apply_filter(preds: &[PExpr], chunk: &Chunk, sel: &mut Vec<u32>, env: &Env<'_>) -> Result<()> {
     for p in preds {
@@ -798,11 +840,14 @@ fn stream_source_v(
 ) -> Result<()> {
     match &sp.input {
         InputPlan::Nothing => {
-            if exec::passes(&sp.filter, &[], env)? {
-                let mut ch = Chunk::new();
-                ch.push_empty_row();
-                f(&ch, &[0])?;
+            for p in &sp.filter {
+                if !truthy(&eval_scalar(p, env)?) {
+                    return Ok(());
+                }
             }
+            let mut row = Chunk::new();
+            row.push_empty_row();
+            f(&row, &[0])?;
             Ok(())
         }
         InputPlan::Scan { table, read, .. } => {
@@ -877,7 +922,7 @@ fn stream_source_v(
 fn probe_keys(keys: &[PExpr], env: &Env<'_>) -> Result<Pooled<Vec<Value>>> {
     let mut out = take::<Vec<Value>>();
     for k in keys {
-        out.push(exec::eval_px(k, &[], env)?);
+        out.push(eval_scalar(k, env)?);
     }
     Ok(out)
 }
@@ -988,7 +1033,7 @@ fn build_stage_rts_v(
                             }
                             vals.push(v);
                         }
-                        ht.entry(HashKey::from_values(&vals)?)
+                        ht.entry(HashKey::from_values(&vals))
                             .or_default()
                             .push(i as u32);
                     }
@@ -1106,7 +1151,7 @@ fn apply_stage(
                         }
                         vals.push(v);
                     }
-                    if let Some(matches) = ht.get(&HashKey::from_values(&vals)?) {
+                    if let Some(matches) = ht.get(&HashKey::from_values(&vals)) {
                         for &ri in matches {
                             lidx.push(r);
                             ridx.push(ri);
@@ -1156,7 +1201,7 @@ fn apply_stage(
                 // Survivors append straight into the output — no second
                 // gather over the combined columns.
                 out.append_gather(c, &s);
-                if *emitted > exec::LOOP_JOIN_ROW_CAP {
+                if *emitted > LOOP_JOIN_ROW_CAP {
                     *stop = true; // runaway cross join
                     break;
                 }
@@ -1349,13 +1394,14 @@ fn int_vals(c: &Column) -> &[i64] {
     }
 }
 
-/// Computes one window function over the `n` accumulated rows of `keys`
-/// (the partition key columns, the first `np`, then the order key
-/// columns) into the empty column `out`. All-integer keys — both FEM
-/// E-operator shapes — sort an index permutation over the typed vectors
-/// with no per-row allocation; anything else goes through the shared
+/// Computes one window function over the rows of `keys` (the partition
+/// key columns, the first `np`, then the order key columns) into the
+/// empty column `out`. All-integer keys — both FEM E-operator shapes —
+/// sort an index permutation over the typed vectors with no per-row
+/// allocation; anything else goes through the shared
 /// [`crate::exec::window::window_values`] engine.
-fn window_column(keys: &Chunk, np: usize, w: &WindowPlan, n: usize, out: &mut Column) {
+fn window_column(keys: &Chunk, np: usize, w: &WindowPlan, out: &mut Column) {
+    let n = keys.len();
     let cols = keys.columns();
     let (pacc, oacc) = cols.split_at(np);
     let all_int = cols
@@ -1462,14 +1508,254 @@ impl SelectOut {
         }
     }
 
-    /// Appends materialized rows.
-    fn push_rows(&mut self, rows: Vec<Vec<Value>>) {
+    /// Appends one row.
+    fn push_row(&mut self, row: Vec<Value>) {
         match self {
-            SelectOut::Rows(out) if out.is_empty() => *out = rows,
-            SelectOut::Rows(out) => out.extend(rows),
-            SelectOut::Chunks(chunks) => chunks.push(fempath_storage::chunk_from_rows(&rows)),
+            SelectOut::Rows(rows) => rows.push(row),
+            SelectOut::Chunks(chunks) => chunks.push(fempath_storage::chunk_from_rows(&[row])),
         }
     }
+}
+
+/// The tail every SELECT ends in: projection → DISTINCT → TOP/LIMIT, fed
+/// the rows that are left after HAVING (and the sort), batch by batch.
+#[derive(Default)]
+struct Emit {
+    /// Keys of the output rows DISTINCT has let through.
+    seen: HashSet<HashKey>,
+    /// Rows handed out so far.
+    count: u64,
+}
+
+impl Emit {
+    /// Projects the rows `sel` of `chunk` (every one of them, so errors
+    /// surface as the interpreter's do) and hands `out` those that DISTINCT
+    /// and the cap keep; returns whether more rows may follow.
+    fn push(
+        &mut self,
+        plan: &SelectPlan,
+        chunk: &Chunk,
+        sel: &[u32],
+        env: &Env<'_>,
+        out: &mut SelectOut,
+    ) -> Result<bool> {
+        if sel.is_empty() {
+            return Ok(true);
+        }
+        let oc = project(&plan.items, chunk, sel, env)?;
+        // The rows of `oc` that go out; `None` is all of them.
+        let mut keep: Option<Pooled<Vec<u32>>> = None;
+        if plan.distinct {
+            let mut k = take::<Vec<u32>>();
+            let mut row = take::<Vec<Value>>();
+            for r in 0..oc.len() {
+                row.clear();
+                row.extend(oc.columns().iter().map(|c| c.get(r)));
+                if self.seen.insert(HashKey::from_values(&row)) {
+                    k.push(r as u32);
+                }
+            }
+            keep = Some(k);
+        }
+        let kept = keep.as_ref().map_or(oc.len(), |k| k.len()) as u64;
+        let go_on = match plan.cap {
+            Some(cap) if kept >= cap - self.count => {
+                keep.get_or_insert_with(|| take_sel(oc.len()))
+                    .truncate((cap - self.count) as usize);
+                false
+            }
+            _ => true,
+        };
+        self.count += keep.as_ref().map_or(oc.len(), |k| k.len()) as u64;
+        out.push_batch(oc, keep.as_deref().map(Vec::as_slice));
+        Ok(go_on)
+    }
+}
+
+/// Compares rows `a` and `b` of a column in the total value order
+/// ([`Value::total_cmp`]: NULL first), cloning nothing.
+fn cmp_rows(c: &Column, a: usize, b: usize) -> Ordering {
+    match c {
+        Column::Int { vals, nulls } => match (nulls.get(a), nulls.get(b)) {
+            (false, false) => vals[a].cmp(&vals[b]),
+            (a_null, b_null) => b_null.cmp(&a_null),
+        },
+        Column::Generic(v) => v[a].total_cmp(&v[b]),
+    }
+}
+
+/// Reorders the rows `sel` of `data` by the ORDER BY keys, stably: rows
+/// with equal keys keep their order, as in the interpreter.
+fn sort_rows(
+    order_by: &[(PExpr, bool)],
+    data: &Chunk,
+    sel: &mut Vec<u32>,
+    env: &Env<'_>,
+) -> Result<()> {
+    let mut keys = take::<Chunk>();
+    keys.set_width(order_by.len());
+    for (j, (e, _)) in order_by.iter().enumerate() {
+        let v = eval_v(e, data, sel, env)?;
+        append_vcol(keys.col_mut(j), &v, sel.len());
+    }
+    keys.commit_rows(sel.len());
+    // A permutation of the key positions, then back to rows of `data`.
+    let mut perm = take_sel(sel.len());
+    perm.sort_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        for ((_, asc), c) in order_by.iter().zip(keys.columns()) {
+            let ord = cmp_rows(c, a, b);
+            if ord != Ordering::Equal {
+                return if *asc { ord } else { ord.reverse() };
+            }
+        }
+        Ordering::Equal
+    });
+    for p in perm.iter_mut() {
+        *p = sel[*p as usize];
+    }
+    sel.clear();
+    sel.extend_from_slice(&perm);
+    Ok(())
+}
+
+/// Folds the FROM pipeline into one row of accumulators (a scalar
+/// aggregate: the FEM statistics statements), one batch at a time.
+fn scalar_aggregate(
+    pool: &mut BufferPool,
+    catalog: &Catalog,
+    env: &Env<'_>,
+    from: &FromPlan,
+    agg: &AggPlan,
+) -> Result<Vec<Value>> {
+    let mut states = take::<Vec<AggState>>();
+    states.extend(agg.aggs.iter().map(|(f, _)| AggState::new(*f)));
+    run_from_v(pool, catalog, env, from, &mut |chunk, sel| {
+        for (state, (_, arg)) in states.iter_mut().zip(&agg.aggs) {
+            match arg {
+                None => state.update_star(sel.len() as i64),
+                Some(a) => {
+                    let v = eval_v(a, chunk, sel, env)?;
+                    agg_update_vcol(state, &v, sel.len())?;
+                }
+            }
+        }
+        Ok(true)
+    })?;
+    Ok(states.drain(..).map(AggState::finish).collect())
+}
+
+/// Folds the FROM pipeline into one row per group in `data`: the group
+/// keys, then the aggregate results.
+///
+/// Group keys and aggregate arguments are evaluated per batch; every row
+/// is mapped to a dense group id, then each argument column folds into
+/// that group's accumulators — typed, with no per-row key or value
+/// materialization, when the key is a single non-NULL integer and the
+/// arguments are integers (every FEM statistics statement).
+fn group_aggregate(
+    pool: &mut BufferPool,
+    catalog: &Catalog,
+    env: &Env<'_>,
+    from: &FromPlan,
+    agg: &AggPlan,
+    data: &mut Chunk,
+) -> Result<()> {
+    let (n_keys, n_aggs) = (agg.group.len(), agg.aggs.len());
+    data.set_width(n_keys + n_aggs);
+    let mut ids: HashMap<HashKey, u32> = HashMap::new();
+    let mut states: Vec<AggState> = Vec::new(); // group-major
+    let mut gid: Vec<u32> = Vec::new();
+    run_from_v(pool, catalog, env, from, &mut |chunk, sel| {
+        let gcols: Vec<VCol> = agg
+            .group
+            .iter()
+            .map(|g| eval_v(g, chunk, sel, env))
+            .collect::<Result<_>>()?;
+        let int_key = match &gcols[..] {
+            [g] => int_view(g).filter(IntView::null_free),
+            _ => None,
+        };
+        gid.clear();
+        // Runs of one key (rows clustered by it) skip the hash lookup.
+        let mut last: Option<(HashKey, u32)> = None;
+        for k in 0..sel.len() {
+            let key = match int_key {
+                Some(iv) => HashKey::Int(iv.src.at(k)),
+                None => {
+                    let vals: Vec<Value> = gcols.iter().map(|c| c.get(k)).collect();
+                    HashKey::from_values(&vals)
+                }
+            };
+            let g = match &last {
+                Some((prev, g)) if *prev == key => *g,
+                _ => match ids.get(&key) {
+                    Some(g) => *g,
+                    None => {
+                        let g = data.len() as u32;
+                        for (j, c) in gcols.iter().enumerate() {
+                            data.col_mut(j).push(c.get(k));
+                        }
+                        data.commit_row();
+                        states.extend(agg.aggs.iter().map(|(f, _)| AggState::new(*f)));
+                        ids.insert(key.clone(), g);
+                        g
+                    }
+                },
+            };
+            gid.push(g);
+            last = Some((key, g));
+        }
+        for (a, (_, arg)) in agg.aggs.iter().enumerate() {
+            let slot = |k: usize| gid[k] as usize * n_aggs + a;
+            let Some(e) = arg else {
+                (0..sel.len()).for_each(|k| states[slot(k)].update_star(1));
+                continue;
+            };
+            let v = eval_v(e, chunk, sel, env)?;
+            match int_view(&v) {
+                Some(iv) => {
+                    for k in 0..sel.len() {
+                        if let Some(x) = iv.get(k) {
+                            states[slot(k)].update_int(x);
+                        }
+                    }
+                }
+                None => {
+                    for k in 0..sel.len() {
+                        states[slot(k)].update(Some(v.get(k)))?;
+                    }
+                }
+            }
+        }
+        Ok(true)
+    })?;
+    for (i, state) in states.into_iter().enumerate() {
+        data.col_mut(n_keys + i % n_aggs).push(state.finish());
+    }
+    Ok(())
+}
+
+/// Appends one window column to `data`, computed from keys evaluated over
+/// all of its rows. Windows are added in order, so a later window's keys
+/// may read an earlier one's column, exactly like the interpreter's
+/// row-extension order.
+fn add_window_column(data: &mut Chunk, w: &WindowPlan, env: &Env<'_>) -> Result<()> {
+    let np = w.partition.len();
+    let n = data.len();
+    let mut keys = take::<Chunk>();
+    keys.set_width(np + w.order.len());
+    if n > 0 {
+        let sel = take_sel(n);
+        let exprs = w.partition.iter().chain(w.order.iter().map(|(o, _)| o));
+        for (j, e) in exprs.enumerate() {
+            let v = eval_v(e, data, &sel, env)?;
+            append_vcol(keys.col_mut(j), &v, n);
+        }
+        keys.commit_rows(n);
+    }
+    window_column(&keys, np, w, data.add_column());
+    Ok(())
 }
 
 /// Executes a SELECT plan batch-at-a-time into `out`.
@@ -1482,227 +1768,70 @@ fn run_select(
 ) -> Result<()> {
     let env = build_env_v(pool, catalog, params, &plan.subplans)?;
 
+    if plan.agg.is_none() && plan.windows.is_empty() && plan.order_by.is_empty() {
+        // Fully streaming: filter → HAVING → tail, with early exit.
+        if plan.cap == Some(0) {
+            return Ok(());
+        }
+        let mut emit = Emit::default();
+        run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
+            let Some(h) = &plan.having else {
+                return emit.push(plan, chunk, sel, &env, out);
+            };
+            let mut narrowed = copy_sel(sel);
+            apply_pred(h, chunk, &mut narrowed, &env)?;
+            emit.push(plan, chunk, &narrowed, &env, out)
+        })?;
+        return Ok(());
+    }
+
+    // A scalar aggregate whose select list returns the accumulators as they
+    // are, with no HAVING or ORDER BY, hands its one row straight out.
     if let Some(agg) = &plan.agg {
-        if agg.group.is_empty() {
-            // Scalar aggregate (the FEM stats statements): columns fold
-            // straight into the accumulators, one batch at a time.
-            let mut states = take::<Vec<AggState>>();
-            states.extend(agg.aggs.iter().map(|(f, _)| AggState::new(*f)));
+        let as_is = plan.items.len() == agg.aggs.len()
+            && plan.items.iter().zip(0..).all(|(p, i)| *p == PExpr::Col(i));
+        if agg.group.is_empty() && as_is && plan.having.is_none() && plan.order_by.is_empty() {
+            let row = scalar_aggregate(pool, catalog, &env, &plan.from, agg)?;
+            if plan.cap != Some(0) {
+                out.push_row(row);
+            }
+            return Ok(());
+        }
+    }
+
+    // Aggregates, windows and sorts need the whole input: gather it into
+    // one batch, fold or extend it, then HAVING → ORDER BY → tail.
+    let mut data = take::<Chunk>();
+    match &plan.agg {
+        Some(agg) if agg.group.is_empty() => {
+            data.push_row(&scalar_aggregate(pool, catalog, &env, &plan.from, agg)?)
+        }
+        Some(agg) => group_aggregate(pool, catalog, &env, &plan.from, agg, &mut data)?,
+        None => {
             run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-                for (state, (_, arg)) in states.iter_mut().zip(&agg.aggs) {
-                    match arg {
-                        None => state.update_star(sel.len() as i64),
-                        Some(a) => {
-                            let v = eval_v(a, chunk, sel, &env)?;
-                            agg_update_vcol(state, &v, sel.len())?;
-                        }
-                    }
-                }
+                data.append_gather(chunk, sel);
                 Ok(true)
             })?;
-            let row: Vec<Value> = states.drain(..).map(AggState::finish).collect();
-            out.push_rows(exec::post_process(vec![row], plan, &env)?);
-            return Ok(());
+            for w in &plan.windows {
+                add_window_column(&mut data, w, &env)?;
+            }
         }
-        // Grouped aggregation: group keys and aggregate arguments are
-        // evaluated per batch; every row is mapped to a dense group id,
-        // then each argument column folds into that group's accumulators
-        // — typed, with no per-row key or value materialization, when the
-        // key is a single non-NULL integer and the arguments are integers
-        // (every FEM statistics statement).
-        let n_aggs = agg.aggs.len();
-        let mut ids: HashMap<HashKey, u32> = HashMap::new();
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        let mut states: Vec<AggState> = Vec::new(); // group-major
-        let mut gid: Vec<u32> = Vec::new();
-        run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-            let gcols: Vec<VCol> = agg
-                .group
-                .iter()
-                .map(|g| eval_v(g, chunk, sel, &env))
-                .collect::<Result<_>>()?;
-            let int_key = match &gcols[..] {
-                [g] => int_view(g).filter(IntView::null_free),
-                _ => None,
-            };
-            gid.clear();
-            // Runs of one key (rows clustered by it) skip the hash lookup.
-            let mut last: Option<(HashKey, u32)> = None;
-            for k in 0..sel.len() {
-                let key = match int_key {
-                    Some(iv) => HashKey::Int(iv.src.at(k)),
-                    None => {
-                        let vals: Vec<Value> = gcols.iter().map(|c| c.get(k)).collect();
-                        HashKey::from_values(&vals)?
-                    }
-                };
-                let g = match &last {
-                    Some((prev, g)) if *prev == key => *g,
-                    _ => match ids.get(&key) {
-                        Some(g) => *g,
-                        None => {
-                            keys.push(gcols.iter().map(|c| c.get(k)).collect());
-                            states.extend(agg.aggs.iter().map(|(f, _)| AggState::new(*f)));
-                            ids.insert(key.clone(), keys.len() as u32 - 1);
-                            keys.len() as u32 - 1
-                        }
-                    },
-                };
-                gid.push(g);
-                last = Some((key, g));
-            }
-            for (a, (_, arg)) in agg.aggs.iter().enumerate() {
-                let slot = |k: usize| gid[k] as usize * n_aggs + a;
-                let Some(e) = arg else {
-                    (0..sel.len()).for_each(|k| states[slot(k)].update_star(1));
-                    continue;
-                };
-                let v = eval_v(e, chunk, sel, &env)?;
-                match int_view(&v) {
-                    Some(iv) => {
-                        for k in 0..sel.len() {
-                            if let Some(x) = iv.get(k) {
-                                states[slot(k)].update_int(x);
-                            }
-                        }
-                    }
-                    None => {
-                        for k in 0..sel.len() {
-                            states[slot(k)].update(Some(v.get(k)))?;
-                        }
-                    }
-                }
-            }
-            Ok(true)
-        })?;
-        let mut states = states.into_iter();
-        let rows: Vec<Vec<Value>> = keys
-            .into_iter()
-            .map(|mut row| {
-                row.extend(states.by_ref().take(n_aggs).map(AggState::finish));
-                row
-            })
-            .collect();
-        out.push_rows(exec::post_process(rows, plan, &env)?);
-        return Ok(());
     }
-
-    if !plan.windows.is_empty() {
-        // Windows need the whole input: materialize the pipeline output
-        // as batches, then compute each window column from batch-evaluated
-        // keys and append it before the next window's keys are evaluated
-        // (a later window's keys may bind against the extended schema,
-        // exactly like the interpreter's row-extension order).
-        let mut data = take::<Vec<Chunk>>();
-        run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-            let mut c = take::<Chunk>();
-            c.append_gather(chunk, sel);
-            data.push(c.into_inner());
-            Ok(true)
-        })?;
-        let mut sel = take::<Vec<u32>>();
-        for w in &plan.windows {
-            let np = w.partition.len();
-            let mut keys = take::<Chunk>();
-            keys.set_width(np + w.order.len());
-            for c in data.iter() {
-                fill_identity(&mut sel, c.len());
-                let exprs = w.partition.iter().chain(w.order.iter().map(|(o, _)| o));
-                for (j, e) in exprs.enumerate() {
-                    let v = eval_v(e, c, &sel, &env)?;
-                    append_vcol(keys.col_mut(j), &v, sel.len());
-                }
-                keys.commit_rows(sel.len());
-            }
-            let n = keys.len();
-            if let [c] = &mut data[..] {
-                window_column(&keys, np, w, n, c.add_column());
-            } else {
-                let mut col = Column::new_int();
-                window_column(&keys, np, w, n, &mut col);
-                let mut off = 0u32;
-                for c in data.iter_mut() {
-                    fill_identity(&mut sel, c.len());
-                    sel.iter_mut().for_each(|i| *i += off);
-                    off += c.len() as u32;
-                    c.add_column().extend_gather(&col, &sel);
-                }
-            }
-        }
-        if !plan.materializes_rows() {
-            // Batched projection (the FEM E-operator source shape).
-            for c in data.iter() {
-                fill_identity(&mut sel, c.len());
-                out.push_batch(project(&plan.items, c, &sel, &env)?, None);
-            }
-            return Ok(());
-        }
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        for c in data.iter() {
-            rows.extend(c.to_rows());
-        }
-        out.push_rows(exec::post_process(rows, plan, &env)?);
-        return Ok(());
+    let mut sel = take_sel(data.len());
+    if let Some(h) = &plan.having {
+        apply_pred(h, &data, &mut sel, &env)?;
     }
-
-    if plan.materializes_rows() {
-        // Sort needs the whole input: batch-collect, then shared
-        // post-stages (sort keys are evaluated there).
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-            for &r in sel {
-                rows.push(chunk.row(r as usize));
-            }
-            Ok(true)
-        })?;
-        out.push_rows(exec::post_process(rows, plan, &env)?);
-        return Ok(());
+    if !plan.order_by.is_empty() && !sel.is_empty() {
+        sort_rows(&plan.order_by, &data, &mut sel, &env)?;
     }
-
-    // Fully streaming: filter → project → DISTINCT → cap, with early exit.
+    // A zero cap excludes every row *before* projection: no excluded
+    // row's output expressions may be evaluated (`… ORDER BY x LIMIT 0`
+    // with `1/0` in the select list returns empty instead of erroring),
+    // matching the interpreter and the streaming branch.
     if plan.cap == Some(0) {
         return Ok(());
     }
-    let mut count: u64 = 0;
-    let mut seen: Option<HashSet<Vec<u8>>> = plan.distinct.then(HashSet::new);
-    run_from_v(pool, catalog, &env, &plan.from, &mut |chunk, sel| {
-        let mut narrowed = take::<Vec<u32>>();
-        let sel = match &plan.having {
-            Some(h) => {
-                narrowed.extend_from_slice(sel);
-                apply_pred(h, chunk, &mut narrowed, &env)?;
-                if narrowed.is_empty() {
-                    return Ok(true);
-                }
-                &narrowed[..]
-            }
-            None => sel,
-        };
-        let oc = project(&plan.items, chunk, sel, &env)?;
-        // The rows of `oc` that go out; `None` is all of them.
-        let mut keep: Option<Pooled<Vec<u32>>> = None;
-        if let Some(seen) = &mut seen {
-            let mut k = take::<Vec<u32>>();
-            for r in 0..oc.len() {
-                if seen.insert(encode_key(&oc.row(r)).unwrap_or_default()) {
-                    k.push(r as u32);
-                }
-            }
-            keep = Some(k);
-        }
-        let kept = keep.as_ref().map_or(oc.len(), |k| k.len()) as u64;
-        let go_on = match plan.cap {
-            Some(cap) if kept >= cap - count => {
-                keep.get_or_insert_with(|| take_sel(oc.len()))
-                    .truncate((cap - count) as usize);
-                false
-            }
-            _ => true,
-        };
-        count += keep.as_ref().map_or(oc.len(), |k| k.len()) as u64;
-        out.push_batch(oc, keep.as_deref().map(Vec::as_slice));
-        Ok(go_on)
-    })?;
+    Emit::default().push(plan, &data, &sel, &env, out)?;
     Ok(())
 }
 
@@ -1759,7 +1888,7 @@ pub(crate) fn run_insert(
                 let env = build_env_v(pool, catalog, params, &plan.subplans)?;
                 let rows: Vec<Vec<Value>> = rows
                     .iter()
-                    .map(|row| row.iter().map(|e| exec::eval_px(e, &[], &env)).collect())
+                    .map(|row| row.iter().map(|e| eval_scalar(e, &env)).collect())
                     .collect::<Result<_>>()?;
                 vec![table.source_chunk(rows, cols)?]
             }

@@ -667,3 +667,59 @@ fn oversized_scalar_subquery_errors_on_both_paths() {
     let r = parity(&null_tables, "SELECT (SELECT x, x FROM t WHERE x = 1)");
     assert!(r.unwrap_err().contains("exactly one column"));
 }
+
+/// Two tables holding the same three texts, two of which differ only
+/// after an embedded NUL.
+fn nul_tables(d: &mut Database) {
+    for t in ["t", "u"] {
+        d.execute(&format!("CREATE TABLE {t} (a INT, s TEXT)"))
+            .unwrap();
+        for (a, s) in [(1, "x\0a"), (2, "x\0b"), (3, "y")] {
+            d.execute_params(
+                &format!("INSERT INTO {t} VALUES (?, ?)"),
+                &[Value::Int(a), Value::Text(s.into())],
+            )
+            .unwrap();
+        }
+    }
+}
+
+#[test]
+fn text_holding_nul_keys_distinct_groups_and_hash_joins() {
+    let text = |s: &str| Value::Text(s.into());
+    let r = parity(&nul_tables, "SELECT DISTINCT s FROM t ORDER BY s");
+    assert_eq!(
+        r,
+        Ok(vec![
+            vec![text("x\0a")],
+            vec![text("x\0b")],
+            vec![text("y")]
+        ])
+    );
+    let r = parity(&nul_tables, "SELECT DISTINCT s FROM t");
+    assert_eq!(r.map(|rows| rows.len()), Ok(3));
+    let r = parity(
+        &nul_tables,
+        "SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s",
+    );
+    assert_eq!(
+        r,
+        Ok(vec![
+            vec![text("x\0a"), Value::Int(1)],
+            vec![text("x\0b"), Value::Int(1)],
+            vec![text("y"), Value::Int(1)],
+        ])
+    );
+    let mut d = db();
+    nul_tables(&mut d);
+    let sql = "SELECT t.a, u.a FROM t, u WHERE t.s = u.s ORDER BY t.a";
+    let plan = d.prepare(sql).unwrap().describe().join("\n");
+    assert!(plan.contains("HASH JOIN"), "{plan}");
+    let r = parity(&nul_tables, sql);
+    assert_eq!(
+        r,
+        Ok((1..=3)
+            .map(|a| vec![Value::Int(a), Value::Int(a)])
+            .collect())
+    );
+}

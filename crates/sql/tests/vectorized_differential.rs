@@ -836,3 +836,80 @@ fn dml_probes_into_segmented_storage() {
     pair.step(join);
     pair.step("SELECT COUNT(*) FROM e");
 }
+
+/// A SELECT with an aggregate, window or sort gathers its batches into
+/// one before HAVING, the sort and the tail run. Over 2,500 rows (three
+/// chunks) whose key columns are typed integers in the first chunk and
+/// take NULLs, floats and texts only in later ones, every post-stage must
+/// still agree with the interpreter, ties in the interpreter's order.
+#[test]
+fn post_stages_agree_across_batches() {
+    for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
+        let mut pair = Pair::new(dialect);
+        pair.setup("CREATE TABLE w (id INT, k INT, f FLOAT, s TEXT)");
+        let row = |id: i64| -> [Value; 4] {
+            let (k, f, s) = match id {
+                0..=1023 => (Value::Int(id % 7), Value::Null, Value::Null),
+                1024..=2047 => (
+                    if id % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(id % 5)
+                    },
+                    Value::Float((id % 4) as f64 / 2.0),
+                    Value::Null,
+                ),
+                _ => (
+                    Value::Null,
+                    if id % 2 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Float(-((id % 3) as f64))
+                    },
+                    Value::Text(format!("t{}", id % 6)),
+                ),
+            };
+            [Value::Int(id), k, f, s]
+        };
+        let insert = format!(
+            "INSERT INTO w VALUES {}",
+            vec!["(?, ?, ?, ?)"; 100].join(", ")
+        );
+        for first in (0..2500).step_by(100) {
+            let params: Vec<Value> = (first..first + 100).flat_map(row).collect();
+            pair.setup_params(&insert, &params);
+        }
+        for sql in [
+            // ORDER BY DESC over many ties, and DISTINCT + TOP.
+            "SELECT id, k, f, s FROM w ORDER BY k DESC, f DESC, s DESC",
+            "SELECT id, s FROM w ORDER BY s DESC",
+            "SELECT DISTINCT TOP 7 k, f FROM w ORDER BY f DESC, k",
+            "SELECT DISTINCT TOP 9 s, k FROM w ORDER BY s, k DESC",
+            "SELECT DISTINCT TOP 4 f FROM w",
+            // GROUP BY + HAVING + ORDER BY + LIMIT.
+            "SELECT k, COUNT(*), MIN(f), MAX(s) FROM w GROUP BY k \
+             HAVING COUNT(*) > 10 ORDER BY COUNT(*) DESC, k LIMIT 5",
+            "SELECT f, s, COUNT(*) AS n FROM w GROUP BY f, s \
+             HAVING COUNT(*) > 1 ORDER BY s DESC, f LIMIT 9",
+            // ROW_NUMBER() + ORDER BY + TOP.
+            "SELECT TOP 10 id, ROW_NUMBER() OVER (PARTITION BY k ORDER BY f DESC, id) AS rn \
+             FROM w ORDER BY rn DESC, id",
+            "SELECT TOP 6 id, s, ROW_NUMBER() OVER (PARTITION BY s ORDER BY id DESC) AS rn \
+             FROM w WHERE id > 1000 ORDER BY s DESC, rn",
+            // A scalar aggregate whose select list computes over the
+            // accumulators, with and without HAVING.
+            "SELECT COUNT(*) + 1, MIN(k) FROM w",
+            "SELECT COUNT(*) + 1, MIN(k) FROM w HAVING COUNT(*) > 2",
+            "SELECT COUNT(*) + 1, MIN(k) FROM w HAVING COUNT(*) > 5000",
+        ] {
+            assert!(pair.step(sql), "{sql} must succeed");
+        }
+        // Row-independent values: VALUES cells and a FROM-less filter.
+        let insert = "INSERT INTO w (id, k) VALUES (? + 1, -?)";
+        assert!(pair.step_params(insert, &[Value::Int(2499), Value::Int(3)]));
+        assert!(pair.step("SELECT id, k, f, s FROM w WHERE id >= 2499 ORDER BY id"));
+        for p in [Value::Int(1), Value::Int(0), Value::Null] {
+            assert!(pair.step_params("SELECT 1 WHERE ? > 0", &[p]));
+        }
+    }
+}
