@@ -5,8 +5,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, FrontierPred, SqlGen};
 use fempath_core::{SqlStyle, INF};
-use fempath_sql::Database;
-use fempath_storage::Value;
+use fempath_sql::ast::{ColumnDef, CreateIndex};
+use fempath_sql::catalog::EqMatches;
+use fempath_sql::{Catalog, Database};
+use fempath_storage::{BufferPool, Chunk, ColSet, DataType, Value};
 use std::hint::black_box;
 
 /// A TVisited/TEdges fixture with a marked frontier.
@@ -412,8 +414,87 @@ fn bench_bdj_iteration(c: &mut Criterion) {
     group.finish();
 }
 
+/// Nodes of the [`bench_probe_batch`] edge tables (four arcs each).
+const PROBE_NODES: i64 = 20_000;
+
+/// One edge table stored twice — clustered on `fid` (`TClu`) and
+/// segment-compressed (`TSeg`) — in a pool that holds both.
+fn probe_fixture() -> (BufferPool, Catalog) {
+    let mut pool = BufferPool::in_memory(4096);
+    let mut cat = Catalog::new();
+    let cols: Vec<ColumnDef> = ["fid", "tid", "cost"]
+        .iter()
+        .map(|n| ColumnDef {
+            name: (*n).into(),
+            dtype: DataType::Int,
+        })
+        .collect();
+    let mut edges: Vec<(i64, i64, i64)> = (0..PROBE_NODES)
+        .flat_map(|u| (1..=4).map(move |d| (u, (u + d * 7919) % PROBE_NODES, d * 3)))
+        .collect();
+    edges.sort_unstable();
+    cat.create_table(&mut pool, "TClu", cols.clone(), None)
+        .unwrap();
+    let index = CreateIndex {
+        name: "ix_clu".into(),
+        table: "TClu".into(),
+        columns: vec!["fid".into()],
+        unique: false,
+        clustered: true,
+    };
+    cat.create_index(&mut pool, &index).unwrap();
+    let mut rows = Chunk::with_width(3);
+    for &(f, t, c) in &edges {
+        rows.push_row(&[Value::Int(f), Value::Int(t), Value::Int(c)]);
+    }
+    let clu = cat.table_mut("TClu").unwrap();
+    clu.bulk_load_rows(&mut pool, &rows).unwrap();
+    cat.create_segmented_table(&mut pool, "TSeg", cols).unwrap();
+    let seg = cat.table_mut("TSeg").unwrap();
+    seg.bulk_load_segments(&mut pool, edges).unwrap();
+    (pool, cat)
+}
+
+/// One `Table::probe_eq` of 1024 `fid` keys — what an index nested loop
+/// or a MERGE hands a table per batch — against a clustered and a
+/// segmented table, the keys once in key order and once shuffled (the
+/// probe sorts them). time / 1024 = the cost of one key.
+fn bench_probe_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("probe_batch");
+    let (pool, cat) = probe_fixture();
+    let pool = std::cell::RefCell::new(pool);
+    let shuffled: Vec<Value> = (0..1024i64)
+        .map(|i| Value::Int(i * 7919 % PROBE_NODES))
+        .collect();
+    let mut sorted = shuffled.clone();
+    sorted.sort();
+    for (table, name) in [("TClu", "clustered"), ("TSeg", "segmented")] {
+        let t = cat.table(table).unwrap();
+        let path = t.probe_path(&[0]);
+        for (order, keys) in [("sorted", &sorted), ("shuffled", &shuffled)] {
+            group.bench_function(&format!("{name}/1024/{order}"), |b| {
+                b.iter(|| {
+                    let mut rows = Chunk::with_width(3);
+                    let mut src = Vec::new();
+                    let out = EqMatches {
+                        rows: &mut rows,
+                        src: Some(&mut src),
+                        locs: None,
+                    };
+                    let mut pool = pool.borrow_mut();
+                    t.probe_eq(&mut pool, path, &[0], keys, &ColSet::all(), out)
+                        .unwrap();
+                    black_box(rows.len())
+                });
+            });
+        }
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    bench_probe_batch,
     bench_e_operator,
     bench_m_operator,
     bench_prepared_vs_plan_cache,

@@ -27,11 +27,12 @@ use crate::ast::ColumnDef;
 use crate::error::{Result, SqlError};
 use crate::pool::{take, Pooled};
 use fempath_storage::{
-    decode_edge_segment, decode_edge_segment_with, decode_row_into_chunk, decode_rows_into_chunk,
-    encode_key, encode_key_into, encode_row_from_chunk, BTree, BTreeBulkBuilder, BTreeScanCursor,
-    BufferPool, Chunk, ColSet, Column, DataType, HeapFile, HeapScanCursor, KeyArena, RecordId,
-    SegmentWriter, Value, CHUNK_CAPACITY,
+    decode_edge_segment, decode_row_into_chunk, decode_rows_into_chunk, encode_key,
+    encode_key_into, encode_row_from_chunk, BTree, BTreeBulkBuilder, BTreeScanCursor, BufferPool,
+    Chunk, ColSet, Column, DataType, HeapFile, HeapScanCursor, KeyArena, LeafWalk, RecordId,
+    SegmentCursor, SegmentWriter, Value, CHUNK_CAPACITY,
 };
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
 
@@ -269,40 +270,38 @@ impl SecondaryIndex {
     }
 
     /// Appends to `out` the locators this index holds for the encoded
-    /// probe key `key` — one point get when `point`, else a prefix scan.
+    /// probe key `key` — at most one entry when `point`, else every entry
+    /// the key prefixes — as one probe of a batch in key order on `walk`.
     /// `clustered`: the table is clustered (locators are tree keys).
     fn find_locs(
         &self,
         pool: &mut BufferPool,
+        walk: &mut LeafWalk,
         key: &[u8],
         point: bool,
         clustered: bool,
         out: &mut BatchLocs,
     ) -> Result<()> {
-        // Decode errors inside the scan callbacks (which can only
+        // A unique index's entry is key → locator; a non-unique one's
+        // locator is the key suffix past the indexed column values.
+        // Decode errors inside the scan callback (which can only
         // continue/stop) are parked and surfaced after the scan.
+        let n_cols = self.cols.len();
         let mut parked: Result<()> = Ok(());
-        if point {
-            if let Some(pushed) = self
-                .tree
-                .get_with(pool, key, |v| out.push_bytes(v, clustered))?
-            {
-                pushed?;
+        self.tree.scan_prefix_runs(pool, walk, key, |run| {
+            for (k, v) in run.keys().zip(run.vals()) {
+                let loc = if self.unique {
+                    Ok(v)
+                } else {
+                    index_key_loc(k, n_cols)
+                };
+                parked = loc.and_then(|loc| out.push_bytes(loc, clustered));
+                if parked.is_err() || point {
+                    return false;
+                }
             }
-        } else if self.unique {
-            self.tree.scan_prefix(pool, key, |_, v| {
-                parked = out.push_bytes(v, clustered);
-                parked.is_ok()
-            })?;
-        } else {
-            // The locator is the key suffix past the indexed column
-            // values.
-            let n_cols = self.cols.len();
-            self.tree.scan_prefix(pool, key, |k, _| {
-                parked = index_key_loc(k, n_cols).and_then(|loc| out.push_bytes(loc, clustered));
-                parked.is_ok()
-            })?;
-        }
+            true
+        })?;
         parked
     }
 }
@@ -551,33 +550,282 @@ fn edge_width(chunk: &mut Chunk) -> Result<()> {
     Ok(())
 }
 
-/// Calls `f(tid, cost)` for every base edge of `fid` in the segment tree
-/// `tree`, in key order, tombstoned ones included: the segments from the
-/// first whose `last_fid` key reaches `fid` up to the first that opens
-/// past it.
-fn walk_fid(
-    tree: &BTree,
-    pool: &mut BufferPool,
-    fid: i64,
-    mut f: impl FnMut(i64, i64),
+/// Where a sweep over ascending fids stands in a segment tree: the leaf
+/// walk, and the segment it is decoding — its tree key, a cursor that
+/// resumes where the previous fid stopped, and the edge decoded past
+/// that fid.
+struct SegmentWalk {
+    leaf: LeafWalk,
+    key: Pooled<Vec<u8>>,
+    cursor: SegmentCursor,
+    pending: Option<(i64, i64, i64)>,
+    /// The encoded probe fid.
+    lo: Pooled<Vec<u8>>,
+    /// The fid probed last.
+    last: Option<i64>,
+}
+
+impl SegmentWalk {
+    fn new() -> SegmentWalk {
+        SegmentWalk {
+            leaf: LeafWalk::default(),
+            key: take(),
+            cursor: SegmentCursor::default(),
+            pending: None,
+            lo: take(),
+            last: None,
+        }
+    }
+
+    /// Calls `f(tid, cost)` for every base edge of `fid` in the segment
+    /// tree `tree`, in key order, tombstoned ones included. It visits the
+    /// segments from the first whose key (`last_fid`) reaches `fid` and
+    /// stops after the first whose key passes it. Over ascending fids it
+    /// decodes each segment once, only as far as the fids asked for; a
+    /// fid at or below the last one decodes its segments afresh.
+    fn edges(
+        &mut self,
+        tree: &BTree,
+        pool: &mut BufferPool,
+        fid: i64,
+        mut f: impl FnMut(i64, i64),
+    ) -> Result<()> {
+        let SegmentWalk {
+            leaf,
+            key,
+            cursor,
+            pending,
+            lo,
+            last,
+        } = self;
+        if last.replace(fid).is_some_and(|last| fid <= last) {
+            key.clear();
+        }
+        lo.clear();
+        encode_key_into(lo, &Value::Int(fid))?;
+        let mut decoded = Ok(());
+        tree.scan_from(pool, leaf, lo, |k, blob| {
+            if key[..] != *k {
+                key.clear();
+                key.extend_from_slice(k);
+                *pending = None;
+                *cursor = match SegmentCursor::new(blob) {
+                    Ok(c) => c,
+                    Err(e) => {
+                        decoded = Err(e);
+                        return false;
+                    }
+                };
+            }
+            if pending.is_some_and(|e| e.0 < fid) {
+                *pending = None;
+            }
+            if pending.is_none() {
+                if let Err(e) = cursor.skip_below(blob, fid) {
+                    decoded = Err(e);
+                    return false;
+                }
+            }
+            loop {
+                let edge = match pending
+                    .take()
+                    .map_or_else(|| cursor.next_edge(blob), |e| Ok(Some(e)))
+                {
+                    Ok(Some(edge)) => edge,
+                    Ok(None) => break,
+                    Err(e) => {
+                        decoded = Err(e);
+                        return false;
+                    }
+                };
+                if edge.0 > fid {
+                    *pending = Some(edge);
+                    break;
+                }
+                if edge.0 == fid {
+                    f(edge.1, edge.2);
+                }
+            }
+            // The fid's edges go on into the next segment only when this
+            // one's last fid is the fid.
+            k.starts_with(lo)
+        })?;
+        Ok(decoded?)
+    }
+}
+
+/// The delta overlay as one probe batch reads it: every row, and the
+/// rows' positions ordered by fid (heap order within a fid).
+struct Overlay {
+    rows: Pooled<Chunk>,
+    fids: Pooled<Vec<i64>>,
+    by_fid: Pooled<Vec<u32>>,
+}
+
+impl Overlay {
+    /// Reads the overlay heap `delta`, which holds `live` rows; `None`
+    /// when it holds none.
+    fn read(delta: &HeapFile, live: u64, pool: &mut BufferPool) -> Result<Option<Overlay>> {
+        if live == 0 {
+            return Ok(None);
+        }
+        let mut o = Overlay {
+            rows: take(),
+            fids: take(),
+            by_fid: take(),
+        };
+        let mut cursor = delta.batch_cursor();
+        let all = ColSet::all();
+        while cursor.next_batch(delta, pool, &mut o.rows, &all, None, usize::MAX)? {}
+        let fid = |r: u32| o.rows.get(0, r as usize).as_i64();
+        o.by_fid
+            .extend((0..o.rows.len() as u32).filter(|&r| fid(r).is_some()));
+        o.by_fid.sort_unstable_by_key(|&r| (fid(r), r));
+        o.fids
+            .extend(o.by_fid.iter().map(|&r| fid(r).unwrap_or_default()));
+        Ok(Some(o))
+    }
+
+    /// Appends the `read` columns of the overlay rows of `fid` to the
+    /// 3-wide `chunk`.
+    fn append(&self, fid: i64, chunk: &mut Chunk, read: &ColSet) {
+        let lo = self.fids.partition_point(|&f| f < fid);
+        let hi = lo + self.fids[lo..].partition_point(|&f| f == fid);
+        let sel = &self.by_fid[lo..hi];
+        if !sel.is_empty() {
+            for c in (0..3).filter(|&c| read.contains(c)) {
+                chunk.col_mut(c).extend_gather(self.rows.col(c), sel);
+            }
+            chunk.commit_rows(sel.len());
+        }
+    }
+}
+
+/// The shortest probe batch `sweep` sorts: below it, sorting and
+/// gathering cost more than the descents they save.
+const SWEEP_MIN: usize = 8;
+
+/// Probes a batch of keys in key order and answers in batch order.
+/// `batch` holds the positions of the keys that can match, in batch
+/// order; `cmp` orders two positions' keys, `Equal` only for keys that
+/// match the same rows; `probe(k, rows, locs)` appends the matches of
+/// the key at position `k` to `rows` (or, `by_locator`, only their
+/// locators to `locs`, and `rows` stays untouched).
+///
+/// A batch shorter than [`SWEEP_MIN`] keys, or already in strictly
+/// ascending key order, is probed key by key straight into `out`. Any
+/// other batch is sorted once, each distinct key probed once, in order,
+/// into scratch buffers, and the matches gathered back in batch order.
+/// Either way `out` receives, key by key in batch order, what a probe of
+/// that key alone appends, and `out.src` each match's key position —
+/// `probe` must answer a key the same in any order.
+fn sweep(
+    batch: &[u32],
+    cmp: impl Fn(u32, u32) -> Ordering,
+    out: EqMatches<'_>,
+    by_locator: bool,
+    mut probe: impl FnMut(u32, &mut Chunk, Option<&mut BatchLocs>) -> Result<()>,
 ) -> Result<()> {
-    let lo = encode_key(&[Value::Int(fid)])?;
-    let mut decoded = Ok(());
-    tree.scan_range(pool, Bound::Included(&lo), Bound::Unbounded, |_, v| {
-        let mut past = false;
-        let mut first = true;
-        decoded = decode_edge_segment_with(v, |ef, et, ec| {
-            if first {
-                first = false;
-                past = ef > fid;
+    let EqMatches {
+        rows,
+        mut src,
+        mut locs,
+    } = out;
+    let found = |rows: &Chunk, locs: Option<&BatchLocs>| match (by_locator, locs) {
+        (true, Some(locs)) => locs.len(),
+        _ => rows.len(),
+    };
+    // Records that the key at `k` found `n` rows.
+    let mut tag = |k: u32, n: usize| {
+        if let Some(src) = src.as_deref_mut() {
+            src.resize(src.len() + n, k);
+        }
+    };
+    if batch.len() < SWEEP_MIN || batch.windows(2).all(|w| cmp(w[0], w[1]).is_lt()) {
+        for &k in batch {
+            let before = found(rows, locs.as_deref());
+            probe(k, rows, locs.as_deref_mut())?;
+            tag(k, found(rows, locs.as_deref()) - before);
+        }
+        return Ok(());
+    }
+    let mut order = take::<Vec<u32>>();
+    order.extend(0..batch.len() as u32);
+    order.sort_unstable_by(|&a, &b| cmp(batch[a as usize], batch[b as usize]).then(a.cmp(&b)));
+    let mut scratch = take::<Chunk>();
+    scratch.set_width(rows.width());
+    let mut scratch_locs = take::<BatchLocs>();
+    let want_locs = locs.is_some();
+    // `ends[g]` closes the matches of the `g`-th distinct key in
+    // `scratch`; `rank[i]` is the distinct key of `batch[i]`.
+    let mut ends = take::<Vec<u32>>();
+    let mut rank = take::<Vec<u32>>();
+    rank.resize(batch.len(), 0);
+    for (j, &i) in order.iter().enumerate() {
+        let k = batch[i as usize];
+        if j == 0 || cmp(batch[order[j - 1] as usize], k).is_ne() {
+            probe(k, &mut scratch, want_locs.then_some(&mut *scratch_locs))?;
+            ends.push(found(&scratch, want_locs.then_some(&*scratch_locs)) as u32);
+        }
+        rank[i as usize] = ends.len() as u32 - 1;
+    }
+    // The scratch positions of every key's matches, in batch order.
+    order.clear();
+    for (&k, &g) in batch.iter().zip(rank.iter()) {
+        let g = g as usize;
+        let start = if g == 0 { 0 } else { ends[g - 1] };
+        order.extend(start..ends[g]);
+        tag(k, (ends[g] - start) as usize);
+    }
+    if order.is_empty() {
+        return Ok(());
+    }
+    if !by_locator {
+        rows.append_gather(&scratch, &order);
+    }
+    if let Some(locs) = locs {
+        locs.extend_selected(&scratch_locs, &order);
+    }
+    Ok(())
+}
+
+/// The encoded keys of a probe batch (`width` values each, laid end to
+/// end), an empty key for each that holds a NULL, and the positions of
+/// the others, in batch order.
+fn encode_probe_keys(keys: &[Value], width: usize) -> Result<(Pooled<KeyArena>, Pooled<Vec<u32>>)> {
+    let mut encoded = take::<KeyArena>();
+    let mut live = take::<Vec<u32>>();
+    for (k, vals) in keys.chunks_exact(width).enumerate() {
+        let null = vals.iter().any(Value::is_null);
+        encoded.push_with(|key| {
+            if !null {
+                vals.iter().try_for_each(|v| encode_key_into(key, v))?;
             }
-            if ef == fid {
-                f(et, ec);
-            }
-        });
-        decoded.is_ok() && !past
-    })?;
-    Ok(decoded?)
+            Ok::<_, SqlError>(())
+        })?;
+        if !null {
+            live.push(k as u32);
+        }
+    }
+    Ok((encoded, live))
+}
+
+/// Orders two key positions by their encoded keys in `keys`.
+fn by_key(keys: &KeyArena) -> impl Fn(u32, u32) -> Ordering + '_ {
+    |a, b| keys.get(a as usize).cmp(keys.get(b as usize))
+}
+
+/// A total order of values in which only identical values tie: by type,
+/// then by value — what groups a scan probe's keys (`Value::total_cmp`
+/// alone ties an INT with the FLOAT it converts to).
+fn identity_cmp(a: &Value, b: &Value) -> Ordering {
+    let rank = |v: &Value| match v {
+        Value::Null => 0,
+        Value::Int(_) => 1,
+        Value::Float(_) => 2,
+        Value::Text(_) => 3,
+    };
+    rank(a).cmp(&rank(b)).then_with(|| a.total_cmp(b))
 }
 
 /// The error of a locator or cursor handed to a table it did not come
@@ -719,7 +967,9 @@ impl Table {
     /// into `chunk` (appending, in the order given) — the row fetch behind
     /// secondary-index probes and the re-read of the rows a DML target
     /// scan selected. Each run of heap locators on one page costs one
-    /// buffer-pool read (a scan's locators are page-ordered). Segmented
+    /// buffer-pool read (a scan's locators are page-ordered); clustered
+    /// rows are read in key order on one walk of the leaf chain (a
+    /// scan's locators are in key order already). Segmented
     /// rows cannot be fetched by locator; only a write re-reads them, and
     /// it is refused here as it would be there.
     pub(crate) fn fetch_chunk(
@@ -738,14 +988,26 @@ impl Table {
                 Ok(h.fetch_into_chunk(pool, &locs.rids[from..], chunk, read)?)
             }
             TableStorage::Clustered { tree, .. } => {
-                for r in from..locs.keys.len() {
-                    let decoded = tree.get_with(pool, locs.keys.get(r), |bytes| {
-                        decode_row_into_chunk(bytes, chunk, read)
+                let mut batch = take::<Vec<u32>>();
+                batch.extend(from as u32..locs.keys.len() as u32);
+                let key = |k: u32| locs.keys.get(k as usize);
+                let out = EqMatches {
+                    rows: chunk,
+                    src: None,
+                    locs: None,
+                };
+                let mut walk = LeafWalk::default();
+                sweep(&batch, by_key(&locs.keys), out, false, |k, rows, _| {
+                    let mut decoded = None;
+                    tree.scan_from(pool, &mut walk, key(k), |stored, bytes| {
+                        decoded =
+                            (stored == key(k)).then(|| decode_row_into_chunk(bytes, rows, read));
+                        false
                     })?;
                     decoded
                         .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))??;
-                }
-                Ok(())
+                    Ok(())
+                })
             }
             TableStorage::Segmented { .. } => Err(read_only_err(&self.schema.name)),
         }
@@ -753,15 +1015,20 @@ impl Table {
 
     /// The one equality probe, shared by queries, index nested-loop joins
     /// and DML targets. Probes along `path` — the plan's
-    /// [`Table::probe_path`] for `cols` — once per key of `keys`
+    /// [`Table::probe_path`] for `cols` — for every key of `keys`
     /// (`cols.len()` values each, laid end to end; a key holding a NULL
-    /// matches nothing), and appends each match to `out`.
+    /// matches nothing), and appends to `out`, key by key in batch order,
+    /// what a probe of that key alone finds.
     ///
-    /// The clustered tree and the segments decode their matches as they
-    /// find them; a secondary index collects locators for the whole batch
-    /// of keys and fetches their rows once, page-grouped
-    /// (`Table::fetch_chunk`); a scan decodes every row per key and keeps
-    /// the matches.
+    /// A batch is answered in key order (see `sweep`): one walk along the
+    /// clustered tree's, the index's or the segment tree's leaf chain that
+    /// re-descends only when a key passes the current leaf, each segment
+    /// decoded at most once, the delta overlay read once, and each
+    /// distinct key probed once. The clustered tree and the segments
+    /// decode their matches as they find them; a secondary index collects
+    /// locators for the whole batch and fetches their rows once
+    /// (`Table::fetch_chunk`); a scan decodes every row per distinct key
+    /// and keeps the matches.
     pub fn probe_eq(
         &self,
         pool: &mut BufferPool,
@@ -771,111 +1038,117 @@ impl Table {
         read: &ColSet,
         out: EqMatches<'_>,
     ) -> Result<()> {
-        let EqMatches {
-            rows,
-            mut src,
-            mut locs,
-        } = out;
-        let live = keys
-            .chunks_exact(cols.len().max(1))
-            .enumerate()
-            .filter(|(_, vals)| !vals.iter().any(Value::is_null));
-        // Records that the key at `k` found `n` rows.
-        let mut tag = |k: usize, n: usize| {
-            if let Some(src) = src.as_deref_mut() {
-                src.resize(src.len() + n, k as u32);
-            }
-        };
-        let mut key = take::<Vec<u8>>();
-        // What the scans that must test a row before keeping it decode.
-        let all = ColSet::all();
+        let width = cols.len().max(1);
+        let key_vals = |k: u32| &keys[k as usize * width..(k as usize + 1) * width];
         match (path, &self.storage) {
             (ProbePath::Clustered, TableStorage::Clustered { tree, .. }) => {
-                for (k, vals) in live {
-                    key.clear();
-                    for v in vals {
-                        encode_key_into(&mut key, v)?;
-                    }
-                    let before = rows.len();
+                let (encoded, batch) = encode_probe_keys(keys, width)?;
+                let mut walk = LeafWalk::default();
+                sweep(&batch, by_key(&encoded), out, false, |k, rows, mut locs| {
                     let mut decoded = Ok(());
-                    tree.scan_prefix_runs(pool, &key, |run| {
+                    tree.scan_prefix_runs(pool, &mut walk, encoded.get(k as usize), |run| {
                         if let Some(locs) = locs.as_deref_mut() {
                             run.keys().for_each(|k| locs.keys.push(k));
                         }
                         decoded = decode_rows_into_chunk(run.vals(), rows, read);
                         decoded.is_ok()
                     })?;
-                    decoded?;
-                    tag(k, rows.len() - before);
-                }
+                    Ok(decoded?)
+                })
             }
             (
                 ProbePath::Segments,
                 TableStorage::Segmented {
                     tree,
                     delta,
+                    delta_rows,
                     tombstones,
                     ..
                 },
             ) => {
-                edge_width(rows)?;
-                for (k, vals) in live {
-                    let before = rows.len();
-                    // A non-integral key never equals an INT fid.
-                    if let Some(fid) = vals[0].as_i64() {
-                        walk_fid(tree, pool, fid, |tid, cost| {
-                            if !tombstones.contains(&(fid, tid)) {
+                edge_width(out.rows)?;
+                // A non-integral key never equals an INT fid.
+                let fid = |k: u32| key_vals(k)[0].as_i64();
+                let mut batch = take::<Vec<u32>>();
+                batch.extend((0..(keys.len() / width) as u32).filter(|&k| fid(k).is_some()));
+                let overlay = Overlay::read(delta, *delta_rows, pool)?;
+                let mut walk = SegmentWalk::new();
+                sweep(
+                    &batch,
+                    |a, b| fid(a).cmp(&fid(b)),
+                    out,
+                    false,
+                    |k, rows, locs| {
+                        let Some(fid) = fid(k) else {
+                            return Ok(());
+                        };
+                        let before = rows.len();
+                        walk.edges(tree, pool, fid, |tid, cost| {
+                            if tombstones.is_empty() || !tombstones.contains(&(fid, tid)) {
                                 push_edge_cols(rows, (fid, tid, cost), read);
                             }
                         })?;
-                        // Delta-overlay rows for this fid (unsorted tail).
-                        let mut cursor = delta.batch_cursor();
-                        append_matching(
-                            rows,
-                            read,
-                            |batch, _| {
-                                Ok(cursor.next_batch(
-                                    delta,
-                                    pool,
-                                    batch,
-                                    &all,
-                                    None,
-                                    CHUNK_CAPACITY,
-                                )?)
-                            },
-                            |batch, r| batch.get(0, r).as_i64() == Some(fid),
-                            None,
-                        )?;
-                    }
-                    let found = rows.len() - before;
-                    if let Some(locs) = locs.as_deref_mut() {
-                        locs.segment_rows += found;
-                    }
-                    tag(k, found);
-                }
+                        if let Some(overlay) = &overlay {
+                            overlay.append(fid, rows, read);
+                        }
+                        if let Some(locs) = locs {
+                            locs.segment_rows += rows.len() - before;
+                        }
+                        Ok(())
+                    },
+                )
             }
             (ProbePath::Secondary { index, point }, _) => {
                 let idx = self
                     .indexes
                     .get(index)
                     .ok_or_else(|| SqlError::Eval("probe of a dropped index".into()))?;
+                let (encoded, batch) = encode_probe_keys(keys, width)?;
+                let EqMatches { rows, src, locs } = out;
                 let mut own = take::<BatchLocs>();
                 let found = locs.unwrap_or(&mut own);
                 let from = found.len();
-                for (k, vals) in live {
-                    key.clear();
-                    for v in vals {
-                        encode_key_into(&mut key, v)?;
-                    }
-                    let before = found.len();
-                    idx.find_locs(pool, &key, point, self.is_clustered(), found)?;
-                    tag(k, found.len() - before);
-                }
-                self.fetch_chunk(pool, found, from, rows, read)?;
+                let clustered = self.is_clustered();
+                let mut walk = LeafWalk::default();
+                let out = EqMatches {
+                    rows,
+                    src,
+                    locs: Some(&mut *found),
+                };
+                sweep(
+                    &batch,
+                    by_key(&encoded),
+                    out,
+                    true,
+                    |k, _, locs| match locs {
+                        Some(locs) => {
+                            let key = encoded.get(k as usize);
+                            idx.find_locs(pool, &mut walk, key, point, clustered, locs)
+                        }
+                        None => Ok(()),
+                    },
+                )?;
+                self.fetch_chunk(pool, found, from, rows, read)
             }
             (ProbePath::Scan, _) => {
-                for (k, vals) in live {
-                    let before = rows.len();
+                let mut batch = take::<Vec<u32>>();
+                batch.extend(
+                    (0..(keys.len() / width) as u32)
+                        .filter(|&k| !key_vals(k).iter().any(Value::is_null)),
+                );
+                let cmp = |a: u32, b: u32| {
+                    let (a, b) = (key_vals(a), key_vals(b));
+                    a.iter()
+                        .zip(b)
+                        .map(|(x, y)| identity_cmp(x, y))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                };
+                // What the scans that must test a row before keeping it
+                // decode.
+                let all = ColSet::all();
+                sweep(&batch, cmp, out, false, |k, rows, locs| {
+                    let vals = key_vals(k);
                     let mut cursor = self.batch_cursor(pool)?;
                     append_matching(
                         rows,
@@ -889,18 +1162,14 @@ impl Table {
                                 !cell.is_null() && cell.total_cmp(v).is_eq()
                             })
                         },
-                        locs.as_deref_mut(),
-                    )?;
-                    tag(k, rows.len() - before);
-                }
+                        locs,
+                    )
+                })
             }
-            _ => {
-                return Err(SqlError::Eval(
-                    "probe path does not match table storage".into(),
-                ))
-            }
+            _ => Err(SqlError::Eval(
+                "probe path does not match table storage".into(),
+            )),
         }
-        Ok(())
     }
 
     /// How an equality on `cols` is served — the one answer the planners
@@ -1219,8 +1488,9 @@ impl Table {
             let mut first = first_repeat(keys);
             if stored {
                 let bound = first.unwrap_or(n).min(first_bad.map_or(n, |(r, _)| r));
+                let mut walk = LeafWalk::default();
                 for r in 0..bound {
-                    if tree.contains(pool, keys.get(r))? {
+                    if tree.contains_at(pool, &mut walk, keys.get(r))? {
                         first = Some(r);
                         break;
                     }
@@ -1262,6 +1532,7 @@ impl Table {
                 next_uniquifier,
             } => {
                 let (mut key, mut row) = (take::<Vec<u8>>(), take::<Vec<u8>>());
+                let mut walk = LeafWalk::default();
                 for r in 0..limit {
                     key.clear();
                     encode_cols_into(&mut key, chunk, r, key_cols)?;
@@ -1270,7 +1541,7 @@ impl Table {
                         *next_uniquifier += 1;
                     }
                     encode_row_from_chunk(&mut row, chunk, r);
-                    tree.insert(pool, &key, &row)?;
+                    tree.insert_at(pool, &mut walk, &key, &row)?;
                     if !self.indexes.is_empty() {
                         locs.keys.push(&key);
                     }
@@ -1359,13 +1630,16 @@ impl Table {
                 }
             }
             _ => {
-                // Arrival order, one row at a time: a row may take a unique
-                // key an earlier row of the statement just freed, and an
-                // error leaves the rows before it applied.
                 let mut new = old.clone();
                 for (&c, vals) in assign_cols.iter().zip(new_vals) {
                     new.set_column(c, vals.clone());
                 }
+                if self.rewrite_in_key_order(pool, locs, &order, &new, assign_cols)? {
+                    return Ok(order.len() as u64);
+                }
+                // Arrival order, one row at a time: a row may take a unique
+                // key an earlier row of the statement just freed, and an
+                // error leaves the rows before it applied.
                 order.sort_unstable();
                 for &k in order.iter() {
                     self.rewrite_row(pool, locs, k, old, &new, assign_cols, new_vals)?;
@@ -1373,6 +1647,46 @@ impl Table {
             }
         }
         Ok(order.len() as u64)
+    }
+
+    /// The rewrite of [`UpdateMode::Rewrite`] when no row moves: a
+    /// clustered table whose assignments touch neither the clustering key
+    /// nor an indexed column keeps every row at its key and every index
+    /// entry as it is, so the rows `order` picks (ascending locators)
+    /// are written over in one walk of the leaf chain
+    /// ([`BTree::replace_sorted`]) — unless one no longer fits a cell,
+    /// which the row-at-a-time rewrite refuses in arrival order. Returns
+    /// whether it wrote the rows.
+    fn rewrite_in_key_order(
+        &mut self,
+        pool: &mut BufferPool,
+        locs: &BatchLocs,
+        order: &[u32],
+        new: &Chunk,
+        assign_cols: &[usize],
+    ) -> Result<bool> {
+        let keyed = |cols: &[usize]| cols.iter().any(|c| assign_cols.contains(c));
+        let TableStorage::Clustered { tree, key_cols, .. } = &mut self.storage else {
+            return Ok(false);
+        };
+        if keyed(key_cols) || self.indexes.iter().any(|i| keyed(&i.cols)) {
+            return Ok(false);
+        }
+        let mut rows = take::<KeyArena>();
+        let mut row = take::<Vec<u8>>();
+        for &k in order {
+            encode_row_from_chunk(&mut row, new, k as usize);
+            if !BTree::fits(locs.keys.get(k as usize), &row) {
+                return Ok(false);
+            }
+            rows.push(&row);
+        }
+        let entries = order
+            .iter()
+            .enumerate()
+            .map(|(j, &k)| (locs.keys.get(k as usize), rows.get(j)));
+        tree.replace_sorted(pool, entries)?;
+        Ok(true)
     }
 
     /// The step of [`UpdateMode::Rewrite`]: rewrites the row stored at
@@ -1616,7 +1930,7 @@ impl Table {
             // Count the base edges the new tombstone suppresses so len()
             // stays exact.
             let mut base = 0u64;
-            walk_fid(tree, pool, fid, |et, _| base += u64::from(et == tid))?;
+            SegmentWalk::new().edges(tree, pool, fid, |et, _| base += u64::from(et == tid))?;
             if base > 0 {
                 tombstones.insert((fid, tid));
                 *dead_rows += base;
@@ -2575,6 +2889,109 @@ mod tests {
         let n = t.bulk_load_segments(pool, edges.iter().copied()).unwrap();
         assert_eq!(n, edges.len() as u64);
         edges
+    }
+
+    /// Column `c` of every row of `chunk`, as integers.
+    fn ints(chunk: &Chunk) -> Vec<(i64, i64, i64)> {
+        (0..chunk.len())
+            .map(|r| {
+                let v = |c| chunk.get(c, r).as_i64().unwrap();
+                (v(0), v(1), v(2))
+            })
+            .collect()
+    }
+
+    /// Probes `t` on `fid` with `keys`; returns the rows found and the
+    /// buffer-pool accesses the probe made.
+    fn probe_fids(pool: &mut BufferPool, t: &Table, keys: &[Value]) -> (Vec<(i64, i64, i64)>, u64) {
+        let mut chunk = Chunk::with_width(3);
+        let found = EqMatches {
+            rows: &mut chunk,
+            src: None,
+            locs: None,
+        };
+        let before = pool.stats().accesses();
+        t.probe_eq(pool, ProbePath::Segments, &[0], keys, &ColSet::all(), found)
+            .unwrap();
+        (ints(&chunk), pool.stats().accesses() - before)
+    }
+
+    #[test]
+    fn a_fid_inside_one_segment_reads_only_its_own_leaf() {
+        let (mut pool, mut cat) = setup();
+        cat.create_segmented_table(&mut pool, "TSeg", edge_cols())
+            .unwrap();
+        let edges: Vec<(i64, i64, i64)> = (0..2600i64)
+            .flat_map(|f| (0..3).map(move |i| (f, 3 * f + i, 1 + (f + i) % 9)))
+            .collect();
+        let t = cat.table_mut("TSeg").unwrap();
+        t.bulk_load_segments(&mut pool, edges.iter().copied())
+            .unwrap();
+        let t = cat.table("TSeg").unwrap();
+        let TableStorage::Segmented { tree, .. } = &t.storage else {
+            unreachable!()
+        };
+        let height = tree.height(&mut pool).unwrap() as u64;
+        assert!(tree.chain_leaves(&mut pool).unwrap() > 3);
+        // The fid span of every segment, leaf by leaf.
+        let mut leaves: Vec<Vec<(i64, i64)>> = Vec::new();
+        tree.scan_prefix_runs(&mut pool, &mut LeafWalk::default(), &[], |run| {
+            let span = |blob: &[u8]| {
+                let seg = decode_edge_segment(blob).unwrap();
+                (seg[0].0, seg[seg.len() - 1].0)
+            };
+            leaves.push(run.vals().map(span).collect());
+            true
+        })
+        .unwrap();
+        assert!(leaves.len() > 3 && leaves.iter().all(|l| l.len() > 1));
+        for (l, leaf) in leaves.iter().enumerate() {
+            for (i, &(first, last)) in leaf.iter().enumerate() {
+                let fid = (first + last) / 2;
+                assert!(first < fid && fid < last);
+                let (got, reads) = probe_fids(&mut pool, t, &[Value::Int(fid)]);
+                let want: Vec<_> = edges.iter().filter(|e| e.0 == fid).copied().collect();
+                assert_eq!(got, want);
+                // The descent reads `height` pages, the leaf last; one
+                // for a leaf's first segment lands on the leaf before
+                // (separators are first keys) and steps on. No probe reads
+                // past its segment's own leaf, the last segment of a leaf
+                // included.
+                let want_reads = height + u64::from(i == 0 && l > 0);
+                assert_eq!(reads, want_reads, "fid {fid} in segment {i} of leaf {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_probe_reads_the_delta_overlay_once() {
+        let (mut pool, mut cat) = setup();
+        let base: Vec<(i64, i64, i64)> = (0..50i64).map(|f| (f, f + 1, 2)).collect();
+        for name in ["Plain", "Mutated"] {
+            cat.create_segmented_table(&mut pool, name, edge_cols())
+                .unwrap();
+            let t = cat.table_mut(name).unwrap();
+            t.bulk_load_segments(&mut pool, base.iter().copied())
+                .unwrap();
+        }
+        let t = cat.table_mut("Mutated").unwrap();
+        let delta: Vec<Vec<Value>> = (0..1500i64).map(|i| row(i % 70, 100 + i, 3)).collect();
+        insert(&mut pool, t, &delta).unwrap();
+        let (plain, mutated) = (cat.table("Plain").unwrap(), cat.table("Mutated").unwrap());
+        // Shuffled and repeated fids, some only in the overlay, some absent.
+        let keys: Vec<Value> = (0..1000i64).map(|i| Value::Int(i * 37 % 90)).collect();
+        let (_, one_plain) = probe_fids(&mut pool, plain, &keys[..1]);
+        let (_, one_mutated) = probe_fids(&mut pool, mutated, &keys[..1]);
+        let delta_pages = one_mutated - one_plain;
+        assert!(delta_pages > 2, "the overlay spans {delta_pages} pages");
+        let (got, batch_mutated) = probe_fids(&mut pool, mutated, &keys);
+        let (_, batch_plain) = probe_fids(&mut pool, plain, &keys);
+        assert_eq!(batch_mutated - batch_plain, delta_pages);
+        let want: Vec<_> = keys
+            .iter()
+            .flat_map(|k| probe_fids(&mut pool, mutated, std::slice::from_ref(k)).0)
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! in the delta overlay and whose updates and deletes are refused).
 //!
 //! After every step the table's rows, `len()` and the answer of every
-//! index probe must be the model's. A refused insert or update must name
+//! index probe must be the model's, and a batch probe of shuffled,
+//! repeated keys must answer in order what its one-key probes do. A refused insert or update must name
 //! the key the model says repeats, and leave applied exactly the rows
 //! before the offender. A row located twice by one update keeps its first
 //! assignment.
@@ -264,6 +265,67 @@ fn check(pool: &mut BufferPool, t: &Table, model: &[Row], storage: Storage) {
                 "{storage:?} probe {path:?} of {c} = {v}"
             );
         }
+        check_batch_probe(pool, t, c, storage);
+    }
+}
+
+/// What one probe of `keys` along column `c` returns: every match's row,
+/// the position of the key it answers, and its locator, in order.
+type Probed = (Vec<Vec<Value>>, Vec<u32>, Vec<RowLoc>);
+
+fn probe_batch(pool: &mut BufferPool, t: &Table, c: usize, keys: &[Value]) -> Probed {
+    let mut found = Chunk::with_width(3);
+    let mut src = Vec::new();
+    let mut locs = BatchLocs::default();
+    let out = EqMatches {
+        rows: &mut found,
+        src: Some(&mut src),
+        locs: Some(&mut locs),
+    };
+    t.probe_eq(pool, t.probe_path(&[c]), &[c], keys, &ColSet::all(), out)
+        .unwrap();
+    let rows = (0..found.len()).map(|r| found.row(r)).collect();
+    let locs = (0..locs.len()).map(|r| locs.loc(r)).collect();
+    (rows, src, locs)
+}
+
+/// A batch probe along column `c` whose keys come shuffled, repeated and
+/// descending, with missing keys and a NULL among them, returns in order
+/// the concatenation of the one-key probes: the same rows, key positions
+/// and locators. The long batch is sorted by the probe; the short one is
+/// probed in its own order.
+fn check_batch_probe(pool: &mut BufferPool, t: &Table, c: usize, storage: Storage) {
+    let long = [
+        Some(3),
+        Some(2),
+        Some(1),
+        Some(0),
+        None,
+        Some(DOMAIN + 5),
+        Some(1),
+        Some(3),
+        Some(0),
+        Some(-1),
+        Some(2),
+        Some(1),
+        Some(2),
+    ];
+    let short = [Some(2), Some(0), None, Some(2), Some(1)];
+    for batch in [&long[..], &short[..]] {
+        let keys: Vec<Value> = batch.iter().map(|&k| value(k)).collect();
+        let mut want: Probed = Default::default();
+        for (k, key) in keys.iter().enumerate() {
+            let (rows, src, locs) = probe_batch(pool, t, c, std::slice::from_ref(key));
+            assert!(src.iter().all(|&s| s == 0));
+            want.1.extend(src.iter().map(|_| k as u32));
+            want.0.extend(rows);
+            want.2.extend(locs);
+        }
+        let got = probe_batch(pool, t, c, &keys);
+        assert_eq!(
+            got, want,
+            "{storage:?} batch probe of column {c}: {batch:?}"
+        );
     }
 }
 

@@ -110,20 +110,7 @@ impl BTree {
 
     /// True when `key` is present (no value copy).
     pub fn contains(&self, pool: &mut BufferPool, key: &[u8]) -> Result<bool> {
-        let mut pid = self.root;
-        loop {
-            let step = pool.read_page(pid, |b| {
-                if node::is_leaf(b) {
-                    Err(node::lower_bound(b, key).1)
-                } else {
-                    Ok(node::child_for(b, key))
-                }
-            })?;
-            match step {
-                Ok(c) => pid = PageId(c),
-                Err(found) => return Ok(found),
-            }
-        }
+        self.contains_at(pool, &mut LeafWalk::default(), key)
     }
 
     /// Inserts a batch of entries, sorting them first so consecutive
@@ -152,7 +139,7 @@ impl BTree {
         key: &[u8],
         val: &[u8],
     ) -> Result<Option<Vec<u8>>> {
-        if key.len() + val.len() > MAX_CELL_PAYLOAD {
+        if !BTree::fits(key, val) {
             return Err(StorageError::RecordTooLarge {
                 size: key.len() + val.len(),
                 max: MAX_CELL_PAYLOAD,
@@ -179,6 +166,97 @@ impl BTree {
             self.len += 1;
         }
         Ok(old)
+    }
+
+    /// [`BTree::contains`] as one probe of a batch sharing `walk` (see
+    /// [`LeafWalk`]).
+    pub fn contains_at(
+        &self,
+        pool: &mut BufferPool,
+        walk: &mut LeafWalk,
+        key: &[u8],
+    ) -> Result<bool> {
+        let mut found = false;
+        self.walk_leaves(pool, walk, Bound::Included(key), |b, start| {
+            found = start < node::num_cells(b) && node::key_at(b, start) == key;
+            false
+        })?;
+        Ok(found)
+    }
+
+    /// [`BTree::insert`] as one of a run of inserts sharing `walk`: a new
+    /// key goes into the leaf a descent would pick — the walk's leaf when
+    /// the key lies within it, so the descent is skipped — whenever it
+    /// fits there. A key already present, or a full leaf, goes through
+    /// [`BTree::insert`] itself, so the tree comes out page for page as a
+    /// run of plain inserts leaves it.
+    pub fn insert_at(
+        &mut self,
+        pool: &mut BufferPool,
+        walk: &mut LeafWalk,
+        key: &[u8],
+        val: &[u8],
+    ) -> Result<Option<Vec<u8>>> {
+        if !BTree::fits(key, val) {
+            return self.insert(pool, key, val);
+        }
+        let lo = Bound::Included(key);
+        let pid = match walk.covering(lo) {
+            Some(pid) => pid,
+            None => self.descend(pool, lo)?,
+        };
+        let placed = pool.write_page(pid, |b| {
+            let (i, found) = node::lower_bound(b, key);
+            let placed = !found && node::leaf_insert_at(b, i, key, val);
+            if placed {
+                walk.remember(pid, b);
+            }
+            placed
+        })?;
+        if placed {
+            self.len += 1;
+            return Ok(None);
+        }
+        *walk = LeafWalk::default();
+        self.insert(pool, key, val)
+    }
+
+    /// Whether an entry of `key` and `val` fits one cell — what
+    /// [`BTree::insert`] refuses otherwise.
+    pub fn fits(key: &[u8], val: &[u8]) -> bool {
+        key.len() + val.len() <= MAX_CELL_PAYLOAD
+    }
+
+    /// Overwrites the values of keys already in the tree, the entries
+    /// given in ascending key order: one walk along the leaf chain that
+    /// re-descends only when a key leaves the current leaf (see
+    /// [`LeafWalk`]), each value written over the old one in its cell. A
+    /// value of another length than the one it replaces, or a key not in
+    /// the tree, goes through [`BTree::insert`].
+    pub fn replace_sorted<'e>(
+        &mut self,
+        pool: &mut BufferPool,
+        entries: impl IntoIterator<Item = (&'e [u8], &'e [u8])>,
+    ) -> Result<()> {
+        let mut walk = LeafWalk::default();
+        for (key, val) in entries {
+            let lo = Bound::Included(key);
+            let pid = match walk.covering(lo) {
+                Some(pid) => pid,
+                None => self.descend(pool, lo)?,
+            };
+            let replaced = pool.write_page(pid, |b| {
+                let (i, found) = node::lower_bound(b, key);
+                let replaced = found && node::leaf_overwrite_val(b, i, val);
+                walk.remember(pid, b);
+                replaced
+            })?;
+            if !replaced {
+                self.insert(pool, key, val)?;
+                walk = LeafWalk::default();
+            }
+        }
+        Ok(())
     }
 
     /// Removes `key`; returns its previous value if present.
@@ -274,7 +352,7 @@ impl BTree {
         hi: Bound<&[u8]>,
         mut f: impl FnMut(&[u8], &[u8]) -> bool,
     ) -> Result<()> {
-        self.walk_leaves(pool, lo, |b, start| {
+        self.walk_leaves(pool, &mut LeafWalk::default(), lo, |b, start| {
             for i in start..node::num_cells(b) {
                 let k = node::key_at(b, i);
                 let past_hi = match hi {
@@ -290,16 +368,18 @@ impl BTree {
         })
     }
 
-    /// [`BTree::scan_prefix`] a leaf page at a time: hands `f` each leaf's
-    /// run of entries whose key starts with `prefix`, so a caller can
-    /// decode the run as one batch; `f` returns `false` to stop.
+    /// [`BTree::scan_prefix`] a leaf page at a time, as one probe of a
+    /// batch in key order (see [`LeafWalk`]): hands `f` each leaf's run of
+    /// entries whose key starts with `prefix`, so a caller can decode the
+    /// run as one batch; `f` returns `false` to stop.
     pub fn scan_prefix_runs(
         &self,
         pool: &mut BufferPool,
+        walk: &mut LeafWalk,
         prefix: &[u8],
         mut f: impl FnMut(LeafRun<'_>) -> bool,
     ) -> Result<()> {
-        self.walk_leaves(pool, Bound::Included(prefix), |b, start| {
+        self.walk_leaves(pool, walk, Bound::Included(prefix), |b, start| {
             let n = node::num_cells(b);
             let end = (start..n)
                 .find(|&i| !node::key_at(b, i).starts_with(prefix))
@@ -308,36 +388,45 @@ impl BTree {
         })
     }
 
-    /// The leaf walk under the range scans: descends to the leaf that
-    /// would contain `lo`, then hands `visit` each leaf along the chain
-    /// with the index of its first entry at or past `lo`; `visit` returns
-    /// `false` to stop.
+    /// In-order scan from the first entry at or past `lo`, as one probe of
+    /// a batch in key order (see [`LeafWalk`]); `f` returns `false` to
+    /// stop.
+    pub fn scan_from(
+        &self,
+        pool: &mut BufferPool,
+        walk: &mut LeafWalk,
+        lo: &[u8],
+        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<()> {
+        self.walk_leaves(pool, walk, Bound::Included(lo), |b, start| {
+            (start..node::num_cells(b)).all(|i| f(node::key_at(b, i), node::leaf_val_at(b, i)))
+        })
+    }
+
+    /// The leaf walk under the range scans: starts on the leaf that holds
+    /// the position of `lo` — `walk`'s leaf when it does, else the one a
+    /// descent from the root finds — then hands `visit` each leaf along
+    /// the chain with the index of its first entry at or past `lo`;
+    /// `visit` returns `false` to stop. `walk` is left on the last leaf
+    /// visited. Each page is read once: the descent visits the leaf it
+    /// reaches in the read that finds it is a leaf.
     fn walk_leaves(
         &self,
         pool: &mut BufferPool,
+        walk: &mut LeafWalk,
         lo: Bound<&[u8]>,
         mut visit: impl FnMut(&node::Buf, usize) -> bool,
     ) -> Result<()> {
-        let mut pid = self.root;
-        loop {
-            let next = pool.read_page(pid, |b| {
-                if node::is_leaf(b) {
-                    None
-                } else {
-                    Some(match lo {
-                        Bound::Included(k) | Bound::Excluded(k) => node::child_for(b, k),
-                        Bound::Unbounded => node::child_at(b, 0),
-                    })
-                }
-            })?;
-            match next {
-                Some(c) => pid = PageId(c),
-                None => break,
-            }
-        }
+        let (mut pid, mut descending) = match walk.covering(lo) {
+            Some(pid) => (pid, false),
+            None => (self.root, true),
+        };
         let mut first_leaf = true;
         loop {
             let next = pool.read_page(pid, |b| {
+                if descending && !node::is_leaf(b) {
+                    return Err(child_toward(b, lo));
+                }
                 let start = match lo {
                     _ if !first_leaf => 0,
                     Bound::Included(k) => node::lower_bound(b, k).0,
@@ -347,17 +436,38 @@ impl BTree {
                     }
                     Bound::Unbounded => 0,
                 };
-                if visit(b, start) {
+                let next = if visit(b, start) {
                     node::next_leaf(b)
                 } else {
                     u64::MAX
+                };
+                if next == u64::MAX {
+                    walk.remember(pid, b);
                 }
+                Ok(next)
             })?;
-            if next == u64::MAX {
-                return Ok(());
+            match next {
+                Err(child) => pid = PageId(child),
+                Ok(u64::MAX) => return Ok(()),
+                Ok(leaf) => {
+                    pid = PageId(leaf);
+                    first_leaf = false;
+                    descending = false;
+                }
             }
-            pid = PageId(next);
-            first_leaf = false;
+        }
+    }
+
+    /// The leaf a descent from the root for `lo` reaches (the leftmost
+    /// leaf when unbounded).
+    fn descend(&self, pool: &mut BufferPool, lo: Bound<&[u8]>) -> Result<PageId> {
+        let mut pid = self.root;
+        loop {
+            let next = pool.read_page(pid, |b| (!node::is_leaf(b)).then(|| child_toward(b, lo)))?;
+            match next {
+                Some(c) => pid = PageId(c),
+                None => return Ok(pid),
+            }
         }
     }
 
@@ -425,20 +535,7 @@ impl BTree {
     /// Number of leaves on the leaf chain, walked exactly like a full
     /// scan does (tests and diagnostics).
     pub fn chain_leaves(&self, pool: &mut BufferPool) -> Result<usize> {
-        let mut pid = self.root;
-        loop {
-            let next = pool.read_page(pid, |b| {
-                if node::is_leaf(b) {
-                    None
-                } else {
-                    Some(node::child_at(b, 0))
-                }
-            })?;
-            match next {
-                Some(c) => pid = PageId(c),
-                None => break,
-            }
-        }
+        let mut pid = self.descend(pool, Bound::Unbounded)?;
         let mut n = 1usize;
         loop {
             let next = pool.read_page(pid, node::next_leaf)?;
@@ -453,20 +550,7 @@ impl BTree {
     /// A batched-scan cursor positioned at the first entry. The tree must
     /// not be mutated while the cursor is in use.
     pub fn batch_cursor(&self, pool: &mut BufferPool) -> Result<BTreeScanCursor> {
-        let mut pid = self.root;
-        loop {
-            let next = pool.read_page(pid, |b| {
-                if node::is_leaf(b) {
-                    None
-                } else {
-                    Some(node::child_at(b, 0))
-                }
-            })?;
-            match next {
-                Some(c) => pid = PageId(c),
-                None => break,
-            }
-        }
+        let pid = self.descend(pool, Bound::Unbounded)?;
         Ok(BTreeScanCursor { pid: pid.0, idx: 0 })
     }
 
@@ -526,6 +610,15 @@ impl BTree {
     }
 }
 
+/// The child of interior node `b` a descent toward `lo` takes (the
+/// leftmost when unbounded).
+fn child_toward(b: &node::Buf, lo: Bound<&[u8]>) -> u64 {
+    match lo {
+        Bound::Included(k) | Bound::Excluded(k) => node::child_for(b, k),
+        Bound::Unbounded => node::child_at(b, 0),
+    }
+}
+
 /// Rightmost leaf of the subtree immediately left of the path's leaf, or
 /// `None` when the leaf is the globally leftmost one (the leaf chain has
 /// no stored head — scans find their first leaf by descending, so a
@@ -553,6 +646,80 @@ fn predecessor_leaf(pool: &mut BufferPool, path: &[(PageId, usize)]) -> Result<O
     Ok(None)
 }
 
+/// Longest first or last key of a leaf a [`LeafWalk`] remembers; a leaf
+/// with a longer one is not reused.
+const FENCE_CAP: usize = 40;
+
+/// Where a batch of probes in key order stands on a tree's leaf chain:
+/// the leaf the last probe ended on, with its first and last keys. A
+/// probe whose key lies between those two starts on that leaf without a
+/// descent — every earlier leaf holds only smaller keys and every later
+/// one only larger — and any other probe descends from the root. So a
+/// batch sorted by key reads each leaf it needs once per run of keys it
+/// holds, and pays a descent only when a key passes the current leaf.
+///
+/// A fresh walk (`LeafWalk::default()`) always descends. A walk is valid
+/// while its tree's keys stay where they are: no insert or delete other
+/// than its own [`BTree::insert_at`] or [`BTree::replace_sorted`] may
+/// come between two probes that share it.
+#[derive(Debug, Clone, Copy)]
+pub struct LeafWalk {
+    /// The remembered leaf; `u64::MAX` when there is none.
+    leaf: u64,
+    first: [u8; FENCE_CAP],
+    first_len: u8,
+    last: [u8; FENCE_CAP],
+    last_len: u8,
+}
+
+impl Default for LeafWalk {
+    fn default() -> LeafWalk {
+        LeafWalk {
+            leaf: u64::MAX,
+            first: [0; FENCE_CAP],
+            first_len: 0,
+            last: [0; FENCE_CAP],
+            last_len: 0,
+        }
+    }
+}
+
+impl LeafWalk {
+    /// The remembered leaf, when `lo`'s position lies in it.
+    fn covering(&self, lo: Bound<&[u8]>) -> Option<PageId> {
+        if self.leaf == u64::MAX {
+            return None;
+        }
+        let first = &self.first[..usize::from(self.first_len)];
+        let last = &self.last[..usize::from(self.last_len)];
+        let inside = match lo {
+            Bound::Included(k) => first <= k && k <= last,
+            Bound::Excluded(k) => first <= k && k < last,
+            Bound::Unbounded => false,
+        };
+        inside.then_some(PageId(self.leaf))
+    }
+
+    /// Remembers leaf `pid`, whose page is `b`; forgets instead when the
+    /// leaf is empty or a key is longer than [`FENCE_CAP`].
+    fn remember(&mut self, pid: PageId, b: &node::Buf) {
+        self.leaf = u64::MAX;
+        let n = node::num_cells(b);
+        if n == 0 {
+            return;
+        }
+        let (first, last) = (node::key_at(b, 0), node::key_at(b, n - 1));
+        if first.len() > FENCE_CAP || last.len() > FENCE_CAP {
+            return;
+        }
+        self.first[..first.len()].copy_from_slice(first);
+        self.first_len = first.len() as u8;
+        self.last[..last.len()].copy_from_slice(last);
+        self.last_len = last.len() as u8;
+        self.leaf = pid.0;
+    }
+}
+
 /// The keys of one scanned batch in a single flat buffer: a scan records
 /// every entry's key (its row locator) but a predicate keeps few of them,
 /// so keys are copied here back to back and only the survivors are ever
@@ -574,6 +741,25 @@ impl KeyArena {
     pub fn push(&mut self, key: &[u8]) {
         self.bytes.extend_from_slice(key);
         self.ends.push(self.bytes.len());
+    }
+
+    /// Appends one key that `write` puts onto the arena's bytes; on an
+    /// error the partial key is dropped.
+    pub fn push_with<E>(
+        &mut self,
+        write: impl FnOnce(&mut Vec<u8>) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let start = self.bytes.len();
+        match write(&mut self.bytes) {
+            Ok(()) => {
+                self.ends.push(self.bytes.len());
+                Ok(())
+            }
+            Err(e) => {
+                self.bytes.truncate(start);
+                Err(e)
+            }
+        }
     }
 
     /// Number of keys held.
@@ -736,7 +922,7 @@ impl BTreeBulkBuilder {
 
     /// Appends the next entry; keys must arrive strictly increasing.
     pub fn push(&mut self, pool: &mut BufferPool, key: &[u8], val: &[u8]) -> Result<()> {
-        if key.len() + val.len() > MAX_CELL_PAYLOAD {
+        if !BTree::fits(key, val) {
             return Err(StorageError::RecordTooLarge {
                 size: key.len() + val.len(),
                 max: MAX_CELL_PAYLOAD,
@@ -1215,7 +1401,7 @@ mod tests {
         })
         .unwrap();
         let mut runs: Vec<Vec<_>> = Vec::new();
-        t.scan_prefix_runs(&mut p, &[2], |run| {
+        t.scan_prefix_runs(&mut p, &mut LeafWalk::default(), &[2], |run| {
             let keys = run.keys().map(<[u8]>::to_vec);
             runs.push(keys.zip(run.vals().map(<[u8]>::to_vec)).collect());
             true
@@ -1224,12 +1410,172 @@ mod tests {
         assert!(runs.len() > 1 && runs.iter().all(|r| !r.is_empty()));
         assert_eq!(runs.concat(), want);
         let mut calls = 0;
-        t.scan_prefix_runs(&mut p, &[2], |_| {
+        t.scan_prefix_runs(&mut p, &mut LeafWalk::default(), &[2], |_| {
             calls += 1;
             false
         })
         .unwrap();
         assert_eq!(calls, 1, "false stops the walk");
+    }
+
+    /// A tree of `(group, seq)` keys whose groups range from absent to
+    /// several leaves long, with holes punched by deletes.
+    fn grouped_tree(p: &mut BufferPool) -> BTree {
+        let mut t = BTree::create(p).unwrap();
+        let mut x = 11u64;
+        for g in 0..120u16 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let n = [0, 1, 2, 3, 5, 90][(x >> 33) as usize % 6];
+            for s in 0..n {
+                t.insert(p, &[&g.to_be_bytes()[..], &[s]].concat(), &[7u8; 90])
+                    .unwrap();
+            }
+        }
+        for g in (0..120u16).step_by(7) {
+            for s in 0..60u8 {
+                t.delete(p, &[&g.to_be_bytes()[..], &[s]].concat()).unwrap();
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn a_sorted_walk_finds_what_fresh_probes_find_in_fewer_reads() {
+        let mut p = pool();
+        let t = grouped_tree(&mut p);
+        assert!(t.height(&mut p).unwrap() >= 2);
+        let runs_of = |p: &mut BufferPool, walk: &mut LeafWalk, prefix: &[u8]| {
+            let mut keys = Vec::new();
+            t.scan_prefix_runs(p, walk, prefix, |run| {
+                keys.extend(run.keys().map(<[u8]>::to_vec));
+                true
+            })
+            .unwrap();
+            keys
+        };
+        // Every group and a few past the last, in key order.
+        let prefixes: Vec<[u8; 2]> = (0..130u16).map(u16::to_be_bytes).collect();
+        let before = p.stats().accesses();
+        let fresh: Vec<_> = prefixes
+            .iter()
+            .map(|g| runs_of(&mut p, &mut LeafWalk::default(), g))
+            .collect();
+        let fresh_reads = p.stats().accesses() - before;
+        let mut walk = LeafWalk::default();
+        let before = p.stats().accesses();
+        let walked: Vec<_> = prefixes
+            .iter()
+            .map(|g| runs_of(&mut p, &mut walk, g))
+            .collect();
+        let walk_reads = p.stats().accesses() - before;
+        assert_eq!(walked, fresh);
+        assert!(
+            fresh.iter().any(|keys| keys.len() > 45),
+            "a group spans leaves"
+        );
+        assert!(
+            3 * walk_reads < 2 * fresh_reads,
+            "walk {walk_reads} reads, fresh probes {fresh_reads}"
+        );
+        // A walk left far ahead still answers an earlier key correctly.
+        assert_eq!(runs_of(&mut p, &mut walk, &prefixes[3]), fresh[3]);
+        let mut got = Vec::new();
+        t.scan_from(&mut p, &mut walk, &prefixes[5], |k, _| {
+            got.push(k.to_vec());
+            got.len() < 3
+        })
+        .unwrap();
+        let mut want = Vec::new();
+        t.scan_range(
+            &mut p,
+            Bound::Included(&prefixes[5]),
+            Bound::Unbounded,
+            |k, _| {
+                want.push(k.to_vec());
+                want.len() < 3
+            },
+        )
+        .unwrap();
+        assert_eq!(got, want);
+    }
+
+    /// Every leaf's keys, leaf by leaf along the chain.
+    fn leaf_keys(p: &mut BufferPool, t: &BTree) -> Vec<Vec<Vec<u8>>> {
+        let mut leaves = Vec::new();
+        t.scan_prefix_runs(p, &mut LeafWalk::default(), &[], |run| {
+            leaves.push(run.keys().map(<[u8]>::to_vec).collect());
+            true
+        })
+        .unwrap();
+        leaves
+    }
+
+    #[test]
+    fn inserts_on_a_walk_build_the_tree_plain_inserts_build() {
+        let mut x = 5u64;
+        let random: Vec<u64> = (0..3000)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                (x >> 20) % 5000
+            })
+            .collect();
+        for order in [(0..3000).collect(), (0..3000).rev().collect(), random] {
+            let mut p = pool();
+            let mut plain = BTree::create(&mut p).unwrap();
+            let mut walked = BTree::create(&mut p).unwrap();
+            let mut walk = LeafWalk::default();
+            for &i in &order {
+                let val = vec![(i % 7) as u8; 20 + (i % 13) as usize];
+                let want = plain.insert(&mut p, &k(i), &val).unwrap();
+                assert_eq!(
+                    walked.insert_at(&mut p, &mut walk, &k(i), &val).unwrap(),
+                    want
+                );
+            }
+            assert_eq!(walked.len(), plain.len());
+            assert_eq!(
+                walked.height(&mut p).unwrap(),
+                plain.height(&mut p).unwrap()
+            );
+            assert_eq!(leaf_keys(&mut p, &walked), leaf_keys(&mut p, &plain));
+            let mut walk = LeafWalk::default();
+            for i in (0..5200).step_by(3) {
+                let want = plain.contains(&mut p, &k(i)).unwrap();
+                assert_eq!(walked.contains_at(&mut p, &mut walk, &k(i)).unwrap(), want);
+            }
+        }
+    }
+
+    #[test]
+    fn replace_sorted_overwrites_values_and_inserts_the_rest() {
+        let mut p = pool();
+        let mut t = BTree::create(&mut p).unwrap();
+        let mut oracle = std::collections::BTreeMap::new();
+        for i in 0..600u64 {
+            t.insert(&mut p, &k(i * 2), &[1u8; 40]).unwrap();
+            oracle.insert(k(i * 2), vec![1u8; 40]);
+        }
+        // Same-length values, a longer one, and keys not in the tree.
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..1200u64)
+            .step_by(3)
+            .map(|i| {
+                let len = if i % 97 == 0 { 300 } else { 40 };
+                (k(i), vec![(i % 251) as u8; len])
+            })
+            .collect();
+        t.replace_sorted(&mut p, entries.iter().map(|(k, v)| (&k[..], &v[..])))
+            .unwrap();
+        oracle.extend(entries);
+        assert_eq!(t.len(), oracle.len() as u64);
+        let mut seen = std::collections::BTreeMap::new();
+        t.scan_range(&mut p, Bound::Unbounded, Bound::Unbounded, |k, v| {
+            seen.insert(k.to_vec(), v.to_vec());
+            true
+        })
+        .unwrap();
+        assert_eq!(seen, oracle);
     }
 
     #[test]

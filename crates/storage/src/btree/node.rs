@@ -235,6 +235,20 @@ pub fn leaf_insert_at(buf: &mut Buf, i: usize, key: &[u8], val: &[u8]) -> bool {
     true
 }
 
+/// Writes `val` over the value of leaf cell `i` when it has the same
+/// length; returns false, leaving the page as it was, otherwise.
+pub fn leaf_overwrite_val(buf: &mut Buf, i: usize, val: &[u8]) -> bool {
+    let off = cell_off(buf, i);
+    let klen = codec::get_u16(buf, off) as usize;
+    let vlen = codec::get_u16(buf, off + 2) as usize;
+    if vlen != val.len() {
+        return false;
+    }
+    let vstart = off + 4 + klen;
+    buf[vstart..vstart + vlen].copy_from_slice(val);
+    true
+}
+
 /// Inserts an interior cell at slot `i`, written in place; returns false
 /// when full.
 pub fn interior_insert_at(buf: &mut Buf, i: usize, key: &[u8], child: u64) -> bool {

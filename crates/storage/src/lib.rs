@@ -38,7 +38,7 @@ pub mod value;
 
 pub mod btree;
 
-pub use btree::{BTree, BTreeBulkBuilder, BTreeScanCursor, KeyArena, LeafRun};
+pub use btree::{BTree, BTreeBulkBuilder, BTreeScanCursor, KeyArena, LeafRun, LeafWalk};
 pub use buffer::BufferPool;
 pub use chunk::{chunk_from_rows, Chunk, Column, NullMask, CHUNK_CAPACITY};
 pub use disk::{DiskBackend, FileDisk, MemDisk, SnapshotDisk, SnapshotPages};
@@ -51,7 +51,8 @@ pub use row::{
 };
 pub use segment::{
     decode_edge_segment, decode_edge_segment_into_chunk, decode_edge_segment_with,
-    encode_edge_segment, segment_edge_count, SegmentWriter, SEG_MAX_BYTES, SEG_MAX_EDGES,
+    encode_edge_segment, segment_edge_count, SegmentCursor, SegmentWriter, SEG_MAX_BYTES,
+    SEG_MAX_EDGES,
 };
 pub use stats::IoStats;
 pub use value::{decode_key, encode_key, encode_key_into, DataType, Value};

@@ -81,6 +81,16 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
+#[inline]
+fn skip_varint(buf: &[u8], pos: &mut usize) -> Result<()> {
+    let len = buf[*pos..]
+        .iter()
+        .position(|&b| b & 0x80 == 0)
+        .ok_or_else(|| StorageError::Corrupt("truncated segment varint".into()))?;
+    *pos += len + 1;
+    Ok(())
+}
+
 /// Encodes a run of edges into one segment blob. The input need not be
 /// sorted — the encoder sorts a copy by `(fid, tid, cost)`; duplicates are
 /// preserved (multiset semantics).
@@ -114,26 +124,85 @@ pub fn segment_edge_count(blob: &[u8]) -> Result<usize> {
     Ok(get_varint(blob, &mut pos)? as usize)
 }
 
+/// A decode of one segment that goes only as far as its caller asks: the
+/// edges come one at a time, in order, so a probe can stop once they pass
+/// the fid it wants and resume (on the same blob) for a later fid.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SegmentCursor {
+    pos: usize,
+    left: usize,
+    prev_fid: i64,
+    prev_tid: i64,
+}
+
+impl SegmentCursor {
+    /// A cursor before the first edge of `blob`.
+    pub fn new(blob: &[u8]) -> Result<SegmentCursor> {
+        let mut pos = 0usize;
+        let left = get_varint(blob, &mut pos)? as usize;
+        Ok(SegmentCursor {
+            pos,
+            left,
+            prev_fid: 0,
+            prev_tid: 0,
+        })
+    }
+
+    /// The next edge of `blob` (the blob the cursor was made on), or
+    /// `None` past the last one, where the blob must end too.
+    #[inline]
+    pub fn next_edge(&mut self, blob: &[u8]) -> Result<Option<(i64, i64, i64)>> {
+        if self.left == 0 {
+            if self.pos != blob.len() {
+                return Err(StorageError::Corrupt("trailing bytes after segment".into()));
+            }
+            return Ok(None);
+        }
+        self.left -= 1;
+        let fid = self
+            .prev_fid
+            .wrapping_add(unzigzag(get_varint(blob, &mut self.pos)?));
+        if fid != self.prev_fid {
+            self.prev_tid = 0;
+        }
+        let tid = self
+            .prev_tid
+            .wrapping_add(unzigzag(get_varint(blob, &mut self.pos)?));
+        let cost = unzigzag(get_varint(blob, &mut self.pos)?);
+        self.prev_fid = fid;
+        self.prev_tid = tid;
+        Ok(Some((fid, tid, cost)))
+    }
+
+    /// Moves past every edge whose fid is below `fid`, stopping before
+    /// the first at or past it. A skipped edge's tid and cost varints are
+    /// stepped over, not decoded: the next edge kept has another fid, so
+    /// its tid delta starts from 0 again.
+    pub fn skip_below(&mut self, blob: &[u8], fid: i64) -> Result<()> {
+        while self.left > 0 {
+            let mut pos = self.pos;
+            let next = self
+                .prev_fid
+                .wrapping_add(unzigzag(get_varint(blob, &mut pos)?));
+            if next >= fid {
+                return Ok(());
+            }
+            skip_varint(blob, &mut pos)?;
+            skip_varint(blob, &mut pos)?;
+            self.pos = pos;
+            self.left -= 1;
+            self.prev_fid = next;
+        }
+        Ok(())
+    }
+}
+
 /// Decodes a segment, invoking `f(fid, tid, cost)` per edge in sorted
 /// order.
 pub fn decode_edge_segment_with(blob: &[u8], mut f: impl FnMut(i64, i64, i64)) -> Result<()> {
-    let mut pos = 0usize;
-    let count = get_varint(blob, &mut pos)? as usize;
-    let mut prev_fid = 0i64;
-    let mut prev_tid = 0i64;
-    for _ in 0..count {
-        let fid = prev_fid.wrapping_add(unzigzag(get_varint(blob, &mut pos)?));
-        if fid != prev_fid {
-            prev_tid = 0;
-        }
-        let tid = prev_tid.wrapping_add(unzigzag(get_varint(blob, &mut pos)?));
-        let cost = unzigzag(get_varint(blob, &mut pos)?);
+    let mut cursor = SegmentCursor::new(blob)?;
+    while let Some((fid, tid, cost)) = cursor.next_edge(blob)? {
         f(fid, tid, cost);
-        prev_fid = fid;
-        prev_tid = tid;
-    }
-    if pos != blob.len() {
-        return Err(StorageError::Corrupt("trailing bytes after segment".into()));
     }
     Ok(())
 }
@@ -333,6 +402,41 @@ mod tests {
             assert_eq!(chunk.get(0, r).as_i64(), Some(f));
             assert_eq!(chunk.get(1, r).as_i64(), Some(t));
             assert_eq!(chunk.get(2, r).as_i64(), Some(c));
+        }
+    }
+
+    #[test]
+    fn cursor_stops_early_and_resumes() {
+        let edges: Vec<(i64, i64, i64)> = (0..30).map(|i| (i / 4, i * 7 % 11, i)).collect();
+        let blob = encode_edge_segment(&edges);
+        let mut cursor = SegmentCursor::new(&blob).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..10 {
+            got.push(cursor.next_edge(&blob).unwrap().unwrap());
+        }
+        // A copy picks up exactly where the original stopped.
+        let mut rest = cursor;
+        while let Some(e) = rest.next_edge(&blob).unwrap() {
+            got.push(e);
+        }
+        assert_eq!(got, decode_edge_segment(&blob).unwrap());
+        assert_eq!(rest.next_edge(&blob).unwrap(), None);
+    }
+
+    #[test]
+    fn skip_below_lands_on_the_first_edge_of_the_fid() {
+        let edges: Vec<(i64, i64, i64)> = (0..60).map(|i| (i / 5 * 2, 1000 - i * 3, i)).collect();
+        let blob = encode_edge_segment(&edges);
+        let sorted = decode_edge_segment(&blob).unwrap();
+        for fid in -1..26 {
+            let mut cursor = SegmentCursor::new(&blob).unwrap();
+            cursor.skip_below(&blob, fid).unwrap();
+            let mut rest = Vec::new();
+            while let Some(e) = cursor.next_edge(&blob).unwrap() {
+                rest.push(e);
+            }
+            let want: Vec<_> = sorted.iter().filter(|e| e.0 >= fid).copied().collect();
+            assert_eq!(rest, want, "fid {fid}");
         }
     }
 

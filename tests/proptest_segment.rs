@@ -2,16 +2,21 @@
 //! encode/decode round-trips over arbitrary edge multisets — duplicates,
 //! weight extremes, single-edge and empty segments — plus the
 //! [`SegmentWriter`] splitting invariants (size caps, global order, and
-//! lossless reassembly).
+//! lossless reassembly) — and a batch probe of a segmented table across
+//! a fid whose edges straddle segments and leaves.
 //!
 //! Run with `PROPTEST_CASES=512` (the CI setting) for the heavyweight
 //! sweep; the local default keeps `cargo test` fast.
 
+use fempath::sql::ast::ColumnDef;
+use fempath::sql::catalog::{EqMatches, ProbePath, TableStorage};
+use fempath::sql::Catalog;
 use fempath::storage::{
     decode_edge_segment, decode_edge_segment_into_chunk, encode_edge_segment, segment_edge_count,
-    Chunk, SegmentWriter, SEG_MAX_BYTES, SEG_MAX_EDGES,
+    BufferPool, Chunk, ColSet, DataType, SegmentWriter, Value, SEG_MAX_BYTES, SEG_MAX_EDGES,
 };
 use proptest::prelude::*;
+use std::ops::Bound;
 
 /// Honour `PROPTEST_CASES` explicitly so CI can raise the sweep without a
 /// code change (`ProptestConfig::with_cases` overrides the environment).
@@ -135,4 +140,85 @@ fn trailing_bytes_rejected() {
     let mut blob = encode_edge_segment(&[(1, 2, 3)]);
     blob.push(0x7f);
     assert!(decode_edge_segment(&blob).is_err());
+}
+
+/// Every match of one probe of the segmented table `t` on `fid`: the
+/// rows and the key position each answers.
+fn probe_fids(pool: &mut BufferPool, cat: &Catalog, keys: &[Value]) -> (Vec<Vec<Value>>, Vec<u32>) {
+    let t = cat.table("TSeg").unwrap();
+    let mut chunk = Chunk::with_width(3);
+    let mut src = Vec::new();
+    let out = EqMatches {
+        rows: &mut chunk,
+        src: Some(&mut src),
+        locs: None,
+    };
+    t.probe_eq(pool, ProbePath::Segments, &[0], keys, &ColSet::all(), out)
+        .unwrap();
+    ((0..chunk.len()).map(|r| chunk.row(r)).collect(), src)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// A batch probe of a segmented table whose keys come shuffled and
+    /// repeated, with missing fids and NULLs among them, returns in batch
+    /// order each key's edges as stored — also for a hub fid whose edges
+    /// straddle several segments and two leaves.
+    #[test]
+    fn batch_probe_across_straddling_segments(
+        hub in 5i64..40,
+        hub_degree in 1600usize..2400,
+        degree in 1i64..30,
+        probes in prop::collection::vec(prop::option::of(-2i64..50), 1..60),
+    ) {
+        let mut edges: Vec<(i64, i64, i64)> = Vec::new();
+        for f in 0..45i64 {
+            let n = if f == hub { hub_degree as i64 } else { degree + f % 3 };
+            edges.extend((0..n).map(|t| (f, 3 * t + f % 2, 1 + (f + t) % 7)));
+        }
+        let mut pool = BufferPool::in_memory(64);
+        let mut cat = Catalog::new();
+        let cols = ["fid", "tid", "cost"]
+            .iter()
+            .map(|n| ColumnDef { name: (*n).into(), dtype: DataType::Int })
+            .collect();
+        cat.create_segmented_table(&mut pool, "TSeg", cols).unwrap();
+        cat.table_mut("TSeg")
+            .unwrap()
+            .bulk_load_segments(&mut pool, edges.iter().copied())
+            .unwrap();
+        // At most five of the hub's segments (each over 700 bytes) fit
+        // one 4 KiB leaf, so six or more span two leaves.
+        let TableStorage::Segmented { tree, .. } = &cat.table("TSeg").unwrap().storage else {
+            unreachable!()
+        };
+        let mut hub_segments = 0;
+        tree.scan_range(&mut pool, Bound::Unbounded, Bound::Unbounded, |_, blob| {
+            let seg = decode_edge_segment(blob).unwrap();
+            hub_segments += usize::from(seg.iter().any(|e| e.0 == hub));
+            true
+        })
+        .unwrap();
+        prop_assert!(hub_segments >= 6, "{} hub segments", hub_segments);
+
+        let mut keys: Vec<Value> = probes.iter().map(|p| p.map_or(Value::Null, Value::Int)).collect();
+        keys.insert(keys.len() / 2, Value::Int(hub));
+        keys.push(Value::Int(hub));
+        let (rows, src) = probe_fids(&mut pool, &cat, &keys);
+        let (mut want_rows, mut want_src) = (Vec::new(), Vec::new());
+        for (k, key) in keys.iter().enumerate() {
+            let (one, one_src) = probe_fids(&mut pool, &cat, std::slice::from_ref(key));
+            let stored: Vec<Vec<Value>> = edges
+                .iter()
+                .filter(|e| Value::Int(e.0) == *key)
+                .map(|&(f, t, c)| vec![Value::Int(f), Value::Int(t), Value::Int(c)])
+                .collect();
+            prop_assert_eq!(&one, &stored);
+            want_src.extend(one_src.iter().map(|_| k as u32));
+            want_rows.extend(one);
+        }
+        prop_assert_eq!(rows, want_rows);
+        prop_assert_eq!(src, want_src);
+    }
 }

@@ -1,11 +1,14 @@
 //! Property-based tests of the storage substrate: the B+tree against a
-//! `BTreeMap` model, key-encoding order preservation, row round-trips,
+//! `BTreeMap` model (also probed on one leaf walk in any key order, and
+//! built by inserts on one walk), key-encoding order preservation, row
+//! round-trips,
 //! the batch row decoder under the heap cursor, the heap's page-choice
 //! rule and the column null bitmap against a `Vec<bool>` model.
 
 use fempath::storage::{
     decode_key, decode_row, decode_rows_into_chunk, encode_key, encode_row, patch_fixed_cells,
-    BTree, BufferPool, Chunk, ColSet, Column, HeapFile, NullMask, RecordId, StorageError, Value,
+    BTree, BufferPool, Chunk, ColSet, Column, HeapFile, LeafWalk, NullMask, RecordId, StorageError,
+    Value,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -441,6 +444,74 @@ proptest! {
         }).unwrap();
         let expected: Vec<_> = model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         prop_assert_eq!(scanned, expected);
+    }
+
+    /// Probes on one `LeafWalk` — prefix runs, `contains`, a scan from a
+    /// key — find what the model holds whatever order the keys come in,
+    /// including repeats and absent keys, over trees whose leaves split
+    /// and empty at random points. A tree built by inserts on one walk
+    /// has the leaves of one built by plain inserts.
+    #[test]
+    fn btree_walk_probes_match_model(
+        ops in prop::collection::vec((0u8..24, any::<u16>(), 0usize..120, any::<bool>()), 1..400),
+        probes in prop::collection::vec((0u8..26, any::<u16>()), 1..60),
+        sort_probes in any::<bool>(),
+    ) {
+        let mut pool = BufferPool::in_memory(64);
+        let mut tree = BTree::create(&mut pool).unwrap();
+        let mut walked = BTree::create(&mut pool).unwrap();
+        let mut walk = LeafWalk::default();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        for &(group, seq, len, delete) in &ops {
+            let key = [&[group][..], &seq.to_be_bytes()].concat();
+            if delete {
+                tree.delete(&mut pool, &key).unwrap();
+                model.remove(&key);
+            } else {
+                let val = vec![group; len];
+                tree.insert(&mut pool, &key, &val).unwrap();
+                walked.insert_at(&mut pool, &mut walk, &key, &val).unwrap();
+                model.insert(key, val);
+            }
+        }
+        let leaves = |pool: &mut BufferPool, t: &BTree| {
+            let mut out = Vec::new();
+            t.scan_prefix_runs(pool, &mut LeafWalk::default(), &[], |run| {
+                out.push(run.keys().map(<[u8]>::to_vec).collect::<Vec<_>>());
+                true
+            }).unwrap();
+            out
+        };
+        if ops.iter().all(|op| !op.3) {
+            prop_assert_eq!(leaves(&mut pool, &walked), leaves(&mut pool, &tree));
+        }
+        let mut probes = probes;
+        if sort_probes {
+            probes.sort_unstable();
+        }
+        let mut walk = LeafWalk::default();
+        for &(group, seq) in &probes {
+            let mut got = Vec::new();
+            tree.scan_prefix_runs(&mut pool, &mut walk, &[group], |run| {
+                got.extend(run.keys().zip(run.vals()).map(|(k, v)| (k.to_vec(), v.to_vec())));
+                true
+            }).unwrap();
+            let want: Vec<_> = model
+                .iter()
+                .filter(|(k, _)| k[0] == group)
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect();
+            prop_assert_eq!(got, want);
+            let key = [&[group][..], &seq.to_be_bytes()].concat();
+            let found = tree.contains_at(&mut pool, &mut walk, &key).unwrap();
+            prop_assert_eq!(found, model.contains_key(&key));
+            let mut next = None;
+            tree.scan_from(&mut pool, &mut walk, &key, |k, _| {
+                next = Some(k.to_vec());
+                false
+            }).unwrap();
+            prop_assert_eq!(next.as_ref(), model.range(key.clone()..).next().map(|(k, _)| k));
+        }
     }
 
     #[test]
