@@ -7,7 +7,7 @@ use fempath_core::sqlgen::{expand_params, Dir, EdgeSource, FrontierPred, SqlGen}
 use fempath_core::{SqlStyle, INF};
 use fempath_sql::ast::{ColumnDef, CreateIndex};
 use fempath_sql::catalog::EqMatches;
-use fempath_sql::{Catalog, Database};
+use fempath_sql::{Catalog, Database, Table};
 use fempath_storage::{BufferPool, Chunk, ColSet, DataType, Value};
 use std::hint::black_box;
 
@@ -417,48 +417,113 @@ fn bench_bdj_iteration(c: &mut Criterion) {
 /// Nodes of the [`bench_probe_batch`] edge tables (four arcs each).
 const PROBE_NODES: i64 = 20_000;
 
-/// One edge table stored twice — clustered on `fid` (`TClu`) and
-/// segment-compressed (`TSeg`) — in a pool that holds both.
-fn probe_fixture() -> (BufferPool, Catalog) {
-    let mut pool = BufferPool::in_memory(4096);
-    let mut cat = Catalog::new();
-    let cols: Vec<ColumnDef> = ["fid", "tid", "cost"]
+/// INT column definitions named `names`.
+fn int_cols(names: &[&str]) -> Vec<ColumnDef> {
+    names
         .iter()
         .map(|n| ColumnDef {
             name: (*n).into(),
             dtype: DataType::Int,
         })
-        .collect();
-    let mut edges: Vec<(i64, i64, i64)> = (0..PROBE_NODES)
-        .flat_map(|u| (1..=4).map(move |d| (u, (u + d * 7919) % PROBE_NODES, d * 3)))
-        .collect();
-    edges.sort_unstable();
-    cat.create_table(&mut pool, "TClu", cols.clone(), None)
-        .unwrap();
+        .collect()
+}
+
+/// Creates `name` from `cols` clustered on `fid` and bulk-loads `rows`.
+fn clustered_table(
+    pool: &mut BufferPool,
+    cat: &mut Catalog,
+    name: &str,
+    cols: Vec<ColumnDef>,
+    rows: &Chunk,
+) {
+    cat.create_table(pool, name, cols, None).unwrap();
     let index = CreateIndex {
-        name: "ix_clu".into(),
-        table: "TClu".into(),
+        name: format!("ix_{name}"),
+        table: name.into(),
         columns: vec!["fid".into()],
         unique: false,
         clustered: true,
     };
-    cat.create_index(&mut pool, &index).unwrap();
+    cat.create_index(pool, &index).unwrap();
+    cat.table_mut(name)
+        .unwrap()
+        .bulk_load_rows(pool, rows)
+        .unwrap();
+}
+
+/// One edge table stored twice — clustered on `fid` (`TClu`) and
+/// segment-compressed (`TSeg`) — and one SegTable-shaped `(fid, tid, pid,
+/// cost)` table stored twice the same way (`TClu4`, `TSeg4`: seven rows
+/// per fid, tids falling within a fid, pids on both sides of it), in a
+/// pool that holds all four.
+fn probe_fixture() -> (BufferPool, Catalog) {
+    let mut pool = BufferPool::in_memory(8192);
+    let mut cat = Catalog::new();
+    let cols = int_cols(&["fid", "tid", "cost"]);
+    let mut edges: Vec<(i64, i64, i64)> = (0..PROBE_NODES)
+        .flat_map(|u| (1..=4).map(move |d| (u, (u + d * 7919) % PROBE_NODES, d * 3)))
+        .collect();
+    edges.sort_unstable();
     let mut rows = Chunk::with_width(3);
     for &(f, t, c) in &edges {
         rows.push_row(&[Value::Int(f), Value::Int(t), Value::Int(c)]);
     }
-    let clu = cat.table_mut("TClu").unwrap();
-    clu.bulk_load_rows(&mut pool, &rows).unwrap();
+    clustered_table(&mut pool, &mut cat, "TClu", cols.clone(), &rows);
     cat.create_segmented_table(&mut pool, "TSeg", cols).unwrap();
     let seg = cat.table_mut("TSeg").unwrap();
     seg.bulk_load_segments(&mut pool, edges).unwrap();
+
+    let paths: Vec<[i64; 4]> = (0..PROBE_NODES)
+        .flat_map(|u| {
+            (1..=7).rev().map(move |d| {
+                [
+                    u,
+                    (u + d * 7919) % PROBE_NODES,
+                    (u + d * 31 - 100).max(0),
+                    d * 3,
+                ]
+            })
+        })
+        .collect();
+    let cols = int_cols(&["fid", "tid", "pid", "cost"]);
+    let mut rows = Chunk::with_width(4);
+    for row in &paths {
+        rows.push_row(&row.map(Value::Int));
+    }
+    clustered_table(&mut pool, &mut cat, "TClu4", cols.clone(), &rows);
+    cat.create_segmented_table(&mut pool, "TSeg4", cols)
+        .unwrap();
+    let seg = cat.table("TSeg4").unwrap();
+    let mut load = seg.segment_load(&mut pool).unwrap();
+    for &row in &paths {
+        load.push(&mut pool, row).unwrap();
+    }
+    let seg = cat.table_mut("TSeg4").unwrap();
+    seg.finish_segment_load(&mut pool, load).unwrap();
     (pool, cat)
+}
+
+/// One `Table::probe_eq` of `keys` against `t` on `fid`.
+fn probe_once(pool: &mut BufferPool, t: &Table, keys: &[Value]) -> usize {
+    let mut rows = Chunk::new();
+    let mut src = Vec::new();
+    let out = EqMatches {
+        rows: &mut rows,
+        src: Some(&mut src),
+        locs: None,
+    };
+    t.probe_eq(pool, t.probe_path(&[0]), &[0], keys, &ColSet::all(), out)
+        .unwrap();
+    rows.len()
 }
 
 /// One `Table::probe_eq` of 1024 `fid` keys — what an index nested loop
 /// or a MERGE hands a table per batch — against a clustered and a
 /// segmented table, the keys once in key order and once shuffled (the
-/// probe sorts them). time / 1024 = the cost of one key.
+/// probe sorts them). time / 1024 = the cost of one key. Then 26 shuffled
+/// keys — BSEG's SegTable MERGE batch on `uniform-disk` — against the
+/// 4-column SegTable shape, clustered and segmented, with every page
+/// resident: time / 26 = the cost of one key.
 fn bench_probe_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_batch");
     let (pool, cat) = probe_fixture();
@@ -470,24 +535,20 @@ fn bench_probe_batch(c: &mut Criterion) {
     sorted.sort();
     for (table, name) in [("TClu", "clustered"), ("TSeg", "segmented")] {
         let t = cat.table(table).unwrap();
-        let path = t.probe_path(&[0]);
         for (order, keys) in [("sorted", &sorted), ("shuffled", &shuffled)] {
             group.bench_function(&format!("{name}/1024/{order}"), |b| {
-                b.iter(|| {
-                    let mut rows = Chunk::with_width(3);
-                    let mut src = Vec::new();
-                    let out = EqMatches {
-                        rows: &mut rows,
-                        src: Some(&mut src),
-                        locs: None,
-                    };
-                    let mut pool = pool.borrow_mut();
-                    t.probe_eq(&mut pool, path, &[0], keys, &ColSet::all(), out)
-                        .unwrap();
-                    black_box(rows.len())
-                });
+                b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, keys)));
             });
         }
+    }
+    let batch: Vec<Value> = (0..26i64)
+        .map(|i| Value::Int(i * 7919 % PROBE_NODES))
+        .collect();
+    for (table, name) in [("TClu4", "clustered4"), ("TSeg4", "segmented4")] {
+        let t = cat.table(table).unwrap();
+        group.bench_function(&format!("{name}/26"), |b| {
+            b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, &batch)));
+        });
     }
     group.finish();
 }

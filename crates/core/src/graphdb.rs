@@ -50,7 +50,8 @@ pub struct GraphDbOptions {
     /// heap/clustered rows (DESIGN.md §14). Implies `bulk_load` (segments
     /// can only be bulk-built) and makes `TEdges` read-only; `edges_index`
     /// is ignored for the edge table because the segment tree *is* the
-    /// fid access path.
+    /// fid access path. The SegTable lives in its edge table's storage:
+    /// [`GraphDb::build_segtable`] stores `TOutSegs` as segments too.
     pub segmented_edges: bool,
 }
 
@@ -253,7 +254,7 @@ impl GraphDb {
 
     /// True when `TEdges` lives in the segment-compressed tier, where
     /// mutations go through the row-store delta overlay.
-    fn edges_segmented(&self) -> bool {
+    pub(crate) fn edges_segmented(&self) -> bool {
         self.db
             .catalog()
             .table("TEdges")
@@ -514,8 +515,11 @@ impl GraphDb {
                 corpus.extend(crate::landmarks::statement_corpus());
             }
             if has_segs {
+                let segmented = self.edges_segmented();
                 for style in [SqlStyle::New, SqlStyle::Traditional] {
-                    corpus.extend(crate::segtable::build_statement_corpus(style, merge));
+                    corpus.extend(crate::segtable::build_statement_corpus(
+                        style, merge, segmented,
+                    ));
                 }
             }
             for a in corpus {

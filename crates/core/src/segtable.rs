@@ -5,9 +5,12 @@
 //! working table `TSegV(src, nid, d2s, p2s, f)` seeded with `(u, u, 0)` for
 //! every node: each iteration marks the frontier (`d2s < k·w_min` or the
 //! minimum — the construction analogue of Listing 4(1)), expands it against
-//! `TEdges` restricted to `cost + d2s <= lthd`, and merges. Step 2 copies
-//! the discovered segments into `TOutSegs`, merges in the residual original
-//! edges (Definition 4, case 2) and indexes it per the configured strategy.
+//! `TEdges` restricted to `cost + d2s <= lthd`, and merges. Step 2 builds
+//! `TOutSegs` from the discovered segments plus the residual original
+//! edges (Definition 4, case 2). The SegTable lives in its edge table's
+//! storage: on the row tier step 2 is SQL (copy, index per the configured
+//! strategy, residual MERGE); on the segmented tier it is one streamed pass
+//! into segment storage (`load_segmented_toutsegs`, DESIGN.md §14).
 //! Graphs are stored symmetrically (DESIGN.md §4), so the backward search
 //! reads the same `TOutSegs` rows the forward one does.
 
@@ -15,8 +18,10 @@ use crate::graphdb::{GraphDb, SegTableInfo};
 use crate::sqlgen::{AnnotatedSql, EmMode};
 use crate::stats::SqlStyle;
 use fempath_graph::IndexKind;
-use fempath_sql::{Result, SqlError};
-use fempath_storage::{IoStats, Value};
+use fempath_sql::ast::ColumnDef;
+use fempath_sql::catalog::EqMatches;
+use fempath_sql::{Database, Result, SqlError};
+use fempath_storage::{Chunk, ColSet, Column, DataType, IoStats, Value, CHUNK_CAPACITY};
 use std::time::{Duration, Instant};
 
 // Statement texts shared between [`build_segtable_with`] and
@@ -105,10 +110,15 @@ pub(crate) fn create_working_tables(db: &mut fempath_sql::Database) -> Result<()
 }
 
 /// Every statement one SegTable build configuration issues, annotated for
-/// the static analyzer. All statements are cold — the build runs once per
+/// the static analyzer: `segmented` for the segmented tier, whose step 2
+/// issues no SQL. All statements are cold — the build runs once per
 /// database, offline. `TSegV`/`TSegExp` are dropped after a real build, so
 /// the corpus walker recreates them while analyzing.
-pub fn build_statement_corpus(style: SqlStyle, merge_supported: bool) -> Vec<AnnotatedSql> {
+pub fn build_statement_corpus(
+    style: SqlStyle,
+    merge_supported: bool,
+    segmented: bool,
+) -> Vec<AnnotatedSql> {
     let use_merge = EmMode::choose(style, merge_supported, false) == EmMode::Fused;
     let t = match style {
         SqlStyle::New => "seg/nsql",
@@ -121,16 +131,22 @@ pub fn build_statement_corpus(style: SqlStyle, merge_supported: bool) -> Vec<Ann
         AnnotatedSql::cold(format!("{t}/{m}/seed_tsegv"), SEED_TSEGV),
         AnnotatedSql::cold(format!("{t}/{m}/mark"), MARK),
         AnnotatedSql::cold(format!("{t}/{m}/reset"), RESET),
-        AnnotatedSql::cold(format!("{t}/{m}/copy_segments"), COPY_SEGMENTS),
     ];
+    if !segmented {
+        out.push(AnnotatedSql::cold(
+            format!("{t}/{m}/copy_segments"),
+            COPY_SEGMENTS,
+        ));
+        out.push(if use_merge {
+            AnnotatedSql::cold(format!("{t}/{m}/residual_merge"), RESIDUAL_MERGE)
+        } else {
+            AnnotatedSql::cold(format!("{t}/{m}/residual_antijoin"), RESIDUAL_ANTIJOIN)
+        });
+    }
     if use_merge {
         out.push(AnnotatedSql::cold(
             format!("{t}/{m}/expand_merge"),
             expand_merge_sql(style),
-        ));
-        out.push(AnnotatedSql::cold(
-            format!("{t}/{m}/residual_merge"),
-            RESIDUAL_MERGE,
         ));
     } else {
         out.push(AnnotatedSql::cold(
@@ -148,10 +164,6 @@ pub fn build_statement_corpus(style: SqlStyle, merge_supported: bool) -> Vec<Ann
         out.push(AnnotatedSql::cold(
             format!("{t}/{m}/insert_new"),
             INSERT_NEW,
-        ));
-        out.push(AnnotatedSql::cold(
-            format!("{t}/{m}/residual_antijoin"),
-            RESIDUAL_ANTIJOIN,
         ));
     }
     out
@@ -239,6 +251,34 @@ pub fn build_segtable_with(gdb: &mut GraphDb, lthd: i64, style: SqlStyle) -> Res
     }
 
     // Step 2: materialize TOutSegs = segments + residual original edges.
+    if gdb.edges_segmented() {
+        load_segmented_toutsegs(&mut gdb.db)?;
+    } else {
+        sql_toutsegs(gdb, use_merge, n)?;
+    }
+
+    let segments = gdb.db.table_len("TOutSegs")?;
+    gdb.db.execute("DROP TABLE TSegV")?;
+    if !use_merge {
+        gdb.db.execute("DROP TABLE TSegExp")?;
+    }
+    gdb.db.flush()?;
+    gdb.set_segtable(SegTableInfo { lthd, segments });
+
+    Ok(SegTableStats {
+        lthd,
+        segments,
+        iterations,
+        sql_statements: gdb.db.statements_executed() - stmts_start,
+        build_time: started.elapsed(),
+        io: gdb.db.io_stats().since(&io_start),
+    })
+}
+
+/// Step 2 on the row tier, in SQL: copy the segments into a heap
+/// `TOutSegs`, index it per the configured strategy, then add the
+/// residual edges (MERGE, or the anti-join without it).
+fn sql_toutsegs(gdb: &mut GraphDb, use_merge: bool, n: i64) -> Result<()> {
     gdb.db.execute(CREATE_TOUTSEGS)?;
     gdb.db.execute(COPY_SEGMENTS)?;
     // Index before the residual-edge MERGE so its probes are index lookups.
@@ -261,22 +301,102 @@ pub fn build_segtable_with(gdb: &mut GraphDb, lthd: i64, style: SqlStyle) -> Res
     if drop_after {
         gdb.db.execute("DROP INDEX idx_toutsegs_fid")?;
     }
+    Ok(())
+}
 
-    let segments = gdb.db.table_len("TOutSegs")?;
-    gdb.db.execute("DROP TABLE TSegV")?;
-    if !use_merge {
-        gdb.db.execute("DROP TABLE TSegExp")?;
+/// The values of integer column `c` of `chunk`, which must hold no NULL.
+fn ints(chunk: &Chunk, c: usize) -> Result<&[i64]> {
+    match chunk.col(c) {
+        Column::Int { vals, nulls } if !nulls.any() => Ok(&vals[..chunk.len()]),
+        _ => Err(SqlError::Eval(
+            "SegTable build met a NULL or non-integer cell".into(),
+        )),
     }
-    gdb.db.flush()?;
-    gdb.set_segtable(SegTableInfo { lthd, segments });
+}
 
-    Ok(SegTableStats {
-        lthd,
-        segments,
-        iterations,
-        sql_statements: gdb.db.statements_executed() - stmts_start,
-        build_time: started.elapsed(),
-        io: gdb.db.io_stats().since(&io_start),
+/// Step 2 on the segmented tier: `TOutSegs` is segment storage like
+/// `TEdges`, filled in one streamed pass over `TSegV` with no row-form
+/// copy, index or MERGE. For each fid in ascending order it takes first
+/// the fid's `TSegV` segments (`nid <> src`, in the clustered `(src, nid)`
+/// order), then the fid's `TEdges` arcs whose `(fid, tid)` has no segment,
+/// in `TEdges` order, with `pid = fid` — the row order the row tier's
+/// clustered `TOutSegs` returns, so a probe of a fid reads the same rows
+/// in the same order on both tiers. Every node has its seed row `(u, u)`
+/// in `TSegV`, so its sources cover every fid of `TEdges`. `TSegV` is read
+/// a batch at a time; the rows of the batch's last source wait for the
+/// next batch, and each batch's sources probe `TEdges` together.
+fn load_segmented_toutsegs(db: &mut Database) -> Result<u64> {
+    let cols = ["fid", "tid", "pid", "cost"]
+        .iter()
+        .map(|n| ColumnDef {
+            name: (*n).into(),
+            dtype: DataType::Int,
+        })
+        .collect();
+    db.create_segmented_table("TOutSegs", cols)?;
+    db.bulk_load_segments_with("TOutSegs", |catalog, pool, load| {
+        let tsegv = catalog.table("TSegV")?;
+        let tedges = catalog.table("TEdges")?;
+        let by_fid = tedges.probe_path(&[0]);
+        let all = ColSet::all();
+        let mut cursor = tsegv.batch_cursor(pool)?;
+        let (mut segv, mut carried, mut arcs) = (Chunk::new(), Chunk::new(), Chunk::new());
+        let (mut fids, mut tags, mut rest) = (Vec::new(), Vec::new(), Vec::new());
+        loop {
+            let more =
+                tsegv.next_batch(pool, &mut cursor, &mut segv, &all, None, CHUNK_CAPACITY)?;
+            // TSegV(src, nid, d2s, p2s, f)
+            let (src, nid, d2s, p2s) = (
+                ints(&segv, 0)?,
+                ints(&segv, 1)?,
+                ints(&segv, 2)?,
+                ints(&segv, 3)?,
+            );
+            // The rows whose source is complete: all once the scan is done.
+            let mut end = src.len();
+            if let (true, Some(&last)) = (more, src.last()) {
+                end -= src.iter().rev().take_while(|&&s| s == last).count();
+            }
+            fids.clear();
+            fids.extend(src[..end].iter().copied());
+            fids.dedup();
+            let keys: Vec<Value> = fids.iter().map(|&f| Value::Int(f)).collect();
+            arcs.reset();
+            tags.clear();
+            let out = EqMatches {
+                rows: &mut arcs,
+                src: Some(&mut tags),
+                locs: None,
+            };
+            tedges.probe_eq(pool, by_fid, &[0], &keys, &all, out)?;
+            let (tid, cost) = (ints(&arcs, 1)?, ints(&arcs, 2)?);
+            let (mut r, mut a) = (0, 0);
+            for (k, &fid) in fids.iter().enumerate() {
+                let first = r;
+                while r < end && src[r] == fid {
+                    if nid[r] != fid {
+                        load.push(pool, [fid, nid[r], p2s[r], d2s[r]])?;
+                    }
+                    r += 1;
+                }
+                // The fid's nids ascend: the clustered key is (src, nid).
+                let segment_to = |t: i64| t != fid && nid[first..r].binary_search(&t).is_ok();
+                while a < tags.len() && tags[a] == k as u32 {
+                    if !segment_to(tid[a]) {
+                        load.push(pool, [fid, tid[a], fid, cost[a]])?;
+                    }
+                    a += 1;
+                }
+            }
+            if !more {
+                return Ok(());
+            }
+            rest.clear();
+            rest.extend(end as u32..src.len() as u32);
+            carried.reset();
+            carried.append_gather(&segv, &rest);
+            std::mem::swap(&mut segv, &mut carried);
+        }
     })
 }
 

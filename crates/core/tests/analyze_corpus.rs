@@ -49,7 +49,9 @@ fn full_corpus_is_clean() {
 /// segment-compressed, SegTable and landmarks built. The hot by-`nid`
 /// expansion joins `TEdges` through the segment tree, so a segmented `fid`
 /// lookup read as a scan would fail it with FC201; its verdict is pinned
-/// too.
+/// too, and so is that of BSEG's expansion into `TOutSegs`, which the
+/// segmented tier stores as segments too. The SegTable build's corpus
+/// holds only what that tier's build runs: step 2 issues no SQL there.
 #[test]
 fn segmented_corpus_is_clean() {
     let g = generate::power_law(60, 3, 1..=50, 7);
@@ -72,6 +74,35 @@ fn segmented_corpus_is_clean() {
         (AccessKind::IndexRange, JoinKind::IndexNestedLoop)
     );
     assert_eq!(edges.index_cols, ["fid"]);
+    for dir in ["fwd", "bwd"] {
+        let (_, expand) = reports
+            .iter()
+            .find(|(n, _)| n.ends_with(&format!("{dir}/seg/nsql/expand_merge/marked")))
+            .unwrap();
+        let segs = expand
+            .accesses
+            .iter()
+            .find(|a| a.table == "TOutSegs")
+            .unwrap();
+        assert_eq!(
+            (segs.access, segs.join, &segs.index_cols[..]),
+            (
+                AccessKind::IndexRange,
+                JoinKind::IndexNestedLoop,
+                &["fid".to_string()][..]
+            ),
+            "{dir}"
+        );
+    }
+    for step2 in ["copy_segments", "residual_merge", "residual_antijoin"] {
+        assert!(
+            !reports.iter().any(|(n, _)| n.ends_with(step2)),
+            "the segmented build runs no {step2}"
+        );
+    }
+    assert!(reports
+        .iter()
+        .any(|(n, _)| n.ends_with("seg/nsql/merge/expand_merge")));
 }
 
 /// A bare database (no SegTable, no landmarks) still walks clean — the

@@ -1,9 +1,12 @@
 //! SegTable construction correctness (§4.2, Definition 4) against the
 //! in-memory bounded-Dijkstra oracle.
 
-use fempath_core::{build_segtable_with, segtable::read_segments, GraphDb, SqlStyle};
+use fempath_core::{
+    build_segtable_with, segtable::read_segments, GraphDb, GraphDbOptions, SqlStyle,
+};
 use fempath_graph::{generate, Graph};
 use fempath_inmem::dijkstra;
+use fempath_sql::Dialect;
 use std::collections::HashMap;
 
 fn figure1() -> Graph {
@@ -250,4 +253,60 @@ fn mutations_take_the_segtable_out_of_service_until_rebuilt() {
         bseg.find_path(&mut session, 0, 1).is_err(),
         "a session's replayed mutation gates its SegTable too"
     );
+}
+
+/// The segmented tier builds `TOutSegs` in one streamed pass into
+/// segment storage, the row tier by SQL into a clustered table; both hold
+/// the same rows in the same scan order (a fid's segments as `TSegV`
+/// clusters them, then its residual arcs in `TEdges` order), which is the
+/// order a probe of the fid reads, in both dialects. Also after edge
+/// mutations leave the segmented `TEdges` with tombstones and a delta
+/// overlay, and the SegTable is rebuilt over them.
+#[test]
+fn toutsegs_rows_identical_on_both_tiers() {
+    // The segmented tier stores a fid's arcs sorted; sorted arcs put them
+    // in the same order in the row tier's clustered `TEdges`.
+    let mut arcs: Vec<_> = generate::power_law(150, 3, 1..=30, 13)
+        .iter_arcs()
+        .collect();
+    arcs.sort_unstable();
+    let g = Graph::from_arcs(150, arcs);
+    let scan = |gdb: &mut GraphDb| {
+        gdb.db
+            .query("SELECT fid, tid, pid, cost FROM TOutSegs")
+            .unwrap()
+            .rows
+    };
+    for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
+        let tier = |segmented_edges| {
+            let opts = GraphDbOptions {
+                dialect,
+                segmented_edges,
+                bulk_load: true,
+                ..Default::default()
+            };
+            GraphDb::new(&g, &opts).unwrap()
+        };
+        let (mut rows, mut segs) = (tier(false), tier(true));
+        for round in 0..2 {
+            let a = rows.build_segtable(20).unwrap();
+            let b = segs.build_segtable(20).unwrap();
+            let t = segs.db.catalog().table("TOutSegs").unwrap();
+            assert!(t.is_segmented() && t.schema.columns.len() == 4);
+            assert_eq!(a.segments, b.segments, "{dialect:?} round {round}");
+            let want = scan(&mut rows);
+            assert_eq!(want.len() as u64, a.segments);
+            assert_eq!(scan(&mut segs), want, "{dialect:?} round {round}");
+            // Deletes, re-inserts and a parallel arc, on both tiers alike.
+            for gdb in [&mut rows, &mut segs] {
+                for u in (0..40).step_by(3) {
+                    let v = g.out_arcs(u)[0].to;
+                    gdb.delete_edge(i64::from(u), i64::from(v)).unwrap();
+                    gdb.insert_edge(i64::from(u), i64::from(v), 31).unwrap();
+                    gdb.insert_edge(i64::from(u), i64::from(u + 100), 2)
+                        .unwrap();
+                }
+            }
+        }
+    }
 }

@@ -5,9 +5,10 @@
 //! - a **heap** (unordered slotted pages);
 //! - **clustered** (index-organized: rows live in a B+tree keyed by the
 //!   clustering columns);
-//! - **segmented** (DESIGN.md §14): `(fid, tid, cost)` edges packed into
-//!   delta-encoded segments, immutable once loaded, with a row-store
-//!   delta overlay for later inserts and tombstones for deletes.
+//! - **segmented** (DESIGN.md §14): `(fid, tid, cost)` edges or
+//!   `(fid, tid, pid, cost)` SegTable rows packed into delta-encoded
+//!   segments, immutable once loaded, with a row-store delta overlay for
+//!   later inserts and tombstones for deletes.
 //!
 //! Secondary indexes map encoded key columns to a row locator. The first
 //! two storages give the three physical configurations the paper sweeps
@@ -27,10 +28,10 @@ use crate::ast::ColumnDef;
 use crate::error::{Result, SqlError};
 use crate::pool::{take, Pooled};
 use fempath_storage::{
-    decode_edge_segment, decode_row_into_chunk, decode_rows_into_chunk, encode_key,
-    encode_key_into, encode_row_from_chunk, BTree, BTreeBulkBuilder, BTreeScanCursor, BufferPool,
-    Chunk, ColSet, Column, DataType, HeapFile, HeapScanCursor, KeyArena, LeafWalk, RecordId,
-    SegmentCursor, SegmentWriter, Value, CHUNK_CAPACITY,
+    decode_row_into_chunk, decode_rows_into_chunk, decode_segment, encode_key_into,
+    encode_row_from_chunk, BTree, BTreeBulkBuilder, BTreeScanCursor, BufferPool, Chunk, ColSet,
+    Column, DataType, HeapFile, HeapScanCursor, KeyArena, LeafWalk, PackedSegment, RecordId,
+    SegRow, SegmentCursor, SegmentPacker, Value, CHUNK_CAPACITY,
 };
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -121,10 +122,11 @@ pub enum TableStorage {
         /// Monotonic uniquifier appended to non-unique clustering keys.
         next_uniquifier: u64,
     },
-    /// Segment-compressed edge storage (DESIGN.md §14): runs of
-    /// `(fid, tid, cost)` rows delta-encoded into varint blobs, each blob a
-    /// single B+tree value keyed by `(last_fid, seq)`. The bulk of the
-    /// table is filled once via [`Table::bulk_load_segments`]; later
+    /// Segment-compressed storage (DESIGN.md §14): runs of `(fid, tid,
+    /// cost)` or `(fid, tid, pid, cost)` rows — the schema's width picks
+    /// the layout — delta-encoded into varint blobs, each blob a single
+    /// B+tree value keyed by `(last_fid, seq)`. The bulk of the table is
+    /// filled once via [`Table::segment_load`]; later
     /// mutations go through a small row-store **delta overlay**
     /// (DESIGN.md §16): INSERTs land in the `delta` heap, DELETEs
     /// tombstone base `(fid, tid)` pairs and physically remove delta
@@ -134,7 +136,7 @@ pub enum TableStorage {
     Segmented {
         tree: BTree,
         /// Column positions usable as an ordered access path — always the
-        /// leading `fid` column for the 3-column edge schema.
+        /// leading `fid` column.
         key_cols: Vec<usize>,
         /// Total edges across all segments (`tree.len()` counts segments,
         /// not rows), *including* edges suppressed by `tombstones`.
@@ -526,9 +528,10 @@ fn append_matching(
     }
 }
 
-/// Appends one `(fid, tid, cost)` edge's `cols` columns to a 3-wide chunk.
-fn push_edge_cols(chunk: &mut Chunk, edge: (i64, i64, i64), cols: &ColSet) {
-    for (c, v) in [edge.0, edge.1, edge.2].into_iter().enumerate() {
+/// Appends the `cols` columns of one segment row to a chunk as wide as
+/// the row's layout.
+fn push_edge_cols(chunk: &mut Chunk, row: &SegRow, cols: &ColSet) {
+    for (c, &v) in row[..chunk.width()].iter().enumerate() {
         if cols.contains(c) {
             chunk.col_mut(c).push_int(v);
         }
@@ -536,16 +539,16 @@ fn push_edge_cols(chunk: &mut Chunk, edge: (i64, i64, i64), cols: &ColSet) {
     chunk.commit_row();
 }
 
-/// Makes `chunk` 3 columns wide for segmented rows, or errors when it
-/// already holds rows of another width.
-fn edge_width(chunk: &mut Chunk) -> Result<()> {
-    if chunk.is_empty() && chunk.width() != 3 {
-        chunk.set_width(3);
+/// Makes `chunk` `width` columns wide for segmented rows, or errors when
+/// it already holds rows of another width.
+fn edge_width(chunk: &mut Chunk, width: usize) -> Result<()> {
+    if chunk.is_empty() && chunk.width() != width {
+        chunk.set_width(width);
     }
-    if chunk.width() != 3 {
-        return Err(SqlError::Eval(
-            "segmented rows need a 3-column chunk".into(),
-        ));
+    if chunk.width() != width {
+        return Err(SqlError::Eval(format!(
+            "segmented rows need a {width}-column chunk"
+        )));
     }
     Ok(())
 }
@@ -555,10 +558,12 @@ fn edge_width(chunk: &mut Chunk) -> Result<()> {
 /// resumes where the previous fid stopped, and the edge decoded past
 /// that fid.
 struct SegmentWalk {
+    /// The segments' layout: 3 or 4 columns.
+    width: usize,
     leaf: LeafWalk,
     key: Pooled<Vec<u8>>,
     cursor: SegmentCursor,
-    pending: Option<(i64, i64, i64)>,
+    pending: Option<SegRow>,
     /// The encoded probe fid.
     lo: Pooled<Vec<u8>>,
     /// The fid probed last.
@@ -566,8 +571,9 @@ struct SegmentWalk {
 }
 
 impl SegmentWalk {
-    fn new() -> SegmentWalk {
+    fn new(width: usize) -> SegmentWalk {
         SegmentWalk {
+            width,
             leaf: LeafWalk::default(),
             key: take(),
             cursor: SegmentCursor::default(),
@@ -577,8 +583,8 @@ impl SegmentWalk {
         }
     }
 
-    /// Calls `f(tid, cost)` for every base edge of `fid` in the segment
-    /// tree `tree`, in key order, tombstoned ones included. It visits the
+    /// Calls `f(row)` for every base row of `fid` in the segment tree
+    /// `tree`, in stored order, tombstoned ones included. It visits the
     /// segments from the first whose key (`last_fid`) reaches `fid` and
     /// stops after the first whose key passes it. Over ascending fids it
     /// decodes each segment once, only as far as the fids asked for; a
@@ -588,9 +594,10 @@ impl SegmentWalk {
         tree: &BTree,
         pool: &mut BufferPool,
         fid: i64,
-        mut f: impl FnMut(i64, i64),
+        mut f: impl FnMut(&SegRow),
     ) -> Result<()> {
         let SegmentWalk {
+            width,
             leaf,
             key,
             cursor,
@@ -609,7 +616,7 @@ impl SegmentWalk {
                 key.clear();
                 key.extend_from_slice(k);
                 *pending = None;
-                *cursor = match SegmentCursor::new(blob) {
+                *cursor = match SegmentCursor::new(blob, *width) {
                     Ok(c) => c,
                     Err(e) => {
                         decoded = Err(e);
@@ -617,7 +624,7 @@ impl SegmentWalk {
                     }
                 };
             }
-            if pending.is_some_and(|e| e.0 < fid) {
+            if pending.is_some_and(|e| e[0] < fid) {
                 *pending = None;
             }
             if pending.is_none() {
@@ -629,7 +636,7 @@ impl SegmentWalk {
             loop {
                 let edge = match pending
                     .take()
-                    .map_or_else(|| cursor.next_edge(blob), |e| Ok(Some(e)))
+                    .map_or_else(|| cursor.next_row(blob), |e| Ok(Some(e)))
                 {
                     Ok(Some(edge)) => edge,
                     Ok(None) => break,
@@ -638,12 +645,12 @@ impl SegmentWalk {
                         return false;
                     }
                 };
-                if edge.0 > fid {
+                if edge[0] > fid {
                     *pending = Some(edge);
                     break;
                 }
-                if edge.0 == fid {
-                    f(edge.1, edge.2);
+                if edge[0] == fid {
+                    f(&edge);
                 }
             }
             // The fid's edges go on into the next segment only when this
@@ -686,14 +693,14 @@ impl Overlay {
         Ok(Some(o))
     }
 
-    /// Appends the `read` columns of the overlay rows of `fid` to the
-    /// 3-wide `chunk`.
+    /// Appends the `read` columns of the overlay rows of `fid` to
+    /// `chunk`, as wide as the table.
     fn append(&self, fid: i64, chunk: &mut Chunk, read: &ColSet) {
         let lo = self.fids.partition_point(|&f| f < fid);
         let hi = lo + self.fids[lo..].partition_point(|&f| f == fid);
         let sel = &self.by_fid[lo..hi];
         if !sel.is_empty() {
-            for c in (0..3).filter(|&c| read.contains(c)) {
+            for c in (0..self.rows.width()).filter(|&c| read.contains(c)) {
                 chunk.col_mut(c).extend_gather(self.rows.col(c), sel);
             }
             chunk.commit_rows(sel.len());
@@ -789,25 +796,73 @@ fn sweep(
     Ok(())
 }
 
-/// The encoded keys of a probe batch (`width` values each, laid end to
-/// end), an empty key for each that holds a NULL, and the positions of
-/// the others, in batch order.
-fn encode_probe_keys(keys: &[Value], width: usize) -> Result<(Pooled<KeyArena>, Pooled<Vec<u32>>)> {
-    let mut encoded = take::<KeyArena>();
-    let mut live = take::<Vec<u32>>();
-    for (k, vals) in keys.chunks_exact(width).enumerate() {
-        let null = vals.iter().any(Value::is_null);
-        encoded.push_with(|key| {
+/// A probe batch (`width` values per key, laid end to end) as the
+/// probes read it.
+struct ProbeKeys {
+    /// Each key encoded, or empty when it holds a NULL.
+    encoded: Pooled<KeyArena>,
+    /// The positions of the keys without a NULL, in batch order.
+    live: Pooled<Vec<u32>>,
+    /// When every value of the live keys is an INT: all values as
+    /// integers (0 for a NULL), `width` per key.
+    ints: Option<Pooled<Vec<i64>>>,
+    width: usize,
+}
+
+impl ProbeKeys {
+    fn new(keys: &[Value], width: usize) -> Result<ProbeKeys> {
+        let mut encoded = take::<KeyArena>();
+        let mut live = take::<Vec<u32>>();
+        let mut ints = Some(take::<Vec<i64>>());
+        for (k, vals) in keys.chunks_exact(width).enumerate() {
+            let null = vals.iter().any(Value::is_null);
+            encoded.push_with(|key| {
+                if !null {
+                    vals.iter().try_for_each(|v| encode_key_into(key, v))?;
+                }
+                Ok::<_, SqlError>(())
+            })?;
             if !null {
-                vals.iter().try_for_each(|v| encode_key_into(key, v))?;
+                live.push(k as u32);
             }
-            Ok::<_, SqlError>(())
-        })?;
-        if !null {
-            live.push(k as u32);
+            if let Some(out) = &mut ints {
+                for v in vals {
+                    match v {
+                        Value::Int(i) => out.push(*i),
+                        Value::Null => out.push(0),
+                        _ => {
+                            ints = None;
+                            break;
+                        }
+                    }
+                }
+            }
+        }
+        Ok(ProbeKeys {
+            encoded,
+            live,
+            ints,
+            width,
+        })
+    }
+
+    /// The encoded key at position `k`.
+    fn get(&self, k: u32) -> &[u8] {
+        self.encoded.get(k as usize)
+    }
+
+    /// Orders two key positions as their encoded keys order: by their
+    /// integers when the batch has them (the key encoding preserves INT
+    /// order, and an integer compare is what a sort of a batch can
+    /// afford), else by the encoded bytes.
+    fn cmp(&self, a: u32, b: u32) -> Ordering {
+        let (a, b) = (a as usize, b as usize);
+        match (&self.ints, self.width) {
+            (Some(ints), 1) => ints[a].cmp(&ints[b]),
+            (Some(ints), w) => ints[a * w..(a + 1) * w].cmp(&ints[b * w..(b + 1) * w]),
+            (None, _) => self.encoded.get(a).cmp(self.encoded.get(b)),
         }
     }
-    Ok((encoded, live))
 }
 
 /// Orders two key positions by their encoded keys in `keys`.
@@ -853,6 +908,60 @@ pub struct SegmentScanCursor {
     skip: usize,
     done: bool,
     delta: HeapScanCursor,
+}
+
+/// A bulk load of an empty segmented table in progress (see
+/// [`Table::segment_load`]).
+pub struct SegmentLoad {
+    table: String,
+    width: usize,
+    packer: SegmentPacker,
+    builder: BTreeBulkBuilder,
+    key: Vec<u8>,
+    /// The next segment's sequence number.
+    seq: u64,
+    rows: u64,
+    last: Option<SegRow>,
+}
+
+impl SegmentLoad {
+    /// Appends one row (`[fid, tid, cost, _]` or `[fid, tid, pid, cost]`,
+    /// as the table is wide). A 3-column table takes rows in `(fid, tid,
+    /// cost)` order; a 4-column one in non-decreasing fid order, any
+    /// order within a fid, which a probe of the fid returns as pushed.
+    pub fn push(&mut self, pool: &mut BufferPool, row: SegRow) -> Result<()> {
+        if let Some(last) = self.last {
+            let (in_order, order) = match self.width {
+                3 => (last <= row, "(fid, tid, cost) order"),
+                _ => (last[0] <= row[0], "non-decreasing fid"),
+            };
+            if !in_order {
+                return Err(SqlError::Eval(format!(
+                    "bulk load into {} requires {order}",
+                    self.table
+                )));
+            }
+        }
+        self.last = Some(row);
+        self.rows += 1;
+        match self.packer.push(row) {
+            Some(seg) => self.put(pool, seg),
+            None => Ok(()),
+        }
+    }
+
+    /// Adds one closed segment to the tree. Segment keys are (last fid,
+    /// sequence number): the sequence keeps keys unique, and keying by
+    /// *last* fid means an equality probe can start at the first segment
+    /// whose key reaches the probe fid even when that fid's run begins
+    /// inside an earlier-starting segment.
+    fn put(&mut self, pool: &mut BufferPool, seg: PackedSegment) -> Result<()> {
+        self.key.clear();
+        encode_key_into(&mut self.key, &Value::Int(seg.last_fid))?;
+        self.key.extend_from_slice(&self.seq.to_be_bytes());
+        self.seq += 1;
+        Ok(self.builder.push(pool, &self.key, &seg.blob)?)
+    }
 }
 
 /// A table: schema + storage + indexes.
@@ -1042,11 +1151,12 @@ impl Table {
         let key_vals = |k: u32| &keys[k as usize * width..(k as usize + 1) * width];
         match (path, &self.storage) {
             (ProbePath::Clustered, TableStorage::Clustered { tree, .. }) => {
-                let (encoded, batch) = encode_probe_keys(keys, width)?;
+                let batch = ProbeKeys::new(keys, width)?;
                 let mut walk = LeafWalk::default();
-                sweep(&batch, by_key(&encoded), out, false, |k, rows, mut locs| {
+                let cmp = |a, b| batch.cmp(a, b);
+                sweep(&batch.live, cmp, out, false, |k, rows, mut locs| {
                     let mut decoded = Ok(());
-                    tree.scan_prefix_runs(pool, &mut walk, encoded.get(k as usize), |run| {
+                    tree.scan_prefix_runs(pool, &mut walk, batch.get(k), |run| {
                         if let Some(locs) = locs.as_deref_mut() {
                             run.keys().for_each(|k| locs.keys.push(k));
                         }
@@ -1066,13 +1176,13 @@ impl Table {
                     ..
                 },
             ) => {
-                edge_width(out.rows)?;
+                edge_width(out.rows, self.schema.columns.len())?;
                 // A non-integral key never equals an INT fid.
                 let fid = |k: u32| key_vals(k)[0].as_i64();
                 let mut batch = take::<Vec<u32>>();
                 batch.extend((0..(keys.len() / width) as u32).filter(|&k| fid(k).is_some()));
                 let overlay = Overlay::read(delta, *delta_rows, pool)?;
-                let mut walk = SegmentWalk::new();
+                let mut walk = SegmentWalk::new(self.schema.columns.len());
                 sweep(
                     &batch,
                     |a, b| fid(a).cmp(&fid(b)),
@@ -1083,9 +1193,9 @@ impl Table {
                             return Ok(());
                         };
                         let before = rows.len();
-                        walk.edges(tree, pool, fid, |tid, cost| {
-                            if tombstones.is_empty() || !tombstones.contains(&(fid, tid)) {
-                                push_edge_cols(rows, (fid, tid, cost), read);
+                        walk.edges(tree, pool, fid, |row| {
+                            if tombstones.is_empty() || !tombstones.contains(&(fid, row[1])) {
+                                push_edge_cols(rows, row, read);
                             }
                         })?;
                         if let Some(overlay) = &overlay {
@@ -1103,7 +1213,7 @@ impl Table {
                     .indexes
                     .get(index)
                     .ok_or_else(|| SqlError::Eval("probe of a dropped index".into()))?;
-                let (encoded, batch) = encode_probe_keys(keys, width)?;
+                let batch = ProbeKeys::new(keys, width)?;
                 let EqMatches { rows, src, locs } = out;
                 let mut own = take::<BatchLocs>();
                 let found = locs.unwrap_or(&mut own);
@@ -1116,14 +1226,13 @@ impl Table {
                     locs: Some(&mut *found),
                 };
                 sweep(
-                    &batch,
-                    by_key(&encoded),
+                    &batch.live,
+                    |a, b| batch.cmp(a, b),
                     out,
                     true,
                     |k, _, locs| match locs {
                         Some(locs) => {
-                            let key = encoded.get(k as usize);
-                            idx.find_locs(pool, &mut walk, key, point, clustered, locs)
+                            idx.find_locs(pool, &mut walk, batch.get(k), point, clustered, locs)
                         }
                         None => Ok(()),
                     },
@@ -1248,7 +1357,8 @@ impl Table {
                 },
                 TableBatchCursor::Segmented(c),
             ) => {
-                edge_width(chunk)?;
+                let width = self.schema.columns.len();
+                edge_width(chunk, width)?;
                 let before = chunk.len();
                 let mut more = false;
                 if !c.done {
@@ -1271,7 +1381,7 @@ impl Table {
                             more = true;
                             return false;
                         }
-                        let edges = match decode_edge_segment(v) {
+                        let edges = match decode_segment(v, width) {
                             Ok(e) => e,
                             Err(e) => {
                                 decode_err = Some(e);
@@ -1281,15 +1391,15 @@ impl Table {
                         let offset = skip.min(edges.len());
                         skip = 0;
                         let mut consumed = offset;
-                        for &(ef, et, ec) in &edges[offset..] {
+                        for row in &edges[offset..] {
                             if added >= max {
                                 break;
                             }
                             consumed += 1;
-                            if tombstones.contains(&(ef, et)) {
+                            if tombstones.contains(&(row[0], row[1])) {
                                 continue;
                             }
-                            push_edge_cols(chunk, (ef, et, ec), cols);
+                            push_edge_cols(chunk, row, cols);
                             added += 1;
                         }
                         let resume = if consumed < edges.len() { consumed } else { 0 };
@@ -1843,22 +1953,43 @@ impl Table {
         Ok(())
     }
 
-    /// Fills an empty segmented table from edges sorted by `(fid, tid,
-    /// cost)`: packs them into delta-encoded varint segments
-    /// ([`SegmentWriter`]) and bulk-builds the B+tree bottom-up — no
-    /// per-key root-to-leaf descents. Errors if the table is not
-    /// segmented, already loaded, or the input is out of order.
+    /// Fills an empty 3-column segmented table from edges sorted by
+    /// `(fid, tid, cost)` (see [`Table::segment_load`]). Errors if the
+    /// table is not a segmented edge table, is already loaded, or the
+    /// input is out of order.
     pub fn bulk_load_segments(
         &mut self,
         pool: &mut BufferPool,
         edges: impl IntoIterator<Item = (i64, i64, i64)>,
     ) -> Result<u64> {
+        let mut load = self.segment_load(pool)?;
+        if load.width != 3 {
+            return Err(SqlError::Eval(format!(
+                "table {} holds {} columns, not (fid, tid, cost) edges",
+                self.schema.name, load.width
+            )));
+        }
+        for (fid, tid, cost) in edges {
+            load.push(pool, [fid, tid, cost, 0])?;
+        }
+        self.finish_segment_load(pool, load)
+    }
+
+    /// Starts a bulk load of this empty segmented table: the rows pushed
+    /// into the returned [`SegmentLoad`] are packed into delta-encoded
+    /// varint segments and streamed into a bottom-up build of the tree —
+    /// no per-key root-to-leaf descents, and no more than one segment
+    /// buffered. The table is read-only meanwhile (the load borrows the
+    /// pool only per call, so the caller may read other tables between
+    /// pushes); [`Table::finish_segment_load`] completes it. Errors if the
+    /// table is not segmented or is already loaded.
+    pub fn segment_load(&self, pool: &mut BufferPool) -> Result<SegmentLoad> {
         let TableStorage::Segmented {
             tree,
             rows,
             delta_rows,
             ..
-        } = &mut self.storage
+        } = &self.storage
         else {
             return Err(SqlError::Eval(format!(
                 "table {} is not segment-compressed",
@@ -1871,38 +2002,38 @@ impl Table {
                 self.schema.name
             )));
         }
-        // Segment keys are (last fid, sequence number): the sequence keeps
-        // keys unique, and keying by *last* fid means an equality probe can
-        // start at the first segment whose key reaches the probe fid even
-        // when that fid's run begins inside an earlier-starting segment.
-        let mut segs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut seq = 0u64;
-        let mut total = 0u64;
-        let mut prev: Option<(i64, i64, i64)> = None;
-        {
-            let mut w = SegmentWriter::new(|_first, last, blob| {
-                let mut key = encode_key(&[Value::Int(last)])?;
-                key.extend_from_slice(&seq.to_be_bytes());
-                seq += 1;
-                segs.push((key, blob));
-                Ok(())
-            });
-            for e in edges {
-                if prev.is_some_and(|p| p > e) {
-                    return Err(SqlError::Eval(format!(
-                        "bulk load into {} requires (fid, tid, cost) order",
-                        self.schema.name
-                    )));
-                }
-                prev = Some(e);
-                total += 1;
-                w.push(e.0, e.1, e.2)?;
-            }
-            w.flush()?;
+        let width = self.schema.columns.len();
+        Ok(SegmentLoad {
+            table: self.schema.name.clone(),
+            width,
+            packer: SegmentPacker::new(width)?,
+            builder: BTreeBulkBuilder::for_tree(tree, pool)?,
+            key: Vec::new(),
+            seq: 0,
+            rows: 0,
+            last: None,
+        })
+    }
+
+    /// Completes a bulk load [`Table::segment_load`] began on this table:
+    /// packs the last rows and finishes the tree. Returns the rows loaded.
+    pub fn finish_segment_load(
+        &mut self,
+        pool: &mut BufferPool,
+        mut load: SegmentLoad,
+    ) -> Result<u64> {
+        if let Some(seg) = load.packer.finish() {
+            load.put(pool, seg)?;
         }
-        tree.bulk_build(pool, segs)?;
-        *rows = total;
-        Ok(total)
+        let TableStorage::Segmented { tree, rows, .. } = &mut self.storage else {
+            return Err(SqlError::Eval(format!(
+                "table {} is not segment-compressed",
+                self.schema.name
+            )));
+        };
+        tree.bulk_finish(pool, load.builder)?;
+        *rows = load.rows;
+        Ok(load.rows)
     }
 
     /// Deletes every `(fid, tid)` edge of a segmented table — base rows
@@ -1930,7 +2061,8 @@ impl Table {
             // Count the base edges the new tombstone suppresses so len()
             // stays exact.
             let mut base = 0u64;
-            SegmentWalk::new().edges(tree, pool, fid, |et, _| base += u64::from(et == tid))?;
+            SegmentWalk::new(self.schema.columns.len())
+                .edges(tree, pool, fid, |row| base += u64::from(row[1] == tid))?;
             if base > 0 {
                 tombstones.insert((fid, tid));
                 *dead_rows += base;
@@ -2221,11 +2353,13 @@ impl Catalog {
         Ok(())
     }
 
-    /// Creates a segment-compressed edge table (DESIGN.md §14). The
-    /// schema must be exactly three INT columns — `(fid, tid, cost)`
-    /// shaped — with the first column doubling as the ordered access path.
-    /// Fill it with [`Table::bulk_load_segments`]; post-load mutations go
-    /// through the delta overlay (INSERT / [`Table::delta_delete_edge`]).
+    /// Creates a segment-compressed table (DESIGN.md §14). The schema
+    /// must be three INT columns shaped `(fid, tid, cost)` (an edge table)
+    /// or four shaped `(fid, tid, pid, cost)` (a SegTable), with the first
+    /// column doubling as the ordered access path. Fill it with
+    /// [`Table::bulk_load_segments`] (edges) or [`Table::segment_load`]
+    /// (either width); post-load mutations go through the delta overlay
+    /// (INSERT / [`Table::delta_delete_edge`]).
     pub fn create_segmented_table(
         &mut self,
         pool: &mut BufferPool,
@@ -2236,9 +2370,11 @@ impl Catalog {
         if self.tables.contains_key(&key) || self.views.contains_key(&key) {
             return Err(SqlError::Catalog(format!("table {name} already exists")));
         }
-        if columns.len() != 3 || columns.iter().any(|c| !matches!(c.dtype, DataType::Int)) {
+        if !matches!(columns.len(), 3 | 4)
+            || columns.iter().any(|c| !matches!(c.dtype, DataType::Int))
+        {
             return Err(SqlError::Catalog(format!(
-                "segmented table {name} requires exactly three INT columns"
+                "segmented table {name} requires three or four INT columns"
             )));
         }
         let table = Table {
@@ -2460,7 +2596,7 @@ fn resolve_cols(schema: &TableSchema, names: &[String]) -> Result<Vec<usize>> {
 mod tests {
     use super::*;
     use crate::ast::CreateIndex;
-    use fempath_storage::chunk_from_rows;
+    use fempath_storage::{chunk_from_rows, decode_edge_segment};
 
     fn setup() -> (BufferPool, Catalog) {
         let mut pool = BufferPool::in_memory(256);

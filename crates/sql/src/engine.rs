@@ -15,7 +15,7 @@
 //! catalog version and stale plans are rebuilt transparently.
 
 use crate::ast::Stmt;
-use crate::catalog::Catalog;
+use crate::catalog::{Catalog, SegmentLoad};
 use crate::dialect::Dialect;
 use crate::error::{Result, SqlError};
 use crate::exec::eval::ExecCtx;
@@ -696,6 +696,23 @@ impl Database {
         self.catalog
             .table_mut(table)?
             .bulk_load_segments(&mut self.pool, edges)
+    }
+
+    /// Bulk-fills the empty segmented table `table` (either width) with
+    /// the rows `fill` pushes into its [`SegmentLoad`], in the load's
+    /// order; `fill` may read the catalog's other tables meanwhile,
+    /// through the same pool (see [`crate::catalog::Table::segment_load`]).
+    /// Returns the rows loaded.
+    pub fn bulk_load_segments_with(
+        &mut self,
+        table: &str,
+        fill: impl FnOnce(&Catalog, &mut BufferPool, &mut SegmentLoad) -> Result<()>,
+    ) -> Result<u64> {
+        let mut load = self.catalog.table(table)?.segment_load(&mut self.pool)?;
+        fill(&self.catalog, &mut self.pool, &mut load)?;
+        self.catalog
+            .table_mut(table)?
+            .finish_segment_load(&mut self.pool, load)
     }
 
     /// Deletes every `(fid, tid)` edge of a segmented table through its

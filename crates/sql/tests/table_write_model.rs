@@ -1,12 +1,15 @@
 //! Model test of the one write path: random sequences of
 //! `Table::insert_chunk`, `Table::update_rows` and
-//! `Table::delete_rows` run against a plain list of rows on each of five
+//! `Table::delete_rows` run against a plain list of rows on each of six
 //! storages — a heap, a heap with a unique secondary index, a unique and a
-//! non-unique clustered table, and a segmented table (whose inserts land
-//! in the delta overlay and whose updates and deletes are refused).
+//! non-unique clustered table, and a 3- and a 4-column segmented table
+//! (whose inserts land in the delta overlay and whose updates and deletes
+//! are refused).
 //!
 //! After every step the table's rows, `len()` and the answer of every
-//! index probe must be the model's, and a batch probe of shuffled,
+//! index probe must be the model's — a segmented table's probe of its key
+//! in the model's own order: base rows as loaded, then the inserted ones —
+//! and a batch probe of shuffled,
 //! repeated keys must answer in order what its one-key probes do. A refused insert or update must name
 //! the key the model says repeats, and leave applied exactly the rows
 //! before the offender. A row located twice by one update keeps its first
@@ -22,7 +25,8 @@ use proptest::prelude::*;
 
 /// A cell: an integer of a small domain, so that keys collide, or NULL.
 type Cell = Option<i64>;
-type Row = [Cell; 3];
+/// A row of `t(a, b, c, d)`; `d` is `None` in the 3-column storages.
+type Row = [Cell; 4];
 
 /// Integers are drawn from `0..DOMAIN`.
 const DOMAIN: i64 = 4;
@@ -59,12 +63,46 @@ enum Storage {
     Clustered,
     /// Segment-compressed, loaded with [`SEGMENT_BASE`].
     Segmented,
+    /// Segment-compressed with four columns, a SegTable's shape, loaded
+    /// with [`SEGMENT4_BASE`]: within an `a` the rows keep their written
+    /// order, and `c` (a SegTable's `pid`) lies on both sides of `a`.
+    Segmented4,
 }
 
 /// The base rows of the segmented table.
 const SEGMENT_BASE: [(i64, i64, i64); 4] = [(0, 1, 1), (1, 2, 3), (2, 0, 0), (3, 3, 2)];
 
+/// The base rows of the 4-column segmented table.
+const SEGMENT4_BASE: [[i64; 4]; 6] = [
+    [0, 3, 0, 1],
+    [0, 1, 3, 2],
+    [1, 2, -40, 3],
+    [1, 0, 1, 0],
+    [1, 2, 7000, 1],
+    [3, 3, 2, 2],
+];
+
 impl Storage {
+    /// The columns of `t`.
+    fn width(self) -> usize {
+        match self {
+            Storage::Segmented4 => 4,
+            _ => 3,
+        }
+    }
+
+    fn segmented(self) -> bool {
+        matches!(self, Storage::Segmented | Storage::Segmented4)
+    }
+
+    /// `row` as `t` holds it: without `d` when `t` has three columns.
+    fn fit(self, mut row: Row) -> Row {
+        if self.width() == 3 {
+            row[3] = None;
+        }
+        row
+    }
+
     /// The unique keys, in the order a write checks them: the secondary
     /// indexes as created, then the clustering key.
     fn unique_keys(self) -> Vec<usize> {
@@ -80,26 +118,40 @@ impl Storage {
     fn setup(self) -> (BufferPool, Catalog, Vec<Row>) {
         let mut pool = BufferPool::in_memory(64);
         let mut cat = Catalog::new();
-        let cols: Vec<ColumnDef> = ["a", "b", "c"]
+        let cols: Vec<ColumnDef> = ["a", "b", "c", "d"][..self.width()]
             .iter()
             .map(|n| ColumnDef {
                 name: (*n).into(),
                 dtype: DataType::Int,
             })
             .collect();
-        if let Storage::Segmented = self {
-            cat.create_segmented_table(&mut pool, "t", cols).unwrap();
-            let t = cat.table_mut("t").unwrap();
-            t.bulk_load_segments(&mut pool, SEGMENT_BASE).unwrap();
-            let model = SEGMENT_BASE
-                .iter()
-                .map(|&(a, b, c)| [Some(a), Some(b), Some(c)])
-                .collect();
-            return (pool, cat, model);
+        match self {
+            Storage::Segmented => {
+                cat.create_segmented_table(&mut pool, "t", cols).unwrap();
+                let t = cat.table_mut("t").unwrap();
+                t.bulk_load_segments(&mut pool, SEGMENT_BASE).unwrap();
+                let model = SEGMENT_BASE
+                    .iter()
+                    .map(|&(a, b, c)| [Some(a), Some(b), Some(c), None])
+                    .collect();
+                return (pool, cat, model);
+            }
+            Storage::Segmented4 => {
+                cat.create_segmented_table(&mut pool, "t", cols).unwrap();
+                let mut load = cat.table("t").unwrap().segment_load(&mut pool).unwrap();
+                for row in SEGMENT4_BASE {
+                    load.push(&mut pool, row).unwrap();
+                }
+                let t = cat.table_mut("t").unwrap();
+                t.finish_segment_load(&mut pool, load).unwrap();
+                let model = SEGMENT4_BASE.iter().map(|r| r.map(Some)).collect();
+                return (pool, cat, model);
+            }
+            _ => {}
         }
         cat.create_table(&mut pool, "t", cols, None).unwrap();
         let indexes: &[(&str, bool, bool)] = match self {
-            Storage::Heap | Storage::Segmented => &[],
+            Storage::Heap | Storage::Segmented | Storage::Segmented4 => &[],
             Storage::HeapUnique => &[("b", true, false), ("a", false, false)],
             Storage::ClusteredUnique => &[("a", true, true), ("b", true, false)],
             Storage::Clustered => &[("a", false, true), ("c", false, false)],
@@ -130,12 +182,21 @@ fn cell(v: &Value) -> Cell {
     }
 }
 
-fn chunk_of(rows: &[Row]) -> Chunk {
-    let mut chunk = Chunk::with_width(3);
+fn chunk_of(rows: &[Row], width: usize) -> Chunk {
+    let mut chunk = Chunk::with_width(width);
     for row in rows {
-        chunk.push_row(&row.map(value));
+        chunk.push_row(&row.map(value)[..width]);
     }
     chunk
+}
+
+/// Row `r` of `chunk`, `d` `None` when the chunk has three columns.
+fn row_at(chunk: &Chunk, r: usize) -> Row {
+    [0, 1, 2, 3].map(|c| {
+        (c < chunk.width())
+            .then(|| cell(&chunk.get(c, r)))
+            .flatten()
+    })
 }
 
 /// How the model says a write fails: a repeated unique key, printed as
@@ -172,10 +233,8 @@ fn repeated(row: &Row, others: &[Row], unique: &[usize]) -> Option<Refusal> {
 /// The model's insert: rows go in one at a time until one is refused.
 fn model_insert(model: &mut Vec<Row>, rows: &[Row], storage: Storage) -> Option<Refusal> {
     for row in rows {
-        if let Storage::Segmented = storage {
-            if row.iter().any(Option::is_none) {
-                return Some(Refusal::Refused);
-            }
+        if storage.segmented() && row[..storage.width()].iter().any(Option::is_none) {
+            return Some(Refusal::Refused);
         }
         if let Some(r) = repeated(row, model, &storage.unique_keys()) {
             return Some(r);
@@ -216,7 +275,7 @@ fn located(
     let mut locs = Vec::new();
     let mut rows = Vec::new();
     t.scan(pool, |loc, row| {
-        let row = [cell(&row[0]), cell(&row[1]), cell(&row[2])];
+        let row = [0, 1, 2, 3].map(|c| row.get(c).and_then(cell));
         if keep(&row) {
             locs.push(loc);
             rows.push(row);
@@ -239,15 +298,16 @@ fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
 }
 
 /// The table holds the model's rows, and every probe — along each index,
-/// the clustering or segment key, and a scan of `c` — finds the model's.
+/// the clustering or segment key, and a scan of the other columns — finds
+/// the model's; the segment key's in the model's order.
 fn check(pool: &mut BufferPool, t: &Table, model: &[Row], storage: Storage) {
     assert_eq!(t.len(), model.len() as u64, "{storage:?} len");
     let (_, rows) = located(pool, t, |_| true);
     assert_eq!(sorted(rows), sorted(model.to_vec()), "{storage:?} rows");
-    for c in 0..3 {
+    for c in 0..storage.width() {
         let path = t.probe_path(&[c]);
         for v in 0..DOMAIN {
-            let mut found = Chunk::with_width(3);
+            let mut found = Chunk::with_width(storage.width());
             let out = EqMatches {
                 rows: &mut found,
                 src: None,
@@ -255,15 +315,17 @@ fn check(pool: &mut BufferPool, t: &Table, model: &[Row], storage: Storage) {
             };
             t.probe_eq(pool, path, &[c], &[Value::Int(v)], &ColSet::all(), out)
                 .unwrap();
-            let got: Vec<Row> = (0..found.len())
-                .map(|r| [0, 1, 2].map(|c| cell(&found.get(c, r))))
-                .collect();
+            let got: Vec<Row> = (0..found.len()).map(|r| row_at(&found, r)).collect();
             let want: Vec<Row> = model.iter().filter(|r| r[c] == Some(v)).copied().collect();
-            assert_eq!(
-                sorted(got),
-                sorted(want),
-                "{storage:?} probe {path:?} of {c} = {v}"
-            );
+            if storage.segmented() && c == 0 {
+                assert_eq!(got, want, "{storage:?} probe {path:?} of {c} = {v}");
+            } else {
+                assert_eq!(
+                    sorted(got),
+                    sorted(want),
+                    "{storage:?} probe {path:?} of {c} = {v}"
+                );
+            }
         }
         check_batch_probe(pool, t, c, storage);
     }
@@ -274,7 +336,7 @@ fn check(pool: &mut BufferPool, t: &Table, model: &[Row], storage: Storage) {
 type Probed = (Vec<Vec<Value>>, Vec<u32>, Vec<RowLoc>);
 
 fn probe_batch(pool: &mut BufferPool, t: &Table, c: usize, keys: &[Value]) -> Probed {
-    let mut found = Chunk::with_width(3);
+    let mut found = Chunk::with_width(t.schema.columns.len());
     let mut src = Vec::new();
     let mut locs = BatchLocs::default();
     let out = EqMatches {
@@ -334,10 +396,13 @@ fn run(storage: Storage, ops: &[Op]) {
     let pool = &mut pool;
     let t = cat.table_mut("t").unwrap();
     check(pool, t, &model, storage);
+    let width = storage.width();
     for op in ops {
         match op {
             Op::Insert(rows) => {
-                let got = t.insert_chunk(pool, &chunk_of(rows), None);
+                let rows: Vec<Row> = rows.iter().map(|&r| storage.fit(r)).collect();
+                let rows = &rows;
+                let got = t.insert_chunk(pool, &chunk_of(rows, width), None);
                 let want = model_insert(&mut model, rows, storage);
                 match want {
                     None => assert_eq!(got.unwrap(), rows.len() as u64, "{op:?}"),
@@ -373,9 +438,10 @@ fn run(storage: Storage, ops: &[Op]) {
                 }
                 let vals = [Column::Generic(new.iter().map(|&v| value(v)).collect())];
                 let mode = t.update_mode(&[*col]);
-                let got = t.update_rows(pool, &batch(&locs), &[*col], &vals, &chunk_of(&old), mode);
+                let old = chunk_of(&old, width);
+                let got = t.update_rows(pool, &batch(&locs), &[*col], &vals, &old, mode);
                 let want = match storage {
-                    Storage::Segmented if !changes.is_empty() => Some(Refusal::Refused),
+                    _ if storage.segmented() && !changes.is_empty() => Some(Refusal::Refused),
                     _ => model_update(&mut model, &changes, storage),
                 };
                 match want {
@@ -386,9 +452,9 @@ fn run(storage: Storage, ops: &[Op]) {
             Op::Delete { col, key } => {
                 let hit = |r: &Row| r[*col] == Some(*key);
                 let (locs, rows) = located(pool, t, hit);
-                let got = t.delete_rows(pool, &batch(&locs), &chunk_of(&rows));
+                let got = t.delete_rows(pool, &batch(&locs), &chunk_of(&rows, width));
                 match storage {
-                    Storage::Segmented if !rows.is_empty() => {
+                    _ if storage.segmented() && !rows.is_empty() => {
                         assert_eq!(refusal(got.unwrap_err()), Refusal::Refused)
                     }
                     _ => {
@@ -407,8 +473,8 @@ fn arb_cell() -> impl Strategy<Value = Cell> {
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    let rows = prop::collection::vec((arb_cell(), arb_cell(), arb_cell()), 1..6)
-        .prop_map(|rows| rows.into_iter().map(|(a, b, c)| [a, b, c]).collect());
+    let rows = prop::collection::vec((arb_cell(), arb_cell(), arb_cell(), arb_cell()), 1..6)
+        .prop_map(|rows| rows.into_iter().map(|(a, b, c, d)| [a, b, c, d]).collect());
     prop_oneof![
         rows.prop_map(Op::Insert),
         (
@@ -457,5 +523,10 @@ proptest! {
     #[test]
     fn segmented_writes_match_the_model(ops in arb_ops()) {
         run(Storage::Segmented, &ops);
+    }
+
+    #[test]
+    fn four_column_segmented_writes_match_the_model(ops in arb_ops()) {
+        run(Storage::Segmented4, &ops);
     }
 }

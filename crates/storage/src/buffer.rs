@@ -28,9 +28,38 @@ use crate::error::{Result, StorageError};
 use crate::page::{Page, PageId, PAGE_SIZE};
 use crate::stats::IoStats;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 const NIL: usize = usize::MAX;
+
+/// The page table's hasher: one multiply-shift of the page number
+/// (Fibonacci hashing) instead of SipHash, which the table paid on every
+/// page access. Page ids are small, dense and chosen by the pool, never
+/// by an adversary; an odd multiplier keeps distinct low bits distinct
+/// and mixes the high bits the table's control bytes read.
+#[derive(Default, Clone, Copy)]
+struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// Frame index of every resident page.
+type PageTable = HashMap<PageId, usize, BuildHasherDefault<PageIdHasher>>;
 
 /// Probationary tier index.
 const PROB: usize = 0;
@@ -50,7 +79,7 @@ struct Frame {
 pub struct BufferPool {
     disk: Box<dyn DiskBackend>,
     frames: Vec<Frame>,
-    page_table: HashMap<PageId, usize>,
+    page_table: PageTable,
     /// Most-recently-used frame per tier (list heads).
     head: [usize; 2],
     /// Least-recently-used frame per tier (list tails).
@@ -71,7 +100,7 @@ impl BufferPool {
         BufferPool {
             disk,
             frames: Vec::new(),
-            page_table: HashMap::new(),
+            page_table: PageTable::default(),
             head: [NIL; 2],
             tail: [NIL; 2],
             protected: 0,

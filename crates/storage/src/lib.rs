@@ -50,9 +50,9 @@ pub use row::{
     encode_row_into, patch_fixed_cells, ColSet,
 };
 pub use segment::{
-    decode_edge_segment, decode_edge_segment_into_chunk, decode_edge_segment_with,
-    encode_edge_segment, segment_edge_count, SegmentCursor, SegmentWriter, SEG_MAX_BYTES,
-    SEG_MAX_EDGES,
+    decode_edge_segment, decode_edge_segment_with, decode_segment, decode_segment_into_chunk,
+    encode_edge_segment, encode_segment, segment_edge_count, PackedSegment, SegRow, SegmentCursor,
+    SegmentPacker, SegmentWriter, SEG_MAX_BYTES, SEG_MAX_EDGES,
 };
 pub use stats::IoStats;
 pub use value::{decode_key, encode_key, encode_key_into, DataType, Value};

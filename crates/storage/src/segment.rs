@@ -1,36 +1,59 @@
 //! Compressed adjacency segments: delta-encoded, varint-packed edge runs.
 //!
-//! A *segment* packs a sorted run of graph edges `(fid, tid, cost)` into a
-//! compact byte blob that lives as a single B+tree value. Edges are sorted
-//! by `(fid, tid, cost)` and encoded as zigzag-varint deltas:
+//! A *segment* packs a run of table rows into a compact byte blob that
+//! lives as a single B+tree value. A segmented table has one of two
+//! layouts, fixed by its schema's width: three INT columns `(fid, tid,
+//! cost)` (an edge table, `TEdges`) or four `(fid, tid, pid, cost)` (a
+//! SegTable, `TOutSegs`). Rows are encoded as zigzag varints:
 //!
 //! ```text
 //! [count: varint]
-//! per edge:
+//! per row:
 //!   [dfid:  zigzag varint]   fid  - prev_fid   (prev_fid starts at 0)
 //!   [dtid:  zigzag varint]   tid  - prev_tid   (prev_tid resets to 0
 //!                                               whenever fid changes)
+//!   [dpid:  zigzag varint]   pid  - fid        (4-column layout only)
 //!   [cost:  zigzag varint]   absolute cost (small weights ⇒ 1 byte)
 //! ```
 //!
-//! Because adjacency lists cluster consecutive node ids, the common edge
-//! costs 3 bytes instead of the 29 bytes of a tagged row — and decoding
-//! appends straight into a columnar [`Chunk`], so FEM
-//! expansion joins never materialize per-row `Vec<Value>`s (DESIGN.md §14).
+//! Rows come in non-decreasing `fid` order. An edge table's rows are
+//! sorted by `(fid, tid, cost)`; a SegTable keeps the order its rows are
+//! written in within a fid (the zigzag `dtid` takes a falling tid). Because
+//! adjacency lists cluster consecutive node ids, the common edge costs 3
+//! bytes instead of the 29 bytes of a tagged row, and a SegTable row with
+//! its predecessor near its source about 5 — and decoding appends straight
+//! into a columnar [`Chunk`], so FEM expansion joins never materialize
+//! per-row `Vec<Value>`s (DESIGN.md §14).
 //!
 //! Segments are sized to fit a B+tree leaf cell: at most [`SEG_MAX_EDGES`]
-//! edges and [`SEG_MAX_BYTES`] encoded bytes, whichever is hit first.
+//! rows and [`SEG_MAX_BYTES`] encoded bytes, whichever is hit first.
 
 use crate::chunk::Chunk;
 use crate::error::{Result, StorageError};
 
-/// Maximum edges per segment. Kept below a chunk's capacity so one decoded
+/// Maximum rows per segment. Kept below a chunk's capacity so one decoded
 /// segment always fits in the current batch.
 pub const SEG_MAX_EDGES: usize = 256;
 
 /// Maximum encoded bytes per segment. Leaves headroom under the B+tree's
 /// `MAX_CELL_PAYLOAD` (2036 bytes) for the segment's key.
 pub const SEG_MAX_BYTES: usize = 1400;
+
+/// One segment row, the table's columns in schema order: `[fid, tid,
+/// cost, 0]` in the 3-column layout, `[fid, tid, pid, cost]` in the
+/// 4-column one.
+pub type SegRow = [i64; 4];
+
+/// Checks that `width` names a segment layout: 3 or 4 columns.
+fn check_segment_width(width: usize) -> Result<()> {
+    if width == 3 || width == 4 {
+        Ok(())
+    } else {
+        Err(StorageError::Corrupt(format!(
+            "segments hold 3 or 4 columns, not {width}"
+        )))
+    }
+}
 
 #[inline]
 fn zigzag(v: i64) -> u64 {
@@ -81,77 +104,93 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     }
 }
 
+/// Calls `f` on each varint of `row`, delta-coded against the `(fid,
+/// tid)` of the row before it in its segment (`(0, 0)` for the first).
 #[inline]
-fn skip_varint(buf: &[u8], pos: &mut usize) -> Result<()> {
-    let len = buf[*pos..]
-        .iter()
-        .position(|&b| b & 0x80 == 0)
-        .ok_or_else(|| StorageError::Corrupt("truncated segment varint".into()))?;
-    *pos += len + 1;
-    Ok(())
+fn row_varints(prev: (i64, i64), row: &SegRow, width: usize, mut f: impl FnMut(u64)) {
+    let (prev_fid, prev_tid) = prev;
+    let base_tid = if row[0] != prev_fid { 0 } else { prev_tid };
+    f(zigzag(row[0].wrapping_sub(prev_fid)));
+    f(zigzag(row[1].wrapping_sub(base_tid)));
+    if width == 4 {
+        f(zigzag(row[2].wrapping_sub(row[0])));
+    }
+    f(zigzag(row[width - 1]));
 }
 
-/// Encodes a run of edges into one segment blob. The input need not be
-/// sorted — the encoder sorts a copy by `(fid, tid, cost)`; duplicates are
-/// preserved (multiset semantics).
-///
-/// Panics in debug builds if the run exceeds [`SEG_MAX_EDGES`]; use
-/// [`SegmentWriter`] to split an arbitrary stream into valid segments.
-pub fn encode_edge_segment(edges: &[(i64, i64, i64)]) -> Vec<u8> {
-    debug_assert!(edges.len() <= SEG_MAX_EDGES);
-    let mut sorted: Vec<(i64, i64, i64)> = edges.to_vec();
-    sorted.sort_unstable();
-    let mut out = Vec::with_capacity(2 + sorted.len() * 3);
-    put_varint(&mut out, sorted.len() as u64);
-    let mut prev_fid = 0i64;
-    let mut prev_tid = 0i64;
-    for &(fid, tid, cost) in &sorted {
-        put_varint(&mut out, zigzag(fid.wrapping_sub(prev_fid)));
-        if fid != prev_fid {
-            prev_tid = 0;
-        }
-        put_varint(&mut out, zigzag(tid.wrapping_sub(prev_tid)));
-        put_varint(&mut out, zigzag(cost));
-        prev_fid = fid;
-        prev_tid = tid;
+/// Exact encoded size of one row given the `(fid, tid)` of the row
+/// preceding it in the segment.
+#[inline]
+fn row_encoded_len(prev: (i64, i64), row: &SegRow, width: usize) -> usize {
+    let mut n = 0;
+    row_varints(prev, row, width, |v| n += varint_len(v));
+    n
+}
+
+/// Encodes `rows` of a `width`-column layout into one segment blob, in
+/// the order given.
+pub fn encode_segment(rows: &[SegRow], width: usize) -> Vec<u8> {
+    debug_assert!(rows.len() <= SEG_MAX_EDGES);
+    let mut out = Vec::with_capacity(2 + rows.len() * (width + 1));
+    put_varint(&mut out, rows.len() as u64);
+    let mut prev = (0, 0);
+    for row in rows {
+        row_varints(prev, row, width, |v| put_varint(&mut out, v));
+        prev = (row[0], row[1]);
     }
     out
 }
 
-/// Number of edges in an encoded segment without decoding the payload.
+/// Encodes a run of `(fid, tid, cost)` edges into one segment blob. The
+/// input need not be sorted — the encoder sorts a copy by `(fid, tid,
+/// cost)`; duplicates are preserved (multiset semantics).
+///
+/// Panics in debug builds if the run exceeds [`SEG_MAX_EDGES`]; use
+/// [`SegmentWriter`] to split an arbitrary stream into valid segments.
+pub fn encode_edge_segment(edges: &[(i64, i64, i64)]) -> Vec<u8> {
+    let mut rows: Vec<SegRow> = edges.iter().map(|&(f, t, c)| [f, t, c, 0]).collect();
+    rows.sort_unstable();
+    encode_segment(&rows, 3)
+}
+
+/// Number of rows in an encoded segment without decoding the payload.
 pub fn segment_edge_count(blob: &[u8]) -> Result<usize> {
     let mut pos = 0usize;
     Ok(get_varint(blob, &mut pos)? as usize)
 }
 
 /// A decode of one segment that goes only as far as its caller asks: the
-/// edges come one at a time, in order, so a probe can stop once they pass
+/// rows come one at a time, in order, so a probe can stop once they pass
 /// the fid it wants and resume (on the same blob) for a later fid.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SegmentCursor {
     pos: usize,
     left: usize,
+    width: usize,
     prev_fid: i64,
     prev_tid: i64,
 }
 
 impl SegmentCursor {
-    /// A cursor before the first edge of `blob`.
-    pub fn new(blob: &[u8]) -> Result<SegmentCursor> {
+    /// A cursor before the first row of `blob`, a segment of the
+    /// `width`-column layout.
+    pub fn new(blob: &[u8], width: usize) -> Result<SegmentCursor> {
+        check_segment_width(width)?;
         let mut pos = 0usize;
         let left = get_varint(blob, &mut pos)? as usize;
         Ok(SegmentCursor {
             pos,
             left,
+            width,
             prev_fid: 0,
             prev_tid: 0,
         })
     }
 
-    /// The next edge of `blob` (the blob the cursor was made on), or
+    /// The next row of `blob` (the blob the cursor was made on), or
     /// `None` past the last one, where the blob must end too.
     #[inline]
-    pub fn next_edge(&mut self, blob: &[u8]) -> Result<Option<(i64, i64, i64)>> {
+    pub fn next_row(&mut self, blob: &[u8]) -> Result<Option<SegRow>> {
         if self.left == 0 {
             if self.pos != blob.len() {
                 return Err(StorageError::Corrupt("trailing bytes after segment".into()));
@@ -168,16 +207,23 @@ impl SegmentCursor {
         let tid = self
             .prev_tid
             .wrapping_add(unzigzag(get_varint(blob, &mut self.pos)?));
-        let cost = unzigzag(get_varint(blob, &mut self.pos)?);
+        // The cost, or in the 4-column layout `pid − fid`.
+        let third = unzigzag(get_varint(blob, &mut self.pos)?);
+        let row = if self.width == 4 {
+            let cost = unzigzag(get_varint(blob, &mut self.pos)?);
+            [fid, tid, fid.wrapping_add(third), cost]
+        } else {
+            [fid, tid, third, 0]
+        };
         self.prev_fid = fid;
         self.prev_tid = tid;
-        Ok(Some((fid, tid, cost)))
+        Ok(Some(row))
     }
 
-    /// Moves past every edge whose fid is below `fid`, stopping before
-    /// the first at or past it. A skipped edge's tid and cost varints are
-    /// stepped over, not decoded: the next edge kept has another fid, so
-    /// its tid delta starts from 0 again.
+    /// Moves past every row whose fid is below `fid`, stopping before
+    /// the first at or past it. A skipped row's other varints are stepped
+    /// over, not decoded: the next row kept has another fid, so its tid
+    /// delta starts from 0 again.
     pub fn skip_below(&mut self, blob: &[u8], fid: i64) -> Result<()> {
         while self.left > 0 {
             let mut pos = self.pos;
@@ -187,8 +233,15 @@ impl SegmentCursor {
             if next >= fid {
                 return Ok(());
             }
-            skip_varint(blob, &mut pos)?;
-            skip_varint(blob, &mut pos)?;
+            // The row's other varints each end at a byte below 0x80.
+            let mut ends = 1;
+            while ends < self.width {
+                let b = *blob
+                    .get(pos)
+                    .ok_or_else(|| StorageError::Corrupt("truncated segment varint".into()))?;
+                pos += 1;
+                ends += usize::from(b < 0x80);
+            }
             self.pos = pos;
             self.left -= 1;
             self.prev_fid = next;
@@ -197,114 +250,128 @@ impl SegmentCursor {
     }
 }
 
-/// Decodes a segment, invoking `f(fid, tid, cost)` per edge in sorted
-/// order.
+/// Decodes a 3-column segment, invoking `f(fid, tid, cost)` per edge in
+/// stored order.
 pub fn decode_edge_segment_with(blob: &[u8], mut f: impl FnMut(i64, i64, i64)) -> Result<()> {
-    let mut cursor = SegmentCursor::new(blob)?;
-    while let Some((fid, tid, cost)) = cursor.next_edge(blob)? {
+    let mut cursor = SegmentCursor::new(blob, 3)?;
+    while let Some([fid, tid, cost, _]) = cursor.next_row(blob)? {
         f(fid, tid, cost);
     }
     Ok(())
 }
 
-/// Decodes a segment into a `Vec` of edges.
+/// Decodes a 3-column segment into a `Vec` of edges.
 pub fn decode_edge_segment(blob: &[u8]) -> Result<Vec<(i64, i64, i64)>> {
     let mut out = Vec::new();
     decode_edge_segment_with(blob, |f, t, c| out.push((f, t, c)))?;
     Ok(out)
 }
 
-/// Decodes a segment straight into a 3-column integer [`Chunk`]
-/// (`fid, tid, cost`), appending one committed row per edge. The chunk's
-/// width is fixed to 3 on first use.
-pub fn decode_edge_segment_into_chunk(blob: &[u8], chunk: &mut Chunk) -> Result<usize> {
-    if chunk.is_empty() && chunk.width() != 3 {
-        chunk.set_width(3);
+/// Decodes a segment of the `width`-column layout into a `Vec` of rows.
+pub fn decode_segment(blob: &[u8], width: usize) -> Result<Vec<SegRow>> {
+    let mut cursor = SegmentCursor::new(blob, width)?;
+    let mut out = Vec::new();
+    while let Some(row) = cursor.next_row(blob)? {
+        out.push(row);
     }
-    if chunk.width() != 3 {
-        return Err(StorageError::Corrupt(
-            "segment chunk must be 3 columns wide".into(),
-        ));
+    Ok(out)
+}
+
+/// Decodes a segment of the `width`-column layout straight into a
+/// `width`-column integer [`Chunk`], appending one committed row per
+/// segment row. The chunk's width is fixed on first use.
+pub fn decode_segment_into_chunk(blob: &[u8], width: usize, chunk: &mut Chunk) -> Result<usize> {
+    if chunk.is_empty() && chunk.width() != width {
+        chunk.set_width(width);
     }
+    if chunk.width() != width {
+        return Err(StorageError::Corrupt(format!(
+            "segment chunk must be {width} columns wide"
+        )));
+    }
+    let mut cursor = SegmentCursor::new(blob, width)?;
     let mut n = 0usize;
-    decode_edge_segment_with(blob, |fid, tid, cost| {
-        chunk.col_mut(0).push_int(fid);
-        chunk.col_mut(1).push_int(tid);
-        chunk.col_mut(2).push_int(cost);
+    while let Some(row) = cursor.next_row(blob)? {
+        for (c, &v) in row[..width].iter().enumerate() {
+            chunk.col_mut(c).push_int(v);
+        }
         chunk.commit_row();
         n += 1;
-    })?;
+    }
     Ok(n)
 }
 
-/// Splits a sorted edge stream into maximal valid segments.
+/// One segment a [`SegmentPacker`] closed: its blob and the `(first_fid,
+/// last_fid)` span it covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedSegment {
+    pub first_fid: i64,
+    pub last_fid: i64,
+    pub blob: Vec<u8>,
+}
+
+/// Splits a row stream into maximal valid segments, handing each back as
+/// it closes.
 ///
-/// Edges must be pushed in non-decreasing `(fid, tid, cost)` order; each
-/// completed segment is handed to the sink together with the `(first_fid,
-/// last_fid)` span it covers. Segments close when they reach
-/// [`SEG_MAX_EDGES`] edges or when appending another edge would push the
-/// encoded blob past [`SEG_MAX_BYTES`] — every emitted blob therefore fits
-/// both caps exactly.
-pub struct SegmentWriter<F: FnMut(i64, i64, Vec<u8>) -> Result<()>> {
-    buf: Vec<(i64, i64, i64)>,
-    /// Exact encoded size of the buffered edges (excluding the count
-    /// header), maintained incrementally as edges are pushed.
+/// Rows must be pushed in non-decreasing fid order — for the 3-column
+/// layout in non-decreasing `(fid, tid, cost)` order. Segments close when
+/// they reach [`SEG_MAX_EDGES`] rows or when appending another row would
+/// push the encoded blob past [`SEG_MAX_BYTES`] — every closed blob
+/// therefore fits both caps exactly.
+#[derive(Debug)]
+pub struct SegmentPacker {
+    width: usize,
+    buf: Vec<SegRow>,
+    /// Exact encoded size of the buffered rows (excluding the count
+    /// header), maintained incrementally as rows are pushed.
     payload_bytes: usize,
-    sink: F,
 }
 
-/// Exact encoded size of one edge given the `(fid, tid)` of the edge
-/// preceding it in the segment (`None` for the segment's first edge). The
-/// writer's sorted-input contract makes this match [`encode_edge_segment`]
-/// byte for byte.
-#[inline]
-fn edge_encoded_len(prev: Option<(i64, i64)>, fid: i64, tid: i64, cost: i64) -> usize {
-    let (prev_fid, prev_tid) = prev.unwrap_or((0, 0));
-    let base_tid = if fid != prev_fid { 0 } else { prev_tid };
-    varint_len(zigzag(fid.wrapping_sub(prev_fid)))
-        + varint_len(zigzag(tid.wrapping_sub(base_tid)))
-        + varint_len(zigzag(cost))
-}
-
-impl<F: FnMut(i64, i64, Vec<u8>) -> Result<()>> SegmentWriter<F> {
-    /// A writer feeding completed segments to `sink(first_fid, last_fid,
-    /// blob)`.
-    pub fn new(sink: F) -> Self {
-        SegmentWriter {
+impl SegmentPacker {
+    /// A packer for the `width`-column layout.
+    pub fn new(width: usize) -> Result<SegmentPacker> {
+        check_segment_width(width)?;
+        Ok(SegmentPacker {
+            width,
             buf: Vec::with_capacity(SEG_MAX_EDGES),
             payload_bytes: 0,
-            sink,
-        }
+        })
     }
 
-    /// Appends one edge; may flush a completed segment to the sink.
-    pub fn push(&mut self, fid: i64, tid: i64, cost: i64) -> Result<()> {
+    /// Appends one row; returns the segment the push closed, if any (at
+    /// most one: the one before the row, when the row would overflow its
+    /// bytes, or the one the row fills).
+    pub fn push(&mut self, row: SegRow) -> Option<PackedSegment> {
         debug_assert!(
-            self.buf.last().is_none_or(|&last| last <= (fid, tid, cost)),
-            "SegmentWriter input must be sorted"
+            self.buf.last().is_none_or(|last| if self.width == 3 {
+                *last <= row
+            } else {
+                last[0] <= row[0]
+            }),
+            "SegmentPacker input must be in order"
         );
-        let prev = self.buf.last().map(|&(f, t, _)| (f, t));
-        let mut add = edge_encoded_len(prev, fid, tid, cost);
+        let prev = self.buf.last().map_or((0, 0), |last| (last[0], last[1]));
+        let mut add = row_encoded_len(prev, &row, self.width);
         let header = varint_len((self.buf.len() + 1) as u64);
+        let mut closed = None;
         if !self.buf.is_empty() && header + self.payload_bytes + add > SEG_MAX_BYTES {
-            self.flush()?;
-            add = edge_encoded_len(None, fid, tid, cost);
+            closed = self.finish();
+            add = row_encoded_len((0, 0), &row, self.width);
         }
-        self.buf.push((fid, tid, cost));
+        self.buf.push(row);
         self.payload_bytes += add;
         if self.buf.len() >= SEG_MAX_EDGES {
-            self.flush()?;
+            debug_assert!(closed.is_none());
+            closed = self.finish();
         }
-        Ok(())
+        closed
     }
 
-    /// Flushes any buffered edges as a final (possibly short) segment.
-    pub fn flush(&mut self) -> Result<()> {
-        let (Some(&(first_fid, ..)), Some(&(last_fid, ..))) = (self.buf.first(), self.buf.last())
-        else {
-            return Ok(());
-        };
-        let blob = encode_edge_segment(&self.buf);
+    /// Closes the buffered rows as a final (possibly short) segment;
+    /// `None` when none are buffered.
+    pub fn finish(&mut self) -> Option<PackedSegment> {
+        let (first, last) = (self.buf.first()?[0], self.buf.last()?[0]);
+        let blob = encode_segment(&self.buf, self.width);
         debug_assert_eq!(
             blob.len(),
             varint_len(self.buf.len() as u64) + self.payload_bytes,
@@ -312,7 +379,56 @@ impl<F: FnMut(i64, i64, Vec<u8>) -> Result<()>> SegmentWriter<F> {
         );
         self.buf.clear();
         self.payload_bytes = 0;
-        (self.sink)(first_fid, last_fid, blob)
+        Some(PackedSegment {
+            first_fid: first,
+            last_fid: last,
+            blob,
+        })
+    }
+}
+
+/// A [`SegmentPacker`] for `(fid, tid, cost)` edges that feeds each
+/// segment it closes to a sink.
+///
+/// Edges must be pushed in non-decreasing `(fid, tid, cost)` order; each
+/// completed segment is handed to the sink together with the `(first_fid,
+/// last_fid)` span it covers.
+pub struct SegmentWriter<F: FnMut(i64, i64, Vec<u8>) -> Result<()>> {
+    packer: SegmentPacker,
+    sink: F,
+}
+
+impl<F: FnMut(i64, i64, Vec<u8>) -> Result<()>> SegmentWriter<F> {
+    /// A writer feeding completed segments to `sink(first_fid, last_fid,
+    /// blob)`.
+    pub fn new(sink: F) -> Self {
+        SegmentWriter {
+            packer: SegmentPacker {
+                width: 3,
+                buf: Vec::with_capacity(SEG_MAX_EDGES),
+                payload_bytes: 0,
+            },
+            sink,
+        }
+    }
+
+    fn emit(&mut self, seg: Option<PackedSegment>) -> Result<()> {
+        match seg {
+            Some(s) => (self.sink)(s.first_fid, s.last_fid, s.blob),
+            None => Ok(()),
+        }
+    }
+
+    /// Appends one edge; may flush a completed segment to the sink.
+    pub fn push(&mut self, fid: i64, tid: i64, cost: i64) -> Result<()> {
+        let seg = self.packer.push([fid, tid, cost, 0]);
+        self.emit(seg)
+    }
+
+    /// Flushes any buffered edges as a final (possibly short) segment.
+    pub fn flush(&mut self) -> Result<()> {
+        let seg = self.packer.finish();
+        self.emit(seg)
     }
 }
 
@@ -394,7 +510,7 @@ mod tests {
         let edges: Vec<(i64, i64, i64)> = (0..40).map(|i| (i % 5, i * 3, i)).collect();
         let blob = encode_edge_segment(&edges);
         let mut chunk = Chunk::with_width(3);
-        let n = decode_edge_segment_into_chunk(&blob, &mut chunk).unwrap();
+        let n = decode_segment_into_chunk(&blob, 3, &mut chunk).unwrap();
         assert_eq!(n, edges.len());
         let via_vec = decode_edge_segment(&blob).unwrap();
         assert_eq!(chunk.len(), via_vec.len());
@@ -409,33 +525,33 @@ mod tests {
     fn cursor_stops_early_and_resumes() {
         let edges: Vec<(i64, i64, i64)> = (0..30).map(|i| (i / 4, i * 7 % 11, i)).collect();
         let blob = encode_edge_segment(&edges);
-        let mut cursor = SegmentCursor::new(&blob).unwrap();
+        let mut cursor = SegmentCursor::new(&blob, 3).unwrap();
         let mut got = Vec::new();
         for _ in 0..10 {
-            got.push(cursor.next_edge(&blob).unwrap().unwrap());
+            got.push(cursor.next_row(&blob).unwrap().unwrap());
         }
         // A copy picks up exactly where the original stopped.
         let mut rest = cursor;
-        while let Some(e) = rest.next_edge(&blob).unwrap() {
+        while let Some(e) = rest.next_row(&blob).unwrap() {
             got.push(e);
         }
-        assert_eq!(got, decode_edge_segment(&blob).unwrap());
-        assert_eq!(rest.next_edge(&blob).unwrap(), None);
+        assert_eq!(got, decode_segment(&blob, 3).unwrap());
+        assert_eq!(rest.next_row(&blob).unwrap(), None);
     }
 
     #[test]
     fn skip_below_lands_on_the_first_edge_of_the_fid() {
         let edges: Vec<(i64, i64, i64)> = (0..60).map(|i| (i / 5 * 2, 1000 - i * 3, i)).collect();
         let blob = encode_edge_segment(&edges);
-        let sorted = decode_edge_segment(&blob).unwrap();
+        let sorted = decode_segment(&blob, 3).unwrap();
         for fid in -1..26 {
-            let mut cursor = SegmentCursor::new(&blob).unwrap();
+            let mut cursor = SegmentCursor::new(&blob, 3).unwrap();
             cursor.skip_below(&blob, fid).unwrap();
             let mut rest = Vec::new();
-            while let Some(e) = cursor.next_edge(&blob).unwrap() {
+            while let Some(e) = cursor.next_row(&blob).unwrap() {
                 rest.push(e);
             }
-            let want: Vec<_> = sorted.iter().filter(|e| e.0 >= fid).copied().collect();
+            let want: Vec<_> = sorted.iter().filter(|e| e[0] >= fid).copied().collect();
             assert_eq!(rest, want, "fid {fid}");
         }
     }
@@ -476,5 +592,73 @@ mod tests {
             decoded.extend(part);
         }
         assert_eq!(decoded, edges);
+    }
+
+    /// Rows of the 4-column layout: fids ascending, tids falling and
+    /// repeating within a fid, pids on both sides of the fid.
+    fn path_rows(n: i64) -> Vec<SegRow> {
+        (0..n)
+            .map(|i| {
+                [
+                    i / 6 * 3,
+                    500 - i % 6 * 40,
+                    i / 6 * 3 + (i % 5) * 1000 - 2000,
+                    i % 9,
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn four_column_rows_roundtrip_in_written_order() {
+        let rows = path_rows(120);
+        let blob = encode_segment(&rows, 4);
+        assert_eq!(decode_segment(&blob, 4).unwrap(), rows);
+        let mut chunk = Chunk::new();
+        assert_eq!(
+            decode_segment_into_chunk(&blob, 4, &mut chunk).unwrap(),
+            rows.len()
+        );
+        for (r, row) in rows.iter().enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                assert_eq!(chunk.get(c, r).as_i64(), Some(v));
+            }
+        }
+    }
+
+    #[test]
+    fn four_column_skip_below_steps_over_pids() {
+        let rows = path_rows(90);
+        let blob = encode_segment(&rows, 4);
+        for fid in -1..50 {
+            let mut cursor = SegmentCursor::new(&blob, 4).unwrap();
+            cursor.skip_below(&blob, fid).unwrap();
+            let mut rest = Vec::new();
+            while let Some(r) = cursor.next_row(&blob).unwrap() {
+                rest.push(r);
+            }
+            let want: Vec<_> = rows.iter().filter(|r| r[0] >= fid).copied().collect();
+            assert_eq!(rest, want, "fid {fid}");
+        }
+    }
+
+    #[test]
+    fn packer_keeps_four_column_order_and_caps() {
+        let rows = path_rows(2000);
+        let mut packer = SegmentPacker::new(4).unwrap();
+        let mut segs: Vec<PackedSegment> = rows.iter().filter_map(|&r| packer.push(r)).collect();
+        segs.extend(packer.finish());
+        let mut decoded = Vec::new();
+        for s in &segs {
+            let part = decode_segment(&s.blob, 4).unwrap();
+            assert_eq!(
+                (part[0][0], part[part.len() - 1][0]),
+                (s.first_fid, s.last_fid)
+            );
+            assert!(s.blob.len() <= SEG_MAX_BYTES && part.len() <= SEG_MAX_EDGES);
+            decoded.extend(part);
+        }
+        assert_eq!(decoded, rows);
+        assert!(SegmentPacker::new(5).is_err());
     }
 }

@@ -2,8 +2,11 @@
 //! encode/decode round-trips over arbitrary edge multisets — duplicates,
 //! weight extremes, single-edge and empty segments — plus the
 //! [`SegmentWriter`] splitting invariants (size caps, global order, and
-//! lossless reassembly) — and a batch probe of a segmented table across
-//! a fid whose edges straddle segments and leaves.
+//! lossless reassembly) — a batch probe of a segmented table across a fid
+//! whose edges straddle segments and leaves, and the 4-column SegTable
+//! layout `(fid, tid, pid, cost)`: rows in written order within a fid
+//! (tids falling as well as rising), pids far from their fid on either
+//! side, and a fid whose rows straddle segments.
 //!
 //! Run with `PROPTEST_CASES=512` (the CI setting) for the heavyweight
 //! sweep; the local default keeps `cargo test` fast.
@@ -12,8 +15,9 @@ use fempath::sql::ast::ColumnDef;
 use fempath::sql::catalog::{EqMatches, ProbePath, TableStorage};
 use fempath::sql::Catalog;
 use fempath::storage::{
-    decode_edge_segment, decode_edge_segment_into_chunk, encode_edge_segment, segment_edge_count,
-    BufferPool, Chunk, ColSet, DataType, SegmentWriter, Value, SEG_MAX_BYTES, SEG_MAX_EDGES,
+    decode_edge_segment, decode_segment, decode_segment_into_chunk, encode_edge_segment,
+    encode_segment, segment_edge_count, BufferPool, Chunk, ColSet, DataType, SegRow, SegmentPacker,
+    SegmentWriter, Value, SEG_MAX_BYTES, SEG_MAX_EDGES,
 };
 use proptest::prelude::*;
 use std::ops::Bound;
@@ -76,7 +80,7 @@ proptest! {
         let rows = decode_edge_segment(&blob).unwrap();
         let mut chunk = Chunk::new();
         chunk.set_width(3);
-        let n = decode_edge_segment_into_chunk(&blob, &mut chunk).unwrap();
+        let n = decode_segment_into_chunk(&blob, 3, &mut chunk).unwrap();
         prop_assert_eq!(n, rows.len());
         prop_assert_eq!(chunk.len(), rows.len());
         for (r, &(f, t, c)) in rows.iter().enumerate() {
@@ -219,6 +223,120 @@ proptest! {
             want_rows.extend(one);
         }
         prop_assert_eq!(rows, want_rows);
+        prop_assert_eq!(src, want_src);
+    }
+}
+
+/// 4-column SegTable rows `[fid, tid, pid, cost]` in non-decreasing fid
+/// order, each fid's rows in generated order — so tids fall as well as
+/// rise — with pids near their fid, far below or above it, or at the
+/// extremes, and a hub fid of `hub` rows that no one segment holds.
+fn arb_path_rows(max_len: usize, hub: usize) -> impl Strategy<Value = Vec<SegRow>> {
+    let row = (
+        0i64..30,
+        prop_oneof![0i64..40, any::<i64>()],
+        prop_oneof![
+            -3i64..3,
+            -1_000_000_000i64..1_000_000_000,
+            Just(i64::MIN),
+            Just(i64::MAX)
+        ],
+        prop_oneof![1i64..100, any::<i64>()],
+    );
+    prop::collection::vec(row, 0..=max_len).prop_map(move |rows| {
+        let mut rows: Vec<SegRow> = rows
+            .into_iter()
+            .map(|(fid, tid, dpid, cost)| [fid, tid, fid.wrapping_add(dpid), cost])
+            .collect();
+        rows.extend((0..hub as i64).map(|i| [17, 500 - i * 3 % 997, 17 - i, i % 9]));
+        rows.sort_by_key(|r| r[0]);
+        rows
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+    /// encode → decode of the 4-column layout is the identity, order
+    /// included.
+    #[test]
+    fn four_column_roundtrip(rows in arb_path_rows(SEG_MAX_EDGES, 0)) {
+        let blob = encode_segment(&rows, 4);
+        prop_assert_eq!(segment_edge_count(&blob).unwrap(), rows.len());
+        prop_assert_eq!(decode_segment(&blob, 4).unwrap(), rows);
+    }
+
+    /// The packer splits a 4-column stream whose hub fid straddles
+    /// segments into blobs within the caps whose spans partition the
+    /// stream and whose rows reassemble it in order.
+    #[test]
+    fn four_column_packer_reassembles(rows in arb_path_rows(2 * SEG_MAX_EDGES, SEG_MAX_EDGES + 40)) {
+        let mut packer = SegmentPacker::new(4).unwrap();
+        let mut segs: Vec<_> = rows.iter().filter_map(|&r| packer.push(r)).collect();
+        segs.extend(packer.finish());
+        let hub_segments = segs.iter().filter(|s| s.first_fid <= 17 && 17 <= s.last_fid).count();
+        prop_assert!(hub_segments >= 2, "{} hub segments", hub_segments);
+        let mut reassembled = Vec::new();
+        for seg in &segs {
+            let part = decode_segment(&seg.blob, 4).unwrap();
+            prop_assert!(!part.is_empty() && part.len() <= SEG_MAX_EDGES);
+            prop_assert!(seg.blob.len() <= SEG_MAX_BYTES, "blob {} bytes", seg.blob.len());
+            prop_assert_eq!((part[0][0], part[part.len() - 1][0]), (seg.first_fid, seg.last_fid));
+            reassembled.extend(part);
+        }
+        prop_assert_eq!(reassembled, rows);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// A 4-column segmented table loaded through `Table::segment_load`
+    /// scans back its rows in written order, and a shuffled batch probe
+    /// of its fids answers each key with that fid's rows in written
+    /// order, the hub's across its segments.
+    #[test]
+    fn four_column_table_keeps_written_order(
+        rows in arb_path_rows(3 * SEG_MAX_EDGES, 2 * SEG_MAX_EDGES),
+        probes in prop::collection::vec(-1i64..32, 1..40),
+    ) {
+        let mut pool = BufferPool::in_memory(64);
+        let mut cat = Catalog::new();
+        let cols = ["fid", "tid", "pid", "cost"]
+            .iter()
+            .map(|n| ColumnDef { name: (*n).into(), dtype: DataType::Int })
+            .collect();
+        cat.create_segmented_table(&mut pool, "TSeg", cols).unwrap();
+        let mut load = cat.table("TSeg").unwrap().segment_load(&mut pool).unwrap();
+        for &row in &rows {
+            load.push(&mut pool, row).unwrap();
+        }
+        let t = cat.table_mut("TSeg").unwrap();
+        prop_assert_eq!(t.finish_segment_load(&mut pool, load).unwrap(), rows.len() as u64);
+        let t = cat.table("TSeg").unwrap();
+        let as_values = |r: &SegRow| r.map(Value::Int).to_vec();
+        let mut scanned = Vec::new();
+        t.scan(&mut pool, |_, row| {
+            scanned.push(row);
+            true
+        })
+        .unwrap();
+        prop_assert_eq!(scanned, rows.iter().map(as_values).collect::<Vec<_>>());
+
+        let keys: Vec<Value> = probes.iter().copied().chain([17]).map(Value::Int).collect();
+        let mut chunk = Chunk::new();
+        let mut src = Vec::new();
+        let out = EqMatches { rows: &mut chunk, src: Some(&mut src), locs: None };
+        t.probe_eq(&mut pool, ProbePath::Segments, &[0], &keys, &ColSet::all(), out)
+            .unwrap();
+        let (mut want, mut want_src) = (Vec::new(), Vec::new());
+        for (k, key) in keys.iter().enumerate() {
+            for r in rows.iter().filter(|r| Value::Int(r[0]) == *key) {
+                want.push(as_values(r));
+                want_src.push(k as u32);
+            }
+        }
+        prop_assert_eq!((0..chunk.len()).map(|r| chunk.row(r)).collect::<Vec<_>>(), want);
         prop_assert_eq!(src, want_src);
     }
 }

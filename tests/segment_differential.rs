@@ -1,11 +1,12 @@
 //! Differential test for the segment-compressed storage tier (DESIGN.md §14):
-//! every finder must return exactly the same answers whether `TEdges` is
-//! stored as heap/clustered rows or as delta-compressed adjacency segments —
-//! across both SQL dialects — and both must match in-memory Dijkstra.
+//! every finder must return exactly the same answers whether `TEdges` (and
+//! with it the SegTable, `TOutSegs`) is stored as heap/clustered rows or as
+//! delta-compressed segments — across both SQL dialects — and both must
+//! match in-memory Dijkstra.
 
 use fempath::core::{
-    BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, DjFinder, GraphDb, GraphDbOptions,
-    ShortestPathFinder,
+    BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, DjFinder, GraphDb,
+    GraphDbOptions, ShortestPathFinder,
 };
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
@@ -71,6 +72,41 @@ fn finders_identical_on_segmented_and_row_storage() {
                      (same plans, same tie-breaking)"
                 );
             }
+        }
+    }
+}
+
+/// BSEG over a SegTable built on each tier — SQL step 2 into a clustered
+/// `TOutSegs` on the row tier, one streamed pass into 4-column segments on
+/// the segmented tier — walks identical paths, at Dijkstra's distance,
+/// with identical work counts, in both dialects.
+#[test]
+fn bseg_identical_on_segmented_and_row_segtables() {
+    let g = generate::power_law(220, 3, 1..=40, 31);
+    let pairs = query_pairs(220, 10);
+    for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
+        let mut rows = build(&g, dialect, false);
+        let mut segs = build(&g, dialect, true);
+        let a = rows.build_segtable(30).unwrap();
+        let b = segs.build_segtable(30).unwrap();
+        assert_eq!(a.segments, b.segments, "{dialect:?}: SegTable rows");
+        assert!(segs.db.catalog().table("TOutSegs").unwrap().is_segmented());
+        let f = BsegFinder::default();
+        for &(s, t) in &pairs {
+            let ctx = format!("BSEG {s}->{t} ({dialect:?})");
+            let oracle = dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64);
+            let a = f.find_path(&mut rows, s, t).unwrap();
+            let b = f.find_path(&mut segs, s, t).unwrap();
+            assert_eq!(a.path.as_ref().map(|p| p.length), oracle, "{ctx}: rows");
+            assert_eq!(b.path.as_ref().map(|p| p.length), oracle, "{ctx}: segments");
+            assert_eq!(
+                a.path.as_ref().map(|p| &p.nodes),
+                b.path.as_ref().map(|p| &p.nodes),
+                "{ctx}: both SegTables must walk identical paths"
+            );
+            let work =
+                |s: &fempath::core::QueryStats| (s.expansions, s.visited_nodes, s.sql_statements);
+            assert_eq!(work(&a.stats), work(&b.stats), "{ctx}: work counts");
         }
     }
 }
