@@ -259,11 +259,6 @@ impl<T> StealQueues<T> {
         self.wake.notify_all();
     }
 
-    /// True until [`StealQueues::close`].
-    pub fn is_open(&self) -> bool {
-        self.open.load(Ordering::SeqCst)
-    }
-
     /// Counter snapshot for worker `i`'s queue.
     pub fn queue_stats(&self, i: usize) -> WorkerQueueStats {
         let slot = &self.slots[i];

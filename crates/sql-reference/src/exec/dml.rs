@@ -16,13 +16,13 @@
 //! (target, source) pair on the combined row, in source order, and the
 //! first source row to match a target row wins.
 
-use super::eval::{
-    bind_expr, binds_in, eval, is_row_independent, split_conjuncts, truthy, BExpr, ExecCtx, Schema,
-};
+use super::eval::{bind_expr, eval, BExpr, ExecCtx};
 use super::from::{bind_all, holds_all, materialize_ref};
-use crate::ast::{BinaryOp, Delete, Expr, Insert, InsertSource, Merge, Update};
-use crate::catalog::{BatchLocs, Catalog, RowLoc, Table};
-use crate::error::{Result, SqlError};
+use fempath_sql::ast::{BinaryOp, Delete, Expr, Insert, InsertSource, Merge, Update};
+use fempath_sql::catalog::{BatchLocs, Catalog, RowLoc, Table};
+use fempath_sql::plan::scope::{binds_in, is_row_independent, split_conjuncts, Schema};
+use fempath_sql::plan::value::truthy;
+use fempath_sql::{Result, SqlError};
 use fempath_storage::{BufferPool, Chunk, Column, Value};
 use std::collections::HashSet;
 

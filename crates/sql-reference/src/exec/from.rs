@@ -1,10 +1,12 @@
 //! FROM + WHERE, evaluated naively: every item is materialized whole and
 //! the items are joined left to right by nested loop.
 
-use super::eval::{bind_expr, binds_in, eval, split_conjuncts, truthy, BExpr, ExecCtx, Schema};
+use super::eval::{bind_expr, eval, BExpr, ExecCtx};
 use super::Relation;
-use crate::ast::{Expr, TableRef};
-use crate::error::{Result, SqlError};
+use fempath_sql::ast::{Expr, TableRef};
+use fempath_sql::plan::scope::{binds_in, split_conjuncts, Schema};
+use fempath_sql::plan::value::truthy;
+use fempath_sql::{Result, SqlError};
 use fempath_storage::Value;
 
 /// Builds the rows of a FROM list filtered by `filter`. Each WHERE conjunct

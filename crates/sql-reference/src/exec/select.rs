@@ -1,72 +1,14 @@
 //! The SELECT pipeline: FROM/WHERE → GROUP BY | window → HAVING → ORDER BY
 //! → projection → DISTINCT → TOP/LIMIT.
 
-use super::eval::{bind_expr, eval, truthy, BExpr, ExecCtx, HashKey, Schema, SchemaCol};
+use super::eval::{bind_expr, eval, BExpr, ExecCtx};
 use super::Relation;
-use crate::ast::{Expr, Select, SelectItem};
-use crate::error::{Result, SqlError};
+use fempath_sql::ast::{Expr, Select};
+use fempath_sql::plan::scope::{expand_items, Schema, SchemaCol};
+use fempath_sql::plan::value::{truthy, HashKey};
+use fempath_sql::Result;
+use fempath_storage::Value;
 use std::collections::HashSet;
-
-/// A projection item after wildcard expansion.
-#[derive(Debug, Clone)]
-pub struct OutItem {
-    pub name: String,
-    pub expr: Expr,
-}
-
-/// Expands `*` / `t.*` and derives output column names.
-pub(crate) fn expand_items(sel: &Select, schema: &Schema) -> Result<Vec<OutItem>> {
-    let mut out = Vec::new();
-    for item in &sel.items {
-        match item {
-            SelectItem::Wildcard => {
-                if schema.cols.is_empty() {
-                    return Err(SqlError::Bind("SELECT * with no FROM clause".into()));
-                }
-                for c in &schema.cols {
-                    out.push(OutItem {
-                        name: c.name.clone(),
-                        expr: Expr::Column {
-                            table: c.binding.clone(),
-                            name: c.name.clone(),
-                        },
-                    });
-                }
-            }
-            SelectItem::QualifiedWildcard(t) => {
-                let tl = t.to_ascii_lowercase();
-                let mut any = false;
-                for c in &schema.cols {
-                    if c.binding.as_deref() == Some(tl.as_str()) {
-                        any = true;
-                        out.push(OutItem {
-                            name: c.name.clone(),
-                            expr: Expr::Column {
-                                table: c.binding.clone(),
-                                name: c.name.clone(),
-                            },
-                        });
-                    }
-                }
-                if !any {
-                    return Err(SqlError::Bind(format!("unknown table {t} in {t}.*")));
-                }
-            }
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| match expr {
-                    Expr::Column { name, .. } => name.clone(),
-                    Expr::Aggregate { func, .. } => func.name().to_ascii_lowercase(),
-                    _ => format!("col{}", out.len() + 1),
-                });
-                out.push(OutItem {
-                    name,
-                    expr: expr.clone(),
-                });
-            }
-        }
-    }
-    Ok(out)
-}
 
 /// Executes a SELECT, returning a relation whose schema carries the output
 /// column names (bindings cleared).
@@ -121,8 +63,7 @@ pub fn execute_select(ctx: &mut ExecCtx<'_>, sel: &Select) -> Result<Relation> {
             };
             key_exprs.push((bind_expr(ctx, &rel.schema, &target)?, k.asc));
         }
-        let mut keyed: Vec<(Vec<fempath_storage::Value>, Vec<fempath_storage::Value>)> =
-            Vec::with_capacity(rel.rows.len());
+        let mut keyed: Vec<(Vec<Value>, Vec<Value>)> = Vec::with_capacity(rel.rows.len());
         for row in rel.rows {
             let mut keys = Vec::with_capacity(key_exprs.len());
             for (e, _) in &key_exprs {

@@ -32,8 +32,8 @@ use crate::ast::{
 use crate::catalog::Catalog;
 use crate::dialect::Dialect;
 use crate::error::Result;
-use crate::exec::eval::split_conjuncts;
 use crate::parser;
+use crate::plan::scope::split_conjuncts;
 use select::{analyze_select, refine_and_check, resolve_source};
 use typeck::{infer, storable, TSchema};
 

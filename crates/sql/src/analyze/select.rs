@@ -7,8 +7,7 @@
 use super::typeck::{infer, strict_cols, ColTy, TSchema};
 use super::{Ctx, Rule};
 use crate::ast::{Expr, Select, TableRef};
-use crate::exec::eval::split_conjuncts;
-use crate::exec::select::expand_items;
+use crate::plan::scope::{expand_items, split_conjuncts};
 use std::collections::HashSet;
 
 /// Analyzes a SELECT, returning the typed schema of its output columns.

@@ -1,19 +1,19 @@
 //! Expression type inference and nullability analysis for `femcheck`.
 //!
-//! The lattice mirrors the interpreter exactly (`exec::eval`): values are
-//! Int, Float, Text or NULL; `?` parameters and unresolvable references
-//! type as `Any` (top) so one unknown does not cascade. Nullability is
-//! inferred from the catalog (every column is nullable — the engine has no
-//! NOT NULL constraint) and then *refined* by null-rejecting WHERE
-//! conjuncts: a row with `x` NULL cannot survive a strict predicate on
-//! `x`, so downstream expressions may treat `x` as non-null. This is what
-//! lets `SELECT nid FROM T WHERE nid IS NOT NULL` feed a `NOT IN` without
-//! tripping rule FC101.
+//! The lattice mirrors the executors' value semantics (`plan::value`):
+//! values are Int, Float, Text or NULL; `?` parameters and unresolvable
+//! references type as `Any` (top) so one unknown does not cascade.
+//! Nullability is inferred from the catalog (every column is nullable —
+//! the engine has no NOT NULL constraint) and then *refined* by
+//! null-rejecting WHERE conjuncts: a row with `x` NULL cannot survive a
+//! strict predicate on `x`, so downstream expressions may treat `x` as
+//! non-null. This is what lets `SELECT nid FROM T WHERE nid IS NOT NULL`
+//! feed a `NOT IN` without tripping rule FC101.
 
 use super::{Ctx, Rule};
 use crate::ast::{AggFunc, BinaryOp, Expr, UnaryOp};
 use crate::catalog::Table;
-use crate::exec::eval::{Schema, SchemaCol};
+use crate::plan::scope::{Schema, SchemaCol};
 use fempath_storage::{DataType, Value};
 use std::collections::HashSet;
 

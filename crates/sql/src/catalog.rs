@@ -1450,7 +1450,7 @@ impl Table {
     /// value per listed column (`cols`) or per table column; a row of
     /// another arity is refused as [`Table::insert_source`] would refuse a
     /// chunk of its width.
-    pub(crate) fn source_chunk(
+    pub fn source_chunk(
         &self,
         rows: impl IntoIterator<Item = Vec<Value>>,
         cols: Option<&[usize]>,
@@ -1470,7 +1470,7 @@ impl Table {
     /// `source` lands in column `cols[i]` (column `i` when no columns are
     /// listed), unlisted columns are NULL — coerced to the declared types:
     /// what [`Table::insert_chunk`] takes, for both executors.
-    pub(crate) fn insert_source(&self, source: Chunk, cols: Option<&[usize]>) -> Result<Chunk> {
+    pub fn insert_source(&self, source: Chunk, cols: Option<&[usize]>) -> Result<Chunk> {
         let placed = match cols {
             Some(cols) if source.width() != cols.len() => {
                 return Err(self.arity_err(Some(cols), source.width()))
@@ -1492,7 +1492,7 @@ impl Table {
 
     /// Coerces every column of `chunk` to the schema's declared types,
     /// erroring on a width or type mismatch.
-    pub(crate) fn coerce_chunk(&self, chunk: Chunk) -> Result<Chunk> {
+    pub fn coerce_chunk(&self, chunk: Chunk) -> Result<Chunk> {
         if chunk.width() != self.schema.columns.len() {
             return Err(self.arity_err(None, chunk.width()));
         }
@@ -1510,7 +1510,7 @@ impl Table {
     /// Float), erroring on any other mismatch. An integer column feeding
     /// an INT schema column passes through untouched (the FEM steady
     /// state).
-    pub(crate) fn coerce_column(&self, c: usize, col: Column) -> Result<Column> {
+    pub fn coerce_column(&self, c: usize, col: Column) -> Result<Column> {
         let spec = &self.schema.columns[c];
         if let (DataType::Int, Column::Int { .. }) = (spec.dtype, &col) {
             return Ok(col);

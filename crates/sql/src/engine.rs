@@ -18,8 +18,6 @@ use crate::ast::Stmt;
 use crate::catalog::{Catalog, SegmentLoad};
 use crate::dialect::Dialect;
 use crate::error::{Result, SqlError};
-use crate::exec::eval::ExecCtx;
-use crate::exec::{dml, select};
 use crate::parser::parse_statement;
 use crate::plan::{self, PlanKind, PreparedPlan};
 use fempath_storage::{BufferPool, IoStats, SnapshotPages, Value};
@@ -377,11 +375,6 @@ impl Database {
         self.dialect
     }
 
-    /// Changes the dialect in place.
-    pub fn set_dialect(&mut self, dialect: Dialect) {
-        self.dialect = dialect;
-    }
-
     /// Executes a statement without parameters.
     pub fn execute(&mut self, sql: &str) -> Result<ExecOutcome> {
         self.execute_params(sql, &[])
@@ -395,45 +388,6 @@ impl Database {
     pub fn execute_params(&mut self, sql: &str, params: &[Value]) -> Result<ExecOutcome> {
         let plan = self.prepare_plan(sql)?;
         self.exec_plan(&plan, params)
-    }
-
-    /// Parses a statement and executes it through the AST **interpreter**
-    /// — no physical plan, no plan cache. Nothing that is served takes
-    /// this door; it is the independent reference the differential tests
-    /// compare the planned executor against.
-    pub fn execute_unplanned(&mut self, sql: &str, params: &[Value]) -> Result<ExecOutcome> {
-        let stmt = parse_statement(sql)?;
-        self.statements_executed += 1;
-        if let Stmt::Merge(_) = stmt {
-            self.require_merge()?;
-        }
-        let no_rows = |n: u64| ExecOutcome {
-            rows_affected: n,
-            rows: None,
-        };
-        let (pool, catalog) = (&mut self.pool, &mut self.catalog);
-        match &stmt {
-            Stmt::Select(sel) => {
-                let mut ctx = ExecCtx {
-                    pool,
-                    catalog,
-                    params,
-                };
-                let rel = select::execute_select(&mut ctx, sel)?;
-                Ok(ExecOutcome {
-                    rows_affected: 0,
-                    rows: Some(ResultSet {
-                        columns: rel.schema.cols.iter().map(|c| c.name.clone()).collect(),
-                        rows: rel.rows,
-                    }),
-                })
-            }
-            Stmt::Insert(ins) => Ok(no_rows(dml::execute_insert(pool, catalog, params, ins)?)),
-            Stmt::Update(upd) => Ok(no_rows(dml::execute_update(pool, catalog, params, upd)?)),
-            Stmt::Delete(del) => Ok(no_rows(dml::execute_delete(pool, catalog, params, del)?)),
-            Stmt::Merge(m) => Ok(no_rows(dml::execute_merge(pool, catalog, params, m)?)),
-            _ => self.run_ddl(&stmt, params),
-        }
     }
 
     /// Compiles a statement into a reusable [`PreparedStmt`] handle.
@@ -808,12 +762,6 @@ impl Database {
         self.pool.num_disk_pages()
     }
 
-    /// Flushes dirty pages and drops the cache, forcing cold reads — used
-    /// to measure cold-start behaviour.
-    pub fn clear_buffer_cache(&mut self) -> Result<()> {
-        Ok(self.pool.clear_cache()?)
-    }
-
     /// Flushes dirty pages to the backend.
     pub fn flush(&mut self) -> Result<()> {
         Ok(self.pool.flush_all()?)
@@ -822,6 +770,14 @@ impl Database {
     /// Direct catalog access (diagnostics, the SQL shell example).
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    /// Lends the buffer pool and the catalog together, for an executor
+    /// that lives outside this crate — the reference interpreter the
+    /// differential tests compare the planned path against. What runs
+    /// on them bypasses the plan cache and the statement counter.
+    pub fn pool_and_catalog_mut(&mut self) -> (&mut BufferPool, &mut Catalog) {
+        (&mut self.pool, &mut self.catalog)
     }
 
     /// Statically analyzes `sql` against the current catalog under the

@@ -20,6 +20,13 @@
 //!   version), and a vectorized batch-at-a-time executor (see [`plan`]);
 //! * two [`Dialect`]s mirroring the paper's DBMS-x and PostgreSQL 9.0.
 //!
+//! Every statement runs on the planned executor. Its tests check it
+//! against a naive AST interpreter kept in a crate of its own,
+//! `fempath-sql-reference`, which depends on this one and which only this
+//! crate's tests use. What the two executors share — name scopes, value
+//! semantics, the aggregate and window kernels — lives under [`plan`],
+//! and the write-phase coercion on [`Table`].
+//!
 //! ```
 //! use fempath_sql::Database;
 //! use fempath_storage::Value;
@@ -42,7 +49,6 @@ pub mod catalog;
 pub mod dialect;
 pub mod engine;
 pub mod error;
-pub mod exec;
 pub mod lexer;
 pub mod parser;
 pub mod plan;

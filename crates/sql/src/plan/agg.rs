@@ -1,19 +1,15 @@
-//! GROUP BY / aggregate execution.
-//!
-//! The input relation is folded into one row per group: group-key columns
-//! first, aggregate results after. Projection/HAVING expressions are then
-//! rewritten to reference those slots through the synthetic `#agg` binding.
+//! Aggregation kernels: the running state of one aggregate over one
+//! group, and the rewrite that turns projection/HAVING/ORDER BY
+//! expressions into references to the grouped row. A grouped row holds
+//! the group-key columns first (`#agg.g{i}`) and the aggregate results
+//! after (`#agg.a{j}`).
 
-use super::eval::{bind_expr, eval, BExpr, ExecCtx, HashKey, Schema, SchemaCol};
-use super::select::OutItem;
-use super::Relation;
-use crate::ast::{AggFunc, Expr, Select};
+use crate::ast::{AggFunc, Expr};
 use crate::error::{Result, SqlError};
 use fempath_storage::Value;
-use std::collections::HashMap;
 
 /// Running state of one aggregate over one group.
-pub(crate) enum AggState {
+pub enum AggState {
     Count(i64),
     SumInt {
         acc: i64,
@@ -30,7 +26,8 @@ pub(crate) enum AggState {
 }
 
 impl AggState {
-    pub(crate) fn new(func: AggFunc) -> AggState {
+    /// The empty state of `func`.
+    pub fn new(func: AggFunc) -> AggState {
         match func {
             AggFunc::Count => AggState::Count(0),
             AggFunc::Sum => AggState::SumInt {
@@ -46,7 +43,7 @@ impl AggState {
     }
 
     /// Feeds one input value. `None` means `COUNT(*)` (count the row).
-    pub(crate) fn update(&mut self, v: Option<Value>) -> Result<()> {
+    pub fn update(&mut self, v: Option<Value>) -> Result<()> {
         match self {
             AggState::Count(n) => {
                 match v {
@@ -146,7 +143,9 @@ impl AggState {
         }
     }
 
-    pub(crate) fn finish(self) -> Value {
+    /// The aggregate's result: NULL for SUM/MIN/MAX/AVG over no
+    /// non-NULL input, 0 for COUNT.
+    pub fn finish(self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(n),
             AggState::SumInt {
@@ -176,7 +175,7 @@ impl AggState {
 }
 
 /// Collects the distinct aggregate calls appearing in an expression.
-pub(crate) fn collect_aggs(expr: &Expr, out: &mut Vec<(AggFunc, Option<Expr>)>) {
+pub fn collect_aggs(expr: &Expr, out: &mut Vec<(AggFunc, Option<Expr>)>) {
     match expr {
         Expr::Aggregate { func, arg } => {
             let spec = (*func, arg.as_deref().cloned());
@@ -196,11 +195,7 @@ pub(crate) fn collect_aggs(expr: &Expr, out: &mut Vec<(AggFunc, Option<Expr>)>) 
 
 /// Rewrites an expression over the post-aggregation schema: group
 /// expressions become `#agg.g{i}`, aggregate calls become `#agg.a{j}`.
-pub(crate) fn rewrite(
-    expr: &Expr,
-    group_by: &[Expr],
-    aggs: &[(AggFunc, Option<Expr>)],
-) -> Result<Expr> {
+pub fn rewrite(expr: &Expr, group_by: &[Expr], aggs: &[(AggFunc, Option<Expr>)]) -> Result<Expr> {
     if let Some(i) = group_by.iter().position(|g| g == expr) {
         return Ok(Expr::Column {
             table: Some("#agg".into()),
@@ -239,163 +234,4 @@ pub(crate) fn rewrite(
         },
         other => other.clone(),
     })
-}
-
-/// Output of [`run_group_by`]: the grouped relation plus the rewritten
-/// projection items, HAVING clause and ORDER BY keys, all of which now
-/// reference the grouped schema.
-pub type GroupByOutput = (
-    Relation,
-    Vec<OutItem>,
-    Option<Expr>,
-    Vec<crate::ast::OrderKey>,
-);
-
-/// Runs grouping + aggregation.
-pub fn run_group_by(
-    ctx: &mut ExecCtx<'_>,
-    rel: Relation,
-    sel: &Select,
-    items: Vec<OutItem>,
-    having: Option<Expr>,
-    order_by: Vec<crate::ast::OrderKey>,
-) -> Result<GroupByOutput> {
-    // Window functions may not be mixed with aggregation in this engine.
-    if items.iter().any(|i| i.expr.contains_window()) {
-        return Err(SqlError::Bind(
-            "window functions cannot be combined with GROUP BY/aggregates".into(),
-        ));
-    }
-
-    let group_bexprs: Vec<BExpr> = sel
-        .group_by
-        .iter()
-        .map(|g| bind_expr(ctx, &rel.schema, g))
-        .collect::<Result<_>>()?;
-
-    let mut agg_specs: Vec<(AggFunc, Option<Expr>)> = Vec::new();
-    for item in &items {
-        collect_aggs(&item.expr, &mut agg_specs);
-    }
-    if let Some(h) = &having {
-        collect_aggs(h, &mut agg_specs);
-    }
-    for k in &order_by {
-        collect_aggs(&k.expr, &mut agg_specs);
-    }
-    let agg_args: Vec<Option<BExpr>> = agg_specs
-        .iter()
-        .map(|(_, arg)| {
-            arg.as_ref()
-                .map(|a| bind_expr(ctx, &rel.schema, a))
-                .transpose()
-        })
-        .collect::<Result<_>>()?;
-
-    // Group rows (insertion-ordered for deterministic output). The common
-    // single-integer group key (e.g. the batched-FEM per-qid statistics)
-    // hashes the integer directly instead of allocating an encoded key.
-    let mut order: Vec<HashKey> = Vec::new();
-    let mut groups: HashMap<HashKey, (Vec<Value>, Vec<AggState>)> = HashMap::new();
-    for row in &rel.rows {
-        let mut key_vals = Vec::with_capacity(group_bexprs.len());
-        for g in &group_bexprs {
-            key_vals.push(eval(g, row)?);
-        }
-        let key = HashKey::from_values(&key_vals);
-        let entry = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            (
-                key_vals,
-                agg_specs.iter().map(|(f, _)| AggState::new(*f)).collect(),
-            )
-        });
-        for (state, arg) in entry.1.iter_mut().zip(&agg_args) {
-            let v = match arg {
-                Some(a) => Some(eval(a, row)?),
-                None => None,
-            };
-            state.update(v)?;
-        }
-    }
-    // Scalar aggregate over an empty input still yields one row.
-    if groups.is_empty() && sel.group_by.is_empty() {
-        let key = HashKey::Bytes(Vec::new());
-        order.push(key.clone());
-        groups.insert(
-            key,
-            (
-                Vec::new(),
-                agg_specs.iter().map(|(f, _)| AggState::new(*f)).collect(),
-            ),
-        );
-    }
-
-    // Output relation under the synthetic `#agg` binding.
-    let mut cols = Vec::new();
-    for i in 0..group_bexprs.len() {
-        cols.push(SchemaCol {
-            binding: Some("#agg".into()),
-            name: format!("g{i}"),
-        });
-    }
-    for j in 0..agg_specs.len() {
-        cols.push(SchemaCol {
-            binding: Some("#agg".into()),
-            name: format!("a{j}"),
-        });
-    }
-    let mut rows = Vec::with_capacity(order.len());
-    for key in order {
-        let (mut key_vals, states) = groups.remove(&key).ok_or_else(|| {
-            SqlError::Eval("group key vanished between collection and output".into())
-        })?;
-        for s in states {
-            key_vals.push(s.finish());
-        }
-        rows.push(key_vals);
-    }
-
-    let new_items = items
-        .into_iter()
-        .map(|i| {
-            Ok(OutItem {
-                name: i.name,
-                expr: rewrite(&i.expr, &sel.group_by, &agg_specs)?,
-            })
-        })
-        .collect::<Result<Vec<_>>>()?;
-    let new_having = having
-        .map(|h| rewrite(&h, &sel.group_by, &agg_specs))
-        .transpose()?;
-    // ORDER BY keys that reference output aliases stay as-is (resolved
-    // against the items later); everything else goes through the rewrite.
-    let new_order: Vec<crate::ast::OrderKey> = order_by
-        .into_iter()
-        .map(|k| {
-            let is_alias_ref = matches!(
-                &k.expr,
-                Expr::Column { table: None, name }
-                    if new_items.iter().any(|i| i.name.eq_ignore_ascii_case(name))
-            );
-            if is_alias_ref {
-                Ok(k)
-            } else {
-                Ok(crate::ast::OrderKey {
-                    expr: rewrite(&k.expr, &sel.group_by, &agg_specs)?,
-                    asc: k.asc,
-                })
-            }
-        })
-        .collect::<Result<_>>()?;
-
-    Ok((
-        Relation {
-            schema: Schema { cols },
-            rows,
-        },
-        new_items,
-        new_having,
-        new_order,
-    ))
 }

@@ -6,11 +6,16 @@
 //! with fixed column offsets. Equalities are found by
 //! `find_const_equalities` / `find_join_pairs` and served on the
 //! prefix [`Table::longest_prefix`] picks; each index access records the
-//! [`ProbePath`] that serves it, which the executor follows. The AST
-//! interpreter (`crate::exec`) makes none of these decisions — it scans
-//! and nested-loops — so the differential tests check them against an
-//! independent answer.
+//! [`ProbePath`] that serves it, which the executor follows. The reference
+//! interpreter (the `fempath-sql-reference` crate) makes none of these
+//! decisions — it scans and nested-loops — so the differential tests
+//! check them against an independent answer.
 
+use super::agg::{collect_aggs, rewrite as agg_rewrite};
+use super::scope::{
+    binds_in, expand_items, is_row_independent, split_conjuncts, OutItem, Schema, SchemaCol,
+};
+use super::window::{collect_windows, rewrite as win_rewrite, WinSpec};
 use super::{
     mark_pexpr_cols, AggPlan, DeletePlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan,
     JoinPlan, MergePlan, PExpr, PlanKind, ProbePlan, ReadCols, RightPlan, SelectPlan, SourcePlan,
@@ -22,10 +27,6 @@ use crate::ast::{
 };
 use crate::catalog::{Catalog, ProbePath, Table, UpdateMode};
 use crate::error::{Result, SqlError};
-use crate::exec::agg::{collect_aggs, rewrite as agg_rewrite};
-use crate::exec::eval::{binds_in, is_row_independent, split_conjuncts, Schema, SchemaCol};
-use crate::exec::select::{expand_items, OutItem};
-use crate::exec::window::{collect_windows, rewrite as win_rewrite, WinSpec};
 use fempath_storage::DataType;
 
 /// Plans one statement against the current catalog.
@@ -242,7 +243,8 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
         residual,
     };
 
-    // Post-pipeline stages, in the order `exec::select::execute_select` runs them.
+    // Post-pipeline stages, in SQL's order: GROUP BY | window → HAVING →
+    // ORDER BY → projection → DISTINCT → TOP/LIMIT.
     let mut items: Vec<OutItem> = expand_items(sel, &schema)?;
     let needs_agg = !sel.group_by.is_empty()
         || items.iter().any(|i| i.expr.contains_aggregate())

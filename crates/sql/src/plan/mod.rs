@@ -27,13 +27,17 @@
 //! bumps the version and stale plans are transparently rebuilt (see
 //! DESIGN.md §9).
 
+pub mod agg;
 pub(crate) mod build;
+pub mod scope;
+pub mod value;
 pub(crate) mod vexec;
+pub mod window;
 
 use crate::ast::{AggFunc, BinaryOp, Stmt, UnaryOp, WindowFunc};
 use crate::catalog::{ProbePath, TableSchema, UpdateMode};
-use crate::exec::eval::Schema;
 use fempath_storage::{ColSet, Value};
+use scope::{Schema, SchemaCol};
 use std::sync::Arc;
 
 /// A fully planned statement, stamped with the catalog version it was
@@ -280,7 +284,7 @@ impl SelectPlan {
             cols: self
                 .out_names
                 .iter()
-                .map(|n| crate::exec::eval::SchemaCol {
+                .map(|n| SchemaCol {
                     binding: b.clone(),
                     name: n.clone(),
                 })

@@ -34,6 +34,8 @@
 //! a `TOP n` cap can surface), and the runaway-cross-join safety valve
 //! truncates at batch rather than row granularity.
 
+use super::agg::AggState;
+use super::value::{arith, in_list_result, truthy, HashKey};
 use super::{
     AggPlan, FromPlan, InputPlan, InsertPlan, InsertSourcePlan, JoinPlan, MergePlan, PExpr,
     ProbePlan, RightPlan, SelectPlan, SourcePlan, SubPlan, TargetPlan, UpdateKind, UpdatePlan,
@@ -42,8 +44,6 @@ use super::{
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::catalog::{BatchLocs, Catalog, EqMatches, Table, UpdateMode};
 use crate::error::{Result, SqlError};
-use crate::exec::agg::AggState;
-use crate::exec::eval::{arith, in_list_result, truthy, HashKey};
 use crate::pool::{recycle, take, Pooled, Recycle, POOL_CAP};
 use fempath_storage::{
     BufferPool, Chunk, ColSet, Column, DataType, NullMask, Value, CHUNK_CAPACITY,
@@ -66,7 +66,7 @@ enum SubResult {
     Scalar(Value),
     /// Sorted, deduplicated, NULL-free list + "the subquery produced a
     /// NULL" flag (three-valued `[NOT] IN`, see
-    /// [`crate::exec::eval::in_list_result`]).
+    /// [`super::value::in_list_result`]).
     List(Rc<Vec<Value>>, bool),
     Exists(bool),
 }
@@ -1399,7 +1399,7 @@ fn int_vals(c: &Column) -> &[i64] {
 /// empty column `out`. All-integer keys — both FEM E-operator shapes —
 /// sort an index permutation over the typed vectors with no per-row
 /// allocation; anything else goes through the shared
-/// [`crate::exec::window::window_values`] engine.
+/// [`super::window::window_values`] engine.
 fn window_column(keys: &Chunk, np: usize, w: &WindowPlan, out: &mut Column) {
     let n = keys.len();
     let cols = keys.columns();
@@ -1474,7 +1474,7 @@ fn window_column(keys: &Chunk, np: usize, w: &WindowPlan, out: &mut Column) {
         })
         .collect();
     let dirs: Vec<bool> = w.order.iter().map(|(_, asc)| *asc).collect();
-    for v in crate::exec::window::window_values(keyed, &dirs, w.func) {
+    for v in super::window::window_values(keyed, &dirs, w.func) {
         out.push(v);
     }
 }

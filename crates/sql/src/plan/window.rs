@@ -1,26 +1,29 @@
-//! Window-function execution (`ROW_NUMBER`, `RANK` over partitions).
+//! Window-function kernels (`ROW_NUMBER`, `RANK` over partitions).
 //!
 //! This is the SQL:2003 feature the paper leans on (§2.2/§3.3): one window
 //! pass replaces the aggregate-plus-self-join of the traditional
 //! formulation, keeping non-aggregate columns (the parent `p2s`) available
-//! next to the per-partition minimum.
+//! next to the per-partition minimum. A window call is rewritten into a
+//! reference to its computed column (`#win.w{i}`), and
+//! [`window_values`] numbers the rows.
 
-use super::eval::{bind_expr, eval, BExpr, ExecCtx, SchemaCol};
-use super::select::OutItem;
-use super::Relation;
 use crate::ast::{Expr, WindowFunc};
 use crate::error::{Result, SqlError};
 use fempath_storage::Value;
 
 /// One distinct window specification found in the projection.
 #[derive(PartialEq, Clone, Debug)]
-pub(crate) struct WinSpec {
-    pub(crate) func: WindowFunc,
-    pub(crate) partition_by: Vec<Expr>,
-    pub(crate) order_by: Vec<crate::ast::OrderKey>,
+pub struct WinSpec {
+    /// The numbering function.
+    pub func: WindowFunc,
+    /// `PARTITION BY` expressions.
+    pub partition_by: Vec<Expr>,
+    /// `ORDER BY` keys within a partition.
+    pub order_by: Vec<crate::ast::OrderKey>,
 }
 
-pub(crate) fn collect_windows(expr: &Expr, out: &mut Vec<WinSpec>) {
+/// Collects the distinct window calls appearing in an expression.
+pub fn collect_windows(expr: &Expr, out: &mut Vec<WinSpec>) {
     match expr {
         Expr::Window {
             func,
@@ -46,7 +49,9 @@ pub(crate) fn collect_windows(expr: &Expr, out: &mut Vec<WinSpec>) {
     }
 }
 
-pub(crate) fn rewrite(expr: &Expr, specs: &[WinSpec]) -> Result<Expr> {
+/// Rewrites every window call in `expr` into a reference to its column,
+/// `#win.w{i}` for the `i`-th of `specs`.
+pub fn rewrite(expr: &Expr, specs: &[WinSpec]) -> Result<Expr> {
     Ok(match expr {
         Expr::Window {
             func,
@@ -85,11 +90,11 @@ pub(crate) fn rewrite(expr: &Expr, specs: &[WinSpec]) -> Result<Expr> {
 
 /// Computes one window function's per-row values from pre-evaluated
 /// `(partition values, order values, original row index)` triples.
-/// Shared by the interpreter and the physical-plan executor so the two
-/// paths cannot drift: partitions compare value-wise with a type tag
+/// Shared by the vectorized executor and the reference interpreter so
+/// the two cannot drift: partitions compare value-wise with a type tag
 /// before the value (Int(1) and Float(1.0) stay distinct, matching
 /// GROUP BY), `dirs` gives each order key's direction.
-pub(crate) fn window_values(
+pub fn window_values(
     mut keyed: Vec<(Vec<Value>, Vec<Value>, usize)>,
     dirs: &[bool],
     func: WindowFunc,
@@ -155,67 +160,4 @@ pub(crate) fn window_values(
         });
     }
     values
-}
-
-/// Computes every window column, appends them to the relation under the
-/// `#win` binding, and rewrites the projection items to reference them.
-pub fn run_windows(
-    ctx: &mut ExecCtx<'_>,
-    mut rel: Relation,
-    items: Vec<OutItem>,
-) -> Result<(Relation, Vec<OutItem>)> {
-    let mut specs = Vec::new();
-    for item in &items {
-        collect_windows(&item.expr, &mut specs);
-    }
-
-    let n = rel.rows.len();
-    for (si, spec) in specs.iter().enumerate() {
-        let part: Vec<BExpr> = spec
-            .partition_by
-            .iter()
-            .map(|e| bind_expr(ctx, &rel.schema, e))
-            .collect::<Result<_>>()?;
-        let order: Vec<(BExpr, bool)> = spec
-            .order_by
-            .iter()
-            .map(|k| Ok((bind_expr(ctx, &rel.schema, &k.expr)?, k.asc)))
-            .collect::<Result<_>>()?;
-
-        // (partition values, order values, original index), computed here;
-        // the sorting/numbering itself is shared with the plan executor.
-        let mut keyed: Vec<(Vec<Value>, Vec<Value>, usize)> = Vec::with_capacity(n);
-        for (i, row) in rel.rows.iter().enumerate() {
-            let mut pvals = Vec::with_capacity(part.len());
-            for p in &part {
-                pvals.push(eval(p, row)?);
-            }
-            let mut ovals = Vec::with_capacity(order.len());
-            for (o, _) in &order {
-                ovals.push(eval(o, row)?);
-            }
-            keyed.push((pvals, ovals, i));
-        }
-        let dirs: Vec<bool> = order.iter().map(|(_, asc)| *asc).collect();
-        let values = window_values(keyed, &dirs, spec.func);
-
-        rel.schema.cols.push(SchemaCol {
-            binding: Some("#win".into()),
-            name: format!("w{si}"),
-        });
-        for (row, v) in rel.rows.iter_mut().zip(values) {
-            row.push(v);
-        }
-    }
-
-    let new_items = items
-        .into_iter()
-        .map(|i| {
-            Ok(OutItem {
-                name: i.name,
-                expr: rewrite(&i.expr, &specs)?,
-            })
-        })
-        .collect::<Result<_>>()?;
-    Ok((rel, new_items))
 }

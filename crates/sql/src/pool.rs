@@ -15,7 +15,7 @@
 //! lifetime.
 
 use crate::catalog::BatchLocs;
-use crate::exec::agg::AggState;
+use crate::plan::agg::AggState;
 use fempath_storage::{Chunk, KeyArena, RecordId, Value, CHUNK_CAPACITY};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};

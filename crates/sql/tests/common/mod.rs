@@ -1,6 +1,6 @@
 //! The comparison rule the differential harnesses share.
 //!
-//! The reference (`Database::execute_unplanned`) reads every table in
+//! The reference (`fempath_sql_reference::execute_unplanned`) reads every table in
 //! scan order, while the planned executor reads an index lookup in key
 //! order. So results compare the way SQL defines them: in order when the
 //! statement is a SELECT with ORDER BY or TOP/LIMIT, as multisets

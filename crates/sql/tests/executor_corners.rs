@@ -5,6 +5,7 @@
 mod common;
 
 use fempath_sql::{Database, SqlError};
+use fempath_sql_reference::execute_unplanned;
 use fempath_storage::Value;
 
 fn db() -> Database {
@@ -491,8 +492,7 @@ fn both_paths_both_dialects(setup: &dyn Fn(&mut Database), sql: &str) -> Vec<Vec
             .rows
             .map(|r| r.rows)
             .unwrap_or_default();
-        let b = interp
-            .execute_unplanned(sql, &[])
+        let b = execute_unplanned(&mut interp, sql, &[])
             .unwrap()
             .rows
             .map(|r| r.rows)
@@ -596,8 +596,7 @@ fn parity(setup: &dyn Fn(&mut Database), sql: &str) -> Result<Vec<Vec<Value>>, S
     let a = planned
         .execute_params(sql, &[])
         .map(|o| o.rows.map(|r| r.rows).unwrap_or_default());
-    let b = interp
-        .execute_unplanned(sql, &[])
+    let b = execute_unplanned(&mut interp, sql, &[])
         .map(|o| o.rows.map(|r| r.rows).unwrap_or_default());
     match (a, b) {
         (Ok(x), Ok(y)) => {

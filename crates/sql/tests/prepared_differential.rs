@@ -16,12 +16,13 @@
 mod common;
 
 use fempath_sql::{Database, Dialect, ExecOutcome, Result};
+use fempath_sql_reference::execute_unplanned;
 use fempath_storage::Value;
 
 /// Runs one statement through both paths and asserts identical outcomes.
 fn step(prepared: &mut Database, interp: &mut Database, sql: &str, params: &[Value]) {
     let v = prepared.execute_params(sql, params);
-    let i = interp.execute_unplanned(sql, params);
+    let i = execute_unplanned(interp, sql, params);
     assert_same(sql, &v, &i);
 }
 
@@ -41,7 +42,13 @@ fn assert_same(sql: &str, a: &Result<ExecOutcome>, b: &Result<ExecOutcome>) {
                 _ => panic!("result-set presence diverged for: {sql}"),
             }
         }
-        (Err(_), Err(_)) => {} // both error — same observable behaviour
+        // Both refuse: for the same reason, e.g. MERGE under a dialect
+        // without it is `UnsupportedByDialect` on both paths.
+        (Err(x), Err(y)) => assert_eq!(
+            std::mem::discriminant(x),
+            std::mem::discriminant(y),
+            "error kinds diverged for: {sql} ({x} vs {y})"
+        ),
         (Ok(_), Err(e)) => panic!("first path succeeded, second failed ({e}) for: {sql}"),
         (Err(e), Ok(_)) => panic!("first path failed ({e}), second succeeded for: {sql}"),
     }

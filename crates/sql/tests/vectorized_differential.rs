@@ -8,6 +8,7 @@
 mod common;
 
 use fempath_sql::{Database, Dialect, ExecOutcome, Result};
+use fempath_sql_reference::execute_unplanned;
 use fempath_storage::Value;
 use proptest::prelude::*;
 
@@ -43,7 +44,7 @@ impl Pair {
 
     fn step_params(&mut self, sql: &str, params: &[Value]) -> bool {
         let v = self.vec_db.execute_params(sql, params);
-        let i = self.interp.execute_unplanned(sql, params);
+        let i = execute_unplanned(&mut self.interp, sql, params);
         assert_same(sql, &v, &i);
         v.is_ok()
     }
@@ -64,7 +65,11 @@ fn assert_same(sql: &str, a: &Result<ExecOutcome>, b: &Result<ExecOutcome>) {
                 _ => panic!("result-set presence diverged for: {sql}"),
             }
         }
-        (Err(_), Err(_)) => {}
+        (Err(x), Err(y)) => assert_eq!(
+            std::mem::discriminant(x),
+            std::mem::discriminant(y),
+            "error kinds diverged for: {sql} ({x} vs {y})"
+        ),
         (Ok(_), Err(e)) => panic!("interpreter failed ({e}) for: {sql}"),
         (Err(e), Ok(_)) => panic!("vectorized executor failed ({e}) for: {sql}"),
     }
@@ -735,7 +740,7 @@ fn oversized_update_fails_without_losing_rows() {
     let sql = "UPDATE t SET tag = ? WHERE k > 0";
     let err = pair.vec_db.execute_params(sql, &wide).unwrap_err();
     assert!(err.to_string().contains("exceeds maximum"), "{err}");
-    assert!(pair.interp.execute_unplanned(sql, &wide).is_err());
+    assert!(execute_unplanned(&mut pair.interp, sql, &wide).is_err());
     // Where the statement stopped differs (the interpreter writes row by
     // row, the batch checks every size first); what must hold on both
     // sides is that every row is still there and still indexed.

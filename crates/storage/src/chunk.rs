@@ -630,12 +630,6 @@ impl Chunk {
         }
     }
 
-    /// Appends one extra column (must match the row count).
-    pub fn push_column(&mut self, col: Column) {
-        debug_assert_eq!(col.len(), self.len);
-        self.cols.push(col);
-    }
-
     /// Replaces column `i` (must match the row count, or be absent).
     pub fn set_column(&mut self, i: usize, col: Column) {
         debug_assert!(col.len() == self.len || col.is_empty());

@@ -1,7 +1,7 @@
 //! femcheck layer 2 — the workspace *source* auditor (DESIGN.md §15).
 //!
 //! Where the SQL analyzer (`fempath_sql::analyze`) checks the statements
-//! the engine generates, this crate checks the engine's own source. Nine
+//! the engine generates, this crate checks the engine's own source. Eight
 //! plain-text, line-level rules, no dependencies, no proc macros:
 //!
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
@@ -18,29 +18,25 @@
 //!    allowlist also fails. The ratchet only goes down.
 //! 4. **no-debug-macros** — `todo!(` and `dbg!(` appear nowhere, tests
 //!    included.
-//! 5. **interpreter-reference-only** — library code outside
-//!    `crates/sql/src/engine.rs` must not call the AST interpreter's one
-//!    entry point (`Database::execute_unplanned`): everything that is
-//!    served runs on the planned executor, and the interpreter is the
-//!    reference that tests compare it against.
-//! 6. **no-env-knobs** — the library crates (`core`, `sql`, `storage`,
+//! 5. **no-env-knobs** — the library crates (`core`, `sql`, `storage`,
 //!    `graph`, `inmem`) never read an environment variable: behaviour is
 //!    chosen by arguments and by what the code can observe in its input,
 //!    so there is one configuration to test and to benchmark.
-//! 7. **reference-stays-naive** — no line under `crates/sql/src/exec/`
+//! 6. **reference-stays-naive** — no line under `crates/sql-reference/src/`
 //!    (the interpreter) names the planner's access-path choice
 //!    (`Table::longest_prefix`, `Table::probe_path`, `ProbePath`) or the
-//!    equality probe (`Table::probe_eq`): the reference scans and nested-loops,
-//!    so a wrong access-path decision cannot show up on both sides of a
-//!    differential test.
-//! 8. **one-em-decision** — under `crates/core/src/`, only `graphdb.rs`
+//!    equality probe (`Table::probe_eq`): the reference scans and
+//!    nested-loops, so a wrong access-path decision cannot show up on both
+//!    sides of a differential test. That the interpreter serves nothing
+//!    needs no rule: it is a crate that only `fempath-sql`'s tests link.
+//! 7. **one-em-decision** — under `crates/core/src/`, only `graphdb.rs`
 //!    reads the dialect's MERGE support (`supports_merge`), in
 //!    `GraphDb::em_mode`, and a `MERGE INTO` statement is spelled only by
 //!    the two generators that decision gates (`sqlgen.rs`, `segtable.rs`):
 //!    every search takes its E/M statements from that one decision
 //!    (`EmMode::choose`), so no search can spell its expansion
 //!    differently from the others.
-//! 9. **executor-follows-the-plan** — the vectorized executor
+//! 8. **executor-follows-the-plan** — the vectorized executor
 //!    (`crates/sql/src/plan/vexec.rs`) names no `ProbePath::` or
 //!    `TableStorage::` variant, in code or comments: it hands the path the
 //!    plan recorded to the one probe (`Table::probe_eq`) and lets the
@@ -105,7 +101,6 @@ struct Needles {
     todo_macro: String,
     dbg_macro: String,
     cfg_test: String,
-    interpreter_call: String,
     planner_names: [String; 4],
     env_read: String,
     merge_support: String,
@@ -129,7 +124,6 @@ impl Needles {
             todo_macro: format!("{}{bang}", ["to", "do"].concat()),
             dbg_macro: format!("{}{bang}", ["d", "bg"].concat()),
             cfg_test: format!("#[cfg({}]", ["te", "st)"].concat()),
-            interpreter_call: ["execute_unpl", "anned("].concat(),
             planner_names: [
                 ["longest_pr", "efix("].concat(),
                 ["probe_pa", "th("].concat(),
@@ -186,19 +180,10 @@ fn tagged_nearby(lines: &[&str], from: usize, window: usize, tag: &str) -> bool 
     lines[lo..=from].iter().any(|l| l.contains(tag))
 }
 
-/// The file that owns the interpreter's entry points — the one place
-/// library code may name them (rule 5).
-const ENGINE_FACADE: &str = "crates/sql/src/engine.rs";
+/// The interpreter's sources, which rule 6 keeps free of access paths.
+const REFERENCE_SRC: &str = "crates/sql-reference/src/";
 
-/// The interpreter entry point, if `code` calls it.
-fn interpreter_call<'n>(code: &str, needles: &'n Needles) -> Option<&'n str> {
-    Some(needles.interpreter_call.as_str()).filter(|call| code.contains(call))
-}
-
-/// The interpreter's sources, which rule 7 keeps free of access paths.
-const REFERENCE_SRC: &str = "crates/sql/src/exec/";
-
-/// The access-path name `line` mentions, if any (rule 7).
+/// The access-path name `line` mentions, if any (rule 6).
 fn planner_name<'n>(line: &str, needles: &'n Needles) -> Option<&'n str> {
     needles
         .planner_names
@@ -207,17 +192,17 @@ fn planner_name<'n>(line: &str, needles: &'n Needles) -> Option<&'n str> {
         .find(|name| line.contains(name))
 }
 
-/// The crate whose FEM searches rule 8 holds to one E/M decision, the one
+/// The crate whose FEM searches rule 7 holds to one E/M decision, the one
 /// file in it that may read the dialect's MERGE support, and the two
 /// generators that decision gates — the only files that may spell a MERGE.
 const EM_DECISION_SRC: &str = "crates/core/src/";
 const EM_DECISION_OWNER: &str = "crates/core/src/graphdb.rs";
 const EM_MERGE_GENERATORS: [&str; 2] = ["crates/core/src/sqlgen.rs", "crates/core/src/segtable.rs"];
 
-/// The executor rule 9 keeps off the storage dispatch.
+/// The executor rule 8 keeps off the storage dispatch.
 const PLAN_EXECUTOR: &str = "crates/sql/src/plan/vexec.rs";
 
-/// The crates rule 6 keeps free of environment reads.
+/// The crates rule 5 keeps free of environment reads.
 const KNOB_FREE_SRC: [&str; 5] = [
     "crates/core/src/",
     "crates/sql/src/",
@@ -378,24 +363,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                 });
             }
 
-            // Rule 5: the interpreter is reached only through the engine
-            // facade; in-file test modules may use it as their reference.
-            if is_library_src && !in_test_region && rel != ENGINE_FACADE {
-                if let Some(call) = interpreter_call(code, &needles) {
-                    violations.push(Violation {
-                        file: rel.clone(),
-                        line: lineno,
-                        rule: "interpreter-reference-only",
-                        msg: format!(
-                            "`{call}…)` runs the AST interpreter, which is the test \
-                             reference only — use the planned path (`execute`, \
-                             `execute_prepared`, `execute_script`)"
-                        ),
-                    });
-                }
-            }
-
-            // Rule 6: no environment reads in the library crates, test
+            // Rule 5: no environment reads in the library crates, test
             // modules included (`var`, `var_os` and `vars` share the needle).
             if knob_free && code.contains(needles.env_read.as_str()) {
                 violations.push(Violation {
@@ -410,7 +378,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                 });
             }
 
-            // Rule 7: the reference makes no access-path decision — not in
+            // Rule 6: the reference makes no access-path decision — not in
             // code, comments or tests.
             if is_reference {
                 if let Some(name) = planner_name(line, &needles) {
@@ -426,7 +394,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                 }
             }
 
-            // Rule 8: the dialect's MERGE support is read in one place.
+            // Rule 7: the dialect's MERGE support is read in one place.
             if em_decided_elsewhere && code.contains(needles.merge_support.as_str()) {
                 violations.push(Violation {
                     file: rel.clone(),
@@ -453,7 +421,7 @@ pub fn lint(root: &Path) -> io::Result<Vec<Violation>> {
                 });
             }
 
-            // Rule 9: the executor follows the plan through the one probe.
+            // Rule 8: the executor follows the plan through the one probe.
             if rel == PLAN_EXECUTOR {
                 if let Some(v) = needles.storage_variants.iter().find(|v| line.contains(*v)) {
                     violations.push(Violation {
@@ -541,23 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_calls_are_spotted_in_code_only() {
-        let n = Needles::new();
-        let unplanned = ["db.execute_unpl", "anned(sql, &[])?"].concat();
-        assert_eq!(
-            interpreter_call(&unplanned, &n),
-            Some(n.interpreter_call.as_str())
-        );
-        // A doc mention is not a call, and comments are stripped first.
-        assert_eq!(
-            interpreter_call("see [`Database::execute_script`]", &n),
-            None
-        );
-        let commented = format!("let x = 1; // {unplanned}");
-        assert_eq!(interpreter_call(code_part(&commented), &n), None);
-    }
-
-    #[test]
     fn access_paths_are_spotted_in_the_reference_only() {
         let n = Needles::new();
         let prefix = format!("let picks = table.{}&cols)?;\n", n.planner_names[0]);
@@ -571,9 +522,9 @@ mod tests {
         assert_eq!(planner_name("table.scan(pool, |_, row| true)?", &n), None);
         let dir = std::env::temp_dir().join(format!("xtask-ref-{}", std::process::id()));
         for (rel, text) in [
-            ("crates/sql/src/exec/from.rs", prefix.as_str()),
-            ("crates/sql/src/exec/dml.rs", lookup.as_str()),
-            ("crates/sql/src/exec/mod.rs", path.as_str()),
+            ("crates/sql-reference/src/exec/from.rs", prefix.as_str()),
+            ("crates/sql-reference/src/exec/dml.rs", lookup.as_str()),
+            ("crates/sql-reference/src/lib.rs", path.as_str()),
             ("crates/sql/src/plan/build.rs", prefix.as_str()),
             ("crates/sql/src/catalog.rs", path.as_str()),
         ] {
@@ -587,9 +538,15 @@ mod tests {
         assert_eq!(
             hits,
             [
-                ("crates/sql/src/exec/dml.rs", "reference-stays-naive"),
-                ("crates/sql/src/exec/from.rs", "reference-stays-naive"),
-                ("crates/sql/src/exec/mod.rs", "reference-stays-naive"),
+                (
+                    "crates/sql-reference/src/exec/dml.rs",
+                    "reference-stays-naive"
+                ),
+                (
+                    "crates/sql-reference/src/exec/from.rs",
+                    "reference-stays-naive"
+                ),
+                ("crates/sql-reference/src/lib.rs", "reference-stays-naive"),
             ]
         );
     }

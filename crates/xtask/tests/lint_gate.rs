@@ -4,7 +4,7 @@
 //! block, an uncommented atomic ordering in library code, a
 //! `todo!`/`dbg!` left behind, an unwrap-budget drift in either
 //! direction (see `crates/xtask/unwrap-allowlist.txt`), or one of the
-//! design rules (interpreter, E/M decision, executor) broken.
+//! design rules (reference, E/M decision, executor) broken.
 
 use std::fs;
 
@@ -24,7 +24,7 @@ fn workspace_sources_pass_the_auditor() {
     );
 }
 
-/// Rule 9 (executor-follows-the-plan): the vectorized executor names no
+/// Rule 8 (executor-follows-the-plan): the vectorized executor names no
 /// probe-path or storage variant, in code or comments; the catalog and the
 /// planner may.
 #[test]
