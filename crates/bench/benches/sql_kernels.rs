@@ -522,8 +522,11 @@ fn probe_once(pool: &mut BufferPool, t: &Table, keys: &[Value]) -> usize {
 /// segmented table, the keys once in key order and once shuffled (the
 /// probe sorts them). time / 1024 = the cost of one key. Then 26 shuffled
 /// keys — BSEG's SegTable MERGE batch on `uniform-disk` — against the
-/// 4-column SegTable shape, clustered and segmented, with every page
-/// resident: time / 26 = the cost of one key.
+/// edge table (BDJ/BSDJ's `TEdges` probe shape) and the 4-column SegTable
+/// shape, each clustered and segmented, with every page resident: time /
+/// 26 = the cost of one key. A segmented probe seeks each key through the
+/// segment's fid directory, so it steps over fewer than `DIR_STRIDE` rows
+/// before the key's first.
 fn bench_probe_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_batch");
     let (pool, cat) = probe_fixture();
@@ -544,7 +547,12 @@ fn bench_probe_batch(c: &mut Criterion) {
     let batch: Vec<Value> = (0..26i64)
         .map(|i| Value::Int(i * 7919 % PROBE_NODES))
         .collect();
-    for (table, name) in [("TClu4", "clustered4"), ("TSeg4", "segmented4")] {
+    for (table, name) in [
+        ("TClu", "clustered"),
+        ("TSeg", "segmented"),
+        ("TClu4", "clustered4"),
+        ("TSeg4", "segmented4"),
+    ] {
         let t = cat.table(table).unwrap();
         group.bench_function(&format!("{name}/26"), |b| {
             b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, &batch)));

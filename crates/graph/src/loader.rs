@@ -58,8 +58,8 @@ pub fn load_graph(db: &mut Database, graph: &Graph, opts: &LoadOptions) -> Resul
             insert_nodes(db, &batch)?;
         }
     }
-    let mut batch: Vec<(u32, u32, u32)> = Vec::with_capacity(opts.batch_size);
-    for arc in graph.iter_arcs() {
+    let mut batch: Vec<(i64, i64, i64)> = Vec::with_capacity(opts.batch_size);
+    for arc in arcs_in_key_order(graph) {
         batch.push(arc);
         if batch.len() == opts.batch_size {
             insert_edges(db, &batch)?;
@@ -143,35 +143,34 @@ pub fn load_graph_bulk(db: &mut Database, graph: &Graph, opts: &BulkLoadOptions)
             (0..graph.num_nodes() as i64).map(|u| vec![Value::Int(u)]),
         )?;
     }
-    // CSR arc order is (fid, position) order — sorted on fid for the
-    // clustered key and the fid index. Segment packing needs full
-    // (fid, tid, cost) order, so each node's run is sorted on the fly.
     if opts.segmented {
-        db.bulk_load_segments(
-            "TEdges",
-            (0..graph.num_nodes()).flat_map(|u| {
-                let mut run: Vec<(i64, i64, i64)> = graph
-                    .out_arcs(u as u32)
-                    .iter()
-                    .map(|a| (u as i64, a.to as i64, a.weight as i64))
-                    .collect();
-                run.sort_unstable();
-                run
-            }),
-        )?;
+        db.bulk_load_segments("TEdges", arcs_in_key_order(graph))?;
     } else {
         db.bulk_load_rows(
             "TEdges",
-            graph.iter_arcs().map(|(f, t, c)| {
-                vec![
-                    Value::Int(f as i64),
-                    Value::Int(t as i64),
-                    Value::Int(c as i64),
-                ]
-            }),
+            arcs_in_key_order(graph)
+                .map(|(f, t, c)| vec![Value::Int(f), Value::Int(t), Value::Int(c)]),
         )?;
     }
     Ok(())
+}
+
+/// The graph's arcs in `(fid, tid, cost)` order, the order every
+/// `TEdges` load writes. Segment packing needs it, and the row tier
+/// writes it too, so both tiers keep a fid's arcs in the same order and
+/// every statement whose answer follows `TEdges` order agrees across
+/// them. CSR arc order is already sorted on fid; each node's run is
+/// sorted on the fly.
+fn arcs_in_key_order(graph: &Graph) -> impl Iterator<Item = (i64, i64, i64)> + '_ {
+    (0..graph.num_nodes()).flat_map(|u| {
+        let mut run: Vec<(i64, i64, i64)> = graph
+            .out_arcs(u as u32)
+            .iter()
+            .map(|a| (u as i64, i64::from(a.to), i64::from(a.weight)))
+            .collect();
+        run.sort_unstable();
+        run
+    })
 }
 
 /// Reads a SNAP-style edge list from `path` and bulk-loads it — the
@@ -200,7 +199,7 @@ fn insert_nodes(db: &mut Database, nids: &[i64]) -> Result<()> {
     Ok(())
 }
 
-fn insert_edges(db: &mut Database, arcs: &[(u32, u32, u32)]) -> Result<()> {
+fn insert_edges(db: &mut Database, arcs: &[(i64, i64, i64)]) -> Result<()> {
     let placeholders: Vec<&str> = arcs.iter().map(|_| "(?, ?, ?)").collect();
     let sql = format!(
         "INSERT INTO TEdges (fid, tid, cost) VALUES {}",
@@ -208,9 +207,9 @@ fn insert_edges(db: &mut Database, arcs: &[(u32, u32, u32)]) -> Result<()> {
     );
     let mut params = Vec::with_capacity(arcs.len() * 3);
     for &(f, t, c) in arcs {
-        params.push(Value::Int(f as i64));
-        params.push(Value::Int(t as i64));
-        params.push(Value::Int(c as i64));
+        params.push(Value::Int(f));
+        params.push(Value::Int(t));
+        params.push(Value::Int(c));
     }
     db.execute_params(&sql, &params)?;
     Ok(())

@@ -554,16 +554,14 @@ fn edge_width(chunk: &mut Chunk, width: usize) -> Result<()> {
 }
 
 /// Where a sweep over ascending fids stands in a segment tree: the leaf
-/// walk, and the segment it is decoding — its tree key, a cursor that
-/// resumes where the previous fid stopped, and the edge decoded past
-/// that fid.
+/// walk, and the segment it is decoding — its tree key and a cursor that
+/// resumes before the first row past the previous fid.
 struct SegmentWalk {
     /// The segments' layout: 3 or 4 columns.
     width: usize,
     leaf: LeafWalk,
     key: Pooled<Vec<u8>>,
     cursor: SegmentCursor,
-    pending: Option<SegRow>,
     /// The encoded probe fid.
     lo: Pooled<Vec<u8>>,
     /// The fid probed last.
@@ -577,7 +575,6 @@ impl SegmentWalk {
             leaf: LeafWalk::default(),
             key: take(),
             cursor: SegmentCursor::default(),
-            pending: None,
             lo: take(),
             last: None,
         }
@@ -588,7 +585,8 @@ impl SegmentWalk {
     /// segments from the first whose key (`last_fid`) reaches `fid` and
     /// stops after the first whose key passes it. Over ascending fids it
     /// decodes each segment once, only as far as the fids asked for; a
-    /// fid at or below the last one decodes its segments afresh.
+    /// fid at or below the last one decodes its segments afresh. In each
+    /// segment the cursor seeks the fid through the segment's directory.
     fn edges(
         &mut self,
         tree: &BTree,
@@ -601,7 +599,6 @@ impl SegmentWalk {
             leaf,
             key,
             cursor,
-            pending,
             lo,
             last,
         } = self;
@@ -615,50 +612,32 @@ impl SegmentWalk {
             if key[..] != *k {
                 key.clear();
                 key.extend_from_slice(k);
-                *pending = None;
-                *cursor = match SegmentCursor::new(blob, *width) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        decoded = Err(e);
-                        return false;
-                    }
-                };
+                decoded = SegmentCursor::new(blob, *width).map(|c| *cursor = c);
             }
-            if pending.is_some_and(|e| e[0] < fid) {
-                *pending = None;
+            if decoded.is_ok() {
+                decoded = rows_of(cursor, blob, fid, &mut f);
             }
-            if pending.is_none() {
-                if let Err(e) = cursor.skip_below(blob, fid) {
-                    decoded = Err(e);
-                    return false;
-                }
-            }
-            loop {
-                let edge = match pending
-                    .take()
-                    .map_or_else(|| cursor.next_row(blob), |e| Ok(Some(e)))
-                {
-                    Ok(Some(edge)) => edge,
-                    Ok(None) => break,
-                    Err(e) => {
-                        decoded = Err(e);
-                        return false;
-                    }
-                };
-                if edge[0] > fid {
-                    *pending = Some(edge);
-                    break;
-                }
-                if edge[0] == fid {
-                    f(&edge);
-                }
-            }
-            // The fid's edges go on into the next segment only when this
+            // The fid's rows go on into the next segment only when this
             // one's last fid is the fid.
-            k.starts_with(lo)
+            decoded.is_ok() && k.starts_with(lo)
         })?;
         Ok(decoded?)
     }
+}
+
+/// Calls `f` on each row of `fid` in the segment `blob`, which `cursor`
+/// is on: it seeks the fid, then reads until another fid begins.
+fn rows_of(
+    cursor: &mut SegmentCursor,
+    blob: &[u8],
+    fid: i64,
+    f: &mut impl FnMut(&SegRow),
+) -> fempath_storage::Result<()> {
+    cursor.seek(blob, fid)?;
+    while let Some(row) = cursor.next_row_of(blob, fid)? {
+        f(&row);
+    }
+    Ok(())
 }
 
 /// The delta overlay as one probe batch reads it: every row, and the

@@ -304,18 +304,6 @@ impl BufferPool {
         self.disk.sync()
     }
 
-    /// Drops every cached page (flushing dirty ones first). Subsequent
-    /// accesses are cold — used to measure cold-cache behaviour.
-    pub fn clear_cache(&mut self) -> Result<()> {
-        self.flush_all()?;
-        self.frames.clear();
-        self.page_table.clear();
-        self.head = [NIL; 2];
-        self.tail = [NIL; 2];
-        self.protected = 0;
-        Ok(())
-    }
-
     /// Ensures `pid` is resident and returns its frame index. A hit on a
     /// probationary frame promotes it to the protected tier (its second
     /// reference proves it is not scan traffic); a hit on a protected
@@ -692,19 +680,6 @@ mod tests {
             assert_eq!(pool.read_page(pids[i], |b| b[0]).unwrap(), i as u8 + 1);
         }
         assert_eq!(pool.stats().buffer_misses, 0);
-    }
-
-    #[test]
-    fn clear_cache_forces_cold_reads() {
-        let mut pool = BufferPool::in_memory(8);
-        let pid = pool.allocate_page().unwrap();
-        pool.write_page(pid, |b| b[2] = 9).unwrap();
-        pool.clear_cache().unwrap();
-        pool.reset_stats();
-        let v = pool.read_page(pid, |b| b[2]).unwrap();
-        assert_eq!(v, 9);
-        assert_eq!(pool.stats().buffer_misses, 1);
-        assert_eq!(pool.stats().disk_reads, 1);
     }
 
     #[test]

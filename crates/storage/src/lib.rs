@@ -52,7 +52,7 @@ pub use row::{
 pub use segment::{
     decode_edge_segment, decode_edge_segment_with, decode_segment, decode_segment_into_chunk,
     encode_edge_segment, encode_segment, segment_edge_count, PackedSegment, SegRow, SegmentCursor,
-    SegmentPacker, SegmentWriter, SEG_MAX_BYTES, SEG_MAX_EDGES,
+    SegmentPacker, SegmentWriter, DIR_STRIDE, SEG_MAX_BYTES, SEG_MAX_EDGES,
 };
 pub use stats::IoStats;
 pub use value::{decode_key, encode_key, encode_key_into, DataType, Value};

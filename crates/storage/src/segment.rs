@@ -7,14 +7,34 @@
 //! SegTable, `TOutSegs`). Rows are encoded as zigzag varints:
 //!
 //! ```text
-//! [count: varint]
-//! per row:
+//! [count:   varint]                    rows in the segment
+//! [dir_len: varint]                    bytes of the directory below
+//! per directory entry (delta-coded against the entry before it; the
+//! first against fid 0, offset 0):
+//!   [dfid:  zigzag varint]   fid  - prev_fid   (rises after the first)
+//!   [doff:  varint]          off  - prev_off   (≥ 1; `off` counts from
+//!                                               the first row's first byte)
+//! per row, up to the blob's end:
 //!   [dfid:  zigzag varint]   fid  - prev_fid   (prev_fid starts at 0)
 //!   [dtid:  zigzag varint]   tid  - prev_tid   (prev_tid resets to 0
 //!                                               whenever fid changes)
 //!   [dpid:  zigzag varint]   pid  - fid        (4-column layout only)
 //!   [cost:  zigzag varint]   absolute cost (small weights ⇒ 1 byte)
 //! ```
+//!
+//! The *directory* lets a probe start near its fid instead of at the
+//! segment's first row. For each stride mark — row [`DIR_STRIDE`],
+//! `2·DIR_STRIDE`, … — it names the first row at or after the mark that
+//! begins a fid, by that fid and the row's byte offset (a mark whose fid
+//! runs to the segment's end, or on to a row an earlier mark names, adds
+//! no entry). Such a row's tid delta starts from 0, so a cursor resumes
+//! there knowing only the entry ([`SegmentCursor::seek`]) and steps over
+//! fewer than `DIR_STRIDE` rows before the fid it seeks. A segment
+//! shorter than one stride has an empty directory (`dir_len` 0). An entry
+//! is about 2 bytes, so the directory adds about 0.13 bytes a row
+//! (DESIGN.md §14). A cursor reads rows up to the blob's end; the decodes
+//! of a whole segment step past the directory and check that they read
+//! `count` rows.
 //!
 //! Rows come in non-decreasing `fid` order. An edge table's rows are
 //! sorted by `(fid, tid, cost)`; a SegTable keeps the order its rows are
@@ -35,9 +55,15 @@ use crate::error::{Result, StorageError};
 /// segment always fits in the current batch.
 pub const SEG_MAX_EDGES: usize = 256;
 
-/// Maximum encoded bytes per segment. Leaves headroom under the B+tree's
-/// `MAX_CELL_PAYLOAD` (2036 bytes) for the segment's key.
+/// Maximum encoded bytes per segment, directory included. Leaves
+/// headroom under the B+tree's `MAX_CELL_PAYLOAD` (2036 bytes) for the
+/// segment's key.
 pub const SEG_MAX_BYTES: usize = 1400;
+
+/// Rows between a segment's directory marks: a seek steps over fewer
+/// than this many rows before its fid. Chosen against the space it costs
+/// (DESIGN.md §14).
+pub const DIR_STRIDE: usize = 16;
 
 /// One segment row, the table's columns in schema order: `[fid, tid,
 /// cost, 0]` in the 3-column layout, `[fid, tid, pid, cost]` in the
@@ -86,6 +112,11 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
 
 #[inline]
 fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    // Most varints here are one byte: small deltas and costs.
+    if let Some(&b) = buf.get(*pos).filter(|&&b| b < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(b));
+    }
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -127,17 +158,88 @@ fn row_encoded_len(prev: (i64, i64), row: &SegRow, width: usize) -> usize {
     n
 }
 
+/// One directory entry: the fid a row begins and the row's byte offset
+/// from the segment's first row.
+#[derive(Debug, Clone, Copy, Default)]
+struct DirEntry {
+    fid: i64,
+    off: usize,
+}
+
+impl DirEntry {
+    /// Calls `f` on each varint of the entry, delta-coded against `prev`,
+    /// the entry before it (the default one for the first).
+    #[inline]
+    fn varints(&self, prev: &DirEntry, mut f: impl FnMut(u64)) {
+        f(zigzag(self.fid.wrapping_sub(prev.fid)));
+        f((self.off - prev.off) as u64);
+    }
+
+    fn encoded_len(&self, prev: &DirEntry) -> usize {
+        let mut n = 0;
+        self.varints(prev, |v| n += varint_len(v));
+        n
+    }
+}
+
+/// A segment's directory as its rows are laid out one by one: the last
+/// entry, the row it names, and the bytes of all the entries.
+#[derive(Debug, Clone, Copy, Default)]
+struct DirBuilder {
+    last: DirEntry,
+    last_row: usize,
+    bytes: usize,
+}
+
+impl DirBuilder {
+    /// The entry row `row` adds — its fid `fid`, the fid of the row
+    /// before it `prev_fid`, `off` bytes into the rows — if it is the
+    /// first row at or after a stride mark no entry names yet to begin a
+    /// fid.
+    #[inline]
+    fn entry_for(&self, row: usize, fid: i64, prev_fid: i64, off: usize) -> Option<DirEntry> {
+        let mark = (self.last_row / DIR_STRIDE + 1) * DIR_STRIDE;
+        (row >= mark && fid != prev_fid).then_some(DirEntry { fid, off })
+    }
+
+    fn add(&mut self, row: usize, entry: DirEntry) {
+        self.bytes += entry.encoded_len(&self.last);
+        self.last = entry;
+        self.last_row = row;
+    }
+
+    /// Bytes of the header before the rows: the row count, the
+    /// directory's length and the directory.
+    fn header_len(&self, rows: usize) -> usize {
+        varint_len(rows as u64) + varint_len(self.bytes as u64) + self.bytes
+    }
+}
+
 /// Encodes `rows` of a `width`-column layout into one segment blob, in
-/// the order given.
+/// the order given, with its directory.
 pub fn encode_segment(rows: &[SegRow], width: usize) -> Vec<u8> {
     debug_assert!(rows.len() <= SEG_MAX_EDGES);
-    let mut out = Vec::with_capacity(2 + rows.len() * (width + 1));
-    put_varint(&mut out, rows.len() as u64);
+    let mut body = Vec::with_capacity(rows.len() * (width + 1));
+    let mut dir = DirBuilder::default();
+    let mut entries = Vec::with_capacity(rows.len() / DIR_STRIDE);
     let mut prev = (0, 0);
-    for row in rows {
-        row_varints(prev, row, width, |v| put_varint(&mut out, v));
+    for (i, row) in rows.iter().enumerate() {
+        if let Some(entry) = dir.entry_for(i, row[0], prev.0, body.len()) {
+            dir.add(i, entry);
+            entries.push(entry);
+        }
+        row_varints(prev, row, width, |v| put_varint(&mut body, v));
         prev = (row[0], row[1]);
     }
+    let mut out = Vec::with_capacity(dir.header_len(rows.len()) + body.len());
+    put_varint(&mut out, rows.len() as u64);
+    put_varint(&mut out, dir.bytes as u64);
+    let mut last = DirEntry::default();
+    for entry in entries {
+        entry.varints(&last, |v| put_varint(&mut out, v));
+        last = entry;
+    }
+    out.extend_from_slice(&body);
     out
 }
 
@@ -165,10 +267,14 @@ pub fn segment_edge_count(blob: &[u8]) -> Result<usize> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SegmentCursor {
     pos: usize,
-    left: usize,
     width: usize,
     prev_fid: i64,
     prev_tid: i64,
+    /// Rows in the segment, as its header says.
+    rows: usize,
+    /// Where the directory starts; the rows start where it ends.
+    dir: usize,
+    body: usize,
 }
 
 impl SegmentCursor {
@@ -177,47 +283,113 @@ impl SegmentCursor {
     pub fn new(blob: &[u8], width: usize) -> Result<SegmentCursor> {
         check_segment_width(width)?;
         let mut pos = 0usize;
-        let left = get_varint(blob, &mut pos)? as usize;
+        let rows = get_varint(blob, &mut pos)? as usize;
+        let dir_len = get_varint(blob, &mut pos)?;
+        let body = usize::try_from(dir_len)
+            .ok()
+            .and_then(|n| pos.checked_add(n))
+            .filter(|&body| body <= blob.len())
+            .ok_or_else(|| StorageError::Corrupt("segment directory past the blob".into()))?;
         Ok(SegmentCursor {
-            pos,
-            left,
+            pos: body,
             width,
             prev_fid: 0,
             prev_tid: 0,
+            rows,
+            dir: pos,
+            body,
         })
     }
 
     /// The next row of `blob` (the blob the cursor was made on), or
-    /// `None` past the last one, where the blob must end too.
+    /// `None` at the blob's end.
     #[inline]
     pub fn next_row(&mut self, blob: &[u8]) -> Result<Option<SegRow>> {
-        if self.left == 0 {
-            if self.pos != blob.len() {
-                return Err(StorageError::Corrupt("trailing bytes after segment".into()));
-            }
+        self.next_row_if(blob, |_| true)
+    }
+
+    /// The next row of `blob` if its fid is `fid`; else `None`, and the
+    /// cursor stays before the row, so a later fid resumes there.
+    #[inline]
+    pub fn next_row_of(&mut self, blob: &[u8], fid: i64) -> Result<Option<SegRow>> {
+        self.next_row_if(blob, |next| next == fid)
+    }
+
+    #[inline]
+    fn next_row_if(&mut self, blob: &[u8], keep: impl Fn(i64) -> bool) -> Result<Option<SegRow>> {
+        if self.pos == blob.len() {
             return Ok(None);
         }
-        self.left -= 1;
+        let mut pos = self.pos;
         let fid = self
             .prev_fid
-            .wrapping_add(unzigzag(get_varint(blob, &mut self.pos)?));
+            .wrapping_add(unzigzag(get_varint(blob, &mut pos)?));
+        if !keep(fid) {
+            return Ok(None);
+        }
         if fid != self.prev_fid {
             self.prev_tid = 0;
         }
         let tid = self
             .prev_tid
-            .wrapping_add(unzigzag(get_varint(blob, &mut self.pos)?));
+            .wrapping_add(unzigzag(get_varint(blob, &mut pos)?));
         // The cost, or in the 4-column layout `pid − fid`.
-        let third = unzigzag(get_varint(blob, &mut self.pos)?);
+        let third = unzigzag(get_varint(blob, &mut pos)?);
         let row = if self.width == 4 {
-            let cost = unzigzag(get_varint(blob, &mut self.pos)?);
+            let cost = unzigzag(get_varint(blob, &mut pos)?);
             [fid, tid, fid.wrapping_add(third), cost]
         } else {
             [fid, tid, third, 0]
         };
+        self.pos = pos;
         self.prev_fid = fid;
         self.prev_tid = tid;
         Ok(Some(row))
+    }
+
+    /// Moves to the first row whose fid is at least `fid`, as
+    /// [`skip_below`](Self::skip_below) does, but from the directory: when
+    /// the last entry whose fid is at most `fid` lies ahead of the cursor,
+    /// it jumps there first, so it steps over fewer than [`DIR_STRIDE`]
+    /// rows. It reads the directory up to the first entry past `fid`; an
+    /// entry it reads out of order, or pointing past the rows, is
+    /// corrupt.
+    pub fn seek(&mut self, blob: &[u8], fid: i64) -> Result<()> {
+        let corrupt = || StorageError::Corrupt("segment directory out of order".into());
+        let mut pos = self.dir;
+        let mut found: Option<DirEntry> = None;
+        while pos < self.body {
+            let prev = found.unwrap_or_default();
+            let next_fid = prev.fid.wrapping_add(unzigzag(get_varint(blob, &mut pos)?));
+            if found.is_some_and(|f| next_fid <= f.fid) {
+                return Err(corrupt());
+            }
+            if next_fid > fid {
+                break;
+            }
+            let doff = get_varint(blob, &mut pos)?;
+            let room = blob.len().saturating_sub(self.body + prev.off) as u64;
+            if pos > self.body || !(1..room).contains(&doff) {
+                return Err(corrupt());
+            }
+            found = Some(DirEntry {
+                fid: next_fid,
+                off: prev.off + doff as usize,
+            });
+        }
+        if let Some(entry) = found.filter(|e| self.body + e.off > self.pos) {
+            // The entry's row begins its fid: its fid delta, read here,
+            // gives the fid before it, and its tid delta starts from 0.
+            let mut pos = self.body + entry.off;
+            let dfid = unzigzag(get_varint(blob, &mut pos)?);
+            if dfid == 0 {
+                return Err(corrupt());
+            }
+            self.pos = self.body + entry.off;
+            self.prev_fid = entry.fid.wrapping_sub(dfid);
+            self.prev_tid = 0;
+        }
+        self.skip_below(blob, fid)
     }
 
     /// Moves past every row whose fid is below `fid`, stopping before
@@ -225,7 +397,7 @@ impl SegmentCursor {
     /// over, not decoded: the next row kept has another fid, so its tid
     /// delta starts from 0 again.
     pub fn skip_below(&mut self, blob: &[u8], fid: i64) -> Result<()> {
-        while self.left > 0 {
+        while self.pos < blob.len() {
             let mut pos = self.pos;
             let next = self
                 .prev_fid
@@ -243,20 +415,35 @@ impl SegmentCursor {
                 ends += usize::from(b < 0x80);
             }
             self.pos = pos;
-            self.left -= 1;
             self.prev_fid = next;
         }
         Ok(())
     }
 }
 
+/// Decodes a whole segment of the `width`-column layout, invoking
+/// `f(row)` per row in stored order; returns the number of rows, which
+/// must be the count the segment's header records.
+fn for_each_row(blob: &[u8], width: usize, mut f: impl FnMut(SegRow)) -> Result<usize> {
+    let mut cursor = SegmentCursor::new(blob, width)?;
+    let mut n = 0usize;
+    while let Some(row) = cursor.next_row(blob)? {
+        f(row);
+        n += 1;
+    }
+    if n != cursor.rows {
+        return Err(StorageError::Corrupt(format!(
+            "segment holds {n} rows, its header says {}",
+            cursor.rows
+        )));
+    }
+    Ok(n)
+}
+
 /// Decodes a 3-column segment, invoking `f(fid, tid, cost)` per edge in
 /// stored order.
 pub fn decode_edge_segment_with(blob: &[u8], mut f: impl FnMut(i64, i64, i64)) -> Result<()> {
-    let mut cursor = SegmentCursor::new(blob, 3)?;
-    while let Some([fid, tid, cost, _]) = cursor.next_row(blob)? {
-        f(fid, tid, cost);
-    }
+    for_each_row(blob, 3, |[fid, tid, cost, _]| f(fid, tid, cost))?;
     Ok(())
 }
 
@@ -269,11 +456,8 @@ pub fn decode_edge_segment(blob: &[u8]) -> Result<Vec<(i64, i64, i64)>> {
 
 /// Decodes a segment of the `width`-column layout into a `Vec` of rows.
 pub fn decode_segment(blob: &[u8], width: usize) -> Result<Vec<SegRow>> {
-    let mut cursor = SegmentCursor::new(blob, width)?;
     let mut out = Vec::new();
-    while let Some(row) = cursor.next_row(blob)? {
-        out.push(row);
-    }
+    for_each_row(blob, width, |row| out.push(row))?;
     Ok(out)
 }
 
@@ -289,16 +473,12 @@ pub fn decode_segment_into_chunk(blob: &[u8], width: usize, chunk: &mut Chunk) -
             "segment chunk must be {width} columns wide"
         )));
     }
-    let mut cursor = SegmentCursor::new(blob, width)?;
-    let mut n = 0usize;
-    while let Some(row) = cursor.next_row(blob)? {
+    for_each_row(blob, width, |row| {
         for (c, &v) in row[..width].iter().enumerate() {
             chunk.col_mut(c).push_int(v);
         }
         chunk.commit_row();
-        n += 1;
-    }
-    Ok(n)
+    })
 }
 
 /// One segment a [`SegmentPacker`] closed: its blob and the `(first_fid,
@@ -322,20 +502,28 @@ pub struct PackedSegment {
 pub struct SegmentPacker {
     width: usize,
     buf: Vec<SegRow>,
-    /// Exact encoded size of the buffered rows (excluding the count
-    /// header), maintained incrementally as rows are pushed.
+    /// Exact encoded size of the buffered rows (excluding the header),
+    /// maintained incrementally as rows are pushed.
     payload_bytes: usize,
+    /// The buffered rows' directory, kept the same way.
+    dir: DirBuilder,
 }
 
 impl SegmentPacker {
     /// A packer for the `width`-column layout.
     pub fn new(width: usize) -> Result<SegmentPacker> {
         check_segment_width(width)?;
-        Ok(SegmentPacker {
+        Ok(SegmentPacker::of_layout(width))
+    }
+
+    /// A packer for `width`, already known to name a layout.
+    fn of_layout(width: usize) -> SegmentPacker {
+        SegmentPacker {
             width,
             buf: Vec::with_capacity(SEG_MAX_EDGES),
             payload_bytes: 0,
-        })
+            dir: DirBuilder::default(),
+        }
     }
 
     /// Appends one row; returns the segment the push closed, if any (at
@@ -352,11 +540,20 @@ impl SegmentPacker {
         );
         let prev = self.buf.last().map_or((0, 0), |last| (last[0], last[1]));
         let mut add = row_encoded_len(prev, &row, self.width);
-        let header = varint_len((self.buf.len() + 1) as u64);
+        let rows = self.buf.len() + 1;
+        let entry = self
+            .dir
+            .entry_for(self.buf.len(), row[0], prev.0, self.payload_bytes);
+        let mut dir = self.dir;
+        if let Some(entry) = entry {
+            dir.add(self.buf.len(), entry);
+        }
         let mut closed = None;
-        if !self.buf.is_empty() && header + self.payload_bytes + add > SEG_MAX_BYTES {
+        if !self.buf.is_empty() && dir.header_len(rows) + self.payload_bytes + add > SEG_MAX_BYTES {
             closed = self.finish();
             add = row_encoded_len((0, 0), &row, self.width);
+        } else {
+            self.dir = dir;
         }
         self.buf.push(row);
         self.payload_bytes += add;
@@ -374,11 +571,12 @@ impl SegmentPacker {
         let blob = encode_segment(&self.buf, self.width);
         debug_assert_eq!(
             blob.len(),
-            varint_len(self.buf.len() as u64) + self.payload_bytes,
+            self.dir.header_len(self.buf.len()) + self.payload_bytes,
             "incremental size tracking diverged from the encoder"
         );
         self.buf.clear();
         self.payload_bytes = 0;
+        self.dir = DirBuilder::default();
         Some(PackedSegment {
             first_fid: first,
             last_fid: last,
@@ -403,11 +601,7 @@ impl<F: FnMut(i64, i64, Vec<u8>) -> Result<()>> SegmentWriter<F> {
     /// blob)`.
     pub fn new(sink: F) -> Self {
         SegmentWriter {
-            packer: SegmentPacker {
-                width: 3,
-                buf: Vec::with_capacity(SEG_MAX_EDGES),
-                payload_bytes: 0,
-            },
+            packer: SegmentPacker::of_layout(3),
             sink,
         }
     }
@@ -554,6 +748,134 @@ mod tests {
             let want: Vec<_> = sorted.iter().filter(|e| e[0] >= fid).copied().collect();
             assert_eq!(rest, want, "fid {fid}");
         }
+    }
+
+    /// The directory of `blob`: each entry's fid and byte offset from
+    /// the first row.
+    fn directory(blob: &[u8]) -> Vec<(i64, usize)> {
+        let cursor = SegmentCursor::new(blob, 3).unwrap();
+        let (mut pos, mut entry) = (cursor.dir, DirEntry::default());
+        let mut out = Vec::new();
+        while pos < cursor.body {
+            entry.fid = entry
+                .fid
+                .wrapping_add(unzigzag(get_varint(blob, &mut pos).unwrap()));
+            entry.off += get_varint(blob, &mut pos).unwrap() as usize;
+            out.push((entry.fid, entry.off));
+        }
+        assert_eq!(pos, cursor.body);
+        out
+    }
+
+    /// Each row's fid and byte offset from the first row.
+    fn row_starts(blob: &[u8], width: usize) -> Vec<(i64, usize)> {
+        let mut cursor = SegmentCursor::new(blob, width).unwrap();
+        let mut out = Vec::new();
+        loop {
+            let off = cursor.pos - cursor.body;
+            match cursor.next_row(blob).unwrap() {
+                Some(row) => out.push((row[0], off)),
+                None => return out,
+            }
+        }
+    }
+
+    /// Rows of one segment whose fid runs are 1 to 40 rows long, so some
+    /// fids span several stride marks and some marks fall inside a fid.
+    fn runs(width: usize) -> Vec<SegRow> {
+        let mut rows = Vec::new();
+        let mut fid = 3;
+        for len in [1, 40, 2, 5, 17, 1, 1, 9, 33, 3, 24, 6, 1, 30, 12, 7] {
+            for i in 0..len {
+                let tid = if width == 3 { i * 5 } else { 90 - i * 7 };
+                rows.push([fid, tid, fid - 50 + i, i % 4]);
+            }
+            fid += 1 + len % 3;
+        }
+        if width == 3 {
+            for r in &mut rows {
+                r[2] = r[3];
+                r[3] = 0;
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn directory_names_the_first_fid_start_past_each_mark() {
+        for width in [3, 4] {
+            let rows = runs(width);
+            assert!(rows.len() > 8 * DIR_STRIDE && rows.len() <= SEG_MAX_EDGES);
+            let blob = encode_segment(&rows, width);
+            let starts = row_starts(&blob, width);
+            let mut want = Vec::new();
+            let mut next_mark = DIR_STRIDE;
+            for (i, &(fid, off)) in starts.iter().enumerate() {
+                if i >= next_mark && fid != starts[i - 1].0 {
+                    want.push((fid, off));
+                    next_mark = (i / DIR_STRIDE + 1) * DIR_STRIDE;
+                }
+            }
+            assert_eq!(directory(&blob), want, "width {width}");
+            // A fid's first row is fewer than one stride past the entry a
+            // seek for it jumps to.
+            for (i, &(fid, _)) in starts.iter().enumerate() {
+                if i > 0 && starts[i - 1].0 == fid {
+                    continue;
+                }
+                let from = want
+                    .iter()
+                    .rfind(|e| e.0 <= fid)
+                    .map_or(0, |e| starts.iter().position(|s| s.1 == e.1).unwrap());
+                assert!(i - from < DIR_STRIDE, "width {width} fid {fid}");
+            }
+        }
+        // Shorter than a stride: an empty directory, one byte.
+        let blob = encode_segment(&runs(4)[..DIR_STRIDE - 1], 4);
+        assert_eq!(blob[1], 0);
+        assert!(directory(&blob).is_empty());
+    }
+
+    #[test]
+    fn a_directory_past_the_blob_or_off_a_fid_start_is_corrupt() {
+        // `dir_len` runs past the blob.
+        let mut short = Vec::new();
+        put_varint(&mut short, 2);
+        put_varint(&mut short, 100);
+        short.extend([0; 10]);
+        assert!(matches!(
+            SegmentCursor::new(&short, 3),
+            Err(StorageError::Corrupt(_))
+        ));
+        // An entry naming the second row of a fid, whose fid delta is 0:
+        // the cursor cannot learn the fid before it.
+        let rows: Vec<SegRow> = (0..40).map(|i| [i / 20, i, 1, 0]).collect();
+        let blob = encode_segment(&rows, 3);
+        let starts = row_starts(&blob, 3);
+        assert_eq!(directory(&blob), vec![(1, starts[20].1)]);
+        let mut dir = Vec::new();
+        put_varint(&mut dir, zigzag(1));
+        put_varint(&mut dir, starts[21].1 as u64);
+        let body = SegmentCursor::new(&blob, 3).unwrap().body;
+        let mut bad = Vec::new();
+        put_varint(&mut bad, rows.len() as u64);
+        put_varint(&mut bad, dir.len() as u64);
+        bad.extend_from_slice(&dir);
+        bad.extend_from_slice(&blob[body..]);
+        let mut cursor = SegmentCursor::new(&bad, 3).unwrap();
+        assert!(matches!(
+            cursor.seek(&bad, 1),
+            Err(StorageError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn a_row_count_the_rows_do_not_match_is_corrupt() {
+        let mut blob = encode_edge_segment(&[(1, 2, 3), (4, 5, 6)]);
+        blob[0] = 3;
+        assert!(decode_edge_segment(&blob).is_err());
+        blob[0] = 1;
+        assert!(decode_segment_into_chunk(&blob, 3, &mut Chunk::new()).is_err());
     }
 
     #[test]

@@ -86,20 +86,3 @@ fn stats_survive_capacity_changes() {
     assert_eq!(s.accesses(), s.buffer_hits + s.buffer_misses);
     assert!(s.disk_writes > 0, "shrink must have flushed dirty pages");
 }
-
-#[test]
-fn clear_cache_preserves_all_data() {
-    let mut pool = BufferPool::temp_file(8).unwrap();
-    let mut t = BTree::create(&mut pool).unwrap();
-    for i in 0..1000u64 {
-        t.insert(&mut pool, &i.to_be_bytes(), &(i * 7).to_be_bytes())
-            .unwrap();
-    }
-    pool.clear_cache().unwrap();
-    for i in (0..1000u64).step_by(97) {
-        assert_eq!(
-            t.get(&mut pool, &i.to_be_bytes()).unwrap().unwrap(),
-            (i * 7).to_be_bytes()
-        );
-    }
-}

@@ -6,7 +6,12 @@
 //! whose edges straddle segments and leaves, and the 4-column SegTable
 //! layout `(fid, tid, pid, cost)`: rows in written order within a fid
 //! (tids falling as well as rising), pids far from their fid on either
-//! side, and a fid whose rows straddle segments.
+//! side, and a fid whose rows straddle segments — and each segment's fid
+//! directory: a seek reads on exactly as a skip from the segment's first
+//! row does, for fids below, inside, between and above a segment's, in
+//! both layouts; a probe with tombstones and overlay rows matches a scan
+//! and filter; and a directory out of order or pointing past the rows is
+//! a `StorageError::Corrupt`, never a panic.
 //!
 //! Run with `PROPTEST_CASES=512` (the CI setting) for the heavyweight
 //! sweep; the local default keeps `cargo test` fast.
@@ -16,8 +21,8 @@ use fempath::sql::catalog::{EqMatches, ProbePath, TableStorage};
 use fempath::sql::Catalog;
 use fempath::storage::{
     decode_edge_segment, decode_segment, decode_segment_into_chunk, encode_edge_segment,
-    encode_segment, segment_edge_count, BufferPool, Chunk, ColSet, DataType, SegRow, SegmentPacker,
-    SegmentWriter, Value, SEG_MAX_BYTES, SEG_MAX_EDGES,
+    encode_segment, segment_edge_count, BufferPool, Chunk, ColSet, DataType, SegRow, SegmentCursor,
+    SegmentPacker, SegmentWriter, StorageError, Value, DIR_STRIDE, SEG_MAX_BYTES, SEG_MAX_EDGES,
 };
 use proptest::prelude::*;
 use std::ops::Bound;
@@ -338,5 +343,264 @@ proptest! {
         }
         prop_assert_eq!((0..chunk.len()).map(|r| chunk.row(r)).collect::<Vec<_>>(), want);
         prop_assert_eq!(src, want_src);
+    }
+}
+
+/// A row stream for the `width`-column layout in the order a packer
+/// takes: fid runs of the lengths in `runs` (a run of 0 leaves a gap),
+/// and a hub run of `hub` rows, longer than a segment holds, after the
+/// third run; the 3-column stream sorted by `(fid, tid, cost)`.
+fn run_stream(width: usize, runs: &[(i64, usize)], hub: usize) -> Vec<SegRow> {
+    let mut rows = Vec::new();
+    let mut fid = -5;
+    for (i, &(gap, len)) in runs.iter().enumerate() {
+        fid += gap;
+        let len = if i == 3 { hub } else { len };
+        for j in 0..len as i64 {
+            let tid = (fid * 31 + j * 17) % 97 - 40;
+            rows.push([fid, tid, fid + j % 5 - 2, j % 7]);
+        }
+    }
+    if width == 3 {
+        for r in &mut rows {
+            *r = [r[0], r[1], r[3], 0];
+        }
+        rows.sort_unstable();
+    }
+    rows
+}
+
+/// The rows a cursor yields from where it stands to the blob's end.
+fn read_on(mut cursor: SegmentCursor, blob: &[u8]) -> Vec<SegRow> {
+    let mut out = Vec::new();
+    while let Some(row) = cursor.next_row(blob).unwrap() {
+        out.push(row);
+    }
+    out
+}
+
+/// Fids to seek in a segment whose fids are `fids` (ascending, repeats
+/// allowed): below, each one, between and above, and the extremes.
+fn targets(fids: &[i64]) -> Vec<i64> {
+    let mut t: Vec<i64> = fids
+        .iter()
+        .flat_map(|&f| [f - 1, f, f + 1])
+        .chain([i64::MIN, i64::MAX])
+        .collect();
+    t.sort_unstable();
+    t.dedup();
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+    /// Over random row streams in both layouts, packed into segments — a
+    /// hub fid filling whole segments and spanning two or more, short
+    /// runs, gaps, a short last segment — a seek to any fid reads on
+    /// exactly the rows a from-start `skip_below` reads, and one cursor
+    /// seeking ascending fids reads each fid's rows and no others.
+    #[test]
+    fn seek_reads_on_as_skip_below_does(
+        width in 3usize..=4,
+        runs in prop::collection::vec((prop_oneof![0i64..3, 1i64..1000], 1usize..40), 4..60),
+        hub in prop_oneof![Just(0usize), 1..DIR_STRIDE, 300usize..700],
+    ) {
+        let rows = run_stream(width, &runs, hub);
+        let mut packer = SegmentPacker::new(width).unwrap();
+        let mut segs: Vec<_> = rows.iter().filter_map(|&r| packer.push(r)).collect();
+        segs.extend(packer.finish());
+        let mut reassembled = Vec::new();
+        for seg in &segs {
+            let blob = &seg.blob;
+            let part = decode_segment(blob, width).unwrap();
+            let fids: Vec<i64> = part.iter().map(|r| r[0]).collect();
+            let mut walk = SegmentCursor::new(blob, width).unwrap();
+            for fid in targets(&fids) {
+                let mut seek = SegmentCursor::new(blob, width).unwrap();
+                seek.seek(blob, fid).unwrap();
+                let mut skip = SegmentCursor::new(blob, width).unwrap();
+                skip.skip_below(blob, fid).unwrap();
+                let want = read_on(skip, blob);
+                prop_assert_eq!(&read_on(seek, blob), &want, "fid {}", fid);
+                prop_assert!(want.iter().all(|r| r[0] >= fid));
+                walk.seek(blob, fid).unwrap();
+                let mut of_fid = Vec::new();
+                while let Some(row) = walk.next_row_of(blob, fid).unwrap() {
+                    of_fid.push(row);
+                }
+                let want: Vec<SegRow> = part.iter().filter(|r| r[0] == fid).copied().collect();
+                prop_assert_eq!(of_fid, want, "fid {}", fid);
+            }
+            reassembled.extend(part);
+        }
+        prop_assert_eq!(reassembled, rows);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(16)))]
+
+    /// `Table::probe_eq` on a segmented edge table with tombstoned edges
+    /// and delta-overlay rows answers a shuffled batch — repeated and
+    /// missing fids, the hub's among them — with what a scan of the table
+    /// filtered on each key returns, in the same order.
+    #[test]
+    fn probe_with_tombstones_and_overlay_matches_scan_and_filter(
+        runs in prop::collection::vec((0i64..3, 1usize..30), 4..40),
+        hub in 300usize..700,
+        deletes in prop::collection::vec((0usize..4000, 0i64..3), 0..30),
+        inserts in prop::collection::vec((-6i64..80, 0i64..50, 1i64..9), 0..30),
+        probes in prop::collection::vec(-8i64..90, 1..50),
+    ) {
+        let rows = run_stream(3, &runs, hub);
+        let mut pool = BufferPool::in_memory(64);
+        let mut cat = Catalog::new();
+        let cols = ["fid", "tid", "cost"]
+            .iter()
+            .map(|n| ColumnDef { name: (*n).into(), dtype: DataType::Int })
+            .collect();
+        cat.create_segmented_table(&mut pool, "TSeg", cols).unwrap();
+        let t = cat.table_mut("TSeg").unwrap();
+        t.bulk_load_segments(&mut pool, rows.iter().map(|r| (r[0], r[1], r[2]))).unwrap();
+        // Tombstone stored edges (and an edge one tid off, often absent).
+        for &(i, off) in &deletes {
+            let r = rows[i % rows.len()];
+            t.delta_delete_edge(&mut pool, r[0], r[1] + off).unwrap();
+        }
+        let mut overlay = Chunk::with_width(3);
+        for &(f, tid, c) in &inserts {
+            overlay.push_row(&[Value::Int(f), Value::Int(tid), Value::Int(c)]);
+        }
+        t.insert_chunk(&mut pool, &overlay, None).unwrap();
+
+        let t = cat.table("TSeg").unwrap();
+        let mut scanned = Vec::new();
+        t.scan(&mut pool, |_, row| {
+            scanned.push(row);
+            true
+        })
+        .unwrap();
+        let mut keys: Vec<Value> = probes.iter().map(|&p| Value::Int(p)).collect();
+        keys.push(Value::Int(rows[rows.len() / 2][0]));
+        keys.push(keys[0].clone());
+        let (got, src) = probe_fids(&mut pool, &cat, &keys);
+        let (mut want, mut want_src) = (Vec::new(), Vec::new());
+        for (k, key) in keys.iter().enumerate() {
+            for row in scanned.iter().filter(|r| r[0] == *key) {
+                want.push(row.clone());
+                want_src.push(k as u32);
+            }
+        }
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(src, want_src);
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v as u8) | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn get_varint(buf: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = buf[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+fn zigzag(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+fn unzigzag(v: u64) -> i64 {
+    ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// The header of segment `blob` — its row count and its directory's
+/// entries as `(fid, offset)` — and where its rows start.
+fn split_segment(blob: &[u8]) -> (u64, Vec<(i64, u64)>, usize) {
+    let mut pos = 0;
+    let count = get_varint(blob, &mut pos);
+    let end = get_varint(blob, &mut pos) as usize + pos;
+    let (mut fid, mut off, mut entries) = (0i64, 0u64, Vec::new());
+    while pos < end {
+        fid = fid.wrapping_add(unzigzag(get_varint(blob, &mut pos)));
+        off += get_varint(blob, &mut pos);
+        entries.push((fid, off));
+    }
+    (count, entries, end)
+}
+
+/// `blob` with `entries` as its directory.
+fn with_directory(blob: &[u8], entries: &[(i64, u64)]) -> Vec<u8> {
+    let (count, _, body) = split_segment(blob);
+    let mut dir = Vec::new();
+    let (mut fid, mut off) = (0i64, 0u64);
+    for &(f, o) in entries {
+        put_varint(&mut dir, zigzag(f.wrapping_sub(fid)));
+        put_varint(&mut dir, o.wrapping_sub(off));
+        (fid, off) = (f, o);
+    }
+    let mut out = Vec::new();
+    put_varint(&mut out, count);
+    put_varint(&mut out, dir.len() as u64);
+    out.extend_from_slice(&dir);
+    out.extend_from_slice(&blob[body..]);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(64)))]
+
+    /// A directory with an entry whose offset points past the blob, or
+    /// with two entries out of order (by fid or by offset), makes a seek
+    /// that reads that far a `StorageError::Corrupt`; a seek to any other
+    /// fid returns, and nothing panics.
+    #[test]
+    fn a_corrupt_directory_is_an_error_not_a_panic(
+        width in 3usize..=4,
+        runs in prop::collection::vec((1i64..4, 2usize..12), 40..60),
+        pick in 0usize..1000,
+        kind in 0usize..4,
+        past in 0u64..5000,
+    ) {
+        let rows = run_stream(width, &runs, 0);
+        let mut packer = SegmentPacker::new(width).unwrap();
+        let seg = rows.iter().find_map(|&r| packer.push(r)).or_else(|| packer.finish()).unwrap();
+        let blob = seg.blob;
+        let (_, mut entries, body) = split_segment(&blob);
+        prop_assert!(entries.len() >= 2, "{} entries", entries.len());
+        let i = pick % (entries.len() - 1);
+        match kind {
+            // An offset at or past the blob's end.
+            0 => entries[i].1 = (blob.len() - body) as u64 + past,
+            // Two entries swapped: fids and offsets fall.
+            1 => entries.swap(i, i + 1),
+            // A fid that does not rise.
+            2 => entries[i + 1].0 = entries[i].0 - (past as i64 % 3),
+            // An offset that does not rise.
+            _ => entries[i + 1].1 = entries[i].1 - (past % (entries[i].1 + 1)).min(entries[i].1),
+        }
+        let bad = with_directory(&blob, &entries);
+        let mut cursor = SegmentCursor::new(&bad, width).unwrap();
+        let err = cursor.seek(&bad, i64::MAX);
+        prop_assert!(matches!(err, Err(StorageError::Corrupt(_))), "{:?}", err);
+        let fids: Vec<i64> = rows.iter().map(|r| r[0]).collect();
+        for fid in targets(&fids) {
+            let mut cursor = SegmentCursor::new(&bad, width).unwrap();
+            if cursor.seek(&bad, fid).is_ok() {
+                while let Ok(Some(_)) = cursor.next_row(&bad) {}
+            }
+        }
     }
 }
