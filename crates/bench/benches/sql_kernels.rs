@@ -520,13 +520,15 @@ fn probe_once(pool: &mut BufferPool, t: &Table, keys: &[Value]) -> usize {
 /// One `Table::probe_eq` of 1024 `fid` keys — what an index nested loop
 /// or a MERGE hands a table per batch — against a clustered and a
 /// segmented table, the keys once in key order and once shuffled (the
-/// probe sorts them). time / 1024 = the cost of one key. Then 26 shuffled
-/// keys — BSEG's SegTable MERGE batch on `uniform-disk` — against the
-/// edge table (BDJ/BSDJ's `TEdges` probe shape) and the 4-column SegTable
-/// shape, each clustered and segmented, with every page resident: time /
-/// 26 = the cost of one key. A segmented probe seeks each key through the
-/// segment's fid directory, so it steps over fewer than `DIR_STRIDE` rows
-/// before the key's first.
+/// probe sorts them). time / 1024 = the cost of one key. Then one key —
+/// BDJ's by-`nid` expansion, where the per-call set-up is most of the
+/// cost — against the edge table, clustered and segmented. Then 26
+/// shuffled keys — BSEG's SegTable MERGE batch on `uniform-disk` —
+/// against the edge table (BDJ/BSDJ's `TEdges` probe shape) and the
+/// 4-column SegTable shape, each clustered and segmented, with every page
+/// resident: time / 26 = the cost of one key. A segmented probe seeks
+/// each key through the segment's fid directory, so it steps over fewer
+/// than `DIR_STRIDE` rows before the key's first.
 fn bench_probe_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_batch");
     let (pool, cat) = probe_fixture();
@@ -543,6 +545,13 @@ fn bench_probe_batch(c: &mut Criterion) {
                 b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, keys)));
             });
         }
+    }
+    let one = [Value::Int(7919)];
+    for (table, name) in [("TClu", "clustered"), ("TSeg", "segmented")] {
+        let t = cat.table(table).unwrap();
+        group.bench_function(&format!("{name}/1"), |b| {
+            b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, &one)));
+        });
     }
     let batch: Vec<Value> = (0..26i64)
         .map(|i| Value::Int(i * 7919 % PROBE_NODES))

@@ -1,5 +1,10 @@
 //! **Figure 8** — extensive studies: (a) PostgreSQL dialect, (b) buffer
 //! size, (c) index strategies, (d) relational vs in-memory.
+//!
+//! (a)–(c) measure the paper's row-tier SQL (`segmented_edges: false`):
+//! the no-MERGE statements, a clustered `TEdges` that a small pool spills,
+//! and the three `TEdges`/`TOutSegs` index strategies, none of which the
+//! segmented tier has. (d) runs the served default.
 
 use crate::harness::{measure, print_table, query_pairs, secs, BenchConfig};
 use fempath_core::{BbfsFinder, BsegFinder, GraphDb, GraphDbOptions};
@@ -19,6 +24,7 @@ pub fn fig8a(cfg: &BenchConfig) -> Result<()> {
             &g,
             &GraphDbOptions {
                 dialect: Dialect::POSTGRES,
+                segmented_edges: false,
                 ..Default::default()
             },
         )?;
@@ -53,6 +59,7 @@ pub fn fig8b(cfg: &BenchConfig) -> Result<()> {
             &GraphDbOptions {
                 buffer_pages,
                 on_disk: true,
+                segmented_edges: false,
                 ..Default::default()
             },
         )?;
@@ -103,6 +110,7 @@ pub fn fig8c(cfg: &BenchConfig) -> Result<()> {
                 &GraphDbOptions {
                     edges_index,
                     visited_index,
+                    segmented_edges: false,
                     ..Default::default()
                 },
             )?;

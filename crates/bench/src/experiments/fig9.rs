@@ -1,5 +1,10 @@
 //! **Figure 9** — SegTable construction: index size and construction time
 //! across thresholds, databases, SQL styles, buffer sizes and graph scale.
+//!
+//! Every build runs on the row tier (`segmented_edges: false`), the
+//! paper's all-SQL construction: on the served segmented tier step 2
+//! streams `TOutSegs` and issues no SQL, so the dialect and the SQL style
+//! would reach only step 1.
 
 use crate::harness::{print_table, BenchConfig};
 use fempath_core::{build_segtable_with, GraphDb, GraphDbOptions, SqlStyle};
@@ -19,6 +24,15 @@ fn power_graphs(cfg: &BenchConfig, fraction: f64) -> Vec<(usize, Graph)> {
         .collect()
 }
 
+/// Row-tier options for a SegTable build under `dialect`.
+fn row_tier(dialect: Dialect) -> GraphDbOptions {
+    GraphDbOptions {
+        dialect,
+        segmented_edges: false,
+        ..Default::default()
+    }
+}
+
 fn sweep_build(
     title: &str,
     graphs: Vec<(String, Graph)>,
@@ -31,13 +45,7 @@ fn sweep_build(
     for (name, g) in graphs {
         let mut cells = vec![name];
         for &lthd in lthds {
-            let mut gdb = GraphDb::new(
-                &g,
-                &GraphDbOptions {
-                    dialect,
-                    ..Default::default()
-                },
-            )?;
+            let mut gdb = GraphDb::new(&g, &row_tier(dialect))?;
             let stats = build_segtable_with(&mut gdb, lthd, style)?;
             if report_size {
                 cells.push(format!("{}", stats.segments));
@@ -163,9 +171,9 @@ pub fn fig9e(cfg: &BenchConfig) -> Result<()> {
 pub fn fig9f(cfg: &BenchConfig) -> Result<()> {
     let mut rows = Vec::new();
     for (n, g) in power_graphs(cfg, 0.005) {
-        let mut a = GraphDb::in_memory(&g)?;
+        let mut a = GraphDb::new(&g, &row_tier(Dialect::DBMS_X))?;
         let sa = build_segtable_with(&mut a, 20, SqlStyle::New)?;
-        let mut b = GraphDb::in_memory(&g)?;
+        let mut b = GraphDb::new(&g, &row_tier(Dialect::DBMS_X))?;
         let sb = build_segtable_with(&mut b, 20, SqlStyle::Traditional)?;
         rows.push(vec![
             format!("{n}"),
@@ -197,7 +205,7 @@ pub fn fig9g(cfg: &BenchConfig) -> Result<()> {
             &GraphDbOptions {
                 buffer_pages,
                 on_disk: true,
-                ..Default::default()
+                ..row_tier(Dialect::DBMS_X)
             },
         )?;
         let stats = build_segtable_with(&mut gdb, 3, SqlStyle::New)?;
@@ -224,7 +232,7 @@ pub fn fig9h(cfg: &BenchConfig) -> Result<()> {
     for (i, &paper_n) in paper_sizes.iter().enumerate() {
         let n = cfg.nodes(paper_n, 0.005);
         let g = generate::livejournal_like(n, 1..=100, cfg.seed + i as u64);
-        let mut gdb = GraphDb::in_memory(&g)?;
+        let mut gdb = GraphDb::new(&g, &row_tier(Dialect::DBMS_X))?;
         let stats = build_segtable_with(&mut gdb, 3, SqlStyle::New)?;
         rows.push(vec![
             format!("{n}"),

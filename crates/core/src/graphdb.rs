@@ -28,7 +28,8 @@ pub(crate) const INSERT_EDGE_SQL: &str = "INSERT INTO TEdges (fid, tid, cost) VA
 /// parallel `(fid, tid)` edge in one direction.
 pub(crate) const DELETE_EDGE_SQL: &str = "DELETE FROM TEdges WHERE fid = ? AND tid = ?";
 
-/// Configuration for a [`GraphDb`].
+/// Configuration for a [`GraphDb`]. The default serves: an in-memory
+/// pool and segmented `TEdges` ([`GraphDbOptions::segmented_edges`]).
 #[derive(Debug, Clone)]
 pub struct GraphDbOptions {
     /// Buffer-pool capacity in 8 KiB pages.
@@ -38,7 +39,10 @@ pub struct GraphDbOptions {
     pub on_disk: bool,
     /// SQL dialect (DBMS-x or PostgreSQL).
     pub dialect: Dialect,
-    /// Index strategy for `TEdges(fid)` (and the SegTable) — Fig 8(c).
+    /// Index strategy for the row tier's `TEdges(fid)` (and SegTable) —
+    /// Fig 8(c). The segmented tier takes only `Clustered`, the default:
+    /// its segment tree is the fid access path, so [`GraphDb::new`]
+    /// refuses `NoIndex` and `Secondary` there.
     pub edges_index: IndexKind,
     /// Index strategy for `TVisited(nid)` — Fig 8(c).
     pub visited_index: IndexKind,
@@ -47,11 +51,13 @@ pub struct GraphDbOptions {
     /// and query results are identical; only the build path changes.
     pub bulk_load: bool,
     /// Store `TEdges` as delta-compressed adjacency segments instead of
-    /// heap/clustered rows (DESIGN.md §14). Implies `bulk_load` (segments
-    /// can only be bulk-built) and makes `TEdges` read-only; `edges_index`
-    /// is ignored for the edge table because the segment tree *is* the
-    /// fid access path. The SegTable lives in its edge table's storage:
-    /// [`GraphDb::build_segtable`] stores `TOutSegs` as segments too.
+    /// heap/clustered rows (DESIGN.md §14) — the default, and the tier
+    /// that serves. Implies `bulk_load` (segments can only be bulk-built)
+    /// and makes `TEdges` read-only to SQL (edge mutations go through
+    /// [`GraphDb::insert_edge`] / [`GraphDb::delete_edge`]). The SegTable
+    /// lives in its edge table's storage: [`GraphDb::build_segtable`]
+    /// stores `TOutSegs` as segments too. `false` selects the row tier,
+    /// which exists for Fig 8's index ablation and for row-tier SQL.
     pub segmented_edges: bool,
 }
 
@@ -64,7 +70,7 @@ impl Default for GraphDbOptions {
             edges_index: IndexKind::Clustered,
             visited_index: IndexKind::Secondary,
             bulk_load: false,
-            segmented_edges: false,
+            segmented_edges: true,
         }
     }
 }
@@ -106,8 +112,18 @@ pub struct GraphDb {
 }
 
 impl GraphDb {
-    /// Builds a database with `opts` and loads `graph`.
+    /// Builds a database with `opts` and loads `graph`. Errors with
+    /// [`SqlError::Catalog`] when `opts` asks for segmented edges under a
+    /// row-tier `edges_index` (`NoIndex` or `Secondary`), which the
+    /// segment tree could not honour.
     pub fn new(graph: &Graph, opts: &GraphDbOptions) -> Result<GraphDb> {
+        if opts.segmented_edges && opts.edges_index != IndexKind::Clustered {
+            return Err(SqlError::Catalog(format!(
+                "edges_index {:?} needs the row tier (segmented_edges: false); \
+                 segmented TEdges is keyed on fid by its segment tree",
+                opts.edges_index
+            )));
+        }
         let db = if opts.on_disk {
             Database::on_temp_file(opts.buffer_pages)?
         } else {
@@ -160,12 +176,13 @@ impl GraphDb {
         &self.limits
     }
 
-    /// In-memory database with default options.
+    /// In-memory database with default options: segmented `TEdges`.
     pub fn in_memory(graph: &Graph) -> Result<GraphDb> {
         GraphDb::new(graph, &GraphDbOptions::default())
     }
 
-    /// Disk-resident database with the given buffer budget.
+    /// Disk-resident database with the given buffer budget and otherwise
+    /// default options: segmented `TEdges`.
     pub fn on_temp_file(graph: &Graph, buffer_pages: usize) -> Result<GraphDb> {
         GraphDb::new(
             graph,
@@ -660,6 +677,39 @@ mod tests {
         assert_eq!(gdb.num_nodes(), 16);
         assert_eq!(gdb.db.table_len("TEdges").unwrap(), g.num_arcs() as u64);
         assert_eq!(gdb.db.table_len("TNodes").unwrap(), 16);
+    }
+
+    #[test]
+    fn default_serves_segmented_edges() {
+        let g = generate::grid(3, 3, 1..=10, 1);
+        assert!(GraphDb::in_memory(&g).unwrap().edges_segmented());
+        let rows = GraphDbOptions {
+            segmented_edges: false,
+            ..Default::default()
+        };
+        assert!(!GraphDb::new(&g, &rows).unwrap().edges_segmented());
+    }
+
+    #[test]
+    fn segmented_edges_refuse_a_row_tier_index() {
+        let g = generate::grid(3, 3, 1..=10, 1);
+        for edges_index in [IndexKind::NoIndex, IndexKind::Secondary] {
+            let opts = GraphDbOptions {
+                edges_index,
+                ..Default::default()
+            };
+            let err = GraphDb::new(&g, &opts).err().expect("must refuse");
+            assert!(
+                matches!(err, SqlError::Catalog(_)),
+                "{edges_index:?}: {err}"
+            );
+            let rows = GraphDbOptions {
+                segmented_edges: false,
+                ..opts
+            };
+            let gdb = GraphDb::new(&g, &rows).unwrap();
+            assert_eq!(gdb.edges_index(), edges_index);
+        }
     }
 
     #[test]

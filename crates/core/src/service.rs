@@ -92,7 +92,8 @@ impl ServiceAlgorithm {
 pub struct PathServiceOptions {
     /// Worker threads (and concurrent sessions). 0 is clamped to 1.
     pub workers: usize,
-    /// Database build options (buffer budget, dialect, index strategies).
+    /// Database build options (buffer budget, dialect, storage tier —
+    /// segmented `TEdges` by default).
     pub graphdb: GraphDbOptions,
     /// Finder answering every query — [`PathService::query`] and each
     /// distinct pair of [`PathService::query_batch`] alike.

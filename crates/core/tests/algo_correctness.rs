@@ -308,6 +308,8 @@ fn pruning_off_is_equally_correct() {
     all_pairs_check(&g, &finder, &mut gdb, &pairs);
 }
 
+/// Fig 8(c)'s index matrix, on the row tier: the one that takes an
+/// `edges_index`.
 #[test]
 fn index_strategies_are_equally_correct() {
     let g = generate::power_law(120, 3, 1..=100, 61);
@@ -326,6 +328,7 @@ fn index_strategies_are_equally_correct() {
                 &GraphDbOptions {
                     edges_index,
                     visited_index,
+                    segmented_edges: false,
                     ..Default::default()
                 },
             )
@@ -339,8 +342,14 @@ fn index_strategies_are_equally_correct() {
 #[test]
 fn disk_resident_database_is_equally_correct() {
     let g = generate::power_law(200, 3, 1..=100, 71);
-    // Tiny buffer: everything spills.
-    let mut gdb = GraphDb::on_temp_file(&g, 8).unwrap();
+    // Tiny buffer over row-tier tables: everything spills.
+    let opts = GraphDbOptions {
+        buffer_pages: 8,
+        on_disk: true,
+        segmented_edges: false,
+        ..Default::default()
+    };
+    let mut gdb = GraphDb::new(&g, &opts).unwrap();
     let pairs = sample_pairs(200, 5);
     all_pairs_check(&g, &BsdjFinder::default(), &mut gdb, &pairs);
     assert!(

@@ -10,9 +10,16 @@ use fempath_core::{build_segtable, GraphDb, GraphDbOptions, SqlStyle};
 use fempath_graph::generate;
 use fempath_sql::{AccessKind, JoinKind, Report, Rule};
 
+/// A small graph on the row tier, whose SegTable build issues the SQL
+/// step 2 (`seg/nsql/*/copy_segments`, `residual_*`); the segmented tier
+/// has its own gate, [`segmented_corpus_is_clean`].
 fn small_gdb() -> GraphDb {
     let g = generate::power_law(60, 3, 1..=50, 7);
-    GraphDb::in_memory(&g).unwrap()
+    let opts = GraphDbOptions {
+        segmented_edges: false,
+        ..Default::default()
+    };
+    GraphDb::new(&g, &opts).unwrap()
 }
 
 /// Walks the corpus with every optional structure built and requires

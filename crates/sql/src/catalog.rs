@@ -29,9 +29,9 @@ use crate::error::{Result, SqlError};
 use crate::pool::{take, Pooled};
 use fempath_storage::{
     decode_row_into_chunk, decode_rows_into_chunk, decode_segment, encode_key_into,
-    encode_row_from_chunk, BTree, BTreeBulkBuilder, BTreeScanCursor, BufferPool, Chunk, ColSet,
-    Column, DataType, HeapFile, HeapScanCursor, KeyArena, LeafWalk, PackedSegment, RecordId,
-    SegRow, SegmentCursor, SegmentPacker, Value, CHUNK_CAPACITY,
+    encode_row_from_chunk, int_key, BTree, BTreeBulkBuilder, BTreeScanCursor, BufferPool, Chunk,
+    ColSet, Column, DataType, HeapFile, HeapScanCursor, KeyArena, LeafWalk, PackedSegment,
+    RecordId, SegRow, SegmentCursor, SegmentPacker, Value, CHUNK_CAPACITY, INT_KEY_LEN,
 };
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -553,17 +553,23 @@ fn edge_width(chunk: &mut Chunk, width: usize) -> Result<()> {
     Ok(())
 }
 
+/// Bytes of a segment tree key: the segment's last fid, encoded, then an
+/// 8-byte sequence number ([`SegmentLoad::put`]).
+const SEG_KEY_LEN: usize = INT_KEY_LEN + 8;
+
 /// Where a sweep over ascending fids stands in a segment tree: the leaf
 /// walk, and the segment it is decoding — its tree key and a cursor that
-/// resumes before the first row past the previous fid.
+/// resumes before the first row past the previous fid. It takes no
+/// buffer from the pools: a one-key probe sets one up per call.
+#[derive(Default)]
 struct SegmentWalk {
     /// The segments' layout: 3 or 4 columns.
     width: usize,
     leaf: LeafWalk,
-    key: Pooled<Vec<u8>>,
+    /// The tree key of the segment `cursor` is on; `None` when the next
+    /// segment is decoded afresh.
+    key: Option<[u8; SEG_KEY_LEN]>,
     cursor: SegmentCursor,
-    /// The encoded probe fid.
-    lo: Pooled<Vec<u8>>,
     /// The fid probed last.
     last: Option<i64>,
 }
@@ -572,11 +578,7 @@ impl SegmentWalk {
     fn new(width: usize) -> SegmentWalk {
         SegmentWalk {
             width,
-            leaf: LeafWalk::default(),
-            key: take(),
-            cursor: SegmentCursor::default(),
-            lo: take(),
-            last: None,
+            ..SegmentWalk::default()
         }
     }
 
@@ -599,19 +601,18 @@ impl SegmentWalk {
             leaf,
             key,
             cursor,
-            lo,
             last,
         } = self;
         if last.replace(fid).is_some_and(|last| fid <= last) {
-            key.clear();
+            *key = None;
         }
-        lo.clear();
-        encode_key_into(lo, &Value::Int(fid))?;
+        let lo = int_key(fid);
         let mut decoded = Ok(());
-        tree.scan_from(pool, leaf, lo, |k, blob| {
-            if key[..] != *k {
-                key.clear();
-                key.extend_from_slice(k);
+        tree.scan_from(pool, leaf, &lo, |k, blob| {
+            if key.as_ref().is_none_or(|key| key[..] != *k) {
+                // A key of another length is not remembered: its segment
+                // is decoded afresh each time.
+                *key = k.try_into().ok();
                 decoded = SegmentCursor::new(blob, *width).map(|c| *cursor = c);
             }
             if decoded.is_ok() {
@@ -619,7 +620,7 @@ impl SegmentWalk {
             }
             // The fid's rows go on into the next segment only when this
             // one's last fid is the fid.
-            decoded.is_ok() && k.starts_with(lo)
+            decoded.is_ok() && k.starts_with(&lo)
         })?;
         Ok(decoded?)
     }
@@ -936,7 +937,7 @@ impl SegmentLoad {
     /// inside an earlier-starting segment.
     fn put(&mut self, pool: &mut BufferPool, seg: PackedSegment) -> Result<()> {
         self.key.clear();
-        encode_key_into(&mut self.key, &Value::Int(seg.last_fid))?;
+        self.key.extend_from_slice(&int_key(seg.last_fid));
         self.key.extend_from_slice(&self.seq.to_be_bytes());
         self.seq += 1;
         Ok(self.builder.push(pool, &self.key, &seg.blob)?)

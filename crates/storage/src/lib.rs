@@ -55,4 +55,4 @@ pub use segment::{
     SegmentPacker, SegmentWriter, DIR_STRIDE, SEG_MAX_BYTES, SEG_MAX_EDGES,
 };
 pub use stats::IoStats;
-pub use value::{decode_key, encode_key, encode_key_into, DataType, Value};
+pub use value::{decode_key, encode_key, encode_key_into, int_key, DataType, Value, INT_KEY_LEN};

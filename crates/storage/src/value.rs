@@ -169,17 +169,24 @@ const TAG_INT: u8 = 0x01;
 const TAG_FLOAT: u8 = 0x02;
 const TAG_TEXT: u8 = 0x03;
 
+/// Bytes of an encoded INT key ([`int_key`]).
+pub const INT_KEY_LEN: usize = 9;
+
+/// The order-preserving encoding of `Value::Int(i)`, as
+/// [`encode_key_into`] appends it.
+pub fn int_key(i: i64) -> [u8; INT_KEY_LEN] {
+    let mut key = [TAG_INT; INT_KEY_LEN];
+    // Flip the sign bit so two's-complement order becomes unsigned byte
+    // order.
+    key[1..].copy_from_slice(&((i as u64) ^ (1u64 << 63)).to_be_bytes());
+    key
+}
+
 /// Appends the order-preserving encoding of `v` to `out`.
 pub fn encode_key_into(out: &mut Vec<u8>, v: &Value) -> Result<()> {
     match v {
         Value::Null => out.push(TAG_NULL),
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            // Flip the sign bit so two's-complement order becomes unsigned
-            // byte order.
-            let flipped = (*i as u64) ^ (1u64 << 63);
-            out.extend_from_slice(&flipped.to_be_bytes());
-        }
+        Value::Int(i) => out.extend_from_slice(&int_key(*i)),
         Value::Float(f) => {
             out.push(TAG_FLOAT);
             let bits = f.to_bits();

@@ -107,6 +107,8 @@ fn dj_runs_on_tiny_graph_all_dialects() {
 
 #[test]
 fn disk_resident_pipeline_with_tiny_buffer() {
+    // The row tier: a 24-page pool spills its clustered `TEdges` and
+    // `TOutSegs`, where the segmented tier's would stay resident.
     let g = generate::power_law(300, 3, 1..=50, 21);
     let mut gdb = GraphDb::new(
         &g,
@@ -114,6 +116,7 @@ fn disk_resident_pipeline_with_tiny_buffer() {
             buffer_pages: 24,
             on_disk: true,
             edges_index: IndexKind::Clustered,
+            segmented_edges: false,
             ..Default::default()
         },
     )

@@ -2,11 +2,14 @@
 //! result cache (DESIGN.md §16): a random interleaving of
 //! `insert_edge` / `delete_edge` / `query` / `query_batch` against a
 //! [`PathService`] must agree with a fresh in-memory Dijkstra over a
-//! plain edge-list model after **every** step — across both SQL dialects,
-//! both storage tiers and both the node-at-a-time (BDJ) and set-at-a-time
-//! (BSDJ) finders, with the cache enabled. Every query is issued
-//! twice in a row, so the second answer is served from the cache and a
-//! stale entry (including a stale *negative* entry) can never hide.
+//! plain edge-list model after **every** step — across both SQL dialects
+//! and both the node-at-a-time (BDJ) and set-at-a-time (BSDJ) finders,
+//! on the default (segmented) storage tier, with the cache enabled.
+//! Every query is issued twice in a row, so the second answer is served
+//! from the cache and a stale entry (including a stale *negative* entry)
+//! can never hide. The row tier's SQL mutation path keeps its unit test
+//! in `GraphDb`; `segment_differential.rs` is the one cross-tier
+//! differential.
 
 use fempath::core::{GraphDbOptions, PathService, PathServiceOptions, ServiceAlgorithm};
 use fempath::graph::{generate, Graph};
@@ -51,15 +54,9 @@ fn oracle(n: usize, model: &[(u32, u32, u32)], s: i64, t: i64) -> Option<i64> {
 }
 
 /// Runs one op script against a service built with `dialect` /
-/// `segmented` / `algorithm`, checking every query (and its immediate
-/// cached replay) against the fresh-Dijkstra oracle.
-fn run_script(
-    g: &Graph,
-    ops: &[Op],
-    dialect: Dialect,
-    segmented: bool,
-    algorithm: ServiceAlgorithm,
-) {
+/// `algorithm`, checking every query (and its immediate cached replay)
+/// against the fresh-Dijkstra oracle.
+fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, algorithm: ServiceAlgorithm) {
     let n = g.num_nodes();
     let svc = PathService::with_options(
         g,
@@ -67,8 +64,6 @@ fn run_script(
             workers: 2,
             graphdb: GraphDbOptions {
                 dialect,
-                segmented_edges: segmented,
-                bulk_load: segmented,
                 ..Default::default()
             },
             algorithm,
@@ -79,7 +74,7 @@ fn run_script(
     let mut model = edge_model(g);
     let mut version = svc.graph_version();
     for (step, &op) in ops.iter().enumerate() {
-        let ctx = format!("step {step} {op:?} ({algorithm:?}, {dialect:?}, segmented={segmented})");
+        let ctx = format!("step {step} {op:?} ({algorithm:?}, {dialect:?})");
         match op {
             Op::Query(s, t) => {
                 let want = oracle(n, &model, s, t);
@@ -129,7 +124,7 @@ fn run_script(
         assert!(
             svc.stats().cache.hits > 0,
             "every query was replayed, yet the cache never hit \
-             ({algorithm:?}, {dialect:?}, segmented={segmented})"
+             ({algorithm:?}, {dialect:?})"
         );
     }
 }
@@ -153,7 +148,7 @@ proptest! {
 
     /// The acceptance property: random mutation/query interleavings are
     /// indistinguishable from fresh Dijkstra on the mutated edge list,
-    /// for every finder × dialect × storage-tier combination, cache on.
+    /// for every finder × dialect combination, cache on.
     #[test]
     fn interleaved_mutations_match_fresh_dijkstra(
         seed in 0u64..500,
@@ -161,10 +156,8 @@ proptest! {
     ) {
         let g = generate::grid(4, 4, 1..=10, seed);
         for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-            for segmented in [false, true] {
-                for algorithm in [ServiceAlgorithm::Bdj, ServiceAlgorithm::Bsdj] {
-                    run_script(&g, &ops, dialect, segmented, algorithm);
-                }
+            for algorithm in [ServiceAlgorithm::Bdj, ServiceAlgorithm::Bsdj] {
+                run_script(&g, &ops, dialect, algorithm);
             }
         }
     }
@@ -181,56 +174,52 @@ fn negative_cache_entries_go_stale_with_the_version() {
     let g = Graph::from_undirected_edges(n + 1, edge_model(&core));
     let lonely = n as i64;
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
-        for segmented in [false, true] {
-            let svc = PathService::with_options(
-                &g,
-                &PathServiceOptions {
-                    workers: 2,
-                    graphdb: GraphDbOptions {
-                        dialect,
-                        segmented_edges: segmented,
-                        bulk_load: segmented,
-                        ..Default::default()
-                    },
+        let svc = PathService::with_options(
+            &g,
+            &PathServiceOptions {
+                workers: 2,
+                graphdb: GraphDbOptions {
+                    dialect,
                     ..Default::default()
                 },
-            )
-            .unwrap();
-            let ctx = format!("({dialect:?}, segmented={segmented})");
-            // Unreachable, twice: the second answer is a negative hit.
-            assert!(svc.query(lonely, 0).unwrap().path.is_none(), "{ctx}");
-            let before = svc.stats().cache.hits;
-            assert!(svc.query(lonely, 0).unwrap().path.is_none(), "{ctx}");
-            assert!(
-                svc.stats().cache.hits > before,
-                "{ctx}: unreachable verdict was not served from the cache"
-            );
-            // Connect the lonely node straight to node 5.
-            svc.insert_edge(lonely, 5, 3).unwrap();
-            let want = oracle(
-                n + 1,
-                &{
-                    let mut m = edge_model(&core);
-                    m.push((lonely as u32, 5, 3));
-                    m
-                },
-                lonely,
-                0,
-            );
-            assert!(want.is_some(), "{ctx}: grid is connected, so 5 reaches 0");
-            let out = svc.query(lonely, 0).unwrap();
-            assert_eq!(
-                out.path.as_ref().map(|p| p.length),
-                want,
-                "{ctx}: stale negative-cache entry survived the mutation"
-            );
-            // Disconnect again: the cached positive path must die too.
-            svc.delete_edge(lonely, 5).unwrap();
-            assert!(
-                svc.query(lonely, 0).unwrap().path.is_none(),
-                "{ctx}: stale positive entry survived the delete"
-            );
-        }
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let ctx = format!("({dialect:?})");
+        // Unreachable, twice: the second answer is a negative hit.
+        assert!(svc.query(lonely, 0).unwrap().path.is_none(), "{ctx}");
+        let before = svc.stats().cache.hits;
+        assert!(svc.query(lonely, 0).unwrap().path.is_none(), "{ctx}");
+        assert!(
+            svc.stats().cache.hits > before,
+            "{ctx}: unreachable verdict was not served from the cache"
+        );
+        // Connect the lonely node straight to node 5.
+        svc.insert_edge(lonely, 5, 3).unwrap();
+        let want = oracle(
+            n + 1,
+            &{
+                let mut m = edge_model(&core);
+                m.push((lonely as u32, 5, 3));
+                m
+            },
+            lonely,
+            0,
+        );
+        assert!(want.is_some(), "{ctx}: grid is connected, so 5 reaches 0");
+        let out = svc.query(lonely, 0).unwrap();
+        assert_eq!(
+            out.path.as_ref().map(|p| p.length),
+            want,
+            "{ctx}: stale negative-cache entry survived the mutation"
+        );
+        // Disconnect again: the cached positive path must die too.
+        svc.delete_edge(lonely, 5).unwrap();
+        assert!(
+            svc.query(lonely, 0).unwrap().path.is_none(),
+            "{ctx}: stale positive entry survived the delete"
+        );
     }
 }
 

@@ -4,7 +4,7 @@
 //! answer under concurrency would mean sessions are leaking state into
 //! each other through the shared page image.
 
-use fempath::core::{GraphDb, PathService, PathServiceOptions, ServiceAlgorithm};
+use fempath::core::{GraphDb, GraphDbOptions, PathService, PathServiceOptions, ServiceAlgorithm};
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -159,9 +159,15 @@ fn bsdj_service_matches_oracle() {
 #[test]
 fn snapshot_sessions_are_isolated() {
     // Direct snapshot use: two sessions mutate their working tables
-    // independently; the shared base image stays intact.
+    // independently; the shared base image stays intact. Row-tier
+    // `TEdges`, which SQL may DELETE from (segmented `TEdges` is
+    // read-only to SQL).
     let g = generate::grid(4, 4, 1..=10, 1);
-    let snap = Arc::new(GraphDb::in_memory(&g).unwrap().freeze().unwrap());
+    let opts = GraphDbOptions {
+        segmented_edges: false,
+        ..Default::default()
+    };
+    let snap = Arc::new(GraphDb::new(&g, &opts).unwrap().freeze().unwrap());
     let mut a = snap.session();
     let mut b = snap.session();
     a.db.execute("INSERT INTO TVisited VALUES (1, 0, -1, 0, 0, -1, 0)")
