@@ -503,18 +503,27 @@ fn probe_fixture() -> (BufferPool, Catalog) {
     (pool, cat)
 }
 
-/// One `Table::probe_eq` of `keys` against `t` on `fid`.
-fn probe_once(pool: &mut BufferPool, t: &Table, keys: &[Value]) -> usize {
-    let mut rows = Chunk::new();
-    let mut src = Vec::new();
+/// The output buffers of [`probe_once`], reused across iterations so a
+/// timed probe allocates nothing of its own.
+#[derive(Default)]
+struct ProbeOut {
+    rows: Chunk,
+    src: Vec<u32>,
+}
+
+/// One `Table::probe_eq` of `keys` against `t` on `fid`, into `buf`'s
+/// buffers cleared first.
+fn probe_once(pool: &mut BufferPool, t: &Table, keys: &[Value], buf: &mut ProbeOut) -> usize {
+    buf.rows.reset();
+    buf.src.clear();
     let out = EqMatches {
-        rows: &mut rows,
-        src: Some(&mut src),
+        rows: &mut buf.rows,
+        src: Some(&mut buf.src),
         locs: None,
     };
     t.probe_eq(pool, t.probe_path(&[0]), &[0], keys, &ColSet::all(), out)
         .unwrap();
-    rows.len()
+    buf.rows.len()
 }
 
 /// One `Table::probe_eq` of 1024 `fid` keys — what an index nested loop
@@ -533,6 +542,7 @@ fn bench_probe_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_batch");
     let (pool, cat) = probe_fixture();
     let pool = std::cell::RefCell::new(pool);
+    let mut buf = ProbeOut::default();
     let shuffled: Vec<Value> = (0..1024i64)
         .map(|i| Value::Int(i * 7919 % PROBE_NODES))
         .collect();
@@ -542,7 +552,7 @@ fn bench_probe_batch(c: &mut Criterion) {
         let t = cat.table(table).unwrap();
         for (order, keys) in [("sorted", &sorted), ("shuffled", &shuffled)] {
             group.bench_function(&format!("{name}/1024/{order}"), |b| {
-                b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, keys)));
+                b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, keys, &mut buf)));
             });
         }
     }
@@ -550,7 +560,7 @@ fn bench_probe_batch(c: &mut Criterion) {
     for (table, name) in [("TClu", "clustered"), ("TSeg", "segmented")] {
         let t = cat.table(table).unwrap();
         group.bench_function(&format!("{name}/1"), |b| {
-            b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, &one)));
+            b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, &one, &mut buf)));
         });
     }
     let batch: Vec<Value> = (0..26i64)
@@ -564,7 +574,7 @@ fn bench_probe_batch(c: &mut Criterion) {
     ] {
         let t = cat.table(table).unwrap();
         group.bench_function(&format!("{name}/26"), |b| {
-            b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, &batch)));
+            b.iter(|| black_box(probe_once(&mut pool.borrow_mut(), t, &batch, &mut buf)));
         });
     }
     group.finish();

@@ -1,18 +1,18 @@
 //! **Service throughput** — beyond the paper (DESIGN.md §10, §13):
 //! queries per second of the concurrent [`PathService`] as the worker
 //! count grows, on a Fig 6(a)-style power-law graph, with the dispatch
-//! contention counters alongside.
+//! counters alongside.
 //!
 //! Every worker owns a private session over one `Arc`-shared read-only
-//! graph snapshot and a private job queue (work-stealing dispatch), so
-//! adding workers adds truly concurrent searches without a shared
-//! dispatch lock. The workload is driven by as many client threads as
-//! there are workers, all pulling query pairs from one shared list.
-//! Expected shape: queries/sec grows with the worker count up to the
-//! machine's available parallelism (the table records it) and stays flat
-//! beyond. The steal count, queue-depth high-water mark and queue-wait
-//! quantiles say *why* a point is slow: high steals with low waits is a
-//! healthy balancing pool; growing waits mean saturation.
+//! graph snapshot and pops jobs from the pool's one FIFO queue, so
+//! adding workers adds truly concurrent searches. The workload is driven
+//! by as many client threads as there are workers, all pulling query
+//! pairs from one shared list. Expected shape: queries/sec grows with
+//! the worker count up to the machine's available parallelism (the
+//! table records it) and stays flat beyond. The queue-depth high-water
+//! mark and queue-wait quantiles say *why* a point is slow: low waits
+//! mean the queue is not the bottleneck; waits that grow once workers
+//! exceed cores mean saturation.
 
 use crate::harness::{print_table, query_pairs, secs, BenchConfig};
 use fempath_core::PathService;
@@ -135,7 +135,6 @@ pub fn throughput(cfg: &BenchConfig) -> Result<()> {
             ms(percentile(&lat, 0.50)),
             ms(percentile(&lat, 0.95)),
             ms(percentile(&lat, 0.99)),
-            format!("{}", stats.total_stolen()),
             format!("{}", stats.max_queue_depth_hwm()),
             format!("{}", stats.wait_quantile_us(0.50)),
             format!("{}", stats.wait_quantile_us(0.99)),
@@ -154,7 +153,6 @@ pub fn throughput(cfg: &BenchConfig) -> Result<()> {
         "p50 (ms)",
         "p95 (ms)",
         "p99 (ms)",
-        "steals",
         "q-hwm",
         "qwait p50 (us)",
         "qwait p99 (us)",
@@ -172,18 +170,17 @@ pub fn throughput(cfg: &BenchConfig) -> Result<()> {
         "expected shape: queries/sec scales with workers up to the \
          machine's available parallelism ({cores} here) — every worker \
          searches a private session over one shared read-only snapshot \
-         and drains a private job queue (stealing from siblings when \
-         idle), so there is no lock on the dispatch path; beyond the \
-         core count the curve flattens rather than degrading. The \
-         steal/queue-depth/queue-wait columns separate dispatch \
-         contention (waits grow while cores are idle) from honest \
-         saturation (waits grow once workers exceed cores); `plan pubs` \
+         and pops the oldest job from one shared queue, a lock held for \
+         nanoseconds per millisecond-scale search; beyond the core count \
+         the curve flattens rather than degrading. The queue-depth and \
+         queue-wait columns separate dispatch contention (waits grow \
+         while cores are idle) from honest saturation (waits grow once \
+         workers exceed cores); `plan pubs` \
          stays at the distinct-statement count because the shared plan \
          cache publishes once per statement."
     );
-    // Scaling gate (ISSUE 7): with the contention-free dispatch path,
-    // q/s must be non-decreasing from 1 to 4 workers wherever real
-    // parallelism exists. Skipped on 1-core machines, where extra
+    // Scaling gate: q/s must be non-decreasing from 1 to 4 workers
+    // wherever real parallelism exists. Skipped on 1-core machines, where extra
     // workers can only add scheduling overhead.
     if cores > 1 {
         let qps_at = |w: usize| {

@@ -1,5 +1,5 @@
 //! **Cached serving under Zipfian skew** — beyond the paper
-//! (DESIGN.md §16): the sharded, version-keyed result cache measured
+//! (DESIGN.md §16): the version-keyed result cache measured
 //! under the workload it was built for — skewed traffic where a small
 //! set of hot `(s, t)` pairs dominates.
 //!
@@ -167,7 +167,7 @@ pub fn run(cfg: &BenchConfig) -> Result<()> {
     println!(
         "expected shape: at theta ~= 1 the trace concentrates on a few \
          dozen hot pairs, the hit rate clears 50% and the cached p50 \
-         collapses to a sharded hash probe, while uniform replay (theta \
+         collapses to one hash probe, while uniform replay (theta \
          0) pays one compulsory miss per distinct pair and barely \
          benefits; the 0.99+mut row replays the hot trace after an edge \
          mutation bumped the graph version — every resident verdict is \

@@ -1,4 +1,4 @@
-//! Sharded, version-keyed shortest-path result cache (DESIGN.md §16).
+//! Version-keyed shortest-path result cache (DESIGN.md §16).
 //!
 //! The serving tier's answer to skewed traffic: real path workloads
 //! concentrate on a small set of hot `(s, t)` pairs, so [`PathService`]
@@ -13,26 +13,17 @@
 //! unreachable hot pair would otherwise pay the full bidirectional
 //! search every time, the most expensive query shape there is.
 //!
-//! Every served query consults this cache, so it is split into N shards
-//! picked by key hash, each protected by its own plain mutex: concurrent
-//! clients rarely meet on one lock, and the critical sections are a map
-//! probe or a small LRU update. Each shard owns a byte budget; inserts
-//! evict least-recently-used entries until the new entry fits.
+//! The cache is one LRU map behind one mutex, under one byte budget: a
+//! probe holds the lock for a map lookup, an insert for a map insert
+//! plus, when the budget is full, an O(n) scan for the least recently
+//! used entry. Inserts evict until the new entry fits.
 //!
 //! [`PathService`]: crate::service::PathService
 //! [`GraphDb::graph_version`]: crate::graphdb::GraphDb::graph_version
 
 use crate::algo::Path;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Number of independent shards: a small power of two, enough to keep
-/// worker threads off each other's locks, small enough that per-shard
-/// budgets stay meaningful.
-const SHARDS: usize = 16;
+use std::sync::{Mutex, MutexGuard};
 
 /// Fixed per-entry overhead charged against the byte budget on top of
 /// the path's node storage: key, version stamp, LRU tick, map slot.
@@ -45,16 +36,20 @@ struct Entry {
     path: Option<Path>,
     /// Budget charge, computed once at insert.
     bytes: usize,
-    /// Shard-local LRU clock value at last touch.
+    /// LRU clock value at last touch.
     last_used: u64,
 }
 
-/// One shard: a keyed map plus its byte accounting and LRU clock.
+/// The map plus its byte accounting, LRU clock and counters — all
+/// guarded by the cache's one mutex.
 #[derive(Default)]
-struct Shard {
+struct Lru {
     map: HashMap<(i64, i64), Entry>,
     bytes: usize,
     tick: u64,
+    /// Cumulative counters; `entries` and `bytes` are filled in by
+    /// [`ResultCache::stats`].
+    stats: CacheStats,
 }
 
 /// Counters of one [`ResultCache`] (cumulative since creation),
@@ -78,39 +73,29 @@ pub struct CacheStats {
     pub bytes: u64,
 }
 
-/// Sharded LRU cache of `(s, t) → Option<Path>` verdicts keyed by graph
+/// LRU cache of `(s, t) → Option<Path>` verdicts keyed by graph
 /// version. See the module docs for the design; `lookup` and `insert`
 /// are safe to call from many threads at once.
 pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
-    budget_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    stale: AtomicU64,
+    lru: Mutex<Lru>,
+    budget: usize,
 }
 
 impl ResultCache {
-    /// A cache bounded to roughly `budget_bytes` of path data across all
-    /// shards (each shard gets an even slice; a zero budget still admits
-    /// nothing because every entry charges `ENTRY_OVERHEAD`).
+    /// A cache bounded to roughly `budget_bytes` of path data (a zero
+    /// budget admits nothing, because every entry charges
+    /// `ENTRY_OVERHEAD`).
     pub fn new(budget_bytes: usize) -> ResultCache {
         ResultCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            budget_per_shard: budget_bytes / SHARDS,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stale: AtomicU64::new(0),
+            lru: Mutex::new(Lru::default()),
+            budget: budget_bytes,
         }
     }
 
-    fn shard(&self, s: i64, t: i64) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        (s, t).hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
+    /// Locks the map, surviving poisoning: no caller code runs under the
+    /// lock, so the map and its accounting stay coherent.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Approximate budget charge of one entry.
@@ -128,112 +113,83 @@ impl ResultCache {
     /// as both `stale` and a miss: post-mutation queries can never see
     /// pre-mutation results, including negative ones.
     pub fn lookup(&self, s: i64, t: i64, version: u64) -> Option<Option<Path>> {
-        let mut shard = self.shard(s, t).lock().unwrap_or_else(|e| e.into_inner());
-        shard.tick += 1;
-        let tick = shard.tick;
-        let stale = match shard.map.get_mut(&(s, t)) {
+        let mut lru = self.lock();
+        let lru = &mut *lru;
+        lru.tick += 1;
+        match lru.map.get_mut(&(s, t)) {
             Some(e) if e.version == version => {
-                e.last_used = tick;
-                let out = e.path.clone();
-                drop(shard);
-                // ORDERING: Relaxed — monotonic diagnostic counters, read
-                // racily by `stats`; no other memory is ordered by them.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(out);
+                e.last_used = lru.tick;
+                lru.stats.hits += 1;
+                return Some(e.path.clone());
             }
-            Some(_) => true,
-            None => false,
-        };
-        if stale {
-            if let Some(e) = shard.map.remove(&(s, t)) {
-                shard.bytes -= e.bytes;
+            Some(_) => {
+                if let Some(e) = lru.map.remove(&(s, t)) {
+                    lru.bytes -= e.bytes;
+                }
+                lru.stats.stale += 1;
             }
-            drop(shard);
-            // ORDERING: Relaxed — diagnostic counters, as for `hits`.
-            self.stale.fetch_add(1, Ordering::Relaxed);
-        } else {
-            drop(shard);
+            None => {}
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        lru.stats.misses += 1;
         None
     }
 
     /// Publishes the verdict for `(s, t)` computed at `version`,
-    /// evicting least-recently-used entries until it fits the shard's
-    /// byte budget. An entry larger than the whole shard budget is not
-    /// admitted. A concurrent entry at a *newer* version is never
-    /// overwritten by an older one (two workers racing across a
-    /// mutation), so the cache converges on the newest verdict.
+    /// evicting least-recently-used entries until it fits the byte
+    /// budget. An entry larger than the whole budget is not admitted. A
+    /// concurrent entry at a *newer* version is never overwritten by an
+    /// older one (two workers racing across a mutation), so the cache
+    /// converges on the newest verdict.
     pub fn insert(&self, s: i64, t: i64, version: u64, path: Option<Path>) {
         let bytes = Self::entry_bytes(&path);
-        if bytes > self.budget_per_shard {
+        if bytes > self.budget {
             return;
         }
-        let mut evicted = 0u64;
-        {
-            let mut shard = self.shard(s, t).lock().unwrap_or_else(|e| e.into_inner());
-            if shard.map.get(&(s, t)).is_some_and(|e| e.version > version) {
-                return;
-            }
-            if let Some(old) = shard.map.remove(&(s, t)) {
-                shard.bytes -= old.bytes;
-            }
-            while shard.bytes + bytes > self.budget_per_shard {
-                // O(n) LRU victim scan: shards stay small (a few hundred
-                // entries at most under realistic budgets), so a scan
-                // beats maintaining an intrusive list under the lock.
-                let victim = shard
-                    .map
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(&k, _)| k);
-                let Some(victim) = victim else {
-                    break;
-                };
-                if let Some(e) = shard.map.remove(&victim) {
-                    shard.bytes -= e.bytes;
-                    evicted += 1;
-                }
-            }
-            shard.tick += 1;
-            let tick = shard.tick;
-            shard.bytes += bytes;
-            shard.map.insert(
-                (s, t),
-                Entry {
-                    version,
-                    path,
-                    bytes,
-                    last_used: tick,
-                },
-            );
+        let mut lru = self.lock();
+        if lru.map.get(&(s, t)).is_some_and(|e| e.version > version) {
+            return;
         }
-        // ORDERING: Relaxed — diagnostic counters, as in `lookup`.
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        if let Some(old) = lru.map.remove(&(s, t)) {
+            lru.bytes -= old.bytes;
         }
+        while lru.bytes + bytes > self.budget {
+            // O(n) LRU victim scan: it runs only when the budget is full,
+            // and it beats maintaining an intrusive list under the lock.
+            let victim = lru
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&k, _)| k);
+            let Some(victim) = victim else {
+                break;
+            };
+            if let Some(e) = lru.map.remove(&victim) {
+                lru.bytes -= e.bytes;
+                lru.stats.evictions += 1;
+            }
+        }
+        lru.tick += 1;
+        let last_used = lru.tick;
+        lru.bytes += bytes;
+        lru.stats.inserts += 1;
+        lru.map.insert(
+            (s, t),
+            Entry {
+                version,
+                path,
+                bytes,
+                last_used,
+            },
+        );
     }
 
     /// Cumulative counters plus current residency.
     pub fn stats(&self) -> CacheStats {
-        let mut entries = 0u64;
-        let mut bytes = 0u64;
-        for shard in &self.shards {
-            let s = shard.lock().unwrap_or_else(|e| e.into_inner());
-            entries += s.map.len() as u64;
-            bytes += s.bytes as u64;
-        }
-        // ORDERING: Relaxed — a racy snapshot of diagnostic counters;
-        // a slightly stale read is fine and nothing is ordered against it.
+        let lru = self.lock();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            stale: self.stale.load(Ordering::Relaxed),
-            entries,
-            bytes,
+            entries: lru.map.len() as u64,
+            bytes: lru.bytes as u64,
+            ..lru.stats
         }
     }
 }
@@ -295,22 +251,22 @@ mod tests {
 
     #[test]
     fn byte_budget_evicts_lru() {
-        // One shard's budget fits only a handful of entries; hammer one
-        // shard-colliding key set via identical (s, t) reuse.
-        let c = ResultCache::new(SHARDS * (ENTRY_OVERHEAD + 64));
-        for i in 0..64 {
+        // The budget fits exactly four 4-node paths.
+        let budget = 4 * (ENTRY_OVERHEAD + 4 * std::mem::size_of::<i64>());
+        let c = ResultCache::new(budget);
+        for i in 0..8 {
             c.insert(i, i, 0, path(4));
         }
         let st = c.stats();
-        assert!(st.evictions > 0, "budget must force evictions");
-        assert!(
-            st.bytes <= (SHARDS * (ENTRY_OVERHEAD + 64)) as u64,
-            "residency exceeds budget"
-        );
-        // Recently-touched entries survive preferentially: touch the
-        // newest and insert another colliding entry.
-        let survivors: Vec<i64> = (0..64).filter(|&i| c.lookup(i, i, 0).is_some()).collect();
-        assert!(!survivors.is_empty());
+        assert_eq!(st.evictions, 4, "budget must force evictions");
+        assert_eq!(st.bytes, budget as u64, "residency fills the budget");
+        let survivors: Vec<i64> = (0..8).filter(|&i| c.lookup(i, i, 0).is_some()).collect();
+        assert_eq!(survivors, vec![4, 5, 6, 7], "the oldest entries go first");
+        // A touched entry outlives an untouched older one.
+        assert!(c.lookup(4, 4, 0).is_some());
+        c.insert(8, 8, 0, path(4));
+        assert!(c.lookup(4, 4, 0).is_some(), "touched entry survives");
+        assert_eq!(c.lookup(5, 5, 0), None, "least recently used is evicted");
     }
 
     #[test]
@@ -323,7 +279,7 @@ mod tests {
 
     #[test]
     fn oversized_path_is_not_admitted() {
-        let c = ResultCache::new(SHARDS * 256);
+        let c = ResultCache::new(4096);
         c.insert(1, 2, 0, path(10_000));
         assert_eq!(c.stats().entries, 0);
     }

@@ -15,8 +15,8 @@
 //!   bounds seeded into Theorem-1 pruning and an exact fast path for
 //!   covered pairs (DESIGN.md §12),
 //! * [`service`] — the concurrent [`PathService`] over `Arc`-shared
-//!   read-only graph snapshots (DESIGN.md §10) with work-stealing
-//!   dispatch of one job per pair ([`dispatch`], DESIGN.md §13),
+//!   read-only graph snapshots (DESIGN.md §10), one job per pair on one
+//!   shared queue ([`dispatch`], DESIGN.md §13),
 //! * [`stats`] — per-phase / per-operator measurement.
 //!
 //! The paper's "FEM is general" searches of §3.1 — reachability, Prim's
@@ -55,7 +55,7 @@ pub use algo::{
     ShortestPathFinder,
 };
 pub use cache::{CacheStats, ResultCache};
-pub use dispatch::{StealQueues, WaitHistogram};
+pub use dispatch::{QueueStats, StealQueues, WaitHistogram};
 pub use graphdb::{
     GraphDb, GraphDbOptions, GraphSnapshot, LandmarkInfo, SegTableInfo, INF, NO_NODE,
 };
@@ -65,8 +65,7 @@ pub use landmarks::{
 };
 pub use segtable::{build_segtable, build_segtable_with, SegTableStats};
 pub use service::{
-    PathService, PathServiceOptions, ServiceAlgorithm, ServiceStats, WorkerStats,
-    DEFAULT_CACHE_BYTES,
+    PathService, PathServiceOptions, ServiceAlgorithm, ServiceStats, DEFAULT_CACHE_BYTES,
 };
 pub use sssp::{single_source, SsspEntry, SsspResult};
 pub use stats::{FemOperator, Phase, QueryStats, SqlStyle};

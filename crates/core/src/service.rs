@@ -9,16 +9,14 @@
 //! copy-on-write overlay for the working tables, and prepared-statement
 //! set.
 //!
-//! Dispatch is contention-free (DESIGN.md §13): every worker owns a
-//! private queue, producers round-robin jobs across the queues, and an
-//! idle worker steals the oldest job from a busy sibling
-//! ([`crate::dispatch`]). A batch is **one job per distinct pair** —
-//! [`PathService::query_batch`] pushes exactly the jobs
-//! [`PathService::query`] would, so work stealing balances individual
-//! pairs and a slow pair holds up nothing but itself. A worker that
-//! panics mid-query answers that caller with an error, rebuilds its
-//! session and keeps serving — one poisoned query can neither hang its
-//! caller nor take down the pool.
+//! Dispatch is one FIFO queue for the whole pool (DESIGN.md §13,
+//! [`crate::dispatch`]): every idle worker pops the oldest job. A batch
+//! is **one job per distinct pair** — [`PathService::query_batch`]
+//! pushes exactly the jobs [`PathService::query`] would, so the pool
+//! balances individual pairs and a slow pair holds up nothing but
+//! itself. A worker that panics mid-query answers that caller with an
+//! error, rebuilds its session and keeps serving — one poisoned query
+//! can neither hang its caller nor take down the pool.
 //!
 //! Two serving-tier layers sit on top of the pool (DESIGN.md §16):
 //!
@@ -30,7 +28,7 @@
 //!   before the query was issued. Landmark bounds go stale on the first
 //!   mutation and each session disables its fast path rather than risk
 //!   an inadmissible bound.
-//! * **A sharded result cache** — hot `(s, t)` pairs are answered from a
+//! * **A result cache** — hot `(s, t)` pairs are answered from a
 //!   [`ResultCache`] keyed by graph version, consulted before any worker
 //!   is involved. Mutations invalidate by version bump, never by sweep.
 //!
@@ -50,7 +48,7 @@
 
 use crate::algo::{BdjFinder, BsdjFinder, Path, PathOutcome, SearchLimits, ShortestPathFinder};
 use crate::cache::{CacheStats, ResultCache};
-use crate::dispatch::{StealQueues, WaitHistogram, WorkerQueueStats};
+use crate::dispatch::{QueueStats, StealQueues};
 use crate::graphdb::{GraphDb, GraphDbOptions, GraphSnapshot};
 use crate::stats::QueryStats;
 use fempath_graph::Graph;
@@ -169,45 +167,15 @@ enum Job {
     InjectPanic { reply: Sender<Result<PathOutcome>> },
 }
 
-/// Counter snapshot for one service worker (see [`PathService::stats`]).
-#[derive(Debug, Clone, Default)]
-pub struct WorkerStats {
-    /// Jobs (one per single query or distinct batch pair) this worker
-    /// executed.
-    pub executed: u64,
-    /// Jobs this worker stole from a sibling's queue.
-    pub stolen: u64,
-    /// Jobs currently queued on this worker.
-    pub queue_depth: usize,
-    /// High-water mark of this worker's queue depth.
-    pub queue_depth_hwm: u64,
-    /// Queue-wait histogram of jobs enqueued on this worker (log₂ µs
-    /// buckets) — how long work sat before any worker picked it up.
-    pub wait: WaitHistogram,
-}
-
-impl From<WorkerQueueStats> for WorkerStats {
-    fn from(q: WorkerQueueStats) -> WorkerStats {
-        WorkerStats {
-            executed: q.executed,
-            stolen: q.stolen,
-            queue_depth: q.depth,
-            queue_depth_hwm: q.depth_hwm,
-            wait: q.wait,
-        }
-    }
-}
-
-/// Instrumentation for a [`PathService`] (DESIGN.md §13, §16):
-/// per-worker queue depths, steal counts and queue-wait histograms, plus
-/// the serving-tier counters — result-cache hit/miss/eviction/stale
-/// totals, landmark fast-path hits and the current graph version. All
-/// counters are cheap relaxed atomics — reading them does not perturb
-/// the pool.
+/// Instrumentation for a [`PathService`] (DESIGN.md §13, §16): the job
+/// queue's counters — jobs executed per worker, queue depth and its
+/// high-water mark, the queue-wait histogram — plus the serving-tier
+/// counters: result-cache hit/miss/eviction/stale totals, landmark
+/// fast-path hits and the current graph version.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
-    /// One entry per worker, in worker order.
-    pub workers: Vec<WorkerStats>,
+    /// Job-queue counters.
+    pub queue: QueueStats,
     /// Result-cache counters (all zero when the cache is disabled).
     pub cache: CacheStats,
     /// Pairs answered by the landmark exact-path fast path (DESIGN.md
@@ -221,32 +189,23 @@ pub struct ServiceStats {
 impl ServiceStats {
     /// Jobs executed across the pool.
     pub fn total_executed(&self) -> u64 {
-        self.workers.iter().map(|w| w.executed).sum()
+        self.queue.executed.iter().sum()
     }
 
-    /// Jobs that crossed worker queues (work-stealing events). High
-    /// steal counts with low waits mean the pool is balancing fine;
-    /// high waits point at true saturation, not dispatch contention.
+    /// Always 0: the pool shares one queue, so no job crosses queues.
+    /// Kept until fembench's next re-baseline drops `dispatch.steals`.
     pub fn total_stolen(&self) -> u64 {
-        self.workers.iter().map(|w| w.stolen).sum()
+        0
     }
 
-    /// Largest queue-depth high-water mark across workers.
+    /// High-water mark of the queue depth.
     pub fn max_queue_depth_hwm(&self) -> u64 {
-        self.workers
-            .iter()
-            .map(|w| w.queue_depth_hwm)
-            .max()
-            .unwrap_or(0)
+        self.queue.depth_hwm
     }
 
     /// Queue-wait quantile (µs) over every job in the pool.
     pub fn wait_quantile_us(&self, q: f64) -> u64 {
-        let mut merged = WaitHistogram::default();
-        for w in &self.workers {
-            merged.merge(&w.wait);
-        }
-        merged.quantile_us(q)
+        self.queue.wait.quantile_us(q)
     }
 
     /// Cache hit rate over all lookups so far (0.0 when none happened).
@@ -268,7 +227,7 @@ impl ServiceStats {
 /// Dropping the service shuts the pool down.
 pub struct PathService {
     shared: Arc<ServiceShared>,
-    queues: Arc<StealQueues<Job>>,
+    queue: Arc<StealQueues<Job>>,
     workers: Vec<JoinHandle<()>>,
     /// Serialization point for mutations: validates each one before it
     /// is published to the log, and by construction always sits at the
@@ -337,17 +296,17 @@ impl PathService {
             cache: (cache_bytes > 0).then(|| ResultCache::new(cache_bytes)),
             lm_fast_path_hits: AtomicU64::new(0),
         });
-        let queues = Arc::new(StealQueues::new(workers));
+        let queue = Arc::new(StealQueues::new(workers));
         let handles = (0..workers)
             .map(|me| {
-                let queues = queues.clone();
+                let queue = queue.clone();
                 let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(&shared, &queues, me, algorithm))
+                std::thread::spawn(move || worker_loop(&shared, &queue, me, algorithm))
             })
             .collect();
         PathService {
             shared,
-            queues,
+            queue,
             workers: handles,
             admin,
         }
@@ -446,7 +405,7 @@ impl PathService {
     /// hits (positive or negative) are answered inline. Every remaining
     /// pair becomes one job, the same job [`PathService::query`] pushes
     /// (landmark fast path, then the configured [`ServiceAlgorithm`],
-    /// then a cache insert), so an idle worker steals individual pairs
+    /// then a cache insert), so idle workers pick up individual pairs
     /// and the batch finishes when its slowest pair does. The first
     /// error any pair reports fails the call.
     pub fn query_batch(&self, pairs: &[(i64, i64)]) -> Result<Vec<Option<Path>>> {
@@ -502,7 +461,7 @@ impl PathService {
         limits: &SearchLimits,
     ) -> Result<Receiver<Result<PathOutcome>>> {
         let (reply, result) = channel();
-        self.queues
+        self.queue
             .push(Job::Single {
                 s,
                 t,
@@ -523,15 +482,13 @@ impl PathService {
         &self.shared.snapshot
     }
 
-    /// Dispatch and serving-tier instrumentation: per-worker
-    /// executed/stolen counts, queue depths and queue-wait histograms
-    /// (DESIGN.md §13), plus result-cache counters, landmark fast-path
-    /// hits and the current graph version (DESIGN.md §16).
+    /// Dispatch and serving-tier instrumentation: jobs executed per
+    /// worker, queue depth and queue-wait histogram (DESIGN.md §13), plus
+    /// result-cache counters, landmark fast-path hits and the current
+    /// graph version (DESIGN.md §16).
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
-            workers: (0..self.workers.len())
-                .map(|i| self.queues.queue_stats(i).into())
-                .collect(),
+            queue: self.queue.stats(),
             cache: self
                 .shared
                 .cache
@@ -555,7 +512,7 @@ impl PathService {
     #[doc(hidden)]
     pub fn debug_inject_panic(&self) -> Result<PathOutcome> {
         let (reply, result) = channel();
-        self.queues
+        self.queue
             .push(Job::InjectPanic { reply })
             .map_err(|_| worker_pool_down())?;
         result.recv().map_err(|_| worker_pool_down())?
@@ -566,7 +523,7 @@ impl Drop for PathService {
     fn drop(&mut self) {
         // Refuse new jobs and wake every parked worker; workers drain
         // whatever is still queued, then exit their loops.
-        self.queues.close();
+        self.queue.close();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -595,7 +552,7 @@ struct WorkerSession {
 /// be mid-operation — is rebuilt from the snapshot (dropping its replayed
 /// mutations; `catch_up` re-applies them before the next job), and the
 /// caller gets a `worker_pool_down` error instead of a dropped reply.
-/// Sibling workers are untouched: no dispatch lock is ever held around
+/// Sibling workers are untouched: the queue lock is never held around
 /// job execution, so there is nothing to poison.
 fn run_isolated<R>(
     ws: &mut WorkerSession,
@@ -653,15 +610,15 @@ fn reply_error(job: Job, err: SqlError) {
     }
 }
 
-/// One worker: a private session over the shared snapshot, draining its
-/// own queue (and stealing from siblings) until the service closes the
-/// pool and the queues run dry. Before each job the session replays any
+/// One worker: a private session over the shared snapshot, popping the
+/// oldest queued job until the service closes the pool and the queue
+/// runs dry. Before each job the session replays any
 /// mutations published since its last one; after each successful job the
 /// answer is published to the result cache under the version it was
 /// computed at.
 fn worker_loop(
     shared: &ServiceShared,
-    queues: &StealQueues<Job>,
+    queue: &StealQueues<Job>,
     me: usize,
     algorithm: ServiceAlgorithm,
 ) {
@@ -670,7 +627,7 @@ fn worker_loop(
         applied: 0,
     };
     let finder = algorithm.finder();
-    while let Some(job) = queues.pop(me) {
+    while let Some(job) = queue.pop(me) {
         if catch_up(&mut ws, shared).is_err() {
             // Replay into a live session failed (it should not: every
             // entry was validated by the admin session). Rebuild from
@@ -812,7 +769,7 @@ mod tests {
 
     #[test]
     fn batch_is_partitioned_across_workers_not_tiled_onto_one() {
-        // 9 distinct pairs on 8 workers: one job per pair, each stealable
+        // 9 distinct pairs on 8 workers: one job per pair, each picked up
         // on its own.
         let g = generate::grid(4, 4, 1..=10, 9);
         let svc = PathService::new(&g, 8).unwrap();
@@ -822,8 +779,7 @@ mod tests {
         let stats = svc.stats();
         assert_eq!(stats.total_executed(), 9, "one job per distinct pair");
         // Every job's queue wait was recorded.
-        let waits: u64 = stats.workers.iter().map(|w| w.wait.count()).sum();
-        assert_eq!(waits, 9);
+        assert_eq!(stats.queue.wait.count(), 9);
     }
 
     #[test]
@@ -836,17 +792,19 @@ mod tests {
         let pairs: Vec<(i64, i64)> = (0..7).map(|i| (i, (i + 5) % 16)).collect();
         svc.query_batch(&pairs).unwrap();
         let stats = svc.stats();
-        assert_eq!(stats.workers.len(), 3);
+        assert_eq!(stats.queue.executed.len(), 3);
         // 12 singles + 7 batch pairs (all distinct and none cached, so
         // the cache front door forwards every one).
         assert_eq!(stats.total_executed(), 19);
+        assert_eq!(stats.queue.wait.count(), 19, "every job's wait is recorded");
         assert!(
             stats.wait_quantile_us(1.0) > 0,
             "waits are recorded in open-ended log2 buckets"
         );
-        for w in &stats.workers {
-            assert_eq!(w.queue_depth, 0, "queues drain after the calls return");
-        }
+        assert_eq!(
+            stats.queue.depth, 0,
+            "the queue drains after the calls return"
+        );
     }
 
     #[test]

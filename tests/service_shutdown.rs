@@ -169,16 +169,15 @@ fn repeated_panics_do_not_poison_the_pool() {
         });
 
         // The pool's accounting survived the storm: all jobs executed,
-        // queues drained.
+        // the queue drained, every job's wait recorded.
         let stats = svc.stats();
-        assert_eq!(stats.workers.len(), 2);
+        assert_eq!(stats.queue.executed.len(), 2);
         assert!(
             stats.total_executed() >= 37,
             "6 panics + 30 queries + warmup"
         );
-        for w in &stats.workers {
-            assert_eq!(w.queue_depth, 0, "queues must drain after the storm");
-        }
+        assert_eq!(stats.queue.wait.count(), stats.total_executed());
+        assert_eq!(stats.queue.depth, 0, "the queue must drain after the storm");
     });
 }
 
