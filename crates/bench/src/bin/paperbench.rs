@@ -77,7 +77,9 @@ fn main() {
 
 fn usage() {
     println!("usage: paperbench <experiment...|all> [--scale X] [--queries N] [--seed N] [--json]");
-    println!("  --json   also write each experiment as BENCH_<experiment>.json at the repo root");
+    println!(
+        "  --json   also write each experiment as BENCH_<experiment>.json in the working directory"
+    );
     println!("experiments: {}", experiments::ALL.join(", "));
 }
 

@@ -9,7 +9,6 @@ pub mod fig8;
 pub mod fig9;
 pub mod landmark;
 pub mod service;
-pub mod service_cached;
 pub mod table2;
 pub mod table3;
 
@@ -44,13 +43,12 @@ pub const ALL: &[&str] = &[
     "ablation-prune",
     "landmark-ablation",
     "service-throughput",
-    "service-cached",
 ];
 
 /// Runs one experiment by id. With `cfg.json` set, the experiment's
-/// printed table is also persisted as `BENCH_<id>.json` at the repo root
-/// (captured from [`crate::harness::print_table`], so every experiment
-/// gets it for free).
+/// printed table is also persisted as `BENCH_<id>.json` in the working
+/// directory (captured from [`crate::harness::print_table`], so every
+/// experiment gets it for free).
 pub fn run(id: &str, cfg: &BenchConfig) -> Result<()> {
     crate::harness::take_last_table(); // drop any stale capture
     dispatch(id, cfg)?;
@@ -91,7 +89,6 @@ fn dispatch(id: &str, cfg: &BenchConfig) -> Result<()> {
         "ablation-prune" => ablation::prune(cfg),
         "landmark-ablation" => landmark::ablation(cfg),
         "service-throughput" => service::throughput(cfg),
-        "service-cached" => service_cached::run(cfg),
         other => Err(fempath_sql::SqlError::Eval(format!(
             "unknown experiment {other}; known: {}",
             ALL.join(", ")

@@ -72,33 +72,6 @@ pub fn query_pairs(n: usize, count: usize, seed: u64) -> Vec<(i64, i64)> {
         .collect()
 }
 
-/// A Zipfian-skewed query trace over a fixed pool of (s, t) pairs:
-/// pair at popularity rank `r` (0-based) is drawn with probability
-/// proportional to `1 / (r + 1)^theta`. `theta = 0` is uniform;
-/// `theta = 0.99` is the YCSB-style hot-pair skew where a result cache
-/// earns its keep; larger values concentrate harder. Deterministic in
-/// `seed`.
-pub fn zipf_trace(pool: &[(i64, i64)], len: usize, theta: f64, seed: u64) -> Vec<(i64, i64)> {
-    assert!(!pool.is_empty(), "zipf_trace needs a non-empty pair pool");
-    // Prefix-sum CDF over the rank weights, sampled by binary search —
-    // pool sizes are small (tens to thousands), so the O(n) setup and
-    // O(log n) draws are negligible next to the queries themselves.
-    let mut cdf = Vec::with_capacity(pool.len());
-    let mut total = 0.0f64;
-    for rank in 0..pool.len() {
-        total += 1.0 / ((rank + 1) as f64).powf(theta);
-        cdf.push(total);
-    }
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1B54A32D192ED03);
-    (0..len)
-        .map(|_| {
-            let x = rng.gen::<f64>() * total;
-            let idx = cdf.partition_point(|&c| c < x).min(pool.len() - 1);
-            pool[idx]
-        })
-        .collect()
-}
-
 /// Runs `finder` over all query pairs, averaging the stats.
 pub fn measure(
     gdb: &mut GraphDb,
@@ -153,7 +126,7 @@ pub fn take_last_table() -> Option<CapturedTable> {
 }
 
 /// Writes one experiment's captured table as `BENCH_<experiment>.json`
-/// at the repo root (dashes become underscores). The file carries the
+/// in the working directory (dashes become underscores). The file carries the
 /// run configuration so before/after numbers are comparable.
 pub fn write_bench_json(cfg: &BenchConfig, experiment: &str, table: &CapturedTable) {
     let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
@@ -186,12 +159,7 @@ pub fn write_bench_json(cfg: &BenchConfig, experiment: &str, table: &CapturedTab
         ));
     }
     out.push_str("  ]\n}\n");
-    // The bench crate lives at <repo>/crates/bench; the JSON trajectory
-    // lands at the repo root regardless of the working directory.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    let path = root.join(format!("BENCH_{}.json", experiment.replace('-', "_")));
+    let path = std::path::PathBuf::from(format!("BENCH_{}.json", experiment.replace('-', "_")));
     match std::fs::write(&path, out) {
         Ok(()) => println!("[wrote {}]", path.display()),
         Err(e) => eprintln!("[failed to write {}: {e}]", path.display()),
@@ -250,26 +218,6 @@ mod tests {
         let b = query_pairs(100, 20, 7);
         assert_eq!(a, b);
         assert!(a.iter().all(|(s, t)| s != t));
-    }
-
-    #[test]
-    fn zipf_trace_is_deterministic_and_skewed() {
-        let pool = query_pairs(1000, 64, 3);
-        let a = zipf_trace(&pool, 2000, 0.99, 9);
-        let b = zipf_trace(&pool, 2000, 0.99, 9);
-        assert_eq!(a, b, "same seed, same trace");
-        assert!(a.iter().all(|p| pool.contains(p)));
-        // Rank-0 must dominate any deep-tail pair under theta = 0.99.
-        let count = |trace: &[(i64, i64)], p: (i64, i64)| trace.iter().filter(|&&q| q == p).count();
-        let hot = count(&a, pool[0]);
-        let cold = count(&a, pool[63]);
-        assert!(
-            hot > 4 * cold.max(1),
-            "theta=0.99 must skew toward rank 0: hot={hot} cold={cold}"
-        );
-        // theta = 0 is uniform-ish: the head cannot dominate.
-        let u = zipf_trace(&pool, 2000, 0.0, 9);
-        assert!(count(&u, pool[0]) < u.len() / 8);
     }
 
     #[test]

@@ -6,12 +6,23 @@
 //! finders. Entries are keyed by `(s, t)` and stamped with the
 //! [`GraphDb::graph_version`] they were computed at — the same
 //! version-epoch trick the plan cache plays with the catalog version
-//! (DESIGN.md §9): an edge mutation bumps the graph version, and every
-//! older entry becomes unreachable *by construction* rather than by an
-//! eager invalidation sweep. `Option<Path>` is stored, so "unreachable"
-//! verdicts are cached too (the negative cache) — a miss on an
-//! unreachable hot pair would otherwise pay the full bidirectional
-//! search every time, the most expensive query shape there is.
+//! (DESIGN.md §9): an edge mutation bumps the graph version, and an
+//! exact-version [`ResultCache::lookup`] no longer answers from any older
+//! entry. `Option<Path>` is stored, so "unreachable" verdicts are cached
+//! too (the negative cache) — a miss on an unreachable hot pair would
+//! otherwise pay the full bidirectional search every time, the most
+//! expensive query shape there is.
+//!
+//! An older entry is not necessarily wrong. Removing edges can only
+//! lengthen shortest paths, so an entry computed at version `a` is still
+//! exact at `b > a` when every mutation in `(a, b]` is a delete and none
+//! removes a hop of the cached path (an unreachable verdict survives any
+//! deletes). The cache cannot see the mutation log, so it leaves that
+//! judgement to its caller: `ResultCache::probe` hands an older entry's
+//! version and path out, the caller checks the log with the cache lock
+//! released, and then either `ResultCache::revalidate` re-stamps the
+//! entry (a hit) or `ResultCache::discard_stale` drops it (a stale
+//! miss).
 //!
 //! The cache is one LRU map behind one mutex, under one byte budget: a
 //! probe holds the lock for a map lookup, an insert for a map insert
@@ -56,21 +67,46 @@ struct Lru {
 /// surfaced through `ServiceStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache at the current graph version.
+    /// Lookups answered from the cache at the current graph version,
+    /// re-stamped entries included (see `revalidated`).
     pub hits: u64,
-    /// Lookups that found nothing usable (includes stale hits).
+    /// Lookups that found nothing usable (includes `stale`).
     pub misses: u64,
     /// Entries written.
     pub inserts: u64,
     /// Entries evicted by the byte budget.
     pub evictions: u64,
-    /// Lookups that found an entry from an older graph version (counted
-    /// within `misses`; the stale entry is dropped on sight).
+    /// Lookups that found an entry from an older graph version which a
+    /// later mutation may have changed (counted within `misses`; the
+    /// entry is dropped).
     pub stale: u64,
+    /// Lookups that found an entry from an older graph version which no
+    /// later mutation can have changed — only deletes since, none of
+    /// them on its path — and answered from it (counted within `hits`;
+    /// the entry is re-stamped to the current version).
+    pub revalidated: u64,
     /// Entries currently resident.
     pub entries: u64,
     /// Bytes currently charged against the budget.
     pub bytes: u64,
+}
+
+/// What [`ResultCache::probe`] found for a key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// An entry at the probed version: the verdict.
+    Hit(Option<Path>),
+    /// An entry from an older version, still resident: the caller
+    /// decides with [`ResultCache::revalidate`] or
+    /// [`ResultCache::discard_stale`].
+    Stale {
+        /// The version the entry was computed at.
+        version: u64,
+        /// Its verdict.
+        path: Option<Path>,
+    },
+    /// No entry, or one from a newer version than the probe's.
+    Miss,
 }
 
 /// LRU cache of `(s, t) → Option<Path>` verdicts keyed by graph
@@ -108,11 +144,26 @@ impl ResultCache {
 
     /// The cached verdict for `(s, t)` computed at graph version
     /// `version`, or `None` on a miss. `Some(None)` is a *hit* on a
-    /// cached "unreachable" verdict — the negative cache. An entry
-    /// stamped with a different version is dropped on sight and counts
-    /// as both `stale` and a miss: post-mutation queries can never see
-    /// pre-mutation results, including negative ones.
+    /// cached "unreachable" verdict — the negative cache. An entry from
+    /// an older version is dropped and counts as both `stale` and a
+    /// miss; one from a newer version (a worker that caught up past the
+    /// caller's version) is a miss and stays.
     pub fn lookup(&self, s: i64, t: i64, version: u64) -> Option<Option<Path>> {
+        match self.probe(s, t, version) {
+            Probe::Hit(path) => Some(path),
+            Probe::Stale { version: at, .. } => {
+                self.discard_stale(s, t, at);
+                None
+            }
+            Probe::Miss => None,
+        }
+    }
+
+    /// [`ResultCache::lookup`] that hands an entry from an older version
+    /// to the caller instead of dropping it. `Hit` and `Miss` are counted
+    /// here; a `Stale` probe is counted by the caller's follow-up,
+    /// [`ResultCache::revalidate`] or [`ResultCache::discard_stale`].
+    pub(crate) fn probe(&self, s: i64, t: i64, version: u64) -> Probe {
         let mut lru = self.lock();
         let lru = &mut *lru;
         lru.tick += 1;
@@ -120,18 +171,51 @@ impl ResultCache {
             Some(e) if e.version == version => {
                 e.last_used = lru.tick;
                 lru.stats.hits += 1;
-                return Some(e.path.clone());
+                Probe::Hit(e.path.clone())
             }
-            Some(_) => {
-                if let Some(e) = lru.map.remove(&(s, t)) {
-                    lru.bytes -= e.bytes;
-                }
-                lru.stats.stale += 1;
+            Some(e) if e.version < version => Probe::Stale {
+                version: e.version,
+                path: e.path.clone(),
+            },
+            _ => {
+                lru.stats.misses += 1;
+                Probe::Miss
             }
-            None => {}
         }
+    }
+
+    /// Counts a hit on a [`Probe::Stale`] entry that the caller proved
+    /// still exact at `to`, and re-stamps the entry to `to` if it is
+    /// still the one probed: stamped `from` and holding `path`. An entry
+    /// that moved on meanwhile (re-stamped or replaced by another
+    /// thread) is left as it is.
+    pub(crate) fn revalidate(&self, s: i64, t: i64, from: u64, to: u64, path: &Option<Path>) {
+        let mut lru = self.lock();
+        let lru = &mut *lru;
+        lru.tick += 1;
+        if let Some(e) = lru.map.get_mut(&(s, t)) {
+            if e.version == from && e.path == *path {
+                e.version = to;
+                e.last_used = lru.tick;
+            }
+        }
+        lru.stats.hits += 1;
+        lru.stats.revalidated += 1;
+    }
+
+    /// Counts a stale miss on a [`Probe::Stale`] entry stamped `from`
+    /// that the caller could not prove exact, and drops the entry if it
+    /// is still stamped `from` (one re-stamped or replaced by a newer
+    /// answer meanwhile stays).
+    pub(crate) fn discard_stale(&self, s: i64, t: i64, from: u64) {
+        let mut lru = self.lock();
+        if lru.map.get(&(s, t)).is_some_and(|e| e.version == from) {
+            if let Some(e) = lru.map.remove(&(s, t)) {
+                lru.bytes -= e.bytes;
+            }
+        }
+        lru.stats.stale += 1;
         lru.stats.misses += 1;
-        None
     }
 
     /// Publishes the verdict for `(s, t)` computed at `version`,
@@ -237,6 +321,58 @@ mod tests {
         // Re-publish at the new version works.
         c.insert(1, 2, 1, path(4));
         assert_eq!(c.lookup(1, 2, 1), Some(path(4)));
+    }
+
+    #[test]
+    fn a_stale_probe_is_revalidated_or_discarded_by_the_caller() {
+        let c = ResultCache::new(1 << 20);
+        c.insert(1, 2, 0, path(3));
+        c.insert(3, 4, 0, None);
+        // An older entry is handed out, counted nowhere yet, and kept.
+        assert_eq!(
+            c.probe(1, 2, 2),
+            Probe::Stale {
+                version: 0,
+                path: path(3)
+            }
+        );
+        assert_eq!(c.stats().hits + c.stats().misses, 0);
+        // Proven exact at version 2: a hit, and the entry now answers
+        // exact-version lookups there.
+        c.revalidate(1, 2, 0, 2, &path(3));
+        assert_eq!(c.lookup(1, 2, 2), Some(path(3)));
+        // Not proven: a stale miss, and the entry is gone.
+        assert_eq!(
+            c.probe(3, 4, 1),
+            Probe::Stale {
+                version: 0,
+                path: None
+            }
+        );
+        c.discard_stale(3, 4, 0);
+        assert_eq!(c.probe(3, 4, 1), Probe::Miss);
+        let st = c.stats();
+        assert_eq!((st.hits, st.revalidated), (2, 1));
+        assert_eq!((st.misses, st.stale), (2, 1));
+        assert_eq!(st.entries, 1);
+    }
+
+    #[test]
+    fn a_revalidation_leaves_an_entry_that_moved_on_alone() {
+        let c = ResultCache::new(1 << 20);
+        c.insert(1, 2, 0, path(3));
+        // Another thread replaced the entry at the same version with a
+        // different path after the probe: re-stamping it would vouch
+        // for a path nobody checked.
+        c.insert(1, 2, 0, path(5));
+        c.revalidate(1, 2, 0, 2, &path(3));
+        assert_eq!(c.lookup(1, 2, 0), Some(path(5)));
+        // A newer entry is neither re-stamped nor dropped by a straggler.
+        c.insert(1, 2, 4, path(4));
+        c.revalidate(1, 2, 0, 2, &path(5));
+        c.discard_stale(1, 2, 0);
+        assert_eq!(c.probe(1, 2, 2), Probe::Miss, "a newer entry is a miss");
+        assert_eq!(c.lookup(1, 2, 4), Some(path(4)));
     }
 
     #[test]

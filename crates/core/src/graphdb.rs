@@ -261,10 +261,11 @@ impl GraphDb {
 
     /// Monotone graph-content version. Starts at 0 and is bumped by every
     /// [`GraphDb::insert_edge`] / [`GraphDb::delete_edge`]; frozen into
-    /// [`GraphSnapshot::graph_version`]. Result caches key on it so a
-    /// mutation invalidates exactly the entries computed before it
-    /// (DESIGN.md §16). Prepared plans are *not* invalidated — the schema
-    /// never changes, only row content.
+    /// [`GraphSnapshot::graph_version`]. Result caches stamp entries with
+    /// it, so an entry computed before a mutation answers after it only
+    /// when the mutation cannot have changed it (DESIGN.md §16). Prepared
+    /// plans are *not* invalidated — the schema never changes, only row
+    /// content.
     pub fn graph_version(&self) -> u64 {
         self.db.data_version()
     }

@@ -30,7 +30,11 @@
 //!   an inadmissible bound.
 //! * **A result cache** — hot `(s, t)` pairs are answered from a
 //!   [`ResultCache`] keyed by graph version, consulted before any worker
-//!   is involved. Mutations invalidate by version bump, never by sweep.
+//!   is involved. Mutations invalidate by version bump, never by sweep,
+//!   and only what they can change: an entry from an older version
+//!   keeps answering when every mutation since it was computed is a
+//!   delete off its path (removing edges only lengthens shortest paths);
+//!   any insert since strands it.
 //!
 //! ```
 //! use fempath_core::PathService;
@@ -47,7 +51,7 @@
 //! ```
 
 use crate::algo::{BdjFinder, BsdjFinder, Path, PathOutcome, SearchLimits, ShortestPathFinder};
-use crate::cache::{CacheStats, ResultCache};
+use crate::cache::{CacheStats, Probe, ResultCache};
 use crate::dispatch::{QueueStats, StealQueues};
 use crate::graphdb::{GraphDb, GraphDbOptions, GraphSnapshot};
 use crate::stats::QueryStats;
@@ -141,6 +145,10 @@ struct MutationLog {
 }
 
 /// State shared between the service handle and every worker thread.
+///
+/// Lock order: nothing waits on the log's `entries` lock while holding
+/// the cache mutex. The query front door takes the two one at a time
+/// (see [`ServiceShared::cached`]).
 struct ServiceShared {
     snapshot: Arc<GraphSnapshot>,
     /// Graph version of the frozen snapshot (mutation log baseline).
@@ -151,6 +159,54 @@ struct ServiceShared {
     /// Pairs answered by the landmark exact-path fast path instead of a
     /// FEM finder (DESIGN.md §12).
     lm_fast_path_hits: AtomicU64,
+}
+
+impl ServiceShared {
+    /// The cached verdict for `(s, t)` at `version`, if one is resident
+    /// or an older entry provably still holds (DESIGN.md §16). An older
+    /// entry is checked against the log with the cache mutex released,
+    /// between the probe and the re-stamp or drop.
+    fn cached(&self, s: i64, t: i64, version: u64) -> Option<Option<Path>> {
+        let cache = self.cache.as_ref()?;
+        match cache.probe(s, t, version) {
+            Probe::Hit(path) => Some(path),
+            Probe::Miss => None,
+            Probe::Stale { version: at, path } => {
+                if self.survives(at, version, &path) {
+                    cache.revalidate(s, t, at, version, &path);
+                    Some(path)
+                } else {
+                    cache.discard_stale(s, t, at);
+                    None
+                }
+            }
+        }
+    }
+
+    /// Whether a verdict computed at version `from` is still exact at
+    /// `to`: every mutation in `(from, to]` is a delete, and none removes
+    /// a hop of `path` in either direction. The graph at `to` is then a
+    /// subgraph of the one at `from`, so no distance shrank; a path that
+    /// kept every hop kept its cost and is still shortest, and an
+    /// unreachable pair stayed unreachable.
+    fn survives(&self, from: u64, to: u64, path: &Option<Path>) -> bool {
+        let entries = self.log.entries.read().unwrap_or_else(|e| e.into_inner());
+        let offset = |v: u64| v.checked_sub(self.base_version).map(|i| i as usize);
+        let (Some(lo), Some(hi)) = (offset(from), offset(to)) else {
+            return false;
+        };
+        let Some(window) = entries.get(lo..hi) else {
+            return false;
+        };
+        window.iter().all(|m| match *m {
+            EdgeMutation::Insert { .. } => false,
+            EdgeMutation::Delete { u, v } => path.as_ref().is_none_or(|p| {
+                !p.nodes
+                    .windows(2)
+                    .any(|h| (h[0] == u && h[1] == v) || (h[0] == v && h[1] == u))
+            }),
+        })
+    }
 }
 
 /// One unit of work dispatched to the pool.
@@ -170,8 +226,8 @@ enum Job {
 /// Instrumentation for a [`PathService`] (DESIGN.md §13, §16): the job
 /// queue's counters — jobs executed per worker, queue depth and its
 /// high-water mark, the queue-wait histogram — plus the serving-tier
-/// counters: result-cache hit/miss/eviction/stale totals, landmark
-/// fast-path hits and the current graph version.
+/// counters: result-cache hit/miss/eviction/stale/revalidated totals,
+/// landmark fast-path hits and the current graph version.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Job-queue counters.
@@ -314,7 +370,8 @@ impl PathService {
 
     /// Current graph version: the snapshot's data epoch plus one per
     /// mutation applied through this service. Result-cache entries are
-    /// keyed by it, so a bump orphans every older entry at once.
+    /// stamped with it; after a bump an older entry answers only if the
+    /// mutations since cannot have changed it.
     pub fn graph_version(&self) -> u64 {
         // ORDERING: Acquire pairs with the Release store in
         // `apply_mutation` — a reader that observes the bumped version
@@ -324,19 +381,21 @@ impl PathService {
 
     /// Inserts the undirected edge `(u, v)` with weight `w` into the
     /// served graph and returns the number of arcs added (2, or 1 for a
-    /// self-loop). Bumps the graph version: cached results become
-    /// unreachable, sessions stop using pre-mutation landmark bounds,
-    /// and every worker replays the mutation before its next job. Fails
-    /// (leaving the version untouched) if either endpoint does not exist
-    /// or `w` is not positive.
+    /// self-loop). Bumps the graph version: every cached result computed
+    /// before it stops answering, sessions stop using pre-mutation
+    /// landmark bounds, and every worker replays the mutation before its
+    /// next job. Fails (leaving the version untouched) if either endpoint
+    /// does not exist or `w` is not positive.
     pub fn insert_edge(&self, u: i64, v: i64, w: i64) -> Result<u64> {
         self.apply_mutation(EdgeMutation::Insert { u, v, w })
     }
 
     /// Deletes every parallel edge between `u` and `v` (both arcs under
     /// symmetric storage) and returns the number of arcs removed. Bumps
-    /// the graph version even when nothing matched — deletion intent
-    /// must invalidate cached results regardless.
+    /// the graph version even when nothing matched. A cached path with a
+    /// hop between `u` and `v` stops answering; other cached paths and
+    /// every cached "unreachable" verdict keep answering, because a
+    /// delete cannot shorten any path.
     pub fn delete_edge(&self, u: i64, v: i64) -> Result<u64> {
         self.apply_mutation(EdgeMutation::Delete { u, v })
     }
@@ -371,9 +430,9 @@ impl PathService {
     }
 
     /// Shortest path from `s` to `t`: answered from the result cache
-    /// when a verdict for the current graph version is resident
-    /// (including cached "unreachable" verdicts), else by the next free
-    /// worker — which publishes its answer back to the cache.
+    /// when a verdict that holds at the current graph version is
+    /// resident (including cached "unreachable" verdicts), else by the
+    /// next free worker — which publishes its answer back to the cache.
     pub fn query(&self, s: i64, t: i64) -> Result<PathOutcome> {
         self.query_with(s, t, &SearchLimits::default())
     }
@@ -384,13 +443,11 @@ impl PathService {
     /// A stopped search returns no path and leaves nothing in the cache;
     /// its worker's session serves the next job as usual.
     pub fn query_with(&self, s: i64, t: i64, limits: &SearchLimits) -> Result<PathOutcome> {
-        if let Some(cache) = &self.shared.cache {
-            if let Some(path) = cache.lookup(s, t, self.graph_version()) {
-                return Ok(PathOutcome {
-                    path,
-                    stats: QueryStats::default(),
-                });
-            }
+        if let Some(path) = self.shared.cached(s, t, self.graph_version()) {
+            return Ok(PathOutcome {
+                path,
+                stats: QueryStats::default(),
+            });
         }
         self.dispatch(s, t, limits)?
             .recv()
@@ -431,12 +488,7 @@ impl PathService {
                 MapEntry::Occupied(o) => repeats.push((i, *o.get())),
                 MapEntry::Vacant(v) => {
                     v.insert(i);
-                    let hit = self
-                        .shared
-                        .cache
-                        .as_ref()
-                        .and_then(|c| c.lookup(s, t, version));
-                    match hit {
+                    match self.shared.cached(s, t, version) {
                         Some(path) => out[i] = path,
                         None => pending.push((i, self.dispatch(s, t, limits)?)),
                     }
@@ -641,8 +693,8 @@ fn worker_loop(
             }
         }
         // The version every result computed in this job belongs to:
-        // mutations racing in after this point may make it stale, in
-        // which case the version-keyed cache ignores the insert.
+        // the cache stamps the answer with it, so a mutation racing in
+        // after this point is checked by the next probe like any other.
         let version = ws.db.graph_version();
         match job {
             Job::Single {

@@ -17,13 +17,17 @@
 //!
 //! Scenarios cover the shared-snapshot architecture's racy edges:
 //! shared-plan-cache publish/consult from warming sessions, session
-//! creation and working-table isolation over one page image, and the
-//! landmark fast-path vs FEM dispatch inside a live [`PathService`].
+//! creation and working-table isolation over one page image, the
+//! landmark fast-path vs FEM dispatch inside a live [`PathService`], and
+//! result-cache revalidation while mutations publish.
 
+mod common;
+
+use common::{edge_list, walk_cost};
 use fempath::core::{
     BdjFinder, CancelFlag, GraphDb, PathService, SearchLimits, ServiceAlgorithm, ShortestPathFinder,
 };
-use fempath::graph::generate;
+use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
 use fempath::sql::SqlError;
 use std::panic::AssertUnwindSafe;
@@ -327,6 +331,122 @@ fn landmark_fastpath_vs_fem_interleavings() {
             }
         })
     });
+}
+
+/// Result-cache revalidation while mutations publish: both pairs are
+/// cached at the snapshot's version, then two readers query them (one
+/// through `query`, one through `query_batch`) while a mutator publishes
+/// a delete — off the first pair's cached path, on the second's — and
+/// then the insert of a weight-1 shortcut, each at a seeded point. A
+/// reader that lands between the two revalidates the first pair's older
+/// entry; after the insert no older entry may answer. Every answer must
+/// be a shortest path of the graph at some version in its call window
+/// (the versions read just before and just after the call): right
+/// length, and a walk of that graph.
+#[test]
+fn cache_revalidation_while_a_delete_then_an_insert_publish_interleavings() {
+    let g = generate::grid(5, 5, 1..=10, 37);
+    let n = g.num_nodes();
+    let pairs: [(i64, i64); 2] = [(0, 24), (4, 20)];
+    // The delete is a hop of the second pair's path and not of the
+    // first's, read off one serial service's answers.
+    let serial = PathService::new(&g, 1).unwrap();
+    let cached: Vec<Vec<i64>> = pairs
+        .iter()
+        .map(|&(s, t)| serial.query(s, t).unwrap().path.expect("connected").nodes)
+        .collect();
+    let hop = |nodes: &[i64], u: i64, v: i64| {
+        nodes
+            .windows(2)
+            .any(|h| (h[0], h[1]) == (u, v) || (h[0], h[1]) == (v, u))
+    };
+    let (du, dv) = cached[1]
+        .windows(2)
+        .map(|h| (h[0], h[1]))
+        .find(|&(u, v)| !hop(&cached[0], u, v))
+        .expect("the two corner-to-corner paths differ somewhere");
+    // The graph at the snapshot's version, after the delete, and after
+    // the insert; then each pair's distance in each.
+    let g0 = edge_list(&g);
+    let mut g1 = g0.clone();
+    g1.retain(|&(a, b, _)| {
+        let (a, b) = (i64::from(a), i64::from(b));
+        (a, b) != (du, dv) && (a, b) != (dv, du)
+    });
+    let mut g2 = g1.clone();
+    g2.push((0, 24, 1));
+    let states = [g0, g1, g2];
+    let dist: Vec<Vec<Option<i64>>> = states
+        .iter()
+        .map(|m| {
+            let graph = Graph::from_undirected_edges(n, m.iter().copied());
+            pairs
+                .iter()
+                .map(|&(s, t)| {
+                    dijkstra::shortest_path(&graph, s as u32, t as u32).map(|o| o.distance as i64)
+                })
+                .collect()
+        })
+        .collect();
+    let revalidated = std::sync::atomic::AtomicU64::new(0);
+    sweep(
+        "cache_revalidation_while_a_delete_then_an_insert_publish_interleavings",
+        |seed| {
+            let svc = PathService::new(&g, 2).unwrap();
+            let v0 = svc.graph_version();
+            for &(s, t) in &pairs {
+                svc.query(s, t).unwrap();
+            }
+            let failed = run_interleaved(3, seed, |me, sched| {
+                if me == 2 {
+                    sched.point(me);
+                    svc.delete_edge(du, dv).unwrap();
+                    sched.point(me);
+                    svc.insert_edge(0, 24, 1).unwrap();
+                    return;
+                }
+                for k in 0..4 {
+                    sched.point(me);
+                    let i = (k + me) % pairs.len();
+                    let (s, t) = pairs[i];
+                    let lo = svc.graph_version();
+                    let got = if me == 0 {
+                        svc.query(s, t).unwrap().path
+                    } else {
+                        svc.query_batch(&[(s, t)]).unwrap().remove(0)
+                    };
+                    let hi = svc.graph_version();
+                    let p = got.expect("the grid stays connected");
+                    let holds_at = |v: u64| {
+                        let at = (v - v0) as usize;
+                        dist[at][i] == Some(p.length)
+                            && walk_cost(&states[at], &p.nodes) == Some(p.length)
+                    };
+                    assert!(
+                        p.nodes.first() == Some(&s)
+                            && p.nodes.last() == Some(&t)
+                            && (lo..=hi).any(holds_at),
+                        "{s}->{t}: {:?} (length {}) is no shortest path at any \
+                         version in [{lo}, {hi}]",
+                        p.nodes,
+                        p.length
+                    );
+                }
+            });
+            // ORDERING: Relaxed — a test tally read after the sweep.
+            revalidated.fetch_add(
+                svc.stats().cache.revalidated,
+                std::sync::atomic::Ordering::Relaxed,
+            );
+            failed
+        },
+    );
+    if single_seed().is_none() {
+        assert!(
+            revalidated.load(std::sync::atomic::Ordering::Relaxed) > 0,
+            "no seed revalidated an entry: the case is vacuous"
+        );
+    }
 }
 
 /// Cancellation: a canceller raises a search's cancel flag at a seeded

@@ -7,11 +7,19 @@
 //! on the default (segmented) storage tier, with the cache enabled.
 //! Every query is issued twice in a row, so the second answer is served
 //! from the cache and a stale entry (including a stale *negative* entry)
-//! can never hide. The row tier's SQL mutation path keeps its unit test
+//! can never hide, and the previous query's pair is asked again after
+//! every mutation, so the entries a delete leaves answering are served.
+//! Every returned path is checked to be a walk of the current edge list
+//! whose cheapest hop weights sum to its length: a kept path that
+//! crosses a deleted edge has the right length but is no walk. The row
+//! tier's SQL mutation path keeps its unit test
 //! in `GraphDb`; `segment_differential.rs` is the one cross-tier
 //! differential.
 
-use fempath::core::{GraphDbOptions, PathService, PathServiceOptions, ServiceAlgorithm};
+mod common;
+
+use common::{edge_list, walk_cost};
+use fempath::core::{GraphDbOptions, Path, PathService, PathServiceOptions, ServiceAlgorithm};
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
 use fempath::sql::Dialect;
@@ -31,20 +39,10 @@ enum Op {
     Query(i64, i64),
     Insert(i64, i64, i64),
     Delete(i64, i64),
-}
-
-/// Undirected edge list of `g` (one entry per edge, not per arc), the
-/// mutable model the oracle graph is rebuilt from after every mutation.
-fn edge_model(g: &Graph) -> Vec<(u32, u32, u32)> {
-    let mut edges = Vec::new();
-    for u in 0..g.num_nodes() as u32 {
-        for a in g.out_arcs(u) {
-            if u <= a.to {
-                edges.push((u, a.to, a.weight));
-            }
-        }
-    }
-    edges
+    /// Delete hop `k` (mod its hop count) of the last answered path —
+    /// the delete that must strand that pair's cache entry — or the
+    /// edge `(a, b)` when there is no such hop.
+    DeleteHop(usize, i64, i64),
 }
 
 /// True shortest-path length on the current model.
@@ -53,9 +51,73 @@ fn oracle(n: usize, model: &[(u32, u32, u32)], s: i64, t: i64) -> Option<i64> {
     dijkstra::shortest_path(&g, s as u32, t as u32).map(|o| o.distance as i64)
 }
 
+/// Asserts that `got` answers `pair` on the current model: `None`
+/// exactly when the oracle says unreachable, else a walk between the
+/// pair's ends whose cost over the model is its length and the oracle's
+/// distance.
+fn check_answer(
+    model: &[(u32, u32, u32)],
+    want: Option<i64>,
+    pair: (i64, i64),
+    got: &Option<Path>,
+    ctx: &str,
+) {
+    assert_eq!(
+        got.as_ref().map(|p| p.length),
+        want,
+        "{ctx}: length vs Dijkstra"
+    );
+    if let Some(p) = got {
+        assert_eq!(
+            (p.nodes.first(), p.nodes.last()),
+            (Some(&pair.0), Some(&pair.1)),
+            "{ctx}: path ends"
+        );
+        assert_eq!(
+            walk_cost(model, &p.nodes),
+            Some(p.length),
+            "{ctx}: {:?} is not a walk of the current graph costing its length",
+            p.nodes
+        );
+    }
+}
+
+/// Queries `s → t` fresh, then again (usually a cache hit at the same
+/// version), then through the batch front door, checking all three.
+/// Returns the fresh answer's node list (empty when unreachable).
+fn check_pair(
+    svc: &PathService,
+    n: usize,
+    model: &[(u32, u32, u32)],
+    (s, t): (i64, i64),
+    ctx: &str,
+) -> Vec<i64> {
+    let want = oracle(n, model, s, t);
+    let first = svc.query(s, t).unwrap().path;
+    check_answer(model, want, (s, t), &first, &format!("{ctx}: fresh answer"));
+    let again = svc.query(s, t).unwrap().path;
+    check_answer(
+        model,
+        want,
+        (s, t),
+        &again,
+        &format!("{ctx}: replayed answer"),
+    );
+    let batch = svc.query_batch(&[(s, t)]).unwrap();
+    check_answer(
+        model,
+        want,
+        (s, t),
+        &batch[0],
+        &format!("{ctx}: batched answer"),
+    );
+    first.map_or_else(Vec::new, |p| p.nodes)
+}
+
 /// Runs one op script against a service built with `dialect` /
-/// `algorithm`, checking every query (and its immediate cached replay)
-/// against the fresh-Dijkstra oracle.
+/// `algorithm`, checking every query (its immediate cached replay and
+/// its batched form) against the fresh-Dijkstra oracle, and asking the
+/// previous query's pair again after every mutation.
 fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, algorithm: ServiceAlgorithm) {
     let n = g.num_nodes();
     let svc = PathService::with_options(
@@ -71,52 +133,52 @@ fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, algorithm: ServiceAlgorit
         },
     )
     .unwrap();
-    let mut model = edge_model(g);
+    let mut model = edge_list(g);
     let mut version = svc.graph_version();
+    let mut last: Option<((i64, i64), Vec<i64>)> = None;
     for (step, &op) in ops.iter().enumerate() {
         let ctx = format!("step {step} {op:?} ({algorithm:?}, {dialect:?})");
-        match op {
+        let (u, v) = match op {
             Op::Query(s, t) => {
-                let want = oracle(n, &model, s, t);
-                let first = svc.query(s, t).unwrap();
-                assert_eq!(
-                    first.path.as_ref().map(|p| p.length),
-                    want,
-                    "{ctx}: fresh answer vs Dijkstra"
-                );
-                // Replay immediately: this is (usually) a cache hit at
-                // the same graph version and must be byte-identical —
-                // a stale or negative-stale entry would surface here.
-                let again = svc.query(s, t).unwrap();
-                assert_eq!(
-                    again.path.as_ref().map(|p| p.length),
-                    want,
-                    "{ctx}: cached answer vs Dijkstra"
-                );
-                // And through the batch front door too.
-                let batch = svc.query_batch(&[(s, t)]).unwrap();
-                assert_eq!(
-                    batch[0].as_ref().map(|p| p.length),
-                    want,
-                    "{ctx}: batched answer vs Dijkstra"
-                );
+                last = Some(((s, t), check_pair(&svc, n, &model, (s, t), &ctx)));
+                continue;
             }
             Op::Insert(u, v, w) => {
                 svc.insert_edge(u, v, w).unwrap();
                 model.push((u as u32, v as u32, w as u32));
-                let bumped = svc.graph_version();
-                assert!(bumped > version, "{ctx}: insert must bump the version");
-                version = bumped;
+                (u, v)
             }
-            Op::Delete(u, v) => {
+            Op::Delete(a, b) | Op::DeleteHop(_, a, b) => {
+                let (u, v) = match (op, &last) {
+                    (Op::DeleteHop(k, ..), Some((_, nodes))) if nodes.len() > 1 => {
+                        let i = k % (nodes.len() - 1);
+                        (nodes[i], nodes[i + 1])
+                    }
+                    _ => (a, b),
+                };
                 svc.delete_edge(u, v).unwrap();
                 model.retain(|&(a, b, _)| {
                     (a, b) != (u as u32, v as u32) && (a, b) != (v as u32, u as u32)
                 });
-                let bumped = svc.graph_version();
-                assert!(bumped > version, "{ctx}: delete must bump the version");
-                version = bumped;
+                (u, v)
             }
+        };
+        let bumped = svc.graph_version();
+        assert!(
+            bumped > version,
+            "{ctx}: mutating ({u}, {v}) must bump the version"
+        );
+        version = bumped;
+        // The pair cached just before this mutation: a delete off its
+        // path leaves the entry answering, anything else strands it.
+        if let Some((pair, nodes)) = &mut last {
+            *nodes = check_pair(
+                &svc,
+                n,
+                &model,
+                *pair,
+                &format!("{ctx}, then the last pair"),
+            );
         }
     }
     // The cache really participated: repeated queries produced hits.
@@ -129,16 +191,18 @@ fn run_script(g: &Graph, ops: &[Op], dialect: Dialect, algorithm: ServiceAlgorit
     }
 }
 
-/// Op mix: queries dominate (4/7, s == t included on purpose), inserts
-/// over deletes (2/7 vs 1/7). Mutation self-loops are remapped away
-/// rather than filtered so the strategy never rejects.
+/// Op mix: queries dominate (4/8, s == t included on purpose), inserts
+/// over deletes (2/8 vs 1/8 of `(a, b)` and 1/8 of a hop of the last
+/// answer). Mutation self-loops are remapped away rather than filtered
+/// so the strategy never rejects.
 fn op_strategy(n: i64) -> impl Strategy<Value = Op> {
-    (0usize..7, 0..n, 0..n, 1i64..20).prop_map(move |(kind, a, b, w)| {
+    (0usize..8, 0..n, 0..n, 1i64..20).prop_map(move |(kind, a, b, w)| {
         let b_ne = if a == b { (b + 1) % n } else { b };
         match kind {
             0..=3 => Op::Query(a, b),
             4 | 5 => Op::Insert(a, b_ne, w),
-            _ => Op::Delete(a, b_ne),
+            6 => Op::Delete(a, b_ne),
+            _ => Op::DeleteHop(w as usize, a, b_ne),
         }
     })
 }
@@ -171,7 +235,7 @@ proptest! {
 fn negative_cache_entries_go_stale_with_the_version() {
     let core = generate::grid(4, 4, 1..=10, 11);
     let n = core.num_nodes(); // node `n` of the enlarged graph is isolated
-    let g = Graph::from_undirected_edges(n + 1, edge_model(&core));
+    let g = Graph::from_undirected_edges(n + 1, edge_list(&core));
     let lonely = n as i64;
     for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
         let svc = PathService::with_options(
@@ -200,7 +264,7 @@ fn negative_cache_entries_go_stale_with_the_version() {
         let want = oracle(
             n + 1,
             &{
-                let mut m = edge_model(&core);
+                let mut m = edge_list(&core);
                 m.push((lonely as u32, 5, 3));
                 m
             },
@@ -243,7 +307,7 @@ fn concurrent_readers_survive_mutations() {
     let pairs = [(0i64, 24i64), (3, 20), (7, 17), (12, 24)];
     // The mutation schedule toggles one shortcut edge; precompute the
     // oracle answer for both graph states.
-    let base = edge_model(&g);
+    let base = edge_list(&g);
     let with_shortcut = {
         let mut m = base.clone();
         m.push((0, 24, 1));
