@@ -10,7 +10,7 @@ use crate::segtable::SegTableStats;
 use crate::sqlgen::EmMode;
 use crate::stats::SqlStyle;
 use fempath_graph::{load_graph, load_graph_bulk, BulkLoadOptions, Graph, IndexKind, LoadOptions};
-use fempath_sql::{Database, DbSnapshot, Dialect, Result, SqlError};
+use fempath_sql::{Catalog, Database, DbSnapshot, Dialect, Result, SqlError};
 
 /// The "infinity" distance constant (the paper's `Max` in Listing 4(2)).
 /// Large enough that `INF + any path length` never overflows `i64`.
@@ -20,8 +20,8 @@ pub const INF: i64 = 4_000_000_000_000_000;
 pub const NO_NODE: i64 = -1;
 
 /// Row-tier edge insert template ([`GraphDb::insert_edge`]). Module-level
-/// const so the femcheck corpus ([`GraphDb::analyze_all_statements`])
-/// analyzes exactly the statement the mutation path executes.
+/// const so the femcheck corpus ([`GraphDb::for_each_corpus_statement`])
+/// holds exactly the statement the mutation path executes.
 pub(crate) const INSERT_EDGE_SQL: &str = "INSERT INTO TEdges (fid, tid, cost) VALUES (?, ?, ?)";
 
 /// Row-tier edge delete template ([`GraphDb::delete_edge`]): removes every
@@ -484,11 +484,13 @@ impl GraphDb {
         out
     }
 
-    /// Statically analyzes every statement the finders (DJ/BDJ/BSDJ/BBFS/
-    /// BSEG), the landmark index, the SegTable build, and the
-    /// working-table resets can issue — under **both**
-    /// supported dialects — and returns one `(name, report)` pair per
-    /// statement. Names are `"<dialect>::<corpus path>"`, e.g.
+    /// Calls `f` once per statement the finders (DJ/BDJ/BSDJ/BBFS/BSEG),
+    /// the landmark index, the SegTable build, the edge mutations and the
+    /// working-table resets can issue — under **both** supported dialects,
+    /// DBMS-X first — with the catalog the statement would run against.
+    /// Nothing is executed or analyzed here; femcheck's corpus gate
+    /// (`crates/femcheck/tests/analyze_corpus.rs`) analyzes each statement
+    /// and names it `"<dialect>::<corpus path>"`, e.g.
     /// `"DBMS-X::fwd/edges/nsql/merge_from_exp"`.
     ///
     /// Working tables are (re)created first through the idempotent resets.
@@ -496,23 +498,42 @@ impl GraphDb {
     /// tables existing: the SegTable-sourced finder statements and the
     /// build corpus need `TOutSegs`, the landmark corpus needs
     /// `TLandmarks`. The build's own `TSegV`/`TSegExp` (dropped after a
-    /// real build) are resurrected for the duration of the walk.
-    ///
-    /// This is the femcheck corpus gate: `tests/analyze_corpus.rs` pins
-    /// every returned report to zero diagnostics.
-    pub fn analyze_all_statements(&mut self) -> Result<Vec<(String, fempath_sql::Report)>> {
-        use crate::sqlgen::{AnnotatedSql, Dir, EdgeSource, SqlGen};
-
+    /// real build) are brought back for the duration of the walk and
+    /// dropped again on every path, an `Err` from `f` included; the walk
+    /// stops at the first `Err` and returns it.
+    pub fn for_each_corpus_statement(
+        &mut self,
+        mut f: impl FnMut(&Catalog, Dialect, &crate::sqlgen::AnnotatedSql) -> Result<()>,
+    ) -> Result<()> {
         self.reset_visited()?;
         self.reset_exp()?;
         let has_segs = self.db.has_table("TOutSegs");
-        let has_lms = self.db.has_table("TLandmarks");
         let temp_segv = has_segs && !self.db.has_table("TSegV");
+        let created = if temp_segv {
+            crate::segtable::create_working_tables(&mut self.db)
+        } else {
+            Ok(())
+        };
+        let mut walked = created.and_then(|()| self.walk_corpus(has_segs, &mut f));
         if temp_segv {
-            crate::segtable::create_working_tables(&mut self.db)?;
+            // Both drops run whatever the walk returned; its `Err`, if
+            // any, is the one reported.
+            for sql in ["DROP TABLE IF EXISTS TSegV", "DROP TABLE IF EXISTS TSegExp"] {
+                let dropped = self.db.execute(sql);
+                walked = walked.and(dropped.map(|_| ()));
+            }
         }
+        walked
+    }
 
-        let mut out = Vec::new();
+    fn walk_corpus(
+        &self,
+        has_segs: bool,
+        f: &mut impl FnMut(&Catalog, Dialect, &crate::sqlgen::AnnotatedSql) -> Result<()>,
+    ) -> Result<()> {
+        use crate::sqlgen::{AnnotatedSql, Dir, EdgeSource, SqlGen};
+
+        let has_lms = self.db.has_table("TLandmarks");
         for dialect in [Dialect::DBMS_X, Dialect::POSTGRES] {
             let merge = dialect.supports_merge;
             let mut corpus: Vec<AnnotatedSql> = self.reset_statement_corpus();
@@ -540,21 +561,11 @@ impl GraphDb {
                     ));
                 }
             }
-            for a in corpus {
-                let opts = fempath_sql::AnalyzeOptions {
-                    hot_path: a.hot_path,
-                };
-                let report =
-                    fempath_sql::analyze::analyze_sql(self.db.catalog(), dialect, &a.sql, &opts)?;
-                out.push((format!("{}::{}", dialect.name, a.name), report));
+            for a in &corpus {
+                f(self.db.catalog(), dialect, a)?;
             }
         }
-
-        if temp_segv {
-            self.db.execute("DROP TABLE TSegV")?;
-            self.db.execute("DROP TABLE TSegExp")?;
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Freezes this database into an immutable [`GraphSnapshot`] that many

@@ -32,8 +32,8 @@ use fempath_sql::{Result, SqlError};
 use fempath_storage::Value;
 
 // The statement texts live in consts/helpers shared with
-// [`statement_corpus`], so the analyzed corpus is byte-for-byte what the
-// serving and build paths execute.
+// [`statement_corpus`], so the corpus femcheck analyzes is byte-for-byte
+// what the serving and build paths execute.
 const CREATE_SQL: &str = "CREATE TABLE TLandmarks (lm INT, nid INT, d INT, p INT)";
 const INDEX_SQL: &str = "CREATE CLUSTERED INDEX idx_tlandmarks ON TLandmarks(nid)";
 const CAND_UNCHOSEN: &str = "(SELECT fid, COUNT(*) AS deg FROM TEdges \
@@ -61,8 +61,9 @@ fn store_tree_sql(lm: i64) -> String {
 }
 
 /// Every statement the landmark subsystem issues, annotated for the static
-/// analyzer. All statements reference `TLandmarks`, so the corpus walker
-/// only includes them once the index is built. The serving probes
+/// analyzer. All statements reference `TLandmarks`, so the corpus walk
+/// ([`crate::GraphDb::for_each_corpus_statement`]) only includes them once
+/// the index is built. The serving probes
 /// ([`estimate_distance`], [`upper_bound`], the [`exact_path`] witness
 /// and `walk_tree`) are hot: each must ride the clustered `nid` index.
 /// Build and selection statements are cold — they run once per index

@@ -25,8 +25,8 @@ use fempath_storage::{Chunk, ColSet, Column, DataType, IoStats, Value, CHUNK_CAP
 use std::time::{Duration, Instant};
 
 // Statement texts shared between [`build_segtable_with`] and
-// [`build_statement_corpus`], so the analyzed corpus is byte-for-byte what
-// the build executes.
+// [`build_statement_corpus`], so the corpus femcheck analyzes is
+// byte-for-byte what the build executes.
 const CREATE_TSEGV: &str = "CREATE TABLE TSegV (src INT, nid INT, d2s INT, p2s INT, f INT)";
 const CREATE_TSEGV_IDX: &str = "CREATE UNIQUE CLUSTERED INDEX idx_tsegv ON TSegV(src, nid)";
 const SEED_TSEGV: &str =
@@ -100,8 +100,9 @@ fn expand_into_sql(style: SqlStyle) -> String {
 }
 
 /// Recreates the build's working tables so the build corpus resolves when
-/// analyzed after a real build (which drops them). The corpus walker calls
-/// this, analyzes, and drops the tables again.
+/// analyzed after a real build (which drops them). The corpus walk
+/// ([`crate::GraphDb::for_each_corpus_statement`]) calls this before it
+/// hands the corpus out and drops the tables again when it ends.
 pub(crate) fn create_working_tables(db: &mut fempath_sql::Database) -> Result<()> {
     db.execute(CREATE_TSEGV)?;
     db.execute(CREATE_TSEGV_IDX)?;
@@ -113,7 +114,7 @@ pub(crate) fn create_working_tables(db: &mut fempath_sql::Database) -> Result<()
 /// the static analyzer: `segmented` for the segmented tier, whose step 2
 /// issues no SQL. All statements are cold — the build runs once per
 /// database, offline. `TSegV`/`TSegExp` are dropped after a real build, so
-/// the corpus walker recreates them while analyzing.
+/// the corpus walk recreates them for its duration.
 pub fn build_statement_corpus(
     style: SqlStyle,
     merge_supported: bool,

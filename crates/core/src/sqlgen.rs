@@ -41,7 +41,8 @@ pub struct AnnotatedSql {
     /// Stable corpus name, e.g. `fwd/edges/nsql/merge_from_exp`.
     pub name: String,
     pub sql: String,
-    /// Analyze with [`fempath_sql::AnalyzeOptions::hot_path`] set.
+    /// femcheck analyzes the statement with `AnalyzeOptions { hot_path:
+    /// true }`, so a full scan of an indexed table fails it (FC201).
     pub hot_path: bool,
 }
 

@@ -1,43 +1,18 @@
-//! `femcheck` layer 1: static semantic analysis of SQL statements
-//! (DESIGN.md §15).
-//!
-//! Given a parsed statement and a catalog snapshot, the analyzer
-//!
-//! 1. resolves every table and column reference (rules FC001/FC002),
-//! 2. type-checks expressions against the interpreter's Int/Float/Text/
-//!    NULL rules (FC003/FC004) and validates statement shape — arity,
-//!    scalar-subquery columns, and whatever else the planner refuses
-//!    (FC005/FC006),
-//! 3. flags three-valued-logic pitfalls: `NOT IN` over a nullable
-//!    subquery column (FC101) and comparisons with an always-NULL operand
-//!    (FC102),
-//! 4. emits a plan-shape verdict per table access — index point lookup,
-//!    index range scan, or full scan, with the join strategy — read off
-//!    the plan `plan::build` compiles for the statement, the plan that
-//!    runs, and fails statements annotated hot-path that full-scan an
-//!    indexed table (FC201).
-//!
-//! Nothing here executes: no buffer pool, no rows, no parameters. The
-//! analyzer sees exactly what the planner sees at prepare time, which is
-//! what makes it usable as a test-time gate over the generated-SQL corpus
-//! (`GraphDb::analyze_all_statements` in `fempath-core`).
+//! The rule driver: one pass per statement kind over the AST, then the
+//! plan-shape verdicts and the hot-path gate (FC201) over the accesses of
+//! the compiled plan.
 
-mod access;
 mod select;
 mod typeck;
 
-use crate::ast::{
+use fempath_sql::ast::{
     CreateIndex, CreateTable, Delete, Expr, Insert, InsertSource, Merge, Stmt, Update,
 };
-use crate::catalog::Catalog;
-use crate::dialect::Dialect;
-use crate::error::Result;
-use crate::parser;
-use crate::plan::scope::split_conjuncts;
+use fempath_sql::plan::scope::split_conjuncts;
+use fempath_sql::plan::{table_accesses, AccessKind, TableAccess};
+use fempath_sql::{parse_statement, Catalog, Database, Dialect, Result};
 use select::{analyze_select, refine_and_check, resolve_source};
 use typeck::{infer, storable, TSchema};
-
-pub use typeck::Ty;
 
 /// Diagnostic severity. Errors describe statements that will misbehave or
 /// be rejected; warnings describe constructs that are semantically
@@ -122,55 +97,6 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// How one table is read by the statement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// Unique-index point lookup (at most one row per probe).
-    IndexEq,
-    /// Index prefix/range scan (clustering-tree prefix, segment range, or
-    /// non-point secondary probe).
-    IndexRange,
-    /// Every row is read.
-    FullScan,
-}
-
-/// How the access participates in the FROM pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    /// First (or only) relation of a FROM list, or a DML source stream.
-    Source,
-    /// Inner side of an index nested-loop join.
-    IndexNestedLoop,
-    /// Build side of a hash join.
-    HashJoin,
-    /// Nested-loop (cross product + filter) — no usable equi-pair.
-    NestedLoop,
-    /// MERGE / UPDATE-FROM target probed per source row.
-    Probe,
-}
-
-/// Plan-shape verdict for one base-table access of the compiled plan.
-/// Derived tables and views contribute the accesses of their own plans.
-#[derive(Debug, Clone)]
-pub struct TableAccess {
-    /// Base table name.
-    pub table: String,
-    /// Binding the plan records for the access (alias or table name; the
-    /// table name for a hash/nested-loop build side or a probed DML
-    /// target, which the plan keeps no alias for).
-    pub binding: String,
-    pub access: AccessKind,
-    pub join: JoinKind,
-    /// Index columns driving an `IndexEq`/`IndexRange` access.
-    pub index_cols: Vec<String>,
-    /// Whether the table has any index at all (drives FC201: full-scanning
-    /// an unindexed working table is expected, an indexed one is a bug).
-    pub has_index: bool,
-    /// True when the access happens inside a scalar/IN/EXISTS subquery —
-    /// evaluated once per statement, exempt from FC201.
-    pub in_subquery: bool,
-}
-
 /// Analysis options.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyzeOptions {
@@ -192,14 +118,6 @@ impl Report {
     /// True when no diagnostics (errors *or* warnings) were produced.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
-    }
-
-    /// Number of error-severity diagnostics.
-    pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.rule.severity() == Severity::Error)
-            .count()
     }
 
     /// True when some diagnostic carries `rule`.
@@ -242,12 +160,28 @@ pub fn analyze_sql(
     sql: &str,
     opts: &AnalyzeOptions,
 ) -> Result<Report> {
-    let stmt = parser::parse_statement(sql)?;
+    let stmt = parse_statement(sql)?;
     Ok(analyze_stmt(catalog, dialect, &stmt, sql, opts))
 }
 
-/// Analyzes an already-parsed statement.
-pub fn analyze_stmt(
+/// Analyzes `sql` against `db`'s current catalog under its dialect,
+/// without executing it.
+pub fn analyze(db: &Database, sql: &str) -> Result<Report> {
+    analyze_sql(db.catalog(), db.dialect(), sql, &AnalyzeOptions::default())
+}
+
+/// Like [`analyze`], with the statement annotated *hot-path*: a full scan
+/// of an indexed table becomes an FC201 error.
+pub fn analyze_hot_path(db: &Database, sql: &str) -> Result<Report> {
+    analyze_sql(
+        db.catalog(),
+        db.dialect(),
+        sql,
+        &AnalyzeOptions { hot_path: true },
+    )
+}
+
+fn analyze_stmt(
     catalog: &Catalog,
     dialect: Dialect,
     stmt: &Stmt,
@@ -260,14 +194,8 @@ pub fn analyze_stmt(
         diags: Vec::new(),
     };
     dispatch(&mut cx, stmt);
-    // The verdicts come from the plan `prepare` would compile (EXPLAIN
-    // compiles its inner statement).
-    let planned = match stmt {
-        Stmt::Explain(inner) => inner,
-        other => other,
-    };
-    let accesses = match crate::plan::build::build_plan(catalog, planned) {
-        Ok(plan) => access::plan_accesses(catalog, &plan),
+    let accesses = match table_accesses(catalog, stmt) {
+        Ok(accesses) => accesses,
         Err(e) => {
             // An error found above already explains the refusal.
             if !cx
@@ -605,7 +533,7 @@ fn analyze_merge(cx: &mut Ctx<'_>, m: &Merge) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Database;
+    use fempath_sql::plan::JoinKind;
 
     fn db() -> Database {
         let mut db = Database::in_memory(64);
@@ -638,7 +566,7 @@ mod tests {
             "UPDATE TVisited SET f = 1 WHERE nid = ?",
             "SELECT v.nid FROM (SELECT nid FROM TVisited WHERE f = 0) v",
         ] {
-            let r = db.analyze(sql).unwrap();
+            let r = analyze(&db, sql).unwrap();
             assert!(r.is_clean(), "unexpected diagnostics:\n{}", r.render());
         }
     }
@@ -646,29 +574,27 @@ mod tests {
     #[test]
     fn fc001_unknown_table() {
         let db = db();
-        let r = db.analyze("SELECT x FROM Nope").unwrap();
+        let r = analyze(&db, "SELECT x FROM Nope").unwrap();
         assert!(r.has_rule(Rule::UnknownTable), "{}", r.render());
         // The open schema suppresses cascading unknown-column noise.
         assert!(!r.has_rule(Rule::UnknownColumn), "{}", r.render());
-        assert!(db
-            .analyze("TRUNCATE TABLE Nope")
+        assert!(analyze(&db, "TRUNCATE TABLE Nope")
             .unwrap()
             .has_rule(Rule::UnknownTable));
-        assert!(db
-            .analyze("DROP TABLE Nope")
+        assert!(analyze(&db, "DROP TABLE Nope")
             .unwrap()
             .has_rule(Rule::UnknownTable));
-        assert!(db.analyze("DROP TABLE IF EXISTS Nope").unwrap().is_clean());
+        assert!(analyze(&db, "DROP TABLE IF EXISTS Nope")
+            .unwrap()
+            .is_clean());
     }
 
     #[test]
     fn fc002_unknown_column() {
         let db = db();
-        let r = db.analyze("SELECT ghost FROM TVisited").unwrap();
+        let r = analyze(&db, "SELECT ghost FROM TVisited").unwrap();
         assert_eq!(rules(&r), vec![Rule::UnknownColumn], "{}", r.render());
-        let r = db
-            .analyze("UPDATE TVisited SET ghost = 1 WHERE nid = ?")
-            .unwrap();
+        let r = analyze(&db, "UPDATE TVisited SET ghost = 1 WHERE nid = ?").unwrap();
         assert!(r.has_rule(Rule::UnknownColumn), "{}", r.render());
     }
 
@@ -677,15 +603,15 @@ mod tests {
         let mut db = db();
         db.execute("CREATE TABLE Names (nid INT, label TEXT)")
             .unwrap();
-        let r = db.analyze("SELECT nid FROM Names WHERE label = 3").unwrap();
+        let r = analyze(&db, "SELECT nid FROM Names WHERE label = 3").unwrap();
         assert!(r.has_rule(Rule::TypeMismatch), "{}", r.render());
-        let r = db
-            .analyze("SELECT nid FROM Names WHERE label IN (SELECT nid FROM TVisited)")
-            .unwrap();
+        let r = analyze(
+            &db,
+            "SELECT nid FROM Names WHERE label IN (SELECT nid FROM TVisited)",
+        )
+        .unwrap();
         assert!(r.has_rule(Rule::TypeMismatch), "{}", r.render());
-        let r = db
-            .analyze("INSERT INTO Names (nid, label) VALUES (1, 2)")
-            .unwrap();
+        let r = analyze(&db, "INSERT INTO Names (nid, label) VALUES (1, 2)").unwrap();
         assert!(r.has_rule(Rule::TypeMismatch), "{}", r.render());
     }
 
@@ -694,27 +620,29 @@ mod tests {
         let mut db = db();
         db.execute("CREATE TABLE Names (nid INT, label TEXT)")
             .unwrap();
-        let r = db.analyze("SELECT label + 1 FROM Names").unwrap();
+        let r = analyze(&db, "SELECT label + 1 FROM Names").unwrap();
         assert!(r.has_rule(Rule::NonNumericArith), "{}", r.render());
-        let r = db.analyze("SELECT SUM(label) FROM Names").unwrap();
+        let r = analyze(&db, "SELECT SUM(label) FROM Names").unwrap();
         assert!(r.has_rule(Rule::NonNumericArith), "{}", r.render());
     }
 
     #[test]
     fn fc005_statement_shape() {
         let db = db();
-        let r = db
-            .analyze("INSERT INTO TExp (nid, p2s, cost) VALUES (1, 2)")
-            .unwrap();
+        let r = analyze(&db, "INSERT INTO TExp (nid, p2s, cost) VALUES (1, 2)").unwrap();
         assert!(r.has_rule(Rule::StatementShape), "{}", r.render());
-        let r = db
-            .analyze("SELECT nid FROM TVisited WHERE d2s = (SELECT nid, d2s FROM TVisited)")
-            .unwrap();
+        let r = analyze(
+            &db,
+            "SELECT nid FROM TVisited WHERE d2s = (SELECT nid, d2s FROM TVisited)",
+        )
+        .unwrap();
         assert!(r.has_rule(Rule::StatementShape), "{}", r.render());
         // UPDATE-FROM without a target equality: the planner rejects it.
-        let r = db
-            .analyze("UPDATE TVisited SET f = 1 FROM TExp WHERE TExp.cost > 0")
-            .unwrap();
+        let r = analyze(
+            &db,
+            "UPDATE TVisited SET f = 1 FROM TExp WHERE TExp.cost > 0",
+        )
+        .unwrap();
         assert!(r.has_rule(Rule::StatementShape), "{}", r.render());
     }
 
@@ -745,17 +673,19 @@ mod tests {
     fn fc101_not_in_nullable() {
         let db = db();
         let bad = "SELECT nid FROM TExp WHERE nid NOT IN (SELECT nid FROM TVisited)";
-        let r = db.analyze(bad).unwrap();
+        let r = analyze(&db, bad).unwrap();
         assert_eq!(rules(&r), vec![Rule::NotInNullable], "{}", r.render());
         // The IS NOT NULL guard makes the subquery column non-nullable.
         let good = "SELECT nid FROM TExp WHERE nid NOT IN \
                     (SELECT nid FROM TVisited WHERE nid IS NOT NULL)";
-        let r = db.analyze(good).unwrap();
+        let r = analyze(&db, good).unwrap();
         assert!(r.is_clean(), "{}", r.render());
         // Positive IN over a nullable column is fine.
-        let r = db
-            .analyze("SELECT nid FROM TExp WHERE nid IN (SELECT nid FROM TVisited)")
-            .unwrap();
+        let r = analyze(
+            &db,
+            "SELECT nid FROM TExp WHERE nid IN (SELECT nid FROM TVisited)",
+        )
+        .unwrap();
         assert!(r.is_clean(), "{}", r.render());
     }
 
@@ -765,25 +695,21 @@ mod tests {
         // `nid = ?` null-rejects nid, so the NOT IN sees non-nullable output.
         let guarded = "SELECT nid FROM TExp WHERE nid NOT IN \
                        (SELECT nid FROM TVisited WHERE nid = 4)";
-        let r = db.analyze(guarded).unwrap();
+        let r = analyze(&db, guarded).unwrap();
         assert!(r.is_clean(), "{}", r.render());
         // An OR predicate rejects nothing: nid stays nullable.
         let unguarded = "SELECT nid FROM TExp WHERE nid NOT IN \
                          (SELECT nid FROM TVisited WHERE nid = 4 OR f = 1)";
-        let r = db.analyze(unguarded).unwrap();
+        let r = analyze(&db, unguarded).unwrap();
         assert!(r.has_rule(Rule::NotInNullable), "{}", r.render());
     }
 
     #[test]
     fn fc102_always_null_predicate() {
         let db = db();
-        let r = db
-            .analyze("SELECT nid FROM TVisited WHERE d2s = NULL")
-            .unwrap();
+        let r = analyze(&db, "SELECT nid FROM TVisited WHERE d2s = NULL").unwrap();
         assert!(r.has_rule(Rule::AlwaysNullPredicate), "{}", r.render());
-        let r = db
-            .analyze("SELECT nid FROM TVisited WHERE d2s IS NULL")
-            .unwrap();
+        let r = analyze(&db, "SELECT nid FROM TVisited WHERE d2s IS NULL").unwrap();
         assert!(r.is_clean(), "{}", r.render());
     }
 
@@ -791,25 +717,23 @@ mod tests {
     fn fc201_hot_path_full_scan() {
         let db = db();
         // Point lookup: fine hot.
-        let r = db
-            .analyze_hot_path("SELECT d2s FROM TVisited WHERE nid = ?")
-            .unwrap();
+        let r = analyze_hot_path(&db, "SELECT d2s FROM TVisited WHERE nid = ?").unwrap();
         assert!(r.is_clean(), "{}", r.render());
         assert_eq!(r.accesses[0].access, AccessKind::IndexEq);
         // Full scan of an indexed table: hot error, cold fine.
         let scan = "SELECT nid FROM TVisited WHERE f = 0";
-        assert!(db.analyze(scan).unwrap().is_clean());
-        let r = db.analyze_hot_path(scan).unwrap();
+        assert!(analyze(&db, scan).unwrap().is_clean());
+        let r = analyze_hot_path(&db, scan).unwrap();
         assert!(r.has_rule(Rule::HotPathFullScan), "{}", r.render());
         // Full scan of an unindexed table: fine even hot.
-        let r = db
-            .analyze_hot_path("SELECT nid FROM TExp WHERE cost < ?")
-            .unwrap();
+        let r = analyze_hot_path(&db, "SELECT nid FROM TExp WHERE cost < ?").unwrap();
         assert!(r.is_clean(), "{}", r.render());
         // Scalar subquery interiors are exempt (evaluated once).
-        let r = db
-            .analyze_hot_path("SELECT nid FROM TExp WHERE cost = (SELECT MIN(d2s) FROM TVisited)")
-            .unwrap();
+        let r = analyze_hot_path(
+            &db,
+            "SELECT nid FROM TExp WHERE cost = (SELECT MIN(d2s) FROM TVisited)",
+        )
+        .unwrap();
         assert!(r.is_clean(), "{}", r.render());
     }
 
@@ -817,9 +741,11 @@ mod tests {
     fn plan_shape_verdicts() {
         let db = db();
         // Index nested-loop join through the clustered edge index.
-        let r = db
-            .analyze("SELECT e.tid FROM TVisited q, TEdges e WHERE q.nid = e.fid AND q.f = 0")
-            .unwrap();
+        let r = analyze(
+            &db,
+            "SELECT e.tid FROM TVisited q, TEdges e WHERE q.nid = e.fid AND q.f = 0",
+        )
+        .unwrap();
         assert!(r.is_clean(), "{}", r.render());
         let e = r
             .accesses
@@ -830,12 +756,12 @@ mod tests {
         assert_eq!(e.access, AccessKind::IndexRange);
         assert_eq!(e.index_cols, ["fid"]);
         // MERGE probes the unique visited index.
-        let r = db
-            .analyze(
-                "MERGE INTO TVisited USING TExp ON TVisited.nid = TExp.nid \
+        let r = analyze(
+            &db,
+            "MERGE INTO TVisited USING TExp ON TVisited.nid = TExp.nid \
                  WHEN MATCHED THEN UPDATE SET d2s = TExp.cost",
-            )
-            .unwrap();
+        )
+        .unwrap();
         assert!(r.is_clean(), "{}", r.render());
         let t = r
             .accesses
@@ -849,6 +775,6 @@ mod tests {
     #[test]
     fn parse_error_is_err() {
         let db = db();
-        assert!(db.analyze("SELEC nid FROM TVisited").is_err());
+        assert!(analyze(&db, "SELEC nid FROM TVisited").is_err());
     }
 }

@@ -2,12 +2,13 @@
 //! schema, the schemas concatenate in FROM order, and the WHERE clause,
 //! projection, HAVING and ORDER BY are checked against the result after
 //! null-rejection refinement. How each table is read is not decided here:
-//! those verdicts are read off the compiled plan (`super::access`).
+//! those verdicts are read off the compiled plan
+//! (`fempath_sql::plan::table_accesses`).
 
 use super::typeck::{infer, strict_cols, ColTy, TSchema};
 use super::{Ctx, Rule};
-use crate::ast::{Expr, Select, TableRef};
-use crate::plan::scope::{expand_items, split_conjuncts};
+use fempath_sql::ast::{Expr, Select, TableRef};
+use fempath_sql::plan::scope::{expand_items, split_conjuncts};
 use std::collections::HashSet;
 
 /// Analyzes a SELECT, returning the typed schema of its output columns.

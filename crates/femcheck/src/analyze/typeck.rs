@@ -11,15 +11,15 @@
 //! feed a `NOT IN` without tripping rule FC101.
 
 use super::{Ctx, Rule};
-use crate::ast::{AggFunc, BinaryOp, Expr, UnaryOp};
-use crate::catalog::Table;
-use crate::plan::scope::{Schema, SchemaCol};
+use fempath_sql::ast::{AggFunc, BinaryOp, Expr, UnaryOp};
+use fempath_sql::plan::scope::{Schema, SchemaCol};
+use fempath_sql::Table;
 use fempath_storage::{DataType, Value};
 use std::collections::HashSet;
 
 /// Static type of an expression, mirroring the interpreter's value kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ty {
+pub(crate) enum Ty {
     Int,
     Float,
     Text,
@@ -72,9 +72,9 @@ impl std::fmt::Display for Ty {
 
 /// Per-column static type information.
 #[derive(Debug, Clone, Copy)]
-pub struct ColTy {
-    pub ty: Ty,
-    pub nullable: bool,
+pub(crate) struct ColTy {
+    pub(crate) ty: Ty,
+    pub(crate) nullable: bool,
 }
 
 /// A typed schema: the execution [`Schema`] (name resolution) plus one

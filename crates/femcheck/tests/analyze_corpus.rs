@@ -5,10 +5,12 @@
 //! (dropped hot-path index, unguarded `NOT IN`, type mismatch) are pinned
 //! to their diagnostic codes.
 
+use femcheck::{analyze, analyze_hot_path, analyze_sql, AnalyzeOptions, Report, Rule};
 use fempath_core::sqlgen::{Dir, EdgeSource, FrontierPred, SqlGen};
 use fempath_core::{build_segtable, GraphDb, GraphDbOptions, SqlStyle};
 use fempath_graph::generate;
-use fempath_sql::{AccessKind, JoinKind, Report, Rule};
+use fempath_sql::plan::{AccessKind, JoinKind};
+use fempath_sql::SqlError;
 
 /// A small graph on the row tier, whose SegTable build issues the SQL
 /// step 2 (`seg/nsql/*/copy_segments`, `residual_*`); the segmented tier
@@ -22,12 +24,29 @@ fn small_gdb() -> GraphDb {
     GraphDb::new(&g, &opts).unwrap()
 }
 
+/// Analyzes every statement of the corpus walk: one `(name, report)` pair
+/// per statement, named `"<dialect>::<corpus path>"`, e.g.
+/// `"DBMS-X::fwd/edges/nsql/merge_from_exp"`.
+fn analyze_corpus(gdb: &mut GraphDb) -> Vec<(String, Report)> {
+    let mut out = Vec::new();
+    gdb.for_each_corpus_statement(|catalog, dialect, a| {
+        let opts = AnalyzeOptions {
+            hot_path: a.hot_path,
+        };
+        let report = analyze_sql(catalog, dialect, &a.sql, &opts)?;
+        out.push((format!("{}::{}", dialect.name, a.name), report));
+        Ok(())
+    })
+    .unwrap();
+    out
+}
+
 /// Walks the corpus with every optional structure built and requires
 /// zero diagnostics.
 fn full_corpus(mut gdb: GraphDb) -> Vec<(String, Report)> {
     build_segtable(&mut gdb, 120).unwrap();
     gdb.build_landmarks(2).unwrap();
-    let reports = gdb.analyze_all_statements().unwrap();
+    let reports = analyze_corpus(&mut gdb);
     // Both dialects × (finders over TEdges and the SegTable, free
     // statements, landmarks, seg build) — a floor guards
     // against the walker silently skipping whole corpora.
@@ -117,7 +136,7 @@ fn segmented_corpus_is_clean() {
 #[test]
 fn bare_corpus_is_clean() {
     let mut gdb = small_gdb();
-    let reports = gdb.analyze_all_statements().unwrap();
+    let reports = analyze_corpus(&mut gdb);
     assert!(reports.len() > 150, "only {} reports", reports.len());
     for (name, r) in &reports {
         assert!(r.is_clean(), "{name}:\n{}", r.render());
@@ -132,15 +151,28 @@ fn bare_corpus_is_clean() {
 }
 
 /// The walker leaves no residue: the SegTable build's working tables are
-/// resurrected for the walk and dropped again.
+/// resurrected for the walk and dropped again, also when the caller's
+/// closure fails and the walk stops early.
 #[test]
 fn walker_restores_table_state() {
     let mut gdb = small_gdb();
     build_segtable(&mut gdb, 120).unwrap();
     assert!(!gdb.db.has_table("TSegV"));
-    gdb.analyze_all_statements().unwrap();
+    analyze_corpus(&mut gdb);
     assert!(!gdb.db.has_table("TSegV"), "walker leaked TSegV");
     assert!(!gdb.db.has_table("TSegExp"), "walker leaked TSegExp");
+
+    let mut calls = 0;
+    let err = gdb
+        .for_each_corpus_statement(|_, _, a| {
+            calls += 1;
+            Err(SqlError::Eval(format!("stop at {}", a.name)))
+        })
+        .unwrap_err();
+    assert_eq!(calls, 1, "the walk goes on after an Err");
+    assert!(matches!(err, SqlError::Eval(_)), "{err}");
+    assert!(!gdb.db.has_table("TSegV"), "failed walk leaked TSegV");
+    assert!(!gdb.db.has_table("TSegExp"), "failed walk leaked TSegExp");
 }
 
 /// Injected regression: the hot-path probe loses its index — the working
@@ -156,14 +188,14 @@ fn dropped_index_is_caught_as_fc201() {
     let settle_by_nid = &gen.settle_by_nid();
     let expand_by_nid = &gen.expand_merge(FrontierPred::ByNid);
     for sql in [dist_of, settle_by_nid, expand_by_nid] {
-        assert!(gdb.db.analyze_hot_path(sql).unwrap().is_clean(), "{sql}");
+        assert!(analyze_hot_path(&gdb.db, sql).unwrap().is_clean(), "{sql}");
     }
     gdb.db.execute("DROP INDEX idx_tvisited_nid").unwrap();
     gdb.db
         .execute("CREATE INDEX idx_tvisited_flags ON TVisited(f)")
         .unwrap();
     for sql in [dist_of, settle_by_nid, expand_by_nid] {
-        let report = gdb.db.analyze_hot_path(sql).unwrap();
+        let report = analyze_hot_path(&gdb.db, sql).unwrap();
         assert!(
             report.has_rule(Rule::HotPathFullScan),
             "expected FC201:\n{}",
@@ -172,7 +204,7 @@ fn dropped_index_is_caught_as_fc201() {
     }
     // The cold analysis of the same statement stays silent: FC201 is a
     // hot-path-only lint.
-    assert!(gdb.db.analyze(dist_of).unwrap().is_clean());
+    assert!(analyze(&gdb.db, dist_of).unwrap().is_clean());
 }
 
 /// Injected regression: an anti-join without the `IS NOT NULL` guard —
@@ -211,7 +243,7 @@ fn unguarded_not_in_is_caught_as_fc101() {
         .execute("CREATE TABLE TSegExp (src INT, nid INT, p2s INT, cost INT)")
         .unwrap();
     for sql in unguarded {
-        let report = gdb.db.analyze(sql).unwrap();
+        let report = analyze(&gdb.db, sql).unwrap();
         assert!(
             report.has_rule(Rule::NotInNullable),
             "expected FC101 for unguarded anti-join:\n{}",
@@ -226,10 +258,7 @@ fn unguarded_not_in_is_caught_as_fc101() {
 fn type_mismatch_is_caught_as_fc003() {
     let mut gdb = small_gdb();
     gdb.reset_visited().unwrap();
-    let report = gdb
-        .db
-        .analyze("SELECT nid FROM TVisited WHERE d2s = 'far'")
-        .unwrap();
+    let report = analyze(&gdb.db, "SELECT nid FROM TVisited WHERE d2s = 'far'").unwrap();
     assert!(
         report.has_rule(Rule::TypeMismatch),
         "expected FC003:\n{}",
@@ -244,7 +273,7 @@ fn hardened_anti_joins_stay_guarded() {
     let mut gdb = small_gdb();
     build_segtable(&mut gdb, 120).unwrap();
     gdb.build_landmarks(1).unwrap();
-    let reports = gdb.analyze_all_statements().unwrap();
+    let reports = analyze_corpus(&mut gdb);
     let must_have_guard = [
         "fwd/edges/nsql/insert_from_exp",
         "lm/pick_unchosen/max",

@@ -10,7 +10,7 @@
 //!
 //! Case count honours `PROPTEST_CASES` (the CI admissibility job runs 512).
 
-use fempath_sql::analyze::Rule;
+use femcheck::{analyze, analyze_hot_path, Rule};
 use fempath_sql::{Database, Dialect};
 use proptest::prelude::*;
 
@@ -254,7 +254,7 @@ proptest! {
     fn well_typed_statements_analyze_clean(s in arb_stmt(), pg in prop::bool::ANY) {
         let dialect = if pg { Dialect::POSTGRES } else { Dialect::DBMS_X };
         let sql = render_stmt(&s);
-        let r = db(dialect).analyze(&sql).unwrap();
+        let r = analyze(&db(dialect), &sql).unwrap();
         prop_assert!(r.is_clean(), "false positive:\n{}", r.render());
     }
 
@@ -267,7 +267,7 @@ proptest! {
         if let Some(p) = &pred {
             sql.push_str(&format!(" WHERE {}", render_pred(t, p)));
         }
-        let r = db(Dialect::DBMS_X).analyze(&sql).unwrap();
+        let r = analyze(&db(Dialect::DBMS_X), &sql).unwrap();
         prop_assert!(r.has_rule(Rule::UnknownColumn), "missed:\n{}", r.render());
     }
 }
@@ -300,7 +300,7 @@ fn every_rule_has_a_live_counterexample() {
     ];
     let d = db(Dialect::DBMS_X);
     for (rule, sql) in cases {
-        let r = d.analyze(sql).unwrap();
+        let r = analyze(&d, sql).unwrap();
         assert!(
             r.has_rule(*rule),
             "{} not triggered by `{sql}`:\n{}",
@@ -320,13 +320,13 @@ fn merge_dialect_gate() {
                    UPDATE SET d2s = source.cost, p2s = source.p2s, f = 0 \
                  WHEN NOT MATCHED THEN \
                    INSERT (nid, d2s, p2s, f) VALUES (source.nid, source.cost, source.p2s, 0)";
-    let r = db(Dialect::POSTGRES).analyze(merge).unwrap();
+    let r = analyze(&db(Dialect::POSTGRES), merge).unwrap();
     assert!(
         r.has_rule(Rule::DialectUnsupported),
         "FC006 missed:\n{}",
         r.render()
     );
-    let r = db(Dialect::DBMS_X).analyze(merge).unwrap();
+    let r = analyze(&db(Dialect::DBMS_X), merge).unwrap();
     assert!(r.is_clean(), "false positive:\n{}", r.render());
 }
 
@@ -336,13 +336,13 @@ fn merge_dialect_gate() {
 fn hot_path_full_scan_gate() {
     let d = db(Dialect::DBMS_X);
     let scan = "SELECT d2s FROM TVisited WHERE f = 0";
-    assert!(d.analyze(scan).unwrap().is_clean());
-    let r = d.analyze_hot_path(scan).unwrap();
+    assert!(analyze(&d, scan).unwrap().is_clean());
+    let r = analyze_hot_path(&d, scan).unwrap();
     assert!(
         r.has_rule(Rule::HotPathFullScan),
         "FC201 missed:\n{}",
         r.render()
     );
     let probe = "SELECT d2s FROM TVisited WHERE nid = 7";
-    assert!(d.analyze_hot_path(probe).unwrap().is_clean());
+    assert!(analyze_hot_path(&d, probe).unwrap().is_clean());
 }

@@ -779,28 +779,4 @@ impl Database {
     pub fn pool_and_catalog_mut(&mut self) -> (&mut BufferPool, &mut Catalog) {
         (&mut self.pool, &mut self.catalog)
     }
-
-    /// Statically analyzes `sql` against the current catalog under the
-    /// database's dialect without executing it: name resolution, type
-    /// checks, 3VL lints and a plan-shape verdict per table access. `Err`
-    /// only on parse failure; semantic findings come back in the report.
-    pub fn analyze(&self, sql: &str) -> Result<crate::analyze::Report> {
-        crate::analyze::analyze_sql(
-            &self.catalog,
-            self.dialect,
-            sql,
-            &crate::analyze::AnalyzeOptions::default(),
-        )
-    }
-
-    /// Like [`Database::analyze`], with the statement annotated *hot-path*:
-    /// a full scan of an indexed table becomes an FC201 error.
-    pub fn analyze_hot_path(&self, sql: &str) -> Result<crate::analyze::Report> {
-        crate::analyze::analyze_sql(
-            &self.catalog,
-            self.dialect,
-            sql,
-            &crate::analyze::AnalyzeOptions { hot_path: true },
-        )
-    }
 }

@@ -43,7 +43,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analyze;
 pub mod ast;
 pub mod catalog;
 pub mod dialect;
@@ -54,9 +53,6 @@ pub mod parser;
 pub mod plan;
 mod pool;
 
-pub use analyze::{
-    AccessKind, AnalyzeOptions, Diagnostic, JoinKind, Report, Rule, Severity, TableAccess,
-};
 pub use catalog::{Catalog, RowLoc, Table, TableBatchCursor, TableSchema};
 pub use dialect::Dialect;
 pub use engine::{

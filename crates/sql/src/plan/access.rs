@@ -3,15 +3,76 @@
 //! read off the [`ProbePath`] each index access recorded. Nothing here
 //! chooses a path, so the verdicts cannot drift from the executor.
 
-use super::{AccessKind, JoinKind, TableAccess};
-use crate::catalog::{Catalog, ProbePath};
-use crate::plan::{
+use super::build::build_plan;
+use super::{
     InputPlan, InsertSourcePlan, JoinPlan, PlanKind, ProbePlan, RightPlan, SelectPlan, SourcePlan,
     SubPlan, UpdateKind,
 };
+use crate::ast::Stmt;
+use crate::catalog::{Catalog, ProbePath};
+use crate::error::Result;
 
-/// Every base-table access of `plan`, in pipeline order, subplans last.
-pub(crate) fn plan_accesses(catalog: &Catalog, plan: &PlanKind) -> Vec<TableAccess> {
+/// How one table is read by the statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessKind {
+    /// Unique-index point lookup (at most one row per probe).
+    IndexEq,
+    /// Index prefix/range scan (clustering-tree prefix, segment range, or
+    /// non-point secondary probe).
+    IndexRange,
+    /// Every row is read.
+    FullScan,
+}
+
+/// How the access participates in the FROM pipeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinKind {
+    /// First (or only) relation of a FROM list, or a DML source stream.
+    Source,
+    /// Inner side of an index nested-loop join.
+    IndexNestedLoop,
+    /// Build side of a hash join.
+    HashJoin,
+    /// Nested-loop (cross product + filter) — no usable equi-pair.
+    NestedLoop,
+    /// MERGE / UPDATE-FROM target probed per source row.
+    Probe,
+}
+
+/// Plan-shape verdict for one base-table access of the compiled plan.
+/// Derived tables and views contribute the accesses of their own plans.
+#[derive(Debug, Clone)]
+pub struct TableAccess {
+    /// Base table name.
+    pub table: String,
+    /// Binding the plan records for the access (alias or table name; the
+    /// table name for a hash/nested-loop build side or a probed DML
+    /// target, which the plan keeps no alias for).
+    pub binding: String,
+    pub access: AccessKind,
+    pub join: JoinKind,
+    /// Index columns driving an `IndexEq`/`IndexRange` access.
+    pub index_cols: Vec<String>,
+    /// Whether the table has any index at all (a full scan of an
+    /// unindexed working table is expected, of an indexed one a smell).
+    pub has_index: bool,
+    /// True when the access happens inside a scalar/IN/EXISTS subquery —
+    /// evaluated once per statement, not per row.
+    pub in_subquery: bool,
+}
+
+/// Every base-table access of the plan `prepare` would compile for `stmt`
+/// against `catalog` (EXPLAIN compiles its inner statement), in pipeline
+/// order, subplans last. DDL has none. `Err` is the planner's refusal.
+pub fn table_accesses(catalog: &Catalog, stmt: &Stmt) -> Result<Vec<TableAccess>> {
+    let planned = match stmt {
+        Stmt::Explain(inner) => inner,
+        other => other,
+    };
+    Ok(plan_accesses(catalog, &build_plan(catalog, planned)?))
+}
+
+fn plan_accesses(catalog: &Catalog, plan: &PlanKind) -> Vec<TableAccess> {
     let mut w = Walk {
         catalog,
         out: Vec::new(),

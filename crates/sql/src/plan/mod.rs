@@ -27,6 +27,7 @@
 //! bumps the version and stale plans are transparently rebuilt (see
 //! DESIGN.md §9).
 
+mod access;
 pub mod agg;
 pub(crate) mod build;
 pub mod scope;
@@ -39,6 +40,8 @@ use crate::catalog::{ProbePath, TableSchema, UpdateMode};
 use fempath_storage::{ColSet, Value};
 use scope::{Schema, SchemaCol};
 use std::sync::Arc;
+
+pub use access::{table_accesses, AccessKind, JoinKind, TableAccess};
 
 /// A fully planned statement, stamped with the catalog version it was
 /// compiled against.

@@ -1,7 +1,7 @@
 //! Name scopes: the columns a FROM list exposes, how a `[table.]name`
 //! reference resolves among them, and the WHERE-clause and projection
-//! shapes the planner (and the analyzer and the reference interpreter)
-//! read off the AST before binding anything.
+//! shapes the planner (and femcheck's analyzer and the reference
+//! interpreter) read off the AST before binding anything.
 
 use crate::ast::{BinaryOp, Expr, Select, SelectItem};
 use crate::error::{Result, SqlError};

@@ -1,11 +1,12 @@
 //! Plan-shape regression tests: which access path and join strategy a
-//! prepared plan chose (via `PreparedStmt::describe`), that femcheck's
-//! verdicts read the same choice, plus the catalog-version invalidation
+//! prepared plan chose (via `PreparedStmt::describe`), that
+//! `plan::table_accesses` reports the same choice, plus the catalog-version invalidation
 //! rules — prepare → DDL → re-execute must transparently replan (picking
 //! up new indexes, erroring cleanly on dropped tables), while TRUNCATE
 //! must NOT invalidate anything.
 
-use fempath_sql::{AccessKind, Database, JoinKind, SqlError};
+use fempath_sql::plan::{table_accesses, AccessKind, JoinKind};
+use fempath_sql::{parse_statement, Database, SqlError};
 use fempath_storage::{DataType, Value};
 
 fn db() -> Database {
@@ -124,12 +125,13 @@ fn segment_lookups_and_joins_print_the_segment_path() {
     );
 }
 
-/// The access path is one decision, and femcheck reads it from the plan
-/// that runs. On `T(a, b)` a non-unique index on `a` is created before a
-/// unique one: an equality on `a` is a prefix scan of the first, for a
-/// lookup and for a MERGE probe alike. femcheck's verdicts say
-/// `IndexRange`, matching the path `describe()` prints — not `IndexEq`,
-/// which a unique index on the same column would suggest.
+/// The access path is one decision, and `plan::table_accesses` (whose
+/// verdicts femcheck reports) reads it from the plan that runs. On
+/// `T(a, b)` a non-unique index on `a` is created before a unique one: an
+/// equality on `a` is a prefix scan of the first, for a lookup and for a
+/// MERGE probe alike. The verdicts say `IndexRange`, matching the path
+/// `describe()` prints — not `IndexEq`, which a unique index on the same
+/// column would suggest.
 #[test]
 fn analyzer_verdicts_match_the_planned_probe_path() {
     let mut d = Database::in_memory(64);
@@ -144,9 +146,8 @@ fn analyzer_verdicts_match_the_planned_probe_path() {
     let lookup = "SELECT b FROM T WHERE a = ?";
     let merge = "MERGE INTO T USING S ON T.a = S.a WHEN MATCHED THEN UPDATE SET b = S.b";
     for (sql, join) in [(lookup, JoinKind::Source), (merge, JoinKind::Probe)] {
-        let report = d.analyze(sql).unwrap();
-        assert!(report.is_clean(), "{}", report.render());
-        let t = report.accesses.iter().find(|a| a.join == join).unwrap();
+        let accesses = table_accesses(d.catalog(), &parse_statement(sql).unwrap()).unwrap();
+        let t = accesses.iter().find(|a| a.join == join).unwrap();
         assert_eq!(
             (t.table.as_str(), t.access),
             ("T", AccessKind::IndexRange),

@@ -1,8 +1,9 @@
 //! femcheck layer 2 — the workspace *source* auditor (DESIGN.md §15).
 //!
-//! Where the SQL analyzer (`fempath_sql::analyze`) checks the statements
-//! the engine generates, this crate checks the engine's own source. Eight
-//! plain-text, line-level rules, no dependencies, no proc macros:
+//! Where the SQL analyzer (layer 1, the dev-only `femcheck` crate) checks
+//! the statements the engine generates, this crate checks the engine's own
+//! source. Eight plain-text, line-level rules, no dependencies, no proc
+//! macros:
 //!
 //! 1. **safety-comment** — every `unsafe` occurrence needs a `SAFETY:`
 //!    comment on the same line or within the preceding lines.
