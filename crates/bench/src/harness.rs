@@ -84,7 +84,7 @@ pub fn measure(
     };
     let mut time = Duration::ZERO;
     for &(s, t) in pairs {
-        let PathOutcome { path, stats } = finder.find_path(gdb, s, t)?;
+        let PathOutcome { path, stats, .. } = finder.find_path(gdb, s, t)?;
         if path.is_some() {
             agg.reachable += 1;
         }

@@ -43,16 +43,124 @@
 //! candidates costlier than `U` from the very first iteration; `min_cost`
 //! itself is never seeded — it must stay realized by a `TVisited` row for
 //! meet-node recovery.
+//!
+//! On request (`GraphDb::set_certificates`) BDJ and BSDJ also return a
+//! [`Certificate`]: what the finished search proved about distances
+//! around `s` and `t`, which lets a cached answer outlive edge inserts
+//! that cannot undercut it (DESIGN.md §16 *Inserts keep what they cannot
+//! change*). The loop records one pruning floor per direction for it at
+//! no cost, and one statement reads the expanded rows after it stops.
 
 use super::{
     recover_bidi_path, seeded_ceiling, trivial_case, Expansion, PathOutcome, Runner,
     ShortestPathFinder, Stmt,
 };
 use crate::graphdb::{GraphDb, INF};
-use crate::sqlgen::{expand_params_into, meet_node, Dir, EdgeSource, EmMode, FrontierPred, SqlGen};
+use crate::sqlgen::{
+    expand_params_into, expanded_rows, meet_node, Dir, EdgeSource, EmMode, FrontierPred, SqlGen,
+};
 use crate::stats::{FemOperator, Phase, SqlStyle};
 use fempath_sql::{Result, SqlError};
 use fempath_storage::Value;
+use std::sync::Arc;
+
+/// Lower bounds on the distance between one endpoint of a finished
+/// BDJ or BSDJ search and every node, at the graph version the search
+/// ran on (DESIGN.md §16 *Inserts keep what they cannot change*).
+///
+/// One direction of the search proves them. A node it expanded has its
+/// recorded distance `d`, exact unless Theorem-1 pruning dropped a
+/// cheaper route; every other node is at least `l`, that direction's
+/// smallest candidate distance when the search stopped (infinite once it
+/// ran dry). Pruning drops only candidates whose distance reached the
+/// direction's floor `P` — the least `min_cost − l_other` it bound into
+/// a pruning term — so capping each bound at `P` makes it hold for
+/// every node. A bound is therefore `min(d or l, P)`.
+///
+/// `PathService` keeps a cached answer of cost `c` across an inserted
+/// arc `x → y` of weight `w` when `from_source(x) + w + to_target(y) ≥
+/// c`, and across several when every pair of them passes the same
+/// test; see `ServiceShared::survives`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Certificate {
+    /// `min(l, P)` forward and backward: the bound of every node a
+    /// direction does not list.
+    floors: [i64; 2],
+    /// How many of `near`'s entries are forward ones.
+    split: usize,
+    /// The forward, then the backward expanded nodes whose distance is
+    /// below their direction's floor, as `(nid, distance)`, each run
+    /// sorted by `nid`. Node ids fit `u32` (`fempath_graph::Graph`'s);
+    /// a distance above `u32::MAX` is stored as `u32::MAX`, a smaller
+    /// lower bound and so still one. Half the bytes of `i64` pairs, and
+    /// a cache holds one certificate per entry.
+    near: Box<[(u32, u32)]>,
+}
+
+impl Certificate {
+    /// Bounds from a forward floor and the forward-expanded `(nid, d2s)`,
+    /// and the same backward. Expanded nodes at or above their floor
+    /// add nothing and are dropped.
+    pub(crate) fn new(
+        fwd_floor: i64,
+        fwd: Vec<(i64, i64)>,
+        bwd_floor: i64,
+        bwd: Vec<(i64, i64)>,
+    ) -> Certificate {
+        let mut floors = [fwd_floor, bwd_floor];
+        let mut near = Vec::with_capacity(fwd.len() + bwd.len());
+        let mut split = 0;
+        for (dir, nodes) in [fwd, bwd].into_iter().enumerate() {
+            let start = near.len();
+            for (nid, d) in nodes {
+                if d >= floors[dir] {
+                    continue;
+                }
+                match u32::try_from(nid) {
+                    Ok(nid) => near.push((nid, u32::try_from(d).unwrap_or(u32::MAX))),
+                    // Not a node id of any graph; lowering the floor to
+                    // its distance keeps every bound a lower bound.
+                    Err(_) => floors[dir] = floors[dir].min(d),
+                }
+            }
+            near[start..].sort_unstable();
+            if dir == 0 {
+                split = near.len();
+            }
+        }
+        Certificate {
+            floors,
+            split,
+            near: near.into_boxed_slice(),
+        }
+    }
+
+    /// Direction `dir`'s bound for `x`.
+    fn bound(&self, dir: usize, x: i64) -> i64 {
+        let (fwd, bwd) = self.near.split_at(self.split);
+        let near = if dir == 0 { fwd } else { bwd };
+        u32::try_from(x)
+            .ok()
+            .and_then(|x| near.binary_search_by_key(&x, |&(nid, _)| nid).ok())
+            .map_or(self.floors[dir], |i| i64::from(near[i].1))
+    }
+
+    /// A lower bound on the distance from the search's source to `x`
+    /// ([`INF`] for a node the source cannot reach).
+    pub fn from_source(&self, x: i64) -> i64 {
+        self.bound(0, x)
+    }
+
+    /// A lower bound on the distance from `y` to the search's target.
+    pub fn to_target(&self, y: i64) -> i64 {
+        self.bound(1, y)
+    }
+
+    /// Heap bytes held (the listed nodes), for a cache's byte budget.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.near)
+    }
+}
 
 /// Prepared handles for one direction's loop statements. Built once per
 /// search (cache hits across searches make this nearly free) and executed
@@ -149,6 +257,15 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         FrontierPolicy::SingleMin => FrontierPred::ByNid,
         _ => FrontierPred::Marked,
     };
+    // Certificates come from the Dijkstra policies over raw edges only:
+    // BBFS settles distances that are not final, and BSEG's segments
+    // would need their own proof.
+    let certify = gdb.certificates()
+        && spec.edges == EdgeSource::Edges
+        && matches!(
+            spec.frontier,
+            FrontierPolicy::SingleMin | FrontierPolicy::AllMin
+        );
     let db = &mut gdb.db;
     let (pe, fpr, aux) = (
         Phase::PathExpansion,
@@ -160,6 +277,9 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     let fwd_stmts = DirStmts::prepare(db, &fgen, &spec, pred, mode)?;
     let bwd_stmts = DirStmts::prepare(db, &bgen, &spec, pred, mode)?;
     let meet_node_stmt = Stmt::prepare(db, meet_node(), fpr, aux)?;
+    let expanded_rows_stmt = certify
+        .then(|| Stmt::prepare(db, expanded_rows(), fpr, aux))
+        .transpose()?;
 
     let mut runner = Runner::new(gdb);
     runner.exec(&init_fwd, &[Value::Int(s), Value::Int(s)])?;
@@ -171,6 +291,7 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
     let (mut lf, mut lb) = (0i64, 0i64);
     let (mut nf, mut nb) = (1i64, 1i64); // remaining candidates per direction
     let (mut kf, mut kb) = (1i64, 1i64); // expansion counters (BSEG's fwd/bwd)
+    let (mut pf, mut pb) = (INF, INF); // pruning floors (a certificate's `P`)
     let mut params = Vec::with_capacity(4); // the E-operator's, reused
 
     loop {
@@ -230,6 +351,12 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         } else {
             (0, INF)
         };
+        // A term with `mc = INF` drops nothing: distances stay far
+        // below `INF`.
+        if mc < INF {
+            let floor = if forward { &mut pf } else { &mut pb };
+            *floor = (*floor).min(mc.saturating_sub(lo));
+        }
         expand_params_into(&mut params, spec.style, pred, mid, lo, mc)?;
         stmts.expansion.run(&mut runner, &params)?;
         // Settle the expanded frontier: `mid` by `nid`, or the marked set.
@@ -253,22 +380,64 @@ pub(crate) fn run_bidi(gdb: &mut GraphDb, s: i64, t: i64, spec: BidiSpec) -> Res
         }
     }
 
-    if min_cost >= INF {
-        return runner.finish(None);
+    let certificate = match &expanded_rows_stmt {
+        Some(stmt) => Some(Arc::new(read_certificate(
+            &mut runner,
+            stmt,
+            lf.min(pf),
+            lb.min(pb),
+        )?)),
+        None => None,
+    };
+    let path = if min_cost >= INF {
+        None
+    } else {
+        let meet = runner
+            .scalar(&meet_node_stmt, &[Value::Int(min_cost)])?
+            .ok_or_else(|| SqlError::Eval("no node realizes minCost".into()))?;
+        Some(recover_bidi_path(
+            &mut runner,
+            s,
+            t,
+            meet,
+            min_cost,
+            &fwd_stmts.pred_of,
+            &bwd_stmts.pred_of,
+        )?)
+    };
+    let mut out = runner.finish(path)?;
+    out.certificate = certificate;
+    Ok(out)
+}
+
+/// Reads a finished search's expanded rows below the two floors
+/// (`min(l, P)` per direction) into its [`Certificate`].
+fn read_certificate(
+    runner: &mut Runner<'_>,
+    stmt: &Stmt,
+    fwd_floor: i64,
+    bwd_floor: i64,
+) -> Result<Certificate> {
+    let rows = runner
+        .exec(stmt, &[Value::Int(fwd_floor), Value::Int(bwd_floor)])?
+        .rows
+        .ok_or_else(|| SqlError::Eval("expected a result set".into()))?;
+    let (mut fwd, mut bwd) = (Vec::new(), Vec::new());
+    for row in &rows.rows {
+        let col = |i: usize| {
+            row.get(i)
+                .and_then(Value::as_i64)
+                .ok_or_else(|| SqlError::Eval("an expanded TVisited row holds a NULL".into()))
+        };
+        let nid = col(0)?;
+        if col(3)? == 1 {
+            fwd.push((nid, col(1)?));
+        }
+        if col(4)? == 1 {
+            bwd.push((nid, col(2)?));
+        }
     }
-    let meet = runner
-        .scalar(&meet_node_stmt, &[Value::Int(min_cost)])?
-        .ok_or_else(|| SqlError::Eval("no node realizes minCost".into()))?;
-    let path = recover_bidi_path(
-        &mut runner,
-        s,
-        t,
-        meet,
-        min_cost,
-        &fwd_stmts.pred_of,
-        &bwd_stmts.pred_of,
-    )?;
-    runner.finish(Some(path))
+    Ok(Certificate::new(fwd_floor, fwd, bwd_floor, bwd))
 }
 
 /// **BDJ** — bidirectional Dijkstra, node-at-a-time: NSQL statements,

@@ -19,7 +19,7 @@ pub mod bidi;
 pub mod dj;
 
 pub use batch::{BatchBdjFinder, BatchOutcome, BatchShortestPathFinder};
-pub use bidi::{BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, FrontierPolicy};
+pub use bidi::{BbfsFinder, BdjFinder, BsdjFinder, BsegFinder, Certificate, FrontierPolicy};
 pub use dj::DjFinder;
 
 use crate::graphdb::{GraphDb, INF, NO_NODE};
@@ -40,12 +40,18 @@ pub struct Path {
     pub length: i64,
 }
 
-/// Result of a shortest-path query: the path (None when unreachable) and
-/// the measurements of the run.
+/// Result of a shortest-path query: the path (None when unreachable),
+/// the measurements of the run and, from a BDJ or BSDJ search that a
+/// [`crate::PathService`] with its result cache on ran, the distance
+/// bounds the search proved around its endpoints.
 #[derive(Debug, Clone)]
 pub struct PathOutcome {
     pub path: Option<Path>,
     pub stats: QueryStats,
+    /// `None` unless the search ran in a cache-on service's worker;
+    /// always `None` from DJ, BBFS, BSEG, the batch finder, the landmark
+    /// fast path, a cache hit and the `s == t` case.
+    pub certificate: Option<Arc<Certificate>>,
 }
 
 /// A relational shortest-path algorithm.
@@ -198,6 +204,7 @@ impl<'a> Runner<'a> {
         Ok(PathOutcome {
             path,
             stats: self.stats,
+            certificate: None,
         })
     }
 }
@@ -332,6 +339,7 @@ pub(crate) fn trivial_case(gdb: &mut GraphDb, s: i64, t: i64) -> Result<Option<P
                 length: 0,
             }),
             stats: QueryStats::default(),
+            certificate: None,
         }));
     }
     Ok(None)

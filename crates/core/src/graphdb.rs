@@ -109,6 +109,8 @@ pub struct GraphDb {
     stale_landmarks: Option<LandmarkInfo>,
     /// What stops this session's searches short of an answer.
     limits: SearchLimits,
+    /// Whether BDJ and BSDJ return a [`crate::Certificate`].
+    certificates: bool,
 }
 
 impl GraphDb {
@@ -162,6 +164,7 @@ impl GraphDb {
             landmarks: None,
             stale_landmarks: None,
             limits: SearchLimits::default(),
+            certificates: false,
         })
     }
 
@@ -174,6 +177,20 @@ impl GraphDb {
     /// The deadline and cancel flag this session's searches run under.
     pub(crate) fn limits(&self) -> &SearchLimits {
         &self.limits
+    }
+
+    /// Whether BDJ and BSDJ searches on this session return a
+    /// [`crate::Certificate`] in [`crate::PathOutcome::certificate`]:
+    /// one more statement per search, a scan of `TVisited` after it
+    /// terminates. Off by default; [`crate::PathService`] turns it on
+    /// for its workers when its result cache is on.
+    pub(crate) fn set_certificates(&mut self, on: bool) {
+        self.certificates = on;
+    }
+
+    /// Whether this session's searches return certificates.
+    pub(crate) fn certificates(&self) -> bool {
+        self.certificates
     }
 
     /// In-memory database with default options: segmented `TEdges`.
@@ -627,6 +644,7 @@ impl GraphSnapshot {
             landmarks: self.landmarks,
             stale_landmarks: None,
             limits: SearchLimits::default(),
+            certificates: false,
         }
     }
 

@@ -51,7 +51,7 @@ pub mod stats;
 
 pub use algo::{
     BatchBdjFinder, BatchOutcome, BatchShortestPathFinder, BbfsFinder, BdjFinder, BsdjFinder,
-    BsegFinder, CancelFlag, DjFinder, FrontierPolicy, Path, PathOutcome, SearchLimits,
+    BsegFinder, CancelFlag, Certificate, DjFinder, FrontierPolicy, Path, PathOutcome, SearchLimits,
     ShortestPathFinder,
 };
 pub use cache::{CacheStats, ResultCache};

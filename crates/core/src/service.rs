@@ -32,9 +32,10 @@
 //!   [`ResultCache`] keyed by graph version, consulted before any worker
 //!   is involved. Mutations invalidate by version bump, never by sweep,
 //!   and only what they can change: an entry from an older version
-//!   keeps answering when every mutation since it was computed is a
-//!   delete off its path (removing edges only lengthens shortest paths);
-//!   any insert since strands it.
+//!   keeps answering when no delete since it was computed removed a hop
+//!   of its path (removing edges only lengthens shortest paths) and no
+//!   insert since can undercut its cost, as the lower bounds its own
+//!   search proved around both endpoints show (a [`crate::Certificate`]).
 //!
 //! ```
 //! use fempath_core::PathService;
@@ -51,9 +52,9 @@
 //! ```
 
 use crate::algo::{BdjFinder, BsdjFinder, Path, PathOutcome, SearchLimits, ShortestPathFinder};
-use crate::cache::{CacheStats, Probe, ResultCache};
+use crate::cache::{CacheStats, Probe, ResultCache, Stale};
 use crate::dispatch::{QueueStats, StealQueues};
-use crate::graphdb::{GraphDb, GraphDbOptions, GraphSnapshot};
+use crate::graphdb::{GraphDb, GraphDbOptions, GraphSnapshot, INF};
 use crate::stats::QueryStats;
 use fempath_graph::Graph;
 use fempath_sql::{Result, SqlError};
@@ -162,6 +163,15 @@ struct ServiceShared {
 }
 
 impl ServiceShared {
+    /// A fresh worker session over the snapshot, asking its searches for
+    /// certificates when the result cache is on (they let entries outlive
+    /// inserts; nothing else reads them).
+    fn session(&self) -> GraphDb {
+        let mut db = self.snapshot.session();
+        db.set_certificates(self.cache.is_some());
+        db
+    }
+
     /// The cached verdict for `(s, t)` at `version`, if one is resident
     /// or an older entry provably still holds (DESIGN.md §16). An older
     /// entry is checked against the log with the cache mutex released,
@@ -171,41 +181,54 @@ impl ServiceShared {
         match cache.probe(s, t, version) {
             Probe::Hit(path) => Some(path),
             Probe::Miss => None,
-            Probe::Stale { version: at, path } => {
-                if self.survives(at, version, &path) {
-                    cache.revalidate(s, t, at, version, &path);
-                    Some(path)
-                } else {
-                    cache.discard_stale(s, t, at);
+            Probe::Stale(mut stale) => match self.survives(&mut stale, version) {
+                Some(kept_insert) => {
+                    cache.revalidate(s, t, &stale, version, kept_insert);
+                    Some(stale.path)
+                }
+                None => {
+                    cache.discard_stale(s, t, stale.version);
                     None
                 }
-            }
+            },
         }
     }
 
-    /// Whether a verdict computed at version `from` is still exact at
-    /// `to`: every mutation in `(from, to]` is a delete, and none removes
-    /// a hop of `path` in either direction. The graph at `to` is then a
-    /// subgraph of the one at `from`, so no distance shrank; a path that
-    /// kept every hop kept its cost and is still shortest, and an
-    /// unreachable pair stayed unreachable.
-    fn survives(&self, from: u64, to: u64, path: &Option<Path>) -> bool {
+    /// Whether the verdict `stale` (stamped `stale.version`) is still
+    /// exact at `to`. Every delete in the window must miss the path's
+    /// hops, so the path is still a walk at its old cost. Every inserted
+    /// arc must pass the certificate's test (`Inserted::admit`) against
+    /// the running minima, which are folded into `stale.inserted` for
+    /// the re-stamp: then no path through new arcs undercuts the cost,
+    /// because its prefix before the first new arc and its suffix after
+    /// the last one use old edges only, which the certificate's bounds
+    /// cover however many deletes followed. An entry without a
+    /// certificate survives deletes only. Returns whether the window
+    /// held an insert, or `None` when the entry may have changed. Runs
+    /// under the log's read lock only.
+    fn survives(&self, stale: &mut Stale, to: u64) -> Option<bool> {
         let entries = self.log.entries.read().unwrap_or_else(|e| e.into_inner());
         let offset = |v: u64| v.checked_sub(self.base_version).map(|i| i as usize);
-        let (Some(lo), Some(hi)) = (offset(from), offset(to)) else {
-            return false;
-        };
-        let Some(window) = entries.get(lo..hi) else {
-            return false;
-        };
-        window.iter().all(|m| match *m {
-            EdgeMutation::Insert { .. } => false,
-            EdgeMutation::Delete { u, v } => path.as_ref().is_none_or(|p| {
+        let window = entries.get(offset(stale.version)?..offset(to)?)?;
+        let cost = stale.path.as_ref().map_or(INF, |p| p.length);
+        let mut kept_insert = false;
+        let kept = window.iter().all(|m| match *m {
+            EdgeMutation::Insert { u, v, w } => {
+                kept_insert = true;
+                // Both arcs of the undirected edge.
+                let ins = &mut stale.inserted;
+                stale
+                    .cert
+                    .as_deref()
+                    .is_some_and(|c| ins.admit(c, cost, u, v, w) && ins.admit(c, cost, v, u, w))
+            }
+            EdgeMutation::Delete { u, v } => stale.path.as_ref().is_none_or(|p| {
                 !p.nodes
                     .windows(2)
                     .any(|h| (h[0] == u && h[1] == v) || (h[0] == v && h[1] == u))
             }),
-        })
+        });
+        kept.then_some(kept_insert)
     }
 }
 
@@ -381,11 +404,14 @@ impl PathService {
 
     /// Inserts the undirected edge `(u, v)` with weight `w` into the
     /// served graph and returns the number of arcs added (2, or 1 for a
-    /// self-loop). Bumps the graph version: every cached result computed
-    /// before it stops answering, sessions stop using pre-mutation
-    /// landmark bounds, and every worker replays the mutation before its
-    /// next job. Fails (leaving the version untouched) if either endpoint
-    /// does not exist or `w` is not positive.
+    /// self-loop). Bumps the graph version: a cached BDJ or BSDJ answer
+    /// keeps answering only while its certificate proves that no path
+    /// through the new edge undercuts it, every other cached result
+    /// computed before it stops answering, sessions stop using
+    /// pre-mutation landmark bounds, and every worker replays the
+    /// mutation before its next job. Fails (leaving the version
+    /// untouched) if either endpoint does not exist or `w` is not
+    /// positive.
     pub fn insert_edge(&self, u: i64, v: i64, w: i64) -> Result<u64> {
         self.apply_mutation(EdgeMutation::Insert { u, v, w })
     }
@@ -447,6 +473,7 @@ impl PathService {
             return Ok(PathOutcome {
                 path,
                 stats: QueryStats::default(),
+                certificate: None,
             });
         }
         self.dispatch(s, t, limits)?
@@ -614,7 +641,7 @@ fn run_isolated<R>(
     match std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut ws.db))) {
         Ok(res) => res,
         Err(_) => {
-            ws.db = shared.snapshot.session();
+            ws.db = shared.session();
             ws.applied = 0;
             Err(worker_pool_down())
         }
@@ -675,7 +702,7 @@ fn worker_loop(
     algorithm: ServiceAlgorithm,
 ) {
     let mut ws = WorkerSession {
-        db: shared.snapshot.session(),
+        db: shared.session(),
         applied: 0,
     };
     let finder = algorithm.finder();
@@ -685,7 +712,7 @@ fn worker_loop(
             // entry was validated by the admin session). Rebuild from
             // the snapshot and replay from scratch; if even that fails,
             // answer this caller with the error and keep serving.
-            ws.db = shared.snapshot.session();
+            ws.db = shared.session();
             ws.applied = 0;
             if let Err(e) = catch_up(&mut ws, shared) {
                 reply_error(job, e);
@@ -717,6 +744,7 @@ fn worker_loop(
                             Ok(PathOutcome {
                                 path: Some(path),
                                 stats: QueryStats::default(),
+                                certificate: None,
                             })
                         }
                         None => {
@@ -728,7 +756,13 @@ fn worker_loop(
                     }
                 });
                 if let (Some(cache), Ok(out)) = (&shared.cache, &res) {
-                    cache.insert(s, t, version, out.path.clone());
+                    cache.insert_certified(
+                        s,
+                        t,
+                        version,
+                        out.path.clone(),
+                        out.certificate.clone(),
+                    );
                 }
                 let _ = reply.send(res);
             }
@@ -746,6 +780,7 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo::Certificate;
     use fempath_graph::generate;
 
     #[test]
@@ -922,6 +957,41 @@ mod tests {
         assert!(svc.insert_edge(0, 999, 1).is_err());
         assert!(svc.insert_edge(0, 1, 0).is_err());
         assert_eq!(svc.graph_version(), v0 + 2);
+    }
+
+    #[test]
+    fn inserts_are_checked_against_minima_carried_across_a_restamp() {
+        // A synthetic certificate whose floors (6 + 6) exceed the cost
+        // (10): two inserts, 0 -> 5 and 6 -> 15 at weight 4, each pass
+        // alone, but together bound a path at 0 + 4 + 4 + 0 < 10. (An
+        // unseeded BDJ or BSDJ search never proves floors summing above
+        // its cost, so a synthetic certificate separates the pair test
+        // from the one-arc test.)
+        let g = generate::grid(4, 4, 1..=10, 5);
+        for restamp_between in [true, false] {
+            let svc = PathService::new(&g, 1).unwrap();
+            let cache = svc.shared.cache.as_ref().unwrap();
+            let verdict = Some(Path {
+                nodes: vec![0, 15],
+                length: 10,
+            });
+            let cert = Certificate::new(6, vec![(0, 0)], 6, vec![(15, 0)]);
+            let v0 = svc.graph_version();
+            cache.insert_certified(0, 15, v0, verdict.clone(), Some(Arc::new(cert)));
+            svc.insert_edge(0, 5, 4).unwrap();
+            if restamp_between {
+                assert_eq!(svc.query(0, 15).unwrap().path, verdict, "kept alone");
+                assert_eq!(svc.stats().cache.insert_kept, 1);
+            }
+            svc.insert_edge(6, 15, 4).unwrap();
+            let before = svc.stats().cache.stale;
+            svc.query(0, 15).unwrap();
+            assert_eq!(
+                svc.stats().cache.stale,
+                before + 1,
+                "restamp_between {restamp_between}: the pair is caught"
+            );
+        }
     }
 
     #[test]

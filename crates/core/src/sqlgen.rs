@@ -552,6 +552,7 @@ pub fn expand_params_into(
 pub fn free_statement_corpus() -> Vec<AnnotatedSql> {
     vec![
         AnnotatedSql::cold("single/meet_node", meet_node()),
+        AnnotatedSql::cold("single/expanded_rows", expanded_rows()),
         AnnotatedSql::cold("single/truncate_exp", truncate_exp()),
     ]
 }
@@ -559,6 +560,13 @@ pub fn free_statement_corpus() -> Vec<AnnotatedSql> {
 /// Listing 4(6): a node on the currently-best path; params `[minCost]`.
 pub fn meet_node() -> &'static str {
     "SELECT TOP 1 nid FROM TVisited WHERE d2s + d2t = ?"
+}
+
+/// The rows a finished bidirectional search expanded, forward below one
+/// distance or backward below another: what a
+/// [`crate::Certificate`] lists. Params `[forward floor, backward floor]`.
+pub fn expanded_rows() -> &'static str {
+    "SELECT nid, d2s, d2t, f, b FROM TVisited WHERE (f = 1 AND d2s < ?) OR (b = 1 AND d2t < ?)"
 }
 
 /// Clears the expansion temp table.

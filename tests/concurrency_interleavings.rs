@@ -19,13 +19,14 @@
 //! shared-plan-cache publish/consult from warming sessions, session
 //! creation and working-table isolation over one page image, the
 //! landmark fast-path vs FEM dispatch inside a live [`PathService`], and
-//! result-cache revalidation while mutations publish.
+//! result-cache revalidation while deletes and inserts publish.
 
 mod common;
 
 use common::{edge_list, walk_cost};
 use fempath::core::{
-    BdjFinder, CancelFlag, GraphDb, PathService, SearchLimits, ServiceAlgorithm, ShortestPathFinder,
+    BdjFinder, CancelFlag, GraphDb, Path, PathService, SearchLimits, ServiceAlgorithm,
+    ShortestPathFinder,
 };
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
@@ -333,16 +334,101 @@ fn landmark_fastpath_vs_fem_interleavings() {
     });
 }
 
+/// The graph states a mutation schedule passes through — state `k` is
+/// the graph at version `v0 + k` — and every pair's distance in each.
+struct States {
+    edges: Vec<Vec<(u32, u32, u32)>>,
+    dist: Vec<Vec<Option<i64>>>,
+}
+
+impl States {
+    fn new(n: usize, edges: Vec<Vec<(u32, u32, u32)>>, pairs: &[(i64, i64)]) -> States {
+        let dist = edges
+            .iter()
+            .map(|m| {
+                let graph = Graph::from_undirected_edges(n, m.iter().copied());
+                pairs
+                    .iter()
+                    .map(|&(s, t)| {
+                        dijkstra::shortest_path(&graph, s as u32, t as u32)
+                            .map(|o| o.distance as i64)
+                    })
+                    .collect()
+            })
+            .collect();
+        States { edges, dist }
+    }
+
+    /// Asserts that `got` answers `pair` (the `i`th) with a shortest path
+    /// of the graph at some version in `[lo, hi]`, the versions read just
+    /// before and just after the call: right ends, right length, and a
+    /// walk of that graph.
+    fn assert_in_window(
+        &self,
+        i: usize,
+        (s, t): (i64, i64),
+        got: &Path,
+        v0: u64,
+        lo: u64,
+        hi: u64,
+    ) {
+        let holds_at = |v: u64| {
+            let at = (v - v0) as usize;
+            self.dist[at][i] == Some(got.length)
+                && walk_cost(&self.edges[at], &got.nodes) == Some(got.length)
+        };
+        assert!(
+            got.nodes.first() == Some(&s)
+                && got.nodes.last() == Some(&t)
+                && (lo..=hi).any(holds_at),
+            "{s}->{t}: {:?} (length {}) is no shortest path at any \
+             version in [{lo}, {hi}]",
+            got.nodes,
+            got.length
+        );
+    }
+}
+
+/// Reader `me` of a revalidation scenario: four queries alternating
+/// over `pairs` — through `query` for reader 0, `query_batch` for
+/// reader 1 — each checked against the versions of its call window.
+fn read_in_windows(
+    svc: &PathService,
+    states: &States,
+    pairs: &[(i64, i64)],
+    me: usize,
+    sched: &Scheduler,
+    v0: u64,
+) {
+    for k in 0..4 {
+        sched.point(me);
+        let i = (k + me) % pairs.len();
+        let (s, t) = pairs[i];
+        let lo = svc.graph_version();
+        let got = if me == 0 {
+            svc.query(s, t).unwrap().path
+        } else {
+            svc.query_batch(&[(s, t)]).unwrap().remove(0)
+        };
+        let hi = svc.graph_version();
+        let p = got.expect("the grid stays connected");
+        states.assert_in_window(i, (s, t), &p, v0, lo, hi);
+    }
+}
+
 /// Result-cache revalidation while mutations publish: both pairs are
 /// cached at the snapshot's version, then two readers query them (one
 /// through `query`, one through `query_batch`) while a mutator publishes
 /// a delete — off the first pair's cached path, on the second's — and
-/// then the insert of a weight-1 shortcut, each at a seeded point. A
-/// reader that lands between the two revalidates the first pair's older
-/// entry; after the insert no older entry may answer. Every answer must
-/// be a shortest path of the graph at some version in its call window
-/// (the versions read just before and just after the call): right
-/// length, and a walk of that graph.
+/// then the insert of a weight-1 shortcut between the first pair's
+/// endpoints, each at a seeded point. A reader that lands between the
+/// two revalidates the first pair's older entry. After the insert the
+/// first pair's older entry never answers, since its certificate cannot
+/// rule out its own shortcut; the second pair's may, when its
+/// certificate proves the shortcut cannot undercut it. Every answer must
+/// be a shortest path of the graph at some version in its call window,
+/// and both pairs answer exactly at the last version once the schedule
+/// is done.
 #[test]
 fn cache_revalidation_while_a_delete_then_an_insert_publish_interleavings() {
     let g = generate::grid(5, 5, 1..=10, 37);
@@ -366,7 +452,7 @@ fn cache_revalidation_while_a_delete_then_an_insert_publish_interleavings() {
         .find(|&(u, v)| !hop(&cached[0], u, v))
         .expect("the two corner-to-corner paths differ somewhere");
     // The graph at the snapshot's version, after the delete, and after
-    // the insert; then each pair's distance in each.
+    // the insert.
     let g0 = edge_list(&g);
     let mut g1 = g0.clone();
     g1.retain(|&(a, b, _)| {
@@ -375,19 +461,7 @@ fn cache_revalidation_while_a_delete_then_an_insert_publish_interleavings() {
     });
     let mut g2 = g1.clone();
     g2.push((0, 24, 1));
-    let states = [g0, g1, g2];
-    let dist: Vec<Vec<Option<i64>>> = states
-        .iter()
-        .map(|m| {
-            let graph = Graph::from_undirected_edges(n, m.iter().copied());
-            pairs
-                .iter()
-                .map(|&(s, t)| {
-                    dijkstra::shortest_path(&graph, s as u32, t as u32).map(|o| o.distance as i64)
-                })
-                .collect()
-        })
-        .collect();
+    let states = States::new(n, vec![g0, g1, g2], &pairs);
     let revalidated = std::sync::atomic::AtomicU64::new(0);
     sweep(
         "cache_revalidation_while_a_delete_then_an_insert_publish_interleavings",
@@ -405,34 +479,13 @@ fn cache_revalidation_while_a_delete_then_an_insert_publish_interleavings() {
                     svc.insert_edge(0, 24, 1).unwrap();
                     return;
                 }
-                for k in 0..4 {
-                    sched.point(me);
-                    let i = (k + me) % pairs.len();
-                    let (s, t) = pairs[i];
-                    let lo = svc.graph_version();
-                    let got = if me == 0 {
-                        svc.query(s, t).unwrap().path
-                    } else {
-                        svc.query_batch(&[(s, t)]).unwrap().remove(0)
-                    };
-                    let hi = svc.graph_version();
-                    let p = got.expect("the grid stays connected");
-                    let holds_at = |v: u64| {
-                        let at = (v - v0) as usize;
-                        dist[at][i] == Some(p.length)
-                            && walk_cost(&states[at], &p.nodes) == Some(p.length)
-                    };
-                    assert!(
-                        p.nodes.first() == Some(&s)
-                            && p.nodes.last() == Some(&t)
-                            && (lo..=hi).any(holds_at),
-                        "{s}->{t}: {:?} (length {}) is no shortest path at any \
-                         version in [{lo}, {hi}]",
-                        p.nodes,
-                        p.length
-                    );
-                }
+                read_in_windows(&svc, &states, &pairs, me, sched, v0);
             });
+            let last = svc.graph_version();
+            for (i, &(s, t)) in pairs.iter().enumerate() {
+                let p = svc.query(s, t).unwrap().path.expect("connected");
+                states.assert_in_window(i, (s, t), &p, v0, last, last);
+            }
             // ORDERING: Relaxed — a test tally read after the sweep.
             revalidated.fetch_add(
                 svc.stats().cache.revalidated,
@@ -445,6 +498,71 @@ fn cache_revalidation_while_a_delete_then_an_insert_publish_interleavings() {
         assert!(
             revalidated.load(std::sync::atomic::Ordering::Relaxed) > 0,
             "no seed revalidated an entry: the case is vacuous"
+        );
+    }
+}
+
+/// Result-cache revalidation while harmless inserts publish: both pairs
+/// — two corners of one cell each, at opposite corners of the grid — are
+/// cached at the snapshot's version, then two readers query them while
+/// a mutator publishes two weight-1 diagonals in the other two corners,
+/// each at a seeded point. Neither insert changes either distance, and
+/// both lie outside the pairs' search balls, so an older entry is kept
+/// across one insert or both, re-stamped between them when a reader
+/// lands there. Every answer must be a shortest path of the graph at
+/// some version in its call window.
+#[test]
+fn cache_revalidation_while_harmless_inserts_publish_interleavings() {
+    let g = generate::grid(5, 5, 1..=10, 41);
+    let n = g.num_nodes();
+    let pairs: [(i64, i64); 2] = [(0, 6), (24, 18)];
+    let inserts: [(i64, i64); 2] = [(4, 8), (20, 16)];
+    let mut edges = vec![edge_list(&g)];
+    for &(u, v) in &inserts {
+        let mut next = edges[edges.len() - 1].clone();
+        next.push((u as u32, v as u32, 1));
+        edges.push(next);
+    }
+    let states = States::new(n, edges, &pairs);
+    assert!(
+        states.dist.iter().all(|d| *d == states.dist[0]),
+        "the inserts must change no distance"
+    );
+    let kept = std::sync::atomic::AtomicU64::new(0);
+    sweep(
+        "cache_revalidation_while_harmless_inserts_publish_interleavings",
+        |seed| {
+            let svc = PathService::new(&g, 2).unwrap();
+            let v0 = svc.graph_version();
+            for &(s, t) in &pairs {
+                svc.query(s, t).unwrap();
+            }
+            let failed = run_interleaved(3, seed, |me, sched| {
+                if me == 2 {
+                    for &(u, v) in &inserts {
+                        sched.point(me);
+                        svc.insert_edge(u, v, 1).unwrap();
+                    }
+                    return;
+                }
+                read_in_windows(&svc, &states, &pairs, me, sched, v0);
+            });
+            let stats = svc.stats().cache;
+            if failed.is_none() && stats.stale > 0 {
+                return Some(format!(
+                    "{} entries went stale across inserts that cannot change them",
+                    stats.stale
+                ));
+            }
+            // ORDERING: Relaxed — a test tally read after the sweep.
+            kept.fetch_add(stats.insert_kept, std::sync::atomic::Ordering::Relaxed);
+            failed
+        },
+    );
+    if single_seed().is_none() {
+        assert!(
+            kept.load(std::sync::atomic::Ordering::Relaxed) > 0,
+            "no seed kept an entry across an insert: the case is vacuous"
         );
     }
 }

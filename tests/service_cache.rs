@@ -1,9 +1,10 @@
 //! Edge cases of [`PathService::query_batch`] routed through the
 //! version-keyed result cache (DESIGN.md §16): empty inputs, duplicate
-//! pairs inside one batch, s == t self-queries, stale misses after a
-//! mutation, negative-cache hits for unreachable pairs, and which
-//! older entries a mutation leaves answering (only deletes since, none
-//! on the cached path). The companion differential test
+//! pairs inside one batch, s == t self-queries, negative-cache hits for
+//! unreachable pairs, and which older entries a mutation leaves
+//! answering: deletes off the cached path, and inserts the entry's
+//! certificate proves cannot undercut it, for BDJ and BSDJ through both
+//! front doors. The companion differential test
 //! (tests/mutation_differential.rs) covers correctness under
 //! interleaving; this file pins the *accounting* — which pairs run a
 //! finder and which are answered from the cache.
@@ -11,7 +12,7 @@
 mod common;
 
 use common::{edge_list, walk_cost};
-use fempath::core::{PathService, PathServiceOptions, ServiceStats};
+use fempath::core::{Path, PathService, PathServiceOptions, ServiceAlgorithm, ServiceStats};
 use fempath::graph::{generate, Graph};
 use fempath::inmem::dijkstra;
 
@@ -54,13 +55,14 @@ fn dijkstra_len(n: usize, edges: &[(u32, u32, u32)], s: i64, t: i64) -> Option<i
 }
 
 /// Counter deltas between two snapshots of the service's stats:
-/// (jobs executed, hits, revalidated, stale).
-fn delta(before: &ServiceStats, after: &ServiceStats) -> (u64, u64, u64, u64) {
+/// (jobs executed, hits, revalidated, stale, insert_kept).
+fn delta(before: &ServiceStats, after: &ServiceStats) -> (u64, u64, u64, u64, u64) {
     (
         after.total_executed() - before.total_executed(),
         after.cache.hits - before.cache.hits,
         after.cache.revalidated - before.cache.revalidated,
         after.cache.stale - before.cache.stale,
+        after.cache.insert_kept - before.cache.insert_kept,
     )
 }
 
@@ -125,38 +127,6 @@ fn self_query_through_the_cache() {
         assert_eq!(single.path.as_ref().map(|p| p.length), Some(0));
     }
     assert!(svc.stats().cache.hits > 0, "the repeat was served cached");
-}
-
-/// A mutation strands every resident entry at the old version: the next
-/// probe is a stale miss (counted as such), recomputes, and re-caches at
-/// the new version.
-#[test]
-fn mutation_turns_hits_into_stale_misses() {
-    let svc = grid_service(2);
-    let want = svc.query(0, 15).unwrap().path.map(|p| p.length);
-    svc.query(0, 15).unwrap(); // resident + hit
-    let before = svc.stats();
-    assert!(before.cache.hits >= 1);
-    svc.insert_edge(1, 2, 1).unwrap(); // parallel cheap edge, version bump
-    let out = svc.query(0, 15).unwrap(); // stale miss: recompute
-    let after = svc.stats();
-    assert!(
-        after.cache.stale > before.cache.stale,
-        "the resident entry must be detected as stale, not silently hit"
-    );
-    assert_eq!(after.graph_version, before.graph_version + 1);
-    // The recomputed answer is cached at the new version: next is a hit.
-    let hits_mid = after.cache.hits;
-    let again = svc.query(0, 15).unwrap();
-    assert!(svc.stats().cache.hits > hits_mid, "re-cache at new version");
-    assert_eq!(
-        again.path.as_ref().map(|p| p.length),
-        out.path.as_ref().map(|p| p.length)
-    );
-    // The shortcut (1 -> 2 at weight 1) can only shorten or preserve.
-    if let (Some(w), Some(n)) = (want, out.path.as_ref().map(|p| p.length)) {
-        assert!(n <= w, "a parallel weight-1 edge cannot lengthen paths");
-    }
 }
 
 /// Unreachable verdicts are cached too (negative cache): the second
@@ -225,7 +195,7 @@ fn a_delete_off_the_cached_path_keeps_it_answering() {
         let again = again.expect("still connected");
         assert_eq!(
             delta(&before, &svc.stats()),
-            (0, 1, 1, 0),
+            (0, 1, 1, 0, 0),
             "{front_door}: a revalidated hit, no finder run"
         );
         assert_eq!(again, p, "{front_door}: the same path");
@@ -243,7 +213,7 @@ fn a_delete_off_the_cached_path_keeps_it_answering() {
     // Re-stamped: the next probe is a plain hit at the new version.
     let before = svc.stats();
     svc.query(0, 15).unwrap();
-    assert_eq!(delta(&before, &svc.stats()), (0, 1, 0, 0));
+    assert_eq!(delta(&before, &svc.stats()), (0, 1, 0, 0, 0));
 }
 
 /// A delete of a hop of the cached path strands the entry: a stale
@@ -265,7 +235,7 @@ fn a_delete_on_the_cached_path_is_a_stale_miss() {
         .unwrap()
         .path
         .expect("a grid minus one edge");
-    assert_eq!(delta(&before, &svc.stats()), (1, 0, 0, 1));
+    assert_eq!(delta(&before, &svc.stats()), (1, 0, 0, 1, 0));
     assert!(!has_hop(&out.nodes, u, v), "the deleted hop is gone");
     assert_eq!(walk_cost(&edges, &out.nodes), Some(out.length));
     assert_eq!(dijkstra_len(n, &edges, 0, 15), Some(out.length));
@@ -284,55 +254,231 @@ fn an_unreachable_verdict_survives_a_delete() {
     svc.delete_edge(0, 1).unwrap();
     let before = svc.stats();
     assert!(svc.query(lonely, 0).unwrap().path.is_none());
-    assert_eq!(delta(&before, &svc.stats()), (0, 1, 1, 0));
+    assert_eq!(delta(&before, &svc.stats()), (0, 1, 1, 0, 0));
 }
 
-/// An insert anywhere in the window since an entry was computed strands
-/// it, whether or not it touches the path, whether or not a delete
-/// follows, and even when a later delete of the same fresh edge puts
-/// the graph back as it was.
+/// The front door a query goes through.
+#[derive(Debug, Clone, Copy)]
+enum Door {
+    Query,
+    Batch,
+}
+
+/// Every finder the insert rule serves, through both front doors.
+fn finders_and_doors() -> impl Iterator<Item = (ServiceAlgorithm, Door)> {
+    [ServiceAlgorithm::Bdj, ServiceAlgorithm::Bsdj]
+        .into_iter()
+        .flat_map(|a| [(a, Door::Query), (a, Door::Batch)])
+}
+
+fn finder_service(g: &Graph, algorithm: ServiceAlgorithm) -> PathService {
+    PathService::with_options(
+        g,
+        &PathServiceOptions {
+            workers: 2,
+            algorithm,
+            ..Default::default() // cache ON at the default budget
+        },
+    )
+    .unwrap()
+}
+
+fn ask(svc: &PathService, door: Door, s: i64, t: i64) -> Option<Path> {
+    match door {
+        Door::Query => svc.query(s, t).unwrap().path,
+        Door::Batch => svc.query_batch(&[(s, t)]).unwrap().remove(0),
+    }
+}
+
+/// Asserts that `got` is the shortest `s → t` answer over `edges`: the
+/// oracle's length, and a walk of that graph costing it.
+fn assert_exact(
+    n: usize,
+    edges: &[(u32, u32, u32)],
+    s: i64,
+    t: i64,
+    got: &Option<Path>,
+    ctx: &str,
+) {
+    assert_eq!(
+        got.as_ref().map(|p| p.length),
+        dijkstra_len(n, edges, s, t),
+        "{ctx}: length vs Dijkstra"
+    );
+    if let Some(p) = got {
+        assert_eq!(walk_cost(edges, &p.nodes), Some(p.length), "{ctx}: a walk");
+    }
+}
+
+/// A 6×6 grid, and pair (0, 7) — two corners of one cell — whose two
+/// search balls stay in the grid's first rows.
+fn six_by_six() -> Graph {
+    generate::grid(6, 6, 1..=10, 7)
+}
+
+/// An insert far from both search balls keeps the entry: a revalidated
+/// hit counted in `insert_kept`, the same path, still exact, and plain
+/// hits after the re-stamp. A delete off the path in the same window
+/// does not change that.
 #[test]
-fn an_insert_in_the_window_strands_the_entry() {
-    let g = grid();
+fn an_insert_far_from_both_balls_keeps_the_entry() {
+    let g = six_by_six();
     let n = g.num_nodes();
-    let svc = service(&g, 2);
-    let mut edges = edge_list(&g);
-    let p = svc.query(0, 15).unwrap().path.expect("grid is connected");
-    let off = *edges
-        .iter()
-        .find(|e| !has_hop(&p.nodes, i64::from(e.0), i64::from(e.1)))
-        .expect("a grid has edges off any path");
-    // (0, 5) and (10, 15) are grid diagonals: fresh edges.
-    type Step = (&'static str, i64, i64);
-    let windows: [&[Step]; 3] = [
-        &[("insert", 10, 15)],
-        &[("insert", 0, 5), ("delete", 0, 5)],
-        &[
-            ("delete", i64::from(off.0), i64::from(off.1)),
-            ("insert", 0, 5),
-        ],
-    ];
-    for window in windows {
-        // The entry is resident at the current version before the window.
-        svc.query(0, 15).unwrap();
-        svc.query(0, 15).unwrap();
-        for &(op, u, v) in window {
-            if op == "insert" {
-                svc.insert_edge(u, v, 30).unwrap();
-                edges.push((u as u32, v as u32, 30));
-            } else {
-                svc.delete_edge(u, v).unwrap();
-                edges.retain(|e| !joins(e, u, v));
-            }
-        }
+    for (algorithm, door) in finders_and_doors() {
+        let ctx = format!("{algorithm:?} via {door:?}");
+        let svc = finder_service(&g, algorithm);
+        let mut edges = edge_list(&g);
+        let p = ask(&svc, door, 0, 7).expect("grid is connected");
+        // (28, 35) is a diagonal in the far corner: a fresh edge.
+        svc.insert_edge(28, 35, 1).unwrap();
+        edges.push((28, 35, 1));
         let before = svc.stats();
-        let out = svc.query(0, 15).unwrap().path.expect("connected");
+        let again = ask(&svc, door, 0, 7);
         assert_eq!(
             delta(&before, &svc.stats()),
-            (1, 0, 0, 1),
-            "{window:?}: a stale miss"
+            (0, 1, 1, 0, 1),
+            "{ctx}: kept across the insert"
         );
-        assert_eq!(walk_cost(&edges, &out.nodes), Some(out.length));
-        assert_eq!(dijkstra_len(n, &edges, 0, 15), Some(out.length));
+        assert_eq!(again.as_ref(), Some(&p), "{ctx}: the same path");
+        assert_exact(n, &edges, 0, 7, &again, &ctx);
+        // A window of a delete off the path and another far insert.
+        let (u, v, _) = *edges
+            .iter()
+            .find(|e| !has_hop(&p.nodes, i64::from(e.0), i64::from(e.1)) && e.0 > 20)
+            .expect("edges far from the path");
+        svc.delete_edge(i64::from(u), i64::from(v)).unwrap();
+        edges.retain(|e| !joins(e, i64::from(u), i64::from(v)));
+        svc.insert_edge(29, 34, 1).unwrap();
+        edges.push((29, 34, 1));
+        let before = svc.stats();
+        let again = ask(&svc, door, 0, 7);
+        assert_eq!(delta(&before, &svc.stats()), (0, 1, 1, 0, 1), "{ctx}");
+        assert_exact(n, &edges, 0, 7, &again, &ctx);
+        // Re-stamped: a plain hit at the new version.
+        let before = svc.stats();
+        ask(&svc, door, 0, 7);
+        assert_eq!(delta(&before, &svc.stats()), (0, 1, 0, 0, 0), "{ctx}");
+    }
+}
+
+/// A shortcut insert strands the entry: a stale miss, and the answer
+/// recomputed — and cached at the new version — is the new graph's
+/// shortest path.
+#[test]
+fn a_shortcut_insert_strands_the_entry_and_the_answer_is_recomputed() {
+    let g = six_by_six();
+    let n = g.num_nodes();
+    for (algorithm, door) in finders_and_doors() {
+        let ctx = format!("{algorithm:?} via {door:?}");
+        let svc = finder_service(&g, algorithm);
+        let mut edges = edge_list(&g);
+        let old = ask(&svc, door, 0, 7).expect("grid is connected").length;
+        assert!(old > 1, "{ctx}: two grid hops cost at least 2");
+        // (0, 7) is the cell's diagonal: a fresh weight-1 edge beats it.
+        svc.insert_edge(0, 7, 1).unwrap();
+        edges.push((0, 7, 1));
+        let before = svc.stats();
+        let out = ask(&svc, door, 0, 7);
+        assert_eq!(
+            delta(&before, &svc.stats()),
+            (1, 0, 0, 1, 0),
+            "{ctx}: a stale miss"
+        );
+        assert_eq!(out.as_ref().map(|p| p.length), Some(1), "{ctx}");
+        assert_exact(n, &edges, 0, 7, &out, &ctx);
+        let before = svc.stats();
+        assert_eq!(ask(&svc, door, 0, 7), out, "{ctx}");
+        assert_eq!(
+            delta(&before, &svc.stats()),
+            (0, 1, 0, 0, 0),
+            "{ctx}: re-cached at the new version"
+        );
+    }
+}
+
+/// Two inserts through a node `m` that no edge reaches: each alone
+/// leaves `m` a dead end, together they are a path `0 → m → 35` one
+/// cheaper than the cached one. The first is kept — `m`'s bounds are
+/// the certificate's floors, which `c - 2` bridges — and a query
+/// re-stamps the entry between the two; the second strands it, and the
+/// recomputed answer takes the new path.
+#[test]
+fn two_inserts_harmless_alone_form_a_shortcut_together_across_a_restamp() {
+    let core = six_by_six();
+    let m = core.num_nodes() as i64;
+    let n = core.num_nodes() + 1;
+    let g = Graph::from_undirected_edges(n, edge_list(&core));
+    for (algorithm, door) in finders_and_doors() {
+        let ctx = format!("{algorithm:?} via {door:?}");
+        let svc = finder_service(&g, algorithm);
+        let mut edges = edge_list(&g);
+        let first = svc.query(0, 35).unwrap();
+        let c = first.path.as_ref().expect("grid is connected").length;
+        let cert = first.certificate.expect("a BDJ or BSDJ miss carries one");
+        assert!(
+            cert.to_target(m) >= 2 && cert.from_source(m) >= 2,
+            "{ctx}: m lies outside both balls"
+        );
+        svc.insert_edge(0, m, c - 2).unwrap();
+        edges.push((0, m as u32, (c - 2) as u32));
+        let before = svc.stats();
+        let kept = ask(&svc, door, 0, 35);
+        assert_eq!(
+            delta(&before, &svc.stats()),
+            (0, 1, 1, 0, 1),
+            "{ctx}: the first insert alone is kept (and re-stamped)"
+        );
+        assert_exact(n, &edges, 0, 35, &kept, &ctx);
+        svc.insert_edge(m, 35, 1).unwrap();
+        edges.push((m as u32, 35, 1));
+        let before = svc.stats();
+        let out = ask(&svc, door, 0, 35);
+        assert_eq!(
+            delta(&before, &svc.stats()),
+            (1, 0, 0, 1, 0),
+            "{ctx}: the second strands it"
+        );
+        assert_eq!(out.as_ref().map(|p| p.length), Some(c - 1), "{ctx}");
+        assert_eq!(
+            out.as_ref().map(|p| p.nodes.as_slice()),
+            Some(&[0, m, 35][..])
+        );
+        assert_exact(n, &edges, 0, 35, &out, &ctx);
+    }
+}
+
+/// An unreachable verdict outlives inserts that touch neither
+/// endpoint's component, and goes stale once an insert bridges the two.
+#[test]
+fn an_unreachable_pair_bridged_by_an_insert_goes_stale() {
+    let core = six_by_six();
+    let lonely = core.num_nodes() as i64;
+    let n = core.num_nodes() + 1;
+    let g = Graph::from_undirected_edges(n, edge_list(&core));
+    for (algorithm, door) in finders_and_doors() {
+        let ctx = format!("{algorithm:?} via {door:?}");
+        let svc = finder_service(&g, algorithm);
+        let mut edges = edge_list(&g);
+        assert!(ask(&svc, door, lonely, 0).is_none(), "{ctx}");
+        svc.insert_edge(28, 35, 1).unwrap();
+        edges.push((28, 35, 1));
+        let before = svc.stats();
+        assert!(ask(&svc, door, lonely, 0).is_none(), "{ctx}");
+        assert_eq!(
+            delta(&before, &svc.stats()),
+            (0, 1, 1, 0, 1),
+            "{ctx}: an insert inside the grid cannot reach the lonely node"
+        );
+        svc.insert_edge(lonely, 5, 3).unwrap();
+        edges.push((lonely as u32, 5, 3));
+        let before = svc.stats();
+        let out = ask(&svc, door, lonely, 0);
+        assert_eq!(
+            delta(&before, &svc.stats()),
+            (1, 0, 0, 1, 0),
+            "{ctx}: the bridge strands the verdict"
+        );
+        assert!(out.is_some(), "{ctx}: now reachable");
+        assert_exact(n, &edges, lonely, 0, &out, &ctx);
     }
 }
