@@ -361,6 +361,106 @@ fn bench_fm_write(c: &mut Criterion) {
     group.finish();
 }
 
+/// Nodes of the [`segtable_fixture`] SegTable.
+const SEG_NODES: i64 = 4000;
+
+/// BSEG's world mid-search: a segment-compressed `TOutSegs` whose every
+/// tenth `fid` is a hub of 96 segments and every other has 12 (`fid`s
+/// that agree mod 5 reach the same `tid`s, so the window has rows to
+/// drop), and the
+/// 1000-row `TVisited` of [`single_fixture`] (over a tiny `TEdges`) with
+/// 26 rows marked as the frontier and tagged `p2t = -2`. Returns the
+/// database and the `minCost` at which the Theorem-1 term keeps about a
+/// quarter of the frontier's joined rows (with `l_other = 0`).
+fn segtable_fixture() -> (Database, i64) {
+    let mut db = Database::in_memory(4096);
+    db.execute("CREATE TABLE TEdges (fid INT, tid INT, cost INT)")
+        .unwrap();
+    db.execute("CREATE CLUSTERED INDEX ix_e ON TEdges(fid)")
+        .unwrap();
+    db.execute("CREATE TABLE TVisited (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)")
+        .unwrap();
+    db.execute("CREATE UNIQUE INDEX idx_tvisited_nid ON TVisited(nid)")
+        .unwrap();
+    let segs = |fid: i64| {
+        let degree = if fid % 10 == 0 { 96 } else { 12 };
+        (1..=degree).map(move |d| {
+            let tid = (fid % 5 * 17 + d * 131) % SEG_NODES;
+            [fid, tid, (fid + d) % SEG_NODES, 5 + (d * 13) % 50]
+        })
+    };
+    let cols = ["fid", "tid", "pid", "cost"].map(|n| ColumnDef {
+        name: n.into(),
+        dtype: DataType::Int,
+    });
+    db.create_segmented_table("TOutSegs", cols.to_vec())
+        .unwrap();
+    db.bulk_load_segments_with("TOutSegs", |_, pool, load| {
+        for row in (0..SEG_NODES).flat_map(segs) {
+            load.push(pool, row)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    let ins = db
+        .prepare("INSERT INTO TVisited VALUES (?, ?, ?, 1, ?, ?, 1)")
+        .unwrap();
+    let mut joined = Vec::new();
+    for i in 0..1000 {
+        let (nid, d2s) = ((i * 3) % SEG_NODES, 100 + (i * 37) % 400);
+        let frontier = i % 38 == 0 && i < 38 * 26;
+        if frontier {
+            joined.extend(segs(nid).map(|[.., cost]| cost + d2s));
+        }
+        let tag = if frontier { -2 } else { -1 };
+        db.execute_prepared(&ins, &[nid, d2s, i, d2s, tag].map(Value::Int))
+            .unwrap();
+    }
+    joined.sort_unstable();
+    (db, joined[joined.len() / 4])
+}
+
+/// BSEG's fused expansion MERGE (Listing 4(2)) over the SegTable, timed
+/// alone from a restored [`segtable_fixture`]: 26 frontier rows join 816
+/// `TOutSegs` rows, the Theorem-1 term keeps 204, the window one per
+/// target node (140), and the target probe of `TVisited` splits those
+/// into 37 updates and 103 inserts — the statement that owns
+/// `uniform-disk`. Beside `expand_merge/marked/1000`, which runs
+/// the same statement over clustered row-tier edges.
+fn bench_segtable_merge(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fm_write");
+    group.sample_size(20);
+    let gen = SqlGen::new(Dir::Fwd, EdgeSource::SegTable, SqlStyle::New);
+    let restore = [
+        "DELETE FROM TVisited WHERE b = 0",
+        "UPDATE TVisited SET d2s = d2t, f = 1 WHERE f = 0",
+        "UPDATE TVisited SET f = 2 WHERE p2t = -2",
+    ];
+    group.bench_function("expand_merge/marked_segtable", |b| {
+        let (db, min_cost) = segtable_fixture();
+        let db = std::cell::RefCell::new(db);
+        let stmt = db
+            .borrow_mut()
+            .prepare(&gen.expand_merge(FrontierPred::Marked))
+            .unwrap();
+        let params = expand_params(SqlStyle::New, FrontierPred::Marked, None, 0, min_cost);
+        let params = params.unwrap();
+        b.iter_batched(
+            || {
+                for r in &restore {
+                    db.borrow_mut().execute(r).unwrap();
+                }
+            },
+            |()| {
+                let out = db.borrow_mut().execute_prepared(&stmt, &params).unwrap();
+                black_box(out.rows_affected)
+            },
+            BatchSize::PerIteration,
+        );
+    });
+    group.finish();
+}
+
 /// One BDJ expansion as the served loop runs it, statement after
 /// statement, over the 300-row `TVisited` of [`single_fixture`]: the pick
 /// bound to the frontier node's distance, the by-`nid` MERGE (three arcs,
@@ -589,6 +689,7 @@ criterion_group!(
     bench_tvisited_scan,
     bench_post_stages,
     bench_fm_write,
+    bench_segtable_merge,
     bench_bdj_iteration
 );
 criterion_main!(benches);

@@ -83,11 +83,20 @@ fn first_repeat(keys: &KeyArena) -> Option<usize> {
     }
     let mut by_key = take::<Vec<u32>>();
     by_key.extend(0..keys.len() as u32);
-    let key = |i: u32| keys.get(i as usize);
-    by_key.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+    by_key.sort_unstable_by(|&a, &b| {
+        keys.get(a as usize)
+            .cmp(keys.get(b as usize))
+            .then(a.cmp(&b))
+    });
+    first_repeat_in(keys, &by_key)
+}
+
+/// [`first_repeat`] over rows `by_key` lists in key order, ties in row
+/// order: a repeat sits next to the row it repeats.
+fn first_repeat_in(keys: &KeyArena, by_key: &[u32]) -> Option<usize> {
     by_key
         .windows(2)
-        .filter(|w| key(w[0]) == key(w[1]))
+        .filter(|w| keys.get(w[0] as usize) == keys.get(w[1] as usize))
         .map(|w| w[1] as usize)
         .min()
 }
@@ -257,6 +266,34 @@ impl SecondaryIndex {
         Ok(())
     }
 
+    /// Inserts the entries of the rows `by_key` lists, those below
+    /// `limit`, in that order: it walks the rows in ascending order of
+    /// their encoded keys `keys`, which are distinct. One
+    /// [`BTree::insert_sorted`] run — a page write per leaf the entries
+    /// fall into. Only a unique index takes it (its entry key is the row
+    /// key).
+    fn insert_sorted_entries(
+        &mut self,
+        pool: &mut BufferPool,
+        keys: &KeyArena,
+        by_key: &[u32],
+        limit: usize,
+        locs: &BatchLocs,
+    ) -> Result<()> {
+        debug_assert!(self.unique, "a non-unique entry key carries its locator");
+        let rows = by_key.iter().map(|&r| r as usize).filter(|&r| r < limit);
+        let mut vals = take::<KeyArena>();
+        let mut loc = take::<Vec<u8>>();
+        for r in rows.clone() {
+            loc.clear();
+            locs.write_bytes(r, &mut loc);
+            vals.push(&loc);
+        }
+        let entries = rows.enumerate().map(|(i, r)| (keys.get(r), vals.get(i)));
+        self.tree.insert_sorted(pool, entries)?;
+        Ok(())
+    }
+
     /// Bulk-builds this empty index bottom-up from every row's encoded key
     /// (`keys[r]`) and locator (`locs[r]`).
     fn bulk_fill(
@@ -288,6 +325,12 @@ impl SecondaryIndex {
         // locator is the key suffix past the indexed column values.
         // Decode errors inside the scan callback (which can only
         // continue/stop) are parked and surfaced after the scan.
+        if point && self.unique {
+            let loc = self
+                .tree
+                .get_at(pool, walk, key, |loc| out.push_bytes(loc, clustered))?;
+            return loc.unwrap_or(Ok(()));
+        }
         let n_cols = self.cols.len();
         let mut parked: Result<()> = Ok(());
         self.tree.scan_prefix_runs(pool, walk, key, |run| {
@@ -463,6 +506,26 @@ pub enum ProbePath {
     Secondary { index: usize, point: bool },
     /// No index covers the columns: every probe scans the table.
     Scan,
+}
+
+/// A unique key of a table: a unique secondary index, or the clustering
+/// key of a table clustered on a unique one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UniqueKey {
+    Index(usize),
+    Clustering,
+}
+
+/// What a caller of [`Table::insert_chunk`] has proven about a chunk's
+/// keys under one unique key: it has just probed that key for every row
+/// and found none of them stored (MERGE NOT MATCHED).
+#[derive(Debug, Clone, Copy)]
+pub struct AbsentKeys<'a> {
+    pub key: UniqueKey,
+    /// Every row of the chunk once, in ascending order of its key, ties
+    /// in row order — the order the probe walked them in — or empty
+    /// when the probe did not sort them.
+    pub by_key: &'a [u32],
 }
 
 /// How an UPDATE's write phase reaches the rows — chosen once per
@@ -705,12 +768,15 @@ const SWEEP_MIN: usize = 8;
 /// into scratch buffers, and the matches gathered back in batch order.
 /// Either way `out` receives, key by key in batch order, what a probe of
 /// that key alone appends, and `out.src` each match's key position —
-/// `probe` must answer a key the same in any order.
+/// `probe` must answer a key the same in any order. `walked`, when given
+/// and the batch holds [`SWEEP_MIN`] keys or more, receives the batch in
+/// the key order it was probed in, ties in batch order.
 fn sweep(
     batch: &[u32],
     cmp: impl Fn(u32, u32) -> Ordering,
     out: EqMatches<'_>,
     by_locator: bool,
+    walked: Option<&mut Vec<u32>>,
     mut probe: impl FnMut(u32, &mut Chunk, Option<&mut BatchLocs>) -> Result<()>,
 ) -> Result<()> {
     let EqMatches {
@@ -729,6 +795,9 @@ fn sweep(
         }
     };
     if batch.len() < SWEEP_MIN || batch.windows(2).all(|w| cmp(w[0], w[1]).is_lt()) {
+        if let Some(walked) = walked.filter(|_| batch.len() >= SWEEP_MIN) {
+            walked.extend_from_slice(batch);
+        }
         for &k in batch {
             let before = found(rows, locs.as_deref());
             probe(k, rows, locs.as_deref_mut())?;
@@ -739,6 +808,9 @@ fn sweep(
     let mut order = take::<Vec<u32>>();
     order.extend(0..batch.len() as u32);
     order.sort_unstable_by(|&a, &b| cmp(batch[a as usize], batch[b as usize]).then(a.cmp(&b)));
+    if let Some(walked) = walked {
+        walked.extend(order.iter().map(|&i| batch[i as usize]));
+    }
     let mut scratch = take::<Chunk>();
     scratch.set_width(rows.width());
     let mut scratch_locs = take::<BatchLocs>();
@@ -957,6 +1029,19 @@ impl Table {
         matches!(self.storage, TableStorage::Clustered { .. })
     }
 
+    /// The clustering columns, when the table is clustered on a unique
+    /// key.
+    pub(crate) fn unique_clustering_key(&self) -> Option<&[usize]> {
+        match &self.storage {
+            TableStorage::Clustered {
+                key_cols,
+                unique: true,
+                ..
+            } => Some(key_cols),
+            _ => None,
+        }
+    }
+
     /// True when the table uses segment-compressed edge storage (base
     /// rows immutable, mutations via the delta overlay).
     pub fn is_segmented(&self) -> bool {
@@ -1086,17 +1171,24 @@ impl Table {
                     locs: None,
                 };
                 let mut walk = LeafWalk::default();
-                sweep(&batch, by_key(&locs.keys), out, false, |k, rows, _| {
-                    let mut decoded = None;
-                    tree.scan_from(pool, &mut walk, key(k), |stored, bytes| {
-                        decoded =
-                            (stored == key(k)).then(|| decode_row_into_chunk(bytes, rows, read));
-                        false
-                    })?;
-                    decoded
-                        .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))??;
-                    Ok(())
-                })
+                sweep(
+                    &batch,
+                    by_key(&locs.keys),
+                    out,
+                    false,
+                    None,
+                    |k, rows, _| {
+                        let mut decoded = None;
+                        tree.scan_from(pool, &mut walk, key(k), |stored, bytes| {
+                            decoded = (stored == key(k))
+                                .then(|| decode_row_into_chunk(bytes, rows, read));
+                            false
+                        })?;
+                        decoded
+                            .ok_or_else(|| SqlError::Eval("dangling clustered locator".into()))??;
+                        Ok(())
+                    },
+                )
             }
             TableStorage::Segmented { .. } => Err(read_only_err(&self.schema.name)),
         }
@@ -1127,6 +1219,25 @@ impl Table {
         read: &ColSet,
         out: EqMatches<'_>,
     ) -> Result<()> {
+        self.probe_eq_walked(pool, path, cols, keys, read, out, None)
+    }
+
+    /// [`Table::probe_eq`] that also appends to `walked` the key
+    /// positions in the order it probed them: the keys without a NULL in
+    /// key order, ties in batch order — when the batch holds `SWEEP_MIN`
+    /// keys or more; a shorter batch, probed key by key, leaves `walked`
+    /// as it was.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_eq_walked(
+        &self,
+        pool: &mut BufferPool,
+        path: ProbePath,
+        cols: &[usize],
+        keys: &[Value],
+        read: &ColSet,
+        out: EqMatches<'_>,
+        walked: Option<&mut Vec<u32>>,
+    ) -> Result<()> {
         let width = cols.len().max(1);
         let key_vals = |k: u32| &keys[k as usize * width..(k as usize + 1) * width];
         match (path, &self.storage) {
@@ -1134,7 +1245,7 @@ impl Table {
                 let batch = ProbeKeys::new(keys, width)?;
                 let mut walk = LeafWalk::default();
                 let cmp = |a, b| batch.cmp(a, b);
-                sweep(&batch.live, cmp, out, false, |k, rows, mut locs| {
+                sweep(&batch.live, cmp, out, false, walked, |k, rows, mut locs| {
                     let mut decoded = Ok(());
                     tree.scan_prefix_runs(pool, &mut walk, batch.get(k), |run| {
                         if let Some(locs) = locs.as_deref_mut() {
@@ -1168,6 +1279,7 @@ impl Table {
                     |a, b| fid(a).cmp(&fid(b)),
                     out,
                     false,
+                    walked,
                     |k, rows, locs| {
                         let Some(fid) = fid(k) else {
                             return Ok(());
@@ -1210,6 +1322,7 @@ impl Table {
                     |a, b| batch.cmp(a, b),
                     out,
                     true,
+                    walked,
                     |k, _, locs| match locs {
                         Some(locs) => {
                             idx.find_locs(pool, &mut walk, batch.get(k), point, clustered, locs)
@@ -1236,7 +1349,7 @@ impl Table {
                 // What the scans that must test a row before keeping it
                 // decode.
                 let all = ColSet::all();
-                sweep(&batch, cmp, out, false, |k, rows, locs| {
+                sweep(&batch, cmp, out, false, walked, |k, rows, locs| {
                     let vals = key_vals(k);
                     let mut cursor = self.batch_cursor(pool)?;
                     append_matching(
@@ -1525,15 +1638,21 @@ impl Table {
     /// fails on it — what writing the rows one at a time would leave.
     /// Heap and delta rows go in one page-packing batch, clustered rows in
     /// arrival order with one tree descent each, and each secondary index
-    /// takes one sorted batch of entries. `absent_from` names a unique
-    /// secondary index the caller has just probed, without a match, for
-    /// every row's key (MERGE NOT MATCHED): those keys are checked against
-    /// each other but not against the index again.
+    /// takes one sorted batch of entries.
+    ///
+    /// `absent` names a unique key (a secondary index or the clustering
+    /// key) the caller has just probed, without a match, for every row's
+    /// key (MERGE NOT MATCHED): those keys are checked against each other
+    /// but not against the stored ones again. When it also lists the rows
+    /// in key order, that order serves the whole write under that key:
+    /// the in-chunk check compares neighbours, and a secondary index takes
+    /// its entries in that order, a page write per leaf
+    /// ([`BTree::insert_sorted`]) — no key is sorted again.
     pub fn insert_chunk(
         &mut self,
         pool: &mut BufferPool,
         chunk: &Chunk,
-        absent_from: Option<usize>,
+        absent: Option<AbsentKeys<'_>>,
     ) -> Result<u64> {
         let n = chunk.len();
         if n == 0 {
@@ -1542,6 +1661,10 @@ impl Table {
         if chunk.width() != self.schema.columns.len() {
             return Err(self.arity_err(None, chunk.width()));
         }
+        let absent_key = absent.map(|a| a.key);
+        // The probe's key order, when it covers every row.
+        let by_key = absent.map_or(&[][..], |a| a.by_key);
+        let by_key = (by_key.len() == n).then_some(by_key);
         // Every row's key under every index and under a unique clustering
         // key, encoded once: the pre-scan and the index entries both use
         // them.
@@ -1570,13 +1693,17 @@ impl Table {
             .zip(keys.iter())
             .enumerate()
             .filter(|(_, (idx, _))| idx.unique)
-            .map(|(ii, (idx, keys))| (&idx.tree, &idx.cols[..], keys, absent_from != Some(ii)));
+            .map(|(ii, (idx, keys))| (&idx.tree, &idx.cols[..], keys, UniqueKey::Index(ii)));
         let primary = unique_clustered
             .as_ref()
-            .map(|(tree, cols, keys)| (*tree, *cols, keys, true));
-        for (tree, cols, keys, stored) in secondary.chain(primary) {
-            let mut first = first_repeat(keys);
-            if stored {
+            .map(|(tree, cols, keys)| (*tree, *cols, keys, UniqueKey::Clustering));
+        for (tree, cols, keys, key) in secondary.chain(primary) {
+            let probed = absent_key == Some(key);
+            let mut first = match by_key.filter(|_| probed) {
+                Some(by_key) => first_repeat_in(keys, by_key),
+                None => first_repeat(keys),
+            };
+            if !probed {
                 let bound = first.unwrap_or(n).min(first_bad.map_or(n, |(r, _)| r));
                 let mut walk = LeafWalk::default();
                 for r in 0..bound {
@@ -1646,8 +1773,11 @@ impl Table {
                 *delta_rows += limit as u64;
             }
         }
-        for (idx, keys) in self.indexes.iter_mut().zip(keys.iter()) {
-            idx.insert_entries(pool, keys, limit, &locs)?;
+        for (ii, (idx, keys)) in self.indexes.iter_mut().zip(keys.iter()).enumerate() {
+            match by_key.filter(|_| absent_key == Some(UniqueKey::Index(ii))) {
+                Some(by_key) => idx.insert_sorted_entries(pool, keys, by_key, limit, &locs)?,
+                None => idx.insert_entries(pool, keys, limit, &locs)?,
+            }
         }
         match failure {
             Some((_, e)) => Err(e),

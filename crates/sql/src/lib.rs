@@ -53,7 +53,7 @@ pub mod parser;
 pub mod plan;
 mod pool;
 
-pub use catalog::{Catalog, RowLoc, Table, TableBatchCursor, TableSchema};
+pub use catalog::{AbsentKeys, Catalog, RowLoc, Table, TableBatchCursor, TableSchema, UniqueKey};
 pub use dialect::Dialect;
 pub use engine::{
     Database, DbSnapshot, ExecOutcome, PreparedStmt, ResultSet, SharedPlanCacheStats,

@@ -23,11 +23,11 @@ use super::{
 };
 use crate::ast::{
     AggFunc, BinaryOp, Delete, Expr, Insert, InsertSource, Merge, OrderKey, Select, SelectItem,
-    Stmt, TableRef, Update,
+    Stmt, TableRef, Update, WindowFunc,
 };
-use crate::catalog::{Catalog, ProbePath, Table, UpdateMode};
+use crate::catalog::{Catalog, ProbePath, Table, UniqueKey, UpdateMode};
 use crate::error::{Result, SqlError};
-use fempath_storage::DataType;
+use fempath_storage::{DataType, Value};
 
 /// Plans one statement against the current catalog.
 pub(crate) fn build_plan(catalog: &Catalog, stmt: &Stmt) -> Result<PlanKind> {
@@ -326,6 +326,8 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
         // specs' output columns, exactly as `run_windows` does.
         for (si, spec) in specs.iter().enumerate() {
             windows.push(WindowPlan {
+                col: post_schema.cols.len(),
+                top1: false,
                 func: spec.func,
                 partition: spec
                     .partition_by
@@ -407,7 +409,96 @@ pub(crate) fn plan_select(catalog: &Catalog, sel: &Select) -> Result<SelectPlan>
         subplans: b.subplans,
     };
     project_from(catalog, &mut plan, &widths)?;
+    plan_top1(&mut plan);
     Ok(plan)
+}
+
+/// Marks the window of a derived table in FROM as top-1 per partition
+/// ([`WindowPlan::top1`]) when [`top1_applies`].
+fn plan_top1(plan: &mut SelectPlan) {
+    if top1_applies(plan) {
+        if let InputPlan::Derived(sub) = &mut plan.from.source.input {
+            sub.windows[0].top1 = true;
+        }
+    }
+}
+
+/// Whether the first FROM item of `plan` is a derived table `SELECT …,
+/// ROW_NUMBER() OVER (…) AS rn FROM …` — its only window, nothing after
+/// it but a projection that cannot fail, `rn` projected once and as it
+/// is — and `plan` reads `rn` only in an `rn = 1` filter on that table. Dropping the rows
+/// numbered 2 or more before the projection then changes nothing `plan`
+/// returns. The filter stays, and every kept row reads 1.
+fn top1_applies(plan: &SelectPlan) -> bool {
+    let InputPlan::Derived(sub) = &plan.from.source.input else {
+        return false;
+    };
+    let [w] = &sub.windows[..] else {
+        return false;
+    };
+    let plain = sub.having.is_none() && sub.order_by.is_empty() && !sub.distinct;
+    if w.func != WindowFunc::RowNumber || !plain || sub.cap.is_some() {
+        return false;
+    }
+    // Nor may a dropped row's projection fail: each item is a column, a
+    // constant, or a window key (already evaluated on every row).
+    let keys = || w.partition.iter().chain(w.order.iter().map(|(e, _)| e));
+    let safe = |e: &PExpr| {
+        matches!(e, PExpr::Col(_) | PExpr::Const(_) | PExpr::Param(_)) || keys().any(|k| k == e)
+    };
+    if !sub.items.iter().all(safe) {
+        return false;
+    }
+    let mut reads_rn = vec![false; w.col + 1];
+    let mut items = sub.items.iter().enumerate().filter(|(_, e)| {
+        reads_rn[w.col] = false;
+        mark_pexpr_cols(e, &mut reads_rn);
+        reads_rn[w.col]
+    });
+    let (Some((rn, PExpr::Col(_))), None) = (items.next(), items.next()) else {
+        return false;
+    };
+    let is_rn_one = |e: &PExpr| match e {
+        PExpr::Binary {
+            l,
+            op: BinaryOp::Eq,
+            r,
+        } => matches!((&**l, &**r), (PExpr::Col(c), PExpr::Const(Value::Int(1)))
+            | (PExpr::Const(Value::Int(1)), PExpr::Col(c)) if *c == rn),
+        _ => false,
+    };
+    let from = &plan.from;
+    let (filters, others): (Vec<&PExpr>, Vec<&PExpr>) =
+        from.source.filter.iter().partition(|e| is_rn_one(e));
+    let joins = from.joins.iter().flat_map(|j| match j {
+        JoinPlan::IndexLoop { keys, residual, .. } => keys.iter().chain(residual),
+        JoinPlan::Hash {
+            left_keys,
+            residual,
+            ..
+        } => left_keys.iter().chain(residual),
+        JoinPlan::Loop { residual, .. } => [].iter().chain(residual),
+    });
+    let aggs = plan.agg.iter().flat_map(|a| {
+        let args = a.aggs.iter().filter_map(|(_, e)| e.as_ref());
+        a.group.iter().chain(args)
+    });
+    let windows = plan.windows.iter().flat_map(|w| {
+        let order = w.order.iter().map(|(e, _)| e);
+        w.partition.iter().chain(order)
+    });
+    let mut used = vec![false; rn + 1];
+    others
+        .into_iter()
+        .chain(joins)
+        .chain(&from.residual)
+        .chain(aggs)
+        .chain(windows)
+        .chain(&plan.having)
+        .chain(&plan.items)
+        .chain(plan.order_by.iter().map(|(e, _)| e))
+        .for_each(|e| mark_pexpr_cols(e, &mut used));
+    !filters.is_empty() && !used[rn]
 }
 
 /// Narrows every base-table access of `plan`'s FROM pipeline to the
@@ -1256,23 +1347,29 @@ fn plan_merge(catalog: &Catalog, m: &Merge) -> Result<MergePlan> {
     let mode = table.update_mode(matched_cols);
     let row_exprs = || residual.iter().chain(matched_exprs.iter().copied());
     let path = table.probe_path(&probe_cols);
-    // A full-key probe of a unique index on INT columns, whose key
-    // expressions are also what NOT MATCHED inserts into those columns:
-    // an unmatched source row's key was just shown to be absent. That
-    // holds only while "unmatched" means "no probe hit" (no ON residual
-    // can reject a hit) and WHEN MATCHED cannot write a probed key.
-    let hit_is_match = residual.is_empty() && mode == UpdateMode::InPlace;
-    let insert_keys_probed = match (path, &not_matched) {
-        (ProbePath::Secondary { index, point: true }, Some((cols, exprs))) if hit_is_match => {
-            probe_cols
-                .iter()
-                .zip(&probe_keys)
-                .all(|(pc, pk)| {
-                    table.schema.columns[*pc].dtype == DataType::Int
-                        && cols.iter().zip(exprs).any(|(c, e)| c == pc && e == pk)
-                })
-                .then_some(index)
+    // A full-key probe of a unique key (a unique index, or a unique
+    // clustering key) on INT columns, whose key expressions are also what
+    // NOT MATCHED inserts into those columns: an unmatched source row's
+    // key was just shown to be absent. That holds only while "unmatched"
+    // means "no probe hit" (no ON residual can reject a hit) and WHEN
+    // MATCHED cannot write a probed key.
+    let probed_key = match path {
+        ProbePath::Secondary { index, point: true } => Some(UniqueKey::Index(index)),
+        ProbePath::Clustered if table.unique_clustering_key() == Some(&probe_cols[..]) => {
+            Some(UniqueKey::Clustering)
         }
+        _ => None,
+    };
+    let hit_is_match = residual.is_empty() && !matched_cols.iter().any(|c| probe_cols.contains(c));
+    let insert_keys_probed = match (probed_key, &not_matched) {
+        (Some(key), Some((cols, exprs))) if hit_is_match => probe_cols
+            .iter()
+            .zip(&probe_keys)
+            .all(|(pc, pk)| {
+                table.schema.columns[*pc].dtype == DataType::Int
+                    && cols.iter().zip(exprs).any(|(c, e)| c == pc && e == pk)
+            })
+            .then_some(key),
         _ => None,
     };
     let probe = ProbePlan {

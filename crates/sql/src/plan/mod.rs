@@ -36,7 +36,7 @@ pub(crate) mod vexec;
 pub mod window;
 
 use crate::ast::{AggFunc, BinaryOp, Stmt, UnaryOp, WindowFunc};
-use crate::catalog::{ProbePath, TableSchema, UpdateMode};
+use crate::catalog::{ProbePath, TableSchema, UniqueKey, UpdateMode};
 use fempath_storage::{ColSet, Value};
 use scope::{Schema, SchemaCol};
 use std::sync::Arc;
@@ -420,6 +420,13 @@ pub(crate) struct WindowPlan {
     pub(crate) func: WindowFunc,
     pub(crate) partition: Vec<PExpr>,
     pub(crate) order: Vec<(PExpr, bool)>,
+    /// Its column in the post-stage schema.
+    pub(crate) col: usize,
+    /// Only the rows it numbers 1 go on (the enclosing query reads the
+    /// column through an `= 1` filter and nowhere else): per partition
+    /// the first row in input order with the least order key, found in
+    /// one pass without a sort.
+    pub(crate) top1: bool,
 }
 
 /// A compiled UPDATE.
@@ -519,12 +526,12 @@ pub(crate) struct MergePlan {
     pub(crate) mode: UpdateMode,
     /// WHEN NOT MATCHED: (columns, value expressions) over the source row.
     pub(crate) not_matched: Option<(Vec<usize>, Vec<PExpr>)>,
-    /// The unique secondary index whose full key the probe looks up and
-    /// the NOT MATCHED insert writes from the same source expressions,
-    /// with no ON residual to reject a probe hit and no WHEN MATCHED
-    /// assignment to an index key: an unmatched row's key is then known
-    /// to be absent from it.
-    pub(crate) insert_keys_probed: Option<usize>,
+    /// The unique key (a unique secondary index or the unique clustering
+    /// key) whose full key the probe looks up and the NOT MATCHED insert
+    /// writes from the same source expressions, with no ON residual to
+    /// reject a probe hit and no WHEN MATCHED assignment to a key column:
+    /// an unmatched row's key is then known to be absent from it.
+    pub(crate) insert_keys_probed: Option<UniqueKey>,
     pub(crate) subplans: Vec<SubPlan>,
 }
 
@@ -655,7 +662,11 @@ fn describe_select(sp: &SelectPlan, depth: usize, out: &mut Vec<String>) {
             agg.aggs.len()
         ));
     }
-    if !sp.windows.is_empty() {
+    if sp.windows.iter().any(|w| w.top1) {
+        out.push(format!(
+            "{pad}WINDOW top-1 per partition (ROW_NUMBER = 1, no sort)"
+        ));
+    } else if !sp.windows.is_empty() {
         out.push(format!("{pad}WINDOW ({} function(s))", sp.windows.len()));
     }
     if !sp.order_by.is_empty() {

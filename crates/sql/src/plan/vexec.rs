@@ -42,7 +42,7 @@ use super::{
     WindowPlan,
 };
 use crate::ast::{BinaryOp, UnaryOp};
-use crate::catalog::{BatchLocs, Catalog, EqMatches, Table, UpdateMode};
+use crate::catalog::{AbsentKeys, BatchLocs, Catalog, EqMatches, Table, UpdateMode};
 use crate::error::{Result, SqlError};
 use crate::pool::{recycle, take, Pooled, Recycle, POOL_CAP};
 use fempath_storage::{
@@ -1739,8 +1739,15 @@ fn group_aggregate(
 /// Appends one window column to `data`, computed from keys evaluated over
 /// all of its rows. Windows are added in order, so a later window's keys
 /// may read an earlier one's column, exactly like the interpreter's
-/// row-extension order.
-fn add_window_column(data: &mut Chunk, w: &WindowPlan, env: &Env<'_>) -> Result<()> {
+/// row-extension order. A top-1 window ([`WindowPlan::top1`]) narrows
+/// `sel`, which lists every row of `data`, to the rows it numbers 1, in
+/// input order, and numbers only those.
+fn add_window_column(
+    data: &mut Chunk,
+    w: &WindowPlan,
+    env: &Env<'_>,
+    sel: &mut Vec<u32>,
+) -> Result<()> {
     let np = w.partition.len();
     let n = data.len();
     let mut keys = take::<Chunk>();
@@ -1754,8 +1761,80 @@ fn add_window_column(data: &mut Chunk, w: &WindowPlan, env: &Env<'_>) -> Result<
         }
         keys.commit_rows(n);
     }
-    window_column(&keys, np, w, data.add_column());
+    if !w.top1 {
+        window_column(&keys, np, w, data.add_column());
+        return Ok(());
+    }
+    top1_rows(&keys, np, w, sel);
+    let out = data.add_column();
+    (0..n).for_each(|_| out.push_int(1));
     Ok(())
+}
+
+/// Narrows `sel` (every row of `keys`, in order) to the rows a
+/// `ROW_NUMBER()` over `keys` (partition key columns, the first `np`, then
+/// the order key columns) numbers 1: per partition, the first row in
+/// input order with the least order key — what the stable tie-break of
+/// [`window_column`] numbers 1. All-integer keys without a NULL take one
+/// pass over an open-addressing table of each partition's best row so
+/// far; any other key numbers every row and keeps the 1s.
+fn top1_rows(keys: &Chunk, np: usize, w: &WindowPlan, sel: &mut Vec<u32>) {
+    let n = keys.len();
+    if n == 0 {
+        return;
+    }
+    let cols = keys.columns();
+    let all_int = cols
+        .iter()
+        .all(|c| matches!(c, Column::Int { nulls, .. } if !nulls.any()));
+    if !all_int {
+        let mut rn = Column::new_int();
+        window_column(keys, np, w, &mut rn);
+        let rn = int_vals(&rn);
+        sel.retain(|&r| rn.get(r as usize) == Some(&1));
+        return;
+    }
+    let (part, order) = cols.split_at(np);
+    let same_part = |a: usize, b: usize| part.iter().map(int_vals).all(|p| p[a] == p[b]);
+    let before = |a: usize, b: usize| {
+        for (o, (_, asc)) in order.iter().map(int_vals).zip(&w.order) {
+            match o[a].cmp(&o[b]) {
+                Ordering::Equal => {}
+                ord => return (ord == Ordering::Less) == *asc,
+            }
+        }
+        false
+    };
+    let bits = (2 * n).next_power_of_two().trailing_zeros();
+    let mut slots = take::<Vec<u32>>();
+    slots.resize(1 << bits, u32::MAX);
+    let mask = slots.len() - 1;
+    for r in 0..n {
+        let h = part.iter().map(int_vals).fold(0u64, |h, p| {
+            (h.rotate_left(5) ^ p[r] as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        let mut s = (h >> (64 - bits)) as usize;
+        loop {
+            let best = slots[s];
+            if best == u32::MAX {
+                slots[s] = r as u32;
+                break;
+            }
+            if same_part(best as usize, r) {
+                if before(r, best as usize) {
+                    slots[s] = r as u32;
+                }
+                break;
+            }
+            s = (s + 1) & mask;
+        }
+    }
+    let mut keep = take::<Vec<u32>>();
+    keep.resize(n, 0);
+    for &best in slots.iter().filter(|&&b| b != u32::MAX) {
+        keep[best as usize] = 1;
+    }
+    sel.retain(|&r| keep[r as usize] == 1);
 }
 
 /// Executes a SELECT plan batch-at-a-time into `out`.
@@ -1812,12 +1891,12 @@ fn run_select(
                 data.append_gather(chunk, sel);
                 Ok(true)
             })?;
-            for w in &plan.windows {
-                add_window_column(&mut data, w, &env)?;
-            }
         }
     }
     let mut sel = take_sel(data.len());
+    for w in &plan.windows {
+        add_window_column(&mut data, w, &env, &mut sel)?;
+    }
     if let Some(h) = &plan.having {
         apply_pred(h, &data, &mut sel, &env)?;
     }
@@ -2037,13 +2116,16 @@ struct Matches {
 /// Probes `table` once per row of the source batch `sc` (vectorized key
 /// evaluation, one [`Table::probe_eq`] for the batch: one index descent
 /// per row, NULL keys never match, the matched rows' planned columns
-/// fetched in one pass).
+/// fetched in one pass). `walked`, when given, receives the source rows
+/// in the key order the probe walked them in
+/// ([`Table::probe_eq_walked`]).
 fn probe_source_chunk(
     pool: &mut BufferPool,
     table: &Table,
     probe: &ProbePlan,
     sc: &Chunk,
     env: &Env<'_>,
+    walked: Option<&mut Vec<u32>>,
 ) -> Result<Matches> {
     let keys = batch_keys(&probe.keys, sc, &take_sel(sc.len()), env)?;
     let mut m = Matches {
@@ -2058,7 +2140,8 @@ fn probe_source_chunk(
         src: Some(&mut m.src),
         locs: Some(&mut m.locs),
     };
-    table.probe_eq(pool, probe.path, &probe.cols, &keys, &probe.read.set, found)?;
+    let (cols, read) = (&probe.cols, &probe.read.set);
+    table.probe_eq_walked(pool, probe.path, cols, &keys, read, found, walked)?;
     if !m.rows.is_empty() {
         m.rows.hcat_gather(sc, &m.src, &probe.source_read);
     }
@@ -2157,7 +2240,7 @@ pub(crate) fn run_update(
             } => {
                 let sources = collect_source_chunks(pool, catalog, &env, source)?;
                 for sc in sources.iter().filter(|c| !c.is_empty()) {
-                    let m = probe_source_chunk(pool, table, probe, sc, &env)?;
+                    let m = probe_source_chunk(pool, table, probe, sc, &env, None)?;
                     let mut sel = take_sel(m.rows.len());
                     apply_filter(target_residual, &m.rows, &mut sel, &env)?;
                     apply_filter(mixed_residual, &m.rows, &mut sel, &env)?;
@@ -2203,7 +2286,9 @@ pub(crate) fn run_delete(
 /// fetches what the ON residual, the WHEN MATCHED condition and the SET
 /// expressions read of the matched rows in one pass; those expressions
 /// and the NOT MATCHED values are evaluated column-wise; the write phase
-/// applies the assigned columns by locator, then inserts one chunk.
+/// applies the assigned columns by locator, then inserts one chunk. When
+/// the probe proves the inserted keys absent, the key order it walked the
+/// source in is handed on to the insert, which writes in it.
 pub(crate) fn run_merge(
     pool: &mut BufferPool,
     catalog: &mut Catalog,
@@ -2214,6 +2299,9 @@ pub(crate) fn run_merge(
     let mut pending = PendingUpdates::new(matched_cols, plan.mode);
     let mut inserts = take::<Chunk>();
     let mut keys_probed = plan.insert_keys_probed;
+    // The rows of `inserts` in key order, while one source batch has
+    // supplied them all.
+    let mut by_key = take::<Vec<u32>>();
     {
         let catalog = &*catalog;
         let env = build_env_v(pool, catalog, params, &plan.subplans)?;
@@ -2221,8 +2309,11 @@ pub(crate) fn run_merge(
         inserts.set_width(table.schema.columns.len());
         let sources = collect_source_chunks(pool, catalog, &env, &plan.source)?;
         let mut matched = take::<Vec<u32>>();
+        let mut walked = take::<Vec<u32>>();
         for sc in sources.iter().filter(|c| !c.is_empty()) {
-            let m = probe_source_chunk(pool, table, &plan.probe, sc, &env)?;
+            walked.clear();
+            let walk = keys_probed.is_some().then_some(&mut *walked);
+            let m = probe_source_chunk(pool, table, &plan.probe, sc, &env, walk)?;
             if !m.int_keys {
                 keys_probed = None;
             }
@@ -2250,6 +2341,15 @@ pub(crate) fn run_merge(
             if sel.is_empty() {
                 continue;
             }
+            if inserts.is_empty() && walked.len() == sc.len() {
+                // Each unmatched source row's place among the inserts.
+                matched.fill(u32::MAX);
+                for (j, &k) in sel.iter().enumerate() {
+                    matched[k as usize] = j as u32;
+                }
+                let places = walked.iter().map(|&k| matched[k as usize]);
+                by_key.extend(places.filter(|&j| j != u32::MAX));
+            }
             let n = sel.len();
             for (&c, e) in cols.iter().zip(exprs) {
                 let v = eval_v(e, sc, &sel, &env)?;
@@ -2264,5 +2364,9 @@ pub(crate) fn run_merge(
     }
     let table = catalog.table_mut(&plan.target)?;
     let updated = pending.apply(pool, table)?;
-    Ok(updated + table.insert_chunk(pool, &inserts, keys_probed)?)
+    let absent = keys_probed.map(|key| AbsentKeys {
+        key,
+        by_key: &by_key,
+    });
+    Ok(updated + table.insert_chunk(pool, &inserts, absent)?)
 }

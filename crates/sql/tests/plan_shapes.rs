@@ -550,3 +550,80 @@ fn dml_plans_print_probe_path_fetched_columns_and_write_mode() {
         "{unindexed}"
     );
 }
+
+/// The two window MERGEs of the SegTable method: the SegTable build's
+/// into `TSegV` (clustered uniquely on `(src, nid)`, a two-column
+/// partition) and BSEG's into `TVisited` (a unique index on `nid`). Each
+/// window is read only through `rownum = 1`, so it runs as a top-1 per
+/// partition, and each probe proves the keys it inserts absent — the
+/// build's through the clustering key, which WHEN MATCHED does not write.
+#[test]
+fn segtable_merges_take_top1_and_prove_their_keys_absent() {
+    let mut d = Database::in_memory(256);
+    for ddl in [
+        "CREATE TABLE TVisited (nid INT, d2s INT, p2s INT, f INT, d2t INT, p2t INT, b INT)",
+        "CREATE UNIQUE INDEX idx_tvisited_nid ON TVisited(nid)",
+        "CREATE TABLE TEdges (fid INT, tid INT, cost INT)",
+        "CREATE CLUSTERED INDEX ix_e ON TEdges(fid)",
+        "CREATE TABLE TSegV (src INT, nid INT, d2s INT, p2s INT, f INT)",
+        "CREATE UNIQUE CLUSTERED INDEX idx_tsegv ON TSegV(src, nid)",
+        "CREATE TABLE TOutSegs (fid INT, tid INT, pid INT, cost INT)",
+        "CREATE CLUSTERED INDEX idx_toutsegs ON TOutSegs(fid)",
+    ] {
+        d.execute(ddl).unwrap();
+    }
+    let build = describe(
+        &mut d,
+        "MERGE INTO TSegV AS target USING ( \
+           SELECT src, nid, np, cost FROM ( \
+             SELECT q.src AS src, e.tid AS nid, e.fid AS np, e.cost + q.d2s AS cost, \
+                    ROW_NUMBER() OVER (PARTITION BY q.src, e.tid ORDER BY e.cost + q.d2s) AS rownum \
+             FROM TSegV q, TEdges e \
+             WHERE q.nid = e.fid AND q.f = 2 AND e.cost + q.d2s <= ? AND e.tid <> q.src \
+           ) tmp WHERE rownum = 1 \
+         ) AS source (src, nid, np, cost) \
+         ON source.src = target.src AND source.nid = target.nid \
+         WHEN MATCHED AND target.d2s > source.cost THEN \
+           UPDATE SET d2s = source.cost, p2s = source.np, f = 0 \
+         WHEN NOT MATCHED THEN \
+           INSERT (src, nid, d2s, p2s, f) VALUES (source.src, source.nid, source.cost, source.np, 0)",
+    );
+    assert!(
+        build.contains("WINDOW top-1 per partition (ROW_NUMBER = 1, no sort)")
+            && build.contains("PROBE TSegV by clustered-key prefix")
+            && build.contains("INSERT unmatched rows, keys proven absent by the probe"),
+        "{build}"
+    );
+    let bseg = describe(
+        &mut d,
+        "MERGE INTO TVisited AS target USING ( \
+           SELECT nid, np, cost FROM ( \
+             SELECT e.tid AS nid, e.pid AS np, e.cost + q.d2s AS cost, \
+                    ROW_NUMBER() OVER (PARTITION BY e.tid ORDER BY e.cost + q.d2s) AS rownum \
+             FROM TVisited q, TOutSegs e \
+             WHERE q.nid = e.fid AND q.f = 2 AND e.cost + q.d2s + ? < ? \
+           ) tmp WHERE rownum = 1 \
+         ) AS source (nid, np, cost) \
+         ON source.nid = target.nid \
+         WHEN MATCHED AND target.d2s > source.cost THEN \
+           UPDATE SET d2s = source.cost, p2s = source.np, f = 0 \
+         WHEN NOT MATCHED THEN \
+           INSERT (nid, d2s, p2s, f, d2t, p2t, b) \
+           VALUES (source.nid, source.cost, source.np, 0, 4000000000000000, -1, 0)",
+    );
+    assert!(
+        bseg.contains("WINDOW top-1 per partition (ROW_NUMBER = 1, no sort)")
+            && bseg.contains("PROBE TVisited by unique key of index #0")
+            && bseg.contains("INSERT unmatched rows, keys proven absent by the probe"),
+        "{bseg}"
+    );
+    // Writing a clustering-key column in WHEN MATCHED proves nothing.
+    let rekeyed = describe(
+        &mut d,
+        "MERGE INTO TSegV AS target USING TEdges AS source \
+         ON source.fid = target.src AND source.tid = target.nid \
+         WHEN MATCHED THEN UPDATE SET nid = source.tid + 1 \
+         WHEN NOT MATCHED THEN INSERT (src, nid) VALUES (source.fid, source.tid)",
+    );
+    assert!(rekeyed.ends_with("INSERT unmatched rows"), "{rekeyed}");
+}

@@ -1,5 +1,6 @@
 //! Model test of the one write path: random sequences of
-//! `Table::insert_chunk`, `Table::update_rows` and
+//! `Table::insert_chunk` (plain, or with keys a MERGE probe has proven
+//! absent, in key order or not), `Table::update_rows` and
 //! `Table::delete_rows` run against a plain list of rows on each of six
 //! storages — a heap, a heap with a unique secondary index, a unique and a
 //! non-unique clustered table, and a 3- and a 4-column segmented table
@@ -19,7 +20,7 @@
 
 use fempath_sql::ast::{ColumnDef, CreateIndex};
 use fempath_sql::catalog::{BatchLocs, EqMatches};
-use fempath_sql::{Catalog, RowLoc, SqlError, Table};
+use fempath_sql::{AbsentKeys, Catalog, RowLoc, SqlError, Table, UniqueKey};
 use fempath_storage::{BufferPool, Chunk, ColSet, Column, DataType, Value};
 use proptest::prelude::*;
 
@@ -35,6 +36,11 @@ const DOMAIN: i64 = 4;
 enum Op {
     /// Inserts the rows, in order.
     Insert(Vec<Row>),
+    /// Inserts, in order, the rows whose key under the storage's probed
+    /// unique key is not stored (what a MERGE probe leaves unmatched),
+    /// repeats among them kept, telling the insert the keys are absent —
+    /// with the rows in key order when `by_key`.
+    InsertAbsent { rows: Vec<Row>, by_key: bool },
     /// Sets column `col` of the rows whose first column is `key` (every
     /// row when `None`), the `i`-th located row to `vals[i % len]`. The
     /// rows are located in scan order, or the reverse with `reverse` (so
@@ -101,6 +107,15 @@ impl Storage {
             row[3] = None;
         }
         row
+    }
+
+    /// The unique key a MERGE into `t` probes, and its column.
+    fn probed_key(self) -> Option<(UniqueKey, usize)> {
+        match self {
+            Storage::HeapUnique => Some((UniqueKey::Index(0), 1)),
+            Storage::ClusteredUnique => Some((UniqueKey::Clustering, 0)),
+            _ => None,
+        }
     }
 
     /// The unique keys, in the order a write checks them: the secondary
@@ -409,6 +424,28 @@ fn run(storage: Storage, ops: &[Op]) {
                     Some(want) => assert_eq!(refusal(got.unwrap_err()), want, "{op:?}"),
                 }
             }
+            Op::InsertAbsent { rows, by_key } => {
+                let Some((key, c)) = storage.probed_key() else {
+                    continue;
+                };
+                let rows: Vec<Row> = rows
+                    .iter()
+                    .filter(|r| r[c].is_some() && !model.iter().any(|m| m[c] == r[c]))
+                    .map(|&r| storage.fit(r))
+                    .collect();
+                let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+                order.sort_by_key(|&r| rows[r as usize][c]);
+                let absent = AbsentKeys {
+                    key,
+                    by_key: if *by_key { &order } else { &[] },
+                };
+                let got = t.insert_chunk(pool, &chunk_of(&rows, width), Some(absent));
+                let want = model_insert(&mut model, &rows, storage);
+                match want {
+                    None => assert_eq!(got.unwrap(), rows.len() as u64, "{op:?}"),
+                    Some(want) => assert_eq!(refusal(got.unwrap_err()), want, "{op:?}"),
+                }
+            }
             Op::Update {
                 key,
                 col,
@@ -472,11 +509,15 @@ fn arb_cell() -> impl Strategy<Value = Cell> {
     (0..2 * DOMAIN).prop_map(|v| (v < 2 * DOMAIN - 1).then_some(v % DOMAIN))
 }
 
+fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
+    prop::collection::vec((arb_cell(), arb_cell(), arb_cell(), arb_cell()), 1..6)
+        .prop_map(|rows| rows.into_iter().map(|(a, b, c, d)| [a, b, c, d]).collect())
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
-    let rows = prop::collection::vec((arb_cell(), arb_cell(), arb_cell(), arb_cell()), 1..6)
-        .prop_map(|rows| rows.into_iter().map(|(a, b, c, d)| [a, b, c, d]).collect());
     prop_oneof![
-        rows.prop_map(Op::Insert),
+        arb_rows().prop_map(Op::Insert),
+        (arb_rows(), any::<bool>()).prop_map(|(rows, by_key)| Op::InsertAbsent { rows, by_key }),
         (
             prop::option::of(0..DOMAIN),
             0usize..3,

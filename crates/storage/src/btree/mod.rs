@@ -184,6 +184,31 @@ impl BTree {
         Ok(found)
     }
 
+    /// [`BTree::get_with`] as one lookup of a batch sharing `walk` (see
+    /// [`LeafWalk`]): a key within the walk's leaf costs one search of
+    /// that leaf, and only a descent moves the walk.
+    pub fn get_at<R>(
+        &self,
+        pool: &mut BufferPool,
+        walk: &mut LeafWalk,
+        key: &[u8],
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<Option<R>> {
+        let lo = Bound::Included(key);
+        let pid = match walk.covering(lo) {
+            Some(pid) => pid,
+            None => {
+                let pid = self.descend(pool, lo)?;
+                pool.read_page(pid, |b| walk.remember(pid, b))?;
+                pid
+            }
+        };
+        pool.read_page(pid, |b| {
+            let (i, found) = node::lower_bound(b, key);
+            found.then(|| f(node::leaf_val_at(b, i)))
+        })
+    }
+
     /// [`BTree::insert`] as one of a run of inserts sharing `walk`: a new
     /// key goes into the leaf a descent would pick — the walk's leaf when
     /// the key lies within it, so the descent is skipped — whenever it
@@ -219,6 +244,86 @@ impl BTree {
         }
         *walk = LeafWalk::default();
         self.insert(pool, key, val)
+    }
+
+    /// Inserts entries given in strictly ascending key order, leaving the
+    /// tree page for page as [`BTree::insert`] calls in that order would.
+    /// A descent notes its leaf's upper fence (the separator that bounds
+    /// the leaf on the right), and the entries that follow below it go
+    /// into that leaf in the same page write, each searched for only past
+    /// the one before it. An entry whose key the tree holds already, that
+    /// does not fit, or that is out of order goes through
+    /// [`BTree::insert`] (which replaces or splits), and the next entry
+    /// descends afresh.
+    pub fn insert_sorted<'e>(
+        &mut self,
+        pool: &mut BufferPool,
+        entries: impl IntoIterator<Item = (&'e [u8], &'e [u8])>,
+    ) -> Result<()> {
+        let mut entries = entries.into_iter().peekable();
+        let mut fence = Vec::new();
+        while let Some(first) = entries.next() {
+            let (leaf, bounded) = self.descend_fenced(pool, first.0, &mut fence)?;
+            let mut placed = 0u64;
+            let refused = pool.write_page(leaf, |b| {
+                let (mut entry, mut from) = (first, 0);
+                loop {
+                    let (key, val) = entry;
+                    // Past the entry placed before it, or it is out of
+                    // order and may belong to another leaf.
+                    let after = from == 0 || node::cmp_keys(node::key_at(b, from - 1), key).is_lt();
+                    let (i, found) = node::lower_bound_from(b, key, from);
+                    if !after
+                        || found
+                        || !BTree::fits(key, val)
+                        || !node::leaf_insert_at(b, i, key, val)
+                    {
+                        return Some(entry);
+                    }
+                    placed += 1;
+                    from = i + 1;
+                    match entries.next_if(|(k, _)| !bounded || node::cmp_keys(k, &fence).is_lt()) {
+                        Some(next) => entry = next,
+                        None => return None,
+                    }
+                }
+            })?;
+            self.len += placed;
+            if let Some((key, val)) = refused {
+                self.insert(pool, key, val)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The leaf a descent for `key` reaches, and whether a separator
+    /// bounds it on the right: then `fence` holds the smallest one above
+    /// `key` (the rightmost leaf has none).
+    fn descend_fenced(
+        &self,
+        pool: &mut BufferPool,
+        key: &[u8],
+        fence: &mut Vec<u8>,
+    ) -> Result<(PageId, bool)> {
+        let (mut pid, mut bounded) = (self.root, false);
+        loop {
+            let next = pool.read_page(pid, |b| {
+                if node::is_leaf(b) {
+                    return None;
+                }
+                let (child, i) = node::child_for_idx(b, key);
+                if i < node::num_cells(b) {
+                    fence.clear();
+                    fence.extend_from_slice(node::key_at(b, i));
+                    bounded = true;
+                }
+                Some(child)
+            })?;
+            match next {
+                Some(c) => pid = PageId(c),
+                None => return Ok((pid, bounded)),
+            }
+        }
     }
 
     /// Whether an entry of `key` and `val` fits one cell — what
@@ -692,11 +797,17 @@ impl LeafWalk {
         }
         let first = &self.first[..usize::from(self.first_len)];
         let last = &self.last[..usize::from(self.last_len)];
-        let inside = match lo {
-            Bound::Included(k) => first <= k && k <= last,
-            Bound::Excluded(k) => first <= k && k < last,
-            Bound::Unbounded => false,
+        let (from_first, to_last) = match lo {
+            Bound::Included(k) | Bound::Excluded(k) => {
+                (node::cmp_keys(first, k), node::cmp_keys(k, last))
+            }
+            Bound::Unbounded => return None,
         };
+        let inside = from_first.is_le()
+            && match lo {
+                Bound::Excluded(_) => to_last.is_lt(),
+                _ => to_last.is_le(),
+            };
         inside.then_some(PageId(self.leaf))
     }
 
@@ -1546,6 +1657,62 @@ mod tests {
                 assert_eq!(walked.contains_at(&mut p, &mut walk, &k(i)).unwrap(), want);
             }
         }
+    }
+
+    #[test]
+    fn sorted_runs_build_the_tree_plain_inserts_build() {
+        let mut x = 11u64;
+        let mut rand = move |m: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (x >> 20) % m
+        };
+        let mut p = pool();
+        let mut plain = BTree::create(&mut p).unwrap();
+        let mut sorted = BTree::create(&mut p).unwrap();
+        // Runs of a few to a few hundred ascending keys, some already in
+        // the tree (replaced), values of varying length, into a tree that
+        // grows to three levels.
+        for round in 0..80 {
+            let mut keys: Vec<u64> = (0..1 + rand(600)).map(|_| rand(40_000)).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let entries: Vec<(Vec<u8>, Vec<u8>)> = keys
+                .iter()
+                .map(|&i| (k(i), vec![(round % 7) as u8; 100 + (i % 151) as usize]))
+                .collect();
+            for (key, val) in &entries {
+                plain.insert(&mut p, key, val).unwrap();
+            }
+            sorted
+                .insert_sorted(&mut p, entries.iter().map(|(k, v)| (&k[..], &v[..])))
+                .unwrap();
+            assert_eq!(sorted.len(), plain.len());
+        }
+        assert!(plain.height(&mut p).unwrap() >= 3);
+        assert_eq!(
+            sorted.height(&mut p).unwrap(),
+            plain.height(&mut p).unwrap()
+        );
+        assert_eq!(leaf_keys(&mut p, &sorted), leaf_keys(&mut p, &plain));
+        let scan = |p: &mut BufferPool, t: &BTree| {
+            let mut all = Vec::new();
+            t.scan_range(p, Bound::Unbounded, Bound::Unbounded, |k, v| {
+                all.push((k.to_vec(), v.to_vec()));
+                true
+            })
+            .unwrap();
+            all
+        };
+        assert_eq!(scan(&mut p, &sorted), scan(&mut p, &plain));
+        // An oversized entry fails as `insert` fails, after the entries
+        // before it went in.
+        let big = vec![0u8; PAGE_SIZE];
+        let err = sorted.insert_sorted(
+            &mut p,
+            [(&k(40_001)[..], &[1u8][..]), (&k(40_002)[..], &big[..])],
+        );
+        assert!(matches!(err, Err(StorageError::RecordTooLarge { .. })));
+        assert!(sorted.contains(&mut p, &k(40_001)).unwrap());
     }
 
     #[test]

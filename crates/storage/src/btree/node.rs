@@ -19,6 +19,7 @@
 //! above the last key descend into the last child.
 
 use crate::page::{codec, PAGE_SIZE};
+use std::cmp::Ordering;
 
 pub const TYPE_LEAF: u8 = 1;
 pub const TYPE_INTERIOR: u8 = 2;
@@ -87,6 +88,7 @@ fn cell_off(buf: &Buf, i: usize) -> usize {
 }
 
 /// Key bytes of cell `i` (either node type).
+#[inline]
 pub fn key_at(buf: &Buf, i: usize) -> &[u8] {
     let off = cell_off(buf, i);
     let klen = codec::get_u16(buf, off) as usize;
@@ -141,15 +143,49 @@ pub fn child_at(buf: &Buf, i: usize) -> u64 {
     }
 }
 
+/// Orders two keys as byte strings, as `<[u8]>::cmp` does, eight bytes at
+/// a time: keys are short, and a call to `memcmp` per step of a binary
+/// search costs more than the compare itself.
+#[inline]
+pub fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
+    let n = a.len().min(b.len());
+    let (mut a8, mut b8) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+    let word = |c: &[u8]| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(c);
+        u64::from_be_bytes(w)
+    };
+    for (x, y) in (&mut a8).zip(&mut b8) {
+        let (x, y) = (word(x), word(y));
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    for (x, y) in a8.remainder().iter().zip(b8.remainder()) {
+        if x != y {
+            return x.cmp(y);
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
 /// Binary search: index of the first cell with `key_at(idx) >= key`, plus
 /// whether it is an exact match.
+#[inline]
 pub fn lower_bound(buf: &Buf, key: &[u8]) -> (usize, bool) {
+    lower_bound_from(buf, key, 0)
+}
+
+/// [`lower_bound`] among the cells from `from` on, for a key that sorts
+/// after every cell before `from`.
+#[inline]
+pub fn lower_bound_from(buf: &Buf, key: &[u8], from: usize) -> (usize, bool) {
     let n = num_cells(buf);
-    let (mut lo, mut hi) = (0usize, n);
+    let (mut lo, mut hi) = (from.min(n), n);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        match key_at(buf, mid).cmp(key) {
-            std::cmp::Ordering::Less => lo = mid + 1,
+        match cmp_keys(key_at(buf, mid), key) {
+            Ordering::Less => lo = mid + 1,
             _ => hi = mid,
         }
     }
