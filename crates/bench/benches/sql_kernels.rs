@@ -621,8 +621,16 @@ fn probe_once(pool: &mut BufferPool, t: &Table, keys: &[Value], buf: &mut ProbeO
         src: Some(&mut buf.src),
         locs: None,
     };
-    t.probe_eq(pool, t.probe_path(&[0]), &[0], keys, &ColSet::all(), out)
-        .unwrap();
+    t.probe_eq(
+        pool,
+        t.probe_path(&[0]),
+        &[0],
+        keys,
+        &ColSet::all(),
+        out,
+        None,
+    )
+    .unwrap();
     buf.rows.len()
 }
 

@@ -369,7 +369,7 @@ fn load_segmented_toutsegs(db: &mut Database) -> Result<u64> {
                 src: Some(&mut tags),
                 locs: None,
             };
-            tedges.probe_eq(pool, by_fid, &[0], &keys, &all, out)?;
+            tedges.probe_eq(pool, by_fid, &[0], &keys, &all, out, None)?;
             let (tid, cost) = (ints(&arcs, 1)?, ints(&arcs, 2)?);
             let (mut r, mut a) = (0, 0);
             for (k, &fid) in fids.iter().enumerate() {

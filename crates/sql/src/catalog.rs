@@ -228,14 +228,19 @@ impl SecondaryIndex {
     }
 
     /// Inserts the entries of the first `n` rows whose encoded keys are
-    /// `keys` (row `r` stored at `locs[r]`) in entry-key order, as
-    /// [`BTree::insert_batch`] would, from reused buffers.
+    /// `keys` (row `r` stored at `locs[r]`) in entry-key order, ties in
+    /// row order, from reused buffers: one [`BTree::insert_sorted`] run,
+    /// a page write per leaf the entries fall into. `by_key`, when given,
+    /// lists every row of the chunk in ascending order of its key, ties
+    /// in row order; a unique index (its entry key is the row key) takes
+    /// that order as it is, so no key is sorted again.
     fn insert_entries(
         &mut self,
         pool: &mut BufferPool,
         keys: &KeyArena,
         n: usize,
         locs: &BatchLocs,
+        by_key: Option<&[u32]>,
     ) -> Result<()> {
         let (mut tree_keys, mut vals) = (take::<KeyArena>(), take::<KeyArena>());
         let mut key = take::<Vec<u8>>();
@@ -249,47 +254,25 @@ impl SecondaryIndex {
             vals.push(val);
             tree_keys.push(&key);
         }
-        // Ties in row order: the order `insert_batch`'s stable sort gave,
-        // so the tree comes out page for page the same.
         let mut order = take::<Vec<u32>>();
-        order.extend(0..n as u32);
-        order.sort_unstable_by(|&a, &b| {
-            tree_keys
-                .get(a as usize)
-                .cmp(tree_keys.get(b as usize))
-                .then(a.cmp(&b))
-        });
-        for &r in order.iter() {
-            self.tree
-                .insert(pool, tree_keys.get(r as usize), vals.get(r as usize))?;
+        match by_key {
+            Some(by_key) => {
+                debug_assert!(self.unique, "a non-unique entry key carries its locator");
+                order.extend(by_key.iter().filter(|&&r| (r as usize) < n));
+            }
+            None => {
+                order.extend(0..n as u32);
+                order.sort_unstable_by(|&a, &b| {
+                    tree_keys
+                        .get(a as usize)
+                        .cmp(tree_keys.get(b as usize))
+                        .then(a.cmp(&b))
+                });
+            }
         }
-        Ok(())
-    }
-
-    /// Inserts the entries of the rows `by_key` lists, those below
-    /// `limit`, in that order: it walks the rows in ascending order of
-    /// their encoded keys `keys`, which are distinct. One
-    /// [`BTree::insert_sorted`] run — a page write per leaf the entries
-    /// fall into. Only a unique index takes it (its entry key is the row
-    /// key).
-    fn insert_sorted_entries(
-        &mut self,
-        pool: &mut BufferPool,
-        keys: &KeyArena,
-        by_key: &[u32],
-        limit: usize,
-        locs: &BatchLocs,
-    ) -> Result<()> {
-        debug_assert!(self.unique, "a non-unique entry key carries its locator");
-        let rows = by_key.iter().map(|&r| r as usize).filter(|&r| r < limit);
-        let mut vals = take::<KeyArena>();
-        let mut loc = take::<Vec<u8>>();
-        for r in rows.clone() {
-            loc.clear();
-            locs.write_bytes(r, &mut loc);
-            vals.push(&loc);
-        }
-        let entries = rows.enumerate().map(|(i, r)| (keys.get(r), vals.get(i)));
+        let entries = order
+            .iter()
+            .map(|&r| (tree_keys.get(r as usize), vals.get(r as usize)));
         self.tree.insert_sorted(pool, entries)?;
         Ok(())
     }
@@ -325,12 +308,6 @@ impl SecondaryIndex {
         // locator is the key suffix past the indexed column values.
         // Decode errors inside the scan callback (which can only
         // continue/stop) are parked and surfaced after the scan.
-        if point && self.unique {
-            let loc = self
-                .tree
-                .get_at(pool, walk, key, |loc| out.push_bytes(loc, clustered))?;
-            return loc.unwrap_or(Ok(()));
-        }
         let n_cols = self.cols.len();
         let mut parked: Result<()> = Ok(());
         self.tree.scan_prefix_runs(pool, walk, key, |run| {
@@ -1210,25 +1187,13 @@ impl Table {
     /// locators for the whole batch and fetches their rows once
     /// (`Table::fetch_chunk`); a scan decodes every row per distinct key
     /// and keeps the matches.
-    pub fn probe_eq(
-        &self,
-        pool: &mut BufferPool,
-        path: ProbePath,
-        cols: &[usize],
-        keys: &[Value],
-        read: &ColSet,
-        out: EqMatches<'_>,
-    ) -> Result<()> {
-        self.probe_eq_walked(pool, path, cols, keys, read, out, None)
-    }
-
-    /// [`Table::probe_eq`] that also appends to `walked` the key
-    /// positions in the order it probed them: the keys without a NULL in
-    /// key order, ties in batch order — when the batch holds `SWEEP_MIN`
-    /// keys or more; a shorter batch, probed key by key, leaves `walked`
-    /// as it was.
+    ///
+    /// `walked`, when given, receives the key positions in the order they
+    /// were probed: the keys without a NULL in key order, ties in batch
+    /// order — when the batch holds `SWEEP_MIN` keys or more; a shorter
+    /// batch, probed key by key, leaves it as it was.
     #[allow(clippy::too_many_arguments)]
-    pub fn probe_eq_walked(
+    pub fn probe_eq(
         &self,
         pool: &mut BufferPool,
         path: ProbePath,
@@ -1638,7 +1603,8 @@ impl Table {
     /// fails on it — what writing the rows one at a time would leave.
     /// Heap and delta rows go in one page-packing batch, clustered rows in
     /// arrival order with one tree descent each, and each secondary index
-    /// takes one sorted batch of entries.
+    /// takes its entries in entry-key order as one sorted run, a page
+    /// write per leaf ([`BTree::insert_sorted`]).
     ///
     /// `absent` names a unique key (a secondary index or the clustering
     /// key) the caller has just probed, without a match, for every row's
@@ -1646,8 +1612,7 @@ impl Table {
     /// but not against the stored ones again. When it also lists the rows
     /// in key order, that order serves the whole write under that key:
     /// the in-chunk check compares neighbours, and a secondary index takes
-    /// its entries in that order, a page write per leaf
-    /// ([`BTree::insert_sorted`]) — no key is sorted again.
+    /// its entries in that order — no key is sorted again.
     pub fn insert_chunk(
         &mut self,
         pool: &mut BufferPool,
@@ -1774,10 +1739,8 @@ impl Table {
             }
         }
         for (ii, (idx, keys)) in self.indexes.iter_mut().zip(keys.iter()).enumerate() {
-            match by_key.filter(|_| absent_key == Some(UniqueKey::Index(ii))) {
-                Some(by_key) => idx.insert_sorted_entries(pool, keys, by_key, limit, &locs)?,
-                None => idx.insert_entries(pool, keys, limit, &locs)?,
-            }
+            let by_key = by_key.filter(|_| absent_key == Some(UniqueKey::Index(ii)));
+            idx.insert_entries(pool, keys, limit, &locs, by_key)?;
         }
         match failure {
             Some((_, e)) => Err(e),
@@ -2753,7 +2716,7 @@ mod tests {
             src: None,
             locs: None,
         };
-        t.probe_eq(pool, path, cols, key, &ColSet::all(), found)
+        t.probe_eq(pool, path, cols, key, &ColSet::all(), found, None)
             .unwrap();
         (path, (0..chunk.len()).map(|r| chunk.row(r)).collect())
     }
@@ -3157,8 +3120,16 @@ mod tests {
             locs: None,
         };
         let before = pool.stats().accesses();
-        t.probe_eq(pool, ProbePath::Segments, &[0], keys, &ColSet::all(), found)
-            .unwrap();
+        t.probe_eq(
+            pool,
+            ProbePath::Segments,
+            &[0],
+            keys,
+            &ColSet::all(),
+            found,
+            None,
+        )
+        .unwrap();
         (ints(&chunk), pool.stats().accesses() - before)
     }
 

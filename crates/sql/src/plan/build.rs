@@ -426,9 +426,11 @@ fn plan_top1(plan: &mut SelectPlan) {
 /// Whether the first FROM item of `plan` is a derived table `SELECT …,
 /// ROW_NUMBER() OVER (…) AS rn FROM …` — its only window, nothing after
 /// it but a projection that cannot fail, `rn` projected once and as it
-/// is — and `plan` reads `rn` only in an `rn = 1` filter on that table. Dropping the rows
+/// is — and `plan` reads `rn` only in an `rn = 1` filter on that table,
+/// with no conjunct ahead of it that could fail. Dropping the rows
 /// numbered 2 or more before the projection then changes nothing `plan`
-/// returns. The filter stays, and every kept row reads 1.
+/// returns, nor whether it fails. The filter stays, and every kept row
+/// reads 1.
 fn top1_applies(plan: &SelectPlan) -> bool {
     let InputPlan::Derived(sub) = &plan.from.source.input else {
         return false;
@@ -442,10 +444,9 @@ fn top1_applies(plan: &SelectPlan) -> bool {
     }
     // Nor may a dropped row's projection fail: each item is a column, a
     // constant, or a window key (already evaluated on every row).
+    let leaf = |e: &PExpr| matches!(e, PExpr::Col(_) | PExpr::Const(_) | PExpr::Param(_));
     let keys = || w.partition.iter().chain(w.order.iter().map(|(e, _)| e));
-    let safe = |e: &PExpr| {
-        matches!(e, PExpr::Col(_) | PExpr::Const(_) | PExpr::Param(_)) || keys().any(|k| k == e)
-    };
+    let safe = |e: &PExpr| leaf(e) || keys().any(|k| k == e);
     if !sub.items.iter().all(safe) {
         return false;
     }
@@ -468,8 +469,17 @@ fn top1_applies(plan: &SelectPlan) -> bool {
         _ => false,
     };
     let from = &plan.from;
-    let (filters, others): (Vec<&PExpr>, Vec<&PExpr>) =
-        from.source.filter.iter().partition(|e| is_rn_one(e));
+    let filter = &from.source.filter;
+    // The filter's conjuncts apply in order, each to the rows the ones
+    // before it kept: one ahead of the first `rn = 1` sees the rows the
+    // rewrite drops, so it must not be able to fail on them.
+    let Some(first) = filter.iter().position(is_rn_one) else {
+        return false;
+    };
+    if !filter[..first].iter().all(leaf) {
+        return false;
+    }
+    let others = filter.iter().filter(|e| !is_rn_one(e));
     let joins = from.joins.iter().flat_map(|j| match j {
         JoinPlan::IndexLoop { keys, residual, .. } => keys.iter().chain(residual),
         JoinPlan::Hash {
@@ -489,7 +499,6 @@ fn top1_applies(plan: &SelectPlan) -> bool {
     });
     let mut used = vec![false; rn + 1];
     others
-        .into_iter()
         .chain(joins)
         .chain(&from.residual)
         .chain(aggs)
@@ -498,7 +507,7 @@ fn top1_applies(plan: &SelectPlan) -> bool {
         .chain(&plan.items)
         .chain(plan.order_by.iter().map(|(e, _)| e))
         .for_each(|e| mark_pexpr_cols(e, &mut used));
-    !filters.is_empty() && !used[rn]
+    !used[rn]
 }
 
 /// Narrows every base-table access of `plan`'s FROM pipeline to the

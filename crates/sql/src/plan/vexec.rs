@@ -893,7 +893,7 @@ fn stream_source_v(
                 src: None,
                 locs: None,
             };
-            t.probe_eq(pool, *path, cols, &key_vals, &read.set, found)?;
+            t.probe_eq(pool, *path, cols, &key_vals, &read.set, found, None)?;
             if !chunk.is_empty() {
                 let mut sel = take_sel(chunk.len());
                 apply_filter(&sp.filter, &chunk, &mut sel, env)?;
@@ -1095,7 +1095,7 @@ fn apply_stage(
                 src: Some(&mut lidx),
                 locs: None,
             };
-            table.probe_eq(pool, *path, path_cols, &keys, &read.set, found)?;
+            table.probe_eq(pool, *path, path_cols, &keys, &read.set, found, None)?;
             // Each match's key position in `sel` becomes its left row.
             for k in lidx.iter_mut() {
                 *k = sel[*k as usize];
@@ -2032,7 +2032,15 @@ fn match_target(
                 src: None,
                 locs: Some(&mut locs),
             };
-            table.probe_eq(pool, *path, cols, &probe_keys(keys, env)?, &read.set, found)?;
+            table.probe_eq(
+                pool,
+                *path,
+                cols,
+                &probe_keys(keys, env)?,
+                &read.set,
+                found,
+                None,
+            )?;
             fill_identity(&mut sel, rows.len());
             apply_filter(filter, &rows, &mut sel, env)?;
             if !sel.is_empty() {
@@ -2117,8 +2125,7 @@ struct Matches {
 /// evaluation, one [`Table::probe_eq`] for the batch: one index descent
 /// per row, NULL keys never match, the matched rows' planned columns
 /// fetched in one pass). `walked`, when given, receives the source rows
-/// in the key order the probe walked them in
-/// ([`Table::probe_eq_walked`]).
+/// in the key order the probe walked them in.
 fn probe_source_chunk(
     pool: &mut BufferPool,
     table: &Table,
@@ -2141,7 +2148,7 @@ fn probe_source_chunk(
         locs: Some(&mut m.locs),
     };
     let (cols, read) = (&probe.cols, &probe.read.set);
-    table.probe_eq_walked(pool, probe.path, cols, &keys, read, found, walked)?;
+    table.probe_eq(pool, probe.path, cols, &keys, read, found, walked)?;
     if !m.rows.is_empty() {
         m.rows.hcat_gather(sc, &m.src, &probe.source_read);
     }

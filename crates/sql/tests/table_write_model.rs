@@ -328,8 +328,16 @@ fn check(pool: &mut BufferPool, t: &Table, model: &[Row], storage: Storage) {
                 src: None,
                 locs: None,
             };
-            t.probe_eq(pool, path, &[c], &[Value::Int(v)], &ColSet::all(), out)
-                .unwrap();
+            t.probe_eq(
+                pool,
+                path,
+                &[c],
+                &[Value::Int(v)],
+                &ColSet::all(),
+                out,
+                None,
+            )
+            .unwrap();
             let got: Vec<Row> = (0..found.len()).map(|r| row_at(&found, r)).collect();
             let want: Vec<Row> = model.iter().filter(|r| r[c] == Some(v)).copied().collect();
             if storage.segmented() && c == 0 {
@@ -359,8 +367,16 @@ fn probe_batch(pool: &mut BufferPool, t: &Table, c: usize, keys: &[Value]) -> Pr
         src: Some(&mut src),
         locs: Some(&mut locs),
     };
-    t.probe_eq(pool, t.probe_path(&[c]), &[c], keys, &ColSet::all(), out)
-        .unwrap();
+    t.probe_eq(
+        pool,
+        t.probe_path(&[c]),
+        &[c],
+        keys,
+        &ColSet::all(),
+        out,
+        None,
+    )
+    .unwrap();
     let rows = (0..found.len()).map(|r| found.row(r)).collect();
     let locs = (0..locs.len()).map(|r| locs.loc(r)).collect();
     (rows, src, locs)

@@ -920,14 +920,17 @@ fn post_stages_agree_across_batches() {
 }
 
 /// Runs a query through both paths and asserts the same rows in the same
-/// order, whatever the query's ORDER BY says.
+/// order, whatever the query's ORDER BY says, or the same kind of error.
 fn step_in_order(pair: &mut Pair, sql: &str) {
-    let v = pair.vec_db.execute(sql).unwrap();
-    let i = execute_unplanned(&mut pair.interp, sql, &[]).unwrap();
+    let v = pair.vec_db.execute(sql);
+    let i = execute_unplanned(&mut pair.interp, sql, &[]);
+    let (Ok(vo), Ok(io)) = (&v, &i) else {
+        return assert_same(sql, &v, &i);
+    };
     let rows = |o: &ExecOutcome| o.rows.as_ref().map(|r| r.rows.clone());
     assert_eq!(
-        rows(&v),
-        rows(&i),
+        rows(vo),
+        rows(io),
         "rows or their order diverged for: {sql}"
     );
 }
@@ -979,6 +982,10 @@ fn run_top1_case(rows: &[(Option<i64>, Option<i64>, Option<i64>)]) {
            ROW_NUMBER() OVER (PARTITION BY a.p ORDER BY a.o + b.o) AS rn \
            FROM w a, w b WHERE a.q = b.p) t WHERE 1 = rn AND id > 0"
             .to_string(),
+        // A conjunct after `rn = 1` sees only the rows numbered 1: a zero
+        // `o` on a dropped row fails nowhere.
+        top1("SELECT id, p, o, ROW_NUMBER() OVER (PARTITION BY p ORDER BY q) AS rn FROM w")
+            .replace("rn = 1", "rn = 1 AND 10 / o > 0"),
     ];
     let kept = [
         "SELECT id, p, o FROM (SELECT id, p, o, ROW_NUMBER() OVER (PARTITION BY p ORDER BY o) \
@@ -995,6 +1002,11 @@ fn run_top1_case(rows: &[(Option<i64>, Option<i64>, Option<i64>)]) {
             .to_string(),
         "SELECT id, p, o FROM (SELECT TOP 3 id, p, o, ROW_NUMBER() OVER (PARTITION BY p \
          ORDER BY o) AS rn FROM w) t WHERE rn = 1"
+            .to_string(),
+        // A conjunct ahead of `rn = 1` that can fail sees every row: a
+        // zero `o` on a row numbered 2 fails the query.
+        "SELECT id, p, o FROM (SELECT id, p, o, ROW_NUMBER() OVER (PARTITION BY p ORDER BY q) \
+         AS rn FROM w) t WHERE 10 / o > 0 AND rn = 1"
             .to_string(),
     ];
     for sql in &rewritten {

@@ -113,23 +113,19 @@ impl BTree {
         self.contains_at(pool, &mut LeafWalk::default(), key)
     }
 
-    /// Inserts a batch of entries, sorting them first so consecutive
-    /// descents share their path's pages in the buffer pool (one batch →
-    /// mostly-sequential leaf touches instead of random ones). Returns
-    /// the number of *new* keys (replacements don't count).
+    /// Inserts a batch of entries, sorting them first (stably: of two
+    /// entries with one key the later wins) and writing them as one
+    /// [`BTree::insert_sorted`] run. Returns the number of *new* keys
+    /// (replacements don't count).
     pub fn insert_batch(
         &mut self,
         pool: &mut BufferPool,
         mut entries: Vec<(Vec<u8>, Vec<u8>)>,
     ) -> Result<u64> {
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut fresh = 0u64;
-        for (k, v) in &entries {
-            if self.insert(pool, k, v)?.is_none() {
-                fresh += 1;
-            }
-        }
-        Ok(fresh)
+        let before = self.len;
+        self.insert_sorted(pool, entries.iter().map(|(k, v)| (&k[..], &v[..])))?;
+        Ok(self.len - before)
     }
 
     /// Inserts or replaces; returns the previous value if any.
@@ -184,31 +180,6 @@ impl BTree {
         Ok(found)
     }
 
-    /// [`BTree::get_with`] as one lookup of a batch sharing `walk` (see
-    /// [`LeafWalk`]): a key within the walk's leaf costs one search of
-    /// that leaf, and only a descent moves the walk.
-    pub fn get_at<R>(
-        &self,
-        pool: &mut BufferPool,
-        walk: &mut LeafWalk,
-        key: &[u8],
-        f: impl FnOnce(&[u8]) -> R,
-    ) -> Result<Option<R>> {
-        let lo = Bound::Included(key);
-        let pid = match walk.covering(lo) {
-            Some(pid) => pid,
-            None => {
-                let pid = self.descend(pool, lo)?;
-                pool.read_page(pid, |b| walk.remember(pid, b))?;
-                pid
-            }
-        };
-        pool.read_page(pid, |b| {
-            let (i, found) = node::lower_bound(b, key);
-            found.then(|| f(node::leaf_val_at(b, i)))
-        })
-    }
-
     /// [`BTree::insert`] as one of a run of inserts sharing `walk`: a new
     /// key goes into the leaf a descent would pick — the walk's leaf when
     /// the key lies within it, so the descent is skipped — whenever it
@@ -246,13 +217,13 @@ impl BTree {
         self.insert(pool, key, val)
     }
 
-    /// Inserts entries given in strictly ascending key order, leaving the
-    /// tree page for page as [`BTree::insert`] calls in that order would.
-    /// A descent notes its leaf's upper fence (the separator that bounds
-    /// the leaf on the right), and the entries that follow below it go
-    /// into that leaf in the same page write, each searched for only past
-    /// the one before it. An entry whose key the tree holds already, that
-    /// does not fit, or that is out of order goes through
+    /// Inserts entries in the order given, leaving the tree page for page
+    /// as [`BTree::insert`] calls in that order would; it pays when the
+    /// keys ascend. A descent notes its leaf's upper fence (the separator
+    /// that bounds the leaf on the right), and the entries that follow
+    /// below it go into that leaf in the same page write, each searched
+    /// for only past the one before it. An entry whose key the tree holds
+    /// already, that does not fit, or that does not ascend goes through
     /// [`BTree::insert`] (which replaces or splits), and the next entry
     /// descends afresh.
     pub fn insert_sorted<'e>(
@@ -261,9 +232,11 @@ impl BTree {
         entries: impl IntoIterator<Item = (&'e [u8], &'e [u8])>,
     ) -> Result<()> {
         let mut entries = entries.into_iter().peekable();
-        let mut fence = Vec::new();
+        // On the stack: the write path allocates nothing per batch.
+        let mut fence_buf = [0u8; MAX_CELL_PAYLOAD];
         while let Some(first) = entries.next() {
-            let (leaf, bounded) = self.descend_fenced(pool, first.0, &mut fence)?;
+            let (leaf, fence_len) = self.descend_fenced(pool, first.0, &mut fence_buf)?;
+            let fence = fence_len.map(|n| &fence_buf[..n]);
             let mut placed = 0u64;
             let refused = pool.write_page(leaf, |b| {
                 let (mut entry, mut from) = (first, 0);
@@ -282,7 +255,9 @@ impl BTree {
                     }
                     placed += 1;
                     from = i + 1;
-                    match entries.next_if(|(k, _)| !bounded || node::cmp_keys(k, &fence).is_lt()) {
+                    match entries
+                        .next_if(|(k, _)| fence.is_none_or(|f| node::cmp_keys(k, f).is_lt()))
+                    {
                         Some(next) => entry = next,
                         None => return None,
                     }
@@ -296,16 +271,16 @@ impl BTree {
         Ok(())
     }
 
-    /// The leaf a descent for `key` reaches, and whether a separator
-    /// bounds it on the right: then `fence` holds the smallest one above
-    /// `key` (the rightmost leaf has none).
+    /// The leaf a descent for `key` reaches and, when a separator bounds
+    /// it on the right, the length of the smallest one above `key`, which
+    /// `fence` then holds (the rightmost leaf has none).
     fn descend_fenced(
         &self,
         pool: &mut BufferPool,
         key: &[u8],
-        fence: &mut Vec<u8>,
-    ) -> Result<(PageId, bool)> {
-        let (mut pid, mut bounded) = (self.root, false);
+        fence: &mut [u8; MAX_CELL_PAYLOAD],
+    ) -> Result<(PageId, Option<usize>)> {
+        let (mut pid, mut fence_len) = (self.root, None);
         loop {
             let next = pool.read_page(pid, |b| {
                 if node::is_leaf(b) {
@@ -313,15 +288,16 @@ impl BTree {
                 }
                 let (child, i) = node::child_for_idx(b, key);
                 if i < node::num_cells(b) {
-                    fence.clear();
-                    fence.extend_from_slice(node::key_at(b, i));
-                    bounded = true;
+                    // A separator is a key, so it fits a cell's payload.
+                    let sep = node::key_at(b, i);
+                    fence[..sep.len()].copy_from_slice(sep);
+                    fence_len = Some(sep.len());
                 }
                 Some(child)
             })?;
             match next {
                 Some(c) => pid = PageId(c),
-                None => return Ok((pid, bounded)),
+                None => return Ok((pid, fence_len)),
             }
         }
     }

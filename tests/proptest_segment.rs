@@ -162,8 +162,16 @@ fn probe_fids(pool: &mut BufferPool, cat: &Catalog, keys: &[Value]) -> (Vec<Vec<
         src: Some(&mut src),
         locs: None,
     };
-    t.probe_eq(pool, ProbePath::Segments, &[0], keys, &ColSet::all(), out)
-        .unwrap();
+    t.probe_eq(
+        pool,
+        ProbePath::Segments,
+        &[0],
+        keys,
+        &ColSet::all(),
+        out,
+        None,
+    )
+    .unwrap();
     ((0..chunk.len()).map(|r| chunk.row(r)).collect(), src)
 }
 
@@ -332,7 +340,7 @@ proptest! {
         let mut chunk = Chunk::new();
         let mut src = Vec::new();
         let out = EqMatches { rows: &mut chunk, src: Some(&mut src), locs: None };
-        t.probe_eq(&mut pool, ProbePath::Segments, &[0], &keys, &ColSet::all(), out)
+        t.probe_eq(&mut pool, ProbePath::Segments, &[0], &keys, &ColSet::all(), out, None)
             .unwrap();
         let (mut want, mut want_src) = (Vec::new(), Vec::new());
         for (k, key) in keys.iter().enumerate() {
